@@ -218,36 +218,28 @@ pub(crate) fn take_checkpoint(
     let t_log = Instant::now();
 
     // --- full anchor or delta? ---------------------------------------------
-    let (incremental, anchor_every, seq, last_anchor) = {
+    let (anchor_every, seq, last_anchor) = {
         let ft = st.ft.as_ref().expect("checkpoint without FT enabled");
-        (
-            ft.cfg.incremental,
-            ft.cfg.anchor_every,
-            ft.ckpt_seq + 1,
-            ft.last_anchor_seq,
-        )
+        (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq)
     };
     // A delta needs an anchor to chain onto and a chain still shorter than
     // `anchor_every` (chain length counts the anchor, so `anchor_every: 8`
-    // writes one full blob per seven deltas).
-    let is_delta =
-        incremental && last_anchor > 0 && anchor_every > 1 && seq - last_anchor < anchor_every;
+    // writes one full blob per seven deltas). Full checkpoints are the
+    // `anchor_every = 1` case: a chain of one, never a delta.
+    let is_delta = last_anchor > 0 && seq - last_anchor < anchor_every;
 
     // --- assemble the blob -------------------------------------------------
-    // Incremental mode drains the checkpoint-dirty set at *every*
-    // checkpoint (anchors clear it too, so the next delta starts from this
-    // moment); full mode never pays the scan. A delta saves only the dirty
-    // pages — the pages whose home copy changed since the last checkpoint.
-    let ckpt_pages = if incremental {
-        let dirty = st.pt.take_ckpt_dirty();
-        if is_delta {
-            dirty
-        } else {
-            st.pt.homed_pages()
-        }
+    // A delta saves only the checkpoint-dirty pages — those whose home copy
+    // changed since the last checkpoint. Chains drain the dirty set at
+    // *every* checkpoint (anchors clear it too, so the next delta starts
+    // from this moment); when every checkpoint is full nothing pays the
+    // scan.
+    let dirty = if anchor_every > 1 {
+        st.pt.take_ckpt_dirty()
     } else {
-        st.pt.homed_pages()
+        Vec::new()
     };
+    let ckpt_pages = if is_delta { dirty } else { st.pt.homed_pages() };
     let mut home_pages = Vec::with_capacity(ckpt_pages.len());
     for &p in &ckpt_pages {
         let (version, bytes) = st.pt.home_snapshot(p);

@@ -13,7 +13,8 @@
 //!    applied interval sequence numbers strictly increase: a duplicate or
 //!    out-of-order diff apply is exactly the corruption the per-writer
 //!    version gate exists to prevent. State resets when the *home* crashes
-//!    (its copy is rebuilt) and clears per writer when the writer returns
+//!    (its copy is rebuilt; applies surfacing between the crash and the
+//!    restore are ignored) and clears per writer when the writer returns
 //!    (`MemberUp`): recovery replay legitimately re-applies the writer's
 //!    logged diffs.
 //! 2. **Lock tenure uniqueness** — per `(lock, generation)`, at most one
@@ -196,6 +197,14 @@ impl EventSink for Monitor {
                 interval,
                 ..
             } => {
+                let node = &inner.nodes[e.node];
+                if node.recovering && node.rec_phases.is_empty() {
+                    // Crashed, not yet restored: an apply the service thread
+                    // had in flight when the crash hit. Restore overwrites
+                    // the home copy, and replay legitimately applies the
+                    // same interval again.
+                    return;
+                }
                 let key = (*page, *writer);
                 let prev = inner.nodes[e.node].applied.get(&key).copied();
                 match prev {
@@ -408,23 +417,28 @@ mod tests {
         m.on_event(&ev(0, 2, EventKind::BarrierRelease { episode: 4 }));
         m.on_event(&ev(1, 2, EventKind::BarrierRelease { episode: 4 }));
         m.on_event(&ev(0, 3, EventKind::CrashInjected { at_op: 100 }));
-        // Replay re-applies old intervals and re-runs old episodes: legal.
-        m.on_event(&apply(0, 4, 3, 1, 1));
-        m.on_event(&ev(0, 5, EventKind::BarrierRelease { episode: 1 }));
+        // An apply the service thread had in flight when the crash hit
+        // surfaces late; restore wipes it, so it does not count.
+        m.on_event(&apply(0, 4, 3, 1, 10));
         m.on_event(&ev(
             0,
-            6,
+            5,
             EventKind::RecoveryPhase {
                 phase: RecPhase::Restore,
             },
         ));
         m.on_event(&ev(
             0,
-            7,
+            6,
             EventKind::RecoveryPhase {
                 phase: RecPhase::LogCollect,
             },
         ));
+        // Replay re-applies old intervals (that one included) and re-runs
+        // old episodes: legal.
+        m.on_event(&apply(0, 7, 3, 1, 1));
+        m.on_event(&apply(0, 7, 3, 1, 10));
+        m.on_event(&ev(0, 7, EventKind::BarrierRelease { episode: 1 }));
         m.on_event(&ev(
             0,
             8,

@@ -9,15 +9,15 @@
 //!
 //! The big state lock is *not* the only lock (see DESIGN.md "Hot path").
 //! Home-page state lives in the sharded [`hlrc::HomeStore`] and
-//! lock/barrier-manager state in the small [`SyncState`] lock, so the
-//! service loop serves `PageReq`/`PageBatchReq`/`DiffBatch`/`LockAcq`
-//! traffic on a fast path that never touches the big lock while the
-//! application computes under it. The big lock keeps the rarely-contended
-//! rest: mode, waits, FT logs, recovery state. Lock order is big → sync →
-//! shard; shard locks are leaves.
+//! lock/barrier-manager state in the small [`SyncState`] lock, and the one
+//! handler for `PageReq`/`PageBatchReq`/`DiffBatch`/`LockAcq`
+//! ([`HomeSvc::serve`]) needs nothing else — so the service loop runs it
+//! without the big lock while the application computes under it. The big
+//! lock keeps the rarely-contended rest: mode, waits, FT logs, recovery
+//! state. Lock order is big → sync → shard; shard locks are leaves.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,8 +28,8 @@ use dsm_trace::{EventKind, Histogram, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
 use hlrc::{
-    ApplyOutcome, FetchOutcome, HomeStore, LockId, PageState, PageTable, WaitingFetch, WnDelta,
-    WnTable, WriteNotice,
+    ApplyOutcome, FetchOutcome, HomeStore, LockId, PageState, PageTable, ReadyFetch, WaitingFetch,
+    WnDelta, WnTable, WriteNotice,
 };
 use parking_lot::{Condvar, Mutex};
 
@@ -67,9 +67,9 @@ pub(crate) const MODE_NORMAL: u8 = 0;
 
 /// Lock-manager and barrier-manager state, behind its own small lock.
 ///
-/// Fast-path `LockAcq` routing (manager forwards to the chain tail) only
-/// needs this state, so the service thread can route forwards while the
-/// application holds the big lock. The application thread takes this lock
+/// `LockAcq` routing (manager forwards to the chain tail) only needs this
+/// state, so the service thread can route forwards while the application
+/// holds the big lock. The application thread takes this lock
 /// *after* the big lock (big → sync); neither is ever taken while a
 /// home-store shard lock is held.
 pub(crate) struct SyncState {
@@ -167,7 +167,7 @@ pub(crate) struct NodeState {
     pub n: usize,
     pub page_size: usize,
     pub mode: Mode,
-    /// Lock-free mirror of `mode` for the service loop's fast path. Only
+    /// Lock-free mirror of `mode`: the service loop's `live` fence. Only
     /// [`NodeState::set_mode`] writes it (always under the big lock).
     pub mode_flag: Arc<AtomicU8>,
     pub pt: PageTable,
@@ -220,8 +220,8 @@ pub(crate) struct NodeState {
     pub replay: Option<ReplayState>,
     /// Service-thread protocol handler time (all message kinds).
     pub protocol_time_svc: Duration,
-    /// Service-thread handler time attributed per message kind (fast-path
-    /// time is folded in when the service loop exits).
+    /// Service-thread handler time attributed per message kind (folded in
+    /// when the service loop exits).
     pub svc_time_by_kind: HashMap<&'static str, Duration>,
     pub shutdown: bool,
     /// DSM operations executed (crash-injection clock).
@@ -275,7 +275,7 @@ pub(crate) struct NodeState {
     /// Test-only (set via `ClusterConfig::inject_stale_apply`): one-shot
     /// trigger that re-emits a `DiffApply` event with an already-applied
     /// interval, so tests can prove the invariant monitor catches it.
-    pub inject_stale_apply: Option<Arc<std::sync::atomic::AtomicBool>>,
+    pub inject_stale_apply: Option<Arc<AtomicBool>>,
 }
 
 /// Everything shared between a node's threads.
@@ -287,7 +287,7 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeState {
-    /// Change the node's mode, keeping the fast path's atomic mirror in
+    /// Change the node's mode, keeping the service loop's atomic mirror in
     /// step. Every transition happens under the big lock; the store-then-
     /// quiesce fencing on the crash path is what makes the mirror safe to
     /// read without it (see DESIGN.md).
@@ -308,14 +308,16 @@ impl NodeState {
 
     fn make_piggy(&mut self, to: ProcId, gossip: bool) -> Option<Piggy> {
         let me = self.me;
-        let homed = if self.pt.is_empty() {
+        let ft = self.ft.as_mut()?;
+        let mut p0v = Vec::new();
+        // `p0.v` hints exist only once a checkpoint is retained; until then
+        // (and in base-HLRC runs) no send pays the walk over the page slots.
+        let homed = if ft.retained.is_empty() {
             Vec::new()
         } else {
             self.pt.homed_pages()
         };
-        let ft = self.ft.as_mut()?;
-        let mut p0v = Vec::new();
-        if !homed.is_empty() && !ft.retained.is_empty() {
+        if !homed.is_empty() {
             let batch = ft.cfg.piggy_page_batch;
             let start = ft.piggy_cursor % homed.len();
             for k in 0..homed.len() {
@@ -533,47 +535,111 @@ pub(crate) fn fetch_needed(st: &NodeState, page: PageId, mut needed: VectorClock
 /// Transmit the head of `home`'s diff outbox unless a batch is already in
 /// flight there (stop-and-wait: the next batch goes only after the ack).
 pub(crate) fn pump_diff_outbox(st: &mut NodeState, home: ProcId) {
-    if st.diff_inflight[home].is_some() {
-        return;
+    if st.diff_inflight[home].is_none() && !st.diff_outbox[home].is_empty() {
+        send_outbox_head(st, home);
     }
-    let Some((seq, batch)) = st.diff_outbox[home].front() else {
-        return;
-    };
-    let (seq, batch) = (*seq, batch.clone());
+}
+
+/// Put the head of `home`'s diff outbox on the wire and stamp it in flight.
+fn send_outbox_head(st: &mut NodeState, home: ProcId) {
+    let (seq, batch) = st.diff_outbox[home]
+        .front()
+        .expect("in-flight batch without an outbox head")
+        .clone();
     st.diff_inflight[home] = Some((seq, Instant::now()));
     st.send(home, Payload::DiffBatch { seq, diffs: batch });
 }
 
+/// Retransmit the diff batch in flight to `home`, if there is one.
+/// Re-delivery is idempotent at the home (per-writer version gate); the
+/// duplicate ack is dropped by seq.
+pub(crate) fn resend_inflight_diffs(st: &mut NodeState, home: ProcId) {
+    if st.diff_inflight[home].is_none() {
+        return;
+    }
+    st.retransmits += 1;
+    if st.tracer.enabled() {
+        st.tracer.emit(EventKind::Retransmit {
+            kind: "DiffBatch",
+            to: home,
+        });
+    }
+    send_outbox_head(st, home);
+}
+
 /// Retransmit every in-flight diff batch older than the retry timeout
 /// (driven by the membership ticker and by the application thread whenever
-/// one of its own waits times out). Re-delivery is idempotent at the home
-/// (per-writer version gate); the duplicate ack is dropped by seq.
+/// one of its own waits times out).
 pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
     let Some(after) = st.retry_after else {
         return;
     };
     for home in 0..st.n {
-        let Some((seq, sent)) = st.diff_inflight[home] else {
-            continue;
-        };
-        if sent.elapsed() < after {
-            continue;
+        if matches!(st.diff_inflight[home], Some((_, sent)) if sent.elapsed() >= after) {
+            resend_inflight_diffs(st, home);
         }
-        let batch = st.diff_outbox[home]
-            .front()
-            .expect("in-flight batch without an outbox head")
-            .1
-            .clone();
-        st.diff_inflight[home] = Some((seq, Instant::now()));
-        st.retransmits += 1;
-        if st.tracer.enabled() {
-            st.tracer.emit(EventKind::Retransmit {
-                kind: "DiffBatch",
-                to: home,
-            });
-        }
-        st.send(home, Payload::DiffBatch { seq, diffs: batch });
     }
+}
+
+/// The request the application thread is blocked on, as the wire message
+/// that asks for it and its destination. The first send, the timeout
+/// retransmit and the `NodeUp` resend all come from here, so a resend is the
+/// first send again by construction.
+pub(crate) fn blocked_request(st: &NodeState) -> Option<(ProcId, Payload)> {
+    match &st.wait {
+        WaitSlot::Page {
+            page,
+            req_id,
+            home,
+            needed,
+            reply: None,
+        } => Some((
+            *home,
+            Payload::PageReq {
+                page: *page,
+                needed: needed.clone(),
+                req_id: *req_id,
+            },
+        )),
+        WaitSlot::Lock {
+            lock,
+            acq_seq,
+            manager,
+            req_vt,
+            grant: None,
+        } => Some((
+            *manager,
+            Payload::LockAcq {
+                lock: *lock,
+                acq_seq: *acq_seq,
+                vt: req_vt.clone(),
+            },
+        )),
+        WaitSlot::Barrier {
+            episode,
+            arrive_vt,
+            own_wns,
+            release: None,
+        } => Some((
+            0,
+            Payload::BarrierArrive {
+                episode: *episode,
+                vt: arrive_vt.clone(),
+                own_wns: own_wns.clone(),
+            },
+        )),
+        _ => None,
+    }
+}
+
+/// Send the request the application thread is blocked on; `false` when it
+/// is blocked on nothing unanswered.
+pub(crate) fn send_blocked_request(st: &mut NodeState) -> bool {
+    let Some((to, payload)) = blocked_request(st) else {
+        return false;
+    };
+    deliver_request(st, to, payload);
+    true
 }
 
 /// Retransmit whatever request the application thread is blocked on (called
@@ -582,91 +648,55 @@ pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
 /// duplication: requests dedup by `req_id`/`acq_seq`/`episode`, grants
 /// replay from the release log, and installs are version-gated.
 pub(crate) fn retransmit_wait_slot(st: &mut NodeState) -> u64 {
-    let me = st.me;
-    let (to, payload, kind) = match &st.wait {
-        WaitSlot::Page {
-            page,
-            req_id,
-            home,
-            needed,
-            reply: None,
-        } if *home != me => (
-            *home,
-            Payload::PageReq {
-                page: *page,
-                needed: needed.clone(),
-                req_id: *req_id,
-            },
-            "PageReq",
-        ),
-        WaitSlot::Lock {
-            lock,
-            acq_seq,
-            manager,
-            req_vt,
-            grant: None,
-        } if *manager != me => (
-            *manager,
-            Payload::LockAcq {
-                lock: *lock,
-                acq_seq: *acq_seq,
-                vt: req_vt.clone(),
-            },
-            "LockAcq",
-        ),
-        WaitSlot::Lock {
-            lock,
-            acq_seq,
-            req_vt,
-            grant: None,
-            ..
-        } => {
-            // We are the manager: re-run the request through the manager
-            // table, which dedups by `acq_seq` and re-forwards the identical
-            // chain action (the grant then replays from the granter's log).
-            let (lock, acq_seq, vt) = (*lock, *acq_seq, req_vt.clone());
-            st.retransmits += 1;
-            if st.tracer.enabled() {
-                st.tracer.emit(EventKind::Retransmit {
-                    kind: "LockAcq",
-                    to: me,
-                });
-            }
-            let action = st.sync.lock().lock_mgr.on_request(
-                lock,
-                AcqReq {
-                    requester: me,
-                    acq_seq,
-                    vt,
-                },
-            );
-            if let Some(a) = action {
-                dispatch_lock_action(st, a);
-            }
-            return 1;
-        }
-        WaitSlot::Barrier {
-            episode,
-            arrive_vt,
-            own_wns,
-            release: None,
-        } if me != 0 => (
-            0,
-            Payload::BarrierArrive {
-                episode: *episode,
-                vt: arrive_vt.clone(),
-                own_wns: own_wns.clone(),
-            },
-            "BarrierArrive",
-        ),
-        _ => return 0,
+    let Some((to, payload)) = blocked_request(st) else {
+        return 0;
     };
     st.retransmits += 1;
     if st.tracer.enabled() {
-        st.tracer.emit(EventKind::Retransmit { kind, to });
+        st.tracer.emit(EventKind::Retransmit {
+            kind: payload.kind(),
+            to,
+        });
     }
-    st.send(to, payload);
+    deliver_request(st, to, payload);
     1
+}
+
+/// Deliver one of this node's own requests. A request to a manager that is
+/// this node itself skips the wire and runs the manager directly — which,
+/// for a re-send, dedups by `acq_seq`/`episode` exactly as a remote manager
+/// would (a lock request re-forwards the identical chain action and the
+/// grant replays from the granter's log).
+fn deliver_request(st: &mut NodeState, to: ProcId, payload: Payload) {
+    let me = st.me;
+    match payload {
+        payload if to != me => st.send(to, payload),
+        Payload::LockAcq { lock, acq_seq, vt } => {
+            let req = AcqReq {
+                requester: me,
+                acq_seq,
+                vt,
+            };
+            let action = st.sync.lock().lock_mgr.on_request(lock, req);
+            if let Some(a) = action {
+                dispatch_lock_action(st, a);
+            }
+        }
+        Payload::BarrierArrive {
+            episode,
+            vt,
+            own_wns,
+        } => barrier_manager_arrive(
+            st,
+            Arrival {
+                proc: me,
+                episode,
+                vt,
+                own_wns,
+            },
+        ),
+        other => unreachable!("{} to this node itself", other.kind()),
+    }
 }
 
 /// Apply the actions a [`Detector`] produced. Must be called *without*
@@ -712,16 +742,7 @@ pub(crate) fn apply_member_actions(
                 let mut st = shared.state.lock();
                 if st.mode == Mode::Normal {
                     handle_node_up(&mut st, node);
-                    if let Some((seq, _)) = st.diff_inflight[node] {
-                        let batch = st.diff_outbox[node]
-                            .front()
-                            .expect("in-flight batch without an outbox head")
-                            .1
-                            .clone();
-                        st.diff_inflight[node] = Some((seq, Instant::now()));
-                        st.retransmits += 1;
-                        st.send(node, Payload::DiffBatch { seq, diffs: batch });
-                    }
+                    resend_inflight_diffs(&mut st, node);
                 }
                 drop(st);
                 shared.cv.notify_all();
@@ -730,25 +751,35 @@ pub(crate) fn apply_member_actions(
     }
 }
 
-/// Answer parked fetches that have become servable.
-fn send_ready_fetches(st: &mut NodeState, ready: Vec<hlrc::ReadyFetch>) {
-    for r in ready {
-        st.send(
-            r.from,
-            Payload::PageReply {
-                page: r.page,
-                req_id: r.req_id,
-                version: r.version,
-                bytes: r.bytes,
-            },
-        );
-    }
+/// The reply to a parked fetch that has become servable.
+fn page_reply(r: ReadyFetch) -> (ProcId, Payload) {
+    let reply = Payload::PageReply {
+        page: r.page,
+        req_id: r.req_id,
+        version: r.version,
+        bytes: r.bytes,
+    };
+    (r.from, reply)
 }
 
 /// Drain every parked fetch the home store can now serve and answer it.
 pub(crate) fn serve_waiting_fetches(st: &mut NodeState) {
-    let ready = st.pt.home_store().drain_ready();
-    send_ready_fetches(st, ready);
+    for r in st.pt.home_store().drain_ready() {
+        let (to, reply) = page_reply(r);
+        st.send(to, reply);
+    }
+}
+
+/// Trace one version-advancing diff application at the home.
+fn emit_diff_apply(tracer: &NodeTracer, d: &Diff) {
+    if tracer.enabled() {
+        tracer.emit(EventKind::DiffApply {
+            page: d.page.0,
+            bytes: d.payload_bytes() as u32,
+            writer: d.interval.proc,
+            interval: d.interval.seq as u64,
+        });
+    }
 }
 
 /// Apply the pending homed-page diffs whose creators had seen at most
@@ -766,14 +797,8 @@ pub(crate) fn apply_pending_home(st: &mut NodeState) {
     let mut rest = Vec::with_capacity(replay.pending_home.len());
     for e in replay.pending_home.drain(..) {
         if e.t.get(st.me) <= bound {
-            let fresh = st.pt.home_apply_diff(&e.diff);
-            if fresh && st.tracer.enabled() {
-                st.tracer.emit(EventKind::DiffApply {
-                    page: e.diff.page.0,
-                    bytes: e.diff.payload_bytes() as u32,
-                    writer: e.diff.interval.proc,
-                    interval: e.diff.interval.seq as u64,
-                });
+            if st.pt.home_apply_diff(&e.diff) {
+                emit_diff_apply(&st.tracer, &e.diff);
             }
         } else {
             rest.push(e);
@@ -781,26 +806,6 @@ pub(crate) fn apply_pending_home(st: &mut NodeState) {
     }
     replay.pending_home = rest;
     serve_waiting_fetches(st);
-}
-
-/// Test-only (armed via `ClusterConfig::inject_stale_apply`): re-emit the
-/// `DiffApply` event for an already-applied diff, once, simulating a home
-/// that applied a stale duplicate. The invariant monitor must catch it.
-fn inject_stale_apply_if_armed(st: &mut NodeState, last: Option<&Diff>) {
-    let Some(flag) = &st.inject_stale_apply else {
-        return;
-    };
-    if !st.tracer.enabled() || !flag.swap(false, Ordering::Relaxed) {
-        return;
-    }
-    if let Some(d) = last {
-        st.tracer.emit(EventKind::DiffApply {
-            page: d.page.0,
-            bytes: d.payload_bytes() as u32,
-            writer: d.interval.proc,
-            interval: d.interval.seq as u64,
-        });
-    }
 }
 
 /// Produce a grant right now (the lock is free at this node).
@@ -968,17 +973,19 @@ pub(crate) fn dispatch_lock_action(st: &mut NodeState, a: LockAction) {
             a.req.vt,
         );
     } else {
-        st.send(
-            a.grant_from,
-            Payload::LockForward {
-                lock: a.lock,
-                requester: a.req.requester,
-                acq_seq: a.req.acq_seq,
-                gen: a.gen,
-                pred_acq: a.pred_acq,
-                vt: a.req.vt,
-            },
-        );
+        st.send(a.grant_from, lock_forward(a));
+    }
+}
+
+/// The forward that carries a manager decision to the chain predecessor.
+fn lock_forward(a: LockAction) -> Payload {
+    Payload::LockForward {
+        lock: a.lock,
+        requester: a.req.requester,
+        acq_seq: a.req.acq_seq,
+        gen: a.gen,
+        pred_acq: a.pred_acq,
+        vt: a.req.vt,
     }
 }
 
@@ -1251,7 +1258,31 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     }
 }
 
-/// Handle one protocol message in normal mode.
+/// Run the shared home/manager handler with the big lock held. Mode
+/// changes need that lock, so the fence is constantly open; replies go
+/// through [`NodeState::send`] and carry the FT piggyback.
+fn serve_locked(st: &mut NodeState, from: ProcId, payload: &Payload) {
+    let mut replies = Vec::new();
+    let served = st.home_svc().serve(
+        &mut st.hists,
+        from,
+        payload,
+        || true,
+        |to, reply| replies.push((to, reply)),
+    );
+    for (to, reply) in replies {
+        st.send(to, reply);
+    }
+    match served {
+        Served::Done { .. } => {}
+        Served::GrantHere(a) => dispatch_lock_action(st, a),
+        // `handle_msg` has already deferred pages this node has yet to
+        // allocate, so what is left is a routing bug.
+        Served::HandBack => panic!("{} for a page not homed here", payload.kind()),
+    }
+}
+
+/// Handle one protocol message in normal mode, under the big lock.
 pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
     if let Some(p) = max_page(&payload) {
         if p.index() >= st.pt.len() {
@@ -1260,20 +1291,10 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
         }
     }
     match payload {
-        Payload::LockAcq { lock, acq_seq, vt } => {
-            debug_assert_eq!(lock % st.n, st.me, "lock request at wrong manager");
-            let action = st.sync.lock().lock_mgr.on_request(
-                lock,
-                AcqReq {
-                    requester: from,
-                    acq_seq,
-                    vt,
-                },
-            );
-            if let Some(a) = action {
-                dispatch_lock_action(st, a);
-            }
-        }
+        Payload::PageReq { .. }
+        | Payload::PageBatchReq { .. }
+        | Payload::DiffBatch { .. }
+        | Payload::LockAcq { .. } => serve_locked(st, from, &payload),
         Payload::LockForward {
             lock,
             requester,
@@ -1299,41 +1320,6 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
                 vt,
                 wns,
             });
-        }
-        Payload::DiffBatch { seq, diffs } => {
-            let home = st.pt.home_store();
-            let mut ready = Vec::new();
-            for d in &diffs {
-                let t0 = Instant::now();
-                let fresh = match home.apply_diff(d, || true) {
-                    ApplyOutcome::Applied { fresh, ready: r } => {
-                        ready.extend(r);
-                        fresh
-                    }
-                    ApplyOutcome::NotHome => panic!("diff for page {} not homed here", d.page),
-                    ApplyOutcome::Stale => unreachable!("big-lock apply never stale"),
-                };
-                st.hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
-                // Only a version-advancing apply is an apply; a duplicated
-                // or retransmitted batch the gate skipped must not emit
-                // (the invariant monitor treats a repeat as a violation).
-                if fresh && st.tracer.enabled() {
-                    st.tracer.emit(EventKind::DiffApply {
-                        page: d.page.0,
-                        bytes: d.payload_bytes() as u32,
-                        writer: d.interval.proc,
-                        interval: d.interval.seq as u64,
-                    });
-                }
-            }
-            inject_stale_apply_if_armed(st, diffs.last().map(|d| &**d));
-            send_ready_fetches(st, ready);
-            // Stop-and-wait ack. The home keeps no per-writer seq state:
-            // it acks whatever arrives (the version gate inside apply_diff
-            // is the dedup), and the writer drops stale acks by seq.
-            if seq != 0 {
-                st.send(from, Payload::DiffAck { seq });
-            }
         }
         Payload::DiffAck { seq } => match st.diff_inflight[from] {
             Some((want, _)) if want == seq => {
@@ -1367,71 +1353,6 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
         }
         Payload::BarrierRelease { episode, vt, wns } => {
             st.deposit_release(ReleaseData { episode, vt, wns });
-        }
-        Payload::PageReq {
-            page,
-            needed,
-            req_id,
-        } => {
-            // Serving a page is an Arc bump: the home's next write
-            // copy-on-writes, leaving the served buffer untouched.
-            let outcome = st.pt.home_store().serve_fetch(
-                WaitingFetch {
-                    from,
-                    page,
-                    needed,
-                    req_id,
-                },
-                || true,
-            );
-            match outcome {
-                FetchOutcome::Ready(version, bytes) => st.send(
-                    from,
-                    Payload::PageReply {
-                        page,
-                        req_id,
-                        version,
-                        bytes,
-                    },
-                ),
-                FetchOutcome::Parked => {}
-                FetchOutcome::NotHome => panic!("PageReq for page {page} not homed here"),
-                FetchOutcome::Stale => unreachable!("big-lock serve never stale"),
-            }
-        }
-        Payload::PageBatchReq { pages, req_id } => {
-            let home = st.pt.home_store();
-            let mut ready = Vec::new();
-            for (page, needed) in pages {
-                let outcome = home.serve_fetch(
-                    WaitingFetch {
-                        from,
-                        page,
-                        needed,
-                        req_id,
-                    },
-                    || true,
-                );
-                match outcome {
-                    FetchOutcome::Ready(version, bytes) => ready.push((page, version, bytes)),
-                    // Parked pages are answered individually (same req_id)
-                    // when their diffs arrive.
-                    FetchOutcome::Parked => {}
-                    FetchOutcome::NotHome => {
-                        panic!("PageBatchReq for page {page} not homed here")
-                    }
-                    FetchOutcome::Stale => unreachable!("big-lock serve never stale"),
-                }
-            }
-            if !ready.is_empty() {
-                st.send(
-                    from,
-                    Payload::PageBatchReply {
-                        req_id,
-                        pages: ready,
-                    },
-                );
-            }
         }
         Payload::PageBatchReply { req_id, pages } => {
             for (page, version, bytes) in pages {
@@ -1511,333 +1432,236 @@ pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
         pages.sort_unstable_by_key(|(p, _)| p.0);
         st.send(node, Payload::PageBatchReq { pages, req_id });
     }
-    match &st.wait {
-        WaitSlot::Page {
-            page,
-            req_id,
-            home,
-            needed,
-            reply: None,
-        } if *home == node => {
-            let (page, req_id, needed) = (*page, *req_id, needed.clone());
-            st.send(
-                node,
-                Payload::PageReq {
-                    page,
-                    needed,
-                    req_id,
-                },
-            );
+    if let Some((to, payload)) = blocked_request(st) {
+        if to == node {
+            st.send(node, payload);
         }
-        WaitSlot::Lock {
-            lock,
-            acq_seq,
-            manager,
-            req_vt,
-            grant: None,
-        } if *manager == node => {
-            let (lock, acq_seq, vt) = (*lock, *acq_seq, req_vt.clone());
-            st.send(node, Payload::LockAcq { lock, acq_seq, vt });
-        }
-        WaitSlot::Barrier {
-            episode,
-            arrive_vt,
-            own_wns,
-            release: None,
-        } if node == 0 => {
-            let (episode, vt, own_wns) = (*episode, arrive_vt.clone(), own_wns.clone());
-            st.send(
-                node,
-                Payload::BarrierArrive {
-                    episode,
-                    vt,
-                    own_wns,
-                },
-            );
-        }
-        _ => {}
     }
 }
 
-/// Big-lock handles the service loop's fast path keeps out of the big
-/// lock itself.
-struct FastCtx {
-    ep: Arc<Endpoint<Msg>>,
+/// The handles the home-side (`PageReq`/`PageBatchReq`/`DiffBatch`) and
+/// manager-side (`LockAcq`) handler works against: the sharded home store
+/// and the sync lock — never the big lock, which is what lets the service
+/// loop run it while the application computes.
+pub(crate) struct HomeSvc {
+    me: ProcId,
     home: Arc<HomeStore>,
     sync: Arc<Mutex<SyncState>>,
-    mode_flag: Arc<AtomicU8>,
     tracer: NodeTracer,
-    me: ProcId,
-    member: Option<Arc<MemberRuntime>>,
-    inject_stale_apply: Option<Arc<std::sync::atomic::AtomicBool>>,
+    inject_stale_apply: Option<Arc<AtomicBool>>,
 }
 
-/// What the fast path did with a message.
-enum FastOutcome {
-    /// Handled without the big lock. `notify` says local waiters may have
-    /// been unblocked (a diff application can satisfy a blocked access to
-    /// a homed page).
-    Handled { notify: bool },
-    /// Not fast-path eligible after all (unallocated page, crash fence, or
-    /// a payload that needs big-lock state): run the big-lock path.
-    Fallback(Box<Msg>),
+/// What [`HomeSvc::serve`] did with a message.
+pub(crate) enum Served {
+    /// Handled; the replies went to the sink. `wake` says a diff batch was
+    /// applied, which can satisfy the application thread's blocked access
+    /// to a homed page.
+    Done { wake: bool },
+    /// A `LockAcq` was routed and the manager named this very node as the
+    /// granter. The grant needs big-lock state (tenure, FT logs); the caller
+    /// finishes it there — never by re-running the message, so the routing
+    /// decision is taken exactly once.
+    GrantHere(LockAction),
+    /// Not handled, or a batch not handled to its end: `live` failed under
+    /// a shard or the sync lock, a page is not in the home store (yet), or
+    /// the kind needs big-lock state. Running the whole message again later
+    /// loses nothing and repeats nothing visible: applies are version-gated,
+    /// fetches unparked so far have been answered, and a page parked twice
+    /// yields a duplicate reply the requester drops by `req_id`.
+    HandBack,
 }
 
-/// Handle one bare, Normal-mode message without the big lock, if its whole
-/// effect lives in the sharded home store or the sync lock. The liveness
-/// closure re-checks the mode flag *under each shard lock*, so a crash or
-/// recovery transition (flag flip + quiesce) fences these operations out;
-/// any op the fence misses is version-gated idempotent, exactly as under
-/// the old big lock.
-fn try_fast_path(
-    shared: &NodeShared,
-    cx: &FastCtx,
-    hists: &mut LatencyHists,
-    from: ProcId,
-    msg: Msg,
-) -> FastOutcome {
-    let live = || cx.mode_flag.load(Ordering::SeqCst) == MODE_NORMAL;
-    // Fast-path replies are parented on the request's flow so the exporter
-    // can stitch request → reply across nodes (0 when tracing is off).
-    let in_flow = msg.ctx.flow_id();
-    match &msg.payload {
-        Payload::PageReq {
-            page,
-            needed,
-            req_id,
-        } => {
-            let (page, req_id) = (*page, *req_id);
-            let (outcome, waited) = cx.home.serve_fetch_timed(
-                WaitingFetch {
-                    from,
-                    page,
-                    needed: needed.clone(),
-                    req_id,
-                },
-                live,
-            );
-            hists.shard_lock_wait.record(waited.as_nanos() as u64);
-            match outcome {
-                FetchOutcome::Ready(version, bytes) => {
-                    cx.ep.send(
-                        from,
-                        Msg::reply_to(
-                            Payload::PageReply {
-                                page,
-                                req_id,
-                                version,
-                                bytes,
-                            },
-                            in_flow,
-                        ),
-                    );
-                    FastOutcome::Handled { notify: false }
-                }
-                FetchOutcome::Parked => FastOutcome::Handled { notify: false },
-                FetchOutcome::NotHome | FetchOutcome::Stale => FastOutcome::Fallback(Box::new(msg)),
-            }
+impl NodeState {
+    /// This node's handles for [`HomeSvc::serve`].
+    pub(crate) fn home_svc(&self) -> HomeSvc {
+        HomeSvc {
+            me: self.me,
+            home: self.pt.home_store(),
+            sync: Arc::clone(&self.sync),
+            tracer: self.tracer.clone(),
+            inject_stale_apply: self.inject_stale_apply.clone(),
         }
-        Payload::DiffBatch { seq, diffs } => {
-            let seq = *seq;
-            let mut ready = Vec::new();
-            for d in diffs {
-                let t0 = Instant::now();
-                let (outcome, waited) = cx.home.apply_diff_timed(d, live);
-                hists.shard_lock_wait.record(waited.as_nanos() as u64);
-                match outcome {
-                    ApplyOutcome::Applied { fresh, ready: r } => {
-                        hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
-                        // Version-gate-skipped duplicates are not applies;
-                        // emitting them would trip the monitor on every
-                        // chaos-duplicated batch.
-                        if fresh && cx.tracer.enabled() {
-                            cx.tracer.emit(EventKind::DiffApply {
-                                page: d.page.0,
-                                bytes: d.payload_bytes() as u32,
-                                writer: d.interval.proc,
-                                interval: d.interval.seq as u64,
-                            });
-                        }
-                        ready.extend(r);
-                    }
-                    ApplyOutcome::NotHome | ApplyOutcome::Stale => {
-                        // Answer what this batch already unparked, then let
-                        // the big-lock path re-run the whole batch (diff
-                        // application is version-gated idempotent).
-                        for r in ready {
-                            cx.ep.send(
-                                r.from,
-                                Msg::reply_to(
-                                    Payload::PageReply {
-                                        page: r.page,
-                                        req_id: r.req_id,
-                                        version: r.version,
-                                        bytes: r.bytes,
-                                    },
-                                    in_flow,
-                                ),
-                            );
-                        }
-                        return FastOutcome::Fallback(Box::new(msg));
-                    }
-                }
-            }
-            if cx.tracer.enabled() {
-                if let Some(flag) = &cx.inject_stale_apply {
-                    if flag.swap(false, Ordering::Relaxed) {
-                        if let Some(d) = diffs.last() {
-                            // Deliberate protocol violation (test-only): the
-                            // monitor must flag this duplicate apply.
-                            cx.tracer.emit(EventKind::DiffApply {
-                                page: d.page.0,
-                                bytes: d.payload_bytes() as u32,
-                                writer: d.interval.proc,
-                                interval: d.interval.seq as u64,
-                            });
-                        }
-                    }
-                }
-            }
-            for r in ready {
-                cx.ep.send(
-                    r.from,
-                    Msg::reply_to(
-                        Payload::PageReply {
-                            page: r.page,
-                            req_id: r.req_id,
-                            version: r.version,
-                            bytes: r.bytes,
-                        },
-                        in_flow,
-                    ),
-                );
-            }
-            if seq != 0 {
-                cx.ep
-                    .send(from, Msg::reply_to(Payload::DiffAck { seq }, in_flow));
-            }
-            FastOutcome::Handled { notify: true }
-        }
-        Payload::PageBatchReq { pages, req_id } => {
-            let req_id = *req_id;
-            if !pages.iter().all(|(p, _)| cx.home.contains(*p)) {
-                // Some page not allocated yet: defer via the big lock.
-                return FastOutcome::Fallback(Box::new(msg));
-            }
-            let mut ready = Vec::new();
-            for (page, needed) in pages {
-                let (outcome, waited) = cx.home.serve_fetch_timed(
-                    WaitingFetch {
-                        from,
-                        page: *page,
-                        needed: needed.clone(),
-                        req_id,
-                    },
-                    live,
-                );
-                hists.shard_lock_wait.record(waited.as_nanos() as u64);
-                match outcome {
-                    FetchOutcome::Ready(version, bytes) => ready.push((*page, version, bytes)),
-                    // Parked pages are answered individually (same req_id)
-                    // when their diffs arrive.
-                    FetchOutcome::Parked => {}
-                    // Crash fence mid-batch: re-run under the big lock
-                    // (double-parked pages produce duplicate replies the
-                    // requester drops by req_id).
-                    FetchOutcome::Stale => return FastOutcome::Fallback(Box::new(msg)),
-                    FetchOutcome::NotHome => unreachable!("containment checked above"),
-                }
-            }
-            if !ready.is_empty() {
-                cx.ep.send(
-                    from,
-                    Msg::reply_to(
-                        Payload::PageBatchReply {
-                            req_id,
-                            pages: ready,
-                        },
-                        in_flow,
-                    ),
-                );
-            }
-            FastOutcome::Handled { notify: false }
-        }
-        Payload::LockAcq { lock, acq_seq, vt } => {
-            // Manager routing touches only the sync lock. The decision is
-            // taken exactly once; if it says to grant from this very node,
-            // the grant needs big-lock state (tenure, FT logs) and is
-            // finished under it below — never by re-running the message.
-            let (lock, acq_seq) = (*lock, *acq_seq);
-            let action = {
-                let mut sync = cx.sync.lock();
-                if !live() {
-                    return FastOutcome::Fallback(Box::new(msg));
-                }
-                sync.lock_mgr.on_request(
-                    lock,
-                    AcqReq {
-                        requester: from,
-                        acq_seq,
-                        vt: vt.clone(),
-                    },
-                )
-            };
-            match action {
-                None => FastOutcome::Handled { notify: false },
-                Some(a) if a.grant_from != cx.me => {
-                    cx.ep.send(
-                        a.grant_from,
-                        Msg::reply_to(
-                            Payload::LockForward {
-                                lock: a.lock,
-                                requester: a.req.requester,
-                                acq_seq: a.req.acq_seq,
-                                gen: a.gen,
-                                pred_acq: a.pred_acq,
-                                vt: a.req.vt,
-                            },
-                            in_flow,
-                        ),
-                    );
-                    FastOutcome::Handled { notify: false }
-                }
-                Some(a) => {
-                    let mut st = shared.state.lock();
-                    // A crash slipped in between the sync-lock decision and
-                    // here: drop the action. Recovery resets the manager
-                    // state and the requester retransmits on NodeUp.
-                    if st.mode == Mode::Normal {
-                        st.cur_flow = in_flow;
-                        handle_forward(
-                            &mut st,
-                            a.lock,
-                            a.req.requester,
-                            a.req.acq_seq,
-                            a.gen,
-                            a.pred_acq,
-                            a.req.vt,
-                        );
-                        st.cur_flow = 0;
-                    }
-                    FastOutcome::Handled { notify: false }
-                }
-            }
-        }
-        _ => FastOutcome::Fallback(Box::new(msg)),
     }
 }
 
-/// The classic big-lock path: mode routing plus per-kind time accounting.
-fn slow_path(shared: &NodeShared, ev: Event<Msg>) {
-    let kind: &'static str = match &ev {
-        Event::NodeUp { .. } => "NodeUp",
-        Event::Wakeup => return,
-        Event::Msg { msg, .. } => msg.payload.kind(),
-    };
+impl HomeSvc {
+    /// The one handler for `PageReq`, `PageBatchReq`, `DiffBatch` and
+    /// `LockAcq`, whoever delivers them. `live` is re-checked under every
+    /// shard lock and under the sync lock, so a crash or recovery transition
+    /// (mode flag flip, then quiesce) fences the handler out; a caller that
+    /// holds the big lock passes `|| true`. Replies go to `reply`, which
+    /// decides how they travel (bare, or with the FT piggyback).
+    pub(crate) fn serve(
+        &self,
+        hists: &mut LatencyHists,
+        from: ProcId,
+        payload: &Payload,
+        live: impl Fn() -> bool,
+        mut reply: impl FnMut(ProcId, Payload),
+    ) -> Served {
+        match payload {
+            Payload::PageReq {
+                page,
+                needed,
+                req_id,
+            } => {
+                // A one-page batch, answered with the single-page reply.
+                let one = std::iter::once((*page, needed));
+                let req_id = *req_id;
+                if !self.serve_fetches(hists, from, req_id, one, &live, |page, version, bytes| {
+                    let single = Payload::PageReply {
+                        page,
+                        req_id,
+                        version,
+                        bytes,
+                    };
+                    reply(from, single)
+                }) {
+                    return Served::HandBack;
+                }
+            }
+            Payload::PageBatchReq { pages, req_id } => {
+                let req_id = *req_id;
+                let mut ready = Vec::new();
+                let all = pages.iter().map(|(page, needed)| (*page, needed));
+                if !self.serve_fetches(hists, from, req_id, all, &live, |page, version, bytes| {
+                    ready.push((page, version, bytes))
+                }) {
+                    return Served::HandBack;
+                }
+                if !ready.is_empty() {
+                    let batch = Payload::PageBatchReply {
+                        req_id,
+                        pages: ready,
+                    };
+                    reply(from, batch);
+                }
+            }
+            Payload::DiffBatch { seq, diffs } => {
+                let mut ready = Vec::new();
+                let mut applied_all = true;
+                for d in diffs {
+                    let t0 = Instant::now();
+                    let (outcome, waited) = self.home.apply_diff_timed(d, &live);
+                    hists.shard_lock_wait.record(waited.as_nanos() as u64);
+                    let ApplyOutcome::Applied { fresh, ready: r } = outcome else {
+                        applied_all = false;
+                        break;
+                    };
+                    hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
+                    ready.extend(r);
+                    // Only a version-advancing apply is an apply; a
+                    // duplicated or retransmitted batch the gate skipped
+                    // must not emit (the invariant monitor treats a repeat
+                    // as a violation).
+                    if fresh {
+                        emit_diff_apply(&self.tracer, d);
+                    }
+                }
+                if applied_all {
+                    self.inject_stale_apply_if_armed(diffs.last().map(|d| &**d));
+                }
+                // Unparked fetches are answered even when the batch is
+                // handed back: they are out of the parked set for good.
+                for (to, page) in ready.into_iter().map(page_reply) {
+                    reply(to, page);
+                }
+                if !applied_all {
+                    return Served::HandBack;
+                }
+                // Stop-and-wait ack. The home keeps no per-writer seq state:
+                // it acks whatever arrives (the version gate inside
+                // apply_diff is the dedup), and the writer drops stale acks
+                // by seq.
+                if *seq != 0 {
+                    reply(from, Payload::DiffAck { seq: *seq });
+                }
+                return Served::Done { wake: true };
+            }
+            Payload::LockAcq { lock, acq_seq, vt } => {
+                debug_assert_eq!(
+                    lock % self.home.cluster_size(),
+                    self.me,
+                    "lock request at wrong manager"
+                );
+                // Manager routing touches only the sync lock.
+                let action = {
+                    let mut sync = self.sync.lock();
+                    if !live() {
+                        return Served::HandBack;
+                    }
+                    let req = AcqReq {
+                        requester: from,
+                        acq_seq: *acq_seq,
+                        vt: vt.clone(),
+                    };
+                    sync.lock_mgr.on_request(*lock, req)
+                };
+                match action {
+                    None => {}
+                    Some(a) if a.grant_from == self.me => return Served::GrantHere(a),
+                    Some(a) => reply(a.grant_from, lock_forward(a)),
+                }
+            }
+            _ => return Served::HandBack,
+        }
+        Served::Done { wake: false }
+    }
+
+    /// Serve `pages` to `from` in order: a page whose copy already covers
+    /// its `needed` version goes to `ready` (an Arc bump — the home's next
+    /// write copy-on-writes, leaving the served buffer untouched), the rest
+    /// park and are answered one by one, under the same `req_id`, when
+    /// their diffs arrive. `false` hands the request back.
+    fn serve_fetches<'a>(
+        &self,
+        hists: &mut LatencyHists,
+        from: ProcId,
+        req_id: u64,
+        pages: impl Iterator<Item = (PageId, &'a VectorClock)>,
+        live: &impl Fn() -> bool,
+        mut ready: impl FnMut(PageId, VectorClock, Arc<[u8]>),
+    ) -> bool {
+        for (page, needed) in pages {
+            let fetch = WaitingFetch {
+                from,
+                page,
+                needed: needed.clone(),
+                req_id,
+            };
+            let (outcome, waited) = self.home.serve_fetch_timed(fetch, live);
+            hists.shard_lock_wait.record(waited.as_nanos() as u64);
+            match outcome {
+                FetchOutcome::Ready(version, bytes) => ready(page, version, bytes),
+                FetchOutcome::Parked => {}
+                FetchOutcome::NotHome | FetchOutcome::Stale => return false,
+            }
+        }
+        true
+    }
+
+    /// Test-only (armed via `ClusterConfig::inject_stale_apply`): re-emit the
+    /// `DiffApply` event for an already-applied diff, once, simulating a home
+    /// that applied a stale duplicate. The invariant monitor must catch it.
+    fn inject_stale_apply_if_armed(&self, last: Option<&Diff>) {
+        let Some(flag) = &self.inject_stale_apply else {
+            return;
+        };
+        if self.tracer.enabled() && flag.swap(false, Ordering::Relaxed) {
+            if let Some(d) = last {
+                emit_diff_apply(&self.tracer, d);
+            }
+        }
+    }
+}
+
+/// Handle one event under the big lock: mode routing, then
+/// [`handle_msg`]. Returns the time spent once the lock was held.
+fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
     let mut st = shared.state.lock();
     let t0 = Instant::now();
     match ev {
-        Event::Wakeup => unreachable!(),
+        Event::Wakeup => unreachable!("wakeups stay in the service loop"),
         Event::NodeUp { node } => match st.mode {
             Mode::Normal => handle_node_up(&mut st, node),
             // Single-fault model: no other node can restart while we are
@@ -1846,8 +1670,8 @@ fn slow_path(shared: &NodeShared, ev: Event<Msg>) {
         },
         Event::Msg { from, msg } => {
             if st.mode != Mode::Crashed {
-                if let (Some(p), true) = (&msg.piggy, st.ft.is_some()) {
-                    st.ft.as_mut().unwrap().absorb_piggy(from, p);
+                if let (Some(p), Some(ft)) = (&msg.piggy, st.ft.as_mut()) {
+                    ft.absorb_piggy(from, p);
                 }
             }
             match st.mode {
@@ -1871,75 +1695,85 @@ fn slow_path(shared: &NodeShared, ev: Event<Msg>) {
         }
     }
     let dt = t0.elapsed();
-    st.protocol_time_svc += dt;
-    *st.svc_time_by_kind.entry(kind).or_default() += dt;
     drop(st);
     shared.cv.notify_all();
+    dt
 }
 
 /// The service loop: one per node, owns message receipt.
 ///
 /// Blocks on the endpoint — no polling; [`Endpoint::wake`] posts an
-/// [`Event::Wakeup`] when the shutdown flag needs re-checking. Bare
-/// messages in Normal mode first try the no-big-lock fast path.
+/// [`Event::Wakeup`] when the shutdown flag needs re-checking. A bare
+/// message that arrives in Normal mode goes to [`HomeSvc::serve`] without
+/// the big lock, fenced by the mode flag; what that hands back, and
+/// everything else, is handled under the big lock.
 pub(crate) fn service_loop(shared: Arc<NodeShared>) {
-    let cx = {
+    let (ep, svc, mode_flag, member) = {
         let st = shared.state.lock();
-        FastCtx {
-            ep: Arc::clone(&st.ep),
-            home: st.pt.home_store(),
-            sync: Arc::clone(&st.sync),
-            mode_flag: Arc::clone(&st.mode_flag),
-            tracer: st.tracer.clone(),
-            me: st.me,
-            member: st.member.clone(),
-            inject_stale_apply: st.inject_stale_apply.clone(),
-        }
+        (
+            Arc::clone(&st.ep),
+            st.home_svc(),
+            Arc::clone(&st.mode_flag),
+            st.member.clone(),
+        )
     };
-    // Fast-path accounting lives in loop locals (the point is not to touch
-    // the big lock) and is folded into the node state at exit — teardown
-    // joins service threads before collecting reports.
-    let mut fast_time: HashMap<&'static str, Duration> = HashMap::new();
-    let mut fast_hists = LatencyHists::default();
+    let live = || mode_flag.load(Ordering::SeqCst) == MODE_NORMAL;
+    // Handler time per message kind and the handler's histograms are loop
+    // locals (the point is not to touch the big lock), folded into the node
+    // state at exit — teardown joins service threads before collecting
+    // reports.
+    let mut svc_time: HashMap<&'static str, Duration> = HashMap::new();
+    let mut hists = LatencyHists::default();
     // Loop until the fabric disconnects (recv returns None) or shutdown.
-    while let Some(ev) = cx.ep.recv() {
-        match ev {
+    while let Some(ev) = ep.recv() {
+        let t0 = Instant::now();
+        let (kind, dt) = match ev {
             Event::Wakeup => {
                 if shared.state.lock().shutdown {
                     break;
                 }
+                continue;
             }
-            // Membership traffic bypasses both paths: processing it must
-            // not wait on the big lock (the application thread holds it
-            // while computing, and a stalled Pong looks like a dead node to
-            // the peer). A crashed node's input is already cut off at the
-            // fabric; the mode check here just fences the drain race.
-            Event::Msg { from, msg } if matches!(msg.payload, Payload::Member(_)) => {
-                let kind = msg.payload.kind();
-                let Payload::Member(w) = msg.payload else {
-                    unreachable!()
-                };
-                if cx.mode_flag.load(Ordering::SeqCst) != Mode::Crashed.flag() {
-                    if let Some(mr) = &cx.member {
-                        let t0 = Instant::now();
+            Event::NodeUp { .. } => ("NodeUp", handle_locked(&shared, ev)),
+            // Membership traffic must not wait on the big lock (the
+            // application thread holds it while computing, and a stalled
+            // Pong looks like a dead node to the peer). A crashed node's
+            // input is already cut off at the fabric; the mode check here
+            // just fences the drain race.
+            Event::Msg {
+                from,
+                msg:
+                    Msg {
+                        payload: Payload::Member(w),
+                        ..
+                    },
+            } => {
+                let kind = w.kind();
+                if let Some(mr) = &member {
+                    if mode_flag.load(Ordering::SeqCst) != Mode::Crashed.flag() {
                         let actions = mr.det.lock().on_msg(from, w, Instant::now());
-                        apply_member_actions(&shared, &cx.ep, &cx.tracer, mr, actions);
-                        // Attribute detector service time per heartbeat
-                        // message kind, same as the fast path: loop-local,
-                        // folded into the node state at exit.
-                        *fast_time.entry(kind).or_default() += t0.elapsed();
+                        apply_member_actions(&shared, &ep, &svc.tracer, mr, actions);
                     }
                 }
+                (kind, t0.elapsed())
             }
-            Event::Msg { from, msg }
-                if msg.piggy.is_none() && cx.mode_flag.load(Ordering::SeqCst) == MODE_NORMAL =>
-            {
-                let t0 = Instant::now();
+            Event::Msg { from, msg } => {
                 let kind = msg.payload.kind();
-                match try_fast_path(&shared, &cx, &mut fast_hists, from, msg) {
-                    FastOutcome::Handled { notify } => {
-                        *fast_time.entry(kind).or_default() += t0.elapsed();
-                        if notify {
+                let served = if msg.piggy.is_none() && live() {
+                    // Replies are parented on the request's flow so the
+                    // exporter can stitch request → reply across nodes (0
+                    // when tracing is off).
+                    let flow = msg.ctx.flow_id();
+                    let bare = |to, reply| {
+                        ep.send(to, Msg::reply_to(reply, flow));
+                    };
+                    svc.serve(&mut hists, from, &msg.payload, live, bare)
+                } else {
+                    Served::HandBack
+                };
+                let dt = match served {
+                    Served::Done { wake } => {
+                        if wake {
                             // Lock-then-drop pairs with the app thread's
                             // check-predicate-then-wait: without it a waiter
                             // between its check and `cv.wait` would miss
@@ -1947,22 +1781,34 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                             drop(shared.state.lock());
                             shared.cv.notify_all();
                         }
+                        t0.elapsed()
                     }
-                    FastOutcome::Fallback(msg) => {
-                        slow_path(&shared, Event::Msg { from, msg: *msg })
+                    Served::GrantHere(a) => {
+                        let mut st = shared.state.lock();
+                        // A crash slipped in between the sync-lock decision
+                        // and here: drop the action. Recovery resets the
+                        // manager state and the requester retransmits on
+                        // NodeUp.
+                        if st.mode == Mode::Normal {
+                            st.cur_flow = msg.ctx.flow_id();
+                            dispatch_lock_action(&mut st, a);
+                            st.cur_flow = 0;
+                        }
+                        t0.elapsed()
                     }
-                }
+                    Served::HandBack => handle_locked(&shared, Event::Msg { from, msg }),
+                };
+                (kind, dt)
             }
-            ev => slow_path(&shared, ev),
-        }
+        };
+        *svc_time.entry(kind).or_default() += dt;
     }
-    // Fold fast-path accounting into the shared state for reporting.
     let mut st = shared.state.lock();
-    for (k, d) in fast_time {
+    for (k, d) in svc_time {
         st.protocol_time_svc += d;
         *st.svc_time_by_kind.entry(k).or_default() += d;
     }
-    st.hists.merge(&fast_hists);
+    st.hists.merge(&hists);
 }
 
 #[cfg(test)]
@@ -2150,65 +1996,333 @@ mod tests {
         assert!(st.make_piggy(1, false).is_some());
     }
 
-    #[test]
-    fn messages_for_unallocated_pages_are_deferred() {
-        let (mut st, _eps) = test_state(0, 2, false);
-        handle_msg(
-            &mut st,
-            1,
-            Payload::PageReq {
-                page: PageId(5),
-                needed: VectorClock::zero(2),
-                req_id: 0,
-            },
-        );
-        assert_eq!(st.pending_unalloc.len(), 1);
-        for _ in 0..6 {
-            st.pt.add_page(0);
+    fn gated(n: usize, writer: ProcId, seq: u32) -> VectorClock {
+        let mut v = VectorClock::zero(n);
+        v.set(writer, seq);
+        v
+    }
+
+    /// A one-byte diff of `page` by `writer` at interval `seq`.
+    fn diff_of(page: u32, writer: ProcId, seq: u32) -> Arc<Diff> {
+        let twin = dsm_page::Page::zeroed(256);
+        let mut cur = twin.clone();
+        cur.write(0, &[seq as u8]);
+        let iv = dsm_page::Interval { proc: writer, seq };
+        Arc::new(Diff::create(PageId(page), iv, &twin, &cur).unwrap())
+    }
+
+    /// `(requester, page, req_id)` of every fetch still parked on `page`,
+    /// found by applying the diff (`writer`, `seq`) they wait for.
+    fn unpark(home: &HomeStore, page: u32, writer: ProcId, seq: u32) -> Vec<(ProcId, PageId, u64)> {
+        match home.apply_diff(&diff_of(page, writer, seq), || true) {
+            ApplyOutcome::Applied { fresh, ready } => {
+                assert!(
+                    fresh,
+                    "diff ({writer},{seq}) for page {page} already applied"
+                );
+                let mut parked: Vec<_> = ready.iter().map(|r| (r.from, r.page, r.req_id)).collect();
+                parked.sort_unstable();
+                parked
+            }
+            other => panic!("unexpected: {other:?}"),
         }
-        drain_unalloc(&mut st);
-        assert!(st.pending_unalloc.is_empty());
-        // The fetch was answered immediately (page 5 exists, zero version
-        // satisfies): nothing stays parked in the home store.
-        assert!(st.pt.home_store().drain_ready().is_empty());
     }
 
     #[test]
-    fn batch_req_serves_ready_pages_and_parks_the_rest() {
+    fn crash_fence_hands_all_four_kinds_back_untouched() {
         let (mut st, eps) = test_state(0, 2, false);
-        for _ in 0..3 {
-            st.pt.add_page(0);
-        }
-        let gated = {
-            let mut v = VectorClock::zero(2);
-            v.set(1, 1);
-            v
-        };
-        handle_msg(
-            &mut st,
-            1,
+        st.pt.add_page(0);
+        st.pt.add_page(0);
+        let svc = st.home_svc();
+        // Fetches that would park and a diff that would apply, were the
+        // fence open.
+        let fenced = [
+            Payload::PageReq {
+                page: PageId(0),
+                needed: gated(2, 1, 1),
+                req_id: 1,
+            },
             Payload::PageBatchReq {
                 pages: vec![
                     (PageId(0), VectorClock::zero(2)),
-                    (PageId(1), gated),
-                    (PageId(2), VectorClock::zero(2)),
+                    (PageId(1), gated(2, 1, 1)),
                 ],
-                req_id: 9,
+                req_id: 2,
             },
-        );
-        // Pages 0 and 2 came back in one batched reply; page 1 is parked.
-        match eps[0].try_recv() {
-            Some(Event::Msg { msg, .. }) => match msg.payload {
-                Payload::PageBatchReply { req_id, pages } => {
-                    assert_eq!(req_id, 9);
-                    let ids: Vec<_> = pages.iter().map(|(p, _, _)| *p).collect();
-                    assert_eq!(ids, vec![PageId(0), PageId(2)]);
-                }
-                other => panic!("expected PageBatchReply, got {}", other.kind()),
+            Payload::DiffBatch {
+                seq: 3,
+                diffs: vec![diff_of(0, 1, 1), diff_of(1, 1, 1)],
             },
-            other => panic!("expected a message, got {other:?}"),
+            Payload::LockAcq {
+                lock: 4,
+                acq_seq: 0,
+                vt: VectorClock::zero(2),
+            },
+        ];
+        for payload in &fenced {
+            let served = svc.serve(
+                &mut st.hists,
+                1,
+                payload,
+                || false,
+                |_, reply| panic!("fenced {} replied {}", payload.kind(), reply.kind()),
+            );
+            assert!(
+                matches!(served, Served::HandBack),
+                "{} must be handed back",
+                payload.kind()
+            );
         }
-        assert!(st.pt.home_store().drain_ready().is_empty());
+        let home = st.pt.home_store();
+        for p in 0..2 {
+            assert_eq!(home.version_of(PageId(p)), VectorClock::zero(2));
+            assert!(unpark(&home, p, 1, 1).is_empty(), "page {p} parked a fetch");
+        }
+        assert_eq!(st.sync.lock().lock_mgr.tail_of(4), None);
+        assert!(eps[0].try_recv().is_none());
+    }
+
+    /// Deliver one fixed request sequence to node 0 of three through its
+    /// running service loop — bare, or every message piggybacked, which
+    /// routes it through `handle_msg` under the big lock — and return what
+    /// nodes 1 and 2 received, the home versions, and what stayed parked.
+    #[allow(clippy::type_complexity)]
+    fn deliver_to_service_loop(
+        piggybacked: bool,
+    ) -> (
+        Vec<Vec<Payload>>,
+        Vec<VectorClock>,
+        Vec<(ProcId, PageId, u64)>,
+    ) {
+        let n = 3;
+        let (mut st, eps) = test_state(0, n, true);
+        for _ in 0..3 {
+            st.pt.add_page(0);
+        }
+        let home = st.pt.home_store();
+        let shared = Arc::new(NodeShared {
+            state: Mutex::new(st),
+            cv: Condvar::new(),
+            me: 0,
+            n,
+        });
+        let svc_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || service_loop(shared))
+        };
+        let zero = || VectorClock::zero(n);
+        let script = [
+            // Pages 0 and 2 are ready, page 1 parks until (1,1) arrives.
+            (
+                1,
+                Payload::PageBatchReq {
+                    pages: vec![
+                        (PageId(0), zero()),
+                        (PageId(1), gated(n, 1, 1)),
+                        (PageId(2), zero()),
+                    ],
+                    req_id: 9,
+                },
+            ),
+            (
+                2,
+                Payload::PageReq {
+                    page: PageId(1),
+                    needed: gated(n, 1, 1),
+                    req_id: 4,
+                },
+            ),
+            // Page 3 is not allocated yet: deferred until it is.
+            (
+                2,
+                Payload::PageReq {
+                    page: PageId(3),
+                    needed: zero(),
+                    req_id: 5,
+                },
+            ),
+            // Unparks both fetches of page 1, then acks.
+            (
+                1,
+                Payload::DiffBatch {
+                    seq: 7,
+                    diffs: vec![diff_of(1, 1, 1)],
+                },
+            ),
+            // Stays parked to the end.
+            (
+                2,
+                Payload::PageReq {
+                    page: PageId(2),
+                    needed: gated(n, 1, 5),
+                    req_id: 6,
+                },
+            ),
+            // Lock 3 is managed here. First request: this node is the chain
+            // start and grants itself; second: forwarded to the new tail.
+            (
+                1,
+                Payload::LockAcq {
+                    lock: 3,
+                    acq_seq: 0,
+                    vt: zero(),
+                },
+            ),
+            (
+                2,
+                Payload::LockAcq {
+                    lock: 3,
+                    acq_seq: 0,
+                    vt: zero(),
+                },
+            ),
+        ];
+        for (from, payload) in script {
+            let piggy = piggybacked.then(|| Piggy {
+                tckp: zero(),
+                ckpt_seq: 0,
+                ckpt_episode: 0,
+                p0v: Vec::new(),
+                table: Vec::new(),
+            });
+            // eps[k] is node k+1's endpoint.
+            assert!(eps[from - 1].send(0, Msg::with_parent(payload, piggy, 0)));
+        }
+        let recv = |node: usize, count: usize| -> Vec<Payload> {
+            (0..count)
+                .map(
+                    |_| match eps[node - 1].recv_timeout(Duration::from_secs(10)) {
+                        Some(Event::Msg { from: 0, msg }) => msg.payload,
+                        other => panic!("node {node}: expected a message from 0, got {other:?}"),
+                    },
+                )
+                .collect()
+        };
+        // One service thread, one FIFO mailbox: node 1's last reply means
+        // the whole script has been handled.
+        let mut got = vec![recv(1, 5), recv(2, 1)];
+        {
+            let mut st = shared.state.lock();
+            assert_eq!(st.pending_unalloc.len(), 1);
+            st.pt.add_page(0);
+            drain_unalloc(&mut st);
+            assert!(st.pending_unalloc.is_empty());
+            st.shutdown = true;
+            st.ep.wake();
+        }
+        svc_thread.join().unwrap();
+        got[1].extend(recv(2, 1));
+        for ep in &eps {
+            assert!(ep.try_recv().is_none(), "unexpected extra reply");
+        }
+        let versions = (0..4).map(|p| home.version_of(PageId(p))).collect();
+        (got, versions, unpark(&home, 2, 1, 5))
+    }
+
+    #[test]
+    fn bare_and_piggybacked_deliveries_run_the_same_handler() {
+        let (got, versions, parked) = deliver_to_service_loop(false);
+        let kinds = |node: usize| got[node - 1].iter().map(Payload::kind).collect::<Vec<_>>();
+        assert_eq!(
+            kinds(1),
+            [
+                "PageBatchReply",
+                "PageReply",
+                "DiffAck",
+                "LockGrant",
+                "LockForward"
+            ]
+        );
+        assert_eq!(kinds(2), ["PageReply", "PageReply"]);
+        // Pages 0 and 2 came back in one batched reply; page 1 was parked
+        // and answered on its own, under the batch's req_id.
+        match (&got[0][0], &got[0][1]) {
+            (
+                Payload::PageBatchReply { req_id: 9, pages },
+                Payload::PageReply {
+                    page: PageId(1),
+                    req_id: 9,
+                    version,
+                    ..
+                },
+            ) => {
+                let ids: Vec<_> = pages.iter().map(|(p, _, _)| *p).collect();
+                assert_eq!(ids, [PageId(0), PageId(2)]);
+                assert_eq!(version.get(1), 1);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        // The deferred fetch of page 3 was answered once the page existed.
+        assert!(matches!(
+            got[1][1],
+            Payload::PageReply {
+                page: PageId(3),
+                req_id: 5,
+                ..
+            }
+        ));
+        assert_eq!(versions[1].get(1), 1);
+        assert_eq!(parked, [(2, PageId(2), 6)]);
+        assert_eq!(deliver_to_service_loop(true), (got, versions, parked));
+    }
+
+    #[test]
+    fn resends_of_a_blocked_wait_equal_the_first_send() {
+        let waits = [
+            WaitSlot::Page {
+                page: PageId(3),
+                req_id: 42,
+                home: 0,
+                needed: gated(2, 0, 7),
+                reply: None,
+            },
+            WaitSlot::Lock {
+                lock: 2,
+                acq_seq: 5,
+                manager: 0,
+                req_vt: gated(2, 1, 3),
+                grant: None,
+            },
+            WaitSlot::Barrier {
+                episode: 4,
+                arrive_vt: gated(2, 1, 9),
+                own_wns: WnDelta::from_notices(&[WriteNotice {
+                    interval: dsm_page::Interval { proc: 1, seq: 9 },
+                    pages: vec![PageId(3)],
+                }]),
+                release: None,
+            },
+        ];
+        for (wait, kind) in waits
+            .into_iter()
+            .zip(["PageReq", "LockAcq", "BarrierArrive"])
+        {
+            let (mut st, eps) = test_state(1, 2, false);
+            st.wait = wait;
+            assert!(send_blocked_request(&mut st), "first send");
+            assert_eq!(retransmit_wait_slot(&mut st), 1, "timeout retransmit");
+            handle_node_up(&mut st, 0);
+            let sent: Vec<Payload> = std::iter::from_fn(|| eps[0].try_recv())
+                .map(|ev| match ev {
+                    Event::Msg { msg, .. } => msg.payload,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            assert_eq!(sent.len(), 3);
+            assert_eq!(sent[0].kind(), kind);
+            assert!(sent.iter().all(|p| *p == sent[0]), "{kind} resends differ");
+        }
+        // An answered wait resends nothing.
+        let (mut st, eps) = test_state(1, 2, false);
+        st.wait = WaitSlot::Page {
+            page: PageId(3),
+            req_id: 42,
+            home: 0,
+            needed: VectorClock::zero(2),
+            reply: Some((VectorClock::zero(2), vec![0; 256].into())),
+        };
+        assert_eq!(retransmit_wait_slot(&mut st), 0);
+        assert!(eps[0].try_recv().is_none());
     }
 
     #[test]

@@ -10,8 +10,6 @@ use std::time::{Duration, Instant};
 use dsm_page::{GlobalAddr, Layout, PageId, VectorClock};
 use dsm_storage::{ByteReader, ByteWriter};
 use dsm_trace::EventKind;
-use hlrc::barrier::Arrival;
-use hlrc::locks::AcqReq;
 use hlrc::{AccessOutcome, LockId, WnDelta};
 use parking_lot::MutexGuard;
 
@@ -20,9 +18,9 @@ use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::recovery::{self, linear_key, ReplayPage};
 use crate::msg::Payload;
 use crate::runtime::node::{
-    apply_pending_home, barrier_manager_arrive, dispatch_lock_action, end_interval, fetch_needed,
-    grant_now, issue_prefetch, retransmit_stale_diffs, retransmit_wait_slot, CrashSignal,
-    GrantData, Mode, NodeShared, NodeState, ReleaseData, WaitSlot,
+    apply_pending_home, end_interval, fetch_needed, grant_now, issue_prefetch,
+    retransmit_stale_diffs, retransmit_wait_slot, send_blocked_request, CrashSignal, GrantData,
+    Mode, NodeShared, NodeState, ReleaseData, WaitSlot,
 };
 use crate::shareable::Shareable;
 use crate::stats::Breakdown;
@@ -404,15 +402,7 @@ impl Process {
                         wait_until(&shared, &mut st, |st| {
                             matches!(st.pt.ensure_access(page), AccessOutcome::Ready).then_some(())
                         });
-                        self.breakdown.page_wait += t0.elapsed();
-                        st.hists.page_fetch.record(t0.elapsed().as_nanos() as u64);
-                        st.tracer.emit_span(
-                            EventKind::PageReply {
-                                page: page.0,
-                                from: home,
-                            },
-                            t0,
-                        );
+                        self.page_wait_done(&mut st, page, home, t0);
                         return;
                     }
                     // A prefetch batch already covers this page: wait for
@@ -444,15 +434,7 @@ impl Process {
                         }
                         if matches!(st.pt.ensure_access(page), AccessOutcome::Ready) {
                             st.hists.prefetch_hit.record(t0.elapsed().as_nanos() as u64);
-                            self.breakdown.page_wait += t0.elapsed();
-                            st.hists.page_fetch.record(t0.elapsed().as_nanos() as u64);
-                            st.tracer.emit_span(
-                                EventKind::PageReply {
-                                    page: page.0,
-                                    from: home,
-                                },
-                                t0,
-                            );
+                            self.page_wait_done(&mut st, page, home, t0);
                             return;
                         }
                         st.hists
@@ -467,17 +449,10 @@ impl Process {
                         page,
                         req_id,
                         home,
-                        needed: needed.clone(),
+                        needed,
                         reply: None,
                     };
-                    st.send(
-                        home,
-                        Payload::PageReq {
-                            page,
-                            needed,
-                            req_id,
-                        },
-                    );
+                    send_blocked_request(&mut st);
                     let (version, bytes) = wait_until(&shared, &mut st, |st| {
                         if let WaitSlot::Page { reply, .. } = &mut st.wait {
                             reply.take()
@@ -491,19 +466,24 @@ impl Process {
                     // page bytes end to end.
                     st.hists.fetch_copy.record(0);
                     st.pt.install_fetch(page, bytes, &version);
-                    self.breakdown.page_wait += t0.elapsed();
-                    st.hists.page_fetch.record(t0.elapsed().as_nanos() as u64);
-                    st.tracer.emit_span(
-                        EventKind::PageReply {
-                            page: page.0,
-                            from: home,
-                        },
-                        t0,
-                    );
+                    self.page_wait_done(&mut st, page, home, t0);
                     return;
                 }
             }
         }
+    }
+
+    /// Account one finished page wait: breakdown, histogram, trace span.
+    fn page_wait_done(&mut self, st: &mut NodeState, page: PageId, home: usize, t0: Instant) {
+        self.breakdown.page_wait += t0.elapsed();
+        st.hists.page_fetch.record(t0.elapsed().as_nanos() as u64);
+        st.tracer.emit_span(
+            EventKind::PageReply {
+                page: page.0,
+                from: home,
+            },
+            t0,
+        );
     }
 
     /// Recovery: build the emulated-home copy of `page` and install it.
@@ -652,31 +632,10 @@ impl Process {
             lock,
             acq_seq,
             manager,
-            req_vt: req_vt.clone(),
+            req_vt,
             grant: None,
         };
-        if manager == self.me {
-            let action = st.sync.lock().lock_mgr.on_request(
-                lock,
-                AcqReq {
-                    requester: self.me,
-                    acq_seq,
-                    vt: req_vt,
-                },
-            );
-            if let Some(a) = action {
-                dispatch_lock_action(&mut st, a);
-            }
-        } else {
-            st.send(
-                manager,
-                Payload::LockAcq {
-                    lock,
-                    acq_seq,
-                    vt: req_vt,
-                },
-            );
-        }
+        send_blocked_request(&mut st);
         let t0 = Instant::now();
         let g = wait_until(&shared, &mut st, |st| {
             if let WaitSlot::Lock { grant, .. } = &mut st.wait {
@@ -908,29 +867,10 @@ impl Process {
         st.wait = WaitSlot::Barrier {
             episode,
             arrive_vt: arrive_vt.clone(),
-            own_wns: own_wns.clone(),
+            own_wns,
             release: None,
         };
-        if me == 0 {
-            barrier_manager_arrive(
-                &mut st,
-                Arrival {
-                    proc: 0,
-                    episode,
-                    vt: arrive_vt.clone(),
-                    own_wns,
-                },
-            );
-        } else {
-            st.send(
-                0,
-                Payload::BarrierArrive {
-                    episode,
-                    vt: arrive_vt.clone(),
-                    own_wns,
-                },
-            );
-        }
+        send_blocked_request(&mut st);
         let t0 = Instant::now();
         let rel: ReleaseData = wait_until(&shared, &mut st, |st| {
             if let WaitSlot::Barrier { release, .. } = &mut st.wait {
