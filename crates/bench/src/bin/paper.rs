@@ -359,57 +359,21 @@ fn do_hist(scale: &Scale) {
     );
 }
 
-/// Remote-fetch round trips and per-kind protocol costs on a barrier-heavy
-/// kernel (Water-Spatial, FT). The lines prefixed `protocol_` are parsed by
-/// `scripts/bench_baseline.sh` into `BENCH_protocol.json`.
+/// Latencies, service time and message counts per kind on a barrier-heavy
+/// kernel (Water-Spatial, FT).
 fn do_protocol(scale: &Scale) {
     println!(
-        "\n=== Protocol round trips and latencies (Water-Spatial, FT, n={}) ===",
+        "\n=== Protocol latencies and message counts (Water-Spatial, FT, n={}) ===",
         scale.nodes
     );
     let r = run_app(App::WaterSp, scale.ft_config(App::WaterSp));
-    let kinds = r.total_msg_kinds();
-    let count = |k: &str| kinds.iter().find(|(n, _)| *n == k).map_or(0, |&(_, c)| c);
-    let hists = r.total_hists();
-    // Every remote page install (individual fetch or batch prefetch) records
-    // one `fetch_copy` sample, so its count is pages fetched; PageReq +
-    // PageBatchReq is the number of fetch round trips that produced them.
-    let pages_fetched = hists.fetch_copy.count();
-    let page_req = count("PageReq");
-    let batch_req = count("PageBatchReq");
-    let rt_per_page = (page_req + batch_req) as f64 / pages_fetched.max(1) as f64;
-    println!("protocol_msgs PageReq {page_req}");
-    println!("protocol_msgs PageBatchReq {batch_req}");
-    println!("protocol_msgs PageReply {}", count("PageReply"));
-    println!("protocol_msgs PageBatchReply {}", count("PageBatchReply"));
-    println!("protocol_msgs DiffBatch {}", count("DiffBatch"));
-    println!("protocol_pages_fetched {pages_fetched}");
-    println!("protocol_round_trips_per_page {rt_per_page:.4}");
-    println!(
-        "protocol_prefetch hits {} misses {}",
-        hists.prefetch_hit.count(),
-        hists.prefetch_miss.count()
-    );
-    for (name, h) in [
-        ("page_fetch", &hists.page_fetch),
-        ("lock_wait", &hists.lock_wait),
-        ("barrier_wait", &hists.barrier_wait),
-    ] {
-        println!(
-            "protocol_hist {name} count {} mean_ns {} p50_ns {} p95_ns {}",
-            h.count(),
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.95)
-        );
-    }
-    print_hists("latency (all nodes merged)", &hists);
+    print_hists("latency (all nodes merged)", &r.total_hists());
     println!("\nservice time by message kind (all nodes summed):");
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);
     }
     println!("\nmessages sent by kind (all nodes summed):");
-    for (k, c) in kinds {
+    for (k, c) in r.total_msg_kinds() {
         println!("  msg_count {k:<16} {c:>8}");
     }
 }

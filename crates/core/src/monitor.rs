@@ -31,8 +31,11 @@
 //!    most once per incarnation.
 //! 5. **Heartbeat legality** — per `(observer, subject)`: no second
 //!    `MemberDown` without an intervening `MemberUp`, and any `MemberDown`
-//!    is preceded by at least one `Suspect` of the same subject
-//!    cluster-wide (confirmation requires suspicion somewhere).
+//!    has a cause: at least one earlier `Suspect` of the same subject
+//!    cluster-wide (confirmation requires suspicion somewhere), or the
+//!    subject's own `CrashInjected` — a node that restarts before anyone
+//!    suspects it shows a newer incarnation, which observers report as
+//!    `MemberDown` + `MemberUp` with no suspicion round at all.
 //!
 //! The monitor never holds a reference back to the [`dsm_trace::Trace`]
 //! (that would leak the rings via an `Arc` cycle); it tracks the last flow
@@ -101,8 +104,9 @@ struct Inner {
     nodes: Vec<PerNode>,
     /// Grantee per (lock, generation).
     tenures: HashMap<(u32, u64), usize>,
-    /// Subjects suspected by anyone, ever (cluster-wide suspicion pool).
-    suspected: Vec<bool>,
+    /// Subjects a `MemberDown` is legal for: suspected by anyone, ever
+    /// (cluster-wide suspicion pool), or crashed.
+    down_cause: Vec<bool>,
     violations: Vec<Violation>,
 }
 
@@ -120,7 +124,7 @@ impl Monitor {
             inner: Mutex::new(Inner {
                 nodes: (0..n).map(|_| PerNode::default()).collect(),
                 tenures: HashMap::new(),
-                suspected: vec![false; n],
+                down_cause: vec![false; n],
                 violations: Vec::new(),
             }),
             events_seen: AtomicU64::new(0),
@@ -258,6 +262,7 @@ impl EventSink for Monitor {
                 node.last_episode = Some(*episode);
             }
             EventKind::CrashInjected { .. } => {
+                inner.down_cause[e.node] = true;
                 let node = &mut inner.nodes[e.node];
                 // The home copy is rebuilt from checkpoint + peer logs; its
                 // apply history starts over. Barrier progress likewise.
@@ -299,13 +304,14 @@ impl EventSink for Monitor {
                     node.recovering = false;
                 }
             }
-            EventKind::Suspect { node: subject } if *subject < inner.suspected.len() => {
-                inner.suspected[*subject] = true;
+            EventKind::Suspect { node: subject } if *subject < inner.down_cause.len() => {
+                inner.down_cause[*subject] = true;
             }
             EventKind::MemberDown { node: subject } => {
-                if !inner.suspected.get(*subject).copied().unwrap_or(false) {
+                if !inner.down_cause.get(*subject).copied().unwrap_or(false) {
                     let detail = format!(
-                        "n{} confirmed n{subject} down but no node ever suspected it",
+                        "n{} confirmed n{subject} down but it never crashed and no node \
+                         ever suspected it",
                         e.node
                     );
                     Self::violate(inner, e, "heartbeat-legality", detail);
@@ -481,6 +487,24 @@ mod tests {
         m.on_event(&ev(1, 1, EventKind::Suspect { node: 2 }));
         m.on_event(&ev(0, 2, EventKind::MemberDown { node: 2 }));
         assert!(m.finish().violations.is_empty());
+    }
+
+    #[test]
+    fn fast_restart_down_needs_no_suspicion() {
+        // n2 crashes and is back before any heartbeat timeout: every
+        // observer learns of it from the newer incarnation alone.
+        let m = Monitor::new(3);
+        m.on_event(&ev(2, 1, EventKind::CrashInjected { at_op: 9 }));
+        for observer in [0, 1] {
+            m.on_event(&ev(observer, 2, EventKind::MemberDown { node: 2 }));
+            m.on_event(&ev(observer, 3, EventKind::MemberUp { node: 2 }));
+        }
+        assert!(m.finish().violations.is_empty());
+        // The crash excuses only its own node.
+        m.on_event(&ev(0, 4, EventKind::MemberDown { node: 1 }));
+        let r = m.finish();
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].invariant, "heartbeat-legality");
     }
 
     #[test]

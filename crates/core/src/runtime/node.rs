@@ -299,7 +299,16 @@ impl NodeState {
     /// Send a protocol message with the FT piggyback attached (when it
     /// carries news: a checkpoint timestamp the destination hasn't seen,
     /// `p0.v` hints, or — on barrier releases — the gossip table).
+    ///
+    /// A message to this node itself (it manages the lock or the barrier,
+    /// or it is the next granter in a lock chain) never reaches the wire:
+    /// its handler runs here, under the big lock the caller already holds,
+    /// with no piggyback, inside the current causal flow. A re-send dedups
+    /// by `acq_seq`/`episode` exactly as it would at a remote manager.
     pub(crate) fn send(&mut self, to: ProcId, payload: Payload) {
+        if to == self.me {
+            return handle_msg(self, to, payload);
+        }
         let gossip = matches!(payload, Payload::BarrierRelease { .. });
         let piggy = self.make_piggy(to, gossip);
         let ep = Arc::clone(&self.ep);
@@ -421,8 +430,7 @@ pub(crate) fn end_interval(st: &mut NodeState) -> (Duration, Duration) {
     let t0 = Instant::now();
     let me = st.me;
     let iv = st.vt.tick(me);
-    let (diffs, _written) = st.pt.end_interval(iv);
-    let diffs: Vec<Arc<Diff>> = diffs.into_iter().map(Arc::new).collect();
+    let diffs: Vec<Arc<Diff>> = st.pt.end_interval(iv).into_iter().map(Arc::new).collect();
     st.hists.diff_create.record(t0.elapsed().as_nanos() as u64);
     if diffs.is_empty() {
         // Twins existed but no word actually changed: nothing to publish.
@@ -486,8 +494,8 @@ pub(crate) fn end_interval(st: &mut NodeState) -> (Duration, Duration) {
         send_diff_batch(st, home, remote.into_iter().map(|(_, d)| d).collect());
         remote = rest;
     }
-    // The whole release flush — dirty collection, diff creation (inline or
-    // on the flush workers), logging, per-home batches out.
+    // The whole release flush — dirty collection, diff creation, logging,
+    // per-home batches out.
     st.hists
         .release_flush
         .record(t0.elapsed().as_nanos() as u64);
@@ -638,7 +646,7 @@ pub(crate) fn send_blocked_request(st: &mut NodeState) -> bool {
     let Some((to, payload)) = blocked_request(st) else {
         return false;
     };
-    deliver_request(st, to, payload);
+    st.send(to, payload);
     true
 }
 
@@ -658,45 +666,8 @@ pub(crate) fn retransmit_wait_slot(st: &mut NodeState) -> u64 {
             to,
         });
     }
-    deliver_request(st, to, payload);
+    st.send(to, payload);
     1
-}
-
-/// Deliver one of this node's own requests. A request to a manager that is
-/// this node itself skips the wire and runs the manager directly — which,
-/// for a re-send, dedups by `acq_seq`/`episode` exactly as a remote manager
-/// would (a lock request re-forwards the identical chain action and the
-/// grant replays from the granter's log).
-fn deliver_request(st: &mut NodeState, to: ProcId, payload: Payload) {
-    let me = st.me;
-    match payload {
-        payload if to != me => st.send(to, payload),
-        Payload::LockAcq { lock, acq_seq, vt } => {
-            let req = AcqReq {
-                requester: me,
-                acq_seq,
-                vt,
-            };
-            let action = st.sync.lock().lock_mgr.on_request(lock, req);
-            if let Some(a) = action {
-                dispatch_lock_action(st, a);
-            }
-        }
-        Payload::BarrierArrive {
-            episode,
-            vt,
-            own_wns,
-        } => barrier_manager_arrive(
-            st,
-            Arrival {
-                proc: me,
-                episode,
-                vt,
-                own_wns,
-            },
-        ),
-        other => unreachable!("{} to this node itself", other.kind()),
-    }
 }
 
 /// Apply the actions a [`Detector`] produced. Must be called *without*
@@ -848,35 +819,16 @@ pub(crate) fn grant_now(
             },
         );
     }
-    deliver_grant(
-        st,
+    st.send(
         requester,
-        GrantData {
+        Payload::LockGrant {
             lock,
             acq_seq,
             gen,
-            granter: st.me,
             vt: grant_vt,
             wns,
         },
     );
-}
-
-fn deliver_grant(st: &mut NodeState, to: ProcId, g: GrantData) {
-    if to == st.me {
-        st.deposit_grant(g);
-    } else {
-        st.send(
-            to,
-            Payload::LockGrant {
-                lock: g.lock,
-                acq_seq: g.acq_seq,
-                gen: g.gen,
-                vt: g.vt,
-                wns: g.wns,
-            },
-        );
-    }
 }
 
 /// Handle a forwarded acquire at the granter (chain predecessor).
@@ -903,15 +855,14 @@ pub(crate) fn handle_forward(
     if let Some(ft) = st.ft.as_ref() {
         if let Some(entry) = ft.logs.find_rel(requester, acq_seq) {
             if entry.lock == lock {
-                let g = GrantData {
+                let replay = Payload::LockGrant {
                     lock,
                     acq_seq,
                     gen,
-                    granter: st.me,
                     vt: entry.t_after.clone(),
                     wns: st.wn_table.missing_between(&entry.req_vt, &entry.t_after),
                 };
-                deliver_grant(st, requester, g);
+                st.send(requester, replay);
                 return;
             }
         }
@@ -960,21 +911,11 @@ pub(crate) fn handle_forward(
     grant_now(st, lock, requester, acq_seq, gen, req_vt);
 }
 
-/// Route a manager decision: either grant locally or forward.
-pub(crate) fn dispatch_lock_action(st: &mut NodeState, a: LockAction) {
-    if a.grant_from == st.me {
-        handle_forward(
-            st,
-            a.lock,
-            a.req.requester,
-            a.req.acq_seq,
-            a.gen,
-            a.pred_acq,
-            a.req.vt,
-        );
-    } else {
-        st.send(a.grant_from, lock_forward(a));
-    }
+/// A manager decision whose chain predecessor is this node: no forward, the
+/// grant is finished here, under the big lock.
+fn grant_here(st: &mut NodeState, a: LockAction) {
+    let r = a.req;
+    handle_forward(st, a.lock, r.requester, r.acq_seq, a.gen, a.pred_acq, r.vt);
 }
 
 /// The forward that carries a manager decision to the chain predecessor.
@@ -1015,45 +956,22 @@ pub(crate) fn barrier_manager_arrive(st: &mut NodeState, arrival: Arrival) {
                     result_vt: rel.vt.clone(),
                 });
             }
-            let me = st.me;
             for p in 0..st.n {
-                let data = ReleaseData {
+                let release = Payload::BarrierRelease {
                     episode: rel.episode,
                     vt: rel.vt.clone(),
                     wns: rel.per_proc_wns[p].clone(),
                 };
-                if p == me {
-                    st.deposit_release(data);
-                } else {
-                    st.send(
-                        p,
-                        Payload::BarrierRelease {
-                            episode: data.episode,
-                            vt: data.vt,
-                            wns: data.wns,
-                        },
-                    );
-                }
+                st.send(p, release);
             }
         }
         ArriveOutcome::Resend { proc, release } => {
-            let data = ReleaseData {
+            let release = Payload::BarrierRelease {
                 episode: release.episode,
                 vt: release.vt.clone(),
                 wns: release.per_proc_wns[proc].clone(),
             };
-            if proc == st.me {
-                st.deposit_release(data);
-            } else {
-                st.send(
-                    proc,
-                    Payload::BarrierRelease {
-                        episode: data.episode,
-                        vt: data.vt,
-                        wns: data.wns,
-                    },
-                );
-            }
+            st.send(proc, release);
         }
     }
 }
@@ -1275,7 +1193,7 @@ fn serve_locked(st: &mut NodeState, from: ProcId, payload: &Payload) {
     }
     match served {
         Served::Done { .. } => {}
-        Served::GrantHere(a) => dispatch_lock_action(st, a),
+        Served::GrantHere(a) => grant_here(st, a),
         // `handle_msg` has already deferred pages this node has yet to
         // allocate, so what is left is a routing bug.
         Served::HandBack => panic!("{} for a page not homed here", payload.kind()),
@@ -1411,7 +1329,7 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
 pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
     let actions = st.sync.lock().lock_mgr.on_node_up(node);
     for a in actions {
-        dispatch_lock_action(st, a);
+        st.send(a.grant_from, lock_forward(a));
     }
     // Re-issue in-flight prefetch batches the restarted home lost, grouped
     // back into their original batches (the needed versions are re-read:
@@ -1791,7 +1709,7 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                         // NodeUp.
                         if st.mode == Mode::Normal {
                             st.cur_flow = msg.ctx.flow_id();
-                            dispatch_lock_action(&mut st, a);
+                            grant_here(&mut st, a);
                             st.cur_flow = 0;
                         }
                         t0.elapsed()
@@ -2323,6 +2241,59 @@ mod tests {
         };
         assert_eq!(retransmit_wait_slot(&mut st), 0);
         assert!(eps[0].try_recv().is_none());
+    }
+
+    #[test]
+    fn a_node_that_is_its_own_manager_never_touches_the_wire() {
+        // Node 0 of 2 manages lock 0 and the barrier.
+        let (mut st, eps) = test_state(0, 2, false);
+        st.wait = WaitSlot::Lock {
+            lock: 0,
+            acq_seq: 0,
+            manager: 0,
+            req_vt: VectorClock::zero(2),
+            grant: None,
+        };
+        assert!(send_blocked_request(&mut st));
+        match &st.wait {
+            WaitSlot::Lock { grant: Some(g), .. } => {
+                assert_eq!((g.lock, g.acq_seq, g.granter), (0, 0, 0));
+            }
+            _ => panic!("own LockAcq must deposit the grant"),
+        }
+        assert!(eps[0].try_recv().is_none() && st.ep.try_recv().is_none());
+
+        st.wait = WaitSlot::Barrier {
+            episode: 0,
+            arrive_vt: gated(2, 0, 1),
+            own_wns: WnDelta::from_notices(&[]),
+            release: None,
+        };
+        assert!(send_blocked_request(&mut st));
+        assert!(
+            matches!(&st.wait, WaitSlot::Barrier { release: None, .. }),
+            "episode incomplete until node 1 arrives"
+        );
+        let from_node_1 = Payload::BarrierArrive {
+            episode: 0,
+            vt: gated(2, 1, 1),
+            own_wns: WnDelta::from_notices(&[]),
+        };
+        handle_msg(&mut st, 1, from_node_1);
+        match &st.wait {
+            WaitSlot::Barrier {
+                release: Some(r), ..
+            } => assert_eq!((r.episode, r.vt.get(0), r.vt.get(1)), (0, 1, 1)),
+            _ => panic!("own release must land in the wait slot"),
+        }
+        let sent: Vec<Event<Msg>> = std::iter::from_fn(|| eps[0].try_recv()).collect();
+        assert_eq!(sent.len(), 1);
+        assert!(matches!(
+            &sent[0],
+            Event::Msg { from: 0, msg } if msg.payload.kind() == "BarrierRelease"
+        ));
+        assert!(st.ep.try_recv().is_none());
+        assert_eq!(st.dup_suppressed, 0);
     }
 
     #[test]

@@ -169,7 +169,7 @@ pub struct LatencyHists {
     /// (join, per-(page, interval) dedupe, per-participant delta fan-out).
     pub barrier_release_build: Histogram,
     /// End-of-interval release flush: dirty-page collection through diff
-    /// creation (serial or worker pool) to per-home batches sent.
+    /// creation to per-home batches sent.
     pub release_flush: Histogram,
     /// Pages written per incremental (delta-mode) checkpoint (a counter,
     /// in pages; full anchors are not recorded).

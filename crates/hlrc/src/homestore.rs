@@ -20,12 +20,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use dsm_page::{
-    Diff, DiffScratch, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock,
-};
+use dsm_page::{Diff, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock};
 use parking_lot::Mutex;
 
-use crate::flush::DiffJob;
+/// One dirty page to diff: its pre-write twin and current contents (both
+/// CoW handles — cloning them shares buffers).
+#[derive(Debug)]
+pub struct DiffJob {
+    /// The dirty page.
+    pub page: PageId,
+    /// Pre-write snapshot from the first write of the interval.
+    pub twin: Page,
+    /// The page's contents at interval end.
+    pub current: Page,
+}
 
 /// Number of shards. Pages map to shards by `page % NUM_SHARDS`, so
 /// consecutive pages — the common access pattern — spread across shards.
@@ -320,44 +328,6 @@ impl HomeStore {
                 shard.pool.recycle(twin);
             }
         }
-    }
-
-    /// End-of-interval pass over this node's own home writes: turn each
-    /// twin into a diff against the current copy and advance `p.v[me]`.
-    /// Diffs come back sorted by page id, matching the deterministic order
-    /// the logs expect. (Convenience serial wrapper over
-    /// [`HomeStore::collect_dirty`]; the runtime flushes home and remote
-    /// dirty pages together through `PageTable::end_interval`.)
-    pub fn end_interval(&self, interval: Interval, scratch: &mut DiffScratch) -> Vec<Diff> {
-        let mut jobs = Vec::new();
-        self.collect_dirty(interval, &mut jobs);
-        let mut diffs = Vec::new();
-        let mut twins = Vec::new();
-        for j in jobs {
-            if let Some(d) = Diff::create_with(scratch, j.page, interval, &j.twin, &j.current) {
-                diffs.push(d);
-            }
-            twins.push((j.page, j.twin));
-        }
-        self.recycle_twins(twins);
-        diffs.sort_unstable_by_key(|d| d.page.0);
-        diffs
-    }
-
-    /// Pages with an unflushed twin (written this interval). Visits only
-    /// dirty shards.
-    pub fn written_pages(&self) -> Vec<PageId> {
-        let mask = self.dirty_mask.load(Ordering::Relaxed);
-        let mut out = Vec::new();
-        for s in 0..NUM_SHARDS {
-            if mask & (1 << s) == 0 {
-                continue;
-            }
-            let shard = self.shards[s].lock();
-            out.extend(shard.dirty.iter().map(|&p| PageId(p)));
-        }
-        out.sort_unstable_by_key(|p| p.0);
-        out
     }
 
     /// Serve one fetch. `live` is re-checked *under the shard lock* so a
@@ -694,20 +664,24 @@ mod tests {
         assert!(s.contains(PageId(3)));
     }
 
+    /// Pages of the jobs `collect_dirty` hands out for `interval`.
+    fn collect_pages(s: &HomeStore, interval: Interval) -> Vec<PageId> {
+        let mut jobs = Vec::new();
+        s.collect_dirty(interval, &mut jobs);
+        let pages = jobs.iter().map(|j| j.page).collect();
+        s.recycle_twins(jobs.into_iter().map(|j| (j.page, j.twin)));
+        pages
+    }
+
     #[test]
-    fn twin_write_end_interval_produces_sorted_diffs() {
+    fn twin_write_collect_dirty_produces_sorted_jobs() {
         let s = store();
         assert!(s.write(PageId(8), 0, &[1, 2]));
         assert!(!s.write(PageId(8), 8, &[3])); // twin already exists
         assert!(s.write(PageId(0), 0, &[4]));
-        assert_eq!(s.written_pages(), vec![PageId(0), PageId(8)]);
-        let mut scratch = DiffScratch::new();
-        let diffs = s.end_interval(iv(0, 1), &mut scratch);
-        assert_eq!(diffs.len(), 2);
-        assert_eq!(diffs[0].page, PageId(0));
-        assert_eq!(diffs[1].page, PageId(8));
+        assert_eq!(collect_pages(&s, iv(0, 1)), vec![PageId(0), PageId(8)]);
         assert_eq!(s.version_of(PageId(8)).get(0), 1);
-        assert!(s.written_pages().is_empty());
+        assert!(!s.has_writes());
     }
 
     #[test]
@@ -737,18 +711,17 @@ mod tests {
         assert!(!s.has_writes());
         s.write(PageId(3), 0, &[1]);
         assert!(s.has_writes());
-        assert_eq!(s.written_pages(), vec![PageId(3)]);
-        let mut scratch = DiffScratch::new();
-        let diffs = s.end_interval(iv(0, 1), &mut scratch);
-        assert_eq!(diffs.len(), 1);
+        assert_eq!(collect_pages(&s, iv(0, 1)), vec![PageId(3)]);
         assert!(!s.has_writes());
-        assert!(s.written_pages().is_empty());
         // restore drops the twin and its dirty marker with it.
         s.write(PageId(0), 0, &[2]);
         assert!(s.has_writes());
         s.restore(PageId(0), &[0u8; 64], VectorClock::zero(2));
         assert!(!s.has_writes());
-        assert!(s.written_pages().is_empty());
+        // ... from the shard's dirty list too: a later write to the same
+        // shard does not bring the restored page back.
+        s.write(PageId(8), 0, &[3]);
+        assert_eq!(collect_pages(&s, iv(0, 2)), vec![PageId(8)]);
     }
 
     #[test]
@@ -778,8 +751,7 @@ mod tests {
         assert!(s.take_ckpt_dirty().is_empty(), "drain clears the flags");
         // A home write marks only its page.
         s.write(PageId(8), 0, &[1]);
-        let mut scratch = DiffScratch::new();
-        s.end_interval(iv(0, 1), &mut scratch);
+        collect_pages(&s, iv(0, 1));
         assert_eq!(s.take_ckpt_dirty(), vec![PageId(8)]);
         // A fresh remote diff marks its page; a duplicate apply does not.
         let twin = Page::zeroed(64);
@@ -808,7 +780,7 @@ mod tests {
         s.write(PageId(0), 0, &[1]);
         s.bump_needed(PageId(3), 1, 2);
         s.reset_for_restart();
-        assert!(s.written_pages().is_empty());
+        assert!(!s.has_writes());
         assert!(s.needed_triples().is_empty());
         let mut v = VectorClock::zero(2);
         v.set(1, 9);

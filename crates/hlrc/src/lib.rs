@@ -12,9 +12,6 @@
 //! * [`homestore`] — the sharded store of home-page state, shared between
 //!   the page table and the service thread so homes serve fetches and apply
 //!   diffs concurrently with application compute.
-//! * [`flush`] — off-critical-path diff creation for the release flush: a
-//!   small hand-rolled worker pool that diffs independent dirty pages in
-//!   parallel, with an inline serial path for small dirty sets.
 //! * [`locks`] — the per-lock manager state machine: routing acquire
 //!   requests to the last owner (which grants directly to the requester with
 //!   LRC write notices), queueing, and crash-retransmission bookkeeping.
@@ -27,15 +24,13 @@
 //! tolerance extensions (logging, checkpointing, LLT/CGC, recovery).
 
 pub mod barrier;
-pub mod flush;
 pub mod homestore;
 pub mod locks;
 pub mod pagetable;
 pub mod wn;
 
 pub use barrier::{Arrival, BarrierManager, ReleaseSet};
-pub use flush::{DiffJob, FlushPool};
-pub use homestore::{ApplyOutcome, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch};
+pub use homestore::{ApplyOutcome, DiffJob, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch};
 pub use locks::{LockAction, LockId, LockManagerTable};
 pub use pagetable::{AccessOutcome, PageMeta, PageState, PageTable};
 pub use wn::{WnDelta, WnSpan, WnTable, WriteNotice};

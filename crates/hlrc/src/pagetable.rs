@@ -20,8 +20,7 @@ use dsm_page::{
     Diff, DiffScratch, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock,
 };
 
-use crate::flush::{self, DiffJob};
-use crate::homestore::HomeStore;
+use crate::homestore::{DiffJob, HomeStore};
 
 /// Validity of a cached remote page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,29 +307,19 @@ impl PageTable {
         }
     }
 
-    /// Pages written (twinned) in the current interval, in page order.
-    /// Touches only the dirty sets, not every slot.
-    pub fn written_pages(&self) -> Vec<PageId> {
-        let mut pages = self.twinned.clone();
-        pages.extend(self.home.written_pages());
-        pages.sort_unstable_by_key(|p| p.0);
-        pages
-    }
-
     /// End the current interval: turn every twin into a diff, drop the
     /// twins, and (for homed pages) advance `p.v[me]` to the interval.
     ///
     /// Only dirty pages are visited (the `twinned` list and the home
-    /// store's dirty shards), and diff creation runs *outside* the home
-    /// shard locks — inline for small dirty sets, fanned out to the
-    /// [`flush::FlushPool`] workers for large ones.
+    /// store's dirty shards), and the diffs are created on the calling
+    /// thread, *outside* the home shard locks, from copy-on-write
+    /// snapshots.
     ///
-    /// Returns `(diffs, written)`, both in page order: the caller sends
-    /// diffs for remote pages to their homes and (in the fault-tolerant
-    /// protocol) appends all of them to the diff logs; `written` is every
-    /// dirty page, including those whose bytes ended up unchanged (their
-    /// write notices still go out, exactly as before).
-    pub fn end_interval(&mut self, interval: Interval) -> (Vec<Diff>, Vec<PageId>) {
+    /// Returns the diffs in page order: the caller sends those for remote
+    /// pages to their homes and (in the fault-tolerant protocol) appends
+    /// all of them to the diff logs. A page written but left with its old
+    /// bytes yields no diff.
+    pub fn end_interval(&mut self, interval: Interval) -> Vec<Diff> {
         debug_assert_eq!(interval.proc, self.me);
         let mut jobs: Vec<DiffJob> = Vec::new();
         for page in std::mem::take(&mut self.twinned) {
@@ -351,27 +340,23 @@ impl PageTable {
         jobs.sort_unstable_by_key(|j| j.page.0);
         let remote_jobs = jobs.len();
         self.home.collect_dirty(interval, &mut jobs);
-        let written: Vec<PageId> = {
-            let mut pages: Vec<PageId> = jobs.iter().map(|j| j.page).collect();
-            pages.sort_unstable_by_key(|p| p.0);
-            pages
-        };
-        let (results, jobs) = flush::create_diffs(interval, jobs, &mut self.scratch);
-        let mut diffs: Vec<Diff> = results.into_iter().flatten().collect();
+        let mut diffs: Vec<Diff> = jobs
+            .iter()
+            .filter_map(|j| {
+                Diff::create_with(&mut self.scratch, j.page, interval, &j.twin, &j.current)
+            })
+            .collect();
         diffs.sort_unstable_by_key(|d| d.page.0);
         // The twins' buffers are dead now — hand them back for the next
         // interval's copy-on-write (rejected harmlessly if still shared,
         // e.g. by an in-flight page reply).
-        let mut home_twins = Vec::new();
-        for (i, j) in jobs.into_iter().enumerate() {
-            if i < remote_jobs {
-                self.pool.recycle(j.twin);
-            } else {
-                home_twins.push((j.page, j.twin));
-            }
+        let home_jobs = jobs.split_off(remote_jobs);
+        for j in jobs {
+            self.pool.recycle(j.twin);
         }
-        self.home.recycle_twins(home_twins);
-        (diffs, written)
+        self.home
+            .recycle_twins(home_jobs.into_iter().map(|j| (j.page, j.twin)));
+        diffs
     }
 
     /// Apply a diff at the home. Idempotent: diffs for intervals already
@@ -536,14 +521,11 @@ mod tests {
         assert_eq!(t.ensure_access(PageId(1)), AccessOutcome::Ready);
         t.write(PageId(1), 8, &[42]);
         assert!(t.has_writes());
-        assert_eq!(t.written_pages(), vec![PageId(1)]);
-        let (diffs, written) = t.end_interval(iv(0, 1));
+        let diffs = t.end_interval(iv(0, 1));
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].page, PageId(1));
         assert_eq!(diffs[0].interval, iv(0, 1));
-        assert_eq!(written, vec![PageId(1)]);
         assert!(!t.has_writes());
-        assert!(t.written_pages().is_empty());
     }
 
     #[test]
@@ -551,8 +533,7 @@ mod tests {
         let mut t = table();
         t.write(PageId(0), 0, &[1, 2, 3]);
         assert!(t.has_writes());
-        assert_eq!(t.written_pages(), vec![PageId(0)]);
-        let (diffs, _) = t.end_interval(iv(0, 3));
+        let diffs = t.end_interval(iv(0, 3));
         // The home's own diff is returned (for FT logging) but the copy is
         // already up to date and p.v[0] advanced.
         assert_eq!(diffs.len(), 1);
@@ -561,16 +542,35 @@ mod tests {
 
     #[test]
     fn mixed_home_and_remote_writes_diff_in_page_order() {
-        let mut t = table();
-        t.install_fetch(PageId(1), vec![0u8; 64].into(), &VectorClock::zero(2));
-        t.write(PageId(1), 0, &[9]);
-        t.write(PageId(0), 0, &[8]);
-        assert_eq!(t.written_pages(), vec![PageId(0), PageId(1)]);
-        let (diffs, written) = t.end_interval(iv(0, 1));
-        assert_eq!(diffs.len(), 2);
-        assert_eq!(diffs[0].page, PageId(0));
-        assert_eq!(diffs[1].page, PageId(1));
-        assert_eq!(written, vec![PageId(0), PageId(1)]);
+        // (pages, of which every `home_every`-th is homed here): the
+        // two-page table, and a 24-page dirty set of 16 remote + 8 homed.
+        for (pages, home_every) in [(2u32, 2u32), (24, 3)] {
+            let mut t = PageTable::new(0, 2, 64);
+            for p in 0..pages {
+                t.add_page(if p % home_every == 0 { 0 } else { 1 });
+            }
+            let mut expected = Vec::new();
+            // Written in descending order; every fifth page (past the first
+            // two) is written with the bytes it already holds.
+            for p in (0..pages).rev() {
+                let page = PageId(p);
+                if !t.is_home(page) {
+                    t.install_fetch(page, vec![0u8; 64].into(), &VectorClock::zero(2));
+                }
+                let unchanged = p >= 2 && p % 5 == 0;
+                let byte = if unchanged { 0 } else { p as u8 + 1 };
+                t.write(page, (p as usize % 8) * 8, &[byte]);
+                let twin = Page::zeroed(64);
+                let mut current = twin.clone();
+                current.write((p as usize % 8) * 8, &[byte]);
+                let diff = Diff::create(page, iv(0, 1), &twin, &current);
+                assert_eq!(diff.is_none(), unchanged);
+                expected.extend(diff);
+            }
+            expected.reverse();
+            assert_eq!(t.end_interval(iv(0, 1)), expected);
+            assert!(!t.has_writes());
+        }
     }
 
     #[test]
