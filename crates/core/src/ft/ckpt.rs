@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use dsm_page::{PageId, ProcId, VectorClock};
-use dsm_storage::{ByteReader, ByteWriter, CodecError};
+use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
 use hlrc::LockId;
 
 use crate::wire;
@@ -61,6 +61,28 @@ pub struct CheckpointBlob {
 }
 
 impl CheckpointBlob {
+    /// The paper's initial state as a checkpoint: what a node that fails
+    /// before its first checkpoint restarts from. It is a value only — never
+    /// written to storage, never in the retained window — and its sequence
+    /// number 0 is the "no checkpoint yet" every peer already assumes.
+    pub fn genesis(n: usize) -> Self {
+        CheckpointBlob {
+            seq: 0,
+            delta: false,
+            base_seq: 0,
+            tckp: VectorClock::zero(n),
+            bar_episode: 0,
+            acq_seq_next: 0,
+            last_bar_arrive_seq: 0,
+            step: 0,
+            app_state: Vec::new(),
+            needed: Vec::new(),
+            tenures: Vec::new(),
+            last_release_vts: Vec::new(),
+            home_pages: Vec::new(),
+        }
+    }
+
     /// Encode to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(
@@ -167,36 +189,113 @@ impl CheckpointBlob {
             home_pages,
         })
     }
-
-    /// The version vector of one homed page copy in this checkpoint.
-    pub fn page_version(&self, page: PageId) -> Option<&VectorClock> {
-        self.home_pages
-            .iter()
-            .find(|(p, _, _)| *p == page)
-            .map(|(_, v, _)| v)
-    }
 }
 
 /// Replay a checkpoint chain's page payloads: blobs are applied in
 /// ascending `seq` order, each full blob resetting the accumulated state
 /// (its page set is complete) and each delta overlaying only the pages it
 /// carries. The result is exactly the page state the last blob logically
-/// represents. Recovery and the `p0` server both rebuild from this; the
-/// chain-replay property test checks it against a full checkpoint of the
-/// same moment.
+/// represents, borrowed from the newest blob that carries each page. The
+/// restart image and the `p0` server ([`restart_image`], `serve_rec_page`)
+/// both read pages through this and nothing else walks a chain; the
+/// incremental fault-tolerance tests check a chain restart against a full
+/// checkpoint of the same moment.
 pub fn accumulate_chain<'a>(
     chain: impl IntoIterator<Item = &'a CheckpointBlob>,
-) -> HashMap<PageId, (VectorClock, Vec<u8>)> {
-    let mut acc: HashMap<PageId, (VectorClock, Vec<u8>)> = HashMap::new();
+) -> HashMap<PageId, (&'a VectorClock, &'a [u8])> {
+    let mut acc = HashMap::new();
     for blob in chain {
         if !blob.delta {
             acc.clear();
         }
         for (p, v, bytes) in &blob.home_pages {
-            acc.insert(*p, (v.clone(), bytes.clone()));
+            acc.insert(*p, (v, bytes.as_slice()));
         }
     }
     acc
+}
+
+/// In-memory index of one retained past checkpoint: which version of each
+/// homed page it holds (drives Rule 3's CGC and the `p0.v` piggyback).
+/// With incremental checkpoints, `versions` is the *accumulated* map over
+/// the chain `anchor_seq..=seq` — the full page state the checkpoint
+/// logically represents, even when its blob on disk is a delta — so every
+/// consumer (CGC coverage, `cover_version`, the `p0` server) keeps working
+/// on complete maps.
+#[derive(Debug, Clone)]
+pub(crate) struct RetainedCkpt {
+    pub seq: u64,
+    /// The full anchor this checkpoint's chain starts at (`== seq` for a
+    /// full checkpoint). Serving its pages needs every blob in
+    /// `anchor_seq..=seq`, which CGC therefore keeps together.
+    pub anchor_seq: u64,
+    pub versions: HashMap<PageId, VectorClock>,
+}
+
+impl RetainedCkpt {
+    /// Append to `window` the index entry of `blob`, the checkpoint that
+    /// follows the window's last: a full blob starts a chain and a version
+    /// map of its own, a delta extends its predecessor's. Taking a
+    /// checkpoint and rebuilding the window after a restart both index
+    /// blobs here, so the two cannot disagree.
+    pub(crate) fn append(window: &mut Vec<RetainedCkpt>, blob: &CheckpointBlob) {
+        let (anchor_seq, mut versions) = if blob.delta {
+            let prev = window
+                .last()
+                .expect("delta checkpoint without a predecessor");
+            (prev.anchor_seq, prev.versions.clone())
+        } else {
+            (blob.seq, HashMap::with_capacity(blob.home_pages.len()))
+        };
+        for (p, v, _) in &blob.home_pages {
+            versions.insert(*p, v.clone());
+        }
+        window.push(RetainedCkpt {
+            seq: blob.seq,
+            anchor_seq,
+            versions,
+        });
+    }
+}
+
+/// Read and decode the checkpoint blobs `seqs` from stable storage.
+pub(crate) fn load_chain(
+    store: &StableStore,
+    seqs: impl IntoIterator<Item = u64>,
+) -> Vec<CheckpointBlob> {
+    seqs.into_iter()
+        .map(|seq| {
+            let bytes = store
+                .read_segment(SegmentKind::Checkpoint, seq)
+                .expect("retained checkpoint missing from stable storage");
+            CheckpointBlob::decode(&bytes).expect("corrupt checkpoint blob")
+        })
+        .collect()
+}
+
+/// The one image a node restarts from, given every checkpoint blob it still
+/// has on stable storage (ascending): the latest blob's non-page state with
+/// the pages its chain accumulates, as one full blob — or [`genesis`] when
+/// it never checkpointed. CGC keeps a delta only together with its whole
+/// chain prefix, so when any blob exists its anchor does too.
+///
+/// [`genesis`]: CheckpointBlob::genesis
+pub(crate) fn restart_image(mut retained: Vec<CheckpointBlob>, n: usize) -> CheckpointBlob {
+    let Some(anchor) = retained.iter().rposition(|b| !b.delta) else {
+        assert!(retained.is_empty(), "checkpoint chain without an anchor");
+        return CheckpointBlob::genesis(n);
+    };
+    let home_pages = accumulate_chain(&retained[anchor..])
+        .into_iter()
+        .map(|(p, (v, bytes))| (p, v.clone(), bytes.to_vec()))
+        .collect();
+    let latest = retained.pop().expect("a chain has a latest blob");
+    CheckpointBlob {
+        delta: false,
+        base_seq: 0,
+        home_pages,
+        ..latest
+    }
 }
 
 #[cfg(test)]
@@ -254,10 +353,49 @@ mod tests {
     }
 
     #[test]
-    fn page_version_lookup() {
-        let b = sample();
-        assert_eq!(b.page_version(PageId(0)), Some(&vt(&[4, 0, 0])));
-        assert_eq!(b.page_version(PageId(9)), None);
+    fn genesis_is_the_empty_restart_image_and_a_well_formed_blob() {
+        let g = CheckpointBlob::genesis(3);
+        assert_eq!((g.seq, g.step, g.delta), (0, 0, false));
+        assert_eq!(g.tckp, vt(&[0, 0, 0]));
+        assert!(accumulate_chain([&g]).is_empty(), "genesis carries no page");
+        assert_eq!(CheckpointBlob::decode(&g.encode()).unwrap(), g);
+        // A node with nothing on stable storage restarts from it.
+        assert_eq!(restart_image(Vec::new(), 3), g);
+    }
+
+    #[test]
+    fn restart_image_is_the_latest_blob_over_its_chains_pages() {
+        let mut anchor = sample();
+        anchor.seq = 1;
+        anchor.home_pages = vec![
+            (PageId(0), vt(&[1, 0, 0]), vec![1u8; 64]),
+            (PageId(3), vt(&[1, 0, 0]), vec![3u8; 64]),
+        ];
+        let mut delta = sample();
+        delta.seq = 2;
+        delta.delta = true;
+        delta.base_seq = 1;
+        delta.step = 12;
+        delta.home_pages = vec![(PageId(3), vt(&[2, 1, 0]), vec![9u8; 64])];
+        let mut window = Vec::new();
+        RetainedCkpt::append(&mut window, &anchor);
+        RetainedCkpt::append(&mut window, &delta);
+        assert_eq!((window[1].seq, window[1].anchor_seq), (2, 1));
+        assert_eq!(window[1].versions[&PageId(0)], vt(&[1, 0, 0]));
+        assert_eq!(window[1].versions[&PageId(3)], vt(&[2, 1, 0]));
+
+        let mut image = restart_image(vec![anchor, delta.clone()], 3);
+        image.home_pages.sort_by_key(|(p, _, _)| *p);
+        let expect = CheckpointBlob {
+            delta: false,
+            base_seq: 0,
+            home_pages: vec![
+                (PageId(0), vt(&[1, 0, 0]), vec![1u8; 64]),
+                (PageId(3), vt(&[2, 1, 0]), vec![9u8; 64]),
+            ],
+            ..delta
+        };
+        assert_eq!(image, expect);
     }
 
     #[test]
@@ -308,7 +446,7 @@ mod tests {
         let acc = accumulate_chain(chain.iter());
         assert_eq!(acc[&PageId(0)].1, vec![10u8; 8]);
         assert_eq!(acc[&PageId(1)].1, vec![22u8; 8]);
-        assert_eq!(acc[&PageId(1)].0, vt(&[2, 0]));
+        assert_eq!(*acc[&PageId(1)].0, vt(&[2, 0]));
         assert_eq!(acc[&PageId(2)].1, vec![33u8; 8]);
 
         // A later anchor resets — stale pages from the old chain vanish.

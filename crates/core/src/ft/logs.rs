@@ -366,51 +366,27 @@ impl VolatileLogs {
         w.into_bytes()
     }
 
-    /// Decode a stable save back into (wn, diffs) and install them,
-    /// replacing the current contents (restart path).
-    pub fn decode_stable(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let (wn, diffs) = Self::decode_entries(bytes)?;
-        self.wn = wn;
-        self.diffs = diffs;
-        Ok(())
-    }
-
-    /// Decode a stable log *delta* and merge it in (restart path with
-    /// incremental checkpoints: the last full save first via
-    /// [`VolatileLogs::decode_stable`], then every newer delta segment in
-    /// ascending order). Delta saves are disjoint from the base and from
+    /// Decode one stable save — a full save or a delta — and merge it in.
+    /// A restart starts from empty logs and merges the last full save, then
+    /// every newer delta segment in ascending order. Saves are disjoint from
     /// each other by construction, so merging is a plain append.
     pub fn decode_stable_merge(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let (wn, diffs) = Self::decode_entries(bytes)?;
-        self.wn.extend(wn);
-        for (page, log) in diffs {
-            self.diffs.entry(page).or_default().extend(log);
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn decode_entries(
-        bytes: &[u8],
-    ) -> Result<(Vec<WnLogEntry>, HashMap<PageId, Vec<DiffLogEntry>>), CodecError> {
         let mut r = ByteReader::new(bytes);
         let wn_len = r.get_u64()? as usize;
-        let mut wn = Vec::with_capacity(wn_len);
         for _ in 0..wn_len {
             let seq = r.get_u32()?;
             let pages = wire::get_pages(&mut r)?;
-            wn.push(WnLogEntry {
+            self.wn.push(WnLogEntry {
                 seq,
                 pages,
                 saved: true,
             });
         }
         let np = r.get_u64()? as usize;
-        let mut diffs: HashMap<PageId, Vec<DiffLogEntry>> = HashMap::with_capacity(np);
         for _ in 0..np {
             let page = PageId(r.get_u32()?);
             let len = r.get_u64()? as usize;
-            let mut log = Vec::with_capacity(len);
+            let log = self.diffs.entry(page).or_default();
             for _ in 0..len {
                 let diff = Arc::new(wire::get_diff(&mut r)?);
                 let t = wire::get_vt(&mut r)?;
@@ -420,9 +396,8 @@ impl VolatileLogs {
                     saved: true,
                 });
             }
-            diffs.insert(page, log);
         }
-        Ok((wn, diffs))
+        Ok(())
     }
 }
 
@@ -537,7 +512,7 @@ mod tests {
         assert!(l.mark_saved() > 0);
         assert_eq!(l.mark_saved(), 0, "second save writes nothing new");
         let mut l2 = VolatileLogs::new(0, 2);
-        l2.decode_stable(&bytes).unwrap();
+        l2.decode_stable_merge(&bytes).unwrap();
         assert_eq!(l2.wn, l.wn);
         assert_eq!(l2.diffs.len(), 2);
         assert_eq!(l2.diffs[&PageId(0)], l.diffs[&PageId(0)]);
@@ -563,11 +538,11 @@ mod tests {
         // A second delta with nothing new is empty-bodied.
         let empty = l.encode_stable_delta();
         let mut probe = VolatileLogs::new(0, 2);
-        probe.decode_stable(&empty).unwrap();
+        probe.decode_stable_merge(&empty).unwrap();
         assert!(probe.wn.is_empty() && probe.diffs.is_empty());
         // Restart: base + delta rebuilds exactly the current logs.
         let mut l2 = VolatileLogs::new(0, 2);
-        l2.decode_stable(&full).unwrap();
+        l2.decode_stable_merge(&full).unwrap();
         l2.decode_stable_merge(&delta).unwrap();
         assert_eq!(l2.wn, l.wn);
         assert_eq!(l2.diffs[&PageId(0)], l.diffs[&PageId(0)]);

@@ -17,25 +17,8 @@ use crate::config::{CkptPolicy, FtConfig};
 use crate::msg::Piggy;
 use crate::runtime::node::NodeState;
 use crate::stats::FtReport;
-use ckpt::CheckpointBlob;
+use ckpt::{CheckpointBlob, RetainedCkpt};
 use logs::VolatileLogs;
-
-/// In-memory index of one retained past checkpoint: which version of each
-/// homed page it holds (drives Rule 3's CGC and the `p0.v` piggyback).
-/// With incremental checkpoints, `versions` is the *accumulated* map over
-/// the chain `anchor_seq..=seq` — the full page state the checkpoint
-/// logically represents, even when its blob on disk is a delta — so every
-/// consumer (CGC coverage, `cover_version`, the `p0` server) keeps working
-/// on complete maps.
-#[derive(Debug, Clone)]
-pub(crate) struct RetainedCkpt {
-    pub seq: u64,
-    /// The full anchor this checkpoint's chain starts at (`== seq` for a
-    /// full checkpoint). Serving its pages needs every blob in
-    /// `anchor_seq..=seq`, which CGC therefore keeps together.
-    pub anchor_seq: u64,
-    pub versions: HashMap<PageId, VectorClock>,
-}
 
 /// Per-node fault-tolerance state.
 pub(crate) struct FtState {
@@ -56,9 +39,6 @@ pub(crate) struct FtState {
     pub last_ckpt_episode: u64,
     /// Own interval sequence at the last barrier arrival.
     pub last_bar_arrive_seq: u32,
-    /// Sequence number of this node's last full (anchor) checkpoint; zero
-    /// before the first. The next delta chains onto it.
-    pub last_anchor_seq: u64,
     /// Learned `p0.v[me]` per remote-homed page this node writes (LLT).
     pub p0v_known: HashMap<PageId, u32>,
     /// Retained checkpoint window, oldest first.
@@ -89,7 +69,6 @@ impl FtState {
             last_ckpt_vt: VectorClock::zero(n),
             last_ckpt_episode: 0,
             last_bar_arrive_seq: 0,
-            last_anchor_seq: 0,
             p0v_known: HashMap::new(),
             retained: Vec::new(),
             piggy_cursor: 0,
@@ -98,6 +77,59 @@ impl FtState {
             ckpt_due: false,
             report: FtReport::default(),
         }
+    }
+
+    /// Sequence number of the full (anchor) checkpoint the latest
+    /// checkpoint's chain starts at; zero before the first. The next delta
+    /// chains onto it.
+    fn last_anchor_seq(&self) -> u64 {
+        self.retained.last().map_or(0, |rc| rc.anchor_seq)
+    }
+
+    /// Restart after a failure: everything volatile is rebuilt from stable
+    /// storage — the saved logs, the retained window (`window`, indexed from
+    /// the blobs the restart `image` was made of) and the image's own
+    /// checkpoint bookkeeping — and what was known about the peers is
+    /// forgotten (their next piggybacks teach it again). Configuration, the
+    /// store, the statistics and the piggyback cursor survive.
+    pub(crate) fn restart_from(
+        &mut self,
+        me: ProcId,
+        n: usize,
+        image: &CheckpointBlob,
+        window: Vec<RetainedCkpt>,
+    ) {
+        self.report.recoveries += 1;
+        self.retained = window;
+        self.ckpt_seq = image.seq;
+        self.last_ckpt_vt = image.tckp.clone();
+        self.last_ckpt_episode = image.bar_episode;
+        self.last_bar_arrive_seq = image.last_bar_arrive_seq;
+        // The saved logs: the last full save (segment 0) and, ascending, the
+        // delta segments written since. Saves are disjoint from each other,
+        // so merging is a plain append; segments at or below the anchor are
+        // stale leftovers the anchor's full save already subsumes.
+        self.logs = VolatileLogs::new(me, n);
+        let anchor = self.last_anchor_seq();
+        for id in self.store.segment_ids(SegmentKind::Log) {
+            if id != 0 && id <= anchor {
+                continue;
+            }
+            let seg = self
+                .store
+                .read_segment(SegmentKind::Log, id)
+                .expect("listed log segment must be readable");
+            self.logs
+                .decode_stable_merge(&seg)
+                .expect("corrupt saved logs");
+        }
+        self.tckp = vec![VectorClock::zero(n); n];
+        self.peer_ckpt_seq = vec![0; n];
+        self.peer_ckpt_episode = vec![0; n];
+        self.p0v_known.clear();
+        self.p0v_sent.clear();
+        self.piggy_sent = vec![u64::MAX; n];
+        self.ckpt_due = false;
     }
 
     /// Merge a received piggyback.
@@ -211,17 +243,14 @@ pub(crate) fn take_checkpoint(
     let tckp = st.vt.clone();
     let tracing = st.tracer.enabled();
     let t_ckpt = Instant::now();
-    if tracing {
-        let seq = st.ft.as_ref().map_or(0, |ft| ft.ckpt_seq + 1);
-        st.tracer.emit(EventKind::CkptBegin { seq });
-    }
+    let (anchor_every, seq, last_anchor) = {
+        let ft = st.ft.as_ref().expect("checkpoint without FT enabled");
+        (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq())
+    };
+    st.tracer.emit(EventKind::CkptBegin { seq });
     let t_log = Instant::now();
 
     // --- full anchor or delta? ---------------------------------------------
-    let (anchor_every, seq, last_anchor) = {
-        let ft = st.ft.as_ref().expect("checkpoint without FT enabled");
-        (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq)
-    };
     // A delta needs an anchor to chain onto and a chain still shorter than
     // `anchor_every` (chain length counts the anchor, so `anchor_every: 8`
     // writes one full blob per seven deltas). Full checkpoints are the
@@ -247,21 +276,6 @@ pub(crate) fn take_checkpoint(
     }
     let ckpt_page_count = home_pages.len();
     let ft = st.ft.as_mut().expect("checkpoint without FT enabled");
-    // The retained index always carries the checkpoint's *accumulated*
-    // page-version map (chain state, not blob contents), so CGC and the
-    // `p0.v` piggyback keep seeing complete maps.
-    let mut versions = if is_delta {
-        ft.retained
-            .last()
-            .expect("delta checkpoint without a predecessor")
-            .versions
-            .clone()
-    } else {
-        HashMap::with_capacity(home_pages.len())
-    };
-    for (p, v, _) in &home_pages {
-        versions.insert(*p, v.clone());
-    }
     let blob = CheckpointBlob {
         seq,
         delta: is_delta,
@@ -374,6 +388,10 @@ pub(crate) fn take_checkpoint(
     let disk_time = d1 + d2;
 
     // --- update window and run CGC ------------------------------------------
+    // The retained index always carries the checkpoint's *accumulated*
+    // page-version map (chain state, not blob contents), so CGC and the
+    // `p0.v` piggyback keep seeing complete maps.
+    RetainedCkpt::append(&mut ft.retained, &blob);
     // Exact per-peer retention (a refinement of Rule 3's window): keep, for
     // every peer j, the newest retained copy whose versions j's restart
     // checkpoint covers (j's maximal starting copy), plus the latest
@@ -381,14 +399,6 @@ pub(crate) fn take_checkpoint(
     // initial zero copy, which is always available — in that case the
     // `p0.v` piggyback is suppressed (see `cover_version`) so writers keep
     // every diff.
-    ft.retained.push(RetainedCkpt {
-        seq,
-        anchor_seq: if is_delta { last_anchor } else { seq },
-        versions,
-    });
-    if !is_delta {
-        ft.last_anchor_seq = seq;
-    }
     {
         let last = ft.retained.len() - 1;
         let mut needed = vec![false; ft.retained.len()];

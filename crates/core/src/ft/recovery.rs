@@ -26,12 +26,13 @@ use dsm_page::{Page, PageId, ProcId, VectorClock};
 use dsm_storage::SegmentKind;
 use dsm_trace::{EventKind, RecPhase};
 use hlrc::barrier::BarrierManager;
-use hlrc::WnTable;
+use parking_lot::MutexGuard;
 
-use crate::ft::ckpt::CheckpointBlob;
-use crate::ft::logs::{DiffLogEntry, RelEntry, VolatileLogs};
+use crate::ft::ckpt::{self, RetainedCkpt};
+use crate::ft::logs::{DiffLogEntry, RelEntry};
 use crate::msg::Payload;
-use crate::runtime::node::{apply_pending_home, handle_msg, Mode, NodeShared, NodeState};
+use crate::runtime::node::{apply_pending_home, handle_msg, Mode, NodeShared, NodeState, WaitSlot};
+use crate::runtime::process::wait_until;
 
 /// One remote page being rebuilt by local home emulation.
 #[derive(Debug)]
@@ -76,6 +77,77 @@ pub(crate) fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
     (sum, e.diff.interval.proc, e.diff.interval.seq)
 }
 
+/// Which recovery replies a wait collects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecAsk {
+    /// Every peer's `RecLogReply` (the handshake).
+    Logs,
+    /// The home's `RecPageReply` for this page.
+    Page(PageId),
+    /// Every peer's `RecDiffReply` for this page.
+    Diffs(PageId),
+}
+
+impl RecAsk {
+    fn matches(self, reply: &Payload) -> bool {
+        match (self, reply) {
+            (RecAsk::Logs, Payload::RecLogReply { .. }) => true,
+            (RecAsk::Page(want), Payload::RecPageReply { page, .. })
+            | (RecAsk::Diffs(want), Payload::RecDiffReply { page, .. }) => *page == want,
+            _ => false,
+        }
+    }
+}
+
+/// Move the replies `ask` matches from `inbox` to `got`, one per peer still
+/// in `owed` (which it then leaves); a further matching reply from a peer
+/// that has answered is a duplicate and is dropped. Everything else stays
+/// queued, in order, for the wait that asks for it.
+fn take_replies(
+    inbox: &mut Vec<(ProcId, Payload)>,
+    ask: RecAsk,
+    owed: &mut Vec<ProcId>,
+    got: &mut Vec<(ProcId, Payload)>,
+) {
+    let mut i = 0;
+    while i < inbox.len() {
+        if !ask.matches(&inbox[i].1) {
+            i += 1;
+            continue;
+        }
+        let (peer, payload) = inbox.remove(i);
+        if let Some(k) = owed.iter().position(|&p| p == peer) {
+            owed.swap_remove(k);
+            got.push((peer, payload));
+        }
+    }
+}
+
+/// Block until every peer in `from` has answered `ask`, and return the
+/// replies in arrival order. The wait is a [`WaitSlot::Recovery`] under
+/// [`wait_until`], so a reply that never comes ends in the same 60 s
+/// deadline panic as any other blocked operation, naming what was asked and
+/// who still owes it.
+pub(crate) fn collect_replies(
+    shared: &NodeShared,
+    st: &mut MutexGuard<'_, NodeState>,
+    ask: RecAsk,
+    from: &[ProcId],
+) -> Vec<(ProcId, Payload)> {
+    let owed = from.to_vec();
+    st.wait = WaitSlot::Recovery { ask, owed };
+    let mut got = Vec::new();
+    wait_until(shared, st, |st| {
+        let WaitSlot::Recovery { ask, owed } = &mut st.wait else {
+            unreachable!("recovery wait slot replaced while collecting")
+        };
+        take_replies(&mut st.rec_inbox, *ask, owed, &mut got);
+        owed.is_empty().then_some(())
+    });
+    st.wait = WaitSlot::None;
+    got
+}
+
 /// Restore node state from the last checkpoint, collect peer logs, rebuild
 /// homed pages, and install the replay state. Returns the application's
 /// `(step, encoded state)` to resume from.
@@ -85,427 +157,175 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
 
     // ---- Phase 1: restore from the restart checkpoint ----------------------
     let t_recovery = std::time::Instant::now();
-    let homed: Vec<PageId>;
-    let (step, app_state) = {
-        let mut st = shared.state.lock();
-        assert_eq!(
-            st.mode,
-            Mode::Recovering,
-            "recovery outside Recovering mode"
-        );
-        st.recoveries += 1;
+    let mut st = shared.state.lock();
+    st.recoveries += 1;
 
-        let store = Arc::clone(&st.ft.as_ref().expect("recovery requires FT").store);
-        let mut retained_blobs: Vec<CheckpointBlob> = store
-            .segment_ids(SegmentKind::Checkpoint)
-            .into_iter()
-            .map(|id| {
-                CheckpointBlob::decode(&store.read_segment(SegmentKind::Checkpoint, id).unwrap())
-                    .expect("corrupt checkpoint blob")
-            })
-            .collect();
-        retained_blobs.sort_by_key(|b| b.seq);
-        let latest = retained_blobs.last().cloned();
-        // The newest full blob anchors the latest checkpoint's chain (CGC
-        // keeps a delta only together with its whole chain prefix, so when
-        // any blob exists an anchor does too).
-        let latest_anchor_seq = retained_blobs
-            .iter()
-            .rev()
-            .find(|b| !b.delta)
-            .map_or(0, |b| b.seq);
+    // Everything still on stable storage (ids ascend with `seq`), the
+    // retained window over it, and the one image to restart from — the
+    // genesis blob if the node never checkpointed.
+    let store = Arc::clone(&st.ft.as_ref().expect("recovery requires FT").store);
+    let blobs = ckpt::load_chain(&store, store.segment_ids(SegmentKind::Checkpoint));
+    let mut window = Vec::with_capacity(blobs.len());
+    for b in &blobs {
+        RetainedCkpt::append(&mut window, b);
+    }
+    let image = ckpt::restart_image(blobs, n);
+    st.restart_from(&image, window);
 
-        // Reset protocol state.
-        st.wn_table = WnTable::new();
-        st.pending_grants.clear();
-        st.lock_chain_info.clear();
-        st.wait = crate::runtime::node::WaitSlot::None;
-        st.prefetch.clear();
-        st.pt.home_store().clear_waiting();
-        st.wn_since_barrier.clear();
-        {
-            let mut sync = st.sync.lock();
-            sync.lock_mgr = hlrc::LockManagerTable::new(me);
-            sync.bar_mgr = None;
-        }
-        st.rec_inbox.clear();
+    let homed = st.pt.homed_pages();
 
-        let (step, app_state) = match &latest {
-            Some(ckpt) => {
-                st.vt = ckpt.tckp.clone();
-                st.acq_seq_next = ckpt.acq_seq_next;
-                st.bar_episode = ckpt.bar_episode;
-                st.tenure = ckpt
-                    .tenures
-                    .iter()
-                    .map(|&(l, a, _, r)| (l, (a, r)))
-                    .collect();
-                st.tenure_gen = ckpt.tenures.iter().map(|&(l, _, g, _)| (l, g)).collect();
-                st.held = ckpt
-                    .tenures
-                    .iter()
-                    .filter(|&&(_, _, _, released)| !released)
-                    .map(|&(l, _, _, _)| l)
-                    .collect();
-                st.last_release_vt = ckpt.last_release_vts.iter().cloned().collect();
-                st.pt.reset_for_restart(&ckpt.needed);
-                // Restore homed pages by replaying the chain ascending from
-                // the latest anchor (each delta overlays the pages it
-                // carries); zero pages absent from the entire chain.
-                let chain_from = retained_blobs
-                    .iter()
-                    .position(|b| b.seq == latest_anchor_seq)
-                    .expect("checkpoint chain without an anchor");
-                let pages = crate::ft::ckpt::accumulate_chain(&retained_blobs[chain_from..]);
-                for p in st.pt.homed_pages() {
-                    if !pages.contains_key(&p) {
-                        let zeros = vec![0u8; st.page_size];
-                        st.pt.restore_home_page(p, &zeros, VectorClock::zero(n));
-                    }
-                }
-                for (p, (v, bytes)) in &pages {
-                    st.pt.restore_home_page(*p, bytes, v.clone());
-                }
-                (ckpt.step, ckpt.app_state.clone())
-            }
-            None => {
-                // Crash before the first checkpoint: restart from scratch.
-                st.vt = VectorClock::zero(n);
-                st.acq_seq_next = 0;
-                st.bar_episode = 0;
-                st.tenure.clear();
-                st.tenure_gen.clear();
-                st.held.clear();
-                st.last_release_vt.clear();
-                st.pt.reset_for_restart(&[]);
-                for p in st.pt.homed_pages() {
-                    let zeros = vec![0u8; st.page_size];
-                    st.pt.restore_home_page(p, &zeros, VectorClock::zero(n));
-                }
-                (0, Vec::new())
-            }
-        };
-        st.alloc_cursor = 0;
-        st.shared_bytes = st.pt.len() as u64 * st.page_size as u64;
+    st.hists
+        .rec_restore
+        .record(t_recovery.elapsed().as_nanos() as u64);
+    st.tracer.emit_span(
+        EventKind::RecoveryPhase {
+            phase: RecPhase::Restore,
+        },
+        t_recovery,
+    );
 
-        // Reset FT state from stable storage.
-        {
-            let ft = st.ft.as_mut().unwrap();
-            ft.report.recoveries += 1;
-            ft.logs = VolatileLogs::new(me, n);
-            if let Some(saved) = store.read_segment(SegmentKind::Log, 0) {
-                ft.logs.decode_stable(&saved).expect("corrupt saved logs");
-            }
-            // Incremental mode: overlay the delta log segments written
-            // since the last full save, ascending. Deltas are disjoint
-            // from the base and from each other, so the merge is a plain
-            // append; segments at or below the anchor are stale leftovers
-            // the anchor's full save already subsumes.
-            for id in store.segment_ids(SegmentKind::Log) {
-                if id == 0 || id <= latest_anchor_seq {
-                    continue;
-                }
-                let seg = store
-                    .read_segment(SegmentKind::Log, id)
-                    .expect("listed log segment must be readable");
-                ft.logs
-                    .decode_stable_merge(&seg)
-                    .expect("corrupt saved log delta");
-            }
-            // Rebuild the retained index with accumulated version maps:
-            // full blobs reset the running map, deltas overlay it —
-            // exactly how the maps were built before the crash.
-            {
-                let mut running: HashMap<PageId, VectorClock> = HashMap::new();
-                let mut anchor = 0u64;
-                ft.retained = retained_blobs
-                    .iter()
-                    .map(|b| {
-                        if !b.delta {
-                            running.clear();
-                            anchor = b.seq;
-                        }
-                        for (p, v, _) in &b.home_pages {
-                            running.insert(*p, v.clone());
-                        }
-                        crate::ft::RetainedCkpt {
-                            seq: b.seq,
-                            anchor_seq: anchor,
-                            versions: running.clone(),
-                        }
-                    })
-                    .collect();
-            }
-            match &latest {
-                Some(ckpt) => {
-                    ft.ckpt_seq = ckpt.seq;
-                    ft.last_ckpt_vt = ckpt.tckp.clone();
-                    ft.last_ckpt_episode = ckpt.bar_episode;
-                    ft.last_bar_arrive_seq = ckpt.last_bar_arrive_seq;
-                    ft.last_anchor_seq = latest_anchor_seq;
-                }
-                None => {
-                    ft.ckpt_seq = 0;
-                    ft.last_ckpt_vt = VectorClock::zero(n);
-                    ft.last_ckpt_episode = 0;
-                    ft.last_bar_arrive_seq = 0;
-                    ft.last_anchor_seq = 0;
-                }
-            }
-            ft.tckp = vec![VectorClock::zero(n); n];
-            ft.peer_ckpt_seq = vec![0; n];
-            ft.peer_ckpt_episode = vec![0; n];
-            ft.p0v_known.clear();
-            ft.p0v_sent.clear();
-            ft.piggy_sent = vec![u64::MAX; n];
-            ft.ckpt_due = false;
-
-            // Own write notices back into the table and the since-barrier
-            // buffer.
-            let bar_seq = ft.last_bar_arrive_seq;
-            let own_wn: Vec<(u32, Vec<PageId>)> = ft
-                .logs
-                .wn
-                .iter()
-                .map(|e| (e.seq, e.pages.clone()))
-                .collect();
-            for (seq, pages) in own_wn {
-                let iv = dsm_page::Interval { proc: me, seq };
-                st.wn_table.insert_parts(iv, pages.clone());
-                if seq > bar_seq {
-                    st.wn_since_barrier.push(hlrc::WriteNotice {
-                        interval: iv,
-                        pages,
-                    });
-                }
-            }
-            st.wn_since_barrier.sort_by_key(|w| w.interval.seq);
-        }
-
-        homed = st.pt.homed_pages();
-
-        st.hists
-            .rec_restore
-            .record(t_recovery.elapsed().as_nanos() as u64);
-        st.tracer.emit_span(
-            EventKind::RecoveryPhase {
-                phase: RecPhase::Restore,
-            },
-            t_recovery,
-        );
-
-        // ---- Phase 2: handshake ---------------------------------------------
-        for p in 0..n {
-            if p != me {
-                st.send(p, Payload::RecLogReq);
-            }
-        }
-        (step, app_state)
-    };
+    // ---- Phase 2: handshake ---------------------------------------------
+    let peers: Vec<ProcId> = (0..n).filter(|&p| p != me).collect();
+    for &p in &peers {
+        st.send(p, Payload::RecLogReq);
+    }
 
     // ---- Phase 3: collect and merge log replies -----------------------------
     let t_collect = std::time::Instant::now();
     let mut replay = ReplayState::default();
-    {
-        let mut st = shared.state.lock();
-        let mut got: std::collections::HashSet<ProcId> = std::collections::HashSet::new();
-        while got.len() < n - 1 {
-            let mut i = 0;
-            while i < st.rec_inbox.len() {
-                if matches!(st.rec_inbox[i].1, Payload::RecLogReply { .. }) {
-                    let (peer, payload) = st.rec_inbox.remove(i);
-                    if !got.insert(peer) {
-                        continue;
-                    }
-                    let Payload::RecLogReply {
-                        wn,
-                        rel_for_you,
-                        acq_mirror,
-                        bar,
-                        bar_mgr,
-                        lock_chains,
-                        gen_floor,
-                    } = payload
-                    else {
-                        unreachable!()
-                    };
-                    for e in wn {
-                        st.wn_table.insert_parts(
-                            dsm_page::Interval {
-                                proc: peer,
-                                seq: e.seq,
-                            },
-                            e.pages,
-                        );
-                    }
-                    // The peer's rel_log[me] is simultaneously our acquire
-                    // replay input and the mirror restoring our acq_log.
-                    st.ft.as_mut().unwrap().logs.acq[peer] = rel_for_you.clone();
-                    for e in rel_for_you {
-                        replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
-                        replay.rel.insert(e.acq_seq, (peer, e));
-                    }
-                    // acq_mirror restores our rel_log[peer] and the chain
-                    // info for grants we issued. Its timestamps also carry
-                    // our own clock component: a grant we gave after
-                    // releasing interval k proves interval k completed.
-                    {
-                        for e in &acq_mirror {
-                            replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
-                            let c = st
-                                .lock_chain_info
-                                .entry(e.lock)
-                                .or_insert((e.gen, peer, e.acq_seq));
-                            if e.gen >= c.0 {
-                                *c = (e.gen, peer, e.acq_seq);
-                            }
-                        }
-                        let ft = st.ft.as_mut().unwrap();
-                        ft.logs.rel[peer] = acq_mirror;
-                    }
-                    for e in &bar {
-                        replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
-                        replay.bar_results.insert(e.episode, e.result_vt.clone());
-                    }
-                    for e in &bar_mgr {
-                        replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
-                        replay.bar_results.insert(e.episode, e.result_vt.clone());
-                    }
-                    // Manager rebuild: chains for locks we manage.
-                    // Chain reset: the peer discarded its queued edges for
-                    // our locks when serving the handshake and reports only
-                    // materialized acquisitions (its delivered tenures, the
-                    // grants in its release log). Rebuild tails from those;
-                    // the discarded edges' requesters re-drive their
-                    // acquisitions and are chained fresh. `gen_floor` keeps
-                    // fresh edges above every pre-crash generation,
-                    // including the discarded ones.
-                    {
-                        let mut sync = st.sync.lock();
-                        for (lock, gen, grantee, grantee_acq, granter) in lock_chains {
-                            if lock % n == me {
-                                sync.lock_mgr.restore_chain(
-                                    lock,
-                                    gen,
-                                    grantee,
-                                    grantee_acq,
-                                    granter,
-                                );
-                            }
-                        }
-                        for (lock, gen) in gen_floor {
-                            if lock % n == me {
-                                sync.lock_mgr.bound_gen(lock, gen);
-                            }
-                        }
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-            if got.len() < n - 1 {
-                shared
-                    .cv
-                    .wait_for(&mut st, std::time::Duration::from_secs(30));
+    for (peer, payload) in collect_replies(shared, &mut st, RecAsk::Logs, &peers) {
+        let Payload::RecLogReply {
+            wn,
+            rel_for_you,
+            acq_mirror,
+            bar,
+            bar_mgr,
+            lock_chains,
+            gen_floor,
+        } = payload
+        else {
+            unreachable!("collected a reply that was not asked for")
+        };
+        for e in wn {
+            st.wn_table.insert_parts(
+                dsm_page::Interval {
+                    proc: peer,
+                    seq: e.seq,
+                },
+                e.pages,
+            );
+        }
+        // The peer's rel_log[me] is simultaneously our acquire replay input
+        // and the mirror restoring our acq_log.
+        st.ft.as_mut().unwrap().logs.acq[peer] = rel_for_you.clone();
+        for e in rel_for_you {
+            replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
+            replay.rel.insert(e.acq_seq, (peer, e));
+        }
+        // acq_mirror restores our rel_log[peer] and the chain info for
+        // grants we issued. Its timestamps also carry our own clock
+        // component: a grant we gave after releasing interval k proves
+        // interval k completed.
+        for e in &acq_mirror {
+            replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
+            st.note_grant(e.lock, e.gen, peer, e.acq_seq);
+        }
+        st.ft.as_mut().unwrap().logs.rel[peer] = acq_mirror;
+        for e in &bar {
+            replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
+            replay.bar_results.insert(e.episode, e.result_vt.clone());
+        }
+        for e in &bar_mgr {
+            replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
+            replay.bar_results.insert(e.episode, e.result_vt.clone());
+        }
+        // Manager rebuild: chains for locks we manage. Chain reset: the peer
+        // discarded its queued edges for our locks when serving the
+        // handshake and reports only materialized acquisitions (its
+        // delivered tenures, the grants in its release log). Rebuild tails
+        // from those; the discarded edges' requesters re-drive their
+        // acquisitions and are chained fresh. `gen_floor` keeps fresh edges
+        // above every pre-crash generation, including the discarded ones.
+        let mut sync = st.sync.lock();
+        for (lock, gen, grantee, grantee_acq, granter) in lock_chains {
+            if lock % n == me {
+                sync.lock_mgr
+                    .restore_chain(lock, gen, grantee, grantee_acq, granter);
             }
         }
-        // Our own chains: locks we manage where we granted (restored from
-        // the grantees' mirrors — every entry was a delivered grant), plus
-        // our own checkpoint-restored tenures of locks we manage (replayed
-        // tenures restore theirs as the replay reaches them).
-        let own_chains: Vec<(hlrc::LockId, u64, ProcId, u64)> = st
-            .lock_chain_info
-            .iter()
-            .map(|(&l, &(g, t, a))| (l, g, t, a))
-            .collect();
-        let own_tenures: Vec<(hlrc::LockId, u64, u64)> = st
-            .tenure
-            .iter()
-            .filter(|(&l, _)| l % n == me)
-            .map(|(&l, &(a, _))| (l, st.tenure_gen.get(&l).copied().unwrap_or(0), a))
-            .collect();
-        {
-            let mut sync = st.sync.lock();
-            for (lock, gen, grantee, grantee_acq) in own_chains {
-                if lock % n == me {
-                    sync.lock_mgr
-                        .restore_chain(lock, gen, grantee, grantee_acq, Some(me));
-                }
+        for (lock, gen) in gen_floor {
+            if lock % n == me {
+                sync.lock_mgr.bound_gen(lock, gen);
             }
-            for (lock, gen, acq) in own_tenures {
+        }
+    }
+    // Our own chains: locks we manage where we granted (restored from
+    // the grantees' mirrors — every entry was a delivered grant), plus
+    // our own checkpoint-restored tenures of locks we manage (replayed
+    // tenures restore theirs as the replay reaches them).
+    {
+        let mut sync = st.sync.lock();
+        for (&lock, &(gen, grantee, grantee_acq)) in &st.lock_chain_info {
+            if lock % n == me {
+                sync.lock_mgr
+                    .restore_chain(lock, gen, grantee, grantee_acq, Some(me));
+            }
+        }
+        for (&lock, &(acq, _)) in &st.tenure {
+            if lock % n == me {
+                let gen = st.tenure_gen.get(&lock).copied().unwrap_or(0);
                 sync.lock_mgr.restore_chain(lock, gen, me, acq, None);
             }
         }
-        // Rebuild the barrier-manager mirror for future recoveries of peers.
-        if me == 0 {
-            let entries: Vec<crate::ft::logs::MgrBarEntry> = replay
-                .bar_results
-                .iter()
-                .map(|(&episode, vt)| crate::ft::logs::MgrBarEntry {
-                    episode,
-                    arrival_vts: vec![VectorClock::zero(n); n],
-                    result_vt: vt.clone(),
-                })
-                .collect();
-            let ft = st.ft.as_mut().unwrap();
-            for e in entries {
-                ft.logs.log_bar_mgr(e);
-            }
-            ft.logs.bar_mgr.sort_by_key(|e| e.episode);
+    }
+    // Rebuild the barrier-manager mirror for future recoveries of peers.
+    if me == 0 {
+        let ft = st.ft.as_mut().unwrap();
+        for (&episode, vt) in &replay.bar_results {
+            ft.logs.log_bar_mgr(crate::ft::logs::MgrBarEntry {
+                episode,
+                arrival_vts: vec![VectorClock::zero(n); n],
+                result_vt: vt.clone(),
+            });
         }
-
-        // ---- Phase 4: restore homed pages -----------------------------------
-        for &page in &homed {
-            for p in 0..n {
-                if p != me {
-                    st.send(p, Payload::RecDiffReq { page });
-                }
-            }
-        }
-        let want = homed.len() * (n - 1);
-        let mut entries: Vec<DiffLogEntry> = Vec::new();
-        let mut got_diffs = 0usize;
-        while got_diffs < want {
-            let mut i = 0;
-            while i < st.rec_inbox.len() {
-                if matches!(st.rec_inbox[i].1, Payload::RecDiffReply { .. }) {
-                    let (_, payload) = st.rec_inbox.remove(i);
-                    let Payload::RecDiffReply { entries: es, .. } = payload else {
-                        unreachable!()
-                    };
-                    entries.extend(es);
-                    got_diffs += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            if got_diffs < want {
-                shared
-                    .cv
-                    .wait_for(&mut st, std::time::Duration::from_secs(30));
-            }
-        }
-        entries.sort_by_key(linear_key);
-        for e in &entries {
-            replay.evidence_self = replay.evidence_self.max(e.t.get(me));
-        }
-        replay.pending_home = entries;
-        replay.started = Some(t_recovery);
-        replay.replay_from = Some(std::time::Instant::now());
-        st.replay = Some(replay);
-        apply_pending_home(&mut st);
-        st.hists
-            .rec_log_collect
-            .record(t_collect.elapsed().as_nanos() as u64);
-        st.tracer.emit_span(
-            EventKind::RecoveryPhase {
-                phase: RecPhase::LogCollect,
-            },
-            t_collect,
-        );
+        ft.logs.bar_mgr.sort_by_key(|e| e.episode);
     }
 
-    (step, app_state)
+    // ---- Phase 4: restore homed pages -----------------------------------
+    for &page in &homed {
+        for &p in &peers {
+            st.send(p, Payload::RecDiffReq { page });
+        }
+    }
+    let mut entries: Vec<DiffLogEntry> = Vec::new();
+    for &page in &homed {
+        for (_, payload) in collect_replies(shared, &mut st, RecAsk::Diffs(page), &peers) {
+            let Payload::RecDiffReply { entries: es, .. } = payload else {
+                unreachable!("collected a reply that was not asked for")
+            };
+            entries.extend(es);
+        }
+    }
+    entries.sort_by_key(linear_key);
+    for e in &entries {
+        replay.evidence_self = replay.evidence_self.max(e.t.get(me));
+    }
+    replay.pending_home = entries;
+    replay.started = Some(t_recovery);
+    replay.replay_from = Some(std::time::Instant::now());
+    st.replay = Some(replay);
+    apply_pending_home(&mut st);
+    st.hists
+        .rec_log_collect
+        .record(t_collect.elapsed().as_nanos() as u64);
+    st.tracer.emit_span(
+        EventKind::RecoveryPhase {
+            phase: RecPhase::LogCollect,
+        },
+        t_collect,
+    );
+
+    (image.step, image.app_state)
 }
 
 /// Switch from replay to live execution: the first operation with no log
@@ -526,15 +346,16 @@ pub(crate) fn go_live(st: &mut NodeState) {
         );
     }
     if !replay.pending_home.is_empty() {
-        for e in &replay.pending_home {
-            eprintln!(
-                "[go_live diag] node {} vt={} leftover diff page {} iv {} t={}",
-                st.me, st.vt, e.diff.page, e.diff.interval, e.t
-            );
-        }
+        let leftover: Vec<String> = replay
+            .pending_home
+            .iter()
+            .map(|e| format!("page {} iv {} t={}", e.diff.page, e.diff.interval, e.t))
+            .collect();
         panic!(
-            "node {}: homed-page diffs left unapplied at the crash point (vt={})",
-            st.me, st.vt
+            "node {}: homed-page diffs left unapplied at the crash point (vt={}): {}",
+            st.me,
+            st.vt,
+            leftover.join("; ")
         );
     }
     let n = st.n;
@@ -560,5 +381,95 @@ pub(crate) fn go_live(st: &mut NodeState) {
     let backlog = std::mem::take(&mut st.backlog);
     for (from, payload) in backlog {
         handle_msg(st, from, payload);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn log_reply() -> Payload {
+        Payload::RecLogReply {
+            wn: Vec::new(),
+            rel_for_you: Vec::new(),
+            acq_mirror: Vec::new(),
+            bar: Vec::new(),
+            bar_mgr: Vec::new(),
+            lock_chains: Vec::new(),
+            gen_floor: Vec::new(),
+        }
+    }
+
+    fn diff_reply(page: u32) -> Payload {
+        Payload::RecDiffReply {
+            page: PageId(page),
+            entries: Vec::new(),
+        }
+    }
+
+    fn page_reply(page: u32) -> Payload {
+        Payload::RecPageReply {
+            page: PageId(page),
+            version: VectorClock::zero(3),
+            bytes: vec![0u8; 8].into(),
+        }
+    }
+
+    #[test]
+    fn collector_takes_only_what_was_asked_once_per_peer_and_keeps_the_rest_in_order() {
+        let mut inbox = vec![
+            (1, diff_reply(7)),
+            (2, page_reply(4)),
+            (1, diff_reply(4)),
+            (1, log_reply()),
+            (1, diff_reply(4)), // duplicate from peer 1
+            (2, diff_reply(9)),
+            (3, diff_reply(4)), // peer 3 was never asked
+        ];
+        let mut owed = vec![1, 2];
+        let mut got = Vec::new();
+        take_replies(&mut inbox, RecAsk::Diffs(PageId(4)), &mut owed, &mut got);
+        assert_eq!(got, [(1, diff_reply(4))], "one reply, from the peer asked");
+        assert_eq!(owed, [2], "peer 2 still owes its reply");
+        // The duplicate and the unasked reply are gone; everything that is
+        // some other wait's business is still queued, in arrival order.
+        assert_eq!(
+            inbox,
+            [
+                (1, diff_reply(7)),
+                (2, page_reply(4)),
+                (1, log_reply()),
+                (2, diff_reply(9)),
+            ]
+        );
+
+        // The late reply completes the wait.
+        inbox.push((2, diff_reply(4)));
+        take_replies(&mut inbox, RecAsk::Diffs(PageId(4)), &mut owed, &mut got);
+        assert!(owed.is_empty());
+        assert_eq!(got.len(), 2);
+
+        // Kind and page both select: the page reply for page 4 is not a
+        // diff reply for page 4, and the handshake takes only log replies.
+        let (mut owed, mut got) = (vec![2], Vec::new());
+        take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
+        assert_eq!(got, [(2, page_reply(4))]);
+        let (mut owed, mut got) = (vec![1, 2], Vec::new());
+        take_replies(&mut inbox, RecAsk::Logs, &mut owed, &mut got);
+        assert_eq!(got, [(1, log_reply())]);
+        assert_eq!(owed, [2]);
+        assert_eq!(inbox, [(1, diff_reply(7)), (2, diff_reply(9))]);
+    }
+
+    #[test]
+    fn a_blocked_recovery_wait_names_what_it_asked_and_who_owes_it() {
+        // `wait_until`'s deadline panic prints the wait slot.
+        let wait = WaitSlot::Recovery {
+            ask: RecAsk::Diffs(PageId(12)),
+            owed: vec![0, 3],
+        };
+        let shown = format!("{wait:?}");
+        assert!(shown.contains("Diffs") && shown.contains("12"), "{shown}");
+        assert!(shown.contains("[0, 3]"), "{shown}");
     }
 }

@@ -1,19 +1,15 @@
 //! Cluster construction and the run loop.
 
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_member::{Detector, MemberConfig};
+use dsm_member::MemberConfig;
 use dsm_metrics::Registry;
 use dsm_net::Fabric;
-use dsm_page::VectorClock;
 use dsm_storage::StableStore;
-use dsm_trace::{EventSink, Histogram, Trace, TraceConfig};
-use hlrc::barrier::BarrierManager;
-use hlrc::{LockManagerTable, PageTable, WnTable};
+use dsm_trace::{EventSink, Trace, TraceConfig};
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::{ClusterConfig, FailureSpec};
@@ -21,8 +17,8 @@ use crate::ft::FtState;
 use crate::monitor::Monitor;
 use crate::msg::Msg;
 use crate::runtime::node::{
-    apply_member_actions, retransmit_stale_diffs, service_loop, CrashSignal, MemberRuntime, Mode,
-    NodeShared, NodeState, SyncState, WaitSlot,
+    apply_member_actions, retransmit_stale_diffs, service_loop, CrashSignal, Mode, NodeShared,
+    NodeState,
 };
 use crate::runtime::process::Process;
 use crate::stats::{NodeReport, RunReport};
@@ -79,7 +75,7 @@ fn sample_metrics(
             reg.gauge(&format!("node_dup_suppressed{{node=\"{me}\"}}"))
                 .set(st.dup_suppressed as i64);
             reg.gauge(&format!("node_diff_outbox_depth{{node=\"{me}\"}}"))
-                .set(st.diff_outbox.iter().map(VecDeque::len).sum::<usize>() as i64);
+                .set(st.diffs.depth() as i64);
             let pool = st.pt.pool_stats();
             reg.counter(&format!("pool_hits_total{{node=\"{me}\"}}"))
                 .store(pool.hits);
@@ -174,80 +170,33 @@ where
     let mut shareds: Vec<Arc<NodeShared>> = Vec::with_capacity(n);
     for (i, mut ep) in endpoints.into_iter().enumerate() {
         ep.attach_tracer(trace.tracer(i));
-        let store = Arc::new(StableStore::new(config.disk));
         let mut crash_queue: Vec<u64> = failures
             .iter()
             .filter(|f| f.node == i)
             .map(|f| f.at_op)
             .collect();
         crash_queue.sort_unstable();
-        let state = NodeState {
-            me: i,
+        let ft = config
+            .ft
+            .clone()
+            .map(|cfg| FtState::new(i, n, cfg, Arc::new(StableStore::new(config.disk))));
+        let mut state = NodeState::new(
+            i,
             n,
-            page_size: config.page_size,
-            mode: Mode::Normal,
-            mode_flag: Arc::new(AtomicU8::new(Mode::Normal.flag())),
-            pt: PageTable::new(i, n, config.page_size),
-            vt: VectorClock::zero(n),
-            wn_table: WnTable::new(),
-            sync: Arc::new(Mutex::new(SyncState {
-                lock_mgr: LockManagerTable::new(i),
-                bar_mgr: (i == 0).then(|| BarrierManager::new(n)),
-            })),
-            held: Default::default(),
-            tenure: Default::default(),
-            tenure_gen: Default::default(),
-            last_release_vt: Default::default(),
-            pending_grants: Default::default(),
-            lock_chain_info: Default::default(),
-            wait: WaitSlot::None,
-            rec_inbox: Vec::new(),
-            backlog: Vec::new(),
-            pending_unalloc: Vec::new(),
-            prefetch: HashMap::new(),
-            acq_seq_next: 0,
-            bar_episode: 0,
-            req_id_next: 0,
-            wn_since_barrier: Vec::new(),
-            shared_bytes: 0,
-            alloc_cursor: 0,
-            ft: config
-                .ft
-                .clone()
-                .map(|cfg| FtState::new(i, n, cfg, Arc::clone(&store))),
-            replay: None,
-            protocol_time_svc: Duration::ZERO,
-            svc_time_by_kind: HashMap::new(),
-            shutdown: false,
-            ops: 0,
-            crash_queue,
-            recoveries: 0,
-            ep: Arc::new(ep),
-            member: membership.as_ref().map(|cfg| {
-                Arc::new(MemberRuntime {
-                    det: Mutex::new(Detector::new(i, n, cfg.clone(), Instant::now())),
-                    rtt: Mutex::new(Histogram::new()),
-                    susp: Mutex::new(Histogram::new()),
-                })
-            }),
-            retry_after: membership.as_ref().map(|cfg| cfg.retry_after),
-            retransmits: 0,
-            dup_suppressed: 0,
-            diff_outbox: (0..n).map(|_| VecDeque::new()).collect(),
-            diff_inflight: vec![None; n],
-            diff_seq_next: 0,
-            own_diff_seq: HashMap::new(),
-            breakdown_acc: Default::default(),
-            tracer: trace.tracer(i),
-            hists: Default::default(),
-            cur_flow: 0,
-            inject_stale_apply: inject_stale_apply.clone(),
-        };
+            config.page_size,
+            Arc::new(ep),
+            ft,
+            trace.tracer(i),
+            membership.as_ref(),
+        );
+        state.crash_queue = crash_queue;
+        state.inject_stale_apply = inject_stale_apply.clone();
         shareds.push(Arc::new(NodeShared {
             state: Mutex::new(state),
             cv: Condvar::new(),
             me: i,
             n,
+            seed: config.seed,
         }));
     }
 
@@ -292,7 +241,7 @@ where
                             // A crashed node is silent: no heartbeats, no
                             // retransmissions — that silence is exactly what
                             // the peers' detectors pick up.
-                            if mode_flag.load(Ordering::SeqCst) == Mode::Crashed.flag() {
+                            if mode_flag.load(Ordering::SeqCst) == Mode::Crashed as u8 {
                                 continue;
                             }
                             let actions = mr.det.lock().tick(Instant::now());
@@ -379,40 +328,11 @@ where
                                     prev, 0,
                                     "overlapping failures violate the single-fault model"
                                 );
-                                // Fail-stop: drop protocol state visibility,
-                                // lose queued input.
-                                {
-                                    let mut st = shared.state.lock();
-                                    st.set_mode(Mode::Crashed);
-                                    st.wait = WaitSlot::None;
-                                    st.replay = None;
-                                    st.prefetch.clear();
-                                    // Fail-stop loses the volatile diff
-                                    // outbox with everything else; replay
-                                    // regenerates the diffs under new seqs.
-                                    for q in st.diff_outbox.iter_mut() {
-                                        q.clear();
-                                    }
-                                    for s in st.diff_inflight.iter_mut() {
-                                        *s = None;
-                                    }
-                                    st.own_diff_seq.clear();
-                                    // Fence the lock-free fast path: after
-                                    // the mode flag flips, drain the sync
-                                    // and shard locks so no fast-path op
-                                    // started before the flip is still in
-                                    // flight, then drop parked fetches
-                                    // (requesters retransmit on NodeUp).
-                                    drop(st.sync.lock());
-                                    let home = st.pt.home_store();
-                                    home.quiesce();
-                                    home.clear_waiting();
-                                }
+                                // Fail-stop: volatile state is gone, then
+                                // queued input is lost.
+                                shared.state.lock().fail_stop();
                                 fabric.crash(i);
-                                {
-                                    let st = shared.state.lock();
-                                    st.ep.drain();
-                                }
+                                shared.state.lock().ep.drain();
                                 // Stay dead long enough for the failure to
                                 // be observable. With membership on, that
                                 // means longer than the detection bound, so
@@ -433,9 +353,6 @@ where
                                         mr.det.lock().begin_new_incarnation(Instant::now());
                                     }
                                     st.set_mode(Mode::Recovering);
-                                    st.backlog.clear();
-                                    st.rec_inbox.clear();
-                                    st.pending_unalloc.clear();
                                 }
                                 if membership.is_some() {
                                     // Peers discover the restart from the
@@ -467,24 +384,14 @@ where
     // With the retry layer on, the final diff flushes may still be waiting
     // for acks under loss; keep the tickers retransmitting until every
     // outbox drains (ack received ⇒ the home applied the batch).
-    if membership.is_some() {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let drained = shareds.iter().all(|s| {
-                let st = s.state.lock();
-                st.diff_inflight.iter().all(Option::is_none)
-                    && st.diff_outbox.iter().all(VecDeque::is_empty)
-            });
-            if drained {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "diff outboxes failed to drain (FTDSM_SEED={:#x})",
-                config.seed
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !shareds.iter().all(|s| s.state.lock().diffs.drained()) {
+        assert!(
+            Instant::now() < deadline,
+            "diff outboxes failed to drain (FTDSM_SEED={:#x})",
+            config.seed
+        );
+        std::thread::sleep(Duration::from_millis(2));
     }
 
     // Stop the heartbeat tickers before watching traffic quiesce —
@@ -572,30 +479,22 @@ where
     let mut shared_bytes = 0;
     let total_pages = shareds[0].state.lock().pt.len();
     let mut hash: u64 = 0xcbf29ce484222325;
-    let debug_pages = std::env::var_os("FTDSM_DEBUG_PAGES").is_some();
     for p in 0..total_pages {
         let page = dsm_page::PageId(p as u32);
         let home = shareds[0].state.lock().pt.home_of(page);
         let st = shareds[home].state.lock();
-        let (version, bytes) = st.pt.home_snapshot(page);
+        let (_, bytes) = st.pt.home_snapshot(page);
         let mut ph: u64 = 0xcbf29ce484222325;
         for &b in bytes.iter() {
             ph ^= b as u64;
             ph = ph.wrapping_mul(0x100000001b3);
-        }
-        if debug_pages {
-            let words: Vec<u64> = bytes[..64]
-                .chunks(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            eprintln!("[dump] page {page} home {home} v={version} hash {ph:016x} words {words:?}");
         }
         hash ^= ph;
         hash = hash.wrapping_mul(0x100000001b3);
     }
     for (i, s) in shareds.iter().enumerate() {
         let mut st = s.state.lock();
-        shared_bytes = shared_bytes.max(st.shared_bytes);
+        shared_bytes = shared_bytes.max(st.shared_bytes());
         // Fold the member layer's off-big-lock samples and counters in.
         let member = match st.member.clone() {
             Some(mr) => {
@@ -606,7 +505,7 @@ where
             None => Default::default(),
         };
         let mut breakdown = st.breakdown_acc;
-        breakdown.protocol += st.protocol_time_svc;
+        breakdown.protocol += st.svc_time_by_kind.values().sum::<Duration>();
         let ft = match st.ft.as_mut() {
             Some(ft) => {
                 ft.report.log_counters = ft.logs.counters();

@@ -3,6 +3,7 @@
 
 pub mod cluster;
 pub(crate) mod node;
+mod outbox;
 pub mod process;
 
 pub use cluster::run;

@@ -16,14 +16,14 @@
 //! lock keeps the rarely-contended rest: mode, waits, FT logs, recovery
 //! state. Lock order is big → sync → shard; shard locks are leaves.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_member::{Action as MemberAction, Detector};
+use dsm_member::{Action as MemberAction, Detector, MemberConfig};
 use dsm_net::{Endpoint, Event};
-use dsm_page::{Diff, IntervalSeq, PageId, ProcId, VectorClock};
+use dsm_page::{Diff, Interval, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, Histogram, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
@@ -33,37 +33,27 @@ use hlrc::{
 };
 use parking_lot::{Condvar, Mutex};
 
+use crate::ft::ckpt::{self, CheckpointBlob, RetainedCkpt};
 use crate::ft::logs::{MgrBarEntry, RelEntry};
-use crate::ft::recovery::ReplayState;
+use crate::ft::recovery::{RecAsk, ReplayState};
 use crate::ft::FtState;
 use crate::msg::{Msg, Payload, Piggy};
+use crate::runtime::outbox::DiffOutbox;
 
 /// Panic payload used to simulate a fail-stop crash of the application
 /// thread at a DSM operation boundary.
 #[derive(Debug)]
 pub struct CrashSignal;
 
-/// Node liveness as seen by its own runtime.
+/// Node liveness as seen by its own runtime. The discriminant is the
+/// encoding of the lock-free [`NodeState::mode_flag`] mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum Mode {
     Normal,
     Crashed,
     Recovering,
 }
-
-impl Mode {
-    /// Encoding for the lock-free [`NodeState::mode_flag`] mirror.
-    pub(crate) fn flag(self) -> u8 {
-        match self {
-            Mode::Normal => 0,
-            Mode::Crashed => 1,
-            Mode::Recovering => 2,
-        }
-    }
-}
-
-/// [`Mode::Normal`] as seen through the atomic mirror.
-pub(crate) const MODE_NORMAL: u8 = 0;
 
 /// Lock-manager and barrier-manager state, behind its own small lock.
 ///
@@ -148,6 +138,13 @@ pub(crate) enum WaitSlot {
         own_wns: WnDelta,
         release: Option<ReleaseData>,
     },
+    /// Recovery: collecting the replies `ask` describes; `owed` are the
+    /// peers that have not answered yet. Nothing is retransmitted for it —
+    /// the recovery handshake is the fabric's reliable control plane.
+    Recovery {
+        ask: RecAsk,
+        owed: Vec<ProcId>,
+    },
 }
 
 /// A forwarded acquire queued while this node still holds the lock.
@@ -165,7 +162,6 @@ pub(crate) struct PendingGrant {
 pub(crate) struct NodeState {
     pub me: ProcId,
     pub n: usize,
-    pub page_size: usize,
     pub mode: Mode,
     /// Lock-free mirror of `mode`: the service loop's `live` fence. Only
     /// [`NodeState::set_mode`] writes it (always under the big lock).
@@ -175,10 +171,10 @@ pub(crate) struct NodeState {
     pub wn_table: WnTable,
     /// Lock- and barrier-manager state (its own small lock; big → sync).
     pub sync: Arc<Mutex<SyncState>>,
-    pub held: HashSet<LockId>,
     /// Latest tenure per lock: (our own acquisition sequence number,
     /// released?). Deterministic local knowledge, reconstructed exactly by
-    /// checkpoint restore plus replay — the basis of forward gating.
+    /// checkpoint restore plus replay — the basis of forward gating. The
+    /// locks this node holds are the unreleased tenures.
     pub tenure: HashMap<LockId, (u64, bool)>,
     /// Grant generation of the latest tenure per lock (the manager-issued
     /// edge number that granted it). Reported to a recovering manager so
@@ -213,15 +209,12 @@ pub(crate) struct NodeState {
     pub req_id_next: u64,
     /// Own write notices since the last barrier arrival.
     pub wn_since_barrier: Vec<WriteNotice>,
-    pub shared_bytes: u64,
     /// Allocation cursor (page index of the next allocation).
     pub alloc_cursor: u32,
     pub ft: Option<FtState>,
     pub replay: Option<ReplayState>,
-    /// Service-thread protocol handler time (all message kinds).
-    pub protocol_time_svc: Duration,
-    /// Service-thread handler time attributed per message kind (folded in
-    /// when the service loop exits).
+    /// Service-thread protocol handler time, attributed per message kind
+    /// (folded in when the service loop exits).
     pub svc_time_by_kind: HashMap<&'static str, Duration>,
     pub shutdown: bool,
     /// DSM operations executed (crash-injection clock).
@@ -241,26 +234,9 @@ pub(crate) struct NodeState {
     /// Duplicate or stale deliveries suppressed by the idempotency gates
     /// (grant/release/ack dedup, superseded prefetch replies).
     pub dup_suppressed: u64,
-    /// Stop-and-wait diff outbox, indexed by home: queued `(seq, batch)`
-    /// pairs, the front one in flight. Keeping at most one unacknowledged
-    /// batch per home preserves first-delivery order under loss and
-    /// reordering — the home's per-writer version gate makes *re*-delivery
-    /// idempotent but would silently discard an older batch arriving after
-    /// a newer one. Unused (empty) when the retry layer is off.
-    pub diff_outbox: Vec<VecDeque<(u64, Vec<Arc<Diff>>)>>,
-    /// Per home: `(seq, last transmission)` of the in-flight batch.
-    pub diff_inflight: Vec<Option<(u64, Instant)>>,
-    /// Last stop-and-wait sequence number issued (0 is reserved for the
-    /// legacy no-ack path).
-    pub diff_seq_next: u64,
-    /// Per page: the interval seq of the last diff *we* published for it.
-    /// With the outbox on, our own diff may still be queued locally when we
-    /// re-fetch the page, and the invalidation-driven `needed` vector only
-    /// covers other writers — so fetches fold this in to keep the home from
-    /// serving a copy that misses our own write (the legacy path gets the
-    /// same guarantee from per-channel FIFO order). Maintained only when the
-    /// retry layer is on; cleared on crash (replay repopulates it).
-    pub own_diff_seq: HashMap<PageId, IntervalSeq>,
+    /// The retry layer's stop-and-wait outbox of unacknowledged diff
+    /// batches (empty when the retry layer is off).
+    pub diffs: DiffOutbox,
     /// Breakdown accumulated across this node's incarnations.
     pub breakdown_acc: crate::stats::Breakdown,
     /// Protocol event tracer (a no-op handle when tracing is disabled).
@@ -284,16 +260,303 @@ pub(crate) struct NodeShared {
     pub cv: Condvar,
     pub me: ProcId,
     pub n: usize,
+    /// The run's `FTDSM_SEED`, for diagnostics.
+    pub seed: u64,
 }
 
 impl NodeState {
+    /// A node at the start of a run — the only field-by-field construction.
+    /// `membership` switches the failure detector and the retry layer on,
+    /// together. A scripted `crash_queue` and the monitor's
+    /// `inject_stale_apply` trigger are set by the one caller that has them.
+    pub(crate) fn new(
+        me: ProcId,
+        n: usize,
+        page_size: usize,
+        ep: Arc<Endpoint<Msg>>,
+        ft: Option<FtState>,
+        tracer: NodeTracer,
+        membership: Option<&MemberConfig>,
+    ) -> Self {
+        NodeState {
+            me,
+            n,
+            mode: Mode::Normal,
+            mode_flag: Arc::new(AtomicU8::new(Mode::Normal as u8)),
+            pt: PageTable::new(me, n, page_size),
+            vt: VectorClock::zero(n),
+            wn_table: WnTable::new(),
+            sync: Arc::new(Mutex::new(SyncState {
+                lock_mgr: LockManagerTable::new(me),
+                bar_mgr: (me == 0).then(|| BarrierManager::new(n)),
+            })),
+            tenure: HashMap::new(),
+            tenure_gen: HashMap::new(),
+            last_release_vt: HashMap::new(),
+            pending_grants: HashMap::new(),
+            lock_chain_info: HashMap::new(),
+            wait: WaitSlot::None,
+            rec_inbox: Vec::new(),
+            backlog: Vec::new(),
+            pending_unalloc: Vec::new(),
+            prefetch: HashMap::new(),
+            acq_seq_next: 0,
+            bar_episode: 0,
+            req_id_next: 0,
+            wn_since_barrier: Vec::new(),
+            alloc_cursor: 0,
+            ft,
+            replay: None,
+            svc_time_by_kind: HashMap::new(),
+            shutdown: false,
+            ops: 0,
+            crash_queue: Vec::new(),
+            recoveries: 0,
+            ep,
+            member: membership.map(|cfg| {
+                Arc::new(MemberRuntime {
+                    det: Mutex::new(Detector::new(me, n, cfg.clone(), Instant::now())),
+                    rtt: Mutex::new(Histogram::new()),
+                    susp: Mutex::new(Histogram::new()),
+                })
+            }),
+            retry_after: membership.map(|cfg| cfg.retry_after),
+            retransmits: 0,
+            dup_suppressed: 0,
+            diffs: DiffOutbox::new(n),
+            breakdown_acc: Default::default(),
+            tracer,
+            hists: Default::default(),
+            cur_flow: 0,
+            inject_stale_apply: None,
+        }
+    }
+
+    /// Bytes of shared memory allocated so far (page granular).
+    pub(crate) fn shared_bytes(&self) -> u64 {
+        (self.pt.len() * self.pt.page_size()) as u64
+    }
+
+    /// Record a grant this node issued or queued; per lock the highest
+    /// generation wins (see [`NodeState::lock_chain_info`]).
+    pub(crate) fn note_grant(&mut self, lock: LockId, gen: u64, grantee: ProcId, acq_seq: u64) {
+        let e = self
+            .lock_chain_info
+            .entry(lock)
+            .or_insert((gen, grantee, acq_seq));
+        if gen >= e.0 {
+            *e = (gen, grantee, acq_seq);
+        }
+    }
+
+    /// Does this node hold `lock`? (Its latest tenure is unreleased.)
+    pub(crate) fn holds(&self, lock: LockId) -> bool {
+        matches!(self.tenure.get(&lock), Some(&(_, false)))
+    }
+
+    /// Fail-stop: the node goes silent and everything volatile is gone. This
+    /// and [`NodeState::restart_from`] are the only code that clears or
+    /// restores protocol state for a crash; the destructuring is exhaustive
+    /// so that a new field does not compile until it is classified here as
+    /// lost or surviving, and there as restored or not.
+    pub(crate) fn fail_stop(&mut self) {
+        self.set_mode(Mode::Crashed);
+        // Fence the service loop's lock-free handler: after the mode flag
+        // flips, drain the sync and shard locks so nothing that started
+        // before the flip is still in flight.
+        drop(self.sync.lock());
+        let home = self.pt.home_store();
+        home.quiesce();
+        let NodeState {
+            // Survive — identity, configuration and handles to the outside.
+            me,
+            n,
+            ep: _,
+            member: _,
+            retry_after: _,
+            tracer: _,
+            inject_stale_apply: _,
+            shutdown: _,
+            // Survive — the failure script and what the run reports,
+            // accumulated across incarnations.
+            crash_queue: _,
+            ops: _,
+            recoveries: _,
+            retransmits: _,
+            dup_suppressed: _,
+            svc_time_by_kind: _,
+            breakdown_acc: _,
+            hists: _,
+            // Survives — ids keep counting, so an answer addressed to the
+            // previous incarnation never matches a new request.
+            req_id_next: _,
+            // Set above.
+            mode: _,
+            mode_flag: _,
+            // Survive in part. The page *slots* stay allocated: replay
+            // re-runs the same allocations over them. Page contents and the
+            // volatile half of the FT state are overwritten from stable
+            // storage by `restart_from`; parked fetches are lost now
+            // (requesters retransmit on NodeUp).
+            pt: _,
+            ft: _,
+            // Lost — the rest.
+            vt,
+            wn_table,
+            sync,
+            tenure,
+            tenure_gen,
+            last_release_vt,
+            pending_grants,
+            lock_chain_info,
+            wait,
+            rec_inbox,
+            backlog,
+            pending_unalloc,
+            prefetch,
+            acq_seq_next,
+            bar_episode,
+            wn_since_barrier,
+            alloc_cursor,
+            replay,
+            diffs,
+            cur_flow,
+        } = self;
+        home.clear_waiting();
+        *vt = VectorClock::zero(*n);
+        *wn_table = WnTable::new();
+        {
+            // The barrier manager (node 0) comes back in `go_live`, from
+            // the collected barrier logs.
+            let mut sync = sync.lock();
+            sync.lock_mgr = LockManagerTable::new(*me);
+            sync.bar_mgr = None;
+        }
+        tenure.clear();
+        tenure_gen.clear();
+        last_release_vt.clear();
+        pending_grants.clear();
+        lock_chain_info.clear();
+        *wait = WaitSlot::None;
+        rec_inbox.clear();
+        backlog.clear();
+        pending_unalloc.clear();
+        prefetch.clear();
+        *acq_seq_next = 0;
+        *bar_episode = 0;
+        wn_since_barrier.clear();
+        *alloc_cursor = 0;
+        *replay = None;
+        diffs.clear();
+        *cur_flow = 0;
+    }
+
+    /// Restart from `image` — the last checkpoint (see
+    /// [`crate::ft::ckpt::restart_image`]) or, when there is none, the
+    /// genesis blob — after [`NodeState::fail_stop`] wiped the node.
+    /// `window` is the retained-checkpoint index of the blobs still on
+    /// stable storage. What is neither restored here nor a survivor is
+    /// rebuilt by `run_recovery` from the peers' logs and by replay.
+    pub(crate) fn restart_from(&mut self, image: &CheckpointBlob, window: Vec<RetainedCkpt>) {
+        let NodeState {
+            // Restored from the image.
+            vt,
+            acq_seq_next,
+            bar_episode,
+            tenure,
+            tenure_gen,
+            last_release_vt,
+            pt,
+            // Restored from stable storage: the FT state and, out of its
+            // saved logs, our own write notices.
+            ft,
+            wn_table,
+            wn_since_barrier,
+            // Read.
+            me,
+            n,
+            mode,
+            // Rebuilt from the peers' logs (`run_recovery`).
+            sync: _,
+            lock_chain_info: _,
+            replay: _,
+            // Re-created by replay and live execution.
+            pending_grants: _,
+            wait: _,
+            rec_inbox: _,
+            backlog: _,
+            pending_unalloc: _,
+            prefetch: _,
+            alloc_cursor: _,
+            diffs: _,
+            cur_flow: _,
+            // Survivors (see `fail_stop`).
+            mode_flag: _,
+            req_id_next: _,
+            ep: _,
+            member: _,
+            retry_after: _,
+            tracer: _,
+            inject_stale_apply: _,
+            shutdown: _,
+            crash_queue: _,
+            ops: _,
+            recoveries: _,
+            retransmits: _,
+            dup_suppressed: _,
+            svc_time_by_kind: _,
+            breakdown_acc: _,
+            hists: _,
+        } = self;
+        assert_eq!(*mode, Mode::Recovering, "restart outside Recovering mode");
+        *vt = image.tckp.clone();
+        *acq_seq_next = image.acq_seq_next;
+        *bar_episode = image.bar_episode;
+        *tenure = image
+            .tenures
+            .iter()
+            .map(|&(l, a, _, r)| (l, (a, r)))
+            .collect();
+        *tenure_gen = image.tenures.iter().map(|&(l, _, g, _)| (l, g)).collect();
+        *last_release_vt = image.last_release_vts.iter().cloned().collect();
+        // Homed pages: the image's copy, or zeros for a page no checkpoint
+        // has carried yet.
+        pt.reset_for_restart(&image.needed);
+        let zeros = vec![0u8; pt.page_size()];
+        for p in pt.homed_pages() {
+            pt.restore_home_page(p, &zeros, VectorClock::zero(*n));
+        }
+        for (p, v, bytes) in &image.home_pages {
+            pt.restore_home_page(*p, bytes, v.clone());
+        }
+
+        let ft = ft.as_mut().expect("recovery requires FT");
+        ft.restart_from(*me, *n, image, window);
+        // Own write notices back into the table and the since-barrier
+        // buffer.
+        for e in &ft.logs.wn {
+            let interval = Interval {
+                proc: *me,
+                seq: e.seq,
+            };
+            wn_table.insert_parts(interval, e.pages.clone());
+            if e.seq > image.last_bar_arrive_seq {
+                wn_since_barrier.push(WriteNotice {
+                    interval,
+                    pages: e.pages.clone(),
+                });
+            }
+        }
+        wn_since_barrier.sort_by_key(|w| w.interval.seq);
+    }
+
     /// Change the node's mode, keeping the service loop's atomic mirror in
     /// step. Every transition happens under the big lock; the store-then-
     /// quiesce fencing on the crash path is what makes the mirror safe to
     /// read without it (see DESIGN.md).
     pub(crate) fn set_mode(&mut self, m: Mode) {
         self.mode = m;
-        self.mode_flag.store(m.flag(), Ordering::SeqCst);
+        self.mode_flag.store(m as u8, Ordering::SeqCst);
     }
 
     /// Send a protocol message with the FT piggyback attached (when it
@@ -517,54 +780,33 @@ pub(crate) fn send_diff_batch(st: &mut NodeState, home: ProcId, batch: Vec<Arc<D
         );
         return;
     }
-    st.diff_seq_next += 1;
-    let seq = st.diff_seq_next;
-    for d in &batch {
-        st.own_diff_seq.insert(d.page, d.interval.seq);
-    }
-    st.diff_outbox[home].push_back((seq, batch));
-    pump_diff_outbox(st, home);
+    st.diffs.push(home, batch);
+    pump_diffs(st, home);
 }
 
 /// The `needed` version a fetch of `page` should carry: the accumulated
-/// invalidation vector plus — when the retry layer is on — the seq of our
-/// own last published diff for the page (see [`NodeState::own_diff_seq`]).
+/// invalidation vector plus the seq of our own last diff for the page the
+/// outbox may still hold (see [`DiffOutbox::fold_needed`]).
 pub(crate) fn fetch_needed(st: &NodeState, page: PageId, mut needed: VectorClock) -> VectorClock {
-    if st.retry_after.is_some() {
-        if let Some(&seq) = st.own_diff_seq.get(&page) {
-            if seq > needed.get(st.me) {
-                needed.set(st.me, seq);
-            }
-        }
-    }
+    st.diffs.fold_needed(st.me, page, &mut needed);
     needed
 }
 
-/// Transmit the head of `home`'s diff outbox unless a batch is already in
-/// flight there (stop-and-wait: the next batch goes only after the ack).
-pub(crate) fn pump_diff_outbox(st: &mut NodeState, home: ProcId) {
-    if st.diff_inflight[home].is_none() && !st.diff_outbox[home].is_empty() {
-        send_outbox_head(st, home);
+/// Transmit the next batch queued for `home`, unless one is still
+/// unacknowledged there.
+fn pump_diffs(st: &mut NodeState, home: ProcId) {
+    if let Some((seq, diffs)) = st.diffs.start_next(home) {
+        st.send(home, Payload::DiffBatch { seq, diffs });
     }
-}
-
-/// Put the head of `home`'s diff outbox on the wire and stamp it in flight.
-fn send_outbox_head(st: &mut NodeState, home: ProcId) {
-    let (seq, batch) = st.diff_outbox[home]
-        .front()
-        .expect("in-flight batch without an outbox head")
-        .clone();
-    st.diff_inflight[home] = Some((seq, Instant::now()));
-    st.send(home, Payload::DiffBatch { seq, diffs: batch });
 }
 
 /// Retransmit the diff batch in flight to `home`, if there is one.
 /// Re-delivery is idempotent at the home (per-writer version gate); the
 /// duplicate ack is dropped by seq.
 pub(crate) fn resend_inflight_diffs(st: &mut NodeState, home: ProcId) {
-    if st.diff_inflight[home].is_none() {
+    let Some((seq, diffs)) = st.diffs.resend(home) else {
         return;
-    }
+    };
     st.retransmits += 1;
     if st.tracer.enabled() {
         st.tracer.emit(EventKind::Retransmit {
@@ -572,7 +814,7 @@ pub(crate) fn resend_inflight_diffs(st: &mut NodeState, home: ProcId) {
             to: home,
         });
     }
-    send_outbox_head(st, home);
+    st.send(home, Payload::DiffBatch { seq, diffs });
 }
 
 /// Retransmit every in-flight diff batch older than the retry timeout
@@ -582,10 +824,8 @@ pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
     let Some(after) = st.retry_after else {
         return;
     };
-    for home in 0..st.n {
-        if matches!(st.diff_inflight[home], Some((_, sent)) if sent.elapsed() >= after) {
-            resend_inflight_diffs(st, home);
-        }
+    for home in st.diffs.stale(after) {
+        resend_inflight_diffs(st, home);
     }
 }
 
@@ -843,13 +1083,7 @@ pub(crate) fn handle_forward(
 ) {
     // Track the newest grant this node is responsible for (manager
     // recovery).
-    let e = st
-        .lock_chain_info
-        .entry(lock)
-        .or_insert((gen, requester, acq_seq));
-    if gen >= e.0 {
-        *e = (gen, requester, acq_seq);
-    }
+    st.note_grant(lock, gen, requester, acq_seq);
     // Retransmission of a grant we already produced? Replay it from the
     // release log so the requester sees an identical grant.
     if let Some(ft) = st.ft.as_ref() {
@@ -1051,38 +1285,20 @@ fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorCl
         st.pt.is_home(page),
         "RecPageReq for page {page} not homed here"
     );
-    let n = st.n;
     let ft = st.ft.as_ref().expect("recovery without FT");
-    let mut found: Option<(VectorClock, Arc<[u8]>)> = None;
-    for rc in ft.retained.iter().rev() {
-        let Some(v) = rc.versions.get(&page) else {
-            continue;
-        };
-        if tckp.covers(v) {
-            // The page's bytes live in the newest blob of the chain
-            // anchor_seq..=rc.seq that carries it (a delta only holds
-            // pages written since its predecessor).
-            let mut hit = None;
-            for seq in (rc.anchor_seq..=rc.seq).rev() {
-                let blob = ft
-                    .store
-                    .read_segment(dsm_storage::SegmentKind::Checkpoint, seq)
-                    .expect("retained checkpoint chain missing from stable storage");
-                let ckpt = crate::ft::ckpt::CheckpointBlob::decode(&blob)
-                    .expect("corrupt checkpoint blob");
-                if let Some((_, v, bytes)) =
-                    ckpt.home_pages.into_iter().find(|(p, _, _)| *p == page)
-                {
-                    hit = Some((v, bytes.into()));
-                    break;
-                }
-            }
-            found = Some(hit.expect("page missing from checkpoint chain"));
-            break;
+    let covered = ft
+        .retained
+        .iter()
+        .rev()
+        .find(|rc| rc.versions.get(&page).is_some_and(|v| tckp.covers(v)));
+    let (version, bytes): (VectorClock, Arc<[u8]>) = match covered {
+        Some(rc) => {
+            let chain = ckpt::load_chain(&ft.store, rc.anchor_seq..=rc.seq);
+            let (v, bytes) = ckpt::accumulate_chain(&chain)[&page];
+            (v.clone(), bytes.into())
         }
-    }
-    let (version, bytes) =
-        found.unwrap_or_else(|| (VectorClock::zero(n), vec![0u8; st.page_size].into()));
+        None => (VectorClock::zero(st.n), vec![0u8; st.pt.page_size()].into()),
+    };
     st.send(
         from,
         Payload::RecPageReply {
@@ -1239,16 +1455,13 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
                 wns,
             });
         }
-        Payload::DiffAck { seq } => match st.diff_inflight[from] {
-            Some((want, _)) if want == seq => {
-                st.diff_inflight[from] = None;
-                st.diff_outbox[from].pop_front();
-                pump_diff_outbox(st, from);
+        Payload::DiffAck { seq } => {
+            if st.diffs.ack(from, seq) {
+                pump_diffs(st, from);
+            } else {
+                st.dup_suppressed += 1;
             }
-            // Duplicate ack of a retransmitted batch, or an ack from a
-            // previous incarnation: drop.
-            _ => st.dup_suppressed += 1,
-        },
+        }
         // Membership traffic is handled off the big lock in the service
         // loop; one can still land here through a recovery-backlog replay —
         // by then it is stale, and the detector gets fresher input every
@@ -1635,7 +1848,7 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
             st.member.clone(),
         )
     };
-    let live = || mode_flag.load(Ordering::SeqCst) == MODE_NORMAL;
+    let live = || mode_flag.load(Ordering::SeqCst) == Mode::Normal as u8;
     // Handler time per message kind and the handler's histograms are loop
     // locals (the point is not to touch the big lock), folded into the node
     // state at exit — teardown joins service threads before collecting
@@ -1668,7 +1881,7 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
             } => {
                 let kind = w.kind();
                 if let Some(mr) = &member {
-                    if mode_flag.load(Ordering::SeqCst) != Mode::Crashed.flag() {
+                    if mode_flag.load(Ordering::SeqCst) != Mode::Crashed as u8 {
                         let actions = mr.det.lock().on_msg(from, w, Instant::now());
                         apply_member_actions(&shared, &ep, &svc.tracer, mr, actions);
                     }
@@ -1723,7 +1936,6 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
     }
     let mut st = shared.state.lock();
     for (k, d) in svc_time {
-        st.protocol_time_svc += d;
         *st.svc_time_by_kind.entry(k).or_default() += d;
     }
     st.hists.merge(&hists);
@@ -1742,61 +1954,181 @@ mod tests {
         let mut eps: Vec<Arc<Endpoint<Msg>>> = endpoints.into_iter().map(Arc::new).collect();
         let ep = Arc::clone(&eps[me]);
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let st = NodeState {
-            me,
-            n,
-            page_size: 256,
-            mode: Mode::Normal,
-            mode_flag: Arc::new(AtomicU8::new(Mode::Normal.flag())),
-            pt: PageTable::new(me, n, 256),
-            vt: VectorClock::zero(n),
-            wn_table: WnTable::new(),
-            sync: Arc::new(Mutex::new(SyncState {
-                lock_mgr: LockManagerTable::new(me),
-                bar_mgr: (me == 0).then(|| BarrierManager::new(n)),
-            })),
-            held: Default::default(),
-            tenure: Default::default(),
-            tenure_gen: Default::default(),
-            last_release_vt: Default::default(),
-            pending_grants: Default::default(),
-            lock_chain_info: Default::default(),
-            wait: WaitSlot::None,
-            rec_inbox: Vec::new(),
-            backlog: Vec::new(),
-            pending_unalloc: Vec::new(),
-            prefetch: HashMap::new(),
-            acq_seq_next: 0,
-            bar_episode: 0,
-            req_id_next: 0,
-            wn_since_barrier: Vec::new(),
-            shared_bytes: 0,
-            alloc_cursor: 0,
-            ft: ft.then(|| FtState::new(me, n, FtConfig::default(), store)),
-            replay: None,
-            protocol_time_svc: Duration::ZERO,
-            svc_time_by_kind: HashMap::new(),
-            shutdown: false,
-            ops: 0,
-            crash_queue: Vec::new(),
-            recoveries: 0,
-            ep,
-            member: None,
-            retry_after: None,
-            retransmits: 0,
-            dup_suppressed: 0,
-            diff_outbox: (0..n).map(|_| VecDeque::new()).collect(),
-            diff_inflight: vec![None; n],
-            diff_seq_next: 0,
-            own_diff_seq: HashMap::new(),
-            breakdown_acc: Default::default(),
-            tracer: NodeTracer::disabled(),
-            hists: Default::default(),
-            cur_flow: 0,
-            inject_stale_apply: None,
-        };
+        let ft = ft.then(|| FtState::new(me, n, FtConfig::default(), store));
+        let st = NodeState::new(me, n, 256, ep, ft, NodeTracer::disabled(), None);
         eps.remove(me);
         (st, eps)
+    }
+
+    #[test]
+    fn crash_then_genesis_restart_equals_a_new_node_and_keeps_the_survivors() {
+        let n = 3;
+        let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
+        let with_pages = || {
+            let (mut st, eps) = test_state(1, n, true);
+            st.pt.add_page(0); // page 0: remote
+            st.pt.add_page(1); // pages 1, 2: homed here
+            st.pt.add_page(1);
+            (st, eps)
+        };
+        let (mut st, _eps) = with_pages();
+
+        // Dirty everything a run can dirty.
+        let iv = |proc, seq| dsm_page::Interval { proc, seq };
+        st.vt = vt([3, 5, 1]);
+        st.wn_table.insert_parts(iv(0, 3), vec![PageId(1)]);
+        st.wn_since_barrier.push(WriteNotice {
+            interval: iv(1, 5),
+            pages: vec![PageId(0)],
+        });
+        st.tenure.insert(4, (2, false));
+        st.tenure_gen.insert(4, 9);
+        st.last_release_vt.insert(5, vt([1, 1, 0]));
+        st.pending_grants.insert(
+            4,
+            vec![PendingGrant {
+                requester: 2,
+                acq_seq: 1,
+                gen: 10,
+                pred_acq: 2,
+                req_vt: vt([0, 0, 1]),
+            }],
+        );
+        st.lock_chain_info.insert(4, (10, 2, 1));
+        st.wait = WaitSlot::Lock {
+            lock: 7,
+            acq_seq: 3,
+            manager: 1,
+            req_vt: vt([3, 5, 1]),
+            grant: None,
+        };
+        for q in [&mut st.rec_inbox, &mut st.backlog, &mut st.pending_unalloc] {
+            q.push((0, Payload::RecLogReq));
+        }
+        st.prefetch.insert(
+            PageId(0),
+            PrefetchEntry {
+                req_id: 16,
+                home: 0,
+            },
+        );
+        st.acq_seq_next = 4;
+        st.bar_episode = 2;
+        st.alloc_cursor = 3;
+        st.replay = Some(ReplayState::default());
+        st.cur_flow = 77;
+        st.pt
+            .restore_home_page(PageId(1), &[7u8; 256], vt([2, 5, 0]));
+        st.pt.write(PageId(2), 8, &[1, 2, 3]);
+        st.pt.invalidate(PageId(0), 0, 3);
+        st.pt
+            .home_store()
+            .serve_fetch(parked_fetch(PageId(2), gated(n, 0, 9)), || true);
+        let request = AcqReq {
+            requester: 2,
+            acq_seq: 0,
+            vt: vt([0, 0, 0]),
+        };
+        st.sync.lock().lock_mgr.on_request(4, request);
+        st.diffs.push(0, vec![diff_of(0, 1, 5)]);
+        let (old_seq, _) = st.diffs.start_next(0).unwrap();
+        {
+            let ft = st.ft.as_mut().unwrap();
+            let d = diff_of(0, 1, 5);
+            ft.logs
+                .log_interval(5, vec![PageId(0)], &vt([3, 5, 1]), &[d]);
+            ft.tckp[0] = vt([2, 0, 0]);
+            ft.peer_ckpt_seq[0] = 3;
+            ft.peer_ckpt_episode[0] = 1;
+            ft.p0v_known.insert(PageId(0), 2);
+            ft.p0v_sent.insert((PageId(1), 0), 2);
+            ft.piggy_sent = vec![0; n];
+            ft.ckpt_due = true;
+        }
+        // ... and what a crash must leave alone.
+        st.ops = 40;
+        st.recoveries = 1;
+        st.req_id_next = 17;
+        st.crash_queue = vec![99];
+        st.retransmits = 3;
+        st.dup_suppressed = 2;
+        st.hists.lock_wait.record(5);
+        st.breakdown_acc.protocol = Duration::from_millis(1);
+
+        st.fail_stop();
+        assert_eq!(st.mode, Mode::Crashed);
+        assert_eq!(st.mode_flag.load(Ordering::SeqCst), Mode::Crashed as u8);
+        st.set_mode(Mode::Recovering);
+        st.restart_from(&CheckpointBlob::genesis(n), Vec::new());
+
+        // Every volatile field is what `NodeState::new` makes it.
+        let (new, _new_eps) = with_pages();
+        assert_eq!(st.vt, new.vt);
+        assert!(st.wn_table.is_empty() && st.wn_since_barrier.is_empty());
+        assert!(st.tenure.is_empty() && st.tenure_gen.is_empty());
+        assert!(!st.holds(4) && st.last_release_vt.is_empty());
+        assert!(st.pending_grants.is_empty() && st.lock_chain_info.is_empty());
+        assert!(matches!(st.wait, WaitSlot::None));
+        assert!(st.rec_inbox.is_empty() && st.backlog.is_empty());
+        assert!(st.pending_unalloc.is_empty() && st.prefetch.is_empty());
+        assert_eq!(
+            (
+                st.acq_seq_next,
+                st.bar_episode,
+                st.alloc_cursor,
+                st.cur_flow
+            ),
+            (0, 0, 0, 0)
+        );
+        assert!(st.replay.is_none());
+        assert!(st.diffs.drained());
+        assert_eq!(fetch_needed(&st, PageId(0), vt([0, 0, 0])), vt([0, 0, 0]));
+        {
+            let sync = st.sync.lock();
+            assert!(sync.lock_mgr.is_empty() && sync.bar_mgr.is_none());
+        }
+        // Restoring from genesis zeroes every homed page and forgets every
+        // copy, twin, needed version and parked fetch.
+        assert!(!st.pt.has_writes());
+        for p in [PageId(1), PageId(2)] {
+            let (version, bytes) = st.pt.home_snapshot(p);
+            assert_eq!(version, vt([0, 0, 0]));
+            assert!(bytes.iter().all(|&b| b == 0), "page {p} not zeroed");
+        }
+        assert_eq!(st.pt.needed_triples(), new.pt.needed_triples());
+        assert_eq!(
+            st.pt.ensure_access(PageId(0)),
+            new.pt.ensure_access(PageId(0))
+        );
+        assert!(unpark(&st.pt.home_store(), 2, 0, 9).is_empty());
+        {
+            let (ft, new_ft) = (st.ft.as_ref().unwrap(), new.ft.as_ref().unwrap());
+            assert_eq!(ft.logs.volatile_bytes(), new_ft.logs.volatile_bytes());
+            assert!(ft.logs.diffs.is_empty() && ft.logs.wn.is_empty());
+            assert!(ft.retained.is_empty());
+            assert_eq!((ft.ckpt_seq, ft.ckpt_due), (0, false));
+            assert_eq!(ft.last_ckpt_vt, new_ft.last_ckpt_vt);
+            assert_eq!(ft.tckp, new_ft.tckp);
+            assert_eq!(ft.peer_ckpt_seq, new_ft.peer_ckpt_seq);
+            assert_eq!(ft.peer_ckpt_episode, new_ft.peer_ckpt_episode);
+            assert!(ft.p0v_known.is_empty() && ft.p0v_sent.is_empty());
+            assert_eq!(ft.piggy_sent, new_ft.piggy_sent);
+            assert_eq!(ft.report.recoveries, 1);
+        }
+
+        // Survivors are untouched.
+        assert_eq!(st.mode, Mode::Recovering);
+        assert_eq!((st.ops, st.recoveries, st.req_id_next), (40, 1, 17));
+        assert_eq!(st.crash_queue, [99]);
+        assert_eq!((st.retransmits, st.dup_suppressed), (3, 2));
+        assert_eq!(st.hists.lock_wait.count(), 1);
+        assert_eq!(st.breakdown_acc.protocol, Duration::from_millis(1));
+        assert_eq!((st.pt.len(), st.shared_bytes()), (3, 3 * 256));
+        // The diff sequence keeps counting: an ack addressed to the previous
+        // incarnation cannot retire a new batch.
+        st.diffs.push(0, vec![diff_of(0, 1, 1)]);
+        let (new_seq, _) = st.diffs.start_next(0).unwrap();
+        assert!(new_seq > old_seq && !st.diffs.ack(0, old_seq));
     }
 
     #[test]
@@ -1816,7 +2148,6 @@ mod tests {
     fn forward_behind_unreleased_tenure_queues() {
         let (mut st, _eps) = test_state(0, 3, false);
         st.tenure.insert(9, (4, false)); // still holding acquisition #4
-        st.held.insert(9);
         handle_forward(&mut st, 9, 1, 0, 10, 4, VectorClock::zero(3));
         assert_eq!(st.pending_grants[&9].len(), 1);
         assert_eq!(st.pending_grants[&9][0].pred_acq, 4);
@@ -1929,6 +2260,15 @@ mod tests {
         Arc::new(Diff::create(PageId(page), iv, &twin, &cur).unwrap())
     }
 
+    fn parked_fetch(page: PageId, needed: VectorClock) -> WaitingFetch {
+        WaitingFetch {
+            from: 2,
+            page,
+            needed,
+            req_id: 1,
+        }
+    }
+
     /// `(requester, page, req_id)` of every fetch still parked on `page`,
     /// found by applying the diff (`writer`, `seq`) they wait for.
     fn unpark(home: &HomeStore, page: u32, writer: ProcId, seq: u32) -> Vec<(ProcId, PageId, u64)> {
@@ -2023,6 +2363,7 @@ mod tests {
             cv: Condvar::new(),
             me: 0,
             n,
+            seed: 0,
         });
         let svc_thread = {
             let shared = Arc::clone(&shared);

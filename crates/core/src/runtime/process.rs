@@ -15,7 +15,7 @@ use parking_lot::MutexGuard;
 
 use crate::config::HomeAlloc;
 use crate::ft::logs::{BarEntry, RelEntry};
-use crate::ft::recovery::{self, linear_key, ReplayPage};
+use crate::ft::recovery::{self, collect_replies, linear_key, RecAsk, ReplayPage};
 use crate::msg::Payload;
 use crate::runtime::node::{
     apply_pending_home, end_interval, fetch_needed, grant_now, issue_prefetch,
@@ -141,7 +141,7 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
 /// the wait completing. The check is time-based (elapsed since last send)
 /// rather than wait-timeout-based: unrelated traffic notifies the condvar
 /// constantly, and a notification-reset timer would never fire under load.
-fn wait_until<T>(
+pub(crate) fn wait_until<T>(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
     mut take: impl FnMut(&mut NodeState) -> Option<T>,
@@ -171,8 +171,8 @@ fn wait_until<T>(
         let r = shared.cv.wait_for(st, slice);
         if r.timed_out() && start.elapsed() > WAIT_DEADLINE {
             panic!(
-                "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} held={:?} pending={:?}",
-                shared.me, WAIT_DEADLINE, st.wait, st.vt, st.held, st.pending_grants
+                "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} tenure={:?} pending={:?} (FTDSM_SEED={:#x})",
+                shared.me, WAIT_DEADLINE, st.wait, st.vt, st.tenure, st.pending_grants, shared.seed
             );
         }
     }
@@ -215,14 +215,11 @@ pub struct Process {
 
 impl Process {
     pub(crate) fn new(shared: Arc<NodeShared>, recovering: bool) -> Self {
-        let (me, n, page_size) = {
-            let st = shared.state.lock();
-            (st.me, st.n, st.page_size)
-        };
+        let page_size = shared.state.lock().pt.page_size();
         Process {
+            me: shared.me,
+            n: shared.n,
             shared,
-            me,
-            n,
             layout: Layout::new(page_size),
             breakdown: Breakdown::default(),
             started: Instant::now(),
@@ -289,7 +286,6 @@ impl Process {
             } else {
                 let id = st.pt.add_page(home_node);
                 debug_assert_eq!(id.0, idx);
-                st.shared_bytes += self.layout.page_size() as u64;
             }
         }
         st.alloc_cursor = first + pages;
@@ -342,35 +338,28 @@ impl Process {
     /// `write` is `Some(len)` when `buf[..len]` should be written, otherwise
     /// the bytes are read into `buf`.
     fn access(&mut self, addr: GlobalAddr, len: usize, write: Option<usize>, buf: &mut [u8]) {
-        {
-            let _st = begin_op(&self.shared); // op accounting + crash injection
-        }
+        let mut st = begin_op(&self.shared);
         let mut done = 0usize;
         while done < len {
             let cur = addr + done as u64;
             let page = self.layout.page_of(cur);
             let off = self.layout.offset_in_page(cur);
             let chunk = (self.layout.page_size() - off).min(len - done);
-            self.fault_in(page);
-            let mut st = self.shared.state.lock();
-            // The page may have been invalidated between fault_in and now
-            // only by our own sync ops (we hold the app thread), so it is
-            // still accessible; service-applied invalidations only happen
-            // at our sync points.
-            match st.pt.ensure_access(page) {
-                AccessOutcome::Ready => {
-                    if write.is_some() {
-                        st.pt.write(page, off, &buf[done..done + chunk]);
-                    } else {
-                        st.pt.read_into(page, off, &mut buf[done..done + chunk]);
-                    }
-                    done += chunk;
-                }
-                AccessOutcome::NeedFetch { .. } => {
-                    // Raced with our own protocol activity: fault in again.
-                    drop(st);
-                }
+            if let AccessOutcome::NeedFetch { .. } = st.pt.ensure_access(page) {
+                // Fault the page in without the lock, then look again: only
+                // our own sync operations invalidate pages, and this thread
+                // is here, so one fetch normally settles it.
+                drop(st);
+                self.fault_in(page);
+                st = self.shared.state.lock();
+                continue;
             }
+            if write.is_some() {
+                st.pt.write(page, off, &buf[done..done + chunk]);
+            } else {
+                st.pt.read_into(page, off, &mut buf[done..done + chunk]);
+            }
+            done += chunk;
         }
     }
 
@@ -486,6 +475,14 @@ impl Process {
         );
     }
 
+    /// End the current interval and charge its protocol and logging time to
+    /// this incarnation's breakdown.
+    fn close_interval(&mut self, st: &mut NodeState) {
+        let (p, l) = end_interval(st);
+        self.breakdown.protocol += p;
+        self.breakdown.logging += l;
+    }
+
     /// Recovery: build the emulated-home copy of `page` and install it.
     fn replay_materialize(
         &mut self,
@@ -498,47 +495,23 @@ impl Process {
             // Collect the maximal starting copy and every writer's diff log.
             let tckp = st.ft.as_ref().unwrap().last_ckpt_vt.clone();
             st.send(home, Payload::RecPageReq { page, tckp });
-            for p in 0..n {
-                if p != self.me {
-                    st.send(p, Payload::RecDiffReq { page });
-                }
+            let peers: Vec<usize> = (0..n).filter(|&p| p != self.me).collect();
+            for &p in &peers {
+                st.send(p, Payload::RecDiffReq { page });
             }
-            let mut base: Option<(VectorClock, std::sync::Arc<[u8]>)> = None;
+            let base = collect_replies(&self.shared, st, RecAsk::Page(page), &[home]);
+            let Some((_, Payload::RecPageReply { version, bytes, .. })) = base.into_iter().next()
+            else {
+                unreachable!("collected a reply that was not asked for")
+            };
             let mut entries = Vec::new();
-            let mut diff_replies = 0usize;
-            wait_until(&self.shared, st, |st| {
-                let mut i = 0;
-                while i < st.rec_inbox.len() {
-                    let matches_page = match &st.rec_inbox[i].1 {
-                        Payload::RecPageReply { page: p, .. } => *p == page,
-                        Payload::RecDiffReply { page: p, .. } => *p == page,
-                        _ => false,
-                    };
-                    if matches_page {
-                        let (_, payload) = st.rec_inbox.remove(i);
-                        match payload {
-                            Payload::RecPageReply { version, bytes, .. } => {
-                                base = Some((version, bytes));
-                            }
-                            Payload::RecDiffReply { entries: es, .. } => {
-                                entries.extend(es);
-                                diff_replies += 1;
-                            }
-                            _ => unreachable!(),
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-                (base.is_some() && diff_replies == n - 1).then_some(())
-            });
-            // Our own logged diffs participate too (the pre-crash fetched
-            // copy included them).
-            if let Some(own) = st.ft.as_ref().unwrap().logs.diffs.get(&page) {
-                entries.extend(own.iter().cloned());
+            for (_, payload) in collect_replies(&self.shared, st, RecAsk::Diffs(page), &peers) {
+                let Payload::RecDiffReply { entries: es, .. } = payload else {
+                    unreachable!("collected a reply that was not asked for")
+                };
+                entries.extend(es);
             }
             entries.sort_by_key(linear_key);
-            let (version, bytes) = base.unwrap();
             let rp = ReplayPage {
                 copy: dsm_page::Page::from_shared(bytes),
                 version,
@@ -546,11 +519,11 @@ impl Process {
             };
             st.replay.as_mut().unwrap().pages.insert(page, rp);
         }
-        // Our replay keeps regenerating own diffs (logged at every replayed
-        // interval end); merge any that appeared since the page was first
-        // materialized so that re-materialization after an invalidation
-        // reproduces our own writes. Duplicates are harmless — the
-        // per-writer version gate below skips them.
+        // Our own logged diffs participate too: the pre-crash fetched copy
+        // included them, and replay keeps regenerating them (logged at every
+        // replayed interval end). Merge those the copy does not have yet —
+        // at the first materialization and at every re-materialization
+        // after an invalidation — so that it reproduces our own writes.
         {
             let me = self.me;
             let fresh: Vec<_> = st
@@ -613,7 +586,7 @@ impl Process {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
         assert!(
-            !st.held.contains(&lock),
+            !st.holds(lock),
             "node {} re-acquiring held lock {lock}",
             self.me
         );
@@ -653,9 +626,7 @@ impl Process {
     }
 
     fn apply_grant(&mut self, st: &mut MutexGuard<'_, NodeState>, g: GrantData) {
-        let (p, l) = end_interval(st);
-        self.breakdown.protocol += p;
-        self.breakdown.logging += l;
+        self.close_interval(st);
         let pre = st.vt.clone();
         st.vt.join(&g.vt);
         let mut invalidated = Vec::new();
@@ -685,7 +656,6 @@ impl Process {
         }
         st.tenure.insert(g.lock, (g.acq_seq, false));
         st.tenure_gen.insert(g.lock, g.gen);
-        st.held.insert(g.lock);
     }
 
     fn try_replay_acquire(&mut self, st: &mut MutexGuard<'_, NodeState>, lock: LockId) -> bool {
@@ -698,15 +668,12 @@ impl Process {
                     "replay acquire lock mismatch at acq_seq {acq_seq}"
                 );
                 st.acq_seq_next += 1;
-                let (p, l) = end_interval(st);
-                self.breakdown.protocol += p;
-                self.breakdown.logging += l;
+                self.close_interval(st);
                 let pre = st.vt.clone();
                 st.vt.join(&entry.t_after);
                 self.apply_replay_invalidations(st, &pre);
                 st.tenure.insert(lock, (acq_seq, false));
                 st.tenure_gen.insert(lock, entry.gen);
-                st.held.insert(lock);
                 if lock % st.n == self.me {
                     // We manage this lock: our replayed tenure is a chain
                     // position the handshake could not report (peers report
@@ -744,11 +711,8 @@ impl Process {
                     return false;
                 }
                 st.acq_seq_next += 1;
-                let (p, l) = end_interval(st);
-                self.breakdown.protocol += p;
-                self.breakdown.logging += l;
+                self.close_interval(st);
                 st.tenure.insert(lock, (acq_seq, false));
-                st.held.insert(lock);
                 if lock % st.n == self.me {
                     // We also manage this lock: our self-grant proves we
                     // were the chain tail *at this tenure*. A self-grant's
@@ -801,16 +765,13 @@ impl Process {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
         assert!(
-            st.held.contains(&lock),
+            st.holds(lock),
             "node {} releasing unheld lock {lock}",
             self.me
         );
-        let (p, l) = end_interval(&mut st);
-        self.breakdown.protocol += p;
-        self.breakdown.logging += l;
+        self.close_interval(&mut st);
         let vt = st.vt.clone();
         st.last_release_vt.insert(lock, vt);
-        st.held.remove(&lock);
         if let Some(t) = st.tenure.get_mut(&lock) {
             t.1 = true;
         }
@@ -832,7 +793,7 @@ impl Process {
                 grant_now(&mut st, lock, pg.requester, pg.acq_seq, pg.gen, pg.req_vt);
             }
         }
-        let fp = st.shared_bytes;
+        let fp = st.shared_bytes();
         if let Some(ft) = st.ft.as_mut() {
             ft.policy_check_sync(fp);
         }
@@ -848,9 +809,7 @@ impl Process {
             }
             recovery::go_live(&mut st);
         }
-        let (p, l) = end_interval(&mut st);
-        self.breakdown.protocol += p;
-        self.breakdown.logging += l;
+        self.close_interval(&mut st);
         let episode = st.bar_episode;
         st.tracer.emit(EventKind::BarrierEnter {
             episode: episode as u32,
@@ -913,7 +872,7 @@ impl Process {
         }
         let crossed = st.bar_episode;
         st.bar_episode += 1;
-        let fp = st.shared_bytes;
+        let fp = st.shared_bytes();
         if let Some(ft) = st.ft.as_mut() {
             ft.policy_check_sync(fp);
             ft.policy_check_barrier(crossed);
@@ -932,9 +891,7 @@ impl Process {
         else {
             return false;
         };
-        let (p, l) = end_interval(st);
-        self.breakdown.protocol += p;
-        self.breakdown.logging += l;
+        self.close_interval(st);
         let arrive_vt = st.vt.clone();
         let me = self.me;
         if let Some(ft) = st.ft.as_mut() {
@@ -1042,9 +999,7 @@ impl Process {
             // be served.
             recovery::go_live(&mut st);
         }
-        let (p, l) = end_interval(&mut st);
-        self.breakdown.protocol += p;
-        self.breakdown.logging += l;
+        self.close_interval(&mut st);
         self.flush_stats(&mut st);
     }
 

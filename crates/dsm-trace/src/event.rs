@@ -239,17 +239,6 @@ impl EventKind {
             _ => None,
         }
     }
-
-    /// True for lock-protocol events (used by the legacy
-    /// `FTDSM_TRACE_LOCKS` stderr echo).
-    pub fn is_lock_event(&self) -> bool {
-        matches!(
-            self,
-            EventKind::LockRequest { .. }
-                | EventKind::LockGrant { .. }
-                | EventKind::LockAcquire { .. }
-        )
-    }
 }
 
 /// One recorded event: monotonic timestamp, optional span duration, node.

@@ -42,16 +42,13 @@ pub trait EventSink: Send + Sync {
 }
 
 /// How a [`Trace`] records. Built explicitly or from the environment
-/// (`FTDSM_TRACE`, `FTDSM_TRACE_ECHO`, `FTDSM_TRACE_BUF`,
-/// `FTDSM_TRACE_LOCKS`).
+/// (`FTDSM_TRACE`, `FTDSM_TRACE_ECHO`, `FTDSM_TRACE_BUF`).
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Master switch; when false, emit is a load + branch.
     pub enabled: bool,
     /// Echo every recorded event to stderr as it happens.
     pub echo: bool,
-    /// Echo only lock-protocol events (legacy `FTDSM_TRACE_LOCKS` parity).
-    pub echo_locks: bool,
     /// Per-node ring capacity in events.
     pub buffer: usize,
     /// Events per node dumped by the flight recorder.
@@ -63,7 +60,6 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             echo: false,
-            echo_locks: false,
             buffer: 16 * 1024,
             flight_events: 64,
         }
@@ -85,11 +81,9 @@ impl TraceConfig {
         }
     }
 
-    /// Read the `FTDSM_TRACE*` environment variables. `FTDSM_TRACE_LOCKS`
-    /// implies `enabled` so the legacy lock echo keeps working unchanged.
+    /// Read the `FTDSM_TRACE*` environment variables.
     pub fn from_env() -> Self {
-        let echo_locks = env_flag("FTDSM_TRACE_LOCKS");
-        let enabled = env_flag("FTDSM_TRACE") || echo_locks;
+        let enabled = env_flag("FTDSM_TRACE");
         let echo = env_flag("FTDSM_TRACE_ECHO");
         let buffer = std::env::var("FTDSM_TRACE_BUF")
             .ok()
@@ -98,7 +92,6 @@ impl TraceConfig {
         TraceConfig {
             enabled,
             echo,
-            echo_locks,
             buffer,
             flight_events: 64,
         }
@@ -108,7 +101,6 @@ impl TraceConfig {
 pub(crate) struct Shared {
     enabled: AtomicBool,
     echo: AtomicBool,
-    echo_locks: AtomicBool,
     epoch: Instant,
     flight_events: usize,
     nodes: Vec<Mutex<Ring>>,
@@ -137,7 +129,6 @@ impl Trace {
         let shared = Arc::new(Shared {
             enabled: AtomicBool::new(config.enabled),
             echo: AtomicBool::new(config.echo),
-            echo_locks: AtomicBool::new(config.echo_locks),
             epoch: Instant::now(),
             flight_events: config.flight_events,
             nodes: (0..n_nodes)
@@ -354,9 +345,7 @@ impl NodeTracer {
     }
 
     fn push(&self, e: Event) {
-        if self.shared.echo.load(Ordering::Relaxed)
-            || (self.shared.echo_locks.load(Ordering::Relaxed) && e.kind.is_lock_event())
-        {
+        if self.shared.echo.load(Ordering::Relaxed) {
             eprintln!("{e}");
         }
         self.shared.nodes[self.node]

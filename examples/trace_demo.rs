@@ -23,7 +23,7 @@ fn main() {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "trace.json".to_string());
-    // Start from the environment so FTDSM_TRACE_BUF / _ECHO / _LOCKS still
+    // Start from the environment so FTDSM_TRACE_BUF / _ECHO still
     // apply, but force recording on: the demo exists to produce a trace.
     let trace = TraceConfig {
         enabled: true,
