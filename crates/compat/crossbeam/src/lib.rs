@@ -1,5 +1,11 @@
 //! Offline shim for the `crossbeam` crate.
 //!
+//! **Unused.** The fabric's queue is `dsm-net`'s own `Mailbox` now, and no
+//! crate imports this one; it stays a dependency of `dsm-net` and `ftdsm`
+//! only because dropping the edge rewrites `perfbench/Cargo.lock`, which CI
+//! builds `--locked` (ROADMAP item 3 removes both together). What follows
+//! describes what it was for.
+//!
 //! Only `crossbeam::channel::{unbounded, Sender, Receiver, RecvTimeoutError}`
 //! is used by this workspace. Unlike `std::sync::mpsc`, crossbeam receivers
 //! are `Sync` and cloneable (MPMC) — the DSM runtime relies on this because

@@ -32,14 +32,15 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+        let inner = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        MutexGuard(Some(inner), &self.0)
     }
 
     /// Try to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Ok(g) => Some(MutexGuard(Some(g), &self.0)),
+            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()), &self.0)),
             Err(sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -57,8 +58,29 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard for [`Mutex`]. The inner `Option` is only `None` transiently
-/// inside [`Condvar::wait_for`] while the guard is parked.
-pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
+/// inside [`Condvar::wait_for`] while the guard is parked and inside
+/// [`MutexGuard::unlocked`]; the second field is the mutex to lock again.
+pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>, &'a sync::Mutex<T>);
+
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Temporarily unlock the mutex to run `f`, and lock it again before
+    /// returning — also when `f` panics (parking_lot's own signature).
+    pub fn unlocked<F, U>(s: &mut Self, f: F) -> U
+    where
+        F: FnOnce() -> U,
+    {
+        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
+        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                let MutexGuard(inner, mutex) = &mut *self.0;
+                *inner = Some(mutex.lock().unwrap_or_else(PoisonError::into_inner));
+            }
+        }
+        drop(s.0.take().expect("guard already parked"));
+        let _relock = Relock(s);
+        f()
+    }
+}
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
@@ -208,6 +230,27 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn unlocked_releases_the_mutex_for_the_closure_and_retakes_it() {
+        let m = Mutex::new(1);
+        let mut g = m.lock();
+        let seen = MutexGuard::unlocked(&mut g, || {
+            // Another holder gets in while the closure runs…
+            *m.try_lock().expect("mutex still held inside unlocked") += 1;
+            7
+        });
+        // …and the guard is live again, over the same data, afterwards.
+        assert_eq!((seen, *g), (7, 2));
+        assert!(m.try_lock().is_none(), "guard did not retake the mutex");
+        *g += 1;
+        // A panic inside the closure still leaves a usable, held guard.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            MutexGuard::unlocked(&mut g, || panic!("boom"))
+        }));
+        assert!(caught.is_err() && m.try_lock().is_none());
+        assert_eq!(*g, 3);
     }
 
     #[test]

@@ -393,6 +393,21 @@ impl dsm_net::WireSized for Msg {
     fn kind_name(&self) -> &'static str {
         self.payload.kind()
     }
+    /// The answers a blocked application thread waits for go to its lane.
+    /// `DiffAck` is not among them: the outbox it pumps must keep moving
+    /// while the application computes.
+    fn to_waiter(&self) -> bool {
+        matches!(
+            self.payload,
+            Payload::PageReply { .. }
+                | Payload::PageBatchReply { .. }
+                | Payload::LockGrant { .. }
+                | Payload::BarrierRelease { .. }
+                | Payload::RecLogReply { .. }
+                | Payload::RecPageReply { .. }
+                | Payload::RecDiffReply { .. }
+        )
+    }
     fn stamp_send(&mut self, origin: u32, seq: u64, now_ns: u64) {
         self.ctx.origin = origin;
         self.ctx.seq = seq;

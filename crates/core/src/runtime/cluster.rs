@@ -10,7 +10,7 @@ use dsm_metrics::Registry;
 use dsm_net::Fabric;
 use dsm_storage::StableStore;
 use dsm_trace::{EventSink, Trace, TraceConfig};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::config::{ClusterConfig, FailureSpec};
 use crate::ft::FtState;
@@ -193,7 +193,6 @@ where
         state.inject_stale_apply = inject_stale_apply.clone();
         shareds.push(Arc::new(NodeShared {
             state: Mutex::new(state),
-            cv: Condvar::new(),
             me: i,
             n,
             seed: config.seed,
@@ -401,18 +400,10 @@ where
         let _ = h.join();
     }
 
-    // Let in-flight protocol traffic (final diff flushes) quiesce.
-    let mut last = fabric.stats().total().msgs_sent;
-    let mut quiet = 0;
-    while quiet < 3 {
-        std::thread::sleep(Duration::from_millis(25));
-        let now = fabric.stats().total().msgs_sent;
-        if now == last {
-            quiet += 1;
-        } else {
-            quiet = 0;
-            last = now;
-        }
+    // Let in-flight protocol traffic (final diff flushes) quiesce. Only the
+    // service threads' handlers still send, which makes the check exact.
+    while !fabric.quiescent() {
+        std::thread::sleep(Duration::from_micros(200));
     }
 
     // Stop the service threads before collecting reports: the fast path

@@ -1,11 +1,13 @@
 //! Per-node runtime state and the protocol service loop.
 //!
-//! Each node is a pair of threads sharing a [`NodeState`] behind a mutex:
-//! the *application* thread runs user code and blocks on a condition
-//! variable when an operation needs remote data; the *service* thread
-//! receives fabric messages, advances the protocol, and notifies waiters.
-//! This mirrors the paper's setup, where VMMC handlers service remote
-//! requests while the application computes.
+//! Each node is a pair of threads sharing a [`NodeState`] behind a mutex,
+//! each reading one lane of the node's endpoint: the *service* thread
+//! receives the peers' requests and advances the protocol while the
+//! application computes (the paper's VMMC handlers); the *application*
+//! thread runs user code and, when an operation needs remote data, blocks
+//! on the reply lane and handles the reply itself — as the paper's
+//! requester notices a page or grant landing in its own memory. Both run
+//! what they receive through the same [`dispatch`].
 //!
 //! The big state lock is *not* the only lock (see DESIGN.md "Hot path").
 //! Home-page state lives in the sharded [`hlrc::HomeStore`] and
@@ -31,7 +33,7 @@ use hlrc::{
     ApplyOutcome, FetchOutcome, HomeStore, LockId, PageState, PageTable, ReadyFetch, WaitingFetch,
     WnDelta, WnTable, WriteNotice,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::ft::ckpt::{self, CheckpointBlob, RetainedCkpt};
 use crate::ft::logs::{MgrBarEntry, RelEntry};
@@ -147,6 +149,21 @@ pub(crate) enum WaitSlot {
     },
 }
 
+impl WaitSlot {
+    /// Does the slot hold an answer the application thread has yet to take?
+    fn answered(&self) -> bool {
+        matches!(
+            self,
+            WaitSlot::Page { reply: Some(_), .. }
+                | WaitSlot::Lock { grant: Some(_), .. }
+                | WaitSlot::Barrier {
+                    release: Some(_),
+                    ..
+                }
+        )
+    }
+}
+
 /// A forwarded acquire queued while this node still holds the lock.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingGrant {
@@ -213,9 +230,14 @@ pub(crate) struct NodeState {
     pub alloc_cursor: u32,
     pub ft: Option<FtState>,
     pub replay: Option<ReplayState>,
-    /// Service-thread protocol handler time, attributed per message kind
-    /// (folded in when the service loop exits).
+    /// Protocol handler time, attributed per message kind: the service
+    /// thread's (folded in when the service loop exits) and the application
+    /// thread's for the replies it handles inside its own waits.
     pub svc_time_by_kind: HashMap<&'static str, Duration>,
+    /// The application thread's share of `svc_time_by_kind` since it last
+    /// closed a page, lock or barrier wait — which takes it, so that the
+    /// time is counted as handler time and not as waiting as well.
+    pub own_svc: Duration,
     pub shutdown: bool,
     /// DSM operations executed (crash-injection clock).
     pub ops: u64,
@@ -257,7 +279,6 @@ pub(crate) struct NodeState {
 /// Everything shared between a node's threads.
 pub(crate) struct NodeShared {
     pub state: Mutex<NodeState>,
-    pub cv: Condvar,
     pub me: ProcId,
     pub n: usize,
     /// The run's `FTDSM_SEED`, for diagnostics.
@@ -308,6 +329,7 @@ impl NodeState {
             ft,
             replay: None,
             svc_time_by_kind: HashMap::new(),
+            own_svc: Duration::ZERO,
             shutdown: false,
             ops: 0,
             crash_queue: Vec::new(),
@@ -385,6 +407,7 @@ impl NodeState {
             retransmits: _,
             dup_suppressed: _,
             svc_time_by_kind: _,
+            own_svc: _,
             breakdown_acc: _,
             hists: _,
             // Survives — ids keep counting, so an answer addressed to the
@@ -505,6 +528,7 @@ impl NodeState {
             retransmits: _,
             dup_suppressed: _,
             svc_time_by_kind: _,
+            own_svc: _,
             breakdown_acc: _,
             hists: _,
         } = self;
@@ -677,6 +701,16 @@ impl NodeState {
             }
         }
         Some((version, bytes))
+    }
+
+    /// For a thread other than the application thread, after it ran a
+    /// handler under the big lock: if that answered the application thread's
+    /// wait (a self-send — the barrier completed at this manager, a forward
+    /// named this node granter of its own request), wake it.
+    pub(crate) fn poke_if_answered(&self) {
+        if self.wait.answered() {
+            self.ep.poke();
+        }
     }
 }
 
@@ -954,9 +988,8 @@ pub(crate) fn apply_member_actions(
                 if st.mode == Mode::Normal {
                     handle_node_up(&mut st, node);
                     resend_inflight_diffs(&mut st, node);
+                    st.poke_if_answered();
                 }
-                drop(st);
-                shared.cv.notify_all();
             }
         }
     }
@@ -1408,7 +1441,12 @@ fn serve_locked(st: &mut NodeState, from: ProcId, payload: &Payload) {
         st.send(to, reply);
     }
     match served {
-        Served::Done { .. } => {}
+        // An applied diff can be what an access to a homed page waits for.
+        Served::Done { wake } => {
+            if wake {
+                st.ep.poke()
+            }
+        }
         Served::GrantHere(a) => grant_here(st, a),
         // `handle_msg` has already deferred pages this node has yet to
         // allocate, so what is left is a routing bug.
@@ -1786,15 +1824,14 @@ impl HomeSvc {
     }
 }
 
-/// Handle one event under the big lock: mode routing, then
-/// [`handle_msg`]. Returns the time spent once the lock was held.
-fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
-    let mut st = shared.state.lock();
-    let t0 = Instant::now();
+/// Handle one event under the big lock, whoever received it — the service
+/// loop (requests) or the application thread's wait (replies): mode routing,
+/// the FT piggyback, then [`handle_msg`].
+pub(crate) fn dispatch(st: &mut NodeState, ev: Event<Msg>) {
     match ev {
         Event::Wakeup => unreachable!("wakeups stay in the service loop"),
         Event::NodeUp { node } => match st.mode {
-            Mode::Normal => handle_node_up(&mut st, node),
+            Mode::Normal => handle_node_up(st, node),
             // Single-fault model: no other node can restart while we are
             // crashed or recovering.
             Mode::Crashed | Mode::Recovering => {}
@@ -1819,19 +1856,25 @@ fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
                     // Everything the handler sends is causally parented on
                     // the message being handled.
                     st.cur_flow = msg.ctx.flow_id();
-                    handle_msg(&mut st, from, msg.payload);
+                    handle_msg(st, from, msg.payload);
                     st.cur_flow = 0;
                 }
             }
         }
     }
-    let dt = t0.elapsed();
-    drop(st);
-    shared.cv.notify_all();
-    dt
 }
 
-/// The service loop: one per node, owns message receipt.
+/// [`dispatch`] from the service loop. Returns the time spent once the lock
+/// was held.
+fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
+    let mut st = shared.state.lock();
+    let t0 = Instant::now();
+    dispatch(&mut st, ev);
+    st.poke_if_answered();
+    t0.elapsed()
+}
+
+/// The service loop: one per node, owns the endpoint's request lane.
 ///
 /// Blocks on the endpoint — no polling; [`Endpoint::wake`] posts an
 /// [`Event::Wakeup`] when the shutdown flag needs re-checking. A bare
@@ -1855,17 +1898,17 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
     // reports.
     let mut svc_time: HashMap<&'static str, Duration> = HashMap::new();
     let mut hists = LatencyHists::default();
-    // Loop until the fabric disconnects (recv returns None) or shutdown.
+    // Loop until shutdown (a request-lane receive always returns an event).
     while let Some(ev) = ep.recv() {
-        let t0 = Instant::now();
-        let (kind, dt) = match ev {
+        let (t0, kind) = (Instant::now(), ev.kind_name());
+        let dt = match ev {
             Event::Wakeup => {
                 if shared.state.lock().shutdown {
                     break;
                 }
                 continue;
             }
-            Event::NodeUp { .. } => ("NodeUp", handle_locked(&shared, ev)),
+            Event::NodeUp { .. } => handle_locked(&shared, ev),
             // Membership traffic must not wait on the big lock (the
             // application thread holds it while computing, and a stalled
             // Pong looks like a dead node to the peer). A crashed node's
@@ -1879,17 +1922,15 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                         ..
                     },
             } => {
-                let kind = w.kind();
                 if let Some(mr) = &member {
                     if mode_flag.load(Ordering::SeqCst) != Mode::Crashed as u8 {
                         let actions = mr.det.lock().on_msg(from, w, Instant::now());
                         apply_member_actions(&shared, &ep, &svc.tracer, mr, actions);
                     }
                 }
-                (kind, t0.elapsed())
+                t0.elapsed()
             }
             Event::Msg { from, msg } => {
-                let kind = msg.payload.kind();
                 let served = if msg.piggy.is_none() && live() {
                     // Replies are parented on the request's flow so the
                     // exporter can stitch request → reply across nodes (0
@@ -1902,15 +1943,13 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                 } else {
                     Served::HandBack
                 };
-                let dt = match served {
+                match served {
                     Served::Done { wake } => {
                         if wake {
-                            // Lock-then-drop pairs with the app thread's
-                            // check-predicate-then-wait: without it a waiter
-                            // between its check and `cv.wait` would miss
-                            // this notification.
-                            drop(shared.state.lock());
-                            shared.cv.notify_all();
+                            // No big lock needed: a poke is sticky, so a
+                            // waiter between its check and its receive
+                            // still sees it.
+                            ep.poke();
                         }
                         t0.elapsed()
                     }
@@ -1928,8 +1967,7 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                         t0.elapsed()
                     }
                     Served::HandBack => handle_locked(&shared, Event::Msg { from, msg }),
-                };
-                (kind, dt)
+                }
             }
         };
         *svc_time.entry(kind).or_default() += dt;
@@ -2360,7 +2398,6 @@ mod tests {
         let home = st.pt.home_store();
         let shared = Arc::new(NodeShared {
             state: Mutex::new(st),
-            cv: Condvar::new(),
             me: 0,
             n,
             seed: 0,
@@ -2447,18 +2484,20 @@ mod tests {
             // eps[k] is node k+1's endpoint.
             assert!(eps[from - 1].send(0, Msg::with_parent(payload, piggy, 0)));
         }
+        // Whatever lane it came in on. Each lane is FIFO, so putting the
+        // reply lane first (stably) gives one order to compare.
         let recv = |node: usize, count: usize| -> Vec<Payload> {
-            (0..count)
-                .map(
-                    |_| match eps[node - 1].recv_timeout(Duration::from_secs(10)) {
-                        Some(Event::Msg { from: 0, msg }) => msg.payload,
-                        other => panic!("node {node}: expected a message from 0, got {other:?}"),
-                    },
-                )
-                .collect()
+            let mut msgs: Vec<Msg> = (0..count)
+                .map(|_| match eps[node - 1].recv_any(Duration::from_secs(10)) {
+                    Some(Event::Msg { from: 0, msg }) => msg,
+                    other => panic!("node {node}: expected a message from 0, got {other:?}"),
+                })
+                .collect();
+            msgs.sort_by_key(|m| !dsm_net::WireSized::to_waiter(m));
+            msgs.into_iter().map(|m| m.payload).collect()
         };
-        // One service thread, one FIFO mailbox: node 1's last reply means
-        // the whole script has been handled.
+        // One service thread handling one FIFO request lane: node 1's fifth
+        // message means the whole script has been handled.
         let mut got = vec![recv(1, 5), recv(2, 1)];
         {
             let mut st = shared.state.lock();
@@ -2472,7 +2511,8 @@ mod tests {
         svc_thread.join().unwrap();
         got[1].extend(recv(2, 1));
         for ep in &eps {
-            assert!(ep.try_recv().is_none(), "unexpected extra reply");
+            let extra = ep.recv_any(Duration::ZERO);
+            assert!(extra.is_none(), "unexpected extra reply");
         }
         let versions = (0..4).map(|p| home.version_of(PageId(p))).collect();
         (got, versions, unpark(&home, 2, 1, 5))
@@ -2487,8 +2527,8 @@ mod tests {
             [
                 "PageBatchReply",
                 "PageReply",
-                "DiffAck",
                 "LockGrant",
+                "DiffAck",
                 "LockForward"
             ]
         );
@@ -2523,6 +2563,47 @@ mod tests {
         assert_eq!(versions[1].get(1), 1);
         assert_eq!(parked, [(2, PageId(2), 6)]);
         assert_eq!(deliver_to_service_loop(true), (got, versions, parked));
+    }
+
+    #[test]
+    fn a_page_miss_is_answered_past_the_requesters_service_loop() {
+        // Node 0 homes the page and runs its service loop. Node 1 runs none,
+        // so the only thread that can take the `PageReply` is the one that
+        // waits for it.
+        let (_fabric, endpoints) = Fabric::<Msg>::new(2);
+        let shareds: Vec<Arc<NodeShared>> = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(me, ep)| {
+                let ep = Arc::new(ep);
+                let mut st = NodeState::new(me, 2, 256, ep, None, NodeTracer::disabled(), None);
+                st.pt.add_page(0);
+                let state = Mutex::new(st);
+                let (n, seed) = (2, 0);
+                Arc::new(NodeShared { state, me, n, seed })
+            })
+            .collect();
+        shareds[0].state.lock().pt.write(PageId(0), 8, &[7]);
+        let home = Arc::clone(&shareds[0]);
+        let svc_thread = std::thread::spawn(move || service_loop(home));
+
+        let mut proc = crate::Process::new(Arc::clone(&shareds[1]), false);
+        let base = proc.alloc(256, crate::HomeAlloc::Node(0));
+        assert_eq!(proc.read::<u8>(base + 8), 7);
+
+        let st = shareds[1].state.lock();
+        assert!(st.ep.try_recv().is_none(), "reply took the request lane");
+        // The waiter's handler time has a bucket, and the page wait took it
+        // out of what it charged as waiting.
+        assert!(st.svc_time_by_kind["PageReply"] > Duration::ZERO);
+        assert_eq!(st.own_svc, Duration::ZERO);
+        drop(st);
+        {
+            let mut st = shareds[0].state.lock();
+            st.shutdown = true;
+            st.ep.wake();
+        }
+        svc_thread.join().unwrap();
     }
 
     #[test]
@@ -2627,7 +2708,8 @@ mod tests {
             } => assert_eq!((r.episode, r.vt.get(0), r.vt.get(1)), (0, 1, 1)),
             _ => panic!("own release must land in the wait slot"),
         }
-        let sent: Vec<Event<Msg>> = std::iter::from_fn(|| eps[0].try_recv()).collect();
+        let sent: Vec<Event<Msg>> =
+            std::iter::from_fn(|| eps[0].recv_any(Duration::ZERO)).collect();
         assert_eq!(sent.len(), 1);
         assert!(matches!(
             &sent[0],

@@ -18,7 +18,7 @@ use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::recovery::{self, collect_replies, linear_key, RecAsk, ReplayPage};
 use crate::msg::Payload;
 use crate::runtime::node::{
-    apply_pending_home, end_interval, fetch_needed, grant_now, issue_prefetch,
+    apply_pending_home, dispatch, end_interval, fetch_needed, grant_now, issue_prefetch,
     retransmit_stale_diffs, retransmit_wait_slot, send_blocked_request, CrashSignal, GrantData,
     Mode, NodeShared, NodeState, ReleaseData, WaitSlot,
 };
@@ -133,19 +133,47 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
     st
 }
 
-/// Block on the node condition variable until `take` produces a value.
+/// Block until `take` produces a value; a wait that outlasts
+/// [`WAIT_DEADLINE`] is a deadlock and panics with the node's state.
+pub(crate) fn wait_until<T>(
+    shared: &NodeShared,
+    st: &mut MutexGuard<'_, NodeState>,
+    take: impl FnMut(&mut NodeState) -> Option<T>,
+) -> T {
+    wait_until_for(st, WAIT_DEADLINE, take).unwrap_or_else(|| {
+        panic!(
+            "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} tenure={:?} pending={:?} (FTDSM_SEED={:#x})",
+            shared.me, WAIT_DEADLINE, st.wait, st.vt, st.tenure, st.pending_grants, shared.seed
+        )
+    })
+}
+
+/// The one place the application thread blocks: on its endpoint's reply
+/// lane, with the big lock released, until `take` produces a value or
+/// `timeout` is over (`None` — for waits on state someone else may abandon,
+/// e.g. a prefetch batch whose reply the network dropped).
+///
+/// What the lane delivers — the page, grant or release being waited for, a
+/// prefetched batch, recovery replies — this thread runs through
+/// [`dispatch`], the function the service loop runs requests through, and
+/// then asks `take` again; the handler time goes to `svc_time_by_kind` like
+/// the service thread's and to [`NodeState::own_svc`]. A change `take`
+/// depends on that no reply carries arrives as a poke
+/// ([`NodeState::poke_if_answered`], an applied diff), which ends the
+/// receive the same way.
 ///
 /// When the node has a retry timeout configured ([`NodeState::retry_after`]),
 /// the blocked request described by [`NodeState::wait`] — and any in-flight
 /// diff batches — are retransmitted each time that timeout elapses without
 /// the wait completing. The check is time-based (elapsed since last send)
-/// rather than wait-timeout-based: unrelated traffic notifies the condvar
-/// constantly, and a notification-reset timer would never fire under load.
-pub(crate) fn wait_until<T>(
-    shared: &NodeShared,
+/// rather than receive-timeout-based: unrelated replies and pokes end the
+/// receive constantly, and a timer they reset would never fire under load.
+fn wait_until_for<T>(
     st: &mut MutexGuard<'_, NodeState>,
+    timeout: Duration,
     mut take: impl FnMut(&mut NodeState) -> Option<T>,
-) -> T {
+) -> Option<T> {
+    let ep = Arc::clone(&st.ep);
     let start = Instant::now();
     let retry = st.retry_after;
     let mut retries = 0u64;
@@ -155,46 +183,31 @@ pub(crate) fn wait_until<T>(
             if retry.is_some() {
                 st.hists.retransmits.record(retries);
             }
-            return v;
+            return Some(v);
         }
-        let slice = match retry {
-            Some(after) => {
-                if last_send.elapsed() >= after {
-                    retries += retransmit_wait_slot(st);
-                    retransmit_stale_diffs(st);
-                    last_send = Instant::now();
-                }
-                after.min(Duration::from_millis(200))
+        let mut slice = timeout.checked_sub(start.elapsed())?;
+        if let Some(after) = retry {
+            if last_send.elapsed() >= after {
+                retries += retransmit_wait_slot(st);
+                retransmit_stale_diffs(st);
+                last_send = Instant::now();
             }
-            None => Duration::from_millis(200),
-        };
-        let r = shared.cv.wait_for(st, slice);
-        if r.timed_out() && start.elapsed() > WAIT_DEADLINE {
-            panic!(
-                "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} tenure={:?} pending={:?} (FTDSM_SEED={:#x})",
-                shared.me, WAIT_DEADLINE, st.wait, st.vt, st.tenure, st.pending_grants, shared.seed
-            );
+            slice = slice.min(after);
+        }
+        if let Some(ev) = MutexGuard::unlocked(st, || ep.recv_reply(slice)) {
+            let (t0, kind) = (Instant::now(), ev.kind_name());
+            dispatch(st, ev);
+            let dt = t0.elapsed();
+            *st.svc_time_by_kind.entry(kind).or_default() += dt;
+            st.own_svc += dt;
         }
     }
 }
 
-/// Like [`wait_until`] but gives up after `timeout`, returning `None`.
-/// Used for waits on state someone else may abandon (e.g. a prefetch batch
-/// whose reply was dropped by the network) where the caller has a fallback.
-fn wait_until_for<T>(
-    shared: &NodeShared,
-    st: &mut MutexGuard<'_, NodeState>,
-    timeout: Duration,
-    mut take: impl FnMut(&mut NodeState) -> Option<T>,
-) -> Option<T> {
-    let start = Instant::now();
-    loop {
-        if let Some(v) = take(st) {
-            return Some(v);
-        }
-        let left = timeout.checked_sub(start.elapsed())?;
-        shared.cv.wait_for(st, left.min(Duration::from_millis(200)));
-    }
+/// The part of the wait since `t0` to charge as waiting: all of it but the
+/// time this thread spent handling replies, which `svc_time_by_kind` has.
+fn waited(st: &mut NodeState, t0: Instant) -> Duration {
+    t0.elapsed().saturating_sub(std::mem::take(&mut st.own_svc))
 }
 
 /// The DSM handle of one node's application thread.
@@ -411,7 +424,7 @@ impl Process {
                         // the abandoned entry is dropped by install_prefetched.
                         match st.retry_after {
                             Some(after) => {
-                                if wait_until_for(&shared, &mut st, after, covered).is_none() {
+                                if wait_until_for(&mut st, after, covered).is_none() {
                                     st.prefetch.remove(&page);
                                     st.hists
                                         .prefetch_miss
@@ -464,7 +477,7 @@ impl Process {
 
     /// Account one finished page wait: breakdown, histogram, trace span.
     fn page_wait_done(&mut self, st: &mut NodeState, page: PageId, home: usize, t0: Instant) {
-        self.breakdown.page_wait += t0.elapsed();
+        self.breakdown.page_wait += waited(st, t0);
         st.hists.page_fetch.record(t0.elapsed().as_nanos() as u64);
         st.tracer.emit_span(
             EventKind::PageReply {
@@ -618,7 +631,7 @@ impl Process {
             }
         });
         st.wait = WaitSlot::None;
-        self.breakdown.lock_wait += t0.elapsed();
+        self.breakdown.lock_wait += waited(&mut st, t0);
         st.hists.lock_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer
             .emit_span(EventKind::LockAcquire { lock: lock as u32 }, t0);
@@ -839,7 +852,7 @@ impl Process {
             }
         });
         st.wait = WaitSlot::None;
-        self.breakdown.barrier_wait += t0.elapsed();
+        self.breakdown.barrier_wait += waited(&mut st, t0);
         st.hists.barrier_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer.emit_span(
             EventKind::BarrierRelease {

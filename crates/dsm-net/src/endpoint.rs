@@ -5,11 +5,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dsm_trace::{EventKind, NodeTracer};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::chaos::{ChaosState, Fate, FaultPlan};
+use crate::mailbox::{Mailbox, Wait};
 use crate::stats::FabricStats;
 
 /// Index of a node in the cluster, `0..n`.
@@ -42,6 +42,12 @@ pub trait WireSized {
     /// Short stable message-kind label for tracing (e.g. `"PageReq"`).
     fn kind_name(&self) -> &'static str {
         "msg"
+    }
+    /// Is this a reply that a blocked requester is waiting for? Replies are
+    /// delivered to the destination's reply lane ([`Endpoint::recv_reply`]),
+    /// everything else to its request lane ([`Endpoint::recv`]).
+    fn to_waiter(&self) -> bool {
+        false
     }
     /// Stamp a fresh trace context at send time: the stamping node, a
     /// per-endpoint monotonic sequence number (starting at 1), and the
@@ -82,9 +88,30 @@ pub enum Event<M> {
     Wakeup,
 }
 
+impl<M: WireSized> Event<M> {
+    /// The message's kind label, or the control event's name.
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            Event::Msg { msg, .. } => msg.kind_name(),
+            Event::NodeUp { .. } => "NodeUp",
+            Event::Wakeup => "Wakeup",
+        }
+    }
+}
+
+/// One node's inbound queues. FIFO holds per sender *per lane*: a reply can
+/// overtake a request the same peer sent earlier, and the other way round.
+struct Inbox<M> {
+    /// Requests and control events, for the node's service thread.
+    requests: Mailbox<Event<M>>,
+    /// Replies ([`WireSized::to_waiter`]), for the thread that waits for
+    /// them.
+    replies: Mailbox<Event<M>>,
+}
+
 struct FabricShared<M> {
     status: RwLock<Vec<NodeStatus>>,
-    senders: Vec<Sender<Event<M>>>,
+    inboxes: Vec<Inbox<M>>,
     stats: FabricStats,
     /// Fast-path gate: false means no chaos plan and no partition, so
     /// [`Endpoint::send`] skips all injection checks.
@@ -101,6 +128,19 @@ impl<M> FabricShared<M> {
     fn refresh_chaos_gate(&self) {
         let on = self.chaos.read().is_some() || !self.partition.read().is_empty();
         self.chaos_on.store(on, Ordering::Release);
+    }
+}
+
+impl<M: WireSized> FabricShared<M> {
+    /// Queue `msg` on the lane of `to` its kind belongs to.
+    fn deliver(&self, from: NodeId, to: NodeId, msg: M) {
+        let inbox = &self.inboxes[to];
+        let lane = if msg.to_waiter() {
+            &inbox.replies
+        } else {
+            &inbox.requests
+        };
+        lane.push(Event::Msg { from, msg });
     }
 }
 
@@ -165,10 +205,7 @@ fn spawn_pump<M: Send + WireSized + 'static>(shared: &Arc<FabricShared<M>>) -> A
                 if shared.status.read()[d.to] == NodeStatus::Crashed {
                     shared.stats.node(d.from).record_drop();
                 } else {
-                    let _ = shared.senders[d.to].send(Event::Msg {
-                        from: d.from,
-                        msg: d.msg,
-                    });
+                    shared.deliver(d.from, d.to, d.msg);
                 }
             }
             let wait = q
@@ -197,16 +234,13 @@ impl<M: Send + WireSized> Fabric<M> {
     /// endpoint per node.
     pub fn new(n: usize) -> (Fabric<M>, Vec<Endpoint<M>>) {
         assert!(n >= 1);
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let inboxes = (0..n).map(|_| Inbox {
+            requests: Mailbox::new(),
+            replies: Mailbox::new(),
+        });
         let shared = Arc::new(FabricShared {
             status: RwLock::new(vec![NodeStatus::Up; n]),
-            senders,
+            inboxes: inboxes.collect(),
             stats: FabricStats::new(n),
             chaos_on: AtomicBool::new(false),
             chaos: RwLock::new(None),
@@ -214,13 +248,10 @@ impl<M: Send + WireSized> Fabric<M> {
             pump: Mutex::new(None),
             pump_seq: AtomicU64::new(0),
         });
-        let endpoints = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(id, rx)| Endpoint {
+        let endpoints = (0..n)
+            .map(|id| Endpoint {
                 id,
                 n,
-                rx,
                 shared: Arc::clone(&shared),
                 tracer: NodeTracer::disabled(),
                 ctx_seq: AtomicU64::new(0),
@@ -263,9 +294,9 @@ impl<M: Send + WireSized> Fabric<M> {
     /// [`Event::NodeUp`] so blocked requesters retransmit.
     pub fn restart(&self, node: NodeId) {
         self.restart_silent(node);
-        for (peer, tx) in self.shared.senders.iter().enumerate() {
+        for (peer, inbox) in self.shared.inboxes.iter().enumerate() {
             if peer != node {
-                let _ = tx.send(Event::NodeUp { node });
+                inbox.requests.push(Event::NodeUp { node });
             }
         }
     }
@@ -325,6 +356,25 @@ impl<M: Send + WireSized> Fabric<M> {
         *self.shared.chaos.write() = None;
         self.shared.refresh_chaos_gate();
     }
+
+    /// Has request traffic died down? True when no request is queued on any
+    /// endpoint, nothing is parked in the chaos pump, no request-lane
+    /// receiver is between one receive and its next, and nothing was sent
+    /// while this looked. Exact once request handlers are the only senders
+    /// left: a handler sends before it goes back to its receive, so one that
+    /// was still busy when an earlier lane was inspected shows up as a moved
+    /// send count. Reply lanes are not consulted — a reply nobody waits for
+    /// any more causes no further traffic.
+    pub fn quiescent(&self) -> bool {
+        let sent = || self.shared.stats.total().msgs_sent;
+        let before = sent();
+        // The pump delivers with its heap locked, so an empty heap means
+        // nothing is on its way out of it either.
+        let pump = self.shared.pump.lock().as_ref().map(Arc::clone);
+        pump.is_none_or(|ps| ps.q.lock().is_empty())
+            && self.shared.inboxes.iter().all(|i| i.requests.idle())
+            && sent() == before
+    }
 }
 
 impl<M> Clone for Fabric<M> {
@@ -340,7 +390,6 @@ impl<M> Clone for Fabric<M> {
 pub struct Endpoint<M> {
     id: NodeId,
     n: usize,
-    rx: Receiver<Event<M>>,
     shared: Arc<FabricShared<M>>,
     tracer: NodeTracer,
     /// Monotonic trace-context sequence; `(id, seq)` names a flow.
@@ -359,9 +408,14 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
         self.tracer = tracer;
     }
 
-    fn note_recv(&self, ev: &Event<M>) {
+    fn inbox(&self) -> &Inbox<M> {
+        &self.shared.inboxes[self.id]
+    }
+
+    /// Trace the receipt of whatever was just popped off a lane.
+    fn note_recv(&self, ev: Option<Event<M>>) -> Option<Event<M>> {
         if self.tracer.enabled() {
-            if let Event::Msg { from, msg } = ev {
+            if let Some(Event::Msg { from, msg }) = &ev {
                 let (flow, _parent, sent_at, chaos_ns) = msg.trace_view();
                 // Transit minus injected chaos = sender hand-off + inbound
                 // queue wait. Only attributable when the send was stamped
@@ -390,6 +444,7 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
                 });
             }
         }
+        ev
     }
 
     /// Cluster size.
@@ -398,9 +453,9 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     }
 
     /// Send `msg` to `to`. Without a fault plan, delivery is reliable and
-    /// FIFO per sender-receiver pair unless the destination is crashed, in
-    /// which case the message is dropped (and counted) and `false` is
-    /// returned. Under a fault plan or partition the message may be lost,
+    /// FIFO per sender-receiver pair and lane unless the destination is
+    /// crashed, in which case the message is dropped (and counted) and
+    /// `false` is returned. Under a fault plan or partition the message may be lost,
     /// duplicated, delayed or reordered; the sender can't tell (`true` is
     /// still returned — a real NIC doesn't know the network ate its packet).
     pub fn send(&self, to: NodeId, mut msg: M) -> bool {
@@ -465,11 +520,8 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
                 }
             }
         }
-        // Unbounded channel: send only fails if the receiver was dropped,
-        // which only happens at cluster teardown.
-        self.shared.senders[to]
-            .send(Event::Msg { from: self.id, msg })
-            .is_ok()
+        self.shared.deliver(self.id, to, msg);
+        true
     }
 
     /// Park `msg` in the delivery pump until `by` elapses. Falls back to
@@ -489,59 +541,69 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
                 ps.q.lock().push(d);
                 ps.cv.notify_one();
             }
-            None => {
-                let _ = self.shared.senders[to].send(Event::Msg { from: self.id, msg });
-            }
+            None => self.shared.deliver(self.id, to, msg),
         }
     }
 
-    /// Post an [`Event::Wakeup`] to *this* endpoint's own queue, nudging a
-    /// thread blocked in [`Endpoint::recv`] to re-check its state. Not
-    /// routed through the fabric: wakeups are local control flow, so they
-    /// bypass crash status and traffic accounting.
+    /// Post an [`Event::Wakeup`] to *this* endpoint's own request lane,
+    /// nudging a thread blocked in [`Endpoint::recv`] to re-check its state.
+    /// Not routed through the fabric: wakeups are local control flow, so
+    /// they bypass crash status and traffic accounting.
     pub fn wake(&self) {
-        let _ = self.shared.senders[self.id].send(Event::Wakeup);
+        self.inbox().requests.push(Event::Wakeup);
     }
 
-    /// Blocking receive.
+    /// Make the thread in [`Endpoint::recv_reply`] — or the next one to call
+    /// it — return `None` at once and look at its own state again. For
+    /// changes a waiter's predicate depends on that no reply carries (a
+    /// request handler did them). Never lost — a waiter that has checked
+    /// its predicate but not blocked yet still sees it — and never queued
+    /// up: any number of pokes end one receive.
+    pub fn poke(&self) {
+        self.inbox().replies.poke();
+    }
+
+    /// Blocking receive on the request lane.
     pub fn recv(&self) -> Option<Event<M>> {
-        let ev = self.rx.recv().ok();
-        if let Some(ev) = &ev {
-            self.note_recv(ev);
-        }
-        ev
+        self.note_recv(self.inbox().requests.pop(Wait::Forever))
     }
 
-    /// Receive with a timeout; `None` on timeout or disconnect.
+    /// Receive on the request lane with a timeout; `None` on timeout.
     pub fn recv_timeout(&self, d: Duration) -> Option<Event<M>> {
-        let ev = match self.rx.recv_timeout(d) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        };
-        if let Some(ev) = &ev {
-            self.note_recv(ev);
-        }
-        ev
+        self.note_recv(self.inbox().requests.pop(Wait::Until(Instant::now() + d)))
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive on the request lane.
     pub fn try_recv(&self) -> Option<Event<M>> {
-        let ev = self.rx.try_recv().ok();
-        if let Some(ev) = &ev {
-            self.note_recv(ev);
-        }
-        ev
+        self.note_recv(self.inbox().requests.pop(Wait::No))
     }
 
-    /// Discard everything queued for this endpoint (used when simulating the
-    /// restart of a crashed node: whatever was queued before/during the
-    /// crash is lost). Returns the number of discarded events.
-    pub fn drain(&self) -> usize {
-        let mut n = 0;
-        while self.rx.try_recv().is_ok() {
-            n += 1;
+    /// Receive on the reply lane: the next reply addressed to this node, or
+    /// `None` after `d` or a [`Endpoint::poke`], whichever is first.
+    pub fn recv_reply(&self, d: Duration) -> Option<Event<M>> {
+        self.note_recv(self.inbox().replies.pop(Wait::Until(Instant::now() + d)))
+    }
+
+    /// Test receive over both lanes, for code that inspects what a peer was
+    /// sent without caring which thread would have read it: polls until an
+    /// event shows up on either lane (replies first) or `d` is over.
+    pub fn recv_any(&self, d: Duration) -> Option<Event<M>> {
+        let deadline = Instant::now() + d;
+        loop {
+            let ev = self.recv_reply(Duration::ZERO).or_else(|| self.try_recv());
+            if ev.is_some() || Instant::now() >= deadline {
+                return ev;
+            }
+            std::thread::sleep(Duration::from_micros(200));
         }
-        n
+    }
+
+    /// Discard everything queued for this endpoint, on both lanes (used when
+    /// simulating the restart of a crashed node: whatever was queued
+    /// before/during the crash is lost). Returns the number of discarded
+    /// events.
+    pub fn drain(&self) -> usize {
+        self.inbox().requests.drain() + self.inbox().replies.drain()
     }
 
     /// Current status of a peer.

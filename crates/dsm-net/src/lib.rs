@@ -7,7 +7,10 @@
 //! provides the same abstraction for a cluster simulated inside one process:
 //!
 //! * [`Fabric`] — builds `n` connected [`Endpoint`]s (one per node) with
-//!   reliable FIFO channels between every pair.
+//!   reliable channels between every pair, FIFO per lane: an endpoint has
+//!   a request lane for the node's service thread and a reply lane that
+//!   wakes the thread waiting for the reply directly (the paper's requester
+//!   notices a reply landing in its own memory; no helper thread relays it).
 //! * Fail-stop crash simulation: [`Fabric::crash`] marks a node down and
 //!   discards its queued input (in-flight messages to a failed process are
 //!   lost); sends to a crashed node are dropped and counted. On
@@ -25,6 +28,7 @@
 
 pub mod chaos;
 pub mod endpoint;
+mod mailbox;
 pub mod stats;
 
 pub use chaos::{FaultPlan, FaultRule};

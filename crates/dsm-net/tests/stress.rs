@@ -145,3 +145,39 @@ fn wakeups_race_with_crash_restart_and_never_wedge() {
     assert!(msgs <= ROUNDS, "a dropped message was delivered");
     assert_eq!(fabric.stats().node(0).snapshot().msgs_dropped, ROUNDS);
 }
+
+#[test]
+fn no_poke_is_lost_between_a_waiters_check_and_its_receive() {
+    use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
+    const ROUNDS: u64 = 100_000;
+    const LOST: Duration = Duration::from_secs(20);
+    let (_fabric, mut endpoints) = Fabric::<M>::new(2);
+    let ep = Arc::new(endpoints.remove(0));
+    // `state` is what the waiter's predicate reads; `seen` hands the turn
+    // back, so every round races one check-then-receive against one
+    // change-then-poke with nothing else to wake the waiter.
+    let state = Arc::new(AtomicU64::new(0));
+    let seen = Arc::new(AtomicU64::new(0));
+    let poker = {
+        let (ep, state, seen) = (Arc::clone(&ep), Arc::clone(&state), Arc::clone(&seen));
+        thread::spawn(move || {
+            for round in 1..=ROUNDS {
+                while seen.load(Ordering::SeqCst) < round - 1 {
+                    thread::yield_now();
+                }
+                state.store(round, Ordering::SeqCst);
+                ep.poke();
+            }
+        })
+    };
+    for round in 1..=ROUNDS {
+        while state.load(Ordering::SeqCst) < round {
+            let t0 = Instant::now();
+            assert!(ep.recv_reply(LOST).is_none());
+            assert!(t0.elapsed() < LOST, "round {round}: wake-up lost");
+        }
+        seen.store(round, Ordering::SeqCst);
+    }
+    poker.join().unwrap();
+}

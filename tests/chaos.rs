@@ -35,6 +35,12 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A crash point the victim is sure to reach: past start-up, and below the
+/// operation count it reached in the clean run.
+fn crash_op(s: &mut u64, clean_ops: u64) -> u64 {
+    20 + splitmix(s) % (clean_ops - 20)
+}
+
 /// Reference workload exercising every install/apply path: page fetches,
 /// diff batches (lock and barrier flushes), lock grants with write notices,
 /// barrier releases, and prefetch batches.
@@ -175,7 +181,7 @@ fn crash_is_detected_by_heartbeats_alone() {
     let mut s = seed;
     for case in 0..3 {
         let victim = (splitmix(&mut s) % NODES as u64) as usize;
-        let at_op = 20 + splitmix(&mut s) % 400;
+        let at_op = crash_op(&mut s, clean.nodes[victim].ops);
         let crashed = run(
             cfg().with_seed(seed).with_membership(Default::default()),
             &[FailureSpec {
@@ -231,7 +237,7 @@ fn crash_during_chaos_stress() {
     for case in 0..iters {
         let seed = splitmix(&mut s);
         let victim = (splitmix(&mut s) % NODES as u64) as usize;
-        let at_op = 20 + splitmix(&mut s) % 400;
+        let at_op = crash_op(&mut s, clean.nodes[victim].ops);
         // Odd cases soak the incremental-checkpoint path: recovery under
         // chaos then replays an anchor + delta chain instead of one blob.
         let case_cfg = if case % 2 == 1 {
