@@ -307,8 +307,9 @@ fn print_hists(title: &str, hists: &dsm_trace::LatencyHists) {
         if h.count() == 0 {
             continue;
         }
-        // `_bytes` histograms are counters, not durations.
-        let fmt = if name.ends_with("_bytes") {
+        // Histograms of bytes, pages or retries are counts, not durations.
+        let count = name.ends_with("_bytes") || name.ends_with("_pages") || name == "retransmits";
+        let fmt = if count {
             |v: u64| v.to_string()
         } else {
             fmt_ns
@@ -368,6 +369,13 @@ fn do_protocol(scale: &Scale) {
     );
     let r = run_app(App::WaterSp, scale.ft_config(App::WaterSp));
     print_hists("latency (all nodes merged)", &r.total_hists());
+    println!("\nfetches installed as deltas (diffs onto the kept copy, not the page):");
+    println!("  fetch_delta_pages {:>8}", r.fetch_delta_pages());
+    println!("  fetch_delta_bytes {:>8}", r.fetch_delta_bytes());
+    println!(
+        "  of installs       {:>8}",
+        r.total_hists().fetch_copy.count()
+    );
     println!("\nservice time by message kind (all nodes summed):");
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);

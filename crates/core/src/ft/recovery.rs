@@ -202,10 +202,20 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
             bar_mgr,
             lock_chains,
             gen_floor,
+            applied_of_you,
         } = payload
         else {
             unreachable!("collected a reply that was not asked for")
         };
+        // A home that applied our interval k saw it flushed: without this a
+        // final self-granted acquire whose only witness is a remote home
+        // goes live and runs interval k a second time — the home drops the
+        // second diff by version, and we would keep words it does not have.
+        // Like the timestamps below it proves only that interval k existed
+        // (a home sets `p.v[me] = k` by applying a diff our closed interval
+        // k made), which one page is enough for; replay re-sends the diffs
+        // of every interval up to k whether or not they had arrived.
+        replay.evidence_self = replay.evidence_self.max(applied_of_you);
         for e in wn {
             st.wn_table.insert_parts(
                 dsm_page::Interval {
@@ -397,6 +407,7 @@ mod tests {
             bar_mgr: Vec::new(),
             lock_chains: Vec::new(),
             gen_floor: Vec::new(),
+            applied_of_you: 0,
         }
     }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use dsm_page::{Diff, PageId, ProcId, VectorClock};
 use dsm_trace::TraceCtx;
-use hlrc::{LockId, WnDelta, WriteNotice};
+use hlrc::{Have, LockId, PageBody, WnDelta, WriteNotice};
 
 use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
 
@@ -142,6 +142,10 @@ pub enum Payload {
         page: PageId,
         /// Minimal version the reply must include.
         needed: VectorClock,
+        /// The stale copy the requester kept, when it knows exactly which
+        /// version of which home incarnation it is: the home may then reply
+        /// with the diffs that copy is missing instead of the page.
+        have: Option<Have>,
         /// Requester-local correlation id (dedup of retransmitted replies).
         req_id: u64,
     },
@@ -153,8 +157,9 @@ pub enum Payload {
     /// stragglers arrive later as individual [`Payload::PageReply`]s carrying
     /// the same `req_id`.
     PageBatchReq {
-        /// `(page, minimal version the reply must include)` per page.
-        pages: Vec<(PageId, VectorClock)>,
+        /// `(page, minimal version the reply must include, what the
+        /// requester kept)` per page.
+        pages: Vec<(PageId, VectorClock, Option<Have>)>,
         /// Requester-local correlation id shared by the whole batch.
         req_id: u64,
     },
@@ -163,9 +168,9 @@ pub enum Payload {
     PageBatchReply {
         /// Correlation id echoed from the request.
         req_id: u64,
-        /// `(page, home version, contents)` per ready page; contents are
+        /// `(page, home version, body)` per ready page; a full body is
         /// shared with the home's authoritative copy.
-        pages: Vec<(PageId, VectorClock, Arc<[u8]>)>,
+        pages: Vec<(PageId, VectorClock, PageBody)>,
     },
     /// Page contents: home → requester.
     PageReply {
@@ -176,8 +181,9 @@ pub enum Payload {
         /// The home's version vector for the copy.
         version: VectorClock,
         /// The page contents, shared with the home's authoritative copy
-        /// (copy-on-write at the home keeps this immutable).
-        bytes: Arc<[u8]>,
+        /// (copy-on-write at the home keeps this immutable), or the diffs
+        /// the requester's kept copy is missing.
+        body: PageBody,
     },
 
     // ---- recovery protocol ----
@@ -212,6 +218,11 @@ pub enum Payload {
         /// edges it just discarded. Bounds the recovered manager's next
         /// generation so fresh edges outrank every pre-crash one.
         gen_floor: Vec<(LockId, u64)>,
+        /// The newest interval of the recovering node's that the peer has
+        /// applied to a page it homes: proof that the interval was flushed
+        /// before the crash, whatever record of it died with its creator
+        /// (a self-granted acquire leaves none anywhere else).
+        applied_of_you: u32,
     },
     /// Maximal-starting-copy request: recovering node → home.
     RecPageReq {
@@ -244,6 +255,12 @@ pub enum Payload {
     },
 }
 
+/// Encoded size of a fetch's `have`: a presence byte, then incarnation and
+/// version.
+fn have_size(have: &Option<Have>) -> usize {
+    1 + have.as_ref().map_or(0, |(_, v)| 4 + v.wire_size())
+}
+
 impl Payload {
     /// Encoded size in bytes of the base-protocol part.
     pub fn wire_size(&self) -> usize {
@@ -260,20 +277,20 @@ impl Payload {
             Payload::Member(w) => w.wire_size(),
             Payload::BarrierArrive { vt, own_wns, .. } => 9 + vt.wire_size() + own_wns.wire_size(),
             Payload::BarrierRelease { vt, wns, .. } => 9 + vt.wire_size() + wns.wire_size(),
-            Payload::PageReq { needed, .. } => 13 + needed.wire_size(),
+            Payload::PageReq { needed, have, .. } => 13 + needed.wire_size() + have_size(have),
             Payload::PageBatchReq { pages, .. } => {
                 17 + pages
                     .iter()
-                    .map(|(_, needed)| 4 + needed.wire_size())
+                    .map(|(_, needed, have)| 4 + needed.wire_size() + have_size(have))
                     .sum::<usize>()
             }
             Payload::PageBatchReply { pages, .. } => {
                 17 + pages
                     .iter()
-                    .map(|(_, version, bytes)| 8 + version.wire_size() + bytes.len())
+                    .map(|(_, version, body)| 4 + version.wire_size() + body.wire_size())
                     .sum::<usize>()
             }
-            Payload::PageReply { version, bytes, .. } => 17 + version.wire_size() + bytes.len(),
+            Payload::PageReply { version, body, .. } => 13 + version.wire_size() + body.wire_size(),
             Payload::RecLogReq => 1,
             Payload::RecLogReply {
                 wn,
@@ -283,6 +300,7 @@ impl Payload {
                 bar_mgr,
                 lock_chains,
                 gen_floor,
+                applied_of_you: _,
             } => {
                 1 + wn.iter().map(|e| e.wire_size()).sum::<usize>()
                     + rel_for_you.iter().map(|e| e.wire_size()).sum::<usize>()
@@ -297,6 +315,7 @@ impl Payload {
                         .sum::<usize>()
                     + 33 * lock_chains.len()
                     + 16 * gen_floor.len()
+                    + 4
             }
             Payload::RecPageReq { tckp, .. } => 5 + tckp.wire_size(),
             Payload::RecPageReply { version, bytes, .. } => 5 + version.wire_size() + bytes.len(),
@@ -437,7 +456,10 @@ mod tests {
             page: PageId(0),
             req_id: 1,
             version: VectorClock::zero(8),
-            bytes: vec![0; 4096].into(),
+            body: PageBody::Full {
+                bytes: vec![0; 4096].into(),
+                base: 1,
+            },
         });
         assert!(m.base_wire_size() > 4096);
         assert!(m.base_wire_size() < 4096 + 64 + TraceCtx::WIRE_SIZE);

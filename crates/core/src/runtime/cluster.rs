@@ -508,6 +508,7 @@ where
         let mut svc_time_by_kind: Vec<_> =
             st.svc_time_by_kind.iter().map(|(&k, &d)| (k, d)).collect();
         svc_time_by_kind.sort_unstable_by_key(|&(k, _)| k);
+        let (fetch_delta_pages, fetch_delta_bytes) = st.pt.delta_installs();
         nodes.push(NodeReport {
             breakdown,
             traffic: fabric.stats().node(i).snapshot(),
@@ -520,6 +521,8 @@ where
             member,
             retransmits: st.retransmits,
             dup_suppressed: st.dup_suppressed,
+            fetch_delta_pages,
+            fetch_delta_bytes,
         });
     }
 

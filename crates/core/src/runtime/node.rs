@@ -30,8 +30,8 @@ use dsm_trace::{EventKind, Histogram, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
 use hlrc::{
-    ApplyOutcome, FetchOutcome, HomeStore, LockId, PageState, PageTable, ReadyFetch, WaitingFetch,
-    WnDelta, WnTable, WriteNotice,
+    ApplyOutcome, FetchOutcome, Have, HomeStore, LockId, PageBody, PageState, PageTable,
+    ReadyFetch, WaitingFetch, WnDelta, WnTable, WriteNotice,
 };
 use parking_lot::Mutex;
 
@@ -124,8 +124,9 @@ pub(crate) enum WaitSlot {
         req_id: u64,
         home: ProcId,
         needed: VectorClock,
-        /// The shared page buffer from the reply, installed without copying.
-        reply: Option<(VectorClock, Arc<[u8]>)>,
+        /// The reply's version and body (a shared page buffer, installed
+        /// without copying, or the diffs the kept copy is missing).
+        reply: Option<(VectorClock, PageBody)>,
     },
     Lock {
         lock: LockId,
@@ -387,8 +388,7 @@ impl NodeState {
         // flips, drain the sync and shard locks so nothing that started
         // before the flip is still in flight.
         drop(self.sync.lock());
-        let home = self.pt.home_store();
-        home.quiesce();
+        self.pt.home_store().quiesce();
         let NodeState {
             // Survive — identity, configuration and handles to the outside.
             me,
@@ -417,11 +417,12 @@ impl NodeState {
             mode: _,
             mode_flag: _,
             // Survive in part. The page *slots* stay allocated: replay
-            // re-runs the same allocations over them. Page contents and the
+            // re-runs the same allocations over them. Home copies and the
             // volatile half of the FT state are overwritten from stable
-            // storage by `restart_from`; parked fetches are lost now
-            // (requesters retransmit on NodeUp).
-            pt: _,
+            // storage by `restart_from`; remote copies (kept ones and their
+            // versions included), parked fetches (requesters retransmit on
+            // NodeUp) and the homed pages' diff rings are lost now.
+            pt,
             ft: _,
             // Lost — the rest.
             vt,
@@ -445,7 +446,7 @@ impl NodeState {
             diffs,
             cur_flow,
         } = self;
-        home.clear_waiting();
+        pt.reset_for_restart(&[]);
         *vt = VectorClock::zero(*n);
         *wn_table = WnTable::new();
         {
@@ -687,8 +688,8 @@ impl NodeState {
         &mut self,
         req_id: u64,
         version: VectorClock,
-        bytes: Arc<[u8]>,
-    ) -> Option<(VectorClock, Arc<[u8]>)> {
+        body: PageBody,
+    ) -> Option<(VectorClock, PageBody)> {
         if let WaitSlot::Page {
             req_id: want,
             reply,
@@ -696,11 +697,11 @@ impl NodeState {
         } = &mut self.wait
         {
             if *want == req_id && reply.is_none() {
-                *reply = Some((version, bytes));
+                *reply = Some((version, body));
                 return None;
             }
         }
-        Some((version, bytes))
+        Some((version, body))
     }
 
     /// For a thread other than the application thread, after it ran a
@@ -727,7 +728,7 @@ pub(crate) fn end_interval(st: &mut NodeState) -> (Duration, Duration) {
     let t0 = Instant::now();
     let me = st.me;
     let iv = st.vt.tick(me);
-    let diffs: Vec<Arc<Diff>> = st.pt.end_interval(iv).into_iter().map(Arc::new).collect();
+    let diffs = st.pt.end_interval(iv);
     st.hists.diff_create.record(t0.elapsed().as_nanos() as u64);
     if diffs.is_empty() {
         // Twins existed but no word actually changed: nothing to publish.
@@ -826,6 +827,14 @@ pub(crate) fn fetch_needed(st: &NodeState, page: PageId, mut needed: VectorClock
     needed
 }
 
+/// A remote page as a `PageBatchReq` asks for it: the version needed and the
+/// stale copy kept, as they are now (a resend reads them again).
+fn batch_entry(st: &NodeState, page: PageId) -> (PageId, VectorClock, Option<Have>) {
+    let m = st.pt.remote_meta(page);
+    let needed = fetch_needed(st, page, m.needed.clone());
+    (page, needed, m.base.clone())
+}
+
 /// Transmit the next batch queued for `home`, unless one is still
 /// unacknowledged there.
 fn pump_diffs(st: &mut NodeState, home: ProcId) {
@@ -880,6 +889,7 @@ pub(crate) fn blocked_request(st: &NodeState) -> Option<(ProcId, Payload)> {
             Payload::PageReq {
                 page: *page,
                 needed: needed.clone(),
+                have: st.pt.have(*page).cloned(),
                 req_id: *req_id,
             },
         )),
@@ -1001,7 +1011,7 @@ fn page_reply(r: ReadyFetch) -> (ProcId, Payload) {
         page: r.page,
         req_id: r.req_id,
         version: r.version,
-        bytes: r.bytes,
+        body: r.body,
     };
     (r.from, reply)
 }
@@ -1307,6 +1317,7 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId) -> Payload {
             .filter(|(&lock, _)| managed_by_r(lock))
             .map(|(&lock, &(gen, _, _))| (lock, gen))
             .collect(),
+        applied_of_you: st.pt.home_store().newest_applied_of(r),
     }
 }
 
@@ -1349,21 +1360,22 @@ fn max_page(payload: &Payload) -> Option<PageId> {
         | Payload::RecPageReq { page, .. }
         | Payload::RecDiffReq { page } => Some(*page),
         Payload::DiffBatch { diffs, .. } => diffs.iter().map(|d| d.page).max(),
-        Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, _)| *p).max(),
+        Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, ..)| *p).max(),
         _ => None,
     }
 }
 
 /// Install a page delivered by a prefetch batch (either in the batched
 /// reply or as a straggler `PageReply` carrying the batch's `req_id`).
-/// Superseded and overtaken replies are dropped: the page stays `Invalid`
-/// and a later touch fetches fresh.
+/// Superseded and overtaken replies are dropped: the page stays `Invalid`,
+/// a kept copy and its version stay what the next request will say they
+/// are, and a later touch fetches fresh.
 fn install_prefetched(
     st: &mut NodeState,
     page: PageId,
     req_id: u64,
     version: VectorClock,
-    bytes: Arc<[u8]>,
+    body: PageBody,
 ) {
     match st.prefetch.get(&page) {
         Some(e) if e.req_id == req_id => {}
@@ -1382,9 +1394,16 @@ fn install_prefetched(
     // A new invalidation may have overtaken the batch; install only when
     // the reply still covers everything the page is known to need.
     if m.state == PageState::Invalid && version.covers(&m.needed) {
-        st.pt.install_fetch(page, bytes, &version);
-        st.hists.fetch_copy.record(0);
+        install_reply(st, page, body, &version);
     }
+}
+
+/// Install the reply to a fetch, one `fetch_copy` sample per install: the
+/// bytes written into the local copy — none for an adopted page buffer, the
+/// diff payloads for a delta.
+pub(crate) fn install_reply(st: &mut NodeState, page: PageId, body: PageBody, v: &VectorClock) {
+    let copied = st.pt.install(page, body, v);
+    st.hists.fetch_copy.record(copied as u64);
 }
 
 /// Eagerly batch-fetch the remote pages just invalidated by applied write
@@ -1396,7 +1415,7 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
         return;
     }
     let mut seen = HashSet::new();
-    let mut per_home: HashMap<ProcId, Vec<(PageId, VectorClock)>> = HashMap::new();
+    let mut per_home: HashMap<ProcId, Vec<_>> = HashMap::new();
     for &page in invalidated {
         if !seen.insert(page) || st.pt.is_home(page) || st.prefetch.contains_key(&page) {
             continue;
@@ -1405,11 +1424,10 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
         if m.state != PageState::Invalid {
             continue;
         }
-        let (home, needed) = (m.home, m.needed.clone());
         per_home
-            .entry(home)
+            .entry(m.home)
             .or_default()
-            .push((page, fetch_needed(st, page, needed)));
+            .push(batch_entry(st, page));
     }
     // Deterministic send order (piggyback state advances per send).
     let mut per_home: Vec<_> = per_home.into_iter().collect();
@@ -1418,7 +1436,7 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
         let req_id = st.req_id_next;
         st.req_id_next += 1;
         st.hists.fetch_batch_pages.record(pages.len() as u64);
-        for (p, _) in &pages {
+        for (p, ..) in &pages {
             st.prefetch.insert(*p, PrefetchEntry { req_id, home });
         }
         st.send(home, Payload::PageBatchReq { pages, req_id });
@@ -1524,18 +1542,18 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
             st.deposit_release(ReleaseData { episode, vt, wns });
         }
         Payload::PageBatchReply { req_id, pages } => {
-            for (page, version, bytes) in pages {
-                install_prefetched(st, page, req_id, version, bytes);
+            for (page, version, body) in pages {
+                install_prefetched(st, page, req_id, version, body);
             }
         }
         Payload::PageReply {
             page,
             req_id,
             version,
-            bytes,
+            body,
         } => {
-            if let Some((version, bytes)) = st.deposit_page(req_id, version, bytes) {
-                install_prefetched(st, page, req_id, version, bytes);
+            if let Some((version, body)) = st.deposit_page(req_id, version, body) {
+                install_prefetched(st, page, req_id, version, body);
             }
         }
         Payload::RecLogReq => {
@@ -1585,20 +1603,19 @@ pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
     // Re-issue in-flight prefetch batches the restarted home lost, grouped
     // back into their original batches (the needed versions are re-read:
     // they may have advanced, and the install gate checks coverage anyway).
-    let mut groups: HashMap<u64, Vec<(PageId, VectorClock)>> = HashMap::new();
+    let mut groups: HashMap<u64, Vec<_>> = HashMap::new();
     for (&page, e) in &st.prefetch {
         if e.home == node {
-            let needed = st.pt.remote_meta(page).needed.clone();
             groups
                 .entry(e.req_id)
                 .or_default()
-                .push((page, fetch_needed(st, page, needed)));
+                .push(batch_entry(st, page));
         }
     }
     let mut groups: Vec<_> = groups.into_iter().collect();
     groups.sort_unstable_by_key(|(req_id, _)| *req_id);
     for (req_id, mut pages) in groups {
-        pages.sort_unstable_by_key(|(p, _)| p.0);
+        pages.sort_unstable_by_key(|(p, ..)| p.0);
         st.send(node, Payload::PageBatchReq { pages, req_id });
     }
     if let Some((to, payload)) = blocked_request(st) {
@@ -1672,17 +1689,18 @@ impl HomeSvc {
             Payload::PageReq {
                 page,
                 needed,
+                have,
                 req_id,
             } => {
                 // A one-page batch, answered with the single-page reply.
-                let one = std::iter::once((*page, needed));
+                let one = std::iter::once((*page, needed, have.as_ref()));
                 let req_id = *req_id;
-                if !self.serve_fetches(hists, from, req_id, one, &live, |page, version, bytes| {
+                if !self.serve_fetches(hists, from, req_id, one, &live, |page, version, body| {
                     let single = Payload::PageReply {
                         page,
                         req_id,
                         version,
-                        bytes,
+                        body,
                     };
                     reply(from, single)
                 }) {
@@ -1692,9 +1710,11 @@ impl HomeSvc {
             Payload::PageBatchReq { pages, req_id } => {
                 let req_id = *req_id;
                 let mut ready = Vec::new();
-                let all = pages.iter().map(|(page, needed)| (*page, needed));
-                if !self.serve_fetches(hists, from, req_id, all, &live, |page, version, bytes| {
-                    ready.push((page, version, bytes))
+                let all = pages
+                    .iter()
+                    .map(|(page, needed, have)| (*page, needed, have.as_ref()));
+                if !self.serve_fetches(hists, from, req_id, all, &live, |page, version, body| {
+                    ready.push((page, version, body))
                 }) {
                     return Served::HandBack;
                 }
@@ -1711,7 +1731,7 @@ impl HomeSvc {
                 let mut applied_all = true;
                 for d in diffs {
                     let t0 = Instant::now();
-                    let (outcome, waited) = self.home.apply_diff_timed(d, &live);
+                    let (outcome, waited) = self.home.apply_diff_kept(d, &live);
                     hists.shard_lock_wait.record(waited.as_nanos() as u64);
                     let ApplyOutcome::Applied { fresh, ready: r } = outcome else {
                         applied_all = false;
@@ -1778,8 +1798,9 @@ impl HomeSvc {
     }
 
     /// Serve `pages` to `from` in order: a page whose copy already covers
-    /// its `needed` version goes to `ready` (an Arc bump — the home's next
-    /// write copy-on-writes, leaving the served buffer untouched), the rest
+    /// its `needed` version goes to `ready` — the diffs a requester that
+    /// kept a copy is missing, else the page (an Arc bump: the home's next
+    /// write copy-on-writes, leaving the served buffer untouched) — the rest
     /// park and are answered one by one, under the same `req_id`, when
     /// their diffs arrive. `false` hands the request back.
     fn serve_fetches<'a>(
@@ -1787,21 +1808,21 @@ impl HomeSvc {
         hists: &mut LatencyHists,
         from: ProcId,
         req_id: u64,
-        pages: impl Iterator<Item = (PageId, &'a VectorClock)>,
+        pages: impl Iterator<Item = (PageId, &'a VectorClock, Option<&'a Have>)>,
         live: &impl Fn() -> bool,
-        mut ready: impl FnMut(PageId, VectorClock, Arc<[u8]>),
+        mut ready: impl FnMut(PageId, VectorClock, PageBody),
     ) -> bool {
-        for (page, needed) in pages {
+        for (page, needed, have) in pages {
             let fetch = WaitingFetch {
                 from,
                 page,
                 needed: needed.clone(),
                 req_id,
             };
-            let (outcome, waited) = self.home.serve_fetch_timed(fetch, live);
+            let (outcome, waited) = self.home.serve_fetch_have(fetch, have, live);
             hists.shard_lock_wait.record(waited.as_nanos() as u64);
             match outcome {
-                FetchOutcome::Ready(version, bytes) => ready(page, version, bytes),
+                FetchOutcome::Ready(version, body) => ready(page, version, body),
                 FetchOutcome::Parked => {}
                 FetchOutcome::NotHome | FetchOutcome::Stale => return false,
             }
@@ -2058,10 +2079,14 @@ mod tests {
         st.pt
             .restore_home_page(PageId(1), &[7u8; 256], vt([2, 5, 0]));
         st.pt.write(PageId(2), 8, &[1, 2, 3]);
+        // A remote copy kept across its invalidation, and a diff in a ring.
+        st.pt.install(PageId(0), page_of(1), &vt([0, 0, 0]));
         st.pt.invalidate(PageId(0), 0, 3);
-        st.pt
-            .home_store()
-            .serve_fetch(parked_fetch(PageId(2), gated(n, 0, 9)), || true);
+        assert_eq!(st.pt.have(PageId(0)), Some(&(1, vt([0, 0, 0]))));
+        let home = st.pt.home_store();
+        home.apply_diff_kept(&diff_of(1, 2, 1), || true);
+        assert!(home.ring_bytes(PageId(1)) > 0);
+        home.serve_fetch(parked_fetch(PageId(2), gated(n, 0, 9)), || true);
         let request = AcqReq {
             requester: 2,
             acq_seq: 0,
@@ -2096,6 +2121,10 @@ mod tests {
         st.fail_stop();
         assert_eq!(st.mode, Mode::Crashed);
         assert_eq!(st.mode_flag.load(Ordering::SeqCst), Mode::Crashed as u8);
+        // Rings and kept copies are volatile: gone with the crash, before
+        // any restart, so recovery cannot come to read them.
+        assert!(st.pt.have(PageId(0)).is_none() && st.pt.remote_meta(PageId(0)).copy.is_none());
+        assert_eq!(home.ring_bytes(PageId(1)), 0);
         st.set_mode(Mode::Recovering);
         st.restart_from(&CheckpointBlob::genesis(n), Vec::new());
 
@@ -2139,6 +2168,14 @@ mod tests {
             new.pt.ensure_access(PageId(0))
         );
         assert!(unpark(&st.pt.home_store(), 2, 0, 9).is_empty());
+        // The restarted home is a new incarnation: a reader that kept a
+        // copy of the previous one's — of this very version — gets the page.
+        let kept = (1, home.version_of(PageId(1)));
+        let fetch = parked_fetch(PageId(1), vt([0, 0, 0]));
+        match home.serve_fetch_have(fetch, Some(&kept), || true).0 {
+            FetchOutcome::Ready(_, PageBody::Full { base, .. }) => assert!(base > 1),
+            other => panic!("unexpected: {other:?}"),
+        }
         {
             let (ft, new_ft) = (st.ft.as_ref().unwrap(), new.ft.as_ref().unwrap());
             assert_eq!(ft.logs.volatile_bytes(), new_ft.logs.volatile_bytes());
@@ -2254,11 +2291,11 @@ mod tests {
             reply: None,
         };
         // Stale reply for an older request id is dropped.
-        st.deposit_page(41, VectorClock::zero(3), vec![0; 256].into());
+        st.deposit_page(41, VectorClock::zero(3), page_of(0));
         if let WaitSlot::Page { reply, .. } = &st.wait {
             assert!(reply.is_none());
         }
-        st.deposit_page(42, VectorClock::zero(3), vec![0; 256].into());
+        st.deposit_page(42, VectorClock::zero(3), page_of(0));
         if let WaitSlot::Page { reply, .. } = &st.wait {
             assert!(reply.is_some());
         } else {
@@ -2281,6 +2318,14 @@ mod tests {
         // After a checkpoint-sequence bump, news flows again.
         st.ft.as_mut().unwrap().ckpt_seq = 1;
         assert!(st.make_piggy(1, false).is_some());
+    }
+
+    /// A full reply body of `byte`s, exactly its version at incarnation 1.
+    fn page_of(byte: u8) -> PageBody {
+        PageBody::Full {
+            bytes: vec![byte; 256].into(),
+            base: 1,
+        }
     }
 
     fn gated(n: usize, writer: ProcId, seq: u32) -> VectorClock {
@@ -2310,7 +2355,7 @@ mod tests {
     /// `(requester, page, req_id)` of every fetch still parked on `page`,
     /// found by applying the diff (`writer`, `seq`) they wait for.
     fn unpark(home: &HomeStore, page: u32, writer: ProcId, seq: u32) -> Vec<(ProcId, PageId, u64)> {
-        match home.apply_diff(&diff_of(page, writer, seq), || true) {
+        match home.apply_diff_kept(&diff_of(page, writer, seq), || true).0 {
             ApplyOutcome::Applied { fresh, ready } => {
                 assert!(
                     fresh,
@@ -2336,12 +2381,13 @@ mod tests {
             Payload::PageReq {
                 page: PageId(0),
                 needed: gated(2, 1, 1),
+                have: None,
                 req_id: 1,
             },
             Payload::PageBatchReq {
                 pages: vec![
-                    (PageId(0), VectorClock::zero(2)),
-                    (PageId(1), gated(2, 1, 1)),
+                    (PageId(0), VectorClock::zero(2), None),
+                    (PageId(1), gated(2, 1, 1), None),
                 ],
                 req_id: 2,
             },
@@ -2413,9 +2459,9 @@ mod tests {
                 1,
                 Payload::PageBatchReq {
                     pages: vec![
-                        (PageId(0), zero()),
-                        (PageId(1), gated(n, 1, 1)),
-                        (PageId(2), zero()),
+                        (PageId(0), zero(), None),
+                        (PageId(1), gated(n, 1, 1), None),
+                        (PageId(2), zero(), None),
                     ],
                     req_id: 9,
                 },
@@ -2425,6 +2471,7 @@ mod tests {
                 Payload::PageReq {
                     page: PageId(1),
                     needed: gated(n, 1, 1),
+                    have: None,
                     req_id: 4,
                 },
             ),
@@ -2434,6 +2481,7 @@ mod tests {
                 Payload::PageReq {
                     page: PageId(3),
                     needed: zero(),
+                    have: None,
                     req_id: 5,
                 },
             ),
@@ -2451,6 +2499,7 @@ mod tests {
                 Payload::PageReq {
                     page: PageId(2),
                     needed: gated(n, 1, 5),
+                    have: None,
                     req_id: 6,
                 },
             ),
@@ -2638,6 +2687,14 @@ mod tests {
             .zip(["PageReq", "LockAcq", "BarrierArrive"])
         {
             let (mut st, eps) = test_state(1, 2, false);
+            // Page 3 was invalidated with its copy kept: every send says so,
+            // the one a `NodeUp` triggers included — a peer coming up (or
+            // first heard from) is no reason to forget what we hold.
+            for _ in 0..4 {
+                st.pt.add_page(0);
+            }
+            st.pt.install(PageId(3), page_of(1), &VectorClock::zero(2));
+            st.pt.invalidate(PageId(3), 0, 7);
             st.wait = wait;
             assert!(send_blocked_request(&mut st), "first send");
             assert_eq!(retransmit_wait_slot(&mut st), 1, "timeout retransmit");
@@ -2651,15 +2708,21 @@ mod tests {
             assert_eq!(sent.len(), 3);
             assert_eq!(sent[0].kind(), kind);
             assert!(sent.iter().all(|p| *p == sent[0]), "{kind} resends differ");
+            if let Payload::PageReq { have, .. } = &sent[0] {
+                assert_eq!(have, &Some((1, VectorClock::zero(2))));
+            }
         }
         // An answered wait resends nothing.
         let (mut st, eps) = test_state(1, 2, false);
+        for _ in 0..4 {
+            st.pt.add_page(0);
+        }
         st.wait = WaitSlot::Page {
             page: PageId(3),
             req_id: 42,
             home: 0,
             needed: VectorClock::zero(2),
-            reply: Some((VectorClock::zero(2), vec![0; 256].into())),
+            reply: Some((VectorClock::zero(2), page_of(0))),
         };
         assert_eq!(retransmit_wait_slot(&mut st), 0);
         assert!(eps[0].try_recv().is_none());
@@ -2730,39 +2793,81 @@ mod tests {
         st.prefetch
             .insert(PageId(1), PrefetchEntry { req_id: 5, home: 0 });
         // Stale req_id: dropped, entry kept.
-        install_prefetched(
-            &mut st,
-            PageId(0),
-            4,
-            VectorClock::zero(2),
-            vec![0u8; 256].into(),
-        );
+        install_prefetched(&mut st, PageId(0), 4, VectorClock::zero(2), page_of(0));
         assert!(st.prefetch.contains_key(&PageId(0)));
         // Matching req_id: installed, entry consumed.
-        install_prefetched(
-            &mut st,
-            PageId(0),
-            5,
-            VectorClock::zero(2),
-            vec![7u8; 256].into(),
-        );
+        install_prefetched(&mut st, PageId(0), 5, VectorClock::zero(2), page_of(7));
         assert!(!st.prefetch.contains_key(&PageId(0)));
         assert_eq!(st.pt.ensure_access(PageId(0)), hlrc::AccessOutcome::Ready);
         // Overtaken by a newer invalidation: entry consumed, page stays
         // invalid (a later touch fetches fresh).
         st.pt.invalidate(PageId(1), 0, 3);
-        install_prefetched(
-            &mut st,
-            PageId(1),
-            5,
-            VectorClock::zero(2),
-            vec![7u8; 256].into(),
-        );
+        install_prefetched(&mut st, PageId(1), 5, VectorClock::zero(2), page_of(7));
         assert!(!st.prefetch.contains_key(&PageId(1)));
         assert!(matches!(
             st.pt.ensure_access(PageId(1)),
             hlrc::AccessOutcome::NeedFetch { .. }
         ));
+    }
+
+    #[test]
+    fn a_delta_lands_once_and_an_overtaken_one_not_at_all() {
+        let (mut st, eps) = test_state(1, 2, false);
+        st.pt.add_page(0); // homed at node 0, remote here
+        let page = PageId(0);
+        st.pt.install(page, page_of(7), &gated(2, 0, 1));
+        st.pt.invalidate(page, 0, 2);
+        issue_prefetch(&mut st, &[page]);
+        // The request says what was kept.
+        let kept = Some((1, gated(2, 0, 1)));
+        match eps[0].try_recv() {
+            Some(Event::Msg { msg, .. }) => match msg.payload {
+                Payload::PageBatchReq { pages, .. } => {
+                    assert_eq!(pages, [(page, gated(2, 0, 2), kept.clone())]);
+                }
+                other => panic!("unexpected {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+        let req_id = st.prefetch[&page].req_id;
+        let delta = |seq: u32| {
+            let twin = dsm_page::Page::zeroed(256);
+            let mut cur = twin.clone();
+            cur.write(8, &[seq as u8; 8]);
+            let iv = dsm_page::Interval { proc: 0, seq };
+            PageBody::Delta(vec![Arc::new(Diff::create(page, iv, &twin, &cur).unwrap())])
+        };
+        let word = |st: &NodeState| {
+            let copy = st.pt.remote_meta(page).copy.as_ref().expect("copy kept");
+            copy.read(8, 8)[0]
+        };
+        // A newer notice overtakes the reply: the delta is not applied, and
+        // the kept copy is still what the next request will say it is.
+        st.pt.invalidate(page, 0, 3);
+        install_prefetched(&mut st, page, req_id, gated(2, 0, 2), delta(2));
+        assert!(!st.prefetch.contains_key(&page));
+        assert_eq!((word(&st), st.pt.have(page)), (7, kept.as_ref()));
+        assert_eq!(st.hists.fetch_copy.count(), 0);
+
+        // The next batch's reply lands ...
+        issue_prefetch(&mut st, &[page]);
+        let req_id = st.prefetch[&page].req_id;
+        install_prefetched(&mut st, page, req_id, gated(2, 0, 3), delta(3));
+        assert_eq!(st.pt.ensure_access(page), hlrc::AccessOutcome::Ready);
+        assert_eq!(
+            (word(&st), st.pt.have(page)),
+            (3, Some(&(1, gated(2, 0, 3))))
+        );
+        // ... and its duplicate does not: one sample, of the delta's bytes.
+        st.pt.invalidate(page, 0, 4);
+        install_prefetched(&mut st, page, req_id, gated(2, 0, 4), delta(4));
+        assert_eq!(
+            (word(&st), st.pt.have(page)),
+            (3, Some(&(1, gated(2, 0, 3))))
+        );
+        assert_eq!(st.dup_suppressed, 1);
+        let h = &st.hists.fetch_copy;
+        assert_eq!((h.count(), h.sum(), st.pt.delta_installs()), (1, 8, (1, 8)));
     }
 
     #[test]

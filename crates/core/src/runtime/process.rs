@@ -18,9 +18,9 @@ use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::recovery::{self, collect_replies, linear_key, RecAsk, ReplayPage};
 use crate::msg::Payload;
 use crate::runtime::node::{
-    apply_pending_home, dispatch, end_interval, fetch_needed, grant_now, issue_prefetch,
-    retransmit_stale_diffs, retransmit_wait_slot, send_blocked_request, CrashSignal, GrantData,
-    Mode, NodeShared, NodeState, ReleaseData, WaitSlot,
+    apply_pending_home, dispatch, end_interval, fetch_needed, grant_now, install_reply,
+    issue_prefetch, retransmit_stale_diffs, retransmit_wait_slot, send_blocked_request,
+    CrashSignal, GrantData, Mode, NodeShared, NodeState, ReleaseData, WaitSlot,
 };
 use crate::shareable::Shareable;
 use crate::stats::Breakdown;
@@ -455,7 +455,7 @@ impl Process {
                         reply: None,
                     };
                     send_blocked_request(&mut st);
-                    let (version, bytes) = wait_until(&shared, &mut st, |st| {
+                    let (version, body) = wait_until(&shared, &mut st, |st| {
                         if let WaitSlot::Page { reply, .. } = &mut st.wait {
                             reply.take()
                         } else {
@@ -463,11 +463,10 @@ impl Process {
                         }
                     });
                     st.wait = WaitSlot::None;
-                    // The reply's shared buffer is installed as-is: the
+                    // A full reply's shared buffer is installed as-is: the
                     // fetch path (serve → deposit → install) copies zero
                     // page bytes end to end.
-                    st.hists.fetch_copy.record(0);
-                    st.pt.install_fetch(page, bytes, &version);
+                    install_reply(&mut st, page, body, &version);
                     self.page_wait_done(&mut st, page, home, t0);
                     return;
                 }

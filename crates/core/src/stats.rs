@@ -122,6 +122,11 @@ pub struct NodeReport {
     /// Duplicate deliveries this node detected and suppressed (re-granted
     /// locks, re-delivered pages, stale diff acks, mismatched prefetches).
     pub dup_suppressed: u64,
+    /// Fetches this node installed as a delta: the home sent the diffs the
+    /// kept stale copy was missing instead of the page.
+    pub fetch_delta_pages: u64,
+    /// Diff payload bytes those deltas wrote into the kept copies.
+    pub fetch_delta_bytes: u64,
 }
 
 /// The result of a cluster run.
@@ -237,6 +242,16 @@ impl<R> RunReport<R> {
     /// Total suppressed duplicate deliveries across the cluster.
     pub fn total_dup_suppressed(&self) -> u64 {
         self.nodes.iter().map(|n| n.dup_suppressed).sum()
+    }
+
+    /// Fetches installed as deltas across the cluster.
+    pub fn fetch_delta_pages(&self) -> u64 {
+        self.nodes.iter().map(|n| n.fetch_delta_pages).sum()
+    }
+
+    /// Diff payload bytes the cluster's delta installs copied.
+    pub fn fetch_delta_bytes(&self) -> u64 {
+        self.nodes.iter().map(|n| n.fetch_delta_bytes).sum()
     }
 
     /// All nodes' per-kind sent-message counts folded together.

@@ -3,10 +3,12 @@
 //! These define the canonical encoded layout of the shared types; the wire
 //! sizes reported by messages and log entries match these encodings.
 
+use std::sync::Arc;
+
 use dsm_page::{Diff, Interval, PageId, VectorClock};
 use dsm_storage::{ByteReader, ByteWriter, CodecError};
 use dsm_trace::TraceCtx;
-use hlrc::{WnDelta, WnSpan, WriteNotice};
+use hlrc::{Have, PageBody, WnDelta, WnSpan, WriteNotice};
 
 /// Encode a trace context: origin (16 bits) and seq (48 bits) packed into
 /// one word, then the parent flow id — exactly the 16 bytes
@@ -86,36 +88,94 @@ pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
     Ok(Diff::from_runs(page, Interval { proc: proc_, seq }, runs))
 }
 
-/// Encode the page list of a batched fetch request: `(page, needed)` pairs.
+/// Encode what a fetch says its requester kept: a presence byte, then the
+/// home incarnation (4) and the length-prefixed version the kept copy is.
+pub fn put_have(w: &mut ByteWriter, have: Option<&Have>) {
+    w.put_u8(have.is_some() as u8);
+    if let Some((incarnation, version)) = have {
+        w.put_u32(*incarnation);
+        put_vt(w, version);
+    }
+}
+
+/// Decode what a fetch says its requester kept.
+pub fn get_have(r: &mut ByteReader) -> Result<Option<Have>, CodecError> {
+    Ok(match r.get_u8()? {
+        0 => None,
+        _ => Some((r.get_u32()?, get_vt(r)?)),
+    })
+}
+
+/// Encode a fetch reply's body, exactly what [`PageBody::wire_size`]
+/// charges: a tag byte, then base incarnation (4) + length (4) + the page
+/// bytes, or a count (4) + that many diffs.
+pub fn put_page_body(w: &mut ByteWriter, body: &PageBody) {
+    match body {
+        PageBody::Full { bytes, base } => {
+            w.put_u8(0);
+            w.put_u32(*base);
+            w.put_u32(bytes.len() as u32);
+            w.put_raw(bytes);
+        }
+        PageBody::Delta(diffs) => {
+            w.put_u8(1);
+            w.put_u32(diffs.len() as u32);
+            diffs.iter().for_each(|d| put_diff(w, d));
+        }
+    }
+}
+
+/// Decode a fetch reply's body.
+pub fn get_page_body(r: &mut ByteReader) -> Result<PageBody, CodecError> {
+    if r.get_u8()? == 0 {
+        let base = r.get_u32()?;
+        let len = r.get_u32()? as usize;
+        let bytes = r.get_raw(len)?.into();
+        return Ok(PageBody::Full { bytes, base });
+    }
+    let diffs = (0..r.get_u32()?).map(|_| get_diff(r).map(Arc::new));
+    Ok(PageBody::Delta(diffs.collect::<Result<_, _>>()?))
+}
+
+/// Encode the page list of a batched fetch request: `(page, needed, have)`.
 ///
-/// Layout: count (8), then per page id (4) + length-prefixed needed clock.
-/// The accounting model (`Payload::wire_size`) charges clocks at 4 bytes per
-/// entry without the length prefix — the cluster size is implied on a real
-/// wire — matching the convention used by `PageReq`/`PageReply`.
-pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock)]) {
+/// Layout: count (8), then per page id (4) + length-prefixed needed clock +
+/// what the requester kept. The accounting model (`Payload::wire_size`)
+/// charges clocks at 4 bytes per entry without the length prefix — the
+/// cluster size is implied on a real wire — matching the convention used by
+/// `PageReq`/`PageReply`.
+pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Option<Have>)]) {
     w.put_u64(pages.len() as u64);
-    for (p, needed) in pages {
+    for (p, needed, have) in pages {
         w.put_u32(p.0);
         put_vt(w, needed);
+        put_have(w, have.as_ref());
     }
 }
 
 /// Decode the page list of a batched fetch request.
-pub fn get_page_needs(r: &mut ByteReader) -> Result<Vec<(PageId, VectorClock)>, CodecError> {
+#[allow(clippy::type_complexity)]
+pub fn get_page_needs(
+    r: &mut ByteReader,
+) -> Result<Vec<(PageId, VectorClock, Option<Have>)>, CodecError> {
     let n = r.get_u64()? as usize;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let p = PageId(r.get_u32()?);
-        out.push((p, get_vt(r)?));
+        out.push((p, get_vt(r)?, get_have(r)?));
     }
     Ok(out)
 }
 
-/// Encode the page list of a batched fetch reply: `(page, version, bytes)`.
+/// Encode a list of whole page copies, `(page, version, bytes)`: what a
+/// batched reply was before its pages had bodies ([`put_page_body`]). No
+/// message has this layout any more; perfbench's
+/// `wire.page_copies_encode_ns` probe still times it as the cost of
+/// putting sixteen pages on a wire.
 ///
 /// Layout: count (8), then per page id (4) + byte length (4) +
 /// length-prefixed version clock + raw contents.
-pub fn put_page_copies(w: &mut ByteWriter, pages: &[(PageId, VectorClock, std::sync::Arc<[u8]>)]) {
+pub fn put_page_copies(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Arc<[u8]>)]) {
     w.put_u64(pages.len() as u64);
     for (p, version, bytes) in pages {
         w.put_u32(p.0);
@@ -123,23 +183,6 @@ pub fn put_page_copies(w: &mut ByteWriter, pages: &[(PageId, VectorClock, std::s
         put_vt(w, version);
         w.put_raw(bytes);
     }
-}
-
-/// Decode the page list of a batched fetch reply.
-#[allow(clippy::type_complexity)]
-pub fn get_page_copies(
-    r: &mut ByteReader,
-) -> Result<Vec<(PageId, VectorClock, std::sync::Arc<[u8]>)>, CodecError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let p = PageId(r.get_u32()?);
-        let len = r.get_u32()? as usize;
-        let version = get_vt(r)?;
-        let bytes: std::sync::Arc<[u8]> = r.get_raw(len)?.into();
-        out.push((p, version, bytes));
-    }
-    Ok(out)
 }
 
 /// Encode a write notice.
@@ -245,11 +288,12 @@ mod tests {
 
     #[test]
     fn batch_lists_roundtrip_and_layout_is_pinned() {
+        let kept = (2, VectorClock::from_vec(vec![1, 0, 1]));
         let needs = vec![
-            (PageId(3), VectorClock::from_vec(vec![1, 0, 2])),
-            (PageId(9), VectorClock::from_vec(vec![0, 5, 0])),
+            (PageId(3), VectorClock::from_vec(vec![1, 0, 2]), Some(kept)),
+            (PageId(9), VectorClock::from_vec(vec![0, 5, 0]), None),
         ];
-        let copies: Vec<(PageId, VectorClock, std::sync::Arc<[u8]>)> = vec![
+        let copies: Vec<(PageId, VectorClock, Arc<[u8]>)> = vec![
             (
                 PageId(3),
                 VectorClock::from_vec(vec![1, 0, 2]),
@@ -263,11 +307,15 @@ mod tests {
         ];
         let mut w = ByteWriter::new();
         put_page_needs(&mut w, &needs);
-        // Pin: count (8) + per page id (4) + prefixed clock (8 + wire_size).
-        let needs_len: usize = 8 + needs
-            .iter()
-            .map(|(_, v)| 4 + 8 + v.wire_size())
-            .sum::<usize>();
+        // Pin: count (8) + per page id (4) + prefixed clock (8 + wire_size)
+        // + have: a byte, then incarnation (4) and another prefixed clock.
+        let needs_len: usize = 8
+            + needs
+                .iter()
+                .map(|(_, v, _)| 4 + 8 + v.wire_size())
+                .sum::<usize>()
+            + (1 + 4 + 8 + 12)
+            + 1;
         assert_eq!(w.len(), needs_len);
         put_page_copies(&mut w, &copies);
         let copies_len: usize = 8 + copies
@@ -277,10 +325,116 @@ mod tests {
         assert_eq!(w.len(), needs_len + copies_len);
 
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
+        let mut r = ByteReader::new(&bytes[..needs_len]);
         assert_eq!(get_page_needs(&mut r).unwrap(), needs);
-        assert_eq!(get_page_copies(&mut r).unwrap(), copies);
         assert!(r.is_exhausted());
+    }
+
+    /// The four fetch messages, encoded field by field in layout order
+    /// (`Payload::wire_size` charges a tag byte first): the accounting model
+    /// must equal the encoding, but for the 8-byte length prefix `put_vt`
+    /// spends on each clock (the cluster size is implied on a real wire).
+    #[test]
+    fn fetch_layouts_roundtrip_and_wire_size_equals_the_encoding() {
+        use crate::msg::Payload;
+        let clock = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
+        let diff = |seq, words: usize| {
+            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
+            cur.write(8, &vec![seq as u8; 8 * words]);
+            cur.write(128, &[1; 8]);
+            Arc::new(Diff::create(PageId(3), Interval { proc: 1, seq }, &twin, &cur).unwrap())
+        };
+        let full = PageBody::Full {
+            bytes: vec![7u8; 256].into(),
+            base: 2,
+        };
+        let delta = PageBody::Delta(vec![diff(4, 1), diff(5, 3)]);
+        let kept = Some((2, clock([1, 3, 0])));
+
+        // Bodies: tag + base + length + bytes, or tag + count + diffs. A
+        // delta of everything a ring can hold is still short of the page.
+        for (body, len) in [
+            (&full, 9 + 256),
+            (&delta, 5 + (16 + 2 * 8 + 16) + (16 + 2 * 8 + 32)),
+            (&PageBody::Delta(Vec::new()), 5),
+        ] {
+            let mut w = ByteWriter::new();
+            put_page_body(&mut w, body);
+            assert_eq!((w.len(), body.wire_size()), (len, len));
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(&get_page_body(&mut r).unwrap(), body);
+            assert!(r.is_exhausted());
+        }
+        // What the requester kept: one byte when nothing.
+        for (have, len) in [(&None, 1), (&kept, 1 + 4 + 8 + 12)] {
+            let mut w = ByteWriter::new();
+            put_have(&mut w, have.as_ref());
+            assert_eq!(w.len(), len);
+            assert_eq!(
+                &get_have(&mut ByteReader::new(&w.into_bytes())).unwrap(),
+                have
+            );
+        }
+
+        let req = |have: &Option<Have>| Payload::PageReq {
+            page: PageId(3),
+            needed: clock([1, 4, 0]),
+            have: have.clone(),
+            req_id: 9,
+        };
+        for (have, clocks) in [(&None, 1), (&kept, 2)] {
+            let mut w = ByteWriter::new();
+            w.put_u8(0);
+            w.put_u32(3);
+            w.put_u64(9);
+            put_vt(&mut w, &clock([1, 4, 0]));
+            put_have(&mut w, have.as_ref());
+            assert_eq!(w.len(), req(have).wire_size() + 8 * clocks);
+        }
+        assert_eq!(req(&kept).wire_size() - req(&None).wire_size(), 4 + 12);
+
+        let pages = vec![
+            (PageId(3), clock([1, 4, 0]), kept.clone()),
+            (PageId(9), clock([0, 0, 0]), None),
+        ];
+        let mut w = ByteWriter::new();
+        w.put_u8(0);
+        w.put_u64(9);
+        put_page_needs(&mut w, &pages);
+        let batch = Payload::PageBatchReq { pages, req_id: 9 };
+        assert_eq!(w.len(), batch.wire_size() + 8 * 3);
+
+        for body in [&full, &delta] {
+            let mut w = ByteWriter::new();
+            w.put_u8(0);
+            w.put_u32(3);
+            w.put_u64(9);
+            put_vt(&mut w, &clock([1, 5, 0]));
+            put_page_body(&mut w, body);
+            let reply = Payload::PageReply {
+                page: PageId(3),
+                req_id: 9,
+                version: clock([1, 5, 0]),
+                body: body.clone(),
+            };
+            assert_eq!(w.len(), reply.wire_size() + 8);
+        }
+        let pages = vec![
+            (PageId(3), clock([1, 5, 0]), delta),
+            (PageId(9), clock([0, 0, 0]), full),
+        ];
+        let mut w = ByteWriter::new();
+        w.put_u8(0);
+        w.put_u64(9);
+        w.put_u64(pages.len() as u64);
+        for (page, version, body) in &pages {
+            w.put_u32(page.0);
+            put_vt(&mut w, version);
+            put_page_body(&mut w, body);
+        }
+        let batch = Payload::PageBatchReply { req_id: 9, pages };
+        assert_eq!(w.len(), batch.wire_size() + 8 * 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! interleave exactly as they did under the big lock — just page-wise
 //! instead of node-wise.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -39,6 +39,93 @@ pub struct DiffJob {
 /// consecutive pages — the common access pattern — spread across shards.
 pub const NUM_SHARDS: usize = 8;
 
+/// What a reader that kept its stale copy tells the home: the copy is
+/// *exactly* this version of the page as this home incarnation served it.
+pub type Have = (u32, VectorClock);
+
+/// What a fetch reply carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PageBody {
+    /// The whole page, a zero-copy share of the home copy.
+    Full {
+        /// The page contents.
+        bytes: Arc<[u8]>,
+        /// The home's incarnation when the bytes are exactly the reply's
+        /// version — a copy a later delta can build on. 0 when they are
+        /// not: the home's own open interval has written the page, and a
+        /// word it set and set back would be in no later diff.
+        base: u32,
+    },
+    /// The diffs the requester's kept copy is missing, in the order the
+    /// home applied them; applying them yields exactly the reply's version.
+    Delta(Vec<Arc<Diff>>),
+}
+
+impl PageBody {
+    /// Encoded size in bytes (matches `wire::put_page_body`): a tag, then
+    /// base and length before the bytes, or a count before the diffs.
+    pub fn wire_size(&self) -> usize {
+        match self {
+            PageBody::Full { bytes, .. } => 9 + bytes.len(),
+            PageBody::Delta(diffs) => 5 + diffs.iter().map(|d| d.wire_size()).sum::<usize>(),
+        }
+    }
+}
+
+fn cover(clock: &mut VectorClock, interval: Interval) {
+    if !clock.covers_interval(interval) {
+        clock.set(interval.proc, interval.seq);
+    }
+}
+
+/// The most recent diffs applied to one home copy, kept so that a reader
+/// whose stale copy is a known version can be sent what it is missing
+/// instead of the page. Volatile: recovery never reads it.
+#[derive(Debug)]
+struct DiffRing {
+    /// Oldest first, in the order they were applied to the copy.
+    diffs: VecDeque<Arc<Diff>>,
+    /// Sum of the diffs' `wire_size`, kept below the page size.
+    bytes: usize,
+    /// Covers every diff ever applied to the copy that is not in `diffs`.
+    base: VectorClock,
+    /// Between [`HomeStore::collect_dirty`]'s version bump and the hand-over
+    /// of the home's own diff the version names a diff the ring cannot
+    /// supply yet.
+    own_pending: bool,
+}
+
+impl DiffRing {
+    fn new(base: VectorClock) -> Self {
+        DiffRing {
+            diffs: VecDeque::new(),
+            bytes: 0,
+            base,
+            own_pending: false,
+        }
+    }
+
+    /// Forget the diffs held: the base becomes `version`, the copy's.
+    fn reset(&mut self, version: &VectorClock) {
+        self.diffs.clear();
+        self.bytes = 0;
+        self.own_pending = false;
+        self.base.join(version);
+    }
+
+    /// Remember `diff` as the newest, then fold the oldest into the base
+    /// until less than `budget` wire bytes are held.
+    fn push(&mut self, diff: Arc<Diff>, budget: usize) {
+        self.bytes += diff.wire_size();
+        self.diffs.push_back(diff);
+        while self.bytes >= budget {
+            let old = self.diffs.pop_front().expect("bytes held without a diff");
+            self.bytes -= old.wire_size();
+            cover(&mut self.base, old.interval);
+        }
+    }
+}
+
 /// State for one page homed at this node.
 #[derive(Debug)]
 struct HomeEntry {
@@ -60,6 +147,32 @@ struct HomeEntry {
     /// dirty set ([`HomeStore::take_ckpt_dirty`])? Starts `true` so a page
     /// allocated between checkpoints lands in the next delta.
     ckpt_dirty: bool,
+    /// The last page's worth of diffs applied to `copy`.
+    ring: DiffRing,
+}
+
+impl HomeEntry {
+    /// The reply body for a requester that kept `have`: the ring's diffs it
+    /// is missing when `have` names this incarnation and covers the ring's
+    /// base, the page otherwise.
+    fn answer(&self, incarnation: u32, have: Option<&Have>) -> PageBody {
+        match have {
+            Some((inc, v))
+                if *inc == incarnation && !self.ring.own_pending && v.covers(&self.ring.base) =>
+            {
+                let missing = self
+                    .ring
+                    .diffs
+                    .iter()
+                    .filter(|d| !v.covers_interval(d.interval));
+                PageBody::Delta(missing.cloned().collect())
+            }
+            _ => PageBody::Full {
+                bytes: self.copy.share(),
+                base: if self.twin.is_none() { incarnation } else { 0 },
+            },
+        }
+    }
 }
 
 /// A remote fetch parked at the home until the diffs it needs arrive.
@@ -86,15 +199,15 @@ pub struct ReadyFetch {
     pub req_id: u64,
     /// Version of the served copy.
     pub version: VectorClock,
-    /// The served bytes (zero-copy share of the home copy).
-    pub bytes: Arc<[u8]>,
+    /// The page, or the diffs the requester's kept copy is missing.
+    pub body: PageBody,
 }
 
 /// Outcome of serving one fetch against the store.
 #[derive(Debug)]
 pub enum FetchOutcome {
-    /// The copy satisfies the request; reply with these bytes.
-    Ready(VectorClock, Arc<[u8]>),
+    /// The copy satisfies the request; reply with this version and body.
+    Ready(VectorClock, PageBody),
     /// In-flight diffs are still missing; the fetch was parked and will be
     /// surfaced by [`HomeStore::drain_ready`] once they arrive.
     Parked,
@@ -128,8 +241,9 @@ pub enum ApplyOutcome {
 #[derive(Debug)]
 struct Shard {
     entries: HashMap<u32, HomeEntry>,
-    /// Fetches parked until in-flight diffs arrive.
-    waiting: Vec<WaitingFetch>,
+    /// Fetches parked until in-flight diffs arrive, each beside what its
+    /// requester kept.
+    waiting: Vec<(WaitingFetch, Option<Have>)>,
     /// Buffer pool for this shard's copy-on-write and diff application.
     pool: PagePool,
     /// Pages twinned this interval (dirty set), in twin-creation order.
@@ -149,6 +263,12 @@ pub struct HomeStore {
     /// the flush visit only dirty shards. Only the application thread
     /// creates twins, so `Relaxed` ordering suffices.
     dirty_mask: AtomicU32,
+    /// Which life of this home its copies and rings belong to; a restart
+    /// begins the next (standing in for a boot nonce). Never 0, which in a
+    /// reply means "not a base". Read under a shard lock past the `live`
+    /// check; [`HomeStore::reset_for_restart`] advances it while that check
+    /// fails and then takes every shard lock.
+    incarnation: AtomicU32,
     n: usize,
     page_size: usize,
 }
@@ -172,6 +292,7 @@ impl HomeStore {
                 })
                 .collect(),
             dirty_mask: AtomicU32::new(0),
+            incarnation: AtomicU32::new(1),
             n,
             page_size,
         }
@@ -189,6 +310,7 @@ impl HomeStore {
                 needed: VectorClock::zero(self.n),
                 writers: Vec::new(),
                 ckpt_dirty: true,
+                ring: DiffRing::new(VectorClock::zero(self.n)),
             },
         );
         assert!(prev.is_none(), "page {page} homed twice");
@@ -281,8 +403,10 @@ impl HomeStore {
     /// concurrent diff application copies-on-write, leaving the snapshot
     /// untouched), and advance `p.v[me]`; the jobs are appended to `out` in
     /// page order for the caller to diff *outside* the shard locks. Only
-    /// shards flagged in the dirty mask are visited. Hand the twins back via
-    /// [`HomeStore::recycle_twins`] when done.
+    /// shards flagged in the dirty mask are visited. Until the caller hands
+    /// each job's twin and diff back via [`HomeStore::finish_dirty`], the
+    /// page's version names a diff its ring does not hold, and fetches of it
+    /// are answered in full.
     pub fn collect_dirty(&self, interval: Interval, out: &mut Vec<DiffJob>) {
         let mask = self.dirty_mask.swap(0, Ordering::Relaxed);
         if mask == 0 {
@@ -303,6 +427,8 @@ impl HomeStore {
                 // The home's own writes are applied in place; record them
                 // in the version vector like any other writer's diff.
                 e.version.set(interval.proc, interval.seq);
+                debug_assert!(!e.ring.own_pending, "own diff never handed over");
+                e.ring.own_pending = true;
                 out.push(DiffJob {
                     page: PageId(p),
                     twin,
@@ -312,37 +438,50 @@ impl HomeStore {
         }
     }
 
-    /// Return diffed-out twins to their shards' pools (rejected harmlessly
-    /// if a buffer is still shared). One lock acquisition per shard.
-    pub fn recycle_twins(&self, twins: impl IntoIterator<Item = (PageId, Page)>) {
-        let mut by_shard: [Vec<Page>; NUM_SHARDS] = Default::default();
-        for (page, twin) in twins {
-            by_shard[shard_of(page)].push(twin);
+    /// Finish the jobs [`HomeStore::collect_dirty`] handed out: each page's
+    /// own diff (`None`: no word changed) becomes the newest in the page's
+    /// ring, and the diffed-out twin returns to its shard's pool (rejected
+    /// harmlessly if the buffer is still shared). The iterator runs before
+    /// any lock is taken; one acquisition per shard.
+    pub fn finish_dirty(&self, jobs: impl IntoIterator<Item = (PageId, Option<Arc<Diff>>, Page)>) {
+        let mut by_shard: [Vec<_>; NUM_SHARDS] = Default::default();
+        for job in jobs {
+            by_shard[shard_of(job.0)].push(job);
         }
-        for (s, twins) in by_shard.into_iter().enumerate() {
-            if twins.is_empty() {
+        for (s, jobs) in by_shard.into_iter().enumerate() {
+            if jobs.is_empty() {
                 continue;
             }
             let shard = &mut *self.shards[s].lock();
-            for twin in twins {
+            for (page, diff, twin) in jobs {
                 shard.pool.recycle(twin);
+                let e = shard.entries.get_mut(&page.0);
+                let ring = &mut e.expect("collected page is homed").ring;
+                // Not pending: a restart emptied the ring meanwhile.
+                if let (true, Some(diff)) = (std::mem::take(&mut ring.own_pending), diff) {
+                    ring.push(diff, self.page_size);
+                }
             }
         }
     }
 
-    /// Serve one fetch. `live` is re-checked *under the shard lock* so a
-    /// concurrent crash/recovery transition can fence the fast path out
-    /// (see the module docs); pass `|| true` when already serialized with
-    /// mode changes by the big lock.
+    /// Serve one fetch from a requester that kept nothing: the no-`have`
+    /// case of [`HomeStore::serve_fetch_have`], without the lock wait.
     pub fn serve_fetch(&self, req: WaitingFetch, live: impl FnOnce() -> bool) -> FetchOutcome {
-        self.serve_fetch_timed(req, live).0
+        self.serve_fetch_have(req, None, live).0
     }
 
-    /// As [`HomeStore::serve_fetch`], also reporting how long the caller
-    /// waited for the shard lock (the fast path's contention metric).
-    pub fn serve_fetch_timed(
+    /// Serve one fetch from a requester that kept `have` (answered with the
+    /// diffs it is missing when the ring still holds them, with the page
+    /// otherwise), also reporting how long the caller waited for the shard
+    /// lock (the fast path's contention metric). `live` is re-checked
+    /// *under the shard lock* so a concurrent crash/recovery transition can
+    /// fence the fast path out (see the module docs); pass `|| true` when
+    /// already serialized with mode changes by the big lock.
+    pub fn serve_fetch_have(
         &self,
         req: WaitingFetch,
+        have: Option<&Have>,
         live: impl FnOnce() -> bool,
     ) -> (FetchOutcome, std::time::Duration) {
         let t0 = std::time::Instant::now();
@@ -355,39 +494,50 @@ impl HomeStore {
             return (FetchOutcome::NotHome, waited);
         };
         let outcome = if e.version.covers(&req.needed) {
-            FetchOutcome::Ready(e.version.clone(), e.copy.share())
+            let incarnation = self.incarnation.load(Ordering::SeqCst);
+            FetchOutcome::Ready(e.version.clone(), e.answer(incarnation, have))
         } else {
-            shard.waiting.push(req);
+            shard.waiting.push((req, have.cloned()));
             FetchOutcome::Parked
         };
         (outcome, waited)
     }
 
-    /// Apply one diff. Idempotent: diffs for intervals already covered by
-    /// `p.v[writer]` are skipped (recovery-time retransmissions are safe).
-    /// `live` is re-checked under the shard lock, as for
-    /// [`HomeStore::serve_fetch`]. On success, any fetches the diff
-    /// unparked are returned for the caller to answer.
+    /// Apply one diff the caller holds only by reference (the benchmark's
+    /// probe): [`HomeStore::apply_diff_kept`], except that the page's ring
+    /// cannot share the diff and so forgets what it holds — the page's next
+    /// fetches are answered in full. The protocol itself never calls this.
     pub fn apply_diff(&self, diff: &Diff, live: impl FnOnce() -> bool) -> ApplyOutcome {
-        self.apply_diff_timed(diff, live).0
+        let shard = &mut *self.shards[shard_of(diff.page)].lock();
+        self.apply_diff_locked(shard, diff, None, live)
     }
 
-    /// As [`HomeStore::apply_diff`], also reporting the shard-lock wait.
-    pub fn apply_diff_timed(
+    /// Apply one diff and keep it in the page's ring, which shares it with
+    /// the batch or log it came in. Idempotent: diffs for intervals already
+    /// covered by `p.v[writer]` are skipped (recovery-time retransmissions
+    /// are safe). `live` is re-checked under the shard lock, as for
+    /// [`HomeStore::serve_fetch_have`]. On success, any fetches the diff
+    /// unparked are returned for the caller to answer, with the shard-lock
+    /// wait.
+    pub fn apply_diff_kept(
         &self,
-        diff: &Diff,
+        diff: &Arc<Diff>,
         live: impl FnOnce() -> bool,
     ) -> (ApplyOutcome, std::time::Duration) {
         let t0 = std::time::Instant::now();
         let shard = &mut *self.shards[shard_of(diff.page)].lock();
         let waited = t0.elapsed();
-        (self.apply_diff_locked(shard, diff, live), waited)
+        (
+            self.apply_diff_locked(shard, diff, Some(diff), live),
+            waited,
+        )
     }
 
     fn apply_diff_locked(
         &self,
         shard: &mut Shard,
         diff: &Diff,
+        keep: Option<&Arc<Diff>>,
         live: impl FnOnce() -> bool,
     ) -> ApplyOutcome {
         if !live() {
@@ -400,33 +550,51 @@ impl HomeStore {
         let fresh = e.version.get(writer) < diff.interval.seq;
         if fresh {
             diff.apply_pooled(&mut e.copy, &mut shard.pool);
+            // The open interval's twin too: the home's own diff is twin
+            // against copy, and must hold the home's words only. Repeating
+            // this diff's, it would set them back at a reader whose `have`
+            // covers a later diff of theirs but not the home's.
+            if let Some(twin) = &mut e.twin {
+                diff.apply_pooled(twin, &mut shard.pool);
+            }
             e.version.set(writer, diff.interval.seq);
             e.ckpt_dirty = true;
             if !e.writers.contains(&writer) {
                 e.writers.push(writer);
             }
-        }
-        // Unpark every waiter this shard can now serve (the diff may cover
-        // other waiters' pages only in this shard — cheap linear scan).
-        let mut ready = Vec::new();
-        let mut i = 0;
-        while i < shard.waiting.len() {
-            let page = shard.waiting[i].page;
-            let e = &shard.entries[&page.0];
-            if e.version.covers(&shard.waiting[i].needed) {
-                let w = shard.waiting.swap_remove(i);
-                ready.push(ReadyFetch {
-                    from: w.from,
-                    page: w.page,
-                    req_id: w.req_id,
-                    version: e.version.clone(),
-                    bytes: e.copy.share(),
-                });
-            } else {
-                i += 1;
+            match keep {
+                Some(diff) => e.ring.push(Arc::clone(diff), self.page_size),
+                None => e.ring.reset(&e.version),
             }
         }
+        let mut ready = Vec::new();
+        self.unpark(shard, &mut ready);
         ApplyOutcome::Applied { fresh, ready }
+    }
+
+    /// Move every fetch parked in `shard` whose page now covers its needed
+    /// version to `ready` (a cheap linear scan; an applied diff can unpark
+    /// fetches of its own page only, but all of them live in its shard).
+    fn unpark(&self, shard: &mut Shard, ready: &mut Vec<ReadyFetch>) {
+        let incarnation = self.incarnation.load(Ordering::SeqCst);
+        let mut i = 0;
+        while i < shard.waiting.len() {
+            let (w, have) = &shard.waiting[i];
+            match shard.entries.get(&w.page.0) {
+                Some(e) if e.version.covers(&w.needed) => {
+                    let (version, body) = (e.version.clone(), e.answer(incarnation, have.as_ref()));
+                    let (w, _) = shard.waiting.swap_remove(i);
+                    ready.push(ReadyFetch {
+                        from: w.from,
+                        page: w.page,
+                        req_id: w.req_id,
+                        version,
+                        body,
+                    });
+                }
+                _ => i += 1,
+            }
+        }
     }
 
     /// Drain every parked fetch that has become servable (used after
@@ -434,37 +602,9 @@ impl HomeStore {
     pub fn drain_ready(&self) -> Vec<ReadyFetch> {
         let mut ready = Vec::new();
         for shard in &self.shards {
-            let shard = &mut *shard.lock();
-            let mut i = 0;
-            while i < shard.waiting.len() {
-                let page = shard.waiting[i].page;
-                let ok = shard
-                    .entries
-                    .get(&page.0)
-                    .is_some_and(|e| e.version.covers(&shard.waiting[i].needed));
-                if ok {
-                    let w = shard.waiting.swap_remove(i);
-                    let e = &shard.entries[&page.0];
-                    ready.push(ReadyFetch {
-                        from: w.from,
-                        page: w.page,
-                        req_id: w.req_id,
-                        version: e.version.clone(),
-                        bytes: e.copy.share(),
-                    });
-                } else {
-                    i += 1;
-                }
-            }
+            self.unpark(&mut shard.lock(), &mut ready);
         }
         ready
-    }
-
-    /// Drop every parked fetch (crash: requesters retransmit on `NodeUp`).
-    pub fn clear_waiting(&self) {
-        for shard in &self.shards {
-            shard.lock().waiting.clear();
-        }
     }
 
     /// Does the home copy of `page` satisfy `needed`?
@@ -482,6 +622,21 @@ impl HomeStore {
         self.with(page, |e, _| (e.version.clone(), e.copy.share()))
     }
 
+    /// Wire bytes of the diffs `page`'s ring holds (always less than a page).
+    pub fn ring_bytes(&self, page: PageId) -> usize {
+        self.with(page, |e, _| e.ring.bytes)
+    }
+
+    /// The newest interval of `proc`'s applied to any page homed here
+    /// (recovery: a survivor's proof that the interval was flushed).
+    pub fn newest_applied_of(&self, proc_: ProcId) -> u32 {
+        let newest = |shard: &Mutex<Shard>| {
+            let shard = shard.lock();
+            shard.entries.values().map(|e| e.version.get(proc_)).max()
+        };
+        self.shards.iter().filter_map(newest).max().unwrap_or(0)
+    }
+
     /// Has `proc` ever sent a diff for `page`?
     pub fn writers_contain(&self, page: PageId, proc_: ProcId) -> bool {
         self.with(page, |e, _| e.writers.contains(&proc_))
@@ -497,6 +652,7 @@ impl HomeStore {
             .get_mut(&page.0)
             .unwrap_or_else(|| panic!("page {page} not homed here"));
         e.copy = Page::from_bytes(bytes);
+        e.ring = DiffRing::new(version.clone());
         e.version = version;
         e.ckpt_dirty = true;
         if e.twin.take().is_some() {
@@ -507,11 +663,14 @@ impl HomeStore {
         }
     }
 
-    /// Restart support: drop twins and pending `needed` state, drop parked
-    /// fetches. Copies and versions stay for the caller to overwrite from
-    /// the checkpoint via [`HomeStore::restore`].
+    /// Crash and restart support: drop twins and pending `needed` state,
+    /// parked fetches (requesters retransmit on `NodeUp`) and rings, and
+    /// begin a new incarnation, so that what a reader kept of this one is
+    /// answered in full. Copies and versions stay for the caller to
+    /// overwrite from the checkpoint via [`HomeStore::restore`].
     pub fn reset_for_restart(&self) {
         self.dirty_mask.store(0, Ordering::Relaxed);
+        self.incarnation.fetch_add(1, Ordering::SeqCst);
         for shard in &self.shards {
             let shard = &mut *shard.lock();
             shard.waiting.clear();
@@ -519,6 +678,7 @@ impl HomeStore {
             for e in shard.entries.values_mut() {
                 e.twin = None;
                 e.needed = VectorClock::zero(self.n);
+                e.ring.reset(&e.version);
             }
         }
     }
@@ -597,6 +757,220 @@ mod tests {
         s
     }
 
+    /// The bytes and base of a full body.
+    fn full(body: &PageBody) -> (&[u8], u32) {
+        match body {
+            PageBody::Full { bytes, base } => (bytes, *base),
+            PageBody::Delta(d) => panic!("expected the page, got {} diffs", d.len()),
+        }
+    }
+
+    /// The intervals of a delta body's diffs, in order.
+    fn delta(body: &PageBody) -> Vec<Interval> {
+        match body {
+            PageBody::Delta(diffs) => diffs.iter().map(|d| d.interval).collect(),
+            PageBody::Full { .. } => panic!("expected a delta, got the page"),
+        }
+    }
+
+    /// The diff of `interval` that sets word `word` of `page` to `value`.
+    fn set_word(page: u32, interval: Interval, word: u32, value: u64) -> Arc<Diff> {
+        let run = (word * 8, &value.to_le_bytes()[..]);
+        Arc::new(Diff::from_runs(PageId(page), interval, [run]))
+    }
+
+    /// A 256-byte page 0 (its ring holds seven one-word diffs of 32 wire
+    /// bytes, not eight) in a 3-node cluster.
+    fn ring_store() -> HomeStore {
+        let s = HomeStore::new(3, 256);
+        s.add(PageId(0));
+        s
+    }
+
+    fn vc(v: [u32; 3]) -> VectorClock {
+        VectorClock::from_vec(v.to_vec())
+    }
+
+    /// Serve page 0, needing nothing, to a requester that kept `have`.
+    fn fetch(s: &HomeStore, have: Option<&Have>) -> (VectorClock, PageBody) {
+        let req = WaitingFetch {
+            from: 1,
+            page: PageId(0),
+            needed: VectorClock::zero(3),
+            req_id: 0,
+        };
+        match s.serve_fetch_have(req, have, || true).0 {
+            FetchOutcome::Ready(version, body) => (version, body),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    fn apply(s: &HomeStore, d: &Arc<Diff>) {
+        let outcome = s.apply_diff_kept(d, || true).0;
+        assert!(matches!(outcome, ApplyOutcome::Applied { fresh: true, .. }));
+    }
+
+    #[test]
+    fn a_delta_goes_only_to_this_incarnation_and_only_past_the_rings_base() {
+        let s = ring_store();
+        // A cold fetch moves the page; nobody wrote it, so it is a base.
+        let (v0, body) = fetch(&s, None);
+        assert_eq!((v0.clone(), full(&body).1), (vc([0, 0, 0]), 1));
+        apply(&s, &set_word(0, iv(1, 1), 0, 11));
+        apply(&s, &set_word(0, iv(2, 1), 1, 21));
+        // The reader that kept that copy gets what it is missing, in the
+        // order the home applied it; one that is current gets nothing.
+        let (v2, body) = fetch(&s, Some(&(1, v0.clone())));
+        assert_eq!(
+            (v2.clone(), delta(&body)),
+            (vc([0, 1, 1]), vec![iv(1, 1), iv(2, 1)])
+        );
+        assert!(body.wire_size() < 256);
+        assert_eq!(delta(&fetch(&s, Some(&(1, vc([0, 1, 0])))).1), [iv(2, 1)]);
+        assert!(delta(&fetch(&s, Some(&(1, v2.clone()))).1).is_empty());
+        // A copy of another incarnation's is answered with the page.
+        assert_eq!(full(&fetch(&s, Some(&(2, v2.clone()))).1).1, 1);
+
+        // Six more diffs: the eighth makes a page's worth, so the oldest
+        // folds into the base and the first reader is past it.
+        for seq in 2..=7 {
+            apply(&s, &set_word(0, iv(1, seq), seq, seq as u64));
+            assert!(s.ring_bytes(PageId(0)) < 256);
+        }
+        assert_eq!(s.ring_bytes(PageId(0)), 7 * 32);
+        let (v8, body) = fetch(&s, Some(&(1, v0.clone())));
+        assert_eq!(
+            &full(&body).0[..16],
+            &[11, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0, 0, 0, 0, 0, 0]
+        );
+        let body = fetch(&s, Some(&(1, vc([0, 1, 0])))).1;
+        assert_eq!(delta(&body).len(), 7);
+        assert!(body.wire_size() < 256, "a delta never exceeds the page");
+        // A diff as large as the page is never held at all.
+        let whole = Diff::create(PageId(0), iv(2, 2), &Page::zeroed(256), &{
+            let mut p = Page::zeroed(256);
+            p.write(0, &[7; 256]);
+            p
+        });
+        apply(&s, &Arc::new(whole.unwrap()));
+        assert_eq!(s.ring_bytes(PageId(0)), 0);
+        assert_eq!(full(&fetch(&s, Some(&(1, v8.clone()))).1).1, 1);
+
+        // A restart empties the ring and begins a new incarnation: what a
+        // reader kept of the old one — current or not — is answered in full.
+        apply(&s, &set_word(0, iv(1, 8), 0, 12));
+        let kept = (1, fetch(&s, None).0);
+        s.reset_for_restart();
+        assert_eq!(s.ring_bytes(PageId(0)), 0);
+        assert_eq!(full(&fetch(&s, Some(&kept)).1).1, 2);
+        // `restore` too, to whatever version it restores.
+        apply(&s, &set_word(0, iv(1, 9), 0, 13));
+        s.restore(PageId(0), &[0u8; 256], vc([0, 3, 0]));
+        assert_eq!(s.ring_bytes(PageId(0)), 0);
+        let (v, body) = fetch(&s, Some(&(2, vc([0, 1, 0]))));
+        assert_eq!((v, full(&body).1), (vc([0, 3, 0]), 2));
+    }
+
+    #[test]
+    fn a_copy_served_while_the_home_writes_the_page_is_not_a_base() {
+        let s = ring_store();
+        let kept = (1, fetch(&s, None).0);
+        // Word 0 goes a → b → a inside one interval of the home's: the
+        // interval's diff will not name it, so a reader that took the copy
+        // served in between for version [0,0,0] exactly would keep b.
+        s.write(PageId(0), 0, &[0xb]);
+        s.write(PageId(0), 8, &[1]);
+        let (v, body) = fetch(&s, None);
+        assert_eq!(
+            (v, full(&body)),
+            (vc([0, 0, 0]), (&s.snapshot(PageId(0)).1[..], 0))
+        );
+        s.write(PageId(0), 0, &[0]);
+        // A delta served meanwhile holds none of the open interval's words:
+        // it builds exactly the version it says.
+        apply(&s, &set_word(0, iv(1, 1), 2, 5));
+        let (v, body) = fetch(&s, Some(&kept));
+        assert_eq!((v, delta(&body)), (vc([0, 1, 0]), vec![iv(1, 1)]));
+
+        // From the version bump to the hand-over of the home's own diff the
+        // version names a diff the ring does not hold: the page goes out in
+        // full — an exact copy by then, the twin is gone.
+        let mut jobs = Vec::new();
+        s.collect_dirty(iv(0, 1), &mut jobs);
+        let (v, body) = fetch(&s, Some(&kept));
+        assert_eq!((v, full(&body).1), (vc([1, 1, 0]), 1));
+        // The own diff holds the home's words only: <1:1> went into the twin
+        // as well as the copy, so twin against copy does not repeat word 2.
+        // It is the ring's newest at the hand-over, after the <1:2> applied
+        // meanwhile; they are of concurrent intervals and share no word.
+        apply(&s, &set_word(0, iv(1, 2), 2, 6));
+        assert_eq!(full(&fetch(&s, Some(&kept)).1).1, 1);
+        s.finish_dirty(jobs.into_iter().map(|j| {
+            let own = Diff::create(j.page, iv(0, 1), &j.twin, &j.current).unwrap();
+            assert_eq!(
+                own.runs().map(|(o, b)| (o, b.len())).collect::<Vec<_>>(),
+                [(8, 8)]
+            );
+            (j.page, Some(Arc::new(own)), j.twin)
+        }));
+        let (v, body) = fetch(&s, Some(&kept));
+        assert_eq!(v, vc([1, 2, 0]));
+        assert_eq!(delta(&body), [iv(1, 1), iv(1, 2), iv(0, 1)]);
+        let mut rebuilt = Page::zeroed(256);
+        let PageBody::Delta(diffs) = body else {
+            unreachable!()
+        };
+        diffs.iter().for_each(|d| d.apply(&mut rebuilt));
+        assert_eq!(rebuilt.bytes(), &s.snapshot(PageId(0)).1[..]);
+        // The writer of <1:1> and <1:2> holds both (rule 2) and is missing
+        // only <0:1>, which leaves its word 2 alone.
+        let body = fetch(&s, Some(&(1, vc([0, 2, 0])))).1;
+        assert_eq!(delta(&body), [iv(0, 1)]);
+    }
+
+    #[test]
+    fn an_apply_that_is_not_remembered_empties_the_ring() {
+        let s = ring_store();
+        let kept = (1, fetch(&s, None).0);
+        apply(&s, &set_word(0, iv(1, 1), 0, 1));
+        assert_eq!(delta(&fetch(&s, Some(&kept)).1), [iv(1, 1)]);
+        // The probe's entry point applies by reference and keeps nothing.
+        let outcome = s.apply_diff(&set_word(0, iv(1, 2), 1, 2), || true);
+        assert!(matches!(outcome, ApplyOutcome::Applied { fresh: true, .. }));
+        assert_eq!(s.ring_bytes(PageId(0)), 0);
+        assert_eq!(full(&fetch(&s, Some(&kept)).1).1, 1);
+        let current = (1, fetch(&s, None).0);
+        assert!(delta(&fetch(&s, Some(&current)).1).is_empty());
+    }
+
+    #[test]
+    fn a_parked_fetch_is_answered_with_what_its_requester_is_missing() {
+        let s = ring_store();
+        let kept = (1, fetch(&s, None).0);
+        let parked = |req_id| WaitingFetch {
+            from: 2,
+            page: PageId(0),
+            needed: vc([0, 2, 0]),
+            req_id,
+        };
+        let park = |req_id, have| {
+            let outcome = s.serve_fetch_have(parked(req_id), have, || true).0;
+            assert!(matches!(outcome, FetchOutcome::Parked));
+        };
+        park(1, Some(&kept));
+        park(2, None);
+        apply(&s, &set_word(0, iv(1, 1), 0, 1));
+        let ApplyOutcome::Applied { ready, .. } =
+            s.apply_diff_kept(&set_word(0, iv(1, 2), 0, 2), || true).0
+        else {
+            panic!("not applied")
+        };
+        let mut ready: Vec<_> = ready.iter().map(|r| (r.req_id, &r.body)).collect();
+        ready.sort_unstable_by_key(|r| r.0);
+        assert_eq!(delta(ready[0].1), [iv(1, 1), iv(1, 2)]);
+        assert_eq!(full(ready[1].1).1, 1);
+    }
+
     #[test]
     fn serve_parks_until_diff_arrives_then_unparks() {
         let s = store();
@@ -625,7 +999,7 @@ mod tests {
                 assert_eq!(ready[0].req_id, 7);
                 assert_eq!(ready[0].page, PageId(0));
                 assert!(ready[0].version.covers(&needed));
-                assert_eq!(&ready[0].bytes[0..8], &[9; 8]);
+                assert_eq!(&full(&ready[0].body).0[0..8], &[9; 8]);
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -669,7 +1043,7 @@ mod tests {
         let mut jobs = Vec::new();
         s.collect_dirty(interval, &mut jobs);
         let pages = jobs.iter().map(|j| j.page).collect();
-        s.recycle_twins(jobs.into_iter().map(|j| (j.page, j.twin)));
+        s.finish_dirty(jobs.into_iter().map(|j| (j.page, None, j.twin)));
         pages
     }
 
@@ -703,6 +1077,7 @@ mod tests {
         assert!(s.access_gap(PageId(0)).is_none());
         assert!(s.writers_contain(PageId(0), 1));
         assert!(!s.writers_contain(PageId(0), 0));
+        assert_eq!((s.newest_applied_of(1), s.newest_applied_of(0)), (3, 0));
     }
 
     #[test]
@@ -736,11 +1111,7 @@ mod tests {
         s.write(PageId(0), 0, &[1; 8]);
         assert_eq!(jobs[0].current.read(0, 8), &[9; 8]);
         assert_eq!(s.version_of(PageId(0)).get(0), 1);
-        let twins = jobs
-            .into_iter()
-            .map(|j| (j.page, j.twin))
-            .collect::<Vec<_>>();
-        s.recycle_twins(twins);
+        s.finish_dirty(jobs.into_iter().map(|j| (j.page, None, j.twin)));
     }
 
     #[test]

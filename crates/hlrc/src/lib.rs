@@ -30,7 +30,9 @@ pub mod pagetable;
 pub mod wn;
 
 pub use barrier::{Arrival, BarrierManager, ReleaseSet};
-pub use homestore::{ApplyOutcome, DiffJob, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch};
+pub use homestore::{
+    ApplyOutcome, DiffJob, FetchOutcome, Have, HomeStore, PageBody, ReadyFetch, WaitingFetch,
+};
 pub use locks::{LockAction, LockId, LockManagerTable};
 pub use pagetable::{AccessOutcome, PageMeta, PageState, PageTable};
 pub use wn::{WnDelta, WnSpan, WnTable, WriteNotice};

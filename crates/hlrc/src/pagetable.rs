@@ -20,7 +20,7 @@ use dsm_page::{
     Diff, DiffScratch, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock,
 };
 
-use crate::homestore::{DiffJob, HomeStore};
+use crate::homestore::{DiffJob, Have, HomeStore, PageBody};
 
 /// Validity of a cached remote page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +38,16 @@ pub struct PageMeta {
     pub home: ProcId,
     /// Validity of `copy`.
     pub state: PageState,
-    /// Cached copy (meaningful when `state == Valid`).
+    /// Cached copy: current when `state == Valid`; when `Invalid`, kept only
+    /// with a `base` for the home's diffs to bring up to date.
     pub copy: Option<Page>,
     /// Minimal version the next fetch must include (join of invalidations).
     pub needed: VectorClock,
+    /// The `(home incarnation, version)` `copy` is *exactly* — the version
+    /// of the reply that installed it joined with our own intervals flushed
+    /// since — or `None` when that is not known: the copy then goes at the
+    /// next invalidation and the refetch moves the page.
+    pub base: Option<Have>,
 }
 
 #[derive(Debug)]
@@ -94,6 +100,9 @@ pub struct PageTable {
     /// scanning the whole table. Invariant: a page is listed iff its slot
     /// has a twin (`invalidate` asserts no twin, so entries never go stale).
     twinned: Vec<PageId>,
+    /// Fetches installed as deltas, and the diff payload bytes they copied
+    /// (cumulative over incarnations, for the node report).
+    delta_installs: (u64, u64),
 }
 
 impl PageTable {
@@ -107,7 +116,14 @@ impl PageTable {
             pool: PagePool::new(page_size),
             scratch: DiffScratch::new(),
             twinned: Vec::new(),
+            delta_installs: (0, 0),
         }
+    }
+
+    /// `(pages, bytes)`: fetches installed as deltas and the diff payload
+    /// bytes those copied into the kept copies.
+    pub fn delta_installs(&self) -> (u64, u64) {
+        self.delta_installs
     }
 
     /// Cumulative buffer-pool counters (exported through run reports),
@@ -157,6 +173,7 @@ impl PageTable {
                 state: PageState::Invalid,
                 copy: None,
                 needed: VectorClock::zero(self.cluster_size()),
+                base: None,
             })
         };
         self.slots.push(Slot { entry, twin: None });
@@ -215,6 +232,7 @@ impl PageTable {
             Entry::Remote(m) => dst.copy_from_slice(
                 m.copy
                     .as_ref()
+                    .filter(|_| m.state == PageState::Valid)
                     .unwrap_or_else(|| panic!("read of invalid page {page}"))
                     .read(offset, dst.len()),
             ),
@@ -242,6 +260,7 @@ impl PageTable {
                 let copy = m
                     .copy
                     .as_mut()
+                    .filter(|_| m.state == PageState::Valid)
                     .unwrap_or_else(|| panic!("write to invalid page {page}"));
                 if slot.twin.is_none() {
                     slot.twin = Some(copy.twin());
@@ -258,23 +277,56 @@ impl PageTable {
         !self.twinned.is_empty() || self.home.has_writes()
     }
 
-    /// Install a fetched copy of a remote page, adopting the shared buffer
-    /// without copying. Any replaced local copy is recycled into the pool.
+    /// Install a fetched copy of a remote page whose exact version is not
+    /// known (recovery's emulated home), adopting the shared buffer.
     pub fn install_fetch(&mut self, page: PageId, bytes: Arc<[u8]>, version: &VectorClock) {
-        let Self { slots, pool, .. } = self;
-        let slot = &mut slots[page.index()];
-        match &mut slot.entry {
-            Entry::Home => panic!("install_fetch on homed page {page}"),
-            Entry::Remote(m) => {
-                debug_assert!(
-                    version.covers(&m.needed),
-                    "fetched copy older than required version"
-                );
-                if let Some(old) = m.copy.take() {
+        self.install(page, PageBody::Full { bytes, base: 0 }, version);
+    }
+
+    /// What a fetch of `page` tells its home this node kept.
+    pub fn have(&self, page: PageId) -> Option<&Have> {
+        self.remote_meta(page).base.as_ref()
+    }
+
+    /// Install the reply to a fetch of a remote page: adopt a full copy's
+    /// shared buffer without copying (any replaced copy is recycled into the
+    /// pool), or apply a delta's diffs to the kept copy. Returns the bytes
+    /// written into the local copy.
+    pub fn install(&mut self, page: PageId, body: PageBody, version: &VectorClock) -> usize {
+        let Self {
+            slots,
+            pool,
+            delta_installs,
+            ..
+        } = self;
+        let Entry::Remote(m) = &mut slots[page.index()].entry else {
+            panic!("install on homed page {page}");
+        };
+        debug_assert!(
+            version.covers(&m.needed),
+            "fetched copy older than required version"
+        );
+        m.state = PageState::Valid;
+        match body {
+            PageBody::Full { bytes, base } => {
+                if let Some(old) = m.copy.replace(Page::from_shared(bytes)) {
                     pool.recycle(old);
                 }
-                m.copy = Some(Page::from_shared(bytes));
-                m.state = PageState::Valid;
+                m.base = (base != 0).then(|| (base, version.clone()));
+                0
+            }
+            PageBody::Delta(diffs) => {
+                let (copy, (_, exact)) = (m.copy.as_mut())
+                    .zip(m.base.as_mut())
+                    .expect("delta reply for a page with no kept copy");
+                let copied = diffs.iter().map(|d| d.payload_bytes()).sum();
+                for d in diffs {
+                    d.apply_pooled(copy, pool);
+                }
+                exact.clone_from(version);
+                delta_installs.0 += 1;
+                delta_installs.1 += copied as u64;
+                copied
             }
         }
     }
@@ -296,8 +348,12 @@ impl PageTable {
             Entry::Remote(m) => {
                 if writer != *me {
                     m.state = PageState::Invalid;
-                    if let Some(old) = m.copy.take() {
-                        pool.recycle(old);
+                    // A copy of known version stays: the refetch says which
+                    // and the home sends what it is missing.
+                    if m.base.is_none() {
+                        if let Some(old) = m.copy.take() {
+                            pool.recycle(old);
+                        }
                     }
                 }
                 if m.needed.get(writer) < seq {
@@ -315,11 +371,12 @@ impl PageTable {
     /// thread, *outside* the home shard locks, from copy-on-write
     /// snapshots.
     ///
-    /// Returns the diffs in page order: the caller sends those for remote
-    /// pages to their homes and (in the fault-tolerant protocol) appends
-    /// all of them to the diff logs. A page written but left with its old
-    /// bytes yields no diff.
-    pub fn end_interval(&mut self, interval: Interval) -> Vec<Diff> {
+    /// Returns the diffs in page order, shared: the caller sends those for
+    /// remote pages to their homes and (in the fault-tolerant protocol)
+    /// appends all of them to the diff logs, and a homed page's ring keeps
+    /// the same object. A page written but left with its old bytes yields
+    /// no diff.
+    pub fn end_interval(&mut self, interval: Interval) -> Vec<Arc<Diff>> {
         debug_assert_eq!(interval.proc, self.me);
         let mut jobs: Vec<DiffJob> = Vec::new();
         for page in std::mem::take(&mut self.twinned) {
@@ -338,24 +395,37 @@ impl PageTable {
             });
         }
         jobs.sort_unstable_by_key(|j| j.page.0);
-        let remote_jobs = jobs.len();
-        self.home.collect_dirty(interval, &mut jobs);
-        let mut diffs: Vec<Diff> = jobs
-            .iter()
-            .filter_map(|j| {
-                Diff::create_with(&mut self.scratch, j.page, interval, &j.twin, &j.current)
-            })
-            .collect();
-        diffs.sort_unstable_by_key(|d| d.page.0);
-        // The twins' buffers are dead now — hand them back for the next
+        let mut home_jobs = Vec::new();
+        self.home.collect_dirty(interval, &mut home_jobs);
+        let Self {
+            slots,
+            pool,
+            scratch,
+            ..
+        } = self;
+        let mut diffs = Vec::new();
+        let mut diff_of = |j: &DiffJob| {
+            let diff = Diff::create_with(scratch, j.page, interval, &j.twin, &j.current);
+            let diff = diff.map(Arc::new);
+            diffs.extend(diff.clone());
+            diff
+        };
+        // A twin's buffer is dead once diffed — it goes back for the next
         // interval's copy-on-write (rejected harmlessly if still shared,
         // e.g. by an in-flight page reply).
-        let home_jobs = jobs.split_off(remote_jobs);
         for j in jobs {
-            self.pool.recycle(j.twin);
+            if let (Some(_), Entry::Remote(m)) = (diff_of(&j), &mut slots[j.page.index()].entry) {
+                // What the copy is exactly now includes this interval.
+                if let Some((_, exact)) = &mut m.base {
+                    exact.set(interval.proc, interval.seq);
+                }
+            }
+            pool.recycle(j.twin);
         }
-        self.home
-            .recycle_twins(home_jobs.into_iter().map(|j| (j.page, j.twin)));
+        let home_jobs = home_jobs.into_iter();
+        let home_jobs = home_jobs.map(|j| (j.page, diff_of(&j), j.twin));
+        self.home.finish_dirty(home_jobs);
+        diffs.sort_unstable_by_key(|d| d.page.0);
         diffs
     }
 
@@ -365,9 +435,9 @@ impl PageTable {
     ///
     /// # Panics
     /// If this node is not the page's home.
-    pub fn home_apply_diff(&mut self, diff: &Diff) -> bool {
+    pub fn home_apply_diff(&mut self, diff: &Arc<Diff>) -> bool {
         use crate::homestore::ApplyOutcome;
-        match self.home.apply_diff(diff, || true) {
+        match self.home.apply_diff_kept(diff, || true).0 {
             ApplyOutcome::Applied { fresh, .. } => fresh,
             ApplyOutcome::NotHome => panic!("diff for page {} sent to non-home", diff.page),
             ApplyOutcome::Stale => unreachable!("liveness check is constant"),
@@ -415,11 +485,11 @@ impl PageTable {
         }
     }
 
-    /// Restart support: drop every cached remote copy and twin (the crash
-    /// lost them) and every parked remote fetch, keeping home copies for the
-    /// caller to overwrite from the checkpoint, and set the `needed` vectors
-    /// from `needed_by_page` (page, writer, seq) triples saved in the
-    /// checkpoint.
+    /// Crash and restart support: drop every cached or kept remote copy and
+    /// twin (the crash lost them), every parked remote fetch and every
+    /// homed page's diff ring, keeping home copies for the caller to
+    /// overwrite from the checkpoint, and set the `needed` vectors from
+    /// `needed_by_page` (page, writer, seq) triples saved in the checkpoint.
     pub fn reset_for_restart(&mut self, needed_by_page: &[(PageId, ProcId, u32)]) {
         let n = self.cluster_size();
         self.home.reset_for_restart();
@@ -429,6 +499,7 @@ impl PageTable {
             if let Entry::Remote(m) = &mut slot.entry {
                 m.state = PageState::Invalid;
                 m.copy = None;
+                m.base = None;
                 m.needed = VectorClock::zero(n);
             }
         }
@@ -565,7 +636,7 @@ mod tests {
                 current.write((p as usize % 8) * 8, &[byte]);
                 let diff = Diff::create(page, iv(0, 1), &twin, &current);
                 assert_eq!(diff.is_none(), unchanged);
-                expected.extend(diff);
+                expected.extend(diff.map(Arc::new));
             }
             expected.reverse();
             assert_eq!(t.end_interval(iv(0, 1)), expected);
@@ -579,7 +650,7 @@ mod tests {
         let twin = Page::zeroed(64);
         let mut cur = twin.clone();
         cur.write(0, &[7; 8]);
-        let d = Diff::create(PageId(0), iv(1, 2), &twin, &cur).unwrap();
+        let d = Arc::new(Diff::create(PageId(0), iv(1, 2), &twin, &cur).unwrap());
         assert!(t.home_apply_diff(&d));
         assert!(!t.home_apply_diff(&d)); // duplicate skipped
         assert_eq!(t.home_version(PageId(0)).get(1), 2);
@@ -597,6 +668,118 @@ mod tests {
             AccessOutcome::NeedFetch { needed, .. } => assert_eq!(needed.get(1), 4),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    fn vc(v: [u32; 2]) -> VectorClock {
+        VectorClock::from_vec(v.to_vec())
+    }
+
+    /// A full copy of `byte`s that is exactly its reply's version at home
+    /// incarnation 1.
+    fn base_copy(byte: u8) -> PageBody {
+        PageBody::Full {
+            bytes: vec![byte; 64].into(),
+            base: 1,
+        }
+    }
+
+    #[test]
+    fn an_invalidated_copy_stays_only_when_its_exact_version_is_known() {
+        let mut t = table();
+        // Known: the copy survives the notice, and the refetch says which
+        // version of which incarnation it is.
+        assert_eq!(t.install(PageId(1), base_copy(7), &vc([0, 3])), 0);
+        t.invalidate(PageId(1), 1, 4);
+        assert!(matches!(
+            t.ensure_access(PageId(1)),
+            AccessOutcome::NeedFetch { .. }
+        ));
+        // Kept is not readable: an access still panics as on any invalid page.
+        let stale_read = std::panic::AssertUnwindSafe(|| read_vec(&t, PageId(1), 0, 8));
+        assert!(std::panic::catch_unwind(stale_read).is_err());
+        assert_eq!(t.have(PageId(1)), Some(&(1, vc([0, 3]))));
+        // The delta lands on it: only the diff's bytes are copied.
+        let twin = Page::zeroed(64);
+        let mut cur = twin.clone();
+        cur.write(8, &[9; 16]);
+        let d = Arc::new(Diff::create(PageId(1), iv(1, 4), &twin, &cur).unwrap());
+        assert_eq!(
+            t.install(PageId(1), PageBody::Delta(vec![d]), &vc([0, 4])),
+            16
+        );
+        assert_eq!(t.ensure_access(PageId(1)), AccessOutcome::Ready);
+        assert_eq!(
+            read_vec(&t, PageId(1), 0, 32),
+            [[7; 8], [9; 8], [9; 8], [7; 8]].concat()
+        );
+        assert_eq!(t.have(PageId(1)), Some(&(1, vc([0, 4]))));
+        assert_eq!(t.delta_installs(), (1, 16));
+
+        // Not known — the home was writing the page when it served it, or
+        // recovery's emulated home built it: the copy goes as before.
+        let mid_interval = PageBody::Full {
+            bytes: vec![5u8; 64].into(),
+            base: 0,
+        };
+        t.install(PageId(1), mid_interval, &vc([0, 4]));
+        assert_eq!(t.have(PageId(1)), None);
+        t.install_fetch(PageId(1), vec![6u8; 64].into(), &vc([0, 4]));
+        assert_eq!(t.have(PageId(1)), None);
+        t.invalidate(PageId(1), 1, 5);
+        assert!(t.remote_meta(PageId(1)).copy.is_none());
+        assert_eq!(t.delta_installs(), (1, 16));
+    }
+
+    #[test]
+    fn a_readers_own_flushed_write_set_back_by_a_later_writer_comes_back_in_the_delta() {
+        // Node 0 reads and writes page 1; `home` is node 1's store for it.
+        let home = HomeStore::new(2, 64);
+        home.add(PageId(1));
+        let fetch = |t: &PageTable, needed: VectorClock| {
+            let req = crate::WaitingFetch {
+                from: 0,
+                page: PageId(1),
+                needed,
+                req_id: 0,
+            };
+            match home.serve_fetch_have(req, t.have(PageId(1)), || true).0 {
+                crate::FetchOutcome::Ready(version, body) => (version, body),
+                other => panic!("unexpected: {other:?}"),
+            }
+        };
+        let mut t = table();
+        let (v, body) = fetch(&t, vc([0, 0]));
+        t.install(PageId(1), body, &v);
+        // We set word 0 to x and flush: the copy is exactly [1,0] now.
+        t.write(PageId(1), 0, &[0xAA; 8]);
+        let own = t.end_interval(iv(0, 1));
+        assert_eq!(t.have(PageId(1)), Some(&(1, vc([1, 0]))));
+        home.apply_diff_kept(&own[0], || true);
+        // The home's next interval sets it back. A diff of the page against
+        // the copy we were served would not name the word.
+        home.write(PageId(1), 0, &[0; 8]);
+        let mut jobs = Vec::new();
+        home.collect_dirty(iv(1, 1), &mut jobs);
+        home.finish_dirty(jobs.into_iter().map(|j| {
+            let back = Diff::create(j.page, iv(1, 1), &j.twin, &j.current).unwrap();
+            (j.page, Some(Arc::new(back)), j.twin)
+        }));
+        t.invalidate(PageId(1), 1, 1);
+        let (v, body) = fetch(&t, vc([0, 1]));
+        // Only the home's diff travels: ours is part of what we have.
+        let PageBody::Delta(diffs) = &body else {
+            panic!("expected a delta")
+        };
+        assert_eq!(
+            diffs.iter().map(|d| d.interval).collect::<Vec<_>>(),
+            [iv(1, 1)]
+        );
+        assert_eq!(t.install(PageId(1), body, &v), 8);
+        assert_eq!(
+            read_vec(&t, PageId(1), 0, 64),
+            &home.snapshot(PageId(1)).1[..]
+        );
+        assert_eq!(t.have(PageId(1)), Some(&(1, vc([1, 1]))));
     }
 
     #[test]
@@ -624,7 +807,7 @@ mod tests {
         let twin = Page::zeroed(64);
         let mut cur = twin.clone();
         cur.write(0, &[1; 8]);
-        let d = Diff::create(PageId(0), iv(1, 2), &twin, &cur).unwrap();
+        let d = Arc::new(Diff::create(PageId(0), iv(1, 2), &twin, &cur).unwrap());
         t.home_apply_diff(&d);
         assert_eq!(t.ensure_access(PageId(0)), AccessOutcome::Ready);
     }
@@ -632,8 +815,11 @@ mod tests {
     #[test]
     fn restart_reset_drops_copies_and_restores_needed() {
         let mut t = table();
-        t.install_fetch(PageId(1), vec![1u8; 64].into(), &VectorClock::zero(2));
+        t.install(PageId(1), base_copy(1), &VectorClock::zero(2));
+        t.invalidate(PageId(1), 1, 1); // kept, with its version ...
         t.reset_for_restart(&[(PageId(1), 1, 7)]);
+        // ... and lost with everything else.
+        assert!(t.have(PageId(1)).is_none() && t.remote_meta(PageId(1)).copy.is_none());
         match t.ensure_access(PageId(1)) {
             AccessOutcome::NeedFetch { needed, .. } => assert_eq!(needed.get(1), 7),
             other => panic!("unexpected: {other:?}"),

@@ -1,10 +1,187 @@
 //! Property tests for the protocol state machines.
 
-use dsm_page::{Interval, PageId, VectorClock};
+use std::sync::Arc;
+
+use dsm_page::{Diff, Interval, PageId, VectorClock};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockManagerTable};
-use hlrc::{WnDelta, WnTable, WriteNotice};
+use hlrc::{
+    AccessOutcome, DiffJob, FetchOutcome, HomeStore, PageBody, PageTable, WaitingFetch, WnDelta,
+    WnTable, WriteNotice,
+};
 use proptest::prelude::*;
+
+/// One page of 32 words homed at node 0 and written by three nodes, each
+/// its own words (word `w` belongs to node `w % 3`): node 0 through the home
+/// store, node 1 — the reader, too — through a page table, node 2 as diffs.
+const PAGE: PageId = PageId(0);
+const PAGE_SIZE: usize = 256;
+
+fn iv(proc: usize, seq: u32) -> Interval {
+    Interval { proc, seq }
+}
+
+/// Word `3 * slot + owner`: the `slot`-th word node `owner` may write.
+fn offset(owner: u32, slot: u32) -> usize {
+    (3 * (slot % 10) + owner) as usize * 8
+}
+
+/// Run one history of `(kind, slot, value)` steps (see the `match`) over
+/// the page, checking after every install that the reader's bytes are the
+/// home copy's on every word the home's own open interval has not written,
+/// that no delta is as large as the page, and that the ring never holds a
+/// page's worth. Returns how many fetches were answered with a delta.
+fn delta_history(ops: &[(u8, u32, u64)]) -> Result<usize, TestCaseError> {
+    let home = HomeStore::new(3, PAGE_SIZE);
+    home.add(PAGE);
+    let mut reader = PageTable::new(1, 3, PAGE_SIZE);
+    reader.add_page(0);
+    // Interval counters per node, the notices the reader has seen, the
+    // words the home's open interval wrote, and its collected-but-not-
+    // handed-over jobs.
+    let mut seq = [0u32; 3];
+    let mut seen = [0u32; 3];
+    let mut open: Vec<usize> = Vec::new();
+    let mut collected: Option<Vec<DiffJob>> = None;
+    let mut deltas = 0;
+    for &(kind, slot, value) in ops {
+        let bytes = value.to_le_bytes();
+        match kind {
+            // The home writes a word of its own (same value again and
+            // a → b → a included: values come from a domain of three).
+            0 | 1 if collected.is_none() => {
+                home.write(PAGE, offset(0, slot), &bytes);
+                open.push(offset(0, slot));
+            }
+            // The home ends its interval, in the two steps the release
+            // takes: version bump and twin hand-out, then diff hand-over.
+            2 if collected.is_none() && home.has_writes() => {
+                seq[0] += 1;
+                let mut jobs = Vec::new();
+                home.collect_dirty(iv(0, seq[0]), &mut jobs);
+                collected = Some(jobs);
+                open.clear();
+            }
+            3 => {
+                let jobs = collected.take().into_iter().flatten();
+                home.finish_dirty(jobs.map(|j| {
+                    let diff = Diff::create(j.page, iv(0, seq[0]), &j.twin, &j.current);
+                    (j.page, diff.map(Arc::new), j.twin)
+                }));
+            }
+            // Node 2 flushes an interval that set one or two of its words.
+            4 | 5 => {
+                seq[2] += 1;
+                let mut runs = vec![(offset(2, slot) as u32, &bytes[..])];
+                if kind == 5 && slot % 10 < 9 {
+                    runs.push((offset(2, slot + 1) as u32, &bytes[..]));
+                }
+                let diff = Arc::new(Diff::from_runs(PAGE, iv(2, seq[2]), runs));
+                home.apply_diff_kept(&diff, || true);
+            }
+            // The reader writes a word of its own, when its copy is valid.
+            6 if reader.ensure_access(PAGE) == AccessOutcome::Ready => {
+                reader.write(PAGE, offset(1, slot), &bytes);
+            }
+            // The home restarts (from an image of what it holds).
+            7 if slot == 0 && collected.is_none() => {
+                let (version, image) = home.snapshot(PAGE);
+                home.reset_for_restart();
+                home.restore(PAGE, &image, version);
+                open.clear();
+            }
+            // The reader synchronises: flushes its interval, learns of
+            // every interval the home copy holds, and fetches if that
+            // (or a cold start) left it without a valid copy.
+            8 | 9 => {
+                if reader.has_writes() {
+                    seq[1] += 1;
+                    for diff in reader.end_interval(iv(1, seq[1])) {
+                        home.apply_diff_kept(&diff, || true);
+                    }
+                }
+                let at_home = home.version_of(PAGE);
+                for writer in [0, 2] {
+                    if at_home.get(writer) > seen[writer] {
+                        seen[writer] = at_home.get(writer);
+                        reader.invalidate(PAGE, writer, seen[writer]);
+                    }
+                }
+                let AccessOutcome::NeedFetch { needed, .. } = reader.ensure_access(PAGE) else {
+                    continue;
+                };
+                let fetch = WaitingFetch {
+                    from: 1,
+                    page: PAGE,
+                    needed,
+                    req_id: 0,
+                };
+                let served = home.serve_fetch_have(fetch, reader.have(PAGE), || true).0;
+                let FetchOutcome::Ready(version, body) = served else {
+                    return Err(TestCaseError::fail(
+                        "home copy does not cover its own version",
+                    ));
+                };
+                let full = PAGE_SIZE + 9;
+                match &body {
+                    PageBody::Full { .. } => prop_assert_eq!(body.wire_size(), full),
+                    PageBody::Delta(_) => {
+                        prop_assert!(body.wire_size() < PAGE_SIZE + 5);
+                        deltas += 1;
+                    }
+                }
+                reader.install(PAGE, body, &version);
+                if let Some((_, exact)) = reader.have(PAGE) {
+                    prop_assert_eq!(exact, &version);
+                }
+                let (_, at_home) = home.snapshot(PAGE);
+                let mut got = [0u8; PAGE_SIZE];
+                reader.read_into(PAGE, 0, &mut got);
+                for w in (0..PAGE_SIZE).step_by(8).filter(|w| !open.contains(w)) {
+                    prop_assert_eq!(&got[w..w + 8], &at_home[w..w + 8], "word at {}", w);
+                }
+            }
+            _ => {}
+        }
+        prop_assert!(home.ring_bytes(PAGE) < PAGE_SIZE);
+    }
+    Ok(deltas)
+}
+
+#[test]
+fn the_delta_histories_are_not_vacuous() {
+    // Cold fetch; node 2 flushes two intervals; the reader synchronises,
+    // writes, flushes and synchronises again after a third.
+    let ops = [
+        (8, 0, 1),
+        (4, 0, 1),
+        (5, 1, 2),
+        (8, 0, 1),
+        (6, 0, 3),
+        (4, 2, 3),
+        (9, 0, 1),
+    ];
+    assert_eq!(delta_history(&ops), Ok(2));
+}
+
+#[test]
+fn a_delta_does_not_undo_a_word_the_reader_wrote() {
+    // The reader's <1:1> reaches the home while the home's <0:1> is open;
+    // the home closes <0:1>; the reader, not yet told of it, flushes <1:2>
+    // over the same word and then refetches, missing only <0:1>. The own
+    // diff must not carry <1:1>'s word, or it sets the reader's back.
+    let ops = [
+        (8, 0, 1),
+        (0, 0, 1),
+        (6, 0, 1),
+        (8, 0, 1),
+        (2, 0, 1),
+        (3, 0, 1),
+        (6, 0, 2),
+        (8, 0, 1),
+    ];
+    assert_eq!(delta_history(&ops), Ok(1));
+}
 
 proptest! {
     /// The lock manager builds one chain: every request gets exactly one
@@ -102,6 +279,16 @@ proptest! {
                 prop_assert!(!rel.arrival_vts[p].covers_interval(interval));
             }
         }
+    }
+
+    /// A reader that keeps its stale copy and is sent the diffs it is missing
+    /// ends up where a reader that is sent the page would, whatever the
+    /// three writers and the home's restarts do in between.
+    #[test]
+    fn a_delta_refetch_installs_what_a_full_fetch_would(
+        ops in proptest::collection::vec((0u8..10, 0u32..10, 1u64..4), 1..160),
+    ) {
+        delta_history(&ops)?;
     }
 
     /// `missing_between` returns exactly the table entries in the half-open

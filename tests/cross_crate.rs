@@ -174,3 +174,98 @@ fn home_crash_with_prefetch_batches_in_flight() {
         assert_eq!(crashed.nodes[victim].ft.recoveries, 1, "victim {victim}");
     }
 }
+
+/// The migratory pattern the delta refetch exists for: a small cell under a
+/// lock, read-modify-written by both nodes in turn. After the cold fetch a
+/// round moves the words that changed, not the 4 KiB page they live in.
+#[test]
+fn a_migratory_cell_refetch_moves_what_changed_not_the_page() {
+    use dsm_trace::EventKind;
+    const ROUNDS: u64 = 40;
+    let cfg = ClusterConfig::base(2)
+        .with_page_size(4096)
+        .with_trace(ftdsm_suite::TraceConfig::enabled());
+    let r = run(cfg, &[], |p| {
+        let cell = p.alloc_vec::<u64>(8, HomeAlloc::Node(0));
+        for _ in 0..ROUNDS {
+            // Turns, by barrier: node 1 never fetches while node 0 — the
+            // cell's home — is inside its own tenure, when the copy it would
+            // be served is not one a delta can build on.
+            for turn in 0..2 {
+                if p.me() == turn {
+                    p.acquire(1);
+                    for w in 0..8 {
+                        let v = cell.get(p, w);
+                        cell.set(p, w, v + turn as u64 + 1);
+                    }
+                    p.release(1);
+                }
+                p.barrier();
+            }
+        }
+        (0..8).map(|w| cell.get(p, w)).sum::<u64>()
+    });
+    assert_eq!(r.results, [8 * 3 * ROUNDS; 2]);
+    let reply_bytes: u64 = (r.trace.all_events().iter())
+        .filter_map(|e| match e.kind {
+            EventKind::MsgSend { kind, bytes, .. } if kind.starts_with("Page") => {
+                kind.ends_with("Reply").then_some(bytes as u64)
+            }
+            _ => None,
+        })
+        .sum();
+    // Node 1 fetches the cell once a round: the page the first time, node
+    // 0's eight words from then on.
+    assert_eq!(r.total_hists().fetch_copy.count(), ROUNDS);
+    assert_eq!(
+        (r.fetch_delta_pages(), r.fetch_delta_bytes()),
+        (ROUNDS - 1, (ROUNDS - 1) * 64)
+    );
+    let first = 4096 + 128;
+    assert!(
+        reply_bytes < first + 1024 * (ROUNDS - 1),
+        "{reply_bytes} bytes of page replies in {ROUNDS} rounds"
+    );
+}
+
+/// A lock only its manager ever takes is self-granted every time, which
+/// leaves no grant record on any peer. When the node crashes right after
+/// such a tenure, the one witness that its interval was flushed is the
+/// remote home that applied the diff; recovery must take its word and
+/// replay the tenure. Going live before it runs the interval a second time:
+/// the home drops the second diff by version and the node keeps a count the
+/// home does not have.
+#[test]
+fn a_self_granted_tenure_only_a_remote_home_saw_is_replayed_not_rerun() {
+    let app = |p: &mut ftdsm_suite::Process| {
+        let cell = p.alloc_vec::<u64>(1, HomeAlloc::Node(0));
+        let mut state = 0u64;
+        p.run_steps(&mut state, 6, |p, state, step| {
+            if p.me() == 1 {
+                for _ in 0..3 {
+                    p.acquire(1);
+                    let v = cell.get(p, 0);
+                    cell.set(p, 0, v + 1);
+                    p.release(1);
+                }
+            }
+            *state += step;
+            p.barrier();
+        });
+        cell.get(p, 0)
+    };
+    let cfg = || {
+        ClusterConfig::fault_tolerant(2)
+            .with_page_size(256)
+            .with_policy(CkptPolicy::EverySteps(2))
+    };
+    let clean = run(cfg(), &[], app);
+    assert_eq!(clean.results, [18, 18]);
+    // Every operation boundary of node 1 from the first step's tenures on.
+    for at_op in 4..clean.nodes[1].ops {
+        let crashed = run(cfg(), &[FailureSpec { node: 1, at_op }], app);
+        assert_eq!(clean.results, crashed.results, "at_op {at_op}");
+        assert_eq!(clean.shared_hash, crashed.shared_hash, "at_op {at_op}");
+        assert_eq!(crashed.nodes[1].ft.recoveries, 1, "at_op {at_op}");
+    }
+}
