@@ -97,6 +97,7 @@ fn do_table2(scale: &Scale) {
             "HLRC traffic (MB)",
             "CGC traffic (MB)",
             "% overhead",
+            "prefetch used %",
         ],
         &rows
             .iter()
@@ -106,6 +107,7 @@ fn do_table2(scale: &Scale) {
                     format!("{:.2}", r.hlrc_traffic_mb),
                     format!("{:.3}", r.cgc_traffic_mb),
                     format!("{:.2}", r.overhead_pct),
+                    format!("{:.1}", r.prefetch_used_pct),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -376,6 +378,20 @@ fn do_protocol(scale: &Scale) {
         "  of installs       {:>8}",
         r.total_hists().fetch_copy.count()
     );
+    // Over the three applications: on either Water alone most of what is
+    // prefetched is the first barrier's round of never-held pages, about
+    // which the use bit knows nothing (Table 2 has the ratio per app).
+    let mut pf = r.total_prefetch();
+    for app in [App::Barnes, App::WaterNsq] {
+        pf += run_app(app, scale.ft_config(app)).total_prefetch();
+    }
+    println!(
+        "\npages asked for ahead of their first access, and what came of it (all three apps):"
+    );
+    println!("  prefetched          {:>8}", pf.prefetched);
+    println!("  prefetched_used     {:>8}", pf.prefetched_used);
+    println!("  prefetch_skipped    {:>8}", pf.prefetch_skipped);
+    println!("  skipped_then_missed {:>8}", pf.skipped_then_missed);
     println!("\nservice time by message kind (all nodes summed):");
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);

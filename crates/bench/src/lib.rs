@@ -160,6 +160,9 @@ pub struct Table2Row {
     pub cgc_traffic_mb: f64,
     /// Control traffic as a percentage of base traffic.
     pub overhead_pct: f64,
+    /// Prefetched pages whose copy was read or written, as a percentage of
+    /// the pages prefetched (not the paper's: what the base traffic bought).
+    pub prefetch_used_pct: f64,
 }
 
 /// Table 2: message-traffic overhead of the CGC/LLT piggyback.
@@ -169,11 +172,13 @@ pub fn table2(scale: &Scale) -> Vec<Table2Row> {
         .map(|&app| {
             let r = run_app(app, scale.ft_config(app));
             let t = r.total_traffic();
+            let pf = r.total_prefetch();
             Table2Row {
                 app: app.name(),
                 hlrc_traffic_mb: mb(t.base_bytes_sent),
                 cgc_traffic_mb: mb(t.ft_bytes_sent),
                 overhead_pct: 100.0 * t.ft_overhead_fraction(),
+                prefetch_used_pct: 100.0 * pf.prefetched_used as f64 / pf.prefetched.max(1) as f64,
             }
         })
         .collect()

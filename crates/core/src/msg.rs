@@ -149,10 +149,11 @@ pub enum Payload {
         /// Requester-local correlation id (dedup of retransmitted replies).
         req_id: u64,
     },
-    /// Batched page fetch: requester → home. One round trip prefetches
-    /// every page homed at the receiver that the requester just invalidated
-    /// (issued eagerly after an acquire or barrier applies write notices).
-    /// The home answers each page once its copy covers that page's `needed`;
+    /// Batched page fetch: requester → home. One round trip fetches the
+    /// pages homed at the receiver that the requester just invalidated and
+    /// had used (issued after an acquire or barrier applies write notices),
+    /// or a missed page together with its neighbours that were left out
+    /// then. The home answers each page once its copy covers that page's `needed`;
     /// pages already current go back together in one [`Payload::PageBatchReply`],
     /// stragglers arrive later as individual [`Payload::PageReply`]s carrying
     /// the same `req_id`.

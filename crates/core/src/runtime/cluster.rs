@@ -76,6 +76,15 @@ fn sample_metrics(
                 .set(st.dup_suppressed as i64);
             reg.gauge(&format!("node_diff_outbox_depth{{node=\"{me}\"}}"))
                 .set(st.diffs.depth() as i64);
+            let pc = st.prefetch_counts;
+            reg.counter(&format!("prefetched_total{{node=\"{me}\"}}"))
+                .store(pc.prefetched);
+            reg.counter(&format!("prefetched_used_total{{node=\"{me}\"}}"))
+                .store(pc.prefetched_used);
+            reg.counter(&format!("prefetch_skipped_total{{node=\"{me}\"}}"))
+                .store(pc.prefetch_skipped);
+            reg.counter(&format!("skipped_then_missed_total{{node=\"{me}\"}}"))
+                .store(pc.skipped_then_missed);
             let pool = st.pt.pool_stats();
             reg.counter(&format!("pool_hits_total{{node=\"{me}\"}}"))
                 .store(pool.hits);
@@ -523,6 +532,7 @@ where
             dup_suppressed: st.dup_suppressed,
             fetch_delta_pages,
             fetch_delta_bytes,
+            prefetch: st.prefetch_counts,
         });
     }
 

@@ -41,6 +41,7 @@ use crate::ft::recovery::{RecAsk, ReplayState};
 use crate::ft::FtState;
 use crate::msg::{Msg, Payload, Piggy};
 use crate::runtime::outbox::DiffOutbox;
+use crate::stats::PrefetchCounts;
 
 /// Panic payload used to simulate a fail-stop crash of the application
 /// thread at a DSM operation boundary.
@@ -217,11 +218,14 @@ pub(crate) struct NodeState {
     /// application thread reaches the corresponding alloc). Replayed by
     /// [`crate::Process::alloc`].
     pub pending_unalloc: Vec<(ProcId, Payload)>,
-    /// Remote pages with a batched prefetch in flight (issued right after
-    /// an acquire or barrier invalidated them). A first touch of one of
-    /// these waits for the batch reply instead of sending its own
-    /// `PageReq`.
+    /// Remote pages with a batched fetch in flight: issued right after an
+    /// acquire or barrier invalidated them, or by a miss on a page that
+    /// prefetch had left out. A first touch of one of these waits for the
+    /// batch reply instead of sending its own `PageReq`.
     pub prefetch: HashMap<PageId, PrefetchEntry>,
+    /// What was prefetched, what of it was used and what the filter left
+    /// out, over all incarnations (for the node report).
+    pub prefetch_counts: PrefetchCounts,
     pub acq_seq_next: u64,
     pub bar_episode: u64,
     pub req_id_next: u64,
@@ -322,6 +326,7 @@ impl NodeState {
             backlog: Vec::new(),
             pending_unalloc: Vec::new(),
             prefetch: HashMap::new(),
+            prefetch_counts: Default::default(),
             acq_seq_next: 0,
             bar_episode: 0,
             req_id_next: 0,
@@ -406,6 +411,7 @@ impl NodeState {
             recoveries: _,
             retransmits: _,
             dup_suppressed: _,
+            prefetch_counts: _,
             svc_time_by_kind: _,
             own_svc: _,
             breakdown_acc: _,
@@ -528,6 +534,7 @@ impl NodeState {
             recoveries: _,
             retransmits: _,
             dup_suppressed: _,
+            prefetch_counts: _,
             svc_time_by_kind: _,
             own_svc: _,
             breakdown_acc: _,
@@ -1406,16 +1413,36 @@ pub(crate) fn install_reply(st: &mut NodeState, page: PageId, body: PageBody, v:
     st.hists.fetch_copy.record(copied as u64);
 }
 
-/// Eagerly batch-fetch the remote pages just invalidated by applied write
-/// notices: one `PageBatchReq` per home covers every such page, turning N
-/// page-miss round trips into one. Skipped during recovery replay (replay
-/// fetches must stay individually deterministic).
+/// How many page ids the fault on a page [`issue_prefetch`] left out looks
+/// across — its own and the next 15 — for others left out (see
+/// [`fetch_with_neighbours`]).
+const NEIGHBOUR_SPAN: u32 = 16;
+
+/// The home of `page` if [`issue_prefetch`] left it out and nothing has asked
+/// for it since: remote, invalidated, its last copy unused, no batch in
+/// flight.
+fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
+    if st.pt.is_home(page) || st.prefetch.contains_key(&page) {
+        return None;
+    }
+    let m = st.pt.remote_meta(page);
+    (m.state == PageState::Invalid && !m.used).then_some(m.home)
+}
+
+/// Batch-fetch the remote pages just invalidated by applied write notices
+/// whose last copy was used: one `PageBatchReq` per home covers every such
+/// page, turning N page-miss round trips into one. A page whose last copy
+/// was never read or written is left out — most invalidated copies are not
+/// touched again, and a refetch nobody reads is traffic for nothing; if it
+/// is touched after all, [`fetch_with_neighbours`] fetches it. Skipped
+/// during recovery replay (replay fetches must stay individually
+/// deterministic).
 pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     if st.replay.is_some() {
         return;
     }
     let mut seen = HashSet::new();
-    let mut per_home: HashMap<ProcId, Vec<_>> = HashMap::new();
+    let mut pages = Vec::new();
     for &page in invalidated {
         if !seen.insert(page) || st.pt.is_home(page) || st.prefetch.contains_key(&page) {
             continue;
@@ -1424,8 +1451,47 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
         if m.state != PageState::Invalid {
             continue;
         }
+        if m.used {
+            pages.push(page);
+        } else {
+            st.prefetch_counts.prefetch_skipped += 1;
+        }
+    }
+    st.prefetch_counts.prefetched += pages.len() as u64;
+    send_page_batches(st, &pages);
+}
+
+/// A demand miss on `page`. If [`issue_prefetch`] left it out, it has
+/// probably left out the pages an application sweep touches next as well:
+/// when any of the next `NEIGHBOUR_SPAN - 1` page ids is a left-out page of
+/// the same home, ask for `page` and all of them in one `PageBatchReq` and
+/// return `true` — the fault then waits on its `prefetch` entry as it would
+/// on any batch in flight. Otherwise nothing is sent and the fault is the
+/// one-page `PageReq` it always was.
+pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) -> bool {
+    let Some(home) = left_out(st, page) else {
+        return false;
+    };
+    st.prefetch_counts.skipped_then_missed += 1;
+    let end = (page.0 + NEIGHBOUR_SPAN).min(st.pt.len() as u32);
+    let after = (page.0 + 1..end).map(PageId);
+    let mut pages = vec![page];
+    pages.extend(after.filter(|&q| left_out(st, q) == Some(home)));
+    if pages.len() == 1 {
+        return false;
+    }
+    st.prefetch_counts.prefetched += pages.len() as u64 - 1;
+    send_page_batches(st, &pages);
+    true
+}
+
+/// Ask for `pages` — remote, invalid, none in flight — with one
+/// `PageBatchReq` per home, and track each in `prefetch` until its reply.
+fn send_page_batches(st: &mut NodeState, pages: &[PageId]) {
+    let mut per_home: HashMap<ProcId, Vec<_>> = HashMap::new();
+    for &page in pages {
         per_home
-            .entry(m.home)
+            .entry(st.pt.home_of(page))
             .or_default()
             .push(batch_entry(st, page));
     }
@@ -2321,6 +2387,16 @@ mod tests {
     }
 
     /// A full reply body of `byte`s, exactly its version at incarnation 1.
+    /// The requests waiting on `ep`'s request lane.
+    fn requests(ep: &Endpoint<Msg>) -> Vec<Payload> {
+        std::iter::from_fn(|| ep.try_recv())
+            .map(|ev| match ev {
+                Event::Msg { msg, .. } => msg.payload,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
     fn page_of(byte: u8) -> PageBody {
         PageBody::Full {
             bytes: vec![byte; 256].into(),
@@ -2699,12 +2775,7 @@ mod tests {
             assert!(send_blocked_request(&mut st), "first send");
             assert_eq!(retransmit_wait_slot(&mut st), 1, "timeout retransmit");
             handle_node_up(&mut st, 0);
-            let sent: Vec<Payload> = std::iter::from_fn(|| eps[0].try_recv())
-                .map(|ev| match ev {
-                    Event::Msg { msg, .. } => msg.payload,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
+            let sent = requests(&eps[0]);
             assert_eq!(sent.len(), 3);
             assert_eq!(sent[0].kind(), kind);
             assert!(sent.iter().all(|p| *p == sent[0]), "{kind} resends differ");
@@ -2816,6 +2887,8 @@ mod tests {
         st.pt.add_page(0); // homed at node 0, remote here
         let page = PageId(0);
         st.pt.install(page, page_of(7), &gated(2, 0, 1));
+        // Read, so that the invalidation prefetches it.
+        st.pt.read_into(page, 8, &mut [0u8; 8]);
         st.pt.invalidate(page, 0, 2);
         issue_prefetch(&mut st, &[page]);
         // The request says what was kept.
@@ -2868,6 +2941,122 @@ mod tests {
         assert_eq!(st.dup_suppressed, 1);
         let h = &st.hists.fetch_copy;
         assert_eq!((h.count(), h.sum(), st.pt.delta_installs()), (1, 8, (1, 8)));
+    }
+
+    /// Install a copy of remote `page`, read it if `used`, and invalidate it
+    /// with a notice from its home.
+    fn invalidated_copy(st: &mut NodeState, page: u32, used: bool) {
+        let (page, n) = (PageId(page), st.n);
+        st.pt.install(page, page_of(0), &VectorClock::zero(n));
+        if used {
+            st.pt.read_into(page, 0, &mut [0u8; 8]);
+        }
+        st.pt.invalidate(page, st.pt.home_of(page), 1);
+    }
+
+    fn batch_pages(payload: &Payload) -> Vec<u32> {
+        match payload {
+            Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, ..)| p.0).collect(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_invalidation_prefetches_only_pages_whose_last_copy_was_used() {
+        let (mut st, eps) = test_state(2, 3, false);
+        for home in [0, 0, 1, 1] {
+            st.pt.add_page(home);
+        }
+        for (page, used) in [(0, false), (1, false), (2, true), (3, false)] {
+            invalidated_copy(&mut st, page, used);
+        }
+        let all: Vec<PageId> = (0..4).map(PageId).collect();
+        issue_prefetch(&mut st, &all);
+        // Home 0 hears nothing: neither of its pages was touched. Home 1 is
+        // asked for the one that was.
+        assert!(requests(&eps[0]).is_empty());
+        let to_home_1 = requests(&eps[1]);
+        assert_eq!(to_home_1.len(), 1);
+        assert_eq!(batch_pages(&to_home_1[0]), [2]);
+        assert_eq!(st.prefetch.keys().collect::<Vec<_>>(), [&PageId(2)]);
+        let counts = PrefetchCounts {
+            prefetched: 1,
+            prefetch_skipped: 3,
+            ..Default::default()
+        };
+        assert_eq!(st.prefetch_counts, counts);
+        // The next round of notices leaves the same pages out again.
+        st.prefetch.clear();
+        for page in &all {
+            st.pt.invalidate(*page, st.pt.home_of(*page), 2);
+        }
+        issue_prefetch(&mut st, &all);
+        assert!(requests(&eps[0]).is_empty());
+        assert_eq!(batch_pages(&requests(&eps[1])[0]), [2]);
+        assert_eq!(st.prefetch_counts.prefetch_skipped, 6);
+        // Replay fetches page by page: nothing goes out, used or not.
+        st.prefetch.clear();
+        st.replay = Some(ReplayState::default());
+        issue_prefetch(&mut st, &all);
+        assert!(requests(&eps[1]).is_empty() && st.prefetch.is_empty());
+        assert_eq!(st.prefetch_counts.prefetched, 2);
+    }
+
+    #[test]
+    fn a_miss_on_a_left_out_page_asks_for_its_left_out_neighbours_in_the_same_request() {
+        // Node 1 of 3; `eps` are nodes 0 and 2.
+        let (mut st, eps) = test_state(1, 3, false);
+        let homes = [
+            0, 0, 0, 0, 0, 1, 2, 0, 0, 0, // 5 homed here, 6 of home 2
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        for home in homes {
+            st.pt.add_page(home);
+        }
+        // Left out by the filter: the page before the miss, the miss, and
+        // pages 3, 6 (of another home), 7 (asked for since), 17 and 18 after
+        // it. Page 4 is valid, 8 was never held, 9 was used and is due a
+        // prefetch of its own, 19 is valid.
+        for page in [1, 2, 3, 6, 7, 17, 18] {
+            invalidated_copy(&mut st, page, false);
+        }
+        invalidated_copy(&mut st, 9, true);
+        for page in [4, 19] {
+            st.pt
+                .install(PageId(page), page_of(0), &VectorClock::zero(3));
+        }
+        st.prefetch
+            .insert(PageId(7), PrefetchEntry { req_id: 0, home: 0 });
+        st.req_id_next = 1;
+
+        assert!(fetch_with_neighbours(&mut st, PageId(2)));
+        // One request, to the page's home: the miss and what the filter
+        // left out of the fifteen page ids after it.
+        let sent = requests(&eps[0]);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(batch_pages(&sent[0]), [2, 3, 17]);
+        assert!(requests(&eps[1]).is_empty());
+        for page in [2, 3, 17] {
+            assert_eq!(st.prefetch[&PageId(page)].req_id, 1);
+        }
+        assert_eq!((st.prefetch.len(), st.prefetch[&PageId(7)].req_id), (4, 0));
+        let mut counts = PrefetchCounts {
+            prefetched: 2,
+            skipped_then_missed: 1,
+            ..Default::default()
+        };
+        assert_eq!(st.prefetch_counts, counts);
+
+        // No left-out neighbour (the table ends inside the span): nothing
+        // is sent and the fault goes on to its one-page `PageReq`.
+        assert!(!fetch_with_neighbours(&mut st, PageId(18)));
+        counts.skipped_then_missed = 2;
+        // Nor for a miss the filter had no part in.
+        for page in [8, 9] {
+            assert!(!fetch_with_neighbours(&mut st, PageId(page)));
+        }
+        assert!(requests(&eps[0]).is_empty() && requests(&eps[1]).is_empty());
+        assert_eq!((st.prefetch.len(), st.prefetch_counts), (4, counts));
     }
 
     #[test]

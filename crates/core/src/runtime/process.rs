@@ -18,9 +18,10 @@ use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::recovery::{self, collect_replies, linear_key, RecAsk, ReplayPage};
 use crate::msg::Payload;
 use crate::runtime::node::{
-    apply_pending_home, dispatch, end_interval, fetch_needed, grant_now, install_reply,
-    issue_prefetch, retransmit_stale_diffs, retransmit_wait_slot, send_blocked_request,
-    CrashSignal, GrantData, Mode, NodeShared, NodeState, ReleaseData, WaitSlot,
+    apply_pending_home, dispatch, end_interval, fetch_needed, fetch_with_neighbours, grant_now,
+    install_reply, issue_prefetch, retransmit_stale_diffs, retransmit_wait_slot,
+    send_blocked_request, CrashSignal, GrantData, Mode, NodeShared, NodeState, ReleaseData,
+    WaitSlot,
 };
 use crate::shareable::Shareable;
 use crate::stats::Breakdown;
@@ -353,6 +354,8 @@ impl Process {
     fn access(&mut self, addr: GlobalAddr, len: usize, write: Option<usize>, buf: &mut [u8]) {
         let mut st = begin_op(&self.shared);
         let mut done = 0usize;
+        // Did this access fetch the copy it is about to use itself?
+        let mut demanded = false;
         while done < len {
             let cur = addr + done as u64;
             let page = self.layout.page_of(cur);
@@ -363,27 +366,37 @@ impl Process {
                 // our own sync operations invalidate pages, and this thread
                 // is here, so one fetch normally settles it.
                 drop(st);
-                self.fault_in(page);
+                demanded = self.fault_in(page);
                 st = self.shared.state.lock();
                 continue;
             }
-            if write.is_some() {
-                st.pt.write(page, off, &buf[done..done + chunk]);
+            let first_use = if write.is_some() {
+                st.pt.write(page, off, &buf[done..done + chunk])
             } else {
-                st.pt.read_into(page, off, &mut buf[done..done + chunk]);
+                st.pt.read_into(page, off, &mut buf[done..done + chunk])
+            };
+            // A copy nobody had touched that no fault of ours asked for was
+            // prefetched.
+            if first_use && !demanded {
+                st.prefetch_counts.prefetched_used += 1;
             }
+            demanded = false;
             done += chunk;
         }
     }
 
     /// Make `page` accessible: fetch from home, wait for in-flight diffs on
     /// our own homed page, or (during recovery) emulate the home locally.
-    fn fault_in(&mut self, page: PageId) {
+    /// Returns whether the copy is one this fault asked for, as opposed to
+    /// one a prefetch already in flight brought.
+    fn fault_in(&mut self, page: PageId) -> bool {
         let shared = Arc::clone(&self.shared);
+        // Set once this fault has sent its own request, batch or replay.
+        let mut demanded = false;
         loop {
             let mut st = shared.state.lock();
             match st.pt.ensure_access(page) {
-                AccessOutcome::Ready => return,
+                AccessOutcome::Ready => return demanded,
                 AccessOutcome::NeedFetch { home, needed } => {
                     if st.replay.is_some() {
                         if home == self.me {
@@ -392,9 +405,10 @@ impl Process {
                                 matches!(st.pt.ensure_access(page), AccessOutcome::Ready),
                                 "homed page {page} not ready during replay"
                             );
-                            return;
+                            return false;
                         }
                         self.replay_materialize(&mut st, page, home);
+                        demanded = true;
                         continue;
                     }
                     let t0 = Instant::now();
@@ -405,13 +419,18 @@ impl Process {
                             matches!(st.pt.ensure_access(page), AccessOutcome::Ready).then_some(())
                         });
                         self.page_wait_done(&mut st, page, home, t0);
-                        return;
+                        return false;
                     }
-                    // A prefetch batch already covers this page: wait for
-                    // that batch instead of issuing a duplicate fetch. The
-                    // entry is removed when its reply is processed whether
-                    // or not the install succeeded, so a miss falls through
-                    // to the ordinary single-page fetch below.
+                    // A page the prefetch left out brings the neighbours it
+                    // left out with it, in a batch of this fault's own.
+                    if !demanded {
+                        demanded = fetch_with_neighbours(&mut st, page);
+                    }
+                    // A batch covers this page: wait for it instead of
+                    // issuing a duplicate fetch. The entry is removed when
+                    // its reply is processed whether or not the install
+                    // succeeded, so a miss falls through to the ordinary
+                    // single-page fetch below.
                     if st.prefetch.contains_key(&page) {
                         let covered = |st: &mut NodeState| {
                             (!st.prefetch.contains_key(&page)
@@ -435,9 +454,15 @@ impl Process {
                             None => wait_until(&shared, &mut st, covered),
                         }
                         if matches!(st.pt.ensure_access(page), AccessOutcome::Ready) {
-                            st.hists.prefetch_hit.record(t0.elapsed().as_nanos() as u64);
+                            // Only a batch sent before the fault was a hit.
+                            let ns = t0.elapsed().as_nanos() as u64;
+                            if demanded {
+                                st.hists.prefetch_miss.record(ns);
+                            } else {
+                                st.hists.prefetch_hit.record(ns);
+                            }
                             self.page_wait_done(&mut st, page, home, t0);
-                            return;
+                            return demanded;
                         }
                         st.hists
                             .prefetch_miss
@@ -468,7 +493,7 @@ impl Process {
                     // page bytes end to end.
                     install_reply(&mut st, page, body, &version);
                     self.page_wait_done(&mut st, page, home, t0);
-                    return;
+                    return true;
                 }
             }
         }

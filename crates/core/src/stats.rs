@@ -94,6 +94,34 @@ pub struct FtReport {
     pub recovery_time: std::time::Duration,
 }
 
+/// What speculative page fetching moved and what came of it. A page is
+/// *prefetched* when a `PageBatchReq` asks for it before any access does:
+/// after an invalidation, if the copy held last was used, or as the
+/// left-out neighbour of a page that missed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchCounts {
+    /// Pages asked for ahead of any access to them.
+    pub prefetched: u64,
+    /// Of the copies those requests installed, the ones read or written
+    /// before the next invalidation (or found in flight by a fault).
+    pub prefetched_used: u64,
+    /// Invalidated pages left out of the prefetch because the copy held
+    /// last was never read or written (once per page and invalidation
+    /// round).
+    pub prefetch_skipped: u64,
+    /// Demand misses on a page that had been left out.
+    pub skipped_then_missed: u64,
+}
+
+impl std::ops::AddAssign for PrefetchCounts {
+    fn add_assign(&mut self, o: Self) {
+        self.prefetched += o.prefetched;
+        self.prefetched_used += o.prefetched_used;
+        self.prefetch_skipped += o.prefetch_skipped;
+        self.skipped_then_missed += o.skipped_then_missed;
+    }
+}
+
 /// Everything measured on one node.
 #[derive(Debug, Clone, Default)]
 pub struct NodeReport {
@@ -127,6 +155,8 @@ pub struct NodeReport {
     pub fetch_delta_pages: u64,
     /// Diff payload bytes those deltas wrote into the kept copies.
     pub fetch_delta_bytes: u64,
+    /// Prefetch traffic against its use.
+    pub prefetch: PrefetchCounts,
 }
 
 /// The result of a cluster run.
@@ -252,6 +282,15 @@ impl<R> RunReport<R> {
     /// Diff payload bytes the cluster's delta installs copied.
     pub fn fetch_delta_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| n.fetch_delta_bytes).sum()
+    }
+
+    /// All nodes' prefetch counters summed.
+    pub fn total_prefetch(&self) -> PrefetchCounts {
+        let mut acc = PrefetchCounts::default();
+        for n in &self.nodes {
+            acc += n.prefetch;
+        }
+        acc
     }
 
     /// All nodes' per-kind sent-message counts folded together.

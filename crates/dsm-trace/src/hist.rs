@@ -152,10 +152,13 @@ pub struct LatencyHists {
     pub fetch_batch_pages: Histogram,
     /// Waiting for a home-store shard lock on the service fast path.
     pub shard_lock_wait: Histogram,
-    /// First touch satisfied by an in-flight prefetch (wait until installed).
+    /// First touch satisfied by a prefetch already in flight (wait until
+    /// installed).
     pub prefetch_hit: Histogram,
-    /// First touch whose prefetch was dropped or stale (wait until the miss
-    /// was detected; the fault then falls back to its own `PageReq`).
+    /// First touch of a page the prefetch left out, served by the fault's
+    /// own batch with its left-out neighbours (wait until installed), or
+    /// one whose prefetch was dropped or stale (wait until the miss was
+    /// detected; the fault then falls back to its own `PageReq`).
     pub prefetch_miss: Histogram,
     /// Heartbeat round-trip time (ping sent to matching pong received).
     pub heartbeat_rtt: Histogram,

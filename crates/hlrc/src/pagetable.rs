@@ -48,6 +48,24 @@ pub struct PageMeta {
     /// since — or `None` when that is not known: the copy then goes at the
     /// next invalidation and the refetch moves the page.
     pub base: Option<Have>,
+    /// Was the copy this node last held read or written? True for a page
+    /// never held; `install` clears it and the first access of the new copy
+    /// sets it. Whoever prefetches invalidated pages leaves out one whose
+    /// bit is clear: the copy fetched last time went unused. Volatile — in
+    /// no checkpoint, true again after a restart.
+    pub used: bool,
+}
+
+impl PageMeta {
+    /// Note an access of the copy; true when it is the first since `install`
+    /// (the common later access stores nothing).
+    fn touch(&mut self) -> bool {
+        let first = !self.used;
+        if first {
+            self.used = true;
+        }
+        first
+    }
 }
 
 #[derive(Debug)]
@@ -174,6 +192,7 @@ impl PageTable {
                 copy: None,
                 needed: VectorClock::zero(self.cluster_size()),
                 base: None,
+                used: true,
             })
         };
         self.slots.push(Slot { entry, twin: None });
@@ -222,29 +241,38 @@ impl PageTable {
     }
 
     /// Copy `dst.len()` bytes at `offset` of a `Ready` page into `dst`.
+    /// Returns whether this is the first access of a remote copy since its
+    /// `install` (never for a homed page).
     ///
     /// # Panics
     /// If the page is not accessible (callers must first get
     /// [`AccessOutcome::Ready`]).
-    pub fn read_into(&self, page: PageId, offset: usize, dst: &mut [u8]) {
-        match &self.slots[page.index()].entry {
-            Entry::Home => self.home.read_into(page, offset, dst),
-            Entry::Remote(m) => dst.copy_from_slice(
-                m.copy
-                    .as_ref()
-                    .filter(|_| m.state == PageState::Valid)
-                    .unwrap_or_else(|| panic!("read of invalid page {page}"))
-                    .read(offset, dst.len()),
-            ),
+    pub fn read_into(&mut self, page: PageId, offset: usize, dst: &mut [u8]) -> bool {
+        match &mut self.slots[page.index()].entry {
+            Entry::Home => {
+                self.home.read_into(page, offset, dst);
+                false
+            }
+            Entry::Remote(m) => {
+                dst.copy_from_slice(
+                    m.copy
+                        .as_ref()
+                        .filter(|_| m.state == PageState::Valid)
+                        .unwrap_or_else(|| panic!("read of invalid page {page}"))
+                        .read(offset, dst.len()),
+                );
+                m.touch()
+            }
         }
     }
 
     /// Write `bytes` at `offset` of a `Ready` page, creating the twin on the
-    /// first write of the interval.
+    /// first write of the interval. Returns what [`PageTable::read_into`]
+    /// does.
     ///
     /// # Panics
     /// If the page is not accessible.
-    pub fn write(&mut self, page: PageId, offset: usize, bytes: &[u8]) {
+    pub fn write(&mut self, page: PageId, offset: usize, bytes: &[u8]) -> bool {
         let Self {
             slots,
             pool,
@@ -255,6 +283,7 @@ impl PageTable {
         match &mut slot.entry {
             Entry::Home => {
                 self.home.write(page, offset, bytes);
+                false
             }
             Entry::Remote(m) => {
                 let copy = m
@@ -267,6 +296,7 @@ impl PageTable {
                     twinned.push(page);
                 }
                 copy.write_pooled(pool, offset, bytes);
+                m.touch()
             }
         }
     }
@@ -307,6 +337,7 @@ impl PageTable {
             "fetched copy older than required version"
         );
         m.state = PageState::Valid;
+        m.used = false;
         match body {
             PageBody::Full { bytes, base } => {
                 if let Some(old) = m.copy.replace(Page::from_shared(bytes)) {
@@ -490,6 +521,7 @@ impl PageTable {
     /// homed page's diff ring, keeping home copies for the caller to
     /// overwrite from the checkpoint, and set the `needed` vectors from
     /// `needed_by_page` (page, writer, seq) triples saved in the checkpoint.
+    /// No remote page has been held since, so every one counts as `used`.
     pub fn reset_for_restart(&mut self, needed_by_page: &[(PageId, ProcId, u32)]) {
         let n = self.cluster_size();
         self.home.reset_for_restart();
@@ -500,6 +532,7 @@ impl PageTable {
                 m.state = PageState::Invalid;
                 m.copy = None;
                 m.base = None;
+                m.used = true;
                 m.needed = VectorClock::zero(n);
             }
         }
@@ -558,7 +591,7 @@ mod tests {
         t
     }
 
-    fn read_vec(t: &PageTable, page: PageId, offset: usize, len: usize) -> Vec<u8> {
+    fn read_vec(t: &mut PageTable, page: PageId, offset: usize, len: usize) -> Vec<u8> {
         let mut buf = vec![0u8; len];
         t.read_into(page, offset, &mut buf);
         buf
@@ -566,10 +599,10 @@ mod tests {
 
     #[test]
     fn home_pages_are_immediately_accessible() {
-        let t = table();
+        let mut t = table();
         assert!(t.is_home(PageId(0)));
         assert_eq!(t.ensure_access(PageId(0)), AccessOutcome::Ready);
-        assert_eq!(read_vec(&t, PageId(0), 0, 4), &[0, 0, 0, 0]);
+        assert_eq!(read_vec(&mut t, PageId(0), 0, 4), &[0, 0, 0, 0]);
     }
 
     #[test]
@@ -656,7 +689,7 @@ mod tests {
         assert_eq!(t.home_version(PageId(0)).get(1), 2);
         assert!(t.home_writers_contain(PageId(0), 1));
         assert!(!t.home_writers_contain(PageId(0), 0));
-        assert_eq!(read_vec(&t, PageId(0), 0, 8), &[7; 8]);
+        assert_eq!(read_vec(&mut t, PageId(0), 0, 8), &[7; 8]);
     }
 
     #[test]
@@ -695,7 +728,7 @@ mod tests {
             AccessOutcome::NeedFetch { .. }
         ));
         // Kept is not readable: an access still panics as on any invalid page.
-        let stale_read = std::panic::AssertUnwindSafe(|| read_vec(&t, PageId(1), 0, 8));
+        let stale_read = std::panic::AssertUnwindSafe(|| read_vec(&mut t, PageId(1), 0, 8));
         assert!(std::panic::catch_unwind(stale_read).is_err());
         assert_eq!(t.have(PageId(1)), Some(&(1, vc([0, 3]))));
         // The delta lands on it: only the diff's bytes are copied.
@@ -709,7 +742,7 @@ mod tests {
         );
         assert_eq!(t.ensure_access(PageId(1)), AccessOutcome::Ready);
         assert_eq!(
-            read_vec(&t, PageId(1), 0, 32),
+            read_vec(&mut t, PageId(1), 0, 32),
             [[7; 8], [9; 8], [9; 8], [7; 8]].concat()
         );
         assert_eq!(t.have(PageId(1)), Some(&(1, vc([0, 4]))));
@@ -728,6 +761,43 @@ mod tests {
         t.invalidate(PageId(1), 1, 5);
         assert!(t.remote_meta(PageId(1)).copy.is_none());
         assert_eq!(t.delta_installs(), (1, 16));
+    }
+
+    #[test]
+    fn only_a_page_whose_last_copy_was_used_is_marked_for_prefetch() {
+        let mut t = table();
+        let p = PageId(1);
+        let used = |t: &PageTable| t.remote_meta(p).used;
+        // Never held: nothing says the page is not wanted.
+        assert!(used(&t));
+        t.invalidate(p, 1, 1);
+        assert!(used(&t));
+        // A copy invalidated unread is not wanted again, however many
+        // notices follow — and stays, with its version, for the delta the
+        // miss that does come asks for.
+        t.install(p, base_copy(7), &vc([0, 1]));
+        for seq in 2..5 {
+            t.invalidate(p, 1, seq);
+            assert!(!used(&t) && t.remote_meta(p).copy.is_some());
+            assert_eq!(t.have(p), Some(&(1, vc([0, 1]))));
+        }
+        // One read, or one write, of the copy that miss fetches and the
+        // page is wanted again.
+        for (seq, write) in [(5, false), (6, true)] {
+            t.install(p, base_copy(8), &vc([0, seq - 1]));
+            assert!(!used(&t));
+            let access = |t: &mut PageTable| match write {
+                true => t.write(p, 0, &[1]),
+                false => t.read_into(p, 0, &mut [0u8; 8]),
+            };
+            assert!(access(&mut t), "first access of the copy");
+            assert!(!access(&mut t), "second access of the copy");
+            t.end_interval(iv(0, seq));
+            t.invalidate(p, 1, seq);
+            assert!(used(&t));
+        }
+        // Homed pages have no such bit: an access of one is never a first.
+        assert!(!t.write(PageId(0), 0, &[1]) && !t.read_into(PageId(0), 0, &mut [0u8; 8]));
     }
 
     #[test]
@@ -776,7 +846,7 @@ mod tests {
         );
         assert_eq!(t.install(PageId(1), body, &v), 8);
         assert_eq!(
-            read_vec(&t, PageId(1), 0, 64),
+            read_vec(&mut t, PageId(1), 0, 64),
             &home.snapshot(PageId(1)).1[..]
         );
         assert_eq!(t.have(PageId(1)), Some(&(1, vc([1, 1]))));
@@ -816,10 +886,12 @@ mod tests {
     fn restart_reset_drops_copies_and_restores_needed() {
         let mut t = table();
         t.install(PageId(1), base_copy(1), &VectorClock::zero(2));
-        t.invalidate(PageId(1), 1, 1); // kept, with its version ...
+        t.invalidate(PageId(1), 1, 1); // kept, with its version, unused ...
+        assert!(!t.remote_meta(PageId(1)).used);
         t.reset_for_restart(&[(PageId(1), 1, 7)]);
-        // ... and lost with everything else.
+        // ... and lost with everything else: a page never held again.
         assert!(t.have(PageId(1)).is_none() && t.remote_meta(PageId(1)).copy.is_none());
+        assert!(t.remote_meta(PageId(1)).used);
         match t.ensure_access(PageId(1)) {
             AccessOutcome::NeedFetch { needed, .. } => assert_eq!(needed.get(1), 7),
             other => panic!("unexpected: {other:?}"),

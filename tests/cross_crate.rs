@@ -228,6 +228,64 @@ fn a_migratory_cell_refetch_moves_what_changed_not_the_page() {
     );
 }
 
+/// The prefetch rule end to end: node 1 reads 40 pages node 0 rewrites every
+/// round, stops reading them, then sweeps them again, then comes back for
+/// one page.
+#[test]
+fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
+    const PAGES: usize = 40;
+    let r = run(ClusterConfig::base(2).with_page_size(256), &[], |p| {
+        let cells = p.alloc_vec::<u64>(PAGES * 32, HomeAlloc::Node(0));
+        let mut sum = 0;
+        for round in 0..6u64 {
+            if p.me() == 0 {
+                let written = if round < 4 { 0..PAGES } else { 5..6 };
+                for page in written {
+                    cells.set(p, page * 32, round + 1);
+                }
+            }
+            p.barrier();
+            if p.me() == 1 {
+                let read = match round {
+                    0 | 3 => 0..PAGES,
+                    5 => 5..6,
+                    _ => 0..0,
+                };
+                sum += read.map(|page| cells.get(p, page * 32)).sum::<u64>();
+            }
+            p.barrier();
+        }
+        sum
+    });
+    assert_eq!(r.results[1], (1 + 4) * PAGES as u64 + 6);
+    let sent = |kind| {
+        let kinds = r.total_msg_kinds();
+        kinds
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, c)| c)
+    };
+    // Round 0: never held, so wanted — one batch, which the first read finds
+    // in flight. 1: every copy was read, one batch refetches them. 2: none of
+    // those was, nothing is asked for. 3: nor now, and the sweep's misses on
+    // pages 0, 16 and 32 each bring the pages after them. 4: page 5 was read
+    // in the sweep and is prefetched alone. 5: that copy was not, and with
+    // no left-out neighbour its miss is a `PageReq`.
+    assert_eq!((sent("PageReq"), sent("PageBatchReq")), (1, 6));
+    let counts = ftdsm_suite::PrefetchCounts {
+        prefetched: 40 + 40 + 37 + 1,
+        prefetched_used: 40 + 37,
+        prefetch_skipped: 40 + 40 + 1,
+        skipped_then_missed: 3 + 1,
+    };
+    assert_eq!(r.total_prefetch(), counts);
+    assert_eq!(r.nodes[0].prefetch, Default::default());
+    // A fault its own batch served is a miss, not a hit (round 5's
+    // `PageReq` waits on no batch and records neither).
+    let h = r.total_hists();
+    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (1, 3));
+}
+
 /// A lock only its manager ever takes is self-granted every time, which
 /// leaves no grant record on any peer. When the node crashes right after
 /// such a tenure, the one witness that its interval was flushed is the
