@@ -247,7 +247,10 @@ pub(crate) fn take_checkpoint(
         let ft = st.ft.as_ref().expect("checkpoint without FT enabled");
         (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq())
     };
-    st.tracer.emit(EventKind::CkptBegin { seq });
+    st.tracer.emit(EventKind::CkptBegin {
+        seq,
+        outbox: st.diffs.depth() as u32,
+    });
     let t_log = Instant::now();
 
     // --- full anchor or delta? ---------------------------------------------

@@ -36,6 +36,9 @@
 //!    subject's own `CrashInjected` — a node that restarts before anyone
 //!    suspects it shows a newer incarnation, which observers report as
 //!    `MemberDown` + `MemberUp` with no suspicion round at all.
+//! 6. **Checkpoint covers outbox** — a `CkptBegin` finds no diff batch
+//!    unacknowledged: a checkpoint that outruns the outbox records as sent
+//!    what, after a crash, no survivor can resupply.
 //!
 //! The monitor never holds a reference back to the [`dsm_trace::Trace`]
 //! (that would leak the rings via an `Arc` cycle); it tracks the last flow
@@ -261,6 +264,13 @@ impl EventSink for Monitor {
                 }
                 node.last_episode = Some(*episode);
             }
+            EventKind::CkptBegin { seq, outbox } if *outbox > 0 => {
+                let detail = format!(
+                    "checkpoint {seq} began with {outbox} diff batch(es) unacknowledged \
+                     in the outbox"
+                );
+                Self::violate(inner, e, "checkpoint-covers-outbox", detail);
+            }
             EventKind::CrashInjected { .. } => {
                 inner.down_cause[e.node] = true;
                 let node = &mut inner.nodes[e.node];
@@ -414,6 +424,18 @@ mod tests {
         let r = m.finish();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].invariant, "tenure-uniqueness");
+    }
+
+    #[test]
+    fn a_checkpoint_that_outruns_the_outbox_is_caught() {
+        let m = Monitor::new(2);
+        m.on_event(&ev(1, 1, EventKind::CkptBegin { seq: 1, outbox: 0 }));
+        assert!(m.finish().violations.is_empty());
+        m.on_event(&ev(1, 2, EventKind::CkptBegin { seq: 2, outbox: 3 }));
+        let r = m.finish();
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].invariant, "checkpoint-covers-outbox");
+        assert!(r.violations[0].detail.contains("checkpoint 2"));
     }
 
     #[test]

@@ -1580,6 +1580,10 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
         Payload::DiffAck { seq } => {
             if st.diffs.ack(from, seq) {
                 pump_diffs(st, from);
+                // A checkpoint waits for exactly this (`safe_point`).
+                if st.diffs.drained() {
+                    st.ep.poke();
+                }
             } else {
                 st.dup_suppressed += 1;
             }

@@ -1005,7 +1005,8 @@ impl Process {
     }
 
     fn safe_point<S: AppState>(&mut self, step: u64, state: &S) {
-        let mut st = self.shared.state.lock();
+        let shared = Arc::clone(&self.shared);
+        let mut st = shared.state.lock();
         if st.replay.is_some() {
             return; // no checkpoints while replaying
         }
@@ -1016,6 +1017,16 @@ impl Process {
         if !due {
             return;
         }
+        // A checkpoint must not record as sent what no survivor can
+        // resupply: a diff still in the outbox dies with this node, and
+        // replay from this checkpoint would not make it again. Flush the
+        // open interval, then let every home acknowledge (the `DiffAck`
+        // that empties the outbox pokes this wait; nothing is queued when
+        // the retry layer is off).
+        self.close_interval(&mut st);
+        let t0 = Instant::now();
+        wait_until(&shared, &mut st, |st| st.diffs.drained().then_some(()));
+        self.breakdown.logging += waited(&mut st, t0);
         let mut w = ByteWriter::new();
         state.encode(&mut w);
         let (logging, disk) = crate::ft::take_checkpoint(&mut st, step, w.into_bytes());

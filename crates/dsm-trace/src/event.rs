@@ -82,8 +82,11 @@ pub enum EventKind {
     BarrierEnter { episode: u32 },
     /// Barrier release reached this node.
     BarrierRelease { episode: u32 },
-    /// Checkpoint `seq` started.
-    CkptBegin { seq: u64 },
+    /// Checkpoint `seq` started with `outbox` diff batches still
+    /// unacknowledged by their homes — which the invariant monitor requires
+    /// to be zero: the checkpoint would record them as sent, and after a
+    /// crash nobody could supply them.
+    CkptBegin { seq: u64, outbox: u32 },
     /// Checkpoint `seq` was written (`bytes` to stable storage).
     CkptEnd { seq: u64, bytes: u64 },
     /// Lazy log trimming discarded `bytes` of volatile log.
@@ -178,7 +181,9 @@ impl EventKind {
             EventKind::BarrierEnter { episode } | EventKind::BarrierRelease { episode } => {
                 format!("\"episode\":{episode}")
             }
-            EventKind::CkptBegin { seq } => format!("\"seq\":{seq}"),
+            EventKind::CkptBegin { seq, outbox } => {
+                format!("\"seq\":{seq},\"outbox\":{outbox}")
+            }
             EventKind::CkptEnd { seq, bytes } => format!("\"seq\":{seq},\"bytes\":{bytes}"),
             EventKind::LogTrim { rule, bytes } => {
                 format!("\"rule\":\"{}\",\"bytes\":{bytes}", rule.name())

@@ -302,6 +302,51 @@ fn crash_during_chaos_stress() {
     assert!(delta_installs > 0, "the soak never installed a delta");
 }
 
+/// A checkpoint waits for its outbox. With half of all `DiffAck`s dropped a
+/// flushed diff sits unacknowledged — or, behind another, unsent — in its
+/// writer's volatile outbox for a retry period at a time; a checkpoint taken
+/// meanwhile records the interval as done, and a crash on the very next
+/// operation loses diffs replay will not make again: every node then agrees
+/// on a wrong result. The crash points are each step's first `acquire`, the
+/// operation right after a safe point (2 allocations, then 53 operations a
+/// step); the last case is the soak's own repro of the bug.
+#[test]
+fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
+    let clean = run(cfg(), &[], app);
+    let lost_acks =
+        || FaultPlan::new(0).with_rule(FaultRule::all().of_kind("DiffAck").dropping(0.5));
+    let mut cases = Vec::new();
+    for victim in 0..NODES {
+        for step in 1..6 {
+            cases.push((cfg().with_chaos(lost_acks()), victim, 3 + 53 * step));
+        }
+    }
+    let soak_repro = cfg()
+        .with_incremental_ckpt(3)
+        .with_seed(0x419c2cdd428202f4)
+        .with_chaos(FaultPlan::lossy(0));
+    cases.push((soak_repro, 0, 215));
+    let mut ckpts = 0;
+    for (case_cfg, victim, at_op) in cases {
+        let crashed = run(
+            case_cfg,
+            &[FailureSpec {
+                node: victim,
+                at_op,
+            }],
+            app,
+        );
+        assert_eq!(
+            (&clean.results, clean.shared_hash),
+            (&crashed.results, crashed.shared_hash),
+            "victim {victim} at_op {at_op}"
+        );
+        assert_eq!(crashed.nodes[victim].ft.recoveries, 1, "victim {victim}");
+        ckpts += crashed.nodes[victim].ft.ckpts_taken;
+    }
+    assert!(ckpts > 0, "no victim ever checkpointed");
+}
+
 /// A partition that heals: the minority side must be suspected (possibly
 /// even declared down) and then rescinded or re-admitted, and the run must
 /// still finish with correct results.
