@@ -240,7 +240,11 @@ fn do_sweep(scale: &Scale) {
 }
 
 /// Recovery-cost experiment (§4.3: replay is local and expected to be
-/// faster than the lost execution segment).
+/// faster than the lost execution segment). Its traffic is split the way
+/// arXiv:2010.09025 splits a log fetch: "Rec msgs" is the per-message cost —
+/// 2 (n − 1) for the handshake and as many again per replayed remote page,
+/// which CI holds it to — and "Rec MB" the volume, both over every message
+/// kind starting `Rec`.
 fn do_recover(scale: &Scale) {
     println!("\n=== Recovery cost (crash one node mid-run) ===");
     let mut rows = Vec::new();
@@ -263,10 +267,20 @@ fn do_recover(scale: &Scale) {
             "{}: recovery diverged",
             app.name()
         );
+        let rec = |per_kind: fn(&ftdsm::NodeReport) -> &Vec<(&'static str, u64)>| -> u64 {
+            let kinds = crashed.nodes.iter().flat_map(per_kind);
+            kinds
+                .filter(|(k, _)| k.starts_with("Rec"))
+                .map(|&(_, v)| v)
+                .sum()
+        };
         rows.push(vec![
             app.name().to_string(),
             at_op.to_string(),
             format!("{}", crashed.nodes[victim].ft.recoveries),
+            format!("{}", crashed.nodes[victim].ft.replayed_pages),
+            format!("{}", rec(|n| &n.msg_kinds)),
+            format!("{:.3}", rec(|n| &n.msg_kind_bytes) as f64 / 1e6),
             format!(
                 "{:.3}",
                 crashed.nodes[victim].ft.recovery_time.as_secs_f64()
@@ -281,6 +295,9 @@ fn do_recover(scale: &Scale) {
             "Application",
             "Crash op",
             "Recoveries",
+            "Replayed pages",
+            "Rec msgs",
+            "Rec MB",
             "Recovery (s)",
             "Clean wall (s)",
             "Crashed wall (s)",

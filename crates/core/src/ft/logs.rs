@@ -237,6 +237,15 @@ impl VolatileLogs {
         self.rel[to].iter().find(|e| e.acq_seq == acq_seq)
     }
 
+    /// This node's logged diffs for `page` from intervals after `have` —
+    /// what a copy holding its intervals up to `have` lacks (Rule 3's
+    /// predicate). Cloning an entry is an `Arc` bump plus a vector-clock
+    /// clone, never a run-payload copy.
+    pub fn diffs_after(&self, page: PageId, have: u32) -> impl Iterator<Item = DiffLogEntry> + '_ {
+        let log = self.diffs.get(&page).into_iter().flatten();
+        log.filter(move |e| e.diff.interval.seq > have).cloned()
+    }
+
     /// Rule 1: retain only write notices from intervals newer than
     /// `min_{j != me} T^j_ckp[me]`.
     pub fn trim_rule1(&mut self, min_peer_ckp_of_me: u32) {

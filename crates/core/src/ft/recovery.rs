@@ -5,19 +5,26 @@
 //! 1. restores processor-equivalent state from its last local checkpoint
 //!    (vector timestamp, homed pages, counters, application state at a step
 //!    boundary, saved logs);
-//! 2. performs a handshake collecting from every peer its write-notice log,
-//!    the grants it sent us (`rel_log[us]`), the mirror restoring our own
-//!    release logs (`acq_log[us]`), barrier crossing logs, and lock-chain
-//!    generations (manager rebuild);
-//! 3. fully restores its homed pages by applying every collected diff in a
-//!    linear extension of happens-before, gated by how much of our own
-//!    history each diff's creator had seen;
+//! 2. asks every peer once — one `RecLogReq` each, carrying the restored
+//!    version `p0.v` of every page it homes — and collects from each its
+//!    write-notice log, the grants it sent us (`rel_log[us]`), the mirror
+//!    restoring our own release logs (`acq_log[us]`), barrier crossing logs,
+//!    lock-chain generations (manager rebuild), and its diff-log entries for
+//!    our homed pages that the restored copies do not hold;
+//! 3. fully restores its homed pages by applying those diffs in a linear
+//!    extension of happens-before, each once the replay point's timestamp
+//!    covers its own (what is left at the crash point is concurrent with
+//!    the whole replay and lands then);
 //! 4. re-executes the application from the checkpointed step, replaying
 //!    acquires and barriers from the collected logs and page misses by
-//!    *local emulation of a home* — maximal starting copy plus partially
-//!    ordered diffs;
+//!    *local emulation of a home* — one `RecPageReq` to every peer per
+//!    remote page touched: the home answers with the maximal starting copy,
+//!    everyone with their partially ordered diffs;
 //! 5. switches to live execution at the first operation with no log record
 //!    (the crash point), processing the backlog of deferred peer requests.
+//!
+//! Recovery traffic is therefore 2 (n − 1) (1 + R) messages for R replayed
+//! remote pages, whatever the number of pages homed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,7 +38,9 @@ use parking_lot::MutexGuard;
 use crate::ft::ckpt::{self, RetainedCkpt};
 use crate::ft::logs::{DiffLogEntry, RelEntry};
 use crate::msg::Payload;
-use crate::runtime::node::{apply_pending_home, handle_msg, Mode, NodeShared, NodeState, WaitSlot};
+use crate::runtime::node::{
+    apply_pending_home, apply_pending_home_where, handle_msg, Mode, NodeShared, NodeState, WaitSlot,
+};
 use crate::runtime::process::wait_until;
 
 /// One remote page being rebuilt by local home emulation.
@@ -58,8 +67,8 @@ pub(crate) struct ReplayState {
     pub bar_results: HashMap<u64, VectorClock>,
     /// Emulated-home copies of remote pages.
     pub pages: HashMap<PageId, ReplayPage>,
-    /// Diffs for our homed pages not yet applied (gated by how much of our
-    /// own history their creators had seen).
+    /// Diffs for our homed pages not yet applied: the replay point does not
+    /// cover them yet (kept in linear-extension order).
     pub pending_home: Vec<DiffLogEntry>,
     /// Highest interval of OURS any collected peer record proves existed:
     /// peers only learn our interval k after the op that created it
@@ -82,18 +91,15 @@ pub(crate) fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
 pub(crate) enum RecAsk {
     /// Every peer's `RecLogReply` (the handshake).
     Logs,
-    /// The home's `RecPageReply` for this page.
+    /// Every peer's `RecPageReply` for this page.
     Page(PageId),
-    /// Every peer's `RecDiffReply` for this page.
-    Diffs(PageId),
 }
 
 impl RecAsk {
     fn matches(self, reply: &Payload) -> bool {
         match (self, reply) {
             (RecAsk::Logs, Payload::RecLogReply { .. }) => true,
-            (RecAsk::Page(want), Payload::RecPageReply { page, .. })
-            | (RecAsk::Diffs(want), Payload::RecDiffReply { page, .. }) => *page == want,
+            (RecAsk::Page(want), Payload::RecPageReply { page, .. }) => *page == want,
             _ => false,
         }
     }
@@ -185,14 +191,19 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     );
 
     // ---- Phase 2: handshake ---------------------------------------------
+    // Each peer is told what of its own the restored homed copies hold, so
+    // its one reply brings exactly the diffs they lack.
     let peers: Vec<ProcId> = (0..n).filter(|&p| p != me).collect();
     for &p in &peers {
-        st.send(p, Payload::RecLogReq);
+        let p0v = |&pg| (pg, st.pt.home_version(pg).get(p));
+        let homed = homed.iter().map(p0v).collect();
+        st.send(p, Payload::RecLogReq { homed });
     }
 
     // ---- Phase 3: collect and merge log replies -----------------------------
     let t_collect = std::time::Instant::now();
     let mut replay = ReplayState::default();
+    let mut entries: Vec<DiffLogEntry> = Vec::new();
     for (peer, payload) in collect_replies(shared, &mut st, RecAsk::Logs, &peers) {
         let Payload::RecLogReply {
             wn,
@@ -203,10 +214,12 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
             lock_chains,
             gen_floor,
             applied_of_you,
+            diffs,
         } = payload
         else {
             unreachable!("collected a reply that was not asked for")
         };
+        entries.extend(diffs);
         // A home that applied our interval k saw it flushed: without this a
         // final self-granted acquire whose only witness is a remote home
         // goes live and runs interval k a second time — the home drops the
@@ -302,20 +315,7 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     }
 
     // ---- Phase 4: restore homed pages -----------------------------------
-    for &page in &homed {
-        for &p in &peers {
-            st.send(p, Payload::RecDiffReq { page });
-        }
-    }
-    let mut entries: Vec<DiffLogEntry> = Vec::new();
-    for &page in &homed {
-        for (_, payload) in collect_replies(shared, &mut st, RecAsk::Diffs(page), &peers) {
-            let Payload::RecDiffReply { entries: es, .. } = payload else {
-                unreachable!("collected a reply that was not asked for")
-            };
-            entries.extend(es);
-        }
-    }
+    // From the diffs the handshake brought; nothing more is asked for.
     entries.sort_by_key(linear_key);
     for e in &entries {
         replay.evidence_self = replay.evidence_self.max(e.t.get(me));
@@ -341,7 +341,12 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
 /// Switch from replay to live execution: the first operation with no log
 /// record is the crash point.
 pub(crate) fn go_live(st: &mut NodeState) {
-    apply_pending_home(st);
+    // What is left is concurrent with everything replayed: before the crash
+    // it had arrived or it had not, a race-free program cannot tell, and from
+    // here on it must be there. Its creator can have seen only intervals of
+    // ours that replay made again (checked below).
+    let me = st.me;
+    apply_pending_home_where(st, |vt, t| t.get(me) <= vt.get(me));
     let replay = st.replay.take().expect("go_live without replay state");
     if let (Some(t0), Some(ft)) = (replay.started, st.ft.as_mut()) {
         ft.report.recovery_time += t0.elapsed();
@@ -408,79 +413,78 @@ mod tests {
             lock_chains: Vec::new(),
             gen_floor: Vec::new(),
             applied_of_you: 0,
+            diffs: Vec::new(),
         }
     }
 
-    fn diff_reply(page: u32) -> Payload {
-        Payload::RecDiffReply {
-            page: PageId(page),
-            entries: Vec::new(),
-        }
-    }
-
-    fn page_reply(page: u32) -> Payload {
+    /// A non-home's reply, or with `copy` the home's.
+    fn page_reply(page: u32, copy: bool) -> Payload {
         Payload::RecPageReply {
             page: PageId(page),
-            version: VectorClock::zero(3),
-            bytes: vec![0u8; 8].into(),
+            copy: copy.then(|| (VectorClock::zero(3), vec![0u8; 8].into())),
+            entries: Vec::new(),
         }
     }
 
     #[test]
     fn collector_takes_only_what_was_asked_once_per_peer_and_keeps_the_rest_in_order() {
         let mut inbox = vec![
-            (1, diff_reply(7)),
-            (2, page_reply(4)),
-            (1, diff_reply(4)),
+            (1, page_reply(7, false)),
+            (1, page_reply(4, false)),
             (1, log_reply()),
-            (1, diff_reply(4)), // duplicate from peer 1
-            (2, diff_reply(9)),
-            (3, diff_reply(4)), // peer 3 was never asked
+            (1, page_reply(4, false)), // duplicate from peer 1
+            (2, page_reply(9, true)),
+            (3, page_reply(4, false)), // peer 3 was never asked
         ];
         let mut owed = vec![1, 2];
         let mut got = Vec::new();
-        take_replies(&mut inbox, RecAsk::Diffs(PageId(4)), &mut owed, &mut got);
-        assert_eq!(got, [(1, diff_reply(4))], "one reply, from the peer asked");
+        take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
+        assert_eq!(
+            got,
+            [(1, page_reply(4, false))],
+            "one reply, from the peer asked"
+        );
         assert_eq!(owed, [2], "peer 2 still owes its reply");
         // The duplicate and the unasked reply are gone; everything that is
         // some other wait's business is still queued, in arrival order.
         assert_eq!(
             inbox,
             [
-                (1, diff_reply(7)),
-                (2, page_reply(4)),
+                (1, page_reply(7, false)),
                 (1, log_reply()),
-                (2, diff_reply(9)),
+                (2, page_reply(9, true)),
             ]
         );
 
-        // The late reply completes the wait.
-        inbox.push((2, diff_reply(4)));
-        take_replies(&mut inbox, RecAsk::Diffs(PageId(4)), &mut owed, &mut got);
-        assert!(owed.is_empty());
-        assert_eq!(got.len(), 2);
-
-        // Kind and page both select: the page reply for page 4 is not a
-        // diff reply for page 4, and the handshake takes only log replies.
-        let (mut owed, mut got) = (vec![2], Vec::new());
+        // The late reply completes the wait; the home's and a non-home's
+        // are the same kind, told apart by the copy alone.
+        inbox.push((2, page_reply(4, true)));
         take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
-        assert_eq!(got, [(2, page_reply(4))]);
+        assert!(owed.is_empty());
+        assert_eq!(got[1], (2, page_reply(4, true)));
+
+        // Kind and page both select: the handshake takes only log replies.
         let (mut owed, mut got) = (vec![1, 2], Vec::new());
         take_replies(&mut inbox, RecAsk::Logs, &mut owed, &mut got);
         assert_eq!(got, [(1, log_reply())]);
         assert_eq!(owed, [2]);
-        assert_eq!(inbox, [(1, diff_reply(7)), (2, diff_reply(9))]);
+        assert_eq!(inbox, [(1, page_reply(7, false)), (2, page_reply(9, true))]);
     }
 
     #[test]
     fn a_blocked_recovery_wait_names_what_it_asked_and_who_owes_it() {
         // `wait_until`'s deadline panic prints the wait slot.
-        let wait = WaitSlot::Recovery {
-            ask: RecAsk::Diffs(PageId(12)),
-            owed: vec![0, 3],
-        };
-        let shown = format!("{wait:?}");
-        assert!(shown.contains("Diffs") && shown.contains("12"), "{shown}");
-        assert!(shown.contains("[0, 3]"), "{shown}");
+        for (ask, named) in [
+            (RecAsk::Page(PageId(12)), "Page(PageId(12))"),
+            (RecAsk::Logs, "Logs"),
+        ] {
+            let wait = WaitSlot::Recovery {
+                ask,
+                owed: vec![0, 3],
+            };
+            let shown = format!("{wait:?}");
+            assert!(shown.contains(named), "{shown}");
+            assert!(shown.contains("[0, 3]"), "{shown}");
+        }
     }
 }

@@ -188,8 +188,15 @@ pub enum Payload {
     },
 
     // ---- recovery protocol ----
-    /// Recovery handshake: recovering node → every peer.
-    RecLogReq,
+    /// Recovery handshake: recovering node → every peer. The one request a
+    /// recovery makes of a peer that is not for a replayed page.
+    RecLogReq {
+        /// Every page the recovering node homes, with the receiver's
+        /// component of its version in the restart image (`p0.v[receiver]`):
+        /// the receiver's diffs the restored copy already holds. Rule 3's
+        /// predicate, and the gate the home applies to an arriving diff.
+        homed: Vec<(PageId, u32)>,
+    },
     /// Everything a peer contributes to a recovery (its trimmed logs).
     RecLogReply {
         /// The peer's own write-notice log.
@@ -224,34 +231,28 @@ pub enum Payload {
         /// before the crash, whatever record of it died with its creator
         /// (a self-granted acquire leaves none anywhere else).
         applied_of_you: u32,
+        /// The peer's diff-log entries for the request's `homed` pages that
+        /// the restored copies do not hold (`diff.interval.seq >
+        /// p0.v[peer]`), in page order and log order within a page.
+        diffs: Vec<DiffLogEntry>,
     },
-    /// Maximal-starting-copy request: recovering node → home.
+    /// A remote page the replay touched: recovering node → every peer.
     RecPageReq {
-        /// The page whose starting copy is needed.
+        /// The page to rebuild.
         page: PageId,
         /// The recovering node's restart-checkpoint timestamp; the home
         /// returns its newest retained copy with version `<=` this.
         tckp: VectorClock,
     },
-    /// Maximal starting copy: home → recovering node.
+    /// What a peer has of a replayed page.
     RecPageReply {
         /// The page.
         page: PageId,
-        /// The starting copy's version vector.
-        version: VectorClock,
-        /// The starting copy's contents (shared, not copied per hop).
-        bytes: Arc<[u8]>,
-    },
-    /// Diff-log request for one page: recovering node → every peer.
-    RecDiffReq {
-        /// The page whose diffs are needed.
-        page: PageId,
-    },
-    /// A peer's diff log for one page.
-    RecDiffReply {
-        /// The page.
-        page: PageId,
-        /// The peer's logged diffs for the page (with full timestamps).
+        /// From the page's home only: the maximal starting copy, version and
+        /// contents (shared, not copied per hop).
+        copy: Option<(VectorClock, Arc<[u8]>)>,
+        /// The peer's logged diffs for the page (with full timestamps); the
+        /// home leaves out its own that the copy already holds.
         entries: Vec<DiffLogEntry>,
     },
 }
@@ -260,6 +261,11 @@ pub enum Payload {
 /// version.
 fn have_size(have: &Option<Have>) -> usize {
     1 + have.as_ref().map_or(0, |(_, v)| 4 + v.wire_size())
+}
+
+/// Encoded size of a list of diff-log entries: a count, then the entries.
+fn entries_size(entries: &[DiffLogEntry]) -> usize {
+    4 + entries.iter().map(|e| e.wire_size()).sum::<usize>()
 }
 
 impl Payload {
@@ -292,7 +298,7 @@ impl Payload {
                     .sum::<usize>()
             }
             Payload::PageReply { version, body, .. } => 13 + version.wire_size() + body.wire_size(),
-            Payload::RecLogReq => 1,
+            Payload::RecLogReq { homed } => 5 + 8 * homed.len(),
             Payload::RecLogReply {
                 wn,
                 rel_for_you,
@@ -302,6 +308,7 @@ impl Payload {
                 lock_chains,
                 gen_floor,
                 applied_of_you: _,
+                diffs,
             } => {
                 1 + wn.iter().map(|e| e.wire_size()).sum::<usize>()
                     + rel_for_you.iter().map(|e| e.wire_size()).sum::<usize>()
@@ -317,12 +324,13 @@ impl Payload {
                     + 33 * lock_chains.len()
                     + 16 * gen_floor.len()
                     + 4
+                    + entries_size(diffs)
             }
             Payload::RecPageReq { tckp, .. } => 5 + tckp.wire_size(),
-            Payload::RecPageReply { version, bytes, .. } => 5 + version.wire_size() + bytes.len(),
-            Payload::RecDiffReq { .. } => 5,
-            Payload::RecDiffReply { entries, .. } => {
-                5 + entries.iter().map(|e| e.wire_size()).sum::<usize>()
+            Payload::RecPageReply { copy, entries, .. } => {
+                let copy = copy.as_ref();
+                6 + copy.map_or(0, |(v, bytes)| v.wire_size() + 4 + bytes.len())
+                    + entries_size(entries)
             }
         }
     }
@@ -342,12 +350,10 @@ impl Payload {
             Payload::PageBatchReq { .. } => "PageBatchReq",
             Payload::PageBatchReply { .. } => "PageBatchReply",
             Payload::PageReply { .. } => "PageReply",
-            Payload::RecLogReq => "RecLogReq",
+            Payload::RecLogReq { .. } => "RecLogReq",
             Payload::RecLogReply { .. } => "RecLogReply",
             Payload::RecPageReq { .. } => "RecPageReq",
             Payload::RecPageReply { .. } => "RecPageReply",
-            Payload::RecDiffReq { .. } => "RecDiffReq",
-            Payload::RecDiffReply { .. } => "RecDiffReply",
         }
     }
 }
@@ -425,7 +431,6 @@ impl dsm_net::WireSized for Msg {
                 | Payload::BarrierRelease { .. }
                 | Payload::RecLogReply { .. }
                 | Payload::RecPageReply { .. }
-                | Payload::RecDiffReply { .. }
         )
     }
     fn stamp_send(&mut self, origin: u32, seq: u64, now_ns: u64) {
@@ -477,12 +482,12 @@ mod tests {
             table: vec![(1, 2, 3, VectorClock::zero(8))],
         };
         let m = Msg {
-            payload: Payload::RecLogReq,
+            payload: Payload::DiffAck { seq: 1 },
             piggy: Some(piggy.clone()),
             ctx: TraceCtx::NONE,
         };
-        // 1 kind byte + 1 payload byte + the 16-byte trace context.
-        assert_eq!(m.base_wire_size(), 2 + TraceCtx::WIRE_SIZE);
+        // 1 kind byte + 9 payload bytes + the 16-byte trace context.
+        assert_eq!(m.base_wire_size(), 10 + TraceCtx::WIRE_SIZE);
         assert_eq!(m.ft_wire_size(), piggy.wire_size());
         assert_eq!(piggy.wire_size(), 32 + 16 + 16 + 20 + 32);
     }

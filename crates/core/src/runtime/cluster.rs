@@ -527,6 +527,7 @@ where
             pool: st.pt.pool_stats(),
             svc_time_by_kind,
             msg_kinds: fabric.stats().node(i).kind_counts(),
+            msg_kind_bytes: fabric.stats().node(i).kind_bytes(),
             member,
             retransmits: st.retransmits,
             dup_suppressed: st.dup_suppressed,

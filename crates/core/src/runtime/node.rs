@@ -1043,21 +1043,30 @@ fn emit_diff_apply(tracer: &NodeTracer, d: &Diff) {
     }
 }
 
-/// Apply the pending homed-page diffs whose creators had seen at most
-/// `st.vt[me]` of our history (recovery replay ordering; see DESIGN.md).
+/// Apply the pending homed-page diffs that happened before the replay point
+/// (`vt` covers their timestamp) — the writes a read replayed next may see,
+/// and no others: a diff made after something replay has yet to reach, a
+/// read included, must not land ahead of it (docs/PROTOCOL.md, Recovery).
 pub(crate) fn apply_pending_home(st: &mut NodeState) {
+    apply_pending_home_where(st, |vt, t| vt.covers(t));
+}
+
+/// Apply the pending homed-page diffs `eligible(vt, diff.T)` admits, in
+/// their order — a linear extension of happens-before, which preserves
+/// same-word ordering.
+pub(crate) fn apply_pending_home_where(
+    st: &mut NodeState,
+    eligible: impl Fn(&VectorClock, &VectorClock) -> bool,
+) {
     let Some(replay) = st.replay.as_mut() else {
         return;
     };
     if replay.pending_home.is_empty() {
         return;
     }
-    let bound = st.vt.get(st.me);
-    // `pending_home` is kept sorted in a linear extension of happens-before;
-    // applying the eligible subset in order preserves same-word ordering.
     let mut rest = Vec::with_capacity(replay.pending_home.len());
     for e in replay.pending_home.drain(..) {
-        if e.t.get(st.me) <= bound {
+        if eligible(&st.vt, &e.t) {
             if st.pt.home_apply_diff(&e.diff) {
                 emit_diff_apply(&st.tracer, &e.diff);
             }
@@ -1274,7 +1283,12 @@ pub(crate) fn barrier_manager_arrive(st: &mut NodeState, arrival: Arrival) {
 /// the failure-detection synchrony assumption (max message delay is far
 /// below the detection bound): by the time this handshake runs, no
 /// pre-crash forward is still in flight toward us.
-fn build_rec_log_reply(st: &mut NodeState, r: ProcId) -> Payload {
+///
+/// `homed` is the handshake's `(page, p0.v[me])` list: the reply carries our
+/// logged diffs for those pages that the recovering home's restored copies do
+/// not hold. It is read from the diff log alone — a page the recovering node
+/// homes need not be allocated here yet.
+fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -> Payload {
     let n = st.n;
     let managed_by_r = |lock: LockId| lock % n == r;
     st.pending_grants.retain(|&lock, _| !managed_by_r(lock));
@@ -1325,47 +1339,48 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId) -> Payload {
             .map(|(&lock, &(gen, _, _))| (lock, gen))
             .collect(),
         applied_of_you: st.pt.home_store().newest_applied_of(r),
+        diffs: homed
+            .iter()
+            .flat_map(|&(page, have)| ft.logs.diffs_after(page, have))
+            .collect(),
     }
 }
 
-/// Serve a maximal-starting-copy request: the newest retained checkpointed
-/// copy whose version the requester's restart checkpoint covers, falling
-/// back to the initial zero page.
+/// Serve a replayed page: our logged diffs for it and, if we are its home,
+/// the maximal starting copy — the newest retained checkpointed copy whose
+/// version the requester's restart checkpoint covers, falling back to the
+/// initial zero page. Our own diffs the copy already holds are left out.
 fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorClock) {
-    assert!(
-        st.pt.is_home(page),
-        "RecPageReq for page {page} not homed here"
-    );
     let ft = st.ft.as_ref().expect("recovery without FT");
-    let covered = ft
-        .retained
-        .iter()
-        .rev()
-        .find(|rc| rc.versions.get(&page).is_some_and(|v| tckp.covers(v)));
-    let (version, bytes): (VectorClock, Arc<[u8]>) = match covered {
-        Some(rc) => {
-            let chain = ckpt::load_chain(&ft.store, rc.anchor_seq..=rc.seq);
-            let (v, bytes) = ckpt::accumulate_chain(&chain)[&page];
-            (v.clone(), bytes.into())
+    let copy = st.pt.is_home(page).then(|| {
+        let covered = ft
+            .retained
+            .iter()
+            .rev()
+            .find(|rc| rc.versions.get(&page).is_some_and(|v| tckp.covers(v)));
+        match covered {
+            Some(rc) => {
+                let chain = ckpt::load_chain(&ft.store, rc.anchor_seq..=rc.seq);
+                let (v, bytes) = ckpt::accumulate_chain(&chain)[&page];
+                (v.clone(), Arc::from(bytes))
+            }
+            None => (VectorClock::zero(st.n), vec![0u8; st.pt.page_size()].into()),
         }
-        None => (VectorClock::zero(st.n), vec![0u8; st.pt.page_size()].into()),
+    });
+    let have = copy.as_ref().map_or(0, |(v, _)| v.get(st.me));
+    let entries = ft.logs.diffs_after(page, have).collect();
+    let reply = Payload::RecPageReply {
+        page,
+        copy,
+        entries,
     };
-    st.send(
-        from,
-        Payload::RecPageReply {
-            page,
-            version,
-            bytes,
-        },
-    );
+    st.send(from, reply);
 }
 
 /// The highest page a payload references, if any.
 fn max_page(payload: &Payload) -> Option<PageId> {
     match payload {
-        Payload::PageReq { page, .. }
-        | Payload::RecPageReq { page, .. }
-        | Payload::RecDiffReq { page } => Some(*page),
+        Payload::PageReq { page, .. } | Payload::RecPageReq { page, .. } => Some(*page),
         Payload::DiffBatch { diffs, .. } => diffs.iter().map(|d| d.page).max(),
         Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, ..)| *p).max(),
         _ => None,
@@ -1626,28 +1641,16 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
                 install_prefetched(st, page, req_id, version, body);
             }
         }
-        Payload::RecLogReq => {
-            let reply = build_rec_log_reply(st, from);
+        Payload::RecLogReq { homed } => {
+            let reply = build_rec_log_reply(st, from, &homed);
             st.send(from, reply);
         }
         Payload::RecPageReq { page, tckp } => {
             serve_rec_page(st, from, page, tckp);
         }
-        Payload::RecDiffReq { page } => {
-            // Cloning a diff log is cheap now: each entry is an Arc bump
-            // plus a vector-clock clone, never a run-payload copy.
-            let entries = st
-                .ft
-                .as_ref()
-                .and_then(|ft| ft.logs.diffs.get(&page).cloned())
-                .unwrap_or_default();
-            st.send(from, Payload::RecDiffReply { page, entries });
-        }
         // Replies to *our* recovery arriving after we already went live are
         // stale duplicates.
-        Payload::RecLogReply { .. }
-        | Payload::RecPageReply { .. }
-        | Payload::RecDiffReply { .. } => {}
+        Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {}
     }
 }
 
@@ -1936,9 +1939,7 @@ pub(crate) fn dispatch(st: &mut NodeState, ev: Event<Msg>) {
             match st.mode {
                 Mode::Crashed => {}
                 Mode::Recovering => match msg.payload {
-                    Payload::RecLogReply { .. }
-                    | Payload::RecPageReply { .. }
-                    | Payload::RecDiffReply { .. } => {
+                    Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {
                         st.rec_inbox.push((from, msg.payload));
                     }
                     other => st.backlog.push((from, other)),
@@ -2132,7 +2133,7 @@ mod tests {
             grant: None,
         };
         for q in [&mut st.rec_inbox, &mut st.backlog, &mut st.pending_unalloc] {
-            q.push((0, Payload::RecLogReq));
+            q.push((0, Payload::RecLogReq { homed: Vec::new() }));
         }
         st.prefetch.insert(
             PageId(0),
@@ -2390,7 +2391,102 @@ mod tests {
         assert!(st.make_piggy(1, false).is_some());
     }
 
-    /// A full reply body of `byte`s, exactly its version at incarnation 1.
+    /// The one payload waiting for `ep`, on either lane.
+    fn only_payload(ep: &Endpoint<Msg>) -> Payload {
+        let Some(Event::Msg { msg, .. }) = ep.recv_any(Duration::ZERO) else {
+            panic!("nothing was sent")
+        };
+        assert!(ep.recv_any(Duration::ZERO).is_none(), "more than one");
+        msg.payload
+    }
+
+    fn logged_seqs(entries: &[crate::ft::logs::DiffLogEntry]) -> Vec<(u32, u32)> {
+        (entries.iter())
+            .map(|e| (e.diff.page.0, e.diff.interval.seq))
+            .collect()
+    }
+
+    #[test]
+    fn the_handshake_reply_carries_the_diffs_the_restored_copies_lack_and_needs_no_page() {
+        // Node 1 has allocated nothing yet; its restored log knows pages
+        // 4, 6 and 9.
+        let (mut st, eps) = test_state(1, 3, true);
+        let logs = &mut st.ft.as_mut().unwrap().logs;
+        for (seq, pages) in [(1, vec![6]), (2, vec![4]), (3, vec![4, 9]), (5, vec![4])] {
+            let diffs: Vec<_> = pages.iter().map(|&p| diff_of(p, 1, seq)).collect();
+            let pages = pages.iter().map(|&p| PageId(p)).collect();
+            logs.log_interval(seq, pages, &gated(3, 1, seq), &diffs);
+        }
+        // Node 0 homes 4, 7 and 9; its copy of 4 holds our interval 2.
+        let homed = vec![(PageId(9), 0), (PageId(4), 2), (PageId(7), 0)];
+        handle_msg(&mut st, 0, Payload::RecLogReq { homed });
+        assert!(
+            st.pending_unalloc.is_empty(),
+            "the handshake must never wait for an allocation"
+        );
+        let Payload::RecLogReply { diffs, .. } = only_payload(&eps[0]) else {
+            panic!("not a handshake reply")
+        };
+        // Request order, then log order; nothing at or below `p0.v`, and
+        // nothing for a page that was not named.
+        assert_eq!(logged_seqs(&diffs), [(9, 3), (4, 3), (4, 5)]);
+        assert!(diffs
+            .iter()
+            .all(|e| e.t == gated(3, 1, e.diff.interval.seq)));
+        // At `p0.v` zero the whole log for the page comes.
+        handle_msg(
+            &mut st,
+            0,
+            Payload::RecLogReq {
+                homed: vec![(PageId(4), 0)],
+            },
+        );
+        let Payload::RecLogReply { diffs, .. } = only_payload(&eps[0]) else {
+            panic!("not a handshake reply")
+        };
+        assert_eq!(logged_seqs(&diffs), [(4, 2), (4, 3), (4, 5)]);
+    }
+
+    #[test]
+    fn a_replayed_page_gets_the_copy_from_its_home_alone_and_diffs_from_everyone() {
+        let (mut st, eps) = test_state(1, 3, true);
+        st.pt.add_page(1); // page 0: homed here
+        st.pt.add_page(2); // page 1: remote
+        let write_both = |st: &mut NodeState, byte: u8| {
+            st.pt.install(PageId(1), page_of(0), &VectorClock::zero(3));
+            st.pt.write(PageId(0), 8, &[byte]);
+            st.pt.write(PageId(1), 8, &[byte]);
+            end_interval(st);
+        };
+        write_both(&mut st, 1);
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new());
+        write_both(&mut st, 2);
+        while eps[1].recv_any(Duration::ZERO).is_some() {} // the diff batches
+
+        let tckp = gated(3, 1, 1);
+        let ask = |st: &mut NodeState, page| {
+            let tckp = tckp.clone();
+            handle_msg(st, 0, Payload::RecPageReq { page, tckp });
+            match only_payload(&eps[0]) {
+                Payload::RecPageReply {
+                    page: p,
+                    copy,
+                    entries,
+                } if p == page => (copy, logged_seqs(&entries)),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        // Home: the checkpointed copy, and only the diff it does not hold.
+        let (copy, entries) = ask(&mut st, PageId(0));
+        let (version, bytes) = copy.expect("the home sends the starting copy");
+        assert_eq!((version, bytes[8]), (gated(3, 1, 1), 1));
+        assert_eq!(entries, [(0, 2)]);
+        // Not the home: no copy, the whole log for the page.
+        let (copy, entries) = ask(&mut st, PageId(1));
+        assert!(copy.is_none());
+        assert_eq!(entries, [(1, 1), (1, 2)]);
+    }
+
     /// The requests waiting on `ep`'s request lane.
     fn requests(ep: &Endpoint<Msg>) -> Vec<Payload> {
         std::iter::from_fn(|| ep.try_recv())

@@ -407,7 +407,7 @@ impl Process {
                             );
                             return false;
                         }
-                        self.replay_materialize(&mut st, page, home);
+                        self.replay_materialize(&mut st, page);
                         demanded = true;
                         continue;
                     }
@@ -521,33 +521,28 @@ impl Process {
     }
 
     /// Recovery: build the emulated-home copy of `page` and install it.
-    fn replay_materialize(
-        &mut self,
-        st: &mut MutexGuard<'_, NodeState>,
-        page: PageId,
-        home: usize,
-    ) {
-        let n = self.n;
+    fn replay_materialize(&mut self, st: &mut MutexGuard<'_, NodeState>, page: PageId) {
         if !st.replay.as_ref().unwrap().pages.contains_key(&page) {
-            // Collect the maximal starting copy and every writer's diff log.
+            // One round: every peer's diff log for the page, and with the
+            // home's the maximal starting copy.
             let tckp = st.ft.as_ref().unwrap().last_ckpt_vt.clone();
-            st.send(home, Payload::RecPageReq { page, tckp });
-            let peers: Vec<usize> = (0..n).filter(|&p| p != self.me).collect();
+            let peers: Vec<usize> = (0..self.n).filter(|&p| p != self.me).collect();
             for &p in &peers {
-                st.send(p, Payload::RecDiffReq { page });
+                let tckp = tckp.clone();
+                st.send(p, Payload::RecPageReq { page, tckp });
             }
-            let base = collect_replies(&self.shared, st, RecAsk::Page(page), &[home]);
-            let Some((_, Payload::RecPageReply { version, bytes, .. })) = base.into_iter().next()
-            else {
-                unreachable!("collected a reply that was not asked for")
-            };
-            let mut entries = Vec::new();
-            for (_, payload) in collect_replies(&self.shared, st, RecAsk::Diffs(page), &peers) {
-                let Payload::RecDiffReply { entries: es, .. } = payload else {
+            let (mut base, mut entries) = (None, Vec::new());
+            for (_, payload) in collect_replies(&self.shared, st, RecAsk::Page(page), &peers) {
+                let Payload::RecPageReply {
+                    copy, entries: es, ..
+                } = payload
+                else {
                     unreachable!("collected a reply that was not asked for")
                 };
+                base = base.or(copy);
                 entries.extend(es);
             }
+            let (version, bytes) = base.expect("the home's reply carries the starting copy");
             entries.sort_by_key(linear_key);
             let rp = ReplayPage {
                 copy: dsm_page::Page::from_shared(bytes),
@@ -555,6 +550,7 @@ impl Process {
                 entries,
             };
             st.replay.as_mut().unwrap().pages.insert(page, rp);
+            st.ft.as_mut().unwrap().report.replayed_pages += 1;
         }
         // Our own logged diffs participate too: the pre-crash fetched copy
         // included them, and replay keeps regenerating them (logged at every
@@ -562,31 +558,19 @@ impl Process {
         // at the first materialization and at every re-materialization
         // after an invalidation — so that it reproduces our own writes.
         {
-            let me = self.me;
-            let fresh: Vec<_> = st
-                .ft
-                .as_ref()
-                .unwrap()
-                .logs
-                .diffs
-                .get(&page)
-                .map(|own| own.to_vec())
-                .unwrap_or_default();
-            let replay = st.replay.as_mut().unwrap();
-            let rp = replay.pages.get_mut(&page).unwrap();
-            let mut changed = false;
-            for e in fresh {
-                if e.diff.interval.seq > rp.version.get(me)
-                    && !rp
-                        .entries
-                        .iter()
-                        .any(|x| x.diff.interval == e.diff.interval)
+            let st = &mut **st;
+            let rp = st.replay.as_mut().unwrap().pages.get_mut(&page).unwrap();
+            let logs = &st.ft.as_ref().unwrap().logs;
+            let before = rp.entries.len();
+            for e in logs.diffs_after(page, rp.version.get(self.me)) {
+                if !rp.entries[..before]
+                    .iter()
+                    .any(|x| x.diff.interval == e.diff.interval)
                 {
                     rp.entries.push(e);
-                    changed = true;
                 }
             }
-            if changed {
+            if rp.entries.len() > before {
                 rp.entries.sort_by_key(linear_key);
             }
         }

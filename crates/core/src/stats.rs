@@ -92,6 +92,9 @@ pub struct FtReport {
     /// Total wall time spent in recovery (checkpoint restore + log
     /// collection + replay, up to the transition back to live execution).
     pub recovery_time: std::time::Duration,
+    /// Remote pages those recoveries rebuilt by home emulation: each costs
+    /// one request to, and one reply from, every peer.
+    pub replayed_pages: u64,
 }
 
 /// What speculative page fetching moved and what came of it. A page is
@@ -142,6 +145,8 @@ pub struct NodeReport {
     pub svc_time_by_kind: Vec<(&'static str, Duration)>,
     /// Messages sent by this node per payload kind (sorted by kind name).
     pub msg_kinds: Vec<(&'static str, u64)>,
+    /// Bytes sent by this node per payload kind, piggyback included.
+    pub msg_kind_bytes: Vec<(&'static str, u64)>,
     /// Membership/failure-detection counters (zeroed when membership is off).
     pub member: MemberStats,
     /// Request retransmissions issued by this node (page/lock/barrier/diff

@@ -437,6 +437,116 @@ mod tests {
         assert_eq!(w.len(), batch.wire_size() + 8 * 2);
     }
 
+    /// What recovery grew — the handshake's `p0.v` list and diff entries,
+    /// and the page reply's optional copy plus entries — encoded field by
+    /// field in layout order, decoded back, and held against
+    /// `Payload::wire_size` (which, as for the fetches, leaves out the 8-byte
+    /// length prefix `put_vt` spends on each clock).
+    #[test]
+    fn recovery_layouts_roundtrip_and_wire_size_equals_the_encoding() {
+        use crate::ft::logs::DiffLogEntry;
+        use crate::msg::Payload;
+        let clock = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
+        let entry = |seq| {
+            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
+            cur.write(16, &[seq as u8; 24]);
+            let iv = Interval { proc: 1, seq };
+            DiffLogEntry {
+                diff: Arc::new(Diff::create(PageId(3), iv, &twin, &cur).unwrap()),
+                t: clock([2, seq, 0]),
+                saved: false,
+            }
+        };
+        let put_entries = |w: &mut ByteWriter, es: &[DiffLogEntry]| {
+            w.put_u32(es.len() as u32);
+            for e in es {
+                put_diff(w, &e.diff);
+                put_vt(w, &e.t);
+            }
+        };
+        let get_entries = |r: &mut ByteReader| -> Vec<DiffLogEntry> {
+            (0..r.get_u32().unwrap())
+                .map(|_| DiffLogEntry {
+                    diff: Arc::new(get_diff(r).unwrap()),
+                    t: get_vt(r).unwrap(),
+                    saved: false,
+                })
+                .collect()
+        };
+        let entries = vec![entry(4), entry(7)];
+
+        // Handshake request: tag, count, then (page, p0.v[receiver]) pairs.
+        let homed = vec![(PageId(3), 6u32), (PageId(9), 0)];
+        let mut w = ByteWriter::new();
+        w.put_u8(0);
+        w.put_u32(homed.len() as u32);
+        for (p, v) in &homed {
+            w.put_u32(p.0);
+            w.put_u32(*v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes[1..]);
+        let back: Vec<_> = (0..r.get_u32().unwrap())
+            .map(|_| (PageId(r.get_u32().unwrap()), r.get_u32().unwrap()))
+            .collect();
+        assert!(r.is_exhausted());
+        assert_eq!(back, homed);
+        assert_eq!(bytes.len(), Payload::RecLogReq { homed }.wire_size());
+
+        // Handshake reply: the entries are what it grew by.
+        let log_reply = |diffs| Payload::RecLogReply {
+            wn: Vec::new(),
+            rel_for_you: Vec::new(),
+            acq_mirror: Vec::new(),
+            bar: Vec::new(),
+            bar_mgr: Vec::new(),
+            lock_chains: Vec::new(),
+            gen_floor: Vec::new(),
+            applied_of_you: 0,
+            diffs,
+        };
+        let mut w = ByteWriter::new();
+        put_entries(&mut w, &entries);
+        let grown = log_reply(entries.clone()).wire_size() - log_reply(Vec::new()).wire_size();
+        assert_eq!(w.len(), 4 + grown + 8 * entries.len());
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(get_entries(&mut r), entries);
+        assert!(r.is_exhausted());
+
+        // Page reply: tag, page, a presence byte and the copy, the entries.
+        let kept: Arc<[u8]> = vec![7u8; 256].into();
+        for copy in [Some((clock([2, 3, 0]), kept)), None] {
+            let mut w = ByteWriter::new();
+            w.put_u8(0);
+            w.put_u32(3);
+            w.put_u8(copy.is_some() as u8);
+            if let Some((version, bytes)) = &copy {
+                put_vt(&mut w, version);
+                w.put_u32(bytes.len() as u32);
+                w.put_raw(bytes);
+            }
+            put_entries(&mut w, &entries);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes[5..]);
+            let back = (r.get_u8().unwrap() == 1).then(|| {
+                let version = get_vt(&mut r).unwrap();
+                let len = r.get_u32().unwrap() as usize;
+                (version, Arc::from(r.get_raw(len).unwrap()))
+            });
+            assert_eq!(back, copy);
+            assert_eq!(get_entries(&mut r), entries);
+            assert!(r.is_exhausted());
+            let clocks = entries.len() + copy.is_some() as usize;
+            let reply = Payload::RecPageReply {
+                page: PageId(3),
+                copy,
+                entries: entries.clone(),
+            };
+            assert_eq!(bytes.len(), reply.wire_size() + 8 * clocks);
+        }
+    }
+
     #[test]
     fn ctx_roundtrip_and_length_is_pinned() {
         let ctx = TraceCtx {

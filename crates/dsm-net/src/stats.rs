@@ -28,9 +28,9 @@ pub struct NodeTraffic {
     pub chaos_duplicated: AtomicU64,
     /// Messages blocked by an active network partition.
     pub partition_blocked: AtomicU64,
-    /// Sent-message counts by message kind. A handful of kinds exist, so a
-    /// linear list under a mutex beats a hash map here.
-    kinds: Mutex<Vec<(&'static str, u64)>>,
+    /// Sent messages and bytes (base + piggyback) by message kind. A handful
+    /// of kinds exist, so a linear list under a mutex beats a hash map here.
+    kinds: Mutex<Vec<(&'static str, u64, u64)>>,
     /// Receive-side latency attribution per message kind (only populated
     /// while tracing is on: the sender must have stamped a timestamp).
     phases: Mutex<Vec<(&'static str, PhaseAcc)>>,
@@ -64,10 +64,11 @@ impl NodeTraffic {
         self.base_bytes_sent
             .fetch_add(base as u64, Ordering::Relaxed);
         self.ft_bytes_sent.fetch_add(ft as u64, Ordering::Relaxed);
+        let bytes = (base + ft) as u64;
         let mut kinds = self.kinds.lock();
-        match kinds.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, n)) => *n += 1,
-            None => kinds.push((kind, 1)),
+        match kinds.iter_mut().find(|(k, ..)| *k == kind) {
+            Some((_, n, b)) => (*n, *b) = (*n + 1, *b + bytes),
+            None => kinds.push((kind, 1, bytes)),
         }
     }
 
@@ -107,7 +108,14 @@ impl NodeTraffic {
 
     /// Sent-message counts per message kind, sorted by kind name.
     pub fn kind_counts(&self) -> Vec<(&'static str, u64)> {
-        let mut v = self.kinds.lock().clone();
+        let mut v: Vec<_> = self.kinds.lock().iter().map(|&(k, n, _)| (k, n)).collect();
+        v.sort_unstable_by_key(|&(k, _)| k);
+        v
+    }
+
+    /// Sent bytes (base + piggyback) per message kind, sorted by kind name.
+    pub fn kind_bytes(&self) -> Vec<(&'static str, u64)> {
+        let mut v: Vec<_> = self.kinds.lock().iter().map(|&(k, _, b)| (k, b)).collect();
         v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
@@ -270,6 +278,11 @@ mod tests {
             vec![("DiffBatch", 1), ("PageReq", 1)]
         );
         assert_eq!(s.total_kinds(), vec![("DiffBatch", 1), ("PageReq", 2)]);
+        s.node(0).record_send(30, 2, "PageReq");
+        assert_eq!(
+            s.node(0).kind_bytes(),
+            vec![("DiffBatch", 10), ("PageReq", 42)]
+        );
     }
 
     #[test]

@@ -327,3 +327,75 @@ fn a_self_granted_tenure_only_a_remote_home_saw_is_replayed_not_rerun() {
         assert_eq!(crashed.nodes[1].ft.recoveries, 1, "at_op {at_op}");
     }
 }
+
+/// Recovery asks each peer once. The victim homes six of the 24 pages and
+/// between its last checkpoint and the crash touches all 18 others: the
+/// handshake is one request to each peer however many pages are homed —
+/// their diffs ride its reply — and each replayed remote page is one request
+/// to each peer, answered by the home with the starting copy and by everyone
+/// with their diffs. Nothing else is sent for the recovery.
+#[test]
+fn recovery_asks_each_peer_once_and_once_more_per_replayed_page() {
+    const N: usize = 4;
+    const PAGES: usize = 24;
+    let app = |p: &mut ftdsm_suite::Process| {
+        let words = 32; // one 256 B page
+        let data = p.alloc_vec::<u64>(PAGES * words, HomeAlloc::Interleaved);
+        let mut state = 0u64;
+        p.run_steps(&mut state, 6, |p, state, step| {
+            let me = p.me();
+            for pg in 0..PAGES {
+                let v = data.get(p, pg * words + me);
+                data.set(p, pg * words + me, v + step + 1);
+            }
+            p.barrier();
+            let all = (0..PAGES * words).map(|w| data.get(p, w));
+            *state = state.wrapping_add(all.fold(0, u64::wrapping_add));
+            p.barrier();
+        });
+        state
+    };
+    let cfg = || {
+        ClusterConfig::fault_tolerant(N)
+            .with_page_size(256)
+            .with_policy(CkptPolicy::EverySteps(2))
+    };
+    let clean = run(cfg(), &[], app);
+    let rec_kinds = |r: &ftdsm_suite::RunReport<u64>, node: usize| -> Vec<(&'static str, u64)> {
+        let kinds = r.nodes[node].msg_kinds.iter();
+        kinds
+            .filter(|(k, _)| k.starts_with("Rec"))
+            .copied()
+            .collect()
+    };
+    assert!((0..N).all(|node| rec_kinds(&clean, node).is_empty()));
+    for victim in 0..N {
+        // Late in the fourth step: a checkpoint and a full sweep behind it.
+        let at_op = clean.nodes[victim].ops * 7 / 12;
+        let crashed = run(
+            cfg(),
+            &[FailureSpec {
+                node: victim,
+                at_op,
+            }],
+            app,
+        );
+        assert_eq!(clean.results, crashed.results, "victim {victim}");
+        assert_eq!(clean.shared_hash, crashed.shared_hash, "victim {victim}");
+        let ft = &crashed.nodes[victim].ft;
+        assert_eq!((ft.recoveries, ft.ckpts_taken > 0), (1, true));
+        let replayed = ft.replayed_pages;
+        assert_eq!(replayed, (PAGES - PAGES / N) as u64, "victim {victim}");
+        let peers = N as u64 - 1;
+        for node in 0..N {
+            let sent = rec_kinds(&crashed, node);
+            if node == victim {
+                let asked = [("RecLogReq", peers), ("RecPageReq", peers * replayed)];
+                assert_eq!(sent, asked, "victim {victim}");
+            } else {
+                let answered = [("RecLogReply", 1), ("RecPageReply", replayed)];
+                assert_eq!(sent, answered, "victim {victim}, peer {node}");
+            }
+        }
+    }
+}
