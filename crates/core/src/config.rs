@@ -61,7 +61,7 @@ pub enum CkptPolicy {
 }
 
 /// Fault-tolerance configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FtConfig {
     /// Checkpoint policy.
     pub policy: CkptPolicy,

@@ -222,7 +222,7 @@ pub fn accumulate_chain<'a>(
 /// logically represents, even when its blob on disk is a delta — so every
 /// consumer (CGC coverage, `cover_version`, the `p0` server) keeps working
 /// on complete maps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RetainedCkpt {
     pub seq: u64,
     /// The full anchor this checkpoint's chain starts at (`== seq` for a

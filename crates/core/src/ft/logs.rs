@@ -133,7 +133,7 @@ pub struct LogCounters {
 }
 
 /// All volatile logs of one node.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct VolatileLogs {
     me: ProcId,
     n: usize,

@@ -1,59 +1,70 @@
 //! Fault tolerance: logging, independent checkpointing, lazy log trimming
 //! (LLT), checkpoint garbage collection (CGC), and recovery.
+//!
+//! The layer meets the base protocol in one module, [`FtSvc`]: a piggyback
+//! made for every message out and absorbed from every message in, a log hook
+//! ([`FtSvc::logs`]) the protocol writes its intervals, grants and barrier
+//! crossings through, the retry layer's diff outbox with the `DiffAck` kind,
+//! and the checkpoint a safe point takes.
 
 pub mod ckpt;
 pub mod logs;
+mod outbox;
 pub mod recovery;
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_page::{elementwise_min, PageId, ProcId, VectorClock};
+use dsm_metrics::Registry;
+use dsm_page::{elementwise_min, Diff, PageId, ProcId, VectorClock};
 use dsm_storage::{SegmentKind, StableStore};
 use dsm_trace::{EventKind, TrimRule};
+use hlrc::PageTable;
 
 use crate::config::{CkptPolicy, FtConfig};
-use crate::msg::Piggy;
+use crate::msg::{Payload, Piggy};
 use crate::runtime::node::NodeState;
-use crate::stats::FtReport;
+use crate::stats::{Breakdown, FtReport};
 use ckpt::{CheckpointBlob, RetainedCkpt};
 use logs::VolatileLogs;
+use outbox::DiffOutbox;
 
-/// Per-node fault-tolerance state.
+/// Per-node fault-tolerance state, when fault tolerance is on.
+#[derive(Debug, PartialEq)]
 pub(crate) struct FtState {
-    pub cfg: FtConfig,
-    pub logs: VolatileLogs,
-    pub store: Arc<StableStore>,
+    cfg: FtConfig,
+    logs: VolatileLogs,
+    store: Arc<StableStore>,
     /// Last known checkpoint timestamp of every process (self kept exact).
-    pub tckp: Vec<VectorClock>,
+    tckp: Vec<VectorClock>,
     /// Last known checkpoint sequence number per process.
-    pub peer_ckpt_seq: Vec<u64>,
+    peer_ckpt_seq: Vec<u64>,
     /// Last known checkpointed barrier-episode count per process.
-    pub peer_ckpt_episode: Vec<u64>,
+    peer_ckpt_episode: Vec<u64>,
     /// This node's checkpoint count.
-    pub ckpt_seq: u64,
+    ckpt_seq: u64,
     /// This node's restart-checkpoint timestamp.
-    pub last_ckpt_vt: VectorClock,
+    last_ckpt_vt: VectorClock,
     /// Barrier episodes crossed at the last checkpoint.
-    pub last_ckpt_episode: u64,
+    last_ckpt_episode: u64,
     /// Own interval sequence at the last barrier arrival.
-    pub last_bar_arrive_seq: u32,
+    last_bar_arrive_seq: u32,
     /// Learned `p0.v[me]` per remote-homed page this node writes (LLT).
-    pub p0v_known: HashMap<PageId, u32>,
+    p0v_known: HashMap<PageId, u32>,
     /// Retained checkpoint window, oldest first.
-    pub retained: Vec<RetainedCkpt>,
+    retained: Vec<RetainedCkpt>,
     /// Round-robin cursor over homed pages for the `p0.v` piggyback.
-    pub piggy_cursor: usize,
+    piggy_cursor: usize,
     /// Own checkpoint sequence last advertised to each peer (a piggyback is
     /// only attached when it carries news).
-    pub piggy_sent: Vec<u64>,
+    piggy_sent: Vec<u64>,
     /// Largest `p0.v[writer]` hint already sent per (page, writer).
-    pub p0v_sent: HashMap<(PageId, ProcId), u32>,
+    p0v_sent: HashMap<(PageId, ProcId), u32>,
     /// Latched "checkpoint at next safe point" flag.
-    pub ckpt_due: bool,
+    ckpt_due: bool,
     /// Statistics.
-    pub report: FtReport,
+    report: FtReport,
 }
 
 impl FtState {
@@ -132,28 +143,6 @@ impl FtState {
         self.ckpt_due = false;
     }
 
-    /// Merge a received piggyback.
-    pub(crate) fn absorb_piggy(&mut self, from: ProcId, piggy: &Piggy) {
-        if piggy.ckpt_seq > self.peer_ckpt_seq[from] {
-            self.peer_ckpt_seq[from] = piggy.ckpt_seq;
-            self.peer_ckpt_episode[from] = piggy.ckpt_episode;
-            self.tckp[from] = piggy.tckp.clone();
-        }
-        for &(page, v) in &piggy.p0v {
-            let e = self.p0v_known.entry(page).or_insert(0);
-            if v > *e {
-                *e = v;
-            }
-        }
-        for (proc_, seq, episode, tckp) in &piggy.table {
-            if *seq != u64::MAX && *seq > self.peer_ckpt_seq[*proc_] {
-                self.peer_ckpt_seq[*proc_] = *seq;
-                self.peer_ckpt_episode[*proc_] = *episode;
-                self.tckp[*proc_] = tckp.clone();
-            }
-        }
-    }
-
     /// The gossip table: everything this node knows about everyone's last
     /// checkpoint (attached to barrier releases).
     pub(crate) fn gossip_table(&self, me: ProcId) -> Vec<(ProcId, u64, u64, VectorClock)> {
@@ -168,38 +157,6 @@ impl FtState {
                 )
             })
             .collect()
-    }
-
-    /// Evaluate the checkpoint policy at a synchronization point.
-    pub(crate) fn policy_check_sync(&mut self, shared_footprint: u64) {
-        if let CkptPolicy::LogOverflow { l } = self.cfg.policy {
-            let limit = (l * shared_footprint as f64) as u64;
-            if shared_footprint > 0 && self.logs.volatile_bytes() > limit {
-                self.ckpt_due = true;
-            }
-        }
-    }
-
-    /// Evaluate the checkpoint policy after crossing barrier `episode`.
-    pub(crate) fn policy_check_barrier(&mut self, episode: u64) {
-        if let CkptPolicy::AtBarrier(k) = self.cfg.policy {
-            if k > 0 && (episode + 1).is_multiple_of(k) {
-                self.ckpt_due = true;
-            }
-        }
-    }
-
-    /// Should a checkpoint be taken at this safe point (step boundary)?
-    pub(crate) fn ckpt_due_at_step(&mut self, step: u64) -> bool {
-        match self.cfg.policy {
-            CkptPolicy::LogOverflow { .. } | CkptPolicy::Manual | CkptPolicy::AtBarrier(_) => {
-                self.ckpt_due
-            }
-            CkptPolicy::EverySteps(k) => {
-                self.ckpt_due || (k > 0 && step > 0 && step.is_multiple_of(k))
-            }
-            CkptPolicy::Never => false,
-        }
     }
 
     /// `Tmin = min_{j != me} T^j_ckp` (Rule 3).
@@ -225,18 +182,298 @@ impl FtState {
     }
 }
 
+/// The fault-tolerance layer of one node. It is there in base-HLRC runs too
+/// (the retry layer's outbox works without logging); everything else it does
+/// is a no-op until `state` is set.
+#[derive(Debug, PartialEq)]
+pub(crate) struct FtSvc {
+    me: ProcId,
+    n: usize,
+    state: Option<FtState>,
+    /// Request/diff retransmission timeout; `Some` switches the retry layer
+    /// on (set together with membership).
+    retry_after: Option<Duration>,
+    /// The retry layer's stop-and-wait outbox of unacknowledged diff
+    /// batches (empty when the retry layer is off).
+    diffs: DiffOutbox,
+}
+
+impl FtSvc {
+    pub(crate) fn new(
+        me: ProcId,
+        n: usize,
+        state: Option<FtState>,
+        retry_after: Option<Duration>,
+    ) -> Self {
+        let diffs = DiffOutbox::new(n);
+        FtSvc {
+            me,
+            n,
+            state,
+            retry_after,
+            diffs,
+        }
+    }
+
+    /// Fail-stop: the queued diff batches are lost (replay regenerates the
+    /// diffs, under new sequence numbers). The volatile half of the FT state
+    /// is overwritten from stable storage by [`FtSvc::restart_from`].
+    pub(crate) fn fail_stop(&mut self) {
+        self.diffs.clear();
+    }
+
+    /// Restart (see [`FtState::restart_from`]).
+    pub(crate) fn restart_from(&mut self, image: &CheckpointBlob, window: Vec<RetainedCkpt>) {
+        let ft = self.state.as_mut().expect("recovery requires FT");
+        ft.restart_from(self.me, self.n, image, window);
+    }
+
+    /// The log hook: where the base protocol records its intervals, grants
+    /// and barrier crossings. `None` when fault tolerance is off.
+    pub(crate) fn logs(&mut self) -> Option<&mut VolatileLogs> {
+        self.state.as_mut().map(|ft| &mut ft.logs)
+    }
+
+    /// The retry timeout, when the retry layer is on.
+    pub(crate) fn retry_after(&self) -> Option<Duration> {
+        self.retry_after
+    }
+
+    /// Has every diff batch been acknowledged? (A checkpoint and teardown
+    /// wait for it.)
+    pub(crate) fn drained(&self) -> bool {
+        self.diffs.drained()
+    }
+
+    /// The `needed` version a fetch of `page` should carry: the accumulated
+    /// invalidation vector plus the seq of our own last diff for the page
+    /// the outbox may still hold (see [`DiffOutbox::fold_needed`]).
+    pub(crate) fn fetch_needed(&self, page: PageId, mut needed: VectorClock) -> VectorClock {
+        self.diffs.fold_needed(self.me, page, &mut needed);
+        needed
+    }
+
+    /// The FT piggyback for a message to `to`, when it carries news: a
+    /// checkpoint timestamp the destination hasn't seen, `p0.v` hints for
+    /// pages of `pt` homed here that `to` writes, or — with `gossip`, on
+    /// barrier releases — the gossip table.
+    pub(crate) fn make_piggy(&mut self, pt: &PageTable, to: ProcId, gossip: bool) -> Option<Piggy> {
+        let me = self.me;
+        let ft = self.state.as_mut()?;
+        let mut p0v = Vec::new();
+        // `p0.v` hints exist only once a checkpoint is retained; until then
+        // (and in base-HLRC runs) no send pays the walk over the page slots.
+        let homed = if ft.retained.is_empty() {
+            Vec::new()
+        } else {
+            pt.homed_pages()
+        };
+        if !homed.is_empty() {
+            let batch = ft.cfg.piggy_page_batch;
+            let start = ft.piggy_cursor % homed.len();
+            for k in 0..homed.len() {
+                if p0v.len() >= batch {
+                    break;
+                }
+                let page = homed[(start + k) % homed.len()];
+                ft.piggy_cursor = (start + k + 1) % homed.len();
+                if !pt.home_writers_contain(page, to) {
+                    continue;
+                }
+                if let Some(v) = ft.cover_version(me, page) {
+                    let bound = v.get(to);
+                    if bound > 0 && ft.p0v_sent.get(&(page, to)).copied().unwrap_or(0) < bound {
+                        ft.p0v_sent.insert((page, to), bound);
+                        p0v.push((page, bound));
+                    }
+                }
+            }
+        }
+        let news = ft.piggy_sent[to] != ft.ckpt_seq;
+        let table = if gossip {
+            ft.gossip_table(me)
+        } else {
+            Vec::new()
+        };
+        if !news && p0v.is_empty() && table.is_empty() {
+            return None;
+        }
+        ft.piggy_sent[to] = ft.ckpt_seq;
+        Some(Piggy {
+            tckp: ft.last_ckpt_vt.clone(),
+            ckpt_seq: ft.ckpt_seq,
+            ckpt_episode: ft.last_ckpt_episode,
+            p0v,
+            table,
+        })
+    }
+
+    /// Merge a received piggyback.
+    pub(crate) fn absorb_piggy(&mut self, from: ProcId, piggy: &Piggy) {
+        let Some(ft) = &mut self.state else {
+            return;
+        };
+        if piggy.ckpt_seq > ft.peer_ckpt_seq[from] {
+            ft.peer_ckpt_seq[from] = piggy.ckpt_seq;
+            ft.peer_ckpt_episode[from] = piggy.ckpt_episode;
+            ft.tckp[from] = piggy.tckp.clone();
+        }
+        for &(page, v) in &piggy.p0v {
+            let e = ft.p0v_known.entry(page).or_insert(0);
+            if v > *e {
+                *e = v;
+            }
+        }
+        for (proc_, seq, episode, tckp) in &piggy.table {
+            if *seq != u64::MAX && *seq > ft.peer_ckpt_seq[*proc_] {
+                ft.peer_ckpt_seq[*proc_] = *seq;
+                ft.peer_ckpt_episode[*proc_] = *episode;
+                ft.tckp[*proc_] = tckp.clone();
+            }
+        }
+    }
+
+    /// Our interval sequence at the barrier arrival just made.
+    pub(crate) fn arrived_at_barrier(&mut self, seq: u32) {
+        if let Some(ft) = &mut self.state {
+            ft.last_bar_arrive_seq = seq;
+        }
+    }
+
+    /// Latch a checkpoint for the next safe point.
+    pub(crate) fn request_checkpoint(&mut self) {
+        if let Some(ft) = &mut self.state {
+            ft.ckpt_due = true;
+        }
+    }
+
+    /// Evaluate the checkpoint policy at a synchronization point — after a
+    /// release, or after crossing barrier `crossed` — with `footprint` bytes
+    /// of shared memory allocated.
+    pub(crate) fn policy_check(&mut self, footprint: u64, crossed: Option<u64>) {
+        let Some(ft) = &mut self.state else {
+            return;
+        };
+        ft.ckpt_due |= match ft.cfg.policy {
+            CkptPolicy::LogOverflow { l } => {
+                let limit = (l * footprint as f64) as u64;
+                footprint > 0 && ft.logs.volatile_bytes() > limit
+            }
+            CkptPolicy::AtBarrier(k) => {
+                crossed.is_some_and(|episode| k > 0 && (episode + 1).is_multiple_of(k))
+            }
+            _ => false,
+        };
+    }
+
+    /// Should a checkpoint be taken at this safe point (step boundary)?
+    pub(crate) fn ckpt_due_at_step(&self, step: u64) -> bool {
+        let Some(ft) = &self.state else {
+            return false;
+        };
+        match ft.cfg.policy {
+            CkptPolicy::LogOverflow { .. } | CkptPolicy::Manual | CkptPolicy::AtBarrier(_) => {
+                ft.ckpt_due
+            }
+            CkptPolicy::EverySteps(k) => {
+                ft.ckpt_due || (k > 0 && step > 0 && step.is_multiple_of(k))
+            }
+            CkptPolicy::Never => false,
+        }
+    }
+
+    /// Publish the outbox depth and checkpoint counts of this node.
+    pub(crate) fn sample(&self, reg: &Registry) {
+        let me = self.me;
+        reg.gauge(&format!("node_diff_outbox_depth{{node=\"{me}\"}}"))
+            .set(self.diffs.depth() as i64);
+        if let Some(ft) = &self.state {
+            reg.counter(&format!("ckpts_taken_total{{node=\"{me}\"}}"))
+                .store(ft.report.ckpts_taken);
+            reg.counter(&format!("ckpts_delta_total{{node=\"{me}\"}}"))
+                .store(ft.report.delta_ckpts);
+        }
+    }
+
+    /// The layer's statistics at teardown.
+    pub(crate) fn report(&mut self) -> FtReport {
+        let Some(ft) = &mut self.state else {
+            return FtReport::default();
+        };
+        ft.report.log_counters = ft.logs.counters();
+        ft.report.store = ft.store.stats();
+        ft.report.clone()
+    }
+}
+
+/// Send one coalesced diff batch to a remote home. With the retry layer on
+/// the batch enters the per-home stop-and-wait outbox; otherwise it goes
+/// straight out with `seq: 0` (no ack — the reliable-fabric hot path is
+/// unchanged).
+pub(crate) fn send_diff_batch(st: &mut NodeState, home: ProcId, batch: Vec<Arc<Diff>>) {
+    if st.ft.retry_after.is_none() {
+        let (seq, diffs) = (0, batch);
+        return st.send(home, Payload::DiffBatch { seq, diffs });
+    }
+    st.ft.diffs.push(home, batch);
+    pump_diffs(st, home);
+}
+
+/// Transmit the next batch queued for `home`, unless one is still
+/// unacknowledged there.
+fn pump_diffs(st: &mut NodeState, home: ProcId) {
+    if let Some((seq, diffs)) = st.ft.diffs.start_next(home) {
+        st.send(home, Payload::DiffBatch { seq, diffs });
+    }
+}
+
+/// Retransmit the diff batch in flight to `home`, if there is one.
+/// Re-delivery is idempotent at the home (per-writer version gate); the
+/// duplicate ack is dropped by seq.
+pub(crate) fn resend_inflight_diffs(st: &mut NodeState, home: ProcId) {
+    if let Some((seq, diffs)) = st.ft.diffs.resend(home) {
+        st.retransmit(home, Payload::DiffBatch { seq, diffs });
+    }
+}
+
+/// Retransmit every in-flight diff batch older than the retry timeout
+/// (driven by the membership ticker and by the application thread whenever
+/// one of its own waits times out).
+pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
+    let Some(after) = st.ft.retry_after else {
+        return;
+    };
+    for home in st.ft.diffs.stale(after) {
+        resend_inflight_diffs(st, home);
+    }
+}
+
+/// The module's message kind: `home` acknowledged diff batch `seq`.
+pub(crate) fn on_diff_ack(st: &mut NodeState, home: ProcId, seq: u64) {
+    if !st.ft.diffs.ack(home, seq) {
+        st.dup_suppressed += 1;
+        return;
+    }
+    pump_diffs(st, home);
+    // A checkpoint waits for exactly this (`safe_point`).
+    if st.ft.diffs.drained() {
+        st.ep.poke();
+    }
+}
+
 /// Take an independent checkpoint on the application thread.
 ///
-/// `app_state` is the encoded private state at step `step`. Returns the
-/// (logging/trimming time, modeled disk time) pair for the breakdown.
+/// `app_state` is the encoded private state at step `step`. The logging and
+/// trimming time and the modeled disk time are charged to `bd`.
 pub(crate) fn take_checkpoint(
     st: &mut NodeState,
     step: u64,
     app_state: Vec<u8>,
-) -> (Duration, Duration) {
-    // Flush the current interval so the checkpoint has no twins and the
-    // saved diff logs include everything up to T_ckp.
-    crate::runtime::node::end_interval(st);
+    bd: &mut Breakdown,
+) {
+    // The caller has closed the interval (and charged it): the checkpoint
+    // has no twins and the saved diff logs include everything up to T_ckp.
+    debug_assert!(!st.pt.has_writes(), "checkpoint inside an open interval");
 
     let me = st.me;
     let n = st.n;
@@ -244,12 +481,12 @@ pub(crate) fn take_checkpoint(
     let tracing = st.tracer.enabled();
     let t_ckpt = Instant::now();
     let (anchor_every, seq, last_anchor) = {
-        let ft = st.ft.as_ref().expect("checkpoint without FT enabled");
+        let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
         (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq())
     };
     st.tracer.emit(EventKind::CkptBegin {
         seq,
-        outbox: st.diffs.depth() as u32,
+        outbox: st.ft.diffs.depth() as u32,
     });
     let t_log = Instant::now();
 
@@ -278,30 +515,20 @@ pub(crate) fn take_checkpoint(
         home_pages.push((p, version, bytes.to_vec()));
     }
     let ckpt_page_count = home_pages.len();
-    let ft = st.ft.as_mut().expect("checkpoint without FT enabled");
-    let blob = CheckpointBlob {
+    let ft = st.ft.state.as_mut().expect("checkpoint without FT enabled");
+    let mut blob = CheckpointBlob {
         seq,
         delta: is_delta,
         base_seq: if is_delta { seq - 1 } else { 0 },
         tckp: tckp.clone(),
-        bar_episode: st.bar_episode,
-        acq_seq_next: st.acq_seq_next,
         last_bar_arrive_seq: ft.last_bar_arrive_seq,
         step,
         app_state,
         needed: st.pt.needed_triples(),
-        tenures: st
-            .tenure
-            .iter()
-            .map(|(&l, &(a, r))| (l, a, st.tenure_gen.get(&l).copied().unwrap_or(0), r))
-            .collect(),
-        last_release_vts: st
-            .last_release_vt
-            .iter()
-            .map(|(l, v)| (*l, v.clone()))
-            .collect(),
         home_pages,
+        ..CheckpointBlob::genesis(n)
     };
+    st.sync.save_into(&mut blob);
 
     // --- trim logs (LLT + Rules 1/2 + barrier analogue) --------------------
     // When tracing, sample the volatile log size around each rule so every
@@ -347,15 +574,12 @@ pub(crate) fn take_checkpoint(
     }
     ft.logs.trim_rule3(&p0v);
     note_trim(ft, &st.tracer, TrimRule::Rule3);
-    let min_ckpt_episode = {
-        let own = st.bar_episode;
-        (0..n)
-            .filter(|&j| j != me)
-            .map(|j| ft.peer_ckpt_episode[j])
-            .chain(std::iter::once(own))
-            .min()
-            .unwrap_or(0)
-    };
+    let min_ckpt_episode = (0..n)
+        .filter(|&j| j != me)
+        .map(|j| ft.peer_ckpt_episode[j])
+        .chain(std::iter::once(blob.bar_episode))
+        .min()
+        .unwrap_or(0);
     ft.logs.trim_bar(min_ckpt_episode);
     note_trim(ft, &st.tracer, TrimRule::Barrier);
     // A delta checkpoint saves only the never-saved log entries (the
@@ -366,7 +590,7 @@ pub(crate) fn take_checkpoint(
     } else {
         ft.logs.encode_stable()
     };
-    let logging_time = t_log.elapsed();
+    bd.logging += t_log.elapsed();
 
     // --- write to stable storage -------------------------------------------
     let encoded = blob.encode();
@@ -388,7 +612,7 @@ pub(crate) fn take_checkpoint(
         }
         d
     };
-    let disk_time = d1 + d2;
+    bd.disk_write += d1 + d2;
 
     // --- update window and run CGC ------------------------------------------
     // The retained index always carries the checkpoint's *accumulated*
@@ -459,7 +683,7 @@ pub(crate) fn take_checkpoint(
     ft.ckpt_seq = seq;
     ft.piggy_sent = vec![u64::MAX; n];
     ft.last_ckpt_vt = tckp;
-    ft.last_ckpt_episode = st.bar_episode;
+    ft.last_ckpt_episode = blob.bar_episode;
     ft.ckpt_due = false;
     ft.report.ckpts_taken += 1;
     ft.report.delta_ckpts += is_delta as u64;
@@ -493,6 +717,79 @@ pub(crate) fn take_checkpoint(
         },
         t_ckpt,
     );
+}
 
-    (logging_time, disk_time)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsm_storage::DiskModel;
+
+    fn ft_state(me: ProcId, n: usize, store: &Arc<StableStore>) -> FtState {
+        FtState::new(me, n, FtConfig::default(), Arc::clone(store))
+    }
+
+    #[test]
+    fn piggyback_is_attached_only_when_it_carries_news() {
+        // The layer alone: no node, no endpoint, an empty page table.
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let mut ft = FtSvc::new(0, 2, Some(ft_state(0, 2, &store)), None);
+        let pt = PageTable::new(0, 2, 256);
+        // Fresh FT state advertises checkpoint 0 once.
+        let first = ft.make_piggy(&pt, 1, false);
+        assert!(first.is_some());
+        let second = ft.make_piggy(&pt, 1, false);
+        assert!(second.is_none(), "no news: no piggyback");
+        // A gossip request always produces one (even without news) when the
+        // table would be empty it still returns None though:
+        let gossip = ft.make_piggy(&pt, 1, true);
+        assert!(gossip.is_none(), "empty gossip table carries no news");
+        // After a checkpoint-sequence bump, news flows again.
+        ft.state.as_mut().unwrap().ckpt_seq = 1;
+        assert!(ft.make_piggy(&pt, 1, false).is_some());
+        // With fault tolerance off there is never anything to say.
+        assert!(FtSvc::new(0, 2, None, None)
+            .make_piggy(&pt, 1, true)
+            .is_none());
+    }
+
+    #[test]
+    fn a_crash_and_a_genesis_restart_leave_a_new_layer_but_for_its_survivors() {
+        let (me, n) = (1, 3);
+        let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let retry = Some(Duration::from_millis(5));
+        let mut svc = FtSvc::new(me, n, Some(ft_state(me, n, &store)), retry);
+        {
+            let ft = svc.state.as_mut().unwrap();
+            let twin = dsm_page::Page::zeroed(64);
+            let mut cur = twin.clone();
+            cur.write(0, &[5]);
+            let iv = dsm_page::Interval { proc: me, seq: 5 };
+            let d = Arc::new(Diff::create(PageId(0), iv, &twin, &cur).unwrap());
+            ft.logs
+                .log_interval(5, vec![PageId(0)], &vt([3, 5, 1]), &[d]);
+            ft.tckp[0] = vt([2, 0, 0]);
+            ft.peer_ckpt_seq[0] = 3;
+            ft.peer_ckpt_episode[0] = 1;
+            ft.last_bar_arrive_seq = 4;
+            ft.p0v_known.insert(PageId(0), 2);
+            ft.p0v_sent.insert((PageId(1), 0), 2);
+            ft.piggy_sent = vec![0; n];
+            ft.ckpt_due = true;
+            // ... and what a crash must leave alone.
+            ft.piggy_cursor = 2;
+            ft.report.ckpts_taken = 3;
+        }
+        svc.fail_stop();
+        svc.restart_from(&CheckpointBlob::genesis(n), Vec::new());
+
+        let mut report = FtReport::default();
+        (report.ckpts_taken, report.recoveries) = (3, 1);
+        let survivors = FtState {
+            piggy_cursor: 2,
+            report,
+            ..ft_state(me, n, &store)
+        };
+        assert_eq!(svc, FtSvc::new(me, n, Some(survivors), retry));
+    }
 }

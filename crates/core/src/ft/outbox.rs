@@ -18,6 +18,7 @@ use dsm_page::{Diff, IntervalSeq, PageId, ProcId, VectorClock};
 pub(crate) type SeqBatch = (u64, Vec<Arc<Diff>>);
 
 /// Per-home queues of unacknowledged diff batches, the front one in flight.
+#[derive(Debug, PartialEq)]
 pub(crate) struct DiffOutbox {
     queues: Vec<VecDeque<SeqBatch>>,
     /// Per home: when the front batch was last put on the wire (`None`: the
@@ -197,6 +198,12 @@ mod tests {
         o.push(1, batch(0, 1));
         let (old, _) = o.start_next(1).unwrap();
         o.clear();
+        // All that is left is where the count stands.
+        let survivors = DiffOutbox {
+            seq_next: old,
+            ..DiffOutbox::new(2)
+        };
+        assert_eq!(o, survivors);
         assert!(o.drained() && o.resend(1).is_none());
         let mut needed = VectorClock::zero(2);
         o.fold_needed(0, PageId(0), &mut needed);

@@ -1,4 +1,4 @@
-//! Log-based recovery.
+//! Log-based recovery: [`RecoverySvc`].
 //!
 //! A restarted node (§4.3 of the paper):
 //!
@@ -25,63 +25,104 @@
 //!
 //! Recovery traffic is therefore 2 (n − 1) (1 + R) messages for R replayed
 //! remote pages, whatever the number of pages homed.
+//!
+//! The module owns the replay state, the inbox of recovery replies and the
+//! backlog of what peers sent meanwhile, both sides of the four `Rec*`
+//! kinds, and the replayed halves of a page miss, an acquire and a barrier.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
-use dsm_page::{Page, PageId, ProcId, VectorClock};
+use dsm_page::{Interval, Page, PageId, ProcId, VectorClock};
 use dsm_storage::SegmentKind;
 use dsm_trace::{EventKind, RecPhase};
-use hlrc::barrier::BarrierManager;
+use hlrc::LockId;
 use parking_lot::MutexGuard;
 
 use crate::ft::ckpt::{self, RetainedCkpt};
-use crate::ft::logs::{DiffLogEntry, RelEntry};
+use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry};
 use crate::msg::Payload;
-use crate::runtime::node::{
-    apply_pending_home, apply_pending_home_where, handle_msg, Mode, NodeShared, NodeState, WaitSlot,
-};
+use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
+use crate::runtime::node::{handle_msg, Mode, NodeShared, NodeState, WaitSlot};
 use crate::runtime::process::wait_until;
+use crate::stats::Breakdown;
 
 /// One remote page being rebuilt by local home emulation.
-#[derive(Debug)]
-pub(crate) struct ReplayPage {
+#[derive(Debug, PartialEq)]
+struct ReplayPage {
     /// The evolving copy (starts as the maximal starting copy `p0`).
-    pub copy: Page,
+    copy: Page,
     /// Versions applied so far (starts as `p0.v`).
-    pub version: VectorClock,
+    version: VectorClock,
     /// Collected, not-yet-applied diffs (kept in linear-extension order).
-    pub entries: Vec<DiffLogEntry>,
+    entries: Vec<DiffLogEntry>,
 }
 
 /// Everything the replay needs, attached to the node while recovering.
-#[derive(Debug, Default)]
-pub(crate) struct ReplayState {
+#[derive(Debug, Default, PartialEq)]
+struct ReplayState {
     /// When the recovery began (for the recovery-time statistic).
-    pub started: Option<std::time::Instant>,
+    started: Option<Instant>,
     /// When replay (phase 4→5 re-execution) began, for the trace span.
-    pub replay_from: Option<std::time::Instant>,
+    replay_from: Option<Instant>,
     /// Grants to this node, keyed by our acquisition sequence number.
-    pub rel: HashMap<u64, (ProcId, RelEntry)>,
+    rel: HashMap<u64, (ProcId, RelEntry)>,
     /// Completed barrier episodes: episode → joined timestamp.
-    pub bar_results: HashMap<u64, VectorClock>,
+    bar_results: HashMap<u64, VectorClock>,
     /// Emulated-home copies of remote pages.
-    pub pages: HashMap<PageId, ReplayPage>,
+    pages: HashMap<PageId, ReplayPage>,
     /// Diffs for our homed pages not yet applied: the replay point does not
     /// cover them yet (kept in linear-extension order).
-    pub pending_home: Vec<DiffLogEntry>,
+    pending_home: Vec<DiffLogEntry>,
     /// Highest interval of OURS any collected peer record proves existed:
     /// peers only learn our interval k after the op that created it
     /// completed, so a record carrying our component `> vt[me]` during
     /// replay is proof the op at hand finished before the crash. Needed to
     /// recognize a *final* self-granted acquire (which leaves no mirrored
     /// grant record and no later logged event of our own).
-    pub evidence_self: u32,
+    evidence_self: u32,
+}
+
+/// The recovery state of one node. All of it is volatile, and empty outside
+/// a recovery.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct RecoverySvc {
+    /// Set from the end of the handshake to the crash point.
+    replay: Option<ReplayState>,
+    /// Recovery replies deposited while recovering.
+    rec_inbox: Vec<(ProcId, Payload)>,
+    /// Non-recovery messages deferred while recovering.
+    backlog: Vec<(ProcId, Payload)>,
+}
+
+impl RecoverySvc {
+    /// Fail-stop: everything is lost, and a restart restores nothing —
+    /// [`run_recovery`] builds the replay state from the peers' replies.
+    pub(crate) fn fail_stop(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Is the node re-executing from its checkpoint towards the crash point?
+    pub(crate) fn replaying(&self) -> bool {
+        self.replay.is_some()
+    }
+
+    /// A message that arrived in `Recovering` mode: recovery replies go to
+    /// the inbox the collector reads, everything else waits for `go_live`.
+    pub(crate) fn defer(&mut self, from: ProcId, payload: Payload) {
+        match payload {
+            Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {
+                self.rec_inbox.push((from, payload))
+            }
+            other => self.backlog.push((from, other)),
+        }
+    }
 }
 
 /// Sort key: a linear extension of the happens-before partial order on
 /// diffs (if `a.t <= b.t` pointwise with `a != b`, then `sum(a) < sum(b)`).
-pub(crate) fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
+fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
     let sum: u64 = e.t.as_slice().iter().map(|&x| x as u64).sum();
     (sum, e.diff.interval.proc, e.diff.interval.seq)
 }
@@ -134,7 +175,7 @@ fn take_replies(
 /// [`wait_until`], so a reply that never comes ends in the same 60 s
 /// deadline panic as any other blocked operation, naming what was asked and
 /// who still owes it.
-pub(crate) fn collect_replies(
+fn collect_replies(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
     ask: RecAsk,
@@ -147,11 +188,131 @@ pub(crate) fn collect_replies(
         let WaitSlot::Recovery { ask, owed } = &mut st.wait else {
             unreachable!("recovery wait slot replaced while collecting")
         };
-        take_replies(&mut st.rec_inbox, *ask, owed, &mut got);
+        take_replies(&mut st.rec.rec_inbox, *ask, owed, &mut got);
         owed.is_empty().then_some(())
     });
     st.wait = WaitSlot::None;
     got
+}
+
+/// The module's slice of the message kinds in normal mode: the two requests
+/// a recovering peer sends. Replies to *our* recovery arriving after we
+/// already went live are stale duplicates.
+pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
+    match payload {
+        Payload::RecLogReq { homed } => {
+            let reply = build_rec_log_reply(st, from, &homed);
+            st.send(from, reply);
+        }
+        Payload::RecPageReq { page, tckp } => serve_rec_page(st, from, page, tckp),
+        Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {}
+        other => unreachable!("{} is not a recovery kind", other.kind()),
+    }
+}
+
+/// Build the reply to recovering peer `r`'s log-collection handshake; for
+/// the locks it manages this is also the chain reset (see
+/// [`crate::runtime::sync::SyncSvc::chain_report`]).
+///
+/// `homed` is the handshake's `(page, p0.v[me])` list: the reply carries our
+/// logged diffs for those pages that the recovering home's restored copies do
+/// not hold. It is read from the diff log alone — a page the recovering node
+/// homes need not be allocated here yet.
+fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -> Payload {
+    let ft = st.ft.state.as_ref().expect("recovery handshake without FT");
+    let (lock_chains, gen_floor) = st.sync.chain_report(r, &ft.logs.rel);
+    Payload::RecLogReply {
+        wn: ft.logs.wn.clone(),
+        rel_for_you: ft.logs.rel[r].clone(),
+        acq_mirror: ft.logs.acq[r].clone(),
+        bar: ft.logs.bar.clone(),
+        bar_mgr: ft.logs.bar_mgr.clone(),
+        lock_chains,
+        gen_floor,
+        applied_of_you: st.pt.home_store().newest_applied_of(r),
+        diffs: homed
+            .iter()
+            .flat_map(|&(page, have)| ft.logs.diffs_after(page, have))
+            .collect(),
+    }
+}
+
+/// Serve a replayed page: our logged diffs for it and, if we are its home,
+/// the maximal starting copy — the newest retained checkpointed copy whose
+/// version the requester's restart checkpoint covers, falling back to the
+/// initial zero page. Our own diffs the copy already holds are left out.
+fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorClock) {
+    let ft = st.ft.state.as_ref().expect("recovery without FT");
+    let copy = st.pt.is_home(page).then(|| {
+        let covered = ft
+            .retained
+            .iter()
+            .rev()
+            .find(|rc| rc.versions.get(&page).is_some_and(|v| tckp.covers(v)));
+        match covered {
+            Some(rc) => {
+                let chain = ckpt::load_chain(&ft.store, rc.anchor_seq..=rc.seq);
+                let (v, bytes) = ckpt::accumulate_chain(&chain)[&page];
+                (v.clone(), Arc::from(bytes))
+            }
+            None => (VectorClock::zero(st.n), vec![0u8; st.pt.page_size()].into()),
+        }
+    });
+    let have = copy.as_ref().map_or(0, |(v, _)| v.get(st.me));
+    let entries = ft.logs.diffs_after(page, have).collect();
+    let reply = Payload::RecPageReply {
+        page,
+        copy,
+        entries,
+    };
+    st.send(from, reply);
+}
+
+/// Apply the pending homed-page diffs that happened before the replay point
+/// (`vt` covers their timestamp) — the writes a read replayed next may see,
+/// and no others: a diff made after something replay has yet to reach, a
+/// read included, must not land ahead of it (docs/PROTOCOL.md, Recovery).
+pub(crate) fn apply_pending_home(st: &mut NodeState) {
+    apply_pending_home_where(st, |vt, t| vt.covers(t));
+}
+
+/// Apply the pending homed-page diffs `eligible(vt, diff.T)` admits, in
+/// their order — a linear extension of happens-before, which preserves
+/// same-word ordering.
+fn apply_pending_home_where(
+    st: &mut NodeState,
+    eligible: impl Fn(&VectorClock, &VectorClock) -> bool,
+) {
+    let Some(replay) = st.rec.replay.as_mut() else {
+        return;
+    };
+    if replay.pending_home.is_empty() {
+        return;
+    }
+    let mut rest = Vec::with_capacity(replay.pending_home.len());
+    for e in replay.pending_home.drain(..) {
+        if eligible(&st.vt, &e.t) {
+            if st.pt.home_apply_diff(&e.diff) {
+                emit_diff_apply(&st.tracer, &e.diff);
+            }
+        } else {
+            rest.push(e);
+        }
+    }
+    replay.pending_home = rest;
+    serve_waiting_fetches(st);
+}
+
+/// Recovery phase `phase`, begun at `t0`, is over: its histogram sample and
+/// its trace span.
+fn phase_done(st: &mut NodeState, phase: RecPhase, t0: Instant) {
+    let hist = match phase {
+        RecPhase::Restore => &mut st.hists.rec_restore,
+        RecPhase::LogCollect => &mut st.hists.rec_log_collect,
+        RecPhase::Replay => &mut st.hists.rec_replay,
+    };
+    hist.record(t0.elapsed().as_nanos() as u64);
+    st.tracer.emit_span(EventKind::RecoveryPhase { phase }, t0);
 }
 
 /// Restore node state from the last checkpoint, collect peer logs, rebuild
@@ -162,14 +323,14 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     let n = shared.n;
 
     // ---- Phase 1: restore from the restart checkpoint ----------------------
-    let t_recovery = std::time::Instant::now();
+    let t_recovery = Instant::now();
     let mut st = shared.state.lock();
     st.recoveries += 1;
 
     // Everything still on stable storage (ids ascend with `seq`), the
     // retained window over it, and the one image to restart from — the
     // genesis blob if the node never checkpointed.
-    let store = Arc::clone(&st.ft.as_ref().expect("recovery requires FT").store);
+    let store = Arc::clone(&st.ft.state.as_ref().expect("recovery requires FT").store);
     let blobs = ckpt::load_chain(&store, store.segment_ids(SegmentKind::Checkpoint));
     let mut window = Vec::with_capacity(blobs.len());
     for b in &blobs {
@@ -180,15 +341,7 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
 
     let homed = st.pt.homed_pages();
 
-    st.hists
-        .rec_restore
-        .record(t_recovery.elapsed().as_nanos() as u64);
-    st.tracer.emit_span(
-        EventKind::RecoveryPhase {
-            phase: RecPhase::Restore,
-        },
-        t_recovery,
-    );
+    phase_done(&mut st, RecPhase::Restore, t_recovery);
 
     // ---- Phase 2: handshake ---------------------------------------------
     // Each peer is told what of its own the restored homed copies hold, so
@@ -201,7 +354,7 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     }
 
     // ---- Phase 3: collect and merge log replies -----------------------------
-    let t_collect = std::time::Instant::now();
+    let t_collect = Instant::now();
     let mut replay = ReplayState::default();
     let mut entries: Vec<DiffLogEntry> = Vec::new();
     for (peer, payload) in collect_replies(shared, &mut st, RecAsk::Logs, &peers) {
@@ -230,88 +383,49 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
         // of every interval up to k whether or not they had arrived.
         replay.evidence_self = replay.evidence_self.max(applied_of_you);
         for e in wn {
-            st.wn_table.insert_parts(
-                dsm_page::Interval {
-                    proc: peer,
-                    seq: e.seq,
-                },
-                e.pages,
-            );
+            let (proc, seq) = (peer, e.seq);
+            st.wn_table.insert_parts(Interval { proc, seq }, e.pages);
         }
+        // Manager rebuild: chains for locks we manage, and the chain info
+        // for the grants we issued (`acq_mirror`).
+        st.sync
+            .absorb_chain_report(peer, &acq_mirror, (lock_chains, gen_floor));
+        let logs = &mut st.ft.state.as_mut().unwrap().logs;
         // The peer's rel_log[me] is simultaneously our acquire replay input
         // and the mirror restoring our acq_log.
-        st.ft.as_mut().unwrap().logs.acq[peer] = rel_for_you.clone();
+        logs.acq[peer] = rel_for_you.clone();
         for e in rel_for_you {
             replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
             replay.rel.insert(e.acq_seq, (peer, e));
         }
-        // acq_mirror restores our rel_log[peer] and the chain info for
-        // grants we issued. Its timestamps also carry our own clock
-        // component: a grant we gave after releasing interval k proves
-        // interval k completed.
+        // acq_mirror restores our rel_log[peer]. Its timestamps also carry
+        // our own clock component: a grant we gave after releasing interval
+        // k proves interval k completed.
         for e in &acq_mirror {
             replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
-            st.note_grant(e.lock, e.gen, peer, e.acq_seq);
         }
-        st.ft.as_mut().unwrap().logs.rel[peer] = acq_mirror;
-        for e in &bar {
-            replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
-            replay.bar_results.insert(e.episode, e.result_vt.clone());
-        }
-        for e in &bar_mgr {
-            replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
-            replay.bar_results.insert(e.episode, e.result_vt.clone());
-        }
-        // Manager rebuild: chains for locks we manage. Chain reset: the peer
-        // discarded its queued edges for our locks when serving the
-        // handshake and reports only materialized acquisitions (its
-        // delivered tenures, the grants in its release log). Rebuild tails
-        // from those; the discarded edges' requesters re-drive their
-        // acquisitions and are chained fresh. `gen_floor` keeps fresh edges
-        // above every pre-crash generation, including the discarded ones.
-        let mut sync = st.sync.lock();
-        for (lock, gen, grantee, grantee_acq, granter) in lock_chains {
-            if lock % n == me {
-                sync.lock_mgr
-                    .restore_chain(lock, gen, grantee, grantee_acq, granter);
-            }
-        }
-        for (lock, gen) in gen_floor {
-            if lock % n == me {
-                sync.lock_mgr.bound_gen(lock, gen);
-            }
-        }
+        logs.rel[peer] = acq_mirror;
+        let mut crossed = |episode, result_vt: &VectorClock| {
+            replay.evidence_self = replay.evidence_self.max(result_vt.get(me));
+            replay.bar_results.insert(episode, result_vt.clone());
+        };
+        bar.iter().for_each(|e| crossed(e.episode, &e.result_vt));
+        bar_mgr
+            .iter()
+            .for_each(|e| crossed(e.episode, &e.result_vt));
     }
-    // Our own chains: locks we manage where we granted (restored from
-    // the grantees' mirrors — every entry was a delivered grant), plus
-    // our own checkpoint-restored tenures of locks we manage (replayed
-    // tenures restore theirs as the replay reaches them).
-    {
-        let mut sync = st.sync.lock();
-        for (&lock, &(gen, grantee, grantee_acq)) in &st.lock_chain_info {
-            if lock % n == me {
-                sync.lock_mgr
-                    .restore_chain(lock, gen, grantee, grantee_acq, Some(me));
-            }
-        }
-        for (&lock, &(acq, _)) in &st.tenure {
-            if lock % n == me {
-                let gen = st.tenure_gen.get(&lock).copied().unwrap_or(0);
-                sync.lock_mgr.restore_chain(lock, gen, me, acq, None);
-            }
-        }
-    }
+    st.sync.restore_own_chains();
     // Rebuild the barrier-manager mirror for future recoveries of peers.
     if me == 0 {
-        let ft = st.ft.as_mut().unwrap();
+        let logs = &mut st.ft.state.as_mut().unwrap().logs;
         for (&episode, vt) in &replay.bar_results {
-            ft.logs.log_bar_mgr(crate::ft::logs::MgrBarEntry {
+            logs.log_bar_mgr(MgrBarEntry {
                 episode,
                 arrival_vts: vec![VectorClock::zero(n); n],
                 result_vt: vt.clone(),
             });
         }
-        ft.logs.bar_mgr.sort_by_key(|e| e.episode);
+        logs.bar_mgr.sort_by_key(|e| e.episode);
     }
 
     // ---- Phase 4: restore homed pages -----------------------------------
@@ -322,18 +436,10 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     }
     replay.pending_home = entries;
     replay.started = Some(t_recovery);
-    replay.replay_from = Some(std::time::Instant::now());
-    st.replay = Some(replay);
+    replay.replay_from = Some(Instant::now());
+    st.rec.replay = Some(replay);
     apply_pending_home(&mut st);
-    st.hists
-        .rec_log_collect
-        .record(t_collect.elapsed().as_nanos() as u64);
-    st.tracer.emit_span(
-        EventKind::RecoveryPhase {
-            phase: RecPhase::LogCollect,
-        },
-        t_collect,
-    );
+    phase_done(&mut st, RecPhase::LogCollect, t_collect);
 
     (image.step, image.app_state)
 }
@@ -347,18 +453,12 @@ pub(crate) fn go_live(st: &mut NodeState) {
     // ours that replay made again (checked below).
     let me = st.me;
     apply_pending_home_where(st, |vt, t| t.get(me) <= vt.get(me));
-    let replay = st.replay.take().expect("go_live without replay state");
-    if let (Some(t0), Some(ft)) = (replay.started, st.ft.as_mut()) {
+    let replay = st.rec.replay.take().expect("go_live without replay state");
+    if let (Some(t0), Some(ft)) = (replay.started, st.ft.state.as_mut()) {
         ft.report.recovery_time += t0.elapsed();
     }
     if let Some(t0) = replay.replay_from {
-        st.hists.rec_replay.record(t0.elapsed().as_nanos() as u64);
-        st.tracer.emit_span(
-            EventKind::RecoveryPhase {
-                phase: RecPhase::Replay,
-            },
-            t0,
-        );
+        phase_done(st, RecPhase::Replay, t0);
     }
     if !replay.pending_home.is_empty() {
         let leftover: Vec<String> = replay
@@ -373,35 +473,214 @@ pub(crate) fn go_live(st: &mut NodeState) {
             leftover.join("; ")
         );
     }
-    let n = st.n;
     if st.me == 0 {
-        // Restore the barrier manager. Arrival timestamps and notice sets
-        // for the last completed episode are rebuilt conservatively (zero
-        // arrivals, all notices the joined timestamp covers); receivers skip
-        // notices they already cover, so extras are harmless.
-        let mut mgr = BarrierManager::new(n);
-        let ep = st.bar_episode;
-        let last = if ep > 0 {
-            replay.bar_results.get(&(ep - 1)).map(|vt| {
-                let all_wns = st.wn_table.missing_between(&VectorClock::zero(n), vt);
-                (vt.clone(), vec![VectorClock::zero(n); n], all_wns)
-            })
-        } else {
-            None
-        };
-        mgr.restore(ep, last);
-        st.sync.lock().bar_mgr = Some(mgr);
+        let last = st.sync.bar_episode().checked_sub(1);
+        let last = last.and_then(|ep| replay.bar_results.get(&ep));
+        st.sync.restore_barrier_manager(last, &st.wn_table);
     }
     st.set_mode(Mode::Normal);
-    let backlog = std::mem::take(&mut st.backlog);
+    let backlog = std::mem::take(&mut st.rec.backlog);
     for (from, payload) in backlog {
         handle_msg(st, from, payload);
     }
 }
 
+/// A replayed miss on remote `page`: build the emulated-home copy and
+/// install it.
+pub(crate) fn replay_materialize(
+    shared: &NodeShared,
+    st: &mut MutexGuard<'_, NodeState>,
+    page: PageId,
+) {
+    let me = st.me;
+    if !st.rec.replay.as_ref().unwrap().pages.contains_key(&page) {
+        // One round: every peer's diff log for the page, and with the
+        // home's the maximal starting copy.
+        let tckp = st.ft.state.as_ref().unwrap().last_ckpt_vt.clone();
+        let peers: Vec<usize> = (0..st.n).filter(|&p| p != me).collect();
+        for &p in &peers {
+            let tckp = tckp.clone();
+            st.send(p, Payload::RecPageReq { page, tckp });
+        }
+        let (mut base, mut entries) = (None, Vec::new());
+        for (_, payload) in collect_replies(shared, st, RecAsk::Page(page), &peers) {
+            let Payload::RecPageReply {
+                copy, entries: es, ..
+            } = payload
+            else {
+                unreachable!("collected a reply that was not asked for")
+            };
+            base = base.or(copy);
+            entries.extend(es);
+        }
+        let (version, bytes) = base.expect("the home's reply carries the starting copy");
+        entries.sort_by_key(linear_key);
+        let rp = ReplayPage {
+            copy: Page::from_shared(bytes),
+            version,
+            entries,
+        };
+        st.rec.replay.as_mut().unwrap().pages.insert(page, rp);
+        st.ft.state.as_mut().unwrap().report.replayed_pages += 1;
+    }
+    let st = &mut **st;
+    let rp = st
+        .rec
+        .replay
+        .as_mut()
+        .unwrap()
+        .pages
+        .get_mut(&page)
+        .unwrap();
+    // Our own logged diffs participate too: the pre-crash fetched copy
+    // included them, and replay keeps regenerating them (logged at every
+    // replayed interval end). Merge those the copy does not have yet —
+    // at the first materialization and at every re-materialization
+    // after an invalidation — so that it reproduces our own writes.
+    let logs = &st.ft.state.as_ref().unwrap().logs;
+    let before = rp.entries.len();
+    for e in logs.diffs_after(page, rp.version.get(me)) {
+        if !rp.entries[..before]
+            .iter()
+            .any(|x| x.diff.interval == e.diff.interval)
+        {
+            rp.entries.push(e);
+        }
+    }
+    if rp.entries.len() > before {
+        rp.entries.sort_by_key(linear_key);
+    }
+    // Apply every diff that happened before our current replay point.
+    let mut rest = Vec::with_capacity(rp.entries.len());
+    for e in rp.entries.drain(..) {
+        let writer = e.diff.interval.proc;
+        if st.vt.covers(&e.t) {
+            if e.diff.interval.seq > rp.version.get(writer) {
+                e.diff.apply(&mut rp.copy);
+                rp.version.set(writer, e.diff.interval.seq);
+            }
+        } else {
+            rest.push(e);
+        }
+    }
+    rp.entries = rest;
+    // Share the emulated-home copy straight into the page table: later
+    // replayed diffs copy-on-write `rp.copy`, so the installed buffer
+    // stays a consistent snapshot.
+    st.pt.install_fetch(page, rp.copy.share(), &rp.version);
+}
+
+/// Invalidate what the notices of the intervals between `pre` and the
+/// replayed timestamp name.
+fn apply_replay_invalidations(st: &mut NodeState, pre: &VectorClock) {
+    for iv in pre.missing_from(&st.vt) {
+        if let Some(pages) = st.wn_table.get(iv) {
+            for &pg in pages {
+                st.pt.invalidate(pg, iv.proc, iv.seq);
+            }
+        }
+    }
+}
+
+/// Replay the acquire of `lock` from the collected logs; `false` at the
+/// crash point.
+pub(crate) fn try_replay_acquire(st: &mut NodeState, lock: LockId, bd: &mut Breakdown) -> bool {
+    let acq_seq = st.sync.acq_seq_next();
+    let replay = st.rec.replay.as_ref().unwrap();
+    match replay.rel.get(&acq_seq).cloned() {
+        Some((granter, entry)) => {
+            assert_eq!(
+                entry.lock, lock,
+                "replay acquire lock mismatch at acq_seq {acq_seq}"
+            );
+            st.close_interval(bd);
+            let pre = st.vt.clone();
+            st.vt.join(&entry.t_after);
+            apply_replay_invalidations(st, &pre);
+            st.sync.replayed_acquire(lock, Some((entry.gen, granter)));
+        }
+        None => {
+            // No peer logged a grant for this acquisition. Either the
+            // acquire never completed (the crash point) or it was a
+            // *self-grant* — we were the chain tail and granted
+            // ourselves, and the grant record died with us. Evidence of
+            // any later logged event of ours proves the acquire
+            // completed, and since no peer granted it, it must have
+            // been a self-grant: replaying one is purely local (the
+            // grant joins our own release timestamp — a no-op — and
+            // carries no notices).
+            let later_rel = replay.rel.keys().any(|&s| s > acq_seq);
+            let crossed = st.sync.bar_episode();
+            let later_bar = replay.bar_results.keys().any(|&e| e >= crossed);
+            // A grant we *gave* (mirrored in a peer's acq_log) or a
+            // peer diff whose timestamp carries our component beyond
+            // the replayed clock is equally conclusive: peers can only
+            // have seen interval vt[me]+1 if the op that created it —
+            // at or after this acquire — completed before the crash.
+            let later_iv = replay.evidence_self > st.vt.get(st.me);
+            if !(later_rel || later_bar || later_iv) {
+                return false;
+            }
+            st.close_interval(bd);
+            st.sync.replayed_acquire(lock, None);
+        }
+    }
+    apply_pending_home(st);
+    true
+}
+
+/// Replay the barrier from the collected logs; `false` at the crash point.
+pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool {
+    let episode = st.sync.bar_episode();
+    let replay = st.rec.replay.as_ref().unwrap();
+    let Some(result) = replay.bar_results.get(&episode).cloned() else {
+        return false;
+    };
+    st.close_interval(bd);
+    let arrive_vt = st.vt.clone();
+    st.ft.arrived_at_barrier(arrive_vt.get(st.me));
+    st.wn_since_barrier.clear();
+    st.vt.join(&result);
+    apply_replay_invalidations(st, &arrive_vt);
+    let result_vt = st.vt.clone();
+    if let Some(logs) = st.ft.logs() {
+        logs.log_bar(BarEntry {
+            episode,
+            arrive_vt,
+            result_vt,
+        });
+    }
+    st.sync.crossed();
+    apply_pending_home(st);
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::node::tests::{diff_of, gated, only_payload, page_of, test_state};
+    use std::time::Duration;
+
+    impl RecoverySvc {
+        /// A node in replay with nothing collected.
+        pub(crate) fn replaying_nothing() -> Self {
+            RecoverySvc {
+                replay: Some(ReplayState::default()),
+                ..Self::default()
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_forgets_the_replay_and_both_queues() {
+        let mut rec = RecoverySvc::replaying_nothing();
+        rec.defer(0, log_reply());
+        rec.defer(0, Payload::DiffAck { seq: 1 });
+        assert!(rec.replaying());
+        assert_eq!((rec.rec_inbox.len(), rec.backlog.len()), (1, 1));
+        rec.fail_stop();
+        assert_eq!(rec, RecoverySvc::default());
+    }
 
     fn log_reply() -> Payload {
         Payload::RecLogReply {
@@ -486,5 +765,92 @@ mod tests {
             assert!(shown.contains(named), "{shown}");
             assert!(shown.contains("[0, 3]"), "{shown}");
         }
+    }
+
+    fn logged_seqs(entries: &[DiffLogEntry]) -> Vec<(u32, u32)> {
+        (entries.iter())
+            .map(|e| (e.diff.page.0, e.diff.interval.seq))
+            .collect()
+    }
+
+    #[test]
+    fn the_handshake_reply_carries_the_diffs_the_restored_copies_lack_and_needs_no_page() {
+        // Node 1 has allocated nothing yet; its restored log knows pages
+        // 4, 6 and 9.
+        let (mut st, eps) = test_state(1, 3, true);
+        let logs = st.ft.logs().unwrap();
+        for (seq, pages) in [(1, vec![6]), (2, vec![4]), (3, vec![4, 9]), (5, vec![4])] {
+            let diffs: Vec<_> = pages.iter().map(|&p| diff_of(p, 1, seq)).collect();
+            let pages = pages.iter().map(|&p| PageId(p)).collect();
+            logs.log_interval(seq, pages, &gated(3, 1, seq), &diffs);
+        }
+        // Node 0 homes 4, 7 and 9; its copy of 4 holds our interval 2.
+        let homed = vec![(PageId(9), 0), (PageId(4), 2), (PageId(7), 0)];
+        handle_msg(&mut st, 0, Payload::RecLogReq { homed });
+        assert!(
+            st.pending_unalloc.is_empty(),
+            "the handshake must never wait for an allocation"
+        );
+        let Payload::RecLogReply { diffs, .. } = only_payload(&eps[0]) else {
+            panic!("not a handshake reply")
+        };
+        // Request order, then log order; nothing at or below `p0.v`, and
+        // nothing for a page that was not named.
+        assert_eq!(logged_seqs(&diffs), [(9, 3), (4, 3), (4, 5)]);
+        assert!(diffs
+            .iter()
+            .all(|e| e.t == gated(3, 1, e.diff.interval.seq)));
+        // At `p0.v` zero the whole log for the page comes.
+        handle_msg(
+            &mut st,
+            0,
+            Payload::RecLogReq {
+                homed: vec![(PageId(4), 0)],
+            },
+        );
+        let Payload::RecLogReply { diffs, .. } = only_payload(&eps[0]) else {
+            panic!("not a handshake reply")
+        };
+        assert_eq!(logged_seqs(&diffs), [(4, 2), (4, 3), (4, 5)]);
+    }
+
+    #[test]
+    fn a_replayed_page_gets_the_copy_from_its_home_alone_and_diffs_from_everyone() {
+        let (mut st, eps) = test_state(1, 3, true);
+        st.pt.add_page(1); // page 0: homed here
+        st.pt.add_page(2); // page 1: remote
+        let write_both = |st: &mut NodeState, byte: u8| {
+            st.pt.install(PageId(1), page_of(0), &VectorClock::zero(3));
+            st.pt.write(PageId(0), 8, &[byte]);
+            st.pt.write(PageId(1), 8, &[byte]);
+            st.close_interval(&mut Breakdown::default());
+        };
+        write_both(&mut st, 1);
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut Breakdown::default());
+        write_both(&mut st, 2);
+        while eps[1].recv_any(Duration::ZERO).is_some() {} // the diff batches
+
+        let tckp = gated(3, 1, 1);
+        let ask = |st: &mut NodeState, page| {
+            let tckp = tckp.clone();
+            handle_msg(st, 0, Payload::RecPageReq { page, tckp });
+            match only_payload(&eps[0]) {
+                Payload::RecPageReply {
+                    page: p,
+                    copy,
+                    entries,
+                } if p == page => (copy, logged_seqs(&entries)),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        // Home: the checkpointed copy, and only the diff it does not hold.
+        let (copy, entries) = ask(&mut st, PageId(0));
+        let (version, bytes) = copy.expect("the home sends the starting copy");
+        assert_eq!((version, bytes[8]), (gated(3, 1, 1), 1));
+        assert_eq!(entries, [(0, 2)]);
+        // Not the home: no copy, the whole log for the page.
+        let (copy, entries) = ask(&mut st, PageId(1));
+        assert!(copy.is_none());
+        assert_eq!(entries, [(1, 1), (1, 2)]);
     }
 }

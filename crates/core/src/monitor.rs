@@ -20,7 +20,14 @@
 //! 2. **Lock tenure uniqueness** — per `(lock, generation)`, at most one
 //!    distinct grantee. Re-granting the same generation to the same node is
 //!    a legal retransmission replay; to a different node it is a split
-//!    tenure.
+//!    tenure — unless the grant died with its granter: the granter has had
+//!    a `CrashInjected` since it emitted the grant, and either the grantee
+//!    never consumed it (no `LockAcquire` of that lock by the grantee after
+//!    the `LockGrant`) or the grantee is the granter itself (a self-grant:
+//!    the tenure it opened is rolled back by the same crash, and no
+//!    survivor holds a record of it). The recovered manager, which cannot
+//!    know of such a grant, issues the generation again. A grant another
+//!    node consumed and that is re-issued is a split tenure whoever crashed.
 //! 3. **Barrier episode order** — each node's `BarrierRelease` episodes
 //!    strictly increase (reset when that node crashes), and every node's
 //!    final episode agrees at finish (nodes that crashed mid-run and nodes
@@ -101,12 +108,26 @@ struct PerNode {
     last_flow: u64,
     /// Per subject: down-without-up count (heartbeat legality).
     down_pending: HashMap<usize, bool>,
+    /// `CrashInjected` events so far.
+    crashes: u32,
+    /// `LockAcquire` events so far, per lock.
+    acquired: HashMap<u32, u64>,
+}
+
+/// One `LockGrant`, as tenure uniqueness remembers it: grantee and granter,
+/// and where the granter's crash count and the grantee's acquire count of
+/// the lock stood when it was emitted.
+struct Grant {
+    to: usize,
+    from: usize,
+    from_crashes: u32,
+    to_acquired: u64,
 }
 
 struct Inner {
     nodes: Vec<PerNode>,
-    /// Grantee per (lock, generation).
-    tenures: HashMap<(u32, u64), usize>,
+    /// The grant per (lock, generation).
+    tenures: HashMap<(u32, u64), Grant>,
     /// Subjects a `MemberDown` is legal for: suspected by anyone, ever
     /// (cluster-wide suspicion pool), or crashed.
     down_cause: Vec<bool>,
@@ -234,20 +255,41 @@ impl EventSink for Monitor {
                 }
             }
             EventKind::LockGrant { lock, to, gen } => {
+                let acquired = |node: usize| *inner.nodes[node].acquired.get(lock).unwrap_or(&0);
+                let grant = Grant {
+                    to: *to,
+                    from: e.node,
+                    from_crashes: inner.nodes[e.node].crashes,
+                    to_acquired: acquired(*to),
+                };
                 match inner.tenures.get(&(*lock, *gen)) {
                     // Same grantee again: legal retransmission replay.
-                    Some(prev) if prev == to => {}
+                    Some(prev) if prev.to == *to => {}
+                    // The granter crashed after emitting the grant, and the
+                    // grantee never entered the tenure (the grant died on
+                    // the wire) or is the granter itself (the tenure died in
+                    // that crash too): the generation is free again.
+                    Some(prev)
+                        if inner.nodes[prev.from].crashes > prev.from_crashes
+                            && (acquired(prev.to) == prev.to_acquired || prev.to == prev.from) =>
+                    {
+                        inner.tenures.insert((*lock, *gen), grant);
+                    }
                     Some(prev) => {
                         let detail = format!(
                             "lock {lock} generation {gen} granted to n{to} but was \
-                             already granted to n{prev} (split tenure)"
+                             already granted to n{} (split tenure)",
+                            prev.to
                         );
                         Self::violate(inner, e, "tenure-uniqueness", detail);
                     }
                     None => {
-                        inner.tenures.insert((*lock, *gen), *to);
+                        inner.tenures.insert((*lock, *gen), grant);
                     }
                 }
+            }
+            EventKind::LockAcquire { lock } => {
+                *inner.nodes[e.node].acquired.entry(*lock).or_default() += 1;
             }
             EventKind::BarrierRelease { episode } => {
                 let node = &mut inner.nodes[e.node];
@@ -274,6 +316,7 @@ impl EventSink for Monitor {
             EventKind::CrashInjected { .. } => {
                 inner.down_cause[e.node] = true;
                 let node = &mut inner.nodes[e.node];
+                node.crashes += 1;
                 // The home copy is rebuilt from checkpoint + peer logs; its
                 // apply history starts over. Barrier progress likewise.
                 node.applied.clear();
@@ -424,6 +467,56 @@ mod tests {
         let r = m.finish();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].invariant, "tenure-uniqueness");
+    }
+
+    #[test]
+    fn a_grant_that_died_with_its_granter_may_be_issued_again_but_not_a_consumed_one() {
+        let grant = |to| EventKind::LockGrant {
+            lock: 5,
+            to,
+            gen: 7,
+        };
+        let crash = EventKind::CrashInjected { at_op: 75 };
+        let acquire = EventKind::LockAcquire { lock: 5 };
+        // Node 1 grants to node 2 and crashes; node 2 — which held the lock
+        // once before, through an earlier generation — never hears of it.
+        // The recovered manager gives generation 7 to node 0.
+        let m = Monitor::new(3);
+        m.on_event(&ev(2, 1, acquire.clone()));
+        m.on_event(&ev(1, 2, grant(2)));
+        m.on_event(&ev(1, 3, crash.clone()));
+        m.on_event(&ev(1, 4, grant(0)));
+        assert!(m.finish().violations.is_empty());
+        // The new grant is what is remembered now: node 0 consumes it, and
+        // a third grantee is a split tenure although node 1 crashed again.
+        m.on_event(&ev(0, 5, acquire.clone()));
+        m.on_event(&ev(1, 6, crash.clone()));
+        m.on_event(&ev(1, 7, grant(2)));
+        assert_eq!(m.finish().violations.len(), 1);
+
+        // A grant the grantee consumed is a tenure that happened, whether or
+        // not its granter crashes afterwards ...
+        let m = Monitor::new(3);
+        m.on_event(&ev(1, 1, grant(2)));
+        m.on_event(&ev(2, 2, acquire.clone()));
+        m.on_event(&ev(1, 3, crash));
+        m.on_event(&ev(1, 4, grant(0)));
+        let r = m.finish();
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].invariant, "tenure-uniqueness");
+        // ... unless it was a self-grant, which that crash rolls back.
+        let m = Monitor::new(3);
+        m.on_event(&ev(1, 1, grant(1)));
+        m.on_event(&ev(1, 2, acquire));
+        m.on_event(&ev(1, 3, EventKind::CrashInjected { at_op: 235 }));
+        m.on_event(&ev(1, 4, grant(0)));
+        assert!(m.finish().violations.is_empty());
+        // An unconsumed grant whose granter is still up is a tenure too.
+        let m = Monitor::new(3);
+        m.on_event(&ev(1, 1, grant(2)));
+        m.on_event(&ev(0, 2, EventKind::CrashInjected { at_op: 9 }));
+        m.on_event(&ev(1, 3, grant(0)));
+        assert_eq!(m.finish().violations.len(), 1);
     }
 
     #[test]

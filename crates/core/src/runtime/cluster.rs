@@ -16,10 +16,8 @@ use crate::config::{ClusterConfig, FailureSpec};
 use crate::ft::FtState;
 use crate::monitor::Monitor;
 use crate::msg::Msg;
-use crate::runtime::node::{
-    apply_member_actions, retransmit_stale_diffs, service_loop, CrashSignal, Mode, NodeShared,
-    NodeState,
-};
+use crate::runtime::member;
+use crate::runtime::node::{service_loop, CrashSignal, Mode, NodeShared, NodeState};
 use crate::runtime::process::Process;
 use crate::stats::{NodeReport, RunReport};
 
@@ -50,72 +48,46 @@ fn sample_metrics(
     shareds: &[Arc<NodeShared>],
 ) -> dsm_metrics::Snapshot {
     let t = fabric.stats().total();
-    reg.counter("fabric_msgs_sent_total").store(t.msgs_sent);
-    reg.counter("fabric_base_bytes_sent_total")
-        .store(t.base_bytes_sent);
-    reg.counter("fabric_ft_bytes_sent_total")
-        .store(t.ft_bytes_sent);
-    reg.counter("fabric_msgs_dropped_total")
-        .store(t.msgs_dropped);
-    reg.counter("fabric_chaos_dropped_total")
-        .store(t.chaos_dropped);
-    reg.counter("fabric_chaos_delayed_total")
-        .store(t.chaos_delayed);
-    reg.counter("fabric_chaos_duplicated_total")
-        .store(t.chaos_duplicated);
-    reg.counter("fabric_partition_blocked_total")
-        .store(t.partition_blocked);
+    for (name, v) in [
+        ("fabric_msgs_sent_total", t.msgs_sent),
+        ("fabric_base_bytes_sent_total", t.base_bytes_sent),
+        ("fabric_ft_bytes_sent_total", t.ft_bytes_sent),
+        ("fabric_msgs_dropped_total", t.msgs_dropped),
+        ("fabric_chaos_dropped_total", t.chaos_dropped),
+        ("fabric_chaos_delayed_total", t.chaos_delayed),
+        ("fabric_chaos_duplicated_total", t.chaos_duplicated),
+        ("fabric_partition_blocked_total", t.partition_blocked),
+    ] {
+        reg.counter(name).store(v);
+    }
     for s in shareds {
         if let Some(st) = s.state.try_lock() {
             let me = st.me;
-            reg.gauge(&format!("node_recoveries{{node=\"{me}\"}}"))
-                .set(st.recoveries as i64);
-            reg.gauge(&format!("node_retransmits{{node=\"{me}\"}}"))
-                .set(st.retransmits as i64);
-            reg.gauge(&format!("node_dup_suppressed{{node=\"{me}\"}}"))
-                .set(st.dup_suppressed as i64);
-            reg.gauge(&format!("node_diff_outbox_depth{{node=\"{me}\"}}"))
-                .set(st.diffs.depth() as i64);
-            let pc = st.prefetch_counts;
-            reg.counter(&format!("prefetched_total{{node=\"{me}\"}}"))
-                .store(pc.prefetched);
-            reg.counter(&format!("prefetched_used_total{{node=\"{me}\"}}"))
-                .store(pc.prefetched_used);
-            reg.counter(&format!("prefetch_skipped_total{{node=\"{me}\"}}"))
-                .store(pc.prefetch_skipped);
-            reg.counter(&format!("skipped_then_missed_total{{node=\"{me}\"}}"))
-                .store(pc.skipped_then_missed);
-            let pool = st.pt.pool_stats();
-            reg.counter(&format!("pool_hits_total{{node=\"{me}\"}}"))
-                .store(pool.hits);
-            reg.counter(&format!("pool_misses_total{{node=\"{me}\"}}"))
-                .store(pool.misses);
-            reg.counter(&format!("pool_recycled_total{{node=\"{me}\"}}"))
-                .store(pool.recycled);
-            if let Some(ft) = &st.ft {
-                reg.counter(&format!("ckpts_taken_total{{node=\"{me}\"}}"))
-                    .store(ft.report.ckpts_taken);
-                reg.counter(&format!("ckpts_delta_total{{node=\"{me}\"}}"))
-                    .store(ft.report.delta_ckpts);
+            let (pool, hists) = (st.pt.pool_stats(), &st.hists);
+            for (name, v) in [
+                ("node_recoveries", st.recoveries),
+                ("node_retransmits", st.retransmits),
+                ("node_dup_suppressed", st.dup_suppressed),
+                ("release_flush_p50_ns", hists.release_flush.quantile(0.5)),
+                (
+                    "barrier_release_build_p50_ns",
+                    hists.barrier_release_build.quantile(0.5),
+                ),
+                ("ckpt_delta_pages_p50", hists.ckpt_delta_pages.quantile(0.5)),
+            ] {
+                reg.gauge(&format!("{name}{{node=\"{me}\"}}")).set(v as i64);
             }
-            reg.gauge(&format!("release_flush_p50_ns{{node=\"{me}\"}}"))
-                .set(st.hists.release_flush.quantile(0.5) as i64);
-            reg.gauge(&format!("barrier_release_build_p50_ns{{node=\"{me}\"}}"))
-                .set(st.hists.barrier_release_build.quantile(0.5) as i64);
-            reg.gauge(&format!("ckpt_delta_pages_p50{{node=\"{me}\"}}"))
-                .set(st.hists.ckpt_delta_pages.quantile(0.5) as i64);
-            if let Some(mr) = &st.member {
-                if let Some(det) = mr.det.try_lock() {
-                    let ms = det.stats();
-                    reg.counter(&format!("member_suspicions_total{{node=\"{me}\"}}"))
-                        .store(ms.suspicions);
-                    reg.counter(&format!("member_down_events_total{{node=\"{me}\"}}"))
-                        .store(ms.down_events);
-                    reg.counter(&format!("member_up_events_total{{node=\"{me}\"}}"))
-                        .store(ms.up_events);
-                    reg.counter(&format!("member_pings_sent_total{{node=\"{me}\"}}"))
-                        .store(ms.pings_sent);
-                }
+            for (name, v) in [
+                ("pool_hits_total", pool.hits),
+                ("pool_misses_total", pool.misses),
+                ("pool_recycled_total", pool.recycled),
+            ] {
+                reg.counter(&format!("{name}{{node=\"{me}\"}}")).store(v);
+            }
+            st.ft.sample(reg);
+            st.fetch.sample(reg, me);
+            if let Some(member) = &st.member {
+                member.sample(reg, me);
             }
         }
     }
@@ -234,36 +206,7 @@ where
                 let every = cfg.heartbeat_every;
                 std::thread::Builder::new()
                     .name(format!("dsm-hb-{}", s.me))
-                    .spawn(move || {
-                        let (mr, ep, tracer, mode_flag) = {
-                            let st = shared.state.lock();
-                            (
-                                st.member.clone().expect("ticker without member runtime"),
-                                Arc::clone(&st.ep),
-                                st.tracer.clone(),
-                                Arc::clone(&st.mode_flag),
-                            )
-                        };
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(every);
-                            // A crashed node is silent: no heartbeats, no
-                            // retransmissions — that silence is exactly what
-                            // the peers' detectors pick up.
-                            if mode_flag.load(Ordering::SeqCst) == Mode::Crashed as u8 {
-                                continue;
-                            }
-                            let actions = mr.det.lock().tick(Instant::now());
-                            apply_member_actions(&shared, &ep, &tracer, &mr, actions);
-                            // Retransmit stale in-flight diff batches. Skip
-                            // when the big lock is busy — the app thread owns
-                            // it while computing; the next tick retries.
-                            if let Some(mut st) = shared.state.try_lock() {
-                                if st.mode != Mode::Crashed {
-                                    retransmit_stale_diffs(&mut st);
-                                }
-                            }
-                        }
-                    })
+                    .spawn(move || member::ticker(&shared, &stop, every))
                     .expect("spawn heartbeat ticker")
             })
             .collect(),
@@ -357,8 +300,8 @@ where
                                     // Recovering: the next heartbeat already
                                     // carries the bumped number, which is how
                                     // peers learn we are back.
-                                    if let Some(mr) = &st.member {
-                                        mr.det.lock().begin_new_incarnation(Instant::now());
+                                    if let Some(member) = &st.member {
+                                        member.begin_new_incarnation();
                                     }
                                     st.set_mode(Mode::Recovering);
                                 }
@@ -393,7 +336,7 @@ where
     // for acks under loss; keep the tickers retransmitting until every
     // outbox drains (ack received ⇒ the home applied the batch).
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !shareds.iter().all(|s| s.state.lock().diffs.drained()) {
+    while !shareds.iter().all(|s| s.state.lock().ft.drained()) {
         assert!(
             Instant::now() < deadline,
             "diff outboxes failed to drain (FTDSM_SEED={:#x})",
@@ -496,24 +439,10 @@ where
         let mut st = s.state.lock();
         shared_bytes = shared_bytes.max(st.shared_bytes());
         // Fold the member layer's off-big-lock samples and counters in.
-        let member = match st.member.clone() {
-            Some(mr) => {
-                st.hists.heartbeat_rtt.merge(&mr.rtt.lock());
-                st.hists.suspicion_latency.merge(&mr.susp.lock());
-                mr.det.lock().stats()
-            }
-            None => Default::default(),
-        };
+        let member = st.member.clone().map(|m| m.fold_into(&mut st.hists));
         let mut breakdown = st.breakdown_acc;
         breakdown.protocol += st.svc_time_by_kind.values().sum::<Duration>();
-        let ft = match st.ft.as_mut() {
-            Some(ft) => {
-                ft.report.log_counters = ft.logs.counters();
-                ft.report.store = ft.store.stats();
-                ft.report.clone()
-            }
-            None => Default::default(),
-        };
+        let ft = st.ft.report();
         let mut svc_time_by_kind: Vec<_> =
             st.svc_time_by_kind.iter().map(|(&k, &d)| (k, d)).collect();
         svc_time_by_kind.sort_unstable_by_key(|&(k, _)| k);
@@ -528,12 +457,12 @@ where
             svc_time_by_kind,
             msg_kinds: fabric.stats().node(i).kind_counts(),
             msg_kind_bytes: fabric.stats().node(i).kind_bytes(),
-            member,
+            member: member.unwrap_or_default(),
             retransmits: st.retransmits,
             dup_suppressed: st.dup_suppressed,
             fetch_delta_pages,
             fetch_delta_bytes,
-            prefetch: st.prefetch_counts,
+            prefetch: st.fetch.counts(),
         });
     }
 

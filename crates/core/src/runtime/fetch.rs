@@ -1,0 +1,564 @@
+//! The requester side of page fetching: [`FetchSvc`].
+//!
+//! The module owns the request ids, the map of batched fetches in flight and
+//! the prefetch counters; it decides what an invalidation prefetches and
+//! what a miss brings with it, installs what comes back, and handles the two
+//! kinds that answer a fetch, `PageReply` and `PageBatchReply`.
+
+use std::collections::{BTreeMap, HashSet};
+
+use dsm_metrics::Registry;
+use dsm_page::{PageId, ProcId, VectorClock};
+use hlrc::{Have, PageBody, PageState};
+
+use crate::msg::Payload;
+use crate::runtime::node::NodeState;
+use crate::stats::PrefetchCounts;
+
+/// A prefetch batch entry: one invalidated remote page with a batched
+/// fetch in flight to its home.
+#[derive(Debug, Clone, PartialEq)]
+struct PrefetchEntry {
+    /// Correlation id of the `PageBatchReq` that covers this page.
+    req_id: u64,
+    /// The page's home (retransmission target on `NodeUp`).
+    home: ProcId,
+}
+
+/// The fetch state of one node.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct FetchSvc {
+    /// Remote pages with a batched fetch in flight: issued right after an
+    /// acquire or barrier invalidated them, or by a miss on a page that
+    /// prefetch had left out. A first touch of one of these waits for the
+    /// batch reply instead of sending its own `PageReq`. Ordered, so that a
+    /// resend walks it the same way every time.
+    prefetch: BTreeMap<PageId, PrefetchEntry>,
+    req_id_next: u64,
+    /// What was prefetched, what of it was used and what the filter left
+    /// out, over all incarnations (for the node report).
+    counts: PrefetchCounts,
+}
+
+impl FetchSvc {
+    /// Fail-stop: what was in flight is lost. The ids keep counting, so an
+    /// answer addressed to the previous incarnation never matches a new
+    /// request, and the counters report the whole run. A restart restores
+    /// nothing.
+    pub(crate) fn fail_stop(&mut self) {
+        *self = FetchSvc {
+            req_id_next: self.req_id_next,
+            counts: self.counts,
+            ..Self::default()
+        };
+    }
+
+    /// Does a batch in flight cover `page`?
+    pub(crate) fn in_flight(&self, page: PageId) -> bool {
+        self.prefetch.contains_key(&page)
+    }
+
+    /// Give up on the batch that covers `page` (its reply was lost); a
+    /// straggler is dropped by [`install_prefetched`].
+    pub(crate) fn abandon(&mut self, page: PageId) {
+        self.prefetch.remove(&page);
+    }
+
+    /// A copy nobody had touched that no fault asked for was used.
+    pub(crate) fn prefetched_copy_used(&mut self) {
+        self.counts.prefetched_used += 1;
+    }
+
+    /// The prefetch counters, for the node report.
+    pub(crate) fn counts(&self) -> PrefetchCounts {
+        self.counts
+    }
+
+    /// Publish the prefetch counters of node `me`.
+    pub(crate) fn sample(&self, reg: &Registry, me: ProcId) {
+        let pc = self.counts;
+        for (name, v) in [
+            ("prefetched_total", pc.prefetched),
+            ("prefetched_used_total", pc.prefetched_used),
+            ("prefetch_skipped_total", pc.prefetch_skipped),
+            ("skipped_then_missed_total", pc.skipped_then_missed),
+        ] {
+            reg.counter(&format!("{name}{{node=\"{me}\"}}")).store(v);
+        }
+    }
+
+    fn take_req_id(&mut self) -> u64 {
+        self.req_id_next += 1;
+        self.req_id_next - 1
+    }
+}
+
+/// How many page ids the fault on a page [`issue_prefetch`] left out looks
+/// across — its own and the next 15 — for others left out (see
+/// [`fetch_with_neighbours`]).
+const NEIGHBOUR_SPAN: u32 = 16;
+
+/// The home of `page` if [`issue_prefetch`] left it out and nothing has asked
+/// for it since: remote, invalidated, its last copy unused, no batch in
+/// flight.
+fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
+    if st.pt.is_home(page) || st.fetch.in_flight(page) {
+        return None;
+    }
+    let m = st.pt.remote_meta(page);
+    (m.state == PageState::Invalid && !m.used).then_some(m.home)
+}
+
+/// Batch-fetch the remote pages just invalidated by applied write notices
+/// whose last copy was used: one `PageBatchReq` per home covers every such
+/// page, turning N page-miss round trips into one. A page whose last copy
+/// was never read or written is left out — most invalidated copies are not
+/// touched again, and a refetch nobody reads is traffic for nothing; if it
+/// is touched after all, [`fetch_with_neighbours`] fetches it. Skipped
+/// during recovery replay (replay fetches must stay individually
+/// deterministic).
+pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
+    if st.rec.replaying() {
+        return;
+    }
+    let mut seen = HashSet::new();
+    let mut pages = Vec::new();
+    for &page in invalidated {
+        if !seen.insert(page) || st.pt.is_home(page) || st.fetch.in_flight(page) {
+            continue;
+        }
+        let m = st.pt.remote_meta(page);
+        if m.state != PageState::Invalid {
+            continue;
+        }
+        if m.used {
+            pages.push(page);
+        } else {
+            st.fetch.counts.prefetch_skipped += 1;
+        }
+    }
+    st.fetch.counts.prefetched += pages.len() as u64;
+    send_page_batches(st, &pages);
+}
+
+/// A demand miss on `page`. If [`issue_prefetch`] left it out, it has
+/// probably left out the pages an application sweep touches next as well:
+/// when any of the next `NEIGHBOUR_SPAN - 1` page ids is a left-out page of
+/// the same home, ask for `page` and all of them in one `PageBatchReq` and
+/// return `true` — the fault then waits on its `prefetch` entry as it would
+/// on any batch in flight. Otherwise nothing is sent and the fault is the
+/// one-page `PageReq` it always was.
+pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) -> bool {
+    let Some(home) = left_out(st, page) else {
+        return false;
+    };
+    st.fetch.counts.skipped_then_missed += 1;
+    let end = (page.0 + NEIGHBOUR_SPAN).min(st.pt.len() as u32);
+    let after = (page.0 + 1..end).map(PageId);
+    let mut pages = vec![page];
+    pages.extend(after.filter(|&q| left_out(st, q) == Some(home)));
+    if pages.len() == 1 {
+        return false;
+    }
+    st.fetch.counts.prefetched += pages.len() as u64 - 1;
+    send_page_batches(st, &pages);
+    true
+}
+
+/// `pages` as a `PageBatchReq` asks for them — the version needed (see
+/// [`crate::ft::FtSvc::fetch_needed`]) and the stale copy kept, as they are
+/// now: a resend reads them again — grouped by `key`, in ascending key order
+/// (piggyback state advances per send, so the send order must not vary).
+fn batches<K: Ord>(
+    st: &NodeState,
+    pages: impl Iterator<Item = (K, PageId)>,
+) -> BTreeMap<K, Vec<(PageId, VectorClock, Option<Have>)>> {
+    let mut groups: BTreeMap<K, Vec<_>> = BTreeMap::new();
+    for (key, page) in pages {
+        let m = st.pt.remote_meta(page);
+        let needed = st.ft.fetch_needed(page, m.needed.clone());
+        let entry = (page, needed, m.base.clone());
+        groups.entry(key).or_default().push(entry);
+    }
+    groups
+}
+
+/// Ask for `pages` — remote, invalid, none in flight — with one
+/// `PageBatchReq` per home, and track each in `prefetch` until its reply.
+fn send_page_batches(st: &mut NodeState, pages: &[PageId]) {
+    let by_home = pages.iter().map(|&p| (st.pt.home_of(p), p));
+    for (home, pages) in batches(st, by_home) {
+        let req_id = st.fetch.take_req_id();
+        st.hists.fetch_batch_pages.record(pages.len() as u64);
+        for (p, ..) in &pages {
+            st.fetch.prefetch.insert(*p, PrefetchEntry { req_id, home });
+        }
+        st.send(home, Payload::PageBatchReq { pages, req_id });
+    }
+}
+
+/// A crashed home restarted: re-issue the prefetch batches in flight to it,
+/// grouped back into their original batches (the needed versions are
+/// re-read: they may have advanced, and the install gate checks coverage
+/// anyway).
+pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
+    let in_flight = st.fetch.prefetch.iter();
+    let lost = in_flight
+        .filter(|(_, e)| e.home == node)
+        .map(|(&page, e)| (e.req_id, page));
+    for (req_id, pages) in batches(st, lost) {
+        st.send(node, Payload::PageBatchReq { pages, req_id });
+    }
+}
+
+/// A demand miss no batch covers: park a one-page fetch in the wait slot and
+/// send it.
+pub(crate) fn demand(st: &mut NodeState, page: PageId, home: ProcId, needed: VectorClock) {
+    let request = Payload::PageReq {
+        page,
+        needed: st.ft.fetch_needed(page, needed),
+        have: st.pt.have(page).cloned(),
+        req_id: st.fetch.take_req_id(),
+    };
+    st.block_on(home, request);
+}
+
+/// Install a page delivered by a prefetch batch (either in the batched
+/// reply or as a straggler `PageReply` carrying the batch's `req_id`).
+/// Superseded and overtaken replies are dropped: the page stays `Invalid`,
+/// a kept copy and its version stay what the next request will say they
+/// are, and a later touch fetches fresh.
+fn install_prefetched(
+    st: &mut NodeState,
+    page: PageId,
+    req_id: u64,
+    version: VectorClock,
+    body: PageBody,
+) {
+    match st.fetch.prefetch.get(&page) {
+        Some(e) if e.req_id == req_id => {}
+        // A reply from a superseded batch (or none in flight): drop it and
+        // keep the entry for the current batch's reply.
+        _ => {
+            st.dup_suppressed += 1;
+            return;
+        }
+    }
+    st.fetch.prefetch.remove(&page);
+    if st.pt.is_home(page) {
+        return;
+    }
+    let m = st.pt.remote_meta(page);
+    // A new invalidation may have overtaken the batch; install only when
+    // the reply still covers everything the page is known to need.
+    if m.state == PageState::Invalid && version.covers(&m.needed) {
+        install_reply(st, page, body, &version);
+    }
+}
+
+/// Install the reply to a fetch, one `fetch_copy` sample per install: the
+/// bytes written into the local copy — none for an adopted page buffer, the
+/// diff payloads for a delta.
+fn install_reply(st: &mut NodeState, page: PageId, body: PageBody, v: &VectorClock) {
+    let copied = st.pt.install(page, body, v);
+    st.hists.fetch_copy.record(copied as u64);
+}
+
+/// The module's slice of the message kinds. A `PageReply` the blocked fetch
+/// does not take is a parked batched page answered on its own, under the
+/// batch's `req_id`.
+pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
+    match st.wait.deposit(from, payload) {
+        None => {}
+        Some(Payload::PageBatchReply { req_id, pages }) => {
+            for (page, version, body) in pages {
+                install_prefetched(st, page, req_id, version, body);
+            }
+        }
+        Some(Payload::PageReply {
+            page,
+            req_id,
+            version,
+            body,
+        }) => install_prefetched(st, page, req_id, version, body),
+        Some(other) => unreachable!("{} does not answer a fetch", other.kind()),
+    }
+}
+
+/// Install the page the blocked fetch of `page` took from the wait slot.
+pub(crate) fn install_demanded(st: &mut NodeState, page: PageId, reply: Payload) {
+    let Payload::PageReply { version, body, .. } = reply else {
+        unreachable!("a page wait took {}", reply.kind())
+    };
+    install_reply(st, page, body, &version);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ft::recovery::RecoverySvc;
+    use crate::runtime::node::tests::{gated, page_of, requests, test_state};
+    use dsm_net::Event;
+    use dsm_page::Diff;
+    use std::sync::Arc;
+
+    fn in_flight(req_id: u64) -> PrefetchEntry {
+        PrefetchEntry { req_id, home: 0 }
+    }
+
+    #[test]
+    fn a_crash_forgets_what_was_in_flight_and_keeps_counting() {
+        let mut svc = FetchSvc::default();
+        svc.prefetch.insert(PageId(0), in_flight(16));
+        svc.req_id_next = 17;
+        svc.counts.prefetched = 4;
+        svc.fail_stop();
+        let counts = PrefetchCounts {
+            prefetched: 4,
+            ..Default::default()
+        };
+        let survivors = FetchSvc {
+            req_id_next: 17,
+            counts,
+            ..FetchSvc::default()
+        };
+        assert_eq!(svc, survivors);
+    }
+
+    #[test]
+    fn prefetch_reply_installs_only_matching_and_still_needed_pages() {
+        let (mut st, _eps) = test_state(1, 2, false);
+        for _ in 0..2 {
+            st.pt.add_page(0); // homed at node 0, remote here
+        }
+        st.fetch.prefetch.insert(PageId(0), in_flight(5));
+        st.fetch.prefetch.insert(PageId(1), in_flight(5));
+        // Stale req_id: dropped, entry kept.
+        install_prefetched(&mut st, PageId(0), 4, VectorClock::zero(2), page_of(0));
+        assert!(st.fetch.prefetch.contains_key(&PageId(0)));
+        // Matching req_id: installed, entry consumed.
+        install_prefetched(&mut st, PageId(0), 5, VectorClock::zero(2), page_of(7));
+        assert!(!st.fetch.prefetch.contains_key(&PageId(0)));
+        assert_eq!(st.pt.ensure_access(PageId(0)), hlrc::AccessOutcome::Ready);
+        // Overtaken by a newer invalidation: entry consumed, page stays
+        // invalid (a later touch fetches fresh).
+        st.pt.invalidate(PageId(1), 0, 3);
+        install_prefetched(&mut st, PageId(1), 5, VectorClock::zero(2), page_of(7));
+        assert!(!st.fetch.prefetch.contains_key(&PageId(1)));
+        assert!(matches!(
+            st.pt.ensure_access(PageId(1)),
+            hlrc::AccessOutcome::NeedFetch { .. }
+        ));
+    }
+
+    #[test]
+    fn a_delta_lands_once_and_an_overtaken_one_not_at_all() {
+        let (mut st, eps) = test_state(1, 2, false);
+        st.pt.add_page(0); // homed at node 0, remote here
+        let page = PageId(0);
+        st.pt.install(page, page_of(7), &gated(2, 0, 1));
+        // Read, so that the invalidation prefetches it.
+        st.pt.read_into(page, 8, &mut [0u8; 8]);
+        st.pt.invalidate(page, 0, 2);
+        issue_prefetch(&mut st, &[page]);
+        // The request says what was kept.
+        let kept = Some((1, gated(2, 0, 1)));
+        match eps[0].try_recv() {
+            Some(Event::Msg { msg, .. }) => match msg.payload {
+                Payload::PageBatchReq { pages, .. } => {
+                    assert_eq!(pages, [(page, gated(2, 0, 2), kept.clone())]);
+                }
+                other => panic!("unexpected {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        }
+        let req_id = st.fetch.prefetch[&page].req_id;
+        let delta = |seq: u32| {
+            let twin = dsm_page::Page::zeroed(256);
+            let mut cur = twin.clone();
+            cur.write(8, &[seq as u8; 8]);
+            let iv = dsm_page::Interval { proc: 0, seq };
+            PageBody::Delta(vec![Arc::new(Diff::create(page, iv, &twin, &cur).unwrap())])
+        };
+        let word = |st: &NodeState| {
+            let copy = st.pt.remote_meta(page).copy.as_ref().expect("copy kept");
+            copy.read(8, 8)[0]
+        };
+        // A newer notice overtakes the reply: the delta is not applied, and
+        // the kept copy is still what the next request will say it is.
+        st.pt.invalidate(page, 0, 3);
+        install_prefetched(&mut st, page, req_id, gated(2, 0, 2), delta(2));
+        assert!(!st.fetch.prefetch.contains_key(&page));
+        assert_eq!((word(&st), st.pt.have(page)), (7, kept.as_ref()));
+        assert_eq!(st.hists.fetch_copy.count(), 0);
+
+        // The next batch's reply lands ...
+        issue_prefetch(&mut st, &[page]);
+        let req_id = st.fetch.prefetch[&page].req_id;
+        install_prefetched(&mut st, page, req_id, gated(2, 0, 3), delta(3));
+        assert_eq!(st.pt.ensure_access(page), hlrc::AccessOutcome::Ready);
+        assert_eq!(
+            (word(&st), st.pt.have(page)),
+            (3, Some(&(1, gated(2, 0, 3))))
+        );
+        // ... and its duplicate does not: one sample, of the delta's bytes.
+        st.pt.invalidate(page, 0, 4);
+        install_prefetched(&mut st, page, req_id, gated(2, 0, 4), delta(4));
+        assert_eq!(
+            (word(&st), st.pt.have(page)),
+            (3, Some(&(1, gated(2, 0, 3))))
+        );
+        assert_eq!(st.dup_suppressed, 1);
+        let h = &st.hists.fetch_copy;
+        assert_eq!((h.count(), h.sum(), st.pt.delta_installs()), (1, 8, (1, 8)));
+    }
+
+    /// Install a copy of remote `page`, read it if `used`, and invalidate it
+    /// with a notice from its home.
+    fn invalidated_copy(st: &mut NodeState, page: u32, used: bool) {
+        let (page, n) = (PageId(page), st.n);
+        st.pt.install(page, page_of(0), &VectorClock::zero(n));
+        if used {
+            st.pt.read_into(page, 0, &mut [0u8; 8]);
+        }
+        st.pt.invalidate(page, st.pt.home_of(page), 1);
+    }
+
+    fn batch_pages(payload: &Payload) -> Vec<u32> {
+        match payload {
+            Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, ..)| p.0).collect(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_invalidation_prefetches_only_pages_whose_last_copy_was_used() {
+        let (mut st, eps) = test_state(2, 3, false);
+        for home in [0, 0, 1, 1] {
+            st.pt.add_page(home);
+        }
+        for (page, used) in [(0, false), (1, false), (2, true), (3, false)] {
+            invalidated_copy(&mut st, page, used);
+        }
+        let all: Vec<PageId> = (0..4).map(PageId).collect();
+        issue_prefetch(&mut st, &all);
+        // Home 0 hears nothing: neither of its pages was touched. Home 1 is
+        // asked for the one that was.
+        assert!(requests(&eps[0]).is_empty());
+        let to_home_1 = requests(&eps[1]);
+        assert_eq!(to_home_1.len(), 1);
+        assert_eq!(batch_pages(&to_home_1[0]), [2]);
+        assert_eq!(st.fetch.prefetch.keys().collect::<Vec<_>>(), [&PageId(2)]);
+        let counts = PrefetchCounts {
+            prefetched: 1,
+            prefetch_skipped: 3,
+            ..Default::default()
+        };
+        assert_eq!(st.fetch.counts, counts);
+        // The next round of notices leaves the same pages out again.
+        st.fetch.prefetch.clear();
+        for page in &all {
+            st.pt.invalidate(*page, st.pt.home_of(*page), 2);
+        }
+        issue_prefetch(&mut st, &all);
+        assert!(requests(&eps[0]).is_empty());
+        assert_eq!(batch_pages(&requests(&eps[1])[0]), [2]);
+        assert_eq!(st.fetch.counts.prefetch_skipped, 6);
+        // Replay fetches page by page: nothing goes out, used or not.
+        st.fetch.prefetch.clear();
+        st.rec = RecoverySvc::replaying_nothing();
+        issue_prefetch(&mut st, &all);
+        assert!(requests(&eps[1]).is_empty() && st.fetch.prefetch.is_empty());
+        assert_eq!(st.fetch.counts.prefetched, 2);
+    }
+
+    #[test]
+    fn a_miss_on_a_left_out_page_asks_for_its_left_out_neighbours_in_the_same_request() {
+        // Node 1 of 3; `eps` are nodes 0 and 2.
+        let (mut st, eps) = test_state(1, 3, false);
+        let homes = [
+            0, 0, 0, 0, 0, 1, 2, 0, 0, 0, // 5 homed here, 6 of home 2
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        for home in homes {
+            st.pt.add_page(home);
+        }
+        // Left out by the filter: the page before the miss, the miss, and
+        // pages 3, 6 (of another home), 7 (asked for since), 17 and 18 after
+        // it. Page 4 is valid, 8 was never held, 9 was used and is due a
+        // prefetch of its own, 19 is valid.
+        for page in [1, 2, 3, 6, 7, 17, 18] {
+            invalidated_copy(&mut st, page, false);
+        }
+        invalidated_copy(&mut st, 9, true);
+        for page in [4, 19] {
+            st.pt
+                .install(PageId(page), page_of(0), &VectorClock::zero(3));
+        }
+        st.fetch.prefetch.insert(PageId(7), in_flight(0));
+        st.fetch.req_id_next = 1;
+
+        assert!(fetch_with_neighbours(&mut st, PageId(2)));
+        // One request, to the page's home: the miss and what the filter
+        // left out of the fifteen page ids after it.
+        let sent = requests(&eps[0]);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(batch_pages(&sent[0]), [2, 3, 17]);
+        assert!(requests(&eps[1]).is_empty());
+        for page in [2, 3, 17] {
+            assert_eq!(st.fetch.prefetch[&PageId(page)].req_id, 1);
+        }
+        assert_eq!(
+            (
+                st.fetch.prefetch.len(),
+                st.fetch.prefetch[&PageId(7)].req_id
+            ),
+            (4, 0)
+        );
+        let mut counts = PrefetchCounts {
+            prefetched: 2,
+            skipped_then_missed: 1,
+            ..Default::default()
+        };
+        assert_eq!(st.fetch.counts, counts);
+
+        // No left-out neighbour (the table ends inside the span): nothing
+        // is sent and the fault goes on to its one-page `PageReq`.
+        assert!(!fetch_with_neighbours(&mut st, PageId(18)));
+        counts.skipped_then_missed = 2;
+        // Nor for a miss the filter had no part in.
+        for page in [8, 9] {
+            assert!(!fetch_with_neighbours(&mut st, PageId(page)));
+        }
+        assert!(requests(&eps[0]).is_empty() && requests(&eps[1]).is_empty());
+        assert_eq!((st.fetch.prefetch.len(), st.fetch.counts), (4, counts));
+    }
+
+    #[test]
+    fn prefetch_issue_groups_pages_per_home_and_skips_tracked_ones() {
+        let (mut st, _eps) = test_state(2, 3, false);
+        st.pt.add_page(0); // page 0 at home 0
+        st.pt.add_page(1); // page 1 at home 1
+        st.pt.add_page(0); // page 2 at home 0
+        st.pt.add_page(2); // page 3 homed here
+        for p in [0u32, 1, 2] {
+            st.pt.invalidate(PageId(p), 0, 1);
+        }
+        st.fetch.prefetch.insert(PageId(2), in_flight(0));
+        issue_prefetch(
+            &mut st,
+            &[PageId(0), PageId(1), PageId(2), PageId(3), PageId(0)],
+        );
+        // Page 2 already in flight, page 3 homed here, page 0 deduped:
+        // one batch to home 0 (page 0) and one to home 1 (page 1).
+        assert_eq!(st.fetch.prefetch.len(), 3);
+        assert_eq!(st.fetch.prefetch[&PageId(0)].home, 0);
+        assert_eq!(st.fetch.prefetch[&PageId(1)].home, 1);
+        assert_eq!(
+            st.fetch.prefetch[&PageId(2)].req_id,
+            0,
+            "in-flight entry kept"
+        );
+        assert_eq!(st.hists.fetch_batch_pages.count(), 2);
+    }
+}

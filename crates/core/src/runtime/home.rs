@@ -1,0 +1,347 @@
+//! The home and manager side of the four lock-free kinds: [`HomeSvc`].
+//!
+//! `PageReq`, `PageBatchReq` and `DiffBatch` need only the sharded home
+//! store, `LockAcq` only the sync lock — never the big lock, which is what
+//! lets the service loop run their one handler while the application
+//! computes. The module owns no state of its own: the home store belongs to
+//! the page table and the sync lock to [`crate::runtime::sync::SyncSvc`].
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+use dsm_page::{Diff, PageId, ProcId, VectorClock};
+use dsm_trace::{EventKind, LatencyHists, NodeTracer};
+use hlrc::locks::{AcqReq, LockAction};
+use hlrc::{ApplyOutcome, FetchOutcome, Have, HomeStore, PageBody, ReadyFetch, WaitingFetch};
+
+use crate::msg::Payload;
+use crate::runtime::node::NodeState;
+use crate::runtime::sync::{self, SyncHandle};
+
+/// The reply to a parked fetch that has become servable.
+fn page_reply(r: ReadyFetch) -> (ProcId, Payload) {
+    let reply = Payload::PageReply {
+        page: r.page,
+        req_id: r.req_id,
+        version: r.version,
+        body: r.body,
+    };
+    (r.from, reply)
+}
+
+/// Drain every parked fetch the home store can now serve and answer it.
+pub(crate) fn serve_waiting_fetches(st: &mut NodeState) {
+    for r in st.pt.home_store().drain_ready() {
+        let (to, reply) = page_reply(r);
+        st.send(to, reply);
+    }
+}
+
+/// Trace one version-advancing diff application at the home.
+pub(crate) fn emit_diff_apply(tracer: &NodeTracer, d: &Diff) {
+    if tracer.enabled() {
+        tracer.emit(EventKind::DiffApply {
+            page: d.page.0,
+            bytes: d.payload_bytes() as u32,
+            writer: d.interval.proc,
+            interval: d.interval.seq as u64,
+        });
+    }
+}
+
+/// The module's slice of the message kinds with the big lock held. Mode
+/// changes need that lock, so the fence is constantly open; replies go
+/// through [`NodeState::send`] and carry the FT piggyback.
+pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: &Payload) {
+    let mut replies = Vec::new();
+    let served = HomeSvc::of(st).serve(
+        &mut st.hists,
+        from,
+        payload,
+        || true,
+        |to, reply| replies.push((to, reply)),
+    );
+    st.send_all(replies);
+    match served {
+        // An applied diff can be what an access to a homed page waits for.
+        Served::Done { wake: true } => st.ep.poke(),
+        Served::Done { wake: false } => {}
+        Served::GrantHere(a) => sync::grant_here(st, a),
+        // `handle_msg` has already deferred pages this node has yet to
+        // allocate, so what is left is a routing bug.
+        Served::HandBack => panic!("{} for a page not homed here", payload.kind()),
+    }
+}
+
+/// The handles the home-side (`PageReq`/`PageBatchReq`/`DiffBatch`) and
+/// manager-side (`LockAcq`) handler works against: the sharded home store
+/// and the sync lock — never the big lock, which is what lets the service
+/// loop run it while the application computes.
+pub(crate) struct HomeSvc {
+    me: ProcId,
+    home: Arc<HomeStore>,
+    sync: SyncHandle,
+    tracer: NodeTracer,
+    inject_stale_apply: Option<Arc<AtomicBool>>,
+}
+
+/// What [`HomeSvc::serve`] did with a message.
+pub(crate) enum Served {
+    /// Handled; the replies went to the sink. `wake` says a diff batch was
+    /// applied, which can satisfy the application thread's blocked access
+    /// to a homed page.
+    Done { wake: bool },
+    /// A `LockAcq` was routed and the manager named this very node as the
+    /// granter. The grant needs big-lock state (tenure, FT logs); the caller
+    /// finishes it there — never by re-running the message, so the routing
+    /// decision is taken exactly once.
+    GrantHere(LockAction),
+    /// Not handled, or a batch not handled to its end: `live` failed under
+    /// a shard or the sync lock, a page is not in the home store (yet), or
+    /// the kind needs big-lock state. Running the whole message again later
+    /// loses nothing and repeats nothing visible: applies are version-gated,
+    /// fetches unparked so far have been answered, and a page parked twice
+    /// yields a duplicate reply the requester drops by `req_id`.
+    HandBack,
+}
+
+impl HomeSvc {
+    /// `st`'s handles for [`HomeSvc::serve`].
+    pub(crate) fn of(st: &NodeState) -> HomeSvc {
+        HomeSvc {
+            me: st.me,
+            home: st.pt.home_store(),
+            sync: st.sync.handle(),
+            tracer: st.tracer.clone(),
+            inject_stale_apply: st.inject_stale_apply.clone(),
+        }
+    }
+
+    /// The one handler for `PageReq`, `PageBatchReq`, `DiffBatch` and
+    /// `LockAcq`, whoever delivers them. `live` is re-checked under every
+    /// shard lock and under the sync lock, so a crash or recovery transition
+    /// (mode flag flip, then quiesce) fences the handler out; a caller that
+    /// holds the big lock passes `|| true`. Replies go to `reply`, which
+    /// decides how they travel (bare, or with the FT piggyback).
+    pub(crate) fn serve(
+        &self,
+        hists: &mut LatencyHists,
+        from: ProcId,
+        payload: &Payload,
+        live: impl Fn() -> bool,
+        mut reply: impl FnMut(ProcId, Payload),
+    ) -> Served {
+        match payload {
+            Payload::PageReq {
+                page,
+                needed,
+                have,
+                req_id,
+            } => {
+                // A one-page batch, answered with the single-page reply.
+                let (one, req_id) = ([(*page, needed, have.as_ref())], *req_id);
+                let Some(ready) = self.serve_fetches(hists, from, req_id, one, &live) else {
+                    return Served::HandBack;
+                };
+                for (page, version, body) in ready {
+                    let single = Payload::PageReply {
+                        page,
+                        req_id,
+                        version,
+                        body,
+                    };
+                    reply(from, single);
+                }
+            }
+            Payload::PageBatchReq { pages, req_id } => {
+                let req_id = *req_id;
+                let all = pages
+                    .iter()
+                    .map(|(page, needed, have)| (*page, needed, have.as_ref()));
+                let Some(pages) = self.serve_fetches(hists, from, req_id, all, &live) else {
+                    return Served::HandBack;
+                };
+                if !pages.is_empty() {
+                    reply(from, Payload::PageBatchReply { req_id, pages });
+                }
+            }
+            Payload::DiffBatch { seq, diffs } => {
+                let mut ready = Vec::new();
+                let mut applied_all = true;
+                for d in diffs {
+                    let t0 = Instant::now();
+                    let (outcome, waited) = self.home.apply_diff_kept(d, &live);
+                    hists.shard_lock_wait.record(waited.as_nanos() as u64);
+                    let ApplyOutcome::Applied { fresh, ready: r } = outcome else {
+                        applied_all = false;
+                        break;
+                    };
+                    hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
+                    ready.extend(r);
+                    // Only a version-advancing apply is an apply; a
+                    // duplicated or retransmitted batch the gate skipped
+                    // must not emit (the invariant monitor treats a repeat
+                    // as a violation).
+                    if fresh {
+                        emit_diff_apply(&self.tracer, d);
+                    }
+                }
+                if applied_all {
+                    self.inject_stale_apply_if_armed(diffs.last().map(|d| &**d));
+                }
+                // Unparked fetches are answered even when the batch is
+                // handed back: they are out of the parked set for good.
+                for (to, page) in ready.into_iter().map(page_reply) {
+                    reply(to, page);
+                }
+                if !applied_all {
+                    return Served::HandBack;
+                }
+                // Stop-and-wait ack. The home keeps no per-writer seq state:
+                // it acks whatever arrives (the version gate inside
+                // apply_diff is the dedup), and the writer drops stale acks
+                // by seq.
+                if *seq != 0 {
+                    reply(from, Payload::DiffAck { seq: *seq });
+                }
+                return Served::Done { wake: true };
+            }
+            Payload::LockAcq { lock, acq_seq, vt } => {
+                debug_assert_eq!(
+                    lock % self.home.cluster_size(),
+                    self.me,
+                    "lock request at wrong manager"
+                );
+                // Manager routing touches only the sync lock.
+                let action = {
+                    let mut sync = self.sync.0.lock();
+                    if !live() {
+                        return Served::HandBack;
+                    }
+                    let req = AcqReq {
+                        requester: from,
+                        acq_seq: *acq_seq,
+                        vt: vt.clone(),
+                    };
+                    sync.lock_mgr.on_request(*lock, req)
+                };
+                match action {
+                    None => {}
+                    Some(a) if a.grant_from == self.me => return Served::GrantHere(a),
+                    Some(a) => reply(a.grant_from, sync::lock_forward(a)),
+                }
+            }
+            _ => return Served::HandBack,
+        }
+        Served::Done { wake: false }
+    }
+
+    /// Serve `pages` to `from` in order: a page whose copy already covers
+    /// its `needed` version is returned ready — the diffs a requester that
+    /// kept a copy is missing, else the page (an Arc bump: the home's next
+    /// write copy-on-writes, leaving the served buffer untouched) — the rest
+    /// park and are answered one by one, under the same `req_id`, when
+    /// their diffs arrive. `None` hands the request back.
+    fn serve_fetches<'a>(
+        &self,
+        hists: &mut LatencyHists,
+        from: ProcId,
+        req_id: u64,
+        pages: impl IntoIterator<Item = (PageId, &'a VectorClock, Option<&'a Have>)>,
+        live: &impl Fn() -> bool,
+    ) -> Option<Vec<(PageId, VectorClock, PageBody)>> {
+        let mut ready = Vec::new();
+        for (page, needed, have) in pages {
+            let fetch = WaitingFetch {
+                from,
+                page,
+                needed: needed.clone(),
+                req_id,
+            };
+            let (outcome, waited) = self.home.serve_fetch_have(fetch, have, live);
+            hists.shard_lock_wait.record(waited.as_nanos() as u64);
+            match outcome {
+                FetchOutcome::Ready(version, body) => ready.push((page, version, body)),
+                FetchOutcome::Parked => {}
+                FetchOutcome::NotHome | FetchOutcome::Stale => return None,
+            }
+        }
+        Some(ready)
+    }
+
+    /// Test-only (armed via `ClusterConfig::inject_stale_apply`): re-emit the
+    /// `DiffApply` event for an already-applied diff, once, simulating a home
+    /// that applied a stale duplicate. The invariant monitor must catch it.
+    fn inject_stale_apply_if_armed(&self, last: Option<&Diff>) {
+        let Some(flag) = &self.inject_stale_apply else {
+            return;
+        };
+        if self.tracer.enabled() && flag.swap(false, Ordering::Relaxed) {
+            if let Some(d) = last {
+                emit_diff_apply(&self.tracer, d);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::node::tests::{diff_of, gated, test_state, unpark};
+
+    #[test]
+    fn crash_fence_hands_all_four_kinds_back_untouched() {
+        let (mut st, eps) = test_state(0, 2, false);
+        st.pt.add_page(0);
+        st.pt.add_page(0);
+        let svc = HomeSvc::of(&st);
+        // Fetches that would park and a diff that would apply, were the
+        // fence open.
+        let fenced = [
+            Payload::PageReq {
+                page: PageId(0),
+                needed: gated(2, 1, 1),
+                have: None,
+                req_id: 1,
+            },
+            Payload::PageBatchReq {
+                pages: vec![
+                    (PageId(0), VectorClock::zero(2), None),
+                    (PageId(1), gated(2, 1, 1), None),
+                ],
+                req_id: 2,
+            },
+            Payload::DiffBatch {
+                seq: 3,
+                diffs: vec![diff_of(0, 1, 1), diff_of(1, 1, 1)],
+            },
+            Payload::LockAcq {
+                lock: 4,
+                acq_seq: 0,
+                vt: VectorClock::zero(2),
+            },
+        ];
+        for payload in &fenced {
+            let served = svc.serve(
+                &mut st.hists,
+                1,
+                payload,
+                || false,
+                |_, reply| panic!("fenced {} replied {}", payload.kind(), reply.kind()),
+            );
+            assert!(
+                matches!(served, Served::HandBack),
+                "{} must be handed back",
+                payload.kind()
+            );
+        }
+        let home = st.pt.home_store();
+        for p in 0..2 {
+            assert_eq!(home.version_of(PageId(p)), VectorClock::zero(2));
+            assert!(unpark(&home, p, 1, 1).is_empty(), "page {p} parked a fetch");
+        }
+        assert_eq!(st.sync.handle().0.lock().lock_mgr.tail_of(4), None);
+        assert!(eps[0].try_recv().is_none());
+    }
+}

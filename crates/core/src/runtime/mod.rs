@@ -1,10 +1,15 @@
-//! The threaded runtime: cluster construction, per-node state, the protocol
-//! service loop, and the application-facing [`Process`] handle.
+//! The threaded runtime: cluster construction, per-node state and its
+//! modules, the protocol service loop, and the application-facing
+//! [`Process`] handle.
 
 pub mod cluster;
+pub(crate) mod fetch;
+pub(crate) mod home;
+pub(crate) mod interval;
+pub(crate) mod member;
 pub(crate) mod node;
-mod outbox;
 pub mod process;
+pub(crate) mod sync;
 
 pub use cluster::run;
 pub use process::{AppState, Process, SharedVec};

@@ -7,22 +7,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_page::{GlobalAddr, Layout, PageId, VectorClock};
+use dsm_page::{GlobalAddr, Layout, PageId};
 use dsm_storage::{ByteReader, ByteWriter};
 use dsm_trace::EventKind;
-use hlrc::{AccessOutcome, LockId, WnDelta};
+use hlrc::{AccessOutcome, LockId};
 use parking_lot::MutexGuard;
 
 use crate::config::HomeAlloc;
-use crate::ft::logs::{BarEntry, RelEntry};
-use crate::ft::recovery::{self, collect_replies, linear_key, RecAsk, ReplayPage};
-use crate::msg::Payload;
-use crate::runtime::node::{
-    apply_pending_home, dispatch, end_interval, fetch_needed, fetch_with_neighbours, grant_now,
-    install_reply, issue_prefetch, retransmit_stale_diffs, retransmit_wait_slot,
-    send_blocked_request, CrashSignal, GrantData, Mode, NodeShared, NodeState, ReleaseData,
-    WaitSlot,
-};
+use crate::ft::{self, recovery};
+use crate::runtime::node::{dispatch, drain_unalloc, CrashSignal, Mode, NodeShared, NodeState};
+use crate::runtime::{fetch, interval};
 use crate::shareable::Shareable;
 use crate::stats::Breakdown;
 
@@ -124,7 +118,7 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
     let mut st = shared.state.lock();
     st.ops += 1;
     if let Some(&t) = st.crash_queue.first() {
-        if st.ops >= t && st.mode == Mode::Normal && st.replay.is_none() {
+        if st.ops >= t && st.mode == Mode::Normal && !st.rec.replaying() {
             st.crash_queue.remove(0);
             st.tracer.emit(EventKind::CrashInjected { at_op: st.ops });
             drop(st);
@@ -143,8 +137,8 @@ pub(crate) fn wait_until<T>(
 ) -> T {
     wait_until_for(st, WAIT_DEADLINE, take).unwrap_or_else(|| {
         panic!(
-            "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} tenure={:?} pending={:?} (FTDSM_SEED={:#x})",
-            shared.me, WAIT_DEADLINE, st.wait, st.vt, st.tenure, st.pending_grants, shared.seed
+            "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} sync={:?} (FTDSM_SEED={:#x})",
+            shared.me, WAIT_DEADLINE, st.wait, st.vt, st.sync, shared.seed
         )
     })
 }
@@ -163,7 +157,7 @@ pub(crate) fn wait_until<T>(
 /// ([`NodeState::poke_if_answered`], an applied diff), which ends the
 /// receive the same way.
 ///
-/// When the node has a retry timeout configured ([`NodeState::retry_after`]),
+/// When the node has a retry timeout configured ([`crate::ft::FtSvc::retry_after`]),
 /// the blocked request described by [`NodeState::wait`] — and any in-flight
 /// diff batches — are retransmitted each time that timeout elapses without
 /// the wait completing. The check is time-based (elapsed since last send)
@@ -176,7 +170,7 @@ fn wait_until_for<T>(
 ) -> Option<T> {
     let ep = Arc::clone(&st.ep);
     let start = Instant::now();
-    let retry = st.retry_after;
+    let retry = st.ft.retry_after();
     let mut retries = 0u64;
     let mut last_send = Instant::now();
     loop {
@@ -189,8 +183,8 @@ fn wait_until_for<T>(
         let mut slice = timeout.checked_sub(start.elapsed())?;
         if let Some(after) = retry {
             if last_send.elapsed() >= after {
-                retries += retransmit_wait_slot(st);
-                retransmit_stale_diffs(st);
+                retries += st.retransmit_wait_slot();
+                ft::retransmit_stale_diffs(st);
                 last_send = Instant::now();
             }
             slice = slice.min(after);
@@ -303,7 +297,7 @@ impl Process {
             }
         }
         st.alloc_cursor = first + pages;
-        crate::runtime::node::drain_unalloc(&mut st);
+        drain_unalloc(&mut st);
         self.layout.page_base(PageId(first))
     }
 
@@ -378,7 +372,7 @@ impl Process {
             // A copy nobody had touched that no fault of ours asked for was
             // prefetched.
             if first_use && !demanded {
-                st.prefetch_counts.prefetched_used += 1;
+                st.fetch.prefetched_copy_used();
             }
             demanded = false;
             done += chunk;
@@ -398,16 +392,16 @@ impl Process {
             match st.pt.ensure_access(page) {
                 AccessOutcome::Ready => return demanded,
                 AccessOutcome::NeedFetch { home, needed } => {
-                    if st.replay.is_some() {
+                    if st.rec.replaying() {
                         if home == self.me {
-                            apply_pending_home(&mut st);
+                            recovery::apply_pending_home(&mut st);
                             assert!(
                                 matches!(st.pt.ensure_access(page), AccessOutcome::Ready),
                                 "homed page {page} not ready during replay"
                             );
                             return false;
                         }
-                        self.replay_materialize(&mut st, page);
+                        recovery::replay_materialize(&shared, &mut st, page);
                         demanded = true;
                         continue;
                     }
@@ -424,16 +418,16 @@ impl Process {
                     // A page the prefetch left out brings the neighbours it
                     // left out with it, in a batch of this fault's own.
                     if !demanded {
-                        demanded = fetch_with_neighbours(&mut st, page);
+                        demanded = fetch::fetch_with_neighbours(&mut st, page);
                     }
                     // A batch covers this page: wait for it instead of
                     // issuing a duplicate fetch. The entry is removed when
                     // its reply is processed whether or not the install
                     // succeeded, so a miss falls through to the ordinary
                     // single-page fetch below.
-                    if st.prefetch.contains_key(&page) {
+                    if st.fetch.in_flight(page) {
                         let covered = |st: &mut NodeState| {
-                            (!st.prefetch.contains_key(&page)
+                            (!st.fetch.in_flight(page)
                                 || matches!(st.pt.ensure_access(page), AccessOutcome::Ready))
                             .then_some(())
                         };
@@ -441,57 +435,36 @@ impl Process {
                         // dropped outright; bound the wait and fall back to a
                         // (retried) single-page fetch. A straggler reply for
                         // the abandoned entry is dropped by install_prefetched.
-                        match st.retry_after {
-                            Some(after) => {
-                                if wait_until_for(&mut st, after, covered).is_none() {
-                                    st.prefetch.remove(&page);
-                                    st.hists
-                                        .prefetch_miss
-                                        .record(t0.elapsed().as_nanos() as u64);
-                                    continue;
-                                }
+                        let replied = match st.ft.retry_after() {
+                            Some(after) => wait_until_for(&mut st, after, covered).is_some(),
+                            None => {
+                                wait_until(&shared, &mut st, covered);
+                                true
                             }
-                            None => wait_until(&shared, &mut st, covered),
+                        };
+                        if !replied {
+                            st.fetch.abandon(page);
                         }
-                        if matches!(st.pt.ensure_access(page), AccessOutcome::Ready) {
-                            // Only a batch sent before the fault was a hit.
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            if demanded {
-                                st.hists.prefetch_miss.record(ns);
-                            } else {
-                                st.hists.prefetch_hit.record(ns);
-                            }
-                            self.page_wait_done(&mut st, page, home, t0);
-                            return demanded;
-                        }
-                        st.hists
-                            .prefetch_miss
-                            .record(t0.elapsed().as_nanos() as u64);
-                        continue;
-                    }
-                    let needed = fetch_needed(&st, page, needed);
-                    let req_id = st.req_id_next;
-                    st.req_id_next += 1;
-                    st.wait = WaitSlot::Page {
-                        page,
-                        req_id,
-                        home,
-                        needed,
-                        reply: None,
-                    };
-                    send_blocked_request(&mut st);
-                    let (version, body) = wait_until(&shared, &mut st, |st| {
-                        if let WaitSlot::Page { reply, .. } = &mut st.wait {
-                            reply.take()
+                        let ready = matches!(st.pt.ensure_access(page), AccessOutcome::Ready);
+                        // Only a batch sent before the fault was a hit.
+                        let ns = t0.elapsed().as_nanos() as u64;
+                        if ready && !demanded {
+                            st.hists.prefetch_hit.record(ns);
                         } else {
-                            None
+                            st.hists.prefetch_miss.record(ns);
                         }
-                    });
-                    st.wait = WaitSlot::None;
+                        if !ready {
+                            continue;
+                        }
+                        self.page_wait_done(&mut st, page, home, t0);
+                        return demanded;
+                    }
+                    fetch::demand(&mut st, page, home, needed);
+                    let (_, reply) = wait_until(&shared, &mut st, |st| st.wait.take());
                     // A full reply's shared buffer is installed as-is: the
                     // fetch path (serve → deposit → install) copies zero
                     // page bytes end to end.
-                    install_reply(&mut st, page, body, &version);
+                    fetch::install_demanded(&mut st, page, reply);
                     self.page_wait_done(&mut st, page, home, t0);
                     return true;
                 }
@@ -512,93 +485,6 @@ impl Process {
         );
     }
 
-    /// End the current interval and charge its protocol and logging time to
-    /// this incarnation's breakdown.
-    fn close_interval(&mut self, st: &mut NodeState) {
-        let (p, l) = end_interval(st);
-        self.breakdown.protocol += p;
-        self.breakdown.logging += l;
-    }
-
-    /// Recovery: build the emulated-home copy of `page` and install it.
-    fn replay_materialize(&mut self, st: &mut MutexGuard<'_, NodeState>, page: PageId) {
-        if !st.replay.as_ref().unwrap().pages.contains_key(&page) {
-            // One round: every peer's diff log for the page, and with the
-            // home's the maximal starting copy.
-            let tckp = st.ft.as_ref().unwrap().last_ckpt_vt.clone();
-            let peers: Vec<usize> = (0..self.n).filter(|&p| p != self.me).collect();
-            for &p in &peers {
-                let tckp = tckp.clone();
-                st.send(p, Payload::RecPageReq { page, tckp });
-            }
-            let (mut base, mut entries) = (None, Vec::new());
-            for (_, payload) in collect_replies(&self.shared, st, RecAsk::Page(page), &peers) {
-                let Payload::RecPageReply {
-                    copy, entries: es, ..
-                } = payload
-                else {
-                    unreachable!("collected a reply that was not asked for")
-                };
-                base = base.or(copy);
-                entries.extend(es);
-            }
-            let (version, bytes) = base.expect("the home's reply carries the starting copy");
-            entries.sort_by_key(linear_key);
-            let rp = ReplayPage {
-                copy: dsm_page::Page::from_shared(bytes),
-                version,
-                entries,
-            };
-            st.replay.as_mut().unwrap().pages.insert(page, rp);
-            st.ft.as_mut().unwrap().report.replayed_pages += 1;
-        }
-        // Our own logged diffs participate too: the pre-crash fetched copy
-        // included them, and replay keeps regenerating them (logged at every
-        // replayed interval end). Merge those the copy does not have yet —
-        // at the first materialization and at every re-materialization
-        // after an invalidation — so that it reproduces our own writes.
-        {
-            let st = &mut **st;
-            let rp = st.replay.as_mut().unwrap().pages.get_mut(&page).unwrap();
-            let logs = &st.ft.as_ref().unwrap().logs;
-            let before = rp.entries.len();
-            for e in logs.diffs_after(page, rp.version.get(self.me)) {
-                if !rp.entries[..before]
-                    .iter()
-                    .any(|x| x.diff.interval == e.diff.interval)
-                {
-                    rp.entries.push(e);
-                }
-            }
-            if rp.entries.len() > before {
-                rp.entries.sort_by_key(linear_key);
-            }
-        }
-        // Apply every diff that happened before our current replay point.
-        let vt = st.vt.clone();
-        let replay = st.replay.as_mut().unwrap();
-        let rp = replay.pages.get_mut(&page).unwrap();
-        let mut rest = Vec::with_capacity(rp.entries.len());
-        for e in rp.entries.drain(..) {
-            let writer = e.diff.interval.proc;
-            if vt.covers(&e.t) {
-                if e.diff.interval.seq > rp.version.get(writer) {
-                    e.diff.apply(&mut rp.copy);
-                    rp.version.set(writer, e.diff.interval.seq);
-                }
-            } else {
-                rest.push(e);
-            }
-        }
-        rp.entries = rest;
-        // Share the emulated-home copy straight into the page table: later
-        // replayed diffs copy-on-write `rp.copy`, so the installed buffer
-        // stays a consistent snapshot.
-        let bytes = rp.copy.share();
-        let version = rp.version.clone();
-        st.pt.install_fetch(page, bytes, &version);
-    }
-
     // ---- synchronization -----------------------------------------------------
 
     /// Acquire a lock (LRC acquire: joins the granter's release timestamp
@@ -607,178 +493,24 @@ impl Process {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
         assert!(
-            !st.holds(lock),
+            !st.sync.holds(lock),
             "node {} re-acquiring held lock {lock}",
             self.me
         );
-        if st.replay.is_some() {
-            if self.try_replay_acquire(&mut st, lock) {
+        if st.rec.replaying() {
+            if recovery::try_replay_acquire(&mut st, lock, &mut self.breakdown) {
                 return;
             }
             recovery::go_live(&mut st);
         }
-        let acq_seq = st.acq_seq_next;
-        st.acq_seq_next += 1;
-        let manager = lock % st.n;
-        st.tracer.emit(EventKind::LockRequest { lock: lock as u32 });
-        let req_vt = st.vt.clone();
-        st.wait = WaitSlot::Lock {
-            lock,
-            acq_seq,
-            manager,
-            req_vt,
-            grant: None,
-        };
-        send_blocked_request(&mut st);
+        interval::request(&mut st, lock);
         let t0 = Instant::now();
-        let g = wait_until(&shared, &mut st, |st| {
-            if let WaitSlot::Lock { grant, .. } = &mut st.wait {
-                grant.take()
-            } else {
-                None
-            }
-        });
-        st.wait = WaitSlot::None;
+        let g = wait_until(&shared, &mut st, |st| st.wait.take());
         self.breakdown.lock_wait += waited(&mut st, t0);
         st.hists.lock_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer
             .emit_span(EventKind::LockAcquire { lock: lock as u32 }, t0);
-        self.apply_grant(&mut st, g);
-    }
-
-    fn apply_grant(&mut self, st: &mut MutexGuard<'_, NodeState>, g: GrantData) {
-        self.close_interval(st);
-        let pre = st.vt.clone();
-        st.vt.join(&g.vt);
-        let mut invalidated = Vec::new();
-        for wn in &g.wns {
-            if pre.covers_interval(wn.interval) {
-                continue;
-            }
-            st.wn_table.insert(wn.clone());
-            for &pg in &wn.pages {
-                st.pt.invalidate(pg, wn.interval.proc, wn.interval.seq);
-                invalidated.push(pg);
-            }
-        }
-        issue_prefetch(st, &invalidated);
-        let t_after = st.vt.clone();
-        if let Some(ft) = st.ft.as_mut() {
-            ft.logs.log_acq(
-                g.granter,
-                RelEntry {
-                    acq_seq: g.acq_seq,
-                    lock: g.lock,
-                    gen: g.gen,
-                    req_vt: pre,
-                    t_after,
-                },
-            );
-        }
-        st.tenure.insert(g.lock, (g.acq_seq, false));
-        st.tenure_gen.insert(g.lock, g.gen);
-    }
-
-    fn try_replay_acquire(&mut self, st: &mut MutexGuard<'_, NodeState>, lock: LockId) -> bool {
-        let acq_seq = st.acq_seq_next;
-        let replay = st.replay.as_ref().unwrap();
-        match replay.rel.get(&acq_seq).cloned() {
-            Some((granter, entry)) => {
-                assert_eq!(
-                    entry.lock, lock,
-                    "replay acquire lock mismatch at acq_seq {acq_seq}"
-                );
-                st.acq_seq_next += 1;
-                self.close_interval(st);
-                let pre = st.vt.clone();
-                st.vt.join(&entry.t_after);
-                self.apply_replay_invalidations(st, &pre);
-                st.tenure.insert(lock, (acq_seq, false));
-                st.tenure_gen.insert(lock, entry.gen);
-                if lock % st.n == self.me {
-                    // We manage this lock: our replayed tenure is a chain
-                    // position the handshake could not report (peers report
-                    // their own tenures and issued grants, not ours).
-                    st.sync.lock().lock_mgr.restore_chain(
-                        lock,
-                        entry.gen,
-                        self.me,
-                        acq_seq,
-                        Some(granter),
-                    );
-                }
-                apply_pending_home(st);
-                true
-            }
-            None => {
-                // No peer logged a grant for this acquisition. Either the
-                // acquire never completed (the crash point) or it was a
-                // *self-grant* — we were the chain tail and granted
-                // ourselves, and the grant record died with us. Evidence of
-                // any later logged event of ours proves the acquire
-                // completed, and since no peer granted it, it must have
-                // been a self-grant: replaying one is purely local (the
-                // grant joins our own release timestamp — a no-op — and
-                // carries no notices).
-                let later_rel = replay.rel.keys().any(|&s| s > acq_seq);
-                let later_bar = replay.bar_results.keys().any(|&e| e >= st.bar_episode);
-                // A grant we *gave* (mirrored in a peer's acq_log) or a
-                // peer diff whose timestamp carries our component beyond
-                // the replayed clock is equally conclusive: peers can only
-                // have seen interval vt[me]+1 if the op that created it —
-                // at or after this acquire — completed before the crash.
-                let later_iv = replay.evidence_self > st.vt.get(st.me);
-                if !(later_rel || later_bar || later_iv) {
-                    return false;
-                }
-                st.acq_seq_next += 1;
-                self.close_interval(st);
-                st.tenure.insert(lock, (acq_seq, false));
-                if lock % st.n == self.me {
-                    // We also manage this lock: our self-grant proves we
-                    // were the chain tail *at this tenure*. A self-grant's
-                    // generation died with the old manager incarnation, but
-                    // the run of consecutive self-granted tenures extends
-                    // back to our newest peer-granted tenure (generation
-                    // `tenure_gen`), and any tenure after the run was
-                    // granted *by us* — restored from our mirrored release
-                    // log with its real, higher generation. So a restored
-                    // tail newer than `tenure_gen` means the chain moved
-                    // past the run (claiming the tail would let our
-                    // post-recovery acquire self-grant without the peers'
-                    // write notices); anything else is stale and the run's
-                    // end is the true tail.
-                    let me = self.me;
-                    let g_run = st.tenure_gen.get(&lock).copied().unwrap_or(0);
-                    let mut sync = st.sync.lock();
-                    let moved_past = sync
-                        .lock_mgr
-                        .tail_gen_of(lock)
-                        .is_some_and(|g| g > g_run && sync.lock_mgr.tail_of(lock) != Some(me));
-                    if !moved_past {
-                        sync.lock_mgr.force_tail(lock, me, acq_seq);
-                    }
-                    drop(sync);
-                }
-                apply_pending_home(st);
-                true
-            }
-        }
-    }
-
-    fn apply_replay_invalidations(
-        &mut self,
-        st: &mut MutexGuard<'_, NodeState>,
-        pre: &VectorClock,
-    ) {
-        let post = st.vt.clone();
-        for iv in pre.missing_from(&post) {
-            if let Some(pages) = st.wn_table.get(iv).map(|p| p.to_vec()) {
-                for pg in pages {
-                    st.pt.invalidate(pg, iv.proc, iv.seq);
-                }
-            }
-        }
+        interval::apply_grant(&mut st, g, &mut self.breakdown);
     }
 
     /// Release a lock (flushes the interval's diffs to their homes).
@@ -786,80 +518,28 @@ impl Process {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
         assert!(
-            st.holds(lock),
+            st.sync.holds(lock),
             "node {} releasing unheld lock {lock}",
             self.me
         );
-        self.close_interval(&mut st);
-        let vt = st.vt.clone();
-        st.last_release_vt.insert(lock, vt);
-        if let Some(t) = st.tenure.get_mut(&lock) {
-            t.1 = true;
-        }
-        if st.replay.is_some() {
-            apply_pending_home(&mut st);
-            return;
-        }
-        // Serve only the queued forwards chaining behind tenures we have now
-        // released; one chaining behind a *future* tenure of ours (our next
-        // in-flight acquisition) stays queued until that tenure's release.
-        let released_acq = st.tenure.get(&lock).map(|&(a, _)| a).unwrap_or(u64::MAX);
-        if let Some(mut q) = st.pending_grants.remove(&lock) {
-            let (now, later): (Vec<_>, Vec<_>) =
-                q.drain(..).partition(|pg| pg.pred_acq <= released_acq);
-            if !later.is_empty() {
-                st.pending_grants.insert(lock, later);
-            }
-            for pg in now {
-                grant_now(&mut st, lock, pg.requester, pg.acq_seq, pg.gen, pg.req_vt);
-            }
-        }
-        let fp = st.shared_bytes();
-        if let Some(ft) = st.ft.as_mut() {
-            ft.policy_check_sync(fp);
-        }
+        st.close_interval(&mut self.breakdown);
+        interval::release(&mut st, lock);
     }
 
     /// Global barrier.
     pub fn barrier(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
-        if st.replay.is_some() {
-            if self.try_replay_barrier(&mut st) {
+        if st.rec.replaying() {
+            if recovery::try_replay_barrier(&mut st, &mut self.breakdown) {
                 return;
             }
             recovery::go_live(&mut st);
         }
-        self.close_interval(&mut st);
-        let episode = st.bar_episode;
-        st.tracer.emit(EventKind::BarrierEnter {
-            episode: episode as u32,
-        });
-        let arrive_vt = st.vt.clone();
-        // Interval-delta encode the notices accumulated since the previous
-        // arrival: the arena is built once here; the wait slot and the
-        // arrival share it by refcount.
-        let own_wns = WnDelta::from_notices(&std::mem::take(&mut st.wn_since_barrier));
-        let me = self.me;
-        if let Some(ft) = st.ft.as_mut() {
-            ft.last_bar_arrive_seq = arrive_vt.get(me);
-        }
-        st.wait = WaitSlot::Barrier {
-            episode,
-            arrive_vt: arrive_vt.clone(),
-            own_wns,
-            release: None,
-        };
-        send_blocked_request(&mut st);
+        st.close_interval(&mut self.breakdown);
+        let episode = interval::arrive(&mut st);
         let t0 = Instant::now();
-        let rel: ReleaseData = wait_until(&shared, &mut st, |st| {
-            if let WaitSlot::Barrier { release, .. } = &mut st.wait {
-                release.take()
-            } else {
-                None
-            }
-        });
-        st.wait = WaitSlot::None;
+        let (_, release) = wait_until(&shared, &mut st, |st| st.wait.take());
         self.breakdown.barrier_wait += waited(&mut st, t0);
         st.hists.barrier_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer.emit_span(
@@ -868,71 +548,7 @@ impl Process {
             },
             t0,
         );
-
-        let pre = st.vt.clone();
-        st.vt.join(&rel.vt);
-        let mut invalidated = Vec::new();
-        for (interval, pages) in rel.wns.iter() {
-            if pre.covers_interval(interval) {
-                continue;
-            }
-            st.wn_table.insert_parts(interval, pages.to_vec());
-            for &pg in pages {
-                st.pt.invalidate(pg, interval.proc, interval.seq);
-                invalidated.push(pg);
-            }
-        }
-        issue_prefetch(&mut st, &invalidated);
-        let result_vt = st.vt.clone();
-        if let Some(ft) = st.ft.as_mut() {
-            ft.logs.log_bar(BarEntry {
-                episode,
-                arrive_vt,
-                result_vt,
-            });
-        }
-        let crossed = st.bar_episode;
-        st.bar_episode += 1;
-        let fp = st.shared_bytes();
-        if let Some(ft) = st.ft.as_mut() {
-            ft.policy_check_sync(fp);
-            ft.policy_check_barrier(crossed);
-        }
-    }
-
-    fn try_replay_barrier(&mut self, st: &mut MutexGuard<'_, NodeState>) -> bool {
-        let episode = st.bar_episode;
-        let Some(result) = st
-            .replay
-            .as_ref()
-            .unwrap()
-            .bar_results
-            .get(&episode)
-            .cloned()
-        else {
-            return false;
-        };
-        self.close_interval(st);
-        let arrive_vt = st.vt.clone();
-        let me = self.me;
-        if let Some(ft) = st.ft.as_mut() {
-            ft.last_bar_arrive_seq = arrive_vt.get(me);
-        }
-        st.wn_since_barrier.clear();
-        let pre = st.vt.clone();
-        st.vt.join(&result);
-        self.apply_replay_invalidations(st, &pre);
-        let result_vt = st.vt.clone();
-        if let Some(ft) = st.ft.as_mut() {
-            ft.logs.log_bar(BarEntry {
-                episode,
-                arrive_vt,
-                result_vt,
-            });
-        }
-        st.bar_episode += 1;
-        apply_pending_home(st);
-        true
+        interval::cross_barrier(&mut st, release);
     }
 
     // ---- checkpoint safe points ------------------------------------------------
@@ -941,10 +557,7 @@ impl Process {
     /// [`crate::CkptPolicy::Manual`] and application-directed checkpoints —
     /// the memory-exclusion style optimization the paper discusses).
     pub fn request_checkpoint(&mut self) {
-        let mut st = self.shared.state.lock();
-        if let Some(ft) = st.ft.as_mut() {
-            ft.ckpt_due = true;
-        }
+        self.shared.state.lock().ft.request_checkpoint();
     }
 
     /// One-time initialization: runs `f` followed by a barrier, skipped
@@ -991,14 +604,8 @@ impl Process {
     fn safe_point<S: AppState>(&mut self, step: u64, state: &S) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
-        if st.replay.is_some() {
-            return; // no checkpoints while replaying
-        }
-        let due = match st.ft.as_mut() {
-            Some(ft) => ft.ckpt_due_at_step(step),
-            None => false,
-        };
-        if !due {
+        // No checkpoints while replaying.
+        if st.rec.replaying() || !st.ft.ckpt_due_at_step(step) {
             return;
         }
         // A checkpoint must not record as sent what no survivor can
@@ -1007,15 +614,13 @@ impl Process {
         // open interval, then let every home acknowledge (the `DiffAck`
         // that empties the outbox pokes this wait; nothing is queued when
         // the retry layer is off).
-        self.close_interval(&mut st);
+        st.close_interval(&mut self.breakdown);
         let t0 = Instant::now();
-        wait_until(&shared, &mut st, |st| st.diffs.drained().then_some(()));
+        wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
         self.breakdown.logging += waited(&mut st, t0);
         let mut w = ByteWriter::new();
         state.encode(&mut w);
-        let (logging, disk) = crate::ft::take_checkpoint(&mut st, step, w.into_bytes());
-        self.breakdown.logging += logging;
-        self.breakdown.disk_write += disk;
+        ft::take_checkpoint(&mut st, step, w.into_bytes(), &mut self.breakdown);
     }
 
     // ---- lifecycle ----------------------------------------------------------
@@ -1025,13 +630,13 @@ impl Process {
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
-        if st.replay.is_some() {
+        if st.rec.replaying() {
             // The application completed entirely under replay (it had
             // finished before the crash): transition to live so peers can
             // be served.
             recovery::go_live(&mut st);
         }
-        self.close_interval(&mut st);
+        st.close_interval(&mut self.breakdown);
         self.flush_stats(&mut st);
     }
 

@@ -66,7 +66,7 @@ impl Breakdown {
 }
 
 /// Fault-tolerance statistics of one node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FtReport {
     /// Checkpoints taken.
     pub ckpts_taken: u64,

@@ -40,16 +40,24 @@ pub struct StoreStats {
     pub write_time: Duration,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Inner {
     segments: BTreeMap<(SegmentKind, u64), Vec<u8>>,
     stats: StoreStats,
 }
 
 /// One node's stable storage.
+#[derive(Debug)]
 pub struct StableStore {
     disk: DiskModel,
     inner: Mutex<Inner>,
+}
+
+/// A store stands for a device: it equals only itself.
+impl PartialEq for StableStore {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
 }
 
 impl StableStore {

@@ -58,7 +58,7 @@ pub struct ReleaseSet {
     pub arrival_vts: Vec<VectorClock>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct CompletedEpisode {
     episode: u64,
     vt: VectorClock,
@@ -67,7 +67,7 @@ struct CompletedEpisode {
 }
 
 /// The barrier manager state machine.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct BarrierManager {
     n: usize,
     episode: u64,

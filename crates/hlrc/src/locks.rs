@@ -58,7 +58,7 @@ pub struct LockAction {
     pub req: AcqReq,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct ManagedLock {
     /// Last node granted (or forwarded) the lock; grants chain through it.
     tail: ProcId,
@@ -83,7 +83,7 @@ struct ManagedLock {
     pending: HashMap<ProcId, PendingFwd>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PendingFwd {
     acq_seq: u64,
     forwarded_to: ProcId,
@@ -92,7 +92,7 @@ struct PendingFwd {
 }
 
 /// All locks managed by one node.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct LockManagerTable {
     me: ProcId,
     locks: HashMap<LockId, ManagedLock>,
