@@ -135,56 +135,33 @@ pub enum Payload {
         /// (relative to its arrival clock).
         wns: WnDelta,
     },
-    /// Page fetch: requester → home. The home replies once its copy covers
-    /// `needed`.
+    /// Page fetch: requester → home, for one page or many — a demand miss
+    /// with the neighbours prefetch had left out, or the pages an acquire or
+    /// barrier just invalidated whose last copy was used. The home answers
+    /// each page once its copy covers that page's `needed`: the pages already
+    /// current go back together in one [`Payload::PageReply`], a parked one
+    /// later in a one-page reply under the same `req_id`.
     PageReq {
-        /// The page wanted.
-        page: PageId,
-        /// Minimal version the reply must include.
-        needed: VectorClock,
-        /// The stale copy the requester kept, when it knows exactly which
-        /// version of which home incarnation it is: the home may then reply
-        /// with the diffs that copy is missing instead of the page.
-        have: Option<Have>,
-        /// Requester-local correlation id (dedup of retransmitted replies).
-        req_id: u64,
-    },
-    /// Batched page fetch: requester → home. One round trip fetches the
-    /// pages homed at the receiver that the requester just invalidated and
-    /// had used (issued after an acquire or barrier applies write notices),
-    /// or a missed page together with its neighbours that were left out
-    /// then. The home answers each page once its copy covers that page's `needed`;
-    /// pages already current go back together in one [`Payload::PageBatchReply`],
-    /// stragglers arrive later as individual [`Payload::PageReply`]s carrying
-    /// the same `req_id`.
-    PageBatchReq {
-        /// `(page, minimal version the reply must include, what the
-        /// requester kept)` per page.
+        /// `(page, minimal version the reply must include, the stale copy
+        /// the requester kept)` per page. The last is there when the
+        /// requester knows exactly which version of which home incarnation
+        /// it is: the home may then reply with the diffs that copy is
+        /// missing instead of the page.
         pages: Vec<(PageId, VectorClock, Option<Have>)>,
-        /// Requester-local correlation id shared by the whole batch.
+        /// Requester-local correlation id shared by every answer (dedup of
+        /// retransmitted and superseded replies).
         req_id: u64,
     },
-    /// Batched page contents: home → requester, for the pages of a
-    /// [`Payload::PageBatchReq`] that were ready immediately.
-    PageBatchReply {
-        /// Correlation id echoed from the request.
-        req_id: u64,
-        /// `(page, home version, body)` per ready page; a full body is
-        /// shared with the home's authoritative copy.
-        pages: Vec<(PageId, VectorClock, PageBody)>,
-    },
-    /// Page contents: home → requester.
+    /// Page contents: home → requester, for the pages of a
+    /// [`Payload::PageReq`] that are ready together.
     PageReply {
-        /// The page.
-        page: PageId,
         /// Correlation id echoed from the request.
         req_id: u64,
-        /// The home's version vector for the copy.
-        version: VectorClock,
-        /// The page contents, shared with the home's authoritative copy
-        /// (copy-on-write at the home keeps this immutable), or the diffs
-        /// the requester's kept copy is missing.
-        body: PageBody,
+        /// `(page, home version, body)` per page. A full body is shared with
+        /// the home's authoritative copy (copy-on-write at the home keeps
+        /// it immutable); a delta is the diffs the requester's kept copy is
+        /// missing.
+        pages: Vec<(PageId, VectorClock, PageBody)>,
     },
 
     // ---- recovery protocol ----
@@ -284,20 +261,18 @@ impl Payload {
             Payload::Member(w) => w.wire_size(),
             Payload::BarrierArrive { vt, own_wns, .. } => 9 + vt.wire_size() + own_wns.wire_size(),
             Payload::BarrierRelease { vt, wns, .. } => 9 + vt.wire_size() + wns.wire_size(),
-            Payload::PageReq { needed, have, .. } => 13 + needed.wire_size() + have_size(have),
-            Payload::PageBatchReq { pages, .. } => {
-                17 + pages
+            Payload::PageReq { pages, .. } => {
+                13 + pages
                     .iter()
                     .map(|(_, needed, have)| 4 + needed.wire_size() + have_size(have))
                     .sum::<usize>()
             }
-            Payload::PageBatchReply { pages, .. } => {
-                17 + pages
+            Payload::PageReply { pages, .. } => {
+                13 + pages
                     .iter()
                     .map(|(_, version, body)| 4 + version.wire_size() + body.wire_size())
                     .sum::<usize>()
             }
-            Payload::PageReply { version, body, .. } => 13 + version.wire_size() + body.wire_size(),
             Payload::RecLogReq { homed } => 5 + 8 * homed.len(),
             Payload::RecLogReply {
                 wn,
@@ -347,8 +322,6 @@ impl Payload {
             Payload::BarrierArrive { .. } => "BarrierArrive",
             Payload::BarrierRelease { .. } => "BarrierRelease",
             Payload::PageReq { .. } => "PageReq",
-            Payload::PageBatchReq { .. } => "PageBatchReq",
-            Payload::PageBatchReply { .. } => "PageBatchReply",
             Payload::PageReply { .. } => "PageReply",
             Payload::RecLogReq { .. } => "RecLogReq",
             Payload::RecLogReply { .. } => "RecLogReply",
@@ -426,7 +399,6 @@ impl dsm_net::WireSized for Msg {
         matches!(
             self.payload,
             Payload::PageReply { .. }
-                | Payload::PageBatchReply { .. }
                 | Payload::LockGrant { .. }
                 | Payload::BarrierRelease { .. }
                 | Payload::RecLogReply { .. }
@@ -458,14 +430,13 @@ mod tests {
 
     #[test]
     fn page_reply_size_dominated_by_page_bytes() {
+        let body = PageBody::Full {
+            bytes: vec![0; 4096].into(),
+            base: 1,
+        };
         let m = Msg::bare(Payload::PageReply {
-            page: PageId(0),
             req_id: 1,
-            version: VectorClock::zero(8),
-            body: PageBody::Full {
-                bytes: vec![0; 4096].into(),
-                base: 1,
-            },
+            pages: vec![(PageId(0), VectorClock::zero(8), body)],
         });
         assert!(m.base_wire_size() > 4096);
         assert!(m.base_wire_size() < 4096 + 64 + TraceCtx::WIRE_SIZE);

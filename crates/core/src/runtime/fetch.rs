@@ -1,9 +1,11 @@
 //! The requester side of page fetching: [`FetchSvc`].
 //!
-//! The module owns the request ids, the map of batched fetches in flight and
-//! the prefetch counters; it decides what an invalidation prefetches and
-//! what a miss brings with it, installs what comes back, and handles the two
-//! kinds that answer a fetch, `PageReply` and `PageBatchReply`.
+//! The module owns the request ids, the map of fetches in flight — the one
+//! place a fetch is tracked, whoever asked for it — and the prefetch
+//! counters; it decides what an invalidation prefetches and what a miss
+//! brings with it, sends a request again when its answer is overdue, and
+//! installs what comes back: it handles the one kind that answers a fetch,
+//! `PageReply`.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -15,25 +17,26 @@ use crate::msg::Payload;
 use crate::runtime::node::NodeState;
 use crate::stats::PrefetchCounts;
 
-/// A prefetch batch entry: one invalidated remote page with a batched
-/// fetch in flight to its home.
+/// One remote page with a fetch in flight to its home.
 #[derive(Debug, Clone, PartialEq)]
-struct PrefetchEntry {
-    /// Correlation id of the `PageBatchReq` that covers this page.
+struct InFlight {
+    /// Correlation id of the `PageReq` that covers this page.
     req_id: u64,
-    /// The page's home (retransmission target on `NodeUp`).
+    /// The page's home (where a resend goes).
     home: ProcId,
 }
 
 /// The fetch state of one node.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct FetchSvc {
-    /// Remote pages with a batched fetch in flight: issued right after an
-    /// acquire or barrier invalidated them, or by a miss on a page that
-    /// prefetch had left out. A first touch of one of these waits for the
-    /// batch reply instead of sending its own `PageReq`. Ordered, so that a
+    /// Remote pages asked for and not answered yet: right after an acquire
+    /// or barrier invalidated them, or by a fault. A touch of one of these
+    /// waits for its reply instead of asking again. Ordered, so that a
     /// resend walks it the same way every time.
-    prefetch: BTreeMap<PageId, PrefetchEntry>,
+    in_flight: BTreeMap<PageId, InFlight>,
+    /// The page the application thread's fault is waiting for — the entry
+    /// whose request a timeout sends again — and whether one has.
+    awaited: Option<(PageId, bool)>,
     req_id_next: u64,
     /// What was prefetched, what of it was used and what the filter left
     /// out, over all incarnations (for the node report).
@@ -53,15 +56,27 @@ impl FetchSvc {
         };
     }
 
-    /// Does a batch in flight cover `page`?
+    /// Does a request in flight cover `page`?
     pub(crate) fn in_flight(&self, page: PageId) -> bool {
-        self.prefetch.contains_key(&page)
+        self.in_flight.contains_key(&page)
     }
 
-    /// Give up on the batch that covers `page` (its reply was lost); a
-    /// straggler is dropped by [`install_prefetched`].
-    pub(crate) fn abandon(&mut self, page: PageId) {
-        self.prefetch.remove(&page);
+    /// The application thread's fault starts its wait for `page`.
+    pub(crate) fn await_page(&mut self, page: PageId) {
+        self.awaited = Some((page, false));
+    }
+
+    /// The wait is over. Was the request lost — sent again after a timeout?
+    pub(crate) fn await_over(&mut self) -> bool {
+        self.awaited.take().is_some_and(|(_, lost)| lost)
+    }
+
+    /// `(page, home, req_id)` of the fetch the application thread's fault is
+    /// waiting on, for a deadline panic to print.
+    pub(crate) fn awaited(&self) -> Option<(PageId, ProcId, u64)> {
+        let (page, _) = self.awaited?;
+        let e = self.in_flight.get(&page)?;
+        Some((page, e.home, e.req_id))
     }
 
     /// A copy nobody had touched that no fault asked for was used.
@@ -99,9 +114,9 @@ impl FetchSvc {
 const NEIGHBOUR_SPAN: u32 = 16;
 
 /// The home of `page` if [`issue_prefetch`] left it out and nothing has asked
-/// for it since: remote, invalidated, its last copy unused, no batch in
+/// for it since: remote, invalidated, its last copy unused, no fetch in
 /// flight.
-fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
+pub(crate) fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
     if st.pt.is_home(page) || st.fetch.in_flight(page) {
         return None;
     }
@@ -109,14 +124,13 @@ fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
     (m.state == PageState::Invalid && !m.used).then_some(m.home)
 }
 
-/// Batch-fetch the remote pages just invalidated by applied write notices
-/// whose last copy was used: one `PageBatchReq` per home covers every such
-/// page, turning N page-miss round trips into one. A page whose last copy
-/// was never read or written is left out — most invalidated copies are not
-/// touched again, and a refetch nobody reads is traffic for nothing; if it
-/// is touched after all, [`fetch_with_neighbours`] fetches it. Skipped
-/// during recovery replay (replay fetches must stay individually
-/// deterministic).
+/// Fetch the remote pages just invalidated by applied write notices whose
+/// last copy was used: one `PageReq` per home covers every such page, turning
+/// N page-miss round trips into one. A page whose last copy was never read
+/// or written is left out — most invalidated copies are not touched again,
+/// and a refetch nobody reads is traffic for nothing; if it is touched after
+/// all, [`fetch_with_neighbours`] fetches it. Skipped during recovery replay
+/// (replay fetches must stay individually deterministic).
 pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     if st.rec.replaying() {
         return;
@@ -141,31 +155,25 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     send_page_batches(st, &pages);
 }
 
-/// A demand miss on `page`. If [`issue_prefetch`] left it out, it has
-/// probably left out the pages an application sweep touches next as well:
-/// when any of the next `NEIGHBOUR_SPAN - 1` page ids is a left-out page of
-/// the same home, ask for `page` and all of them in one `PageBatchReq` and
-/// return `true` — the fault then waits on its `prefetch` entry as it would
-/// on any batch in flight. Otherwise nothing is sent and the fault is the
-/// one-page `PageReq` it always was.
-pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) -> bool {
-    let Some(home) = left_out(st, page) else {
-        return false;
-    };
-    st.fetch.counts.skipped_then_missed += 1;
-    let end = (page.0 + NEIGHBOUR_SPAN).min(st.pt.len() as u32);
-    let after = (page.0 + 1..end).map(PageId);
+/// A fault on remote `page` that no fetch in flight covers: ask its home for
+/// it. If [`issue_prefetch`] left it out, it has probably left out the pages
+/// an application sweep touches next as well: the left-out pages of the same
+/// home among the next `NEIGHBOUR_SPAN - 1` page ids — possibly none — go
+/// into the same `PageReq`. A miss the filter had no part in (a cold one)
+/// asks for its page alone.
+pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) {
     let mut pages = vec![page];
-    pages.extend(after.filter(|&q| left_out(st, q) == Some(home)));
-    if pages.len() == 1 {
-        return false;
+    if let Some(home) = left_out(st, page) {
+        st.fetch.counts.skipped_then_missed += 1;
+        let end = (page.0 + NEIGHBOUR_SPAN).min(st.pt.len() as u32);
+        let after = (page.0 + 1..end).map(PageId);
+        pages.extend(after.filter(|&q| left_out(st, q) == Some(home)));
+        st.fetch.counts.prefetched += pages.len() as u64 - 1;
     }
-    st.fetch.counts.prefetched += pages.len() as u64 - 1;
     send_page_batches(st, &pages);
-    true
 }
 
-/// `pages` as a `PageBatchReq` asks for them — the version needed (see
+/// `pages` as a `PageReq` asks for them — the version needed (see
 /// [`crate::ft::FtSvc::fetch_needed`]) and the stale copy kept, as they are
 /// now: a resend reads them again — grouped by `key`, in ascending key order
 /// (piggyback state advances per send, so the send order must not vary).
@@ -183,133 +191,114 @@ fn batches<K: Ord>(
     groups
 }
 
-/// Ask for `pages` — remote, invalid, none in flight — with one
-/// `PageBatchReq` per home, and track each in `prefetch` until its reply.
+/// Ask for `pages` — remote, invalid, none in flight — with one `PageReq`
+/// per home, and track each in `in_flight` until its reply.
 fn send_page_batches(st: &mut NodeState, pages: &[PageId]) {
     let by_home = pages.iter().map(|&p| (st.pt.home_of(p), p));
     for (home, pages) in batches(st, by_home) {
         let req_id = st.fetch.take_req_id();
         st.hists.fetch_batch_pages.record(pages.len() as u64);
         for (p, ..) in &pages {
-            st.fetch.prefetch.insert(*p, PrefetchEntry { req_id, home });
+            st.fetch.in_flight.insert(*p, InFlight { req_id, home });
         }
-        st.send(home, Payload::PageBatchReq { pages, req_id });
+        st.send(home, Payload::PageReq { pages, req_id });
     }
 }
 
-/// A crashed home restarted: re-issue the prefetch batches in flight to it,
-/// grouped back into their original batches (the needed versions are
-/// re-read: they may have advanced, and the install gate checks coverage
-/// anyway).
-pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
-    let in_flight = st.fetch.prefetch.iter();
+/// The requests whose pages in flight `lost` picks, grouped back under their
+/// `req_id`s, asking for what is still outstanding of each (the needed
+/// versions are re-read: they may have advanced, and the install gate checks
+/// coverage anyway).
+fn requests_again(st: &NodeState, lost: impl Fn(&InFlight) -> bool) -> Vec<(ProcId, Payload)> {
+    let in_flight = st.fetch.in_flight.iter();
     let lost = in_flight
-        .filter(|(_, e)| e.home == node)
-        .map(|(&page, e)| (e.req_id, page));
-    for (req_id, pages) in batches(st, lost) {
-        st.send(node, Payload::PageBatchReq { pages, req_id });
-    }
+        .filter(|(_, e)| lost(e))
+        .map(|(&page, e)| ((e.req_id, e.home), page));
+    let again = batches(st, lost).into_iter();
+    again
+        .map(|((req_id, home), pages)| (home, Payload::PageReq { pages, req_id }))
+        .collect()
 }
 
-/// A demand miss no batch covers: park a one-page fetch in the wait slot and
-/// send it.
-pub(crate) fn demand(st: &mut NodeState, page: PageId, home: ProcId, needed: VectorClock) {
-    let request = Payload::PageReq {
-        page,
-        needed: st.ft.fetch_needed(page, needed),
-        have: st.pt.have(page).cloned(),
-        req_id: st.fetch.take_req_id(),
+/// A crashed home restarted: re-issue the requests in flight to it.
+pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
+    let lost = requests_again(st, |e| e.home == node);
+    st.send_all(lost);
+}
+
+/// The retry timeout passed in silence: retransmit the request that covers
+/// the page the application thread's fault waits for. Returns 1 when there
+/// is one.
+pub(crate) fn retransmit_awaited(st: &mut NodeState) -> u64 {
+    let Some((_, _, req_id)) = st.fetch.awaited() else {
+        return 0;
     };
-    st.block_on(home, request);
+    for (home, request) in requests_again(st, |e| e.req_id == req_id) {
+        st.retransmit(home, request);
+    }
+    if let Some((_, lost)) = &mut st.fetch.awaited {
+        *lost = true;
+    }
+    1
 }
 
-/// Install a page delivered by a prefetch batch (either in the batched
-/// reply or as a straggler `PageReply` carrying the batch's `req_id`).
-/// Superseded and overtaken replies are dropped: the page stays `Invalid`,
-/// a kept copy and its version stay what the next request will say they
-/// are, and a later touch fetches fresh.
-fn install_prefetched(
-    st: &mut NodeState,
-    page: PageId,
-    req_id: u64,
-    version: VectorClock,
-    body: PageBody,
-) {
-    match st.fetch.prefetch.get(&page) {
+/// Install one page of a reply. Superseded and overtaken replies are
+/// dropped: the page stays `Invalid`, a kept copy and its version stay what
+/// the next request will say they are, and a later touch fetches fresh.
+fn install(st: &mut NodeState, page: PageId, req_id: u64, version: VectorClock, body: PageBody) {
+    match st.fetch.in_flight.get(&page) {
         Some(e) if e.req_id == req_id => {}
-        // A reply from a superseded batch (or none in flight): drop it and
-        // keep the entry for the current batch's reply.
+        // A duplicate, or a reply to a superseded request (or none in
+        // flight): drop it and keep the entry for the current one's reply.
         _ => {
             st.dup_suppressed += 1;
             return;
         }
     }
-    st.fetch.prefetch.remove(&page);
+    st.fetch.in_flight.remove(&page);
     if st.pt.is_home(page) {
         return;
     }
     let m = st.pt.remote_meta(page);
-    // A new invalidation may have overtaken the batch; install only when
-    // the reply still covers everything the page is known to need.
+    // A new invalidation may have overtaken the request; install only when
+    // the reply still covers everything the page is known to need. One
+    // `fetch_copy` sample per install: the bytes written into the local copy
+    // — none for an adopted page buffer, the diff payloads for a delta.
     if m.state == PageState::Invalid && version.covers(&m.needed) {
-        install_reply(st, page, body, &version);
+        let copied = st.pt.install(page, body, &version);
+        st.hists.fetch_copy.record(copied as u64);
     }
 }
 
-/// Install the reply to a fetch, one `fetch_copy` sample per install: the
-/// bytes written into the local copy — none for an adopted page buffer, the
-/// diff payloads for a delta.
-fn install_reply(st: &mut NodeState, page: PageId, body: PageBody, v: &VectorClock) {
-    let copied = st.pt.install(page, body, v);
-    st.hists.fetch_copy.record(copied as u64);
-}
-
-/// The module's slice of the message kinds. A `PageReply` the blocked fetch
-/// does not take is a parked batched page answered on its own, under the
-/// batch's `req_id`.
-pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
-    match st.wait.deposit(from, payload) {
-        None => {}
-        Some(Payload::PageBatchReply { req_id, pages }) => {
-            for (page, version, body) in pages {
-                install_prefetched(st, page, req_id, version, body);
-            }
-        }
-        Some(Payload::PageReply {
-            page,
-            req_id,
-            version,
-            body,
-        }) => install_prefetched(st, page, req_id, version, body),
-        Some(other) => unreachable!("{} does not answer a fetch", other.kind()),
-    }
-}
-
-/// Install the page the blocked fetch of `page` took from the wait slot.
-pub(crate) fn install_demanded(st: &mut NodeState, page: PageId, reply: Payload) {
-    let Payload::PageReply { version, body, .. } = reply else {
-        unreachable!("a page wait took {}", reply.kind())
+/// The module's slice of the message kinds: the pages of a request that were
+/// ready together, or a parked one answered on its own.
+pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
+    let Payload::PageReply { req_id, pages } = payload else {
+        unreachable!("{} does not answer a fetch", payload.kind())
     };
-    install_reply(st, page, body, &version);
+    for (page, version, body) in pages {
+        install(st, page, req_id, version, body);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ft::recovery::RecoverySvc;
-    use crate::runtime::node::tests::{gated, page_of, requests, test_state};
+    use crate::runtime::node::tests::{gated, only_payload, page_of, requests, test_state};
     use dsm_net::Event;
     use dsm_page::Diff;
     use std::sync::Arc;
 
-    fn in_flight(req_id: u64) -> PrefetchEntry {
-        PrefetchEntry { req_id, home: 0 }
+    fn in_flight(req_id: u64) -> InFlight {
+        InFlight { req_id, home: 0 }
     }
 
     #[test]
     fn a_crash_forgets_what_was_in_flight_and_keeps_counting() {
         let mut svc = FetchSvc::default();
-        svc.prefetch.insert(PageId(0), in_flight(16));
+        svc.in_flight.insert(PageId(0), in_flight(16));
+        svc.await_page(PageId(0));
         svc.req_id_next = 17;
         svc.counts.prefetched = 4;
         svc.fail_stop();
@@ -331,20 +320,20 @@ mod tests {
         for _ in 0..2 {
             st.pt.add_page(0); // homed at node 0, remote here
         }
-        st.fetch.prefetch.insert(PageId(0), in_flight(5));
-        st.fetch.prefetch.insert(PageId(1), in_flight(5));
+        st.fetch.in_flight.insert(PageId(0), in_flight(5));
+        st.fetch.in_flight.insert(PageId(1), in_flight(5));
         // Stale req_id: dropped, entry kept.
-        install_prefetched(&mut st, PageId(0), 4, VectorClock::zero(2), page_of(0));
-        assert!(st.fetch.prefetch.contains_key(&PageId(0)));
+        install(&mut st, PageId(0), 4, VectorClock::zero(2), page_of(0));
+        assert!(st.fetch.in_flight.contains_key(&PageId(0)));
         // Matching req_id: installed, entry consumed.
-        install_prefetched(&mut st, PageId(0), 5, VectorClock::zero(2), page_of(7));
-        assert!(!st.fetch.prefetch.contains_key(&PageId(0)));
+        install(&mut st, PageId(0), 5, VectorClock::zero(2), page_of(7));
+        assert!(!st.fetch.in_flight.contains_key(&PageId(0)));
         assert_eq!(st.pt.ensure_access(PageId(0)), hlrc::AccessOutcome::Ready);
         // Overtaken by a newer invalidation: entry consumed, page stays
         // invalid (a later touch fetches fresh).
         st.pt.invalidate(PageId(1), 0, 3);
-        install_prefetched(&mut st, PageId(1), 5, VectorClock::zero(2), page_of(7));
-        assert!(!st.fetch.prefetch.contains_key(&PageId(1)));
+        install(&mut st, PageId(1), 5, VectorClock::zero(2), page_of(7));
+        assert!(!st.fetch.in_flight.contains_key(&PageId(1)));
         assert!(matches!(
             st.pt.ensure_access(PageId(1)),
             hlrc::AccessOutcome::NeedFetch { .. }
@@ -365,14 +354,14 @@ mod tests {
         let kept = Some((1, gated(2, 0, 1)));
         match eps[0].try_recv() {
             Some(Event::Msg { msg, .. }) => match msg.payload {
-                Payload::PageBatchReq { pages, .. } => {
+                Payload::PageReq { pages, .. } => {
                     assert_eq!(pages, [(page, gated(2, 0, 2), kept.clone())]);
                 }
                 other => panic!("unexpected {other:?}"),
             },
             other => panic!("unexpected {other:?}"),
         }
-        let req_id = st.fetch.prefetch[&page].req_id;
+        let req_id = st.fetch.in_flight[&page].req_id;
         let delta = |seq: u32| {
             let twin = dsm_page::Page::zeroed(256);
             let mut cur = twin.clone();
@@ -387,15 +376,15 @@ mod tests {
         // A newer notice overtakes the reply: the delta is not applied, and
         // the kept copy is still what the next request will say it is.
         st.pt.invalidate(page, 0, 3);
-        install_prefetched(&mut st, page, req_id, gated(2, 0, 2), delta(2));
-        assert!(!st.fetch.prefetch.contains_key(&page));
+        install(&mut st, page, req_id, gated(2, 0, 2), delta(2));
+        assert!(!st.fetch.in_flight.contains_key(&page));
         assert_eq!((word(&st), st.pt.have(page)), (7, kept.as_ref()));
         assert_eq!(st.hists.fetch_copy.count(), 0);
 
-        // The next batch's reply lands ...
+        // The next request's reply lands ...
         issue_prefetch(&mut st, &[page]);
-        let req_id = st.fetch.prefetch[&page].req_id;
-        install_prefetched(&mut st, page, req_id, gated(2, 0, 3), delta(3));
+        let req_id = st.fetch.in_flight[&page].req_id;
+        install(&mut st, page, req_id, gated(2, 0, 3), delta(3));
         assert_eq!(st.pt.ensure_access(page), hlrc::AccessOutcome::Ready);
         assert_eq!(
             (word(&st), st.pt.have(page)),
@@ -403,7 +392,7 @@ mod tests {
         );
         // ... and its duplicate does not: one sample, of the delta's bytes.
         st.pt.invalidate(page, 0, 4);
-        install_prefetched(&mut st, page, req_id, gated(2, 0, 4), delta(4));
+        install(&mut st, page, req_id, gated(2, 0, 4), delta(4));
         assert_eq!(
             (word(&st), st.pt.have(page)),
             (3, Some(&(1, gated(2, 0, 3))))
@@ -424,9 +413,9 @@ mod tests {
         st.pt.invalidate(page, st.pt.home_of(page), 1);
     }
 
-    fn batch_pages(payload: &Payload) -> Vec<u32> {
+    fn asked_pages(payload: &Payload) -> Vec<u32> {
         match payload {
-            Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, ..)| p.0).collect(),
+            Payload::PageReq { pages, .. } => pages.iter().map(|(p, ..)| p.0).collect(),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -447,8 +436,8 @@ mod tests {
         assert!(requests(&eps[0]).is_empty());
         let to_home_1 = requests(&eps[1]);
         assert_eq!(to_home_1.len(), 1);
-        assert_eq!(batch_pages(&to_home_1[0]), [2]);
-        assert_eq!(st.fetch.prefetch.keys().collect::<Vec<_>>(), [&PageId(2)]);
+        assert_eq!(asked_pages(&to_home_1[0]), [2]);
+        assert_eq!(st.fetch.in_flight.keys().collect::<Vec<_>>(), [&PageId(2)]);
         let counts = PrefetchCounts {
             prefetched: 1,
             prefetch_skipped: 3,
@@ -456,19 +445,19 @@ mod tests {
         };
         assert_eq!(st.fetch.counts, counts);
         // The next round of notices leaves the same pages out again.
-        st.fetch.prefetch.clear();
+        st.fetch.in_flight.clear();
         for page in &all {
             st.pt.invalidate(*page, st.pt.home_of(*page), 2);
         }
         issue_prefetch(&mut st, &all);
         assert!(requests(&eps[0]).is_empty());
-        assert_eq!(batch_pages(&requests(&eps[1])[0]), [2]);
+        assert_eq!(asked_pages(&requests(&eps[1])[0]), [2]);
         assert_eq!(st.fetch.counts.prefetch_skipped, 6);
         // Replay fetches page by page: nothing goes out, used or not.
-        st.fetch.prefetch.clear();
+        st.fetch.in_flight.clear();
         st.rec = RecoverySvc::replaying_nothing();
         issue_prefetch(&mut st, &all);
-        assert!(requests(&eps[1]).is_empty() && st.fetch.prefetch.is_empty());
+        assert!(requests(&eps[1]).is_empty() && st.fetch.in_flight.is_empty());
         assert_eq!(st.fetch.counts.prefetched, 2);
     }
 
@@ -495,23 +484,23 @@ mod tests {
             st.pt
                 .install(PageId(page), page_of(0), &VectorClock::zero(3));
         }
-        st.fetch.prefetch.insert(PageId(7), in_flight(0));
+        st.fetch.in_flight.insert(PageId(7), in_flight(0));
         st.fetch.req_id_next = 1;
 
-        assert!(fetch_with_neighbours(&mut st, PageId(2)));
+        fetch_with_neighbours(&mut st, PageId(2));
         // One request, to the page's home: the miss and what the filter
         // left out of the fifteen page ids after it.
         let sent = requests(&eps[0]);
         assert_eq!(sent.len(), 1);
-        assert_eq!(batch_pages(&sent[0]), [2, 3, 17]);
+        assert_eq!(asked_pages(&sent[0]), [2, 3, 17]);
         assert!(requests(&eps[1]).is_empty());
         for page in [2, 3, 17] {
-            assert_eq!(st.fetch.prefetch[&PageId(page)].req_id, 1);
+            assert_eq!(st.fetch.in_flight[&PageId(page)].req_id, 1);
         }
         assert_eq!(
             (
-                st.fetch.prefetch.len(),
-                st.fetch.prefetch[&PageId(7)].req_id
+                st.fetch.in_flight.len(),
+                st.fetch.in_flight[&PageId(7)].req_id
             ),
             (4, 0)
         );
@@ -522,16 +511,53 @@ mod tests {
         };
         assert_eq!(st.fetch.counts, counts);
 
-        // No left-out neighbour (the table ends inside the span): nothing
-        // is sent and the fault goes on to its one-page `PageReq`.
-        assert!(!fetch_with_neighbours(&mut st, PageId(18)));
-        counts.skipped_then_missed = 2;
-        // Nor for a miss the filter had no part in.
-        for page in [8, 9] {
-            assert!(!fetch_with_neighbours(&mut st, PageId(page)));
+        // No left-out neighbour (the table ends inside the span): the same
+        // request, one page long, and still a wrong guess of the filter's.
+        // A miss the filter had no part in is no guess of its.
+        for page in [18, 8, 9] {
+            fetch_with_neighbours(&mut st, PageId(page));
+            assert_eq!(asked_pages(&only_payload(&eps[0])), [page]);
+            assert!(st.fetch.in_flight(PageId(page)));
         }
-        assert!(requests(&eps[0]).is_empty() && requests(&eps[1]).is_empty());
-        assert_eq!((st.fetch.prefetch.len(), st.fetch.counts), (4, counts));
+        counts.skipped_then_missed = 2;
+        assert_eq!(st.fetch.counts, counts);
+        // One sample per request, of its pages.
+        let h = &st.hists.fetch_batch_pages;
+        assert_eq!((h.count(), h.sum()), (4, 3 + 1 + 1 + 1));
+    }
+
+    #[test]
+    fn a_timeout_sends_again_what_is_left_of_the_request_the_fault_waits_on() {
+        let (mut st, eps) = test_state(1, 2, false);
+        for _ in 0..4 {
+            st.pt.add_page(0);
+        }
+        for page in 0..4 {
+            invalidated_copy(&mut st, page, page != 3);
+        }
+        // Two requests in flight: pages 0 to 2, prefetched, and page 3.
+        issue_prefetch(&mut st, &[PageId(0), PageId(1), PageId(2)]);
+        fetch_with_neighbours(&mut st, PageId(3));
+        let first = requests(&eps[0]);
+        assert_eq!(first.len(), 2);
+        // No fault waits: nothing to send again.
+        assert_eq!((retransmit_awaited(&mut st), st.retransmits), (0, 0));
+
+        // Page 1 of the first has been answered when a fault on page 2
+        // times out: the request goes again under its id, for pages 0 and 2.
+        let Payload::PageReq { pages, req_id } = first[0].clone() else {
+            panic!("unexpected {:?}", first[0])
+        };
+        install(&mut st, PageId(1), req_id, gated(2, 0, 1), page_of(1));
+        st.fetch.await_page(PageId(2));
+        assert_eq!(st.fetch.awaited(), Some((PageId(2), 0, req_id)));
+        assert_eq!((retransmit_awaited(&mut st), st.retransmits), (1, 1));
+        let pages = vec![pages[0].clone(), pages[2].clone()];
+        assert_eq!(only_payload(&eps[0]), Payload::PageReq { pages, req_id });
+        // The wait ends with the entry, and remembers that it was lost.
+        install(&mut st, PageId(2), req_id, gated(2, 0, 1), page_of(2));
+        assert_eq!(st.fetch.awaited(), None);
+        assert!(st.fetch.await_over() && !st.fetch.await_over());
     }
 
     #[test]
@@ -544,18 +570,18 @@ mod tests {
         for p in [0u32, 1, 2] {
             st.pt.invalidate(PageId(p), 0, 1);
         }
-        st.fetch.prefetch.insert(PageId(2), in_flight(0));
+        st.fetch.in_flight.insert(PageId(2), in_flight(0));
         issue_prefetch(
             &mut st,
             &[PageId(0), PageId(1), PageId(2), PageId(3), PageId(0)],
         );
         // Page 2 already in flight, page 3 homed here, page 0 deduped:
-        // one batch to home 0 (page 0) and one to home 1 (page 1).
-        assert_eq!(st.fetch.prefetch.len(), 3);
-        assert_eq!(st.fetch.prefetch[&PageId(0)].home, 0);
-        assert_eq!(st.fetch.prefetch[&PageId(1)].home, 1);
+        // one request to home 0 (page 0) and one to home 1 (page 1).
+        assert_eq!(st.fetch.in_flight.len(), 3);
+        assert_eq!(st.fetch.in_flight[&PageId(0)].home, 0);
+        assert_eq!(st.fetch.in_flight[&PageId(1)].home, 1);
         assert_eq!(
-            st.fetch.prefetch[&PageId(2)].req_id,
+            st.fetch.in_flight[&PageId(2)].req_id,
             0,
             "in-flight entry kept"
         );

@@ -1,7 +1,7 @@
-//! The home and manager side of the four lock-free kinds: [`HomeSvc`].
+//! The home and manager side of the three lock-free kinds: [`HomeSvc`].
 //!
-//! `PageReq`, `PageBatchReq` and `DiffBatch` need only the sharded home
-//! store, `LockAcq` only the sync lock — never the big lock, which is what
+//! `PageReq` and `DiffBatch` need only the sharded home store, `LockAcq`
+//! only the sync lock — never the big lock, which is what
 //! lets the service loop run their one handler while the application
 //! computes. The module owns no state of its own: the home store belongs to
 //! the page table and the sync lock to [`crate::runtime::sync::SyncSvc`].
@@ -10,22 +10,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsm_page::{Diff, PageId, ProcId, VectorClock};
+use dsm_page::{Diff, ProcId};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
 use hlrc::locks::{AcqReq, LockAction};
-use hlrc::{ApplyOutcome, FetchOutcome, Have, HomeStore, PageBody, ReadyFetch, WaitingFetch};
+use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch};
 
 use crate::msg::Payload;
 use crate::runtime::node::NodeState;
 use crate::runtime::sync::{self, SyncHandle};
 
-/// The reply to a parked fetch that has become servable.
+/// The reply to a parked fetch that has become servable: one page, under
+/// the `req_id` of the request that asked for it.
 fn page_reply(r: ReadyFetch) -> (ProcId, Payload) {
     let reply = Payload::PageReply {
-        page: r.page,
         req_id: r.req_id,
-        version: r.version,
-        body: r.body,
+        pages: vec![(r.page, r.version, r.body)],
     };
     (r.from, reply)
 }
@@ -74,8 +73,7 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: &Payload) {
     }
 }
 
-/// The handles the home-side (`PageReq`/`PageBatchReq`/`DiffBatch`) and
-/// manager-side (`LockAcq`) handler works against: the sharded home store
+/// The handles the home-side (`PageReq`/`DiffBatch`) and manager-side (`LockAcq`) handler works against: the sharded home store
 /// and the sync lock — never the big lock, which is what lets the service
 /// loop run it while the application computes.
 pub(crate) struct HomeSvc {
@@ -118,8 +116,8 @@ impl HomeSvc {
         }
     }
 
-    /// The one handler for `PageReq`, `PageBatchReq`, `DiffBatch` and
-    /// `LockAcq`, whoever delivers them. `live` is re-checked under every
+    /// The one handler for `PageReq`, `DiffBatch` and `LockAcq`, whoever
+    /// delivers them. `live` is re-checked under every
     /// shard lock and under the sync lock, so a crash or recovery transition
     /// (mode flag flip, then quiesce) fences the handler out; a caller that
     /// holds the big lock passes `|| true`. Replies go to `reply`, which
@@ -133,37 +131,33 @@ impl HomeSvc {
         mut reply: impl FnMut(ProcId, Payload),
     ) -> Served {
         match payload {
-            Payload::PageReq {
-                page,
-                needed,
-                have,
-                req_id,
-            } => {
-                // A one-page batch, answered with the single-page reply.
-                let (one, req_id) = ([(*page, needed, have.as_ref())], *req_id);
-                let Some(ready) = self.serve_fetches(hists, from, req_id, one, &live) else {
-                    return Served::HandBack;
-                };
-                for (page, version, body) in ready {
-                    let single = Payload::PageReply {
+            // In order: a page whose copy already covers its `needed`
+            // version goes back now — the diffs a requester that kept a copy
+            // is missing, else the page (an Arc bump: the home's next write
+            // copy-on-writes, leaving the served buffer untouched) — the rest
+            // park and are answered one by one, under the same `req_id`,
+            // when their diffs arrive.
+            Payload::PageReq { pages, req_id } => {
+                let (req_id, mut ready) = (*req_id, Vec::new());
+                for (page, needed, have) in pages {
+                    let (page, needed) = (*page, needed.clone());
+                    let fetch = WaitingFetch {
+                        from,
                         page,
+                        needed,
                         req_id,
-                        version,
-                        body,
                     };
-                    reply(from, single);
+                    let (outcome, waited) = self.home.serve_fetch_have(fetch, have.as_ref(), &live);
+                    hists.shard_lock_wait.record(waited.as_nanos() as u64);
+                    match outcome {
+                        FetchOutcome::Ready(version, body) => ready.push((page, version, body)),
+                        FetchOutcome::Parked => {}
+                        FetchOutcome::NotHome | FetchOutcome::Stale => return Served::HandBack,
+                    }
                 }
-            }
-            Payload::PageBatchReq { pages, req_id } => {
-                let req_id = *req_id;
-                let all = pages
-                    .iter()
-                    .map(|(page, needed, have)| (*page, needed, have.as_ref()));
-                let Some(pages) = self.serve_fetches(hists, from, req_id, all, &live) else {
-                    return Served::HandBack;
-                };
-                if !pages.is_empty() {
-                    reply(from, Payload::PageBatchReply { req_id, pages });
+                if !ready.is_empty() {
+                    let pages = ready;
+                    reply(from, Payload::PageReply { req_id, pages });
                 }
             }
             Payload::DiffBatch { seq, diffs } => {
@@ -237,39 +231,6 @@ impl HomeSvc {
         Served::Done { wake: false }
     }
 
-    /// Serve `pages` to `from` in order: a page whose copy already covers
-    /// its `needed` version is returned ready — the diffs a requester that
-    /// kept a copy is missing, else the page (an Arc bump: the home's next
-    /// write copy-on-writes, leaving the served buffer untouched) — the rest
-    /// park and are answered one by one, under the same `req_id`, when
-    /// their diffs arrive. `None` hands the request back.
-    fn serve_fetches<'a>(
-        &self,
-        hists: &mut LatencyHists,
-        from: ProcId,
-        req_id: u64,
-        pages: impl IntoIterator<Item = (PageId, &'a VectorClock, Option<&'a Have>)>,
-        live: &impl Fn() -> bool,
-    ) -> Option<Vec<(PageId, VectorClock, PageBody)>> {
-        let mut ready = Vec::new();
-        for (page, needed, have) in pages {
-            let fetch = WaitingFetch {
-                from,
-                page,
-                needed: needed.clone(),
-                req_id,
-            };
-            let (outcome, waited) = self.home.serve_fetch_have(fetch, have, live);
-            hists.shard_lock_wait.record(waited.as_nanos() as u64);
-            match outcome {
-                FetchOutcome::Ready(version, body) => ready.push((page, version, body)),
-                FetchOutcome::Parked => {}
-                FetchOutcome::NotHome | FetchOutcome::Stale => return None,
-            }
-        }
-        Some(ready)
-    }
-
     /// Test-only (armed via `ClusterConfig::inject_stale_apply`): re-emit the
     /// `DiffApply` event for an already-applied diff, once, simulating a home
     /// that applied a stale duplicate. The invariant monitor must catch it.
@@ -288,10 +249,13 @@ impl HomeSvc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::node::tests::{diff_of, gated, test_state, unpark};
+    use crate::runtime::fetch;
+    use crate::runtime::node::tests::{diff_of, gated, only_payload, test_state, unpark};
+    use crate::runtime::node::{handle_msg, Replies};
+    use dsm_page::{PageId, VectorClock};
 
     #[test]
-    fn crash_fence_hands_all_four_kinds_back_untouched() {
+    fn crash_fence_hands_all_three_kinds_back_untouched() {
         let (mut st, eps) = test_state(0, 2, false);
         st.pt.add_page(0);
         st.pt.add_page(0);
@@ -300,12 +264,10 @@ mod tests {
         // fence open.
         let fenced = [
             Payload::PageReq {
-                page: PageId(0),
-                needed: gated(2, 1, 1),
-                have: None,
+                pages: vec![(PageId(0), gated(2, 1, 1), None)],
                 req_id: 1,
             },
-            Payload::PageBatchReq {
+            Payload::PageReq {
                 pages: vec![
                     (PageId(0), VectorClock::zero(2), None),
                     (PageId(1), gated(2, 1, 1), None),
@@ -343,5 +305,70 @@ mod tests {
         }
         assert_eq!(st.sync.handle().0.lock().lock_mgr.tail_of(4), None);
         assert!(eps[0].try_recv().is_none());
+    }
+
+    #[test]
+    fn a_parked_page_is_answered_alone_and_a_duplicate_request_shows_nowhere() {
+        // Node 0 homes pages 0 to 2; node 1 holds nothing and asks for all
+        // three, page 1 at a version node 0 has yet to be sent.
+        let (mut home, _) = test_state(0, 2, false);
+        let (mut asker, to_home) = test_state(1, 2, false);
+        for _ in 0..3 {
+            home.pt.add_page(0);
+            asker.pt.add_page(0);
+        }
+        asker.pt.invalidate(PageId(1), 1, 1);
+        let all: Vec<PageId> = (0..3).map(PageId).collect();
+        fetch::issue_prefetch(&mut asker, &all);
+        let request = only_payload(&to_home[0]);
+        assert_eq!(request.kind(), "PageReq");
+
+        // What serving `payload` answers: `(req_id, pages)` per reply.
+        let serve = |home: &mut NodeState, payload: &Payload| {
+            let mut replies = Vec::new();
+            let served = HomeSvc::of(home).serve(
+                &mut home.hists,
+                1,
+                payload,
+                || true,
+                |to, reply| replies.push((to, reply)),
+            );
+            assert!(matches!(served, Served::Done { .. }));
+            replies
+        };
+        let pages_of = |replies: &Replies| -> Vec<(u64, Vec<u32>)> {
+            let of = |(to, reply): &(ProcId, Payload)| match reply {
+                Payload::PageReply { req_id, pages } if *to == 1 => {
+                    (*req_id, pages.iter().map(|(p, ..)| p.0).collect())
+                }
+                other => panic!("unexpected {other:?}"),
+            };
+            replies.iter().map(of).collect()
+        };
+        // One reply of two; the request once more, as a timeout sends it
+        // with nothing answered yet, repeats it and parks page 1 again.
+        let first = serve(&mut home, &request);
+        assert_eq!(pages_of(&first), [(0, vec![0, 2])]);
+        let again = serve(&mut home, &request);
+        assert_eq!(again, first);
+        // The diff page 1 waits for: one reply of one per parked fetch,
+        // under the request's id.
+        let diff = Payload::DiffBatch {
+            seq: 0,
+            diffs: vec![diff_of(1, 1, 1)],
+        };
+        let late = serve(&mut home, &diff);
+        assert_eq!(pages_of(&late), [(0, vec![1]), (0, vec![1])]);
+
+        // The requester installs each page once and drops every repeat.
+        for (_, reply) in [first, again, late].concat() {
+            handle_msg(&mut asker, 0, reply);
+        }
+        for page in all {
+            assert_eq!(asker.pt.ensure_access(page), hlrc::AccessOutcome::Ready);
+            assert!(!asker.fetch.in_flight(page));
+        }
+        assert_eq!(asker.hists.fetch_copy.count(), 3);
+        assert_eq!(asker.dup_suppressed, 3);
     }
 }

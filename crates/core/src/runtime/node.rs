@@ -17,8 +17,8 @@
 //!
 //! | module | file | kinds |
 //! |---|---|---|
-//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `PageBatchReq`, `DiffBatch`, `LockAcq` |
-//! | [`FetchSvc`] | `runtime/fetch.rs` | `PageReply`, `PageBatchReply` |
+//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch`, `LockAcq` |
+//! | [`FetchSvc`] | `runtime/fetch.rs` | `PageReply` |
 //! | [`SyncSvc`] | `runtime/sync.rs` | `LockForward`, `LockGrant`, `BarrierArrive`, `BarrierRelease` |
 //! | [`FtSvc`] | `ft/mod.rs` | `DiffAck` |
 //! | [`RecoverySvc`] | `ft/recovery.rs` | `RecLogReq`, `RecLogReply`, `RecPageReq`, `RecPageReply` |
@@ -27,8 +27,8 @@
 //! The big state lock is *not* the only lock (see DESIGN.md "Hot path").
 //! Home-page state lives in the sharded [`hlrc::HomeStore`] and
 //! lock/barrier-manager state behind the small sync lock, and the one
-//! handler for `PageReq`/`PageBatchReq`/`DiffBatch`/`LockAcq`
-//! ([`HomeSvc::serve`]) needs nothing else — so the service loop runs it
+//! handler for `PageReq`/`DiffBatch`/`LockAcq` ([`HomeSvc::serve`]) needs
+//! nothing else — so the service loop runs it
 //! without the big lock while the application computes under it. The big
 //! lock keeps the rarely-contended rest: mode, waits, FT logs, recovery
 //! state. Lock order is big → sync → shard; shard locks are leaves.
@@ -69,17 +69,17 @@ pub(crate) enum Mode {
     Recovering,
 }
 
-/// What the application thread is currently blocked on. (One per node: the
-/// size of a parked request does not matter.)
+/// What the application thread is currently blocked on, a page apart (a
+/// fault waits on its entry in [`FetchSvc`]). (One per node: the size of a
+/// parked request does not matter.)
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum WaitSlot {
     None,
-    /// The answer to `request` — a `PageReq`, `LockAcq` or `BarrierArrive`,
-    /// kept as it was sent to `to`, so that a resend is the first send again
-    /// by construction — and, once it has come, the answer and its sender: a
-    /// `PageReply` (its page buffer shared, never copied), `LockGrant` or
-    /// `BarrierRelease`.
+    /// The answer to `request` — a `LockAcq` or `BarrierArrive`, kept as it
+    /// was sent to `to`, so that a resend is the first send again by
+    /// construction — and, once it has come, the answer and its sender: a
+    /// `LockGrant` or `BarrierRelease`.
     Request {
         to: ProcId,
         request: Payload,
@@ -98,7 +98,6 @@ pub(crate) enum WaitSlot {
 fn answers(request: &Payload, reply: &Payload) -> bool {
     use Payload::*;
     match (request, reply) {
-        (PageReq { req_id: a, .. }, PageReply { req_id: b, .. }) => a == b,
         (LockAcq { acq_seq: a, .. }, LockGrant { acq_seq: b, .. }) => a == b,
         (BarrierArrive { episode: a, .. }, BarrierRelease { episode: b, .. }) => a == b,
         _ => false,
@@ -410,14 +409,15 @@ impl NodeState {
         self.send(to, sent);
     }
 
-    /// Retransmit whatever request the application thread is blocked on
-    /// (called by the wait loop after the retry timeout of silence). Returns
-    /// 1 when something was resent. Every receiver path is idempotent under
+    /// Retransmit whatever request the application thread is blocked on —
+    /// the one in the wait slot, or the fetch its fault waits for (called by
+    /// the wait loop after the retry timeout of silence). Returns 1 when
+    /// something was resent. Every receiver path is idempotent under
     /// duplication: requests dedup by `req_id`/`acq_seq`/`episode`, grants
     /// replay from the release log, and installs are version-gated.
     pub(crate) fn retransmit_wait_slot(&mut self) -> u64 {
         let Some((to, payload)) = self.blocked_request() else {
-            return 0;
+            return fetch::retransmit_awaited(self);
         };
         self.retransmit(to, payload);
         1
@@ -437,9 +437,9 @@ impl NodeState {
 /// The highest page a payload references, if any.
 fn max_page(payload: &Payload) -> Option<PageId> {
     match payload {
-        Payload::PageReq { page, .. } | Payload::RecPageReq { page, .. } => Some(*page),
+        Payload::RecPageReq { page, .. } => Some(*page),
         Payload::DiffBatch { diffs, .. } => diffs.iter().map(|d| d.page).max(),
-        Payload::PageBatchReq { pages, .. } => pages.iter().map(|(p, ..)| *p).max(),
+        Payload::PageReq { pages, .. } => pages.iter().map(|(p, ..)| *p).max(),
         _ => None,
     }
 }
@@ -453,13 +453,10 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
         return st.pending_unalloc.push((from, payload));
     }
     match payload {
-        Payload::PageReq { .. }
-        | Payload::PageBatchReq { .. }
-        | Payload::DiffBatch { .. }
-        | Payload::LockAcq { .. } => home::handle(st, from, &payload),
-        Payload::PageReply { .. } | Payload::PageBatchReply { .. } => {
-            fetch::handle(st, from, payload)
+        Payload::PageReq { .. } | Payload::DiffBatch { .. } | Payload::LockAcq { .. } => {
+            home::handle(st, from, &payload)
         }
+        Payload::PageReply { .. } => fetch::handle(st, payload),
         Payload::LockForward { .. }
         | Payload::LockGrant { .. }
         | Payload::BarrierArrive { .. }
@@ -485,9 +482,9 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
     }
 }
 
-/// A crashed peer restarted: re-issue lost forwards and prefetch batches,
-/// and retransmit whatever request our application thread is blocked on
-/// against that peer.
+/// A crashed peer restarted: re-issue lost forwards and fetches, and
+/// retransmit whatever request our application thread is blocked on against
+/// that peer.
 pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
     sync::reforward_to(st, node);
     fetch::resend_batches_to(st, node);
@@ -834,14 +831,14 @@ pub(crate) mod tests {
             vt: vt([0, 0, 1]),
         };
         handle_msg(&mut st, 1, forward);
-        // Fetch: a batch in flight for page 0. FT: a diff batch in the
+        // Fetch: a request in flight for page 0. FT: a diff batch in the
         // outbox and knowledge about a peer. Recovery: both queues.
         fetch::issue_prefetch(&mut st, &[PageId(0)]);
         assert!(st.fetch.in_flight(PageId(0)));
         ft::send_diff_batch(&mut st, 0, vec![diff_of(0, 1, 5)]);
         assert!(!st.ft.drained());
         let sent = requests(&eps[0]);
-        let (Payload::PageBatchReq { req_id, .. }, Payload::DiffBatch { seq: old_seq, .. }) =
+        let (Payload::PageReq { req_id, .. }, Payload::DiffBatch { seq: old_seq, .. }) =
             (&sent[0], &sent[1])
         else {
             panic!("unexpected {sent:?}")
@@ -929,7 +926,7 @@ pub(crate) mod tests {
         ft::send_diff_batch(&mut st, 0, vec![diff_of(0, 1, 1)]);
         let sent = requests(&eps[0]);
         match (&sent[0], &sent[1]) {
-            (Payload::PageBatchReq { req_id: r, .. }, Payload::DiffBatch { seq, .. }) => {
+            (Payload::PageReq { req_id: r, .. }, Payload::DiffBatch { seq, .. }) => {
                 assert!(r > req_id && seq > old_seq)
             }
             _ => panic!("unexpected {sent:?}"),
@@ -940,38 +937,36 @@ pub(crate) mod tests {
 
     #[test]
     fn deposits_match_only_the_waited_for_slot() {
-        let reply = |req_id, byte| Payload::PageReply {
-            page: PageId(3),
-            req_id,
-            version: VectorClock::zero(3),
-            body: page_of(byte),
-        };
-        let request = Payload::PageReq {
-            page: PageId(3),
-            needed: VectorClock::zero(3),
-            have: None,
-            req_id: 42,
-        };
-        let mut wait = waiting_on(0, request);
-        // A reply for an older request id comes back, and so does a grant,
-        // whatever its number: only a page reply answers a page request.
-        assert_eq!(wait.deposit(0, reply(41, 0)), Some(reply(41, 0)));
-        let grant = Payload::LockGrant {
+        let grant = |acq_seq, gen| Payload::LockGrant {
             lock: 1,
-            acq_seq: 42,
-            gen: 1,
+            acq_seq,
+            gen,
             vt: VectorClock::zero(3),
             wns: Vec::new(),
         };
-        assert_eq!(wait.deposit(0, grant.clone()), Some(grant));
+        let request = Payload::LockAcq {
+            lock: 1,
+            acq_seq: 42,
+            vt: VectorClock::zero(3),
+        };
+        let mut wait = waiting_on(0, request);
+        // A grant for an older acquisition comes back, and so does a
+        // release, whatever its number: only a grant answers an acquire.
+        assert_eq!(wait.deposit(0, grant(41, 0)), Some(grant(41, 0)));
+        let release = Payload::BarrierRelease {
+            episode: 42,
+            vt: VectorClock::zero(3),
+            wns: WnDelta::from_notices(&[]),
+        };
+        assert_eq!(wait.deposit(0, release.clone()), Some(release));
         assert!(wait.take().is_none());
-        assert_eq!(wait.deposit(0, reply(42, 0)), None);
-        // A second reply to the same request is a duplicate.
-        assert_eq!(wait.deposit(0, reply(42, 1)), Some(reply(42, 1)));
-        assert_eq!(wait.take(), Some((0, reply(42, 0))));
+        assert_eq!(wait.deposit(0, grant(42, 0)), None);
+        // A second grant of the same acquisition is a duplicate.
+        assert_eq!(wait.deposit(0, grant(42, 1)), Some(grant(42, 1)));
+        assert_eq!(wait.take(), Some((0, grant(42, 0))));
         assert!(wait.take().is_none());
         // Nothing is deposited when nothing is waited for.
-        assert!(WaitSlot::None.deposit(0, reply(42, 0)).is_some());
+        assert!(WaitSlot::None.deposit(0, grant(42, 0)).is_some());
     }
 
     /// Deliver one fixed request sequence to node 0 of three through its
@@ -1003,11 +998,15 @@ pub(crate) mod tests {
             std::thread::spawn(move || service_loop(shared))
         };
         let zero = || VectorClock::zero(n);
+        let one_page = |page, needed, req_id| Payload::PageReq {
+            pages: vec![(PageId(page), needed, None)],
+            req_id,
+        };
         let script = [
             // Pages 0 and 2 are ready, page 1 parks until (1,1) arrives.
             (
                 1,
-                Payload::PageBatchReq {
+                Payload::PageReq {
                     pages: vec![
                         (PageId(0), zero(), None),
                         (PageId(1), gated(n, 1, 1), None),
@@ -1016,25 +1015,9 @@ pub(crate) mod tests {
                     req_id: 9,
                 },
             ),
-            (
-                2,
-                Payload::PageReq {
-                    page: PageId(1),
-                    needed: gated(n, 1, 1),
-                    have: None,
-                    req_id: 4,
-                },
-            ),
+            (2, one_page(1, gated(n, 1, 1), 4)),
             // Page 3 is not allocated yet: deferred until it is.
-            (
-                2,
-                Payload::PageReq {
-                    page: PageId(3),
-                    needed: zero(),
-                    have: None,
-                    req_id: 5,
-                },
-            ),
+            (2, one_page(3, zero(), 5)),
             // Unparks both fetches of page 1, then acks.
             (
                 1,
@@ -1044,15 +1027,7 @@ pub(crate) mod tests {
                 },
             ),
             // Stays parked to the end.
-            (
-                2,
-                Payload::PageReq {
-                    page: PageId(2),
-                    needed: gated(n, 1, 5),
-                    have: None,
-                    req_id: 6,
-                },
-            ),
+            (2, one_page(2, gated(n, 1, 5), 6)),
             // Lock 3 is managed here. First request: this node is the chain
             // start and grants itself; second: forwarded to the new tail.
             (
@@ -1124,7 +1099,7 @@ pub(crate) mod tests {
         assert_eq!(
             kinds(1),
             [
-                "PageBatchReply",
+                "PageReply",
                 "PageReply",
                 "LockGrant",
                 "DiffAck",
@@ -1132,33 +1107,20 @@ pub(crate) mod tests {
             ]
         );
         assert_eq!(kinds(2), ["PageReply", "PageReply"]);
-        // Pages 0 and 2 came back in one batched reply; page 1 was parked
-        // and answered on its own, under the batch's req_id.
-        match (&got[0][0], &got[0][1]) {
-            (
-                Payload::PageBatchReply { req_id: 9, pages },
-                Payload::PageReply {
-                    page: PageId(1),
-                    req_id: 9,
-                    version,
-                    ..
-                },
-            ) => {
-                let ids: Vec<_> = pages.iter().map(|(p, _, _)| *p).collect();
-                assert_eq!(ids, [PageId(0), PageId(2)]);
-                assert_eq!(version.get(1), 1);
+        // `(req_id, pages)` of a reply.
+        let replied = |reply: &Payload| match reply {
+            Payload::PageReply { req_id, pages } => {
+                (*req_id, pages.iter().map(|(p, ..)| p.0).collect::<Vec<_>>())
             }
             other => panic!("unexpected: {other:?}"),
-        }
+        };
+        // Pages 0 and 2 came back in one reply; page 1 was parked and
+        // answered on its own, under the same req_id.
+        assert_eq!(replied(&got[0][0]), (9, vec![0, 2]));
+        assert_eq!(replied(&got[0][1]), (9, vec![1]));
+        assert_eq!(replied(&got[1][0]), (4, vec![1]));
         // The deferred fetch of page 3 was answered once the page existed.
-        assert!(matches!(
-            got[1][1],
-            Payload::PageReply {
-                page: PageId(3),
-                req_id: 5,
-                ..
-            }
-        ));
+        assert_eq!(replied(&got[1][1]), (5, vec![3]));
         assert_eq!(versions[1].get(1), 1);
         assert_eq!(parked, [(2, PageId(2), 6)]);
         assert_eq!(deliver_to_service_loop(true), (got, versions, parked));
@@ -1210,7 +1172,8 @@ pub(crate) mod tests {
         type Block = fn(&mut NodeState);
         let blocks: [(&str, Block); 3] = [
             ("PageReq", |st| {
-                fetch::demand(st, PageId(3), 0, gated(2, 0, 7))
+                fetch::fetch_with_neighbours(st, PageId(3));
+                st.fetch.await_page(PageId(3));
             }),
             ("LockAcq", |st| interval::request(st, 2)),
             ("BarrierArrive", |st| {
@@ -1238,16 +1201,15 @@ pub(crate) mod tests {
             assert_eq!(sent.len(), 3);
             assert_eq!(sent[0].kind(), kind);
             assert!(sent.iter().all(|p| *p == sent[0]), "{kind} resends differ");
-            if let Payload::PageReq { have, .. } = &sent[0] {
-                assert_eq!(have, &Some((1, VectorClock::zero(2))));
+            if let Payload::PageReq { pages, .. } = &sent[0] {
+                let kept = Some((1, VectorClock::zero(2)));
+                assert_eq!(pages, &[(PageId(3), gated(2, 0, 7), kept)]);
             }
             // An answered wait resends nothing.
             let answer = match &sent[0] {
                 Payload::PageReq { req_id, .. } => Payload::PageReply {
-                    page: PageId(3),
                     req_id: *req_id,
-                    version: gated(2, 0, 7),
-                    body: page_of(0),
+                    pages: vec![(PageId(3), gated(2, 0, 7), page_of(0))],
                 },
                 Payload::LockAcq { lock, acq_seq, .. } => Payload::LockGrant {
                     lock: *lock,

@@ -128,28 +128,13 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
     st
 }
 
-/// Block until `take` produces a value; a wait that outlasts
-/// [`WAIT_DEADLINE`] is a deadlock and panics with the node's state.
-pub(crate) fn wait_until<T>(
-    shared: &NodeShared,
-    st: &mut MutexGuard<'_, NodeState>,
-    take: impl FnMut(&mut NodeState) -> Option<T>,
-) -> T {
-    wait_until_for(st, WAIT_DEADLINE, take).unwrap_or_else(|| {
-        panic!(
-            "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} vt={} sync={:?} (FTDSM_SEED={:#x})",
-            shared.me, WAIT_DEADLINE, st.wait, st.vt, st.sync, shared.seed
-        )
-    })
-}
-
 /// The one place the application thread blocks: on its endpoint's reply
-/// lane, with the big lock released, until `take` produces a value or
-/// `timeout` is over (`None` — for waits on state someone else may abandon,
-/// e.g. a prefetch batch whose reply the network dropped).
+/// lane, with the big lock released, until `take` produces a value. A wait
+/// that outlasts [`WAIT_DEADLINE`] is a deadlock and panics with the node's
+/// state.
 ///
-/// What the lane delivers — the page, grant or release being waited for, a
-/// prefetched batch, recovery replies — this thread runs through
+/// What the lane delivers — the pages, grant or release being waited for, a
+/// prefetched page, recovery replies — this thread runs through
 /// [`dispatch`], the function the service loop runs requests through, and
 /// then asks `take` again; the handler time goes to `svc_time_by_kind` like
 /// the service thread's and to [`NodeState::own_svc`]. A change `take`
@@ -158,16 +143,17 @@ pub(crate) fn wait_until<T>(
 /// receive the same way.
 ///
 /// When the node has a retry timeout configured ([`crate::ft::FtSvc::retry_after`]),
-/// the blocked request described by [`NodeState::wait`] — and any in-flight
-/// diff batches — are retransmitted each time that timeout elapses without
-/// the wait completing. The check is time-based (elapsed since last send)
-/// rather than receive-timeout-based: unrelated replies and pokes end the
-/// receive constantly, and a timer they reset would never fire under load.
-fn wait_until_for<T>(
+/// the blocked request — the one in [`NodeState::wait`], or the fetch a
+/// fault waits for — and any in-flight diff batches are retransmitted each
+/// time that timeout elapses without the wait completing. The check is
+/// time-based (elapsed since last send) rather than receive-timeout-based:
+/// unrelated replies and pokes end the receive constantly, and a timer they
+/// reset would never fire under load.
+pub(crate) fn wait_until<T>(
+    shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
-    timeout: Duration,
     mut take: impl FnMut(&mut NodeState) -> Option<T>,
-) -> Option<T> {
+) -> T {
     let ep = Arc::clone(&st.ep);
     let start = Instant::now();
     let retry = st.ft.retry_after();
@@ -178,9 +164,14 @@ fn wait_until_for<T>(
             if retry.is_some() {
                 st.hists.retransmits.record(retries);
             }
-            return Some(v);
+            return v;
         }
-        let mut slice = timeout.checked_sub(start.elapsed())?;
+        let Some(mut slice) = WAIT_DEADLINE.checked_sub(start.elapsed()) else {
+            panic!(
+                "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} fetch={:?} vt={} sync={:?} (FTDSM_SEED={:#x})",
+                shared.me, WAIT_DEADLINE, st.wait, st.fetch.awaited(), st.vt, st.sync, shared.seed
+            )
+        };
         if let Some(after) = retry {
             if last_send.elapsed() >= after {
                 retries += st.retransmit_wait_slot();
@@ -382,92 +373,67 @@ impl Process {
     /// Make `page` accessible: fetch from home, wait for in-flight diffs on
     /// our own homed page, or (during recovery) emulate the home locally.
     /// Returns whether the copy is one this fault asked for, as opposed to
-    /// one a prefetch already in flight brought.
+    /// one a fetch already in flight brought.
     fn fault_in(&mut self, page: PageId) -> bool {
         let shared = Arc::clone(&self.shared);
-        // Set once this fault has sent its own request, batch or replay.
+        // Set once this fault has sent its own request or replay.
         let mut demanded = false;
         loop {
             let mut st = shared.state.lock();
-            match st.pt.ensure_access(page) {
-                AccessOutcome::Ready => return demanded,
-                AccessOutcome::NeedFetch { home, needed } => {
-                    if st.rec.replaying() {
-                        if home == self.me {
-                            recovery::apply_pending_home(&mut st);
-                            assert!(
-                                matches!(st.pt.ensure_access(page), AccessOutcome::Ready),
-                                "homed page {page} not ready during replay"
-                            );
-                            return false;
-                        }
-                        recovery::replay_materialize(&shared, &mut st, page);
-                        demanded = true;
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    st.tracer.emit(EventKind::PageFault { page: page.0 });
-                    if home == self.me {
-                        // Wait for in-flight diffs to reach our own copy.
-                        wait_until(&shared, &mut st, |st| {
-                            matches!(st.pt.ensure_access(page), AccessOutcome::Ready).then_some(())
-                        });
-                        self.page_wait_done(&mut st, page, home, t0);
-                        return false;
-                    }
-                    // A page the prefetch left out brings the neighbours it
-                    // left out with it, in a batch of this fault's own.
-                    if !demanded {
-                        demanded = fetch::fetch_with_neighbours(&mut st, page);
-                    }
-                    // A batch covers this page: wait for it instead of
-                    // issuing a duplicate fetch. The entry is removed when
-                    // its reply is processed whether or not the install
-                    // succeeded, so a miss falls through to the ordinary
-                    // single-page fetch below.
-                    if st.fetch.in_flight(page) {
-                        let covered = |st: &mut NodeState| {
-                            (!st.fetch.in_flight(page)
-                                || matches!(st.pt.ensure_access(page), AccessOutcome::Ready))
-                            .then_some(())
-                        };
-                        // With retries enabled the batch reply may have been
-                        // dropped outright; bound the wait and fall back to a
-                        // (retried) single-page fetch. A straggler reply for
-                        // the abandoned entry is dropped by install_prefetched.
-                        let replied = match st.ft.retry_after() {
-                            Some(after) => wait_until_for(&mut st, after, covered).is_some(),
-                            None => {
-                                wait_until(&shared, &mut st, covered);
-                                true
-                            }
-                        };
-                        if !replied {
-                            st.fetch.abandon(page);
-                        }
-                        let ready = matches!(st.pt.ensure_access(page), AccessOutcome::Ready);
-                        // Only a batch sent before the fault was a hit.
-                        let ns = t0.elapsed().as_nanos() as u64;
-                        if ready && !demanded {
-                            st.hists.prefetch_hit.record(ns);
-                        } else {
-                            st.hists.prefetch_miss.record(ns);
-                        }
-                        if !ready {
-                            continue;
-                        }
-                        self.page_wait_done(&mut st, page, home, t0);
-                        return demanded;
-                    }
-                    fetch::demand(&mut st, page, home, needed);
-                    let (_, reply) = wait_until(&shared, &mut st, |st| st.wait.take());
-                    // A full reply's shared buffer is installed as-is: the
-                    // fetch path (serve → deposit → install) copies zero
-                    // page bytes end to end.
-                    fetch::install_demanded(&mut st, page, reply);
-                    self.page_wait_done(&mut st, page, home, t0);
-                    return true;
+            let AccessOutcome::NeedFetch { home, .. } = st.pt.ensure_access(page) else {
+                return demanded;
+            };
+            if st.rec.replaying() {
+                if home == self.me {
+                    recovery::apply_pending_home(&mut st);
+                    assert!(
+                        matches!(st.pt.ensure_access(page), AccessOutcome::Ready),
+                        "homed page {page} not ready during replay"
+                    );
+                    return false;
                 }
+                recovery::replay_materialize(&shared, &mut st, page);
+                demanded = true;
+                continue;
+            }
+            let t0 = Instant::now();
+            st.tracer.emit(EventKind::PageFault { page: page.0 });
+            let ready =
+                |st: &mut NodeState| matches!(st.pt.ensure_access(page), AccessOutcome::Ready);
+            if home == self.me {
+                // Wait for in-flight diffs to reach our own copy.
+                wait_until(&shared, &mut st, |st| ready(st).then_some(()));
+                self.page_wait_done(&mut st, page, home, t0);
+                return false;
+            }
+            // A fetch in flight that covers the page is waited for; else the
+            // fault asks, for the page and the neighbours prefetch left out
+            // with it. Either way the wait is on the page's entry, which its
+            // reply removes whether or not it installed the page.
+            let found = st.fetch.in_flight(page);
+            let skipped = fetch::left_out(&st, page).is_some();
+            if !found {
+                fetch::fetch_with_neighbours(&mut st, page);
+                demanded = true;
+            }
+            st.fetch.await_page(page);
+            wait_until(&shared, &mut st, |st| {
+                (!st.fetch.in_flight(page) || ready(st)).then_some(())
+            });
+            let lost = st.fetch.await_over();
+            // A hit found its page in flight and that request made it ready;
+            // a miss is a page prefetch left out, or one whose request was
+            // lost (sent again after a timeout) or overtaken by a newer
+            // invalidation. A cold miss is neither.
+            let (ready, ns) = (ready(&mut st), t0.elapsed().as_nanos() as u64);
+            if skipped || lost || !ready {
+                st.hists.prefetch_miss.record(ns);
+            } else if found {
+                st.hists.prefetch_hit.record(ns);
+            }
+            if ready {
+                self.page_wait_done(&mut st, page, home, t0);
+                return demanded;
             }
         }
     }

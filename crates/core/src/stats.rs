@@ -98,7 +98,7 @@ pub struct FtReport {
 }
 
 /// What speculative page fetching moved and what came of it. A page is
-/// *prefetched* when a `PageBatchReq` asks for it before any access does:
+/// *prefetched* when a `PageReq` asks for it before any access does:
 /// after an invalidation, if the copy held last was used, or as the
 /// left-out neighbour of a page that missed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

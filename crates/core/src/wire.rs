@@ -137,15 +137,14 @@ pub fn get_page_body(r: &mut ByteReader) -> Result<PageBody, CodecError> {
     Ok(PageBody::Delta(diffs.collect::<Result<_, _>>()?))
 }
 
-/// Encode the page list of a batched fetch request: `(page, needed, have)`.
+/// Encode the page list of a fetch request: `(page, needed, have)`.
 ///
-/// Layout: count (8), then per page id (4) + length-prefixed needed clock +
+/// Layout: count (4), then per page id (4) + length-prefixed needed clock +
 /// what the requester kept. The accounting model (`Payload::wire_size`)
 /// charges clocks at 4 bytes per entry without the length prefix — the
-/// cluster size is implied on a real wire — matching the convention used by
-/// `PageReq`/`PageReply`.
+/// cluster size is implied on a real wire.
 pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Option<Have>)]) {
-    w.put_u64(pages.len() as u64);
+    w.put_u32(pages.len() as u32);
     for (p, needed, have) in pages {
         w.put_u32(p.0);
         put_vt(w, needed);
@@ -153,22 +152,18 @@ pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Option<
     }
 }
 
-/// Decode the page list of a batched fetch request.
+/// Decode the page list of a fetch request.
 #[allow(clippy::type_complexity)]
 pub fn get_page_needs(
     r: &mut ByteReader,
 ) -> Result<Vec<(PageId, VectorClock, Option<Have>)>, CodecError> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let p = PageId(r.get_u32()?);
-        out.push((p, get_vt(r)?, get_have(r)?));
-    }
-    Ok(out)
+    (0..r.get_u32()?)
+        .map(|_| Ok((PageId(r.get_u32()?), get_vt(r)?, get_have(r)?)))
+        .collect()
 }
 
 /// Encode a list of whole page copies, `(page, version, bytes)`: what a
-/// batched reply was before its pages had bodies ([`put_page_body`]). No
+/// many-page reply was before its pages had bodies ([`put_page_body`]). No
 /// message has this layout any more; perfbench's
 /// `wire.page_copies_encode_ns` probe still times it as the cost of
 /// putting sixteen pages on a wire.
@@ -307,9 +302,9 @@ mod tests {
         ];
         let mut w = ByteWriter::new();
         put_page_needs(&mut w, &needs);
-        // Pin: count (8) + per page id (4) + prefixed clock (8 + wire_size)
+        // Pin: count (4) + per page id (4) + prefixed clock (8 + wire_size)
         // + have: a byte, then incarnation (4) and another prefixed clock.
-        let needs_len: usize = 8
+        let needs_len: usize = 4
             + needs
                 .iter()
                 .map(|(_, v, _)| 4 + 8 + v.wire_size())
@@ -330,7 +325,7 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
-    /// The four fetch messages, encoded field by field in layout order
+    /// The two fetch messages, encoded field by field in layout order
     /// (`Payload::wire_size` charges a tag byte first): the accounting model
     /// must equal the encoding, but for the 8-byte length prefix `put_vt`
     /// spends on each clock (the cluster size is implied on a real wire).
@@ -377,64 +372,47 @@ mod tests {
             );
         }
 
-        let req = |have: &Option<Have>| Payload::PageReq {
-            page: PageId(3),
-            needed: clock([1, 4, 0]),
-            have: have.clone(),
-            req_id: 9,
-        };
-        for (have, clocks) in [(&None, 1), (&kept, 2)] {
-            let mut w = ByteWriter::new();
-            w.put_u8(0);
-            w.put_u32(3);
-            w.put_u64(9);
-            put_vt(&mut w, &clock([1, 4, 0]));
-            put_have(&mut w, have.as_ref());
-            assert_eq!(w.len(), req(have).wire_size() + 8 * clocks);
-        }
-        assert_eq!(req(&kept).wire_size() - req(&None).wire_size(), 4 + 12);
-
-        let pages = vec![
+        // A request: tag, id, then the page list. One page is the count's
+        // four bytes over a bare (page, needed, have).
+        let wanted = [
             (PageId(3), clock([1, 4, 0]), kept.clone()),
             (PageId(9), clock([0, 0, 0]), None),
         ];
-        let mut w = ByteWriter::new();
-        w.put_u8(0);
-        w.put_u64(9);
-        put_page_needs(&mut w, &pages);
-        let batch = Payload::PageBatchReq { pages, req_id: 9 };
-        assert_eq!(w.len(), batch.wire_size() + 8 * 3);
-
-        for body in [&full, &delta] {
+        for (pages, clocks) in [(&wanted[..], 3), (&wanted[..1], 2), (&wanted[1..], 1)] {
             let mut w = ByteWriter::new();
             w.put_u8(0);
-            w.put_u32(3);
             w.put_u64(9);
-            put_vt(&mut w, &clock([1, 5, 0]));
-            put_page_body(&mut w, body);
-            let reply = Payload::PageReply {
-                page: PageId(3),
-                req_id: 9,
-                version: clock([1, 5, 0]),
-                body: body.clone(),
-            };
-            assert_eq!(w.len(), reply.wire_size() + 8);
+            put_page_needs(&mut w, pages);
+            let (pages, req_id) = (pages.to_vec(), 9);
+            let req = Payload::PageReq { pages, req_id };
+            assert_eq!(w.len(), req.wire_size() + 8 * clocks);
         }
-        let pages = vec![
+        let one = |have| Payload::PageReq {
+            pages: vec![(PageId(3), clock([1, 4, 0]), have)],
+            req_id: 9,
+        };
+        assert_eq!(one(None).wire_size(), 1 + 8 + 4 + (4 + 12 + 1));
+        assert_eq!(one(kept).wire_size() - one(None).wire_size(), 4 + 12);
+
+        // A reply: tag, id, count (4), then per page id, version and body.
+        let ready = [
             (PageId(3), clock([1, 5, 0]), delta),
             (PageId(9), clock([0, 0, 0]), full),
         ];
-        let mut w = ByteWriter::new();
-        w.put_u8(0);
-        w.put_u64(9);
-        w.put_u64(pages.len() as u64);
-        for (page, version, body) in &pages {
-            w.put_u32(page.0);
-            put_vt(&mut w, version);
-            put_page_body(&mut w, body);
+        for pages in [&ready[..], &ready[..1], &ready[1..]] {
+            let mut w = ByteWriter::new();
+            w.put_u8(0);
+            w.put_u64(9);
+            w.put_u32(pages.len() as u32);
+            for (page, version, body) in pages {
+                w.put_u32(page.0);
+                put_vt(&mut w, version);
+                put_page_body(&mut w, body);
+            }
+            let (clocks, pages, req_id) = (pages.len(), pages.to_vec(), 9);
+            let reply = Payload::PageReply { req_id, pages };
+            assert_eq!(w.len(), reply.wire_size() + 8 * clocks);
         }
-        let batch = Payload::PageBatchReply { req_id: 9, pages };
-        assert_eq!(w.len(), batch.wire_size() + 8 * 2);
     }
 
     /// What recovery grew — the handshake's `p0.v` list and diff entries,

@@ -272,57 +272,6 @@ impl Diff {
     }
 }
 
-/// The pre-optimization byte-slice diffing, retained as an executable
-/// reference: property tests assert the u64 fast path produces identical
-/// runs, and the `diff` microbench quotes it as the "before" number.
-pub mod reference {
-    use super::*;
-
-    /// A run produced by the reference implementation (owns its bytes, as
-    /// the original `DiffRun` did).
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct NaiveRun {
-        /// Byte offset of the run within the page.
-        pub offset: u32,
-        /// The new contents of the run.
-        pub bytes: Vec<u8>,
-    }
-
-    /// Word-by-word `[u8]` slice comparison, one `Vec<u8>` per run — the
-    /// exact shape of `Diff::create` before the zero-copy rework. Returns an
-    /// empty vector when the page is unchanged.
-    pub fn create(twin: &Page, current: &Page) -> Vec<NaiveRun> {
-        assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
-        let a = twin.bytes();
-        let b = current.bytes();
-        let mut runs: Vec<NaiveRun> = Vec::new();
-        let mut run_start: Option<usize> = None;
-        let words = a.len() / PAGE_ALIGN_WORD;
-        for w in 0..words {
-            let off = w * PAGE_ALIGN_WORD;
-            let same = a[off..off + PAGE_ALIGN_WORD] == b[off..off + PAGE_ALIGN_WORD];
-            match (same, run_start) {
-                (false, None) => run_start = Some(off),
-                (true, Some(start)) => {
-                    runs.push(NaiveRun {
-                        offset: start as u32,
-                        bytes: b[start..off].to_vec(),
-                    });
-                    run_start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = run_start {
-            runs.push(NaiveRun {
-                offset: start as u32,
-                bytes: b[start..].to_vec(),
-            });
-        }
-        runs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,54 +369,5 @@ mod tests {
         let d = Diff::create(PageId(2), iv(1, 3), &twin, &cur).unwrap();
         let rebuilt = Diff::from_runs(PageId(2), iv(1, 3), d.runs().map(|(o, b)| (o as u32, b)));
         assert_eq!(d, rebuilt);
-    }
-
-    #[test]
-    fn dense_page_diff_is_one_bulk_run_matching_reference() {
-        // The dirty_words_512 shape: every word of the page modified. The
-        // fast path must produce a single page-sized run via one bulk copy
-        // (not a per-word append) and still match the reference exactly.
-        let twin = Page::zeroed(4096);
-        let mut cur = twin.clone();
-        for w in 0..512 {
-            cur.write(
-                w * PAGE_ALIGN_WORD,
-                &(w as u64).wrapping_add(1).to_ne_bytes(),
-            );
-        }
-        let d = Diff::create(PageId(0), iv(0, 1), &twin, &cur).unwrap();
-        assert_eq!(d.run_count(), 1);
-        assert_eq!(d.payload_bytes(), 4096);
-        let naive = reference::create(&twin, &cur);
-        assert_eq!(naive.len(), 1);
-        assert_eq!(runs_of(&d), vec![(0usize, naive[0].bytes.clone())]);
-
-        // Mostly dirty with periodic clean words: run boundaries must agree
-        // with the reference even when runs close mid-block.
-        let mut holey = twin.clone();
-        for w in 0..512 {
-            if w % 7 != 0 {
-                holey.write(w * PAGE_ALIGN_WORD, &[0xCD; 8]);
-            }
-        }
-        let d = Diff::create(PageId(0), iv(0, 1), &twin, &holey).unwrap();
-        let naive = reference::create(&twin, &holey);
-        let fast: Vec<(u32, Vec<u8>)> = d.runs().map(|(o, b)| (o as u32, b.to_vec())).collect();
-        let slow: Vec<(u32, Vec<u8>)> = naive.into_iter().map(|r| (r.offset, r.bytes)).collect();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn fast_path_matches_reference_implementation() {
-        let twin = Page::zeroed(256);
-        let mut cur = twin.clone();
-        cur.write(0, &[1; 8]);
-        cur.write(24, &[2; 32]);
-        cur.write(248, &[3; 8]);
-        let d = Diff::create(PageId(0), iv(0, 1), &twin, &cur).unwrap();
-        let naive = reference::create(&twin, &cur);
-        let fast: Vec<(u32, Vec<u8>)> = d.runs().map(|(o, b)| (o as u32, b.to_vec())).collect();
-        let slow: Vec<(u32, Vec<u8>)> = naive.into_iter().map(|r| (r.offset, r.bytes)).collect();
-        assert_eq!(fast, slow);
     }
 }

@@ -148,17 +148,19 @@ pub struct LatencyHists {
     pub rec_log_collect: Histogram,
     /// Recovery: deterministic replay.
     pub rec_replay: Histogram,
-    /// Pages per batched prefetch request (a counter, in pages).
+    /// Pages per `PageReq` sent, one-page demand misses included (a
+    /// counter, in pages).
     pub fetch_batch_pages: Histogram,
     /// Waiting for a home-store shard lock on the service fast path.
     pub shard_lock_wait: Histogram,
-    /// First touch satisfied by a prefetch already in flight (wait until
-    /// installed).
+    /// A fault that found its page in flight and that request made it ready
+    /// (wait until installed).
     pub prefetch_hit: Histogram,
-    /// First touch of a page the prefetch left out, served by the fault's
-    /// own batch with its left-out neighbours (wait until installed), or
-    /// one whose prefetch was dropped or stale (wait until the miss was
-    /// detected; the fault then falls back to its own `PageReq`).
+    /// A fault on a page the prefetch left out, served by the fault's own
+    /// request with whatever neighbours were left out too, or one whose
+    /// request was lost (sent again after a timeout) or overtaken by a newer
+    /// invalidation (wait until installed, or until the stale reply came).
+    /// A cold miss — the filter had no part in it — is neither.
     pub prefetch_miss: Histogram,
     /// Heartbeat round-trip time (ping sent to matching pong received).
     pub heartbeat_rtt: Histogram,

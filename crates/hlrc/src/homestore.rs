@@ -3,9 +3,9 @@
 //! The authoritative copies a node homes — page bytes, version vector
 //! `p.v`, pending `needed` version, writer set, and the current interval's
 //! twin — live here behind per-shard locks instead of the node's big state
-//! lock. That lets the service thread serve `PageReq`/`PageBatchReq` traffic
-//! and apply incoming diffs concurrently with application compute, which
-//! only touches the shards it reads or writes.
+//! lock. That lets the service thread serve `PageReq` traffic and apply
+//! incoming diffs concurrently with application compute, which only touches
+//! the shards it reads or writes.
 //!
 //! Lock hierarchy (see DESIGN.md): shard locks are *leaf* locks. A thread
 //! holding a shard lock must not acquire the node's big lock, the sync-state

@@ -347,6 +347,30 @@ fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
     assert!(ckpts > 0, "no victim ever checkpointed");
 }
 
+/// One fetch path under loss. With half of all `PageReply`s dropped — then
+/// half of all `PageReq`s — a fault keeps waiting on its page's entry and
+/// each retry period sends the request that covers it again, under the same
+/// id: there is no second way to ask. The soak kernel must finish
+/// bit-identical to the reliable run.
+#[test]
+fn a_lost_fetch_is_asked_again_under_its_id_until_the_page_lands() {
+    let seed = seed_from_env();
+    let clean = run(cfg().with_seed(seed), &[], app);
+    for kind in ["PageReply", "PageReq"] {
+        let plan = FaultPlan::new(0).with_rule(FaultRule::all().of_kind(kind).dropping(0.5));
+        let lossy = run(cfg().with_seed(seed).with_chaos(plan), &[], app);
+        assert_eq!(
+            (&clean.results, clean.shared_hash),
+            (&lossy.results, lossy.shared_hash),
+            "run diverged with {kind} dropped (FTDSM_SEED={seed:#x})"
+        );
+        assert!(
+            lossy.total_traffic().chaos_dropped > 0 && lossy.total_retransmits() > 0,
+            "no dropped {kind} was ever retransmitted (FTDSM_SEED={seed:#x})"
+        );
+    }
+}
+
 /// A partition that heals: the minority side must be suspected (possibly
 /// even declared down) and then rescinded or re-admitted, and the run must
 /// still finish with correct results.

@@ -115,8 +115,8 @@ fn mixed_kernel_with_many_locks_and_crash() {
 
 /// A home crashes while batched prefetches are in flight: every barrier
 /// invalidates each reader's copies of every writer's pages, so the nodes
-/// issue `PageBatchReq` bursts continuously. Crashing a home at various
-/// points lands crashes between a batch request and its reply; the
+/// issue many-page `PageReq` bursts continuously. Crashing a home at various
+/// points lands crashes between a request and its reply; the
 /// requesters must retransmit on `NodeUp` and recovery replay must still
 /// converge bit-identically.
 #[test]
@@ -265,13 +265,17 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
             .find(|(k, _)| *k == kind)
             .map_or(0, |&(_, c)| c)
     };
-    // Round 0: never held, so wanted — one batch, which the first read finds
-    // in flight. 1: every copy was read, one batch refetches them. 2: none of
-    // those was, nothing is asked for. 3: nor now, and the sweep's misses on
-    // pages 0, 16 and 32 each bring the pages after them. 4: page 5 was read
-    // in the sweep and is prefetched alone. 5: that copy was not, and with
-    // no left-out neighbour its miss is a `PageReq`.
-    assert_eq!((sent("PageReq"), sent("PageBatchReq")), (1, 6));
+    // Round 0: never held, so wanted — one request, which the first read
+    // finds in flight. 1: every copy was read, one request refetches them.
+    // 2: none of those was, nothing is asked for. 3: nor now, and the sweep's
+    // misses on pages 0, 16 and 32 each bring the pages after them. 4: page 5
+    // was read in the sweep and is prefetched alone. 5: that copy was not,
+    // and its miss finds no neighbour left out to bring.
+    assert_eq!((sent("PageReq"), sent("PageReply")), (7, 7));
+    // Those two are every kind a fetch has.
+    let kinds = r.total_msg_kinds();
+    let of_fetches = kinds.iter().filter(|(k, _)| k.starts_with("Page"));
+    assert_eq!(of_fetches.count(), 2);
     let counts = ftdsm_suite::PrefetchCounts {
         prefetched: 40 + 40 + 37 + 1,
         prefetched_used: 40 + 37,
@@ -280,10 +284,12 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
     };
     assert_eq!(r.total_prefetch(), counts);
     assert_eq!(r.nodes[0].prefetch, Default::default());
-    // A fault its own batch served is a miss, not a hit (round 5's
-    // `PageReq` waits on no batch and records neither).
+    // A fault on a left-out page is a miss, with neighbours or without: as
+    // many as the filter guessed wrong. Round 0's first read is the hit.
     let h = r.total_hists();
-    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (1, 3));
+    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (1, 4));
+    assert_eq!(h.prefetch_miss.count(), counts.skipped_then_missed);
+    assert_eq!(h.fetch_batch_pages.count(), sent("PageReq"));
 }
 
 /// A lock only its manager ever takes is self-granted every time, which

@@ -133,8 +133,8 @@ fn fixed_seed_two_node_exchange_exports_cross_node_flows() {
     assert!(!report.phases.is_empty(), "no phase attribution collected");
     let kinds: BTreeSet<&str> = report.phases.iter().map(|&(k, _)| k).collect();
     for expected in [
-        "PageBatchReq",
-        "PageBatchReply",
+        "PageReq",
+        "PageReply",
         "DiffBatch",
         "LockAcq",
         "BarrierArrive",
@@ -153,7 +153,7 @@ fn fixed_seed_two_node_exchange_exports_cross_node_flows() {
 
 /// Service-time coverage: every message kind the cluster *sent* must show
 /// up as a service-time bucket, including the kinds added after PR 3 —
-/// DiffAck, the heartbeat family, and batch replies.
+/// DiffAck, the heartbeat family, and page replies.
 #[test]
 fn every_sent_message_kind_gets_a_service_time_bucket() {
     let report = run(
@@ -181,7 +181,7 @@ fn every_sent_message_kind_gets_a_service_time_bucket() {
         );
     }
     // The run must actually exercise the once-unattributed kinds: acks,
-    // heartbeats, batched page replies, and the recovery protocol. The
+    // heartbeats, page fetches, and the recovery protocol. The
     // suspicion round (`SuspectQuery`/`SuspectReply`/`DownAnnounce`) is not
     // required: a restart faster than the heartbeat timeout is detected
     // from the newer incarnation alone and sends none of them.
@@ -189,8 +189,8 @@ fn every_sent_message_kind_gets_a_service_time_bucket() {
         "DiffAck",
         "HbPing",
         "HbPong",
-        "PageBatchReq",
-        "PageBatchReply",
+        "PageReq",
+        "PageReply",
         "RecLogReq",
         "RecLogReply",
     ] {
