@@ -389,8 +389,8 @@ fn do_protocol(scale: &Scale) {
     let r = run_app(App::WaterSp, scale.ft_config(App::WaterSp));
     print_hists("latency (all nodes merged)", &r.total_hists());
     println!("\nfetches installed as deltas (diffs onto the kept copy, not the page):");
-    println!("  fetch_delta_pages {:>8}", r.fetch_delta_pages());
-    println!("  fetch_delta_bytes {:>8}", r.fetch_delta_bytes());
+    println!("  fetch_delta_pages {:>8}", r.total().fetch_delta_pages);
+    println!("  fetch_delta_bytes {:>8}", r.total().fetch_delta_bytes);
     println!(
         "  of installs       {:>8}",
         r.total_hists().fetch_copy.count()
@@ -398,9 +398,9 @@ fn do_protocol(scale: &Scale) {
     // Over the three applications: on either Water alone most of what is
     // prefetched is the first barrier's round of never-held pages, about
     // which the use bit knows nothing (Table 2 has the ratio per app).
-    let mut pf = r.total_prefetch();
+    let mut pf = r.total().prefetch;
     for app in [App::Barnes, App::WaterNsq] {
-        pf += run_app(app, scale.ft_config(app)).total_prefetch();
+        pf += run_app(app, scale.ft_config(app)).total().prefetch;
     }
     println!(
         "\npages asked for ahead of their first access, and what came of it (all three apps):"

@@ -65,9 +65,6 @@ pub enum CkptPolicy {
 pub struct FtConfig {
     /// Checkpoint policy.
     pub policy: CkptPolicy,
-    /// Maximum number of per-page `p0.v[writer]` integers piggybacked on a
-    /// single home→writer message (the lazy CGC/LLT propagation).
-    pub piggy_page_batch: usize,
     /// Take a *full anchor* checkpoint every this many checkpoints; the
     /// ones in between are *deltas* that save only the homed pages written
     /// since the previous checkpoint. This is the longest chain recovery
@@ -82,7 +79,6 @@ impl Default for FtConfig {
     fn default() -> Self {
         FtConfig {
             policy: CkptPolicy::LogOverflow { l: 0.1 },
-            piggy_page_batch: 32,
             anchor_every: 1,
         }
     }

@@ -168,6 +168,14 @@ impl VolatileLogs {
         }
     }
 
+    /// Fail-stop: every entry is lost. The byte counters are statistics of
+    /// the run, not of the incarnation, and keep counting.
+    pub fn clear(&mut self) {
+        let counters = self.counters;
+        *self = VolatileLogs::new(self.me, self.n);
+        self.counters = counters;
+    }
+
     /// Cumulative created/discarded counters.
     pub fn counters(&self) -> LogCounters {
         self.counters

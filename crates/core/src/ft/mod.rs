@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_metrics::Registry;
 use dsm_page::{elementwise_min, Diff, PageId, ProcId, VectorClock};
 use dsm_storage::{SegmentKind, StableStore};
 use dsm_trace::{EventKind, TrimRule};
@@ -102,10 +101,10 @@ impl FtState {
     /// the blobs the restart `image` was made of) and the image's own
     /// checkpoint bookkeeping — and what was known about the peers is
     /// forgotten (their next piggybacks teach it again). Configuration, the
-    /// store, the statistics and the piggyback cursor survive.
+    /// store, the statistics — the logs' byte counters among them — and the
+    /// piggyback cursor survive.
     pub(crate) fn restart_from(
         &mut self,
-        me: ProcId,
         n: usize,
         image: &CheckpointBlob,
         window: Vec<RetainedCkpt>,
@@ -120,7 +119,7 @@ impl FtState {
         // delta segments written since. Saves are disjoint from each other,
         // so merging is a plain append; segments at or below the anchor are
         // stale leftovers the anchor's full save already subsumes.
-        self.logs = VolatileLogs::new(me, n);
+        self.logs.clear();
         let anchor = self.last_anchor_seq();
         for id in self.store.segment_ids(SegmentKind::Log) {
             if id != 0 && id <= anchor {
@@ -182,6 +181,10 @@ impl FtState {
     }
 }
 
+/// Most per-page `p0.v[writer]` integers piggybacked on a single home→writer
+/// message (the lazy CGC/LLT propagation).
+const PIGGY_PAGE_BATCH: usize = 32;
+
 /// The fault-tolerance layer of one node. It is there in base-HLRC runs too
 /// (the retry layer's outbox works without logging); everything else it does
 /// is a no-op until `state` is set.
@@ -225,7 +228,7 @@ impl FtSvc {
     /// Restart (see [`FtState::restart_from`]).
     pub(crate) fn restart_from(&mut self, image: &CheckpointBlob, window: Vec<RetainedCkpt>) {
         let ft = self.state.as_mut().expect("recovery requires FT");
-        ft.restart_from(self.me, self.n, image, window);
+        ft.restart_from(self.n, image, window);
     }
 
     /// The log hook: where the base protocol records its intervals, grants
@@ -269,10 +272,9 @@ impl FtSvc {
             pt.homed_pages()
         };
         if !homed.is_empty() {
-            let batch = ft.cfg.piggy_page_batch;
             let start = ft.piggy_cursor % homed.len();
             for k in 0..homed.len() {
-                if p0v.len() >= batch {
+                if p0v.len() >= PIGGY_PAGE_BATCH {
                     break;
                 }
                 let page = homed[(start + k) % homed.len()];
@@ -382,27 +384,21 @@ impl FtSvc {
         }
     }
 
-    /// Publish the outbox depth and checkpoint counts of this node.
-    pub(crate) fn sample(&self, reg: &Registry) {
-        let me = self.me;
-        reg.gauge(&format!("node_diff_outbox_depth{{node=\"{me}\"}}"))
-            .set(self.diffs.depth() as i64);
-        if let Some(ft) = &self.state {
-            reg.counter(&format!("ckpts_taken_total{{node=\"{me}\"}}"))
-                .store(ft.report.ckpts_taken);
-            reg.counter(&format!("ckpts_delta_total{{node=\"{me}\"}}"))
-                .store(ft.report.delta_ckpts);
-        }
+    /// Diff batches queued and not yet acknowledged.
+    pub(crate) fn outbox_depth(&self) -> usize {
+        self.diffs.depth()
     }
 
-    /// The layer's statistics at teardown.
-    pub(crate) fn report(&mut self) -> FtReport {
-        let Some(ft) = &mut self.state else {
+    /// The layer's statistics so far.
+    pub(crate) fn report(&self) -> FtReport {
+        let Some(ft) = &self.state else {
             return FtReport::default();
         };
-        ft.report.log_counters = ft.logs.counters();
-        ft.report.store = ft.store.stats();
-        ft.report.clone()
+        FtReport {
+            log_counters: ft.logs.counters(),
+            store: ft.store.stats(),
+            ..ft.report.clone()
+        }
     }
 }
 
@@ -691,7 +687,6 @@ pub(crate) fn take_checkpoint(
     let live_log = ft.store.live_bytes(SegmentKind::Log);
     ft.report.max_stable_log_bytes = ft.report.max_stable_log_bytes.max(live_log);
     ft.report.stable_log_curve.push((seq, live_log));
-    ft.report.log_counters = ft.logs.counters();
 
     // Bound the write-notice table: every process has checkpointed past the
     // elementwise minimum of the checkpoint timestamps, so no future grant
@@ -759,15 +754,20 @@ mod tests {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let retry = Some(Duration::from_millis(5));
         let mut svc = FtSvc::new(me, n, Some(ft_state(me, n, &store)), retry);
-        {
-            let ft = svc.state.as_mut().unwrap();
+        // One interval logged, its write notice trimmed: bytes created and
+        // bytes discarded, which the run's report must not forget.
+        let log_and_trim = |logs: &mut VolatileLogs| {
             let twin = dsm_page::Page::zeroed(64);
             let mut cur = twin.clone();
             cur.write(0, &[5]);
             let iv = dsm_page::Interval { proc: me, seq: 5 };
             let d = Arc::new(Diff::create(PageId(0), iv, &twin, &cur).unwrap());
-            ft.logs
-                .log_interval(5, vec![PageId(0)], &vt([3, 5, 1]), &[d]);
+            logs.log_interval(5, vec![PageId(0)], &vt([3, 5, 1]), &[d]);
+            logs.trim_rule1(5);
+        };
+        {
+            let ft = svc.state.as_mut().unwrap();
+            log_and_trim(&mut ft.logs);
             ft.tckp[0] = vt([2, 0, 0]);
             ft.peer_ckpt_seq[0] = 3;
             ft.peer_ckpt_episode[0] = 1;
@@ -780,16 +780,24 @@ mod tests {
             ft.piggy_cursor = 2;
             ft.report.ckpts_taken = 3;
         }
+        let before = svc.report().log_counters;
+        assert!(before.created_bytes > before.discarded_bytes && before.discarded_bytes > 0);
         svc.fail_stop();
         svc.restart_from(&CheckpointBlob::genesis(n), Vec::new());
 
+        // The logs' entries are gone, their byte counters are not: what a
+        // later checkpoint saves was created once and is counted once
+        // (`log_bytes_saved` ≤ `created_bytes` over any number of crashes).
+        assert_eq!(svc.report().log_counters, before);
         let mut report = FtReport::default();
         (report.ckpts_taken, report.recoveries) = (3, 1);
-        let survivors = FtState {
+        let mut survivors = FtState {
             piggy_cursor: 2,
             report,
             ..ft_state(me, n, &store)
         };
+        log_and_trim(&mut survivors.logs);
+        survivors.logs.clear();
         assert_eq!(svc, FtSvc::new(me, n, Some(survivors), retry));
     }
 }

@@ -325,7 +325,6 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     // ---- Phase 1: restore from the restart checkpoint ----------------------
     let t_recovery = Instant::now();
     let mut st = shared.state.lock();
-    st.recoveries += 1;
 
     // Everything still on stable storage (ids ascend with `seq`), the
     // retained window over it, and the one image to restart from — the

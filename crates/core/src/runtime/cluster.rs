@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsm_member::MemberConfig;
-use dsm_metrics::Registry;
+use dsm_metrics::{labelled, FlightSource, Snapshot, TimeSeries};
 use dsm_net::Fabric;
 use dsm_storage::StableStore;
 use dsm_trace::{EventSink, Trace, TraceConfig};
@@ -39,59 +39,20 @@ fn install_crash_hook() {
     });
 }
 
-/// Sample the cluster's live counters into the registry and snapshot it.
-/// Never blocks on a contended lock — the sampler must not perturb the run
-/// (a skipped node is re-sampled next period).
-fn sample_metrics(
-    reg: &Registry,
-    fabric: &Fabric<Msg>,
-    shareds: &[Arc<NodeShared>],
-) -> dsm_metrics::Snapshot {
-    let t = fabric.stats().total();
-    for (name, v) in [
-        ("fabric_msgs_sent_total", t.msgs_sent),
-        ("fabric_base_bytes_sent_total", t.base_bytes_sent),
-        ("fabric_ft_bytes_sent_total", t.ft_bytes_sent),
-        ("fabric_msgs_dropped_total", t.msgs_dropped),
-        ("fabric_chaos_dropped_total", t.chaos_dropped),
-        ("fabric_chaos_delayed_total", t.chaos_delayed),
-        ("fabric_chaos_duplicated_total", t.chaos_duplicated),
-        ("fabric_partition_blocked_total", t.partition_blocked),
-    ] {
-        reg.counter(name).store(v);
-    }
+/// What the cluster's metrics are `ts_ns` into the run: the metric table of
+/// a fresh [`NodeState::report`] of every node. Never blocks — it is what the
+/// sampler calls during the run and the panic hook at the moment of death: a
+/// node whose lock is held is left out (of a periodic sample, until the next).
+fn snapshot(ts_ns: u64, fabric: &Fabric<Msg>, shareds: &[Arc<NodeShared>]) -> Snapshot {
+    let mut snap = Snapshot::at(ts_ns);
     for s in shareds {
-        if let Some(st) = s.state.try_lock() {
-            let me = st.me;
-            let (pool, hists) = (st.pt.pool_stats(), &st.hists);
-            for (name, v) in [
-                ("node_recoveries", st.recoveries),
-                ("node_retransmits", st.retransmits),
-                ("node_dup_suppressed", st.dup_suppressed),
-                ("release_flush_p50_ns", hists.release_flush.quantile(0.5)),
-                (
-                    "barrier_release_build_p50_ns",
-                    hists.barrier_release_build.quantile(0.5),
-                ),
-                ("ckpt_delta_pages_p50", hists.ckpt_delta_pages.quantile(0.5)),
-            ] {
-                reg.gauge(&format!("{name}{{node=\"{me}\"}}")).set(v as i64);
-            }
-            for (name, v) in [
-                ("pool_hits_total", pool.hits),
-                ("pool_misses_total", pool.misses),
-                ("pool_recycled_total", pool.recycled),
-            ] {
-                reg.counter(&format!("{name}{{node=\"{me}\"}}")).store(v);
-            }
-            st.ft.sample(reg);
-            st.fetch.sample(reg, me);
-            if let Some(member) = &st.member {
-                member.sample(reg, me);
-            }
+        let traffic = fabric.stats().node(s.me);
+        let report = s.state.try_lock().and_then(|st| st.report(traffic));
+        for (name, value) in report.iter().flat_map(NodeReport::metrics) {
+            snap.insert(labelled(&name, "node", s.me), value);
         }
     }
-    reg.snapshot()
+    snap
 }
 
 /// Run an SPMD application on a simulated cluster.
@@ -129,8 +90,6 @@ where
     if let Some(m) = &monitor {
         trace.set_sink(Some(Arc::clone(m) as Arc<dyn EventSink>));
     }
-    let metrics_registry = Registry::new();
-    metrics_registry.register_flight_recorder();
     let inject_stale_apply = config
         .inject_stale_apply
         .then(|| Arc::new(AtomicBool::new(true)));
@@ -212,36 +171,34 @@ where
             .collect(),
     };
 
-    // Periodic metrics sampler: one thread, snapshots every `every` into an
-    // in-memory series (and a JSONL file when configured). A final snapshot
-    // is always taken at teardown, so even a short run reports metrics.
+    // One closure says what the metrics are now: the panic-time dump calls
+    // it (registered weakly: it dies with this run), the periodic sampler
+    // does, and teardown does for a sampled run's closing snapshot.
+    let take_snapshot: Arc<FlightSource> = {
+        let (fabric, shareds, epoch) = (fabric.clone(), shareds.clone(), Instant::now());
+        Arc::new(move || snapshot(epoch.elapsed().as_nanos() as u64, &fabric, &shareds))
+    };
+    dsm_metrics::register_flight_source(&take_snapshot);
+    // The periodic sampler: one thread, a snapshot every `every` into the
+    // series it hands back (and onto the JSONL file when one is configured).
+    let metrics_out = config.metrics.as_ref().and_then(|m| m.out.clone());
     let metrics_stop = Arc::new(AtomicBool::new(false));
-    let metrics_series = Arc::new(Mutex::new(dsm_metrics::TimeSeries::new()));
-    let metrics_handle = config.metrics.clone().map(|mcfg| {
-        let reg = metrics_registry.clone();
-        let fabric = fabric.clone();
-        let shareds = shareds.clone();
-        let stop = Arc::clone(&metrics_stop);
-        let series = Arc::clone(&metrics_series);
+    let metrics_handle = config.metrics.as_ref().map(|mcfg| {
+        let (every, stop, out) = (mcfg.every, Arc::clone(&metrics_stop), metrics_out.clone());
+        let take_snapshot = Arc::clone(&take_snapshot);
         std::thread::Builder::new()
             .name("dsm-metrics".into())
             .spawn(move || {
-                use std::io::Write;
-                let mut out = mcfg.out.as_ref().and_then(|p| {
-                    std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(p)
-                        .ok()
-                });
+                let mut series = TimeSeries::new();
                 while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(mcfg.every);
-                    let snap = sample_metrics(&reg, &fabric, &shareds);
-                    if let Some(f) = out.as_mut() {
-                        let _ = writeln!(f, "{}", snap.to_jsonl());
+                    std::thread::sleep(every);
+                    let snap = take_snapshot();
+                    if let Some(path) = &out {
+                        snap.append_jsonl(path);
                     }
-                    series.lock().push(snap);
+                    series.push(snap);
                 }
+                series
             })
             .expect("spawn metrics sampler")
     });
@@ -370,28 +327,20 @@ where
         let _ = h.join();
     }
 
-    // Stop the metrics sampler and take the closing snapshot.
+    // Stop the metrics sampler; a sampled run ends its series with a closing
+    // snapshot, so that even a short one has the final state.
     metrics_stop.store(true, Ordering::SeqCst);
+    let mut metrics = TimeSeries::new();
     if let Some(h) = metrics_handle {
-        let _ = h.join();
-    }
-    let final_snap = sample_metrics(&metrics_registry, &fabric, &shareds);
-    let mut metrics = metrics_series.lock().clone();
-    if let Some(mcfg) = &config.metrics {
-        if let Some(path) = &mcfg.out {
-            use std::io::Write;
-            if let Ok(mut f) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                let _ = writeln!(f, "{}", final_snap.to_jsonl());
-            }
+        metrics = h.join().unwrap_or_default();
+        let final_snap = take_snapshot();
+        if let Some(path) = &metrics_out {
             // Final state in Prometheus exposition format next to the JSONL.
+            final_snap.append_jsonl(path);
             let _ = std::fs::write(path.with_extension("prom"), final_snap.to_prometheus());
         }
+        metrics.push(final_snap);
     }
-    metrics.push(final_snap);
 
     // The monitor's verdict: fail the run loudly on the first violation,
     // with the offending causal flow stitched from the trace.
@@ -435,35 +384,11 @@ where
         hash ^= ph;
         hash = hash.wrapping_mul(0x100000001b3);
     }
-    for (i, s) in shareds.iter().enumerate() {
-        let mut st = s.state.lock();
+    for s in &shareds {
+        let st = s.state.lock();
         shared_bytes = shared_bytes.max(st.shared_bytes());
-        // Fold the member layer's off-big-lock samples and counters in.
-        let member = st.member.clone().map(|m| m.fold_into(&mut st.hists));
-        let mut breakdown = st.breakdown_acc;
-        breakdown.protocol += st.svc_time_by_kind.values().sum::<Duration>();
-        let ft = st.ft.report();
-        let mut svc_time_by_kind: Vec<_> =
-            st.svc_time_by_kind.iter().map(|(&k, &d)| (k, d)).collect();
-        svc_time_by_kind.sort_unstable_by_key(|&(k, _)| k);
-        let (fetch_delta_pages, fetch_delta_bytes) = st.pt.delta_installs();
-        nodes.push(NodeReport {
-            breakdown,
-            traffic: fabric.stats().node(i).snapshot(),
-            ft,
-            ops: st.ops,
-            hists: st.hists.clone(),
-            pool: st.pt.pool_stats(),
-            svc_time_by_kind,
-            msg_kinds: fabric.stats().node(i).kind_counts(),
-            msg_kind_bytes: fabric.stats().node(i).kind_bytes(),
-            member: member.unwrap_or_default(),
-            retransmits: st.retransmits,
-            dup_suppressed: st.dup_suppressed,
-            fetch_delta_pages,
-            fetch_delta_bytes,
-            prefetch: st.fetch.counts(),
-        });
+        let report = st.report(fabric.stats().node(s.me));
+        nodes.push(report.expect("every thread of the node has exited"));
     }
 
     RunReport {

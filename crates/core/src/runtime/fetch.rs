@@ -9,7 +9,6 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use dsm_metrics::Registry;
 use dsm_page::{PageId, ProcId, VectorClock};
 use hlrc::{Have, PageBody, PageState};
 
@@ -87,19 +86,6 @@ impl FetchSvc {
     /// The prefetch counters, for the node report.
     pub(crate) fn counts(&self) -> PrefetchCounts {
         self.counts
-    }
-
-    /// Publish the prefetch counters of node `me`.
-    pub(crate) fn sample(&self, reg: &Registry, me: ProcId) {
-        let pc = self.counts;
-        for (name, v) in [
-            ("prefetched_total", pc.prefetched),
-            ("prefetched_used_total", pc.prefetched_used),
-            ("prefetch_skipped_total", pc.prefetch_skipped),
-            ("skipped_then_missed_total", pc.skipped_then_missed),
-        ] {
-            reg.counter(&format!("{name}{{node=\"{me}\"}}")).store(v);
-        }
     }
 
     fn take_req_id(&mut self) -> u64 {

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsm_member::{Action as MemberAction, Detector, MemberConfig, MemberStats, Wire};
-use dsm_metrics::Registry;
 use dsm_net::Endpoint;
 use dsm_page::ProcId;
 use dsm_trace::{EventKind, Histogram, LatencyHists, NodeTracer};
@@ -25,8 +24,8 @@ use crate::runtime::node::{handle_node_up, Mode, NodeShared};
 /// that the ticker thread and the service thread drive the detector without
 /// ever touching the big state lock (heartbeat processing must not stall
 /// behind a computing application thread, or peers falsely suspect us).
-/// The sample histograms are folded into the node's [`LatencyHists`] at
-/// teardown. Lock order: never hold `det` while taking the big lock is
+/// The sample histograms are folded into the [`LatencyHists`] of each node
+/// report. Lock order: never hold `det` while taking the big lock is
 /// *allowed* (big → det at the crash path), so action application always
 /// drops the detector guard first.
 pub(crate) struct MemberSvc {
@@ -65,29 +64,15 @@ impl MemberSvc {
         self.det.lock().begin_new_incarnation(Instant::now());
     }
 
-    /// Teardown: fold the off-big-lock samples into `hists` and return the
-    /// detector's counters.
-    pub(crate) fn fold_into(&self, hists: &mut LatencyHists) -> MemberStats {
-        hists.heartbeat_rtt.merge(&self.rtt.lock());
-        hists.suspicion_latency.merge(&self.susp.lock());
-        self.det.lock().stats()
-    }
-
-    /// Publish the detector's counters of node `me`, unless the detector is
-    /// busy (the sampler must not perturb the run).
-    pub(crate) fn sample(&self, reg: &Registry, me: ProcId) {
-        let Some(det) = self.det.try_lock() else {
-            return;
-        };
-        let ms = det.stats();
-        for (name, v) in [
-            ("member_suspicions_total", ms.suspicions),
-            ("member_down_events_total", ms.down_events),
-            ("member_up_events_total", ms.up_events),
-            ("member_pings_sent_total", ms.pings_sent),
-        ] {
-            reg.counter(&format!("{name}{{node=\"{me}\"}}")).store(v);
-        }
+    /// For a node report: fold the off-big-lock samples into its `hists` and
+    /// return the detector's counters. Never waits — a report may be taken
+    /// mid-run or from a panic hook: `None` while the ticker or the service
+    /// thread holds one of the three.
+    pub(crate) fn fold_into(&self, hists: &mut LatencyHists) -> Option<MemberStats> {
+        let stats = self.det.try_lock()?.stats();
+        hists.heartbeat_rtt.merge(&*self.rtt.try_lock()?);
+        hists.suspicion_latency.merge(&*self.susp.try_lock()?);
+        Some(stats)
     }
 
     /// Apply the actions the [`Detector`] produced. Must be called *without*

@@ -33,13 +33,13 @@
 //! lock keeps the rarely-contended rest: mode, waits, FT logs, recovery
 //! state. Lock order is big → sync → shard; shard locks are leaves.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsm_member::MemberConfig;
-use dsm_net::{Endpoint, Event};
+use dsm_net::{Endpoint, Event, NodeTraffic};
 use dsm_page::{Interval, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
 use hlrc::{PageTable, WnTable, WriteNotice};
@@ -53,6 +53,7 @@ use crate::runtime::fetch::{self, FetchSvc};
 use crate::runtime::home::{self, HomeSvc, Served};
 use crate::runtime::member::MemberSvc;
 use crate::runtime::sync::{self, SyncSvc};
+use crate::stats::NodeReport;
 
 /// Panic payload used to simulate a fail-stop crash of the application
 /// thread at a DSM operation boundary.
@@ -177,7 +178,6 @@ pub(crate) struct NodeState {
     pub ops: u64,
     /// Scripted failures (ascending op counts).
     pub crash_queue: Vec<u64>,
-    pub recoveries: u64,
     /// Requests and diff batches retransmitted after a timeout.
     pub retransmits: u64,
     /// Duplicate or stale deliveries suppressed by the idempotency gates
@@ -186,7 +186,7 @@ pub(crate) struct NodeState {
     /// Protocol handler time, attributed per message kind: the service
     /// thread's (folded in when the service loop exits) and the application
     /// thread's for the replies it handles inside its own waits.
-    pub svc_time_by_kind: HashMap<&'static str, Duration>,
+    pub svc_time_by_kind: BTreeMap<&'static str, Duration>,
     /// The application thread's share of `svc_time_by_kind` since it last
     /// closed a page, lock or barrier wait — which takes it, so that the
     /// time is counted as handler time and not as waiting as well.
@@ -248,14 +248,55 @@ impl NodeState {
             shutdown: false,
             ops: 0,
             crash_queue: Vec::new(),
-            recoveries: 0,
             retransmits: 0,
             dup_suppressed: 0,
-            svc_time_by_kind: HashMap::new(),
+            svc_time_by_kind: BTreeMap::new(),
             own_svc: Duration::ZERO,
             breakdown_acc: Default::default(),
             hists: Default::default(),
         }
+    }
+
+    /// Everything measured on this node so far, over all its incarnations,
+    /// with what `traffic` (the fabric's counters of this node's sends) says
+    /// — the one place a [`NodeReport`] is put together: teardown, the
+    /// periodic sampler and the panic-time dump all call it. Never waits:
+    /// `None` while a home-store shard or one of the membership layer's
+    /// small locks is held (see [`MemberSvc::fold_into`]). Handler time and histograms the service
+    /// loop keeps in locals are folded in when that thread exits, and the
+    /// application thread's breakdown when an incarnation ends, so a mid-run
+    /// report lags them.
+    pub(crate) fn report(&self, traffic: &NodeTraffic) -> Option<NodeReport> {
+        let mut hists = self.hists.clone();
+        let member = match &self.member {
+            Some(m) => m.fold_into(&mut hists)?,
+            None => Default::default(),
+        };
+        let mut breakdown = self.breakdown_acc;
+        breakdown.protocol += self.svc_time_by_kind.values().sum::<Duration>();
+        let (fetch_delta_pages, fetch_delta_bytes) = self.pt.delta_installs();
+        Some(NodeReport {
+            breakdown,
+            traffic: traffic.snapshot(),
+            ft: self.ft.report(),
+            ops: self.ops,
+            hists,
+            pool: self.pt.pool_stats()?,
+            svc_time_by_kind: self
+                .svc_time_by_kind
+                .iter()
+                .map(|(&k, &d)| (k, d))
+                .collect(),
+            msg_kinds: traffic.kind_counts(),
+            msg_kind_bytes: traffic.kind_bytes(),
+            member,
+            retransmits: self.retransmits,
+            dup_suppressed: self.dup_suppressed,
+            fetch_delta_pages,
+            fetch_delta_bytes,
+            prefetch: self.fetch.counts(),
+            diff_outbox_depth: self.ft.outbox_depth() as u64,
+        })
     }
 
     /// Bytes of shared memory allocated so far (page granular).
@@ -853,7 +894,6 @@ pub(crate) mod tests {
         st.wait = waiting_on(1, blocked);
         // ... and what a crash must leave alone.
         st.ops = 40;
-        st.recoveries = 1;
         st.crash_queue = vec![99];
         st.retransmits = 3;
         st.dup_suppressed = 2;
@@ -909,7 +949,7 @@ pub(crate) mod tests {
 
         // Survivors are untouched.
         assert_eq!(st.mode, Mode::Recovering);
-        assert_eq!((st.ops, st.recoveries), (40, 1));
+        assert_eq!(st.ops, 40);
         assert_eq!(st.crash_queue, [99]);
         assert_eq!((st.retransmits, st.dup_suppressed), (3, 2));
         assert_eq!(st.hists.lock_wait.count(), 1);
@@ -1270,5 +1310,97 @@ pub(crate) mod tests {
         ));
         assert!(st.ep.try_recv().is_none());
         assert_eq!(st.dup_suppressed, 0);
+    }
+
+    /// Every `Counter` row of the metric table is a total of the run, not of
+    /// an incarnation: a node that has sent, faulted, logged, checkpointed,
+    /// prefetched and retransmitted reports none of them lower after a crash
+    /// and a restart from its checkpoint. Generic over the table, so a new
+    /// statistic that a restart resets fails here without being named.
+    #[test]
+    fn no_counter_of_the_metric_table_decreases_across_a_crash_and_a_restart() {
+        use crate::ft::ckpt;
+        use dsm_metrics::MetricValue;
+        use dsm_storage::SegmentKind;
+        use std::collections::BTreeMap;
+
+        let (me, n) = (1, 3);
+        let (fabric, endpoints) = Fabric::<Msg>::new(n);
+        let ep = Arc::new(endpoints.into_iter().nth(me).unwrap());
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
+        let retrying = MemberConfig::default();
+        let tracer = NodeTracer::disabled();
+        let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer, Some(&retrying));
+        st.pt.add_page(1); // page 0: homed here
+        st.pt.add_page(2); // page 1: remote
+        let mut bd = Breakdown::default();
+        let write_both = |st: &mut NodeState, bd: &mut Breakdown, byte: u8| {
+            st.pt.install(PageId(1), page_of(0), &VectorClock::zero(n));
+            st.pt.write(PageId(0), 8, &[byte]);
+            st.pt.write(PageId(1), 8, &[byte]);
+            st.close_interval(bd);
+        };
+        // One interval logged and saved by a checkpoint that trims nothing
+        // yet, one logged and lost with the crash.
+        write_both(&mut st, &mut bd, 1);
+        ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
+        write_both(&mut st, &mut bd, 2);
+        st.pt.invalidate(PageId(1), 2, 1);
+        fetch::issue_prefetch(&mut st, &[PageId(1)]);
+        st.retransmit_wait_slot();
+        ft::resend_inflight_diffs(&mut st, 2);
+        st.ops = 40;
+        st.dup_suppressed = 2;
+        st.hists.page_fetch.record(5);
+        *st.svc_time_by_kind.entry("PageReply").or_default() += Duration::from_millis(1);
+        st.breakdown_acc = bd;
+
+        let counters = |st: &NodeState| -> BTreeMap<String, u64> {
+            let report = st
+                .report(fabric.stats().node(me))
+                .expect("nothing is locked");
+            let rows = report.metrics().into_iter();
+            rows.filter_map(|(name, value)| match value {
+                MetricValue::Counter(v) => Some((name, v)),
+                _ => None,
+            })
+            .collect()
+        };
+        let before = counters(&st);
+        for did in [
+            "ops_total",
+            "protocol_ns_total",
+            "fabric_msgs_sent_total",
+            "ckpts_taken_total",
+            "log_created_bytes_total",
+            "log_saved_bytes_total",
+            "store_writes_total",
+            "pool_misses_total",
+            "retransmits_total",
+            "dup_suppressed_total",
+            "prefetched_total",
+            "msgs_sent_by_kind_total{kind=\"DiffBatch\"}",
+            "svc_time_ns_by_kind_total{kind=\"PageReply\"}",
+        ] {
+            assert!(before[did] > 0, "the node has not counted {did}");
+        }
+
+        st.fail_stop();
+        st.set_mode(Mode::Recovering);
+        let blobs = ckpt::load_chain(&store, store.segment_ids(SegmentKind::Checkpoint));
+        let mut window = Vec::new();
+        for b in &blobs {
+            RetainedCkpt::append(&mut window, b);
+        }
+        st.restart_from(&ckpt::restart_image(blobs, n), window);
+
+        let after = counters(&st);
+        assert!(after.keys().eq(before.keys()), "a crash changed the table");
+        for (name, was) in &before {
+            assert!(after[name] >= *was, "{name}: {was} -> {}", after[name]);
+        }
+        assert_eq!(after["recoveries_total"], before["recoveries_total"] + 1);
+        assert!(after["log_saved_bytes_total"] <= after["log_created_bytes_total"]);
     }
 }

@@ -6,10 +6,11 @@
 //! Figure 4). The harness aggregates per-node reports into the paper's
 //! tables.
 
+use std::ops::AddAssign;
 use std::time::Duration;
 
 use dsm_member::MemberStats;
-use dsm_metrics::TimeSeries;
+use dsm_metrics::{labelled, MetricValue, TimeSeries};
 use dsm_net::stats::TrafficSnapshot;
 use dsm_net::PhaseAcc;
 use dsm_page::PoolStats;
@@ -97,6 +98,28 @@ pub struct FtReport {
     pub replayed_pages: u64,
 }
 
+impl FtReport {
+    /// Fold another node's statistics in: totals add, high-water marks take
+    /// the larger; the curve is a node's own and is left alone.
+    fn merge(&mut self, o: &FtReport) {
+        self.ckpts_taken += o.ckpts_taken;
+        self.delta_ckpts += o.delta_ckpts;
+        self.log_counters.created_bytes += o.log_counters.created_bytes;
+        self.log_counters.discarded_bytes += o.log_counters.discarded_bytes;
+        self.log_bytes_saved += o.log_bytes_saved;
+        self.max_stable_log_bytes = self.max_stable_log_bytes.max(o.max_stable_log_bytes);
+        self.max_ckpt_window = self.max_ckpt_window.max(o.max_ckpt_window);
+        self.store.bytes_written += o.store.bytes_written;
+        self.store.ckpt_bytes_written += o.store.ckpt_bytes_written;
+        self.store.log_bytes_written += o.store.log_bytes_written;
+        self.store.writes += o.store.writes;
+        self.store.write_time += o.store.write_time;
+        self.recoveries += o.recoveries;
+        self.recovery_time += o.recovery_time;
+        self.replayed_pages += o.replayed_pages;
+    }
+}
+
 /// What speculative page fetching moved and what came of it. A page is
 /// *prefetched* when a `PageReq` asks for it before any access does:
 /// after an invalidation, if the copy held last was used, or as the
@@ -116,7 +139,7 @@ pub struct PrefetchCounts {
     pub skipped_then_missed: u64,
 }
 
-impl std::ops::AddAssign for PrefetchCounts {
+impl AddAssign for PrefetchCounts {
     fn add_assign(&mut self, o: Self) {
         self.prefetched += o.prefetched;
         self.prefetched_used += o.prefetched_used;
@@ -162,6 +185,134 @@ pub struct NodeReport {
     pub fetch_delta_bytes: u64,
     /// Prefetch traffic against its use.
     pub prefetch: PrefetchCounts,
+    /// Diff batches queued and not acknowledged when the report was taken
+    /// (zero at teardown, and whenever the retry layer is off).
+    pub diff_outbox_depth: u64,
+}
+
+/// Add `other`'s per-kind values to `acc`'s, keeping it sorted by kind.
+fn add_kinds<V: Copy + AddAssign>(acc: &mut Vec<(&'static str, V)>, other: &[(&'static str, V)]) {
+    for &(kind, v) in other {
+        match acc.binary_search_by_key(&kind, |&(k, _)| k) {
+            Ok(i) => acc[i].1 += v,
+            Err(i) => acc.insert(i, (kind, v)),
+        }
+    }
+}
+
+impl NodeReport {
+    /// Fold another node's report in (cluster totals).
+    pub fn merge(&mut self, o: &NodeReport) {
+        self.breakdown = self.breakdown.merged(&o.breakdown);
+        self.traffic = self.traffic + o.traffic;
+        self.ft.merge(&o.ft);
+        self.ops += o.ops;
+        self.hists.merge(&o.hists);
+        self.pool.merge(&o.pool);
+        add_kinds(&mut self.svc_time_by_kind, &o.svc_time_by_kind);
+        add_kinds(&mut self.msg_kinds, &o.msg_kinds);
+        add_kinds(&mut self.msg_kind_bytes, &o.msg_kind_bytes);
+        self.member.suspicions += o.member.suspicions;
+        self.member.false_suspicions += o.member.false_suspicions;
+        self.member.down_events += o.member.down_events;
+        self.member.up_events += o.member.up_events;
+        self.member.pings_sent += o.member.pings_sent;
+        self.retransmits += o.retransmits;
+        self.dup_suppressed += o.dup_suppressed;
+        self.fetch_delta_pages += o.fetch_delta_pages;
+        self.fetch_delta_bytes += o.fetch_delta_bytes;
+        self.prefetch += o.prefetch;
+        self.diff_outbox_depth += o.diff_outbox_depth;
+    }
+
+    /// The metric table: every number of this report under its metric name —
+    /// the one place a name is written (docs/OBSERVABILITY.md §2 lists them,
+    /// and a test holds it to that). A [`MetricValue::Counter`] never
+    /// decreases over a run, crashes included. A per-kind row carries its
+    /// message kind as a `{kind="…"}` label; `stable_log_curve` is the one
+    /// field with no row (a series, not a number). A histogram's name is its
+    /// `LatencyHists::named()` label plus `_ns`, but for the four that count
+    /// bytes, pages or retries.
+    pub fn metrics(&self) -> Vec<(String, MetricValue<'_>)> {
+        use MetricValue::{Counter, Gauge, Hist};
+        let ns = |d: Duration| d.as_nanos() as u64;
+        let (b, t, ft, pf) = (&self.breakdown, &self.traffic, &self.ft, &self.prefetch);
+        let (logs, store, pool, member) = (&ft.log_counters, &ft.store, &self.pool, &self.member);
+        let counters = [
+            ("ops_total", self.ops),
+            ("app_time_ns_total", ns(b.total)),
+            ("page_wait_ns_total", ns(b.page_wait)),
+            ("lock_wait_ns_total", ns(b.lock_wait)),
+            ("barrier_wait_ns_total", ns(b.barrier_wait)),
+            ("protocol_ns_total", ns(b.protocol)),
+            ("logging_ns_total", ns(b.logging)),
+            ("disk_write_ns_total", ns(b.disk_write)),
+            ("fabric_msgs_sent_total", t.msgs_sent),
+            ("fabric_base_bytes_sent_total", t.base_bytes_sent),
+            ("fabric_ft_bytes_sent_total", t.ft_bytes_sent),
+            ("fabric_msgs_dropped_total", t.msgs_dropped),
+            ("fabric_chaos_dropped_total", t.chaos_dropped),
+            ("fabric_chaos_delayed_total", t.chaos_delayed),
+            ("fabric_chaos_duplicated_total", t.chaos_duplicated),
+            ("fabric_partition_blocked_total", t.partition_blocked),
+            ("ckpts_taken_total", ft.ckpts_taken),
+            ("ckpts_delta_total", ft.delta_ckpts),
+            ("log_created_bytes_total", logs.created_bytes),
+            ("log_discarded_bytes_total", logs.discarded_bytes),
+            ("log_saved_bytes_total", ft.log_bytes_saved),
+            ("store_bytes_written_total", store.bytes_written),
+            ("store_ckpt_bytes_written_total", store.ckpt_bytes_written),
+            ("store_log_bytes_written_total", store.log_bytes_written),
+            ("store_writes_total", store.writes),
+            ("store_write_time_ns_total", ns(store.write_time)),
+            ("recoveries_total", ft.recoveries),
+            ("recovery_time_ns_total", ns(ft.recovery_time)),
+            ("replayed_pages_total", ft.replayed_pages),
+            ("pool_hits_total", pool.hits),
+            ("pool_misses_total", pool.misses),
+            ("pool_recycled_total", pool.recycled),
+            ("pool_rejected_total", pool.rejected),
+            ("member_suspicions_total", member.suspicions),
+            ("member_false_suspicions_total", member.false_suspicions),
+            ("member_down_events_total", member.down_events),
+            ("member_up_events_total", member.up_events),
+            ("member_pings_sent_total", member.pings_sent),
+            ("retransmits_total", self.retransmits),
+            ("dup_suppressed_total", self.dup_suppressed),
+            ("fetch_delta_pages_total", self.fetch_delta_pages),
+            ("fetch_delta_bytes_total", self.fetch_delta_bytes),
+            ("prefetched_total", pf.prefetched),
+            ("prefetched_used_total", pf.prefetched_used),
+            ("prefetch_skipped_total", pf.prefetch_skipped),
+            ("skipped_then_missed_total", pf.skipped_then_missed),
+        ];
+        let gauges = [
+            ("stable_log_max_bytes", ft.max_stable_log_bytes),
+            ("ckpt_window_max", ft.max_ckpt_window as u64),
+            ("diff_outbox_depth", self.diff_outbox_depth),
+        ];
+        let svc = self.svc_time_by_kind.iter();
+        let svc_ns: Vec<_> = svc.map(|&(k, d)| (k, ns(d))).collect();
+        let by_kind = [
+            ("msgs_sent_by_kind_total", &self.msg_kinds),
+            ("bytes_sent_by_kind_total", &self.msg_kind_bytes),
+            ("svc_time_ns_by_kind_total", &svc_ns),
+        ];
+        let mut rows: Vec<(String, MetricValue)> = Vec::new();
+        rows.extend(counters.map(|(name, v)| (name.into(), Counter(v))));
+        rows.extend(gauges.map(|(name, v)| (name.into(), Gauge(v))));
+        for (name, list) in by_kind {
+            let kinds = list.iter();
+            rows.extend(kinds.map(|&(kind, v)| (labelled(name, "kind", kind), Counter(v))));
+        }
+        rows.extend(self.hists.named().map(|(label, h)| match label {
+            "fetch_copy_bytes" | "fetch_batch_pages" | "retransmits" | "ckpt_delta_pages" => {
+                (label.into(), Hist(h))
+            }
+            _ => (format!("{label}_ns"), Hist(h)),
+        }));
+        rows
+    }
 }
 
 /// The result of a cluster run.
@@ -196,117 +347,53 @@ pub struct RunReport<R> {
 }
 
 impl<R> RunReport<R> {
-    /// Sum of all nodes' traffic.
-    pub fn total_traffic(&self) -> TrafficSnapshot {
-        self.nodes
-            .iter()
-            .map(|n| n.traffic)
-            .fold(TrafficSnapshot::default(), |a, b| a + b)
+    /// Every node's report folded into one (see [`NodeReport::merge`]); the
+    /// `total_*` accessors below are its fields.
+    pub fn total(&self) -> NodeReport {
+        let mut total = NodeReport::default();
+        self.nodes.iter().for_each(|n| total.merge(n));
+        total
     }
 
-    /// Breakdown averaged... summed across nodes (the paper normalizes, so
-    /// sums and averages are interchangeable for ratios).
+    /// Sum of all nodes' traffic.
+    pub fn total_traffic(&self) -> TrafficSnapshot {
+        self.total().traffic
+    }
+
+    /// Breakdown summed across nodes (the paper normalizes, so sums and
+    /// averages are interchangeable for ratios).
     pub fn total_breakdown(&self) -> Breakdown {
-        self.nodes
-            .iter()
-            .map(|n| n.breakdown)
-            .fold(Breakdown::default(), |a, b| a.merged(&b))
+        self.total().breakdown
     }
 
     /// Total checkpoints across the cluster.
     pub fn total_ckpts(&self) -> u64 {
-        self.nodes.iter().map(|n| n.ft.ckpts_taken).sum()
+        self.total().ft.ckpts_taken
     }
 
     /// Max checkpoint window across the cluster (Table 4 `Wmax`).
     pub fn max_ckpt_window(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.ft.max_ckpt_window)
-            .max()
-            .unwrap_or(0)
+        self.total().ft.max_ckpt_window
     }
 
     /// All nodes' latency histograms folded together.
     pub fn total_hists(&self) -> LatencyHists {
-        let mut acc = LatencyHists::default();
-        for n in &self.nodes {
-            acc.merge(&n.hists);
-        }
-        acc
+        self.total().hists
     }
 
     /// All nodes' page-pool statistics folded together.
     pub fn total_pool(&self) -> PoolStats {
-        let mut acc = PoolStats::default();
-        for n in &self.nodes {
-            acc.merge(&n.pool);
-        }
-        acc
+        self.total().pool
     }
 
     /// All nodes' per-kind service time folded together (sorted by kind).
     pub fn total_svc_time_by_kind(&self) -> Vec<(&'static str, Duration)> {
-        let mut acc: std::collections::BTreeMap<&'static str, Duration> = Default::default();
-        for n in &self.nodes {
-            for &(k, d) in &n.svc_time_by_kind {
-                *acc.entry(k).or_default() += d;
-            }
-        }
-        acc.into_iter().collect()
-    }
-
-    /// All nodes' membership counters folded together.
-    pub fn total_member(&self) -> MemberStats {
-        let mut acc = MemberStats::default();
-        for n in &self.nodes {
-            acc.suspicions += n.member.suspicions;
-            acc.false_suspicions += n.member.false_suspicions;
-            acc.down_events += n.member.down_events;
-            acc.up_events += n.member.up_events;
-            acc.pings_sent += n.member.pings_sent;
-        }
-        acc
-    }
-
-    /// Total request retransmissions across the cluster.
-    pub fn total_retransmits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.retransmits).sum()
-    }
-
-    /// Total suppressed duplicate deliveries across the cluster.
-    pub fn total_dup_suppressed(&self) -> u64 {
-        self.nodes.iter().map(|n| n.dup_suppressed).sum()
-    }
-
-    /// Fetches installed as deltas across the cluster.
-    pub fn fetch_delta_pages(&self) -> u64 {
-        self.nodes.iter().map(|n| n.fetch_delta_pages).sum()
-    }
-
-    /// Diff payload bytes the cluster's delta installs copied.
-    pub fn fetch_delta_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.fetch_delta_bytes).sum()
-    }
-
-    /// All nodes' prefetch counters summed.
-    pub fn total_prefetch(&self) -> PrefetchCounts {
-        let mut acc = PrefetchCounts::default();
-        for n in &self.nodes {
-            acc += n.prefetch;
-        }
-        acc
+        self.total().svc_time_by_kind
     }
 
     /// All nodes' per-kind sent-message counts folded together.
     pub fn total_msg_kinds(&self) -> Vec<(&'static str, u64)> {
-        let mut acc: std::collections::BTreeMap<&'static str, u64> = Default::default();
-        for n in &self.nodes {
-            for &(k, c) in &n.msg_kinds {
-                *acc.entry(k).or_default() += c;
-            }
-        }
-        acc.into_iter().collect()
+        self.total().msg_kinds
     }
 }
 

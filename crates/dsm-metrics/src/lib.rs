@@ -1,29 +1,31 @@
-//! A typed counter/gauge/histogram registry with periodic time-series
-//! snapshots, exported as JSONL (one snapshot per line) or Prometheus
-//! exposition text.
+//! Metric snapshots — counters, gauges and histogram summaries at one
+//! instant — collected into a time series and exported as JSONL (one
+//! snapshot per line) or Prometheus exposition text.
+//!
+//! Nothing here measures: the runtime's per-node report is the source of
+//! truth, and `ftdsm::NodeReport::metrics` is the table that names every
+//! number of it. A [`Snapshot`] is that table written down at a timestamp,
+//! by the periodic sampler, at teardown, and — through
+//! [`register_flight_source`] — at the moment of a panic.
 //!
 //! Naming follows the Prometheus convention: `snake_case` with a unit
-//! suffix (`_total` for counters, `_ns`/`_bytes` where applicable) and an
-//! optional label block baked into the metric key, e.g.
-//! `fabric_msgs_sent_total{node="0"}`. The registry treats the full
-//! labelled string as the key; the exposition writer emits one `# TYPE`
-//! line per base name (the part before `{`).
+//! suffix (`_total` for counters, `_ns`/`_bytes` where applicable) and a
+//! label block baked into the metric key, e.g.
+//! `fabric_msgs_sent_total{node="0"}`. A snapshot treats the full labelled
+//! string as the key; the exposition writer emits one `# TYPE` line per base
+//! name (the part before `{`).
 //!
-//! Handles are lock-free atomics; `snapshot()` reads them all at one
-//! timestamp. A [`TimeSeries`] accumulates snapshots during a run — its
+//! A [`TimeSeries`] accumulates snapshots during a run — its
 //! [`merge`](TimeSeries::merge) is order-insensitive, so per-node or
 //! per-shard series can be folded in any order (property-tested).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
-use std::time::Instant;
 
 use dsm_trace::Histogram;
 
-/// A monotonically increasing counter. For derived metrics sampled from an
-/// external source (e.g. fabric atomics), use [`Counter::store`] with the
-/// source's current total.
+/// A monotonically increasing counter handle of a [`Registry`].
 #[derive(Clone)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -38,169 +40,30 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite with an externally computed total.
-    pub fn store(&self, total: u64) {
-        self.0.store(total, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A point-in-time signed gauge.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set the current value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust by `d`.
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A registered log2 histogram (shared with [`dsm_trace::Histogram`]).
-#[derive(Clone)]
-pub struct HistHandle(Arc<Mutex<Histogram>>);
-
-impl HistHandle {
-    /// Record one sample.
-    pub fn record(&self, v: u64) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(v);
-    }
-}
-
-struct Inner {
-    epoch: Instant,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    hists: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
-}
-
-/// The metric registry: cheap to clone, safe to use from any thread.
-#[derive(Clone)]
+/// Named lock-free counters for code that counts on a hot path of its own.
+/// The runtime has no such path (its numbers live in the node report), so
+/// today only the benchmark's `metrics.counter_inc_ns` probe uses this.
+#[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<Inner>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
+    counters: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,
 }
 
 impl Registry {
-    /// An empty registry whose snapshot timestamps count from now.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            inner: Arc::new(Inner {
-                epoch: Instant::now(),
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                hists: Mutex::new(BTreeMap::new()),
-            }),
-        }
+        Registry::default()
     }
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self
-            .inner
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut m = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
         Counter(Arc::clone(m.entry(name.to_string()).or_default()))
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Gauge(Arc::clone(m.entry(name.to_string()).or_default()))
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> HistHandle {
-        let mut m = self
-            .inner
-            .hists
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        HistHandle(Arc::clone(
-            m.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(Histogram::new()))),
-        ))
-    }
-
-    /// Read every metric at one timestamp (nanoseconds since the registry
-    /// epoch).
-    pub fn snapshot(&self) -> Snapshot {
-        self.snapshot_at(self.inner.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// Snapshot with a caller-supplied timestamp (e.g. the trace epoch, so
-    /// metrics and trace events share a timeline).
-    pub fn snapshot_at(&self, ts_ns: u64) -> Snapshot {
-        let counters = self
-            .inner
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let hists = self
-            .inner
-            .hists
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| {
-                let h = v.lock().unwrap_or_else(PoisonError::into_inner);
-                (k.clone(), HistSnapshot::of(&h))
-            })
-            .collect();
-        Snapshot {
-            ts_ns,
-            counters,
-            gauges,
-            hists,
-        }
-    }
-
-    /// Register with the global panic-dump registry (see
-    /// [`dump_on_panic`]).
-    pub fn register_flight_recorder(&self) {
-        let mut reg = flight_registry()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        reg.retain(|w| w.strong_count() > 0);
-        reg.push(Arc::downgrade(&self.inner));
     }
 }
 
@@ -235,7 +98,7 @@ impl HistSnapshot {
 }
 
 /// All metric values at one instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Nanoseconds since the sampling epoch.
     pub ts_ns: u64,
@@ -247,7 +110,50 @@ pub struct Snapshot {
     pub hists: BTreeMap<String, HistSnapshot>,
 }
 
+/// One metric's value, as a [`Snapshot`] files it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MetricValue<'a> {
+    /// A total that never decreases.
+    Counter(u64),
+    /// A level or a high-water mark.
+    Gauge(u64),
+    /// A distribution, kept as its summary.
+    Hist(&'a Histogram),
+}
+
+/// The metric key `name` with `label="value"` added to its label block
+/// (opened if `name` has none yet).
+pub fn labelled(name: &str, label: &str, value: impl std::fmt::Display) -> String {
+    match name.strip_suffix('}') {
+        Some(open) => format!("{open},{label}=\"{value}\"}}"),
+        None => format!("{name}{{{label}=\"{value}\"}}"),
+    }
+}
+
 impl Snapshot {
+    /// An empty snapshot taken `ts_ns` into the run.
+    pub fn at(ts_ns: u64) -> Self {
+        Snapshot {
+            ts_ns,
+            ..Snapshot::default()
+        }
+    }
+
+    /// File `value` under `key`.
+    pub fn insert(&mut self, key: String, value: MetricValue<'_>) {
+        match value {
+            MetricValue::Counter(v) => {
+                self.counters.insert(key, v);
+            }
+            MetricValue::Gauge(v) => {
+                self.gauges.insert(key, v as i64);
+            }
+            MetricValue::Hist(h) => {
+                self.hists.insert(key, HistSnapshot::of(h));
+            }
+        }
+    }
+
     /// One JSONL record: `{"ts_ns":…,"counters":{…},"gauges":{…},"hists":{…}}`.
     pub fn to_jsonl(&self) -> String {
         use std::fmt::Write;
@@ -285,6 +191,20 @@ impl Snapshot {
         }
         s.push_str("}}");
         s
+    }
+
+    /// Append [`Snapshot::to_jsonl`] as one line to the file at `path`,
+    /// created if need be. Best-effort: a metrics file that cannot be
+    /// written must not fail the run it describes.
+    pub fn append_jsonl(&self, path: &std::path::Path) {
+        use std::io::Write;
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path);
+        if let Ok(mut f) = file {
+            let _ = writeln!(f, "{}", self.to_jsonl());
+        }
     }
 
     /// Prometheus exposition text. Histograms are rendered as summaries
@@ -385,28 +305,46 @@ impl TimeSeries {
     }
 }
 
-static FLIGHT: OnceLock<Mutex<Vec<Weak<Inner>>>> = OnceLock::new();
+/// Something that can say what the metrics are right now. Must never block
+/// (it is called from a panic hook): skip what is locked.
+pub type FlightSource = dyn Fn() -> Snapshot + Send + Sync;
 
-fn flight_registry() -> &'static Mutex<Vec<Weak<Inner>>> {
+static FLIGHT: OnceLock<Mutex<Vec<Weak<FlightSource>>>> = OnceLock::new();
+
+fn flight_registry() -> &'static Mutex<Vec<Weak<FlightSource>>> {
     FLIGHT.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Dump a fresh snapshot of every registered, still-live registry to
-/// stderr. Called from panic hooks alongside the trace flight recorder;
-/// best-effort, never panics.
-pub fn dump_on_panic() {
+/// Register `source` for the panic-time dump (see [`dump_on_panic`]) for as
+/// long as the caller keeps it alive.
+pub fn register_flight_source(source: &Arc<FlightSource>) {
+    let mut reg = flight_registry()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    reg.retain(|w| w.strong_count() > 0);
+    reg.push(Arc::downgrade(source));
+}
+
+/// A fresh snapshot from every registered, still-live source.
+pub fn flight_snapshots() -> Vec<Snapshot> {
     let reg = flight_registry()
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    let live: Vec<_> = reg.iter().filter_map(|w| w.upgrade()).collect();
+    let live: Vec<_> = reg.iter().filter_map(Weak::upgrade).collect();
     drop(reg);
-    if live.is_empty() {
+    live.iter().map(|source| source()).collect()
+}
+
+/// Dump [`flight_snapshots`] to stderr. Called from panic hooks alongside
+/// the trace flight recorder; best-effort, never panics.
+pub fn dump_on_panic() {
+    let snaps = flight_snapshots();
+    if snaps.is_empty() {
         return;
     }
     eprintln!("=== dsm-metrics flight recorder ===");
-    for inner in live {
-        let r = Registry { inner };
-        eprintln!("{}", r.snapshot().to_jsonl());
+    for snap in snaps {
+        eprintln!("{}", snap.to_jsonl());
     }
     eprintln!("=== end metrics flight recorder ===");
 }
@@ -415,33 +353,48 @@ pub fn dump_on_panic() {
 mod tests {
     use super::*;
 
+    fn snapshot_at(ts_ns: u64, counters: &[(&str, u64)]) -> Snapshot {
+        let mut snap = Snapshot::at(ts_ns);
+        for &(key, v) in counters {
+            snap.insert(key.to_string(), MetricValue::Counter(v));
+        }
+        snap
+    }
+
     #[test]
-    fn counters_gauges_hists_round_trip_through_snapshot() {
+    fn a_registry_hands_out_one_counter_per_name() {
         let r = Registry::new();
         r.counter("msgs_total{node=\"0\"}").add(3);
         r.counter("msgs_total{node=\"0\"}").inc();
-        r.gauge("inflight").set(-2);
-        r.histogram("lat_ns").record(100);
-        r.histogram("lat_ns").record(200);
-        let s = r.snapshot();
-        assert_eq!(s.counters["msgs_total{node=\"0\"}"], 4);
-        assert_eq!(s.gauges["inflight"], -2);
-        assert_eq!(s.hists["lat_ns"].count, 2);
-        assert!(s.hists["lat_ns"].max >= 200);
+        assert_eq!(r.counter("msgs_total{node=\"0\"}").get(), 4);
+        assert_eq!(r.counter("other_total").get(), 0);
+    }
+
+    #[test]
+    fn a_label_opens_the_block_or_joins_it() {
+        assert_eq!(labelled("x_total", "node", 3), "x_total{node=\"3\"}");
+        assert_eq!(
+            labelled(&labelled("x_total", "kind", "PageReq"), "node", 0),
+            "x_total{kind=\"PageReq\",node=\"0\"}"
+        );
     }
 
     #[test]
     fn jsonl_parses_with_the_trace_json_parser() {
-        let r = Registry::new();
-        r.counter("a_total").inc();
-        r.gauge("g").set(7);
-        r.histogram("h_ns").record(5);
-        let line = r.snapshot_at(42).to_jsonl();
-        let v = dsm_trace::json::parse(&line).unwrap();
+        let mut h = Histogram::new();
+        h.record(5);
+        let mut snap = snapshot_at(42, &[("a_total", 1)]);
+        snap.insert("g".into(), MetricValue::Gauge(7));
+        snap.insert("h_ns".into(), MetricValue::Hist(&h));
+        let v = dsm_trace::json::parse(&snap.to_jsonl()).unwrap();
         assert_eq!(v.get("ts_ns").unwrap().as_num(), Some(42.0));
         assert_eq!(
             v.get("counters").unwrap().get("a_total").unwrap().as_num(),
             Some(1.0)
+        );
+        assert_eq!(
+            v.get("gauges").unwrap().get("g").unwrap().as_num(),
+            Some(7.0)
         );
         assert_eq!(
             v.get("hists")
@@ -457,12 +410,15 @@ mod tests {
 
     #[test]
     fn prometheus_text_has_type_lines_and_values() {
-        let r = Registry::new();
-        r.counter("msgs_total{node=\"0\"}").add(5);
-        r.counter("msgs_total{node=\"1\"}").add(7);
-        r.gauge("mode").set(1);
-        r.histogram("lat_ns{node=\"0\"}").record(64);
-        let text = r.snapshot().to_prometheus();
+        let mut h = Histogram::new();
+        h.record(64);
+        let mut snap = snapshot_at(
+            0,
+            &[("msgs_total{node=\"0\"}", 5), ("msgs_total{node=\"1\"}", 7)],
+        );
+        snap.insert("mode".into(), MetricValue::Gauge(1));
+        snap.insert(labelled("lat_ns", "node", 0), MetricValue::Hist(&h));
+        let text = snap.to_prometheus();
         assert!(text.contains("# TYPE msgs_total counter"));
         assert_eq!(text.matches("# TYPE msgs_total").count(), 1);
         assert!(text.contains("msgs_total{node=\"0\"} 5"));
@@ -475,15 +431,13 @@ mod tests {
 
     #[test]
     fn time_series_merge_is_order_insensitive() {
-        let r = Registry::new();
-        let c = r.counter("x_total");
-        let mut parts = Vec::new();
-        for i in 0..4u64 {
-            c.add(i + 1);
-            let mut ts = TimeSeries::new();
-            ts.push(r.snapshot_at(i * 100));
-            parts.push(ts);
-        }
+        let parts: Vec<TimeSeries> = (0..4u64)
+            .map(|i| {
+                let mut ts = TimeSeries::new();
+                ts.push(snapshot_at(i * 100, &[("x_total", i + 1)]));
+                ts
+            })
+            .collect();
         let mut fwd = TimeSeries::new();
         for p in &parts {
             fwd.merge(p);
@@ -498,14 +452,18 @@ mod tests {
     }
 
     #[test]
-    fn flight_dump_survives_dead_registries() {
-        let r = Registry::new();
-        r.counter("alive_total").inc();
-        r.register_flight_recorder();
+    fn the_flight_dump_asks_live_sources_and_forgets_dead_ones() {
+        let alive: Arc<FlightSource> = Arc::new(|| snapshot_at(7, &[("alive_total", 1)]));
+        register_flight_source(&alive);
         {
-            let dead = Registry::new();
-            dead.register_flight_recorder();
+            let dead: Arc<FlightSource> = Arc::new(|| snapshot_at(8, &[]));
+            register_flight_source(&dead);
         }
+        let snaps = flight_snapshots();
+        assert!(snaps
+            .iter()
+            .any(|s| s.ts_ns == 7 && s.counters["alive_total"] == 1));
+        assert!(snaps.iter().all(|s| s.ts_ns != 8));
         dump_on_panic();
     }
 }

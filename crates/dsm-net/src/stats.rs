@@ -233,21 +233,6 @@ impl FabricStats {
         merged.sort_unstable_by_key(|&(k, _)| k);
         merged
     }
-
-    /// Cluster-wide sent-message counts per message kind, sorted by kind.
-    pub fn total_kinds(&self) -> Vec<(&'static str, u64)> {
-        let mut merged: Vec<(&'static str, u64)> = Vec::new();
-        for t in &self.per_node {
-            for (kind, n) in t.kind_counts() {
-                match merged.iter_mut().find(|(k, _)| *k == kind) {
-                    Some((_, m)) => *m += n,
-                    None => merged.push((kind, n)),
-                }
-            }
-        }
-        merged.sort_unstable_by_key(|&(k, _)| k);
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_counts_aggregate_and_sort() {
+    fn kind_counts_and_bytes_sort_by_kind() {
         let s = FabricStats::new(2);
         s.node(0).record_send(10, 0, "PageReq");
         s.node(0).record_send(10, 0, "DiffBatch");
@@ -277,7 +262,7 @@ mod tests {
             s.node(0).kind_counts(),
             vec![("DiffBatch", 1), ("PageReq", 1)]
         );
-        assert_eq!(s.total_kinds(), vec![("DiffBatch", 1), ("PageReq", 2)]);
+        assert_eq!(s.node(1).kind_counts(), vec![("PageReq", 1)]);
         s.node(0).record_send(30, 2, "PageReq");
         assert_eq!(
             s.node(0).kind_bytes(),

@@ -123,115 +123,86 @@ impl Histogram {
     }
 }
 
-/// The named latency histograms every node keeps (all in nanoseconds).
-#[derive(Debug, Clone, Default)]
-pub struct LatencyHists {
+/// Declares [`LatencyHists`] from one list — field, doc and print label —
+/// so that a new histogram is one entry: the struct, [`LatencyHists::named`]
+/// and [`LatencyHists::merge`] cannot fall out of step.
+macro_rules! latency_hists {
+    ($($(#[$doc:meta])* $field:ident => $label:literal,)*) => {
+        /// The named latency histograms every node keeps (in nanoseconds,
+        /// but for the few that say otherwise).
+        #[derive(Debug, Clone, Default)]
+        pub struct LatencyHists {
+            $($(#[$doc])* pub $field: Histogram,)*
+        }
+
+        impl LatencyHists {
+            /// (label, histogram) pairs in print order.
+            pub fn named(&self) -> [(&'static str, &Histogram); 20] {
+                [$(($label, &self.$field),)*]
+            }
+
+            /// Fold another node's histograms into this one.
+            pub fn merge(&mut self, other: &LatencyHists) {
+                $(self.$field.merge(&other.$field);)*
+            }
+        }
+    };
+}
+
+latency_hists! {
     /// Remote page fetch, fault to installed copy.
-    pub page_fetch: Histogram,
+    page_fetch => "page_fetch",
     /// Lock acquire wait, request to grant applied.
-    pub lock_wait: Histogram,
+    lock_wait => "lock_wait",
     /// Barrier wait, arrival to release applied.
-    pub barrier_wait: Histogram,
+    barrier_wait => "barrier_wait",
     /// End-of-interval diff creation pass (all twins of the interval).
-    pub diff_create: Histogram,
+    diff_create => "diff_create",
     /// Applying one diff to a home page.
-    pub diff_apply: Histogram,
+    diff_apply => "diff_apply",
     /// Page bytes physically copied per remote fetch (serve → deposit →
     /// install). Zero with shared buffers; page-size before them — a
     /// counter, in bytes rather than nanoseconds.
-    pub fetch_copy: Histogram,
+    fetch_copy => "fetch_copy_bytes",
     /// Writing one checkpoint to stable storage.
-    pub ckpt_write: Histogram,
+    ckpt_write => "ckpt_write",
     /// Recovery: restoring from the checkpoint.
-    pub rec_restore: Histogram,
+    rec_restore => "rec_restore",
     /// Recovery: collecting peers' logs.
-    pub rec_log_collect: Histogram,
+    rec_log_collect => "rec_log_collect",
     /// Recovery: deterministic replay.
-    pub rec_replay: Histogram,
+    rec_replay => "rec_replay",
     /// Pages per `PageReq` sent, one-page demand misses included (a
     /// counter, in pages).
-    pub fetch_batch_pages: Histogram,
+    fetch_batch_pages => "fetch_batch_pages",
     /// Waiting for a home-store shard lock on the service fast path.
-    pub shard_lock_wait: Histogram,
+    shard_lock_wait => "shard_lock_wait",
     /// A fault that found its page in flight and that request made it ready
     /// (wait until installed).
-    pub prefetch_hit: Histogram,
+    prefetch_hit => "prefetch_hit",
     /// A fault on a page the prefetch left out, served by the fault's own
     /// request with whatever neighbours were left out too, or one whose
     /// request was lost (sent again after a timeout) or overtaken by a newer
     /// invalidation (wait until installed, or until the stale reply came).
     /// A cold miss — the filter had no part in it — is neither.
-    pub prefetch_miss: Histogram,
+    prefetch_miss => "prefetch_miss",
     /// Heartbeat round-trip time (ping sent to matching pong received).
-    pub heartbeat_rtt: Histogram,
+    heartbeat_rtt => "heartbeat_rtt",
     /// Failure-detection latency: first suspicion of a peer to its
     /// confirmed `Down`.
-    pub suspicion_latency: Histogram,
+    suspicion_latency => "suspicion_latency",
     /// Retransmissions per completed wait (a counter, in retries: 0 =
     /// answered first time). Only recorded when the retry layer is on.
-    pub retransmits: Histogram,
+    retransmits => "retransmits",
     /// Barrier manager: episode-completing arrival to release set built
     /// (join, per-(page, interval) dedupe, per-participant delta fan-out).
-    pub barrier_release_build: Histogram,
+    barrier_release_build => "barrier_release_build",
     /// End-of-interval release flush: dirty-page collection through diff
     /// creation to per-home batches sent.
-    pub release_flush: Histogram,
+    release_flush => "release_flush",
     /// Pages written per incremental (delta-mode) checkpoint (a counter,
     /// in pages; full anchors are not recorded).
-    pub ckpt_delta_pages: Histogram,
-}
-
-impl LatencyHists {
-    /// (label, histogram) pairs in print order.
-    pub fn named(&self) -> [(&'static str, &Histogram); 20] {
-        [
-            ("page_fetch", &self.page_fetch),
-            ("lock_wait", &self.lock_wait),
-            ("barrier_wait", &self.barrier_wait),
-            ("diff_create", &self.diff_create),
-            ("diff_apply", &self.diff_apply),
-            ("fetch_copy_bytes", &self.fetch_copy),
-            ("ckpt_write", &self.ckpt_write),
-            ("rec_restore", &self.rec_restore),
-            ("rec_log_collect", &self.rec_log_collect),
-            ("rec_replay", &self.rec_replay),
-            ("fetch_batch_pages", &self.fetch_batch_pages),
-            ("shard_lock_wait", &self.shard_lock_wait),
-            ("prefetch_hit", &self.prefetch_hit),
-            ("prefetch_miss", &self.prefetch_miss),
-            ("heartbeat_rtt", &self.heartbeat_rtt),
-            ("suspicion_latency", &self.suspicion_latency),
-            ("retransmits", &self.retransmits),
-            ("barrier_release_build", &self.barrier_release_build),
-            ("release_flush", &self.release_flush),
-            ("ckpt_delta_pages", &self.ckpt_delta_pages),
-        ]
-    }
-
-    /// Fold another node's histograms into this one.
-    pub fn merge(&mut self, other: &LatencyHists) {
-        self.page_fetch.merge(&other.page_fetch);
-        self.lock_wait.merge(&other.lock_wait);
-        self.barrier_wait.merge(&other.barrier_wait);
-        self.diff_create.merge(&other.diff_create);
-        self.diff_apply.merge(&other.diff_apply);
-        self.fetch_copy.merge(&other.fetch_copy);
-        self.ckpt_write.merge(&other.ckpt_write);
-        self.rec_restore.merge(&other.rec_restore);
-        self.rec_log_collect.merge(&other.rec_log_collect);
-        self.rec_replay.merge(&other.rec_replay);
-        self.fetch_batch_pages.merge(&other.fetch_batch_pages);
-        self.shard_lock_wait.merge(&other.shard_lock_wait);
-        self.prefetch_hit.merge(&other.prefetch_hit);
-        self.prefetch_miss.merge(&other.prefetch_miss);
-        self.heartbeat_rtt.merge(&other.heartbeat_rtt);
-        self.suspicion_latency.merge(&other.suspicion_latency);
-        self.retransmits.merge(&other.retransmits);
-        self.barrier_release_build
-            .merge(&other.barrier_release_build);
-        self.release_flush.merge(&other.release_flush);
-        self.ckpt_delta_pages.merge(&other.ckpt_delta_pages);
-    }
+    ckpt_delta_pages => "ckpt_delta_pages",
 }
 
 #[cfg(test)]

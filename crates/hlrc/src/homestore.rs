@@ -722,13 +722,15 @@ impl HomeStore {
         out
     }
 
-    /// Cumulative buffer-pool counters over all shards.
-    pub fn pool_stats(&self) -> PoolStats {
+    /// Cumulative buffer-pool counters over all shards. Never waits (a
+    /// report may be taken from the panic hook of the thread that holds a
+    /// shard): `None` while any shard is locked.
+    pub fn pool_stats(&self) -> Option<PoolStats> {
         let mut stats = PoolStats::default();
         for shard in &self.shards {
-            stats.merge(&shard.lock().pool.stats());
+            stats.merge(&shard.try_lock()?.pool.stats());
         }
-        stats
+        Some(stats)
     }
 
     /// Fence: acquire and release every shard lock in order. After this

@@ -145,11 +145,12 @@ impl PageTable {
     }
 
     /// Cumulative buffer-pool counters (exported through run reports),
-    /// merged over the remote-page pool and the home-store shard pools.
-    pub fn pool_stats(&self) -> PoolStats {
+    /// merged over the remote-page pool and the home-store shard pools;
+    /// `None` while a shard is locked (see [`HomeStore::pool_stats`]).
+    pub fn pool_stats(&self) -> Option<PoolStats> {
         let mut stats = self.pool.stats();
-        stats.merge(&self.home.pool_stats());
-        stats
+        stats.merge(&self.home.pool_stats()?);
+        Some(stats)
     }
 
     /// This node's id.

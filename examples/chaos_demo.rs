@@ -103,15 +103,15 @@ fn main() {
     println!("=> identical results and final memory image\n");
 
     let t = chaotic.total_traffic();
-    let m = chaotic.total_member();
+    let m = chaotic.total().member;
     println!(
         "injected faults: {} dropped, {} delayed, {} duplicated",
         t.chaos_dropped, t.chaos_delayed, t.chaos_duplicated
     );
     println!(
         "survival work:   {} retransmits, {} duplicate deliveries suppressed",
-        chaotic.total_retransmits(),
-        chaotic.total_dup_suppressed()
+        chaotic.total().retransmits,
+        chaotic.total().dup_suppressed
     );
     println!(
         "membership:      {} pings, {} suspicions ({} false), {} down, {} up",

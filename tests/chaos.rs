@@ -87,7 +87,7 @@ fn quiet_cluster_has_no_false_suspicions() {
         report.results, clean.results,
         "membership changed results (FTDSM_SEED={seed:#x})"
     );
-    let m = report.total_member();
+    let m = report.total().member;
     assert!(
         m.pings_sent > 0,
         "no heartbeats sent (FTDSM_SEED={seed:#x})"
@@ -162,7 +162,7 @@ fn dup_reorder_delivery_is_idempotent() {
             t.chaos_duplicated > 0,
             "case {case}: plan duplicated nothing (FTDSM_SEED={seed:#x})"
         );
-        dups_seen += chaotic.total_dup_suppressed();
+        dups_seen += chaotic.total().dup_suppressed;
     }
     assert!(
         dups_seen > 0,
@@ -202,7 +202,7 @@ fn crash_is_detected_by_heartbeats_alone() {
             crashed.nodes[victim].ft.recoveries, 1,
             "case {case}: crash did not fire (victim {victim}, op {at_op}, FTDSM_SEED={seed:#x})"
         );
-        let m = crashed.total_member();
+        let m = crashed.total().member;
         assert!(
             m.suspicions > 0,
             "case {case}: nobody suspected the dead node (victim {victim}, op {at_op}, \
@@ -279,7 +279,7 @@ fn crash_during_chaos_stress() {
                 "crash did not fire"
             }
             Ok(r) => {
-                delta_installs += r.fetch_delta_pages();
+                delta_installs += r.total().fetch_delta_pages;
                 installs += r.total_hists().fetch_copy.count();
                 continue;
             }
@@ -365,7 +365,7 @@ fn a_lost_fetch_is_asked_again_under_its_id_until_the_page_lands() {
             "run diverged with {kind} dropped (FTDSM_SEED={seed:#x})"
         );
         assert!(
-            lossy.total_traffic().chaos_dropped > 0 && lossy.total_retransmits() > 0,
+            lossy.total_traffic().chaos_dropped > 0 && lossy.total().retransmits > 0,
             "no dropped {kind} was ever retransmitted (FTDSM_SEED={seed:#x})"
         );
     }

@@ -218,7 +218,7 @@ fn a_migratory_cell_refetch_moves_what_changed_not_the_page() {
     // 0's eight words from then on.
     assert_eq!(r.total_hists().fetch_copy.count(), ROUNDS);
     assert_eq!(
-        (r.fetch_delta_pages(), r.fetch_delta_bytes()),
+        (r.total().fetch_delta_pages, r.total().fetch_delta_bytes),
         (ROUNDS - 1, (ROUNDS - 1) * 64)
     );
     let first = 4096 + 128;
@@ -282,7 +282,7 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
         prefetch_skipped: 40 + 40 + 1,
         skipped_then_missed: 3 + 1,
     };
-    assert_eq!(r.total_prefetch(), counts);
+    assert_eq!(r.total().prefetch, counts);
     assert_eq!(r.nodes[0].prefetch, Default::default());
     // A fault on a left-out page is a miss, with neighbours or without: as
     // many as the filter guessed wrong. Round 0's first read is the hit.

@@ -1,17 +1,22 @@
 //! Observability acceptance tests: causal cross-node flow export, per-kind
 //! latency attribution, service-time coverage of every sent message kind,
 //! order-insensitive metric merges, the invariant monitor catching an
-//! injected protocol bug with the causal flow attached, and the
-//! disabled-trace overhead bound.
+//! injected protocol bug with the causal flow attached, the
+//! disabled-trace overhead bound, and the metric table: the snapshot, the
+//! panic-time dump, the cluster totals and the catalogue in the docs are
+//! all views of the per-node report.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
-use dsm_metrics::{Snapshot, TimeSeries};
+use dsm_metrics::{labelled, Snapshot, TimeSeries};
 use dsm_trace::export::to_chrome_trace;
 use dsm_trace::json::{self, Json};
 use dsm_trace::{EventKind, Histogram, Trace};
-use ftdsm_suite::{run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, Process, TraceConfig};
+use ftdsm_suite::{
+    run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, MetricsConfig, NodeReport, Process,
+    TraceConfig,
+};
 
 /// Fixed seed: these runs are golden artifacts, not seed sweeps.
 const SEED: u64 = 0x0b5e_44ab_111e_5eed;
@@ -338,4 +343,206 @@ fn disabled_trace_emit_overhead_stays_negligible() {
         dt.as_secs_f64() < 5.0,
         "10M disabled emits took {dt:?} — the disabled hook is no longer cheap"
     );
+}
+
+/// Every key of a snapshot, whichever of its three maps holds it.
+fn keys_of(snap: &Snapshot) -> BTreeSet<String> {
+    let (c, g, h) = (snap.counters.keys(), snap.gauges.keys(), snap.hists.keys());
+    c.chain(g).chain(h).cloned().collect()
+}
+
+/// The closing snapshot of a sampled run is the metric table of every node's
+/// report and nothing else: its key set is table × nodes, and its values are
+/// the report's own fields (spot-checked under keys written out by hand, so
+/// that the table cannot agree with itself about a wrong name).
+#[test]
+fn the_final_snapshot_is_the_metric_table_of_every_node_report() {
+    let sampling = MetricsConfig {
+        every: std::time::Duration::from_millis(1),
+        out: None,
+    };
+    let cfg = ClusterConfig::fault_tolerant(2)
+        .with_page_size(512)
+        .with_policy(CkptPolicy::EverySteps(2))
+        .with_seed(SEED)
+        .with_metrics(sampling);
+    let report = run(cfg, &[], wide_app);
+    assert!(report.metrics.snapshots.len() >= 2, "no periodic sample");
+    let last = report.metrics.last().unwrap();
+
+    let mut table = BTreeSet::new();
+    for (i, node) in report.nodes.iter().enumerate() {
+        for (name, _) in node.metrics() {
+            assert!(table.insert(labelled(&name, "node", i)), "{name} twice");
+        }
+    }
+    assert_eq!(keys_of(last), table);
+
+    for (i, node) in report.nodes.iter().enumerate() {
+        let counter = |name: &str| last.counters[&format!("{name}{{node=\"{i}\"}}")];
+        assert_eq!(counter("retransmits_total"), node.retransmits);
+        assert_eq!(counter("prefetched_total"), node.prefetch.prefetched);
+        assert_eq!(
+            counter("prefetched_used_total"),
+            node.prefetch.prefetched_used
+        );
+        assert_eq!(
+            counter("prefetch_skipped_total"),
+            node.prefetch.prefetch_skipped
+        );
+        let missed = node.prefetch.skipped_then_missed;
+        assert_eq!(counter("skipped_then_missed_total"), missed);
+        assert_eq!(counter("ckpts_taken_total"), node.ft.ckpts_taken);
+        assert_eq!(counter("fabric_msgs_sent_total"), node.traffic.msgs_sent);
+        let fetches = &last.hists[&format!("page_fetch_ns{{node=\"{i}\"}}")];
+        assert_eq!(fetches.count, node.hists.page_fetch.count());
+        let by_kind = format!("msgs_sent_by_kind_total{{kind=\"PageReq\",node=\"{i}\"}}");
+        let sent = node.msg_kinds.iter().find(|(k, _)| *k == "PageReq");
+        assert_eq!(last.counters[&by_kind], sent.unwrap().1);
+        assert!(node.ft.ckpts_taken > 0 && node.traffic.msgs_sent > 0);
+        assert!(node.hists.page_fetch.count() > 0 && node.prefetch.prefetched > 0);
+    }
+}
+
+/// The panic-time dump shows the moment of death whether or not the run was
+/// sampled: with `metrics: None`, the flight source the run registered says
+/// mid-run what the node that asks has counted so far.
+#[test]
+fn the_flight_source_reports_mid_run_with_sampling_off() {
+    // An op count no other cluster of this test binary stops at.
+    const OPS: u64 = 1237;
+    let mut cfg = ClusterConfig::base(2).with_page_size(512).with_seed(SEED);
+    cfg.metrics = None;
+    let report = run(cfg, &[], |p| {
+        let cells = p.alloc_vec::<u64>(64, HomeAlloc::Node(1));
+        p.barrier();
+        let mut found = None;
+        if p.me() == 0 {
+            let mut sum = 0;
+            // The allocation and the barrier were operations too.
+            for i in 0..OPS - 2 {
+                sum += cells.get(p, i as usize % 64);
+            }
+            // Not inside a DSM operation: this node's lock is free, so its
+            // rows are there; the peer's are if it is not handling a message.
+            let ours = |s: &Snapshot| s.counters.get("ops_total{node=\"0\"}") == Some(&OPS);
+            found = dsm_metrics::flight_snapshots().into_iter().find(ours);
+            assert_eq!(sum, 0);
+        }
+        p.barrier();
+        found
+    });
+    let snap = report.results[0]
+        .as_ref()
+        .expect("no flight source saw the run");
+    assert!(snap.counters["fabric_msgs_sent_total{node=\"0\"}"] > 0);
+    assert!(snap.counters["msgs_sent_by_kind_total{kind=\"PageReq\",node=\"0\"}"] > 0);
+    assert!(snap.hists["page_fetch_ns{node=\"0\"}"].count > 0);
+    assert!(
+        report.metrics.snapshots.is_empty(),
+        "the run was not sampled"
+    );
+}
+
+/// The `total_*` accessors are fields of one merged report, and they still
+/// return what summing (or, for high-water marks, maximizing) over the nodes
+/// by hand does — on a run with a crash in it.
+#[test]
+fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
+    let report = run(
+        ClusterConfig::fault_tolerant(3)
+            .with_page_size(512)
+            .with_policy(CkptPolicy::EverySteps(2))
+            .with_seed(SEED)
+            .with_membership(Default::default()),
+        &[FailureSpec { node: 1, at_op: 60 }],
+        wide_app,
+    );
+    assert_eq!(report.nodes[1].ft.recoveries, 1, "crash did not fire");
+    let nodes = &report.nodes;
+    let sum = |f: fn(&NodeReport) -> u64| nodes.iter().map(f).sum::<u64>();
+    let time = |f: fn(&NodeReport) -> std::time::Duration| nodes.iter().map(f).sum();
+
+    let t = report.total_traffic();
+    assert_eq!(t.msgs_sent, sum(|n| n.traffic.msgs_sent));
+    assert_eq!(t.base_bytes_sent, sum(|n| n.traffic.base_bytes_sent));
+    assert_eq!(t.ft_bytes_sent, sum(|n| n.traffic.ft_bytes_sent));
+    assert_eq!(t.msgs_dropped, sum(|n| n.traffic.msgs_dropped));
+    let b = report.total_breakdown();
+    assert_eq!(b.total, time(|n| n.breakdown.total));
+    assert_eq!(b.page_wait, time(|n| n.breakdown.page_wait));
+    assert_eq!(b.protocol, time(|n| n.breakdown.protocol));
+    assert_eq!(b.disk_write, time(|n| n.breakdown.disk_write));
+    assert_eq!(report.total_ckpts(), sum(|n| n.ft.ckpts_taken));
+    let wmax = nodes.iter().map(|n| n.ft.max_ckpt_window).max();
+    assert_eq!(Some(report.max_ckpt_window()), wmax);
+    let pool = report.total_pool();
+    assert_eq!(pool.hits, sum(|n| n.pool.hits));
+    assert_eq!(pool.rejected, sum(|n| n.pool.rejected));
+
+    let mut hists = dsm_trace::LatencyHists::default();
+    let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut svc: BTreeMap<&str, std::time::Duration> = BTreeMap::new();
+    for n in nodes {
+        hists.merge(&n.hists);
+        for &(k, c) in &n.msg_kinds {
+            *kinds.entry(k).or_default() += c;
+        }
+        for &(k, d) in &n.svc_time_by_kind {
+            *svc.entry(k).or_default() += d;
+        }
+    }
+    for ((name, total), (_, by_hand)) in report.total_hists().named().iter().zip(hists.named()) {
+        assert_eq!(*total, by_hand, "{name}");
+    }
+    assert_eq!(
+        report.total_msg_kinds(),
+        kinds.into_iter().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        report.total_svc_time_by_kind(),
+        svc.into_iter().collect::<Vec<_>>()
+    );
+
+    let total = report.total();
+    assert_eq!(total.ops, sum(|n| n.ops));
+    assert_eq!(total.retransmits, sum(|n| n.retransmits));
+    assert_eq!(total.member.pings_sent, sum(|n| n.member.pings_sent));
+    assert_eq!(total.prefetch.prefetched, sum(|n| n.prefetch.prefetched));
+    assert_eq!(total.ft.recoveries, 1);
+    assert_eq!(total.ft.store.writes, sum(|n| n.ft.store.writes));
+    let saved = total.ft.log_bytes_saved;
+    assert!(saved > 0 && saved <= total.ft.log_counters.created_bytes);
+    for n in nodes {
+        assert!(n.ft.log_bytes_saved <= n.ft.log_counters.created_bytes);
+    }
+}
+
+/// docs/OBSERVABILITY.md §2 lists every metric of the table by name: a name
+/// added to `NodeReport::metrics` without a line there fails here.
+#[test]
+fn every_metric_of_the_table_is_in_the_observability_catalogue() {
+    let doc = include_str!("../docs/OBSERVABILITY.md");
+    let section = doc.split("\n## ").find(|s| s.starts_with("2. Metrics"));
+    let section = section.expect("docs/OBSERVABILITY.md has no §2");
+    // A default report has every scalar and histogram; give each per-kind
+    // list a row so that their names show too.
+    let report = NodeReport {
+        msg_kinds: vec![("K", 1)],
+        msg_kind_bytes: vec![("K", 1)],
+        svc_time_by_kind: vec![("K", std::time::Duration::ZERO)],
+        ..NodeReport::default()
+    };
+    let names: BTreeSet<String> = report
+        .metrics()
+        .iter()
+        .map(|(name, _)| name.split('{').next().unwrap().to_string())
+        .collect();
+    assert!(names.len() > 70, "the table lost rows: {}", names.len());
+    for name in &names {
+        assert!(
+            section.contains(&format!("`{name}`")),
+            "{name} is not in §2"
+        );
+    }
 }
