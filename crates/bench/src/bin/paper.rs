@@ -395,9 +395,8 @@ fn do_protocol(scale: &Scale) {
         "  of installs       {:>8}",
         r.total_hists().fetch_copy.count()
     );
-    // Over the three applications: on either Water alone most of what is
-    // prefetched is the first barrier's round of never-held pages, about
-    // which the use bit knows nothing (Table 2 has the ratio per app).
+    // Over the three applications (Table 2 has the ratio per app, and CI
+    // gates each one).
     let mut pf = r.total().prefetch;
     for app in [App::Barnes, App::WaterNsq] {
         pf += run_app(app, scale.ft_config(app)).total().prefetch;

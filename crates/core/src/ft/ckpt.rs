@@ -141,16 +141,18 @@ impl CheckpointBlob {
         let last_bar_arrive_seq = r.get_u32()?;
         let step = r.get_u64()?;
         let app_state = r.get_bytes()?.to_vec();
-        let n_needed = r.get_u64()? as usize;
-        let mut needed = Vec::with_capacity(n_needed);
+        // Each list is sized by its count only as far as the input left
+        // could hold that many of its smallest entry.
+        let n_needed = r.get_u64()?;
+        let mut needed = Vec::with_capacity(r.capacity_for(n_needed, 12));
         for _ in 0..n_needed {
             let p = PageId(r.get_u32()?);
             let proc_ = r.get_u32()? as usize;
             let seq = r.get_u32()?;
             needed.push((p, proc_, seq));
         }
-        let n_ten = r.get_u64()? as usize;
-        let mut tenures = Vec::with_capacity(n_ten);
+        let n_ten = r.get_u64()?;
+        let mut tenures = Vec::with_capacity(r.capacity_for(n_ten, 25));
         for _ in 0..n_ten {
             let l = r.get_u64()? as LockId;
             let acq = r.get_u64()?;
@@ -158,15 +160,15 @@ impl CheckpointBlob {
             let released = r.get_u8()? != 0;
             tenures.push((l, acq, gen, released));
         }
-        let n_rel = r.get_u64()? as usize;
-        let mut last_release_vts = Vec::with_capacity(n_rel);
+        let n_rel = r.get_u64()?;
+        let mut last_release_vts = Vec::with_capacity(r.capacity_for(n_rel, 16));
         for _ in 0..n_rel {
             let l = r.get_u64()? as LockId;
             let vt = wire::get_vt(&mut r)?;
             last_release_vts.push((l, vt));
         }
-        let n_pages = r.get_u64()? as usize;
-        let mut home_pages = Vec::with_capacity(n_pages);
+        let n_pages = r.get_u64()?;
+        let mut home_pages = Vec::with_capacity(r.capacity_for(n_pages, 20));
         for _ in 0..n_pages {
             let p = PageId(r.get_u32()?);
             let v = wire::get_vt(&mut r)?;

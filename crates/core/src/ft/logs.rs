@@ -537,6 +537,19 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_of_a_stable_log_segment_is_an_error() {
+        let mut l = VolatileLogs::new(0, 2);
+        l.log_interval(1, vec![PageId(0)], &vt(&[1, 0]), &[diff(0, 0, 1)]);
+        l.log_interval(2, vec![PageId(2)], &vt(&[2, 1]), &[diff(0, 2, 2)]);
+        let bytes = l.encode_stable();
+        VolatileLogs::new(0, 2).decode_stable_merge(&bytes).unwrap();
+        for len in 0..bytes.len() {
+            let cut = VolatileLogs::new(0, 2).decode_stable_merge(&bytes[..len]);
+            assert!(cut.is_err(), "{len} of {} bytes decoded", bytes.len());
+        }
+    }
+
+    #[test]
     fn delta_save_covers_only_unsaved_entries_and_merges_back() {
         let mut l = VolatileLogs::new(0, 2);
         l.log_interval(1, vec![PageId(0)], &vt(&[1, 0]), &[diff(0, 0, 1)]);

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dsm_page::{PageId, ProcId, VectorClock};
-use hlrc::{Have, PageBody, PageState};
+use hlrc::{Have, Held, PageBody, PageState};
 
 use crate::msg::Payload;
 use crate::runtime::node::NodeState;
@@ -94,29 +94,36 @@ impl FetchSvc {
     }
 }
 
-/// How many page ids the fault on a page [`issue_prefetch`] left out looks
-/// across — its own and the next 15 — for others left out (see
-/// [`fetch_with_neighbours`]).
+/// How far the fault on a page [`issue_prefetch`] left out looks for others
+/// left out: up to `NEIGHBOUR_SPAN - 1` page ids on each side of its own
+/// (see [`fetch_with_neighbours`]).
 const NEIGHBOUR_SPAN: u32 = 16;
 
 /// The home of `page` if [`issue_prefetch`] left it out and nothing has asked
-/// for it since: remote, invalidated, its last copy unused, no fetch in
-/// flight.
+/// for it since: remote, invalidated, no fetch in flight, and either its
+/// last copy went unused or it was never held and a notice has named it.
+/// A page nobody has written is never left out.
 pub(crate) fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
     if st.pt.is_home(page) || st.fetch.in_flight(page) {
         return None;
     }
     let m = st.pt.remote_meta(page);
-    (m.state == PageState::Invalid && !m.used).then_some(m.home)
+    let skipped = match m.held {
+        Held::Used => false,
+        Held::Unused => true,
+        Held::Never => m.needed.as_slice().iter().any(|&seq| seq > 0),
+    };
+    (m.state == PageState::Invalid && skipped).then_some(m.home)
 }
 
 /// Fetch the remote pages just invalidated by applied write notices whose
 /// last copy was used: one `PageReq` per home covers every such page, turning
 /// N page-miss round trips into one. A page whose last copy was never read
 /// or written is left out — most invalidated copies are not touched again,
-/// and a refetch nobody reads is traffic for nothing; if it is touched after
-/// all, [`fetch_with_neighbours`] fetches it. Skipped during recovery replay
-/// (replay fetches must stay individually deterministic).
+/// and a refetch nobody reads is traffic for nothing — and so is a page
+/// never held, which nothing says this node wants; if either is touched
+/// after all, [`fetch_with_neighbours`] fetches it. Skipped during recovery
+/// replay (replay fetches must stay individually deterministic).
 pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     if st.rec.replaying() {
         return;
@@ -131,7 +138,7 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
         if m.state != PageState::Invalid {
             continue;
         }
-        if m.used {
+        if m.held == Held::Used {
             pages.push(page);
         } else {
             st.fetch.counts.prefetch_skipped += 1;
@@ -143,20 +150,29 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
 
 /// A fault on remote `page` that no fetch in flight covers: ask its home for
 /// it. If [`issue_prefetch`] left it out, it has probably left out the pages
-/// an application sweep touches next as well: the left-out pages of the same
-/// home among the next `NEIGHBOUR_SPAN - 1` page ids — possibly none — go
-/// into the same `PageReq`. A miss the filter had no part in (a cold one)
-/// asks for its page alone.
+/// an application sweep touches next as well, in whichever direction the
+/// sweep runs: the contiguous run of left-out pages of the same home on
+/// each side of it, at most `NEIGHBOUR_SPAN - 1` a side — possibly none —
+/// goes into the same `PageReq`, in page order. A miss the filter had no
+/// part in (a cold one: never held, never named) asks for its page alone.
 pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) {
     let mut pages = vec![page];
     if let Some(home) = left_out(st, page) {
         st.fetch.counts.skipped_then_missed += 1;
-        let end = (page.0 + NEIGHBOUR_SPAN).min(st.pt.len() as u32);
-        let after = (page.0 + 1..end).map(PageId);
-        pages.extend(after.filter(|&q| left_out(st, q) == Some(home)));
+        let mut before = left_out_run(st, home, (0..page.0).rev());
+        let after = left_out_run(st, home, page.0 + 1..st.pt.len() as u32);
+        before.reverse();
+        pages = [before, pages, after].concat();
         st.fetch.counts.prefetched += pages.len() as u64 - 1;
     }
     send_page_batches(st, &pages);
+}
+
+/// The pages `ids` walks away from a miss, up to the span or the first that
+/// is not left out at `home`.
+fn left_out_run(st: &NodeState, home: ProcId, ids: impl Iterator<Item = u32>) -> Vec<PageId> {
+    let ids = ids.take(NEIGHBOUR_SPAN as usize - 1).map(PageId);
+    ids.take_while(|&q| left_out(st, q) == Some(home)).collect()
 }
 
 /// `pages` as a `PageReq` asks for them — the version needed (see
@@ -448,48 +464,27 @@ mod tests {
     }
 
     #[test]
-    fn a_miss_on_a_left_out_page_asks_for_its_left_out_neighbours_in_the_same_request() {
-        // Node 1 of 3; `eps` are nodes 0 and 2.
-        let (mut st, eps) = test_state(1, 3, false);
-        let homes = [
-            0, 0, 0, 0, 0, 1, 2, 0, 0, 0, // 5 homed here, 6 of home 2
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-        ];
-        for home in homes {
-            st.pt.add_page(home);
+    fn a_miss_on_a_left_out_page_asks_for_the_left_out_run_around_it_in_the_same_request() {
+        let (mut st, eps) = test_state(1, 2, false);
+        for _ in 0..20 {
+            st.pt.add_page(0);
         }
-        // Left out by the filter: the page before the miss, the miss, and
-        // pages 3, 6 (of another home), 7 (asked for since), 17 and 18 after
-        // it. Page 4 is valid, 8 was never held, 9 was used and is due a
-        // prefetch of its own, 19 is valid.
-        for page in [1, 2, 3, 6, 7, 17, 18] {
+        // Left out by the filter: pages 1 to 3 and 10. Page 9 was used and
+        // is due a prefetch of its own, 4 is valid, the rest were never held
+        // and no notice named them.
+        for page in [1, 2, 3, 10] {
             invalidated_copy(&mut st, page, false);
         }
         invalidated_copy(&mut st, 9, true);
-        for page in [4, 19] {
-            st.pt
-                .install(PageId(page), page_of(0), &VectorClock::zero(3));
-        }
-        st.fetch.in_flight.insert(PageId(7), in_flight(0));
-        st.fetch.req_id_next = 1;
+        st.pt.install(PageId(4), page_of(0), &VectorClock::zero(2));
 
+        // One request, to the page's home: the miss and the left-out pages
+        // on each side of it, in page order.
         fetch_with_neighbours(&mut st, PageId(2));
-        // One request, to the page's home: the miss and what the filter
-        // left out of the fifteen page ids after it.
-        let sent = requests(&eps[0]);
-        assert_eq!(sent.len(), 1);
-        assert_eq!(asked_pages(&sent[0]), [2, 3, 17]);
-        assert!(requests(&eps[1]).is_empty());
-        for page in [2, 3, 17] {
-            assert_eq!(st.fetch.in_flight[&PageId(page)].req_id, 1);
+        assert_eq!(asked_pages(&only_payload(&eps[0])), [1, 2, 3]);
+        for page in [1, 2, 3] {
+            assert_eq!(st.fetch.in_flight[&PageId(page)].req_id, 0);
         }
-        assert_eq!(
-            (
-                st.fetch.in_flight.len(),
-                st.fetch.in_flight[&PageId(7)].req_id
-            ),
-            (4, 0)
-        );
         let mut counts = PrefetchCounts {
             prefetched: 2,
             skipped_then_missed: 1,
@@ -497,10 +492,10 @@ mod tests {
         };
         assert_eq!(st.fetch.counts, counts);
 
-        // No left-out neighbour (the table ends inside the span): the same
-        // request, one page long, and still a wrong guess of the filter's.
-        // A miss the filter had no part in is no guess of its.
-        for page in [18, 8, 9] {
+        // No left-out neighbour: the same request, one page long, and still
+        // a wrong guess of the filter's. A miss the filter had no part in is
+        // no guess of its.
+        for page in [10, 9] {
             fetch_with_neighbours(&mut st, PageId(page));
             assert_eq!(asked_pages(&only_payload(&eps[0])), [page]);
             assert!(st.fetch.in_flight(PageId(page)));
@@ -509,7 +504,89 @@ mod tests {
         assert_eq!(st.fetch.counts, counts);
         // One sample per request, of its pages.
         let h = &st.hists.fetch_batch_pages;
-        assert_eq!((h.count(), h.sum()), (4, 3 + 1 + 1 + 1));
+        assert_eq!((h.count(), h.sum()), (3, 3 + 1 + 1));
+    }
+
+    #[test]
+    fn a_notice_naming_a_never_held_page_sends_nothing() {
+        let (mut st, eps) = test_state(1, 2, false);
+        for _ in 0..3 {
+            st.pt.add_page(0);
+        }
+        // The first round: the home wrote every page, this node holds none.
+        let all: Vec<PageId> = (0..3).map(PageId).collect();
+        for &page in &all {
+            st.pt.invalidate(page, 0, 1);
+        }
+        issue_prefetch(&mut st, &all);
+        assert!(requests(&eps[0]).is_empty() && st.fetch.in_flight.is_empty());
+        let counts = PrefetchCounts {
+            prefetch_skipped: 3,
+            ..Default::default()
+        };
+        assert_eq!(st.fetch.counts, counts);
+        // Each is left out: a touch of one is the filter's miss.
+        assert!(all.iter().all(|&page| left_out(&st, page) == Some(0)));
+    }
+
+    #[test]
+    fn a_miss_on_a_noticed_never_held_page_asks_for_the_run_on_both_sides() {
+        // Node 1 of 3; `eps` are nodes 0 and 2. Page 11 is homed at node 2,
+        // page 13 here, every other at node 0.
+        let (mut st, eps) = test_state(1, 3, false);
+        for page in 0..60 {
+            st.pt.add_page(match page {
+                11 => 2,
+                13 => 1,
+                _ => 0,
+            });
+        }
+        // Never held, named by a notice from their homes: 3 to 5, 7, 9 to
+        // 12 and 20 to 52. Page 6's copy went unused, page 2 is valid, page
+        // 8 is in flight.
+        for page in [3, 4, 5, 7, 9, 10, 11, 12].into_iter().chain(20..53) {
+            st.pt
+                .invalidate(PageId(page), st.pt.home_of(PageId(page)), 1);
+        }
+        invalidated_copy(&mut st, 6, false);
+        st.pt.install(PageId(2), page_of(0), &VectorClock::zero(3));
+        st.fetch.in_flight.insert(PageId(8), in_flight(0));
+        st.fetch.req_id_next = 1;
+
+        // The run stops at a valid page (2) and a page in flight (8) ...
+        fetch_with_neighbours(&mut st, PageId(5));
+        assert_eq!(asked_pages(&only_payload(&eps[0])), [3, 4, 5, 6, 7]);
+        // ... at a page of another home (11) and one homed here (13), page
+        // 10 beyond it being left out makes no difference ...
+        fetch_with_neighbours(&mut st, PageId(12));
+        assert_eq!(asked_pages(&only_payload(&eps[0])), [12]);
+        // ... and at fifteen pages a side.
+        fetch_with_neighbours(&mut st, PageId(36));
+        let run: Vec<u32> = (21..52).collect();
+        assert_eq!(asked_pages(&only_payload(&eps[0])), run);
+        assert!(requests(&eps[1]).is_empty());
+        assert_eq!(st.fetch.in_flight[&PageId(8)].req_id, 0);
+        let counts = PrefetchCounts {
+            prefetched: 4 + 30,
+            skipped_then_missed: 3,
+            ..Default::default()
+        };
+        assert_eq!(st.fetch.counts, counts);
+    }
+
+    #[test]
+    fn a_cold_miss_asks_alone() {
+        let (mut st, eps) = test_state(1, 2, false);
+        for _ in 0..3 {
+            st.pt.add_page(0);
+        }
+        // Its neighbours were named by a notice; the page itself was not.
+        for page in [0, 2] {
+            st.pt.invalidate(PageId(page), 0, 1);
+        }
+        fetch_with_neighbours(&mut st, PageId(1));
+        assert_eq!(asked_pages(&only_payload(&eps[0])), [1]);
+        assert_eq!(st.fetch.counts, PrefetchCounts::default());
     }
 
     #[test]
@@ -553,8 +630,8 @@ mod tests {
         st.pt.add_page(1); // page 1 at home 1
         st.pt.add_page(0); // page 2 at home 0
         st.pt.add_page(2); // page 3 homed here
-        for p in [0u32, 1, 2] {
-            st.pt.invalidate(PageId(p), 0, 1);
+        for p in [0, 1, 2] {
+            invalidated_copy(&mut st, p, true);
         }
         st.fetch.in_flight.insert(PageId(2), in_flight(0));
         issue_prefetch(

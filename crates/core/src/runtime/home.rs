@@ -309,17 +309,23 @@ mod tests {
 
     #[test]
     fn a_parked_page_is_answered_alone_and_a_duplicate_request_shows_nowhere() {
-        // Node 0 homes pages 0 to 2; node 1 holds nothing and asks for all
-        // three, page 1 at a version node 0 has yet to be sent.
+        // Node 0 homes pages 0 to 2 and has written 0 and 2; node 1 holds
+        // nothing, and its miss on page 1 — at a version node 0 has yet to
+        // be sent — asks for all three.
         let (mut home, _) = test_state(0, 2, false);
         let (mut asker, to_home) = test_state(1, 2, false);
         for _ in 0..3 {
             home.pt.add_page(0);
             asker.pt.add_page(0);
         }
+        for page in [PageId(0), PageId(2)] {
+            home.pt.write(page, 0, &[1]);
+            asker.pt.invalidate(page, 0, 1);
+        }
+        home.pt.end_interval(dsm_page::Interval { proc: 0, seq: 1 });
         asker.pt.invalidate(PageId(1), 1, 1);
         let all: Vec<PageId> = (0..3).map(PageId).collect();
-        fetch::issue_prefetch(&mut asker, &all);
+        fetch::fetch_with_neighbours(&mut asker, PageId(1));
         let request = only_payload(&to_home[0]);
         assert_eq!(request.kind(), "PageReq");
 

@@ -422,9 +422,10 @@ impl Process {
             });
             let lost = st.fetch.await_over();
             // A hit found its page in flight and that request made it ready;
-            // a miss is a page prefetch left out, or one whose request was
+            // a miss is a page prefetch left out — its last copy unused, or
+            // never held and named by a notice — or one whose request was
             // lost (sent again after a timeout) or overtaken by a newer
-            // invalidation. A cold miss is neither.
+            // invalidation. A cold miss (never held, never named) is neither.
             let (ready, ns) = (ready(&mut st), t0.elapsed().as_nanos() as u64);
             if skipped || lost || !ready {
                 st.hists.prefetch_miss.record(ns);

@@ -78,8 +78,9 @@ pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
     let page = PageId(r.get_u32()?);
     let proc_ = r.get_u32()? as usize;
     let seq = r.get_u32()?;
-    let nruns = r.get_u32()? as usize;
-    let mut runs = Vec::with_capacity(nruns);
+    let nruns = r.get_u32()?;
+    // An empty run is an offset and a length.
+    let mut runs = Vec::with_capacity(r.capacity_for(nruns.into(), 8));
     for _ in 0..nruns {
         let offset = r.get_u32()?;
         let len = r.get_u32()? as usize;
@@ -217,9 +218,10 @@ pub fn put_wn_delta(w: &mut ByteWriter, d: &WnDelta) {
 
 /// Decode an interval-delta notice set (rebuilds one shared arena).
 pub fn get_wn_delta(r: &mut ByteReader) -> Result<WnDelta, CodecError> {
-    let nspans = r.get_u32()? as usize;
+    let nspans = r.get_u32()?;
     let mut pages: Vec<PageId> = Vec::new();
-    let mut spans = Vec::with_capacity(nspans);
+    // An empty span is an interval and a page count.
+    let mut spans = Vec::with_capacity(r.capacity_for(nspans.into(), 12));
     for _ in 0..nspans {
         let proc_ = r.get_u32()? as usize;
         let seq = r.get_u32()?;
@@ -255,6 +257,68 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(get_diff(&mut r).unwrap(), d);
         assert!(r.is_exhausted());
+    }
+
+    /// A count no input could hold sizes nothing: a diff header claiming
+    /// `u32::MAX` runs, and a notice set claiming as many spans, end in the
+    /// input's end.
+    #[test]
+    fn a_count_longer_than_its_input_is_eof_not_an_allocation() {
+        let mut w = ByteWriter::new();
+        for word in [3, 1, 7, u32::MAX] {
+            w.put_u32(word);
+        }
+        let bytes = w.into_bytes();
+        let eof = |e| matches!(e, CodecError::UnexpectedEof { .. });
+        assert!(get_diff(&mut ByteReader::new(&bytes)).is_err_and(eof));
+        let spans = &bytes[12..];
+        assert!(get_wn_delta(&mut ByteReader::new(spans)).is_err_and(eof));
+    }
+
+    /// Every strict prefix of an encoded `DiffBatch` — tag, seq (8), count
+    /// (8), the diffs — and of a `PageReply` body, full or delta, is an
+    /// `Err`, never a panic.
+    #[test]
+    fn every_truncation_of_a_diff_batch_or_a_page_body_is_an_error() {
+        let diff = |seq: u32, words: usize| {
+            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
+            cur.write(8, &vec![seq as u8; 8 * words]);
+            cur.write(128, &[1; 8]);
+            Arc::new(Diff::create(PageId(3), Interval { proc: 1, seq }, &twin, &cur).unwrap())
+        };
+        let diffs = vec![diff(4, 1), diff(5, 3)];
+        let mut w = ByteWriter::new();
+        w.put_u8(0);
+        w.put_u64(9);
+        w.put_u64(diffs.len() as u64);
+        diffs.iter().for_each(|d| put_diff(&mut w, d));
+        let batch = w.into_bytes();
+        let get_batch = |bytes: &[u8]| -> Result<Vec<Arc<Diff>>, CodecError> {
+            let mut r = ByteReader::new(bytes);
+            r.get_u8()?;
+            r.get_u64()?;
+            (0..r.get_u64()?)
+                .map(|_| get_diff(&mut r).map(Arc::new))
+                .collect()
+        };
+        assert_eq!(get_batch(&batch).unwrap(), diffs);
+        for len in 0..batch.len() {
+            assert!(get_batch(&batch[..len]).is_err(), "batch cut at {len}");
+        }
+        let full = PageBody::Full {
+            bytes: vec![7u8; 256].into(),
+            base: 2,
+        };
+        for body in [full, PageBody::Delta(diffs)] {
+            let mut w = ByteWriter::new();
+            put_page_body(&mut w, &body);
+            let bytes = w.into_bytes();
+            assert_eq!(get_page_body(&mut ByteReader::new(&bytes)).unwrap(), body);
+            for len in 0..bytes.len() {
+                let cut = get_page_body(&mut ByteReader::new(&bytes[..len]));
+                assert!(cut.is_err(), "body cut at {len}");
+            }
+        }
     }
 
     #[test]

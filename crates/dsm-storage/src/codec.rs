@@ -199,13 +199,20 @@ impl<'a> ByteReader<'a> {
         self.take(len as usize)
     }
 
+    /// The capacity to reserve for `count` items decoded next, each at least
+    /// `smallest` bytes on the wire: no more than the input left could hold,
+    /// so a hostile count fails on the input's end, not on an allocation.
+    pub fn capacity_for(&self, count: u64, smallest: usize) -> usize {
+        count.min((self.remaining() / smallest) as u64) as usize
+    }
+
     /// Length-prefixed vector of u32.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, CodecError> {
         let len = self.get_u64()?;
         if len > MAX_FIELD_LEN / 4 {
             return Err(CodecError::LengthOverflow { len });
         }
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::with_capacity(self.capacity_for(len, 4));
         for _ in 0..len {
             out.push(self.get_u32()?);
         }
@@ -274,6 +281,21 @@ mod tests {
                 remaining: 2
             })
         ));
+    }
+
+    #[test]
+    fn a_u32_vector_longer_than_its_input_is_eof_not_an_allocation() {
+        let mut w = ByteWriter::new();
+        w.put_u64(1 << 28); // a GiB of u32s, within the field bound
+        w.put_u32(7);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert!(matches!(
+            r.get_u32_vec(),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        let r = ByteReader::new(&bytes);
+        assert_eq!((r.capacity_for(1 << 28, 4), r.capacity_for(1, 4)), (3, 1));
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub use homestore::{
     ApplyOutcome, DiffJob, FetchOutcome, Have, HomeStore, PageBody, ReadyFetch, WaitingFetch,
 };
 pub use locks::{LockAction, LockId, LockManagerTable};
-pub use pagetable::{AccessOutcome, PageMeta, PageState, PageTable};
+pub use pagetable::{AccessOutcome, Held, PageMeta, PageState, PageTable};
 pub use wn::{WnDelta, WnSpan, WnTable, WriteNotice};

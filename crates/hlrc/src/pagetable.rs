@@ -31,6 +31,20 @@ pub enum PageState {
     Valid,
 }
 
+/// What became of the copy this node last held of a remote page — what a
+/// prefetch goes by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Held {
+    /// No copy since the page was added or the node restarted: nothing says
+    /// the page is wanted, so a notice naming it fetches nothing and the
+    /// first touch asks for it.
+    Never,
+    /// The copy was read or written since its `install`.
+    Used,
+    /// The copy was installed and nothing has touched it since.
+    Unused,
+}
+
 /// State for a page homed elsewhere.
 #[derive(Debug)]
 pub struct PageMeta {
@@ -48,21 +62,22 @@ pub struct PageMeta {
     /// since — or `None` when that is not known: the copy then goes at the
     /// next invalidation and the refetch moves the page.
     pub base: Option<Have>,
-    /// Was the copy this node last held read or written? True for a page
-    /// never held; `install` clears it and the first access of the new copy
-    /// sets it. Whoever prefetches invalidated pages leaves out one whose
-    /// bit is clear: the copy fetched last time went unused. Volatile — in
-    /// no checkpoint, true again after a restart.
-    pub used: bool,
+    /// Was the copy this node last held read or written — or has it held
+    /// none? `Never` for a new page, `Unused` from `install`, `Used` from
+    /// the first access of the new copy. Whoever prefetches invalidated
+    /// pages asks only for `Used` ones: the others went unread last time or
+    /// were never wanted. Volatile — in no checkpoint, `Never` again after a
+    /// restart.
+    pub held: Held,
 }
 
 impl PageMeta {
     /// Note an access of the copy; true when it is the first since `install`
     /// (the common later access stores nothing).
     fn touch(&mut self) -> bool {
-        let first = !self.used;
+        let first = self.held != Held::Used;
         if first {
-            self.used = true;
+            self.held = Held::Used;
         }
         first
     }
@@ -193,7 +208,7 @@ impl PageTable {
                 copy: None,
                 needed: VectorClock::zero(self.cluster_size()),
                 base: None,
-                used: true,
+                held: Held::Never,
             })
         };
         self.slots.push(Slot { entry, twin: None });
@@ -338,7 +353,7 @@ impl PageTable {
             "fetched copy older than required version"
         );
         m.state = PageState::Valid;
-        m.used = false;
+        m.held = Held::Unused;
         match body {
             PageBody::Full { bytes, base } => {
                 if let Some(old) = m.copy.replace(Page::from_shared(bytes)) {
@@ -522,7 +537,7 @@ impl PageTable {
     /// homed page's diff ring, keeping home copies for the caller to
     /// overwrite from the checkpoint, and set the `needed` vectors from
     /// `needed_by_page` (page, writer, seq) triples saved in the checkpoint.
-    /// No remote page has been held since, so every one counts as `used`.
+    /// No remote page has been held since: every one is [`Held::Never`].
     pub fn reset_for_restart(&mut self, needed_by_page: &[(PageId, ProcId, u32)]) {
         let n = self.cluster_size();
         self.home.reset_for_restart();
@@ -533,7 +548,7 @@ impl PageTable {
                 m.state = PageState::Invalid;
                 m.copy = None;
                 m.base = None;
-                m.used = true;
+                m.held = Held::Never;
                 m.needed = VectorClock::zero(n);
             }
         }
@@ -768,25 +783,26 @@ mod tests {
     fn only_a_page_whose_last_copy_was_used_is_marked_for_prefetch() {
         let mut t = table();
         let p = PageId(1);
-        let used = |t: &PageTable| t.remote_meta(p).used;
-        // Never held: nothing says the page is not wanted.
-        assert!(used(&t));
+        let held = |t: &PageTable| t.remote_meta(p).held;
+        // Never held: nothing says the page is wanted, and a notice naming
+        // it says so no more than before.
+        assert_eq!(held(&t), Held::Never);
         t.invalidate(p, 1, 1);
-        assert!(used(&t));
+        assert_eq!(held(&t), Held::Never);
         // A copy invalidated unread is not wanted again, however many
         // notices follow — and stays, with its version, for the delta the
         // miss that does come asks for.
         t.install(p, base_copy(7), &vc([0, 1]));
         for seq in 2..5 {
             t.invalidate(p, 1, seq);
-            assert!(!used(&t) && t.remote_meta(p).copy.is_some());
+            assert!(held(&t) == Held::Unused && t.remote_meta(p).copy.is_some());
             assert_eq!(t.have(p), Some(&(1, vc([0, 1]))));
         }
         // One read, or one write, of the copy that miss fetches and the
         // page is wanted again.
         for (seq, write) in [(5, false), (6, true)] {
             t.install(p, base_copy(8), &vc([0, seq - 1]));
-            assert!(!used(&t));
+            assert_eq!(held(&t), Held::Unused);
             let access = |t: &mut PageTable| match write {
                 true => t.write(p, 0, &[1]),
                 false => t.read_into(p, 0, &mut [0u8; 8]),
@@ -795,9 +811,9 @@ mod tests {
             assert!(!access(&mut t), "second access of the copy");
             t.end_interval(iv(0, seq));
             t.invalidate(p, 1, seq);
-            assert!(used(&t));
+            assert_eq!(held(&t), Held::Used);
         }
-        // Homed pages have no such bit: an access of one is never a first.
+        // Homed pages have no such state: an access of one is never a first.
         assert!(!t.write(PageId(0), 0, &[1]) && !t.read_into(PageId(0), 0, &mut [0u8; 8]));
     }
 
@@ -885,18 +901,41 @@ mod tests {
 
     #[test]
     fn restart_reset_drops_copies_and_restores_needed() {
+        // Node 0 of 2; pages 1 to 4 homed at node 1. Page 1 is valid and
+        // used, 2 valid and unused, 3 kept across a notice with its version,
+        // unused, and 4 was never held but a notice named it.
         let mut t = table();
-        t.install(PageId(1), base_copy(1), &VectorClock::zero(2));
-        t.invalidate(PageId(1), 1, 1); // kept, with its version, unused ...
-        assert!(!t.remote_meta(PageId(1)).used);
-        t.reset_for_restart(&[(PageId(1), 1, 7)]);
-        // ... and lost with everything else: a page never held again.
-        assert!(t.have(PageId(1)).is_none() && t.remote_meta(PageId(1)).copy.is_none());
-        assert!(t.remote_meta(PageId(1)).used);
-        match t.ensure_access(PageId(1)) {
+        for _ in 0..3 {
+            t.add_page(1);
+        }
+        for page in 1..4 {
+            t.install(PageId(page), base_copy(1), &VectorClock::zero(2));
+        }
+        t.read_into(PageId(1), 0, &mut [0u8; 8]);
+        for page in [3, 4] {
+            t.invalidate(PageId(page), 1, 1);
+        }
+        let held = |t: &PageTable| {
+            (1..5)
+                .map(|p| t.remote_meta(PageId(p)).held)
+                .collect::<Vec<_>>()
+        };
+        let (used, unused) = (Held::Used, Held::Unused);
+        assert_eq!(held(&t), [used, unused, unused, Held::Never]);
+        assert!(t.have(PageId(3)).is_some());
+        t.reset_for_restart(&[(PageId(3), 1, 7)]);
+        // Every copy is lost with everything else: no page has been held.
+        assert_eq!(held(&t), [Held::Never; 4]);
+        for page in 1..5 {
+            let m = t.remote_meta(PageId(page));
+            assert!(m.state == PageState::Invalid && m.copy.is_none() && m.base.is_none());
+        }
+        // What is needed is what the checkpoint saved.
+        match t.ensure_access(PageId(3)) {
             AccessOutcome::NeedFetch { needed, .. } => assert_eq!(needed.get(1), 7),
             other => panic!("unexpected: {other:?}"),
         }
+        assert_eq!(t.remote_meta(PageId(4)).needed, vc([0, 0]));
     }
 
     #[test]

@@ -265,29 +265,30 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
             .find(|(k, _)| *k == kind)
             .map_or(0, |&(_, c)| c)
     };
-    // Round 0: never held, so wanted — one request, which the first read
-    // finds in flight. 1: every copy was read, one request refetches them.
-    // 2: none of those was, nothing is asked for. 3: nor now, and the sweep's
-    // misses on pages 0, 16 and 32 each bring the pages after them. 4: page 5
-    // was read in the sweep and is prefetched alone. 5: that copy was not,
-    // and its miss finds no neighbour left out to bring.
-    assert_eq!((sent("PageReq"), sent("PageReply")), (7, 7));
+    // Round 0: never held, so nothing is asked for; the reads' misses on
+    // pages 0, 16 and 32 each bring the noticed pages after them. 1: every
+    // copy was read, one request refetches them. 2: none of those was,
+    // nothing is asked for. 3: nor now, and the sweep misses as round 0 did.
+    // 4: page 5 was read in the sweep and is prefetched alone. 5: that copy
+    // was not, and its miss finds no neighbour left out to bring.
+    assert_eq!((sent("PageReq"), sent("PageReply")), (9, 9));
     // Those two are every kind a fetch has.
     let kinds = r.total_msg_kinds();
     let of_fetches = kinds.iter().filter(|(k, _)| k.starts_with("Page"));
     assert_eq!(of_fetches.count(), 2);
     let counts = ftdsm_suite::PrefetchCounts {
-        prefetched: 40 + 40 + 37 + 1,
-        prefetched_used: 40 + 37,
-        prefetch_skipped: 40 + 40 + 1,
-        skipped_then_missed: 3 + 1,
+        prefetched: 37 + 40 + 37 + 1,
+        prefetched_used: 37 + 37,
+        prefetch_skipped: 40 + 40 + 40 + 1,
+        skipped_then_missed: 3 + 3 + 1,
     };
     assert_eq!(r.total().prefetch, counts);
     assert_eq!(r.nodes[0].prefetch, Default::default());
     // A fault on a left-out page is a miss, with neighbours or without: as
-    // many as the filter guessed wrong. Round 0's first read is the hit.
+    // many as the filter guessed wrong. No read finds its page in flight:
+    // each miss's reply brings its whole run before the next read.
     let h = r.total_hists();
-    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (1, 4));
+    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (0, 7));
     assert_eq!(h.prefetch_miss.count(), counts.skipped_then_missed);
     assert_eq!(h.fetch_batch_pages.count(), sent("PageReq"));
 }
