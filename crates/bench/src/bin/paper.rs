@@ -408,6 +408,11 @@ fn do_protocol(scale: &Scale) {
     println!("  prefetched_used     {:>8}", pf.prefetched_used);
     println!("  prefetch_skipped    {:>8}", pf.prefetch_skipped);
     println!("  skipped_then_missed {:>8}", pf.skipped_then_missed);
+    println!("\ndiff batches that rode a barrier arrival instead of going alone:");
+    println!(
+        "  diff_batches_carried {:>8}",
+        r.total().diff_batches_carried
+    );
     println!("\nservice time by message kind (all nodes summed):");
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);

@@ -28,6 +28,7 @@ use crate::stats::{Breakdown, FtReport};
 use ckpt::{CheckpointBlob, RetainedCkpt};
 use logs::VolatileLogs;
 use outbox::DiffOutbox;
+pub(crate) use outbox::SeqBatch;
 
 /// Per-node fault-tolerance state, when fault tolerance is on.
 #[derive(Debug, PartialEq)]
@@ -248,6 +249,20 @@ impl FtSvc {
         self.diffs.drained()
     }
 
+    /// What to put on the wire to `home` now for one coalesced diff batch:
+    /// with the retry layer off, the batch itself under `seq: 0` (no ack —
+    /// the reliable-fabric hot path is unchanged); with it on, the batch
+    /// enters the per-home stop-and-wait outbox and this is the outbox's
+    /// next to send, stamped in flight — `None` while one is still
+    /// unacknowledged there (the new one goes when that ack comes).
+    pub(crate) fn batch_out(&mut self, home: ProcId, batch: Vec<Arc<Diff>>) -> Option<SeqBatch> {
+        if self.retry_after.is_none() {
+            return Some((0, batch));
+        }
+        self.diffs.push(home, batch);
+        self.diffs.start_next(home)
+    }
+
     /// The `needed` version a fetch of `page` should carry: the accumulated
     /// invalidation vector plus the seq of our own last diff for the page
     /// the outbox may still hold (see [`DiffOutbox::fold_needed`]).
@@ -402,17 +417,12 @@ impl FtSvc {
     }
 }
 
-/// Send one coalesced diff batch to a remote home. With the retry layer on
-/// the batch enters the per-home stop-and-wait outbox; otherwise it goes
-/// straight out with `seq: 0` (no ack — the reliable-fabric hot path is
-/// unchanged).
+/// Send one coalesced diff batch to a remote home (see
+/// [`FtSvc::batch_out`]).
 pub(crate) fn send_diff_batch(st: &mut NodeState, home: ProcId, batch: Vec<Arc<Diff>>) {
-    if st.ft.retry_after.is_none() {
-        let (seq, diffs) = (0, batch);
-        return st.send(home, Payload::DiffBatch { seq, diffs });
+    if let Some((seq, diffs)) = st.ft.batch_out(home, batch) {
+        st.send(home, Payload::DiffBatch { seq, diffs });
     }
-    st.ft.diffs.push(home, batch);
-    pump_diffs(st, home);
 }
 
 /// Transmit the next batch queued for `home`, unless one is still

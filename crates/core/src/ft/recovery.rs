@@ -814,6 +814,25 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_barrier_sends_the_managers_batch_as_a_diff_batch() {
+        // Node 1 of 2 replays episode 0 having written page 0, node 0's:
+        // no arrival goes out for the batch to ride.
+        let (mut st, eps) = test_state(1, 2, true);
+        st.pt.add_page(0);
+        st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
+        st.pt.write(PageId(0), 8, &[1]);
+        let mut replay = ReplayState::default();
+        replay.bar_results.insert(0, gated(2, 1, 1));
+        st.rec.replay = Some(replay);
+        assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
+        match only_payload(&eps[0]) {
+            Payload::DiffBatch { seq: 0, diffs } => assert_eq!(diffs.len(), 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(st.diff_batches_carried, 0);
+    }
+
+    #[test]
     fn a_replayed_page_gets_the_copy_from_its_home_alone_and_diffs_from_everyone() {
         let (mut st, eps) = test_state(1, 3, true);
         st.pt.add_page(1); // page 0: homed here

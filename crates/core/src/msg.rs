@@ -124,6 +124,14 @@ pub enum Payload {
         /// Interval-delta of the participant's own write notices since its
         /// previous arrival (relative to its previous arrival clock).
         own_wns: WnDelta,
+        /// The participant's `(seq, diffs)` for pages the manager homes,
+        /// from the interval this arrival closed: the [`Payload::DiffBatch`]
+        /// that would otherwise have gone just before it, and is served as
+        /// that batch, ahead of the arrival. Only the first send carries it
+        /// — a resend from the wait slot does not, the outbox retransmits it
+        /// alone — and only a request-lane kind may carry a batch at all
+        /// (docs/PROTOCOL.md, the lane paragraph).
+        batch: Option<(u64, Vec<Arc<Diff>>)>,
     },
     /// Barrier release: manager → participant.
     BarrierRelease {
@@ -245,6 +253,11 @@ fn entries_size(entries: &[DiffLogEntry]) -> usize {
     4 + entries.iter().map(|e| e.wire_size()).sum::<usize>()
 }
 
+/// Encoded size of a diff batch after its tag: seq (8), count (8), diffs.
+fn batch_size(diffs: &[Arc<Diff>]) -> usize {
+    16 + diffs.iter().map(|d| d.wire_size()).sum::<usize>()
+}
+
 impl Payload {
     /// Encoded size in bytes of the base-protocol part.
     pub fn wire_size(&self) -> usize {
@@ -254,12 +267,16 @@ impl Payload {
             Payload::LockGrant { vt, wns, .. } => {
                 25 + vt.wire_size() + wns.iter().map(|w| w.wire_size()).sum::<usize>()
             }
-            Payload::DiffBatch { diffs, .. } => {
-                17 + diffs.iter().map(|d| d.wire_size()).sum::<usize>()
-            }
+            Payload::DiffBatch { diffs, .. } => 1 + batch_size(diffs),
             Payload::DiffAck { .. } => 9,
             Payload::Member(w) => w.wire_size(),
-            Payload::BarrierArrive { vt, own_wns, .. } => 9 + vt.wire_size() + own_wns.wire_size(),
+            // Whether a batch follows is a bit of the tag byte.
+            Payload::BarrierArrive {
+                vt, own_wns, batch, ..
+            } => {
+                let batch = batch.as_ref().map_or(0, |(_, diffs)| batch_size(diffs));
+                9 + vt.wire_size() + own_wns.wire_size() + batch
+            }
             Payload::BarrierRelease { vt, wns, .. } => 9 + vt.wire_size() + wns.wire_size(),
             Payload::PageReq { pages, .. } => {
                 13 + pages
@@ -328,6 +345,24 @@ impl Payload {
             Payload::RecPageReq { .. } => "RecPageReq",
             Payload::RecPageReply { .. } => "RecPageReply",
         }
+    }
+
+    /// The diff batch this message carries besides its own content — a
+    /// barrier arrival's, the one kind that may carry one.
+    pub(crate) fn carried(&self) -> Option<&(u64, Vec<Arc<Diff>>)> {
+        match self {
+            Payload::BarrierArrive { batch, .. } => batch.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Take the carried batch out, as the `DiffBatch` it stands for.
+    pub(crate) fn take_carried(&mut self) -> Option<Payload> {
+        let Payload::BarrierArrive { batch, .. } = self else {
+            return None;
+        };
+        let (seq, diffs) = batch.take()?;
+        Some(Payload::DiffBatch { seq, diffs })
     }
 }
 
@@ -441,6 +476,127 @@ mod tests {
         assert!(m.base_wire_size() > 4096);
         assert!(m.base_wire_size() < 4096 + 64 + TraceCtx::WIRE_SIZE);
         assert_eq!(m.ft_wire_size(), 0);
+    }
+
+    /// One payload of every kind, each as full as the kind can be: a batch
+    /// wherever a kind can carry one.
+    fn one_of_every_kind() -> Vec<Payload> {
+        let vt = || VectorClock::zero(2);
+        let twin = dsm_page::Page::zeroed(64);
+        let mut cur = twin.clone();
+        cur.write(0, &[1]);
+        let iv = dsm_page::Interval { proc: 1, seq: 1 };
+        let diffs = vec![Arc::new(Diff::create(PageId(0), iv, &twin, &cur).unwrap())];
+        let wns = || WnDelta::from_notices(&[]);
+        let (lock, acq_seq, gen, page) = (1, 2, 3, PageId(0));
+        vec![
+            Payload::LockAcq {
+                lock,
+                acq_seq,
+                vt: vt(),
+            },
+            Payload::LockForward {
+                lock,
+                requester: 1,
+                acq_seq,
+                gen,
+                pred_acq: 0,
+                vt: vt(),
+            },
+            Payload::LockGrant {
+                lock,
+                acq_seq,
+                gen,
+                vt: vt(),
+                wns: Vec::new(),
+            },
+            Payload::DiffBatch {
+                diffs: diffs.clone(),
+                seq: 1,
+            },
+            Payload::DiffAck { seq: 1 },
+            Payload::Member(dsm_member::Wire::Ping {
+                seq: 1,
+                incarnation: 0,
+            }),
+            Payload::BarrierArrive {
+                episode: 0,
+                vt: vt(),
+                own_wns: wns(),
+                batch: Some((1, diffs)),
+            },
+            Payload::BarrierRelease {
+                episode: 0,
+                vt: vt(),
+                wns: wns(),
+            },
+            Payload::PageReq {
+                pages: vec![(page, vt(), None)],
+                req_id: 1,
+            },
+            Payload::PageReply {
+                req_id: 1,
+                pages: Vec::new(),
+            },
+            Payload::RecLogReq { homed: Vec::new() },
+            Payload::RecLogReply {
+                wn: Vec::new(),
+                rel_for_you: Vec::new(),
+                acq_mirror: Vec::new(),
+                bar: Vec::new(),
+                bar_mgr: Vec::new(),
+                lock_chains: Vec::new(),
+                gen_floor: Vec::new(),
+                applied_of_you: 0,
+                diffs: Vec::new(),
+            },
+            Payload::RecPageReq { page, tckp: vt() },
+            Payload::RecPageReply {
+                page,
+                copy: None,
+                entries: Vec::new(),
+            },
+        ]
+    }
+
+    /// A batch rides only the request lane. Delivery is FIFO per sender
+    /// within a lane and unordered across lanes, so a batch on a reply could
+    /// be overtaken by the sender's next `DiffBatch`, and the home's version
+    /// gate would then drop the older one for good.
+    #[test]
+    fn no_kind_the_application_thread_waits_for_carries_a_batch() {
+        use Payload::*;
+        let every = one_of_every_kind();
+        // No wildcard: a new kind does not compile here until it has a
+        // sample above.
+        let index = |p: &Payload| match p {
+            LockAcq { .. } => 0,
+            LockForward { .. } => 1,
+            LockGrant { .. } => 2,
+            DiffBatch { .. } => 3,
+            DiffAck { .. } => 4,
+            Member(_) => 5,
+            BarrierArrive { .. } => 6,
+            BarrierRelease { .. } => 7,
+            PageReq { .. } => 8,
+            PageReply { .. } => 9,
+            RecLogReq { .. } => 10,
+            RecLogReply { .. } => 11,
+            RecPageReq { .. } => 12,
+            RecPageReply { .. } => 13,
+        };
+        let kinds: Vec<usize> = every.iter().map(index).collect();
+        assert_eq!(kinds, (0..14).collect::<Vec<_>>());
+        let mut carriers = Vec::new();
+        for payload in every {
+            let (kind, carries) = (payload.kind(), payload.carried().is_some());
+            let msg = Msg::bare(payload);
+            assert!(!(msg.to_waiter() && carries), "{kind} is a reply");
+            if carries {
+                carriers.push(kind);
+            }
+        }
+        assert_eq!(carriers, ["BarrierArrive"]);
     }
 
     #[test]

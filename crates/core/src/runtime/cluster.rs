@@ -55,6 +55,35 @@ fn snapshot(ts_ns: u64, fabric: &Fabric<Msg>, shareds: &[Arc<NodeShared>]) -> Sn
     snap
 }
 
+const FNV_BASIS: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// FNV-1a over 64-bit values.
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    values
+        .into_iter()
+        .fold(FNV_BASIS, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
+}
+
+/// The hash of a page's bytes: four FNV-1a lanes over its little-endian
+/// `u64` words, word `i` to lane `i % 4` — four multiplies in flight rather
+/// than one per byte in a chain — then the lanes and any bytes past the
+/// last 32-byte block, folded in order. Each step is a bijection of its
+/// lane for a fixed word and of its word for a fixed lane, so a page that
+/// differs in one byte hashes differently.
+fn page_hash(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_BASIS; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+            *lane = (*lane ^ word).wrapping_mul(FNV_PRIME);
+        }
+    }
+    let tail = blocks.remainder().iter().map(|&b| b as u64);
+    fnv1a(lanes.into_iter().chain(tail))
+}
+
 /// Run an SPMD application on a simulated cluster.
 ///
 /// `app` is invoked once per node with that node's [`Process`] handle (and
@@ -370,20 +399,12 @@ where
     let mut nodes = Vec::with_capacity(n);
     let mut shared_bytes = 0;
     let total_pages = shareds[0].state.lock().pt.len();
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for p in 0..total_pages {
+    let hash = fnv1a((0..total_pages).map(|p| {
         let page = dsm_page::PageId(p as u32);
         let home = shareds[0].state.lock().pt.home_of(page);
-        let st = shareds[home].state.lock();
-        let (_, bytes) = st.pt.home_snapshot(page);
-        let mut ph: u64 = 0xcbf29ce484222325;
-        for &b in bytes.iter() {
-            ph ^= b as u64;
-            ph = ph.wrapping_mul(0x100000001b3);
-        }
-        hash ^= ph;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
+        let (_, bytes) = shareds[home].state.lock().pt.home_snapshot(page);
+        page_hash(&bytes)
+    }));
     for s in &shareds {
         let st = s.state.lock();
         shared_bytes = shared_bytes.max(st.shared_bytes());
@@ -401,5 +422,29 @@ where
         phases: fabric.stats().total_phases(),
         metrics,
         monitor: monitor_report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_flipped_byte_changes_its_page_and_swapped_pages_change_the_run() {
+        // 4 blocks of 32 bytes and a 5-byte tail: every word of every lane,
+        // and the bytes no lane takes.
+        let page: Vec<u8> = (0..133u32).map(|i| (i * 37 % 251) as u8).collect();
+        let h = page_hash(&page);
+        for i in 0..page.len() {
+            for bit in [0x01, 0x80, 0xff] {
+                let mut flipped = page.clone();
+                flipped[i] ^= bit;
+                assert_ne!(page_hash(&flipped), h, "byte {i} ^ {bit:#x}");
+            }
+        }
+        // The run hash is over pages in page order.
+        let other = page_hash(&page[..128]);
+        assert_ne!(fnv1a([h, other]), fnv1a([other, h]));
+        assert_ne!(fnv1a([h, h]), fnv1a([h]));
     }
 }

@@ -13,7 +13,7 @@ use dsm_trace::EventKind;
 use hlrc::{LockId, WnDelta, WriteNotice};
 
 use crate::ft::logs::{BarEntry, RelEntry};
-use crate::ft::{self, recovery};
+use crate::ft::{self, recovery, SeqBatch};
 use crate::msg::Payload;
 use crate::runtime::fetch;
 use crate::runtime::node::NodeState;
@@ -25,10 +25,22 @@ impl NodeState {
     /// protocol and logging time spent is charged to `bd`, the running
     /// incarnation's breakdown.
     pub(crate) fn close_interval(&mut self, bd: &mut Breakdown) {
+        self.close_interval_carrying(bd, None);
+    }
+
+    /// [`NodeState::close_interval`], but the diffs for `carrier`'s pages
+    /// are not sent: they come back as [`crate::ft::FtSvc::batch_out`] would
+    /// put them on the wire now, for the message about to go to `carrier`
+    /// to carry.
+    fn close_interval_carrying(
+        &mut self,
+        bd: &mut Breakdown,
+        carrier: Option<ProcId>,
+    ) -> Option<SeqBatch> {
         // O(1) early exit: one vec emptiness check plus one atomic load — the
         // common no-writes release pays no slot walk and takes no shard lock.
         if !self.pt.has_writes() {
-            return;
+            return None;
         }
         let t0 = Instant::now();
         let me = self.me;
@@ -43,7 +55,7 @@ impl NodeState {
                 .release_flush
                 .record(t0.elapsed().as_nanos() as u64);
             bd.protocol += t0.elapsed();
-            return;
+            return None;
         }
         let pages: Vec<PageId> = diffs.iter().map(|d| d.page).collect();
         if self.tracer.enabled() {
@@ -86,14 +98,20 @@ impl NodeState {
         // one message per home regardless of how many pages the interval wrote,
         // in ascending home order so the piggyback state advances identically
         // on replay.
+        let mut carried = None;
         for (home, batch) in remote {
-            ft::send_diff_batch(self, home, batch);
+            if Some(home) == carrier {
+                carried = self.ft.batch_out(home, batch);
+            } else {
+                ft::send_diff_batch(self, home, batch);
+            }
         }
         // The whole release flush — dirty collection, diff creation, logging,
         // per-home batches out.
         self.hists
             .release_flush
             .record(t0.elapsed().as_nanos() as u64);
+        carried
     }
 }
 
@@ -178,9 +196,13 @@ pub(crate) fn release(st: &mut NodeState, lock: LockId) {
     st.ft.policy_check(st.shared_bytes(), None);
 }
 
-/// Arrive at the barrier, the interval closed: park the arrival in the wait
-/// slot and send it to the manager. Returns the episode.
-pub(crate) fn arrive(st: &mut NodeState) -> u64 {
+/// Arrive at the barrier: close the interval, park the arrival in the wait
+/// slot and send it to the manager, node 0, carrying our diffs for the
+/// pages it homes — one message where a `DiffBatch` and the arrival were
+/// two. Returns the episode.
+pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
+    let batch = st.close_interval_carrying(bd, Some(0));
+    st.diff_batches_carried += batch.is_some() as u64;
     let episode = st.sync.bar_episode();
     st.tracer.emit(EventKind::BarrierEnter {
         episode: episode as u32,
@@ -195,6 +217,7 @@ pub(crate) fn arrive(st: &mut NodeState) -> u64 {
         episode,
         vt,
         own_wns,
+        batch,
     };
     st.block_on(0, arrival);
     episode
@@ -218,4 +241,133 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
         });
     }
     st.ft.policy_check(st.shared_bytes(), Some(episode));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::node::tests::{diff_of, gated, page_of, test_state, test_state_with};
+    use crate::runtime::node::{drain_unalloc, handle_msg, WaitSlot};
+    use dsm_member::MemberConfig;
+    use dsm_net::{Endpoint, Event};
+    use std::time::Duration;
+
+    /// Every payload waiting for `ep`, on either lane.
+    fn sent(ep: &Endpoint<crate::msg::Msg>) -> Vec<Payload> {
+        let all = std::iter::from_fn(|| ep.recv_any(Duration::ZERO));
+        all.map(|ev| match ev {
+            Event::Msg { msg, .. } => msg.payload,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn the_managers_batch_rides_the_arrival_or_waits_its_turn_and_only_the_outbox_resends_it() {
+        // Node 1 of 2 with the retry layer on; it writes page 0, node 0's.
+        let retrying = MemberConfig::default();
+        let (mut st, eps) = test_state_with(1, 2, false, Some(&retrying));
+        st.pt.add_page(0);
+        st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
+        let mut bd = Breakdown::default();
+        let ack = |st: &mut NodeState, seq| handle_msg(st, 0, Payload::DiffAck { seq });
+        let write = |st: &mut NodeState, byte| st.pt.write(PageId(0), 8, &[byte]);
+
+        // A release's batch is in flight when the barrier comes: the next
+        // one waits in the outbox, the arrival goes without it, and the ack
+        // lets it go alone.
+        write(&mut st, 1);
+        st.close_interval(&mut bd);
+        let [Payload::DiffBatch { seq: first, .. }] = &sent(&eps[0])[..] else {
+            panic!("one DiffBatch")
+        };
+        write(&mut st, 2);
+        arrive_and_check(&mut st, &eps, None);
+        ack(&mut st, *first);
+        let [Payload::DiffBatch { seq: second, .. }] = &sent(&eps[0])[..] else {
+            panic!("the queued batch, alone")
+        };
+        ack(&mut st, *second);
+        assert!(st.ft.drained() && st.diff_batches_carried == 0);
+        let release = Payload::BarrierRelease {
+            episode: 0,
+            vt: st.vt.clone(),
+            wns: WnDelta::from_notices(&[]),
+        };
+        handle_msg(&mut st, 0, release);
+        let (_, release) = st.wait.take().expect("the release answers the arrival");
+        cross_barrier(&mut st, release);
+
+        // Nothing in flight: the arrival carries the batch under the
+        // outbox's next seq, and is parked without it.
+        write(&mut st, 3);
+        let (seq, diffs) = arrive_and_check(&mut st, &eps, Some(1)).unwrap();
+        assert!(seq > *second && !st.ft.drained());
+        assert_eq!(st.diff_batches_carried, 1);
+        // The arrival is lost. The outbox sends the batch again, as a
+        // `DiffBatch`; the wait slot sends the arrival again, bare.
+        crate::ft::resend_inflight_diffs(&mut st, 0);
+        assert_eq!(st.retransmit_wait_slot(), 1);
+        match &sent(&eps[0])[..] {
+            [Payload::DiffBatch { seq: s, diffs: d }, Payload::BarrierArrive {
+                episode: 1,
+                batch: None,
+                ..
+            }] => {
+                assert_eq!((*s, d), (seq, &diffs))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        ack(&mut st, seq);
+        assert!(st.ft.drained());
+    }
+
+    /// `arrive` at `st`, and check what it sent and parked: one arrival,
+    /// carrying a batch of `carried` diffs or none; returns the batch.
+    fn arrive_and_check(
+        st: &mut NodeState,
+        eps: &[Arc<Endpoint<crate::msg::Msg>>],
+        carried: Option<usize>,
+    ) -> Option<SeqBatch> {
+        arrive(st, &mut Breakdown::default());
+        let [arrival] = &sent(&eps[0])[..] else {
+            panic!("one message to the manager")
+        };
+        let batch = arrival.carried().cloned();
+        assert_eq!(batch.as_ref().map(|(_, d)| d.len()), carried);
+        match &st.wait {
+            WaitSlot::Request { to: 0, request, .. } => {
+                assert!(request.carried().is_none(), "a resend would carry it");
+                assert_eq!(request.kind(), "BarrierArrive");
+            }
+            other => panic!("unexpected wait {other:?}"),
+        }
+        batch
+    }
+
+    #[test]
+    fn the_manager_serves_a_carried_batch_before_the_arrival_and_only_once_its_pages_exist() {
+        // Node 0 of 2, the manager, has allocated page 0 only; node 1's
+        // arrival carries a diff for page 1, which node 0 is yet to allocate.
+        let (mut st, eps) = test_state(0, 2, false);
+        st.pt.add_page(0);
+        let arrival = Payload::BarrierArrive {
+            episode: 0,
+            vt: gated(2, 1, 1),
+            own_wns: WnDelta::from_notices(&[]),
+            batch: Some((7, vec![diff_of(1, 1, 1)])),
+        };
+        handle_msg(&mut st, 1, arrival.clone());
+        assert_eq!(st.pending_unalloc, [(1, arrival)]);
+        // Our own arrival does not complete the episode: node 1's waits.
+        arrive(&mut st, &mut Breakdown::default());
+        assert!(st.wait.take().is_none() && sent(&eps[0]).is_empty());
+
+        st.pt.add_page(0);
+        drain_unalloc(&mut st);
+        assert_eq!(st.pt.home_version(PageId(1)), gated(2, 1, 1));
+        let kinds: Vec<_> = sent(&eps[0]).iter().map(Payload::kind).collect();
+        assert_eq!(kinds, ["BarrierRelease", "DiffAck"]);
+        assert!(st.wait.take().is_some(), "the episode completed");
+    }
 }

@@ -17,7 +17,7 @@
 //!
 //! | module | file | kinds |
 //! |---|---|---|
-//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch`, `LockAcq` |
+//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` carries), `LockAcq` |
 //! | [`FetchSvc`] | `runtime/fetch.rs` | `PageReply` |
 //! | [`SyncSvc`] | `runtime/sync.rs` | `LockForward`, `LockGrant`, `BarrierArrive`, `BarrierRelease` |
 //! | [`FtSvc`] | `ft/mod.rs` | `DiffAck` |
@@ -180,6 +180,8 @@ pub(crate) struct NodeState {
     pub crash_queue: Vec<u64>,
     /// Requests and diff batches retransmitted after a timeout.
     pub retransmits: u64,
+    /// Diff batches that rode a barrier arrival instead of going alone.
+    pub diff_batches_carried: u64,
     /// Duplicate or stale deliveries suppressed by the idempotency gates
     /// (grant/release/ack dedup, superseded prefetch replies).
     pub dup_suppressed: u64,
@@ -249,6 +251,7 @@ impl NodeState {
             ops: 0,
             crash_queue: Vec::new(),
             retransmits: 0,
+            diff_batches_carried: 0,
             dup_suppressed: 0,
             svc_time_by_kind: BTreeMap::new(),
             own_svc: Duration::ZERO,
@@ -291,6 +294,7 @@ impl NodeState {
             msg_kind_bytes: traffic.kind_bytes(),
             member,
             retransmits: self.retransmits,
+            diff_batches_carried: self.diff_batches_carried,
             dup_suppressed: self.dup_suppressed,
             fetch_delta_pages,
             fetch_delta_bytes,
@@ -439,15 +443,17 @@ impl NodeState {
     }
 
     /// Park `request` in the wait slot and send it to `to`, for the
-    /// application thread to block on its answer.
+    /// application thread to block on its answer. A batch it carries rides
+    /// this send only: the outbox, not a resend, retransmits a batch.
     pub(crate) fn block_on(&mut self, to: ProcId, request: Payload) {
-        let (sent, answer) = (request.clone(), None);
+        let (mut parked, answer) = (request.clone(), None);
+        parked.take_carried();
         self.wait = WaitSlot::Request {
             to,
-            request,
+            request: parked,
             answer,
         };
-        self.send(to, sent);
+        self.send(to, request);
     }
 
     /// Retransmit whatever request the application thread is blocked on —
@@ -477,21 +483,26 @@ impl NodeState {
 
 /// The highest page a payload references, if any.
 fn max_page(payload: &Payload) -> Option<PageId> {
-    match payload {
-        Payload::RecPageReq { page, .. } => Some(*page),
-        Payload::DiffBatch { diffs, .. } => diffs.iter().map(|d| d.page).max(),
-        Payload::PageReq { pages, .. } => pages.iter().map(|(p, ..)| *p).max(),
-        _ => None,
-    }
+    let diffs = match payload {
+        Payload::RecPageReq { page, .. } => return Some(*page),
+        Payload::PageReq { pages, .. } => return pages.iter().map(|(p, ..)| *p).max(),
+        Payload::DiffBatch { diffs, .. } => diffs,
+        carrier => &carrier.carried()?.1,
+    };
+    diffs.iter().map(|d| d.page).max()
 }
 
 /// Handle one protocol message in normal mode, under the big lock: the
 /// module that owns its kind does (the table in the module header). A
 /// message for a page this node has yet to allocate waits for the
-/// allocation.
-pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, payload: Payload) {
+/// allocation. A batch a message carries is served first, as the
+/// `DiffBatch` it stands for.
+pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, mut payload: Payload) {
     if max_page(&payload).is_some_and(|p| p.index() >= st.pt.len()) {
         return st.pending_unalloc.push((from, payload));
+    }
+    if let Some(batch) = payload.take_carried() {
+        home::handle(st, from, &batch);
     }
     match payload {
         Payload::PageReq { .. } | Payload::DiffBatch { .. } | Payload::LockAcq { .. } => {
@@ -582,8 +593,9 @@ fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
 /// Blocks on the endpoint — no polling; [`Endpoint::wake`] posts an
 /// [`Event::Wakeup`] when the shutdown flag needs re-checking. A bare
 /// message that arrives in Normal mode goes to [`HomeSvc::serve`] without
-/// the big lock, fenced by the mode flag; what that hands back, and
-/// everything else, is handled under the big lock.
+/// the big lock, fenced by the mode flag, and so does the batch a bare
+/// barrier arrival carries ([`HomeSvc::serve_batch`]); what that hands back,
+/// the arrival, and everything else, is handled under the big lock.
 pub(crate) fn service_loop(shared: Arc<NodeShared>) {
     let (ep, svc, mode_flag, member) = {
         let st = shared.state.lock();
@@ -632,18 +644,29 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                 }
                 t0.elapsed()
             }
-            Event::Msg { from, msg } => {
-                let served = if msg.piggy.is_none() && live() {
-                    // Replies are parented on the request's flow so the
-                    // exporter can stitch request → reply across nodes (0
-                    // when tracing is off).
-                    let flow = msg.ctx.flow_id();
-                    let bare = |to, reply| {
-                        ep.send(to, Msg::reply_to(reply, flow));
-                    };
-                    svc.serve(&mut hists, from, &msg.payload, live, bare)
-                } else {
+            Event::Msg { from, mut msg } => {
+                // Replies are parented on the request's flow so the exporter
+                // can stitch request → reply across nodes (0 when tracing is
+                // off).
+                let flow = msg.ctx.flow_id();
+                let bare = |to, reply| {
+                    ep.send(to, Msg::reply_to(reply, flow));
+                };
+                let served = if msg.piggy.is_some() || !live() {
                     Served::HandBack
+                } else if let Some((seq, diffs)) = msg.payload.carried() {
+                    // A carried batch is served here, as its `DiffBatch`
+                    // would be; the message itself needs the big lock.
+                    let served = svc.serve_batch(&mut hists, from, *seq, diffs, live, bare);
+                    if let Served::Done { wake } = served {
+                        msg.payload.take_carried();
+                        if wake {
+                            ep.poke();
+                        }
+                    }
+                    Served::HandBack
+                } else {
+                    svc.serve(&mut hists, from, &msg.payload, live, bare)
                 };
                 match served {
                     Served::Done { wake } => {
@@ -668,7 +691,9 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                         }
                         t0.elapsed()
                     }
-                    Served::HandBack => handle_locked(&shared, Event::Msg { from, msg }),
+                    Served::HandBack => {
+                        t0.elapsed() + handle_locked(&shared, Event::Msg { from, msg })
+                    }
                 }
             }
         };
@@ -1086,6 +1111,17 @@ pub(crate) mod tests {
                     vt: zero(),
                 },
             ),
+            // Node 1 arrives at the barrier managed here with a diff for
+            // page 0: applied and acked, the episode still open.
+            (
+                1,
+                Payload::BarrierArrive {
+                    episode: 0,
+                    vt: gated(n, 1, 2),
+                    own_wns: WnDelta::from_notices(&[]),
+                    batch: Some((8, vec![diff_of(0, 1, 2)])),
+                },
+            ),
         ];
         for (from, payload) in script {
             let piggy = piggybacked.then(|| Piggy {
@@ -1110,9 +1146,9 @@ pub(crate) mod tests {
             msgs.sort_by_key(|m| !dsm_net::WireSized::to_waiter(m));
             msgs.into_iter().map(|m| m.payload).collect()
         };
-        // One service thread handling one FIFO request lane: node 1's fifth
+        // One service thread handling one FIFO request lane: node 1's sixth
         // message means the whole script has been handled.
-        let mut got = vec![recv(1, 5), recv(2, 1)];
+        let mut got = vec![recv(1, 6), recv(2, 1)];
         {
             let mut st = shared.state.lock();
             assert_eq!(st.pending_unalloc.len(), 1);
@@ -1143,7 +1179,8 @@ pub(crate) mod tests {
                 "PageReply",
                 "LockGrant",
                 "DiffAck",
-                "LockForward"
+                "LockForward",
+                "DiffAck"
             ]
         );
         assert_eq!(kinds(2), ["PageReply", "PageReply"]);
@@ -1162,6 +1199,9 @@ pub(crate) mod tests {
         // The deferred fetch of page 3 was answered once the page existed.
         assert_eq!(replied(&got[1][1]), (5, vec![3]));
         assert_eq!(versions[1].get(1), 1);
+        // The arrival's batch was served as a `DiffBatch` would be.
+        assert_eq!(versions[0].get(1), 2);
+        assert_eq!(got[0][5], Payload::DiffAck { seq: 8 });
         assert_eq!(parked, [(2, PageId(2), 6)]);
         assert_eq!(deliver_to_service_loop(true), (got, versions, parked));
     }
@@ -1217,7 +1257,7 @@ pub(crate) mod tests {
             }),
             ("LockAcq", |st| interval::request(st, 2)),
             ("BarrierArrive", |st| {
-                interval::arrive(st);
+                interval::arrive(st, &mut Breakdown::default());
             }),
         ];
         for (kind, block) in blocks {
@@ -1284,7 +1324,7 @@ pub(crate) mod tests {
         assert!(eps[0].try_recv().is_none() && st.ep.try_recv().is_none());
 
         st.vt = gated(2, 0, 1);
-        interval::arrive(&mut st);
+        interval::arrive(&mut st, &mut Breakdown::default());
         assert!(
             st.wait.take().is_none(),
             "episode incomplete until node 1 arrives"
@@ -1293,6 +1333,7 @@ pub(crate) mod tests {
             episode: 0,
             vt: gated(2, 1, 1),
             own_wns: WnDelta::from_notices(&[]),
+            batch: None,
         };
         handle_msg(&mut st, 1, from_node_1);
         match st.wait.take() {

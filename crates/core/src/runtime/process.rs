@@ -503,8 +503,7 @@ impl Process {
             }
             recovery::go_live(&mut st);
         }
-        st.close_interval(&mut self.breakdown);
-        let episode = interval::arrive(&mut st);
+        let episode = interval::arrive(&mut st, &mut self.breakdown);
         let t0 = Instant::now();
         let (_, release) = wait_until(&shared, &mut st, |st| st.wait.take());
         self.breakdown.barrier_wait += waited(&mut st, t0);

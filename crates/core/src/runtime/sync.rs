@@ -624,7 +624,9 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
             episode,
             vt,
             own_wns,
+            batch,
         } => {
+            debug_assert!(batch.is_none(), "`handle_msg` serves a batch first");
             let arrival = Arrival {
                 proc: from,
                 episode,

@@ -175,6 +175,9 @@ pub struct NodeReport {
     /// Request retransmissions issued by this node (page/lock/barrier/diff
     /// traffic resent after the retry timeout; zero when retries are off).
     pub retransmits: u64,
+    /// Diff batches this node's barrier arrivals carried to the manager
+    /// instead of sending each as a `DiffBatch` of its own.
+    pub diff_batches_carried: u64,
     /// Duplicate deliveries this node detected and suppressed (re-granted
     /// locks, re-delivered pages, stale diff acks, mismatched prefetches).
     pub dup_suppressed: u64,
@@ -218,6 +221,7 @@ impl NodeReport {
         self.member.up_events += o.member.up_events;
         self.member.pings_sent += o.member.pings_sent;
         self.retransmits += o.retransmits;
+        self.diff_batches_carried += o.diff_batches_carried;
         self.dup_suppressed += o.dup_suppressed;
         self.fetch_delta_pages += o.fetch_delta_pages;
         self.fetch_delta_bytes += o.fetch_delta_bytes;
@@ -278,6 +282,7 @@ impl NodeReport {
             ("member_up_events_total", member.up_events),
             ("member_pings_sent_total", member.pings_sent),
             ("retransmits_total", self.retransmits),
+            ("diff_batches_carried_total", self.diff_batches_carried),
             ("dup_suppressed_total", self.dup_suppressed),
             ("fetch_delta_pages_total", self.fetch_delta_pages),
             ("fetch_delta_bytes_total", self.fetch_delta_bytes),
@@ -326,8 +331,9 @@ pub struct RunReport<R> {
     pub wall: Duration,
     /// Bytes of shared memory allocated.
     pub shared_bytes: u64,
-    /// FNV-1a hash of the final shared memory contents (read from the
-    /// authoritative home copies). Crash-free and crash+recovery runs of a
+    /// FNV-1a hash, over the pages in order, of each page's FNV-1a hash of
+    /// the final shared memory contents (read from the authoritative home
+    /// copies). Crash-free and crash+recovery runs of a
     /// deterministic application must produce the same hash.
     pub shared_hash: u64,
     /// The run's protocol trace (empty rings unless tracing was enabled);

@@ -589,6 +589,111 @@ mod tests {
         }
     }
 
+    /// A barrier arrival, field by field in layout order: the tag byte,
+    /// whose high bit says a batch follows, episode (8), the clock, the
+    /// notice delta, then the batch as a `DiffBatch` lays it out after its
+    /// tag — seq (8), count (8), the diffs.
+    fn put_arrive(w: &mut ByteWriter, arrival: &crate::msg::Payload) {
+        let crate::msg::Payload::BarrierArrive {
+            episode,
+            vt,
+            own_wns,
+            batch,
+        } = arrival
+        else {
+            panic!("not an arrival")
+        };
+        w.put_u8(6 | (batch.is_some() as u8) << 7);
+        w.put_u64(*episode);
+        put_vt(w, vt);
+        put_wn_delta(w, own_wns);
+        if let Some((seq, diffs)) = batch {
+            w.put_u64(*seq);
+            w.put_u64(diffs.len() as u64);
+            diffs.iter().for_each(|d| put_diff(w, d));
+        }
+    }
+
+    fn get_arrive(bytes: &[u8]) -> Result<crate::msg::Payload, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        let carries = r.get_u8()? & 0x80 != 0;
+        let (episode, vt, own_wns) = (r.get_u64()?, get_vt(&mut r)?, get_wn_delta(&mut r)?);
+        let batch = match carries {
+            false => None,
+            true => {
+                let seq = r.get_u64()?;
+                let diffs = (0..r.get_u64()?).map(|_| get_diff(&mut r).map(Arc::new));
+                Some((seq, diffs.collect::<Result<_, _>>()?))
+            }
+        };
+        let arrival = crate::msg::Payload::BarrierArrive {
+            episode,
+            vt,
+            own_wns,
+            batch,
+        };
+        Ok(arrival)
+    }
+
+    /// An arrival round-trips with and without a batch, `wire_size` is its
+    /// encoding (but for the clock's 8-byte length prefix, as for every
+    /// kind), one without a batch is the bytes an arrival always was, and
+    /// every strict prefix of one with a batch is an `Err`, never a panic.
+    #[test]
+    fn an_arrival_with_and_without_a_batch_roundtrips_and_is_charged_its_encoding() {
+        let diff = |page, seq: u32| {
+            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
+            cur.write(8, &[seq as u8; 16]);
+            cur.write(200, &[1; 8]);
+            let iv = Interval { proc: 1, seq };
+            Arc::new(Diff::create(PageId(page), iv, &twin, &cur).unwrap())
+        };
+        let notices = [WriteNotice {
+            interval: Interval { proc: 1, seq: 4 },
+            pages: vec![PageId(0), PageId(5)],
+        }];
+        let arrival = |batch| crate::msg::Payload::BarrierArrive {
+            episode: 3,
+            vt: VectorClock::from_vec(vec![2, 4, 1]),
+            own_wns: WnDelta::from_notices(&notices),
+            batch,
+        };
+        let bare = arrival(None);
+        let carrying = arrival(Some((9, vec![diff(0, 4), diff(5, 4)])));
+        for payload in [&bare, &carrying] {
+            let mut w = ByteWriter::new();
+            put_arrive(&mut w, payload);
+            assert_eq!(w.len(), payload.wire_size() + 8);
+            let bytes = w.into_bytes();
+            assert_eq!(&get_arrive(&bytes).unwrap(), payload);
+        }
+        // Without a batch: tag, episode, clock, notices — as ever.
+        let (mut w, mut old) = (ByteWriter::new(), ByteWriter::new());
+        put_arrive(&mut w, &bare);
+        old.put_u8(6);
+        old.put_u64(3);
+        put_vt(&mut old, &VectorClock::from_vec(vec![2, 4, 1]));
+        put_wn_delta(&mut old, &WnDelta::from_notices(&notices));
+        assert_eq!(w.into_bytes(), old.into_bytes());
+        let notices_size = WnDelta::from_notices(&notices).wire_size();
+        assert_eq!(bare.wire_size(), 1 + 8 + 3 * 4 + notices_size);
+        let Some((_, diffs)) = carrying.carried() else {
+            unreachable!()
+        };
+        let grown = carrying.wire_size() - bare.wire_size();
+        assert_eq!(
+            grown,
+            16 + diffs.iter().map(|d| d.wire_size()).sum::<usize>()
+        );
+        // Every cut of the carrying one.
+        let mut w = ByteWriter::new();
+        put_arrive(&mut w, &carrying);
+        let bytes = w.into_bytes();
+        for len in 0..bytes.len() {
+            assert!(get_arrive(&bytes[..len]).is_err(), "arrival cut at {len}");
+        }
+    }
+
     #[test]
     fn ctx_roundtrip_and_length_is_pinned() {
         let ctx = TraceCtx {

@@ -406,3 +406,51 @@ fn recovery_asks_each_peer_once_and_once_more_per_replayed_page() {
         }
     }
 }
+
+/// A barrier arrival carries the arriver's diffs for the manager's pages.
+/// Each node writes the pages homed at its right neighbour, then crosses a
+/// barrier: node n − 1, the one writer of node 0's pages, sends one message
+/// a round where it sent a `DiffBatch` and an arrival, and every other
+/// writer's batch still goes alone.
+#[test]
+fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
+    const ROUNDS: u64 = 12;
+    const WORDS: usize = 32; // one 256 B page
+    for n in [2, 4] {
+        let r = run(ClusterConfig::base(n).with_page_size(256), &[], |p| {
+            let n = p.nodes();
+            // Blocked over 2n pages: pages 2k and 2k + 1 are node k's.
+            let data = p.alloc_vec::<u64>(2 * n * WORDS, HomeAlloc::Blocked);
+            let target = (p.me() + 1) % n;
+            for round in 0..ROUNDS {
+                for page in 2 * target..2 * target + 2 {
+                    data.set(p, page * WORDS + p.me(), round + 1);
+                }
+                p.barrier();
+            }
+            (0..2 * n * WORDS).map(|w| data.get(p, w)).sum::<u64>()
+        });
+        assert_eq!(r.results, vec![2 * n as u64 * ROUNDS; n], "n = {n}");
+        let sent = |node: usize, kind| {
+            let kinds = r.nodes[node].msg_kinds.iter();
+            kinds
+                .filter(|(k, _)| *k == kind)
+                .map(|&(_, c)| c)
+                .sum::<u64>()
+        };
+        for node in 0..n {
+            let carried = r.nodes[node].diff_batches_carried;
+            let (batches, arrivals) = (sent(node, "DiffBatch"), sent(node, "BarrierArrive"));
+            if node == n - 1 {
+                // Its only remote home is the manager: nothing goes alone.
+                assert_eq!((batches, carried), (0, ROUNDS), "n = {n}");
+            } else {
+                assert_eq!((batches, carried), (ROUNDS, 0), "n = {n}, node {node}");
+            }
+            let arrives = if node == 0 { 0 } else { ROUNDS };
+            assert_eq!(arrivals, arrives, "n = {n}, node {node}");
+        }
+        // n batches a round, one of them inside an arrival.
+        assert_eq!(r.total().diff_batches_carried, ROUNDS);
+    }
+}
