@@ -65,21 +65,12 @@ pub enum CkptPolicy {
 pub struct FtConfig {
     /// Checkpoint policy.
     pub policy: CkptPolicy,
-    /// Take a *full anchor* checkpoint every this many checkpoints; the
-    /// ones in between are *deltas* that save only the homed pages written
-    /// since the previous checkpoint. This is the longest chain recovery
-    /// must replay, anchor included. The non-page state (timestamp,
-    /// counters, app state) is saved in full in every blob, so only page
-    /// payloads shrink. `1` (the default; `0` means the same) makes every
-    /// checkpoint full.
-    pub anchor_every: u64,
 }
 
 impl Default for FtConfig {
     fn default() -> Self {
         FtConfig {
             policy: CkptPolicy::LogOverflow { l: 0.1 },
-            anchor_every: 1,
         }
     }
 }
@@ -216,22 +207,7 @@ impl ClusterConfig {
 
     /// Replace the checkpoint policy (enables FT if it was off).
     pub fn with_policy(mut self, policy: CkptPolicy) -> Self {
-        match &mut self.ft {
-            Some(ft) => ft.policy = policy,
-            None => {
-                self.ft = Some(FtConfig {
-                    policy,
-                    ..FtConfig::default()
-                })
-            }
-        }
-        self
-    }
-
-    /// Enable incremental (delta) checkpoints with a full anchor every
-    /// `anchor_every` checkpoints (enables FT if it was off).
-    pub fn with_incremental_ckpt(mut self, anchor_every: u64) -> Self {
-        self.ft.get_or_insert_with(FtConfig::default).anchor_every = anchor_every;
+        self.ft = Some(FtConfig { policy });
         self
     }
 
@@ -326,14 +302,5 @@ mod tests {
     #[test]
     fn base_config_has_no_ft() {
         assert!(!ClusterConfig::base(4).ft_enabled());
-    }
-
-    #[test]
-    fn incremental_builder_enables_ft_and_sets_anchor_cadence() {
-        let c = ClusterConfig::base(2).with_incremental_ckpt(4);
-        let ft = c.ft.expect("builder enables FT");
-        assert_eq!(ft.anchor_every, 4);
-        // Default stays full-checkpoint mode: every checkpoint an anchor.
-        assert_eq!(FtConfig::default().anchor_every, 1);
     }
 }

@@ -7,12 +7,9 @@
 //! boundary. The saved volatile logs are written as a separate stable
 //! segment so their size can be tracked independently (Figure 4).
 //!
-//! With incremental checkpoints enabled, a blob is either a full *anchor*
-//! (every homed page) or a *delta* carrying only the pages written since
-//! the previous checkpoint. Non-page state is full in every blob, so a
-//! restart restores everything but pages from the latest blob alone and
-//! rebuilds the pages by replaying the chain `anchor..=latest` ascending
-//! (see [`accumulate_chain`]).
+//! Every blob is complete: it holds every homed page, so a restart reads
+//! the newest blob alone and a recovering peer's starting copy is read from
+//! one blob.
 
 use std::collections::HashMap;
 
@@ -27,12 +24,11 @@ use crate::wire;
 pub struct CheckpointBlob {
     /// Checkpoint sequence number at this node (1-based).
     pub seq: u64,
-    /// Is this a delta blob (`home_pages` holds only the pages written
-    /// since checkpoint `base_seq`)? Full blobs hold every homed page.
+    /// Always `false`: the blob holds every homed page. The byte stays in
+    /// the encoding, and [`CheckpointBlob::decode`] refuses a blob that
+    /// sets it.
     pub delta: bool,
-    /// For a delta, the sequence number of the checkpoint it extends
-    /// (always `seq - 1`; kept explicit so recovery can validate the
-    /// chain). Zero for full blobs.
+    /// Always `0`, like `delta`: a blob extends no other.
     pub base_seq: u64,
     /// `T_ckp`: the node's vector timestamp when the checkpoint was taken.
     pub tckp: VectorClock,
@@ -129,12 +125,17 @@ impl CheckpointBlob {
         w.into_bytes()
     }
 
-    /// Decode from bytes.
+    /// Decode from bytes. A blob whose `delta` or `base_seq` is set is
+    /// refused: it would not hold every homed page.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
         let seq = r.get_u64()?;
-        let delta = r.get_u8()? != 0;
-        let base_seq = r.get_u64()?;
+        if let Some(&tag) = r.get_raw(9)?.iter().find(|&&b| b != 0) {
+            return Err(CodecError::BadTag {
+                context: "checkpoint kind",
+                tag,
+            });
+        }
         let tckp = wire::get_vt(&mut r)?;
         let bar_episode = r.get_u64()?;
         let acq_seq_next = r.get_u64()?;
@@ -177,8 +178,8 @@ impl CheckpointBlob {
         }
         Ok(CheckpointBlob {
             seq,
-            delta,
-            base_seq,
+            delta: false,
+            base_seq: 0,
             tckp,
             bar_episode,
             acq_seq_next,
@@ -193,111 +194,46 @@ impl CheckpointBlob {
     }
 }
 
-/// Replay a checkpoint chain's page payloads: blobs are applied in
-/// ascending `seq` order, each full blob resetting the accumulated state
-/// (its page set is complete) and each delta overlaying only the pages it
-/// carries. The result is exactly the page state the last blob logically
-/// represents, borrowed from the newest blob that carries each page. The
-/// restart image and the `p0` server ([`restart_image`], `serve_rec_page`)
-/// both read pages through this and nothing else walks a chain; the
-/// incremental fault-tolerance tests check a chain restart against a full
-/// checkpoint of the same moment.
-pub fn accumulate_chain<'a>(
-    chain: impl IntoIterator<Item = &'a CheckpointBlob>,
-) -> HashMap<PageId, (&'a VectorClock, &'a [u8])> {
-    let mut acc = HashMap::new();
-    for blob in chain {
-        if !blob.delta {
-            acc.clear();
-        }
-        for (p, v, bytes) in &blob.home_pages {
-            acc.insert(*p, (v, bytes.as_slice()));
-        }
-    }
-    acc
-}
-
 /// In-memory index of one retained past checkpoint: which version of each
 /// homed page it holds (drives Rule 3's CGC and the `p0.v` piggyback).
-/// With incremental checkpoints, `versions` is the *accumulated* map over
-/// the chain `anchor_seq..=seq` — the full page state the checkpoint
-/// logically represents, even when its blob on disk is a delta — so every
-/// consumer (CGC coverage, `cover_version`, the `p0` server) keeps working
-/// on complete maps.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RetainedCkpt {
     pub seq: u64,
-    /// The full anchor this checkpoint's chain starts at (`== seq` for a
-    /// full checkpoint). Serving its pages needs every blob in
-    /// `anchor_seq..=seq`, which CGC therefore keeps together.
-    pub anchor_seq: u64,
     pub versions: HashMap<PageId, VectorClock>,
 }
 
 impl RetainedCkpt {
-    /// Append to `window` the index entry of `blob`, the checkpoint that
-    /// follows the window's last: a full blob starts a chain and a version
-    /// map of its own, a delta extends its predecessor's. Taking a
-    /// checkpoint and rebuilding the window after a restart both index
-    /// blobs here, so the two cannot disagree.
-    pub(crate) fn append(window: &mut Vec<RetainedCkpt>, blob: &CheckpointBlob) {
-        let (anchor_seq, mut versions) = if blob.delta {
-            let prev = window
-                .last()
-                .expect("delta checkpoint without a predecessor");
-            (prev.anchor_seq, prev.versions.clone())
-        } else {
-            (blob.seq, HashMap::with_capacity(blob.home_pages.len()))
-        };
-        for (p, v, _) in &blob.home_pages {
-            versions.insert(*p, v.clone());
-        }
-        window.push(RetainedCkpt {
+    /// The index entry of `blob`. Taking a checkpoint and rebuilding the
+    /// window after a restart both index blobs here, so the two cannot
+    /// disagree.
+    pub(crate) fn of(blob: &CheckpointBlob) -> Self {
+        let versions = blob.home_pages.iter().map(|(p, v, _)| (*p, v.clone()));
+        RetainedCkpt {
             seq: blob.seq,
-            anchor_seq,
-            versions,
-        });
+            versions: versions.collect(),
+        }
     }
 }
 
-/// Read and decode the checkpoint blobs `seqs` from stable storage.
-pub(crate) fn load_chain(
-    store: &StableStore,
-    seqs: impl IntoIterator<Item = u64>,
-) -> Vec<CheckpointBlob> {
-    seqs.into_iter()
-        .map(|seq| {
-            let bytes = store
-                .read_segment(SegmentKind::Checkpoint, seq)
-                .expect("retained checkpoint missing from stable storage");
-            CheckpointBlob::decode(&bytes).expect("corrupt checkpoint blob")
-        })
-        .collect()
+/// Read and decode checkpoint blob `seq` from stable storage.
+pub(crate) fn load_blob(store: &StableStore, seq: u64) -> CheckpointBlob {
+    let bytes = store
+        .read_segment(SegmentKind::Checkpoint, seq)
+        .expect("retained checkpoint missing from stable storage");
+    CheckpointBlob::decode(&bytes).expect("corrupt checkpoint blob")
 }
 
-/// The one image a node restarts from, given every checkpoint blob it still
-/// has on stable storage (ascending): the latest blob's non-page state with
-/// the pages its chain accumulates, as one full blob — or [`genesis`] when
-/// it never checkpointed. CGC keeps a delta only together with its whole
-/// chain prefix, so when any blob exists its anchor does too.
+/// What a node restarts from: the newest checkpoint blob on stable storage
+/// — or [`genesis`] when it never checkpointed — and the retained window,
+/// every blob still there indexed oldest first.
 ///
 /// [`genesis`]: CheckpointBlob::genesis
-pub(crate) fn restart_image(mut retained: Vec<CheckpointBlob>, n: usize) -> CheckpointBlob {
-    let Some(anchor) = retained.iter().rposition(|b| !b.delta) else {
-        assert!(retained.is_empty(), "checkpoint chain without an anchor");
-        return CheckpointBlob::genesis(n);
-    };
-    let home_pages = accumulate_chain(&retained[anchor..])
-        .into_iter()
-        .map(|(p, (v, bytes))| (p, v.clone(), bytes.to_vec()))
-        .collect();
-    let latest = retained.pop().expect("a chain has a latest blob");
-    CheckpointBlob {
-        delta: false,
-        base_seq: 0,
-        home_pages,
-        ..latest
-    }
+pub(crate) fn restart_image(store: &StableStore, n: usize) -> (CheckpointBlob, Vec<RetainedCkpt>) {
+    let seqs = store.segment_ids(SegmentKind::Checkpoint);
+    let mut blobs: Vec<_> = seqs.into_iter().map(|seq| load_blob(store, seq)).collect();
+    let window = blobs.iter().map(RetainedCkpt::of).collect();
+    let image = blobs.pop().unwrap_or_else(|| CheckpointBlob::genesis(n));
+    (image, window)
 }
 
 #[cfg(test)]
@@ -359,107 +295,62 @@ mod tests {
         let g = CheckpointBlob::genesis(3);
         assert_eq!((g.seq, g.step, g.delta), (0, 0, false));
         assert_eq!(g.tckp, vt(&[0, 0, 0]));
-        assert!(accumulate_chain([&g]).is_empty(), "genesis carries no page");
+        assert!(g.home_pages.is_empty(), "genesis carries no page");
         assert_eq!(CheckpointBlob::decode(&g.encode()).unwrap(), g);
         // A node with nothing on stable storage restarts from it.
-        assert_eq!(restart_image(Vec::new(), 3), g);
+        let store = StableStore::new(dsm_storage::DiskModel::instant());
+        assert_eq!(restart_image(&store, 3), (g, Vec::new()));
     }
 
     #[test]
-    fn restart_image_is_the_latest_blob_over_its_chains_pages() {
-        let mut anchor = sample();
-        anchor.seq = 1;
-        anchor.home_pages = vec![
-            (PageId(0), vt(&[1, 0, 0]), vec![1u8; 64]),
-            (PageId(3), vt(&[1, 0, 0]), vec![3u8; 64]),
-        ];
-        let mut delta = sample();
-        delta.seq = 2;
-        delta.delta = true;
-        delta.base_seq = 1;
-        delta.step = 12;
-        delta.home_pages = vec![(PageId(3), vt(&[2, 1, 0]), vec![9u8; 64])];
-        let mut window = Vec::new();
-        RetainedCkpt::append(&mut window, &anchor);
-        RetainedCkpt::append(&mut window, &delta);
-        assert_eq!((window[1].seq, window[1].anchor_seq), (2, 1));
-        assert_eq!(window[1].versions[&PageId(0)], vt(&[1, 0, 0]));
-        assert_eq!(window[1].versions[&PageId(3)], vt(&[2, 1, 0]));
-
-        let mut image = restart_image(vec![anchor, delta.clone()], 3);
-        image.home_pages.sort_by_key(|(p, _, _)| *p);
-        let expect = CheckpointBlob {
-            delta: false,
-            base_seq: 0,
-            home_pages: vec![
-                (PageId(0), vt(&[1, 0, 0]), vec![1u8; 64]),
-                (PageId(3), vt(&[2, 1, 0]), vec![9u8; 64]),
-            ],
-            ..delta
-        };
-        assert_eq!(image, expect);
+    fn restart_image_is_the_newest_blob_over_a_window_of_every_blob() {
+        let store = StableStore::new(dsm_storage::DiskModel::instant());
+        let mut blobs = [sample(), sample()];
+        for (k, b) in blobs.iter_mut().enumerate() {
+            b.seq = k as u64 + 1;
+            b.step = 20 + k as u64;
+            b.home_pages = vec![
+                (PageId(0), vt(&[1, k as u32, 0]), vec![1u8; 64]),
+                (PageId(3), vt(&[1, 0, k as u32]), vec![k as u8; 64]),
+            ];
+            store.write_segment(SegmentKind::Checkpoint, b.seq, b.encode());
+        }
+        let (image, window) = restart_image(&store, 3);
+        assert_eq!(image, blobs[1]);
+        assert_eq!(
+            window,
+            blobs.iter().map(RetainedCkpt::of).collect::<Vec<_>>()
+        );
+        assert_eq!(window[1].seq, 2);
+        assert_eq!(window[1].versions[&PageId(3)], vt(&[1, 0, 1]));
+        assert_eq!(load_blob(&store, 1), blobs[0]);
     }
 
     #[test]
-    fn truncated_blob_is_an_error() {
+    fn every_truncation_of_a_blob_is_an_error() {
         let bytes = sample().encode();
-        assert!(CheckpointBlob::decode(&bytes[..bytes.len() - 10]).is_err());
+        for len in 0..bytes.len() {
+            let cut = CheckpointBlob::decode(&bytes[..len]);
+            assert!(cut.is_err(), "{len} of {} bytes decoded", bytes.len());
+        }
     }
 
     #[test]
-    fn delta_blob_roundtrips() {
-        let mut b = sample();
-        b.delta = true;
-        b.base_seq = 2;
-        b.home_pages = vec![(PageId(5), vt(&[1, 2, 0]), vec![7u8; 64])];
-        let d = CheckpointBlob::decode(&b.encode()).unwrap();
-        assert_eq!(d, b);
-        assert!(d.delta);
-        assert_eq!(d.base_seq, 2);
-    }
-
-    #[test]
-    fn accumulate_chain_overlays_deltas_and_resets_at_anchors() {
-        let mk = |seq, delta, pages: Vec<(u32, u8)>| CheckpointBlob {
-            seq,
-            delta,
-            base_seq: if delta { seq - 1 } else { 0 },
-            tckp: vt(&[seq as u32, 0]),
-            bar_episode: 0,
-            acq_seq_next: 0,
-            last_bar_arrive_seq: 0,
-            step: 0,
-            app_state: vec![],
-            needed: vec![],
-            tenures: vec![],
-            last_release_vts: vec![],
-            home_pages: pages
-                .into_iter()
-                .map(|(p, fill)| (PageId(p), vt(&[seq as u32, 0]), vec![fill; 8]))
-                .collect(),
+    fn a_blob_that_is_not_complete_is_refused() {
+        let delta = CheckpointBlob {
+            delta: true,
+            ..sample()
         };
-        // Anchor(1): pages 0,1.  Delta(2): page 1 rewritten.  Delta(3): new
-        // page 2.  Anchor(4): pages 0,2 only (page 1 freed logically).
-        let chain = [
-            mk(1, false, vec![(0, 10), (1, 11)]),
-            mk(2, true, vec![(1, 22)]),
-            mk(3, true, vec![(2, 33)]),
-        ];
-        let acc = accumulate_chain(chain.iter());
-        assert_eq!(acc[&PageId(0)].1, vec![10u8; 8]);
-        assert_eq!(acc[&PageId(1)].1, vec![22u8; 8]);
-        assert_eq!(*acc[&PageId(1)].0, vt(&[2, 0]));
-        assert_eq!(acc[&PageId(2)].1, vec![33u8; 8]);
-
-        // A later anchor resets — stale pages from the old chain vanish.
-        let with_anchor = [
-            mk(1, false, vec![(0, 10), (1, 11)]),
-            mk(2, true, vec![(1, 22)]),
-            mk(4, false, vec![(0, 40), (2, 42)]),
-        ];
-        let acc = accumulate_chain(with_anchor.iter());
-        assert_eq!(acc.len(), 2);
-        assert_eq!(acc[&PageId(0)].1, vec![40u8; 8]);
-        assert!(!acc.contains_key(&PageId(1)));
+        let based = CheckpointBlob {
+            base_seq: 2 << 8,
+            ..sample()
+        };
+        for (b, tag) in [(delta, 1), (based, 2)] {
+            let refused = CodecError::BadTag {
+                context: "checkpoint kind",
+                tag,
+            };
+            assert_eq!(CheckpointBlob::decode(&b.encode()), Err(refused));
+        }
     }
 }

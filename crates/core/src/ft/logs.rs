@@ -339,41 +339,17 @@ impl VolatileLogs {
     /// Encode the stable-save portion (wn + diff logs; lock and barrier
     /// logs are mirrored on other nodes and never saved).
     pub fn encode_stable(&self) -> Vec<u8> {
-        self.encode_filtered(|saved| {
-            let _ = saved;
-            true
-        })
-    }
-
-    /// Encode only the entries never saved before — the incremental
-    /// checkpoint's log *delta*. Must be called **before**
-    /// [`VolatileLogs::mark_saved`] for the same save (that call flips the
-    /// very flags this one filters on). Successive deltas are disjoint, so
-    /// recovery can merge them onto the last full save in any ascending
-    /// order without deduplication.
-    pub fn encode_stable_delta(&self) -> Vec<u8> {
-        self.encode_filtered(|saved| !saved)
-    }
-
-    fn encode_filtered(&self, keep: impl Fn(bool) -> bool) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(4096);
-        let wn: Vec<_> = self.wn.iter().filter(|e| keep(e.saved)).collect();
-        w.put_u64(wn.len() as u64);
-        for e in wn {
+        w.put_u64(self.wn.len() as u64);
+        for e in &self.wn {
             w.put_u32(e.seq);
             wire::put_pages(&mut w, &e.pages);
         }
-        let mut pages: Vec<_> = self
-            .diffs
-            .iter()
-            .filter(|(_, log)| log.iter().any(|e| keep(e.saved)))
-            .map(|(&p, _)| p)
-            .collect();
-        pages.sort();
-        w.put_u64(pages.len() as u64);
-        for p in pages {
+        let mut logs: Vec<_> = self.diffs.iter().collect();
+        logs.sort_by_key(|&(p, _)| *p);
+        w.put_u64(logs.len() as u64);
+        for (p, log) in logs {
             w.put_u32(p.0);
-            let log: Vec<_> = self.diffs[&p].iter().filter(|e| keep(e.saved)).collect();
             w.put_u64(log.len() as u64);
             for e in log {
                 wire::put_diff(&mut w, &e.diff);
@@ -383,10 +359,8 @@ impl VolatileLogs {
         w.into_bytes()
     }
 
-    /// Decode one stable save — a full save or a delta — and merge it in.
-    /// A restart starts from empty logs and merges the last full save, then
-    /// every newer delta segment in ascending order. Saves are disjoint from
-    /// each other by construction, so merging is a plain append.
+    /// Decode one stable save and append its entries, marked saved. A
+    /// restart clears the logs and merges the last checkpoint's save.
     pub fn decode_stable_merge(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let mut r = ByteReader::new(bytes);
         let wn_len = r.get_u64()? as usize;
@@ -547,36 +521,6 @@ mod tests {
             let cut = VolatileLogs::new(0, 2).decode_stable_merge(&bytes[..len]);
             assert!(cut.is_err(), "{len} of {} bytes decoded", bytes.len());
         }
-    }
-
-    #[test]
-    fn delta_save_covers_only_unsaved_entries_and_merges_back() {
-        let mut l = VolatileLogs::new(0, 2);
-        l.log_interval(1, vec![PageId(0)], &vt(&[1, 0]), &[diff(0, 0, 1)]);
-        // Full save at the anchor.
-        let full = l.encode_stable();
-        assert!(l.mark_saved() > 0);
-        // New activity since: a second interval on page 0 and a first on 2.
-        l.log_interval(2, vec![PageId(0)], &vt(&[2, 0]), &[diff(0, 0, 2)]);
-        l.log_interval(3, vec![PageId(2)], &vt(&[3, 0]), &[diff(0, 2, 3)]);
-        let delta = l.encode_stable_delta();
-        assert!(
-            delta.len() < l.encode_stable().len(),
-            "delta must be smaller than a full save"
-        );
-        assert!(l.mark_saved() > 0);
-        // A second delta with nothing new is empty-bodied.
-        let empty = l.encode_stable_delta();
-        let mut probe = VolatileLogs::new(0, 2);
-        probe.decode_stable_merge(&empty).unwrap();
-        assert!(probe.wn.is_empty() && probe.diffs.is_empty());
-        // Restart: base + delta rebuilds exactly the current logs.
-        let mut l2 = VolatileLogs::new(0, 2);
-        l2.decode_stable_merge(&full).unwrap();
-        l2.decode_stable_merge(&delta).unwrap();
-        assert_eq!(l2.wn, l.wn);
-        assert_eq!(l2.diffs[&PageId(0)], l.diffs[&PageId(0)]);
-        assert_eq!(l2.diffs[&PageId(2)], l.diffs[&PageId(2)]);
     }
 
     #[test]

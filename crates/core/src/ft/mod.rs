@@ -90,16 +90,9 @@ impl FtState {
         }
     }
 
-    /// Sequence number of the full (anchor) checkpoint the latest
-    /// checkpoint's chain starts at; zero before the first. The next delta
-    /// chains onto it.
-    fn last_anchor_seq(&self) -> u64 {
-        self.retained.last().map_or(0, |rc| rc.anchor_seq)
-    }
-
     /// Restart after a failure: everything volatile is rebuilt from stable
     /// storage — the saved logs, the retained window (`window`, indexed from
-    /// the blobs the restart `image` was made of) and the image's own
+    /// every blob still stored, the newest being `image`) and the image's own
     /// checkpoint bookkeeping — and what was known about the peers is
     /// forgotten (their next piggybacks teach it again). Configuration, the
     /// store, the statistics — the logs' byte counters among them — and the
@@ -116,20 +109,10 @@ impl FtState {
         self.last_ckpt_vt = image.tckp.clone();
         self.last_ckpt_episode = image.bar_episode;
         self.last_bar_arrive_seq = image.last_bar_arrive_seq;
-        // The saved logs: the last full save (segment 0) and, ascending, the
-        // delta segments written since. Saves are disjoint from each other,
-        // so merging is a plain append; segments at or below the anchor are
-        // stale leftovers the anchor's full save already subsumes.
+        // The saved logs: the last checkpoint's save, segment 0 (none
+        // before the first checkpoint).
         self.logs.clear();
-        let anchor = self.last_anchor_seq();
-        for id in self.store.segment_ids(SegmentKind::Log) {
-            if id != 0 && id <= anchor {
-                continue;
-            }
-            let seg = self
-                .store
-                .read_segment(SegmentKind::Log, id)
-                .expect("listed log segment must be readable");
+        if let Some(seg) = self.store.read_segment(SegmentKind::Log, 0) {
             self.logs
                 .decode_stable_merge(&seg)
                 .expect("corrupt saved logs");
@@ -486,46 +469,24 @@ pub(crate) fn take_checkpoint(
     let tckp = st.vt.clone();
     let tracing = st.tracer.enabled();
     let t_ckpt = Instant::now();
-    let (anchor_every, seq, last_anchor) = {
-        let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
-        (ft.cfg.anchor_every, ft.ckpt_seq + 1, ft.last_anchor_seq())
-    };
+    let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
+    let seq = ft.ckpt_seq + 1;
     st.tracer.emit(EventKind::CkptBegin {
         seq,
         outbox: st.ft.diffs.depth() as u32,
     });
     let t_log = Instant::now();
 
-    // --- full anchor or delta? ---------------------------------------------
-    // A delta needs an anchor to chain onto and a chain still shorter than
-    // `anchor_every` (chain length counts the anchor, so `anchor_every: 8`
-    // writes one full blob per seven deltas). Full checkpoints are the
-    // `anchor_every = 1` case: a chain of one, never a delta.
-    let is_delta = last_anchor > 0 && seq - last_anchor < anchor_every;
-
-    // --- assemble the blob -------------------------------------------------
-    // A delta saves only the checkpoint-dirty pages — those whose home copy
-    // changed since the last checkpoint. Chains drain the dirty set at
-    // *every* checkpoint (anchors clear it too, so the next delta starts
-    // from this moment); when every checkpoint is full nothing pays the
-    // scan.
-    let dirty = if anchor_every > 1 {
-        st.pt.take_ckpt_dirty()
-    } else {
-        Vec::new()
-    };
-    let ckpt_pages = if is_delta { dirty } else { st.pt.homed_pages() };
-    let mut home_pages = Vec::with_capacity(ckpt_pages.len());
-    for &p in &ckpt_pages {
+    // --- assemble the blob: every homed page -------------------------------
+    let homed = st.pt.homed_pages();
+    let mut home_pages = Vec::with_capacity(homed.len());
+    for p in homed {
         let (version, bytes) = st.pt.home_snapshot(p);
         home_pages.push((p, version, bytes.to_vec()));
     }
-    let ckpt_page_count = home_pages.len();
     let ft = st.ft.state.as_mut().expect("checkpoint without FT enabled");
     let mut blob = CheckpointBlob {
         seq,
-        delta: is_delta,
-        base_seq: if is_delta { seq - 1 } else { 0 },
         tckp: tckp.clone(),
         last_bar_arrive_seq: ft.last_bar_arrive_seq,
         step,
@@ -588,43 +549,22 @@ pub(crate) fn take_checkpoint(
         .unwrap_or(0);
     ft.logs.trim_bar(min_ckpt_episode);
     note_trim(ft, &st.tracer, TrimRule::Barrier);
-    // A delta checkpoint saves only the never-saved log entries (the
-    // filter reads the `saved` flags, so this must precede `mark_saved`);
-    // an anchor rewrites the whole save and retires the delta segments.
-    let log_blob = if is_delta {
-        ft.logs.encode_stable_delta()
-    } else {
-        ft.logs.encode_stable()
-    };
+    let log_blob = ft.logs.encode_stable();
     bd.logging += t_log.elapsed();
 
     // --- write to stable storage -------------------------------------------
+    // The log save overwrites the previous one: recovery reads (Log, 0).
     let encoded = blob.encode();
     let ckpt_bytes = (encoded.len() + log_blob.len()) as u64;
     let d1 = ft
         .store
         .write_segment(SegmentKind::Checkpoint, seq, encoded);
     ft.report.log_bytes_saved += ft.logs.mark_saved();
-    let d2 = if is_delta {
-        ft.store.write_segment(SegmentKind::Log, seq, log_blob)
-    } else {
-        let d = ft.store.write_segment(SegmentKind::Log, 0, log_blob);
-        // The full save subsumes every delta segment; recovery reads
-        // (Log, 0) plus the deltas written after it.
-        for id in ft.store.segment_ids(SegmentKind::Log) {
-            if id != 0 {
-                ft.store.delete_segment(SegmentKind::Log, id);
-            }
-        }
-        d
-    };
+    let d2 = ft.store.write_segment(SegmentKind::Log, 0, log_blob);
     bd.disk_write += d1 + d2;
 
     // --- update window and run CGC ------------------------------------------
-    // The retained index always carries the checkpoint's *accumulated*
-    // page-version map (chain state, not blob contents), so CGC and the
-    // `p0.v` piggyback keep seeing complete maps.
-    RetainedCkpt::append(&mut ft.retained, &blob);
+    ft.retained.push(RetainedCkpt::of(&blob));
     // Exact per-peer retention (a refinement of Rule 3's window): keep, for
     // every peer j, the newest retained copy whose versions j's restart
     // checkpoint covers (j's maximal starting copy), plus the latest
@@ -648,21 +588,6 @@ pub(crate) fn take_checkpoint(
                 }
             }
             if let Some(k) = found {
-                needed[k] = true;
-            }
-        }
-        // Chain closure: serving a delta checkpoint's pages walks every
-        // blob in `anchor_seq..=seq`, so a kept checkpoint pins its whole
-        // chain prefix (full checkpoints pin only themselves).
-        let kept_ranges: Vec<(u64, u64)> = ft
-            .retained
-            .iter()
-            .zip(&needed)
-            .filter(|(_, &keep)| keep)
-            .map(|(rc, _)| (rc.anchor_seq, rc.seq))
-            .collect();
-        for (k, rc) in ft.retained.iter().enumerate() {
-            if kept_ranges.iter().any(|&(a, s)| a <= rc.seq && rc.seq <= s) {
                 needed[k] = true;
             }
         }
@@ -692,7 +617,6 @@ pub(crate) fn take_checkpoint(
     ft.last_ckpt_episode = blob.bar_episode;
     ft.ckpt_due = false;
     ft.report.ckpts_taken += 1;
-    ft.report.delta_ckpts += is_delta as u64;
     ft.report.max_ckpt_window = ft.report.max_ckpt_window.max(ft.retained.len());
     let live_log = ft.store.live_bytes(SegmentKind::Log);
     ft.report.max_stable_log_bytes = ft.report.max_stable_log_bytes.max(live_log);
@@ -707,11 +631,6 @@ pub(crate) fn take_checkpoint(
         st.wn_table.trim_covered_by(&bound);
     }
 
-    if is_delta {
-        // Pages a delta actually carried — the histogram the incremental
-        // scheme is judged by (small deltas = small disk writes).
-        st.hists.ckpt_delta_pages.record(ckpt_page_count as u64);
-    }
     st.hists
         .ckpt_write
         .record(t_ckpt.elapsed().as_nanos() as u64);

@@ -35,12 +35,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dsm_page::{Interval, Page, PageId, ProcId, VectorClock};
-use dsm_storage::SegmentKind;
 use dsm_trace::{EventKind, RecPhase};
 use hlrc::LockId;
 use parking_lot::MutexGuard;
 
-use crate::ft::ckpt::{self, RetainedCkpt};
+use crate::ft::ckpt;
 use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry};
 use crate::msg::Payload;
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
@@ -251,9 +250,13 @@ fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorCl
             .find(|rc| rc.versions.get(&page).is_some_and(|v| tckp.covers(v)));
         match covered {
             Some(rc) => {
-                let chain = ckpt::load_chain(&ft.store, rc.anchor_seq..=rc.seq);
-                let (v, bytes) = ckpt::accumulate_chain(&chain)[&page];
-                (v.clone(), Arc::from(bytes))
+                let blob = ckpt::load_blob(&ft.store, rc.seq);
+                let (_, v, bytes) = blob
+                    .home_pages
+                    .into_iter()
+                    .find(|e| e.0 == page)
+                    .expect("a blob holds every page its index names");
+                (v, Arc::from(bytes))
             }
             None => (VectorClock::zero(st.n), vec![0u8; st.pt.page_size()].into()),
         }
@@ -326,16 +329,8 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     let t_recovery = Instant::now();
     let mut st = shared.state.lock();
 
-    // Everything still on stable storage (ids ascend with `seq`), the
-    // retained window over it, and the one image to restart from — the
-    // genesis blob if the node never checkpointed.
     let store = Arc::clone(&st.ft.state.as_ref().expect("recovery requires FT").store);
-    let blobs = ckpt::load_chain(&store, store.segment_ids(SegmentKind::Checkpoint));
-    let mut window = Vec::with_capacity(blobs.len());
-    for b in &blobs {
-        RetainedCkpt::append(&mut window, b);
-    }
-    let image = ckpt::restart_image(blobs, n);
+    let (image, window) = ckpt::restart_image(&store, n);
     st.restart_from(&image, window);
 
     let homed = st.pt.homed_pages();

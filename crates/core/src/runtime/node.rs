@@ -338,9 +338,8 @@ impl NodeState {
         self.rec.fail_stop();
     }
 
-    /// Restart from `image` — the last checkpoint (see
-    /// [`crate::ft::ckpt::restart_image`]) or, when there is none, the
-    /// genesis blob — after [`NodeState::fail_stop`] wiped the node.
+    /// Restart from `image` — the newest checkpoint or, when there is none,
+    /// the genesis blob (see [`crate::ft::ckpt::restart_image`]) — after [`NodeState::fail_stop`] wiped the node.
     /// `window` is the retained-checkpoint index of the blobs still on
     /// stable storage. What is neither restored here nor a survivor is
     /// rebuilt by `run_recovery` from the peers' logs and by replay.
@@ -1362,7 +1361,6 @@ pub(crate) mod tests {
     fn no_counter_of_the_metric_table_decreases_across_a_crash_and_a_restart() {
         use crate::ft::ckpt;
         use dsm_metrics::MetricValue;
-        use dsm_storage::SegmentKind;
         use std::collections::BTreeMap;
 
         let (me, n) = (1, 3);
@@ -1429,12 +1427,8 @@ pub(crate) mod tests {
 
         st.fail_stop();
         st.set_mode(Mode::Recovering);
-        let blobs = ckpt::load_chain(&store, store.segment_ids(SegmentKind::Checkpoint));
-        let mut window = Vec::new();
-        for b in &blobs {
-            RetainedCkpt::append(&mut window, b);
-        }
-        st.restart_from(&ckpt::restart_image(blobs, n), window);
+        let (image, window) = ckpt::restart_image(&store, n);
+        st.restart_from(&image, window);
 
         let after = counters(&st);
         assert!(after.keys().eq(before.keys()), "a crash changed the table");

@@ -71,10 +71,6 @@ impl Breakdown {
 pub struct FtReport {
     /// Checkpoints taken.
     pub ckpts_taken: u64,
-    /// Of those, incremental (delta) checkpoints — blobs carrying only the
-    /// pages written since the previous checkpoint. Zero unless
-    /// `FtConfig::anchor_every` is above 1.
-    pub delta_ckpts: u64,
     /// Volatile-log byte counters (created / discarded by trimming).
     pub log_counters: LogCounters,
     /// Cumulative bytes of volatile logs saved to stable storage.
@@ -103,7 +99,6 @@ impl FtReport {
     /// the larger; the curve is a node's own and is left alone.
     fn merge(&mut self, o: &FtReport) {
         self.ckpts_taken += o.ckpts_taken;
-        self.delta_ckpts += o.delta_ckpts;
         self.log_counters.created_bytes += o.log_counters.created_bytes;
         self.log_counters.discarded_bytes += o.log_counters.discarded_bytes;
         self.log_bytes_saved += o.log_bytes_saved;
@@ -235,7 +230,7 @@ impl NodeReport {
     /// decreases over a run, crashes included. A per-kind row carries its
     /// message kind as a `{kind="…"}` label; `stable_log_curve` is the one
     /// field with no row (a series, not a number). A histogram's name is its
-    /// `LatencyHists::named()` label plus `_ns`, but for the four that count
+    /// `LatencyHists::named()` label plus `_ns`, but for the three that count
     /// bytes, pages or retries.
     pub fn metrics(&self) -> Vec<(String, MetricValue<'_>)> {
         use MetricValue::{Counter, Gauge, Hist};
@@ -260,7 +255,6 @@ impl NodeReport {
             ("fabric_chaos_duplicated_total", t.chaos_duplicated),
             ("fabric_partition_blocked_total", t.partition_blocked),
             ("ckpts_taken_total", ft.ckpts_taken),
-            ("ckpts_delta_total", ft.delta_ckpts),
             ("log_created_bytes_total", logs.created_bytes),
             ("log_discarded_bytes_total", logs.discarded_bytes),
             ("log_saved_bytes_total", ft.log_bytes_saved),
@@ -311,9 +305,7 @@ impl NodeReport {
             rows.extend(kinds.map(|&(kind, v)| (labelled(name, "kind", kind), Counter(v))));
         }
         rows.extend(self.hists.named().map(|(label, h)| match label {
-            "fetch_copy_bytes" | "fetch_batch_pages" | "retransmits" | "ckpt_delta_pages" => {
-                (label.into(), Hist(h))
-            }
+            "fetch_copy_bytes" | "fetch_batch_pages" | "retransmits" => (label.into(), Hist(h)),
             _ => (format!("{label}_ns"), Hist(h)),
         }));
         rows

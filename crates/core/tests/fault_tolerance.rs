@@ -288,121 +288,3 @@ fn at_barrier_policy_aligns_checkpoints_across_nodes() {
 fn recovery_under_at_barrier_policy() {
     check_recovery(4, 2, 260, CkptPolicy::AtBarrier(3));
 }
-
-/// Incremental mode with a short anchor cadence: checkpoints at every step
-/// so chains of `anchor_every - 1` deltas form between full anchors.
-fn inc_cfg(n: usize, anchor_every: u64) -> ClusterConfig {
-    ft_cfg(n, CkptPolicy::EverySteps(1)).with_incremental_ckpt(anchor_every)
-}
-
-/// A page-sparse workload: 64 pages of shared data but each node writes
-/// exactly one page per step, so only a handful of pages are dirty between
-/// consecutive checkpoints. (`stepped_app`'s 2-page array would make every
-/// delta carry every page, hiding the savings.)
-fn sparse_app(p: &mut Process) -> u64 {
-    let n = p.nodes();
-    // page_size 256 → 32 u64s per page → 64 pages.
-    let data = p.alloc_vec::<u64>(64 * 32, HomeAlloc::Interleaved);
-    let mut state = 0u64;
-    p.run_steps(&mut state, STEPS, |p, state, step| {
-        let pg = (step as usize * n + p.me()) % 64;
-        let v = data.get(p, pg * 32);
-        data.set(p, pg * 32, v + step + 1);
-        *state += step;
-        p.barrier();
-    });
-    p.barrier();
-    let mut acc = state;
-    for pg in 0..64 {
-        acc = acc.rotate_left(7) ^ data.get(p, pg * 32);
-    }
-    acc
-}
-
-#[test]
-fn incremental_run_matches_full_and_writes_less() {
-    let full = run(ft_cfg(4, CkptPolicy::EverySteps(1)), &[], sparse_app);
-    let inc = run(inc_cfg(4, 4), &[], sparse_app);
-    assert_eq!(full.results, inc.results);
-    assert_eq!(full.shared_hash, inc.shared_hash);
-    assert_eq!(full.total_ckpts(), inc.total_ckpts());
-    let deltas: u64 = inc.nodes.iter().map(|n| n.ft.delta_ckpts).sum();
-    assert!(deltas > 0, "short cadence must produce delta checkpoints");
-    assert!(
-        deltas < inc.total_ckpts(),
-        "anchors must still be taken periodically"
-    );
-    // The whole point: delta blobs carry only dirty pages, so checkpoint
-    // disk traffic must shrink versus full-blob-every-time.
-    let ckpt_bytes = |r: &ftdsm::RunReport<u64>| -> u64 {
-        r.nodes.iter().map(|n| n.ft.store.ckpt_bytes_written).sum()
-    };
-    assert!(
-        ckpt_bytes(&inc) < ckpt_bytes(&full),
-        "incremental wrote {} ckpt bytes, full wrote {}",
-        ckpt_bytes(&inc),
-        ckpt_bytes(&full)
-    );
-}
-
-#[test]
-fn incremental_recovery_mid_chain() {
-    // Crash points spread across the execution so restarts land both just
-    // after an anchor and deep into a delta chain; each recovery replays
-    // anchor + deltas and must be byte-identical to the crash-free run.
-    let clean = run(inc_cfg(4, 3), &[], stepped_app);
-    for (victim, at_op) in [(1, 60), (3, 150), (0, 230), (2, 300)] {
-        let crashed = run(
-            inc_cfg(4, 3),
-            &[FailureSpec {
-                node: victim,
-                at_op,
-            }],
-            stepped_app,
-        );
-        assert_eq!(
-            clean.results, crashed.results,
-            "results diverge (victim {victim}, op {at_op})"
-        );
-        assert_eq!(
-            clean.shared_hash, crashed.shared_hash,
-            "memory diverges (victim {victim}, op {at_op})"
-        );
-        assert_eq!(
-            crashed.nodes[victim].ft.recoveries, 1,
-            "crash did not fire (victim {victim}, op {at_op})"
-        );
-    }
-}
-
-#[test]
-fn incremental_recovery_of_same_node_twice() {
-    // Two sequential crashes: the second restart must rebuild its retained
-    // chain index (anchors + deltas) from stable storage alone.
-    let clean = run(inc_cfg(3, 3), &[], stepped_app);
-    let crashed = run(
-        inc_cfg(3, 3),
-        &[
-            FailureSpec {
-                node: 1,
-                at_op: 120,
-            },
-            FailureSpec {
-                node: 1,
-                at_op: 260,
-            },
-        ],
-        stepped_app,
-    );
-    assert_eq!(clean.results, crashed.results);
-    assert_eq!(clean.shared_hash, crashed.shared_hash);
-    assert_eq!(crashed.nodes[1].ft.recoveries, 2);
-}
-
-#[test]
-fn anchor_every_one_degenerates_to_full_checkpoints() {
-    let report = run(inc_cfg(3, 1), &[], stepped_app);
-    assert_eq!(report.results, vec![expected_result(3); 3]);
-    let deltas: u64 = report.nodes.iter().map(|n| n.ft.delta_ckpts).sum();
-    assert_eq!(deltas, 0, "anchor_every <= 1 must never emit deltas");
-}

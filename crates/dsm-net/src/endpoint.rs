@@ -605,11 +605,6 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     pub fn drain(&self) -> usize {
         self.inbox().requests.drain() + self.inbox().replies.drain()
     }
-
-    /// Current status of a peer.
-    pub fn peer_status(&self, node: NodeId) -> NodeStatus {
-        self.shared.status.read()[node]
-    }
 }
 
 #[cfg(test)]

@@ -137,7 +137,7 @@ macro_rules! latency_hists {
 
         impl LatencyHists {
             /// (label, histogram) pairs in print order.
-            pub fn named(&self) -> [(&'static str, &Histogram); 20] {
+            pub fn named(&self) -> [(&'static str, &Histogram); 19] {
                 [$(($label, &self.$field),)*]
             }
 
@@ -200,9 +200,6 @@ latency_hists! {
     /// End-of-interval release flush: dirty-page collection through diff
     /// creation to per-home batches sent.
     release_flush => "release_flush",
-    /// Pages written per incremental (delta-mode) checkpoint (a counter,
-    /// in pages; full anchors are not recorded).
-    ckpt_delta_pages => "ckpt_delta_pages",
 }
 
 #[cfg(test)]

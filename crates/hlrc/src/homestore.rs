@@ -143,10 +143,6 @@ struct HomeEntry {
     /// Processes that have ever sent diffs for this page (targets for the
     /// lazy `p0.v` piggyback of the CGC/LLT scheme).
     writers: Vec<ProcId>,
-    /// Has the copy changed since the checkpoint layer last drained the
-    /// dirty set ([`HomeStore::take_ckpt_dirty`])? Starts `true` so a page
-    /// allocated between checkpoints lands in the next delta.
-    ckpt_dirty: bool,
     /// The last page's worth of diffs applied to `copy`.
     ring: DiffRing,
 }
@@ -309,7 +305,6 @@ impl HomeStore {
                 version: VectorClock::zero(self.n),
                 needed: VectorClock::zero(self.n),
                 writers: Vec::new(),
-                ckpt_dirty: true,
                 ring: DiffRing::new(VectorClock::zero(self.n)),
             },
         );
@@ -374,7 +369,6 @@ impl HomeStore {
             }
             shard.dirty.push(page.0);
         }
-        e.ckpt_dirty = true;
         e.copy.write_pooled(&mut shard.pool, offset, bytes);
         first
     }
@@ -558,7 +552,6 @@ impl HomeStore {
                 diff.apply_pooled(twin, &mut shard.pool);
             }
             e.version.set(writer, diff.interval.seq);
-            e.ckpt_dirty = true;
             if !e.writers.contains(&writer) {
                 e.writers.push(writer);
             }
@@ -654,7 +647,6 @@ impl HomeStore {
         e.copy = Page::from_bytes(bytes);
         e.ring = DiffRing::new(version.clone());
         e.version = version;
-        e.ckpt_dirty = true;
         if e.twin.take().is_some() {
             shard.dirty.retain(|&p| p != page.0);
             if shard.dirty.is_empty() {
@@ -681,27 +673,6 @@ impl HomeStore {
                 e.ring.reset(&e.version);
             }
         }
-    }
-
-    /// Checkpoint support: drain the checkpoint-dirty set — every homed
-    /// page whose copy changed (home write, remote diff, restore, or fresh
-    /// allocation) since the last drain — clearing the flags. Sorted by
-    /// page. An incremental checkpoint saves exactly these pages; callers
-    /// in full mode never drain, so the flags idle at `true` harmlessly.
-    /// Off the hot path: walks every entry, but only at checkpoint time.
-    pub fn take_ckpt_dirty(&self) -> Vec<PageId> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = &mut *shard.lock();
-            for (&p, e) in shard.entries.iter_mut() {
-                if e.ckpt_dirty {
-                    e.ckpt_dirty = false;
-                    out.push(PageId(p));
-                }
-            }
-        }
-        out.sort_unstable_by_key(|p| p.0);
-        out
     }
 
     /// Checkpoint support: `(page, writer, seq)` triples of every nonzero
@@ -1076,6 +1047,11 @@ mod tests {
             s.apply_diff(&d, || true),
             ApplyOutcome::Applied { fresh: true, .. }
         ));
+        // A duplicate apply is accepted and skipped by the version gate.
+        assert!(matches!(
+            s.apply_diff(&d, || true),
+            ApplyOutcome::Applied { fresh: false, .. }
+        ));
         assert!(s.access_gap(PageId(0)).is_none());
         assert!(s.writers_contain(PageId(0), 1));
         assert!(!s.writers_contain(PageId(0), 0));
@@ -1114,37 +1090,6 @@ mod tests {
         assert_eq!(jobs[0].current.read(0, 8), &[9; 8]);
         assert_eq!(s.version_of(PageId(0)).get(0), 1);
         s.finish_dirty(jobs.into_iter().map(|j| (j.page, None, j.twin)));
-    }
-
-    #[test]
-    fn ckpt_dirty_drains_exactly_the_changed_pages() {
-        let s = store();
-        // Freshly added pages are dirty: the first checkpoint sees them all.
-        assert_eq!(s.take_ckpt_dirty(), vec![PageId(0), PageId(3), PageId(8)]);
-        assert!(s.take_ckpt_dirty().is_empty(), "drain clears the flags");
-        // A home write marks only its page.
-        s.write(PageId(8), 0, &[1]);
-        collect_pages(&s, iv(0, 1));
-        assert_eq!(s.take_ckpt_dirty(), vec![PageId(8)]);
-        // A fresh remote diff marks its page; a duplicate apply does not.
-        let twin = Page::zeroed(64);
-        let mut cur = twin.clone();
-        cur.write(0, &[2]);
-        let d = Diff::create(PageId(3), iv(1, 1), &twin, &cur).unwrap();
-        assert!(matches!(
-            s.apply_diff(&d, || true),
-            ApplyOutcome::Applied { fresh: true, .. }
-        ));
-        assert_eq!(s.take_ckpt_dirty(), vec![PageId(3)]);
-        assert!(matches!(
-            s.apply_diff(&d, || true),
-            ApplyOutcome::Applied { fresh: false, .. }
-        ));
-        assert!(s.take_ckpt_dirty().is_empty());
-        // A restore marks its page (recovered state must reach the next
-        // delta checkpoint).
-        s.restore(PageId(0), &[0u8; 64], VectorClock::zero(2));
-        assert_eq!(s.take_ckpt_dirty(), vec![PageId(0)]);
     }
 
     #[test]

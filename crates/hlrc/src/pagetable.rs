@@ -583,12 +583,6 @@ impl PageTable {
         assert!(self.is_home(page), "restore of remote page {page}");
         self.home.restore(page, bytes, version);
     }
-
-    /// Drain the homed pages changed since the last drain (incremental
-    /// checkpoint support; see [`HomeStore::take_ckpt_dirty`]).
-    pub fn take_ckpt_dirty(&self) -> Vec<PageId> {
-        self.home.take_ckpt_dirty()
-    }
 }
 
 #[cfg(test)]

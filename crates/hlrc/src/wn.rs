@@ -236,11 +236,6 @@ impl WnTable {
         self.map.retain(|(p, seq), _| *seq > bound.get(*p));
         before - self.map.len()
     }
-
-    /// Total approximate memory footprint in bytes (for log accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.map.values().map(|v| 12 + 4 * v.len()).sum()
-    }
 }
 
 #[cfg(test)]

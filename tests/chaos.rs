@@ -246,16 +246,9 @@ fn crash_during_chaos_stress() {
         let seed = splitmix(&mut s);
         let victim = (splitmix(&mut s) % NODES as u64) as usize;
         let at_op = crash_op(&mut s, clean.nodes[victim].ops);
-        // Odd cases soak the incremental-checkpoint path: recovery under
-        // chaos then replays an anchor + delta chain instead of one blob.
-        let case_cfg = if case % 2 == 1 {
-            cfg().with_incremental_ckpt(3)
-        } else {
-            cfg()
-        };
         let crashed = std::panic::catch_unwind(|| {
             run(
-                case_cfg.with_seed(seed).with_chaos(FaultPlan::lossy(0)),
+                cfg().with_seed(seed).with_chaos(FaultPlan::lossy(0)),
                 &[FailureSpec {
                     node: victim,
                     at_op,
@@ -284,10 +277,7 @@ fn crash_during_chaos_stress() {
                 continue;
             }
         };
-        eprintln!(
-            "case {case}: {failure} (FTDSM_SEED={seed:#x} victim={victim} at_op={at_op} inc={})",
-            case % 2 == 1
-        );
+        eprintln!("case {case}: {failure} (FTDSM_SEED={seed:#x} victim={victim} at_op={at_op})");
     }
     eprintln!(
         "CENSUS base={base:#x} iters={iters} diverged={diverged} panics={panics} \
@@ -322,7 +312,6 @@ fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
         }
     }
     let soak_repro = cfg()
-        .with_incremental_ckpt(3)
         .with_seed(0x419c2cdd428202f4)
         .with_chaos(FaultPlan::lossy(0));
     cases.push((soak_repro, 0, 215));

@@ -518,8 +518,10 @@ fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
     }
 }
 
-/// docs/OBSERVABILITY.md §2 lists every metric of the table by name: a name
-/// added to `NodeReport::metrics` without a line there fails here.
+/// docs/OBSERVABILITY.md §2 lists every metric of the table by name, and
+/// its catalogue names no other: a name added to `NodeReport::metrics`
+/// without a line there fails here, and so does a catalogue row whose
+/// metric the code no longer has.
 #[test]
 fn every_metric_of_the_table_is_in_the_observability_catalogue() {
     let doc = include_str!("../docs/OBSERVABILITY.md");
@@ -543,6 +545,21 @@ fn every_metric_of_the_table_is_in_the_observability_catalogue() {
         assert!(
             section.contains(&format!("`{name}`")),
             "{name} is not in §2"
+        );
+    }
+    // The other way: every backticked name in the catalogue's first column.
+    let catalogue = section.split("### Metric catalogue").nth(1);
+    let catalogue = catalogue.expect("§2 has no metric catalogue");
+    let catalogue = catalogue.split("\n### ").next().unwrap();
+    let first_cells = catalogue.lines().filter_map(|l| l.split('|').nth(1));
+    let listed: Vec<&str> = first_cells
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .collect();
+    assert!(listed.len() >= names.len(), "catalogue rows not found");
+    for name in listed {
+        assert!(
+            names.contains(name),
+            "§2's catalogue lists {name}, the table has no such row"
         );
     }
 }

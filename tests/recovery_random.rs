@@ -121,45 +121,3 @@ fn recovery_holds_under_a_real_workload_sweep() {
         );
     }
 }
-
-/// The same property with incremental checkpoints: any crash point lands
-/// somewhere inside an anchor + delta chain (including between two delta
-/// writes), and chain replay (anchor overlaid with every later delta) must
-/// reproduce the crash-free execution byte-for-byte.
-#[test]
-fn any_failure_point_recovers_from_a_delta_chain() {
-    let inc = |l: f64| cfg(l).with_incremental_ckpt(3);
-    let clean = run(inc(0.1), &[], app);
-    let base = seed_from_env();
-    let mut seed = base ^ 0xD3174;
-    let mut saw_delta = false;
-    for case in 0..8 {
-        let victim = (splitmix(&mut seed) % NODES as u64) as usize;
-        let at_op = 20 + splitmix(&mut seed) % 420;
-        let crashed = run(
-            inc(0.1),
-            &[FailureSpec {
-                node: victim,
-                at_op,
-            }],
-            app,
-        );
-        assert_eq!(
-            clean.results, crashed.results,
-            "case {case}: results diverge (victim {victim}, op {at_op}, FTDSM_SEED={base:#x})"
-        );
-        assert_eq!(
-            clean.shared_hash, crashed.shared_hash,
-            "case {case}: memory diverges (victim {victim}, op {at_op}, FTDSM_SEED={base:#x})"
-        );
-        assert_eq!(
-            crashed.nodes[victim].ft.recoveries, 1,
-            "case {case}: crash did not fire (victim {victim}, op {at_op}, FTDSM_SEED={base:#x})"
-        );
-        saw_delta |= crashed.nodes.iter().any(|n| n.ft.delta_ckpts > 0);
-    }
-    assert!(
-        saw_delta,
-        "sweep never exercised a delta checkpoint (FTDSM_SEED={base:#x})"
-    );
-}
