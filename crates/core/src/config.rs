@@ -111,7 +111,7 @@ pub struct ClusterConfig {
     /// reproduces a run. Enabling chaos auto-enables membership (the retry
     /// layer is what makes a lossy fabric survivable).
     pub chaos: Option<FaultPlan>,
-    /// Heartbeat membership / failure detection, plus the request
+    /// Heartbeat membership (restart detection), plus the request
     /// timeout-retry layer. `None` (the default) keeps the original
     /// orchestrated-recovery behavior with a reliable fabric.
     pub membership: Option<MemberConfig>,
@@ -240,7 +240,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Enable heartbeat membership / failure detection with `cfg`.
+    /// Enable heartbeat membership (restart detection) with `cfg`.
     pub fn with_membership(mut self, cfg: MemberConfig) -> Self {
         self.membership = Some(cfg);
         self

@@ -36,14 +36,7 @@
 //! 4. **Recovery phase order** — after a `CrashInjected` on a node, its
 //!    `RecoveryPhase` events run restore → log_collect → replay, each at
 //!    most once per incarnation.
-//! 5. **Heartbeat legality** — per `(observer, subject)`: no second
-//!    `MemberDown` without an intervening `MemberUp`, and any `MemberDown`
-//!    has a cause: at least one earlier `Suspect` of the same subject
-//!    cluster-wide (confirmation requires suspicion somewhere), or the
-//!    subject's own `CrashInjected` — a node that restarts before anyone
-//!    suspects it shows a newer incarnation, which observers report as
-//!    `MemberDown` + `MemberUp` with no suspicion round at all.
-//! 6. **Checkpoint covers outbox** — a `CkptBegin` finds no diff batch
+//! 5. **Checkpoint covers outbox** — a `CkptBegin` finds no diff batch
 //!    unacknowledged: a checkpoint that outruns the outbox records as sent
 //!    what, after a crash, no survivor can resupply.
 //!
@@ -106,8 +99,6 @@ struct PerNode {
     recovering: bool,
     /// Flow id of the message this node is currently serving (last MsgRecv).
     last_flow: u64,
-    /// Per subject: down-without-up count (heartbeat legality).
-    down_pending: HashMap<usize, bool>,
     /// `CrashInjected` events so far.
     crashes: u32,
     /// `LockAcquire` events so far, per lock.
@@ -128,9 +119,6 @@ struct Inner {
     nodes: Vec<PerNode>,
     /// The grant per (lock, generation).
     tenures: HashMap<(u32, u64), Grant>,
-    /// Subjects a `MemberDown` is legal for: suspected by anyone, ever
-    /// (cluster-wide suspicion pool), or crashed.
-    down_cause: Vec<bool>,
     violations: Vec<Violation>,
 }
 
@@ -148,7 +136,6 @@ impl Monitor {
             inner: Mutex::new(Inner {
                 nodes: (0..n).map(|_| PerNode::default()).collect(),
                 tenures: HashMap::new(),
-                down_cause: vec![false; n],
                 violations: Vec::new(),
             }),
             events_seen: AtomicU64::new(0),
@@ -314,7 +301,6 @@ impl EventSink for Monitor {
                 Self::violate(inner, e, "checkpoint-covers-outbox", detail);
             }
             EventKind::CrashInjected { .. } => {
-                inner.down_cause[e.node] = true;
                 let node = &mut inner.nodes[e.node];
                 node.crashes += 1;
                 // The home copy is rebuilt from checkpoint + peer logs; its
@@ -357,33 +343,10 @@ impl EventSink for Monitor {
                     node.recovering = false;
                 }
             }
-            EventKind::Suspect { node: subject } if *subject < inner.down_cause.len() => {
-                inner.down_cause[*subject] = true;
-            }
-            EventKind::MemberDown { node: subject } => {
-                if !inner.down_cause.get(*subject).copied().unwrap_or(false) {
-                    let detail = format!(
-                        "n{} confirmed n{subject} down but it never crashed and no node \
-                         ever suspected it",
-                        e.node
-                    );
-                    Self::violate(inner, e, "heartbeat-legality", detail);
-                }
-                let node = &mut inner.nodes[e.node];
-                if node.down_pending.insert(*subject, true) == Some(true) {
-                    let detail = format!(
-                        "n{} saw n{subject} down twice without an Up in between",
-                        e.node
-                    );
-                    Self::violate(inner, e, "heartbeat-legality", detail);
-                }
-            }
             EventKind::MemberUp { node: subject } => {
-                let node = &mut inner.nodes[e.node];
-                node.down_pending.insert(*subject, false);
                 // The returned writer replays its logged diffs; the home
                 // legitimately re-applies them from scratch.
-                node.applied.retain(|(_, w), _| w != subject);
+                inner.nodes[e.node].applied.retain(|(_, w), _| w != subject);
             }
             _ => {}
         }
@@ -587,52 +550,6 @@ mod tests {
         let r = m.finish();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].invariant, "recovery-order");
-    }
-
-    #[test]
-    fn down_without_suspicion_is_caught() {
-        let m = Monitor::new(3);
-        m.on_event(&ev(0, 1, EventKind::MemberDown { node: 2 }));
-        let r = m.finish();
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].invariant, "heartbeat-legality");
-
-        // With a suspicion anywhere first, the same Down is clean.
-        let m = Monitor::new(3);
-        m.on_event(&ev(1, 1, EventKind::Suspect { node: 2 }));
-        m.on_event(&ev(0, 2, EventKind::MemberDown { node: 2 }));
-        assert!(m.finish().violations.is_empty());
-    }
-
-    #[test]
-    fn fast_restart_down_needs_no_suspicion() {
-        // n2 crashes and is back before any heartbeat timeout: every
-        // observer learns of it from the newer incarnation alone.
-        let m = Monitor::new(3);
-        m.on_event(&ev(2, 1, EventKind::CrashInjected { at_op: 9 }));
-        for observer in [0, 1] {
-            m.on_event(&ev(observer, 2, EventKind::MemberDown { node: 2 }));
-            m.on_event(&ev(observer, 3, EventKind::MemberUp { node: 2 }));
-        }
-        assert!(m.finish().violations.is_empty());
-        // The crash excuses only its own node.
-        m.on_event(&ev(0, 4, EventKind::MemberDown { node: 1 }));
-        let r = m.finish();
-        assert_eq!(r.violations.len(), 1);
-        assert_eq!(r.violations[0].invariant, "heartbeat-legality");
-    }
-
-    #[test]
-    fn double_down_without_up_is_caught() {
-        let m = Monitor::new(3);
-        m.on_event(&ev(0, 1, EventKind::Suspect { node: 2 }));
-        m.on_event(&ev(0, 2, EventKind::MemberDown { node: 2 }));
-        m.on_event(&ev(0, 3, EventKind::MemberUp { node: 2 }));
-        m.on_event(&ev(0, 4, EventKind::MemberDown { node: 2 })); // legal: Up between
-        m.on_event(&ev(0, 5, EventKind::MemberDown { node: 2 })); // violation
-        let r = m.finish();
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].detail.contains("twice"));
     }
 
     #[test]

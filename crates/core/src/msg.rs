@@ -112,8 +112,8 @@ pub enum Payload {
         /// The acknowledged batch's sequence number.
         seq: u64,
     },
-    /// A membership/failure-detection message (heartbeats, suspicion
-    /// rounds, down announcements). Never piggybacked, never backlogged.
+    /// A membership message (a heartbeat or its reply). Never piggybacked,
+    /// never backlogged.
     Member(dsm_member::Wire),
     /// Barrier arrival: participant → barrier manager.
     BarrierArrive {

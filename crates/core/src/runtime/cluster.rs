@@ -55,6 +55,12 @@ fn snapshot(ts_ns: u64, fabric: &Fabric<Msg>, shareds: &[Arc<NodeShared>]) -> Sn
     snap
 }
 
+/// How long a crashed node stays dead before it restarts, with membership on
+/// or off. No message sent before the crash may still be in flight when it
+/// is back (the lock-chain reset of recovery relies on it), so `run` refuses
+/// a chaos plan that can delay a message this long.
+const DEAD_FOR: Duration = Duration::from_millis(10);
+
 const FNV_BASIS: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
@@ -130,6 +136,13 @@ where
         .or_else(|| config.chaos.as_ref().map(|_| MemberConfig::default()));
     let (fabric, endpoints) = Fabric::<Msg>::new(n);
     if let Some(plan) = &config.chaos {
+        let delay = plan.max_delay();
+        assert!(
+            delay < DEAD_FOR,
+            "the chaos plan may delay a message by {delay:?}, not less than the {DEAD_FOR:?} a \
+             crashed node stays dead: recovery's lock-chain reset needs every message sent \
+             before a crash delivered or lost by the time the node is back"
+        );
         // One knob reproduces a run: the cluster seed replaces whatever the
         // plan was built with.
         let mut plan = plan.clone();
@@ -179,10 +192,10 @@ where
         })
         .collect();
 
-    // One heartbeat ticker per node: drives the failure detector's timers
-    // and the diff-outbox retransmission scan. Tickers run until explicitly
-    // stopped (heartbeats never quiesce, so they must die before the
-    // traffic-quiesce loop below can converge).
+    // One heartbeat ticker per node: drives the restart detector's
+    // heartbeats and the diff-outbox retransmission scan. Tickers run until
+    // explicitly stopped (heartbeats never quiesce, so they must die before
+    // the traffic-quiesce loop below can converge).
     let ticker_stop = Arc::new(AtomicBool::new(false));
     let ticker_handles: Vec<_> = match &membership {
         None => Vec::new(),
@@ -241,7 +254,7 @@ where
             let app = Arc::clone(&app);
             let fabric = fabric.clone();
             let active = Arc::clone(&active_recoveries);
-            let membership = membership.clone();
+            let membership = membership.is_some();
             std::thread::Builder::new()
                 .name(format!("dsm-app-{i}"))
                 .spawn(move || {
@@ -270,16 +283,7 @@ where
                                 shared.state.lock().fail_stop();
                                 fabric.crash(i);
                                 shared.state.lock().ep.drain();
-                                // Stay dead long enough for the failure to
-                                // be observable. With membership on, that
-                                // means longer than the detection bound, so
-                                // peers must notice the silence themselves —
-                                // no orchestrated hint ever reaches them.
-                                let dead_for = match &membership {
-                                    Some(cfg) => cfg.detection_bound() + cfg.heartbeat_every * 4,
-                                    None => Duration::from_millis(10),
-                                };
-                                std::thread::sleep(dead_for);
+                                std::thread::sleep(DEAD_FOR);
                                 {
                                     let mut st = shared.state.lock();
                                     // New incarnation before the ticker sees
@@ -291,7 +295,7 @@ where
                                     }
                                     st.set_mode(Mode::Recovering);
                                 }
-                                if membership.is_some() {
+                                if membership {
                                     // Peers discover the restart from the
                                     // incarnation bump in our heartbeats and
                                     // retransmit on their own Up event.
@@ -428,6 +432,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_net::{FaultPlan, FaultRule};
+
+    fn two_nodes_under(plan: FaultPlan) -> RunReport<usize> {
+        run(ClusterConfig::base(2).with_chaos(plan), &[], |p| p.me())
+    }
+
+    #[test]
+    fn a_lossy_plan_delivers_within_the_dead_time() {
+        assert_eq!(FaultPlan::lossy(0).max_delay(), Duration::from_millis(2));
+        assert_eq!(two_nodes_under(FaultPlan::lossy(0)).results, [0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the chaos plan may delay a message by 20ms, not less than the 10ms")]
+    fn a_plan_that_delays_past_the_dead_time_is_refused() {
+        let slow = Duration::from_millis(20);
+        let rule = FaultRule::all().delaying(0.01, Duration::from_millis(1), slow);
+        two_nodes_under(FaultPlan::new(0).with_rule(rule));
+    }
 
     #[test]
     fn a_flipped_byte_changes_its_page_and_swapped_pages_change_the_run() {

@@ -1,9 +1,9 @@
-//! Membership and failure detection: [`MemberSvc`].
+//! Membership: [`MemberSvc`], the restart detector.
 //!
-//! The module owns the heartbeat [`Detector`] and its latency samples, the
-//! `Member` message kind and the ticker thread. Nothing here is touched by a
-//! crash: the detector belongs to the machine, not to the incarnation, and a
-//! restart only bumps its incarnation number.
+//! The module owns the heartbeat [`Detector`] and its round-trip samples,
+//! the `Member` message kind and the ticker thread. Nothing here is touched
+//! by a crash: the detector belongs to the machine, not to the incarnation,
+//! and a restart only bumps its incarnation number.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,15 +19,15 @@ use crate::ft;
 use crate::msg::{Msg, Payload};
 use crate::runtime::node::{handle_node_up, Mode, NodeShared};
 
-/// The membership/failure-detection runtime of one node: the heartbeat
-/// [`Detector`] plus its latency samples, each behind its own small lock so
-/// that the ticker thread and the service thread drive the detector without
-/// ever touching the big state lock (heartbeat processing must not stall
-/// behind a computing application thread, or peers falsely suspect us).
-/// The sample histograms are folded into the [`LatencyHists`] of each node
-/// report. Lock order: never hold `det` while taking the big lock is
-/// *allowed* (big → det at the crash path), so action application always
-/// drops the detector guard first.
+/// The membership runtime of one node: the heartbeat [`Detector`] plus its
+/// round-trip samples, each behind its own small lock so that the ticker
+/// thread and the service thread drive the detector without ever touching
+/// the big state lock (a heartbeat must not queue behind a computing
+/// application thread, or a restart would be noticed late and the round
+/// trip would measure the lock). The samples are folded into the
+/// [`LatencyHists`] of each node report. Lock order: never hold `det` while
+/// taking the big lock is *allowed* (big → det at the crash path), so action
+/// application always drops the detector guard first.
 pub(crate) struct MemberSvc {
     /// Where membership traffic goes out: bare, past the big lock.
     ep: Arc<Endpoint<Msg>>,
@@ -35,8 +35,6 @@ pub(crate) struct MemberSvc {
     det: Mutex<Detector>,
     /// Heartbeat round-trip samples (ns).
     rtt: Mutex<Histogram>,
-    /// First-suspicion-to-confirmed-down samples (ns).
-    susp: Mutex<Histogram>,
 }
 
 impl MemberSvc {
@@ -47,7 +45,6 @@ impl MemberSvc {
             tracer,
             det: Mutex::new(Detector::new(me, n, cfg.clone(), Instant::now())),
             rtt: Mutex::new(Histogram::new()),
-            susp: Mutex::new(Histogram::new()),
         }
     }
 
@@ -67,11 +64,10 @@ impl MemberSvc {
     /// For a node report: fold the off-big-lock samples into its `hists` and
     /// return the detector's counters. Never waits — a report may be taken
     /// mid-run or from a panic hook: `None` while the ticker or the service
-    /// thread holds one of the three.
+    /// thread holds one of the two.
     pub(crate) fn fold_into(&self, hists: &mut LatencyHists) -> Option<MemberStats> {
         let stats = self.det.try_lock()?.stats();
         hists.heartbeat_rtt.merge(&*self.rtt.try_lock()?);
-        hists.suspicion_latency.merge(&*self.susp.try_lock()?);
         Some(stats)
     }
 
@@ -80,33 +76,15 @@ impl MemberSvc {
     /// retransmissions). Sends go out as bare messages — membership traffic
     /// never carries piggybacks and never enters the recovery backlog.
     fn apply(&self, shared: &NodeShared, actions: Vec<MemberAction>) {
-        let (ep, tracer) = (&self.ep, &self.tracer);
-        let mut suspects_traced: Vec<usize> = Vec::new();
         for a in actions {
             match a {
                 MemberAction::Send { to, msg } => {
-                    if tracer.enabled() {
-                        if let Wire::SuspectQuery { about } = msg {
-                            if !suspects_traced.contains(&about) {
-                                suspects_traced.push(about);
-                                tracer.emit(EventKind::Suspect { node: about });
-                            }
-                        }
-                    }
-                    ep.send(to, Msg::bare(Payload::Member(msg)));
+                    self.ep.send(to, Msg::bare(Payload::Member(msg)));
                 }
                 MemberAction::RttSample { ns } => self.rtt.lock().record(ns),
-                MemberAction::SuspicionLatency { ns } => self.susp.lock().record(ns),
-                MemberAction::Down { node, .. } => {
-                    if tracer.enabled() {
-                        tracer.emit(EventKind::MemberDown { node });
-                    }
-                }
                 MemberAction::Up { node, .. } => {
-                    if tracer.enabled() {
-                        tracer.emit(EventKind::MemberUp { node });
-                    }
-                    // The returned peer lost everything in flight to it:
+                    self.tracer.emit(EventKind::MemberUp { node });
+                    // The restarted peer lost everything in flight to it:
                     // retransmit blocked requests and in-flight prefetch batches
                     // (same path orchestrated `NodeUp` events used to drive),
                     // plus the in-flight diff batch, immediately.
@@ -122,8 +100,8 @@ impl MemberSvc {
     }
 }
 
-/// The heartbeat ticker, one thread per node: drives the failure detector's
-/// timers and the diff-outbox retransmission scan every `every`, until
+/// The heartbeat ticker, one thread per node: drives the detector's
+/// heartbeats and the diff-outbox retransmission scan every `every`, until
 /// `stop` (heartbeats never quiesce on their own).
 pub(crate) fn ticker(shared: &NodeShared, stop: &AtomicBool, every: Duration) {
     let (member, mode_flag) = {
@@ -133,8 +111,8 @@ pub(crate) fn ticker(shared: &NodeShared, stop: &AtomicBool, every: Duration) {
     };
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(every);
-        // A crashed node is silent: no heartbeats, no retransmissions — that
-        // silence is exactly what the peers' detectors pick up.
+        // A crashed node is silent: no heartbeats, no retransmissions. Its
+        // peers learn of the crash when it is back, from the new incarnation.
         if mode_flag.load(Ordering::SeqCst) == Mode::Crashed as u8 {
             continue;
         }

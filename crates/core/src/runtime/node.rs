@@ -163,7 +163,7 @@ pub(crate) struct NodeState {
     pub sync: SyncSvc,
     pub ft: FtSvc,
     pub rec: RecoverySvc,
-    /// Membership/failure-detection runtime; `None` keeps orchestrated
+    /// Membership (restart detection) runtime; `None` keeps orchestrated
     /// recovery (perfect-knowledge `NodeUp` broadcasts).
     pub member: Option<Arc<MemberSvc>>,
     pub ep: Arc<Endpoint<Msg>>,

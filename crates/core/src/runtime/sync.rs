@@ -410,8 +410,9 @@ impl SyncSvc {
     /// NodeUp re-send otherwise), re-entering the chain behind a real
     /// tenure. Without the reset, stale pre-crash edges and the manager's
     /// fresh post-crash edges can order the same two waiters both ways round
-    /// and deadlock the chain. This leans on the failure-detection synchrony
-    /// assumption (max message delay is far below the detection bound): by
+    /// and deadlock the chain. This leans on a synchrony assumption: a
+    /// crashed node stays dead longer than any message can be delayed (`run`
+    /// refuses a chaos plan whose `max_delay` reaches the dead time), so by
     /// the time this handshake runs, no pre-crash forward is still in flight
     /// toward us.
     pub(crate) fn chain_report(&mut self, r: ProcId, rel: &[Vec<RelEntry>]) -> ChainReport {

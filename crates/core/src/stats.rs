@@ -165,7 +165,7 @@ pub struct NodeReport {
     pub msg_kinds: Vec<(&'static str, u64)>,
     /// Bytes sent by this node per payload kind, piggyback included.
     pub msg_kind_bytes: Vec<(&'static str, u64)>,
-    /// Membership/failure-detection counters (zeroed when membership is off).
+    /// Membership counters (zeroed when membership is off).
     pub member: MemberStats,
     /// Request retransmissions issued by this node (page/lock/barrier/diff
     /// traffic resent after the retry timeout; zero when retries are off).
@@ -210,9 +210,6 @@ impl NodeReport {
         add_kinds(&mut self.svc_time_by_kind, &o.svc_time_by_kind);
         add_kinds(&mut self.msg_kinds, &o.msg_kinds);
         add_kinds(&mut self.msg_kind_bytes, &o.msg_kind_bytes);
-        self.member.suspicions += o.member.suspicions;
-        self.member.false_suspicions += o.member.false_suspicions;
-        self.member.down_events += o.member.down_events;
         self.member.up_events += o.member.up_events;
         self.member.pings_sent += o.member.pings_sent;
         self.retransmits += o.retransmits;
@@ -270,9 +267,6 @@ impl NodeReport {
             ("pool_misses_total", pool.misses),
             ("pool_recycled_total", pool.recycled),
             ("pool_rejected_total", pool.rejected),
-            ("member_suspicions_total", member.suspicions),
-            ("member_false_suspicions_total", member.false_suspicions),
-            ("member_down_events_total", member.down_events),
             ("member_up_events_total", member.up_events),
             ("member_pings_sent_total", member.pings_sent),
             ("retransmits_total", self.retransmits),

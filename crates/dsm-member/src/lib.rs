@@ -1,44 +1,35 @@
 #![warn(missing_docs)]
-//! Heartbeat membership and failure detection.
+//! Heartbeat membership: restart detection.
 //!
-//! The paper assumes fail-stop failures that are *detected* — it never says
-//! how. This crate supplies the how: every node runs a [`Detector`], a pure
-//! state machine driven by a ticker thread in the runtime. Nodes exchange
-//! periodic heartbeats; a peer that misses enough of them becomes
-//! *suspected*, suspicion triggers a confirmation round (ask the other
-//! peers whether they still hear it), and a confirmed failure is announced
-//! cluster-wide and surfaced as a [`Action::Down`] membership event — which
-//! is what triggers recovery retransmissions, replacing the simulator's
-//! orchestrated perfect-knowledge notification.
+//! The paper's failure model is one fail-stop node that restarts from its
+//! own checkpoint. What a survivor does about it happens on the *restart*:
+//! it resupplies what the restarted node lost (retransmits blocked requests
+//! and in-flight diff batches). A death needs no action of its own — every
+//! request a survivor has outstanding at a dead peer is resent by the
+//! runtime's retry timers, which do not ask who is alive.
 //!
-//! Restarts are discovered the same way: a recovering node bumps its
-//! *incarnation* number (its recovery count) and keeps heartbeating; any
-//! heartbeat carrying a higher incarnation than previously seen proves the
-//! peer failed and came back, and surfaces as [`Action::Up`].
+//! So this crate detects restarts and nothing else. Every node runs a
+//! [`Detector`], a pure state machine driven by a ticker thread in the
+//! runtime. Nodes exchange periodic heartbeats carrying their *incarnation*
+//! (the recovery count); a restarting node bumps its incarnation and keeps
+//! heartbeating, and the first heartbeat with a higher incarnation than a
+//! peer has seen from it surfaces there as [`Action::Up`].
 //!
-//! The detector is deliberately transport-free: it receives wire messages
-//! ([`Wire`]) and clock readings, and returns [`Action`]s (messages to
-//! send, membership events to raise, latency samples to record). All
-//! policy — intervals, suspicion thresholds, confirmation timeout — lives
-//! in [`MemberConfig`]. Under a lossy fabric false suspicions are expected;
-//! they are counted, rescinded by any sign of life, and safe: every
-//! retransmission they trigger is idempotent at the protocol layer.
+//! The detector is transport-free: it receives wire messages ([`Wire`]) and
+//! clock readings, and returns [`Action`]s (messages to send, `Up` events to
+//! raise, round-trip samples to record). The intervals live in
+//! [`MemberConfig`].
 
 use std::time::{Duration, Instant};
 
 /// Index of a node in the cluster (matches `dsm_net::NodeId`).
 pub type NodeId = usize;
 
-/// Tuning knobs of the failure detector.
+/// Heartbeat and retry intervals.
 #[derive(Debug, Clone)]
 pub struct MemberConfig {
     /// Heartbeat period.
     pub heartbeat_every: Duration,
-    /// Missed heartbeat intervals before a peer becomes suspected.
-    pub suspect_after: u32,
-    /// How long a confirmation round may wait for peer replies before the
-    /// suspicion is confirmed unilaterally.
-    pub confirm_timeout: Duration,
     /// Timeout after which an outstanding protocol request (page fetch,
     /// lock acquire, barrier arrival) is retransmitted. Used by the
     /// runtime's retry layer, not the detector itself.
@@ -49,23 +40,13 @@ impl Default for MemberConfig {
     fn default() -> Self {
         MemberConfig {
             heartbeat_every: Duration::from_millis(2),
-            suspect_after: 6,
-            confirm_timeout: Duration::from_millis(8),
             retry_after: Duration::from_millis(25),
         }
     }
 }
 
-impl MemberConfig {
-    /// Upper bound on detection latency: the suspicion threshold plus the
-    /// confirmation round.
-    pub fn detection_bound(&self) -> Duration {
-        self.heartbeat_every * self.suspect_after + self.confirm_timeout
-    }
-}
-
 /// Membership messages on the wire. The runtime embeds these in its own
-/// message enum; sizes are small and fixed.
+/// message enum; both are 17 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wire {
     /// Periodic heartbeat.
@@ -82,36 +63,12 @@ pub enum Wire {
         /// Responder's incarnation.
         incarnation: u64,
     },
-    /// Confirmation round: "do you still hear `about`?"
-    SuspectQuery {
-        /// The suspected node.
-        about: NodeId,
-    },
-    /// Confirmation reply with the responder's view.
-    SuspectReply {
-        /// The suspected node.
-        about: NodeId,
-        /// True when the responder heard from `about` recently.
-        alive: bool,
-    },
-    /// Cluster-wide announcement of a confirmed failure.
-    DownAnnounce {
-        /// The failed node.
-        node: NodeId,
-        /// Its last known incarnation.
-        incarnation: u64,
-    },
 }
 
 impl Wire {
-    /// Encoded size in bytes (1 tag byte + fields).
+    /// Encoded size in bytes (1 tag byte + two `u64`s).
     pub fn wire_size(&self) -> usize {
-        match self {
-            Wire::Ping { .. } | Wire::Pong { .. } => 17,
-            Wire::SuspectQuery { .. } => 5,
-            Wire::SuspectReply { .. } => 6,
-            Wire::DownAnnounce { .. } => 13,
-        }
+        17
     }
 
     /// Stable kind label for tracing/traffic accounting.
@@ -119,9 +76,6 @@ impl Wire {
         match self {
             Wire::Ping { .. } => "HbPing",
             Wire::Pong { .. } => "HbPong",
-            Wire::SuspectQuery { .. } => "SuspectQuery",
-            Wire::SuspectReply { .. } => "SuspectReply",
-            Wire::DownAnnounce { .. } => "DownAnnounce",
         }
     }
 }
@@ -136,20 +90,12 @@ pub enum Action {
         /// The message.
         msg: Wire,
     },
-    /// Membership event: `node` was confirmed failed.
-    Down {
-        /// The failed node.
-        node: NodeId,
-        /// Its last known incarnation.
-        incarnation: u64,
-    },
-    /// Membership event: `node` is back (recovered, or falsely declared
-    /// down). Requesters should retransmit anything they still owe to or
-    /// expect from it.
+    /// `node` restarted: it lost everything in flight to it, so requesters
+    /// should retransmit anything they still owe to or expect from it.
     Up {
-        /// The returned node.
+        /// The restarted node.
         node: NodeId,
-        /// Its current incarnation.
+        /// Its new incarnation.
         incarnation: u64,
     },
     /// A heartbeat round-trip-time sample, in nanoseconds.
@@ -157,96 +103,50 @@ pub enum Action {
         /// The sample.
         ns: u64,
     },
-    /// Time from first suspicion to confirmed failure, in nanoseconds.
-    SuspicionLatency {
-        /// The sample.
-        ns: u64,
-    },
-}
-
-/// Liveness of one peer as this node sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeerState {
-    /// Heartbeats arriving normally.
-    Alive,
-    /// Missed too many heartbeats; confirmation round in progress.
-    Suspect,
-    /// Confirmed failed.
-    Down,
 }
 
 /// Monotonic counters the detector keeps (exported into `NodeReport`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemberStats {
-    /// Suspicions raised (entering [`PeerState::Suspect`]).
-    pub suspicions: u64,
-    /// Suspicions rescinded by a sign of life (includes peers falsely
-    /// confirmed down that later heartbeat with an unchanged incarnation).
-    pub false_suspicions: u64,
-    /// Down events raised (locally confirmed or learned by announcement).
-    pub down_events: u64,
     /// Up events raised.
     pub up_events: u64,
     /// Heartbeats sent.
     pub pings_sent: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PeerView {
-    state: PeerState,
     /// Highest incarnation seen from this peer.
     incarnation: u64,
-    last_heard: Instant,
     /// `(seq, sent_at)` of the most recent ping, for RTT.
     last_ping: Option<(u64, Instant)>,
-    suspect_since: Option<Instant>,
-    /// During a confirmation round: dead votes received.
-    dead_votes: u32,
-    /// Peers queried in the current confirmation round.
-    queried: u32,
 }
 
-/// The per-node failure-detector state machine. Not thread-safe by itself;
+/// The per-node restart-detector state machine. Not thread-safe by itself;
 /// the runtime drives it under one lock from the ticker thread and the
 /// message-service thread.
 #[derive(Debug)]
 pub struct Detector {
-    me: NodeId,
-    n: usize,
-    cfg: MemberConfig,
+    every: Duration,
     /// This node's own incarnation (bumped by the runtime at each recovery).
     incarnation: u64,
     hb_seq: u64,
     next_hb: Instant,
+    /// One view per peer; `None` at this node's own index.
     peers: Vec<Option<PeerView>>,
     stats: MemberStats,
 }
 
 impl Detector {
-    /// New detector for node `me` of `n`, with all peers assumed alive as
-    /// of `now`.
+    /// New detector for node `me` of `n`; its first tick at or after `now`
+    /// heartbeats.
     pub fn new(me: NodeId, n: usize, cfg: MemberConfig, now: Instant) -> Detector {
-        let peers = (0..n)
-            .map(|p| {
-                (p != me).then_some(PeerView {
-                    state: PeerState::Alive,
-                    incarnation: 0,
-                    last_heard: now,
-                    last_ping: None,
-                    suspect_since: None,
-                    dead_votes: 0,
-                    queried: 0,
-                })
-            })
-            .collect();
         Detector {
-            me,
-            n,
-            cfg,
+            every: cfg.heartbeat_every,
             incarnation: 0,
             hb_seq: 0,
             next_hb: now,
-            peers,
+            peers: (0..n).map(|p| (p != me).then(PeerView::default)).collect(),
             stats: MemberStats::default(),
         }
     }
@@ -261,186 +161,49 @@ impl Detector {
         self.incarnation
     }
 
-    /// How this node currently sees `peer`.
-    pub fn peer_state(&self, peer: NodeId) -> PeerState {
-        self.peers[peer].as_ref().expect("own id").state
-    }
-
     /// The runtime calls this when *this* node starts recovering: bump the
     /// incarnation so peers can tell the new life from the old one, and
-    /// reset peer bookkeeping (we may have been gone a while; don't suspect
-    /// everyone the moment we come back).
+    /// heartbeat at the next tick.
     pub fn begin_new_incarnation(&mut self, now: Instant) {
         self.incarnation += 1;
         self.next_hb = now;
-        for p in self.peers.iter_mut().flatten() {
-            p.last_heard = now;
-            p.last_ping = None;
-            p.suspect_since = None;
-            p.dead_votes = 0;
-            p.queried = 0;
-            if p.state == PeerState::Suspect {
-                p.state = PeerState::Alive;
-            }
+    }
+
+    fn peer(&mut self, peer: NodeId) -> &mut PeerView {
+        self.peers[peer].as_mut().expect("no view of self")
+    }
+
+    /// A heartbeat from `peer` carried `incarnation`: a higher one than any
+    /// seen before means the peer restarted.
+    fn heard_from(&mut self, peer: NodeId, incarnation: u64, out: &mut Vec<Action>) {
+        let p = self.peer(peer);
+        if incarnation > p.incarnation {
+            p.incarnation = incarnation;
+            self.stats.up_events += 1;
+            out.push(Action::Up {
+                node: peer,
+                incarnation,
+            });
         }
     }
 
-    fn suspect_threshold(&self) -> Duration {
-        self.cfg.heartbeat_every * self.cfg.suspect_after
-    }
-
-    /// Record a sign of life from `peer` carrying `incarnation`; returns
-    /// the membership actions that fall out (an `Up` event when the peer
-    /// was down or announces a new life).
-    fn heard_from(&mut self, peer: NodeId, incarnation: u64, now: Instant, out: &mut Vec<Action>) {
-        let me = self.me;
-        let p = self.peers[peer].as_mut().expect("no view of self");
-        debug_assert_ne!(peer, me);
-        p.last_heard = now;
-        let was = p.state;
-        let new_life = incarnation > p.incarnation;
-        p.incarnation = p.incarnation.max(incarnation);
-        match was {
-            PeerState::Alive if new_life => {
-                // The peer crashed and recovered before we even suspected
-                // it (fast restart). Still a membership round trip:
-                // requesters owe it retransmissions.
-                self.stats.down_events += 1;
-                self.stats.up_events += 1;
-                out.push(Action::Down {
-                    node: peer,
-                    incarnation: incarnation - 1,
-                });
-                out.push(Action::Up {
-                    node: peer,
-                    incarnation,
-                });
-            }
-            PeerState::Alive => {}
-            PeerState::Suspect => {
-                // Sign of life rescinds the suspicion.
-                p.state = PeerState::Alive;
-                p.suspect_since = None;
-                p.dead_votes = 0;
-                p.queried = 0;
-                self.stats.false_suspicions += 1;
-                if new_life {
-                    self.stats.down_events += 1;
-                    self.stats.up_events += 1;
-                    out.push(Action::Down {
-                        node: peer,
-                        incarnation: incarnation - 1,
-                    });
-                    out.push(Action::Up {
-                        node: peer,
-                        incarnation,
-                    });
-                }
-            }
-            PeerState::Down => {
-                p.state = PeerState::Alive;
-                p.suspect_since = None;
-                self.stats.up_events += 1;
-                if !new_life {
-                    // We confirmed it down but it was never gone.
-                    self.stats.false_suspicions += 1;
-                }
-                out.push(Action::Up {
-                    node: peer,
-                    incarnation,
-                });
-            }
-        }
-    }
-
-    /// Drive timers: send due heartbeats, raise suspicions, conclude
-    /// confirmation rounds. Call every ~heartbeat period.
+    /// Send the heartbeat when one is due. Call every ~heartbeat period.
     pub fn tick(&mut self, now: Instant) -> Vec<Action> {
-        let mut out = Vec::new();
-        // Heartbeats.
-        if now >= self.next_hb {
-            self.next_hb = now + self.cfg.heartbeat_every;
-            self.hb_seq += 1;
-            let seq = self.hb_seq;
-            let incarnation = self.incarnation;
-            for peer in 0..self.n {
-                let Some(p) = self.peers[peer].as_mut() else {
-                    continue;
-                };
-                // Down peers are not pinged; their recovered self pings us.
-                if p.state == PeerState::Down {
-                    continue;
-                }
-                p.last_ping = Some((seq, now));
-                self.stats.pings_sent += 1;
-                out.push(Action::Send {
-                    to: peer,
-                    msg: Wire::Ping { seq, incarnation },
-                });
-            }
+        if now < self.next_hb {
+            return Vec::new();
         }
-        // Suspicions.
-        let threshold = self.suspect_threshold();
-        let peers_alive: Vec<NodeId> = (0..self.n)
-            .filter(|&q| {
-                self.peers[q]
-                    .as_ref()
-                    .is_some_and(|v| v.state == PeerState::Alive)
-            })
-            .collect();
-        for peer in 0..self.n {
-            let Some(p) = self.peers[peer].as_mut() else {
-                continue;
-            };
-            match p.state {
-                PeerState::Alive if now.duration_since(p.last_heard) >= threshold => {
-                    p.state = PeerState::Suspect;
-                    p.suspect_since = Some(now);
-                    p.dead_votes = 0;
-                    p.queried = 0;
-                    self.stats.suspicions += 1;
-                    for &q in &peers_alive {
-                        if q != peer {
-                            p.queried += 1;
-                            out.push(Action::Send {
-                                to: q,
-                                msg: Wire::SuspectQuery { about: peer },
-                            });
-                        }
-                    }
-                }
-                PeerState::Suspect => {
-                    let since = p.suspect_since.expect("suspect without timestamp");
-                    let votes_in = p.queried > 0 && p.dead_votes >= p.queried;
-                    let timed_out = now.duration_since(since) >= self.cfg.confirm_timeout;
-                    if votes_in || timed_out {
-                        p.state = PeerState::Down;
-                        p.suspect_since = None;
-                        let incarnation = p.incarnation;
-                        self.stats.down_events += 1;
-                        out.push(Action::SuspicionLatency {
-                            ns: now.duration_since(since).as_nanos() as u64,
-                        });
-                        out.push(Action::Down {
-                            node: peer,
-                            incarnation,
-                        });
-                        // Tell everyone else so the cluster converges even
-                        // if their own timers are slower.
-                        for &q in &peers_alive {
-                            if q != peer {
-                                out.push(Action::Send {
-                                    to: q,
-                                    msg: Wire::DownAnnounce {
-                                        node: peer,
-                                        incarnation,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-                _ => {}
+        self.next_hb = now + self.every;
+        self.hb_seq += 1;
+        let msg = Wire::Ping {
+            seq: self.hb_seq,
+            incarnation: self.incarnation,
+        };
+        let mut out = Vec::new();
+        for (to, p) in self.peers.iter_mut().enumerate() {
+            if let Some(p) = p {
+                p.last_ping = Some((self.hb_seq, now));
+                self.stats.pings_sent += 1;
+                out.push(Action::Send { to, msg });
             }
         }
         out
@@ -451,80 +214,20 @@ impl Detector {
         let mut out = Vec::new();
         match msg {
             Wire::Ping { seq, incarnation } => {
-                self.heard_from(from, incarnation, now, &mut out);
-                out.push(Action::Send {
-                    to: from,
-                    msg: Wire::Pong {
-                        seq,
-                        incarnation: self.incarnation,
-                    },
-                });
+                self.heard_from(from, incarnation, &mut out);
+                let incarnation = self.incarnation;
+                let msg = Wire::Pong { seq, incarnation };
+                out.push(Action::Send { to: from, msg });
             }
             Wire::Pong { seq, incarnation } => {
-                self.heard_from(from, incarnation, now, &mut out);
-                let p = self.peers[from].as_mut().expect("no view of self");
+                self.heard_from(from, incarnation, &mut out);
+                let p = self.peer(from);
                 if let Some((sent_seq, sent_at)) = p.last_ping {
                     if sent_seq == seq {
-                        out.push(Action::RttSample {
-                            ns: now.duration_since(sent_at).as_nanos() as u64,
-                        });
+                        let ns = now.duration_since(sent_at).as_nanos() as u64;
+                        out.push(Action::RttSample { ns });
                         p.last_ping = None;
                     }
-                }
-            }
-            Wire::SuspectQuery { about } => {
-                // The query itself proves the sender is alive. Our vote on
-                // `about`: alive iff we heard from it within the suspicion
-                // window ourselves. (A query about us means the asker lost
-                // our heartbeats; just vouch for ourselves.)
-                self.heard_from(from, 0, now, &mut out);
-                let alive = if about == self.me {
-                    true
-                } else {
-                    self.peers[about].as_ref().is_some_and(|p| {
-                        p.state != PeerState::Down
-                            && now.duration_since(p.last_heard) < self.suspect_threshold()
-                    })
-                };
-                out.push(Action::Send {
-                    to: from,
-                    msg: Wire::SuspectReply { about, alive },
-                });
-            }
-            Wire::SuspectReply { about, alive } => {
-                self.heard_from(from, 0, now, &mut out);
-                if about == self.me {
-                    return out;
-                }
-                let p = self.peers[about].as_mut().expect("no view of self");
-                if p.state == PeerState::Suspect {
-                    if alive {
-                        // Someone still hears it: false alarm.
-                        p.state = PeerState::Alive;
-                        p.last_heard = now;
-                        p.suspect_since = None;
-                        p.dead_votes = 0;
-                        p.queried = 0;
-                        self.stats.false_suspicions += 1;
-                    } else {
-                        p.dead_votes += 1;
-                        // tick() concludes the round once all votes are in.
-                    }
-                }
-            }
-            Wire::DownAnnounce { node, incarnation } => {
-                self.heard_from(from, 0, now, &mut out);
-                if node == self.me {
-                    return out;
-                }
-                let p = self.peers[node].as_mut().expect("no view of self");
-                // Believe it only if it isn't stale news about a previous
-                // life we already saw end.
-                if p.state != PeerState::Down && p.incarnation <= incarnation {
-                    p.state = PeerState::Down;
-                    p.suspect_since = None;
-                    self.stats.down_events += 1;
-                    out.push(Action::Down { node, incarnation });
                 }
             }
         }
@@ -536,13 +239,12 @@ impl Detector {
 mod tests {
     use super::*;
 
-    fn cfg() -> MemberConfig {
-        MemberConfig {
-            heartbeat_every: Duration::from_millis(2),
-            suspect_after: 5,
-            confirm_timeout: Duration::from_millis(8),
-            retry_after: Duration::from_millis(25),
-        }
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn ping(seq: u64, incarnation: u64) -> Wire {
+        Wire::Ping { seq, incarnation }
     }
 
     fn sends(actions: &[Action]) -> Vec<(NodeId, Wire)> {
@@ -555,391 +257,93 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn ticks_emit_heartbeats_on_schedule() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 3, cfg(), t0);
-        let a = d.tick(t0);
-        assert_eq!(sends(&a).len(), 2); // pings to 1 and 2
-                                        // Before the period elapses: nothing.
-        assert!(d.tick(t0 + Duration::from_micros(500)).is_empty());
-        let a = d.tick(t0 + Duration::from_millis(2));
-        assert_eq!(sends(&a).len(), 2);
-        assert_eq!(d.stats().pings_sent, 4);
+    fn ups(actions: &[Action]) -> Vec<(NodeId, u64)> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Up { node, incarnation } => Some((*node, *incarnation)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
-    fn ping_answered_with_pong_and_rtt_measured() {
+    fn a_higher_incarnation_raises_one_up_and_the_same_or_a_lower_one_none() {
         let t0 = Instant::now();
-        let mut d0 = Detector::new(0, 2, cfg(), t0);
-        let mut d1 = Detector::new(1, 2, cfg(), t0);
-        let a = d0.tick(t0);
-        let (to, ping) = sends(&a)[0];
+        let mut d = Detector::new(0, 3, MemberConfig::default(), t0);
+        // First contact with the first life: nothing restarted.
+        assert!(ups(&d.on_msg(1, ping(1, 0), t0)).is_empty());
+        // Node 1 restarted: exactly one Up, whichever heartbeat brings it.
+        assert_eq!(ups(&d.on_msg(1, ping(2, 1), t0)), [(1, 1)]);
+        let pong = Wire::Pong {
+            seq: 9,
+            incarnation: 1,
+        };
+        assert!(ups(&d.on_msg(1, pong, t0)).is_empty());
+        assert!(ups(&d.on_msg(1, ping(3, 1), t0)).is_empty());
+        // A stale heartbeat of the old life, overtaken on the wire.
+        assert!(ups(&d.on_msg(1, ping(1, 0), t0)).is_empty());
+        // A second restart is a second Up; node 2's history is its own.
+        assert_eq!(ups(&d.on_msg(1, ping(4, 2), t0)), [(1, 2)]);
+        assert!(ups(&d.on_msg(2, ping(1, 0), t0)).is_empty());
+        assert_eq!(d.stats().up_events, 2);
+    }
+
+    #[test]
+    fn every_period_pings_every_peer_a_silent_one_included() {
+        let t0 = Instant::now();
+        let mut d = Detector::new(1, 3, MemberConfig::default(), t0);
+        let every_peer = |a: &[Action]| sends(a).iter().map(|&(to, _)| to).collect::<Vec<_>>();
+        assert_eq!(every_peer(&d.tick(t0)), [0, 2]);
+        // Before the period is up: nothing.
+        assert!(d.tick(t0 + Duration::from_micros(500)).is_empty());
+        // Node 0 answers, node 2 never does; both are pinged for ever.
+        for step in 1..=20 {
+            let now = t0 + ms(2 * step);
+            let _ = d.on_msg(0, ping(step, 0), now);
+            assert_eq!(every_peer(&d.tick(now)), [0, 2], "period {step}");
+        }
+        assert_eq!(d.stats().pings_sent, 42);
+        assert_eq!(d.stats().up_events, 0);
+    }
+
+    #[test]
+    fn a_new_incarnation_is_announced_by_the_next_tick() {
+        let t0 = Instant::now();
+        let mut d = Detector::new(0, 3, MemberConfig::default(), t0);
+        let _ = d.tick(t0);
+        // Crashed at once, back 1 ms later: before the period is up.
+        let back = t0 + ms(1);
+        d.begin_new_incarnation(back);
+        assert_eq!(d.incarnation(), 1);
+        let pings = sends(&d.tick(back));
+        assert_eq!(pings.len(), 2);
+        assert!(pings
+            .iter()
+            .all(|(_, m)| matches!(m, Wire::Ping { incarnation: 1, .. })));
+        // A peer that hears it raises Up; its Pong carries its own life.
+        let mut peer = Detector::new(1, 3, MemberConfig::default(), t0);
+        let a = peer.on_msg(0, pings[0].1, back);
+        assert_eq!(ups(&a), [(0, 1)]);
+        assert!(matches!(
+            sends(&a)[..],
+            [(0, Wire::Pong { incarnation: 0, .. })]
+        ));
+    }
+
+    #[test]
+    fn a_matching_pong_yields_an_rtt_sample() {
+        let t0 = Instant::now();
+        let mut d0 = Detector::new(0, 2, MemberConfig::default(), t0);
+        let mut d1 = Detector::new(1, 2, MemberConfig::default(), t0);
+        let (to, ping) = sends(&d0.tick(t0))[0];
         assert_eq!(to, 1);
-        let a = d1.on_msg(0, ping, t0);
-        let (to, pong) = sends(&a)[0];
+        let (to, pong) = sends(&d1.on_msg(0, ping, t0))[0];
         assert_eq!(to, 0);
         assert!(matches!(pong, Wire::Pong { seq: 1, .. }));
         let a = d0.on_msg(1, pong, t0 + Duration::from_micros(300));
-        assert!(a
-            .iter()
-            .any(|x| matches!(x, Action::RttSample { ns } if *ns >= 300_000)));
-    }
-
-    #[test]
-    fn silence_leads_to_suspicion_then_down() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 3, cfg(), t0);
-        // Node 2 keeps heartbeating, node 1 goes silent.
-        let mut now = t0;
-        let mut down_seen = false;
-        let mut queried = false;
-        for step in 1..=20 {
-            now = t0 + Duration::from_millis(2 * step);
-            let actions = d.tick(now);
-            for a in &actions {
-                match a {
-                    Action::Send {
-                        to,
-                        msg: Wire::SuspectQuery { about },
-                    } => {
-                        assert_eq!((*to, *about), (2, 1));
-                        queried = true;
-                    }
-                    Action::Down { node, .. } => {
-                        assert_eq!(*node, 1);
-                        down_seen = true;
-                    }
-                    _ => {}
-                }
-            }
-            let _ = d.on_msg(
-                2,
-                Wire::Ping {
-                    seq: step,
-                    incarnation: 0,
-                },
-                now,
-            );
-            if down_seen {
-                break;
-            }
-        }
-        assert!(queried, "confirmation round never started");
-        assert!(down_seen, "silent peer never confirmed down");
-        assert_eq!(d.peer_state(1), PeerState::Down);
-        assert_eq!(d.peer_state(2), PeerState::Alive);
-        // Detection happened within the configured bound.
-        assert!(now.duration_since(t0) <= cfg().detection_bound() + Duration::from_millis(6));
-        assert_eq!(d.stats().suspicions, 1);
-        assert_eq!(d.stats().false_suspicions, 0);
-    }
-
-    #[test]
-    fn alive_vote_rescinds_suspicion() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 3, cfg(), t0);
-        let now = t0 + Duration::from_millis(12);
-        // Keep 2 alive so only 1 is suspected.
-        let _ = d.on_msg(
-            2,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 0,
-            },
-            now - Duration::from_millis(1),
-        );
-        let actions = d.tick(now);
-        assert!(sends(&actions)
-            .iter()
-            .any(|(_, m)| matches!(m, Wire::SuspectQuery { about: 1 })));
-        assert_eq!(d.peer_state(1), PeerState::Suspect);
-        let _ = d.on_msg(
-            2,
-            Wire::SuspectReply {
-                about: 1,
-                alive: true,
-            },
-            now,
-        );
-        assert_eq!(d.peer_state(1), PeerState::Alive);
-        assert_eq!(d.stats().false_suspicions, 1);
-        // No Down event ever fired.
-        assert_eq!(d.stats().down_events, 0);
-    }
-
-    #[test]
-    fn unanimous_dead_votes_confirm_before_timeout() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 4, cfg(), t0);
-        // 1 goes silent; suspicion starts at 10ms.
-        let now = t0 + Duration::from_millis(10);
-        // Keep 2 and 3 alive.
-        let _ = d.on_msg(
-            2,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 0,
-            },
-            now - Duration::from_millis(1),
-        );
-        let _ = d.on_msg(
-            3,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 0,
-            },
-            now - Duration::from_millis(1),
-        );
-        let actions = d.tick(now);
-        let queries: Vec<_> = sends(&actions)
-            .into_iter()
-            .filter(|(_, m)| matches!(m, Wire::SuspectQuery { about: 1 }))
-            .collect();
-        assert_eq!(queries.len(), 2);
-        let _ = d.on_msg(
-            2,
-            Wire::SuspectReply {
-                about: 1,
-                alive: false,
-            },
-            now + Duration::from_millis(1),
-        );
-        let _ = d.on_msg(
-            3,
-            Wire::SuspectReply {
-                about: 1,
-                alive: false,
-            },
-            now + Duration::from_millis(1),
-        );
-        // Next tick concludes well before confirm_timeout.
-        let actions = d.tick(now + Duration::from_millis(2));
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::Down { node: 1, .. })));
-        assert!(actions
-            .iter()
-            .any(|a| matches!(a, Action::SuspicionLatency { .. })));
-        // The rest of the cluster is told.
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: Wire::DownAnnounce { node: 1, .. },
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn higher_incarnation_heartbeat_raises_up() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 2, cfg(), t0);
-        // 1 dies and is confirmed down (n=2: no one to ask, timeout only).
-        let mut now = t0;
-        let mut down = false;
-        for step in 1..=20 {
-            now = t0 + Duration::from_millis(2 * step);
-            if d.tick(now)
-                .iter()
-                .any(|a| matches!(a, Action::Down { node: 1, .. }))
-            {
-                down = true;
-                break;
-            }
-        }
-        assert!(down);
-        // It restarts with incarnation 1 and pings us.
-        let actions = d.on_msg(
-            1,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 1,
-            },
-            now + Duration::from_millis(5),
-        );
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Up {
-                node: 1,
-                incarnation: 1
-            }
-        )));
-        assert_eq!(d.peer_state(1), PeerState::Alive);
-        // And we keep pinging it again.
-        let actions = d.tick(now + Duration::from_millis(7));
-        assert!(sends(&actions).iter().any(|(to, _)| *to == 1));
-    }
-
-    #[test]
-    fn fast_restart_detected_by_incarnation_alone() {
-        // The peer crashes and recovers faster than the suspicion
-        // threshold: no Down was ever raised, but the incarnation bump in
-        // its next heartbeat still proves the restart.
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 2, cfg(), t0);
-        let _ = d.on_msg(
-            1,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 0,
-            },
-            t0 + Duration::from_millis(1),
-        );
-        let actions = d.on_msg(
-            1,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 1,
-            },
-            t0 + Duration::from_millis(3),
-        );
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Down {
-                node: 1,
-                incarnation: 0
-            }
-        )));
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Up {
-                node: 1,
-                incarnation: 1
-            }
-        )));
-    }
-
-    #[test]
-    fn same_incarnation_return_from_down_is_false_suspicion() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 2, cfg(), t0);
-        let mut now = t0;
-        for step in 1..=20 {
-            now = t0 + Duration::from_millis(2 * step);
-            if d.tick(now)
-                .iter()
-                .any(|a| matches!(a, Action::Down { node: 1, .. }))
-            {
-                break;
-            }
-        }
-        assert_eq!(d.peer_state(1), PeerState::Down);
-        // It was never actually dead — its heartbeats were just lost.
-        let actions = d.on_msg(
-            1,
-            Wire::Ping {
-                seq: 9,
-                incarnation: 0,
-            },
-            now + Duration::from_millis(1),
-        );
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Action::Up {
-                node: 1,
-                incarnation: 0
-            }
-        )));
-        assert_eq!(d.stats().false_suspicions, 1);
-    }
-
-    #[test]
-    fn down_announce_adopted_once() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 3, cfg(), t0);
-        let a1 = d.on_msg(
-            2,
-            Wire::DownAnnounce {
-                node: 1,
-                incarnation: 0,
-            },
-            t0,
-        );
-        assert!(a1.iter().any(|a| matches!(a, Action::Down { node: 1, .. })));
-        // A duplicate announcement changes nothing.
-        let a2 = d.on_msg(
-            2,
-            Wire::DownAnnounce {
-                node: 1,
-                incarnation: 0,
-            },
-            t0,
-        );
-        assert!(!a2.iter().any(|a| matches!(a, Action::Down { .. })));
-        assert_eq!(d.stats().down_events, 1);
-    }
-
-    #[test]
-    fn new_incarnation_resets_peer_timers() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(0, 3, cfg(), t0);
-        // We crash and recover at t0+50ms; without the reset every peer
-        // would instantly look silent for 50ms and get suspected.
-        let now = t0 + Duration::from_millis(50);
-        d.begin_new_incarnation(now);
-        assert_eq!(d.incarnation(), 1);
-        let actions = d.tick(now);
-        assert!(!actions.iter().any(|a| matches!(
-            a,
-            Action::Send {
-                msg: Wire::SuspectQuery { .. },
-                ..
-            }
-        )));
-        // Heartbeats now carry the new incarnation.
-        assert!(sends(&actions)
-            .iter()
-            .any(|(_, m)| matches!(m, Wire::Ping { incarnation: 1, .. })));
-    }
-
-    #[test]
-    fn suspect_query_vouches_for_self_and_live_peers() {
-        let t0 = Instant::now();
-        let mut d = Detector::new(1, 3, cfg(), t0);
-        let _ = d.on_msg(
-            2,
-            Wire::Ping {
-                seq: 1,
-                incarnation: 0,
-            },
-            t0,
-        );
-        // Asked about ourselves: always alive.
-        let a = d.on_msg(0, Wire::SuspectQuery { about: 1 }, t0);
-        assert!(sends(&a).iter().any(|(to, m)| *to == 0
-            && matches!(
-                m,
-                Wire::SuspectReply {
-                    about: 1,
-                    alive: true
-                }
-            )));
-        // Asked about a recently-heard peer: alive.
-        let a = d.on_msg(
-            0,
-            Wire::SuspectQuery { about: 2 },
-            t0 + Duration::from_millis(1),
-        );
-        assert!(sends(&a).iter().any(|(_, m)| matches!(
-            m,
-            Wire::SuspectReply {
-                about: 2,
-                alive: true
-            }
-        )));
-        // Asked about a peer we stopped hearing long ago: dead vote.
-        let a = d.on_msg(
-            0,
-            Wire::SuspectQuery { about: 2 },
-            t0 + Duration::from_millis(60),
-        );
-        assert!(sends(&a).iter().any(|(_, m)| matches!(
-            m,
-            Wire::SuspectReply {
-                about: 2,
-                alive: false
-            }
-        )));
+        assert_eq!(a, [Action::RttSample { ns: 300_000 }]);
+        // The same pong again (a duplicate) is no second sample.
+        assert!(d0.on_msg(1, pong, t0 + ms(1)).is_empty());
     }
 }

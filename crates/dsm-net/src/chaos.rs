@@ -18,6 +18,10 @@ use std::time::Duration;
 
 use crate::endpoint::NodeId;
 
+/// The longest detour a duplicate or a reordered message takes (the
+/// shortest is 50 µs).
+const DETOUR_MAX_US: u64 = 500;
+
 /// Deterministic splitmix64 stream (no external RNG crates in this
 /// workspace). Good enough statistical quality for fault injection.
 #[derive(Debug, Clone)]
@@ -56,7 +60,7 @@ pub struct FaultRule {
     /// Probability the message is silently dropped.
     pub drop: f64,
     /// Probability the message is delivered twice (the duplicate takes a
-    /// short random detour, so it can arrive out of order).
+    /// short random detour, 50–500 µs, so it can arrive out of order).
     pub dup: f64,
     /// Probability the message is delayed by a uniform sample from
     /// `[delay_min, delay_max]`.
@@ -195,6 +199,23 @@ impl FaultPlan {
     pub(crate) fn needs_pump(&self) -> bool {
         self.rules.iter().any(|r| r.needs_pump())
     }
+
+    /// The longest any rule can hold a message back: `delay_max` where a
+    /// rule delays, the 500 µs detour where it duplicates or reorders, and
+    /// zero for a plan that only drops.
+    pub fn max_delay(&self) -> Duration {
+        let detour = Duration::from_micros(DETOUR_MAX_US);
+        let rule_max = |r: &FaultRule| {
+            let delayed = (r.delay > 0.0).then_some(r.delay_max);
+            let detoured = (r.dup > 0.0 || r.reorder > 0.0).then_some(detour);
+            delayed.max(detoured)
+        };
+        self.rules
+            .iter()
+            .filter_map(rule_max)
+            .max()
+            .unwrap_or_default()
+    }
 }
 
 /// What the chaos layer decided for one message.
@@ -254,7 +275,7 @@ impl ChaosState {
             return Fate::Drop;
         }
         if rule.dup > 0.0 && rng.next_f64() < rule.dup {
-            let detour = Duration::from_micros(rng.next_range(50, 500));
+            let detour = Duration::from_micros(rng.next_range(50, DETOUR_MAX_US));
             return Fate::Dup { detour };
         }
         if rule.delay > 0.0 && rng.next_f64() < rule.delay {
@@ -265,7 +286,7 @@ impl ChaosState {
             return Fate::Delay { by };
         }
         if rule.reorder > 0.0 && rng.next_f64() < rule.reorder {
-            let by = Duration::from_micros(rng.next_range(50, 500));
+            let by = Duration::from_micros(rng.next_range(50, DETOUR_MAX_US));
             return Fate::Delay { by };
         }
         Fate::Deliver
@@ -335,6 +356,24 @@ mod tests {
             let kind = if i % 2 == 0 { "PageReq" } else { "DiffBatch" };
             assert_eq!(a.decide(1, 2, kind), b.decide(1, 2, kind));
         }
+    }
+
+    #[test]
+    fn max_delay_is_the_longest_any_rule_can_hold_a_message() {
+        let ms = Duration::from_millis;
+        assert_eq!(FaultPlan::lossy(0).max_delay(), ms(2));
+        assert_eq!(FaultPlan::new(0).max_delay(), Duration::ZERO);
+        let drops = FaultRule::all().dropping(0.5);
+        let plan = FaultPlan::new(0).with_rule(drops.clone());
+        assert_eq!(plan.max_delay(), Duration::ZERO);
+        let reorders = FaultRule::all().of_kind("PageReq").reordering(0.1);
+        let plan = FaultPlan::new(0).with_rule(reorders).with_rule(drops);
+        assert_eq!(plan.max_delay(), Duration::from_micros(500));
+        let slow = FaultRule::all().to_dst(1).delaying(0.01, ms(1), ms(20));
+        let plan = FaultPlan::new(0)
+            .with_rule(slow)
+            .with_rule(FaultRule::all().reordering(0.1));
+        assert_eq!(plan.max_delay(), ms(20));
     }
 
     #[test]

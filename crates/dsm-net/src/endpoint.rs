@@ -303,7 +303,7 @@ impl<M: Send + WireSized> Fabric<M> {
 
     /// Restart `node` after a crash *without* telling anyone: peers must
     /// discover the restart themselves (heartbeat incarnation bumps in the
-    /// membership layer). This is the restart used when failure detection
+    /// membership layer). This is the restart used when restart detection
     /// is on — the orchestrated [`Fabric::restart`] broadcast would be
     /// perfect-knowledge cheating.
     pub fn restart_silent(&self, node: NodeId) {

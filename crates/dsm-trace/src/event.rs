@@ -118,11 +118,6 @@ pub enum EventKind {
     CrashInjected { at_op: u64 },
     /// One phase of recovery completed (duration is the event's span).
     RecoveryPhase { phase: RecPhase },
-    /// The failure detector suspected `node` (missed heartbeats).
-    Suspect { node: usize },
-    /// Membership confirmed `node` failed (suspicion + confirmation round,
-    /// or a peer's announcement).
-    MemberDown { node: usize },
     /// Membership saw `node` return (heartbeat with a new incarnation).
     MemberUp { node: usize },
     /// A timed-out request was retransmitted to `to`.
@@ -150,8 +145,6 @@ impl EventKind {
             EventKind::MsgRecv { .. } => "msg_recv",
             EventKind::CrashInjected { .. } => "crash_injected",
             EventKind::RecoveryPhase { .. } => "recovery_phase",
-            EventKind::Suspect { .. } => "suspect",
-            EventKind::MemberDown { .. } => "member_down",
             EventKind::MemberUp { .. } => "member_up",
             EventKind::Retransmit { .. } => "retransmit",
         }
@@ -225,9 +218,7 @@ impl EventKind {
             }
             EventKind::CrashInjected { at_op } => format!("\"at_op\":{at_op}"),
             EventKind::RecoveryPhase { phase } => format!("\"phase\":\"{}\"", phase.name()),
-            EventKind::Suspect { node }
-            | EventKind::MemberDown { node }
-            | EventKind::MemberUp { node } => format!("\"node\":{node}"),
+            EventKind::MemberUp { node } => format!("\"node\":{node}"),
             EventKind::Retransmit { kind, to } => {
                 format!("\"kind\":\"{kind}\",\"to\":{to}")
             }

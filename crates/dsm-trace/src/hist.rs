@@ -137,7 +137,7 @@ macro_rules! latency_hists {
 
         impl LatencyHists {
             /// (label, histogram) pairs in print order.
-            pub fn named(&self) -> [(&'static str, &Histogram); 19] {
+            pub fn named(&self) -> [(&'static str, &Histogram); 18] {
                 [$(($label, &self.$field),)*]
             }
 
@@ -188,9 +188,6 @@ latency_hists! {
     prefetch_miss => "prefetch_miss",
     /// Heartbeat round-trip time (ping sent to matching pong received).
     heartbeat_rtt => "heartbeat_rtt",
-    /// Failure-detection latency: first suspicion of a peer to its
-    /// confirmed `Down`.
-    suspicion_latency => "suspicion_latency",
     /// Retransmissions per completed wait (a counter, in retries: 0 =
     /// answered first time). Only recorded when the retry layer is on.
     retransmits => "retransmits",

@@ -51,9 +51,10 @@ pub struct TraceConfig {
     pub echo: bool,
     /// Per-node ring capacity in events.
     pub buffer: usize,
-    /// Events per node dumped by the flight recorder.
-    pub flight_events: usize,
 }
+
+/// Events per node the flight recorder dumps.
+const FLIGHT_EVENTS: usize = 64;
 
 impl Default for TraceConfig {
     fn default() -> Self {
@@ -61,7 +62,6 @@ impl Default for TraceConfig {
             enabled: false,
             echo: false,
             buffer: 16 * 1024,
-            flight_events: 64,
         }
     }
 }
@@ -93,7 +93,6 @@ impl TraceConfig {
             enabled,
             echo,
             buffer,
-            flight_events: 64,
         }
     }
 }
@@ -102,7 +101,6 @@ pub(crate) struct Shared {
     enabled: AtomicBool,
     echo: AtomicBool,
     epoch: Instant,
-    flight_events: usize,
     nodes: Vec<Mutex<Ring>>,
     sink: RwLock<Option<Arc<dyn EventSink>>>,
 }
@@ -130,7 +128,6 @@ impl Trace {
             enabled: AtomicBool::new(config.enabled),
             echo: AtomicBool::new(config.echo),
             epoch: Instant::now(),
-            flight_events: config.flight_events,
             nodes: (0..n_nodes)
                 .map(|_| Mutex::new(Ring::new(config.buffer)))
                 .collect(),
@@ -262,7 +259,7 @@ impl Shared {
         for (node, ring) in self.nodes.iter().enumerate() {
             let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
             let snap = ring.snapshot();
-            let tail = snap.len().saturating_sub(self.flight_events);
+            let tail = snap.len().saturating_sub(FLIGHT_EVENTS);
             writeln!(
                 out,
                 "--- node {node}: last {} of {} events ({} dropped from ring) ---",

@@ -1,7 +1,7 @@
 //! Chaos-fabric and membership integration tests: the cluster must produce
 //! byte-identical results on a lossy, reordering, duplicating network, and
-//! must detect injected crashes through heartbeats alone (no orchestrator
-//! hint), recovering from its own detection.
+//! must detect a restart through heartbeats alone (no orchestrator hint),
+//! recovering from its own detection.
 //!
 //! Every run is driven by one seed. Failures echo it; reproduce with
 //! `FTDSM_SEED=<seed> cargo test --test chaos <name>`.
@@ -19,7 +19,7 @@ const NODES: usize = 4;
 fn cfg() -> ClusterConfig {
     // The whole chaos suite runs under the online invariant monitor: any
     // protocol-invariant violation (stale diff apply, split lock tenure,
-    // barrier disagreement, illegal membership transition) panics the run
+    // barrier disagreement, a checkpoint ahead of its outbox) panics the run
     // with the offending causal flow and the reproducing seed attached.
     ClusterConfig::fault_tolerant(NODES)
         .with_page_size(512)
@@ -72,10 +72,10 @@ fn app(p: &mut Process) -> u64 {
     acc.wrapping_add(state)
 }
 
-/// Membership alone (reliable fabric): heartbeats must flow and nobody may
-/// ever be suspected.
+/// Membership alone (reliable fabric, no crash): heartbeats flow, the
+/// results are the ones without membership, and no node reports a restart.
 #[test]
-fn quiet_cluster_has_no_false_suspicions() {
+fn membership_changes_no_result_and_reports_no_restart() {
     let seed = seed_from_env();
     let report = run(
         cfg().with_seed(seed).with_membership(Default::default()),
@@ -93,10 +93,9 @@ fn quiet_cluster_has_no_false_suspicions() {
         "no heartbeats sent (FTDSM_SEED={seed:#x})"
     );
     assert_eq!(
-        m.suspicions, 0,
-        "healthy node suspected on a reliable fabric (FTDSM_SEED={seed:#x})"
+        m.up_events, 0,
+        "a restart reported with no crash (FTDSM_SEED={seed:#x})"
     );
-    assert_eq!(m.down_events, 0, "FTDSM_SEED={seed:#x}");
 }
 
 /// The acceptance bar: a fixed-seed lossy fabric (drops, delays, duplicates,
@@ -170,12 +169,12 @@ fn dup_reorder_delivery_is_idempotent() {
     );
 }
 
-/// Self-detected recovery: a node crashes with no orchestrator announcement;
-/// peers must notice the silence via heartbeats (suspicions observed), mark
-/// it down, and the recovered incarnation must rejoin and finish with the
-/// reliable run's exact results.
+/// Self-detected recovery: a node crashes and restarts with no orchestrator
+/// announcement; every survivor must learn of the restart from the new
+/// incarnation in its heartbeats, exactly once, and the recovered node must
+/// finish with the reliable run's exact results.
 #[test]
-fn crash_is_detected_by_heartbeats_alone() {
+fn a_restart_is_detected_by_heartbeats_alone() {
     let seed = seed_from_env();
     let clean = run(cfg().with_seed(seed), &[], app);
     let mut s = seed;
@@ -202,21 +201,11 @@ fn crash_is_detected_by_heartbeats_alone() {
             crashed.nodes[victim].ft.recoveries, 1,
             "case {case}: crash did not fire (victim {victim}, op {at_op}, FTDSM_SEED={seed:#x})"
         );
-        let m = crashed.total().member;
-        assert!(
-            m.suspicions > 0,
-            "case {case}: nobody suspected the dead node (victim {victim}, op {at_op}, \
-             FTDSM_SEED={seed:#x})"
-        );
-        assert!(
-            m.down_events > 0,
-            "case {case}: suspicion never confirmed to Down (victim {victim}, op {at_op}, \
-             FTDSM_SEED={seed:#x})"
-        );
-        assert!(
-            m.up_events > 0,
-            "case {case}: recovered incarnation never marked Up (victim {victim}, op {at_op}, \
-             FTDSM_SEED={seed:#x})"
+        assert_eq!(
+            crashed.total().member.up_events,
+            NODES as u64 - 1,
+            "case {case}: not every survivor saw the restart once (victim {victim}, \
+             op {at_op}, FTDSM_SEED={seed:#x})"
         );
     }
 }
@@ -360,11 +349,11 @@ fn a_lost_fetch_is_asked_again_under_its_id_until_the_page_lands() {
     }
 }
 
-/// A partition that heals: the minority side must be suspected (possibly
-/// even declared down) and then rescinded or re-admitted, and the run must
-/// still finish with correct results.
+/// Light loss and delay (2 % of messages dropped, 5 % delayed by up to
+/// 1 ms): the retry layer alone must bring the run to the reliable run's
+/// results.
 #[test]
-fn partition_then_heal_converges() {
+fn light_loss_and_delay_converge() {
     let seed = seed_from_env();
     let plan = FaultPlan::new(0).with_rule(FaultRule::all().dropping(0.02).delaying(
         0.05,
