@@ -138,9 +138,12 @@ pub struct VolatileLogs {
     me: ProcId,
     n: usize,
     /// Own write notices (Rule 1).
-    pub wn: Vec<WnLogEntry>,
+    wn: Vec<WnLogEntry>,
     /// Per-page diff logs (Rule 3 / LLT).
-    pub diffs: HashMap<PageId, Vec<DiffLogEntry>>,
+    diffs: HashMap<PageId, Vec<DiffLogEntry>>,
+    /// Bytes of the entries in `wn` and `diffs`: every method that adds or
+    /// drops one keeps it, so the policy check never walks the logs.
+    held: u64,
     /// Grants sent, per acquirer (Rule 2).
     pub rel: Vec<Vec<RelEntry>>,
     /// Mirror of grants received, per granter (Rule 2).
@@ -164,6 +167,7 @@ impl VolatileLogs {
             acq: vec![Vec::new(); n],
             bar: Vec::new(),
             bar_mgr: Vec::new(),
+            held: 0,
             counters: LogCounters::default(),
         }
     }
@@ -185,9 +189,17 @@ impl VolatileLogs {
     /// the `OF(L)` checkpoint policy limits (the lock and barrier logs are
     /// tiny and never saved, as in the paper).
     pub fn volatile_bytes(&self) -> u64 {
-        let d: usize = self.diffs.values().flatten().map(|e| e.wire_size()).sum();
-        let w: usize = self.wn.iter().map(|e| e.wire_size()).sum();
-        (d + w) as u64
+        self.held
+    }
+
+    /// Own write notices, oldest first.
+    pub fn wn(&self) -> &[WnLogEntry] {
+        &self.wn
+    }
+
+    /// Per-page diff logs, each oldest first.
+    pub fn diffs(&self) -> &HashMap<PageId, Vec<DiffLogEntry>> {
+        &self.diffs
     }
 
     /// Record one completed interval: its write notice and its diffs. The
@@ -206,7 +218,7 @@ impl VolatileLogs {
             pages,
             saved: false,
         };
-        self.counters.created_bytes += entry.wire_size() as u64;
+        let mut created = entry.wire_size() as u64;
         self.wn.push(entry);
         for diff in diffs {
             let d = DiffLogEntry {
@@ -214,9 +226,11 @@ impl VolatileLogs {
                 t: t.clone(),
                 saved: false,
             };
-            self.counters.created_bytes += d.wire_size() as u64;
+            created += d.wire_size() as u64;
             self.diffs.entry(d.diff.page).or_default().push(d);
         }
+        self.counters.created_bytes += created;
+        self.held += created;
     }
 
     /// Record a grant sent to `to`.
@@ -267,6 +281,7 @@ impl VolatileLogs {
             }
         });
         self.counters.discarded_bytes += dropped;
+        self.held -= dropped;
     }
 
     /// Rule 2: trim grant logs against the acquirers' checkpoint timestamps
@@ -306,6 +321,7 @@ impl VolatileLogs {
         }
         self.diffs.retain(|_, log| !log.is_empty());
         self.counters.discarded_bytes += dropped;
+        self.held -= dropped;
     }
 
     /// Barrier-log analogue of Rule 1: drop episodes every process has
@@ -367,11 +383,13 @@ impl VolatileLogs {
         for _ in 0..wn_len {
             let seq = r.get_u32()?;
             let pages = wire::get_pages(&mut r)?;
-            self.wn.push(WnLogEntry {
+            let e = WnLogEntry {
                 seq,
                 pages,
                 saved: true,
-            });
+            };
+            self.held += e.wire_size() as u64;
+            self.wn.push(e);
         }
         let np = r.get_u64()? as usize;
         for _ in 0..np {
@@ -381,11 +399,13 @@ impl VolatileLogs {
             for _ in 0..len {
                 let diff = Arc::new(wire::get_diff(&mut r)?);
                 let t = wire::get_vt(&mut r)?;
-                log.push(DiffLogEntry {
+                let e = DiffLogEntry {
                     diff,
                     t,
                     saved: true,
-                });
+                };
+                self.held += e.wire_size() as u64;
+                log.push(e);
             }
         }
         Ok(())

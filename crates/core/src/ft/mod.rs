@@ -498,13 +498,10 @@ pub(crate) fn take_checkpoint(
     st.sync.save_into(&mut blob);
 
     // --- trim logs (LLT + Rules 1/2 + barrier analogue) --------------------
-    // When tracing, sample the volatile log size around each rule so every
-    // `LogTrim` event carries the bytes that rule actually freed.
-    let mut vb = if tracing { ft.logs.volatile_bytes() } else { 0 };
+    // Read the volatile log size (a running count) around each rule so
+    // every `LogTrim` event carries the bytes that rule actually freed.
+    let mut vb = ft.logs.volatile_bytes();
     let mut note_trim = |ft: &FtState, tracer: &dsm_trace::NodeTracer, rule: TrimRule| {
-        if !tracing {
-            return;
-        }
         let now = ft.logs.volatile_bytes();
         if now < vb {
             tracer.emit(EventKind::LogTrim {

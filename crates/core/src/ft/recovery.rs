@@ -221,7 +221,7 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -
     let ft = st.ft.state.as_ref().expect("recovery handshake without FT");
     let (lock_chains, gen_floor) = st.sync.chain_report(r, &ft.logs.rel);
     Payload::RecLogReply {
-        wn: ft.logs.wn.clone(),
+        wn: ft.logs.wn().to_vec(),
         rel_for_you: ft.logs.rel[r].clone(),
         acq_mirror: ft.logs.acq[r].clone(),
         bar: ft.logs.bar.clone(),

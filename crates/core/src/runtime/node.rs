@@ -365,7 +365,7 @@ impl NodeState {
         // Own write notices, out of the restored logs, back into the table
         // and the since-barrier buffer.
         self.ft.restart_from(image, window);
-        for e in &self.ft.logs().expect("recovery requires FT").wn {
+        for e in self.ft.logs().expect("recovery requires FT").wn() {
             let (proc, seq) = (self.me, e.seq);
             let interval = Interval { proc, seq };
             self.wn_table.insert_parts(interval, e.pages.clone());

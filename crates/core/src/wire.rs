@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use dsm_page::{Diff, Interval, PageId, VectorClock};
+use dsm_page::{Diff, Interval, PageId, VectorClock, PAGE_ALIGN_WORD};
 use dsm_storage::{ByteReader, ByteWriter, CodecError};
 use dsm_trace::TraceCtx;
 use hlrc::{Have, PageBody, WnDelta, WnSpan, WriteNotice};
@@ -58,33 +58,52 @@ pub fn get_pages(r: &mut ByteReader) -> Result<Vec<PageId>, CodecError> {
 }
 
 /// Encode a diff. The layout is exactly what [`Diff::wire_size`] charges:
-/// page id (4) + interval (8) + run count (4), then per run offset (4) +
-/// length (4) + raw bytes. A unit test below pins the equality so traffic
-/// accounting can never silently diverge from the codec again.
+/// page id, interval proc, interval seq and run count as LEB128 varints,
+/// then per run its gap in words since the previous run's end and its length
+/// in words as varints, then its raw bytes. A unit test below pins the
+/// equality so traffic accounting can never silently diverge from the codec.
 pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
-    w.put_u32(d.page.0);
-    w.put_u32(d.interval.proc as u32);
-    w.put_u32(d.interval.seq);
-    w.put_u32(d.run_count() as u32);
+    w.reserve(d.wire_size());
+    w.put_varint(d.page.0.into());
+    w.put_varint(d.interval.proc as u64);
+    w.put_varint(d.interval.seq.into());
+    w.put_varint(d.run_count() as u64);
+    let mut end = 0;
     for (offset, bytes) in d.runs() {
-        w.put_u32(offset as u32);
-        w.put_u32(bytes.len() as u32);
+        w.put_varint(((offset - end) / PAGE_ALIGN_WORD) as u64);
+        w.put_varint((bytes.len() / PAGE_ALIGN_WORD) as u64);
         w.put_raw(bytes);
+        end = offset + bytes.len();
     }
 }
 
-/// Decode a diff.
+/// Read a varint counting `unit`-byte units that must fit a `u32` in bytes.
+fn get_u32_varint(r: &mut ByteReader, unit: u64, context: &'static str) -> Result<u32, CodecError> {
+    let v = r.get_varint()?.checked_mul(unit);
+    v.and_then(|v| u32::try_from(v).ok())
+        .ok_or(CodecError::Invalid { context })
+}
+
+/// Decode a diff. Gaps cannot be negative, so its runs come out in order
+/// and apart; a header field, or a run's gap or end in bytes, past `u32` is
+/// refused, and so is an empty run.
 pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
-    let page = PageId(r.get_u32()?);
-    let proc_ = r.get_u32()? as usize;
-    let seq = r.get_u32()?;
-    let nruns = r.get_u32()?;
-    // An empty run is an offset and a length.
-    let mut runs = Vec::with_capacity(r.capacity_for(nruns.into(), 8));
+    let page = PageId(get_u32_varint(r, 1, "diff page")?);
+    let proc_ = get_u32_varint(r, 1, "diff proc")? as usize;
+    let seq = get_u32_varint(r, 1, "diff seq")?;
+    let nruns = r.get_varint()?;
+    // A run is at least its two varints.
+    let mut runs = Vec::with_capacity(r.capacity_for(nruns, 2));
+    let (mut end, word) = (0u32, PAGE_ALIGN_WORD as u64);
     for _ in 0..nruns {
-        let offset = r.get_u32()?;
-        let len = r.get_u32()? as usize;
-        runs.push((offset, r.get_raw(len)?));
+        let gap = get_u32_varint(r, word, "diff run gap")?;
+        let len = get_u32_varint(r, word, "diff run length")?;
+        let run_end = end.checked_add(gap).and_then(|o| o.checked_add(len));
+        let invalid = CodecError::Invalid {
+            context: "diff run",
+        };
+        end = run_end.filter(|_| len > 0).ok_or(invalid)?;
+        runs.push((end - len, r.get_raw(len as usize)?));
     }
     Ok(Diff::from_runs(page, Interval { proc: proc_, seq }, runs))
 }
@@ -243,6 +262,7 @@ pub fn get_wn_delta(r: &mut ByteReader) -> Result<WnDelta, CodecError> {
 mod tests {
     use super::*;
     use dsm_page::Page;
+    use proptest::prelude::*;
 
     #[test]
     fn diff_roundtrip() {
@@ -260,19 +280,107 @@ mod tests {
     }
 
     /// A count no input could hold sizes nothing: a diff header claiming
-    /// `u32::MAX` runs, and a notice set claiming as many spans, end in the
-    /// input's end.
+    /// `u64::MAX` runs, and a notice set claiming `u32::MAX` spans, end in
+    /// the input's end.
     #[test]
     fn a_count_longer_than_its_input_is_eof_not_an_allocation() {
         let mut w = ByteWriter::new();
-        for word in [3, 1, 7, u32::MAX] {
-            w.put_u32(word);
+        for v in [3, 1, 7, u64::MAX] {
+            w.put_varint(v);
         }
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 3 + 10);
         let eof = |e| matches!(e, CodecError::UnexpectedEof { .. });
         assert!(get_diff(&mut ByteReader::new(&bytes)).is_err_and(eof));
-        let spans = &bytes[12..];
-        assert!(get_wn_delta(&mut ByteReader::new(spans)).is_err_and(eof));
+        let mut w = ByteWriter::new();
+        w.put_u32(u32::MAX);
+        let spans = w.into_bytes();
+        assert!(get_wn_delta(&mut ByteReader::new(&spans)).is_err_and(eof));
+    }
+
+    /// What the layout rules out is refused, not built: a header field past
+    /// `u32`, a run whose gap or end in bytes is past `u32`, an empty run.
+    #[test]
+    fn a_field_past_u32_and_an_empty_run_are_refused() {
+        let invalid = |e| matches!(e, CodecError::Invalid { .. });
+        let big = u64::from(u32::MAX) + 1;
+        for varints in [
+            &[big, 1, 7, 0][..],
+            &[3, big, 7, 0],
+            &[3, 1, big, 0],
+            &[3, 1, 7, 1, big / 8, 1],
+            &[3, 1, 7, 1, 0, big / 8],
+            &[3, 1, 7, 1, big / 8 - 1, 1],
+            &[3, 1, 7, 1, 0, 0],
+        ] {
+            let mut w = ByteWriter::new();
+            varints.iter().for_each(|&v| w.put_varint(v));
+            w.put_raw(&[0; 16]);
+            let bytes = w.into_bytes();
+            let got = get_diff(&mut ByteReader::new(&bytes));
+            assert!(got.is_err_and(invalid), "{varints:?}");
+        }
+    }
+
+    /// Every single byte of a `DiffBatch`, a `PageBody::Delta` and a stable
+    /// log save changed to each other value, and every cut of them, decodes
+    /// to `Ok` or `Err`: hostile input never panics the decoder.
+    #[test]
+    fn no_changed_byte_or_cut_panics_the_diff_decoders() {
+        use crate::ft::logs::VolatileLogs;
+        let diff = |page, seq, offsets: &[usize]| {
+            let (twin, mut cur) = (Page::zeroed(2048), Page::zeroed(2048));
+            offsets.iter().for_each(|&o| cur.write(o, &[seq as u8; 16]));
+            let iv = Interval { proc: 1, seq };
+            Arc::new(Diff::create(PageId(page), iv, &twin, &cur).unwrap())
+        };
+        // Varints of one byte and of two: page 300, seq 200, a gap of 128.
+        let diffs = vec![diff(3, 4, &[8, 64]), diff(300, 200, &[1024, 2000])];
+        let mut w = ByteWriter::new();
+        w.put_u8(0);
+        w.put_u64(9);
+        w.put_u64(diffs.len() as u64);
+        diffs.iter().for_each(|d| put_diff(&mut w, d));
+        let batch = w.into_bytes();
+        let get_batch = |bytes: &[u8]| -> Result<Vec<Arc<Diff>>, CodecError> {
+            let mut r = ByteReader::new(bytes);
+            r.get_u8()?;
+            r.get_u64()?;
+            (0..r.get_u64()?)
+                .map(|_| get_diff(&mut r).map(Arc::new))
+                .collect()
+        };
+        let mut w = ByteWriter::new();
+        put_page_body(&mut w, &PageBody::Delta(diffs.clone()));
+        let body = w.into_bytes();
+        let mut logs = VolatileLogs::new(1, 2);
+        let t = VectorClock::from_vec(vec![3, 200]);
+        logs.log_interval(200, vec![PageId(3), PageId(300)], &t, &diffs);
+        let save = logs.encode_stable();
+        fn every_cut_errs_and_no_changed_byte_panics(
+            bytes: &[u8],
+            decodes: impl Fn(&[u8]) -> bool,
+        ) {
+            assert!(decodes(bytes));
+            for len in 0..bytes.len() {
+                assert!(!decodes(&bytes[..len]), "cut at {len}");
+            }
+            let mut changed = bytes.to_vec();
+            for i in 0..bytes.len() {
+                for v in (0..=u8::MAX).filter(|&v| v != bytes[i]) {
+                    changed[i] = v;
+                    decodes(&changed);
+                }
+                changed[i] = bytes[i];
+            }
+        }
+        every_cut_errs_and_no_changed_byte_panics(&batch, |b| get_batch(b).is_ok());
+        every_cut_errs_and_no_changed_byte_panics(&body, |b| {
+            get_page_body(&mut ByteReader::new(b)).is_ok()
+        });
+        every_cut_errs_and_no_changed_byte_panics(&save, |b| {
+            VolatileLogs::new(1, 2).decode_stable_merge(b).is_ok()
+        });
     }
 
     /// Every strict prefix of an encoded `DiffBatch` — tag, seq (8), count
@@ -410,11 +518,13 @@ mod tests {
         let delta = PageBody::Delta(vec![diff(4, 1), diff(5, 3)]);
         let kept = Some((2, clock([1, 3, 0])));
 
-        // Bodies: tag + base + length + bytes, or tag + count + diffs. A
-        // delta of everything a ring can hold is still short of the page.
+        // Bodies: tag + base + length + bytes, or tag + count + diffs, each
+        // four one-byte header varints, then per run two one-byte varints
+        // and its bytes. A delta of everything a ring can hold is still
+        // short of the page.
         for (body, len) in [
             (&full, 9 + 256),
-            (&delta, 5 + (16 + 2 * 8 + 16) + (16 + 2 * 8 + 32)),
+            (&delta, 5 + (4 + 2 * 2 + 8 + 8) + (4 + 2 * 2 + 24 + 8)),
             (&PageBody::Delta(Vec::new()), 5),
         ] {
             let mut w = ByteWriter::new();
@@ -754,5 +864,36 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(get_wn_delta(&mut r).unwrap(), d);
         assert!(r.is_exhausted());
+    }
+
+    proptest! {
+        /// On random pages and writes, a diff's encoding is `wire_size()`
+        /// bytes, decodes to itself, and with page id and seq below 2^21 is
+        /// never longer than fixed-width fields would be: 16 bytes a diff
+        /// and 8 a run.
+        #[test]
+        fn a_diff_encodes_to_its_wire_size_and_never_above_the_fixed_layout(
+            twin in proptest::collection::vec(any::<u8>(), 1024),
+            writes in proptest::collection::vec((0usize..128, any::<u64>()), 1..200),
+            page in 0u32..1 << 21,
+            proc_ in 0usize..64,
+            seq in 0u32..1 << 21,
+        ) {
+            let twin = Page::from_bytes(&twin);
+            let mut cur = twin.clone();
+            writes.iter().for_each(|&(word, v)| cur.write(8 * word, &v.to_le_bytes()));
+            let iv = Interval { proc: proc_, seq };
+            if let Some(d) = Diff::create(PageId(page), iv, &twin, &cur) {
+                let mut w = ByteWriter::new();
+                put_diff(&mut w, &d);
+                prop_assert_eq!(w.len(), d.wire_size());
+                let fixed = 16 + d.runs().map(|(_, b)| 8 + b.len()).sum::<usize>();
+                prop_assert!(d.wire_size() <= fixed);
+                let bytes = w.into_bytes();
+                let mut r = ByteReader::new(&bytes);
+                prop_assert_eq!(get_diff(&mut r).unwrap(), d);
+                prop_assert!(r.is_exhausted());
+            }
+        }
     }
 }

@@ -46,7 +46,7 @@ proptest! {
         for &ckp in &peer_ckps {
             for needed_seq in (ckp + 1)..=n_intervals {
                 prop_assert!(
-                    logs.wn.iter().any(|e| e.seq == needed_seq),
+                    logs.wn().iter().any(|e| e.seq == needed_seq),
                     "interval {needed_seq} needed by a peer with ckp {ckp} was trimmed (bound {bound})"
                 );
             }
@@ -113,7 +113,7 @@ proptest! {
         known.insert(PageId(0), p0[0]);
         known.insert(PageId(1), p0[1]);
         logs.trim_rule3(&known);
-        for (page, log) in &logs.diffs {
+        for (page, log) in logs.diffs() {
             for e in log {
                 if let Some(bound) = known.get(page) {
                     prop_assert!(e.t.get(ME) > *bound, "kept a diff the starting copy covers");
@@ -122,17 +122,18 @@ proptest! {
         }
         // Unknown pages keep everything.
         let kept_unknown: usize =
-            logs.diffs.iter().filter(|(p, _)| p.0 >= 2).map(|(_, l)| l.len()).sum();
+            logs.diffs().iter().filter(|(p, _)| p.0 >= 2).map(|(_, l)| l.len()).sum();
         let created_unknown = diffs.iter().filter(|(_, p)| *p >= 2).count();
         prop_assert_eq!(kept_unknown, created_unknown);
     }
 
-    /// Counters stay consistent through arbitrary interleavings of appends
-    /// and trims: created >= discarded, and the live volatile size never
-    /// exceeds created - discarded.
+    /// Counters stay consistent through arbitrary interleavings of appends,
+    /// trims and restarts (a save, then `clear` and a merge of the save):
+    /// created >= discarded, the running volatile size is what a walk over
+    /// the logs adds up, and it never exceeds created - discarded.
     #[test]
     fn log_counters_are_consistent(
-        ops in proptest::collection::vec((0u32..3, 1u32..30), 1..60),
+        ops in proptest::collection::vec((0u32..4, 1u32..30), 1..60),
     ) {
         let mut logs = VolatileLogs::new(ME, N);
         let mut seq = 0u32;
@@ -145,14 +146,23 @@ proptest! {
                     logs.log_interval(seq, vec![PageId(arg % 8)], &vt(&t), &[diff(seq, arg % 8)]);
                 }
                 1 => logs.trim_rule1(arg),
-                _ => {
+                2 => {
                     let mut known = std::collections::HashMap::new();
                     for pg in 0..8 {
                         known.insert(PageId(pg), arg);
                     }
                     logs.trim_rule3(&known);
                 }
+                _ => {
+                    let save = logs.encode_stable();
+                    logs.clear();
+                    prop_assert_eq!(logs.volatile_bytes(), 0);
+                    logs.decode_stable_merge(&save).unwrap();
+                }
             }
+            let walk = logs.diffs().values().flatten().map(|e| e.wire_size()).sum::<usize>()
+                + logs.wn().iter().map(|e| e.wire_size()).sum::<usize>();
+            prop_assert_eq!(logs.volatile_bytes(), walk as u64);
             let c = logs.counters();
             prop_assert!(c.created_bytes >= c.discarded_bytes);
             prop_assert!(logs.volatile_bytes() <= c.created_bytes - c.discarded_bytes);

@@ -76,6 +76,35 @@ pub struct Diff {
     runs: Vec<DiffRun>,
     /// Concatenated run contents; runs index into this buffer.
     payload: Arc<[u8]>,
+    /// The encoded length, computed once where the runs are built.
+    wire_size: usize,
+}
+
+/// Bytes `v` takes as an LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The encoded length of a diff (the layout `wire::put_diff` writes): page
+/// id, interval proc, interval seq and run count as varints, then per run
+/// its gap in words since the previous run's end and its length in words as
+/// varints, and its bytes.
+fn encoded_len(page: PageId, interval: Interval, runs: &[DiffRun]) -> usize {
+    let header = [
+        page.0.into(),
+        interval.proc as u64,
+        interval.seq.into(),
+        runs.len() as u64,
+    ];
+    let mut len: usize = header.into_iter().map(varint_len).sum();
+    let mut end = 0;
+    for r in runs {
+        let gap = (r.offset - end) as usize / PAGE_ALIGN_WORD;
+        let words = r.len as usize / PAGE_ALIGN_WORD;
+        len += varint_len(gap as u64) + varint_len(words as u64) + r.len as usize;
+        end = r.offset + r.len;
+    }
+    len
 }
 
 impl Diff {
@@ -199,29 +228,42 @@ impl Diff {
             interval,
             runs: scratch.runs.clone(),
             payload,
+            wire_size: encoded_len(page, interval, &scratch.runs),
         })
     }
 
     /// Build a diff from explicit `(offset, bytes)` runs (decoder support).
-    /// Runs must be in increasing offset order and non-overlapping.
+    ///
+    /// # Panics
+    ///
+    /// Unless every run is non-empty, word aligned at both ends, and starts
+    /// at or past the previous run's end: the shape [`Diff::create`] makes
+    /// and the encoding can express.
     pub fn from_runs<'a>(
         page: PageId,
         interval: Interval,
         runs: impl IntoIterator<Item = (u32, &'a [u8])>,
     ) -> Diff {
         let mut payload = Vec::new();
-        let mut spans = Vec::new();
+        let mut spans: Vec<DiffRun> = Vec::new();
         for (offset, bytes) in runs {
+            let end = spans.last().map_or(0, |r| r.offset + r.len);
+            let (word, len) = (PAGE_ALIGN_WORD as u32, bytes.len() as u32);
+            assert!(
+                len > 0 && offset >= end && offset.is_multiple_of(word) && len.is_multiple_of(word),
+                "run ({offset}, {len}) is empty, unaligned or overlaps one ending at {end}"
+            );
             spans.push(DiffRun {
                 offset,
                 start: payload.len() as u32,
-                len: bytes.len() as u32,
+                len,
             });
             payload.extend_from_slice(bytes);
         }
         Diff {
             page,
             interval,
+            wire_size: encoded_len(page, interval, &spans),
             runs: spans,
             payload: Arc::from(&payload[..]),
         }
@@ -263,12 +305,11 @@ impl Diff {
         self.payload.len()
     }
 
-    /// Encoded size in bytes: payload plus per-run and per-diff headers.
+    /// Encoded size in bytes: payload plus the varint run and diff headers.
     /// Matches `wire::put_diff` exactly (asserted by a codec unit test);
     /// used for log-size accounting and traffic statistics.
     pub fn wire_size(&self) -> usize {
-        // page id (4) + interval (8) + run count (4) + per run: offset (4) + len (4)
-        16 + self.runs.iter().map(|r| 8 + r.len as usize).sum::<usize>()
+        self.wire_size
     }
 }
 
@@ -343,7 +384,39 @@ mod tests {
         cur.write(0, &[1; 8]);
         let d = Diff::create(PageId(0), iv(0, 1), &twin, &cur).unwrap();
         assert_eq!(d.payload_bytes(), 8);
-        assert_eq!(d.wire_size(), 16 + 8 + 8);
+        // Page, proc, seq and run count (a byte each), then the run's gap
+        // and length (a byte each) and its word.
+        assert_eq!(d.wire_size(), 4 + 2 + 8);
+        // A varint grows a byte every seven bits: page 200, seq 20,000, a
+        // run 128 words past the start.
+        let mut far = Page::zeroed(2048);
+        far.write(1024, &[1; 8]);
+        let d = Diff::create(PageId(200), iv(3, 20_000), &Page::zeroed(2048), &far).unwrap();
+        assert_eq!(d.wire_size(), (2 + 1 + 3 + 1) + (2 + 1) + 8);
+    }
+
+    /// The two shapes the benchmark leans on: a `diff_fanin` diff (32
+    /// one-word runs, one in each 16-word slot of a 4 KiB page) and a whole
+    /// page. Fixed-width fields, 16 bytes a diff and 8 a run, would spend
+    /// 528 and 4,120.
+    #[test]
+    fn a_fanin_diff_and_a_whole_page_are_pinned() {
+        let twin = Page::zeroed(4096);
+        let mut sparse = twin.clone();
+        for slot in 0..32 {
+            sparse.write(slot * 128 + 16 * (slot % 7), &[1; 8]);
+        }
+        let d = Diff::create(PageId(40), iv(1, 1000), &twin, &sparse).unwrap();
+        assert_eq!((d.run_count(), d.wire_size()), (32, 5 + 32 * (2 + 8)));
+        let d = Diff::create(PageId(40), iv(1, 7), &twin, &Page::from_bytes(&[7; 4096])).unwrap();
+        assert_eq!(d.wire_size(), 4 + 3 + 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps")]
+    fn from_runs_refuses_runs_out_of_order() {
+        let word = [1u8; 8];
+        Diff::from_runs(PageId(0), iv(0, 1), [(16, &word[..]), (8, &word[..])]);
     }
 
     #[test]

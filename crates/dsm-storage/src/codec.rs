@@ -1,5 +1,5 @@
-//! A minimal explicit binary codec: little-endian fixed-width integers and
-//! length-prefixed byte strings.
+//! A minimal explicit binary codec: little-endian fixed-width integers,
+//! LEB128 varints and length-prefixed byte strings.
 //!
 //! Used for checkpoint records and saved log entries. Having our own codec
 //! (instead of an external format crate) gives exact byte accounting — the
@@ -28,6 +28,11 @@ pub enum CodecError {
         /// The rejected length.
         len: u64,
     },
+    /// A field held a value its layout rules out.
+    Invalid {
+        /// What was being decoded.
+        context: &'static str,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -41,6 +46,7 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::BadTag { context, tag } => write!(f, "bad tag {tag} decoding {context}"),
             CodecError::LengthOverflow { len } => write!(f, "length field too large: {len}"),
+            CodecError::Invalid { context } => write!(f, "invalid {context}"),
         }
     }
 }
@@ -85,6 +91,11 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Reserve room for `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -98,6 +109,20 @@ impl ByteWriter {
     /// Append a little-endian u64.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Append an LEB128 varint: seven bits a byte, low bits first, the high
+    /// bit set on every byte but the last (1 byte below 128, at most 10).
+    pub fn put_varint(&mut self, mut v: u64) {
+        let mut bytes = [0u8; 10];
+        let mut n = 0;
+        while v >= 0x80 {
+            bytes[n] = v as u8 | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        bytes[n] = v as u8;
+        self.buf.extend_from_slice(&bytes[..=n]);
     }
 
     /// Append a little-endian f64 (bit pattern preserved).
@@ -174,6 +199,30 @@ impl<'a> ByteReader<'a> {
     /// Read a little-endian u64.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Read an LEB128 varint (pairs with [`ByteWriter::put_varint`]). One
+    /// longer than ten bytes, or past `u64`, is refused.
+    pub fn get_varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                // The tenth byte holds only the top bit of a u64.
+                if i == 9 && b > 1 {
+                    break;
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        match self.remaining() {
+            n if n < 10 => Err(CodecError::UnexpectedEof {
+                wanted: n + 1,
+                remaining: n,
+            }),
+            _ => Err(CodecError::Invalid { context: "varint" }),
+        }
     }
 
     /// Read a little-endian f64 (bit pattern preserved).
@@ -269,6 +318,43 @@ mod tests {
             r.get_raw(1),
             Err(CodecError::UnexpectedEof { .. })
         ));
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_length_and_refuse_what_no_u64_is() {
+        let lengths: [(u64, usize); 7] = [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u32::MAX.into(), 5),
+            (u64::MAX, 10),
+        ];
+        let mut w = ByteWriter::new();
+        for (v, len) in lengths {
+            let before = w.len();
+            w.put_varint(v);
+            assert_eq!(w.len() - before, len, "{v}");
+        }
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        for (v, _) in lengths {
+            assert_eq!(r.get_varint().unwrap(), v);
+        }
+        assert!(r.is_exhausted());
+        let invalid = |e| matches!(e, CodecError::Invalid { .. });
+        // Eleven bytes, and a tenth byte past the top bit of a u64.
+        assert!(ByteReader::new(&[0x80; 11])
+            .get_varint()
+            .is_err_and(invalid));
+        let mut over = [0xFF; 10];
+        over[9] = 0x02;
+        assert!(ByteReader::new(&over).get_varint().is_err_and(invalid));
+        // A varint its input ends inside.
+        let eof = |e| matches!(e, CodecError::UnexpectedEof { .. });
+        assert!(ByteReader::new(&[0x80; 3]).get_varint().is_err_and(eof));
+        assert!(ByteReader::new(&[]).get_varint().is_err_and(eof));
     }
 
     #[test]

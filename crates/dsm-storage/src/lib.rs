@@ -10,9 +10,10 @@
 //! this is what reproduces the disk-write overhead column of Table 3 and the
 //! checkpoint-interference effect on Barnes.
 //!
-//! The [`codec`] module is a small explicit binary codec (length-prefixed,
-//! little-endian) used for checkpoint records, log entries, and wire-size
-//! accounting; no external serialization crate is needed.
+//! The [`codec`] module is a small explicit binary codec (length-prefixed
+//! little-endian fields and LEB128 varints) used for checkpoint records, log
+//! entries, and wire-size accounting; no external serialization crate is
+//! needed.
 
 pub mod codec;
 pub mod disk;

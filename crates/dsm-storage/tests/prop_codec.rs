@@ -13,6 +13,7 @@ proptest! {
         loop {
             if r.get_u8().is_err() { break; }
             if r.get_u32().is_err() { break; }
+            if r.get_varint().is_err() { break; }
             if r.get_bytes().is_err() { break; }
             if r.get_u32_vec().is_err() { break; }
         }
@@ -31,6 +32,7 @@ proptest! {
         w.put_u64(a);
         w.put_bytes(&s);
         w.put_u32(b);
+        w.put_varint(a);
         w.put_u32_slice(&v);
         w.put_f64(f);
         let bytes = w.into_bytes();
@@ -38,6 +40,7 @@ proptest! {
         prop_assert_eq!(r.get_u64().unwrap(), a);
         prop_assert_eq!(r.get_bytes().unwrap(), &s[..]);
         prop_assert_eq!(r.get_u32().unwrap(), b);
+        prop_assert_eq!(r.get_varint().unwrap(), a);
         prop_assert_eq!(r.get_u32_vec().unwrap(), v);
         let got = r.get_f64().unwrap();
         prop_assert_eq!(got.to_bits(), f.to_bits());

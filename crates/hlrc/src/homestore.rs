@@ -752,8 +752,8 @@ mod tests {
         Arc::new(Diff::from_runs(PageId(page), interval, [run]))
     }
 
-    /// A 256-byte page 0 (its ring holds seven one-word diffs of 32 wire
-    /// bytes, not eight) in a 3-node cluster.
+    /// A 256-byte page 0 (its ring holds eighteen one-word diffs of 14 wire
+    /// bytes, not nineteen) in a 3-node cluster.
     fn ring_store() -> HomeStore {
         let s = HomeStore::new(3, 256);
         s.add(PageId(0));
@@ -804,21 +804,24 @@ mod tests {
         // A copy of another incarnation's is answered with the page.
         assert_eq!(full(&fetch(&s, Some(&(2, v2.clone()))).1).1, 1);
 
-        // Six more diffs: the eighth makes a page's worth, so the oldest
-        // folds into the base and the first reader is past it.
-        for seq in 2..=7 {
+        // Seventeen more diffs: the nineteenth makes a page's worth, so the
+        // oldest folds into the base and the first reader is past it.
+        for seq in 2..=18 {
             apply(&s, &set_word(0, iv(1, seq), seq, seq as u64));
             assert!(s.ring_bytes(PageId(0)) < 256);
         }
-        assert_eq!(s.ring_bytes(PageId(0)), 7 * 32);
+        assert_eq!(s.ring_bytes(PageId(0)), 18 * 14);
         let (v8, body) = fetch(&s, Some(&(1, v0.clone())));
         assert_eq!(
             &full(&body).0[..16],
             &[11, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0, 0, 0, 0, 0, 0]
         );
         let body = fetch(&s, Some(&(1, vc([0, 1, 0])))).1;
-        assert_eq!(delta(&body).len(), 7);
-        assert!(body.wire_size() < 256, "a delta never exceeds the page");
+        assert_eq!(delta(&body).len(), 18);
+        assert!(
+            body.wire_size() < 5 + 256,
+            "a delta's diffs never reach the page"
+        );
         // A diff as large as the page is never held at all.
         let whole = Diff::create(PageId(0), iv(2, 2), &Page::zeroed(256), &{
             let mut p = Page::zeroed(256);
@@ -831,13 +834,13 @@ mod tests {
 
         // A restart empties the ring and begins a new incarnation: what a
         // reader kept of the old one — current or not — is answered in full.
-        apply(&s, &set_word(0, iv(1, 8), 0, 12));
+        apply(&s, &set_word(0, iv(1, 19), 0, 12));
         let kept = (1, fetch(&s, None).0);
         s.reset_for_restart();
         assert_eq!(s.ring_bytes(PageId(0)), 0);
         assert_eq!(full(&fetch(&s, Some(&kept)).1).1, 2);
         // `restore` too, to whatever version it restores.
-        apply(&s, &set_word(0, iv(1, 9), 0, 13));
+        apply(&s, &set_word(0, iv(1, 20), 0, 13));
         s.restore(PageId(0), &[0u8; 256], vc([0, 3, 0]));
         assert_eq!(s.ring_bytes(PageId(0)), 0);
         let (v, body) = fetch(&s, Some(&(2, vc([0, 1, 0]))));
