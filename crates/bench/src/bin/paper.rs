@@ -379,8 +379,8 @@ fn do_hist(scale: &Scale) {
     );
 }
 
-/// Latencies, service time and message counts per kind on a barrier-heavy
-/// kernel (Water-Spatial, FT).
+/// Latencies, service time, and message counts and bytes per kind on a
+/// barrier-heavy kernel (Water-Spatial, FT).
 fn do_protocol(scale: &Scale) {
     println!(
         "\n=== Protocol latencies and message counts (Water-Spatial, FT, n={}) ===",
@@ -417,9 +417,12 @@ fn do_protocol(scale: &Scale) {
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);
     }
-    println!("\nmessages sent by kind (all nodes summed):");
-    for (k, c) in r.total_msg_kinds() {
-        println!("  msg_count {k:<16} {c:>8}");
+    // Count then bytes (piggyback included): `$3` is the count, `$4` the
+    // bytes, so a gate can read either.
+    println!("\nmessages and bytes sent by kind (all nodes summed):");
+    let total = r.total();
+    for ((k, c), (_, b)) in total.msg_kinds.iter().zip(&total.msg_kind_bytes) {
+        println!("  msg_count {k:<16} {c:>8} {b:>10}");
     }
 }
 

@@ -162,14 +162,14 @@ impl CheckpointBlob {
             tenures.push((l, acq, gen, released));
         }
         let n_rel = r.get_u64()?;
-        let mut last_release_vts = Vec::with_capacity(r.capacity_for(n_rel, 16));
+        let mut last_release_vts = Vec::with_capacity(r.capacity_for(n_rel, 9));
         for _ in 0..n_rel {
             let l = r.get_u64()? as LockId;
             let vt = wire::get_vt(&mut r)?;
             last_release_vts.push((l, vt));
         }
         let n_pages = r.get_u64()?;
-        let mut home_pages = Vec::with_capacity(r.capacity_for(n_pages, 20));
+        let mut home_pages = Vec::with_capacity(r.capacity_for(n_pages, 13));
         for _ in 0..n_pages {
             let p = PageId(r.get_u32()?);
             let v = wire::get_vt(&mut r)?;

@@ -39,9 +39,9 @@ pub struct WnLogEntry {
 }
 
 impl WnLogEntry {
-    /// Encoded size in bytes.
+    /// Encoded size in bytes: what [`wire::put_wn_entry`] writes.
     pub fn wire_size(&self) -> usize {
-        8 + 4 * self.pages.len()
+        wire::len_of(|w| wire::put_wn_entry(w, self))
     }
 }
 
@@ -61,9 +61,9 @@ pub struct DiffLogEntry {
 }
 
 impl DiffLogEntry {
-    /// Encoded size in bytes.
+    /// Encoded size in bytes: what [`wire::put_entry`] writes.
     pub fn wire_size(&self) -> usize {
-        self.diff.wire_size() + self.t.wire_size()
+        wire::len_of(|w| wire::put_entry(w, self))
     }
 }
 
@@ -85,13 +85,6 @@ pub struct RelEntry {
     pub t_after: VectorClock,
 }
 
-impl RelEntry {
-    /// Encoded size in bytes.
-    pub fn wire_size(&self) -> usize {
-        24 + self.req_vt.wire_size() + self.t_after.wire_size()
-    }
-}
-
 /// One barrier crossing: the participant's pair of logical times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BarEntry {
@@ -101,13 +94,6 @@ pub struct BarEntry {
     pub arrive_vt: VectorClock,
     /// The joined timestamp it was released with.
     pub result_vt: VectorClock,
-}
-
-impl BarEntry {
-    /// Encoded size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + self.arrive_vt.wire_size() + self.result_vt.wire_size()
-    }
 }
 
 /// The barrier manager's mirror: per episode, every participant's arrival
@@ -353,24 +339,20 @@ impl VolatileLogs {
     }
 
     /// Encode the stable-save portion (wn + diff logs; lock and barrier
-    /// logs are mirrored on other nodes and never saved).
+    /// logs are mirrored on other nodes and never saved): the notices, then
+    /// per page with a log its id and entries, each in the layout messages
+    /// use, so an entry's `wire_size` is its bytes here.
     pub fn encode_stable(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(4096);
-        w.put_u64(self.wn.len() as u64);
-        for e in &self.wn {
-            w.put_u32(e.seq);
-            wire::put_pages(&mut w, &e.pages);
-        }
+        w.put_varint(self.wn.len() as u64);
+        self.wn.iter().for_each(|e| wire::put_wn_entry(&mut w, e));
         let mut logs: Vec<_> = self.diffs.iter().collect();
         logs.sort_by_key(|&(p, _)| *p);
-        w.put_u64(logs.len() as u64);
+        w.put_varint(logs.len() as u64);
         for (p, log) in logs {
-            w.put_u32(p.0);
-            w.put_u64(log.len() as u64);
-            for e in log {
-                wire::put_diff(&mut w, &e.diff);
-                wire::put_vt(&mut w, &e.t);
-            }
+            w.put_varint(p.0.into());
+            w.put_varint(log.len() as u64);
+            log.iter().for_each(|e| wire::put_entry(&mut w, e));
         }
         w.into_bytes()
     }
@@ -379,31 +361,17 @@ impl VolatileLogs {
     /// restart clears the logs and merges the last checkpoint's save.
     pub fn decode_stable_merge(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let mut r = ByteReader::new(bytes);
-        let wn_len = r.get_u64()? as usize;
-        for _ in 0..wn_len {
-            let seq = r.get_u32()?;
-            let pages = wire::get_pages(&mut r)?;
-            let e = WnLogEntry {
-                seq,
-                pages,
-                saved: true,
-            };
+        for _ in 0..r.get_varint()? {
+            let e = wire::get_wn_entry(&mut r, true)?;
             self.held += e.wire_size() as u64;
             self.wn.push(e);
         }
-        let np = r.get_u64()? as usize;
-        for _ in 0..np {
-            let page = PageId(r.get_u32()?);
-            let len = r.get_u64()? as usize;
+        for _ in 0..r.get_varint()? {
+            let page = wire::get_page(&mut r)?;
+            let len = r.get_varint()?;
             let log = self.diffs.entry(page).or_default();
             for _ in 0..len {
-                let diff = Arc::new(wire::get_diff(&mut r)?);
-                let t = wire::get_vt(&mut r)?;
-                let e = DiffLogEntry {
-                    diff,
-                    t,
-                    saved: true,
-                };
+                let e = wire::get_entry(&mut r, true)?;
                 self.held += e.wire_size() as u64;
                 log.push(e);
             }

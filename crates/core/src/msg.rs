@@ -11,6 +11,7 @@ use dsm_trace::TraceCtx;
 use hlrc::{Have, LockId, PageBody, WnDelta, WriteNotice};
 
 use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
+use crate::wire;
 
 /// Fault-tolerance control data piggybacked on protocol messages: the
 /// sender's restart-checkpoint timestamp (plus its checkpoint sequence and
@@ -33,20 +34,6 @@ pub struct Piggy {
     /// in Water-Spatial) would never learn each other's `T_ckp` and their
     /// checkpoint windows could not be garbage collected.
     pub table: Vec<(ProcId, u64, u64, VectorClock)>,
-}
-
-impl Piggy {
-    /// Encoded size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.tckp.wire_size()
-            + 16
-            + 8 * self.p0v.len()
-            + self
-                .table
-                .iter()
-                .map(|(_, _, _, v)| 20 + v.wire_size())
-                .sum::<usize>()
-    }
 }
 
 /// Message payloads.
@@ -242,91 +229,7 @@ pub enum Payload {
     },
 }
 
-/// Encoded size of a fetch's `have`: a presence byte, then incarnation and
-/// version.
-fn have_size(have: &Option<Have>) -> usize {
-    1 + have.as_ref().map_or(0, |(_, v)| 4 + v.wire_size())
-}
-
-/// Encoded size of a list of diff-log entries: a count, then the entries.
-fn entries_size(entries: &[DiffLogEntry]) -> usize {
-    4 + entries.iter().map(|e| e.wire_size()).sum::<usize>()
-}
-
-/// Encoded size of a diff batch after its tag: seq (8), count (8), diffs.
-fn batch_size(diffs: &[Arc<Diff>]) -> usize {
-    16 + diffs.iter().map(|d| d.wire_size()).sum::<usize>()
-}
-
 impl Payload {
-    /// Encoded size in bytes of the base-protocol part.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Payload::LockAcq { vt, .. } => 17 + vt.wire_size(),
-            Payload::LockForward { vt, .. } => 37 + vt.wire_size(),
-            Payload::LockGrant { vt, wns, .. } => {
-                25 + vt.wire_size() + wns.iter().map(|w| w.wire_size()).sum::<usize>()
-            }
-            Payload::DiffBatch { diffs, .. } => 1 + batch_size(diffs),
-            Payload::DiffAck { .. } => 9,
-            Payload::Member(w) => w.wire_size(),
-            // Whether a batch follows is a bit of the tag byte.
-            Payload::BarrierArrive {
-                vt, own_wns, batch, ..
-            } => {
-                let batch = batch.as_ref().map_or(0, |(_, diffs)| batch_size(diffs));
-                9 + vt.wire_size() + own_wns.wire_size() + batch
-            }
-            Payload::BarrierRelease { vt, wns, .. } => 9 + vt.wire_size() + wns.wire_size(),
-            Payload::PageReq { pages, .. } => {
-                13 + pages
-                    .iter()
-                    .map(|(_, needed, have)| 4 + needed.wire_size() + have_size(have))
-                    .sum::<usize>()
-            }
-            Payload::PageReply { pages, .. } => {
-                13 + pages
-                    .iter()
-                    .map(|(_, version, body)| 4 + version.wire_size() + body.wire_size())
-                    .sum::<usize>()
-            }
-            Payload::RecLogReq { homed } => 5 + 8 * homed.len(),
-            Payload::RecLogReply {
-                wn,
-                rel_for_you,
-                acq_mirror,
-                bar,
-                bar_mgr,
-                lock_chains,
-                gen_floor,
-                applied_of_you: _,
-                diffs,
-            } => {
-                1 + wn.iter().map(|e| e.wire_size()).sum::<usize>()
-                    + rel_for_you.iter().map(|e| e.wire_size()).sum::<usize>()
-                    + acq_mirror.iter().map(|e| e.wire_size()).sum::<usize>()
-                    + bar.iter().map(|e| e.wire_size()).sum::<usize>()
-                    + bar_mgr
-                        .iter()
-                        .map(|e| {
-                            8 + e.result_vt.wire_size()
-                                + e.arrival_vts.iter().map(|v| v.wire_size()).sum::<usize>()
-                        })
-                        .sum::<usize>()
-                    + 33 * lock_chains.len()
-                    + 16 * gen_floor.len()
-                    + 4
-                    + entries_size(diffs)
-            }
-            Payload::RecPageReq { tckp, .. } => 5 + tckp.wire_size(),
-            Payload::RecPageReply { copy, entries, .. } => {
-                let copy = copy.as_ref();
-                6 + copy.map_or(0, |(v, bytes)| v.wire_size() + 4 + bytes.len())
-                    + entries_size(entries)
-            }
-        }
-    }
-
     /// Short name for debugging.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -376,8 +279,8 @@ pub struct Msg {
     pub piggy: Option<Piggy>,
     /// Causal trace context. Constructed unstamped; the endpoint stamps
     /// origin/seq/timestamp at send time, preserving any parent flow the
-    /// sender set. Charged [`TraceCtx::WIRE_SIZE`] bytes unconditionally so
-    /// byte accounting never depends on whether tracing is on.
+    /// sender set. Its seq and parent are encoded whether tracing is on or
+    /// off, so byte accounting never depends on it.
     pub ctx: TraceCtx,
 }
 
@@ -417,12 +320,15 @@ impl Msg {
     }
 }
 
+/// A message is charged what [`wire::put_msg`] writes: the base part is
+/// [`wire::put_base`]'s length, the piggyback [`wire::put_piggy`]'s.
 impl dsm_net::WireSized for Msg {
     fn base_wire_size(&self) -> usize {
-        1 + TraceCtx::WIRE_SIZE + self.payload.wire_size()
+        wire::len_of(|w| wire::put_base(w, self))
     }
     fn ft_wire_size(&self) -> usize {
-        self.piggy.as_ref().map_or(0, |p| p.wire_size())
+        let piggy = self.piggy.as_ref();
+        piggy.map_or(0, |p| wire::len_of(|w| wire::put_piggy(w, p)))
     }
     fn kind_name(&self) -> &'static str {
         self.payload.kind()
@@ -461,7 +367,10 @@ impl dsm_net::WireSized for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
     use dsm_net::WireSized;
+    use dsm_page::{Interval, Page};
+    use dsm_storage::{ByteReader, ByteWriter};
 
     #[test]
     fn page_reply_size_dominated_by_page_bytes() {
@@ -474,20 +383,45 @@ mod tests {
             pages: vec![(PageId(0), VectorClock::zero(8), body)],
         });
         assert!(m.base_wire_size() > 4096);
-        assert!(m.base_wire_size() < 4096 + 64 + TraceCtx::WIRE_SIZE);
+        assert!(m.base_wire_size() < 4096 + 32);
         assert_eq!(m.ft_wire_size(), 0);
     }
 
-    /// One payload of every kind, each as full as the kind can be: a batch
-    /// wherever a kind can carry one.
+    fn clock(v: &[u32]) -> VectorClock {
+        VectorClock::from_vec(v.to_vec())
+    }
+
+    /// A diff of `words` words at byte 8 of a 64-byte page.
+    fn diff(page: u32, seq: u32, words: usize) -> Arc<Diff> {
+        let (twin, mut cur) = (Page::zeroed(64), Page::zeroed(64));
+        cur.write(8, &vec![seq as u8; 8 * words]);
+        let iv = Interval { proc: 1, seq };
+        Arc::new(Diff::create(PageId(page), iv, &twin, &cur).unwrap())
+    }
+
+    /// One payload of every kind, each as full as the kind can be: every
+    /// list holds an item, every option is set, and a batch rides wherever a
+    /// kind can carry one.
     fn one_of_every_kind() -> Vec<Payload> {
-        let vt = || VectorClock::zero(2);
-        let twin = dsm_page::Page::zeroed(64);
-        let mut cur = twin.clone();
-        cur.write(0, &[1]);
-        let iv = dsm_page::Interval { proc: 1, seq: 1 };
-        let diffs = vec![Arc::new(Diff::create(PageId(0), iv, &twin, &cur).unwrap())];
-        let wns = || WnDelta::from_notices(&[]);
+        let vt = || clock(&[4, 300]);
+        let diffs = vec![diff(0, 1, 1), diff(2, 200, 2)];
+        let notice = WriteNotice {
+            interval: Interval { proc: 1, seq: 7 },
+            pages: vec![PageId(0), PageId(130)],
+        };
+        let wns = || WnDelta::from_notices(std::slice::from_ref(&notice));
+        let entry = DiffLogEntry {
+            diff: diff(0, 3, 1),
+            t: clock(&[2, 3]),
+            saved: false,
+        };
+        let rel = RelEntry {
+            acq_seq: 5,
+            lock: 1,
+            gen: 2,
+            req_vt: clock(&[1, 0]),
+            t_after: clock(&[1, 4]),
+        };
         let (lock, acq_seq, gen, page) = (1, 2, 3, PageId(0));
         vec![
             Payload::LockAcq {
@@ -500,7 +434,7 @@ mod tests {
                 requester: 1,
                 acq_seq,
                 gen,
-                pred_acq: 0,
+                pred_acq: u64::MAX,
                 vt: vt(),
             },
             Payload::LockGrant {
@@ -508,7 +442,7 @@ mod tests {
                 acq_seq,
                 gen,
                 vt: vt(),
-                wns: Vec::new(),
+                wns: vec![notice.clone()],
             },
             Payload::DiffBatch {
                 diffs: diffs.clone(),
@@ -523,7 +457,7 @@ mod tests {
                 episode: 0,
                 vt: vt(),
                 own_wns: wns(),
-                batch: Some((1, diffs)),
+                batch: Some((1, diffs.clone())),
             },
             Payload::BarrierRelease {
                 episode: 0,
@@ -531,30 +465,57 @@ mod tests {
                 wns: wns(),
             },
             Payload::PageReq {
-                pages: vec![(page, vt(), None)],
+                pages: vec![
+                    (page, vt(), Some((2, clock(&[1, 3])))),
+                    (PageId(9), vt(), None),
+                ],
                 req_id: 1,
             },
             Payload::PageReply {
                 req_id: 1,
-                pages: Vec::new(),
+                pages: vec![
+                    (page, vt(), PageBody::Delta(diffs)),
+                    (
+                        PageId(9),
+                        vt(),
+                        PageBody::Full {
+                            bytes: vec![7; 64].into(),
+                            base: 2,
+                        },
+                    ),
+                ],
             },
-            Payload::RecLogReq { homed: Vec::new() },
+            Payload::RecLogReq {
+                homed: vec![(page, 6), (PageId(9), 0)],
+            },
             Payload::RecLogReply {
-                wn: Vec::new(),
-                rel_for_you: Vec::new(),
-                acq_mirror: Vec::new(),
-                bar: Vec::new(),
-                bar_mgr: Vec::new(),
-                lock_chains: Vec::new(),
-                gen_floor: Vec::new(),
-                applied_of_you: 0,
-                diffs: Vec::new(),
+                wn: vec![WnLogEntry {
+                    seq: 4,
+                    pages: vec![page],
+                    saved: false,
+                }],
+                rel_for_you: vec![rel.clone()],
+                acq_mirror: vec![rel],
+                bar: vec![BarEntry {
+                    episode: 1,
+                    arrive_vt: clock(&[1, 1]),
+                    result_vt: clock(&[2, 1]),
+                }],
+                bar_mgr: vec![MgrBarEntry {
+                    episode: 1,
+                    arrival_vts: vec![clock(&[1, 0]), clock(&[0, 1])],
+                    result_vt: clock(&[1, 1]),
+                }],
+                lock_chains: vec![(lock, gen, 1, 5, None), (2, 4, 0, 6, Some(1))],
+                gen_floor: vec![(lock, 9)],
+                applied_of_you: 3,
+                diffs: vec![entry.clone()],
             },
             Payload::RecPageReq { page, tckp: vt() },
             Payload::RecPageReply {
                 page,
-                copy: None,
-                entries: Vec::new(),
+                copy: Some((vt(), vec![5; 64].into())),
+                entries: vec![entry],
             },
         ]
     }
@@ -599,23 +560,109 @@ mod tests {
         assert_eq!(carriers, ["BarrierArrive"]);
     }
 
-    #[test]
-    fn piggy_bytes_are_separate() {
+    /// The sender every test message is decoded from.
+    const FROM: usize = 1;
+
+    /// Every kind (a heartbeat reply besides the ping, an arrival without its
+    /// batch besides the one with), stamped as the endpoint stamps it, half
+    /// of them parented and a few carrying a piggyback with a gossip table.
+    fn every_message() -> Vec<Msg> {
+        let mut payloads = one_of_every_kind();
+        payloads.push(Payload::Member(dsm_member::Wire::Pong {
+            seq: 200,
+            incarnation: 1,
+        }));
+        let mut bare_arrival = payloads[6].clone();
+        bare_arrival.take_carried();
+        payloads.push(bare_arrival);
         let piggy = Piggy {
-            tckp: VectorClock::zero(8),
-            ckpt_seq: 1,
-            ckpt_episode: 2,
-            p0v: vec![(PageId(0), 3), (PageId(1), 4)],
-            table: vec![(1, 2, 3, VectorClock::zero(8))],
+            tckp: clock(&[3, 1]),
+            ckpt_seq: 2,
+            ckpt_episode: 5,
+            p0v: vec![(PageId(0), 3), (PageId(300), 4)],
+            table: vec![(0, 2, 3, clock(&[3, 0])), (1, 1, 1, clock(&[0, 1]))],
         };
-        let m = Msg {
-            payload: Payload::DiffAck { seq: 1 },
-            piggy: Some(piggy.clone()),
-            ctx: TraceCtx::NONE,
+        let parent = TraceCtx {
+            origin: 0,
+            seq: 999,
+            ..TraceCtx::NONE
+        }
+        .flow_id();
+        payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| {
+                let piggy = (i % 3 == 0).then(|| piggy.clone());
+                let mut m = Msg::with_parent(payload, piggy, parent * (i as u64 % 2));
+                m.stamp_send(FROM as u32, 100 + 37 * i as u64, 0);
+                m
+            })
+            .collect()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Msg, dsm_storage::CodecError> {
+        crate::wire::get_msg(&mut ByteReader::new(bytes), FROM)
+    }
+
+    /// Every kind round-trips through `put_msg` / `get_msg`, origin and
+    /// parent included; is charged exactly the length of its encoding; and
+    /// every strict prefix of it, and every byte of it set to each other
+    /// value, decodes to `Ok` or `Err`: never a panic.
+    #[test]
+    fn every_kind_roundtrips_is_charged_its_encoding_and_no_byte_panics_the_decoder() {
+        for m in every_message() {
+            let kind = m.kind_name();
+            let mut w = ByteWriter::new();
+            crate::wire::put_msg(&mut w, &m);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), m.base_wire_size() + m.ft_wire_size(), "{kind}");
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(crate::wire::get_msg(&mut r, FROM).unwrap(), m, "{kind}");
+            assert!(r.is_exhausted(), "{kind}");
+            for len in 0..bytes.len() {
+                assert!(decode(&bytes[..len]).is_err(), "{kind} cut at {len}");
+            }
+            let mut changed = bytes.clone();
+            for i in 0..bytes.len() {
+                for v in (0..=u8::MAX).filter(|&v| v != bytes[i]) {
+                    changed[i] = v;
+                    let _ = decode(&changed);
+                }
+                changed[i] = bytes[i];
+            }
+        }
+    }
+
+    /// The shapes the layout was chosen for. A lock forward at n = 2 is 14
+    /// bytes (62 charged at fixed widths: 1 + 16 + 37 + 8); a root context
+    /// is its seq and one byte, a parented one its seq and the parent's
+    /// node and seq; the chain start `pred_acq = u64::MAX` is one byte.
+    #[test]
+    fn a_lock_forward_a_context_and_the_chain_start_are_a_few_bytes() {
+        let forward = |pred_acq, parent| {
+            let payload = Payload::LockForward {
+                lock: 3,
+                requester: 1,
+                acq_seq: 40,
+                gen: 41,
+                pred_acq,
+                vt: clock(&[45, 38]),
+            };
+            let mut m = Msg::reply_to(payload, parent);
+            m.stamp_send(0, 1000, 0);
+            m.base_wire_size()
         };
-        // 1 kind byte + 9 payload bytes + the 16-byte trace context.
-        assert_eq!(m.base_wire_size(), 10 + TraceCtx::WIRE_SIZE);
-        assert_eq!(m.ft_wire_size(), piggy.wire_size());
-        assert_eq!(piggy.wire_size(), 32 + 16 + 16 + 20 + 32);
+        let parent = TraceCtx {
+            origin: 1,
+            seq: 999,
+            ..TraceCtx::NONE
+        }
+        .flow_id();
+        // Tag, ctx (seq 2 + node 1 + seq 2), lock, requester, acq_seq, gen,
+        // pred_acq + 1, clock (count and two entries).
+        assert_eq!(forward(u64::MAX, parent), 1 + 5 + 5 + 3);
+        assert_eq!(forward(u64::MAX, 0), 1 + 3 + 5 + 3);
+        assert_eq!(forward(0, parent), forward(u64::MAX, parent));
+        assert_eq!(forward(127, parent), forward(u64::MAX, parent) + 1);
     }
 }

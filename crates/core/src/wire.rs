@@ -1,7 +1,12 @@
-//! Codec helpers for protocol and log types.
+//! The one encoded layout of every message, log entry and checkpoint clock.
 //!
-//! These define the canonical encoded layout of the shared types; the wire
-//! sizes reported by messages and log entries match these encodings.
+//! Every integer is an LEB128 varint; byte strings are raw after a varint
+//! length. A message is a tag byte (its kind in the low six bits, bit 6 "a
+//! piggyback follows", bit 7 "a diff batch follows"), the trace context,
+//! the payload, the batch and then the piggyback. [`put_msg`] writes it and
+//! [`get_msg`] reads it back; `Msg::base_wire_size` and `ft_wire_size` are
+//! the lengths [`put_msg`] writes into a length-only [`ByteWriter`], so the
+//! bytes a message is charged are its encoding by construction.
 
 use std::sync::Arc;
 
@@ -10,59 +15,140 @@ use dsm_storage::{ByteReader, ByteWriter, CodecError};
 use dsm_trace::TraceCtx;
 use hlrc::{Have, PageBody, WnDelta, WnSpan, WriteNotice};
 
-/// Encode a trace context: origin (16 bits) and seq (48 bits) packed into
-/// one word, then the parent flow id — exactly the 16 bytes
-/// [`TraceCtx::WIRE_SIZE`] charges. The measurement-only fields
-/// (`sent_at_ns`, `chaos_delay_ns`) are deliberately not encoded: a real
-/// network stack would derive them from NIC timestamps, so the wire model
-/// does not charge for them.
-pub fn put_ctx(w: &mut ByteWriter, ctx: &TraceCtx) {
-    w.put_u64(((ctx.origin as u64) << 48) | (ctx.seq & 0xFFFF_FFFF_FFFF));
-    w.put_u64(ctx.parent);
+use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
+use crate::msg::{Msg, Payload, Piggy};
+
+/// The length `put` writes, counted by a length-only writer.
+pub(crate) fn len_of(put: impl FnOnce(&mut ByteWriter)) -> usize {
+    let mut w = ByteWriter::length_only();
+    put(&mut w);
+    w.len()
 }
 
-/// Decode a trace context (measurement fields come back zeroed).
-pub fn get_ctx(r: &mut ByteReader) -> Result<TraceCtx, CodecError> {
-    let packed = r.get_u64()?;
-    let parent = r.get_u64()?;
+/// Read a varint counting `unit`-byte units that must fit a `u32` in bytes.
+fn get_u32_varint(r: &mut ByteReader, unit: u64, context: &'static str) -> Result<u32, CodecError> {
+    let v = r.get_varint()?.checked_mul(unit);
+    v.and_then(|v| u32::try_from(v).ok())
+        .ok_or(CodecError::Invalid { context })
+}
+
+/// Read a varint that must fit a `u32`.
+fn get_u32(r: &mut ByteReader, context: &'static str) -> Result<u32, CodecError> {
+    get_u32_varint(r, 1, context)
+}
+
+/// Read a varint as a `usize` (a node, lock or length).
+fn get_usize(r: &mut ByteReader) -> Result<usize, CodecError> {
+    let v = r.get_varint()?;
+    usize::try_from(v).map_err(|_| CodecError::LengthOverflow { len: v })
+}
+
+/// Encode integers as varints, in order.
+fn put_varints(w: &mut ByteWriter, vs: &[u64]) {
+    vs.iter().for_each(|&v| w.put_varint(v));
+}
+
+/// Encode a list: its length, then each item.
+fn put_list<T>(w: &mut ByteWriter, items: &[T], mut put: impl FnMut(&mut ByteWriter, &T)) {
+    w.put_varint(items.len() as u64);
+    items.iter().for_each(|item| put(w, item));
+}
+
+/// Decode a list of items at least `smallest` bytes each: the count sizes
+/// the allocation only as far as the input left could hold.
+fn get_list<T>(
+    r: &mut ByteReader,
+    smallest: usize,
+    mut get: impl FnMut(&mut ByteReader) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.get_varint()?;
+    let mut items = Vec::with_capacity(r.capacity_for(n, smallest));
+    for _ in 0..n {
+        items.push(get(r)?);
+    }
+    Ok(items)
+}
+
+/// Read a presence byte: 0 is absent, 1 present.
+fn get_flag(r: &mut ByteReader, context: &'static str) -> Result<bool, CodecError> {
+    match r.get_u8()? {
+        tag @ 2.. => Err(CodecError::BadTag { context, tag }),
+        b => Ok(b == 1),
+    }
+}
+
+const SEQ_MASK: u64 = (1 << 48) - 1;
+
+/// Encode a trace context: its seq, then its parent flow as the parent's
+/// `origin + 1` and seq, or one `0` for a root. The origin is the sender,
+/// which the receiver knows; the measurement fields (`sent_at_ns`,
+/// `chaos_delay_ns`) are not encoded — a real network stack would take
+/// them from NIC timestamps, so the wire model does not charge them.
+pub fn put_ctx(w: &mut ByteWriter, ctx: &TraceCtx) {
+    w.put_varint(ctx.seq);
+    w.put_varint(ctx.parent >> 48);
+    if ctx.parent != 0 {
+        w.put_varint(ctx.parent & SEQ_MASK);
+    }
+}
+
+/// Decode a trace context sent by `origin` (measurement fields zeroed).
+pub fn get_ctx(r: &mut ByteReader, origin: u32) -> Result<TraceCtx, CodecError> {
+    let seq = r.get_varint()?;
+    let invalid = |context| CodecError::Invalid { context };
+    let parent = match r.get_varint()? {
+        0 => 0,
+        node @ 1..=0xFFFF => match r.get_varint()? {
+            s @ 1..=SEQ_MASK => (node << 48) | s,
+            _ => return Err(invalid("parent seq")),
+        },
+        _ => return Err(invalid("parent origin")),
+    };
     Ok(TraceCtx {
-        origin: (packed >> 48) as u32,
-        seq: packed & 0xFFFF_FFFF_FFFF,
+        origin,
+        seq,
         parent,
         sent_at_ns: 0,
         chaos_delay_ns: 0,
     })
 }
 
-/// Encode a vector clock.
+/// Encode a vector clock: its entry count, then the entries.
 pub fn put_vt(w: &mut ByteWriter, vt: &VectorClock) {
-    w.put_u32_slice(vt.as_slice());
+    put_list(w, vt.as_slice(), |w, &x| w.put_varint(x.into()));
 }
 
 /// Decode a vector clock.
 pub fn get_vt(r: &mut ByteReader) -> Result<VectorClock, CodecError> {
-    Ok(VectorClock::from_vec(r.get_u32_vec()?))
+    Ok(VectorClock::from_vec(get_list(r, 1, |r| {
+        get_u32(r, "clock entry")
+    })?))
 }
 
 /// Encode a page-id list.
 pub fn put_pages(w: &mut ByteWriter, pages: &[PageId]) {
-    w.put_u64(pages.len() as u64);
-    for p in pages {
-        w.put_u32(p.0);
-    }
+    put_list(w, pages, |w, p| w.put_varint(p.0.into()));
 }
 
 /// Decode a page-id list.
 pub fn get_pages(r: &mut ByteReader) -> Result<Vec<PageId>, CodecError> {
-    Ok(r.get_u32_vec()?.into_iter().map(PageId).collect())
+    get_list(r, 1, get_page)
 }
 
-/// Encode a diff. The layout is exactly what [`Diff::wire_size`] charges:
+/// Decode one page id.
+pub(crate) fn get_page(r: &mut ByteReader) -> Result<PageId, CodecError> {
+    Ok(PageId(get_u32(r, "page id")?))
+}
+
+/// Encode a diff. The layout is exactly what [`Diff::wire_size`] holds:
 /// page id, interval proc, interval seq and run count as LEB128 varints,
 /// then per run its gap in words since the previous run's end and its length
-/// in words as varints, then its raw bytes. A unit test below pins the
-/// equality so traffic accounting can never silently diverge from the codec.
+/// in words as varints, then its raw bytes. A length-only writer is given
+/// that stored size, so counting a batch never walks its runs.
 pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
+    if w.count_only(d.wire_size()) {
+        return;
+    }
     w.reserve(d.wire_size());
     w.put_varint(d.page.0.into());
     w.put_varint(d.interval.proc as u64);
@@ -77,20 +163,11 @@ pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
     }
 }
 
-/// Read a varint counting `unit`-byte units that must fit a `u32` in bytes.
-fn get_u32_varint(r: &mut ByteReader, unit: u64, context: &'static str) -> Result<u32, CodecError> {
-    let v = r.get_varint()?.checked_mul(unit);
-    v.and_then(|v| u32::try_from(v).ok())
-        .ok_or(CodecError::Invalid { context })
-}
-
 /// Decode a diff. Gaps cannot be negative, so its runs come out in order
 /// and apart; a header field, or a run's gap or end in bytes, past `u32` is
 /// refused, and so is an empty run.
 pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
-    let page = PageId(get_u32_varint(r, 1, "diff page")?);
-    let proc_ = get_u32_varint(r, 1, "diff proc")? as usize;
-    let seq = get_u32_varint(r, 1, "diff seq")?;
+    let (page, interval) = (get_page(r)?, get_interval(r)?);
     let nruns = r.get_varint()?;
     // A run is at least its two varints.
     let mut runs = Vec::with_capacity(r.capacity_for(nruns, 2));
@@ -105,71 +182,75 @@ pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
         end = run_end.filter(|_| len > 0).ok_or(invalid)?;
         runs.push((end - len, r.get_raw(len as usize)?));
     }
-    Ok(Diff::from_runs(page, Interval { proc: proc_, seq }, runs))
+    Ok(Diff::from_runs(page, interval, runs))
+}
+
+/// Encode a list of diffs (a batch, a delta body).
+pub(crate) fn put_diffs(w: &mut ByteWriter, diffs: &[Arc<Diff>]) {
+    put_list(w, diffs, |w, d| put_diff(w, d));
+}
+
+/// Decode a list of diffs; a diff is at least its four header varints.
+pub(crate) fn get_diffs(r: &mut ByteReader) -> Result<Vec<Arc<Diff>>, CodecError> {
+    get_list(r, 4, |r| get_diff(r).map(Arc::new))
 }
 
 /// Encode what a fetch says its requester kept: a presence byte, then the
-/// home incarnation (4) and the length-prefixed version the kept copy is.
+/// home incarnation and the version the kept copy is.
 pub fn put_have(w: &mut ByteWriter, have: Option<&Have>) {
     w.put_u8(have.is_some() as u8);
     if let Some((incarnation, version)) = have {
-        w.put_u32(*incarnation);
+        w.put_varint((*incarnation).into());
         put_vt(w, version);
     }
 }
 
 /// Decode what a fetch says its requester kept.
 pub fn get_have(r: &mut ByteReader) -> Result<Option<Have>, CodecError> {
-    Ok(match r.get_u8()? {
-        0 => None,
-        _ => Some((r.get_u32()?, get_vt(r)?)),
+    Ok(match get_flag(r, "have")? {
+        false => None,
+        true => Some((get_u32(r, "incarnation")?, get_vt(r)?)),
     })
 }
 
-/// Encode a fetch reply's body, exactly what [`PageBody::wire_size`]
-/// charges: a tag byte, then base incarnation (4) + length (4) + the page
-/// bytes, or a count (4) + that many diffs.
+/// Encode a fetch reply's body: a tag byte, then base incarnation, length
+/// and the page bytes, or the diffs.
 pub fn put_page_body(w: &mut ByteWriter, body: &PageBody) {
     match body {
         PageBody::Full { bytes, base } => {
             w.put_u8(0);
-            w.put_u32(*base);
-            w.put_u32(bytes.len() as u32);
+            w.put_varint((*base).into());
+            w.put_varint(bytes.len() as u64);
             w.put_raw(bytes);
         }
         PageBody::Delta(diffs) => {
             w.put_u8(1);
-            w.put_u32(diffs.len() as u32);
-            diffs.iter().for_each(|d| put_diff(w, d));
+            put_diffs(w, diffs);
         }
     }
 }
 
 /// Decode a fetch reply's body.
 pub fn get_page_body(r: &mut ByteReader) -> Result<PageBody, CodecError> {
-    if r.get_u8()? == 0 {
-        let base = r.get_u32()?;
-        let len = r.get_u32()? as usize;
-        let bytes = r.get_raw(len)?.into();
-        return Ok(PageBody::Full { bytes, base });
-    }
-    let diffs = (0..r.get_u32()?).map(|_| get_diff(r).map(Arc::new));
-    Ok(PageBody::Delta(diffs.collect::<Result<_, _>>()?))
+    Ok(match get_flag(r, "page body")? {
+        false => {
+            let base = get_u32(r, "page base")?;
+            let len = get_usize(r)?;
+            let bytes = r.get_raw(len)?.into();
+            PageBody::Full { bytes, base }
+        }
+        true => PageBody::Delta(get_diffs(r)?),
+    })
 }
 
-/// Encode the page list of a fetch request: `(page, needed, have)`.
-///
-/// Layout: count (4), then per page id (4) + length-prefixed needed clock +
-/// what the requester kept. The accounting model (`Payload::wire_size`)
-/// charges clocks at 4 bytes per entry without the length prefix — the
-/// cluster size is implied on a real wire.
+/// Encode the page list of a fetch request: per page its id, the version
+/// the reply must include and what the requester kept.
 pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Option<Have>)]) {
-    w.put_u32(pages.len() as u32);
-    for (p, needed, have) in pages {
-        w.put_u32(p.0);
+    put_list(w, pages, |w, (p, needed, have)| {
+        w.put_varint(p.0.into());
         put_vt(w, needed);
         put_have(w, have.as_ref());
-    }
+    });
 }
 
 /// Decode the page list of a fetch request.
@@ -177,9 +258,7 @@ pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Option<
 pub fn get_page_needs(
     r: &mut ByteReader,
 ) -> Result<Vec<(PageId, VectorClock, Option<Have>)>, CodecError> {
-    (0..r.get_u32()?)
-        .map(|_| Ok((PageId(r.get_u32()?), get_vt(r)?, get_have(r)?)))
-        .collect()
+    get_list(r, 3, |r| Ok((get_page(r)?, get_vt(r)?, get_have(r)?)))
 }
 
 /// Encode a list of whole page copies, `(page, version, bytes)`: what a
@@ -187,75 +266,454 @@ pub fn get_page_needs(
 /// message has this layout any more; perfbench's
 /// `wire.page_copies_encode_ns` probe still times it as the cost of
 /// putting sixteen pages on a wire.
-///
-/// Layout: count (8), then per page id (4) + byte length (4) +
-/// length-prefixed version clock + raw contents.
 pub fn put_page_copies(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Arc<[u8]>)]) {
-    w.put_u64(pages.len() as u64);
-    for (p, version, bytes) in pages {
-        w.put_u32(p.0);
-        w.put_u32(bytes.len() as u32);
+    put_list(w, pages, |w, (p, version, bytes)| {
+        w.put_varint(p.0.into());
+        w.put_varint(bytes.len() as u64);
         put_vt(w, version);
         w.put_raw(bytes);
-    }
+    });
 }
 
-/// Encode a write notice.
+/// Encode a write notice: interval proc and seq, then its pages.
 pub fn put_wn(w: &mut ByteWriter, wn: &WriteNotice) {
-    w.put_u32(wn.interval.proc as u32);
-    w.put_u32(wn.interval.seq);
-    put_pages(w, &wn.pages);
+    put_notice(w, wn.interval, &wn.pages);
+}
+
+fn put_notice(w: &mut ByteWriter, interval: Interval, pages: &[PageId]) {
+    put_varints(w, &[interval.proc as u64, interval.seq.into()]);
+    put_pages(w, pages);
 }
 
 /// Decode a write notice.
 pub fn get_wn(r: &mut ByteReader) -> Result<WriteNotice, CodecError> {
-    let proc_ = r.get_u32()? as usize;
-    let seq = r.get_u32()?;
+    let interval = get_interval(r)?;
     let pages = get_pages(r)?;
-    Ok(WriteNotice {
-        interval: Interval { proc: proc_, seq },
-        pages,
-    })
+    Ok(WriteNotice { interval, pages })
 }
 
-/// Encode an interval-delta notice set. Layout is what
-/// [`WnDelta::wire_size`] charges: span count (4), then per span interval
-/// proc (4) + seq (4) + page count (4) + page ids (4 each). The shared
-/// arena is an in-memory artifact — on the wire each span carries its own
-/// page ids, exactly like a `Vec<WriteNotice>` would.
+fn get_interval(r: &mut ByteReader) -> Result<Interval, CodecError> {
+    let proc_ = get_u32(r, "interval proc")? as usize;
+    let seq = get_u32(r, "interval seq")?;
+    Ok(Interval { proc: proc_, seq })
+}
+
+/// Encode an interval-delta notice set: a span count, then per span what
+/// [`put_wn`] writes. The shared arena is an in-memory artifact — on the
+/// wire each span carries its own page ids, exactly like a
+/// `Vec<WriteNotice>` would.
 pub fn put_wn_delta(w: &mut ByteWriter, d: &WnDelta) {
-    w.put_u32(d.len() as u32);
-    for (interval, pages) in d.iter() {
-        w.put_u32(interval.proc as u32);
-        w.put_u32(interval.seq);
-        w.put_u32(pages.len() as u32);
-        for p in pages {
-            w.put_u32(p.0);
-        }
-    }
+    w.put_varint(d.len() as u64);
+    d.iter()
+        .for_each(|(interval, pages)| put_notice(w, interval, pages));
 }
 
 /// Decode an interval-delta notice set (rebuilds one shared arena).
 pub fn get_wn_delta(r: &mut ByteReader) -> Result<WnDelta, CodecError> {
-    let nspans = r.get_u32()?;
     let mut pages: Vec<PageId> = Vec::new();
-    // An empty span is an interval and a page count.
-    let mut spans = Vec::with_capacity(r.capacity_for(nspans.into(), 12));
-    for _ in 0..nspans {
-        let proc_ = r.get_u32()? as usize;
-        let seq = r.get_u32()?;
-        let count = r.get_u32()? as usize;
+    // A span is at least its interval and its page count.
+    let spans = get_list(r, 3, |r| {
+        let interval = get_interval(r)?;
         let start = pages.len() as u32;
-        for _ in 0..count {
-            pages.push(PageId(r.get_u32()?));
-        }
-        spans.push(WnSpan::new(
-            Interval { proc: proc_, seq },
-            start,
-            count as u32,
-        ));
-    }
+        pages.extend(get_pages(r)?);
+        Ok(WnSpan::new(interval, start, pages.len() as u32 - start))
+    })?;
     Ok(WnDelta::from_arena(pages.into(), spans))
+}
+
+/// Encode a write-notice log entry: its interval seq, then its pages.
+pub(crate) fn put_wn_entry(w: &mut ByteWriter, e: &WnLogEntry) {
+    w.put_varint(e.seq.into());
+    put_pages(w, &e.pages);
+}
+
+/// Decode a write-notice log entry (`saved` is the caller's to set).
+pub(crate) fn get_wn_entry(r: &mut ByteReader, saved: bool) -> Result<WnLogEntry, CodecError> {
+    let seq = get_u32(r, "notice seq")?;
+    let pages = get_pages(r)?;
+    Ok(WnLogEntry { seq, pages, saved })
+}
+
+/// Encode a diff-log entry: the diff, then `diff.T`.
+pub(crate) fn put_entry(w: &mut ByteWriter, e: &DiffLogEntry) {
+    put_diff(w, &e.diff);
+    put_vt(w, &e.t);
+}
+
+/// Decode a diff-log entry (`saved` is the caller's to set).
+pub(crate) fn get_entry(r: &mut ByteReader, saved: bool) -> Result<DiffLogEntry, CodecError> {
+    let diff = Arc::new(get_diff(r)?);
+    let t = get_vt(r)?;
+    Ok(DiffLogEntry { diff, t, saved })
+}
+
+/// A diff-log entry is at least a diff's four varints and a clock's count.
+fn get_entries(r: &mut ByteReader) -> Result<Vec<DiffLogEntry>, CodecError> {
+    get_list(r, 5, |r| get_entry(r, false))
+}
+
+fn put_rel(w: &mut ByteWriter, e: &RelEntry) {
+    put_varints(w, &[e.acq_seq, e.lock as u64, e.gen]);
+    put_vt(w, &e.req_vt);
+    put_vt(w, &e.t_after);
+}
+
+fn get_rel(r: &mut ByteReader) -> Result<RelEntry, CodecError> {
+    Ok(RelEntry {
+        acq_seq: r.get_varint()?,
+        lock: get_usize(r)?,
+        gen: r.get_varint()?,
+        req_vt: get_vt(r)?,
+        t_after: get_vt(r)?,
+    })
+}
+
+fn put_bar(w: &mut ByteWriter, e: &BarEntry) {
+    w.put_varint(e.episode);
+    put_vt(w, &e.arrive_vt);
+    put_vt(w, &e.result_vt);
+}
+
+fn get_bar(r: &mut ByteReader) -> Result<BarEntry, CodecError> {
+    Ok(BarEntry {
+        episode: r.get_varint()?,
+        arrive_vt: get_vt(r)?,
+        result_vt: get_vt(r)?,
+    })
+}
+
+fn put_mgr_bar(w: &mut ByteWriter, e: &MgrBarEntry) {
+    w.put_varint(e.episode);
+    put_list(w, &e.arrival_vts, put_vt);
+    put_vt(w, &e.result_vt);
+}
+
+fn get_mgr_bar(r: &mut ByteReader) -> Result<MgrBarEntry, CodecError> {
+    Ok(MgrBarEntry {
+        episode: r.get_varint()?,
+        arrival_vts: get_list(r, 1, get_vt)?,
+        result_vt: get_vt(r)?,
+    })
+}
+
+/// Encode the fault-tolerance piggyback: `T_ckp`, the checkpoint and
+/// episode counts, the `p0.v` hints, then the gossip table.
+pub(crate) fn put_piggy(w: &mut ByteWriter, p: &Piggy) {
+    put_vt(w, &p.tckp);
+    put_varints(w, &[p.ckpt_seq, p.ckpt_episode]);
+    put_list(w, &p.p0v, |w, (page, v)| {
+        put_varints(w, &[page.0.into(), (*v).into()])
+    });
+    put_list(w, &p.table, |w, (proc_, seq, episode, tckp)| {
+        put_varints(w, &[*proc_ as u64, *seq, *episode]);
+        put_vt(w, tckp);
+    });
+}
+
+/// Decode the fault-tolerance piggyback.
+pub(crate) fn get_piggy(r: &mut ByteReader) -> Result<Piggy, CodecError> {
+    Ok(Piggy {
+        tckp: get_vt(r)?,
+        ckpt_seq: r.get_varint()?,
+        ckpt_episode: r.get_varint()?,
+        p0v: get_list(r, 2, |r| Ok((get_page(r)?, get_u32(r, "p0.v")?)))?,
+        table: get_list(r, 4, |r| {
+            Ok((get_usize(r)?, r.get_varint()?, r.get_varint()?, get_vt(r)?))
+        })?,
+    })
+}
+
+/// Tag bit: a piggyback follows the payload.
+const PIGGY: u8 = 0x40;
+/// Tag bit: a diff batch follows the payload (a barrier arrival's).
+const BATCH: u8 = 0x80;
+
+/// The kind half of a message's tag byte.
+fn kind_tag(payload: &Payload) -> u8 {
+    use dsm_member::Wire::{Ping, Pong};
+    match payload {
+        Payload::LockAcq { .. } => 0,
+        Payload::LockForward { .. } => 1,
+        Payload::LockGrant { .. } => 2,
+        Payload::DiffBatch { .. } => 3,
+        Payload::DiffAck { .. } => 4,
+        Payload::Member(Ping { .. }) => 5,
+        Payload::Member(Pong { .. }) => 6,
+        Payload::BarrierArrive { .. } => 7,
+        Payload::BarrierRelease { .. } => 8,
+        Payload::PageReq { .. } => 9,
+        Payload::PageReply { .. } => 10,
+        Payload::RecLogReq { .. } => 11,
+        Payload::RecLogReply { .. } => 12,
+        Payload::RecPageReq { .. } => 13,
+        Payload::RecPageReply { .. } => 14,
+    }
+}
+
+/// Encode a message: [`put_base`], then the piggyback.
+pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
+    put_base(w, m);
+    if let Some(p) = &m.piggy {
+        put_piggy(w, p);
+    }
+}
+
+/// Encode the base-protocol part of a message: tag, trace context, payload
+/// and a carried batch — everything but the piggyback.
+pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
+    let batch = m.payload.carried();
+    let flags = (PIGGY * m.piggy.is_some() as u8) | (BATCH * batch.is_some() as u8);
+    w.put_u8(kind_tag(&m.payload) | flags);
+    put_ctx(w, &m.ctx);
+    match &m.payload {
+        Payload::LockAcq { lock, acq_seq, vt } => {
+            put_varints(w, &[*lock as u64, *acq_seq]);
+            put_vt(w, vt);
+        }
+        Payload::LockForward {
+            lock,
+            requester,
+            acq_seq,
+            gen,
+            pred_acq,
+            vt,
+        } => {
+            // The chain start, `u64::MAX`, is one byte.
+            let pred = pred_acq.wrapping_add(1);
+            put_varints(w, &[*lock as u64, *requester as u64, *acq_seq, *gen, pred]);
+            put_vt(w, vt);
+        }
+        Payload::LockGrant {
+            lock,
+            acq_seq,
+            gen,
+            vt,
+            wns,
+        } => {
+            put_varints(w, &[*lock as u64, *acq_seq, *gen]);
+            put_vt(w, vt);
+            put_list(w, wns, put_wn);
+        }
+        Payload::DiffBatch { diffs, seq } => {
+            w.put_varint(*seq);
+            put_diffs(w, diffs);
+        }
+        Payload::DiffAck { seq } => w.put_varint(*seq),
+        Payload::Member(
+            dsm_member::Wire::Ping { seq, incarnation }
+            | dsm_member::Wire::Pong { seq, incarnation },
+        ) => put_varints(w, &[*seq, *incarnation]),
+        Payload::BarrierArrive {
+            episode,
+            vt,
+            own_wns: wns,
+            ..
+        }
+        | Payload::BarrierRelease { episode, vt, wns } => {
+            w.put_varint(*episode);
+            put_vt(w, vt);
+            put_wn_delta(w, wns);
+        }
+        Payload::PageReq { pages, req_id } => {
+            w.put_varint(*req_id);
+            put_page_needs(w, pages);
+        }
+        Payload::PageReply { req_id, pages } => {
+            w.put_varint(*req_id);
+            put_list(w, pages, |w, (page, version, body)| {
+                w.put_varint(page.0.into());
+                put_vt(w, version);
+                put_page_body(w, body);
+            });
+        }
+        Payload::RecLogReq { homed } => put_list(w, homed, |w, (page, v)| {
+            put_varints(w, &[page.0.into(), (*v).into()])
+        }),
+        Payload::RecLogReply {
+            wn,
+            rel_for_you,
+            acq_mirror,
+            bar,
+            bar_mgr,
+            lock_chains,
+            gen_floor,
+            applied_of_you,
+            diffs,
+        } => {
+            put_list(w, wn, put_wn_entry);
+            put_list(w, rel_for_you, put_rel);
+            put_list(w, acq_mirror, put_rel);
+            put_list(w, bar, put_bar);
+            put_list(w, bar_mgr, put_mgr_bar);
+            put_list(w, lock_chains, |w, &(lock, gen, grantee, acq, granter)| {
+                let granter = granter.map_or(0, |g| g as u64 + 1);
+                put_varints(w, &[lock as u64, gen, grantee as u64, acq, granter]);
+            });
+            put_list(w, gen_floor, |w, &(lock, gen)| {
+                put_varints(w, &[lock as u64, gen])
+            });
+            w.put_varint((*applied_of_you).into());
+            put_list(w, diffs, put_entry);
+        }
+        Payload::RecPageReq { page, tckp } => {
+            w.put_varint(page.0.into());
+            put_vt(w, tckp);
+        }
+        Payload::RecPageReply {
+            page,
+            copy,
+            entries,
+        } => {
+            w.put_varint(page.0.into());
+            w.put_u8(copy.is_some() as u8);
+            if let Some((version, bytes)) = copy {
+                put_vt(w, version);
+                w.put_varint(bytes.len() as u64);
+                w.put_raw(bytes);
+            }
+            put_list(w, entries, put_entry);
+        }
+    }
+    if let Some((seq, diffs)) = batch {
+        w.put_varint(*seq);
+        put_diffs(w, diffs);
+    }
+}
+
+/// Decode a message sent by `from`: the trace context's origin is the
+/// sender, which the layout leaves out.
+pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
+    let tag = r.get_u8()?;
+    let ctx = get_ctx(r, from as u32)?;
+    let member = |r: &mut ByteReader| -> Result<(u64, u64), CodecError> {
+        Ok((r.get_varint()?, r.get_varint()?))
+    };
+    let mut payload = match tag & !(PIGGY | BATCH) {
+        0 => Payload::LockAcq {
+            lock: get_usize(r)?,
+            acq_seq: r.get_varint()?,
+            vt: get_vt(r)?,
+        },
+        1 => Payload::LockForward {
+            lock: get_usize(r)?,
+            requester: get_usize(r)?,
+            acq_seq: r.get_varint()?,
+            gen: r.get_varint()?,
+            pred_acq: r.get_varint()?.wrapping_sub(1),
+            vt: get_vt(r)?,
+        },
+        2 => Payload::LockGrant {
+            lock: get_usize(r)?,
+            acq_seq: r.get_varint()?,
+            gen: r.get_varint()?,
+            vt: get_vt(r)?,
+            wns: get_list(r, 3, get_wn)?,
+        },
+        3 => {
+            let seq = r.get_varint()?;
+            let diffs = get_diffs(r)?;
+            Payload::DiffBatch { diffs, seq }
+        }
+        4 => Payload::DiffAck {
+            seq: r.get_varint()?,
+        },
+        5 => {
+            let (seq, incarnation) = member(r)?;
+            Payload::Member(dsm_member::Wire::Ping { seq, incarnation })
+        }
+        6 => {
+            let (seq, incarnation) = member(r)?;
+            Payload::Member(dsm_member::Wire::Pong { seq, incarnation })
+        }
+        7 => Payload::BarrierArrive {
+            episode: r.get_varint()?,
+            vt: get_vt(r)?,
+            own_wns: get_wn_delta(r)?,
+            batch: None,
+        },
+        8 => Payload::BarrierRelease {
+            episode: r.get_varint()?,
+            vt: get_vt(r)?,
+            wns: get_wn_delta(r)?,
+        },
+        9 => {
+            let req_id = r.get_varint()?;
+            let pages = get_page_needs(r)?;
+            Payload::PageReq { pages, req_id }
+        }
+        10 => Payload::PageReply {
+            req_id: r.get_varint()?,
+            pages: get_list(r, 3, |r| Ok((get_page(r)?, get_vt(r)?, get_page_body(r)?)))?,
+        },
+        11 => Payload::RecLogReq {
+            homed: get_list(r, 2, |r| Ok((get_page(r)?, get_u32(r, "p0.v")?)))?,
+        },
+        12 => Payload::RecLogReply {
+            wn: get_list(r, 2, |r| get_wn_entry(r, false))?,
+            rel_for_you: get_list(r, 5, get_rel)?,
+            acq_mirror: get_list(r, 5, get_rel)?,
+            bar: get_list(r, 3, get_bar)?,
+            bar_mgr: get_list(r, 3, get_mgr_bar)?,
+            lock_chains: get_list(r, 5, |r| {
+                let (lock, gen, grantee, acq) = (
+                    get_usize(r)?,
+                    r.get_varint()?,
+                    get_usize(r)?,
+                    r.get_varint()?,
+                );
+                let granter = get_usize(r)?.checked_sub(1);
+                Ok((lock, gen, grantee, acq, granter))
+            })?,
+            gen_floor: get_list(r, 2, |r| Ok((get_usize(r)?, r.get_varint()?)))?,
+            applied_of_you: get_u32(r, "applied interval")?,
+            diffs: get_entries(r)?,
+        },
+        13 => Payload::RecPageReq {
+            page: get_page(r)?,
+            tckp: get_vt(r)?,
+        },
+        14 => {
+            let page = get_page(r)?;
+            let copy = match get_flag(r, "page copy")? {
+                false => None,
+                true => {
+                    let version = get_vt(r)?;
+                    let len = get_usize(r)?;
+                    Some((version, r.get_raw(len)?.into()))
+                }
+            };
+            let entries = get_entries(r)?;
+            Payload::RecPageReply {
+                page,
+                copy,
+                entries,
+            }
+        }
+        tag => {
+            return Err(CodecError::BadTag {
+                context: "message kind",
+                tag,
+            })
+        }
+    };
+    if tag & BATCH != 0 {
+        let Payload::BarrierArrive { batch, .. } = &mut payload else {
+            return Err(CodecError::BadTag {
+                context: "batch carrier",
+                tag,
+            });
+        };
+        *batch = Some((r.get_varint()?, get_diffs(r)?));
+    }
+    let piggy = match tag & PIGGY {
+        0 => None,
+        _ => Some(get_piggy(r)?),
+    };
+    Ok(Msg {
+        payload,
+        piggy,
+        ctx,
+    })
 }
 
 #[cfg(test)]
@@ -293,7 +751,7 @@ mod tests {
         let eof = |e| matches!(e, CodecError::UnexpectedEof { .. });
         assert!(get_diff(&mut ByteReader::new(&bytes)).is_err_and(eof));
         let mut w = ByteWriter::new();
-        w.put_u32(u32::MAX);
+        w.put_varint(u32::MAX.into());
         let spans = w.into_bytes();
         assert!(get_wn_delta(&mut ByteReader::new(&spans)).is_err_and(eof));
     }
@@ -322,8 +780,8 @@ mod tests {
         }
     }
 
-    /// Every single byte of a `DiffBatch`, a `PageBody::Delta` and a stable
-    /// log save changed to each other value, and every cut of them, decodes
+    /// Every single byte of a batch's diff list, a `PageBody::Delta` and a
+    /// stable log save changed to each other value, and every cut of them, decodes
     /// to `Ok` or `Err`: hostile input never panics the decoder.
     #[test]
     fn no_changed_byte_or_cut_panics_the_diff_decoders() {
@@ -337,19 +795,9 @@ mod tests {
         // Varints of one byte and of two: page 300, seq 200, a gap of 128.
         let diffs = vec![diff(3, 4, &[8, 64]), diff(300, 200, &[1024, 2000])];
         let mut w = ByteWriter::new();
-        w.put_u8(0);
-        w.put_u64(9);
-        w.put_u64(diffs.len() as u64);
-        diffs.iter().for_each(|d| put_diff(&mut w, d));
+        put_diffs(&mut w, &diffs);
         let batch = w.into_bytes();
-        let get_batch = |bytes: &[u8]| -> Result<Vec<Arc<Diff>>, CodecError> {
-            let mut r = ByteReader::new(bytes);
-            r.get_u8()?;
-            r.get_u64()?;
-            (0..r.get_u64()?)
-                .map(|_| get_diff(&mut r).map(Arc::new))
-                .collect()
-        };
+        let get_batch = |bytes: &[u8]| get_diffs(&mut ByteReader::new(bytes));
         let mut w = ByteWriter::new();
         put_page_body(&mut w, &PageBody::Delta(diffs.clone()));
         let body = w.into_bytes();
@@ -383,9 +831,8 @@ mod tests {
         });
     }
 
-    /// Every strict prefix of an encoded `DiffBatch` — tag, seq (8), count
-    /// (8), the diffs — and of a `PageReply` body, full or delta, is an
-    /// `Err`, never a panic.
+    /// Every strict prefix of an encoded diff list and of a `PageReply`
+    /// body, full or delta, is an `Err`, never a panic.
     #[test]
     fn every_truncation_of_a_diff_batch_or_a_page_body_is_an_error() {
         let diff = |seq: u32, words: usize| {
@@ -396,19 +843,9 @@ mod tests {
         };
         let diffs = vec![diff(4, 1), diff(5, 3)];
         let mut w = ByteWriter::new();
-        w.put_u8(0);
-        w.put_u64(9);
-        w.put_u64(diffs.len() as u64);
-        diffs.iter().for_each(|d| put_diff(&mut w, d));
+        put_diffs(&mut w, &diffs);
         let batch = w.into_bytes();
-        let get_batch = |bytes: &[u8]| -> Result<Vec<Arc<Diff>>, CodecError> {
-            let mut r = ByteReader::new(bytes);
-            r.get_u8()?;
-            r.get_u64()?;
-            (0..r.get_u64()?)
-                .map(|_| get_diff(&mut r).map(Arc::new))
-                .collect()
-        };
+        let get_batch = |bytes: &[u8]| get_diffs(&mut ByteReader::new(bytes));
         assert_eq!(get_batch(&batch).unwrap(), diffs);
         for len in 0..batch.len() {
             assert!(get_batch(&batch[..len]).is_err(), "batch cut at {len}");
@@ -454,382 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_lists_roundtrip_and_layout_is_pinned() {
-        let kept = (2, VectorClock::from_vec(vec![1, 0, 1]));
-        let needs = vec![
-            (PageId(3), VectorClock::from_vec(vec![1, 0, 2]), Some(kept)),
-            (PageId(9), VectorClock::from_vec(vec![0, 5, 0]), None),
-        ];
-        let copies: Vec<(PageId, VectorClock, Arc<[u8]>)> = vec![
-            (
-                PageId(3),
-                VectorClock::from_vec(vec![1, 0, 2]),
-                vec![7u8; 64].into(),
-            ),
-            (
-                PageId(9),
-                VectorClock::from_vec(vec![0, 5, 0]),
-                vec![8u8; 32].into(),
-            ),
-        ];
-        let mut w = ByteWriter::new();
-        put_page_needs(&mut w, &needs);
-        // Pin: count (4) + per page id (4) + prefixed clock (8 + wire_size)
-        // + have: a byte, then incarnation (4) and another prefixed clock.
-        let needs_len: usize = 4
-            + needs
-                .iter()
-                .map(|(_, v, _)| 4 + 8 + v.wire_size())
-                .sum::<usize>()
-            + (1 + 4 + 8 + 12)
-            + 1;
-        assert_eq!(w.len(), needs_len);
-        put_page_copies(&mut w, &copies);
-        let copies_len: usize = 8 + copies
-            .iter()
-            .map(|(_, v, b)| 8 + 8 + v.wire_size() + b.len())
-            .sum::<usize>();
-        assert_eq!(w.len(), needs_len + copies_len);
-
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes[..needs_len]);
-        assert_eq!(get_page_needs(&mut r).unwrap(), needs);
-        assert!(r.is_exhausted());
-    }
-
-    /// The two fetch messages, encoded field by field in layout order
-    /// (`Payload::wire_size` charges a tag byte first): the accounting model
-    /// must equal the encoding, but for the 8-byte length prefix `put_vt`
-    /// spends on each clock (the cluster size is implied on a real wire).
-    #[test]
-    fn fetch_layouts_roundtrip_and_wire_size_equals_the_encoding() {
-        use crate::msg::Payload;
-        let clock = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
-        let diff = |seq, words: usize| {
-            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
-            cur.write(8, &vec![seq as u8; 8 * words]);
-            cur.write(128, &[1; 8]);
-            Arc::new(Diff::create(PageId(3), Interval { proc: 1, seq }, &twin, &cur).unwrap())
-        };
-        let full = PageBody::Full {
-            bytes: vec![7u8; 256].into(),
-            base: 2,
-        };
-        let delta = PageBody::Delta(vec![diff(4, 1), diff(5, 3)]);
-        let kept = Some((2, clock([1, 3, 0])));
-
-        // Bodies: tag + base + length + bytes, or tag + count + diffs, each
-        // four one-byte header varints, then per run two one-byte varints
-        // and its bytes. A delta of everything a ring can hold is still
-        // short of the page.
-        for (body, len) in [
-            (&full, 9 + 256),
-            (&delta, 5 + (4 + 2 * 2 + 8 + 8) + (4 + 2 * 2 + 24 + 8)),
-            (&PageBody::Delta(Vec::new()), 5),
-        ] {
-            let mut w = ByteWriter::new();
-            put_page_body(&mut w, body);
-            assert_eq!((w.len(), body.wire_size()), (len, len));
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes);
-            assert_eq!(&get_page_body(&mut r).unwrap(), body);
-            assert!(r.is_exhausted());
-        }
-        // What the requester kept: one byte when nothing.
-        for (have, len) in [(&None, 1), (&kept, 1 + 4 + 8 + 12)] {
-            let mut w = ByteWriter::new();
-            put_have(&mut w, have.as_ref());
-            assert_eq!(w.len(), len);
-            assert_eq!(
-                &get_have(&mut ByteReader::new(&w.into_bytes())).unwrap(),
-                have
-            );
-        }
-
-        // A request: tag, id, then the page list. One page is the count's
-        // four bytes over a bare (page, needed, have).
-        let wanted = [
-            (PageId(3), clock([1, 4, 0]), kept.clone()),
-            (PageId(9), clock([0, 0, 0]), None),
-        ];
-        for (pages, clocks) in [(&wanted[..], 3), (&wanted[..1], 2), (&wanted[1..], 1)] {
-            let mut w = ByteWriter::new();
-            w.put_u8(0);
-            w.put_u64(9);
-            put_page_needs(&mut w, pages);
-            let (pages, req_id) = (pages.to_vec(), 9);
-            let req = Payload::PageReq { pages, req_id };
-            assert_eq!(w.len(), req.wire_size() + 8 * clocks);
-        }
-        let one = |have| Payload::PageReq {
-            pages: vec![(PageId(3), clock([1, 4, 0]), have)],
-            req_id: 9,
-        };
-        assert_eq!(one(None).wire_size(), 1 + 8 + 4 + (4 + 12 + 1));
-        assert_eq!(one(kept).wire_size() - one(None).wire_size(), 4 + 12);
-
-        // A reply: tag, id, count (4), then per page id, version and body.
-        let ready = [
-            (PageId(3), clock([1, 5, 0]), delta),
-            (PageId(9), clock([0, 0, 0]), full),
-        ];
-        for pages in [&ready[..], &ready[..1], &ready[1..]] {
-            let mut w = ByteWriter::new();
-            w.put_u8(0);
-            w.put_u64(9);
-            w.put_u32(pages.len() as u32);
-            for (page, version, body) in pages {
-                w.put_u32(page.0);
-                put_vt(&mut w, version);
-                put_page_body(&mut w, body);
-            }
-            let (clocks, pages, req_id) = (pages.len(), pages.to_vec(), 9);
-            let reply = Payload::PageReply { req_id, pages };
-            assert_eq!(w.len(), reply.wire_size() + 8 * clocks);
-        }
-    }
-
-    /// What recovery grew — the handshake's `p0.v` list and diff entries,
-    /// and the page reply's optional copy plus entries — encoded field by
-    /// field in layout order, decoded back, and held against
-    /// `Payload::wire_size` (which, as for the fetches, leaves out the 8-byte
-    /// length prefix `put_vt` spends on each clock).
-    #[test]
-    fn recovery_layouts_roundtrip_and_wire_size_equals_the_encoding() {
-        use crate::ft::logs::DiffLogEntry;
-        use crate::msg::Payload;
-        let clock = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
-        let entry = |seq| {
-            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
-            cur.write(16, &[seq as u8; 24]);
-            let iv = Interval { proc: 1, seq };
-            DiffLogEntry {
-                diff: Arc::new(Diff::create(PageId(3), iv, &twin, &cur).unwrap()),
-                t: clock([2, seq, 0]),
-                saved: false,
-            }
-        };
-        let put_entries = |w: &mut ByteWriter, es: &[DiffLogEntry]| {
-            w.put_u32(es.len() as u32);
-            for e in es {
-                put_diff(w, &e.diff);
-                put_vt(w, &e.t);
-            }
-        };
-        let get_entries = |r: &mut ByteReader| -> Vec<DiffLogEntry> {
-            (0..r.get_u32().unwrap())
-                .map(|_| DiffLogEntry {
-                    diff: Arc::new(get_diff(r).unwrap()),
-                    t: get_vt(r).unwrap(),
-                    saved: false,
-                })
-                .collect()
-        };
-        let entries = vec![entry(4), entry(7)];
-
-        // Handshake request: tag, count, then (page, p0.v[receiver]) pairs.
-        let homed = vec![(PageId(3), 6u32), (PageId(9), 0)];
-        let mut w = ByteWriter::new();
-        w.put_u8(0);
-        w.put_u32(homed.len() as u32);
-        for (p, v) in &homed {
-            w.put_u32(p.0);
-            w.put_u32(*v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes[1..]);
-        let back: Vec<_> = (0..r.get_u32().unwrap())
-            .map(|_| (PageId(r.get_u32().unwrap()), r.get_u32().unwrap()))
-            .collect();
-        assert!(r.is_exhausted());
-        assert_eq!(back, homed);
-        assert_eq!(bytes.len(), Payload::RecLogReq { homed }.wire_size());
-
-        // Handshake reply: the entries are what it grew by.
-        let log_reply = |diffs| Payload::RecLogReply {
-            wn: Vec::new(),
-            rel_for_you: Vec::new(),
-            acq_mirror: Vec::new(),
-            bar: Vec::new(),
-            bar_mgr: Vec::new(),
-            lock_chains: Vec::new(),
-            gen_floor: Vec::new(),
-            applied_of_you: 0,
-            diffs,
-        };
-        let mut w = ByteWriter::new();
-        put_entries(&mut w, &entries);
-        let grown = log_reply(entries.clone()).wire_size() - log_reply(Vec::new()).wire_size();
-        assert_eq!(w.len(), 4 + grown + 8 * entries.len());
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_entries(&mut r), entries);
-        assert!(r.is_exhausted());
-
-        // Page reply: tag, page, a presence byte and the copy, the entries.
-        let kept: Arc<[u8]> = vec![7u8; 256].into();
-        for copy in [Some((clock([2, 3, 0]), kept)), None] {
-            let mut w = ByteWriter::new();
-            w.put_u8(0);
-            w.put_u32(3);
-            w.put_u8(copy.is_some() as u8);
-            if let Some((version, bytes)) = &copy {
-                put_vt(&mut w, version);
-                w.put_u32(bytes.len() as u32);
-                w.put_raw(bytes);
-            }
-            put_entries(&mut w, &entries);
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes[5..]);
-            let back = (r.get_u8().unwrap() == 1).then(|| {
-                let version = get_vt(&mut r).unwrap();
-                let len = r.get_u32().unwrap() as usize;
-                (version, Arc::from(r.get_raw(len).unwrap()))
-            });
-            assert_eq!(back, copy);
-            assert_eq!(get_entries(&mut r), entries);
-            assert!(r.is_exhausted());
-            let clocks = entries.len() + copy.is_some() as usize;
-            let reply = Payload::RecPageReply {
-                page: PageId(3),
-                copy,
-                entries: entries.clone(),
-            };
-            assert_eq!(bytes.len(), reply.wire_size() + 8 * clocks);
-        }
-    }
-
-    /// A barrier arrival, field by field in layout order: the tag byte,
-    /// whose high bit says a batch follows, episode (8), the clock, the
-    /// notice delta, then the batch as a `DiffBatch` lays it out after its
-    /// tag — seq (8), count (8), the diffs.
-    fn put_arrive(w: &mut ByteWriter, arrival: &crate::msg::Payload) {
-        let crate::msg::Payload::BarrierArrive {
-            episode,
-            vt,
-            own_wns,
-            batch,
-        } = arrival
-        else {
-            panic!("not an arrival")
-        };
-        w.put_u8(6 | (batch.is_some() as u8) << 7);
-        w.put_u64(*episode);
-        put_vt(w, vt);
-        put_wn_delta(w, own_wns);
-        if let Some((seq, diffs)) = batch {
-            w.put_u64(*seq);
-            w.put_u64(diffs.len() as u64);
-            diffs.iter().for_each(|d| put_diff(w, d));
-        }
-    }
-
-    fn get_arrive(bytes: &[u8]) -> Result<crate::msg::Payload, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let carries = r.get_u8()? & 0x80 != 0;
-        let (episode, vt, own_wns) = (r.get_u64()?, get_vt(&mut r)?, get_wn_delta(&mut r)?);
-        let batch = match carries {
-            false => None,
-            true => {
-                let seq = r.get_u64()?;
-                let diffs = (0..r.get_u64()?).map(|_| get_diff(&mut r).map(Arc::new));
-                Some((seq, diffs.collect::<Result<_, _>>()?))
-            }
-        };
-        let arrival = crate::msg::Payload::BarrierArrive {
-            episode,
-            vt,
-            own_wns,
-            batch,
-        };
-        Ok(arrival)
-    }
-
-    /// An arrival round-trips with and without a batch, `wire_size` is its
-    /// encoding (but for the clock's 8-byte length prefix, as for every
-    /// kind), one without a batch is the bytes an arrival always was, and
-    /// every strict prefix of one with a batch is an `Err`, never a panic.
-    #[test]
-    fn an_arrival_with_and_without_a_batch_roundtrips_and_is_charged_its_encoding() {
-        let diff = |page, seq: u32| {
-            let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
-            cur.write(8, &[seq as u8; 16]);
-            cur.write(200, &[1; 8]);
-            let iv = Interval { proc: 1, seq };
-            Arc::new(Diff::create(PageId(page), iv, &twin, &cur).unwrap())
-        };
-        let notices = [WriteNotice {
-            interval: Interval { proc: 1, seq: 4 },
-            pages: vec![PageId(0), PageId(5)],
-        }];
-        let arrival = |batch| crate::msg::Payload::BarrierArrive {
-            episode: 3,
-            vt: VectorClock::from_vec(vec![2, 4, 1]),
-            own_wns: WnDelta::from_notices(&notices),
-            batch,
-        };
-        let bare = arrival(None);
-        let carrying = arrival(Some((9, vec![diff(0, 4), diff(5, 4)])));
-        for payload in [&bare, &carrying] {
-            let mut w = ByteWriter::new();
-            put_arrive(&mut w, payload);
-            assert_eq!(w.len(), payload.wire_size() + 8);
-            let bytes = w.into_bytes();
-            assert_eq!(&get_arrive(&bytes).unwrap(), payload);
-        }
-        // Without a batch: tag, episode, clock, notices — as ever.
-        let (mut w, mut old) = (ByteWriter::new(), ByteWriter::new());
-        put_arrive(&mut w, &bare);
-        old.put_u8(6);
-        old.put_u64(3);
-        put_vt(&mut old, &VectorClock::from_vec(vec![2, 4, 1]));
-        put_wn_delta(&mut old, &WnDelta::from_notices(&notices));
-        assert_eq!(w.into_bytes(), old.into_bytes());
-        let notices_size = WnDelta::from_notices(&notices).wire_size();
-        assert_eq!(bare.wire_size(), 1 + 8 + 3 * 4 + notices_size);
-        let Some((_, diffs)) = carrying.carried() else {
-            unreachable!()
-        };
-        let grown = carrying.wire_size() - bare.wire_size();
-        assert_eq!(
-            grown,
-            16 + diffs.iter().map(|d| d.wire_size()).sum::<usize>()
-        );
-        // Every cut of the carrying one.
-        let mut w = ByteWriter::new();
-        put_arrive(&mut w, &carrying);
-        let bytes = w.into_bytes();
-        for len in 0..bytes.len() {
-            assert!(get_arrive(&bytes[..len]).is_err(), "arrival cut at {len}");
-        }
-    }
-
-    #[test]
-    fn ctx_roundtrip_and_length_is_pinned() {
-        let ctx = TraceCtx {
-            origin: 3,
-            seq: 0x1234_5678_9ABC,
-            parent: 0xDEAD_BEEF_0000_0001,
-            sent_at_ns: 999,     // not encoded
-            chaos_delay_ns: 777, // not encoded
-        };
-        let mut w = ByteWriter::new();
-        put_ctx(&mut w, &ctx);
-        assert_eq!(w.len(), TraceCtx::WIRE_SIZE);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let got = get_ctx(&mut r).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(got.origin, ctx.origin);
-        assert_eq!(got.seq, ctx.seq);
-        assert_eq!(got.parent, ctx.parent);
-        assert_eq!(got.flow_id(), ctx.flow_id());
-        // Measurement metadata does not survive the wire.
-        assert_eq!(got.sent_at_ns, 0);
-        assert_eq!(got.chaos_delay_ns, 0);
-    }
-
-    #[test]
     fn wn_and_vt_roundtrip() {
         let wn = WriteNotice {
             interval: Interval { proc: 1, seq: 9 },
@@ -846,7 +907,7 @@ mod tests {
     }
 
     #[test]
-    fn wn_delta_roundtrip_and_length_equals_wire_size() {
+    fn wn_delta_roundtrips_and_is_one_byte_a_small_field() {
         let d = WnDelta::from_notices(&[
             WriteNotice {
                 interval: Interval { proc: 0, seq: 3 },
@@ -859,14 +920,53 @@ mod tests {
         ]);
         let mut w = ByteWriter::new();
         put_wn_delta(&mut w, &d);
-        assert_eq!(w.len(), d.wire_size());
+        // Count, then per span proc, seq, page count and one byte a page.
+        assert_eq!(w.len(), 1 + (3 + 2) + 3);
+        assert_eq!(w.len(), len_of(|w| put_wn_delta(w, &d)));
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(get_wn_delta(&mut r).unwrap(), d);
         assert!(r.is_exhausted());
     }
 
+    /// A clock is its entry count and one varint an entry: eight small
+    /// entries are 9 bytes (32 at four bytes an entry), and a length-only
+    /// writer counts what a storing one writes.
+    #[test]
+    fn a_clock_is_a_count_and_a_varint_an_entry() {
+        let small = VectorClock::from_vec(vec![3, 0, 17, 127, 1, 9, 64, 2]);
+        let mut w = ByteWriter::new();
+        put_vt(&mut w, &small);
+        assert_eq!((w.len(), len_of(|w| put_vt(w, &small))), (9, 9));
+        let big = VectorClock::from_vec(vec![128, u32::MAX]);
+        assert_eq!(len_of(|w| put_vt(w, &big)), 1 + 2 + 5);
+        // An entry past `u32` is refused.
+        let mut w = ByteWriter::new();
+        w.put_varint(1);
+        w.put_varint(u64::from(u32::MAX) + 1);
+        let bytes = w.into_bytes();
+        let invalid = |e| matches!(e, CodecError::Invalid { .. });
+        assert!(get_vt(&mut ByteReader::new(&bytes)).is_err_and(invalid));
+    }
+
     proptest! {
+        /// A clock whose entries are below 2^21 round-trips, and is never
+        /// longer than four bytes an entry, the fixed layout it replaced.
+        #[test]
+        fn a_clock_roundtrips_and_never_exceeds_four_bytes_an_entry(
+            entries in proptest::collection::vec(0u32..1 << 21, 1..64),
+        ) {
+            let vt = VectorClock::from_vec(entries);
+            let mut w = ByteWriter::new();
+            put_vt(&mut w, &vt);
+            prop_assert!(w.len() <= 4 * vt.len());
+            prop_assert_eq!(w.len(), len_of(|w| put_vt(w, &vt)));
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            prop_assert_eq!(get_vt(&mut r).unwrap(), vt);
+            prop_assert!(r.is_exhausted());
+        }
+
         /// On random pages and writes, a diff's encoding is `wire_size()`
         /// bytes, decodes to itself, and with page id and seq below 2^21 is
         /// never longer than fixed-width fields would be: 16 bytes a diff

@@ -46,7 +46,7 @@ impl Default for MemberConfig {
 }
 
 /// Membership messages on the wire. The runtime embeds these in its own
-/// message enum; both are 17 bytes.
+/// message enum and encodes them with the rest of its kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wire {
     /// Periodic heartbeat.
@@ -66,11 +66,6 @@ pub enum Wire {
 }
 
 impl Wire {
-    /// Encoded size in bytes (1 tag byte + two `u64`s).
-    pub fn wire_size(&self) -> usize {
-        17
-    }
-
     /// Stable kind label for tracing/traffic accounting.
     pub fn kind(&self) -> &'static str {
         match self {

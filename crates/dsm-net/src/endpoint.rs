@@ -26,7 +26,8 @@ pub enum NodeStatus {
 }
 
 /// Messages must report their encoded size so traffic can be accounted
-/// without actually serializing on the hot path.
+/// without actually serializing on the hot path. [`Endpoint::send`] asks
+/// once per send, after stamping the trace context.
 ///
 /// The trace-context hooks (`stamp_send`, `add_chaos_delay`, `trace_view`)
 /// default to no-ops so size-only message types keep working; a message
@@ -475,13 +476,15 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
             0
         };
         msg.stamp_send(self.id as u32, seq, now_ns);
-        traffic.record_send(msg.base_wire_size(), msg.ft_wire_size(), msg.kind_name());
+        // Sized once, after the stamp: the encoded context is part of it.
+        let (base, ft) = (msg.base_wire_size(), msg.ft_wire_size());
+        traffic.record_send(base, ft, msg.kind_name());
         if self.tracer.enabled() {
             let (flow, parent, _, _) = msg.trace_view();
             self.tracer.emit(EventKind::MsgSend {
                 kind: msg.kind_name(),
                 to,
-                bytes: (msg.base_wire_size() + msg.ft_wire_size()) as u32,
+                bytes: (base + ft) as u32,
                 flow,
                 parent,
             });

@@ -80,8 +80,11 @@ pub struct Diff {
     wire_size: usize,
 }
 
-/// Bytes `v` takes as an LEB128 varint.
-fn varint_len(v: u64) -> usize {
+/// Bytes `v` takes as an LEB128 varint. The codec's length-only writer
+/// (`dsm_storage::ByteWriter`) and a diff's stored size count varints with
+/// this one function; it lives here because the codec crate depends on
+/// this one.
+pub fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 

@@ -22,7 +22,7 @@ pub mod pool;
 pub mod version;
 
 pub use addr::{GlobalAddr, Layout, PageId};
-pub use diff::{Diff, DiffRun, DiffScratch};
+pub use diff::{varint_len, Diff, DiffRun, DiffScratch};
 pub use page::{Page, PAGE_ALIGN_WORD};
 pub use pool::{PagePool, PoolStats};
 pub use version::{elementwise_min, Interval, IntervalSeq, ProcId, VectorClock};

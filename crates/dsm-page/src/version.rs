@@ -129,12 +129,6 @@ impl VectorClock {
     pub fn as_slice(&self) -> &[IntervalSeq] {
         &self.v
     }
-
-    /// Wire size in bytes of this clock when encoded (4 bytes per entry).
-    #[inline]
-    pub fn wire_size(&self) -> usize {
-        4 * self.v.len()
-    }
 }
 
 impl std::fmt::Display for VectorClock {

@@ -1,10 +1,13 @@
 //! A minimal explicit binary codec: little-endian fixed-width integers,
 //! LEB128 varints and length-prefixed byte strings.
 //!
-//! Used for checkpoint records and saved log entries. Having our own codec
-//! (instead of an external format crate) gives exact byte accounting — the
-//! encoded length *is* the number charged to stable storage and to message
-//! traffic.
+//! Used for protocol messages, checkpoint records and saved log entries.
+//! Having our own codec (instead of an external format crate) gives exact
+//! byte accounting — the encoded length *is* the number charged to stable
+//! storage and to message traffic, and a length-only [`ByteWriter`] counts
+//! it without writing.
+
+use dsm_page::varint_len;
 
 /// Errors produced when decoding malformed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,63 +60,96 @@ impl std::error::Error for CodecError {}
 /// corrupted length should fail decoding, not abort on allocation.
 const MAX_FIELD_LEN: u64 = 1 << 30;
 
-/// Append-only encoder.
+/// Append-only encoder, or a length-only one ([`ByteWriter::length_only`])
+/// that runs the same encoder and keeps only the count: a message is charged
+/// the length its encoder writes, without writing it.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+    /// `Some(len)` in a length-only writer: the bytes it would have written.
+    counted: Option<usize>,
 }
 
 impl ByteWriter {
     /// A fresh writer.
     pub fn new() -> Self {
-        ByteWriter { buf: Vec::new() }
+        ByteWriter::default()
     }
 
     /// A writer with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         ByteWriter {
             buf: Vec::with_capacity(cap),
+            counted: None,
         }
+    }
+
+    /// A writer that stores nothing and counts what it is given: its
+    /// [`len`](ByteWriter::len) is the encoding's length.
+    pub fn length_only() -> Self {
+        ByteWriter {
+            buf: Vec::new(),
+            counted: Some(0),
+        }
+    }
+
+    /// In a length-only writer, count `len` bytes the caller knows its
+    /// encoding of a value takes and return true: the caller then writes
+    /// nothing. A storing writer returns false.
+    pub fn count_only(&mut self, len: usize) -> bool {
+        self.counted.as_mut().map(|n| *n += len).is_some()
     }
 
     /// Bytes encoded so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Finish and take the encoded bytes.
+    /// Finish and take the encoded bytes (none from a length-only writer).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Reserve room for `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        if self.counted.is_none() {
+            self.buf.reserve(additional);
+        }
+    }
+
+    fn extend(&mut self, v: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += v.len(),
+            None => self.buf.extend_from_slice(v),
+        }
     }
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.extend(&[v]);
     }
 
     /// Append a little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend(&v.to_le_bytes());
     }
 
     /// Append a little-endian u64.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend(&v.to_le_bytes());
     }
 
     /// Append an LEB128 varint: seven bits a byte, low bits first, the high
     /// bit set on every byte but the last (1 byte below 128, at most 10).
     pub fn put_varint(&mut self, mut v: u64) {
+        if self.count_only(varint_len(v)) {
+            return;
+        }
         let mut bytes = [0u8; 10];
         let mut n = 0;
         while v >= 0x80 {
@@ -127,27 +163,20 @@ impl ByteWriter {
 
     /// Append a little-endian f64 (bit pattern preserved).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend(&v.to_le_bytes());
     }
 
     /// Length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.extend(v);
     }
 
     /// Raw bytes with no length prefix (the caller encodes the length
-    /// elsewhere; pairs with [`ByteReader::get_raw`]).
+    /// elsewhere; pairs with [`ByteReader::get_raw`]). A length-only writer
+    /// adds their length and copies nothing.
     pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Length-prefixed vector of u32 (vector clocks and friends).
-    pub fn put_u32_slice(&mut self, v: &[u32]) {
-        self.put_u64(v.len() as u64);
-        for x in v {
-            self.put_u32(*x);
-        }
+        self.extend(v);
     }
 }
 
@@ -254,19 +283,6 @@ impl<'a> ByteReader<'a> {
     pub fn capacity_for(&self, count: u64, smallest: usize) -> usize {
         count.min((self.remaining() / smallest) as u64) as usize
     }
-
-    /// Length-prefixed vector of u32.
-    pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, CodecError> {
-        let len = self.get_u64()?;
-        if len > MAX_FIELD_LEN / 4 {
-            return Err(CodecError::LengthOverflow { len });
-        }
-        let mut out = Vec::with_capacity(self.capacity_for(len, 4));
-        for _ in 0..len {
-            out.push(self.get_u32()?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -293,12 +309,10 @@ mod tests {
     fn roundtrip_prefixed_fields() {
         let mut w = ByteWriter::new();
         w.put_bytes(b"hello");
-        w.put_u32_slice(&[1, 2, 3]);
         w.put_bytes(b"");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
-        assert_eq!(r.get_u32_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_bytes().unwrap(), b"");
         assert!(r.is_exhausted());
     }
@@ -370,18 +384,37 @@ mod tests {
     }
 
     #[test]
-    fn a_u32_vector_longer_than_its_input_is_eof_not_an_allocation() {
-        let mut w = ByteWriter::new();
-        w.put_u64(1 << 28); // a GiB of u32s, within the field bound
-        w.put_u32(7);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert!(matches!(
-            r.get_u32_vec(),
-            Err(CodecError::UnexpectedEof { .. })
-        ));
-        let r = ByteReader::new(&bytes);
+    fn a_count_is_capped_by_what_the_input_left_could_hold() {
+        let r = ByteReader::new(&[0; 13]);
         assert_eq!((r.capacity_for(1 << 28, 4), r.capacity_for(1, 4)), (3, 1));
+    }
+
+    /// A length-only writer runs the same calls and counts exactly what a
+    /// storing one writes, varints of every length included.
+    #[test]
+    fn a_length_only_writer_counts_what_a_storing_one_writes() {
+        let put = |w: &mut ByteWriter| {
+            w.put_u8(1);
+            w.put_u32(2);
+            w.put_u64(3);
+            [0, 127, 128, 1 << 20, u64::MAX]
+                .into_iter()
+                .for_each(|v| w.put_varint(v));
+            w.put_f64(0.5);
+            w.put_bytes(b"abc");
+            w.put_raw(&[9; 100]);
+        };
+        let (mut stored, mut counted) = (ByteWriter::new(), ByteWriter::length_only());
+        put(&mut stored);
+        put(&mut counted);
+        assert!(!stored.count_only(7));
+        assert!(counted.count_only(7));
+        assert_eq!(counted.len(), stored.len() + 7);
+        assert!(counted.into_bytes().is_empty());
+        assert_eq!(
+            stored.len(),
+            1 + 4 + 8 + (1 + 1 + 2 + 3 + 10) + 8 + 11 + 100
+        );
     }
 
     #[test]

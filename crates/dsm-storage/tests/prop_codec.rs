@@ -15,7 +15,6 @@ proptest! {
             if r.get_u32().is_err() { break; }
             if r.get_varint().is_err() { break; }
             if r.get_bytes().is_err() { break; }
-            if r.get_u32_vec().is_err() { break; }
         }
     }
 
@@ -33,7 +32,7 @@ proptest! {
         w.put_bytes(&s);
         w.put_u32(b);
         w.put_varint(a);
-        w.put_u32_slice(&v);
+        v.iter().for_each(|&x| w.put_varint(x.into()));
         w.put_f64(f);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -41,7 +40,9 @@ proptest! {
         prop_assert_eq!(r.get_bytes().unwrap(), &s[..]);
         prop_assert_eq!(r.get_u32().unwrap(), b);
         prop_assert_eq!(r.get_varint().unwrap(), a);
-        prop_assert_eq!(r.get_u32_vec().unwrap(), v);
+        for x in v {
+            prop_assert_eq!(r.get_varint().unwrap(), u64::from(x));
+        }
         let got = r.get_f64().unwrap();
         prop_assert_eq!(got.to_bits(), f.to_bits());
         prop_assert!(r.is_exhausted());

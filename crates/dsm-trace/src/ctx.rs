@@ -6,16 +6,22 @@
 //! ring-buffer events into cross-node causal flows without any global
 //! coordination — a flow id is unique because `(origin, seq)` is.
 //!
+//! On the wire (`ftdsm::wire::put_ctx`) the context is the seq as a varint,
+//! then the parent as two varints — its `origin + 1`, then its seq — or a
+//! single `0` for a root: 2–3 bytes for most messages, 5–7 for a reply. The
+//! origin is not sent; the receiver knows who sent the message.
+//!
 //! Two more fields ride along as **local measurement metadata** and are
-//! *not* charged to the wire-size model (they exist only because the whole
-//! cluster shares one address space; a real network stack would derive
-//! them from NIC timestamps): the send timestamp and the chaos delay the
-//! fabric injected. The receive side subtracts both from the observed
-//! transit time to split "fabric/chaos delay" from "receiver queue wait".
+//! *not* encoded or charged (they exist only because the whole cluster
+//! shares one address space; a real network stack would derive them from
+//! NIC timestamps): the send timestamp and the chaos delay the fabric
+//! injected. The receive side subtracts both from the observed transit time
+//! to split "fabric/chaos delay" from "receiver queue wait".
 
 /// Compact causal context stamped by [`Endpoint::send`] on every message.
 ///
-/// Wire-charged layout (16 bytes): origin `u16`, seq `u48`, parent `u64`.
+/// Encoded as the seq and the parent flow (see the module docs); the
+/// origin is the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Node that stamped this message.
@@ -34,10 +40,6 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// Bytes the context is charged on the wire: origin u16 + seq u48 +
-    /// parent u64.
-    pub const WIRE_SIZE: usize = 16;
-
     /// An unstamped context (local construction; the endpoint stamps it).
     pub const NONE: TraceCtx = TraceCtx {
         origin: 0,

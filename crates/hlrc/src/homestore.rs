@@ -61,17 +61,6 @@ pub enum PageBody {
     Delta(Vec<Arc<Diff>>),
 }
 
-impl PageBody {
-    /// Encoded size in bytes (matches `wire::put_page_body`): a tag, then
-    /// base and length before the bytes, or a count before the diffs.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            PageBody::Full { bytes, .. } => 9 + bytes.len(),
-            PageBody::Delta(diffs) => 5 + diffs.iter().map(|d| d.wire_size()).sum::<usize>(),
-        }
-    }
-}
-
 fn cover(clock: &mut VectorClock, interval: Interval) {
     if !clock.covers_interval(interval) {
         clock.set(interval.proc, interval.seq);
@@ -746,6 +735,14 @@ mod tests {
         }
     }
 
+    /// The encoded bytes of a delta's diffs.
+    fn delta_bytes(body: &PageBody) -> usize {
+        match body {
+            PageBody::Delta(diffs) => diffs.iter().map(|d| d.wire_size()).sum(),
+            PageBody::Full { .. } => panic!("expected a delta, got the page"),
+        }
+    }
+
     /// The diff of `interval` that sets word `word` of `page` to `value`.
     fn set_word(page: u32, interval: Interval, word: u32, value: u64) -> Arc<Diff> {
         let run = (word * 8, &value.to_le_bytes()[..]);
@@ -798,7 +795,7 @@ mod tests {
             (v2.clone(), delta(&body)),
             (vc([0, 1, 1]), vec![iv(1, 1), iv(2, 1)])
         );
-        assert!(body.wire_size() < 256);
+        assert!(delta_bytes(&body) < 256);
         assert_eq!(delta(&fetch(&s, Some(&(1, vc([0, 1, 0])))).1), [iv(2, 1)]);
         assert!(delta(&fetch(&s, Some(&(1, v2.clone()))).1).is_empty());
         // A copy of another incarnation's is answered with the page.
@@ -819,7 +816,7 @@ mod tests {
         let body = fetch(&s, Some(&(1, vc([0, 1, 0])))).1;
         assert_eq!(delta(&body).len(), 18);
         assert!(
-            body.wire_size() < 5 + 256,
+            delta_bytes(&body) < 256,
             "a delta's diffs never reach the page"
         );
         // A diff as large as the page is never held at all.

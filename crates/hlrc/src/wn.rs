@@ -22,13 +22,6 @@ pub struct WriteNotice {
     pub pages: Vec<PageId>,
 }
 
-impl WriteNotice {
-    /// Encoded size in bytes (interval: 8, count: 4, page ids: 4 each).
-    pub fn wire_size(&self) -> usize {
-        12 + 4 * self.pages.len()
-    }
-}
-
 /// One interval's span into a [`WnDelta`] page arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WnSpan {
@@ -153,17 +146,6 @@ impl WnDelta {
     /// really share it).
     pub fn arena(&self) -> &Arc<[PageId]> {
         &self.pages
-    }
-
-    /// Encoded size in bytes: span count (4), then per span interval (8),
-    /// page count (4) and page ids (4 each) — the same layout a
-    /// `Vec<WriteNotice>` would encode to, plus the count word.
-    pub fn wire_size(&self) -> usize {
-        4 + self
-            .spans
-            .iter()
-            .map(|s| 12 + 4 * s.len as usize)
-            .sum::<usize>()
     }
 }
 
@@ -292,15 +274,6 @@ mod tests {
         assert!(t.get(iv(1, 2)).is_none());
     }
 
-    #[test]
-    fn wire_size_matches_layout() {
-        let wn = WriteNotice {
-            interval: iv(0, 1),
-            pages: vec![PageId(1), PageId(2)],
-        };
-        assert_eq!(wn.wire_size(), 12 + 8);
-    }
-
     fn notice(p: ProcId, s: u32, pages: &[u32]) -> WriteNotice {
         WriteNotice {
             interval: iv(p, s),
@@ -329,13 +302,5 @@ mod tests {
         let m = d.restrict_to_missing(&have);
         assert_eq!(m.to_notices(), vec![notice(0, 2, &[2])]);
         assert!(Arc::ptr_eq(m.arena(), d.arena()));
-    }
-
-    #[test]
-    fn delta_wire_size_matches_notice_layout() {
-        let wns = vec![notice(0, 1, &[1, 2]), notice(1, 3, &[7])];
-        let d = WnDelta::from_notices(&wns);
-        let per_notice: usize = wns.iter().map(|w| w.wire_size()).sum();
-        assert_eq!(d.wire_size(), 4 + per_notice);
     }
 }

@@ -122,11 +122,11 @@ fn delta_history(ops: &[(u8, u32, u64)]) -> Result<usize, TestCaseError> {
                         "home copy does not cover its own version",
                     ));
                 };
-                let full = PAGE_SIZE + 9;
                 match &body {
-                    PageBody::Full { .. } => prop_assert_eq!(body.wire_size(), full),
-                    PageBody::Delta(_) => {
-                        prop_assert!(body.wire_size() < PAGE_SIZE + 5);
+                    PageBody::Full { bytes, .. } => prop_assert_eq!(bytes.len(), PAGE_SIZE),
+                    PageBody::Delta(diffs) => {
+                        let held = diffs.iter().map(|d| d.wire_size()).sum::<usize>();
+                        prop_assert!(held < PAGE_SIZE);
                         deltas += 1;
                     }
                 }
