@@ -48,8 +48,6 @@ pub(crate) struct FtState {
     last_ckpt_vt: VectorClock,
     /// Barrier episodes crossed at the last checkpoint.
     last_ckpt_episode: u64,
-    /// Own interval sequence at the last barrier arrival.
-    last_bar_arrive_seq: u32,
     /// Learned `p0.v[me]` per remote-homed page this node writes (LLT).
     p0v_known: HashMap<PageId, u32>,
     /// Retained checkpoint window, oldest first.
@@ -79,7 +77,6 @@ impl FtState {
             ckpt_seq: 0,
             last_ckpt_vt: VectorClock::zero(n),
             last_ckpt_episode: 0,
-            last_bar_arrive_seq: 0,
             p0v_known: HashMap::new(),
             retained: Vec::new(),
             piggy_cursor: 0,
@@ -108,7 +105,6 @@ impl FtState {
         self.ckpt_seq = image.seq;
         self.last_ckpt_vt = image.tckp.clone();
         self.last_ckpt_episode = image.bar_episode;
-        self.last_bar_arrive_seq = image.last_bar_arrive_seq;
         // The saved logs: the last checkpoint's save, segment 0 (none
         // before the first checkpoint).
         self.logs.clear();
@@ -333,13 +329,6 @@ impl FtSvc {
         }
     }
 
-    /// Our interval sequence at the barrier arrival just made.
-    pub(crate) fn arrived_at_barrier(&mut self, seq: u32) {
-        if let Some(ft) = &mut self.state {
-            ft.last_bar_arrive_seq = seq;
-        }
-    }
-
     /// Latch a checkpoint for the next safe point.
     pub(crate) fn request_checkpoint(&mut self) {
         if let Some(ft) = &mut self.state {
@@ -488,7 +477,6 @@ pub(crate) fn take_checkpoint(
     let mut blob = CheckpointBlob {
         seq,
         tckp: tckp.clone(),
-        last_bar_arrive_seq: ft.last_bar_arrive_seq,
         step,
         app_state,
         needed: st.pt.needed_triples(),
@@ -697,7 +685,6 @@ mod tests {
             ft.tckp[0] = vt([2, 0, 0]);
             ft.peer_ckpt_seq[0] = 3;
             ft.peer_ckpt_episode[0] = 1;
-            ft.last_bar_arrive_seq = 4;
             ft.p0v_known.insert(PageId(0), 2);
             ft.p0v_sent.insert((PageId(1), 0), 2);
             ft.piggy_sent = vec![0; n];

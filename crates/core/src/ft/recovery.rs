@@ -632,8 +632,7 @@ pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool
     };
     st.close_interval(bd);
     let arrive_vt = st.vt.clone();
-    st.ft.arrived_at_barrier(arrive_vt.get(st.me));
-    st.wn_since_barrier.clear();
+    st.sync.note_arrival(arrive_vt.get(st.me));
     st.vt.join(&result);
     apply_replay_invalidations(st, &arrive_vt);
     let result_vt = st.vt.clone();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use dsm_page::{Diff, PageId, ProcId, VectorClock};
 use dsm_trace::TraceCtx;
-use hlrc::{Have, LockId, PageBody, WnDelta, WriteNotice};
+use hlrc::{Have, LockId, PageBody, WnDelta};
 
 use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
 use crate::wire;
@@ -76,8 +76,9 @@ pub enum Payload {
         gen: u64,
         /// The granter's release-time timestamp for this lock.
         vt: VectorClock,
-        /// Write notices the requester is missing.
-        wns: Vec<WriteNotice>,
+        /// Write notices the requester is missing (relative to its request
+        /// timestamp).
+        wns: WnDelta,
     },
     /// A writer's end-of-interval diffs for pages homed at the receiver.
     DiffBatch {
@@ -108,8 +109,7 @@ pub enum Payload {
         episode: u64,
         /// The participant's timestamp at arrival.
         vt: VectorClock,
-        /// Interval-delta of the participant's own write notices since its
-        /// previous arrival (relative to its previous arrival clock).
+        /// The participant's own write notices since its previous arrival.
         own_wns: WnDelta,
         /// The participant's `(seq, diffs)` for pages the manager homes,
         /// from the interval this arrival closed: the [`Payload::DiffBatch`]
@@ -126,8 +126,8 @@ pub enum Payload {
         episode: u64,
         /// Join of every participant's arrival timestamp.
         vt: VectorClock,
-        /// Interval-delta of the write notices the receiver is missing
-        /// (relative to its arrival clock).
+        /// Write notices the receiver is missing (relative to its arrival
+        /// clock).
         wns: WnDelta,
     },
     /// Page fetch: requester → home, for one page or many — a demand miss
@@ -420,11 +420,12 @@ mod tests {
     fn one_of_every_kind() -> Vec<Payload> {
         let vt = || clock(&[4, 300]);
         let diffs = vec![diff(0, 1, 1), diff(2, 200, 2)];
-        let notice = WriteNotice {
-            interval: Interval { proc: 1, seq: 7 },
-            pages: vec![PageId(0), PageId(130)],
+        let wns = || {
+            WnDelta::from(vec![hlrc::WriteNotice {
+                interval: Interval { proc: 1, seq: 7 },
+                pages: vec![PageId(0), PageId(130)],
+            }])
         };
-        let wns = || WnDelta::from_notices(std::slice::from_ref(&notice));
         let entry = DiffLogEntry {
             diff: diff(0, 3, 1),
             t: clock(&[2, 3]),
@@ -457,7 +458,7 @@ mod tests {
                 acq_seq,
                 gen,
                 vt: vt(),
-                wns: vec![notice.clone()],
+                wns: wns(),
             },
             Payload::DiffBatch {
                 diffs: diffs.clone(),

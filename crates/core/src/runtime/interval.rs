@@ -8,9 +8,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsm_page::{Diff, Interval, PageId, ProcId, VectorClock};
+use dsm_page::{Diff, PageId, ProcId, VectorClock};
 use dsm_trace::EventKind;
-use hlrc::{LockId, WnDelta, WriteNotice};
+use hlrc::{LockId, WnDelta};
 
 use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::{self, recovery, SeqBatch};
@@ -67,10 +67,6 @@ impl NodeState {
             }
         }
         self.wn_table.insert_parts(iv, pages.clone());
-        self.wn_since_barrier.push(WriteNotice {
-            interval: iv,
-            pages: pages.clone(),
-        });
 
         // Group diffs for remote homes (reference bumps, not payload copies);
         // each home's keep the order the interval made them in, so the
@@ -127,21 +123,17 @@ pub(crate) fn request(st: &mut NodeState, lock: LockId) {
 /// Apply the write notices a grant or a barrier release carried that `pre`
 /// — our timestamp before joining the sender's — does not cover: record
 /// them, invalidate their pages, and prefetch what was in use.
-fn apply_notices<'a>(
-    st: &mut NodeState,
-    pre: &VectorClock,
-    wns: impl Iterator<Item = (Interval, &'a [PageId])>,
-) {
+fn apply_notices(st: &mut NodeState, pre: &VectorClock, wns: WnDelta) {
     let mut invalidated = Vec::new();
-    for (interval, pages) in wns {
-        if pre.covers_interval(interval) {
+    for wn in wns {
+        if pre.covers_interval(wn.interval) {
             continue;
         }
-        st.wn_table.insert_parts(interval, pages.to_vec());
-        for &pg in pages {
-            st.pt.invalidate(pg, interval.proc, interval.seq);
+        for &pg in &wn.pages {
+            st.pt.invalidate(pg, wn.interval.proc, wn.interval.seq);
             invalidated.push(pg);
         }
+        st.wn_table.insert(wn);
     }
     fetch::issue_prefetch(st, &invalidated);
 }
@@ -164,7 +156,6 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
     st.close_interval(bd);
     let req_vt = st.vt.clone();
     st.vt.join(&vt);
-    let wns = wns.iter().map(|wn| (wn.interval, &wn.pages[..]));
     apply_notices(st, &req_vt, wns);
     let t_after = st.vt.clone();
     if let Some(logs) = st.ft.logs() {
@@ -208,11 +199,11 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
         episode: episode as u32,
     });
     let vt = st.vt.clone();
-    // Interval-delta encode the notices accumulated since the previous
-    // arrival: the arena is built once here; the wait slot and the
-    // arrival share it by refcount.
-    let own_wns = WnDelta::from_notices(&std::mem::take(&mut st.wn_since_barrier));
-    st.ft.arrived_at_barrier(vt.get(st.me));
+    // Our own notices since the previous arrival: the table's between `vt`
+    // with our entry set back to that arrival's interval, and `vt`.
+    let mut from = vt.clone();
+    from.set(st.me, st.sync.note_arrival(vt.get(st.me)));
+    let own_wns = st.wn_table.missing_between(&from, &vt);
     let arrival = Payload::BarrierArrive {
         episode,
         vt,
@@ -231,7 +222,7 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     };
     let arrive_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &arrive_vt, wns.iter());
+    apply_notices(st, &arrive_vt, wns);
     let episode = st.sync.crossed();
     if let Some(logs) = st.ft.logs() {
         logs.log_bar(BarEntry {
@@ -246,14 +237,20 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FtConfig;
+    use crate::ft::FtState;
+    use crate::msg::{Msg, Piggy};
     use crate::runtime::node::tests::{diff_of, gated, page_of, test_state, test_state_with};
-    use crate::runtime::node::{drain_unalloc, handle_msg, WaitSlot};
+    use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
     use dsm_member::MemberConfig;
-    use dsm_net::{Endpoint, Event};
+    use dsm_net::{Endpoint, Event, Fabric};
+    use dsm_page::Interval;
+    use dsm_storage::{DiskModel, StableStore};
+    use dsm_trace::NodeTracer;
     use std::time::Duration;
 
     /// Every payload waiting for `ep`, on either lane.
-    fn sent(ep: &Endpoint<crate::msg::Msg>) -> Vec<Payload> {
+    fn sent(ep: &Endpoint<Msg>) -> Vec<Payload> {
         let all = std::iter::from_fn(|| ep.recv_any(Duration::ZERO));
         all.map(|ev| match ev {
             Event::Msg { msg, .. } => msg.payload,
@@ -292,7 +289,7 @@ mod tests {
         let release = Payload::BarrierRelease {
             episode: 0,
             vt: st.vt.clone(),
-            wns: WnDelta::from_notices(&[]),
+            wns: WnDelta::empty(),
         };
         handle_msg(&mut st, 0, release);
         let (_, release) = st.wait.take().expect("the release answers the arrival");
@@ -326,7 +323,7 @@ mod tests {
     /// carrying a batch of `carried` diffs or none; returns the batch.
     fn arrive_and_check(
         st: &mut NodeState,
-        eps: &[Arc<Endpoint<crate::msg::Msg>>],
+        eps: &[Arc<Endpoint<Msg>>],
         carried: Option<usize>,
     ) -> Option<SeqBatch> {
         arrive(st, &mut Breakdown::default());
@@ -345,6 +342,101 @@ mod tests {
         batch
     }
 
+    /// Node `me` of `n` with fault tolerance on and page 0 homed here, and
+    /// the store its checkpoints go to.
+    fn ft_node(me: ProcId, n: usize) -> (NodeState, Vec<Arc<Endpoint<Msg>>>, Arc<StableStore>) {
+        let (_fabric, endpoints) = Fabric::<Msg>::new(n);
+        let eps: Vec<_> = endpoints.into_iter().map(Arc::new).collect();
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
+        let tracer = NodeTracer::disabled();
+        let mut st = NodeState::new(me, n, 256, Arc::clone(&eps[me]), Some(ft), tracer, None);
+        st.pt.add_page(me);
+        (st, eps, store)
+    }
+
+    /// Close one interval that wrote page 0.
+    fn write_interval(st: &mut NodeState, byte: u8) {
+        st.pt.write(PageId(0), 8, &[byte]);
+        st.close_interval(&mut Breakdown::default());
+    }
+
+    /// Arrive, and return the seqs of the notices the arrival carried (all
+    /// of them our own, each naming page 0).
+    fn arrive_with(st: &mut NodeState, manager: &Endpoint<Msg>) -> Vec<u32> {
+        arrive(st, &mut Breakdown::default());
+        let [Payload::BarrierArrive { own_wns, .. }] = &sent(manager)[..] else {
+            panic!("one arrival")
+        };
+        let own = own_wns
+            .iter()
+            .inspect(|w| assert_eq!((w.interval.proc, &w.pages[..]), (st.me, &[PageId(0)][..])));
+        own.map(|w| w.interval.seq).collect()
+    }
+
+    #[test]
+    fn an_arrival_after_a_restart_carries_the_restored_own_notices_past_the_last_arrival() {
+        let (me, n) = (1, 2);
+        let (mut st, eps, store) = ft_node(me, n);
+        write_interval(&mut st, 1);
+        write_interval(&mut st, 2);
+        assert_eq!(arrive_with(&mut st, &eps[0]), [1, 2]);
+        let release = Payload::BarrierRelease {
+            episode: 0,
+            vt: st.vt.clone(),
+            wns: WnDelta::empty(),
+        };
+        handle_msg(&mut st, 0, release);
+        let (_, release) = st.wait.take().expect("the release answers the arrival");
+        cross_barrier(&mut st, release);
+        // A checkpoint past the arrival at interval 2 saves notices 1–4.
+        write_interval(&mut st, 3);
+        write_interval(&mut st, 4);
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut Breakdown::default());
+
+        st.fail_stop();
+        st.set_mode(Mode::Recovering);
+        let (image, window) = crate::ft::ckpt::restart_image(&store, n);
+        assert_eq!(image.last_bar_arrive_seq, 2);
+        st.restart_from(&image, window);
+        st.set_mode(Mode::Normal);
+        for seq in 1..=4 {
+            assert!(st.wn_table.get(Interval { proc: me, seq }).is_some());
+        }
+        assert_eq!(arrive_with(&mut st, &eps[0]), [3, 4]);
+    }
+
+    #[test]
+    fn an_arrival_after_a_trim_omits_only_what_every_peer_has_checkpointed() {
+        let (me, n) = (1, 3);
+        let (mut st, eps, _store) = ft_node(me, n);
+        for byte in 1..=3 {
+            write_interval(&mut st, byte);
+        }
+        // Node 0 has checkpointed our intervals up to 2, node 2 up to 3: the
+        // checkpoint trims our notices 1 and 2 from the table.
+        let peer_tckp = [(0, [1, 2, 0]), (2, [0, 3, 1])];
+        for (peer, tckp) in peer_tckp {
+            let piggy = Piggy {
+                tckp: VectorClock::from_vec(tckp.to_vec()),
+                ckpt_seq: 1,
+                ckpt_episode: 0,
+                p0v: Vec::new(),
+                table: Vec::new(),
+            };
+            st.ft.absorb_piggy(peer, &piggy);
+        }
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut Breakdown::default());
+        assert_eq!(st.wn_table.len(), 1);
+
+        let carried = arrive_with(&mut st, &eps[0]);
+        assert_eq!(carried, [3]);
+        for seq in (1..=3).filter(|s| !carried.contains(s)) {
+            let covered = peer_tckp.iter().all(|(_, t)| t[me] >= seq);
+            assert!(covered, "interval {seq} left out but a peer may miss it");
+        }
+    }
+
     #[test]
     fn the_manager_serves_a_carried_batch_before_the_arrival_and_only_once_its_pages_exist() {
         // Node 0 of 2, the manager, has allocated page 0 only; node 1's
@@ -354,7 +446,7 @@ mod tests {
         let arrival = Payload::BarrierArrive {
             episode: 0,
             vt: gated(2, 1, 1),
-            own_wns: WnDelta::from_notices(&[]),
+            own_wns: WnDelta::empty(),
             batch: Some((7, vec![diff_of(1, 1, 1)])),
         };
         handle_msg(&mut st, 1, arrival.clone());

@@ -42,7 +42,7 @@ use dsm_member::MemberConfig;
 use dsm_net::{Endpoint, Event, NodeTraffic};
 use dsm_page::{Interval, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
-use hlrc::{PageTable, WnTable, WriteNotice};
+use hlrc::{PageTable, WnTable};
 use parking_lot::Mutex;
 
 use crate::ft::ckpt::{CheckpointBlob, RetainedCkpt};
@@ -144,8 +144,6 @@ pub(crate) struct NodeState {
     pub pt: PageTable,
     pub vt: VectorClock,
     pub wn_table: WnTable,
-    /// Own write notices since the last barrier arrival.
-    pub wn_since_barrier: Vec<WriteNotice>,
     /// Allocation cursor (page index of the next allocation).
     pub alloc_cursor: u32,
     /// Messages referencing pages this node has not allocated yet (SPMD
@@ -233,7 +231,6 @@ impl NodeState {
             pt: PageTable::new(me, n, page_size),
             vt: VectorClock::zero(n),
             wn_table: WnTable::new(),
-            wn_since_barrier: Vec::new(),
             alloc_cursor: 0,
             pending_unalloc: Vec::new(),
             wait: WaitSlot::None,
@@ -328,7 +325,6 @@ impl NodeState {
         self.pt.reset_for_restart(&[]);
         self.vt = VectorClock::zero(self.n);
         self.wn_table = WnTable::new();
-        self.wn_since_barrier.clear();
         self.alloc_cursor = 0;
         self.pending_unalloc.clear();
         self.wait = WaitSlot::None;
@@ -362,19 +358,14 @@ impl NodeState {
         for (p, v, bytes) in &image.home_pages {
             self.pt.restore_home_page(*p, bytes, v.clone());
         }
-        // Own write notices, out of the restored logs, back into the table
-        // and the since-barrier buffer.
+        // Own write notices, out of the restored logs, back into the table:
+        // the next arrival sends those past `last_bar_arrive_seq` from it.
         self.ft.restart_from(image, window);
         for e in self.ft.logs().expect("recovery requires FT").wn() {
             let (proc, seq) = (self.me, e.seq);
             let interval = Interval { proc, seq };
             self.wn_table.insert_parts(interval, e.pages.clone());
-            if seq > image.last_bar_arrive_seq {
-                let pages = e.pages.clone();
-                self.wn_since_barrier.push(WriteNotice { interval, pages });
-            }
         }
-        self.wn_since_barrier.sort_by_key(|w| w.interval.seq);
     }
 
     /// Change the node's mode, keeping the service loop's atomic mirror in
@@ -845,10 +836,7 @@ pub(crate) mod tests {
         let iv = |proc, seq| dsm_page::Interval { proc, seq };
         st.vt = vt([3, 5, 1]);
         st.wn_table.insert_parts(iv(0, 3), vec![PageId(1)]);
-        st.wn_since_barrier.push(WriteNotice {
-            interval: iv(1, 5),
-            pages: vec![PageId(0)],
-        });
+        st.wn_table.insert_parts(iv(1, 5), vec![PageId(0)]);
         st.pending_unalloc
             .push((0, Payload::RecLogReq { homed: Vec::new() }));
         st.alloc_cursor = 3;
@@ -873,6 +861,7 @@ pub(crate) mod tests {
             st.sync.take_acq_seq();
         }
         st.sync.crossed();
+        st.sync.note_arrival(5);
         st.sync.enter(4, 2, 9);
         st.sync.enter(5, 3, 1);
         st.sync.leave(5, vt([1, 1, 0]));
@@ -945,7 +934,7 @@ pub(crate) mod tests {
         assert!(!st.fetch.in_flight(PageId(0)) && st.ft.drained());
         assert_eq!(st.ft.fetch_needed(PageId(0), vt([0, 0, 0])), vt([0, 0, 0]));
         assert_eq!(st.vt, new.vt);
-        assert!(st.wn_table.is_empty() && st.wn_since_barrier.is_empty());
+        assert!(st.wn_table.is_empty());
         assert!(matches!(st.wait, WaitSlot::None) && st.pending_unalloc.is_empty());
         assert_eq!((st.alloc_cursor, st.cur_flow), (0, 0));
         // Restoring from genesis zeroes every homed page and forgets every
@@ -1006,7 +995,7 @@ pub(crate) mod tests {
             acq_seq,
             gen,
             vt: VectorClock::zero(3),
-            wns: Vec::new(),
+            wns: WnDelta::empty(),
         };
         let request = Payload::LockAcq {
             lock: 1,
@@ -1020,7 +1009,7 @@ pub(crate) mod tests {
         let release = Payload::BarrierRelease {
             episode: 42,
             vt: VectorClock::zero(3),
-            wns: WnDelta::from_notices(&[]),
+            wns: WnDelta::empty(),
         };
         assert_eq!(wait.deposit(0, release.clone()), Some(release));
         assert!(wait.take().is_none());
@@ -1117,7 +1106,7 @@ pub(crate) mod tests {
                 Payload::BarrierArrive {
                     episode: 0,
                     vt: gated(n, 1, 2),
-                    own_wns: WnDelta::from_notices(&[]),
+                    own_wns: WnDelta::empty(),
                     batch: Some((8, vec![diff_of(0, 1, 2)])),
                 },
             ),
@@ -1295,12 +1284,12 @@ pub(crate) mod tests {
                     acq_seq: *acq_seq,
                     gen: 1,
                     vt: VectorClock::zero(2),
-                    wns: Vec::new(),
+                    wns: WnDelta::empty(),
                 },
                 _ => Payload::BarrierRelease {
                     episode: 0,
                     vt: VectorClock::zero(2),
-                    wns: WnDelta::from_notices(&[]),
+                    wns: WnDelta::empty(),
                 },
             };
             handle_msg(&mut st, 0, answer);
@@ -1331,7 +1320,7 @@ pub(crate) mod tests {
         let from_node_1 = Payload::BarrierArrive {
             episode: 0,
             vt: gated(2, 1, 1),
-            own_wns: WnDelta::from_notices(&[]),
+            own_wns: WnDelta::empty(),
             batch: None,
         };
         handle_msg(&mut st, 1, from_node_1);

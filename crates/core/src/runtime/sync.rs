@@ -92,6 +92,9 @@ pub(crate) struct SyncSvc {
     lock_chain_info: HashMap<LockId, (u64, ProcId, u64)>,
     acq_seq_next: u64,
     bar_episode: u64,
+    /// Our interval at our last barrier arrival: an arrival carries our
+    /// notices past it.
+    last_bar_arrive_seq: u32,
 }
 
 impl SyncSvc {
@@ -109,6 +112,7 @@ impl SyncSvc {
             lock_chain_info: HashMap::new(),
             acq_seq_next: 0,
             bar_episode: 0,
+            last_bar_arrive_seq: 0,
         }
     }
 
@@ -141,6 +145,7 @@ impl SyncSvc {
     pub(crate) fn restart_from(&mut self, image: &CheckpointBlob) {
         self.acq_seq_next = image.acq_seq_next;
         self.bar_episode = image.bar_episode;
+        self.last_bar_arrive_seq = image.last_bar_arrive_seq;
         self.tenures = image
             .tenures
             .iter()
@@ -153,6 +158,7 @@ impl SyncSvc {
     pub(crate) fn save_into(&self, blob: &mut CheckpointBlob) {
         blob.bar_episode = self.bar_episode;
         blob.acq_seq_next = self.acq_seq_next;
+        blob.last_bar_arrive_seq = self.last_bar_arrive_seq;
         let tenures = self.tenures.iter();
         blob.tenures = tenures
             .map(|(&l, t)| (l, t.acq, t.gen, t.released))
@@ -210,6 +216,12 @@ impl SyncSvc {
             self.pending_grants.insert(lock, later);
         }
         now
+    }
+
+    /// Arrive at the barrier at our interval `seq` (live or replayed);
+    /// returns our interval at the previous arrival.
+    pub(crate) fn note_arrival(&mut self, seq: u32) -> u32 {
+        std::mem::replace(&mut self.last_bar_arrive_seq, seq)
     }
 
     /// Cross the barrier; returns the episode crossed.
@@ -654,6 +666,7 @@ mod tests {
     use crate::config::FtConfig;
     use crate::ft::FtState;
     use dsm_storage::{DiskModel, StableStore};
+    use hlrc::WnDelta;
 
     fn ft_svc(logging: bool) -> FtSvc {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
@@ -691,7 +704,7 @@ mod tests {
             acq_seq,
             gen: 10,
             vt,
-            wns: Vec::new(),
+            wns: WnDelta::empty(),
         };
         (1, grant)
     }

@@ -16,7 +16,7 @@ use dsm_page::{
 };
 use dsm_storage::{ByteReader, ByteWriter, CodecError};
 use dsm_trace::TraceCtx;
-use hlrc::{Have, PageBody, WnDelta, WnSpan, WriteNotice};
+use hlrc::{Have, PageBody, WnDelta, WriteNotice};
 
 use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
 use crate::msg::{Msg, Payload, Piggy};
@@ -324,17 +324,13 @@ pub fn put_page_copies(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Arc<[u
 }
 
 /// Encode a write notice: interval proc and seq, then its pages.
-pub fn put_wn(w: &mut ByteWriter, wn: &WriteNotice) {
-    put_notice(w, wn.interval, &wn.pages);
-}
-
-fn put_notice(w: &mut ByteWriter, interval: Interval, pages: &[PageId]) {
-    put_varints(w, &[interval.proc as u64, interval.seq.into()]);
-    put_pages(w, pages);
+fn put_wn(w: &mut ByteWriter, wn: &WriteNotice) {
+    put_varints(w, &[wn.interval.proc as u64, wn.interval.seq.into()]);
+    put_pages(w, &wn.pages);
 }
 
 /// Decode a write notice.
-pub fn get_wn(r: &mut ByteReader) -> Result<WriteNotice, CodecError> {
+fn get_wn(r: &mut ByteReader) -> Result<WriteNotice, CodecError> {
     let interval = get_interval(r)?;
     let pages = get_pages(r)?;
     Ok(WriteNotice { interval, pages })
@@ -346,27 +342,17 @@ fn get_interval(r: &mut ByteReader) -> Result<Interval, CodecError> {
     Ok(Interval { proc: proc_, seq })
 }
 
-/// Encode an interval-delta notice set: a span count, then per span what
-/// [`put_wn`] writes. The shared arena is an in-memory artifact — on the
-/// wire each span carries its own page ids, exactly like a
-/// `Vec<WriteNotice>` would.
+/// Encode a notice list, what a lock grant, a barrier arrival and a barrier
+/// release carry alike: a count, then per notice what [`put_wn`] writes.
 pub fn put_wn_delta(w: &mut ByteWriter, d: &WnDelta) {
     w.put_varint(d.len() as u64);
-    d.iter()
-        .for_each(|(interval, pages)| put_notice(w, interval, pages));
+    d.iter().for_each(|wn| put_wn(w, wn));
 }
 
-/// Decode an interval-delta notice set (rebuilds one shared arena).
+/// Decode a notice list (a notice is at least its interval and its page
+/// count).
 pub fn get_wn_delta(r: &mut ByteReader) -> Result<WnDelta, CodecError> {
-    let mut pages: Vec<PageId> = Vec::new();
-    // A span is at least its interval and its page count.
-    let spans = get_list(r, 3, |r| {
-        let interval = get_interval(r)?;
-        let start = pages.len() as u32;
-        pages.extend(get_pages(r)?);
-        Ok(WnSpan::new(interval, start, pages.len() as u32 - start))
-    })?;
-    Ok(WnDelta::from_arena(pages.into(), spans))
+    Ok(get_list(r, 3, get_wn)?.into())
 }
 
 /// Encode a write-notice log entry: its interval seq, then its pages.
@@ -540,7 +526,7 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
         } => {
             put_varints(w, &[*lock as u64, *acq_seq, *gen]);
             put_vt(w, vt);
-            put_list(w, wns, put_wn);
+            put_wn_delta(w, wns);
         }
         Payload::DiffBatch { diffs, seq } => {
             w.put_varint(*seq);
@@ -654,7 +640,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             acq_seq: r.get_varint()?,
             gen: r.get_varint()?,
             vt: get_vt(r)?,
-            wns: get_list(r, 3, get_wn)?,
+            wns: get_wn_delta(r)?,
         },
         3 => {
             let seq = r.get_varint()?;
@@ -991,7 +977,7 @@ mod tests {
 
     #[test]
     fn wn_delta_roundtrips_and_is_one_byte_a_small_field() {
-        let d = WnDelta::from_notices(&[
+        let d = WnDelta::from(vec![
             WriteNotice {
                 interval: Interval { proc: 0, seq: 3 },
                 pages: vec![PageId(1), PageId(7)],
@@ -1003,13 +989,77 @@ mod tests {
         ]);
         let mut w = ByteWriter::new();
         put_wn_delta(&mut w, &d);
-        // Count, then per span proc, seq, page count and one byte a page.
+        // Count, then per notice proc, seq, page count and one byte a page.
         assert_eq!(w.len(), 1 + (3 + 2) + 3);
         assert_eq!(w.len(), len_of(|w| put_wn_delta(w, &d)));
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(get_wn_delta(&mut r).unwrap(), d);
         assert!(r.is_exhausted());
+    }
+
+    /// A lock grant, a barrier arrival and a barrier release that carry the
+    /// same two notices end in the same list bytes, and decode back through
+    /// the one list decoder.
+    #[test]
+    fn grants_arrivals_and_releases_encode_one_notice_list() {
+        let wns = || {
+            WnDelta::from(vec![
+                WriteNotice {
+                    interval: Interval { proc: 2, seq: 5 },
+                    pages: vec![PageId(3), PageId(200)],
+                },
+                WriteNotice {
+                    interval: Interval { proc: 2, seq: 6 },
+                    pages: vec![PageId(3)],
+                },
+            ])
+        };
+        // Count; per notice proc, seq, page count, pages (200 is two bytes).
+        let list = [2, 2, 5, 2, 3, 0xC8, 0x01, 2, 6, 1, 3];
+        let mut w = ByteWriter::new();
+        put_wn_delta(&mut w, &wns());
+        assert_eq!(w.into_bytes(), list);
+        let vt = || VectorClock::from_vec(vec![1, 0, 6]);
+        // Tag, a root context (seq 0, no parent), the kind's header fields.
+        let kinds = [
+            (
+                Payload::LockGrant {
+                    lock: 1,
+                    acq_seq: 2,
+                    gen: 3,
+                    vt: vt(),
+                    wns: wns(),
+                },
+                &[2, 0, 0, 1, 2, 3, 3, 1, 0, 6][..],
+            ),
+            (
+                Payload::BarrierArrive {
+                    episode: 4,
+                    vt: vt(),
+                    own_wns: wns(),
+                    batch: None,
+                },
+                &[7, 0, 0, 4, 3, 1, 0, 6],
+            ),
+            (
+                Payload::BarrierRelease {
+                    episode: 4,
+                    vt: vt(),
+                    wns: wns(),
+                },
+                &[8, 0, 0, 4, 3, 1, 0, 6],
+            ),
+        ];
+        for (payload, header) in kinds {
+            let msg = Msg::bare(payload);
+            let mut w = ByteWriter::new();
+            put_msg(&mut w, &msg);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, [header, &list[..]].concat());
+            let got = get_msg(&mut ByteReader::new(&bytes), 0).unwrap();
+            assert_eq!(got.payload, msg.payload);
+        }
     }
 
     /// A clock is its entry count and one varint an entry: eight small

@@ -16,19 +16,17 @@
 //! The last completed episode is retained so the release can be recomputed
 //! for a participant that lost it to a crash and re-arrives.
 //!
-//! Arrivals and releases are interval-delta encoded ([`WnDelta`]): an
-//! arrival's notices are a delta past the node's previous arrival clock, a
-//! release is the per-participant delta past its arrival clock, and the
-//! per-participant subsets all share one episode page arena built in a
-//! reusable per-manager scratch buffer — steady-state episode completion
-//! allocates only the one shared arena.
+//! Arrivals and releases are deltas ([`WnDelta`]): an arrival's notices are
+//! its own intervals past the node's previous arrival, a release the
+//! episode's notices past the participant's arrival clock. An arrival names
+//! only its sender's intervals, so the episode's notices are the arrivals'
+//! lists side by side, each interval once.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use dsm_page::{PageId, ProcId, VectorClock};
+use dsm_page::{ProcId, VectorClock};
 
-use crate::wn::{WnDelta, WnSpan, WriteNotice};
+use crate::wn::WnDelta;
 
 /// A node's arrival at the barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +37,7 @@ pub struct Arrival {
     pub episode: u64,
     /// The node's timestamp at arrival (its arrival interval just ended).
     pub vt: VectorClock,
-    /// Delta of the node's own write notices since its previous arrival.
+    /// The node's own write notices since its previous arrival.
     pub own_wns: WnDelta,
 }
 
@@ -50,8 +48,7 @@ pub struct ReleaseSet {
     pub episode: u64,
     /// Join of all arrival timestamps.
     pub vt: VectorClock,
-    /// Per-participant missing-notice deltas, indexed by process id; all
-    /// share the episode's page arena.
+    /// Per-participant missing notices, indexed by process id.
     pub per_proc_wns: Vec<WnDelta>,
     /// Arrival timestamps, indexed by process id (mirrored into the
     /// manager's fault-tolerance barrier log).
@@ -73,13 +70,6 @@ pub struct BarrierManager {
     episode: u64,
     arrivals: HashMap<ProcId, Arrival>,
     last: Option<CompletedEpisode>,
-    /// Scratch page arena reused across episodes: cleared (not freed) at
-    /// each completion, so steady state re-uses its capacity.
-    scratch_pages: Vec<PageId>,
-    /// Scratch dedupe set for (page, interval) pairs, keyed per interval
-    /// (a notice's pages belong to exactly one interval, so deduplicating
-    /// intervals deduplicates every (page, interval) pair).
-    seen: HashSet<(ProcId, u32)>,
 }
 
 /// Outcome of processing one arrival.
@@ -107,8 +97,6 @@ impl BarrierManager {
             episode: 0,
             arrivals: HashMap::new(),
             last: None,
-            scratch_pages: Vec::new(),
-            seen: HashSet::new(),
         }
     }
 
@@ -124,6 +112,11 @@ impl BarrierManager {
     /// would indicate a runtime bug: no node can pass a barrier before it
     /// completes.
     pub fn arrive(&mut self, a: Arrival) -> ArriveOutcome {
+        debug_assert!(
+            a.own_wns.iter().all(|w| w.interval.proc == a.proc),
+            "an arrival from {} names another node's interval",
+            a.proc
+        );
         if a.episode < self.episode {
             // Only the immediately previous episode can be re-requested: a
             // node blocked at episode e cannot have passed e, and e-1 is the
@@ -159,33 +152,22 @@ impl BarrierManager {
         if self.arrivals.len() < self.n {
             return ArriveOutcome::Pending;
         }
-        // Everyone is here: join timestamps and union own-notices into the
-        // reusable scratch arena, deduplicating per (page, interval) by
-        // skipping any interval already joined.
+        // Everyone is here: join the timestamps and put the own notices side
+        // by side (no two arrivals name the same interval).
         let mut vt = VectorClock::zero(self.arrivals[&0].vt.len());
-        let mut arrival_vts = vec![VectorClock::zero(vt.len()); self.n];
-        self.scratch_pages.clear();
-        self.seen.clear();
-        let mut spans: Vec<WnSpan> = Vec::new();
-        for (p, slot) in arrival_vts.iter_mut().enumerate() {
-            let a = &self.arrivals[&p];
+        let mut arrival_vts = Vec::with_capacity(self.n);
+        let mut all_wns = Vec::new();
+        for p in 0..self.n {
+            let a = self.arrivals.remove(&p).expect("every node arrived");
             vt.join(&a.vt);
-            *slot = a.vt.clone();
-            for (interval, pages) in a.own_wns.iter() {
-                if !self.seen.insert((interval.proc, interval.seq)) {
-                    continue;
-                }
-                let start = self.scratch_pages.len() as u32;
-                self.scratch_pages.extend_from_slice(pages);
-                spans.push(WnSpan::new(interval, start, pages.len() as u32));
-            }
+            arrival_vts.push(a.vt);
+            all_wns.extend(a.own_wns);
         }
-        // The episode's one allocation: the shared arena every per-proc
-        // subset points into.
-        let all_wns = WnDelta::from_arena(Arc::from(&self.scratch_pages[..]), spans);
-        let per_proc_wns = (0..self.n)
-            .map(|p| all_wns.restrict_to_missing(&arrival_vts[p]))
-            .collect::<Vec<_>>();
+        let all_wns = WnDelta::from(all_wns);
+        let per_proc_wns = arrival_vts
+            .iter()
+            .map(|have| all_wns.restrict_to_missing(have))
+            .collect();
         let release = ReleaseSet {
             episode: self.episode,
             vt: vt.clone(),
@@ -199,7 +181,6 @@ impl BarrierManager {
             all_wns,
         });
         self.episode += 1;
-        self.arrivals.clear();
         ArriveOutcome::Complete(release)
     }
 
@@ -212,7 +193,7 @@ impl BarrierManager {
     pub fn restore(
         &mut self,
         episode: u64,
-        last: Option<(VectorClock, Vec<VectorClock>, Vec<WriteNotice>)>,
+        last: Option<(VectorClock, Vec<VectorClock>, WnDelta)>,
     ) {
         self.episode = episode;
         self.arrivals.clear();
@@ -220,7 +201,7 @@ impl BarrierManager {
             episode: episode.saturating_sub(1),
             arrival_vts,
             vt,
-            all_wns: WnDelta::from_notices(&all_wns),
+            all_wns,
         });
     }
 }
@@ -228,6 +209,7 @@ impl BarrierManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wn::WriteNotice;
     use dsm_page::{Interval, PageId};
 
     fn wn(p: ProcId, seq: u32, pages: &[u32]) -> WriteNotice {
@@ -242,7 +224,7 @@ mod tests {
             proc: p,
             episode: ep,
             vt: VectorClock::from_vec(vt),
-            own_wns: WnDelta::from_notices(&wns),
+            own_wns: wns.into(),
         }
     }
 
@@ -264,40 +246,20 @@ mod tests {
         assert_eq!(rel.episode, 0);
         assert_eq!(rel.vt.as_slice(), &[1, 2, 3]);
         // Node 0 is missing notices from 1 and 2 but not its own.
-        let wns0: Vec<_> = rel.per_proc_wns[0].iter().map(|(i, _)| i.proc).collect();
+        let wns0: Vec<_> = rel.per_proc_wns[0]
+            .iter()
+            .map(|w| w.interval.proc)
+            .collect();
         assert_eq!(wns0, vec![1, 2]);
         assert_eq!(b.current_episode(), 1);
-        // Every per-participant delta shares the episode's page arena.
-        for p in 1..3 {
-            assert!(std::sync::Arc::ptr_eq(
-                rel.per_proc_wns[p].arena(),
-                rel.per_proc_wns[0].arena()
-            ));
-        }
     }
 
     #[test]
-    fn join_dedupes_notices_per_interval() {
-        // Two arrivals carrying the same interval (a retransmission shape):
-        // the joined release must list each (page, interval) once.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "names another node's interval")]
+    fn an_arrival_naming_another_nodes_interval_is_a_bug() {
         let mut b = BarrierManager::new(2);
-        b.arrive(arrival(0, 0, vec![1, 0], vec![wn(0, 1, &[4, 5])]));
-        let out = b.arrive(arrival(
-            1,
-            0,
-            vec![0, 1],
-            vec![wn(0, 1, &[4, 5]), wn(1, 1, &[6])],
-        ));
-        let ArriveOutcome::Complete(rel) = out else {
-            panic!("expected completion")
-        };
-        // Node 1's delta: only interval (0,1), listed once.
-        let got: Vec<_> = rel.per_proc_wns[1]
-            .iter()
-            .map(|(i, p)| (i, p.to_vec()))
-            .collect();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, vec![PageId(4), PageId(5)]);
+        b.arrive(arrival(1, 0, vec![1, 1], vec![wn(0, 1, &[4])]));
     }
 
     #[test]

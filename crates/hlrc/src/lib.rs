@@ -35,4 +35,4 @@ pub use homestore::{
 };
 pub use locks::{LockAction, LockId, LockManagerTable};
 pub use pagetable::{AccessOutcome, Held, PageMeta, PageState, PageTable};
-pub use wn::{WnDelta, WnSpan, WnTable, WriteNotice};
+pub use wn::{WnDelta, WnTable, WriteNotice};

@@ -1,15 +1,16 @@
 //! Write notices and the write-notice table.
 //!
 //! A *write notice* announces that a process wrote a set of pages during one
-//! of its intervals. Notices travel on lock grants and barrier releases; a
-//! receiving node invalidates its cached copies of the named pages.
+//! of its intervals. Notices travel as a [`WnDelta`] on lock grants, barrier
+//! arrivals and barrier releases; a receiving node invalidates its cached
+//! copies of the named pages.
 //!
 //! The [`WnTable`] stores every notice a node has learned (its own and
 //! foreign). LRC invariant: a node's table covers its vector timestamp, so
-//! when it grants a lock it can supply the notices the acquirer is missing.
+//! when it grants a lock it can supply the notices the acquirer is missing,
+//! and when it arrives at a barrier, its own notices since its last arrival.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dsm_page::{Interval, PageId, ProcId, VectorClock};
 
@@ -22,130 +23,61 @@ pub struct WriteNotice {
     pub pages: Vec<PageId>,
 }
 
-/// One interval's span into a [`WnDelta`] page arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WnSpan {
-    /// The writer's interval.
-    pub interval: Interval,
-    start: u32,
-    len: u32,
-}
-
-impl WnSpan {
-    /// A span covering `arena[start..start + len]`.
-    pub fn new(interval: Interval, start: u32, len: u32) -> Self {
-        WnSpan {
-            interval,
-            start,
-            len,
-        }
-    }
-}
-
-/// Interval-delta encoded write notices: the page ids of every notice live
-/// in one shared arena (`Arc<[PageId]>`) with per-interval spans indexing
-/// into it. A delta is always *relative to some vector clock* the receiver
-/// is known to cover (its last barrier arrival, its acquire timestamp): it
-/// carries only intervals past that clock, and receivers skip any span
-/// their current timestamp already covers.
-///
-/// Cloning a delta — or deriving a per-receiver subset with
-/// [`WnDelta::restrict_to_missing`] — bumps the arena refcount instead of
-/// copying page ids, so the barrier manager fans one episode's notices out
-/// to `n` participants with a single page-id allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WnDelta {
-    pages: Arc<[PageId]>,
-    spans: Vec<WnSpan>,
-}
-
-impl Default for WnDelta {
-    fn default() -> Self {
-        WnDelta::empty()
-    }
-}
+/// A list of write notices: what a lock grant, a barrier arrival and a
+/// barrier release carry, one layout on the wire for all three. A list is
+/// always *relative to some vector clock* the receiver is known to cover
+/// (its acquire timestamp, its last barrier arrival): it carries only
+/// intervals past that clock, and receivers skip any notice their current
+/// timestamp already covers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WnDelta(Vec<WriteNotice>);
 
 impl WnDelta {
-    /// A delta with no notices.
+    /// A list with no notices.
     pub fn empty() -> Self {
-        WnDelta {
-            pages: Arc::from(&[][..]),
-            spans: Vec::new(),
-        }
+        WnDelta(Vec::new())
     }
 
-    /// Assemble a delta from a prebuilt arena and spans (the barrier
-    /// manager's scratch-arena path).
-    pub fn from_arena(pages: Arc<[PageId]>, spans: Vec<WnSpan>) -> Self {
-        debug_assert!(spans
-            .iter()
-            .all(|s| (s.start + s.len) as usize <= pages.len()));
-        WnDelta { pages, spans }
-    }
-
-    /// Encode a slice of classic write notices (one arena copy).
-    pub fn from_notices(wns: &[WriteNotice]) -> Self {
-        let mut pages: Vec<PageId> = Vec::with_capacity(wns.iter().map(|w| w.pages.len()).sum());
-        let mut spans = Vec::with_capacity(wns.len());
-        for wn in wns {
-            let start = pages.len() as u32;
-            pages.extend_from_slice(&wn.pages);
-            spans.push(WnSpan::new(wn.interval, start, wn.pages.len() as u32));
-        }
-        WnDelta {
-            pages: pages.into(),
-            spans,
-        }
-    }
-
-    /// The subset of notices `have` does not cover, sharing this delta's
-    /// arena (no page ids are copied).
+    /// The notices `have` does not cover (cloned).
     pub fn restrict_to_missing(&self, have: &VectorClock) -> WnDelta {
-        WnDelta {
-            pages: Arc::clone(&self.pages),
-            spans: self
-                .spans
-                .iter()
-                .filter(|s| !have.covers_interval(s.interval))
-                .copied()
-                .collect(),
-        }
+        let missing = self.iter().filter(|w| !have.covers_interval(w.interval));
+        missing.cloned().collect()
     }
 
-    /// `(interval, pages)` per notice, in span order.
-    pub fn iter(&self) -> impl Iterator<Item = (Interval, &[PageId])> {
-        self.spans.iter().map(move |s| {
-            (
-                s.interval,
-                &self.pages[s.start as usize..(s.start + s.len) as usize],
-            )
-        })
+    /// The notices, in list order.
+    pub fn iter(&self) -> std::slice::Iter<'_, WriteNotice> {
+        self.0.iter()
     }
 
-    /// Decode into classic write notices (copies page ids).
-    pub fn to_notices(&self) -> Vec<WriteNotice> {
-        self.iter()
-            .map(|(interval, pages)| WriteNotice {
-                interval,
-                pages: pages.to_vec(),
-            })
-            .collect()
-    }
-
-    /// Number of notices (spans).
+    /// Number of notices.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.0.len()
     }
 
-    /// True when the delta carries no notices.
+    /// True when the list carries no notices.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.0.is_empty()
     }
+}
 
-    /// The shared page arena (exposed so tests can assert fan-out subsets
-    /// really share it).
-    pub fn arena(&self) -> &Arc<[PageId]> {
-        &self.pages
+impl From<Vec<WriteNotice>> for WnDelta {
+    fn from(wns: Vec<WriteNotice>) -> Self {
+        WnDelta(wns)
+    }
+}
+
+impl FromIterator<WriteNotice> for WnDelta {
+    fn from_iter<I: IntoIterator<Item = WriteNotice>>(iter: I) -> Self {
+        WnDelta(iter.into_iter().collect())
+    }
+}
+
+impl IntoIterator for WnDelta {
+    type Item = WriteNotice;
+    type IntoIter = std::vec::IntoIter<WriteNotice>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
     }
 }
 
@@ -174,10 +106,9 @@ impl WnTable {
         self.insert(WriteNotice { interval, pages });
     }
 
-    /// Pages written in `interval`, if known. An interval with no writes has
-    /// no entry; both "unknown" and "empty" return `None`/`Some(&[])`
-    /// respectively only if inserted that way — the protocol never inserts
-    /// empty notices.
+    /// Pages written in `interval`, or `None` when the table has no notice
+    /// for it: the interval is unknown, was trimmed, or wrote nothing (the
+    /// protocol never inserts an empty notice).
     pub fn get(&self, interval: Interval) -> Option<&[PageId]> {
         self.map
             .get(&(interval.proc, interval.seq))
@@ -195,10 +126,11 @@ impl WnTable {
     }
 
     /// The notices for every interval in `(from, to]` (elementwise) that has
-    /// an entry — what a granter sends to an acquirer with timestamp `from`
-    /// when its own timestamp is `to`. Intervals without writes simply have
-    /// no notice.
-    pub fn missing_between(&self, from: &VectorClock, to: &VectorClock) -> Vec<WriteNotice> {
+    /// an entry, in interval order — what a granter sends to an acquirer
+    /// with timestamp `from` when its own timestamp is `to`, and what a node
+    /// arriving at a barrier sends of its own intervals. Intervals without
+    /// writes simply have no notice.
+    pub fn missing_between(&self, from: &VectorClock, to: &VectorClock) -> WnDelta {
         from.missing_from(to)
             .into_iter()
             .filter_map(|iv| {
@@ -255,10 +187,8 @@ mod tests {
         let from = VectorClock::from_vec(vec![1, 0]);
         let to = VectorClock::from_vec(vec![3, 1]);
         let missing = t.missing_between(&from, &to);
-        assert_eq!(missing.len(), 3);
-        assert_eq!(missing[0].interval, iv(0, 2));
-        assert_eq!(missing[1].interval, iv(0, 3));
-        assert_eq!(missing[2].interval, iv(1, 1));
+        let ivs: Vec<_> = missing.iter().map(|w| w.interval).collect();
+        assert_eq!(ivs, [iv(0, 2), iv(0, 3), iv(1, 1)]);
     }
 
     #[test]
@@ -282,25 +212,22 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrips_through_notices() {
-        let wns = vec![notice(0, 1, &[1, 2]), notice(1, 3, &[7]), notice(2, 2, &[])];
-        let d = WnDelta::from_notices(&wns);
+    fn restrict_to_missing_keeps_the_notices_the_clock_lacks_in_order() {
+        let d = WnDelta::from(vec![
+            notice(0, 1, &[1]),
+            notice(0, 2, &[2]),
+            notice(1, 2, &[3]),
+        ]);
         assert_eq!(d.len(), 3);
-        assert!(!d.is_empty());
-        assert_eq!(d.to_notices(), wns);
-        let got: Vec<_> = d.iter().map(|(i, p)| (i, p.to_vec())).collect();
-        assert_eq!(got[0], (iv(0, 1), vec![PageId(1), PageId(2)]));
-        assert!(WnDelta::empty().is_empty());
-    }
-
-    #[test]
-    fn restrict_to_missing_filters_spans_and_shares_the_arena() {
-        let d =
-            WnDelta::from_notices(&[notice(0, 1, &[1]), notice(0, 2, &[2]), notice(1, 1, &[3])]);
-        // A clock covering (0,1) and (1,1) but not (0,2).
+        // A clock covering (0,1) but neither (0,2) nor (1,2).
         let have = VectorClock::from_vec(vec![1, 1]);
         let m = d.restrict_to_missing(&have);
-        assert_eq!(m.to_notices(), vec![notice(0, 2, &[2])]);
-        assert!(Arc::ptr_eq(m.arena(), d.arena()));
+        assert_eq!(
+            m,
+            WnDelta::from(vec![notice(0, 2, &[2]), notice(1, 2, &[3])])
+        );
+        let all = VectorClock::from_vec(vec![2, 2]);
+        assert!(d.restrict_to_missing(&all).is_empty());
+        assert!(WnDelta::empty().is_empty());
     }
 }

@@ -6,8 +6,8 @@ use dsm_page::{Diff, Interval, PageId, VectorClock};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockManagerTable};
 use hlrc::{
-    AccessOutcome, DiffJob, FetchOutcome, HomeStore, PageBody, PageTable, WaitingFetch, WnDelta,
-    WnTable, WriteNotice,
+    AccessOutcome, DiffJob, FetchOutcome, HomeStore, PageBody, PageTable, WaitingFetch, WnTable,
+    WriteNotice,
 };
 use proptest::prelude::*;
 
@@ -247,8 +247,8 @@ proptest! {
     }
 
     /// The barrier release timestamp is exactly the join of the arrivals,
-    /// and each participant receives exactly the notices its own arrival
-    /// timestamp does not cover.
+    /// each participant receives exactly the notices its own arrival
+    /// timestamp does not cover, and no release lists an interval twice.
     #[test]
     fn barrier_release_is_join_of_arrivals(
         vts in proptest::collection::vec(proptest::collection::vec(0u32..8, 3), 3),
@@ -267,7 +267,7 @@ proptest! {
                 proc: p,
                 episode: 0,
                 vt,
-                own_wns: WnDelta::from_notices(&wns),
+                own_wns: wns.into(),
             });
         }
         let ArriveOutcome::Complete(rel) = outcome else {
@@ -275,8 +275,10 @@ proptest! {
         };
         prop_assert_eq!(&rel.vt, &expected);
         for (p, wns) in rel.per_proc_wns.iter().enumerate() {
-            for (interval, _) in wns.iter() {
-                prop_assert!(!rel.arrival_vts[p].covers_interval(interval));
+            let mut listed = std::collections::HashSet::new();
+            for wn in wns.iter() {
+                prop_assert!(!rel.arrival_vts[p].covers_interval(wn.interval));
+                prop_assert!(listed.insert(wn.interval), "{} listed twice", wn.interval);
             }
         }
     }
@@ -312,7 +314,7 @@ proptest! {
             to.set(p, from.get(p) + d);
         }
         let got = table.missing_between(&from, &to);
-        for wn in &got {
+        for wn in got.iter() {
             let iv = wn.interval;
             prop_assert!(!from.covers_interval(iv));
             prop_assert!(to.covers_interval(iv));
