@@ -2,7 +2,7 @@
 //!
 //! The build environment cannot download crates, so this shim provides the
 //! subset of proptest used by the workspace's property tests: the
-//! [`Strategy`] trait, range/`Just`/`any`/tuple/vec/union strategies, the
+//! [`Strategy`](strategy::Strategy) trait, range/`Just`/`any`/tuple/vec/union strategies, the
 //! `proptest!` / `prop_assert*` / `prop_oneof!` macros, and a deterministic
 //! splitmix64-based runner. It does **not** shrink failing inputs; instead
 //! the failing case's inputs, case index, and seed are printed so the run

@@ -149,15 +149,45 @@ impl FtState {
         )
     }
 
-    /// The version of `page` in the oldest retained checkpoint — the `p0.v`
-    /// the CGC rule pins, which bounds every writer's diff log — but only
-    /// when `Tmin` covers it. Otherwise some peer's recovery may need to
-    /// start from the virtual initial (zero) copy, so no diff may be
-    /// trimmed and nothing is advertised.
-    pub(crate) fn cover_version(&self, me: ProcId, page: PageId) -> Option<VectorClock> {
-        let tmin = self.tmin_peers(me)?;
-        let v = self.retained.first().and_then(|c| c.versions.get(&page))?;
-        tmin.covers(v).then(|| v.clone())
+    /// Rule 3's gate: the version of `page` in the oldest retained
+    /// checkpoint — the `p0.v` the CGC rule pins, which bounds every
+    /// writer's diff log — but only when `tmin` ([`FtState::tmin_peers`])
+    /// covers it. Otherwise some peer's recovery may need to start from the
+    /// virtual initial (zero) copy, so no diff may be trimmed and nothing is
+    /// advertised.
+    fn cover_version(&self, tmin: &VectorClock, page: PageId) -> Option<&VectorClock> {
+        let v = self.retained.first()?.versions.get(&page)?;
+        tmin.covers(v).then_some(v)
+    }
+
+    /// The `p0.v` hints for a message to `to`: the bound of each page of
+    /// `pt` homed here that `to` writes, gated by `tmin` as
+    /// [`FtState::cover_version`] says, each `(page, writer, bound)` once —
+    /// at most [`PIGGY_PAGE_BATCH`] of them, walking the pages round-robin
+    /// from where the last message stopped.
+    fn p0v_hints(&mut self, pt: &PageTable, to: ProcId, tmin: &VectorClock) -> Vec<(PageId, u32)> {
+        let homed = pt.homed_pages();
+        let mut p0v = Vec::new();
+        if homed.is_empty() {
+            return p0v;
+        }
+        let start = self.piggy_cursor % homed.len();
+        for k in 0..homed.len() {
+            if p0v.len() >= PIGGY_PAGE_BATCH {
+                break;
+            }
+            let page = homed[(start + k) % homed.len()];
+            self.piggy_cursor = (start + k + 1) % homed.len();
+            if !pt.home_writers_contain(page, to) {
+                continue;
+            }
+            let bound = self.cover_version(tmin, page).map_or(0, |v| v.get(to));
+            if bound > 0 && self.p0v_sent.get(&(page, to)).copied().unwrap_or(0) < bound {
+                self.p0v_sent.insert((page, to), bound);
+                p0v.push((page, bound));
+            }
+        }
+        p0v
     }
 }
 
@@ -257,34 +287,11 @@ impl FtSvc {
     pub(crate) fn make_piggy(&mut self, pt: &PageTable, to: ProcId, gossip: bool) -> Option<Piggy> {
         let me = self.me;
         let ft = self.state.as_mut()?;
-        let mut p0v = Vec::new();
-        // `p0.v` hints exist only once a checkpoint is retained; until then
-        // (and in base-HLRC runs) no send pays the walk over the page slots.
-        let homed = if ft.retained.is_empty() {
-            Vec::new()
-        } else {
-            pt.homed_pages()
-        };
-        if !homed.is_empty() {
-            let start = ft.piggy_cursor % homed.len();
-            for k in 0..homed.len() {
-                if p0v.len() >= PIGGY_PAGE_BATCH {
-                    break;
-                }
-                let page = homed[(start + k) % homed.len()];
-                ft.piggy_cursor = (start + k + 1) % homed.len();
-                if !pt.home_writers_contain(page, to) {
-                    continue;
-                }
-                if let Some(v) = ft.cover_version(me, page) {
-                    let bound = v.get(to);
-                    if bound > 0 && ft.p0v_sent.get(&(page, to)).copied().unwrap_or(0) < bound {
-                        ft.p0v_sent.insert((page, to), bound);
-                        p0v.push((page, bound));
-                    }
-                }
-            }
-        }
+        // `p0.v` hints exist only once a checkpoint is retained and `Tmin`
+        // is known; until then (and in base-HLRC runs) no send pays the walk
+        // over the page slots.
+        let tmin = ft.retained.first().and_then(|_| ft.tmin_peers(me));
+        let p0v = tmin.map_or_else(Vec::new, |tmin| ft.p0v_hints(pt, to, &tmin));
         let news = ft.piggy_sent[to] != ft.ckpt_seq;
         let table = if gossip {
             ft.gossip_table(me)
@@ -515,12 +522,10 @@ pub(crate) fn take_checkpoint(
     // the piggyback, on Tmin covering it (otherwise a peer may need to
     // start from the virtual zero copy and every diff must stay).
     let mut p0v = ft.p0v_known.clone();
-    if let Some(tmin) = ft.tmin_peers(me) {
-        if let Some(oldest) = ft.retained.first() {
-            for (page, v) in &oldest.versions {
-                if tmin.covers(v) {
-                    p0v.insert(*page, v.get(me));
-                }
+    if let (Some(tmin), Some(oldest)) = (ft.tmin_peers(me), ft.retained.first()) {
+        for page in oldest.versions.keys() {
+            if let Some(v) = ft.cover_version(&tmin, *page) {
+                p0v.insert(*page, v.get(me));
             }
         }
     }
@@ -659,6 +664,62 @@ mod tests {
         assert!(FtSvc::new(0, 2, None, None)
             .make_piggy(&pt, 1, true)
             .is_none());
+    }
+
+    #[test]
+    fn p0v_hints_wait_for_tmin_go_to_each_writer_once_and_come_in_batches() {
+        use crate::runtime::node::tests::diff_of;
+        // Node 0 of 3 homes 40 pages. Node 1 wrote every one of them, node 2
+        // page 0 only, and the oldest retained checkpoint holds what they
+        // wrote.
+        let (n, pages) = (3, 40);
+        let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let mut ft = FtSvc::new(0, n, Some(ft_state(0, n, &store)), None);
+        let mut pt = PageTable::new(0, n, 256);
+        for p in 0..pages {
+            pt.add_page(0);
+            assert!(pt.home_apply_diff(&diff_of(p, 1, 1)));
+        }
+        assert!(pt.home_apply_diff(&diff_of(0, 2, 1)));
+        let versions = (0..pages).map(|p| (PageId(p), pt.home_version(PageId(p))));
+        let retained = RetainedCkpt {
+            seq: 1,
+            versions: versions.collect(),
+        };
+        fn state(ft: &mut FtSvc) -> &mut FtState {
+            ft.state.as_mut().unwrap()
+        }
+        state(&mut ft).retained.push(retained);
+        let hints = |ft: &mut FtSvc, to| {
+            let piggy = ft.make_piggy(&pt, to, false);
+            piggy.map_or_else(Vec::new, |p| p.p0v)
+        };
+
+        // Tmin is zero: a peer may restart from the zero copy, so no writer
+        // is told it may trim.
+        assert!(hints(&mut ft, 1).is_empty() && hints(&mut ft, 2).is_empty());
+        // Every peer has checkpointed past the copy: node 1 learns the bound
+        // of every page it writes, at most a batch a message; node 2 only
+        // page 0's. Then nothing is news.
+        state(&mut ft).tckp = vec![vt([0, 1, 1]); n];
+        let first = hints(&mut ft, 1);
+        let second = hints(&mut ft, 1);
+        assert_eq!(first.len(), PIGGY_PAGE_BATCH);
+        let mut told: Vec<_> = first.into_iter().chain(second).collect();
+        told.sort_unstable();
+        assert_eq!(told, (0..pages).map(|p| (PageId(p), 1)).collect::<Vec<_>>());
+        assert!(hints(&mut ft, 1).is_empty(), "a bound is told once");
+        assert_eq!(hints(&mut ft, 2), [(PageId(0), 1)]);
+        assert!(hints(&mut ft, 2).is_empty());
+        // A higher bound for the same page and writer is news again.
+        let ft_state = state(&mut ft);
+        ft_state.retained[0]
+            .versions
+            .insert(PageId(0), vt([0, 2, 1]));
+        ft_state.tckp = vec![vt([0, 2, 1]); n];
+        assert_eq!(hints(&mut ft, 1), [(PageId(0), 2)]);
+        assert!(hints(&mut ft, 2).is_empty());
     }
 
     #[test]

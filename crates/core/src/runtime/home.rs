@@ -1,10 +1,9 @@
-//! The home and manager side of the three lock-free kinds: [`HomeSvc`].
+//! The home side of the two lock-free kinds: [`HomeSvc`].
 //!
-//! `PageReq` and `DiffBatch` need only the sharded home store, `LockAcq`
-//! only the sync lock — never the big lock, which is what
-//! lets the service loop run their one handler while the application
-//! computes. The module owns no state of its own: the home store belongs to
-//! the page table and the sync lock to [`crate::runtime::sync::SyncSvc`].
+//! `PageReq` and `DiffBatch` need only the sharded home store — never the
+//! big lock, which is what lets the service loop run their one handler while
+//! the application computes. The module owns no state of its own: the home
+//! store belongs to the page table. Lock order is big → shard.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,12 +11,10 @@ use std::time::Instant;
 
 use dsm_page::{Diff, ProcId};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
-use hlrc::locks::{AcqReq, LockAction};
 use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch};
 
 use crate::msg::Payload;
 use crate::runtime::node::NodeState;
-use crate::runtime::sync::{self, SyncHandle};
 
 /// The reply to a parked fetch that has become servable: one page, under
 /// the `req_id` of the request that asked for it.
@@ -66,20 +63,17 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: &Payload) {
         // An applied diff can be what an access to a homed page waits for.
         Served::Done { wake: true } => st.ep.poke(),
         Served::Done { wake: false } => {}
-        Served::GrantHere(a) => sync::grant_here(st, a),
         // `handle_msg` has already deferred pages this node has yet to
         // allocate, so what is left is a routing bug.
         Served::HandBack => panic!("{} for a page not homed here", payload.kind()),
     }
 }
 
-/// The handles the home-side (`PageReq`/`DiffBatch`) and manager-side (`LockAcq`) handler works against: the sharded home store
-/// and the sync lock — never the big lock, which is what lets the service
-/// loop run it while the application computes.
+/// The handles the home-side handler (`PageReq`, `DiffBatch`) works
+/// against: the sharded home store — never the big lock, which is what lets
+/// the service loop run it while the application computes.
 pub(crate) struct HomeSvc {
-    me: ProcId,
     home: Arc<HomeStore>,
-    sync: SyncHandle,
     tracer: NodeTracer,
     inject_stale_apply: Option<Arc<AtomicBool>>,
 }
@@ -90,14 +84,9 @@ pub(crate) enum Served {
     /// applied, which can satisfy the application thread's blocked access
     /// to a homed page.
     Done { wake: bool },
-    /// A `LockAcq` was routed and the manager named this very node as the
-    /// granter. The grant needs big-lock state (tenure, FT logs); the caller
-    /// finishes it there — never by re-running the message, so the routing
-    /// decision is taken exactly once.
-    GrantHere(LockAction),
     /// Not handled, or a batch not handled to its end: `live` failed under
-    /// a shard or the sync lock, a page is not in the home store (yet), or
-    /// the kind needs big-lock state. Running the whole message again later
+    /// a shard lock, a page is not in the home store (yet), or the kind
+    /// needs big-lock state. Running the whole message again later
     /// loses nothing and repeats nothing visible: applies are version-gated,
     /// fetches unparked so far have been answered, and a page parked twice
     /// yields a duplicate reply the requester drops by `req_id`.
@@ -108,19 +97,16 @@ impl HomeSvc {
     /// `st`'s handles for [`HomeSvc::serve`].
     pub(crate) fn of(st: &NodeState) -> HomeSvc {
         HomeSvc {
-            me: st.me,
             home: st.pt.home_store(),
-            sync: st.sync.handle(),
             tracer: st.tracer.clone(),
             inject_stale_apply: st.inject_stale_apply.clone(),
         }
     }
 
-    /// The one handler for `PageReq`, `DiffBatch` and `LockAcq`, whoever
-    /// delivers them. `live` is re-checked under every
-    /// shard lock and under the sync lock, so a crash or recovery transition
-    /// (mode flag flip, then quiesce) fences the handler out; a caller that
-    /// holds the big lock passes `|| true`. Replies go to `reply`, which
+    /// The one handler for `PageReq` and `DiffBatch`, whoever delivers
+    /// them. `live` is re-checked under every shard lock, so a crash or
+    /// recovery transition (mode flag flip, then quiesce) fences the handler
+    /// out; a caller that holds the big lock passes `|| true`. Replies go to `reply`, which
     /// decides how they travel (bare, or with the FT piggyback).
     pub(crate) fn serve(
         &self,
@@ -162,31 +148,6 @@ impl HomeSvc {
             }
             Payload::DiffBatch { seq, diffs } => {
                 return self.serve_batch(hists, from, *seq, diffs, live, reply)
-            }
-            Payload::LockAcq { lock, acq_seq, vt } => {
-                debug_assert_eq!(
-                    lock % self.home.cluster_size(),
-                    self.me,
-                    "lock request at wrong manager"
-                );
-                // Manager routing touches only the sync lock.
-                let action = {
-                    let mut sync = self.sync.0.lock();
-                    if !live() {
-                        return Served::HandBack;
-                    }
-                    let req = AcqReq {
-                        requester: from,
-                        acq_seq: *acq_seq,
-                        vt: vt.clone(),
-                    };
-                    sync.lock_mgr.on_request(*lock, req)
-                };
-                match action {
-                    None => {}
-                    Some(a) if a.grant_from == self.me => return Served::GrantHere(a),
-                    Some(a) => reply(a.grant_from, sync::lock_forward(a)),
-                }
             }
             _ => return Served::HandBack,
         }
@@ -269,7 +230,7 @@ mod tests {
     use dsm_page::{PageId, VectorClock};
 
     #[test]
-    fn crash_fence_hands_all_three_kinds_back_untouched() {
+    fn crash_fence_hands_both_kinds_back_untouched() {
         let (mut st, eps) = test_state(0, 2, false);
         st.pt.add_page(0);
         st.pt.add_page(0);
@@ -292,11 +253,6 @@ mod tests {
                 seq: 3,
                 diffs: vec![diff_of(0, 1, 1), diff_of(1, 1, 1)],
             },
-            Payload::LockAcq {
-                lock: 4,
-                acq_seq: 0,
-                vt: VectorClock::zero(2),
-            },
         ];
         for payload in &fenced {
             let served = svc.serve(
@@ -317,7 +273,6 @@ mod tests {
             assert_eq!(home.version_of(PageId(p)), VectorClock::zero(2));
             assert!(unpark(&home, p, 1, 1).is_empty(), "page {p} parked a fetch");
         }
-        assert_eq!(st.sync.handle().0.lock().lock_mgr.tail_of(4), None);
         assert!(eps[0].try_recv().is_none());
     }
 

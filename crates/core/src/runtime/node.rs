@@ -17,21 +17,21 @@
 //!
 //! | module | file | kinds |
 //! |---|---|---|
-//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` carries), `LockAcq` |
+//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` carries) |
 //! | [`FetchSvc`] | `runtime/fetch.rs` | `PageReply` |
-//! | [`SyncSvc`] | `runtime/sync.rs` | `LockForward`, `LockGrant`, `BarrierArrive`, `BarrierRelease` |
+//! | [`SyncSvc`] | `runtime/sync.rs` | `LockAcq`, `LockForward`, `LockGrant`, `BarrierArrive`, `BarrierRelease` |
 //! | [`FtSvc`] | `ft/mod.rs` | `DiffAck` |
 //! | [`RecoverySvc`] | `ft/recovery.rs` | `RecLogReq`, `RecLogReply`, `RecPageReq`, `RecPageReply` |
 //! | [`MemberSvc`] | `runtime/member.rs` | `Member` |
 //!
-//! The big state lock is *not* the only lock (see DESIGN.md "Hot path").
-//! Home-page state lives in the sharded [`hlrc::HomeStore`] and
-//! lock/barrier-manager state behind the small sync lock, and the one
-//! handler for `PageReq`/`DiffBatch`/`LockAcq` ([`HomeSvc::serve`]) needs
-//! nothing else — so the service loop runs it
-//! without the big lock while the application computes under it. The big
-//! lock keeps the rarely-contended rest: mode, waits, FT logs, recovery
-//! state. Lock order is big → sync → shard; shard locks are leaves.
+//! A node's protocol state has two locks (see DESIGN.md "Hot path"; the
+//! membership runtime keeps small locks of its own). Home-page state lives
+//! in the sharded [`hlrc::HomeStore`], and the one handler for
+//! `PageReq`/`DiffBatch` ([`HomeSvc::serve`]) needs nothing else — so the
+//! service loop runs it without the big lock while the application computes
+//! under it. The big lock keeps the rest: mode, waits, lock and barrier
+//! managers, FT logs, recovery state. Lock order is big → shard; shard
+//! locks are leaves.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -312,10 +312,8 @@ impl NodeState {
     pub(crate) fn fail_stop(&mut self) {
         self.set_mode(Mode::Crashed);
         // Fence the service loop's lock-free handler: after the mode flag
-        // flips, drain the sync lock (`SyncSvc::fail_stop` takes it) and the
-        // shard locks, so nothing that started before the flip is still in
-        // flight.
-        self.sync.fail_stop();
+        // flips, drain the shard locks, so nothing that started before the
+        // flip is still in flight.
         self.pt.home_store().quiesce();
         // The page *slots* stay allocated: replay re-runs the same
         // allocations over them. Home copies are overwritten from stable
@@ -330,6 +328,7 @@ impl NodeState {
         self.wait = WaitSlot::None;
         self.cur_flow = 0;
         self.fetch.fail_stop();
+        self.sync.fail_stop();
         self.ft.fail_stop();
         self.rec.fail_stop();
     }
@@ -495,11 +494,10 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, mut payload: Payload)
         home::handle(st, from, &batch);
     }
     match payload {
-        Payload::PageReq { .. } | Payload::DiffBatch { .. } | Payload::LockAcq { .. } => {
-            home::handle(st, from, &payload)
-        }
+        Payload::PageReq { .. } | Payload::DiffBatch { .. } => home::handle(st, from, &payload),
         Payload::PageReply { .. } => fetch::handle(st, payload),
-        Payload::LockForward { .. }
+        Payload::LockAcq { .. }
+        | Payload::LockForward { .. }
         | Payload::LockGrant { .. }
         | Payload::BarrierArrive { .. }
         | Payload::BarrierRelease { .. } => sync::handle(st, from, payload),
@@ -614,11 +612,11 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                 continue;
             }
             Event::NodeUp { .. } => handle_locked(&shared, ev),
-            // Membership traffic must not wait on the big lock (the
-            // application thread holds it while computing, and a stalled
-            // Pong looks like a dead node to the peer). A crashed node's
-            // input is already cut off at the fabric; the mode check here
-            // just fences the drain race.
+            // Membership traffic must not wait on the big lock: the
+            // application thread holds it while computing, and a Pong held
+            // up behind it would tell the peer of a restart late. A crashed
+            // node's input is already cut off at the fabric; the mode check
+            // here just fences the drain race.
             Event::Msg {
                 from,
                 msg:
@@ -668,19 +666,6 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                         }
                         t0.elapsed()
                     }
-                    Served::GrantHere(a) => {
-                        let mut st = shared.state.lock();
-                        // A crash slipped in between the sync-lock decision
-                        // and here: drop the action. Recovery resets the
-                        // manager state and the requester retransmits on
-                        // NodeUp.
-                        if st.mode == Mode::Normal {
-                            st.cur_flow = msg.ctx.flow_id();
-                            sync::grant_here(&mut st, a);
-                            st.cur_flow = 0;
-                        }
-                        t0.elapsed()
-                    }
                     Served::HandBack => {
                         t0.elapsed() + handle_locked(&shared, Event::Msg { from, msg })
                     }
@@ -706,7 +691,6 @@ pub(crate) mod tests {
     use dsm_net::Fabric;
     use dsm_page::Diff;
     use dsm_storage::{DiskModel, StableStore};
-    use hlrc::locks::AcqReq;
     use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, WaitingFetch};
     use hlrc::{PageBody, WnDelta};
 
@@ -855,8 +839,9 @@ pub(crate) mod tests {
         assert!(home.ring_bytes(PageId(1)) > 0);
         home.serve_fetch(parked_fetch(PageId(2), gated(n, 0, 9)), || true);
         // ... and every module, through what it handles. Sync: we hold lock
-        // 4 (which we manage) by acquisition 2, node 2 queues behind that
-        // tenure, lock 5 was released, and the counters have counted.
+        // 4 (which we manage) by acquisition 2, node 2's request for it has
+        // reached us as its manager, a forward queues behind our tenure,
+        // lock 5 was released, and the counters have counted.
         for _ in 0..4 {
             st.sync.take_acq_seq();
         }
@@ -865,17 +850,12 @@ pub(crate) mod tests {
         st.sync.enter(4, 2, 9);
         st.sync.enter(5, 3, 1);
         st.sync.leave(5, vt([1, 1, 0]));
-        let request = AcqReq {
-            requester: 2,
+        let request = Payload::LockAcq {
+            lock: 4,
             acq_seq: 0,
             vt: vt([0, 0, 0]),
         };
-        st.sync
-            .handle()
-            .0
-            .lock()
-            .lock_mgr
-            .on_request(4, request.clone());
+        handle_msg(&mut st, 2, request);
         let forward = Payload::LockForward {
             lock: 4,
             requester: 2,
@@ -986,6 +966,37 @@ pub(crate) mod tests {
         }
         handle_msg(&mut st, 0, Payload::DiffAck { seq: *old_seq });
         assert!(!st.ft.drained() && st.dup_suppressed == 3);
+    }
+
+    #[test]
+    fn a_lock_request_waits_out_a_recovery_and_dies_with_a_crash() {
+        // Node 0 of 2 manages lock 0; node 1 asks for it.
+        let acq = Payload::LockAcq {
+            lock: 0,
+            acq_seq: 0,
+            vt: VectorClock::zero(2),
+        };
+        let request = || Event::Msg {
+            from: 1,
+            msg: Msg::with_parent(acq.clone(), None, 0),
+        };
+        let (mut st, eps) = test_state(0, 2, false);
+        st.set_mode(Mode::Recovering);
+        dispatch(&mut st, request());
+        let mut backlog = RecoverySvc::default();
+        backlog.defer(1, acq.clone());
+        assert_eq!(st.rec, backlog, "a recovering manager defers the request");
+        st.set_mode(Mode::Crashed);
+        dispatch(&mut st, request());
+        assert_eq!(st.rec, backlog, "a crashed manager drops it");
+        assert_eq!(st.sync, SyncSvc::new(0, 2), "the manager routed nothing");
+        assert!(eps[0].recv_any(Duration::ZERO).is_none());
+        // In Normal mode the same request is routed: node 0 is the chain
+        // start, so node 1 is granted at once.
+        st.set_mode(Mode::Normal);
+        dispatch(&mut st, request());
+        assert_ne!(st.sync, SyncSvc::new(0, 2));
+        assert_eq!(only_payload(&eps[0]).kind(), "LockGrant");
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Locks and barriers as one node sees them: [`SyncSvc`].
 //!
-//! The module owns the manager-side state behind the small sync lock (which
-//! [`crate::runtime::home::HomeSvc`] routes `LockAcq` against), this node's
-//! tenures and the grants queued behind them, the counters that number its
-//! acquisitions and barrier crossings, and the four kinds that are neither
-//! lock-free nor recovery: `LockForward`, `LockGrant`, `BarrierArrive`,
-//! `BarrierRelease`. Its handlers take what they need of the rest of the
-//! node as arguments and answer through a reply sink, so they can be driven
-//! with no endpoint at all.
+//! The module owns the lock- and barrier-manager state, this node's tenures
+//! and the grants queued behind them, the counters that number its
+//! acquisitions and barrier crossings, and the five kinds that route
+//! through those: `LockAcq`, `LockForward`, `LockGrant`, `BarrierArrive`,
+//! `BarrierRelease`. All of it is served under the big lock (lock order
+//! big → shard; this module takes no lock of its own). Its handlers take
+//! what they need of the rest of the node as arguments and answer through a
+//! reply sink, so they can be driven with no endpoint at all.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use dsm_page::{ProcId, VectorClock};
@@ -18,37 +17,12 @@ use dsm_trace::{EventKind, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
 use hlrc::{LockId, WnTable};
-use parking_lot::Mutex;
 
 use crate::ft::ckpt::CheckpointBlob;
 use crate::ft::logs::{MgrBarEntry, RelEntry};
 use crate::ft::FtSvc;
 use crate::msg::Payload;
 use crate::runtime::node::{NodeState, Replies, WaitSlot};
-
-/// Lock-manager and barrier-manager state, behind its own small lock.
-///
-/// `LockAcq` routing (manager forwards to the chain tail) only needs this
-/// state, so the service thread can route forwards while the application
-/// holds the big lock. The application thread takes this lock
-/// *after* the big lock (big → sync); neither is ever taken while a
-/// home-store shard lock is held.
-#[derive(Debug, PartialEq)]
-pub(crate) struct SyncState {
-    pub lock_mgr: LockManagerTable,
-    pub bar_mgr: Option<BarrierManager>,
-}
-
-/// The sync lock, shared between [`SyncSvc`] and the lock-free handler.
-/// Two handles are equal when what they guard is.
-#[derive(Debug, Clone)]
-pub(crate) struct SyncHandle(pub Arc<Mutex<SyncState>>);
-
-impl PartialEq for SyncHandle {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || *self.0.lock() == *other.0.lock()
-    }
-}
 
 /// This node's latest tenure of one lock. Deterministic local knowledge,
 /// reconstructed exactly by checkpoint restore plus replay — the basis of
@@ -80,8 +54,10 @@ type ChainReport = (
 pub(crate) struct SyncSvc {
     me: ProcId,
     n: usize,
-    /// Lock- and barrier-manager state (its own small lock; big → sync).
-    mgr: SyncHandle,
+    /// The chains of the locks this node manages (`lock % n == me`).
+    lock_mgr: LockManagerTable,
+    /// The barrier manager, on node 0.
+    bar_mgr: Option<BarrierManager>,
     tenures: HashMap<LockId, Tenure>,
     last_release_vt: HashMap<LockId, VectorClock>,
     /// Forwarded acquires queued while this node still holds the lock.
@@ -102,10 +78,8 @@ impl SyncSvc {
         SyncSvc {
             me,
             n,
-            mgr: SyncHandle(Arc::new(Mutex::new(SyncState {
-                lock_mgr: LockManagerTable::new(me),
-                bar_mgr: (me == 0).then(|| BarrierManager::new(n)),
-            }))),
+            lock_mgr: LockManagerTable::new(me),
+            bar_mgr: (me == 0).then(|| BarrierManager::new(n)),
             tenures: HashMap::new(),
             last_release_vt: HashMap::new(),
             pending_grants: HashMap::new(),
@@ -116,24 +90,11 @@ impl SyncSvc {
         }
     }
 
-    /// The sync lock, for the lock-free handler.
-    pub(crate) fn handle(&self) -> SyncHandle {
-        self.mgr.clone()
-    }
-
-    /// Fail-stop: everything is lost. The sync lock itself is shared with
-    /// the service loop, so it is emptied in place — and taking it, after
-    /// the mode flag has flipped, is the fence that waits out a `LockAcq`
-    /// handler still in flight. The barrier manager (node 0) comes back in
-    /// `go_live`, from the collected barrier logs.
+    /// Fail-stop: everything is lost. The barrier manager (node 0) comes
+    /// back in `go_live`, from the collected barrier logs.
     pub(crate) fn fail_stop(&mut self) {
-        let mgr = self.handle();
-        *mgr.0.lock() = SyncState {
-            lock_mgr: LockManagerTable::new(self.me),
-            bar_mgr: None,
-        };
         *self = SyncSvc {
-            mgr,
+            bar_mgr: None,
             ..Self::new(self.me, self.n)
         };
     }
@@ -361,21 +322,15 @@ impl SyncSvc {
 
     /// Process a barrier arrival at the manager (local or remote).
     pub(crate) fn barrier_manager_arrive(
-        &self,
+        &mut self,
         arrival: Arrival,
         hists: &mut LatencyHists,
         ft: &mut FtSvc,
         reply: &mut Replies,
     ) {
         let t_arrive = Instant::now();
-        let outcome = {
-            let mut sync = self.mgr.0.lock();
-            let mgr = sync
-                .bar_mgr
-                .as_mut()
-                .expect("barrier arrival at non-manager");
-            mgr.arrive(arrival)
-        };
+        let mgr = self.bar_mgr.as_mut();
+        let outcome = mgr.expect("barrier arrival at non-manager").arrive(arrival);
         match outcome {
             ArriveOutcome::Pending => {}
             ArriveOutcome::Complete(rel) => {
@@ -484,16 +439,15 @@ impl SyncSvc {
             self.note_grant(e.lock, e.gen, peer, e.acq_seq);
         }
         let (me, n) = (self.me, self.n);
-        let mut sync = self.mgr.0.lock();
         for (lock, gen, grantee, grantee_acq, granter) in chains {
             if lock % n == me {
-                sync.lock_mgr
+                self.lock_mgr
                     .restore_chain(lock, gen, grantee, grantee_acq, granter);
             }
         }
         for (lock, gen) in floors {
             if lock % n == me {
-                sync.lock_mgr.bound_gen(lock, gen);
+                self.lock_mgr.bound_gen(lock, gen);
             }
         }
     }
@@ -503,18 +457,17 @@ impl SyncSvc {
     /// delivered grant), plus our own checkpoint-restored tenures of locks
     /// we manage (replayed tenures restore theirs as the replay reaches
     /// them).
-    pub(crate) fn restore_own_chains(&self) {
+    pub(crate) fn restore_own_chains(&mut self) {
         let (me, n) = (self.me, self.n);
-        let mut sync = self.mgr.0.lock();
         for (&lock, &(gen, grantee, grantee_acq)) in &self.lock_chain_info {
             if lock % n == me {
-                sync.lock_mgr
+                self.lock_mgr
                     .restore_chain(lock, gen, grantee, grantee_acq, Some(me));
             }
         }
         for (&lock, t) in &self.tenures {
             if lock % n == me {
-                sync.lock_mgr.restore_chain(lock, t.gen, me, t.acq, None);
+                self.lock_mgr.restore_chain(lock, t.gen, me, t.acq, None);
             }
         }
     }
@@ -529,14 +482,12 @@ impl SyncSvc {
         if lock % self.n != me {
             return;
         }
-        let mut sync = self.mgr.0.lock();
+        let lock_mgr = &mut self.lock_mgr;
         match granted {
             // We manage this lock: our replayed tenure is a chain position
             // the handshake could not report (peers report their own tenures
             // and issued grants, not ours).
-            Some((gen, granter)) => sync
-                .lock_mgr
-                .restore_chain(lock, gen, me, acq, Some(granter)),
+            Some((gen, granter)) => lock_mgr.restore_chain(lock, gen, me, acq, Some(granter)),
             // We also manage this lock: our self-grant proves we were the
             // chain tail *at this tenure*. A self-grant's generation died
             // with the old manager incarnation, but the run of consecutive
@@ -549,12 +500,11 @@ impl SyncSvc {
             // peers' write notices); anything else is stale and the run's
             // end is the true tail.
             None => {
-                let moved_past = sync
-                    .lock_mgr
+                let moved_past = lock_mgr
                     .tail_gen_of(lock)
-                    .is_some_and(|g| g > g_run && sync.lock_mgr.tail_of(lock) != Some(me));
+                    .is_some_and(|g| g > g_run && lock_mgr.tail_of(lock) != Some(me));
                 if !moved_past {
-                    sync.lock_mgr.force_tail(lock, me, acq);
+                    lock_mgr.force_tail(lock, me, acq);
                 }
             }
         }
@@ -565,7 +515,11 @@ impl SyncSvc {
     /// timestamps and notice set are rebuilt conservatively (zero arrivals,
     /// all notices the joined timestamp covers); receivers skip notices they
     /// already cover, so extras are harmless.
-    pub(crate) fn restore_barrier_manager(&self, last: Option<&VectorClock>, wn_table: &WnTable) {
+    pub(crate) fn restore_barrier_manager(
+        &mut self,
+        last: Option<&VectorClock>,
+        wn_table: &WnTable,
+    ) {
         let zero = VectorClock::zero(self.n);
         let mut mgr = BarrierManager::new(self.n);
         let last = last.map(|vt| {
@@ -573,22 +527,12 @@ impl SyncSvc {
             (vt.clone(), vec![zero.clone(); self.n], all_wns)
         });
         mgr.restore(self.bar_episode, last);
-        self.mgr.0.lock().bar_mgr = Some(mgr);
+        self.bar_mgr = Some(mgr);
     }
 }
 
-/// A manager decision whose chain predecessor is this node — forwarded to
-/// it, or taken by its own manager (no forward then: the grant is finished
-/// here, under the big lock). Send what [`SyncSvc::handle_forward`] answers.
-pub(crate) fn grant_here(st: &mut NodeState, a: LockAction) {
-    let mut out = Vec::new();
-    st.sync
-        .handle_forward(a, &st.wait, &st.wn_table, &mut st.ft, &st.tracer, &mut out);
-    st.send_all(out);
-}
-
 /// The forward that carries a manager decision to the chain predecessor.
-pub(crate) fn lock_forward(a: LockAction) -> Payload {
+fn lock_forward(a: LockAction) -> Payload {
     Payload::LockForward {
         lock: a.lock,
         requester: a.req.requester,
@@ -601,7 +545,7 @@ pub(crate) fn lock_forward(a: LockAction) -> Payload {
 
 /// A crashed peer restarted: re-issue the forwards it lost.
 pub(crate) fn reforward_to(st: &mut NodeState, node: ProcId) {
-    let actions = st.sync.mgr.0.lock().lock_mgr.on_node_up(node);
+    let actions = st.sync.lock_mgr.on_node_up(node);
     for a in actions {
         st.send(a.grant_from, lock_forward(a));
     }
@@ -610,6 +554,20 @@ pub(crate) fn reforward_to(st: &mut NodeState, node: ProcId) {
 /// The module's slice of the message kinds, under the big lock.
 pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
     match payload {
+        // The manager routes the request to the chain tail. When that is
+        // this node, the forward is a send to itself: it never reaches the
+        // wire and is granted below, in this same handler call.
+        Payload::LockAcq { lock, acq_seq, vt } => {
+            debug_assert_eq!(lock % st.n, st.me, "lock request at wrong manager");
+            let req = AcqReq {
+                requester: from,
+                acq_seq,
+                vt,
+            };
+            if let Some(a) = st.sync.lock_mgr.on_request(lock, req) {
+                st.send(a.grant_from, lock_forward(a));
+            }
+        }
         Payload::LockForward {
             lock,
             requester,
@@ -631,7 +589,10 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
                 grant_from,
                 req,
             };
-            grant_here(st, a);
+            let mut out = Vec::new();
+            st.sync
+                .handle_forward(a, &st.wait, &st.wn_table, &mut st.ft, &st.tracer, &mut out);
+            st.send_all(out);
         }
         Payload::BarrierArrive {
             episode,
@@ -667,6 +628,7 @@ mod tests {
     use crate::ft::FtState;
     use dsm_storage::{DiskModel, StableStore};
     use hlrc::WnDelta;
+    use std::sync::Arc;
 
     fn ft_svc(logging: bool) -> FtSvc {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
@@ -796,7 +758,6 @@ mod tests {
     #[test]
     fn a_crash_leaves_what_new_builds_and_a_restart_reads_the_image_back() {
         let mut sync = SyncSvc::new(1, 3);
-        let shared = sync.handle();
         for _ in 0..4 {
             sync.take_acq_seq();
         }
@@ -813,15 +774,12 @@ mod tests {
             acq_seq: 0,
             vt: VectorClock::zero(3),
         };
-        shared.0.lock().lock_mgr.on_request(4, request);
+        sync.lock_mgr.on_request(4, request);
         let mut image = CheckpointBlob::genesis(3);
         sync.save_into(&mut image);
 
         sync.fail_stop();
         assert_eq!(sync, SyncSvc::new(1, 3));
-        // The lock the service loop holds a handle to was emptied, not
-        // replaced.
-        assert!(Arc::ptr_eq(&shared.0, &sync.mgr.0) && shared.0.lock().lock_mgr.is_empty());
 
         sync.restart_from(&image);
         assert!(sync.holds(4) && !sync.holds(5));

@@ -6,7 +6,7 @@
 //! contents in a reply message via [`Page::share`] — is a reference-count
 //! bump, not a memcpy. The single unavoidable copy happens lazily at the
 //! first mutation of a shared buffer, and that copy can draw its backing
-//! buffer from a [`PagePool`](crate::pool::PagePool) so steady-state
+//! buffer from a [`PagePool`] so steady-state
 //! intervals allocate nothing.
 
 use std::sync::Arc;

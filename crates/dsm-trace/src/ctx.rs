@@ -18,7 +18,7 @@
 //! injected. The receive side subtracts both from the observed transit time
 //! to split "fabric/chaos delay" from "receiver queue wait".
 
-/// Compact causal context stamped by [`Endpoint::send`] on every message.
+/// Compact causal context stamped by `dsm_net::Endpoint::send` on every message.
 ///
 /// Encoded as the seq and the parent flow (see the module docs); the
 /// origin is the sender.
@@ -65,7 +65,7 @@ impl TraceCtx {
         self.seq != 0
     }
 
-    /// The node a flow id was stamped by (inverse of [`flow_id`]'s origin
+    /// The node a flow id was stamped by (inverse of [`TraceCtx::flow_id`]'s origin
     /// encoding); `None` for the 0 sentinel.
     pub fn flow_origin(flow: u64) -> Option<usize> {
         if flow == 0 {

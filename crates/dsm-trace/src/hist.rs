@@ -93,7 +93,7 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Approximate quantile (`q` in [0,1]): lower bound of the bucket
+    /// Approximate quantile (`q` in `[0, 1]`): lower bound of the bucket
     /// containing the q-th sample. Power-of-two resolution, like HDR at
     /// zero significant digits.
     pub fn quantile(&self, q: f64) -> u64 {

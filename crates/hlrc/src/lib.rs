@@ -20,7 +20,7 @@
 //!   aggregated releases.
 //!
 //! The threaded runtime that drives these machines over a
-//! [`dsm_net::Fabric`] lives in the `ftdsm` crate, together with the fault
+//! `dsm_net::Fabric` lives in the `ftdsm` crate, together with the fault
 //! tolerance extensions (logging, checkpointing, LLT/CGC, recovery).
 
 pub mod barrier;
