@@ -395,6 +395,8 @@ fn do_protocol(scale: &Scale) {
         "  of installs       {:>8}",
         r.total_hists().fetch_copy.count()
     );
+    println!("\ncold misses answered with the zero page (no message):");
+    println!("  zero_fills        {:>8}", r.total().zero_fills);
     // Over the three applications (Table 2 has the ratio per app, and CI
     // gates each one).
     let mut pf = r.total().prefetch;

@@ -52,7 +52,8 @@ pub(crate) struct FtState {
     p0v_known: HashMap<PageId, u32>,
     /// Retained checkpoint window, oldest first.
     retained: Vec<RetainedCkpt>,
-    /// Round-robin cursor over homed pages for the `p0.v` piggyback.
+    /// Round-robin cursor for the `p0.v` piggyback: the page id its walk
+    /// over the homed pages resumes at.
     piggy_cursor: usize,
     /// Own checkpoint sequence last advertised to each peer (a piggyback is
     /// only attached when it carries news).
@@ -164,20 +165,21 @@ impl FtState {
     /// `pt` homed here that `to` writes, gated by `tmin` as
     /// [`FtState::cover_version`] says, each `(page, writer, bound)` once —
     /// at most [`PIGGY_PAGE_BATCH`] of them, walking the pages round-robin
-    /// from where the last message stopped.
+    /// from where the last message stopped. The walk reads the page slots in
+    /// place: a send allocates nothing unless it has a hint.
     fn p0v_hints(&mut self, pt: &PageTable, to: ProcId, tmin: &VectorClock) -> Vec<(PageId, u32)> {
-        let homed = pt.homed_pages();
         let mut p0v = Vec::new();
-        if homed.is_empty() {
-            return p0v;
-        }
-        let start = self.piggy_cursor % homed.len();
-        for k in 0..homed.len() {
+        let len = pt.len();
+        let start = self.piggy_cursor % len.max(1);
+        for k in 0..len {
             if p0v.len() >= PIGGY_PAGE_BATCH {
                 break;
             }
-            let page = homed[(start + k) % homed.len()];
-            self.piggy_cursor = (start + k + 1) % homed.len();
+            let page = PageId(((start + k) % len) as u32);
+            if !pt.is_home(page) {
+                continue;
+            }
+            self.piggy_cursor = (start + k + 1) % len;
             if !pt.home_writers_contain(page, to) {
                 continue;
             }
@@ -474,12 +476,11 @@ pub(crate) fn take_checkpoint(
     let t_log = Instant::now();
 
     // --- assemble the blob: every homed page -------------------------------
-    let homed = st.pt.homed_pages();
-    let mut home_pages = Vec::with_capacity(homed.len());
-    for p in homed {
+    let snapshot = |p| {
         let (version, bytes) = st.pt.home_snapshot(p);
-        home_pages.push((p, version, bytes.to_vec()));
-    }
+        (p, version, bytes.to_vec())
+    };
+    let home_pages = st.pt.homed_pages().map(snapshot).collect();
     let ft = st.ft.state.as_mut().expect("checkpoint without FT enabled");
     let mut blob = CheckpointBlob {
         seq,

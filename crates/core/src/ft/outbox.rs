@@ -30,8 +30,8 @@ pub(crate) struct DiffOutbox {
     seq_next: u64,
     /// Per page: the interval seq of the last diff *we* published for it.
     /// Our own diff may still be queued here when we re-fetch the page, and
-    /// the invalidation-driven `needed` vector only covers other writers
-    /// (the no-ack path gets the same guarantee from per-channel FIFO
+    /// a request's `needed` names only other writers' intervals besides
+    /// this (the no-ack path gets the same guarantee from per-channel FIFO
     /// order).
     own_seq: HashMap<PageId, IntervalSeq>,
 }

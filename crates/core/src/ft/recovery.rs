@@ -333,7 +333,7 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     let (image, window) = ckpt::restart_image(&store, n);
     st.restart_from(&image, window);
 
-    let homed = st.pt.homed_pages();
+    let homed: Vec<PageId> = st.pt.homed_pages().collect();
 
     phase_done(&mut st, RecPhase::Restore, t_recovery);
 
@@ -832,7 +832,9 @@ mod tests {
         st.pt.add_page(1); // page 0: homed here
         st.pt.add_page(2); // page 1: remote
         let write_both = |st: &mut NodeState, byte: u8| {
-            st.pt.install(PageId(1), page_of(0), &VectorClock::zero(3));
+            // A fresh copy of page 1 that holds our writes so far.
+            let ours = gated(3, 1, byte as u32 - 1);
+            st.pt.install(PageId(1), page_of(0), &ours);
             st.pt.write(PageId(0), 8, &[byte]);
             st.pt.write(PageId(1), 8, &[byte]);
             st.close_interval(&mut Breakdown::default());

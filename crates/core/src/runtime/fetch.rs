@@ -2,9 +2,10 @@
 //!
 //! The module owns the request ids, the map of fetches in flight — the one
 //! place a fetch is tracked, whoever asked for it — and the prefetch
-//! counters; it decides what an invalidation prefetches and what a miss
-//! brings with it, sends a request again when its answer is overdue, and
-//! installs what comes back: it handles the one kind that answers a fetch,
+//! counters; it decides what an invalidation prefetches, what a miss brings
+//! with it and which miss needs no message at all (a cold page is the zero
+//! page), sends a request again when its answer is overdue, and installs
+//! what comes back: it handles the one kind that answers a fetch,
 //! `PageReply`.
 
 use std::collections::{BTreeMap, HashSet};
@@ -40,6 +41,8 @@ pub(crate) struct FetchSvc {
     /// What was prefetched, what of it was used and what the filter left
     /// out, over all incarnations (for the node report).
     counts: PrefetchCounts,
+    /// Misses answered with the zero page, over all incarnations.
+    zero_fills: u64,
 }
 
 impl FetchSvc {
@@ -51,6 +54,7 @@ impl FetchSvc {
         *self = FetchSvc {
             req_id_next: self.req_id_next,
             counts: self.counts,
+            zero_fills: self.zero_fills,
             ..Self::default()
         };
     }
@@ -88,6 +92,11 @@ impl FetchSvc {
         self.counts
     }
 
+    /// Misses answered with the zero page, for the node report.
+    pub(crate) fn zero_fills(&self) -> u64 {
+        self.zero_fills
+    }
+
     fn take_req_id(&mut self) -> u64 {
         self.req_id_next += 1;
         self.req_id_next - 1
@@ -102,7 +111,7 @@ const NEIGHBOUR_SPAN: u32 = 16;
 /// The home of `page` if [`issue_prefetch`] left it out and nothing has asked
 /// for it since: remote, invalidated, no fetch in flight, and either its
 /// last copy went unused or it was never held and a notice has named it.
-/// A page nobody has written is never left out.
+/// A page nobody has written is never left out: it is [`cold`].
 pub(crate) fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
     if st.pt.is_home(page) || st.fetch.in_flight(page) {
         return None;
@@ -148,13 +157,39 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
     send_page_batches(st, &pages);
 }
 
-/// A fault on remote `page` that no fetch in flight covers: ask its home for
-/// it. If [`issue_prefetch`] left it out, it has probably left out the pages
-/// an application sweep touches next as well, in whichever direction the
-/// sweep runs: the contiguous run of left-out pages of the same home on
-/// each side of it, at most `NEIGHBOUR_SPAN - 1` a side — possibly none —
-/// goes into the same `PageReq`, in page order. A miss the filter had no
-/// part in (a cold one: never held, never named) asks for its page alone.
+/// Is remote `page` cold — never held, no fetch in flight for it, and no
+/// write notice (nor write of this node's own) naming it? Then no write
+/// happens before this node's access that the access must see, and the
+/// page's initial contents, zeros, are a value lazy release consistency
+/// admits: the miss needs no message.
+fn cold(st: &NodeState, page: PageId) -> bool {
+    if st.pt.is_home(page) || st.fetch.in_flight(page) {
+        return false;
+    }
+    let m = st.pt.remote_meta(page);
+    let needed = st.ft.fetch_needed(page, m.needed.clone());
+    m.held == Held::Never && needed.as_slice().iter().all(|&seq| seq == 0)
+}
+
+/// A fault on remote `page`: when it is [`cold`], install the zero page —
+/// no request, no wait — and count it. Returns whether it did.
+pub(crate) fn zero_fill(st: &mut NodeState, page: PageId) -> bool {
+    if !cold(st, page) {
+        return false;
+    }
+    st.pt.install_zero(page);
+    st.fetch.zero_fills += 1;
+    true
+}
+
+/// A fault on remote `page` that is not [`cold`] and that no fetch in flight
+/// covers: ask its home for it. If [`issue_prefetch`] left it out, it has
+/// probably left out the pages an application sweep touches next as well,
+/// in whichever direction the sweep runs: the contiguous run of left-out
+/// pages of the same home on each side of it, at most `NEIGHBOUR_SPAN - 1`
+/// a side — possibly none — goes into the same `PageReq`, in page order. A
+/// miss the filter had no part in (a page whose last copy was used, or one
+/// only this node's own writes name) asks for its page alone.
 pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) {
     let mut pages = vec![page];
     if let Some(home) = left_out(st, page) {
@@ -179,6 +214,9 @@ fn left_out_run(st: &NodeState, home: ProcId, ids: impl Iterator<Item = u32>) ->
 /// [`crate::ft::FtSvc::fetch_needed`]) and the stale copy kept, as they are
 /// now: a resend reads them again — grouped by `key`, in ascending key order
 /// (piggyback state advances per send, so the send order must not vary).
+/// The request names this node's own intervals only as the outbox does:
+/// the home has every other diff of ours before the request (channel order
+/// on the no-ack path), and the install gate still checks them.
 fn batches<K: Ord>(
     st: &NodeState,
     pages: impl Iterator<Item = (K, PageId)>,
@@ -186,7 +224,9 @@ fn batches<K: Ord>(
     let mut groups: BTreeMap<K, Vec<_>> = BTreeMap::new();
     for (key, page) in pages {
         let m = st.pt.remote_meta(page);
-        let needed = st.ft.fetch_needed(page, m.needed.clone());
+        let mut needed = m.needed.clone();
+        needed.set(st.me, 0);
+        let needed = st.ft.fetch_needed(page, needed);
         let entry = (page, needed, m.base.clone());
         groups.entry(key).or_default().push(entry);
     }
@@ -287,10 +327,16 @@ pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
 mod tests {
     use super::*;
     use crate::ft::recovery::RecoverySvc;
-    use crate::runtime::node::tests::{gated, only_payload, page_of, requests, test_state};
+    use crate::runtime::node::tests::{diff_of, gated, only_payload, page_of, requests};
+    use crate::runtime::node::tests::{test_state, test_state_with};
+    use crate::runtime::node::NodeShared;
+    use crate::stats::Breakdown;
+    use crate::{HomeAlloc, Process};
+    use dsm_member::MemberConfig;
     use dsm_net::Event;
     use dsm_page::Diff;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn in_flight(req_id: u64) -> InFlight {
         InFlight { req_id, home: 0 }
@@ -575,18 +621,118 @@ mod tests {
     }
 
     #[test]
-    fn a_cold_miss_asks_alone() {
+    fn a_miss_the_filter_had_no_part_in_asks_alone() {
         let (mut st, eps) = test_state(1, 2, false);
         for _ in 0..3 {
             st.pt.add_page(0);
         }
-        // Its neighbours were named by a notice; the page itself was not.
+        // Its neighbours were named by a notice and never held, so they are
+        // left out; the page's own last copy was used, so it is not.
         for page in [0, 2] {
             st.pt.invalidate(PageId(page), 0, 1);
         }
+        invalidated_copy(&mut st, 1, true);
         fetch_with_neighbours(&mut st, PageId(1));
         assert_eq!(asked_pages(&only_payload(&eps[0])), [1]);
         assert_eq!(st.fetch.counts, PrefetchCounts::default());
+    }
+
+    /// The DSM handle over `st`, and the state it shares.
+    fn process(st: NodeState) -> (Process, Arc<NodeShared>) {
+        let (me, n, state) = (st.me, st.n, parking_lot::Mutex::new(st));
+        let shared = Arc::new(NodeShared {
+            state,
+            me,
+            n,
+            seed: 0,
+        });
+        (Process::new(Arc::clone(&shared), false), shared)
+    }
+
+    #[test]
+    fn a_cold_read_is_zeros_sends_nothing_and_keeps_no_base() {
+        let (st, eps) = test_state(1, 2, false);
+        let (mut proc, shared) = process(st);
+        let base = proc.alloc(2 * 256, HomeAlloc::Node(0));
+        assert_eq!(proc.read::<u64>(base + 8), 0);
+        assert_eq!(proc.read::<u64>(base + 256 + 16), 0);
+        assert!(
+            eps[0].recv_any(Duration::ZERO).is_none(),
+            "a cold miss sent"
+        );
+        let st = shared.state.lock();
+        for page in [PageId(0), PageId(1)] {
+            assert_eq!(st.pt.ensure_access(page), hlrc::AccessOutcome::Ready);
+            assert_eq!(st.pt.have(page), None);
+        }
+        // Not a page wait, and not a prefetched copy used.
+        assert_eq!(st.fetch.zero_fills(), 2);
+        assert_eq!(st.hists.page_fetch.count(), 0);
+        assert_eq!(st.fetch.counts(), PrefetchCounts::default());
+    }
+
+    #[test]
+    fn a_cold_write_flushes_a_diff_of_only_the_written_word_and_the_home_applies_it() {
+        let (st, eps) = test_state(1, 2, false);
+        let (mut proc, shared) = process(st);
+        let base = proc.alloc(256, HomeAlloc::Node(0));
+        proc.write::<u64>(base + 24, 0xABCD);
+        let mut st = shared.state.lock();
+        st.close_interval(&mut Breakdown::default());
+        let Payload::DiffBatch { diffs, .. } = only_payload(&eps[0]) else {
+            panic!("the interval flushed no diff batch")
+        };
+        let mut written = [0u8; 256];
+        st.pt.read_into(PageId(0), 0, &mut written);
+        let runs: Vec<_> = diffs[0].runs().map(|(o, b)| (o, b.to_vec())).collect();
+        assert_eq!(
+            (diffs.len(), runs),
+            (1, vec![(24, written[24..32].to_vec())])
+        );
+        // The interval names the page now: a later miss is no cold one.
+        assert_eq!(st.pt.remote_meta(PageId(0)).needed, gated(2, 1, 1));
+        assert!(!cold(&st, PageId(0)));
+
+        let (mut home, _) = test_state(0, 2, false);
+        home.pt.add_page(0);
+        assert!(home.pt.home_apply_diff(&diffs[0]));
+        let mut at_home = [0u8; 256];
+        home.pt.read_into(PageId(0), 0, &mut at_home);
+        assert_eq!(at_home, written);
+    }
+
+    #[test]
+    fn only_a_never_held_page_nothing_names_is_cold_and_a_named_one_is_fetched() {
+        // Node 1 of 2, retry layer on. Pages 0 to 5 homed at node 0, 6 here.
+        let retrying = MemberConfig::default();
+        let (mut st, eps) = test_state_with(1, 2, false, Some(&retrying));
+        for home in [0, 0, 0, 0, 0, 0, 1] {
+            st.pt.add_page(home);
+        }
+        // Page 0: a notice from its home names it. Page 1: nothing does.
+        // Page 2: its copy went unused. Page 3: in flight. Page 4: our
+        // diff of it is in the outbox. Page 5: our interval diffed it.
+        st.pt.invalidate(PageId(0), 0, 1);
+        invalidated_copy(&mut st, 2, false);
+        st.fetch.in_flight.insert(PageId(3), in_flight(0));
+        st.fetch.req_id_next = 1;
+        assert!(st.ft.batch_out(0, vec![diff_of(4, 1, 1)]).is_some());
+        st.pt.invalidate(PageId(5), 1, 2);
+        let filled: Vec<bool> = (0..7).map(|p| zero_fill(&mut st, PageId(p))).collect();
+        assert_eq!(filled, [false, true, false, false, false, false, false]);
+        assert_eq!(st.fetch.zero_fills(), 1);
+        assert!(eps[0].recv_any(Duration::ZERO).is_none());
+
+        // The named page is asked for at the notice's version; own writes
+        // go into a request only as the outbox says.
+        let (zero, nothing_kept): (_, Option<Have>) = (VectorClock::zero(2), None);
+        for (page, needed) in [(0, gated(2, 0, 1)), (5, zero), (4, gated(2, 1, 1))] {
+            fetch_with_neighbours(&mut st, PageId(page));
+            let Payload::PageReq { pages, .. } = only_payload(&eps[0]) else {
+                panic!("page {page} was not asked for")
+            };
+            assert_eq!(pages, [(PageId(page), needed, nothing_kept.clone())]);
+        }
     }
 
     #[test]

@@ -225,8 +225,11 @@ impl HomeSvc {
 mod tests {
     use super::*;
     use crate::runtime::fetch;
-    use crate::runtime::node::tests::{diff_of, gated, only_payload, test_state, unpark};
+    use crate::runtime::node::tests::{
+        diff_of, gated, only_payload, test_state, test_state_with, unpark,
+    };
     use crate::runtime::node::{handle_msg, Replies};
+    use dsm_member::MemberConfig;
     use dsm_page::{PageId, VectorClock};
 
     #[test]
@@ -279,10 +282,12 @@ mod tests {
     #[test]
     fn a_parked_page_is_answered_alone_and_a_duplicate_request_shows_nowhere() {
         // Node 0 homes pages 0 to 2 and has written 0 and 2; node 1 holds
-        // nothing, and its miss on page 1 — at a version node 0 has yet to
-        // be sent — asks for all three.
+        // nothing, and has written page 1 in its interval 1 under the retry
+        // layer. Its miss on page 1 — at that version, whose diff is still
+        // in the outbox, not yet sent to node 0 — asks for all three.
         let (mut home, _) = test_state(0, 2, false);
-        let (mut asker, to_home) = test_state(1, 2, false);
+        let retrying = MemberConfig::default();
+        let (mut asker, to_home) = test_state_with(1, 2, false, Some(&retrying));
         for _ in 0..3 {
             home.pt.add_page(0);
             asker.pt.add_page(0);
@@ -292,7 +297,9 @@ mod tests {
             asker.pt.invalidate(page, 0, 1);
         }
         home.pt.end_interval(dsm_page::Interval { proc: 0, seq: 1 });
+        // What closing the interval records and queues.
         asker.pt.invalidate(PageId(1), 1, 1);
+        assert!(asker.ft.batch_out(0, vec![diff_of(1, 1, 1)]).is_some());
         let all: Vec<PageId> = (0..3).map(PageId).collect();
         fetch::fetch_with_neighbours(&mut asker, PageId(1));
         let request = only_payload(&to_home[0]);

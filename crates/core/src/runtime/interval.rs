@@ -71,10 +71,15 @@ impl NodeState {
         // Group diffs for remote homes (reference bumps, not payload copies);
         // each home's keep the order the interval made them in, so the
         // batches — and the piggyback state they advance — replay the same.
+        // A remote page's `needed` records the interval, as a notice of our
+        // own would (it invalidates nothing): a copy without it is not one
+        // this node may read, and a page it names is never zero-filled. The
+        // checkpoint saves it with the rest of `needed`.
         let mut remote: BTreeMap<ProcId, Vec<Arc<Diff>>> = BTreeMap::new();
         for d in &diffs {
             let home = self.pt.home_of(d.page);
             if home != me {
+                self.pt.invalidate(d.page, me, iv.seq);
                 remote.entry(home).or_default().push(Arc::clone(d));
             }
         }

@@ -296,6 +296,7 @@ impl NodeState {
             fetch_delta_pages,
             fetch_delta_bytes,
             prefetch: self.fetch.counts(),
+            zero_fills: self.fetch.zero_fills(),
             diff_outbox_depth: self.ft.outbox_depth() as u64,
         })
     }
@@ -346,14 +347,9 @@ impl NodeState {
         );
         self.vt = image.tckp.clone();
         self.sync.restart_from(image);
-        // Homed pages: the image's copy, or zeros for a page no checkpoint
-        // has carried yet.
+        // Homed pages: the image's copy, or the zero page the reset left
+        // for a page no checkpoint has carried yet.
         self.pt.reset_for_restart(&image.needed);
-        let zeros = vec![0u8; self.pt.page_size()];
-        for p in self.pt.homed_pages() {
-            self.pt
-                .restore_home_page(p, &zeros, VectorClock::zero(self.n));
-        }
         for (p, v, bytes) in &image.home_pages {
             self.pt.restore_home_page(*p, bytes, v.clone());
         }
@@ -1223,7 +1219,14 @@ pub(crate) mod tests {
                 Arc::new(NodeShared { state, me, n, seed })
             })
             .collect();
-        shareds[0].state.lock().pt.write(PageId(0), 8, &[7]);
+        // Node 0 writes the page in its interval 1, and node 1 has the
+        // notice: the page is not cold, and its miss goes to the home.
+        {
+            let mut st = shareds[0].state.lock();
+            st.pt.write(PageId(0), 8, &[7]);
+            st.pt.end_interval(Interval { proc: 0, seq: 1 });
+        }
+        shareds[1].state.lock().pt.invalidate(PageId(0), 0, 1);
         let home = Arc::clone(&shareds[0]);
         let svc_thread = std::thread::spawn(move || service_loop(home));
 
@@ -1358,6 +1361,43 @@ pub(crate) mod tests {
     /// and a restart from its checkpoint. Generic over the table, so a new
     /// statistic that a restart resets fails here without being named.
     #[test]
+    fn after_a_restart_a_page_written_before_the_checkpoint_is_fetched_not_zero_filled() {
+        let (me, n) = (1, 2);
+        let (_fabric, endpoints) = Fabric::<Msg>::new(n);
+        let mut eps: Vec<Arc<Endpoint<Msg>>> = endpoints.into_iter().map(Arc::new).collect();
+        let ep = eps.remove(me);
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
+        let mut st = NodeState::new(me, n, 256, ep, Some(ft), NodeTracer::disabled(), None);
+        st.pt.add_page(0);
+        st.pt.add_page(0);
+        // Page 0 was cold: zero-filled, written and flushed before the
+        // checkpoint. Page 1 was never touched.
+        assert!(fetch::zero_fill(&mut st, PageId(0)));
+        st.pt.write(PageId(0), 8, &[3]);
+        let mut bd = Breakdown::default();
+        st.close_interval(&mut bd);
+        ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
+        assert_eq!(requests(&eps[0]).len(), 1, "the diff batch");
+
+        st.fail_stop();
+        st.set_mode(Mode::Recovering);
+        let (image, window) = crate::ft::ckpt::restart_image(&store, n);
+        st.restart_from(&image, window);
+        st.set_mode(Mode::Normal);
+        assert_eq!(st.pt.remote_meta(PageId(0)).held, hlrc::Held::Never);
+        assert!(!fetch::zero_fill(&mut st, PageId(0)));
+        assert!(fetch::zero_fill(&mut st, PageId(1)));
+        // Asked for as before the crash: the home has our interval.
+        fetch::fetch_with_neighbours(&mut st, PageId(0));
+        let Payload::PageReq { pages, .. } = only_payload(&eps[0]) else {
+            panic!("page 0 was not asked for")
+        };
+        assert_eq!(pages, [(PageId(0), VectorClock::zero(n), None)]);
+        assert_eq!(st.pt.remote_meta(PageId(0)).needed, gated(n, me, 1));
+    }
+
+    #[test]
     fn no_counter_of_the_metric_table_decreases_across_a_crash_and_a_restart() {
         use crate::ft::ckpt;
         use dsm_metrics::MetricValue;
@@ -1373,9 +1413,13 @@ pub(crate) mod tests {
         let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer, Some(&retrying));
         st.pt.add_page(1); // page 0: homed here
         st.pt.add_page(2); // page 1: remote
+        st.pt.add_page(2); // page 2: remote, cold
+        assert!(fetch::zero_fill(&mut st, PageId(2)));
         let mut bd = Breakdown::default();
         let write_both = |st: &mut NodeState, bd: &mut Breakdown, byte: u8| {
-            st.pt.install(PageId(1), page_of(0), &VectorClock::zero(n));
+            // A fresh copy of page 1 that holds our writes so far.
+            let ours = gated(n, me, byte as u32 - 1);
+            st.pt.install(PageId(1), page_of(0), &ours);
             st.pt.write(PageId(0), 8, &[byte]);
             st.pt.write(PageId(1), 8, &[byte]);
             st.close_interval(bd);
@@ -1419,6 +1463,7 @@ pub(crate) mod tests {
             "retransmits_total",
             "dup_suppressed_total",
             "prefetched_total",
+            "zero_fills_total",
             "msgs_sent_by_kind_total{kind=\"DiffBatch\"}",
             "svc_time_ns_by_kind_total{kind=\"PageReply\"}",
         ] {

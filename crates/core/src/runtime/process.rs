@@ -370,10 +370,11 @@ impl Process {
         }
     }
 
-    /// Make `page` accessible: fetch from home, wait for in-flight diffs on
-    /// our own homed page, or (during recovery) emulate the home locally.
-    /// Returns whether the copy is one this fault asked for, as opposed to
-    /// one a fetch already in flight brought.
+    /// Make `page` accessible: install the zero page when it is cold, fetch
+    /// from home, wait for in-flight diffs on our own homed page, or (during
+    /// recovery) emulate the home locally. Returns whether the copy is one
+    /// this fault asked for, as opposed to one a fetch already in flight
+    /// brought.
     fn fault_in(&mut self, page: PageId) -> bool {
         let shared = Arc::clone(&self.shared);
         // Set once this fault has sent its own request or replay.
@@ -395,6 +396,10 @@ impl Process {
                 recovery::replay_materialize(&shared, &mut st, page);
                 demanded = true;
                 continue;
+            }
+            // No page wait: nothing is sent, and no sample recorded.
+            if fetch::zero_fill(&mut st, page) {
+                return true;
             }
             let t0 = Instant::now();
             st.tracer.emit(EventKind::PageFault { page: page.0 });
@@ -425,7 +430,7 @@ impl Process {
             // a miss is a page prefetch left out — its last copy unused, or
             // never held and named by a notice — or one whose request was
             // lost (sent again after a timeout) or overtaken by a newer
-            // invalidation. A cold miss (never held, never named) is neither.
+            // invalidation. A miss prefetch had no part in is neither.
             let (ready, ns) = (ready(&mut st), t0.elapsed().as_nanos() as u64);
             if skipped || lost || !ready {
                 st.hists.prefetch_miss.record(ns);

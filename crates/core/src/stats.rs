@@ -183,6 +183,9 @@ pub struct NodeReport {
     pub fetch_delta_bytes: u64,
     /// Prefetch traffic against its use.
     pub prefetch: PrefetchCounts,
+    /// Misses on a cold page — never held, named by no write notice —
+    /// answered with the zero page instead of a fetch.
+    pub zero_fills: u64,
     /// Diff batches queued and not acknowledged when the report was taken
     /// (zero at teardown, and whenever the retry layer is off).
     pub diff_outbox_depth: u64,
@@ -218,6 +221,7 @@ impl NodeReport {
         self.fetch_delta_pages += o.fetch_delta_pages;
         self.fetch_delta_bytes += o.fetch_delta_bytes;
         self.prefetch += o.prefetch;
+        self.zero_fills += o.zero_fills;
         self.diff_outbox_depth += o.diff_outbox_depth;
     }
 
@@ -278,6 +282,7 @@ impl NodeReport {
             ("prefetched_used_total", pf.prefetched_used),
             ("prefetch_skipped_total", pf.prefetch_skipped),
             ("skipped_then_missed_total", pf.skipped_then_missed),
+            ("zero_fills_total", self.zero_fills),
         ];
         let gauges = [
             ("stable_log_max_bytes", ft.max_stable_log_bytes),

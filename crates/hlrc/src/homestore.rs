@@ -254,6 +254,9 @@ pub struct HomeStore {
     /// check; [`HomeStore::reset_for_restart`] advances it while that check
     /// fails and then takes every shard lock.
     incarnation: AtomicU32,
+    /// The zero page every fresh home copy — and the page table's copy of a
+    /// remote page no write has reached — shares until its first write.
+    zero: Page,
     n: usize,
     page_size: usize,
 }
@@ -278,18 +281,24 @@ impl HomeStore {
                 .collect(),
             dirty_mask: AtomicU32::new(0),
             incarnation: AtomicU32::new(1),
+            zero: Page::zeroed(page_size),
             n,
             page_size,
         }
     }
 
-    /// Register a new zeroed page homed at this node.
+    /// The node's one zero page, shared: a write to a clone copies it.
+    pub fn zero_page(&self) -> Page {
+        self.zero.clone()
+    }
+
+    /// Register a new page homed at this node, a share of the zero page.
     pub fn add(&self, page: PageId) {
         let mut shard = self.shards[shard_of(page)].lock();
         let prev = shard.entries.insert(
             page.0,
             HomeEntry {
-                copy: Page::zeroed(self.page_size),
+                copy: self.zero_page(),
                 twin: None,
                 version: VectorClock::zero(self.n),
                 needed: VectorClock::zero(self.n),
@@ -647,8 +656,9 @@ impl HomeStore {
     /// Crash and restart support: drop twins and pending `needed` state,
     /// parked fetches (requesters retransmit on `NodeUp`) and rings, and
     /// begin a new incarnation, so that what a reader kept of this one is
-    /// answered in full. Copies and versions stay for the caller to
-    /// overwrite from the checkpoint via [`HomeStore::restore`].
+    /// answered in full. Every copy goes back to the zero page at version
+    /// zero — what a page no checkpoint has carried yet restarts from — for
+    /// the caller to overwrite from the checkpoint via [`HomeStore::restore`].
     pub fn reset_for_restart(&self) {
         self.dirty_mask.store(0, Ordering::Relaxed);
         self.incarnation.fetch_add(1, Ordering::SeqCst);
@@ -657,9 +667,11 @@ impl HomeStore {
             shard.waiting.clear();
             shard.dirty.clear();
             for e in shard.entries.values_mut() {
+                e.copy = self.zero_page();
                 e.twin = None;
+                e.version = VectorClock::zero(self.n);
                 e.needed = VectorClock::zero(self.n);
-                e.ring.reset(&e.version);
+                e.ring = DiffRing::new(VectorClock::zero(self.n));
             }
         }
     }

@@ -36,8 +36,9 @@ pub enum PageState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Held {
     /// No copy since the page was added or the node restarted: nothing says
-    /// the page is wanted, so a notice naming it fetches nothing and the
-    /// first touch asks for it.
+    /// the page is wanted, so a notice naming it fetches nothing. The first
+    /// touch asks for it — or, when nothing has named it, installs the zero
+    /// page ([`PageTable::install_zero`]).
     Never,
     /// The copy was read or written since its `install`.
     Used,
@@ -55,7 +56,9 @@ pub struct PageMeta {
     /// Cached copy: current when `state == Valid`; when `Invalid`, kept only
     /// with a `base` for the home's diffs to bring up to date.
     pub copy: Option<Page>,
-    /// Minimal version the next fetch must include (join of invalidations).
+    /// Minimal version the next fetch must include: the join of the
+    /// invalidations, and of this node's own intervals that diffed the page
+    /// (which invalidate nothing).
     pub needed: VectorClock,
     /// The `(home incarnation, version)` `copy` is *exactly* — the version
     /// of the reply that installed it joined with our own intervals flushed
@@ -329,6 +332,15 @@ impl PageTable {
         self.install(page, PageBody::Full { bytes, base: 0 }, version);
     }
 
+    /// Install the zero page, shared, as the copy of remote `page` at
+    /// version zero with no base: what a page no write has reached holds.
+    /// The first write copies it, as the twin is taken first.
+    pub fn install_zero(&mut self, page: PageId) {
+        let bytes = self.home.zero_page().share();
+        let version = VectorClock::zero(self.cluster_size());
+        self.install(page, PageBody::Full { bytes, base: 0 }, &version);
+    }
+
     /// What a fetch of `page` tells its home this node kept.
     pub fn have(&self, page: PageId) -> Option<&Have> {
         self.remote_meta(page).base.as_ref()
@@ -514,14 +526,11 @@ impl PageTable {
         self.home.writers_contain(page, proc_)
     }
 
-    /// Ids of all pages homed at this node.
-    pub fn homed_pages(&self) -> Vec<PageId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.entry, Entry::Home))
-            .map(|(i, _)| PageId(i as u32))
-            .collect()
+    /// Ids of all pages homed at this node, in page order.
+    pub fn homed_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        let slots = self.slots.iter().enumerate();
+        let homed = slots.filter(|(_, s)| matches!(s.entry, Entry::Home));
+        homed.map(|(i, _)| PageId(i as u32))
     }
 
     /// Remote-page metadata (for checkpointing `needed` and tests).
@@ -534,7 +543,7 @@ impl PageTable {
 
     /// Crash and restart support: drop every cached or kept remote copy and
     /// twin (the crash lost them), every parked remote fetch and every
-    /// homed page's diff ring, keeping home copies for the caller to
+    /// homed page's diff ring, zero the home copies for the caller to
     /// overwrite from the checkpoint, and set the `needed` vectors from
     /// `needed_by_page` (page, writer, seq) triples saved in the checkpoint.
     /// No remote page has been held since: every one is [`Held::Never`].
@@ -861,6 +870,41 @@ mod tests {
             &home.snapshot(PageId(1)).1[..]
         );
         assert_eq!(t.have(PageId(1)), Some(&(1, vc([1, 1]))));
+    }
+
+    #[test]
+    fn a_write_to_a_zero_filled_copy_leaves_every_other_zero_page_at_zero() {
+        // Node 0 of 2: pages 0 and 2 homed here, 1 and 3 at node 1. Every
+        // one of them is a share of the one zero buffer.
+        let mut t = table();
+        t.add_page(0);
+        t.add_page(1);
+        for p in [1, 3] {
+            t.install_zero(PageId(p));
+            assert_eq!(t.ensure_access(PageId(p)), AccessOutcome::Ready);
+            assert_eq!(t.have(PageId(p)), None);
+        }
+        let zero = t.home.zero_page().share();
+        let buffer = |t: &PageTable, p| match t.is_home(PageId(p)) {
+            true => t.home_snapshot(PageId(p)).1,
+            false => t.remote_meta(PageId(p)).copy.as_ref().unwrap().share(),
+        };
+        assert!((0..4).all(|p| Arc::ptr_eq(&buffer(&t, p), &zero)));
+
+        t.write(PageId(1), 8, &[5; 8]);
+        t.write(PageId(0), 16, &[6; 8]);
+        let zeros = vec![0u8; 64];
+        for p in [2, 3] {
+            assert_eq!(read_vec(&mut t, PageId(p), 0, 64), zeros);
+        }
+        assert_eq!(&zero[..], &zeros[..]);
+        t.add_page(0);
+        assert_eq!(read_vec(&mut t, PageId(4), 0, 64), zeros);
+        // Each write diffs against the zero twin: its own word only.
+        let diffs = t.end_interval(iv(0, 1));
+        let runs = |d: &Diff| d.runs().map(|(o, b)| (o, b.to_vec())).collect::<Vec<_>>();
+        assert_eq!(runs(&diffs[0]), [(16, vec![6; 8])]);
+        assert_eq!(runs(&diffs[1]), [(8, vec![5; 8])]);
     }
 
     #[test]
