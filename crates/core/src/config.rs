@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dsm_member::MemberConfig;
 use dsm_net::FaultPlan;
 use dsm_storage::DiskModel;
 use dsm_trace::TraceConfig;
@@ -13,7 +12,7 @@ pub const DEFAULT_SEED: u64 = 0xF7D5;
 
 /// Read the cluster seed from the `FTDSM_SEED` environment variable
 /// (decimal, or hex with an `0x` prefix); falls back to [`DEFAULT_SEED`].
-/// Every chaos/membership test failure echoes the seed it ran with, so any
+/// Every chaos test failure echoes the seed it ran with, so any
 /// failure reproduces with `FTDSM_SEED=<seed> cargo test …`.
 pub fn seed_from_env() -> u64 {
     match std::env::var("FTDSM_SEED") {
@@ -108,13 +107,14 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Fault injection on the fabric. The plan's own `seed` field is
     /// ignored — the cluster seed above is threaded in so one knob
-    /// reproduces a run. Enabling chaos auto-enables membership (the retry
-    /// layer is what makes a lossy fabric survivable).
+    /// reproduces a run. A plan also switches the retry layer on
+    /// (timeouts, retransmissions, diff acks): it is what makes a lossy
+    /// fabric survivable, and a reliable fabric does without it.
     pub chaos: Option<FaultPlan>,
-    /// Heartbeat membership (restart detection), plus the request
-    /// timeout-retry layer. `None` (the default) keeps the original
-    /// orchestrated-recovery behavior with a reliable fabric.
-    pub membership: Option<MemberConfig>,
+    /// Always `None`: what is left of a removed setting, which the
+    /// benchmark still assigns. The next benchmark change deletes it.
+    #[doc(hidden)]
+    pub membership: Option<std::convert::Infallible>,
     /// Run the online protocol-invariant monitor against the live event
     /// stream. Forces tracing on (the monitor is an event sink); the run
     /// panics at collection time on the first violation, with the offending
@@ -229,20 +229,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Attach a chaos fault plan to the fabric. The plan's embedded seed is
-    /// replaced by the cluster seed; membership (and with it the retry
-    /// layer) is switched on if it wasn't already.
+    /// Attach a chaos fault plan to the fabric, and with it the retry
+    /// layer. The plan's embedded seed is replaced by the cluster seed.
     pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = Some(plan);
-        if self.membership.is_none() {
-            self.membership = Some(MemberConfig::default());
-        }
-        self
-    }
-
-    /// Enable heartbeat membership (restart detection) with `cfg`.
-    pub fn with_membership(mut self, cfg: MemberConfig) -> Self {
-        self.membership = Some(cfg);
         self
     }
 

@@ -197,6 +197,11 @@ impl FtState {
 /// message (the lazy CGC/LLT propagation).
 const PIGGY_PAGE_BATCH: usize = 32;
 
+/// How long the retry layer waits for an answer, or for a diff batch's ack,
+/// before it sends the request or the batch again. The layer is on exactly
+/// when the fabric has a chaos plan.
+pub(crate) const RETRY_AFTER: Duration = Duration::from_millis(25);
+
 /// The fault-tolerance layer of one node. It is there in base-HLRC runs too
 /// (the retry layer's outbox works without logging); everything else it does
 /// is a no-op until `state` is set.
@@ -205,8 +210,8 @@ pub(crate) struct FtSvc {
     me: ProcId,
     n: usize,
     state: Option<FtState>,
-    /// Request/diff retransmission timeout; `Some` switches the retry layer
-    /// on (set together with membership).
+    /// Request/diff retransmission timeout; `Some` ([`RETRY_AFTER`])
+    /// switches the retry layer on.
     retry_after: Option<Duration>,
     /// The retry layer's stop-and-wait outbox of unacknowledged diff
     /// batches (empty when the retry layer is off).
@@ -424,8 +429,8 @@ pub(crate) fn resend_inflight_diffs(st: &mut NodeState, home: ProcId) {
 }
 
 /// Retransmit every in-flight diff batch older than the retry timeout
-/// (driven by the membership ticker and by the application thread whenever
-/// one of its own waits times out).
+/// (driven by the application thread whenever one of its own waits times
+/// out).
 pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
     let Some(after) = st.ft.retry_after else {
         return;

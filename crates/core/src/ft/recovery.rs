@@ -43,7 +43,9 @@ use crate::ft::ckpt;
 use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry};
 use crate::msg::Payload;
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
-use crate::runtime::node::{handle_msg, Mode, NodeShared, NodeState, WaitSlot};
+use crate::runtime::node::{
+    handle_msg, handle_peer_restart, Mode, NodeShared, NodeState, WaitSlot,
+};
 use crate::runtime::process::wait_until;
 use crate::stats::Breakdown;
 
@@ -195,11 +197,14 @@ fn collect_replies(
 }
 
 /// The module's slice of the message kinds in normal mode: the two requests
-/// a recovering peer sends. Replies to *our* recovery arriving after we
-/// already went live are stale duplicates.
+/// a recovering peer sends. A `RecLogReq` is how a survivor learns that its
+/// sender restarted: what that asks of it goes out ahead of the reply.
+/// Replies to *our* recovery arriving after we already went live are stale
+/// duplicates.
 pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
     match payload {
         Payload::RecLogReq { homed } => {
+            handle_peer_restart(st, from);
             let reply = build_rec_log_reply(st, from, &homed);
             st.send(from, reply);
         }

@@ -44,7 +44,6 @@ pub mod wire;
 pub use config::{
     seed_from_env, CkptPolicy, ClusterConfig, FailureSpec, FtConfig, HomeAlloc, MetricsConfig,
 };
-pub use dsm_member::{MemberConfig, MemberStats};
 pub use dsm_net::{FaultPlan, FaultRule};
 pub use dsm_page::{GlobalAddr, PageId};
 pub use dsm_storage::{DiskMode, DiskModel};

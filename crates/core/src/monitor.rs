@@ -15,8 +15,9 @@
 //!    version gate exists to prevent. State resets when the *home* crashes
 //!    (its copy is rebuilt; applies surfacing between the crash and the
 //!    restore are ignored) and clears per writer when the writer returns
-//!    (`MemberUp`): recovery replay legitimately re-applies the writer's
-//!    logged diffs.
+//!    (`PeerRestart`, emitted by the home as it answers the writer's
+//!    recovery handshake, before any replayed diff can reach it): recovery
+//!    replay legitimately re-applies the writer's logged diffs.
 //! 2. **Lock tenure uniqueness** — per `(lock, generation)`, at most one
 //!    distinct grantee. Re-granting the same generation to the same node is
 //!    a legal retransmission replay; to a different node it is a split
@@ -343,7 +344,7 @@ impl EventSink for Monitor {
                     node.recovering = false;
                 }
             }
-            EventKind::MemberUp { node: subject } => {
+            EventKind::PeerRestart { node: subject } => {
                 // The returned writer replays its logged diffs; the home
                 // legitimately re-applies them from scratch.
                 inner.nodes[e.node].applied.retain(|(_, w), _| w != subject);
@@ -553,10 +554,10 @@ mod tests {
     }
 
     #[test]
-    fn member_up_clears_writer_history_at_observer() {
+    fn a_peer_restart_clears_that_writers_history_at_the_home() {
         let m = Monitor::new(3);
         m.on_event(&apply(0, 1, 7, 2, 9));
-        m.on_event(&ev(0, 2, EventKind::MemberUp { node: 2 }));
+        m.on_event(&ev(0, 2, EventKind::PeerRestart { node: 2 }));
         // Writer 2 replays from its log: old intervals re-apply legally.
         m.on_event(&apply(0, 3, 7, 2, 1));
         // Another writer's history is untouched.

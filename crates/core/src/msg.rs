@@ -100,9 +100,6 @@ pub enum Payload {
         /// The acknowledged batch's sequence number.
         seq: u64,
     },
-    /// A membership message (a heartbeat or its reply). Never piggybacked,
-    /// never backlogged.
-    Member(dsm_member::Wire),
     /// Barrier arrival: participant → barrier manager.
     BarrierArrive {
         /// Barrier crossing number at the participant.
@@ -238,7 +235,6 @@ impl Payload {
             Payload::LockGrant { .. } => "LockGrant",
             Payload::DiffBatch { .. } => "DiffBatch",
             Payload::DiffAck { .. } => "DiffAck",
-            Payload::Member(w) => w.kind(),
             Payload::BarrierArrive { .. } => "BarrierArrive",
             Payload::BarrierRelease { .. } => "BarrierRelease",
             Payload::PageReq { .. } => "PageReq",
@@ -465,10 +461,6 @@ mod tests {
                 seq: 1,
             },
             Payload::DiffAck { seq: 1 },
-            Payload::Member(dsm_member::Wire::Ping {
-                seq: 1,
-                incarnation: 0,
-            }),
             Payload::BarrierArrive {
                 episode: 0,
                 vt: vt(),
@@ -552,18 +544,17 @@ mod tests {
             LockGrant { .. } => 2,
             DiffBatch { .. } => 3,
             DiffAck { .. } => 4,
-            Member(_) => 5,
-            BarrierArrive { .. } => 6,
-            BarrierRelease { .. } => 7,
-            PageReq { .. } => 8,
-            PageReply { .. } => 9,
-            RecLogReq { .. } => 10,
-            RecLogReply { .. } => 11,
-            RecPageReq { .. } => 12,
-            RecPageReply { .. } => 13,
+            BarrierArrive { .. } => 5,
+            BarrierRelease { .. } => 6,
+            PageReq { .. } => 7,
+            PageReply { .. } => 8,
+            RecLogReq { .. } => 9,
+            RecLogReply { .. } => 10,
+            RecPageReq { .. } => 11,
+            RecPageReply { .. } => 12,
         };
         let kinds: Vec<usize> = every.iter().map(index).collect();
-        assert_eq!(kinds, (0..14).collect::<Vec<_>>());
+        assert_eq!(kinds, (0..13).collect::<Vec<_>>());
         let mut carriers = Vec::new();
         for payload in every {
             let (kind, carries) = (payload.kind(), payload.carried().is_some());
@@ -579,16 +570,12 @@ mod tests {
     /// The sender every test message is decoded from.
     const FROM: usize = 1;
 
-    /// Every kind (a heartbeat reply besides the ping, an arrival without its
-    /// batch besides the one with), stamped as the endpoint stamps it, half
+    /// Every kind (an arrival without its batch besides the one with),
+    /// stamped as the endpoint stamps it, half
     /// of them parented and a few carrying a piggyback with a gossip table.
     fn every_message() -> Vec<Msg> {
         let mut payloads = one_of_every_kind();
-        payloads.push(Payload::Member(dsm_member::Wire::Pong {
-            seq: 200,
-            incarnation: 1,
-        }));
-        let mut bare_arrival = payloads[6].clone();
+        let mut bare_arrival = payloads[5].clone();
         bare_arrival.take_carried();
         payloads.push(bare_arrival);
         let piggy = Piggy {

@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_member::MemberConfig;
 use dsm_metrics::{labelled, FlightSource, Snapshot, TimeSeries};
 use dsm_net::Fabric;
 use dsm_storage::StableStore;
@@ -13,10 +12,9 @@ use dsm_trace::{EventSink, Trace, TraceConfig};
 use parking_lot::Mutex;
 
 use crate::config::{ClusterConfig, FailureSpec};
-use crate::ft::FtState;
+use crate::ft::{FtState, RETRY_AFTER};
 use crate::monitor::Monitor;
 use crate::msg::Msg;
-use crate::runtime::member;
 use crate::runtime::node::{service_loop, CrashSignal, Mode, NodeShared, NodeState};
 use crate::runtime::process::Process;
 use crate::stats::{NodeReport, RunReport};
@@ -55,10 +53,10 @@ fn snapshot(ts_ns: u64, fabric: &Fabric<Msg>, shareds: &[Arc<NodeShared>]) -> Sn
     snap
 }
 
-/// How long a crashed node stays dead before it restarts, with membership on
-/// or off. No message sent before the crash may still be in flight when it
-/// is back (the lock-chain reset of recovery relies on it), so `run` refuses
-/// a chaos plan that can delay a message this long.
+/// How long a crashed node stays dead before it restarts. No message sent
+/// before the crash may still be in flight when it is back (the lock-chain
+/// reset of recovery relies on it), so `run` refuses a chaos plan that can
+/// delay a message this long.
 const DEAD_FOR: Duration = Duration::from_millis(10);
 
 const FNV_BASIS: u64 = 0xcbf29ce484222325;
@@ -128,12 +126,9 @@ where
     let inject_stale_apply = config
         .inject_stale_apply
         .then(|| Arc::new(AtomicBool::new(true)));
-    // Chaos auto-enables membership: the heartbeat/retry layer is what makes
-    // a lossy fabric survivable.
-    let membership: Option<MemberConfig> = config
-        .membership
-        .clone()
-        .or_else(|| config.chaos.as_ref().map(|_| MemberConfig::default()));
+    // The retry layer is what makes a lossy fabric survivable; a reliable
+    // one does without its timers and acks.
+    let retry_after = config.chaos.as_ref().map(|_| RETRY_AFTER);
     let (fabric, endpoints) = Fabric::<Msg>::new(n);
     if let Some(plan) = &config.chaos {
         let delay = plan.max_delay();
@@ -169,7 +164,7 @@ where
             Arc::new(ep),
             ft,
             trace.tracer(i),
-            membership.as_ref(),
+            retry_after,
         );
         state.crash_queue = crash_queue;
         state.inject_stale_apply = inject_stale_apply.clone();
@@ -191,27 +186,6 @@ where
                 .expect("spawn service thread")
         })
         .collect();
-
-    // One heartbeat ticker per node: drives the restart detector's
-    // heartbeats and the diff-outbox retransmission scan. Tickers run until
-    // explicitly stopped (heartbeats never quiesce, so they must die before
-    // the traffic-quiesce loop below can converge).
-    let ticker_stop = Arc::new(AtomicBool::new(false));
-    let ticker_handles: Vec<_> = match &membership {
-        None => Vec::new(),
-        Some(cfg) => shareds
-            .iter()
-            .map(|s| {
-                let shared = Arc::clone(s);
-                let stop = Arc::clone(&ticker_stop);
-                let every = cfg.heartbeat_every;
-                std::thread::Builder::new()
-                    .name(format!("dsm-hb-{}", s.me))
-                    .spawn(move || member::ticker(&shared, &stop, every))
-                    .expect("spawn heartbeat ticker")
-            })
-            .collect(),
-    };
 
     // One closure says what the metrics are now: the panic-time dump calls
     // it (registered weakly: it dies with this run), the periodic sampler
@@ -254,7 +228,6 @@ where
             let app = Arc::clone(&app);
             let fabric = fabric.clone();
             let active = Arc::clone(&active_recoveries);
-            let membership = membership.is_some();
             std::thread::Builder::new()
                 .name(format!("dsm-app-{i}"))
                 .spawn(move || {
@@ -284,25 +257,10 @@ where
                                 fabric.crash(i);
                                 shared.state.lock().ep.drain();
                                 std::thread::sleep(DEAD_FOR);
-                                {
-                                    let mut st = shared.state.lock();
-                                    // New incarnation before the ticker sees
-                                    // Recovering: the next heartbeat already
-                                    // carries the bumped number, which is how
-                                    // peers learn we are back.
-                                    if let Some(member) = &st.member {
-                                        member.begin_new_incarnation();
-                                    }
-                                    st.set_mode(Mode::Recovering);
-                                }
-                                if membership {
-                                    // Peers discover the restart from the
-                                    // incarnation bump in our heartbeats and
-                                    // retransmit on their own Up event.
-                                    fabric.restart_silent(i);
-                                } else {
-                                    fabric.restart(i);
-                                }
+                                shared.state.lock().set_mode(Mode::Recovering);
+                                // Peers learn of the restart from the
+                                // recovery handshake.
+                                fabric.restart(i);
                                 recovering = true;
                             }
                             Err(p) => resume_unwind(p),
@@ -321,26 +279,6 @@ where
         })
         .collect();
     let wall = t0.elapsed();
-
-    // With the retry layer on, the final diff flushes may still be waiting
-    // for acks under loss; keep the tickers retransmitting until every
-    // outbox drains (ack received ⇒ the home applied the batch).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !shareds.iter().all(|s| s.state.lock().ft.drained()) {
-        assert!(
-            Instant::now() < deadline,
-            "diff outboxes failed to drain (FTDSM_SEED={:#x})",
-            config.seed
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    // Stop the heartbeat tickers before watching traffic quiesce —
-    // heartbeats never go quiet on their own.
-    ticker_stop.store(true, Ordering::SeqCst);
-    for h in ticker_handles {
-        let _ = h.join();
-    }
 
     // Let in-flight protocol traffic (final diff flushes) quiesce. Only the
     // service threads' handlers still send, which makes the check exact.

@@ -327,12 +327,12 @@ pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
 mod tests {
     use super::*;
     use crate::ft::recovery::RecoverySvc;
+    use crate::ft::RETRY_AFTER;
     use crate::runtime::node::tests::{diff_of, gated, only_payload, page_of, requests};
     use crate::runtime::node::tests::{test_state, test_state_with};
     use crate::runtime::node::NodeShared;
     use crate::stats::Breakdown;
     use crate::{HomeAlloc, Process};
-    use dsm_member::MemberConfig;
     use dsm_net::Event;
     use dsm_page::Diff;
     use std::sync::Arc;
@@ -704,8 +704,7 @@ mod tests {
     #[test]
     fn only_a_never_held_page_nothing_names_is_cold_and_a_named_one_is_fetched() {
         // Node 1 of 2, retry layer on. Pages 0 to 5 homed at node 0, 6 here.
-        let retrying = MemberConfig::default();
-        let (mut st, eps) = test_state_with(1, 2, false, Some(&retrying));
+        let (mut st, eps) = test_state_with(1, 2, false, Some(RETRY_AFTER));
         for home in [0, 0, 0, 0, 0, 0, 1] {
             st.pt.add_page(home);
         }

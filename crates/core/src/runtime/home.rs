@@ -224,12 +224,12 @@ impl HomeSvc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ft::RETRY_AFTER;
     use crate::runtime::fetch;
     use crate::runtime::node::tests::{
         diff_of, gated, only_payload, test_state, test_state_with, unpark,
     };
     use crate::runtime::node::{handle_msg, Replies};
-    use dsm_member::MemberConfig;
     use dsm_page::{PageId, VectorClock};
 
     #[test]
@@ -286,8 +286,7 @@ mod tests {
         // layer. Its miss on page 1 — at that version, whose diff is still
         // in the outbox, not yet sent to node 0 — asks for all three.
         let (mut home, _) = test_state(0, 2, false);
-        let retrying = MemberConfig::default();
-        let (mut asker, to_home) = test_state_with(1, 2, false, Some(&retrying));
+        let (mut asker, to_home) = test_state_with(1, 2, false, Some(RETRY_AFTER));
         for _ in 0..3 {
             home.pt.add_page(0);
             asker.pt.add_page(0);

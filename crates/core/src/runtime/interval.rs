@@ -244,10 +244,10 @@ mod tests {
     use super::*;
     use crate::config::FtConfig;
     use crate::ft::FtState;
+    use crate::ft::RETRY_AFTER;
     use crate::msg::{Msg, Piggy};
     use crate::runtime::node::tests::{diff_of, gated, page_of, test_state, test_state_with};
     use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
-    use dsm_member::MemberConfig;
     use dsm_net::{Endpoint, Event, Fabric};
     use dsm_page::Interval;
     use dsm_storage::{DiskModel, StableStore};
@@ -267,8 +267,7 @@ mod tests {
     #[test]
     fn the_managers_batch_rides_the_arrival_or_waits_its_turn_and_only_the_outbox_resends_it() {
         // Node 1 of 2 with the retry layer on; it writes page 0, node 0's.
-        let retrying = MemberConfig::default();
-        let (mut st, eps) = test_state_with(1, 2, false, Some(&retrying));
+        let (mut st, eps) = test_state_with(1, 2, false, Some(RETRY_AFTER));
         st.pt.add_page(0);
         st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
         let mut bd = Breakdown::default();

@@ -6,7 +6,6 @@ pub mod cluster;
 pub(crate) mod fetch;
 pub(crate) mod home;
 pub(crate) mod interval;
-pub(crate) mod member;
 pub(crate) mod node;
 pub mod process;
 pub(crate) mod sync;

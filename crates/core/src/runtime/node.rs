@@ -22,23 +22,20 @@
 //! | [`SyncSvc`] | `runtime/sync.rs` | `LockAcq`, `LockForward`, `LockGrant`, `BarrierArrive`, `BarrierRelease` |
 //! | [`FtSvc`] | `ft/mod.rs` | `DiffAck` |
 //! | [`RecoverySvc`] | `ft/recovery.rs` | `RecLogReq`, `RecLogReply`, `RecPageReq`, `RecPageReply` |
-//! | [`MemberSvc`] | `runtime/member.rs` | `Member` |
 //!
-//! A node's protocol state has two locks (see DESIGN.md "Hot path"; the
-//! membership runtime keeps small locks of its own). Home-page state lives
-//! in the sharded [`hlrc::HomeStore`], and the one handler for
-//! `PageReq`/`DiffBatch` ([`HomeSvc::serve`]) needs nothing else — so the
-//! service loop runs it without the big lock while the application computes
-//! under it. The big lock keeps the rest: mode, waits, lock and barrier
-//! managers, FT logs, recovery state. Lock order is big → shard; shard
-//! locks are leaves.
+//! A node's protocol state has two locks (see DESIGN.md "Hot path").
+//! Home-page state lives in the sharded [`hlrc::HomeStore`], and the one
+//! handler for `PageReq`/`DiffBatch` ([`HomeSvc::serve`]) needs nothing
+//! else — so the service loop runs it without the big lock while the
+//! application computes under it. The big lock keeps the rest: mode,
+//! waits, lock and barrier managers, FT logs, recovery state. Lock order is
+//! big → shard; shard locks are leaves.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsm_member::MemberConfig;
 use dsm_net::{Endpoint, Event, NodeTraffic};
 use dsm_page::{Interval, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
@@ -51,7 +48,6 @@ use crate::ft::{self, FtState, FtSvc};
 use crate::msg::{Msg, Payload};
 use crate::runtime::fetch::{self, FetchSvc};
 use crate::runtime::home::{self, HomeSvc, Served};
-use crate::runtime::member::MemberSvc;
 use crate::runtime::sync::{self, SyncSvc};
 use crate::stats::NodeReport;
 
@@ -161,9 +157,6 @@ pub(crate) struct NodeState {
     pub sync: SyncSvc,
     pub ft: FtSvc,
     pub rec: RecoverySvc,
-    /// Membership (restart detection) runtime; `None` keeps orchestrated
-    /// recovery (perfect-knowledge `NodeUp` broadcasts).
-    pub member: Option<Arc<MemberSvc>>,
     pub ep: Arc<Endpoint<Msg>>,
     /// Protocol event tracer (a no-op handle when tracing is disabled).
     pub tracer: NodeTracer,
@@ -178,6 +171,8 @@ pub(crate) struct NodeState {
     pub crash_queue: Vec<u64>,
     /// Requests and diff batches retransmitted after a timeout.
     pub retransmits: u64,
+    /// Peer restarts learned of, one per recovery handshake received.
+    pub restarts_seen: u64,
     /// Diff batches that rode a barrier arrival instead of going alone.
     pub diff_batches_carried: u64,
     /// Duplicate or stale deliveries suppressed by the idempotency gates
@@ -210,8 +205,8 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeState {
-    /// A node at the start of a run. `membership` switches the failure
-    /// detector and the retry layer on, together. A scripted `crash_queue`
+    /// A node at the start of a run. `retry_after` switches the retry layer
+    /// on (see [`ft::RETRY_AFTER`]). A scripted `crash_queue`
     /// and the monitor's `inject_stale_apply` trigger are set by the one
     /// caller that has them.
     pub(crate) fn new(
@@ -221,7 +216,7 @@ impl NodeState {
         ep: Arc<Endpoint<Msg>>,
         ft: Option<FtState>,
         tracer: NodeTracer,
-        membership: Option<&MemberConfig>,
+        retry_after: Option<Duration>,
     ) -> Self {
         NodeState {
             me,
@@ -237,10 +232,8 @@ impl NodeState {
             cur_flow: 0,
             fetch: FetchSvc::default(),
             sync: SyncSvc::new(me, n),
-            ft: FtSvc::new(me, n, ft, membership.map(|cfg| cfg.retry_after)),
+            ft: FtSvc::new(me, n, ft, retry_after),
             rec: RecoverySvc::default(),
-            member: membership
-                .map(|cfg| Arc::new(MemberSvc::new(cfg, Arc::clone(&ep), tracer.clone()))),
             ep,
             tracer,
             inject_stale_apply: None,
@@ -248,6 +241,7 @@ impl NodeState {
             ops: 0,
             crash_queue: Vec::new(),
             retransmits: 0,
+            restarts_seen: 0,
             diff_batches_carried: 0,
             dup_suppressed: 0,
             svc_time_by_kind: BTreeMap::new(),
@@ -261,17 +255,11 @@ impl NodeState {
     /// with what `traffic` (the fabric's counters of this node's sends) says
     /// — the one place a [`NodeReport`] is put together: teardown, the
     /// periodic sampler and the panic-time dump all call it. Never waits:
-    /// `None` while a home-store shard or one of the membership layer's
-    /// small locks is held (see [`MemberSvc::fold_into`]). Handler time and histograms the service
-    /// loop keeps in locals are folded in when that thread exits, and the
-    /// application thread's breakdown when an incarnation ends, so a mid-run
-    /// report lags them.
+    /// `None` while a home-store shard is held. Handler time and histograms
+    /// the service loop keeps in locals are folded in when that thread
+    /// exits, and the application thread's breakdown when an incarnation
+    /// ends, so a mid-run report lags them.
     pub(crate) fn report(&self, traffic: &NodeTraffic) -> Option<NodeReport> {
-        let mut hists = self.hists.clone();
-        let member = match &self.member {
-            Some(m) => m.fold_into(&mut hists)?,
-            None => Default::default(),
-        };
         let mut breakdown = self.breakdown_acc;
         breakdown.protocol += self.svc_time_by_kind.values().sum::<Duration>();
         let (fetch_delta_pages, fetch_delta_bytes) = self.pt.delta_installs();
@@ -280,7 +268,7 @@ impl NodeState {
             traffic: traffic.snapshot(),
             ft: self.ft.report(),
             ops: self.ops,
-            hists,
+            hists: self.hists.clone(),
             pool: self.pt.pool_stats()?,
             svc_time_by_kind: self
                 .svc_time_by_kind
@@ -289,7 +277,7 @@ impl NodeState {
                 .collect(),
             msg_kinds: traffic.kind_counts(),
             msg_kind_bytes: traffic.kind_bytes(),
-            member,
+            restarts_seen: self.restarts_seen,
             retransmits: self.retransmits,
             diff_batches_carried: self.diff_batches_carried,
             dup_suppressed: self.dup_suppressed,
@@ -319,8 +307,9 @@ impl NodeState {
         // The page *slots* stay allocated: replay re-runs the same
         // allocations over them. Home copies are overwritten from stable
         // storage by `restart_from`; remote copies (kept ones and their
-        // versions included), parked fetches (requesters retransmit on
-        // NodeUp) and the homed pages' diff rings are lost now.
+        // versions included), parked fetches (requesters resend them when
+        // the recovery handshake reaches them) and the homed pages' diff
+        // rings are lost now.
         self.pt.reset_for_restart(&[]);
         self.vt = VectorClock::zero(self.n);
         self.wn_table = WnTable::new();
@@ -414,8 +403,8 @@ impl NodeState {
     }
 
     /// The unanswered request the application thread is blocked on and its
-    /// destination. The first send, the timeout retransmit and the `NodeUp`
-    /// resend all come from here.
+    /// destination. The first send, the timeout retransmit and the resend
+    /// to a restarted peer all come from here.
     fn blocked_request(&self) -> Option<(ProcId, Payload)> {
         match &self.wait {
             WaitSlot::Request {
@@ -502,11 +491,6 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, mut payload: Payload)
         | Payload::RecPageReq { .. }
         | Payload::RecLogReply { .. }
         | Payload::RecPageReply { .. } => recovery::handle(st, from, payload),
-        // Membership traffic is handled off the big lock in the service
-        // loop; one can still land here through a recovery-backlog replay —
-        // by then it is stale, and the detector gets fresher input every
-        // heartbeat period anyway.
-        Payload::Member(_) => {}
     }
 }
 
@@ -518,10 +502,13 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
     }
 }
 
-/// A crashed peer restarted: re-issue lost forwards and fetches, and
-/// retransmit whatever request our application thread is blocked on against
-/// that peer.
-pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
+/// Peer `node` restarted — its recovery handshake has just arrived, the one
+/// restart signal: it lost everything in flight to it, so re-issue lost
+/// forwards and fetches, and retransmit whatever request our application
+/// thread is blocked on against it and the diff batch in flight to it.
+pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
+    st.restarts_seen += 1;
+    st.tracer.emit(EventKind::PeerRestart { node });
     sync::reforward_to(st, node);
     fetch::resend_batches_to(st, node);
     if let Some((to, payload)) = st.blocked_request() {
@@ -529,6 +516,7 @@ pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
             st.send(node, payload);
         }
     }
+    ft::resend_inflight_diffs(st, node);
 }
 
 /// Handle one event under the big lock, whoever received it — the service
@@ -537,12 +525,6 @@ pub(crate) fn handle_node_up(st: &mut NodeState, node: ProcId) {
 pub(crate) fn dispatch(st: &mut NodeState, ev: Event<Msg>) {
     match ev {
         Event::Wakeup => unreachable!("wakeups stay in the service loop"),
-        Event::NodeUp { node } => match st.mode {
-            Mode::Normal => handle_node_up(st, node),
-            // Single-fault model: no other node can restart while we are
-            // crashed or recovering.
-            Mode::Crashed | Mode::Recovering => {}
-        },
         Event::Msg { from, msg } => {
             if st.mode == Mode::Crashed {
                 return;
@@ -581,13 +563,12 @@ fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
 /// barrier arrival carries ([`HomeSvc::serve_batch`]); what that hands back,
 /// the arrival, and everything else, is handled under the big lock.
 pub(crate) fn service_loop(shared: Arc<NodeShared>) {
-    let (ep, svc, mode_flag, member) = {
+    let (ep, svc, mode_flag) = {
         let st = shared.state.lock();
         (
             Arc::clone(&st.ep),
             HomeSvc::of(&st),
             Arc::clone(&st.mode_flag),
-            st.member.clone(),
         )
     };
     let live = || mode_flag.load(Ordering::SeqCst) == Mode::Normal as u8;
@@ -606,27 +587,6 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
                     break;
                 }
                 continue;
-            }
-            Event::NodeUp { .. } => handle_locked(&shared, ev),
-            // Membership traffic must not wait on the big lock: the
-            // application thread holds it while computing, and a Pong held
-            // up behind it would tell the peer of a restart late. A crashed
-            // node's input is already cut off at the fabric; the mode check
-            // here just fences the drain race.
-            Event::Msg {
-                from,
-                msg:
-                    Msg {
-                        payload: Payload::Member(w),
-                        ..
-                    },
-            } => {
-                if let Some(member) = &member {
-                    if mode_flag.load(Ordering::SeqCst) != Mode::Crashed as u8 {
-                        member.on_msg(&shared, from, w);
-                    }
-                }
-                t0.elapsed()
             }
             Event::Msg { from, mut msg } => {
                 // Replies are parented on the request's flow so the exporter
@@ -690,7 +650,7 @@ pub(crate) mod tests {
     use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, WaitingFetch};
     use hlrc::{PageBody, WnDelta};
 
-    /// Node `me` of `n` with 256-byte pages and no membership, and the
+    /// Node `me` of `n` with 256-byte pages and no retry layer, and the
     /// other nodes' endpoints in rank order.
     pub(crate) fn test_state(
         me: ProcId,
@@ -704,14 +664,14 @@ pub(crate) mod tests {
         me: ProcId,
         n: usize,
         ft: bool,
-        membership: Option<&MemberConfig>,
+        retry_after: Option<Duration>,
     ) -> (NodeState, Vec<Arc<Endpoint<Msg>>>) {
         let (_fabric, endpoints) = Fabric::<Msg>::new(n);
         let mut eps: Vec<Arc<Endpoint<Msg>>> = endpoints.into_iter().map(Arc::new).collect();
         let ep = Arc::clone(&eps[me]);
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let ft = ft.then(|| FtState::new(me, n, FtConfig::default(), store));
-        let st = NodeState::new(me, n, 256, ep, ft, NodeTracer::disabled(), membership);
+        let st = NodeState::new(me, n, 256, ep, ft, NodeTracer::disabled(), retry_after);
         eps.remove(me);
         (st, eps)
     }
@@ -802,9 +762,8 @@ pub(crate) mod tests {
     fn crash_then_genesis_restart_equals_a_new_node_and_keeps_the_survivors() {
         let n = 3;
         let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
-        let retrying = MemberConfig::default();
         let with_pages = || {
-            let (mut st, eps) = test_state_with(1, n, true, Some(&retrying));
+            let (mut st, eps) = test_state_with(1, n, true, Some(ft::RETRY_AFTER));
             st.pt.add_page(0); // page 0: remote
             st.pt.add_page(1); // pages 1, 2: homed here
             st.pt.add_page(1);
@@ -1262,11 +1221,20 @@ pub(crate) mod tests {
                 interval::arrive(st, &mut Breakdown::default());
             }),
         ];
+        // Everything `ep` was sent, on both lanes, in the order it was sent.
+        let sent_in_order = |ep: &Endpoint<Msg>| {
+            let mut sent = Vec::new();
+            while let Some(Event::Msg { msg, .. }) = ep.recv_any(Duration::ZERO) {
+                sent.push((msg.ctx.seq, msg.payload));
+            }
+            sent.sort_by_key(|(seq, _)| *seq);
+            sent.into_iter().map(|(_, p)| p).collect::<Vec<_>>()
+        };
         for (kind, block) in blocks {
-            let (mut st, eps) = test_state(1, 2, false);
+            let (mut st, eps) = test_state(1, 2, true);
             // Page 3 was invalidated with its copy kept: every send says so,
-            // the one a `NodeUp` triggers included — a peer coming up (or
-            // first heard from) is no reason to forget what we hold.
+            // the one a restart triggers included — a peer coming back is
+            // no reason to forget what we hold.
             for _ in 0..4 {
                 st.pt.add_page(0);
             }
@@ -1278,8 +1246,13 @@ pub(crate) mod tests {
             requests(&eps[0]);
             block(&mut st); // parks the request and sends it
             assert_eq!(st.retransmit_wait_slot(), 1, "timeout retransmit");
-            handle_node_up(&mut st, 0);
-            let sent = requests(&eps[0]);
+            // Node 0 restarted: its handshake is the signal, and the resend
+            // goes out before the reply, as it did when a fabric broadcast
+            // announced the restart ahead of the handshake.
+            handle_msg(&mut st, 0, Payload::RecLogReq { homed: Vec::new() });
+            assert_eq!(st.restarts_seen, 1);
+            let mut sent = sent_in_order(&eps[0]);
+            assert_eq!(sent.pop().map(|p| p.kind()), Some("RecLogReply"));
             assert_eq!(sent.len(), 3);
             assert_eq!(sent[0].kind(), kind);
             assert!(sent.iter().all(|p| *p == sent[0]), "{kind} resends differ");
@@ -1408,9 +1381,8 @@ pub(crate) mod tests {
         let ep = Arc::new(endpoints.into_iter().nth(me).unwrap());
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
-        let retrying = MemberConfig::default();
         let tracer = NodeTracer::disabled();
-        let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer, Some(&retrying));
+        let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer, Some(ft::RETRY_AFTER));
         st.pt.add_page(1); // page 0: homed here
         st.pt.add_page(2); // page 1: remote
         st.pt.add_page(2); // page 2: remote, cold

@@ -596,8 +596,9 @@ impl Process {
 
     // ---- lifecycle ----------------------------------------------------------
 
-    /// Flush any unsynchronized writes and fold this incarnation's
-    /// breakdown into the node report.
+    /// Flush any unsynchronized writes, wait until every home has
+    /// acknowledged them (nothing is queued when the retry layer is off) and
+    /// fold this incarnation's breakdown into the node report.
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
@@ -608,6 +609,9 @@ impl Process {
             recovery::go_live(&mut st);
         }
         st.close_interval(&mut self.breakdown);
+        // The wait retransmits a batch whose ack is late, as a checkpoint's
+        // does (`safe_point`).
+        wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
         self.flush_stats(&mut st);
     }
 

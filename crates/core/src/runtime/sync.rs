@@ -374,7 +374,7 @@ impl SyncSvc {
     /// acquisitions that materialized — our own delivered tenures and the
     /// grants in our release log. The discarded edges' requesters are still
     /// blocked and re-drive their acquisition (retry timer under chaos,
-    /// NodeUp re-send otherwise), re-entering the chain behind a real
+    /// the restart re-send otherwise), re-entering the chain behind a real
     /// tenure. Without the reset, stale pre-crash edges and the manager's
     /// fresh post-crash edges can order the same two waiters both ways round
     /// and deadlock the chain. This leans on a synchrony assumption: a
@@ -545,7 +545,7 @@ fn lock_forward(a: LockAction) -> Payload {
 
 /// A crashed peer restarted: re-issue the forwards it lost.
 pub(crate) fn reforward_to(st: &mut NodeState, node: ProcId) {
-    let actions = st.sync.lock_mgr.on_node_up(node);
+    let actions = st.sync.lock_mgr.on_peer_restart(node);
     for a in actions {
         st.send(a.grant_from, lock_forward(a));
     }

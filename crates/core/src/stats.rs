@@ -9,7 +9,6 @@
 use std::ops::AddAssign;
 use std::time::Duration;
 
-use dsm_member::MemberStats;
 use dsm_metrics::{labelled, MetricValue, TimeSeries};
 use dsm_net::stats::TrafficSnapshot;
 use dsm_net::PhaseAcc;
@@ -165,8 +164,9 @@ pub struct NodeReport {
     pub msg_kinds: Vec<(&'static str, u64)>,
     /// Bytes sent by this node per payload kind, piggyback included.
     pub msg_kind_bytes: Vec<(&'static str, u64)>,
-    /// Membership counters (zeroed when membership is off).
-    pub member: MemberStats,
+    /// Peer restarts this node learned of: one per recovery handshake
+    /// (`RecLogReq`) it answered.
+    pub restarts_seen: u64,
     /// Request retransmissions issued by this node (page/lock/barrier/diff
     /// traffic resent after the retry timeout; zero when retries are off).
     pub retransmits: u64,
@@ -213,8 +213,7 @@ impl NodeReport {
         add_kinds(&mut self.svc_time_by_kind, &o.svc_time_by_kind);
         add_kinds(&mut self.msg_kinds, &o.msg_kinds);
         add_kinds(&mut self.msg_kind_bytes, &o.msg_kind_bytes);
-        self.member.up_events += o.member.up_events;
-        self.member.pings_sent += o.member.pings_sent;
+        self.restarts_seen += o.restarts_seen;
         self.retransmits += o.retransmits;
         self.diff_batches_carried += o.diff_batches_carried;
         self.dup_suppressed += o.dup_suppressed;
@@ -237,7 +236,7 @@ impl NodeReport {
         use MetricValue::{Counter, Gauge, Hist};
         let ns = |d: Duration| d.as_nanos() as u64;
         let (b, t, ft, pf) = (&self.breakdown, &self.traffic, &self.ft, &self.prefetch);
-        let (logs, store, pool, member) = (&ft.log_counters, &ft.store, &self.pool, &self.member);
+        let (logs, store, pool) = (&ft.log_counters, &ft.store, &self.pool);
         let counters = [
             ("ops_total", self.ops),
             ("app_time_ns_total", ns(b.total)),
@@ -271,8 +270,7 @@ impl NodeReport {
             ("pool_misses_total", pool.misses),
             ("pool_recycled_total", pool.recycled),
             ("pool_rejected_total", pool.rejected),
-            ("member_up_events_total", member.up_events),
-            ("member_pings_sent_total", member.pings_sent),
+            ("peer_restarts_total", self.restarts_seen),
             ("retransmits_total", self.retransmits),
             ("diff_batches_carried_total", self.diff_batches_carried),
             ("dup_suppressed_total", self.dup_suppressed),

@@ -462,17 +462,15 @@ const PIGGY: u8 = 0x40;
 /// Tag bit: a diff batch follows the payload (a barrier arrival's).
 const BATCH: u8 = 0x80;
 
-/// The kind half of a message's tag byte.
+/// The kind half of a message's tag byte. Tags 5 and 6 are retired (they
+/// were the heartbeat's) and decode as an error.
 fn kind_tag(payload: &Payload) -> u8 {
-    use dsm_member::Wire::{Ping, Pong};
     match payload {
         Payload::LockAcq { .. } => 0,
         Payload::LockForward { .. } => 1,
         Payload::LockGrant { .. } => 2,
         Payload::DiffBatch { .. } => 3,
         Payload::DiffAck { .. } => 4,
-        Payload::Member(Ping { .. }) => 5,
-        Payload::Member(Pong { .. }) => 6,
         Payload::BarrierArrive { .. } => 7,
         Payload::BarrierRelease { .. } => 8,
         Payload::PageReq { .. } => 9,
@@ -533,10 +531,6 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             put_diffs(w, diffs);
         }
         Payload::DiffAck { seq } => w.put_varint(*seq),
-        Payload::Member(
-            dsm_member::Wire::Ping { seq, incarnation }
-            | dsm_member::Wire::Pong { seq, incarnation },
-        ) => put_varints(w, &[*seq, *incarnation]),
         Payload::BarrierArrive {
             episode,
             vt,
@@ -618,9 +612,6 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
 pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
     let tag = r.get_u8()?;
     let ctx = get_ctx(r, from as u32)?;
-    let member = |r: &mut ByteReader| -> Result<(u64, u64), CodecError> {
-        Ok((r.get_varint()?, r.get_varint()?))
-    };
     let mut payload = match tag & !(PIGGY | BATCH) {
         0 => Payload::LockAcq {
             lock: get_usize(r)?,
@@ -650,14 +641,6 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
         4 => Payload::DiffAck {
             seq: r.get_varint()?,
         },
-        5 => {
-            let (seq, incarnation) = member(r)?;
-            Payload::Member(dsm_member::Wire::Ping { seq, incarnation })
-        }
-        6 => {
-            let (seq, incarnation) = member(r)?;
-            Payload::Member(dsm_member::Wire::Pong { seq, incarnation })
-        }
         7 => Payload::BarrierArrive {
             episode: r.get_varint()?,
             vt: get_vt(r)?,

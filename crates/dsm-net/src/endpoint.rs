@@ -78,12 +78,6 @@ pub enum Event<M> {
         /// The payload.
         msg: M,
     },
-    /// Node `node` restarted after a crash; blocked requesters should
-    /// retransmit any request they still owe an answer for.
-    NodeUp {
-        /// The restarted node.
-        node: NodeId,
-    },
     /// Self-posted nudge (see [`Endpoint::wake`]): a blocking receiver
     /// should re-check its shutdown/state flags. Carries no payload.
     Wakeup,
@@ -94,7 +88,6 @@ impl<M: WireSized> Event<M> {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Event::Msg { msg, .. } => msg.kind_name(),
-            Event::NodeUp { .. } => "NodeUp",
             Event::Wakeup => "Wakeup",
         }
     }
@@ -291,23 +284,9 @@ impl<M: Send + WireSized> Fabric<M> {
         st[node] = NodeStatus::Crashed;
     }
 
-    /// Restart `node` after a crash and notify every *other* node with
-    /// [`Event::NodeUp`] so blocked requesters retransmit.
+    /// Restart `node` after a crash: sends to it are delivered again. Nobody
+    /// is told — peers learn of the restart from what the node sends them.
     pub fn restart(&self, node: NodeId) {
-        self.restart_silent(node);
-        for (peer, inbox) in self.shared.inboxes.iter().enumerate() {
-            if peer != node {
-                inbox.requests.push(Event::NodeUp { node });
-            }
-        }
-    }
-
-    /// Restart `node` after a crash *without* telling anyone: peers must
-    /// discover the restart themselves (heartbeat incarnation bumps in the
-    /// membership layer). This is the restart used when restart detection
-    /// is on — the orchestrated [`Fabric::restart`] broadcast would be
-    /// perfect-knowledge cheating.
-    pub fn restart_silent(&self, node: NodeId) {
         let mut st = self.shared.status.write();
         assert_eq!(st[node], NodeStatus::Crashed, "node {node} is not crashed");
         st[node] = NodeStatus::Up;
@@ -669,20 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_notifies_peers() {
-        let (fabric, eps) = Fabric::<TestMsg>::new(3);
-        fabric.crash(2);
-        fabric.restart(2);
-        assert_eq!(eps[0].recv(), Some(Event::NodeUp { node: 2 }));
-        assert_eq!(eps[1].recv(), Some(Event::NodeUp { node: 2 }));
-        // The restarted node itself gets no NodeUp.
-        assert!(eps[2].try_recv().is_none());
-        // And messaging works again.
-        assert!(eps[0].send(2, TestMsg(5, 1, 0)));
-        assert!(matches!(eps[2].recv(), Some(Event::Msg { from: 0, .. })));
-    }
-
-    #[test]
     fn drain_discards_queued_input() {
         let (fabric, eps) = Fabric::<TestMsg>::new(2);
         eps[0].send(1, TestMsg(1, 1, 0));
@@ -717,10 +682,10 @@ mod tests {
     }
 
     #[test]
-    fn restart_silent_skips_node_up() {
+    fn a_restart_tells_nobody_and_delivers_again() {
         let (fabric, eps) = Fabric::<TestMsg>::new(3);
         fabric.crash(2);
-        fabric.restart_silent(2);
+        fabric.restart(2);
         assert!(eps[0].try_recv().is_none());
         assert!(eps[1].try_recv().is_none());
         assert!(eps[0].send(2, TestMsg(5, 1, 0)));

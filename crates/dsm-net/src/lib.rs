@@ -13,10 +13,9 @@
 //!   notices a reply landing in its own memory; no helper thread relays it).
 //! * Fail-stop crash simulation: [`Fabric::crash`] marks a node down and
 //!   discards its queued input (in-flight messages to a failed process are
-//!   lost); sends to a crashed node are dropped and counted. On
-//!   [`Fabric::restart`] every peer receives a [`Event::NodeUp`]
-//!   notification so blocked requesters can retransmit (requests are
-//!   idempotent at the protocol layer).
+//!   lost); sends to a crashed node are dropped and counted.
+//!   [`Fabric::restart`] delivers to it again and tells nobody: peers learn
+//!   of the restart from the node's own messages.
 //! * Byte-accurate traffic accounting via the [`WireSized`] trait, split
 //!   into base-protocol bytes and fault-tolerance control (piggyback) bytes
 //!   — the measurements behind Table 2 of the paper.

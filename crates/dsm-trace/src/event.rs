@@ -118,8 +118,9 @@ pub enum EventKind {
     CrashInjected { at_op: u64 },
     /// One phase of recovery completed (duration is the event's span).
     RecoveryPhase { phase: RecPhase },
-    /// Membership saw `node` return (heartbeat with a new incarnation).
-    MemberUp { node: usize },
+    /// This node learned that `node` restarted: its recovery handshake
+    /// arrived.
+    PeerRestart { node: usize },
     /// A timed-out request was retransmitted to `to`.
     Retransmit { kind: &'static str, to: usize },
 }
@@ -145,7 +146,7 @@ impl EventKind {
             EventKind::MsgRecv { .. } => "msg_recv",
             EventKind::CrashInjected { .. } => "crash_injected",
             EventKind::RecoveryPhase { .. } => "recovery_phase",
-            EventKind::MemberUp { .. } => "member_up",
+            EventKind::PeerRestart { .. } => "peer_restart",
             EventKind::Retransmit { .. } => "retransmit",
         }
     }
@@ -218,7 +219,7 @@ impl EventKind {
             }
             EventKind::CrashInjected { at_op } => format!("\"at_op\":{at_op}"),
             EventKind::RecoveryPhase { phase } => format!("\"phase\":\"{}\"", phase.name()),
-            EventKind::MemberUp { node } => format!("\"node\":{node}"),
+            EventKind::PeerRestart { node } => format!("\"node\":{node}"),
             EventKind::Retransmit { kind, to } => {
                 format!("\"kind\":\"{kind}\",\"to\":{to}")
             }

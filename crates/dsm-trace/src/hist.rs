@@ -137,7 +137,7 @@ macro_rules! latency_hists {
 
         impl LatencyHists {
             /// (label, histogram) pairs in print order.
-            pub fn named(&self) -> [(&'static str, &Histogram); 18] {
+            pub fn named(&self) -> [(&'static str, &Histogram); 17] {
                 [$(($label, &self.$field),)*]
             }
 
@@ -186,8 +186,6 @@ latency_hists! {
     /// invalidation (wait until installed, or until the stale reply came).
     /// A cold miss — the filter had no part in it — is neither.
     prefetch_miss => "prefetch_miss",
-    /// Heartbeat round-trip time (ping sent to matching pong received).
-    heartbeat_rtt => "heartbeat_rtt",
     /// Retransmissions per completed wait (a counter, in retries: 0 =
     /// answered first time). Only recorded when the retry layer is on.
     retransmits => "retransmits",

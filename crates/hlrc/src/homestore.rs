@@ -654,9 +654,9 @@ impl HomeStore {
     }
 
     /// Crash and restart support: drop twins and pending `needed` state,
-    /// parked fetches (requesters retransmit on `NodeUp`) and rings, and
-    /// begin a new incarnation, so that what a reader kept of this one is
-    /// answered in full. Every copy goes back to the zero page at version
+    /// parked fetches (requesters resend them once the restart reaches
+    /// them) and rings, and begin a new incarnation, so that what a reader
+    /// kept of this one is answered in full. Every copy goes back to the zero page at version
     /// zero — what a page no checkpoint has carried yet restarts from — for
     /// the caller to overwrite from the checkpoint via [`HomeStore::restore`].
     pub fn reset_for_restart(&self) {

@@ -12,7 +12,7 @@
 //!
 //! Crash handling: the manager remembers, per (lock, requester), the last
 //! forward it issued until a newer request from the same requester replaces
-//! it. When a crashed node restarts ([`LockManagerTable::on_node_up`]) the
+//! it. When a crashed node restarts ([`LockManagerTable::on_peer_restart`]) the
 //! manager re-issues every forward that was addressed to it; grants are
 //! idempotent (the granter replays them from its release log, the requester
 //! dedups by acquisition sequence number).
@@ -200,7 +200,7 @@ impl LockManagerTable {
 
     /// A crashed node restarted: re-issue every pending forward that was
     /// addressed to it (the original may have been dropped).
-    pub fn on_node_up(&mut self, node: ProcId) -> Vec<LockAction> {
+    pub fn on_peer_restart(&mut self, node: ProcId) -> Vec<LockAction> {
         let mut out = Vec::new();
         for (&lock, ml) in &self.locks {
             for (&requester, p) in &ml.pending {
@@ -417,18 +417,18 @@ mod tests {
     }
 
     #[test]
-    fn node_up_reissues_forwards_addressed_to_it() {
+    fn a_peer_restart_reissues_forwards_addressed_to_it() {
         let mut m = LockManagerTable::new(0);
         m.on_request(5, req(1, 0)).unwrap(); // granted by 0
         m.on_request(5, req(2, 0)).unwrap(); // forwarded to 1
         m.on_request(7, req(3, 0)).unwrap(); // granted by 0
-        let redo = m.on_node_up(1);
+        let redo = m.on_peer_restart(1);
         assert_eq!(redo.len(), 1);
         assert_eq!(redo[0].lock, 5);
         assert_eq!(redo[0].grant_from, 1);
         assert_eq!(redo[0].req.requester, 2);
         assert_eq!(redo[0].req.acq_seq, 0);
-        assert!(m.on_node_up(9).is_empty());
+        assert!(m.on_peer_restart(9).is_empty());
     }
 
     #[test]

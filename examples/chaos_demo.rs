@@ -1,6 +1,6 @@
 //! Chaos quickstart: run a small workload twice — once on a reliable
 //! fabric, once under seeded fault injection — and show that the results
-//! and final memory image are identical, along with the fault/membership
+//! and final memory image are identical, along with the fault and restart
 //! counters from the run report.
 //!
 //! ```text
@@ -103,7 +103,6 @@ fn main() {
     println!("=> identical results and final memory image\n");
 
     let t = chaotic.total_traffic();
-    let m = chaotic.total().member;
     println!(
         "injected faults: {} dropped, {} delayed, {} duplicated",
         t.chaos_dropped, t.chaos_delayed, t.chaos_duplicated
@@ -113,14 +112,19 @@ fn main() {
         chaotic.total().retransmits,
         chaotic.total().dup_suppressed
     );
-    println!(
-        "membership:      {} pings, {} restarts seen by peers",
-        m.pings_sent, m.up_events
+    let recoveries = chaotic.total().ft.recoveries;
+    let seen = chaotic.total().restarts_seen;
+    println!("restarts:        {recoveries} recoveries, {seen} restarts seen by peers");
+    // Each recovery's handshake reaches every survivor once.
+    assert_eq!(
+        seen,
+        recoveries * (NODES as u64 - 1),
+        "a survivor missed a restart or counted one twice"
     );
     for (i, n) in chaotic.nodes.iter().enumerate() {
         if n.ft.recoveries > 0 {
             println!(
-                "node {i}:          crashed and recovered {}x (detected by peers, not scripted)",
+                "node {i}:          crashed and recovered {}x (announced by its handshake)",
                 n.ft.recoveries
             );
         }

@@ -1,7 +1,7 @@
-//! Chaos-fabric and membership integration tests: the cluster must produce
+//! Chaos-fabric and restart integration tests: the cluster must produce
 //! byte-identical results on a lossy, reordering, duplicating network, and
-//! must detect a restart through heartbeats alone (no orchestrator hint),
-//! recovering from its own detection.
+//! every survivor must learn of a restart from the restarted node's
+//! recovery handshake alone (no orchestrator hint).
 //!
 //! Every run is driven by one seed. Failures echo it; reproduce with
 //! `FTDSM_SEED=<seed> cargo test --test chaos <name>`.
@@ -72,35 +72,9 @@ fn app(p: &mut Process) -> u64 {
     acc.wrapping_add(state)
 }
 
-/// Membership alone (reliable fabric, no crash): heartbeats flow, the
-/// results are the ones without membership, and no node reports a restart.
-#[test]
-fn membership_changes_no_result_and_reports_no_restart() {
-    let seed = seed_from_env();
-    let report = run(
-        cfg().with_seed(seed).with_membership(Default::default()),
-        &[],
-        app,
-    );
-    let clean = run(cfg().with_seed(seed), &[], app);
-    assert_eq!(
-        report.results, clean.results,
-        "membership changed results (FTDSM_SEED={seed:#x})"
-    );
-    let m = report.total().member;
-    assert!(
-        m.pings_sent > 0,
-        "no heartbeats sent (FTDSM_SEED={seed:#x})"
-    );
-    assert_eq!(
-        m.up_events, 0,
-        "a restart reported with no crash (FTDSM_SEED={seed:#x})"
-    );
-}
-
 /// The acceptance bar: a fixed-seed lossy fabric (drops, delays, duplicates,
 /// reorders — no crash) must leave a SPLASH FT kernel byte-identical to the
-/// reliable run.
+/// reliable run, and no node may report a restart that did not happen.
 #[test]
 fn lossy_fabric_splash_kernel_is_byte_identical() {
     let seed = seed_from_env();
@@ -125,6 +99,11 @@ fn lossy_fabric_splash_kernel_is_byte_identical() {
     assert!(
         t.chaos_dropped + t.chaos_delayed + t.chaos_duplicated > 0,
         "chaos plan injected nothing (FTDSM_SEED={seed:#x})"
+    );
+    assert_eq!(
+        chaotic.total().restarts_seen,
+        0,
+        "a restart reported with no crash (FTDSM_SEED={seed:#x})"
     );
 }
 
@@ -169,12 +148,12 @@ fn dup_reorder_delivery_is_idempotent() {
     );
 }
 
-/// Self-detected recovery: a node crashes and restarts with no orchestrator
-/// announcement; every survivor must learn of the restart from the new
-/// incarnation in its heartbeats, exactly once, and the recovered node must
+/// One restart signal: a node crashes and restarts on a reliable fabric with
+/// no orchestrator announcement; every survivor must learn of the restart
+/// from its recovery handshake, exactly once, and the recovered node must
 /// finish with the reliable run's exact results.
 #[test]
-fn a_restart_is_detected_by_heartbeats_alone() {
+fn a_restart_is_announced_by_the_handshake_alone() {
     let seed = seed_from_env();
     let clean = run(cfg().with_seed(seed), &[], app);
     let mut s = seed;
@@ -182,7 +161,7 @@ fn a_restart_is_detected_by_heartbeats_alone() {
         let victim = (splitmix(&mut s) % NODES as u64) as usize;
         let at_op = crash_op(&mut s, clean.nodes[victim].ops);
         let crashed = run(
-            cfg().with_seed(seed).with_membership(Default::default()),
+            cfg().with_seed(seed),
             &[FailureSpec {
                 node: victim,
                 at_op,
@@ -202,7 +181,7 @@ fn a_restart_is_detected_by_heartbeats_alone() {
             "case {case}: crash did not fire (victim {victim}, op {at_op}, FTDSM_SEED={seed:#x})"
         );
         assert_eq!(
-            crashed.total().member.up_events,
+            crashed.total().restarts_seen,
             NODES as u64 - 1,
             "case {case}: not every survivor saw the restart once (victim {victim}, \
              op {at_op}, FTDSM_SEED={seed:#x})"
@@ -210,8 +189,9 @@ fn a_restart_is_detected_by_heartbeats_alone() {
     }
 }
 
-/// Crash during chaos: loss + delay + a real fail-stop crash, detection and
-/// recovery driven entirely by the membership layer. Iteration count is
+/// Crash during chaos: loss + delay + a real fail-stop crash, the restart
+/// announced by the recovery handshake and the losses repaired by the retry
+/// layer. Iteration count is
 /// env-tunable (`FTDSM_STRESS_ITERS`) for long soak runs; CI uses the small
 /// default.
 ///
@@ -229,7 +209,7 @@ fn crash_during_chaos_stress() {
     let base = seed_from_env();
     let clean = run(cfg().with_seed(base), &[], app);
     let mut s = base;
-    let (mut diverged, mut panics, mut unfired) = (0u64, 0u64, 0u64);
+    let (mut diverged, mut panics, mut unfired, mut miscounted) = (0u64, 0u64, 0u64, 0u64);
     let (mut delta_installs, mut installs) = (0u64, 0u64);
     for case in 0..iters {
         let seed = splitmix(&mut s);
@@ -260,6 +240,10 @@ fn crash_during_chaos_stress() {
                 unfired += 1;
                 "crash did not fire"
             }
+            Ok(r) if r.total().restarts_seen != NODES as u64 - 1 => {
+                miscounted += 1;
+                "survivors did not see the restart once each"
+            }
             Ok(r) => {
                 delta_installs += r.total().fetch_delta_pages;
                 installs += r.total_hists().fetch_copy.count();
@@ -270,13 +254,14 @@ fn crash_during_chaos_stress() {
     }
     eprintln!(
         "CENSUS base={base:#x} iters={iters} diverged={diverged} panics={panics} \
-         unfired={unfired} delta_installs={delta_installs} installs={installs}"
+         unfired={unfired} miscounted={miscounted} delta_installs={delta_installs} \
+         installs={installs}"
     );
     assert_eq!(
-        (diverged, panics, unfired),
-        (0, 0, 0),
+        (diverged, panics, unfired, miscounted),
+        (0, 0, 0, 0),
         "{} of {iters} cases failed (FTDSM_SEED={base:#x}); each is named above",
-        diverged + panics + unfired
+        diverged + panics + unfired + miscounted
     );
     assert!(delta_installs > 0, "the soak never installed a delta");
 }

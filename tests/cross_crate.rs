@@ -116,9 +116,9 @@ fn mixed_kernel_with_many_locks_and_crash() {
 /// A home crashes while batched prefetches are in flight: every barrier
 /// invalidates each reader's copies of every writer's pages, so the nodes
 /// issue many-page `PageReq` bursts continuously. Crashing a home at various
-/// points lands crashes between a request and its reply; the
-/// requesters must retransmit on `NodeUp` and recovery replay must still
-/// converge bit-identically.
+/// points lands crashes between a request and its reply; the requesters
+/// must resend when the home's recovery handshake reaches them, and
+/// recovery replay must still converge bit-identically.
 #[test]
 fn home_crash_with_prefetch_batches_in_flight() {
     let app = |p: &mut ftdsm_suite::Process| {

@@ -14,8 +14,8 @@ use dsm_trace::export::to_chrome_trace;
 use dsm_trace::json::{self, Json};
 use dsm_trace::{EventKind, Histogram, Trace};
 use ftdsm_suite::{
-    run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, MetricsConfig, NodeReport, Process,
-    TraceConfig,
+    run, CkptPolicy, ClusterConfig, FailureSpec, FaultPlan, HomeAlloc, MetricsConfig, NodeReport,
+    Process, TraceConfig,
 };
 
 /// Fixed seed: these runs are golden artifacts, not seed sweeps.
@@ -158,7 +158,8 @@ fn fixed_seed_two_node_exchange_exports_cross_node_flows() {
 
 /// Service-time coverage: every message kind the cluster *sent* must show
 /// up as a service-time bucket, including the kinds added after PR 3 —
-/// DiffAck, the heartbeat family, and page replies.
+/// DiffAck (an empty chaos plan switches the retry layer on) and page
+/// replies.
 #[test]
 fn every_sent_message_kind_gets_a_service_time_bucket() {
     let report = run(
@@ -166,7 +167,7 @@ fn every_sent_message_kind_gets_a_service_time_bucket() {
             .with_page_size(512)
             .with_policy(CkptPolicy::LogOverflow { l: 0.2 })
             .with_seed(SEED)
-            .with_membership(Default::default())
+            .with_chaos(FaultPlan::new(0))
             .with_trace(TraceConfig::enabled()),
         &[FailureSpec { node: 2, at_op: 60 }],
         wide_app,
@@ -186,11 +187,9 @@ fn every_sent_message_kind_gets_a_service_time_bucket() {
         );
     }
     // The run must actually exercise the once-unattributed kinds: acks,
-    // heartbeats, page fetches, and the recovery protocol.
+    // page fetches, and the recovery protocol.
     for kind in [
         "DiffAck",
-        "HbPing",
-        "HbPong",
         "PageReq",
         "PageReply",
         "RecLogReq",
@@ -393,11 +392,16 @@ fn the_final_snapshot_is_the_metric_table_of_every_node_report() {
         assert_eq!(counter("fabric_msgs_sent_total"), node.traffic.msgs_sent);
         let fetches = &last.hists[&format!("page_fetch_ns{{node=\"{i}\"}}")];
         assert_eq!(fetches.count, node.hists.page_fetch.count());
+        let installs = &last.hists[&format!("fetch_copy_bytes{{node=\"{i}\"}}")];
+        assert_eq!(installs.count, node.hists.fetch_copy.count());
         let by_kind = format!("msgs_sent_by_kind_total{{kind=\"PageReq\",node=\"{i}\"}}");
         let sent = node.msg_kinds.iter().find(|(k, _)| *k == "PageReq");
         assert_eq!(last.counters[&by_kind], sent.unwrap().1);
         assert!(node.ft.ckpts_taken > 0 && node.traffic.msgs_sent > 0);
-        assert!(node.hists.page_fetch.count() > 0 && node.prefetch.prefetched > 0);
+        // Every node installs pages; whether one ever waits for a fetch is
+        // timing: a node whose every remote page is zero-filled on its cold
+        // miss and prefetched after each barrier may find each in place.
+        assert!(node.hists.fetch_copy.count() > 0 && node.prefetch.prefetched > 0);
     }
 }
 
@@ -457,8 +461,7 @@ fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
         ClusterConfig::fault_tolerant(3)
             .with_page_size(512)
             .with_policy(CkptPolicy::EverySteps(2))
-            .with_seed(SEED)
-            .with_membership(Default::default()),
+            .with_seed(SEED),
         &[FailureSpec { node: 1, at_op: 60 }],
         wide_app,
     );
@@ -511,7 +514,11 @@ fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
     let total = report.total();
     assert_eq!(total.ops, sum(|n| n.ops));
     assert_eq!(total.retransmits, sum(|n| n.retransmits));
-    assert_eq!(total.member.pings_sent, sum(|n| n.member.pings_sent));
+    assert_eq!(total.restarts_seen, sum(|n| n.restarts_seen));
+    assert_eq!(
+        total.restarts_seen, 2,
+        "each survivor counts the restart once"
+    );
     assert_eq!(total.prefetch.prefetched, sum(|n| n.prefetch.prefetched));
     assert_eq!(total.ft.recoveries, 1);
     assert_eq!(total.ft.store.writes, sum(|n| n.ft.store.writes));
@@ -544,7 +551,7 @@ fn every_metric_of_the_table_is_in_the_observability_catalogue() {
         .iter()
         .map(|(name, _)| name.split('{').next().unwrap().to_string())
         .collect();
-    assert!(names.len() >= 67, "the table lost rows: {}", names.len());
+    assert!(names.len() >= 66, "the table lost rows: {}", names.len());
     for name in &names {
         assert!(
             section.contains(&format!("`{name}`")),
