@@ -16,12 +16,20 @@
 //!
 //! Trimming implements Rules 1–3 plus the barrier analogue, and every trim
 //! and append is byte-accounted for Table 4 / Figure 4.
+//!
+//! The notice and diff logs are saved to stable storage by appending: each
+//! checkpoint writes one segment, `(Log, seq)`, of the entries logged since
+//! the last save and the [`LogBounds`] of what the trims kept
+//! ([`VolatileLogs::save`]); [`StableLog`] deletes a segment once nothing
+//! in it is kept, and a restart merges the live ones
+//! ([`VolatileLogs::restore`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use dsm_page::{PageId, ProcId, VectorClock};
-use dsm_storage::{ByteReader, ByteWriter, CodecError};
+use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
 use hlrc::LockId;
 
 use crate::wire;
@@ -33,9 +41,6 @@ pub struct WnLogEntry {
     pub seq: u32,
     /// Pages written in the interval.
     pub pages: Vec<PageId>,
-    /// Has this entry been written to stable storage before? (Table 4's
-    /// "saved logs" counts bytes on their first save only.)
-    pub saved: bool,
 }
 
 impl WnLogEntry {
@@ -56,8 +61,6 @@ pub struct DiffLogEntry {
     /// `diff.T`: the writer's vector timestamp at the end of the creating
     /// interval. Orders diffs by happens-before during recovery replay.
     pub t: VectorClock,
-    /// First-save tracking (not part of the wire encoding).
-    pub saved: bool,
 }
 
 impl DiffLogEntry {
@@ -130,6 +133,10 @@ pub struct VolatileLogs {
     /// Bytes of the entries in `wn` and `diffs`: every method that adds or
     /// drops one keeps it, so the policy check never walks the logs.
     held: u64,
+    /// The own interval seq the last save covered: every entry is saved
+    /// once, by the first checkpoint after it is logged, so the unsaved
+    /// ones are those of later intervals.
+    saved_through: u32,
     /// Grants sent, per acquirer (Rule 2).
     pub rel: Vec<Vec<RelEntry>>,
     /// Mirror of grants received, per granter (Rule 2).
@@ -154,6 +161,7 @@ impl VolatileLogs {
             bar: Vec::new(),
             bar_mgr: Vec::new(),
             held: 0,
+            saved_through: 0,
             counters: LogCounters::default(),
         }
     }
@@ -199,18 +207,13 @@ impl VolatileLogs {
         t: &VectorClock,
         diffs: &[Arc<dsm_page::Diff>],
     ) {
-        let entry = WnLogEntry {
-            seq,
-            pages,
-            saved: false,
-        };
+        let entry = WnLogEntry { seq, pages };
         let mut created = entry.wire_size() as u64;
         self.wn.push(entry);
         for diff in diffs {
             let d = DiffLogEntry {
                 diff: Arc::clone(diff),
                 t: t.clone(),
-                saved: false,
             };
             created += d.wire_size() as u64;
             self.diffs.entry(d.diff.page).or_default().push(d);
@@ -317,65 +320,259 @@ impl VolatileLogs {
         self.bar_mgr.retain(|e| e.episode >= min_ckpt_episode);
     }
 
-    /// Bytes of log entries that have never been saved before, marking them
-    /// saved (call exactly once per stable save).
-    pub fn mark_saved(&mut self) -> u64 {
-        let mut newly = 0u64;
-        for e in &mut self.wn {
-            if !e.saved {
-                newly += e.wire_size() as u64;
-                e.saved = true;
-            }
+    /// Encode this checkpoint's log segment and mark everything up to own
+    /// interval `through` saved. The segment is the [`LogBounds`] record of
+    /// what the trims kept — the logs are in interval order and every trim
+    /// drops a prefix; with no notice kept the notice bound is past
+    /// `through` — then the entries no save has written, those of intervals
+    /// past the last save's, in the layout messages use: the notices, then
+    /// per page with new diffs its id and entries. The lock and barrier
+    /// logs are mirrored on other nodes and never saved.
+    pub fn save(&mut self, through: u32) -> LogSave {
+        let first = self.diffs.iter().map(|(p, log)| (*p, seq_of(&log[0])));
+        let mut diffs_from: Vec<_> = first.collect();
+        diffs_from.sort_unstable();
+        let bounds = LogBounds {
+            wn_from: self.wn.first().map_or(through + 1, |e| e.seq),
+            diffs_from,
+        };
+        let (from, mut w) = (self.saved_through, ByteWriter::with_capacity(4096));
+        put_bounds(&mut w, &bounds);
+        let (mut span, mut entry_bytes) = (SegmentSpan::default(), 0);
+        let new_wn = &self.wn[self.wn.partition_point(|e| e.seq <= from)..];
+        w.put_varint(new_wn.len() as u64);
+        for e in new_wn {
+            let at = w.len();
+            wire::put_wn_entry(&mut w, e);
+            entry_bytes += (w.len() - at) as u64;
         }
-        for log in self.diffs.values_mut() {
-            for e in log {
-                if !e.saved {
-                    newly += e.wire_size() as u64;
-                    e.saved = true;
-                }
-            }
-        }
-        newly
-    }
-
-    /// Encode the stable-save portion (wn + diff logs; lock and barrier
-    /// logs are mirrored on other nodes and never saved): the notices, then
-    /// per page with a log its id and entries, each in the layout messages
-    /// use, so an entry's `wire_size` is its bytes here.
-    pub fn encode_stable(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(4096);
-        w.put_varint(self.wn.len() as u64);
-        self.wn.iter().for_each(|e| wire::put_wn_entry(&mut w, e));
-        let mut logs: Vec<_> = self.diffs.iter().collect();
-        logs.sort_by_key(|&(p, _)| *p);
-        w.put_varint(logs.len() as u64);
-        for (p, log) in logs {
+        span.wn_newest = new_wn.last().map(|e| e.seq);
+        let new_diffs = self.diffs.iter().filter_map(|(p, log)| {
+            let new = &log[log.partition_point(|e| seq_of(e) <= from)..];
+            new.last().map(|last| (*p, new, seq_of(last)))
+        });
+        let mut new_diffs: Vec<_> = new_diffs.collect();
+        new_diffs.sort_unstable_by_key(|&(p, ..)| p);
+        w.put_varint(new_diffs.len() as u64);
+        for (p, log, newest) in new_diffs {
             w.put_varint(p.0.into());
             w.put_varint(log.len() as u64);
-            log.iter().for_each(|e| wire::put_entry(&mut w, e));
+            for e in log {
+                let at = w.len();
+                wire::put_entry(&mut w, e);
+                entry_bytes += (w.len() - at) as u64;
+            }
+            span.diffs_newest.push((p, newest));
         }
-        w.into_bytes()
+        self.saved_through = through;
+        LogSave {
+            bytes: w.into_bytes(),
+            bounds,
+            span,
+            entry_bytes,
+        }
     }
 
-    /// Decode one stable save and append its entries, marked saved. A
-    /// restart clears the logs and merges the last checkpoint's save.
-    pub fn decode_stable_merge(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut r = ByteReader::new(bytes);
-        for _ in 0..r.get_varint()? {
-            let e = wire::get_wn_entry(&mut r, true)?;
-            self.held += e.wire_size() as u64;
-            self.wn.push(e);
-        }
-        for _ in 0..r.get_varint()? {
-            let page = wire::get_page(&mut r)?;
-            let len = r.get_varint()?;
-            let log = self.diffs.entry(page).or_default();
-            for _ in 0..len {
-                let e = wire::get_entry(&mut r, true)?;
-                self.held += e.wire_size() as u64;
-                log.push(e);
+    /// A restart: the entries are replaced by the saved ones — every live
+    /// segment's, in id order, then kept as the newest segment's bounds
+    /// say — and `through`, the own interval seq of the image the node
+    /// restarts from, is what they saved. The byte counters keep counting.
+    /// Returns each segment's span, for [`StableLog`] to collect.
+    pub fn restore<'a>(
+        &mut self,
+        segments: impl IntoIterator<Item = &'a [u8]>,
+        through: u32,
+    ) -> Result<Vec<SegmentSpan>, CodecError> {
+        self.clear();
+        let mut spans = Vec::new();
+        let mut newest = None;
+        for bytes in segments {
+            let mut r = ByteReader::new(bytes);
+            let bounds = get_bounds(&mut r)?;
+            let mut span = SegmentSpan::default();
+            let wn = wire::get_list(&mut r, 2, wire::get_wn_entry)?;
+            span.wn_newest = wn.last().map(|e| e.seq);
+            self.wn.extend(wn);
+            for _ in 0..r.get_varint()? {
+                let page = wire::get_page(&mut r)?;
+                let log = wire::get_entries(&mut r)?;
+                if let Some(e) = log.last() {
+                    span.diffs_newest.push((page, seq_of(e)));
+                }
+                self.diffs.entry(page).or_default().extend(log);
             }
+            if !r.is_exhausted() {
+                return Err(CodecError::Invalid {
+                    context: "log segment end",
+                });
+            }
+            spans.push(span);
+            newest = Some(bounds);
         }
+        if let Some(bounds) = newest {
+            self.wn.retain(|e| e.seq >= bounds.wn_from);
+            self.diffs.retain(|p, log| match bounds.diff_from(*p) {
+                Some(from) => {
+                    log.retain(|e| seq_of(e) >= from);
+                    !log.is_empty()
+                }
+                None => false,
+            });
+        }
+        let wn = self.wn.iter().map(WnLogEntry::wire_size);
+        let diffs = self.diffs.values().flatten().map(DiffLogEntry::wire_size);
+        self.held = wn.chain(diffs).sum::<usize>() as u64;
+        self.saved_through = through;
+        Ok(spans)
+    }
+}
+
+/// A diff-log entry's own interval seq (`diff.T[me]`), the key every trim
+/// and every save compares.
+fn seq_of(e: &DiffLogEntry) -> u32 {
+    e.diff.interval.seq
+}
+
+/// What a checkpoint's trims kept of the notice and diff logs. Trims drop
+/// only prefixes, so every entry logged before that checkpoint is kept
+/// exactly when its seq is at or past its bound.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LogBounds {
+    /// The first kept own notice's seq.
+    wn_from: u32,
+    /// Per page with a kept diff, in page order, its first kept diff's
+    /// seq. A page not listed kept none.
+    diffs_from: Vec<(PageId, u32)>,
+}
+
+impl LogBounds {
+    /// The first kept seq of `page`'s diffs, if any is kept.
+    fn diff_from(&self, page: PageId) -> Option<u32> {
+        let at = self.diffs_from.binary_search_by_key(&page, |&(p, _)| p);
+        at.ok().map(|i| self.diffs_from[i].1)
+    }
+}
+
+/// A bounds record: the notice bound, then the page count and per page its
+/// id and bound, all varints.
+fn put_bounds(w: &mut ByteWriter, b: &LogBounds) {
+    w.put_varint(b.wn_from.into());
+    w.put_varint(b.diffs_from.len() as u64);
+    for &(p, from) in &b.diffs_from {
+        w.put_varint(p.0.into());
+        w.put_varint(from.into());
+    }
+}
+
+fn get_bounds(r: &mut ByteReader) -> Result<LogBounds, CodecError> {
+    let wn_from = wire::get_u32(r, "notice bound")?;
+    let diffs_from = wire::get_list(r, 2, |r| {
+        Ok((wire::get_page(r)?, wire::get_u32(r, "diff bound")?))
+    })?;
+    if !diffs_from.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Err(CodecError::Invalid {
+            context: "bound order",
+        });
+    }
+    Ok(LogBounds {
+        wn_from,
+        diffs_from,
+    })
+}
+
+/// What GC needs of a segment: the newest seq among its notices and, per
+/// page it holds diffs of, the newest among those.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct SegmentSpan {
+    wn_newest: Option<u32>,
+    diffs_newest: Vec<(PageId, u32)>,
+}
+
+impl SegmentSpan {
+    /// Is any entry of the segment kept under `bounds`?
+    fn live_under(&self, bounds: &LogBounds) -> bool {
+        self.wn_newest.is_some_and(|s| s >= bounds.wn_from)
+            || (self.diffs_newest.iter())
+                .any(|&(p, s)| bounds.diff_from(p).is_some_and(|from| s >= from))
+    }
+}
+
+/// One checkpoint's log save ([`VolatileLogs::save`]).
+#[derive(Debug)]
+pub struct LogSave {
+    /// The segment's bytes.
+    pub bytes: Vec<u8>,
+    /// What the trims kept, the record the segment starts with.
+    pub bounds: LogBounds,
+    /// The segment's span, for GC.
+    pub span: SegmentSpan,
+    /// Bytes of the entries the segment saves (Table 4's "saved logs").
+    pub entry_bytes: u64,
+}
+
+/// A node's stable log: the live segments `(Log, id)`, oldest first, each
+/// with its span. Segments are only appended and deleted, never rewritten.
+#[derive(Debug, Default, PartialEq)]
+pub struct StableLog {
+    live: Vec<(u64, SegmentSpan)>,
+}
+
+impl StableLog {
+    /// Write checkpoint `id`'s segment — before the checkpoint's blob, so a
+    /// checkpoint torn between the two leaves a segment no restart reads.
+    /// Returns the modeled disk time.
+    pub fn append(
+        &mut self,
+        store: &StableStore,
+        id: u64,
+        bytes: Vec<u8>,
+        span: SegmentSpan,
+    ) -> Duration {
+        self.live.push((id, span));
+        store.write_segment(SegmentKind::Log, id, bytes)
+    }
+
+    /// Once the newest checkpoint's blob is written, delete every older
+    /// segment none of whose entries its `bounds` keep. Bounds only rise,
+    /// so no later save or restart needs what goes.
+    pub fn collect(&mut self, store: &StableStore, bounds: &LogBounds) {
+        let newest = self.live.len().saturating_sub(1);
+        let mut k = 0;
+        self.live.retain(|(id, span)| {
+            let keep = k == newest || span.live_under(bounds);
+            if !keep {
+                store.delete_segment(SegmentKind::Log, *id);
+            }
+            k += 1;
+            keep
+        });
+    }
+
+    /// A restart from the checkpoint `seq` whose own interval seq is
+    /// `through`: `logs` are restored from the live segments up to `seq`
+    /// ([`VolatileLogs::restore`]). A segment past `seq` was written by a
+    /// checkpoint whose blob never was; it is deleted unread.
+    pub fn restore(
+        &mut self,
+        store: &StableStore,
+        logs: &mut VolatileLogs,
+        seq: u64,
+        through: u32,
+    ) -> Result<(), CodecError> {
+        let (ids, torn): (Vec<u64>, Vec<u64>) =
+            (store.segment_ids(SegmentKind::Log).into_iter()).partition(|&id| id <= seq);
+        torn.into_iter().for_each(|id| {
+            store.delete_segment(SegmentKind::Log, id);
+        });
+        let segments: Vec<Vec<u8>> = (ids.iter())
+            .map(|&id| {
+                store
+                    .read_segment(SegmentKind::Log, id)
+                    .expect("a listed segment")
+            })
+            .collect();
+        let spans = logs.restore(segments.iter().map(Vec::as_slice), through)?;
+        self.live = ids.into_iter().zip(spans).collect();
         Ok(())
     }
 }
@@ -384,6 +581,7 @@ impl VolatileLogs {
 mod tests {
     use super::*;
     use dsm_page::{Diff, Interval, Page};
+    use dsm_storage::DiskModel;
 
     fn vt(v: &[u32]) -> VectorClock {
         VectorClock::from_vec(v.to_vec())
@@ -476,9 +674,33 @@ mod tests {
         assert!(l.counters().discarded_bytes > 0);
     }
 
+    /// Restore `logs`' saved state from `store` into fresh logs, as a
+    /// restart from checkpoint `seq` at own interval `through` does.
+    fn restarted(store: &StableStore, seq: u64, through: u32) -> (VolatileLogs, StableLog) {
+        let (mut logs, mut stable) = (VolatileLogs::new(0, 2), StableLog::default());
+        stable.restore(store, &mut logs, seq, through).unwrap();
+        (logs, stable)
+    }
+
+    /// Save `l` as checkpoint `id` at own interval `through`, the way
+    /// `take_checkpoint` does: segment, then GC under the new bounds.
+    fn checkpoint(
+        l: &mut VolatileLogs,
+        stable: &mut StableLog,
+        store: &StableStore,
+        id: u64,
+        through: u32,
+    ) -> u64 {
+        let save = l.save(through);
+        stable.append(store, id, save.bytes, save.span);
+        stable.collect(store, &save.bounds);
+        save.entry_bytes
+    }
+
     #[test]
-    fn stable_encode_decode_roundtrip() {
-        let mut l = VolatileLogs::new(0, 2);
+    fn a_save_writes_each_entry_once_and_a_restart_rebuilds_the_logs() {
+        let store = StableStore::new(DiskModel::instant());
+        let (mut l, mut stable) = (VolatileLogs::new(0, 2), StableLog::default());
         l.log_interval(
             1,
             vec![PageId(0), PageId(2)],
@@ -486,16 +708,77 @@ mod tests {
             &[diff(0, 0, 1)],
         );
         l.log_interval(2, vec![PageId(2)], &vt(&[2, 1]), &[diff(0, 2, 2)]);
-        let bytes = l.encode_stable();
-        // Saving marks entries; decoding marks them saved too.
-        assert!(l.mark_saved() > 0);
-        assert_eq!(l.mark_saved(), 0, "second save writes nothing new");
-        let mut l2 = VolatileLogs::new(0, 2);
-        l2.decode_stable_merge(&bytes).unwrap();
-        assert_eq!(l2.wn, l.wn);
-        assert_eq!(l2.diffs.len(), 2);
-        assert_eq!(l2.diffs[&PageId(0)], l.diffs[&PageId(0)]);
-        assert_eq!(l2.diffs[&PageId(2)], l.diffs[&PageId(2)]);
+        let first = checkpoint(&mut l, &mut stable, &store, 1, 2);
+        assert_eq!(
+            first,
+            l.volatile_bytes(),
+            "the first save holds every entry"
+        );
+        assert_eq!(
+            checkpoint(&mut l, &mut stable, &store, 2, 2),
+            0,
+            "a second save writes nothing new"
+        );
+        l.log_interval(3, vec![PageId(2)], &vt(&[3, 1]), &[diff(0, 2, 3)]);
+        let third = checkpoint(&mut l, &mut stable, &store, 3, 3);
+        assert_eq!(first + third, l.volatile_bytes());
+        // Segment 2 saved nothing and is dead under segment 3's bounds.
+        assert_eq!(store.segment_ids(SegmentKind::Log), [1, 3]);
+        let (l2, stable2) = restarted(&store, 3, 3);
+        assert_eq!((l2.wn(), l2.diffs()), (l.wn(), l.diffs()));
+        assert_eq!(
+            (l2.volatile_bytes(), l2.saved_through),
+            (l.volatile_bytes(), 3)
+        );
+        assert_eq!(stable2, stable);
+    }
+
+    #[test]
+    fn a_segment_with_nothing_kept_is_deleted_and_a_partly_kept_one_stays() {
+        let store = StableStore::new(DiskModel::instant());
+        let (mut l, mut stable) = (VolatileLogs::new(0, 2), StableLog::default());
+        for seq in 1..=2 {
+            l.log_interval(seq, vec![PageId(seq)], &vt(&[seq, 0]), &[diff(0, seq, seq)]);
+        }
+        checkpoint(&mut l, &mut stable, &store, 1, 2);
+        for seq in 3..=4 {
+            l.log_interval(seq, vec![PageId(seq)], &vt(&[seq, 0]), &[diff(0, seq, seq)]);
+        }
+        // Rule 1 drops notices 1–3: segment 1 keeps only its diffs.
+        l.trim_rule1(3);
+        checkpoint(&mut l, &mut stable, &store, 2, 4);
+        assert_eq!(store.segment_ids(SegmentKind::Log), [1, 2]);
+        // Rule 3 drops page 1's diff: segment 1 still holds page 2's.
+        l.trim_rule3(&HashMap::from([(PageId(1), 1)]));
+        l.log_interval(5, vec![PageId(5)], &vt(&[5, 0]), &[diff(0, 5, 5)]);
+        checkpoint(&mut l, &mut stable, &store, 3, 5);
+        assert_eq!(store.segment_ids(SegmentKind::Log), [1, 2, 3]);
+        // ... and once page 2's goes too, nothing of segment 1 is kept.
+        l.trim_rule3(&HashMap::from([(PageId(2), 2)]));
+        checkpoint(&mut l, &mut stable, &store, 4, 5);
+        assert_eq!(store.segment_ids(SegmentKind::Log), [2, 3, 4]);
+        let (l2, _) = restarted(&store, 4, 5);
+        assert_eq!((l2.wn(), l2.diffs()), (l.wn(), l.diffs()));
+        assert_eq!(l2.volatile_bytes(), l.volatile_bytes());
+    }
+
+    #[test]
+    fn a_segment_newer_than_the_image_is_ignored_and_deleted() {
+        let store = StableStore::new(DiskModel::instant());
+        let (mut l, mut stable) = (VolatileLogs::new(0, 2), StableLog::default());
+        l.log_interval(1, vec![PageId(0)], &vt(&[1, 0]), &[diff(0, 0, 1)]);
+        checkpoint(&mut l, &mut stable, &store, 1, 1);
+        let image = (l.wn().to_vec(), l.diffs().clone());
+        // Checkpoint 2 writes its segment, and its blob never follows: it
+        // trimmed everything checkpoint 1 kept.
+        l.trim_rule1(1);
+        l.trim_rule3(&HashMap::from([(PageId(0), 1)]));
+        l.log_interval(2, vec![PageId(0)], &vt(&[2, 0]), &[diff(0, 0, 2)]);
+        let save = l.save(2);
+        stable.append(&store, 2, save.bytes, save.span);
+        let (l2, _) = restarted(&store, 1, 1);
+        assert_eq!((l2.wn(), l2.diffs()), (&image.0[..], &image.1));
+        assert_eq!(store.segment_ids(SegmentKind::Log), [1]);
     }
 
     #[test]
@@ -503,10 +786,10 @@ mod tests {
         let mut l = VolatileLogs::new(0, 2);
         l.log_interval(1, vec![PageId(0)], &vt(&[1, 0]), &[diff(0, 0, 1)]);
         l.log_interval(2, vec![PageId(2)], &vt(&[2, 1]), &[diff(0, 2, 2)]);
-        let bytes = l.encode_stable();
-        VolatileLogs::new(0, 2).decode_stable_merge(&bytes).unwrap();
+        let bytes = l.save(2).bytes;
+        VolatileLogs::new(0, 2).restore([&bytes[..]], 2).unwrap();
         for len in 0..bytes.len() {
-            let cut = VolatileLogs::new(0, 2).decode_stable_merge(&bytes[..len]);
+            let cut = VolatileLogs::new(0, 2).restore([&bytes[..len]], 2);
             assert!(cut.is_err(), "{len} of {} bytes decoded", bytes.len());
         }
     }

@@ -26,7 +26,7 @@ use crate::msg::{Payload, Piggy};
 use crate::runtime::node::NodeState;
 use crate::stats::{Breakdown, FtReport};
 use ckpt::{CheckpointBlob, RetainedCkpt};
-use logs::VolatileLogs;
+use logs::{LogSave, StableLog, VolatileLogs};
 use outbox::DiffOutbox;
 pub(crate) use outbox::SeqBatch;
 
@@ -36,6 +36,8 @@ pub(crate) struct FtState {
     cfg: FtConfig,
     logs: VolatileLogs,
     store: Arc<StableStore>,
+    /// The live log segments on `store`.
+    stable_log: StableLog,
     /// Last known checkpoint timestamp of every process (self kept exact).
     tckp: Vec<VectorClock>,
     /// Last known checkpoint sequence number per process.
@@ -72,6 +74,7 @@ impl FtState {
             cfg,
             logs: VolatileLogs::new(me, n),
             store,
+            stable_log: StableLog::default(),
             tckp: vec![VectorClock::zero(n); n],
             peer_ckpt_seq: vec![0; n],
             peer_ckpt_episode: vec![0; n],
@@ -89,14 +92,16 @@ impl FtState {
     }
 
     /// Restart after a failure: everything volatile is rebuilt from stable
-    /// storage — the saved logs, the retained window (`window`, indexed from
-    /// every blob still stored, the newest being `image`) and the image's own
-    /// checkpoint bookkeeping — and what was known about the peers is
-    /// forgotten (their next piggybacks teach it again). Configuration, the
-    /// store, the statistics — the logs' byte counters among them — and the
-    /// piggyback cursor survive.
+    /// storage — the saved logs (the live segments up to `image`'s), the
+    /// retained window (`window`, indexed from every blob still stored, the
+    /// newest being `image`) and the image's own checkpoint bookkeeping —
+    /// and what was known about the peers is forgotten (their next
+    /// piggybacks teach it again). Configuration, the store, the statistics
+    /// — the logs' byte counters among them — and the piggyback cursor
+    /// survive.
     pub(crate) fn restart_from(
         &mut self,
+        me: ProcId,
         n: usize,
         image: &CheckpointBlob,
         window: Vec<RetainedCkpt>,
@@ -106,14 +111,12 @@ impl FtState {
         self.ckpt_seq = image.seq;
         self.last_ckpt_vt = image.tckp.clone();
         self.last_ckpt_episode = image.bar_episode;
-        // The saved logs: the last checkpoint's save, segment 0 (none
-        // before the first checkpoint).
-        self.logs.clear();
-        if let Some(seg) = self.store.read_segment(SegmentKind::Log, 0) {
-            self.logs
-                .decode_stable_merge(&seg)
-                .expect("corrupt saved logs");
-        }
+        // The saved logs: every live segment the image's checkpoint or an
+        // earlier one wrote (none before the first checkpoint).
+        let through = image.tckp.get(me);
+        (self.stable_log)
+            .restore(&self.store, &mut self.logs, image.seq, through)
+            .expect("corrupt saved logs");
         self.tckp = vec![VectorClock::zero(n); n];
         self.peer_ckpt_seq = vec![0; n];
         self.peer_ckpt_episode = vec![0; n];
@@ -245,7 +248,7 @@ impl FtSvc {
     /// Restart (see [`FtState::restart_from`]).
     pub(crate) fn restart_from(&mut self, image: &CheckpointBlob, window: Vec<RetainedCkpt>) {
         let ft = self.state.as_mut().expect("recovery requires FT");
-        ft.restart_from(self.n, image, window);
+        ft.restart_from(self.me, self.n, image, window);
     }
 
     /// The log hook: where the base protocol records its intervals, grants
@@ -545,19 +548,27 @@ pub(crate) fn take_checkpoint(
         .unwrap_or(0);
     ft.logs.trim_bar(min_ckpt_episode);
     note_trim(ft, &st.tracer, TrimRule::Barrier);
-    let log_blob = ft.logs.encode_stable();
+    let LogSave {
+        bytes: log_bytes,
+        bounds,
+        span,
+        entry_bytes,
+    } = ft.logs.save(tckp.get(me));
     bd.logging += t_log.elapsed();
 
     // --- write to stable storage -------------------------------------------
-    // The log save overwrites the previous one: recovery reads (Log, 0).
+    // The log segment goes first: a restart reads only the segments of a
+    // checkpoint whose blob is written. Once the blob is, the segments the
+    // new bounds keep nothing of go.
     let encoded = blob.encode();
-    let ckpt_bytes = (encoded.len() + log_blob.len()) as u64;
-    let d1 = ft
+    let ckpt_bytes = (encoded.len() + log_bytes.len()) as u64;
+    let d_log = ft.stable_log.append(&ft.store, seq, log_bytes, span);
+    let d_blob = ft
         .store
         .write_segment(SegmentKind::Checkpoint, seq, encoded);
-    ft.report.log_bytes_saved += ft.logs.mark_saved();
-    let d2 = ft.store.write_segment(SegmentKind::Log, 0, log_blob);
-    bd.disk_write += d1 + d2;
+    ft.stable_log.collect(&ft.store, &bounds);
+    ft.report.log_bytes_saved += entry_bytes;
+    bd.disk_write += d_log + d_blob;
 
     // --- update window and run CGC ------------------------------------------
     ft.retained.push(RetainedCkpt::of(&blob));

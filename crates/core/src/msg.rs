@@ -425,7 +425,6 @@ mod tests {
         let entry = DiffLogEntry {
             diff: diff(0, 3, 1),
             t: clock(&[2, 3]),
-            saved: false,
         };
         let rel = RelEntry {
             acq_seq: 5,
@@ -500,7 +499,6 @@ mod tests {
                 wn: vec![WnLogEntry {
                     seq: 4,
                     pages: vec![page],
-                    saved: false,
                 }],
                 rel_for_you: vec![rel.clone()],
                 acq_mirror: vec![rel],

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use dsm_page::{
-    for_each_nonzero_run, page_wire_size, Diff, Interval, PageId, VectorClock, MAX_PAGE_SIZE,
+    page_wire_size, put_page, Diff, Interval, PageId, RunSection, VectorClock, MAX_PAGE_SIZE,
     PAGE_ALIGN_WORD,
 };
 use dsm_storage::{ByteReader, ByteWriter, CodecError};
@@ -36,7 +36,7 @@ fn get_u32_varint(r: &mut ByteReader, unit: u64, context: &'static str) -> Resul
 }
 
 /// Read a varint that must fit a `u32`.
-fn get_u32(r: &mut ByteReader, context: &'static str) -> Result<u32, CodecError> {
+pub(crate) fn get_u32(r: &mut ByteReader, context: &'static str) -> Result<u32, CodecError> {
     get_u32_varint(r, 1, context)
 }
 
@@ -59,7 +59,7 @@ fn put_list<T>(w: &mut ByteWriter, items: &[T], mut put: impl FnMut(&mut ByteWri
 
 /// Decode a list of items at least `smallest` bytes each: the count sizes
 /// the allocation only as far as the input left could hold.
-fn get_list<T>(
+pub(crate) fn get_list<T>(
     r: &mut ByteReader,
     smallest: usize,
     mut get: impl FnMut(&mut ByteReader) -> Result<T, CodecError>,
@@ -143,43 +143,10 @@ pub(crate) fn get_page(r: &mut ByteReader) -> Result<PageId, CodecError> {
     Ok(PageId(get_u32(r, "page id")?))
 }
 
-/// Encode a run section, what a diff and a whole page share: the run
-/// count, then per run its gap in words since the previous run's end and
-/// its length in words as varints, then its raw bytes.
-fn put_runs<'a>(w: &mut ByteWriter, count: usize, runs: impl Iterator<Item = (usize, &'a [u8])>) {
-    w.put_varint(count as u64);
-    let mut end = 0;
-    for (offset, bytes) in runs {
-        w.put_varint(((offset - end) / PAGE_ALIGN_WORD) as u64);
-        w.put_varint((bytes.len() / PAGE_ALIGN_WORD) as u64);
-        w.put_raw(bytes);
-        end = offset + bytes.len();
-    }
-}
-
-/// Decode a run section as `(byte offset, bytes)` runs. Gaps cannot be
-/// negative, so the runs come out in order and apart; a run's gap or end in
-/// bytes past `u32` is refused, and so is an empty run.
-fn get_runs<'a>(r: &mut ByteReader<'a>) -> Result<Vec<(u32, &'a [u8])>, CodecError> {
-    let nruns = r.get_varint()?;
-    // A run is at least its two varints.
-    let mut runs = Vec::with_capacity(r.capacity_for(nruns, 2));
-    let (mut end, word) = (0u32, PAGE_ALIGN_WORD as u64);
-    for _ in 0..nruns {
-        let gap = get_u32_varint(r, word, "run gap")?;
-        let len = get_u32_varint(r, word, "run length")?;
-        let run_end = end.checked_add(gap).and_then(|o| o.checked_add(len));
-        let invalid = CodecError::Invalid { context: "run" };
-        end = run_end.filter(|_| len > 0).ok_or(invalid)?;
-        runs.push((end - len, r.get_raw(len as usize)?));
-    }
-    Ok(runs)
-}
-
-/// Encode a diff. The layout is exactly what [`Diff::wire_size`] holds:
-/// page id, interval proc and interval seq as LEB128 varints, then its run
-/// section. A length-only writer is given that stored size, so counting a
-/// batch never walks its runs.
+/// Encode a diff: page id, interval proc and interval seq as LEB128
+/// varints, then the run section the diff stores — its bytes as they are,
+/// not re-encoded. A length-only writer is given [`Diff::wire_size`], so
+/// counting a batch never walks its runs.
 pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
     if w.count_only(d.wire_size()) {
         return;
@@ -187,31 +154,25 @@ pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
     w.reserve(d.wire_size());
     let (page, interval) = (d.page.0.into(), d.interval);
     put_varints(w, &[page, interval.proc as u64, interval.seq.into()]);
-    put_runs(w, d.run_count(), d.runs());
+    w.put_raw(d.section());
 }
 
-/// Decode a diff; a header field past `u32` is refused.
+/// Decode a diff; a header field past `u32` is refused, and so is a run
+/// section [`RunSection::check`] refuses. The section is copied as it is,
+/// in one allocation.
 pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
     let (page, interval) = (get_page(r)?, get_interval(r)?);
-    Ok(Diff::from_runs(page, interval, get_runs(r)?))
+    let d = Diff::from_section(page, interval, r.rest())?;
+    r.get_raw(d.section().len())?;
+    Ok(d)
 }
 
-/// Encode a whole page: its length in words, then the run section of its
-/// non-zero words, so a zero word costs only the gap it widens. A
-/// length-only writer is given [`page_wire_size`], one scan of the page
-/// that allocates and copies nothing.
+/// Encode a whole page ([`dsm_page::put_page`]): its length in words, then
+/// the run section of its non-zero words, so a zero word costs only the
+/// gap it widens. A length-only writer is given [`page_wire_size`], one
+/// scan of the page that allocates and copies nothing.
 pub fn put_page_bytes(w: &mut ByteWriter, bytes: &[u8]) {
-    let len = page_wire_size(bytes);
-    if w.count_only(len) {
-        return;
-    }
-    w.reserve(len);
-    let mut runs = Vec::new();
-    for_each_nonzero_run(bytes, |offset, end| {
-        runs.push((offset, &bytes[offset..end]))
-    });
-    w.put_varint((bytes.len() / PAGE_ALIGN_WORD) as u64);
-    put_runs(w, runs.len(), runs.into_iter());
+    w.put_with(page_wire_size(bytes), |out| put_page(out, bytes));
 }
 
 /// Decode a whole page: its runs written into a zero-filled buffer of its
@@ -224,11 +185,11 @@ pub fn get_page_bytes(r: &mut ByteReader) -> Result<Vec<u8>, CodecError> {
     if len > MAX_PAGE_SIZE {
         return Err(invalid("page length"));
     }
-    let runs = get_runs(r)?;
+    let section = RunSection::check(r.rest())?;
+    r.get_raw(section.bytes().len())?;
     let mut page = vec![0; len];
-    for (offset, bytes) in runs {
-        let at = offset as usize..offset as usize + bytes.len();
-        page.get_mut(at)
+    for (offset, bytes) in section.runs() {
+        page.get_mut(offset..offset + bytes.len())
             .ok_or(invalid("page run"))?
             .copy_from_slice(bytes);
     }
@@ -361,11 +322,11 @@ pub(crate) fn put_wn_entry(w: &mut ByteWriter, e: &WnLogEntry) {
     put_pages(w, &e.pages);
 }
 
-/// Decode a write-notice log entry (`saved` is the caller's to set).
-pub(crate) fn get_wn_entry(r: &mut ByteReader, saved: bool) -> Result<WnLogEntry, CodecError> {
+/// Decode a write-notice log entry.
+pub(crate) fn get_wn_entry(r: &mut ByteReader) -> Result<WnLogEntry, CodecError> {
     let seq = get_u32(r, "notice seq")?;
     let pages = get_pages(r)?;
-    Ok(WnLogEntry { seq, pages, saved })
+    Ok(WnLogEntry { seq, pages })
 }
 
 /// Encode a diff-log entry: the diff, then `diff.T`.
@@ -374,16 +335,16 @@ pub(crate) fn put_entry(w: &mut ByteWriter, e: &DiffLogEntry) {
     put_vt(w, &e.t);
 }
 
-/// Decode a diff-log entry (`saved` is the caller's to set).
-pub(crate) fn get_entry(r: &mut ByteReader, saved: bool) -> Result<DiffLogEntry, CodecError> {
+/// Decode a diff-log entry.
+pub(crate) fn get_entry(r: &mut ByteReader) -> Result<DiffLogEntry, CodecError> {
     let diff = Arc::new(get_diff(r)?);
     let t = get_vt(r)?;
-    Ok(DiffLogEntry { diff, t, saved })
+    Ok(DiffLogEntry { diff, t })
 }
 
 /// A diff-log entry is at least a diff's four varints and a clock's count.
-fn get_entries(r: &mut ByteReader) -> Result<Vec<DiffLogEntry>, CodecError> {
-    get_list(r, 5, |r| get_entry(r, false))
+pub(crate) fn get_entries(r: &mut ByteReader) -> Result<Vec<DiffLogEntry>, CodecError> {
+    get_list(r, 5, get_entry)
 }
 
 fn put_rel(w: &mut ByteWriter, e: &RelEntry) {
@@ -665,7 +626,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             homed: get_list(r, 2, |r| Ok((get_page(r)?, get_u32(r, "p0.v")?)))?,
         },
         12 => Payload::RecLogReply {
-            wn: get_list(r, 2, |r| get_wn_entry(r, false))?,
+            wn: get_list(r, 2, get_wn_entry)?,
             rel_for_you: get_list(r, 5, get_rel)?,
             acq_mirror: get_list(r, 5, get_rel)?,
             bar: get_list(r, 3, get_bar)?,
@@ -747,6 +708,19 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(get_diff(&mut r).unwrap(), d);
         assert!(r.is_exhausted());
+    }
+
+    /// A diff's encoding is its header varints followed by the run section
+    /// it stores, byte for byte: `diff_fanin`'s 32 one-word runs, page 40,
+    /// interval (1, 1000).
+    #[test]
+    fn a_diff_is_its_header_and_its_stored_section() {
+        let (twin, mut cur) = (Page::zeroed(4096), Page::zeroed(4096));
+        (0..32).for_each(|slot| cur.write(slot * 128 + 16 * (slot % 7), &[1; 8]));
+        let d = Diff::create(PageId(40), Interval { proc: 1, seq: 1000 }, &twin, &cur).unwrap();
+        let mut w = ByteWriter::new();
+        put_diff(&mut w, &d);
+        assert_eq!(w.into_bytes(), [&[40, 1, 0xE8, 0x07], d.section()].concat());
     }
 
     /// A count no input could hold sizes nothing: a diff header claiming
@@ -832,9 +806,10 @@ mod tests {
         }
     }
 
-    /// Every single byte of a batch's diff list, a `PageBody::Delta` and a
-    /// stable log save changed to each other value, and every cut of them, decodes
-    /// to `Ok` or `Err`: hostile input never panics the decoder.
+    /// Every single byte of a batch's diff list, a `PageBody::Delta` and an
+    /// appended log segment changed to each other value, and every cut of
+    /// them, decodes to `Ok` or `Err`: hostile input never panics the
+    /// decoder.
     #[test]
     fn no_changed_byte_or_cut_panics_the_diff_decoders() {
         use crate::ft::logs::VolatileLogs;
@@ -853,10 +828,15 @@ mod tests {
         let mut w = ByteWriter::new();
         put_page_body(&mut w, &PageBody::Delta(diffs.clone()));
         let body = w.into_bytes();
+        // An appended log segment: its bounds record names the notice and
+        // both pages the first save wrote, and its entries are the second
+        // interval's.
         let mut logs = VolatileLogs::new(1, 2);
-        let t = VectorClock::from_vec(vec![3, 200]);
-        logs.log_interval(200, vec![PageId(3), PageId(300)], &t, &diffs);
-        let save = logs.encode_stable();
+        let t = |seq| VectorClock::from_vec(vec![3, seq]);
+        logs.log_interval(4, vec![PageId(3)], &t(4), &diffs[..1]);
+        logs.save(4);
+        logs.log_interval(200, vec![PageId(300)], &t(200), &diffs[1..]);
+        let save = logs.save(200).bytes;
         fn every_cut_errs_and_no_changed_byte_panics(
             bytes: &[u8],
             decodes: impl Fn(&[u8]) -> bool,
@@ -879,7 +859,7 @@ mod tests {
             get_page_body(&mut ByteReader::new(b)).is_ok()
         });
         every_cut_errs_and_no_changed_byte_panics(&save, |b| {
-            VolatileLogs::new(1, 2).decode_stable_merge(b).is_ok()
+            VolatileLogs::new(1, 2).restore([b], 200).is_ok()
         });
     }
 

@@ -11,7 +11,8 @@
 use std::sync::Arc;
 
 use dsm_page::{Diff, Interval, Page, PageId, VectorClock};
-use ftdsm::ft::logs::{RelEntry, VolatileLogs};
+use dsm_storage::{DiskModel, StableStore};
+use ftdsm::ft::logs::{RelEntry, StableLog, VolatileLogs};
 use proptest::prelude::*;
 
 const N: usize = 4;
@@ -128,15 +129,26 @@ proptest! {
     }
 
     /// Counters stay consistent through arbitrary interleavings of appends,
-    /// trims and restarts (a save, then `clear` and a merge of the save):
+    /// checkpoints (none, one or both trims, then a save) and restarts:
     /// created >= discarded, the running volatile size is what a walk over
-    /// the logs adds up, and it never exceeds created - discarded.
+    /// the logs adds up, and it never exceeds created - discarded. At every
+    /// checkpoint a restart from the live segments rebuilds exactly the
+    /// logs' entries and their size, and a restart rebuilds what the last
+    /// checkpoint held.
     #[test]
     fn log_counters_are_consistent(
-        ops in proptest::collection::vec((0u32..4, 1u32..30), 1..60),
+        ops in proptest::collection::vec((0u32..5, 1u32..30), 1..60),
     ) {
-        let mut logs = VolatileLogs::new(ME, N);
-        let mut seq = 0u32;
+        let store = StableStore::new(DiskModel::instant());
+        let (mut logs, mut stable) = (VolatileLogs::new(ME, N), StableLog::default());
+        // Own interval seq; last checkpoint's id, seq and logs.
+        let (mut seq, mut ckpt, mut through) = (0u32, 0u64, 0u32);
+        let mut at_ckpt = (Vec::new(), std::collections::HashMap::new());
+        let restart = |logs: &mut VolatileLogs, ckpt, through| {
+            let mut stable = StableLog::default();
+            stable.restore(&store, logs, ckpt, through).unwrap();
+            stable
+        };
         for (op, arg) in ops {
             match op {
                 0 => {
@@ -145,19 +157,29 @@ proptest! {
                     t[ME] = seq;
                     logs.log_interval(seq, vec![PageId(arg % 8)], &vt(&t), &[diff(seq, arg % 8)]);
                 }
-                1 => logs.trim_rule1(arg),
-                2 => {
-                    let mut known = std::collections::HashMap::new();
-                    for pg in 0..8 {
-                        known.insert(PageId(pg), arg);
+                1..=3 => {
+                    if op & 1 != 0 {
+                        logs.trim_rule1(arg);
                     }
-                    logs.trim_rule3(&known);
+                    if op & 2 != 0 {
+                        let known = (0..8).map(|pg| (PageId(pg), arg));
+                        logs.trim_rule3(&known.collect());
+                    }
+                    (ckpt, through) = (ckpt + 1, seq);
+                    let save = logs.save(through);
+                    stable.append(&store, ckpt, save.bytes, save.span);
+                    stable.collect(&store, &save.bounds);
+                    let mut restored = VolatileLogs::new(ME, N);
+                    prop_assert_eq!(&restart(&mut restored, ckpt, through), &stable);
+                    prop_assert_eq!(restored.wn(), logs.wn());
+                    prop_assert_eq!(restored.diffs(), logs.diffs());
+                    prop_assert_eq!(restored.volatile_bytes(), logs.volatile_bytes());
+                    at_ckpt = (logs.wn().to_vec(), logs.diffs().clone());
                 }
                 _ => {
-                    let save = logs.encode_stable();
-                    logs.clear();
-                    prop_assert_eq!(logs.volatile_bytes(), 0);
-                    logs.decode_stable_merge(&save).unwrap();
+                    stable = restart(&mut logs, ckpt, through);
+                    prop_assert_eq!((logs.wn(), logs.diffs()), (&at_ckpt.0[..], &at_ckpt.1));
+                    seq = through;
                 }
             }
             let walk = logs.diffs().values().flatten().map(|e| e.wire_size()).sum::<usize>()

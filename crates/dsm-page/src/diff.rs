@@ -8,10 +8,11 @@
 //! Performance shape: comparison is u64-word-wide (one load + compare per
 //! 8 bytes instead of a bounds-checked 8-byte `memcmp`), preceded by a
 //! whole-buffer equality pre-check that dismisses silent-store pages in one
-//! `memcmp`. All modified runs share a single immutable payload buffer
-//! (`Arc<[u8]>`), built in one pass through a reused [`DiffScratch`], so a
-//! diff costs exactly one payload allocation no matter how many runs it has
-//! — and cloning or logging a diff never copies the payload.
+//! `memcmp`. A diff is its run section — the encoding a message and a log
+//! save carry — in one immutable buffer (`Arc<[u8]>`), written in one pass
+//! through a reused [`DiffScratch`], so a diff costs exactly one buffer no
+//! matter how many runs it has, and cloning, logging or sending a diff
+//! never copies or re-encodes it.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -19,6 +20,9 @@ use std::sync::Arc;
 use crate::addr::PageId;
 use crate::page::{Page, PAGE_ALIGN_WORD};
 use crate::pool::PagePool;
+use crate::runs::{
+    put_runs, put_varint, varint_len, RunSection, RunSectionLen, Runs, SectionError,
+};
 use crate::version::Interval;
 
 /// Block size of the coarse scan in [`Diff::create_with`] and
@@ -27,30 +31,14 @@ use crate::version::Interval;
 /// bookkeeping.
 const DIFF_BLOCK: usize = 8 * PAGE_ALIGN_WORD;
 
-/// One contiguous run of modified bytes within a page: a span of the diff's
-/// shared payload buffer.
-///
-/// Constructed only by [`Diff::create`] / [`Diff::from_runs`]; consumers
-/// iterate [`Diff::runs`] to see `(page_offset, bytes)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffRun {
-    /// Byte offset of the run within the page (word aligned).
-    pub offset: u32,
-    /// Start of the run's bytes within the diff payload.
-    start: u32,
-    /// Length of the run in bytes (a multiple of the diff word).
-    pub len: u32,
-}
-
 /// Reusable scratch space for [`Diff::create_with`]: one per node, so
 /// steady-state diff creation does not grow fresh vectors per run.
 #[derive(Debug, Default)]
 pub struct DiffScratch {
+    /// The run section being written.
     buf: Vec<u8>,
-    runs: Vec<DiffRun>,
-    /// `(page_offset, end)` of each run found by the scan; byte copying is
-    /// deferred until all runs are known so a single-run diff can build its
-    /// payload straight from the page (one copy, no staging).
+    /// `(page_offset, end)` of each run found by the scan; the section is
+    /// written once every run is known, since it starts with their count.
     spans: Vec<(usize, usize)>,
 }
 
@@ -65,7 +53,8 @@ impl DiffScratch {
 ///
 /// Immutable once created: the same `Arc<Diff>` is sent to the home, kept in
 /// the sender's volatile diff log, and replayed during recovery, without any
-/// payload copies.
+/// payload copies. Its runs are held as their encoding, the run section
+/// ([`crate::runs`]) that follows the header on the wire and in a log save.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diff {
     /// The page this diff applies to.
@@ -74,57 +63,12 @@ pub struct Diff {
     /// the home advances the page version vector entry for `interval.proc`
     /// to `interval.seq`.
     pub interval: Interval,
-    /// Modified runs, in increasing offset order, non-overlapping.
-    runs: Vec<DiffRun>,
-    /// Concatenated run contents; runs index into this buffer.
-    payload: Arc<[u8]>,
-    /// The encoded length, computed once where the runs are built.
-    wire_size: usize,
-}
-
-/// Bytes `v` takes as an LEB128 varint. The codec's length-only writer
-/// (`dsm_storage::ByteWriter`) and a diff's stored size count varints with
-/// this one function; it lives here because the codec crate depends on
-/// this one.
-pub fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
-
-/// The encoded length of a run section (the layout `wire::put_runs`
-/// writes), counted run by run: the run count as a varint, then per run its
-/// gap in words since the previous run's end and its length in words as
-/// varints, and its bytes.
-#[derive(Default)]
-struct RunSectionLen {
-    runs: usize,
-    bytes: usize,
-    end: usize,
-}
-
-impl RunSectionLen {
-    /// Count the run of bytes `offset..end`, which starts at or past the
-    /// previous run's end.
-    fn add(&mut self, offset: usize, end: usize) {
-        let gap = (offset - self.end) / PAGE_ALIGN_WORD;
-        let words = (end - offset) / PAGE_ALIGN_WORD;
-        self.bytes += varint_len(gap as u64) + varint_len(words as u64) + (end - offset);
-        self.runs += 1;
-        self.end = end;
-    }
-
-    fn len(&self) -> usize {
-        varint_len(self.runs as u64) + self.bytes
-    }
-}
-
-/// The encoded length of a diff (the layout `wire::put_diff` writes): page
-/// id, interval proc and interval seq as varints, then its run section.
-fn encoded_len(page: PageId, interval: Interval, runs: &[DiffRun]) -> usize {
-    let header = [page.0.into(), interval.proc as u64, interval.seq.into()];
-    let mut section = RunSectionLen::default();
-    runs.iter()
-        .for_each(|r| section.add(r.offset as usize, (r.offset + r.len) as usize));
-    header.into_iter().map(varint_len).sum::<usize>() + section.len()
+    /// Number of runs in `section`.
+    run_count: u32,
+    /// Bytes the runs carry.
+    payload: u32,
+    /// The run section: runs in increasing offset order, non-overlapping.
+    section: Arc<[u8]>,
 }
 
 /// Report each maximal run of dirty words of a `len`-byte page as its
@@ -211,6 +155,19 @@ pub fn page_wire_size(bytes: &[u8]) -> usize {
     varint_len((bytes.len() / PAGE_ALIGN_WORD) as u64) + section.len()
 }
 
+/// Append a whole page `bytes` as it is encoded: its length in words, then
+/// the run section of its non-zero words ([`page_wire_size`] bytes).
+pub fn put_page(out: &mut Vec<u8>, bytes: &[u8]) {
+    let mut spans = Vec::new();
+    for_each_nonzero_run(bytes, |offset, end| spans.push((offset, end)));
+    put_varint(out, (bytes.len() / PAGE_ALIGN_WORD) as u64);
+    put_runs(
+        out,
+        spans.len(),
+        spans.iter().map(|&(o, e)| (o, &bytes[o..e])),
+    );
+}
+
 impl Diff {
     /// Compute the diff between `twin` (the pre-write copy) and `current`,
     /// using a private scratch buffer. Prefer [`Diff::create_with`] on hot
@@ -243,46 +200,26 @@ impl Diff {
             return None;
         }
         scratch.buf.clear();
-        scratch.runs.clear();
         scratch.spans.clear();
-        // Byte copying is deferred until every run is known (`spans`), so
+        // The section is written once every run is known (`spans`), so
         // each run is one bulk copy rather than a tiny extend per word.
         let spans = &mut scratch.spans;
         let mask_of = |at: Range<usize>| diff_mask(&a[at.clone()], &b[at]);
         scan_runs(a.len(), mask_of, |offset, end| spans.push((offset, end)));
         debug_assert!(!scratch.spans.is_empty(), "unequal pages must yield runs");
-        // Single-run diffs — a contiguous write, or a fully dirty page —
-        // build the payload straight from the page: one memcpy instead of
-        // staging through `scratch.buf` and copying again into the `Arc`.
-        let payload: Arc<[u8]> = if let [(offset, end)] = scratch.spans[..] {
-            scratch.runs.push(DiffRun {
-                offset: offset as u32,
-                start: 0,
-                len: (end - offset) as u32,
-            });
-            Arc::from(&b[offset..end])
-        } else {
-            for &(offset, end) in &scratch.spans {
-                let start = scratch.buf.len();
-                scratch.buf.extend_from_slice(&b[offset..end]);
-                scratch.runs.push(DiffRun {
-                    offset: offset as u32,
-                    start: start as u32,
-                    len: (end - offset) as u32,
-                });
-            }
-            Arc::from(&scratch.buf[..])
-        };
+        let runs = scratch.spans.iter().map(|&(o, e)| (o, &b[o..e]));
+        put_runs(&mut scratch.buf, scratch.spans.len(), runs);
+        let payload = scratch.spans.iter().map(|&(o, e)| e - o).sum::<usize>();
         Some(Diff {
             page,
             interval,
-            runs: scratch.runs.clone(),
-            payload,
-            wire_size: encoded_len(page, interval, &scratch.runs),
+            run_count: scratch.spans.len() as u32,
+            payload: payload as u32,
+            section: Arc::from(&scratch.buf[..]),
         })
     }
 
-    /// Build a diff from explicit `(offset, bytes)` runs (decoder support).
+    /// Build a diff from explicit `(offset, bytes)` runs.
     ///
     /// # Panics
     ///
@@ -294,45 +231,63 @@ impl Diff {
         interval: Interval,
         runs: impl IntoIterator<Item = (u32, &'a [u8])>,
     ) -> Diff {
-        let mut payload = Vec::new();
-        let mut spans: Vec<DiffRun> = Vec::new();
-        for (offset, bytes) in runs {
-            let end = spans.last().map_or(0, |r| r.offset + r.len);
+        let runs: Vec<_> = runs.into_iter().collect();
+        let mut end = 0;
+        for &(offset, bytes) in &runs {
             let (word, len) = (PAGE_ALIGN_WORD as u32, bytes.len() as u32);
             assert!(
                 len > 0 && offset >= end && offset.is_multiple_of(word) && len.is_multiple_of(word),
                 "run ({offset}, {len}) is empty, unaligned or overlaps one ending at {end}"
             );
-            spans.push(DiffRun {
-                offset,
-                start: payload.len() as u32,
-                len,
-            });
-            payload.extend_from_slice(bytes);
+            end = offset + len;
         }
+        let mut section = Vec::new();
+        put_runs(
+            &mut section,
+            runs.len(),
+            runs.iter().map(|&(o, b)| (o as usize, b)),
+        );
         Diff {
             page,
             interval,
-            wire_size: encoded_len(page, interval, &spans),
-            runs: spans,
-            payload: Arc::from(&payload[..]),
+            run_count: runs.len() as u32,
+            payload: runs.iter().map(|(_, b)| b.len() as u32).sum(),
+            section: Arc::from(section),
         }
     }
 
-    /// The modified runs as `(page_offset, bytes)` pairs, in increasing
-    /// offset order.
-    pub fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> + '_ {
-        self.runs.iter().map(move |r| {
-            (
-                r.offset as usize,
-                &self.payload[r.start as usize..(r.start + r.len) as usize],
-            )
+    /// Decode a diff whose header the caller has read: check the run
+    /// section `bytes` starts with and copy exactly it, in one allocation.
+    /// What [`RunSection::check`] refuses is an error, never a diff.
+    pub fn from_section(
+        page: PageId,
+        interval: Interval,
+        bytes: &[u8],
+    ) -> Result<Diff, SectionError> {
+        let section = RunSection::check(bytes)?;
+        Ok(Diff {
+            page,
+            interval,
+            run_count: section.run_count() as u32,
+            payload: section.payload_bytes() as u32,
+            section: Arc::from(section.bytes()),
         })
+    }
+
+    /// The modified runs as `(page_offset, bytes)` pairs, in increasing
+    /// offset order, decoded from the section as they are iterated.
+    pub fn runs(&self) -> Runs<'_> {
+        Runs::of(&self.section)
     }
 
     /// Number of modified runs.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.run_count as usize
+    }
+
+    /// The run section, exactly as the diff is encoded after its header.
+    pub fn section(&self) -> &[u8] {
+        &self.section
     }
 
     /// Apply the diff to `target`, overwriting the modified runs.
@@ -352,14 +307,19 @@ impl Diff {
 
     /// Total number of modified bytes carried by the diff.
     pub fn payload_bytes(&self) -> usize {
-        self.payload.len()
+        self.payload as usize
     }
 
-    /// Encoded size in bytes: payload plus the varint run and diff headers.
-    /// Matches `wire::put_diff` exactly (asserted by a codec unit test);
-    /// used for log-size accounting and traffic statistics.
+    /// Encoded size in bytes, what `wire::put_diff` writes: page id,
+    /// interval proc and interval seq as varints, then the stored section.
+    /// Used for log-size accounting and traffic statistics.
     pub fn wire_size(&self) -> usize {
-        self.wire_size
+        let header = [
+            self.page.0.into(),
+            self.interval.proc as u64,
+            self.interval.seq.into(),
+        ];
+        header.into_iter().map(varint_len).sum::<usize>() + self.section.len()
     }
 }
 
@@ -448,18 +408,31 @@ mod tests {
     /// The two shapes the benchmark leans on: a `diff_fanin` diff (32
     /// one-word runs, one in each 16-word slot of a 4 KiB page) and a whole
     /// page. Fixed-width fields, 16 bytes a diff and 8 a run, would spend
-    /// 528 and 4,120.
+    /// 528 and 4,120. The fanin diff stores its section byte for byte: the
+    /// run count, then per run a one-byte gap, a one-word length and the
+    /// word.
     #[test]
     fn a_fanin_diff_and_a_whole_page_are_pinned() {
         let twin = Page::zeroed(4096);
         let mut sparse = twin.clone();
+        let mut section = vec![32];
         for slot in 0..32 {
-            sparse.write(slot * 128 + 16 * (slot % 7), &[1; 8]);
+            let word = slot * 16 + 2 * (slot % 7);
+            sparse.write(word * 8, &[1; 8]);
+            let end = if slot == 0 {
+                0
+            } else {
+                (slot - 1) * 16 + 2 * ((slot - 1) % 7) + 1
+            };
+            section.extend([(word - end) as u8, 1]);
+            section.extend([1; 8]);
         }
         let d = Diff::create(PageId(40), iv(1, 1000), &twin, &sparse).unwrap();
         assert_eq!((d.run_count(), d.wire_size()), (32, 5 + 32 * (2 + 8)));
+        assert_eq!((d.section(), d.payload_bytes()), (&section[..], 32 * 8));
         let d = Diff::create(PageId(40), iv(1, 7), &twin, &Page::from_bytes(&[7; 4096])).unwrap();
         assert_eq!(d.wire_size(), 4 + 3 + 4096);
+        assert_eq!(d.section()[..4], [1, 0, 0x80, 0x04]);
     }
 
     #[test]
@@ -481,6 +454,24 @@ mod tests {
         let d2 = Diff::create_with(&mut scratch, PageId(1), iv(0, 1), &twin, &cur2).unwrap();
         assert_eq!(runs_of(&d1), vec![(0, vec![1; 16])]);
         assert_eq!(runs_of(&d2), vec![(64, vec![2; 8])]);
+    }
+
+    /// A checked section is copied as it is; what the check refuses is an
+    /// error, and bytes past the section are not the diff's.
+    #[test]
+    fn from_section_keeps_exactly_the_checked_section() {
+        let twin = Page::zeroed(64);
+        let mut cur = twin.clone();
+        cur.write(8, &[7; 8]);
+        cur.write(40, &[9; 16]);
+        let d = Diff::create(PageId(2), iv(1, 3), &twin, &cur).unwrap();
+        let trailing = [d.section(), &[0xFF]].concat();
+        assert_eq!(
+            Diff::from_section(PageId(2), iv(1, 3), &trailing),
+            Ok(d.clone())
+        );
+        let cut = &d.section()[..d.section().len() - 1];
+        assert!(Diff::from_section(PageId(2), iv(1, 3), cut).is_err());
     }
 
     #[test]

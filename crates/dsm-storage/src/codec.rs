@@ -7,7 +7,7 @@
 //! storage and to message traffic, and a length-only [`ByteWriter`] counts
 //! it without writing.
 
-use dsm_page::varint_len;
+use dsm_page::{get_varint, put_varint, varint_len, SectionError};
 
 /// Errors produced when decoding malformed input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +55,17 @@ impl std::fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<SectionError> for CodecError {
+    fn from(e: SectionError) -> Self {
+        match e {
+            SectionError::Eof { wanted, remaining } => {
+                CodecError::UnexpectedEof { wanted, remaining }
+            }
+            SectionError::Invalid { context } => CodecError::Invalid { context },
+        }
+    }
+}
 
 /// Maximum length accepted for a single length-prefixed field (1 GiB): a
 /// corrupted length should fail decoding, not abort on allocation.
@@ -144,21 +155,20 @@ impl ByteWriter {
         self.extend(&v.to_le_bytes());
     }
 
-    /// Append an LEB128 varint: seven bits a byte, low bits first, the high
-    /// bit set on every byte but the last (1 byte below 128, at most 10).
-    pub fn put_varint(&mut self, mut v: u64) {
-        if self.count_only(varint_len(v)) {
-            return;
+    /// Append an LEB128 varint ([`dsm_page::put_varint`]).
+    pub fn put_varint(&mut self, v: u64) {
+        if !self.count_only(varint_len(v)) {
+            put_varint(&mut self.buf, v);
         }
-        let mut bytes = [0u8; 10];
-        let mut n = 0;
-        while v >= 0x80 {
-            bytes[n] = v as u8 | 0x80;
-            v >>= 7;
-            n += 1;
+    }
+
+    /// Append the `len` bytes `put` writes into the buffer; a length-only
+    /// writer counts `len` and does not call it.
+    pub fn put_with(&mut self, len: usize, put: impl FnOnce(&mut Vec<u8>)) {
+        if !self.count_only(len) {
+            self.buf.reserve(len);
+            put(&mut self.buf);
         }
-        bytes[n] = v as u8;
-        self.buf.extend_from_slice(&bytes[..=n]);
     }
 
     /// Append a little-endian f64 (bit pattern preserved).
@@ -233,25 +243,15 @@ impl<'a> ByteReader<'a> {
     /// Read an LEB128 varint (pairs with [`ByteWriter::put_varint`]). One
     /// longer than ten bytes, or past `u64`, is refused.
     pub fn get_varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
-            v |= u64::from(b & 0x7F) << (7 * i);
-            if b & 0x80 == 0 {
-                // The tenth byte holds only the top bit of a u64.
-                if i == 9 && b > 1 {
-                    break;
-                }
-                self.pos += i + 1;
-                return Ok(v);
-            }
-        }
-        match self.remaining() {
-            n if n < 10 => Err(CodecError::UnexpectedEof {
-                wanted: n + 1,
-                remaining: n,
-            }),
-            _ => Err(CodecError::Invalid { context: "varint" }),
-        }
+        let (v, len) = get_varint(self.rest())?;
+        self.pos += len;
+        Ok(v)
+    }
+
+    /// The bytes not yet consumed, left unconsumed: a decoder that checks a
+    /// field in place reads it here, then takes its length.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Read a little-endian f64 (bit pattern preserved).
