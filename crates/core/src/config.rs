@@ -59,18 +59,10 @@ pub enum CkptPolicy {
     Never,
 }
 
-/// Fault-tolerance configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FtConfig {
-    /// Checkpoint policy.
-    pub policy: CkptPolicy,
-}
-
-impl Default for FtConfig {
+/// The paper's `OF(0.1)`.
+impl Default for CkptPolicy {
     fn default() -> Self {
-        FtConfig {
-            policy: CkptPolicy::LogOverflow { l: 0.1 },
-        }
+        CkptPolicy::LogOverflow { l: 0.1 }
     }
 }
 
@@ -95,8 +87,9 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Page size in bytes (power of two, multiple of 8).
     pub page_size: usize,
-    /// Fault tolerance: `None` runs the base HLRC protocol.
-    pub ft: Option<FtConfig>,
+    /// Fault tolerance under this checkpoint policy: `None` runs the base
+    /// HLRC protocol.
+    pub ft: Option<CkptPolicy>,
     /// Stable-storage timing model.
     pub disk: DiskModel,
     /// Protocol event tracing. Defaults to the `FTDSM_TRACE*` environment
@@ -187,7 +180,7 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             page_size: 4096,
-            ft: Some(FtConfig::default()),
+            ft: Some(CkptPolicy::default()),
             disk: DiskModel::instant(),
             trace: TraceConfig::from_env(),
             seed: seed_from_env(),
@@ -207,7 +200,7 @@ impl ClusterConfig {
 
     /// Replace the checkpoint policy (enables FT if it was off).
     pub fn with_policy(mut self, policy: CkptPolicy) -> Self {
-        self.ft = Some(FtConfig { policy });
+        self.ft = Some(policy);
         self
     }
 
@@ -236,13 +229,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Enable (or disable) the online protocol-invariant monitor. Enabling
-    /// it forces tracing on — the monitor consumes the live event stream.
+    /// Enable (or disable) the online protocol-invariant monitor (see
+    /// `monitor`).
     pub fn with_monitor(mut self, on: bool) -> Self {
         self.monitor = on;
-        if on && !self.trace.enabled {
-            self.trace = TraceConfig::enabled();
-        }
         self
     }
 
@@ -283,7 +273,7 @@ mod tests {
         assert_eq!(c.nodes, 8);
         assert_eq!(c.page_size, 1024);
         assert!(c.ft_enabled());
-        match c.ft.unwrap().policy {
+        match c.ft.unwrap() {
             CkptPolicy::LogOverflow { l } => assert_eq!(l, 1.0),
             other => panic!("unexpected {other:?}"),
         }

@@ -17,6 +17,7 @@ use dsm_page::{PageId, ProcId, VectorClock};
 use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
 use hlrc::LockId;
 
+use crate::msg::CkptStamp;
 use crate::wire;
 
 /// A decoded checkpoint.
@@ -76,6 +77,15 @@ impl CheckpointBlob {
             tenures: Vec::new(),
             last_release_vts: Vec::new(),
             home_pages: Vec::new(),
+        }
+    }
+
+    /// The checkpoint this blob is, as its node advertises it.
+    pub fn stamp(&self) -> CkptStamp {
+        CkptStamp {
+            seq: self.seq,
+            episode: self.bar_episode,
+            tckp: self.tckp.clone(),
         }
     }
 

@@ -11,8 +11,9 @@
 //!   retransmitted byte-identically);
 //! * `acq_log[j]` — the mirror of `j`'s `rel_log[me]`, restorable from one
 //!   another; neither is ever written to stable storage;
-//! * barrier crossing logs — a pair of logical times per crossing, mirrored
-//!   between manager and participant.
+//! * `bar` — per barrier episode its result timestamp, logged by the
+//!   manager when it completes the episode and by every participant when it
+//!   crosses it.
 //!
 //! Trimming implements Rules 1–3 plus the barrier analogue, and every trim
 //! and append is byte-accounted for Table 4 / Figure 4.
@@ -32,6 +33,7 @@ use dsm_page::{PageId, ProcId, VectorClock};
 use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
 use hlrc::LockId;
 
+use crate::msg::CkptStamp;
 use crate::wire;
 
 /// One own-interval write-notice record.
@@ -88,27 +90,12 @@ pub struct RelEntry {
     pub t_after: VectorClock,
 }
 
-/// One barrier crossing: the participant's pair of logical times.
+/// One barrier episode: what a replay of its crossing joins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BarEntry {
     /// Episode number.
     pub episode: u64,
-    /// The participant's timestamp at arrival.
-    pub arrive_vt: VectorClock,
-    /// The joined timestamp it was released with.
-    pub result_vt: VectorClock,
-}
-
-/// The barrier manager's mirror: per episode, every participant's arrival
-/// timestamp and the joined result (enough to regenerate any participant's
-/// release).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MgrBarEntry {
-    /// Episode number.
-    pub episode: u64,
-    /// Arrival timestamps, indexed by process.
-    pub arrival_vts: Vec<VectorClock>,
-    /// The joined release timestamp.
+    /// The join of every arrival timestamp, the release's.
     pub result_vt: VectorClock,
 }
 
@@ -141,10 +128,8 @@ pub struct VolatileLogs {
     pub rel: Vec<Vec<RelEntry>>,
     /// Mirror of grants received, per granter (Rule 2).
     pub acq: Vec<Vec<RelEntry>>,
-    /// Own barrier crossings.
+    /// Barrier episodes, one entry each, in episode order.
     pub bar: Vec<BarEntry>,
-    /// Manager-side barrier mirror (non-empty only at the barrier manager).
-    pub bar_mgr: Vec<MgrBarEntry>,
     counters: LogCounters,
 }
 
@@ -159,7 +144,6 @@ impl VolatileLogs {
             rel: vec![Vec::new(); n],
             acq: vec![Vec::new(); n],
             bar: Vec::new(),
-            bar_mgr: Vec::new(),
             held: 0,
             saved_through: 0,
             counters: LogCounters::default(),
@@ -232,14 +216,13 @@ impl VolatileLogs {
         self.acq[from].push(entry);
     }
 
-    /// Record one of this node's barrier crossings.
+    /// Record a barrier episode this node completed or crossed. An episode
+    /// already logged — the manager crossing one it completed — is kept as
+    /// it is.
     pub fn log_bar(&mut self, entry: BarEntry) {
-        self.bar.push(entry);
-    }
-
-    /// Record a completed episode at the barrier manager.
-    pub fn log_bar_mgr(&mut self, entry: MgrBarEntry) {
-        self.bar_mgr.push(entry);
+        if self.bar.last().is_none_or(|e| e.episode < entry.episode) {
+            self.bar.push(entry);
+        }
     }
 
     /// Find the grant this node sent to `to` for acquisition `acq_seq`
@@ -274,17 +257,17 @@ impl VolatileLogs {
     }
 
     /// Rule 2: trim grant logs against the acquirers' checkpoint timestamps
-    /// (`tckp[j]` = last known checkpoint timestamp of process `j`) and the
-    /// mirror against this node's own last checkpoint timestamp.
-    pub fn trim_rule2(&mut self, tckp: &[VectorClock], own_ckp: &VectorClock) {
-        let own_bound = own_ckp.get(self.me);
-        for (j, peer_ckp) in tckp.iter().enumerate().take(self.n) {
+    /// (`stamps[j]`: the last known checkpoint of process `j`) and the
+    /// mirror against this node's own.
+    pub fn trim_rule2(&mut self, stamps: &[CkptStamp]) {
+        let me = self.me;
+        let own_bound = stamps[me].tckp.get(me);
+        for (j, stamp) in stamps.iter().enumerate().take(self.n) {
             // Keep boundary entries (>=): an acquire with no writes since
             // the acquirer's checkpoint has t_after equal to the checkpoint
             // timestamp and is still needed for replay.
-            let bound = peer_ckp.get(j);
+            let bound = stamp.tckp.get(j);
             self.rel[j].retain(|e| e.t_after.get(j) >= bound);
-            let me = self.me;
             self.acq[j].retain(|e| e.t_after.get(me) >= own_bound);
         }
     }
@@ -317,7 +300,6 @@ impl VolatileLogs {
     /// checkpointed past.
     pub fn trim_bar(&mut self, min_ckpt_episode: u64) {
         self.bar.retain(|e| e.episode >= min_ckpt_episode);
-        self.bar_mgr.retain(|e| e.episode >= min_ckpt_episode);
     }
 
     /// Encode this checkpoint's log segment and mark everything up to own
@@ -649,11 +631,15 @@ mod tests {
             },
         );
         // Process 1 checkpointed at [1,3]: the t_after=[1,2] grant is
-        // strictly older and covered; the boundary would be retained.
-        let tckp = vec![vt(&[0, 0]), vt(&[1, 3])];
-        // Our own checkpoint at [3,1]: acq mirror entry t_after[me]=2 is
+        // strictly older and covered; the boundary would be retained. Our
+        // own checkpoint at [3,1]: acq mirror entry t_after[me]=2 is
         // strictly below and trimmed.
-        l.trim_rule2(&tckp, &vt(&[3, 1]));
+        let stamp = |tckp| CkptStamp {
+            seq: 1,
+            episode: 0,
+            tckp,
+        };
+        l.trim_rule2(&[stamp(vt(&[3, 1])), stamp(vt(&[1, 3]))]);
         assert_eq!(l.rel[1].len(), 1);
         assert_eq!(l.rel[1][0].acq_seq, 1);
         assert!(l.acq[1].is_empty());
@@ -817,7 +803,6 @@ mod tests {
         for ep in 0..4 {
             l.log_bar(BarEntry {
                 episode: ep,
-                arrive_vt: vt(&[0, 0]),
                 result_vt: vt(&[0, 0]),
             });
         }

@@ -21,8 +21,8 @@ use dsm_storage::{SegmentKind, StableStore};
 use dsm_trace::{EventKind, TrimRule};
 use hlrc::PageTable;
 
-use crate::config::{CkptPolicy, FtConfig};
-use crate::msg::{Payload, Piggy};
+use crate::config::CkptPolicy;
+use crate::msg::{CkptStamp, Payload, Piggy};
 use crate::runtime::node::NodeState;
 use crate::stats::{Breakdown, FtReport};
 use ckpt::{CheckpointBlob, RetainedCkpt};
@@ -33,23 +33,15 @@ pub(crate) use outbox::SeqBatch;
 /// Per-node fault-tolerance state, when fault tolerance is on.
 #[derive(Debug, PartialEq)]
 pub(crate) struct FtState {
-    cfg: FtConfig,
+    policy: CkptPolicy,
     logs: VolatileLogs,
     store: Arc<StableStore>,
     /// The live log segments on `store`.
     stable_log: StableLog,
-    /// Last known checkpoint timestamp of every process (self kept exact).
-    tckp: Vec<VectorClock>,
-    /// Last known checkpoint sequence number per process.
-    peer_ckpt_seq: Vec<u64>,
-    /// Last known checkpointed barrier-episode count per process.
-    peer_ckpt_episode: Vec<u64>,
-    /// This node's checkpoint count.
-    ckpt_seq: u64,
-    /// This node's restart-checkpoint timestamp.
-    last_ckpt_vt: VectorClock,
-    /// Barrier episodes crossed at the last checkpoint.
-    last_ckpt_episode: u64,
+    /// Every process's last checkpoint as far as this node knows it,
+    /// indexed by process. Its own entry is exact: it is set when a
+    /// checkpoint is taken or restored.
+    stamps: Vec<CkptStamp>,
     /// Learned `p0.v[me]` per remote-homed page this node writes (LLT).
     p0v_known: HashMap<PageId, u32>,
     /// Retained checkpoint window, oldest first.
@@ -69,18 +61,13 @@ pub(crate) struct FtState {
 }
 
 impl FtState {
-    pub(crate) fn new(me: ProcId, n: usize, cfg: FtConfig, store: Arc<StableStore>) -> Self {
+    pub(crate) fn new(me: ProcId, n: usize, policy: CkptPolicy, store: Arc<StableStore>) -> Self {
         FtState {
-            cfg,
+            policy,
             logs: VolatileLogs::new(me, n),
             store,
             stable_log: StableLog::default(),
-            tckp: vec![VectorClock::zero(n); n],
-            peer_ckpt_seq: vec![0; n],
-            peer_ckpt_episode: vec![0; n],
-            ckpt_seq: 0,
-            last_ckpt_vt: VectorClock::zero(n),
-            last_ckpt_episode: 0,
+            stamps: vec![CkptStamp::zero(n); n],
             p0v_known: HashMap::new(),
             retained: Vec::new(),
             piggy_cursor: 0,
@@ -108,18 +95,14 @@ impl FtState {
     ) {
         self.report.recoveries += 1;
         self.retained = window;
-        self.ckpt_seq = image.seq;
-        self.last_ckpt_vt = image.tckp.clone();
-        self.last_ckpt_episode = image.bar_episode;
         // The saved logs: every live segment the image's checkpoint or an
         // earlier one wrote (none before the first checkpoint).
         let through = image.tckp.get(me);
         (self.stable_log)
             .restore(&self.store, &mut self.logs, image.seq, through)
             .expect("corrupt saved logs");
-        self.tckp = vec![VectorClock::zero(n); n];
-        self.peer_ckpt_seq = vec![0; n];
-        self.peer_ckpt_episode = vec![0; n];
+        self.stamps = vec![CkptStamp::zero(n); n];
+        self.stamps[me] = image.stamp();
         self.p0v_known.clear();
         self.p0v_sent.clear();
         self.piggy_sent = vec![u64::MAX; n];
@@ -128,29 +111,21 @@ impl FtState {
 
     /// The gossip table: everything this node knows about everyone's last
     /// checkpoint (attached to barrier releases).
-    pub(crate) fn gossip_table(&self, me: ProcId) -> Vec<(ProcId, u64, u64, VectorClock)> {
-        (0..self.tckp.len())
-            .filter(|&j| j != me && self.peer_ckpt_seq[j] > 0)
-            .map(|j| {
-                (
-                    j,
-                    self.peer_ckpt_seq[j],
-                    self.peer_ckpt_episode[j],
-                    self.tckp[j].clone(),
-                )
-            })
-            .collect()
+    pub(crate) fn gossip_table(&self, me: ProcId) -> Vec<(ProcId, CkptStamp)> {
+        let known = self.stamps.iter().enumerate();
+        let known = known.filter(|&(j, s)| j != me && s.seq > 0);
+        known.map(|(j, s)| (j, s.clone())).collect()
+    }
+
+    /// The last known checkpoints of every process but `me`.
+    fn peer_stamps(&self, me: ProcId) -> impl Iterator<Item = &CkptStamp> {
+        let all = self.stamps.iter().enumerate();
+        all.filter(move |&(j, _)| j != me).map(|(_, s)| s)
     }
 
     /// `Tmin = min_{j != me} T^j_ckp` (Rule 3).
     pub(crate) fn tmin_peers(&self, me: ProcId) -> Option<VectorClock> {
-        elementwise_min(
-            self.tckp
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != me)
-                .map(|(_, v)| v),
-        )
+        elementwise_min(self.peer_stamps(me).map(|s| &s.tckp))
     }
 
     /// Rule 3's gate: the version of `page` in the oldest retained
@@ -302,7 +277,8 @@ impl FtSvc {
         // over the page slots.
         let tmin = ft.retained.first().and_then(|_| ft.tmin_peers(me));
         let p0v = tmin.map_or_else(Vec::new, |tmin| ft.p0v_hints(pt, to, &tmin));
-        let news = ft.piggy_sent[to] != ft.ckpt_seq;
+        let stamp = &ft.stamps[me];
+        let news = ft.piggy_sent[to] != stamp.seq;
         let table = if gossip {
             ft.gossip_table(me)
         } else {
@@ -311,11 +287,9 @@ impl FtSvc {
         if !news && p0v.is_empty() && table.is_empty() {
             return None;
         }
-        ft.piggy_sent[to] = ft.ckpt_seq;
+        ft.piggy_sent[to] = stamp.seq;
         Some(Piggy {
-            tckp: ft.last_ckpt_vt.clone(),
-            ckpt_seq: ft.ckpt_seq,
-            ckpt_episode: ft.last_ckpt_episode,
+            stamp: stamp.clone(),
             p0v,
             table,
         })
@@ -326,23 +300,15 @@ impl FtSvc {
         let Some(ft) = &mut self.state else {
             return;
         };
-        if piggy.ckpt_seq > ft.peer_ckpt_seq[from] {
-            ft.peer_ckpt_seq[from] = piggy.ckpt_seq;
-            ft.peer_ckpt_episode[from] = piggy.ckpt_episode;
-            ft.tckp[from] = piggy.tckp.clone();
-        }
+        ft.stamps[from].merge(&piggy.stamp);
         for &(page, v) in &piggy.p0v {
             let e = ft.p0v_known.entry(page).or_insert(0);
             if v > *e {
                 *e = v;
             }
         }
-        for (proc_, seq, episode, tckp) in &piggy.table {
-            if *seq != u64::MAX && *seq > ft.peer_ckpt_seq[*proc_] {
-                ft.peer_ckpt_seq[*proc_] = *seq;
-                ft.peer_ckpt_episode[*proc_] = *episode;
-                ft.tckp[*proc_] = tckp.clone();
-            }
+        for (proc_, stamp) in &piggy.table {
+            ft.stamps[*proc_].merge(stamp);
         }
     }
 
@@ -360,7 +326,7 @@ impl FtSvc {
         let Some(ft) = &mut self.state else {
             return;
         };
-        ft.ckpt_due |= match ft.cfg.policy {
+        ft.ckpt_due |= match ft.policy {
             CkptPolicy::LogOverflow { l } => {
                 let limit = (l * footprint as f64) as u64;
                 footprint > 0 && ft.logs.volatile_bytes() > limit
@@ -377,7 +343,7 @@ impl FtSvc {
         let Some(ft) = &self.state else {
             return false;
         };
-        match ft.cfg.policy {
+        match ft.policy {
             CkptPolicy::LogOverflow { .. } | CkptPolicy::Manual | CkptPolicy::AtBarrier(_) => {
                 ft.ckpt_due
             }
@@ -472,11 +438,10 @@ pub(crate) fn take_checkpoint(
 
     let me = st.me;
     let n = st.n;
-    let tckp = st.vt.clone();
     let tracing = st.tracer.enabled();
     let t_ckpt = Instant::now();
     let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
-    let seq = ft.ckpt_seq + 1;
+    let seq = ft.stamps[me].seq + 1;
     st.tracer.emit(EventKind::CkptBegin {
         seq,
         outbox: st.ft.diffs.depth() as u32,
@@ -492,7 +457,7 @@ pub(crate) fn take_checkpoint(
     let ft = st.ft.state.as_mut().expect("checkpoint without FT enabled");
     let mut blob = CheckpointBlob {
         seq,
-        tckp: tckp.clone(),
+        tckp: st.vt.clone(),
         step,
         app_state,
         needed: st.pt.needed_triples(),
@@ -500,6 +465,7 @@ pub(crate) fn take_checkpoint(
         ..CheckpointBlob::genesis(n)
     };
     st.sync.save_into(&mut blob);
+    ft.stamps[me] = blob.stamp();
 
     // --- trim logs (LLT + Rules 1/2 + barrier analogue) --------------------
     // Read the volatile log size (a running count) around each rule so
@@ -516,15 +482,10 @@ pub(crate) fn take_checkpoint(
         vb = now;
     };
     // Rule 1 bound: min over peers of their checkpointed knowledge of us.
-    let rule1_bound = (0..n)
-        .filter(|&j| j != me)
-        .map(|j| ft.tckp[j].get(me))
-        .min()
-        .unwrap_or(0);
-    ft.logs.trim_rule1(rule1_bound);
+    let rule1_bound = ft.peer_stamps(me).map(|s| s.tckp.get(me)).min();
+    ft.logs.trim_rule1(rule1_bound.unwrap_or(0));
     note_trim(ft, &st.tracer, TrimRule::Rule1);
-    let tckp_table: Vec<VectorClock> = ft.tckp.clone();
-    ft.logs.trim_rule2(&tckp_table, &tckp);
+    ft.logs.trim_rule2(&ft.stamps);
     note_trim(ft, &st.tracer, TrimRule::Rule2);
     // Rule 3 for remote-homed pages uses lazily learned p0.v; for our own
     // homed pages we know the oldest retained copy exactly — gated, like
@@ -540,20 +501,15 @@ pub(crate) fn take_checkpoint(
     }
     ft.logs.trim_rule3(&p0v);
     note_trim(ft, &st.tracer, TrimRule::Rule3);
-    let min_ckpt_episode = (0..n)
-        .filter(|&j| j != me)
-        .map(|j| ft.peer_ckpt_episode[j])
-        .chain(std::iter::once(blob.bar_episode))
-        .min()
-        .unwrap_or(0);
-    ft.logs.trim_bar(min_ckpt_episode);
+    let min_ckpt_episode = ft.stamps.iter().map(|s| s.episode).min();
+    ft.logs.trim_bar(min_ckpt_episode.unwrap_or(0));
     note_trim(ft, &st.tracer, TrimRule::Barrier);
     let LogSave {
         bytes: log_bytes,
         bounds,
         span,
         entry_bytes,
-    } = ft.logs.save(tckp.get(me));
+    } = ft.logs.save(st.vt.get(me));
     bd.logging += t_log.elapsed();
 
     // --- write to stable storage -------------------------------------------
@@ -588,7 +544,7 @@ pub(crate) fn take_checkpoint(
             for (k, rc) in ft.retained.iter().enumerate() {
                 // Page versions are monotone in checkpoint order, so the
                 // covered prefix is contiguous.
-                if rc.versions.values().all(|v| ft.tckp[j].covers(v)) {
+                if rc.versions.values().all(|v| ft.stamps[j].tckp.covers(v)) {
                     found = Some(k);
                 } else {
                     break;
@@ -618,10 +574,7 @@ pub(crate) fn take_checkpoint(
     }
 
     // --- bookkeeping and statistics ------------------------------------------
-    ft.ckpt_seq = seq;
     ft.piggy_sent = vec![u64::MAX; n];
-    ft.last_ckpt_vt = tckp;
-    ft.last_ckpt_episode = blob.bar_episode;
     ft.ckpt_due = false;
     ft.report.ckpts_taken += 1;
     ft.report.max_ckpt_window = ft.report.max_ckpt_window.max(ft.retained.len());
@@ -632,9 +585,7 @@ pub(crate) fn take_checkpoint(
     // Bound the write-notice table: every process has checkpointed past the
     // elementwise minimum of the checkpoint timestamps, so no future grant
     // or recovery can need notices at or below it.
-    let mut all_tckp = ft.tckp.clone();
-    all_tckp[me] = ft.last_ckpt_vt.clone();
-    if let Some(bound) = elementwise_min(all_tckp.iter()) {
+    if let Some(bound) = elementwise_min(ft.stamps.iter().map(|s| &s.tckp)) {
         st.wn_table.trim_covered_by(&bound);
     }
 
@@ -656,7 +607,16 @@ mod tests {
     use dsm_storage::DiskModel;
 
     fn ft_state(me: ProcId, n: usize, store: &Arc<StableStore>) -> FtState {
-        FtState::new(me, n, FtConfig::default(), Arc::clone(store))
+        FtState::new(me, n, CkptPolicy::default(), Arc::clone(store))
+    }
+
+    fn stamp(seq: u64, tckp: &[u32]) -> CkptStamp {
+        let tckp = VectorClock::from_vec(tckp.to_vec());
+        CkptStamp {
+            seq,
+            episode: seq * 10,
+            tckp,
+        }
     }
 
     #[test]
@@ -675,7 +635,7 @@ mod tests {
         let gossip = ft.make_piggy(&pt, 1, true);
         assert!(gossip.is_none(), "empty gossip table carries no news");
         // After a checkpoint-sequence bump, news flows again.
-        ft.state.as_mut().unwrap().ckpt_seq = 1;
+        ft.state.as_mut().unwrap().stamps[0].seq = 1;
         assert!(ft.make_piggy(&pt, 1, false).is_some());
         // With fault tolerance off there is never anything to say.
         assert!(FtSvc::new(0, 2, None, None)
@@ -719,7 +679,7 @@ mod tests {
         // Every peer has checkpointed past the copy: node 1 learns the bound
         // of every page it writes, at most a batch a message; node 2 only
         // page 0's. Then nothing is news.
-        state(&mut ft).tckp = vec![vt([0, 1, 1]); n];
+        state(&mut ft).stamps = vec![stamp(1, &[0, 1, 1]); n];
         let first = hints(&mut ft, 1);
         let second = hints(&mut ft, 1);
         assert_eq!(first.len(), PIGGY_PAGE_BATCH);
@@ -734,7 +694,7 @@ mod tests {
         ft_state.retained[0]
             .versions
             .insert(PageId(0), vt([0, 2, 1]));
-        ft_state.tckp = vec![vt([0, 2, 1]); n];
+        ft_state.stamps = vec![stamp(2, &[0, 2, 1]); n];
         assert_eq!(hints(&mut ft, 1), [(PageId(0), 2)]);
         assert!(hints(&mut ft, 2).is_empty());
     }
@@ -760,9 +720,7 @@ mod tests {
         {
             let ft = svc.state.as_mut().unwrap();
             log_and_trim(&mut ft.logs);
-            ft.tckp[0] = vt([2, 0, 0]);
-            ft.peer_ckpt_seq[0] = 3;
-            ft.peer_ckpt_episode[0] = 1;
+            ft.stamps[0] = stamp(3, &[2, 0, 0]);
             ft.p0v_known.insert(PageId(0), 2);
             ft.p0v_sent.insert((PageId(1), 0), 2);
             ft.piggy_sent = vec![0; n];
@@ -790,5 +748,48 @@ mod tests {
         log_and_trim(&mut survivors.logs);
         survivors.logs.clear();
         assert_eq!(svc, FtSvc::new(me, n, Some(survivors), retry));
+    }
+
+    #[test]
+    fn the_newest_checkpoint_wins_in_any_order_and_gossip_never_lowers_a_direct_stamp() {
+        let stamps = [
+            stamp(2, &[1, 4, 0]),
+            stamp(0, &[0, 0, 0]),
+            stamp(5, &[3, 9, 2]),
+            stamp(3, &[2, 6, 1]),
+            stamp(u64::MAX, &[7, 7, 7]),
+        ];
+        // Every order of the same stamps merges to the one with the newest
+        // seq; a decoded `u64::MAX` is never taken.
+        for first in 0..stamps.len() {
+            for step in 1..stamps.len() {
+                let mut known = CkptStamp::zero(3);
+                for k in 0..stamps.len() {
+                    known.merge(&stamps[(first + k * step) % stamps.len()]);
+                }
+                assert_eq!(known, stamps[2], "order {first} + k * {step}");
+            }
+        }
+
+        // Node 2 of 3 hears node 1's checkpoint 3 from node 1 itself, then
+        // node 0's barrier release, whose gossip names node 1's older
+        // checkpoint 2.
+        let store = Arc::new(StableStore::new(DiskModel::instant()));
+        let mut ft = FtSvc::new(2, 3, Some(ft_state(2, 3, &store)), None);
+        let direct = Piggy {
+            stamp: stamps[3].clone(),
+            p0v: Vec::new(),
+            table: Vec::new(),
+        };
+        ft.absorb_piggy(1, &direct);
+        let release = Piggy {
+            stamp: stamps[2].clone(),
+            p0v: Vec::new(),
+            table: vec![(1, stamps[0].clone())],
+        };
+        ft.absorb_piggy(0, &release);
+        let known = &ft.state.as_ref().unwrap().stamps;
+        assert_eq!(known[1], stamps[3], "gossip lowered a direct stamp");
+        assert_eq!(known[0], stamps[2]);
     }
 }

@@ -8,7 +8,7 @@
 //! 2. asks every peer once — one `RecLogReq` each, carrying the restored
 //!    version `p0.v` of every page it homes — and collects from each its
 //!    write-notice log, the grants it sent us (`rel_log[us]`), the mirror
-//!    restoring our own release logs (`acq_log[us]`), barrier crossing logs,
+//!    restoring our own release logs (`acq_log[us]`), its barrier log,
 //!    lock-chain generations (manager rebuild), and its diff-log entries for
 //!    our homed pages that the restored copies do not hold;
 //! 3. fully restores its homed pages by applying those diffs in a linear
@@ -30,7 +30,7 @@
 //! backlog of what peers sent meanwhile, both sides of the four `Rec*`
 //! kinds, and the replayed halves of a page miss, an acquire and a barrier.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,7 +40,7 @@ use hlrc::LockId;
 use parking_lot::MutexGuard;
 
 use crate::ft::ckpt;
-use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry};
+use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry};
 use crate::msg::Payload;
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
 use crate::runtime::node::{
@@ -70,7 +70,7 @@ struct ReplayState {
     /// Grants to this node, keyed by our acquisition sequence number.
     rel: HashMap<u64, (ProcId, RelEntry)>,
     /// Completed barrier episodes: episode → joined timestamp.
-    bar_results: HashMap<u64, VectorClock>,
+    bar_results: BTreeMap<u64, VectorClock>,
     /// Emulated-home copies of remote pages.
     pages: HashMap<PageId, ReplayPage>,
     /// Diffs for our homed pages not yet applied: the replay point does not
@@ -230,7 +230,6 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -
         rel_for_you: ft.logs.rel[r].clone(),
         acq_mirror: ft.logs.acq[r].clone(),
         bar: ft.logs.bar.clone(),
-        bar_mgr: ft.logs.bar_mgr.clone(),
         lock_chains,
         gen_floor,
         applied_of_you: st.pt.home_store().newest_applied_of(r),
@@ -354,15 +353,42 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
 
     // ---- Phase 3: collect and merge log replies -----------------------------
     let t_collect = Instant::now();
+    let replies = collect_replies(shared, &mut st, RecAsk::Logs, &peers);
+    let (mut replay, mut entries) = merge_log_replies(&mut st, replies);
+
+    // ---- Phase 4: restore homed pages -----------------------------------
+    // From the diffs the handshake brought; nothing more is asked for.
+    entries.sort_by_key(linear_key);
+    for e in &entries {
+        replay.evidence_self = replay.evidence_self.max(e.t.get(me));
+    }
+    replay.pending_home = entries;
+    replay.started = Some(t_recovery);
+    replay.replay_from = Some(Instant::now());
+    st.rec.replay = Some(replay);
+    apply_pending_home(&mut st);
+    phase_done(&mut st, RecPhase::LogCollect, t_collect);
+
+    (image.step, image.app_state)
+}
+
+/// Merge every peer's handshake reply: the notices into the table, the
+/// chain reports into the lock managers, the grant logs back into ours, and
+/// the grants, barrier results and evidence into a new replay state. Returns
+/// it with the collected diffs for our homed pages.
+fn merge_log_replies(
+    st: &mut NodeState,
+    replies: Vec<(ProcId, Payload)>,
+) -> (ReplayState, Vec<DiffLogEntry>) {
+    let me = st.me;
     let mut replay = ReplayState::default();
     let mut entries: Vec<DiffLogEntry> = Vec::new();
-    for (peer, payload) in collect_replies(shared, &mut st, RecAsk::Logs, &peers) {
+    for (peer, payload) in replies {
         let Payload::RecLogReply {
             wn,
             rel_for_you,
             acq_mirror,
             bar,
-            bar_mgr,
             lock_chains,
             gen_floor,
             applied_of_you,
@@ -404,43 +430,23 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
             replay.evidence_self = replay.evidence_self.max(e.t_after.get(me));
         }
         logs.rel[peer] = acq_mirror;
-        let mut crossed = |episode, result_vt: &VectorClock| {
-            replay.evidence_self = replay.evidence_self.max(result_vt.get(me));
-            replay.bar_results.insert(episode, result_vt.clone());
-        };
-        bar.iter().for_each(|e| crossed(e.episode, &e.result_vt));
-        bar_mgr
-            .iter()
-            .for_each(|e| crossed(e.episode, &e.result_vt));
+        for e in bar {
+            replay.evidence_self = replay.evidence_self.max(e.result_vt.get(me));
+            replay.bar_results.insert(e.episode, e.result_vt);
+        }
     }
     st.sync.restore_own_chains();
-    // Rebuild the barrier-manager mirror for future recoveries of peers.
-    if me == 0 {
-        let logs = &mut st.ft.state.as_mut().unwrap().logs;
-        for (&episode, vt) in &replay.bar_results {
-            logs.log_bar_mgr(MgrBarEntry {
-                episode,
-                arrival_vts: vec![VectorClock::zero(n); n],
-                result_vt: vt.clone(),
-            });
-        }
-        logs.bar_mgr.sort_by_key(|e| e.episode);
-    }
-
-    // ---- Phase 4: restore homed pages -----------------------------------
-    // From the diffs the handshake brought; nothing more is asked for.
-    entries.sort_by_key(linear_key);
-    for e in &entries {
-        replay.evidence_self = replay.evidence_self.max(e.t.get(me));
-    }
-    replay.pending_home = entries;
-    replay.started = Some(t_recovery);
-    replay.replay_from = Some(Instant::now());
-    st.rec.replay = Some(replay);
-    apply_pending_home(&mut st);
-    phase_done(&mut st, RecPhase::LogCollect, t_collect);
-
-    (image.step, image.app_state)
+    // Every episode a peer logged waited for our arrival, and the replay
+    // crosses those we had not: the collected results are our barrier log,
+    // for future recoveries of peers.
+    let bar = replay.bar_results.iter();
+    st.ft.state.as_mut().unwrap().logs.bar = bar
+        .map(|(&episode, vt)| BarEntry {
+            episode,
+            result_vt: vt.clone(),
+        })
+        .collect();
+    (replay, entries)
 }
 
 /// Switch from replay to live execution: the first operation with no log
@@ -495,7 +501,7 @@ pub(crate) fn replay_materialize(
     if !st.rec.replay.as_ref().unwrap().pages.contains_key(&page) {
         // One round: every peer's diff log for the page, and with the
         // home's the maximal starting copy.
-        let tckp = st.ft.state.as_ref().unwrap().last_ckpt_vt.clone();
+        let tckp = st.ft.state.as_ref().unwrap().stamps[me].tckp.clone();
         let peers: Vec<usize> = (0..st.n).filter(|&p| p != me).collect();
         for &p in &peers {
             let tckp = tckp.clone();
@@ -640,14 +646,6 @@ pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool
     st.sync.note_arrival(arrive_vt.get(st.me));
     st.vt.join(&result);
     apply_replay_invalidations(st, &arrive_vt);
-    let result_vt = st.vt.clone();
-    if let Some(logs) = st.ft.logs() {
-        logs.log_bar(BarEntry {
-            episode,
-            arrive_vt,
-            result_vt,
-        });
-    }
     st.sync.crossed();
     apply_pending_home(st);
     true
@@ -681,17 +679,46 @@ mod tests {
     }
 
     fn log_reply() -> Payload {
+        log_reply_with(Vec::new())
+    }
+
+    /// An empty handshake reply but for its barrier log.
+    fn log_reply_with(bar: Vec<BarEntry>) -> Payload {
         Payload::RecLogReply {
             wn: Vec::new(),
             rel_for_you: Vec::new(),
             acq_mirror: Vec::new(),
-            bar: Vec::new(),
-            bar_mgr: Vec::new(),
+            bar,
             lock_chains: Vec::new(),
             gen_floor: Vec::new(),
             applied_of_you: 0,
             diffs: Vec::new(),
         }
+    }
+
+    #[test]
+    fn an_episode_only_the_managers_reply_names_is_replayed_and_becomes_our_log() {
+        // Node 1 of 3 crossed episode 0 and crashed. Node 0 logged the
+        // episode when it completed it; node 2 had yet to cross it when the
+        // handshake reached it.
+        let (mut st, _eps) = test_state(1, 3, true);
+        let episode0 = BarEntry {
+            episode: 0,
+            result_vt: gated(3, 2, 4),
+        };
+        let replies = vec![
+            (2, log_reply()),
+            (0, log_reply_with(vec![episode0.clone()])),
+        ];
+        let (replay, _) = merge_log_replies(&mut st, replies);
+        assert_eq!(st.ft.logs().unwrap().bar, std::slice::from_ref(&episode0));
+        st.rec.replay = Some(replay);
+        assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
+        assert_eq!((st.sync.bar_episode(), &st.vt), (1, &episode0.result_vt));
+        // The replay logged nothing of its own, and the next episode, which
+        // nobody names, is the crash point.
+        assert_eq!(st.ft.logs().unwrap().bar, [episode0]);
+        assert!(!try_replay_barrier(&mut st, &mut Breakdown::default()));
     }
 
     /// A non-home's reply, or with `copy` the home's.

@@ -41,9 +41,7 @@ pub mod shareable;
 pub mod stats;
 pub mod wire;
 
-pub use config::{
-    seed_from_env, CkptPolicy, ClusterConfig, FailureSpec, FtConfig, HomeAlloc, MetricsConfig,
-};
+pub use config::{seed_from_env, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, MetricsConfig};
 pub use dsm_net::{FaultPlan, FaultRule};
 pub use dsm_page::{GlobalAddr, PageId};
 pub use dsm_storage::{DiskMode, DiskModel};

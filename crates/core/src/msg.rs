@@ -10,30 +10,56 @@ use dsm_page::{Diff, PageId, ProcId, VectorClock};
 use dsm_trace::TraceCtx;
 use hlrc::{Have, LockId, PageBody, WnDelta};
 
-use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
+use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry, WnLogEntry};
 use crate::wire;
 
+/// A node's last checkpoint, as far as some node knows it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CkptStamp {
+    /// The node's checkpoint count (0: none taken).
+    pub seq: u64,
+    /// Barrier episodes the node had crossed at that checkpoint (the
+    /// barrier-log trimming analogue of `T_ckp`).
+    pub episode: u64,
+    /// The checkpoint's timestamp `T_ckp`.
+    pub tckp: VectorClock,
+}
+
+impl CkptStamp {
+    /// No checkpoint: what is known of a node before anything is learned.
+    pub fn zero(n: usize) -> Self {
+        CkptStamp {
+            seq: 0,
+            episode: 0,
+            tckp: VectorClock::zero(n),
+        }
+    }
+
+    /// Learn `other`, a stamp of the same node: the newer checkpoint wins.
+    /// A decoded `seq` of `u64::MAX` is no checkpoint any node takes and is
+    /// ignored.
+    pub fn merge(&mut self, other: &CkptStamp) {
+        if other.seq != u64::MAX && other.seq > self.seq {
+            *self = other.clone();
+        }
+    }
+}
+
 /// Fault-tolerance control data piggybacked on protocol messages: the
-/// sender's restart-checkpoint timestamp (plus its checkpoint sequence and
-/// barrier-episode counters for the barrier-log trimming analogue), and a
-/// batch of per-page retained starting-copy versions `p0.v[receiver]` for
-/// pages homed at the sender that the receiver has written.
+/// sender's last checkpoint, and a batch of per-page retained starting-copy
+/// versions `p0.v[receiver]` for pages homed at the sender that the receiver
+/// has written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Piggy {
-    /// Sender's last checkpoint timestamp `T_ckp`.
-    pub tckp: VectorClock,
-    /// Sender's checkpoint count.
-    pub ckpt_seq: u64,
-    /// Sender's barrier-episode count at its last checkpoint.
-    pub ckpt_episode: u64,
+    /// The sender's last checkpoint.
+    pub stamp: CkptStamp,
     /// `(page, p0.v[receiver])` hints for the receiver's LLT.
     pub p0v: Vec<(PageId, u32)>,
-    /// Gossip of third-party checkpoint timestamps, attached to barrier
-    /// releases: `(proc, ckpt_seq, ckpt_episode, T_ckp)`. Without it, nodes
-    /// that never exchange protocol messages directly (e.g. distant slabs
-    /// in Water-Spatial) would never learn each other's `T_ckp` and their
-    /// checkpoint windows could not be garbage collected.
-    pub table: Vec<(ProcId, u64, u64, VectorClock)>,
+    /// Gossip of third-party checkpoints, attached to barrier releases.
+    /// Without it, nodes that never exchange protocol messages directly
+    /// (e.g. distant slabs in Water-Spatial) would never learn each other's
+    /// `T_ckp` and their checkpoint windows could not be garbage collected.
+    pub table: Vec<(ProcId, CkptStamp)>,
 }
 
 /// Message payloads.
@@ -176,11 +202,9 @@ pub enum Payload {
         /// The peer's `acq_log[recovering]` (mirror restoring the
         /// recovering node's `rel_log[peer]`).
         acq_mirror: Vec<RelEntry>,
-        /// The peer's own barrier crossings.
+        /// The peer's barrier log: the episodes it crossed and, from the
+        /// manager, those it completed.
         bar: Vec<BarEntry>,
-        /// The peer's barrier-manager mirror (non-empty only from the
-        /// barrier manager).
-        bar_mgr: Vec<MgrBarEntry>,
         /// Per lock managed by the recovering node: the highest-generation
         /// *materialized* acquisition the peer knows — its own newest
         /// tenure (granter `None`) or the newest grant in its release log
@@ -363,7 +387,7 @@ impl dsm_net::WireSized for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
+    use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry, WnLogEntry};
     use dsm_net::WireSized;
     use dsm_page::{Interval, Page};
     use dsm_storage::{ByteReader, ByteWriter};
@@ -502,16 +526,16 @@ mod tests {
                 }],
                 rel_for_you: vec![rel.clone()],
                 acq_mirror: vec![rel],
-                bar: vec![BarEntry {
-                    episode: 1,
-                    arrive_vt: clock(&[1, 1]),
-                    result_vt: clock(&[2, 1]),
-                }],
-                bar_mgr: vec![MgrBarEntry {
-                    episode: 1,
-                    arrival_vts: vec![clock(&[1, 0]), clock(&[0, 1])],
-                    result_vt: clock(&[1, 1]),
-                }],
+                bar: vec![
+                    BarEntry {
+                        episode: 1,
+                        result_vt: clock(&[2, 1]),
+                    },
+                    BarEntry {
+                        episode: 200,
+                        result_vt: clock(&[9, 300]),
+                    },
+                ],
                 lock_chains: vec![(lock, gen, 1, 5, None), (2, 4, 0, 6, Some(1))],
                 gen_floor: vec![(lock, 9)],
                 applied_of_you: 3,
@@ -576,12 +600,15 @@ mod tests {
         let mut bare_arrival = payloads[5].clone();
         bare_arrival.take_carried();
         payloads.push(bare_arrival);
+        let stamp = |seq, episode, tckp: &[u32]| CkptStamp {
+            seq,
+            episode,
+            tckp: clock(tckp),
+        };
         let piggy = Piggy {
-            tckp: clock(&[3, 1]),
-            ckpt_seq: 2,
-            ckpt_episode: 5,
+            stamp: stamp(2, 5, &[3, 1]),
             p0v: vec![(PageId(0), 3), (PageId(300), 4)],
-            table: vec![(0, 2, 3, clock(&[3, 0])), (1, 1, 1, clock(&[0, 1]))],
+            table: vec![(0, stamp(2, 3, &[3, 0])), (1, stamp(200, 1, &[0, 1]))],
         };
         let parent = TraceCtx {
             origin: 0,

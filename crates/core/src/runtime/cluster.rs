@@ -153,10 +153,8 @@ where
             .map(|f| f.at_op)
             .collect();
         crash_queue.sort_unstable();
-        let ft = config
-            .ft
-            .clone()
-            .map(|cfg| FtState::new(i, n, cfg, Arc::new(StableStore::new(config.disk))));
+        let ft = (config.ft)
+            .map(|policy| FtState::new(i, n, policy, Arc::new(StableStore::new(config.disk))));
         let mut state = NodeState::new(
             i,
             n,

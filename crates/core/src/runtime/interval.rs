@@ -232,7 +232,6 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     if let Some(logs) = st.ft.logs() {
         logs.log_bar(BarEntry {
             episode,
-            arrive_vt,
             result_vt: st.vt.clone(),
         });
     }
@@ -242,10 +241,10 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FtConfig;
+    use crate::config::CkptPolicy;
     use crate::ft::FtState;
     use crate::ft::RETRY_AFTER;
-    use crate::msg::{Msg, Piggy};
+    use crate::msg::{CkptStamp, Msg, Piggy};
     use crate::runtime::node::tests::{diff_of, gated, page_of, test_state, test_state_with};
     use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
     use dsm_net::{Endpoint, Event, Fabric};
@@ -352,7 +351,7 @@ mod tests {
         let (_fabric, endpoints) = Fabric::<Msg>::new(n);
         let eps: Vec<_> = endpoints.into_iter().map(Arc::new).collect();
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
+        let ft = FtState::new(me, n, CkptPolicy::default(), Arc::clone(&store));
         let tracer = NodeTracer::disabled();
         let mut st = NodeState::new(me, n, 256, Arc::clone(&eps[me]), Some(ft), tracer, None);
         st.pt.add_page(me);
@@ -421,10 +420,13 @@ mod tests {
         // checkpoint trims our notices 1 and 2 from the table.
         let peer_tckp = [(0, [1, 2, 0]), (2, [0, 3, 1])];
         for (peer, tckp) in peer_tckp {
-            let piggy = Piggy {
+            let stamp = CkptStamp {
+                seq: 1,
+                episode: 0,
                 tckp: VectorClock::from_vec(tckp.to_vec()),
-                ckpt_seq: 1,
-                ckpt_episode: 0,
+            };
+            let piggy = Piggy {
+                stamp,
                 p0v: Vec::new(),
                 table: Vec::new(),
             };
@@ -439,6 +441,27 @@ mod tests {
             let covered = peer_tckp.iter().all(|(_, t)| t[me] >= seq);
             assert!(covered, "interval {seq} left out but a peer may miss it");
         }
+    }
+
+    #[test]
+    fn the_manager_logs_each_episode_once_though_it_completes_and_crosses_it() {
+        let (mut st, _eps, _store) = ft_node(0, 2);
+        for episode in 0..2 {
+            arrive(&mut st, &mut Breakdown::default());
+            let peer = Payload::BarrierArrive {
+                episode,
+                vt: gated(2, 1, episode as u32 + 1),
+                own_wns: WnDelta::empty(),
+                batch: None,
+            };
+            handle_msg(&mut st, 1, peer);
+            let (_, release) = st.wait.take().expect("the episode completed");
+            cross_barrier(&mut st, release);
+        }
+        let logged: Vec<_> = (st.ft.logs().unwrap().bar.iter())
+            .map(|e| (e.episode, e.result_vt.clone()))
+            .collect();
+        assert_eq!(logged, [(0, gated(2, 1, 1)), (1, gated(2, 1, 2))]);
     }
 
     #[test]

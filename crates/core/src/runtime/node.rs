@@ -640,8 +640,8 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::FtConfig;
-    use crate::msg::Piggy;
+    use crate::config::CkptPolicy;
+    use crate::msg::{CkptStamp, Piggy};
     use crate::runtime::interval;
     use crate::stats::Breakdown;
     use dsm_net::Fabric;
@@ -670,7 +670,7 @@ pub(crate) mod tests {
         let mut eps: Vec<Arc<Endpoint<Msg>>> = endpoints.into_iter().map(Arc::new).collect();
         let ep = Arc::clone(&eps[me]);
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let ft = ft.then(|| FtState::new(me, n, FtConfig::default(), store));
+        let ft = ft.then(|| FtState::new(me, n, CkptPolicy::default(), store));
         let st = NodeState::new(me, n, 256, ep, ft, NodeTracer::disabled(), retry_after);
         eps.remove(me);
         (st, eps)
@@ -1079,9 +1079,7 @@ pub(crate) mod tests {
         ];
         for (from, payload) in script {
             let piggy = piggybacked.then(|| Piggy {
-                tckp: zero(),
-                ckpt_seq: 0,
-                ckpt_episode: 0,
+                stamp: CkptStamp::zero(n),
                 p0v: Vec::new(),
                 table: Vec::new(),
             });
@@ -1340,7 +1338,7 @@ pub(crate) mod tests {
         let mut eps: Vec<Arc<Endpoint<Msg>>> = endpoints.into_iter().map(Arc::new).collect();
         let ep = eps.remove(me);
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
+        let ft = FtState::new(me, n, CkptPolicy::default(), Arc::clone(&store));
         let mut st = NodeState::new(me, n, 256, ep, Some(ft), NodeTracer::disabled(), None);
         st.pt.add_page(0);
         st.pt.add_page(0);
@@ -1380,7 +1378,7 @@ pub(crate) mod tests {
         let (fabric, endpoints) = Fabric::<Msg>::new(n);
         let ep = Arc::new(endpoints.into_iter().nth(me).unwrap());
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let ft = FtState::new(me, n, FtConfig::default(), Arc::clone(&store));
+        let ft = FtState::new(me, n, CkptPolicy::default(), Arc::clone(&store));
         let tracer = NodeTracer::disabled();
         let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer, Some(ft::RETRY_AFTER));
         st.pt.add_page(1); // page 0: homed here

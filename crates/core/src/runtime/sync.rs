@@ -19,7 +19,7 @@ use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
 use hlrc::{LockId, WnTable};
 
 use crate::ft::ckpt::CheckpointBlob;
-use crate::ft::logs::{MgrBarEntry, RelEntry};
+use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::FtSvc;
 use crate::msg::Payload;
 use crate::runtime::node::{NodeState, Replies, WaitSlot};
@@ -339,10 +339,12 @@ impl SyncSvc {
                 hists
                     .barrier_release_build
                     .record(t_arrive.elapsed().as_nanos() as u64);
+                // Logged before any release leaves: a participant that
+                // crosses and crashes before the others do finds the episode
+                // here.
                 if let Some(logs) = ft.logs() {
-                    logs.log_bar_mgr(MgrBarEntry {
+                    logs.log_bar(BarEntry {
                         episode: rel.episode,
-                        arrival_vts: rel.arrival_vts.clone(),
                         result_vt: rel.vt.clone(),
                     });
                 }
@@ -355,14 +357,12 @@ impl SyncSvc {
                     reply.push((p, release));
                 }
             }
-            ArriveOutcome::Resend { proc, release } => {
-                let release = Payload::BarrierRelease {
-                    episode: release.episode,
-                    vt: release.vt.clone(),
-                    wns: release.per_proc_wns[proc].clone(),
-                };
-                reply.push((proc, release));
-            }
+            ArriveOutcome::Resend {
+                proc,
+                episode,
+                vt,
+                wns,
+            } => reply.push((proc, Payload::BarrierRelease { episode, vt, wns })),
         }
     }
 
@@ -511,10 +511,9 @@ impl SyncSvc {
     }
 
     /// Restore the barrier manager (node 0, at `go_live`); `last` is the
-    /// joined timestamp of the last completed episode. Its arrival
-    /// timestamps and notice set are rebuilt conservatively (zero arrivals,
-    /// all notices the joined timestamp covers); receivers skip notices they
-    /// already cover, so extras are harmless.
+    /// joined timestamp of the last completed episode. Its notice set is
+    /// rebuilt conservatively — every notice the joined timestamp covers —
+    /// and a resend restricts it to what the re-arrival lacks.
     pub(crate) fn restore_barrier_manager(
         &mut self,
         last: Option<&VectorClock>,
@@ -522,10 +521,7 @@ impl SyncSvc {
     ) {
         let zero = VectorClock::zero(self.n);
         let mut mgr = BarrierManager::new(self.n);
-        let last = last.map(|vt| {
-            let all_wns = wn_table.missing_between(&zero, vt);
-            (vt.clone(), vec![zero.clone(); self.n], all_wns)
-        });
+        let last = last.map(|vt| (vt.clone(), wn_table.missing_between(&zero, vt)));
         mgr.restore(self.bar_episode, last);
         self.bar_mgr = Some(mgr);
     }
@@ -624,7 +620,7 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FtConfig;
+    use crate::config::CkptPolicy;
     use crate::ft::FtState;
     use dsm_storage::{DiskModel, StableStore};
     use hlrc::WnDelta;
@@ -632,7 +628,7 @@ mod tests {
 
     fn ft_svc(logging: bool) -> FtSvc {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let state = logging.then(|| FtState::new(0, 3, FtConfig::default(), store));
+        let state = logging.then(|| FtState::new(0, 3, CkptPolicy::default(), store));
         FtSvc::new(0, 3, state, None)
     }
 

@@ -18,8 +18,8 @@ use dsm_storage::{ByteReader, ByteWriter, CodecError};
 use dsm_trace::TraceCtx;
 use hlrc::{Have, PageBody, WnDelta, WriteNotice};
 
-use crate::ft::logs::{BarEntry, DiffLogEntry, MgrBarEntry, RelEntry, WnLogEntry};
-use crate::msg::{Msg, Payload, Piggy};
+use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry, WnLogEntry};
+use crate::msg::{CkptStamp, Msg, Payload, Piggy};
 
 /// The length `put` writes, counted by a length-only writer.
 pub(crate) fn len_of(put: impl FnOnce(&mut ByteWriter)) -> usize {
@@ -365,56 +365,49 @@ fn get_rel(r: &mut ByteReader) -> Result<RelEntry, CodecError> {
 
 fn put_bar(w: &mut ByteWriter, e: &BarEntry) {
     w.put_varint(e.episode);
-    put_vt(w, &e.arrive_vt);
     put_vt(w, &e.result_vt);
 }
 
 fn get_bar(r: &mut ByteReader) -> Result<BarEntry, CodecError> {
     Ok(BarEntry {
         episode: r.get_varint()?,
-        arrive_vt: get_vt(r)?,
         result_vt: get_vt(r)?,
     })
 }
 
-fn put_mgr_bar(w: &mut ByteWriter, e: &MgrBarEntry) {
-    w.put_varint(e.episode);
-    put_list(w, &e.arrival_vts, put_vt);
-    put_vt(w, &e.result_vt);
+/// Encode a checkpoint stamp: its seq and episode, then `T_ckp`.
+fn put_stamp(w: &mut ByteWriter, s: &CkptStamp) {
+    put_varints(w, &[s.seq, s.episode]);
+    put_vt(w, &s.tckp);
 }
 
-fn get_mgr_bar(r: &mut ByteReader) -> Result<MgrBarEntry, CodecError> {
-    Ok(MgrBarEntry {
+fn get_stamp(r: &mut ByteReader) -> Result<CkptStamp, CodecError> {
+    Ok(CkptStamp {
+        seq: r.get_varint()?,
         episode: r.get_varint()?,
-        arrival_vts: get_list(r, 1, get_vt)?,
-        result_vt: get_vt(r)?,
+        tckp: get_vt(r)?,
     })
 }
 
-/// Encode the fault-tolerance piggyback: `T_ckp`, the checkpoint and
-/// episode counts, the `p0.v` hints, then the gossip table.
+/// Encode the fault-tolerance piggyback: the sender's stamp, the `p0.v`
+/// hints, then the gossip table.
 pub(crate) fn put_piggy(w: &mut ByteWriter, p: &Piggy) {
-    put_vt(w, &p.tckp);
-    put_varints(w, &[p.ckpt_seq, p.ckpt_episode]);
+    put_stamp(w, &p.stamp);
     put_list(w, &p.p0v, |w, (page, v)| {
         put_varints(w, &[page.0.into(), (*v).into()])
     });
-    put_list(w, &p.table, |w, (proc_, seq, episode, tckp)| {
-        put_varints(w, &[*proc_ as u64, *seq, *episode]);
-        put_vt(w, tckp);
+    put_list(w, &p.table, |w, (proc_, stamp)| {
+        w.put_varint(*proc_ as u64);
+        put_stamp(w, stamp);
     });
 }
 
 /// Decode the fault-tolerance piggyback.
 pub(crate) fn get_piggy(r: &mut ByteReader) -> Result<Piggy, CodecError> {
     Ok(Piggy {
-        tckp: get_vt(r)?,
-        ckpt_seq: r.get_varint()?,
-        ckpt_episode: r.get_varint()?,
+        stamp: get_stamp(r)?,
         p0v: get_list(r, 2, |r| Ok((get_page(r)?, get_u32(r, "p0.v")?)))?,
-        table: get_list(r, 4, |r| {
-            Ok((get_usize(r)?, r.get_varint()?, r.get_varint()?, get_vt(r)?))
-        })?,
+        table: get_list(r, 4, |r| Ok((get_usize(r)?, get_stamp(r)?)))?,
     })
 }
 
@@ -523,7 +516,6 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             rel_for_you,
             acq_mirror,
             bar,
-            bar_mgr,
             lock_chains,
             gen_floor,
             applied_of_you,
@@ -533,7 +525,6 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             put_list(w, rel_for_you, put_rel);
             put_list(w, acq_mirror, put_rel);
             put_list(w, bar, put_bar);
-            put_list(w, bar_mgr, put_mgr_bar);
             put_list(w, lock_chains, |w, &(lock, gen, grantee, acq, granter)| {
                 let granter = granter.map_or(0, |g| g as u64 + 1);
                 put_varints(w, &[lock as u64, gen, grantee as u64, acq, granter]);
@@ -629,8 +620,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             wn: get_list(r, 2, get_wn_entry)?,
             rel_for_you: get_list(r, 5, get_rel)?,
             acq_mirror: get_list(r, 5, get_rel)?,
-            bar: get_list(r, 3, get_bar)?,
-            bar_mgr: get_list(r, 3, get_mgr_bar)?,
+            bar: get_list(r, 2, get_bar)?,
             lock_chains: get_list(r, 5, |r| {
                 let (lock, gen, grantee, acq) = (
                     get_usize(r)?,

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use dsm_page::{Diff, Interval, Page, PageId, VectorClock};
 use dsm_storage::{DiskModel, StableStore};
 use ftdsm::ft::logs::{RelEntry, StableLog, VolatileLogs};
+use ftdsm::msg::CkptStamp;
 use proptest::prelude::*;
 
 const N: usize = 4;
@@ -75,9 +76,9 @@ proptest! {
                 },
             });
         }
-        let mut tckp = vec![vt(&[0; N]); N];
-        tckp[1].set(1, ckp_entry);
-        logs.trim_rule2(&tckp, &vt(&[0; N]));
+        let mut stamps = vec![CkptStamp::zero(N); N];
+        stamps[1].tckp.set(1, ckp_entry);
+        logs.trim_rule2(&stamps);
         // Oracle: the acquirer restarting from ckp_entry replays every
         // acquire whose t_after[1] >= ckp_entry (its acquisition counter at
         // the checkpoint corresponds to that logical time; the boundary may

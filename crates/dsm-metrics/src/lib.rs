@@ -257,7 +257,8 @@ impl Snapshot {
 /// A run's sequence of snapshots, ordered by timestamp.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
-    /// Snapshots sorted by `(ts_ns, content)`.
+    /// Snapshots in time order; after a [`merge`](TimeSeries::merge),
+    /// sorted by `(ts_ns, content)`.
     pub snapshots: Vec<Snapshot>,
 }
 
@@ -267,26 +268,20 @@ impl TimeSeries {
         TimeSeries::default()
     }
 
-    /// Append one snapshot, keeping the series sorted.
+    /// Append one snapshot, taken no earlier than the last (a sampler's
+    /// samples, then the run's closing one).
     pub fn push(&mut self, snap: Snapshot) {
         self.snapshots.push(snap);
-        self.normalize();
     }
 
     /// Fold another series into this one. Order-insensitive:
     /// `a.merge(b) == b.merge(a)` element-for-element, because the result
-    /// is re-sorted with a total tie-break on serialized content.
+    /// is sorted with a total tie-break on serialized content, each
+    /// snapshot rendered once.
     pub fn merge(&mut self, other: &TimeSeries) {
         self.snapshots.extend(other.snapshots.iter().cloned());
-        self.normalize();
-    }
-
-    fn normalize(&mut self) {
-        self.snapshots.sort_by(|a, b| {
-            a.ts_ns
-                .cmp(&b.ts_ns)
-                .then_with(|| a.to_jsonl().cmp(&b.to_jsonl()))
-        });
+        self.snapshots
+            .sort_by_cached_key(|snap| (snap.ts_ns, snap.to_jsonl()));
     }
 
     /// The most recent snapshot.

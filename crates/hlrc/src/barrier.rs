@@ -14,7 +14,8 @@
 //! therefore included in that someone's own notices at `e`.
 //!
 //! The last completed episode is retained so the release can be recomputed
-//! for a participant that lost it to a crash and re-arrives.
+//! for a participant that lost it to a crash and re-arrives: the episode's
+//! notices past the re-arrival's own clock.
 //!
 //! Arrivals and releases are deltas ([`WnDelta`]): an arrival's notices are
 //! its own intervals past the node's previous arrival, a release the
@@ -50,16 +51,12 @@ pub struct ReleaseSet {
     pub vt: VectorClock,
     /// Per-participant missing notices, indexed by process id.
     pub per_proc_wns: Vec<WnDelta>,
-    /// Arrival timestamps, indexed by process id (mirrored into the
-    /// manager's fault-tolerance barrier log).
-    pub arrival_vts: Vec<VectorClock>,
 }
 
 #[derive(Debug, PartialEq)]
 struct CompletedEpisode {
     episode: u64,
     vt: VectorClock,
-    arrival_vts: Vec<VectorClock>,
     all_wns: WnDelta,
 }
 
@@ -84,8 +81,12 @@ pub enum ArriveOutcome {
     Resend {
         /// The re-arriving node.
         proc: ProcId,
-        /// Episode, joined timestamp and that node's missing notices.
-        release: ReleaseSet,
+        /// The completed episode.
+        episode: u64,
+        /// Its joined timestamp.
+        vt: VectorClock,
+        /// The episode's notices the re-arrival's clock lacks.
+        wns: WnDelta,
     },
 }
 
@@ -134,17 +135,13 @@ impl BarrierManager {
                 // completion required its arrival too.
                 return ArriveOutcome::Pending;
             }
-            let wns = last.all_wns.restrict_to_missing(&last.arrival_vts[a.proc]);
-            let mut per_proc_wns = vec![WnDelta::empty(); self.n];
-            per_proc_wns[a.proc] = wns;
+            // The receiver skips every notice its arrival clock covers, so
+            // restricting by the re-arrival's clock loses nothing.
             return ArriveOutcome::Resend {
                 proc: a.proc,
-                release: ReleaseSet {
-                    episode: last.episode,
-                    vt: last.vt.clone(),
-                    per_proc_wns,
-                    arrival_vts: last.arrival_vts.clone(),
-                },
+                episode: last.episode,
+                vt: last.vt.clone(),
+                wns: last.all_wns.restrict_to_missing(&a.vt),
             };
         }
         assert_eq!(a.episode, self.episode, "arrival from the future");
@@ -172,34 +169,26 @@ impl BarrierManager {
             episode: self.episode,
             vt: vt.clone(),
             per_proc_wns,
-            arrival_vts: arrival_vts.clone(),
         };
         self.last = Some(CompletedEpisode {
             episode: self.episode,
             vt,
-            arrival_vts,
             all_wns,
         });
         self.episode += 1;
         ArriveOutcome::Complete(release)
     }
 
-    /// Restore the manager's episode counter and last completed episode from
-    /// mirrored records (manager recovery). `last_all_wns` is a conservative
-    /// superset of the last episode's write notices (extras are harmless:
-    /// receivers skip notices their timestamp already covers); `arrival_vts`
-    /// entries missing from the mirrors may be zero clocks, which only makes
-    /// resent releases carry more notices than strictly needed.
-    pub fn restore(
-        &mut self,
-        episode: u64,
-        last: Option<(VectorClock, Vec<VectorClock>, WnDelta)>,
-    ) {
+    /// Restore the manager's episode counter and last completed episode —
+    /// its joined timestamp and write notices — from logged records
+    /// (manager recovery). The notices may be a conservative superset of the
+    /// episode's: a resend lists only those the re-arrival's clock lacks,
+    /// and receivers skip notices their timestamp already covers.
+    pub fn restore(&mut self, episode: u64, last: Option<(VectorClock, WnDelta)>) {
         self.episode = episode;
         self.arrivals.clear();
-        self.last = last.map(|(vt, arrival_vts, all_wns)| CompletedEpisode {
+        self.last = last.map(|(vt, all_wns)| CompletedEpisode {
             episode: episode.saturating_sub(1),
-            arrival_vts,
             vt,
             all_wns,
         });
@@ -290,19 +279,40 @@ mod tests {
         };
         // Node 1 crashed before receiving the release and re-arrives.
         let out = b.arrive(arrival(1, 0, vec![0, 1], vec![]));
-        let ArriveOutcome::Resend { proc, release } = out else {
+        let ArriveOutcome::Resend {
+            proc,
+            episode,
+            vt,
+            wns,
+        } = out
+        else {
             panic!("expected resend")
         };
-        assert_eq!(proc, 1);
-        assert_eq!(release.episode, 0);
-        assert_eq!(release.vt.as_slice(), &[1, 1]);
-        assert_eq!(release.per_proc_wns[1].len(), 1);
-        assert!(release.per_proc_wns[0].is_empty());
+        assert_eq!((proc, episode), (1, 0));
+        assert_eq!(vt.as_slice(), &[1, 1]);
+        assert_eq!(wns.len(), 1);
         // The current episode is still open for new arrivals.
         assert_eq!(
             b.arrive(arrival(0, 1, vec![2, 1], vec![])),
             ArriveOutcome::Pending
         );
+    }
+
+    #[test]
+    fn a_resend_after_a_restore_lists_only_what_the_rearrival_lacks() {
+        // A restored manager knows episode 0's joined clock and a superset
+        // of its notices: node 0's intervals 1 and 2, node 2's 1.
+        let mut b = BarrierManager::new(3);
+        let all = vec![wn(0, 1, &[4]), wn(0, 2, &[5]), wn(2, 1, &[6])];
+        b.restore(1, Some((VectorClock::from_vec(vec![2, 3, 1]), all.into())));
+        // Node 1 re-arrives having seen node 0's interval 1.
+        let out = b.arrive(arrival(1, 0, vec![1, 3, 0], vec![]));
+        let ArriveOutcome::Resend { proc, wns, .. } = out else {
+            panic!("expected resend")
+        };
+        let listed: Vec<_> = wns.iter().map(|w| w.interval).collect();
+        let lacks = [Interval { proc: 0, seq: 2 }, Interval { proc: 2, seq: 1 }];
+        assert_eq!((proc, listed), (1, lacks.to_vec()));
     }
 
     #[test]
