@@ -127,6 +127,7 @@ fn do_table3(scale: &Scale) {
             "% incr",
             "Log (s)",
             "Disk (s)",
+            "Disk busy (s)",
             "% overh",
         ],
         &rows
@@ -141,6 +142,7 @@ fn do_table3(scale: &Scale) {
                     format!("{:.1}", r.increase_pct),
                     format!("{:.3}", r.logging_s),
                     format!("{:.3}", r.disk_s),
+                    format!("{:.3}", r.disk_busy_s),
                     format!("{:.2}", r.overhead_pct),
                 ]
             })

@@ -201,8 +201,12 @@ pub struct Table3Row {
     pub increase_pct: f64,
     /// Per-node average logging/trimming time in seconds.
     pub logging_s: f64,
-    /// Per-node average modeled disk-write time in seconds.
+    /// Per-node average time the application waited for its disk, in
+    /// seconds: a barrier, a checkpoint that fell due or the end of the run
+    /// found the last checkpoint still being written.
     pub disk_s: f64,
+    /// Per-node average modeled time the disk was busy writing, in seconds.
+    pub disk_busy_s: f64,
     /// Control traffic as a percentage of base traffic.
     pub overhead_pct: f64,
 }
@@ -230,6 +234,12 @@ pub fn table3(scale: &Scale) -> Vec<Table3Row> {
                 .map(|x| secs(x.breakdown.disk_write))
                 .sum::<f64>()
                 / n;
+            let disk_busy: f64 = ft
+                .nodes
+                .iter()
+                .map(|x| secs(x.ft.store.write_time))
+                .sum::<f64>()
+                / n;
             Table3Row {
                 app: app.name(),
                 policy_l: app.policy_l(),
@@ -239,6 +249,7 @@ pub fn table3(scale: &Scale) -> Vec<Table3Row> {
                 increase_pct: 100.0 * (ft_s - base_s) / base_s,
                 logging_s: logging,
                 disk_s: disk,
+                disk_busy_s: disk_busy,
                 overhead_pct: 100.0 * (logging + disk) / base_s,
             }
         })

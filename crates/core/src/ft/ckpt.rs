@@ -10,14 +10,32 @@
 //! Every blob is complete: it holds every homed page, so a restart reads
 //! the newest blob alone and a recovering peer's starting copy is read from
 //! one blob.
+//!
+//! A checkpoint is taken in two steps. [`take_checkpoint`] *captures* it at
+//! a safe point: it trims what the peers' checkpoints allow, encodes the
+//! blob and the appended log segment, and hands both to the node's disk,
+//! which is busy with them for their modeled write time while the node
+//! computes on. [`publish_written`] *publishes* it at the node's first
+//! synchronization operation once the disk is done — a barrier waits for
+//! the disk, so its release's gossip carries the checkpoint: the segments
+//! reach stable storage and only then is the checkpoint advertised and what
+//! it makes unneeded trimmed and collected. A crash in between loses the
+//! capture, and the node restarts from the checkpoint before it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
 
-use dsm_page::{PageId, ProcId, VectorClock};
+use dsm_page::{elementwise_min, PageId, ProcId, VectorClock};
 use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
+use dsm_trace::{EventKind, NodeTracer, TrimRule};
 use hlrc::LockId;
 
+use super::logs::LogSave;
+use super::FtState;
 use crate::msg::CkptStamp;
+use crate::runtime::node::NodeState;
+use crate::stats::Breakdown;
 use crate::wire;
 
 /// A decoded checkpoint.
@@ -211,18 +229,37 @@ impl CheckpointBlob {
 pub(crate) struct RetainedCkpt {
     pub seq: u64,
     pub versions: HashMap<PageId, VectorClock>,
+    /// The join of `versions`, when there is a page: a clock covers every
+    /// page's version exactly when it covers this one.
+    newest: Option<VectorClock>,
 }
 
 impl RetainedCkpt {
+    pub(crate) fn new(seq: u64, versions: HashMap<PageId, VectorClock>) -> Self {
+        let newest = versions.values().cloned().reduce(|mut all, v| {
+            all.join(&v);
+            all
+        });
+        RetainedCkpt {
+            seq,
+            versions,
+            newest,
+        }
+    }
+
     /// The index entry of `blob`. Taking a checkpoint and rebuilding the
     /// window after a restart both index blobs here, so the two cannot
     /// disagree.
     pub(crate) fn of(blob: &CheckpointBlob) -> Self {
         let versions = blob.home_pages.iter().map(|(p, v, _)| (*p, v.clone()));
-        RetainedCkpt {
-            seq: blob.seq,
-            versions: versions.collect(),
-        }
+        RetainedCkpt::new(blob.seq, versions.collect())
+    }
+
+    /// Does `clock` cover the version of every page this checkpoint holds?
+    /// Then the checkpoint is a starting copy for a process that restarts
+    /// at `clock` or later.
+    pub(crate) fn covered_by(&self, clock: &VectorClock) -> bool {
+        self.newest.as_ref().is_none_or(|v| clock.covers(v))
     }
 }
 
@@ -245,6 +282,227 @@ pub(crate) fn restart_image(store: &StableStore, n: usize) -> (CheckpointBlob, V
     let window = blobs.iter().map(RetainedCkpt::of).collect();
     let image = blobs.pop().unwrap_or_else(|| CheckpointBlob::genesis(n));
     (image, window)
+}
+
+/// A captured checkpoint whose segments the disk is still writing.
+#[derive(Debug, PartialEq)]
+pub(crate) struct InFlight {
+    /// When the disk is done with both segments.
+    pub(crate) done_at: Instant,
+    /// When the capture began: where the `CkptEnd` span starts.
+    began: Instant,
+    /// The checkpoint as its node advertises it once published.
+    stamp: CkptStamp,
+    /// Its entry in the retained window.
+    index: RetainedCkpt,
+    /// The encoded blob.
+    blob: Vec<u8>,
+    /// The appended log segment.
+    log: LogSave,
+}
+
+/// Capture an independent checkpoint on the application thread, at a safe
+/// point: the interval closed, the outbox drained, the disk idle.
+///
+/// `app_state` is the encoded private state at step `step`. The trims whose
+/// bounds are the peers' checkpoints run here and are charged to `bd`; the
+/// blob and the log segment go to the disk, and [`publish_written`] makes
+/// them stable when it is done — at once on a disk that takes no time.
+pub(crate) fn take_checkpoint(
+    st: &mut NodeState,
+    step: u64,
+    app_state: Vec<u8>,
+    bd: &mut Breakdown,
+) {
+    // The caller has closed the interval (and charged it): the checkpoint
+    // has no twins and the saved diff logs include everything up to T_ckp.
+    debug_assert!(!st.pt.has_writes(), "checkpoint inside an open interval");
+
+    let me = st.me;
+    let began = Instant::now();
+    let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
+    debug_assert!(ft.inflight.is_none(), "checkpoint while the disk is busy");
+    let seq = ft.stamps[me].seq + 1;
+    st.tracer.emit(EventKind::CkptBegin {
+        seq,
+        outbox: st.ft.diffs.depth() as u32,
+    });
+
+    // --- assemble the blob: every homed page -------------------------------
+    let snapshot = |p| {
+        let (version, bytes) = st.pt.home_snapshot(p);
+        (p, version, bytes.to_vec())
+    };
+    let home_pages = st.pt.homed_pages().map(snapshot).collect();
+    let ft = st.ft.state.as_mut().expect("checkpoint without FT enabled");
+    let mut blob = CheckpointBlob {
+        seq,
+        tckp: st.vt.clone(),
+        step,
+        app_state,
+        needed: st.pt.needed_triples(),
+        home_pages,
+        ..CheckpointBlob::genesis(st.n)
+    };
+    st.sync.save_into(&mut blob);
+
+    // --- trim what the peers' checkpoints allow (Rules 1 and 3, LLT) --------
+    // Read the volatile log size (a running count) around each rule so
+    // every `LogTrim` event carries the bytes that rule actually freed.
+    let mut vb = ft.logs.volatile_bytes();
+    let mut note_trim = |ft: &FtState, tracer: &NodeTracer, rule: TrimRule| {
+        let now = ft.logs.volatile_bytes();
+        if now < vb {
+            tracer.emit(EventKind::LogTrim {
+                rule,
+                bytes: vb - now,
+            });
+        }
+        vb = now;
+    };
+    // Rule 1 bound: min over peers of their checkpointed knowledge of us.
+    let rule1_bound = ft.peer_stamps(me).map(|s| s.tckp.get(me)).min();
+    ft.logs.trim_rule1(rule1_bound.unwrap_or(0));
+    note_trim(ft, &st.tracer, TrimRule::Rule1);
+    // Rule 3 for remote-homed pages uses lazily learned p0.v; for our own
+    // homed pages we know the oldest retained copy exactly — gated, like
+    // the piggyback, on Tmin covering that whole checkpoint (otherwise a
+    // peer may need to start from the virtual zero copy and every diff
+    // must stay).
+    let mut p0v = ft.p0v_known.clone();
+    if let (Some(tmin), Some(oldest)) = (ft.tmin_peers(me), ft.retained.first()) {
+        for page in oldest.versions.keys() {
+            if let Some(v) = ft.cover_version(&tmin, *page) {
+                p0v.insert(*page, v.get(me));
+            }
+        }
+    }
+    ft.logs.trim_rule3(&p0v);
+    note_trim(ft, &st.tracer, TrimRule::Rule3);
+    let log = ft.logs.save(st.vt.get(me));
+    bd.logging += began.elapsed();
+
+    // --- hand both segments to the disk -------------------------------------
+    let blob_bytes = blob.encode();
+    let disk = ft.store.disk();
+    let busy = disk.busy_time(log.bytes.len() as u64) + disk.busy_time(blob_bytes.len() as u64);
+    ft.inflight = Some(InFlight {
+        done_at: Instant::now() + busy,
+        began,
+        stamp: blob.stamp(),
+        index: RetainedCkpt::of(&blob),
+        blob: blob_bytes,
+        log,
+    });
+    ft.ckpt_due = false;
+    publish_written(st);
+}
+
+/// Publish the checkpoint in flight if the disk is done with it: its
+/// segments reach stable storage, log first — a restart reads only the
+/// segments of a checkpoint whose blob is written — and only then does the
+/// node advertise it, trim what its own checkpoint bounds and collect the
+/// checkpoints and log segments no one needs any more.
+pub(crate) fn publish_written(st: &mut NodeState) {
+    let me = st.me;
+    let Some(ft) = st.ft.state.as_mut() else {
+        return;
+    };
+    if (ft.inflight.as_ref()).is_none_or(|w| w.done_at > Instant::now()) {
+        return;
+    }
+    let InFlight {
+        began,
+        stamp,
+        index,
+        blob,
+        log,
+        ..
+    } = ft.inflight.take().expect("checked above");
+    let seq = stamp.seq;
+    let ckpt_bytes = (blob.len() + log.bytes.len()) as u64;
+
+    // --- write to stable storage, then advertise -----------------------------
+    ft.stable_log.append(&ft.store, seq, log.bytes, log.span);
+    ft.store.write_segment(SegmentKind::Checkpoint, seq, blob);
+    ft.report.log_bytes_saved += log.entry_bytes;
+    ft.stamps[me] = stamp;
+
+    // --- trim what the own checkpoint bounds ---------------------------------
+    // Rule 2 (the grant mirror against the own stamp), the barrier log and
+    // the write-notice table: every process has checkpointed past the
+    // elementwise minimum of the checkpoint timestamps, so no future grant
+    // or recovery can need notices at or below it.
+    ft.logs.trim_rule2(&ft.stamps);
+    let min_ckpt_episode = ft.stamps.iter().map(|s| s.episode).min();
+    ft.logs.trim_bar(min_ckpt_episode.unwrap_or(0));
+    if let Some(bound) = elementwise_min(ft.stamps.iter().map(|s| &s.tckp)) {
+        st.wn_table.trim_covered_by(&bound);
+    }
+
+    // --- update the window and run CGC ----------------------------------------
+    ft.retained.push(index);
+    collect_checkpoints(ft, me, &st.tracer);
+    // Once the blob is written, the segments the new bounds keep nothing of
+    // go.
+    ft.stable_log.collect(&ft.store, &log.bounds);
+
+    // --- bookkeeping and statistics ------------------------------------------
+    ft.piggy_sent = vec![u64::MAX; st.n];
+    ft.report.ckpts_taken += 1;
+    ft.report.max_ckpt_window = ft.report.max_ckpt_window.max(ft.retained.len());
+    let live_log = ft.store.live_bytes(SegmentKind::Log);
+    ft.report.max_stable_log_bytes = ft.report.max_stable_log_bytes.max(live_log);
+    ft.report.stable_log_curve.push((seq, live_log));
+    st.hists
+        .ckpt_write
+        .record(began.elapsed().as_nanos() as u64);
+    st.tracer.emit_span(
+        EventKind::CkptEnd {
+            seq,
+            bytes: ckpt_bytes,
+        },
+        began,
+    );
+}
+
+/// CGC, with exact per-peer retention (a refinement of Rule 3's window):
+/// keep, for every peer j, the newest retained copy whose versions j's
+/// restart checkpoint covers (j's maximal starting copy), plus the latest
+/// checkpoint. A peer with no covered copy recovers from the virtual
+/// initial zero copy, which is always available — in that case the `p0.v`
+/// piggyback is suppressed (see `FtState::cover_version`) so writers keep
+/// every diff.
+fn collect_checkpoints(ft: &mut FtState, me: ProcId, tracer: &NodeTracer) {
+    let last = ft.retained.len() - 1;
+    let mut needed = vec![false; ft.retained.len()];
+    needed[last] = true;
+    for stamp in ft.peer_stamps(me) {
+        // Page versions are monotone in checkpoint order, so the covered
+        // prefix is contiguous.
+        let covered = (ft.retained.iter())
+            .take_while(|rc| rc.covered_by(&stamp.tckp))
+            .count();
+        if covered > 0 {
+            needed[covered - 1] = true;
+        }
+    }
+    let mut k = 0;
+    let store = Arc::clone(&ft.store);
+    ft.retained.retain(|rc| {
+        let keep = needed[k];
+        if !keep {
+            if tracer.enabled() {
+                let bytes = store
+                    .segment_len(SegmentKind::Checkpoint, rc.seq)
+                    .unwrap_or(0);
+                tracer.emit(EventKind::CgcDiscard { seq: rc.seq, bytes });
+            }
+            store.delete_segment(SegmentKind::Checkpoint, rc.seq);
+        }
+        k += 1;
+        keep
+    });
 }
 
 #[cfg(test)]
@@ -362,6 +620,102 @@ mod tests {
         assert_eq!(window[1].seq, 2);
         assert_eq!(window[1].versions[&PageId(3)], vt(&[1, 0, 1]));
         assert_eq!(load_blob(&store, 1), blobs[0]);
+    }
+
+    /// Node 0 of 2 homing one page, checkpointing at `OF(0)` on `disk`.
+    fn node_on(disk: dsm_storage::DiskModel) -> NodeState {
+        use crate::config::CkptPolicy;
+        let (_fabric, endpoints) = dsm_net::Fabric::<crate::msg::Msg>::new(2);
+        let ep = Arc::new(endpoints.into_iter().next().unwrap());
+        let store = Arc::new(StableStore::new(disk));
+        let policy = CkptPolicy::LogOverflow { l: 0.0 };
+        let ft = FtState::new(0, 2, policy, store);
+        let mut st = NodeState::new(0, 2, 256, ep, Some(ft), NodeTracer::disabled(), None);
+        st.pt.add_page(0);
+        st
+    }
+
+    /// One logged interval on the homed page, then a release's policy check.
+    fn interval(st: &mut NodeState, byte: u8) {
+        st.pt.write(PageId(0), 8, &[byte]);
+        st.close_interval(&mut Breakdown::default());
+        st.ft.policy_check(st.shared_bytes(), None);
+    }
+
+    /// What a run of checkpoints leaves: the report, the retained window
+    /// and the store's live segments.
+    fn outcome(st: &NodeState) -> (crate::stats::FtReport, Vec<u64>, Vec<u64>) {
+        let ft = st.ft.state.as_ref().unwrap();
+        let window = ft.retained.iter().map(|rc| rc.seq).collect();
+        let mut report = st.ft.report();
+        report.store.write_time = std::time::Duration::ZERO;
+        (report, window, ft.store.segment_ids(SegmentKind::Log))
+    }
+
+    /// The disk is never written twice at once. Three checkpoints at `OF(0)`
+    /// on a disk busy 20 ms a write: while one is in flight it is neither on
+    /// the store nor advertised, and `OF(L)` latches nothing however far the
+    /// log grows; one that falls due meanwhile waits for the disk, so seq k
+    /// publishes before k + 1. The report, `Wmax` and the retained window
+    /// are those of an instant disk.
+    #[test]
+    fn one_checkpoint_is_on_the_disk_at_a_time_and_they_publish_in_order() {
+        use dsm_storage::{DiskMode, DiskModel};
+        let busy = DiskModel {
+            latency: std::time::Duration::from_millis(20),
+            ..DiskModel::scsi_1999(1.0, DiskMode::Stall)
+        };
+        let run = |disk: DiskModel| {
+            let (mut st, mut waits) = (node_on(disk), 0);
+            for k in 1..=3u8 {
+                interval(&mut st, k);
+                assert!(st.ft.ckpt_due_at_step(1), "an idle disk: OF(L) latches");
+                take_checkpoint(&mut st, k.into(), Vec::new(), &mut Breakdown::default());
+                assert!(!st.ft.ckpt_due_at_step(1), "a capture clears the latch");
+                interval(&mut st, k + 10);
+                let ft = st.ft.state.as_ref().unwrap();
+                let published = ft.store.segment_ids(SegmentKind::Checkpoint);
+                if let Some(done_at) = st.ft.disk_busy_until() {
+                    assert!(!st.ft.ckpt_due_at_step(1), "OF(L) latched in flight");
+                    assert_eq!(ft.stamps[0].seq, u64::from(k) - 1, "advertised early");
+                    assert!(!published.contains(&k.into()), "stable early");
+                    // Due now, it waits: nothing publishes before the disk
+                    // is done, then seq k does.
+                    st.ft.request_checkpoint();
+                    publish_written(&mut st);
+                    assert_eq!(st.ft.disk_busy_until(), Some(done_at));
+                    std::thread::sleep(done_at.saturating_duration_since(Instant::now()));
+                    publish_written(&mut st);
+                    assert_eq!(st.ft.disk_busy_until(), None);
+                    waits += 1;
+                } else {
+                    assert!(st.ft.ckpt_due_at_step(1), "no write in flight");
+                }
+                let ft = st.ft.state.as_mut().unwrap();
+                assert_eq!(ft.stamps[0].seq, u64::from(k));
+                if k == 1 {
+                    // Peer 1 checkpointed past checkpoint 1's copy: CGC
+                    // keeps it as 1's starting copy from now on.
+                    ft.stamps[1] = CkptStamp {
+                        seq: 1,
+                        episode: 0,
+                        tckp: ft.stamps[0].tckp.clone(),
+                    };
+                }
+            }
+            (outcome(&st), waits)
+        };
+        let (on_busy, waits) = run(busy);
+        assert_eq!(waits, 3, "every checkpoint was in flight a while");
+        assert_eq!((on_busy.clone(), 0), run(DiskModel::instant()));
+        let (report, window, _) = on_busy;
+        let seqs: Vec<u64> = report
+            .stable_log_curve
+            .iter()
+            .map(|&(seq, _)| seq)
+            .collect();
+        assert_eq!((seqs, window), (vec![1, 2, 3], vec![1, 3]));
+        assert_eq!(report.max_ckpt_window, 2);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use dsm_page::{PageId, ProcId, VectorClock};
 use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
@@ -480,7 +479,7 @@ impl SegmentSpan {
 }
 
 /// One checkpoint's log save ([`VolatileLogs::save`]).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct LogSave {
     /// The segment's bytes.
     pub bytes: Vec<u8>,
@@ -502,16 +501,9 @@ pub struct StableLog {
 impl StableLog {
     /// Write checkpoint `id`'s segment — before the checkpoint's blob, so a
     /// checkpoint torn between the two leaves a segment no restart reads.
-    /// Returns the modeled disk time.
-    pub fn append(
-        &mut self,
-        store: &StableStore,
-        id: u64,
-        bytes: Vec<u8>,
-        span: SegmentSpan,
-    ) -> Duration {
+    pub fn append(&mut self, store: &StableStore, id: u64, bytes: Vec<u8>, span: SegmentSpan) {
         self.live.push((id, span));
-        store.write_segment(SegmentKind::Log, id, bytes)
+        store.write_segment(SegmentKind::Log, id, bytes);
     }
 
     /// Once the newest checkpoint's blob is written, delete every older
@@ -668,8 +660,9 @@ mod tests {
         (logs, stable)
     }
 
-    /// Save `l` as checkpoint `id` at own interval `through`, the way
-    /// `take_checkpoint` does: segment, then GC under the new bounds.
+    /// Save `l` as checkpoint `id` at own interval `through`, the way a
+    /// checkpoint's capture and publish do: segment, then GC under the new
+    /// bounds.
     fn checkpoint(
         l: &mut VolatileLogs,
         stable: &mut StableLog,

@@ -5,7 +5,8 @@
 //! made for every message out and absorbed from every message in, a log hook
 //! ([`FtSvc::logs`]) the protocol writes its intervals, grants and barrier
 //! crossings through, the retry layer's diff outbox with the `DiffAck` kind,
-//! and the checkpoint a safe point takes.
+//! and the checkpoint a safe point captures and a later operation publishes
+//! ([`ckpt`]).
 
 pub mod ckpt;
 pub mod logs;
@@ -17,16 +18,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsm_page::{elementwise_min, Diff, PageId, ProcId, VectorClock};
-use dsm_storage::{SegmentKind, StableStore};
-use dsm_trace::{EventKind, TrimRule};
+use dsm_storage::StableStore;
 use hlrc::PageTable;
 
 use crate::config::CkptPolicy;
 use crate::msg::{CkptStamp, Payload, Piggy};
 use crate::runtime::node::NodeState;
-use crate::stats::{Breakdown, FtReport};
-use ckpt::{CheckpointBlob, RetainedCkpt};
-use logs::{LogSave, StableLog, VolatileLogs};
+use crate::stats::FtReport;
+pub(crate) use ckpt::{publish_written, take_checkpoint};
+use ckpt::{CheckpointBlob, InFlight, RetainedCkpt};
+use logs::{StableLog, VolatileLogs};
 use outbox::DiffOutbox;
 pub(crate) use outbox::SeqBatch;
 
@@ -56,6 +57,9 @@ pub(crate) struct FtState {
     p0v_sent: HashMap<(PageId, ProcId), u32>,
     /// Latched "checkpoint at next safe point" flag.
     ckpt_due: bool,
+    /// The checkpoint captured and not yet published: the disk is still
+    /// writing it, so it is neither on `store` nor advertised.
+    inflight: Option<InFlight>,
     /// Statistics.
     report: FtReport,
 }
@@ -74,6 +78,7 @@ impl FtState {
             piggy_sent: vec![u64::MAX; n],
             p0v_sent: HashMap::new(),
             ckpt_due: false,
+            inflight: None,
             report: FtReport::default(),
         }
     }
@@ -107,6 +112,7 @@ impl FtState {
         self.p0v_sent.clear();
         self.piggy_sent = vec![u64::MAX; n];
         self.ckpt_due = false;
+        self.inflight = None;
     }
 
     /// The gossip table: everything this node knows about everyone's last
@@ -131,12 +137,17 @@ impl FtState {
     /// Rule 3's gate: the version of `page` in the oldest retained
     /// checkpoint — the `p0.v` the CGC rule pins, which bounds every
     /// writer's diff log — but only when `tmin` ([`FtState::tmin_peers`])
-    /// covers it. Otherwise some peer's recovery may need to start from the
-    /// virtual initial (zero) copy, so no diff may be trimmed and nothing is
+    /// covers that whole checkpoint. CGC keeps, for every peer, the newest
+    /// retained checkpoint the peer's stamp covers whole, so only then does
+    /// every peer's restart find a copy of each page at least this new.
+    /// Otherwise some peer's recovery may start a page from the virtual
+    /// initial (zero) copy, so no diff may be trimmed and nothing is
     /// advertised.
     fn cover_version(&self, tmin: &VectorClock, page: PageId) -> Option<&VectorClock> {
-        let v = self.retained.first()?.versions.get(&page)?;
-        tmin.covers(v).then_some(v)
+        let oldest = self.retained.first()?;
+        oldest
+            .covered_by(tmin)
+            .then(|| oldest.versions.get(&page))?
     }
 
     /// The `p0.v` hints for a message to `to`: the bound of each page of
@@ -214,10 +225,15 @@ impl FtSvc {
     }
 
     /// Fail-stop: the queued diff batches are lost (replay regenerates the
-    /// diffs, under new sequence numbers). The volatile half of the FT state
-    /// is overwritten from stable storage by [`FtSvc::restart_from`].
+    /// diffs, under new sequence numbers), and so is the checkpoint the disk
+    /// was still writing — the restart reads the one before it. The volatile
+    /// half of the FT state is overwritten from stable storage by
+    /// [`FtSvc::restart_from`].
     pub(crate) fn fail_stop(&mut self) {
         self.diffs.clear();
+        if let Some(ft) = &mut self.state {
+            ft.inflight = None;
+        }
     }
 
     /// Restart (see [`FtState::restart_from`]).
@@ -321,7 +337,9 @@ impl FtSvc {
 
     /// Evaluate the checkpoint policy at a synchronization point — after a
     /// release, or after crossing barrier `crossed` — with `footprint` bytes
-    /// of shared memory allocated.
+    /// of shared memory allocated. `OF(L)` latches nothing while a
+    /// checkpoint is in flight: a second one, on the log the first has not
+    /// trimmed yet, would only wait for the disk.
     pub(crate) fn policy_check(&mut self, footprint: u64, crossed: Option<u64>) {
         let Some(ft) = &mut self.state else {
             return;
@@ -329,7 +347,8 @@ impl FtSvc {
         ft.ckpt_due |= match ft.policy {
             CkptPolicy::LogOverflow { l } => {
                 let limit = (l * footprint as f64) as u64;
-                footprint > 0 && ft.logs.volatile_bytes() > limit
+                let over = footprint > 0 && ft.logs.volatile_bytes() > limit;
+                over && ft.inflight.is_none()
             }
             CkptPolicy::AtBarrier(k) => {
                 crossed.is_some_and(|episode| k > 0 && (episode + 1).is_multiple_of(k))
@@ -352,6 +371,12 @@ impl FtSvc {
             }
             CkptPolicy::Never => false,
         }
+    }
+
+    /// When the disk is done with the checkpoint in flight, if there is one.
+    pub(crate) fn disk_busy_until(&self) -> Option<Instant> {
+        let ft = self.state.as_ref()?;
+        ft.inflight.as_ref().map(|w| w.done_at)
     }
 
     /// Diff batches queued and not yet acknowledged.
@@ -422,185 +447,6 @@ pub(crate) fn on_diff_ack(st: &mut NodeState, home: ProcId, seq: u64) {
     }
 }
 
-/// Take an independent checkpoint on the application thread.
-///
-/// `app_state` is the encoded private state at step `step`. The logging and
-/// trimming time and the modeled disk time are charged to `bd`.
-pub(crate) fn take_checkpoint(
-    st: &mut NodeState,
-    step: u64,
-    app_state: Vec<u8>,
-    bd: &mut Breakdown,
-) {
-    // The caller has closed the interval (and charged it): the checkpoint
-    // has no twins and the saved diff logs include everything up to T_ckp.
-    debug_assert!(!st.pt.has_writes(), "checkpoint inside an open interval");
-
-    let me = st.me;
-    let n = st.n;
-    let tracing = st.tracer.enabled();
-    let t_ckpt = Instant::now();
-    let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
-    let seq = ft.stamps[me].seq + 1;
-    st.tracer.emit(EventKind::CkptBegin {
-        seq,
-        outbox: st.ft.diffs.depth() as u32,
-    });
-    let t_log = Instant::now();
-
-    // --- assemble the blob: every homed page -------------------------------
-    let snapshot = |p| {
-        let (version, bytes) = st.pt.home_snapshot(p);
-        (p, version, bytes.to_vec())
-    };
-    let home_pages = st.pt.homed_pages().map(snapshot).collect();
-    let ft = st.ft.state.as_mut().expect("checkpoint without FT enabled");
-    let mut blob = CheckpointBlob {
-        seq,
-        tckp: st.vt.clone(),
-        step,
-        app_state,
-        needed: st.pt.needed_triples(),
-        home_pages,
-        ..CheckpointBlob::genesis(n)
-    };
-    st.sync.save_into(&mut blob);
-    ft.stamps[me] = blob.stamp();
-
-    // --- trim logs (LLT + Rules 1/2 + barrier analogue) --------------------
-    // Read the volatile log size (a running count) around each rule so
-    // every `LogTrim` event carries the bytes that rule actually freed.
-    let mut vb = ft.logs.volatile_bytes();
-    let mut note_trim = |ft: &FtState, tracer: &dsm_trace::NodeTracer, rule: TrimRule| {
-        let now = ft.logs.volatile_bytes();
-        if now < vb {
-            tracer.emit(EventKind::LogTrim {
-                rule,
-                bytes: vb - now,
-            });
-        }
-        vb = now;
-    };
-    // Rule 1 bound: min over peers of their checkpointed knowledge of us.
-    let rule1_bound = ft.peer_stamps(me).map(|s| s.tckp.get(me)).min();
-    ft.logs.trim_rule1(rule1_bound.unwrap_or(0));
-    note_trim(ft, &st.tracer, TrimRule::Rule1);
-    ft.logs.trim_rule2(&ft.stamps);
-    note_trim(ft, &st.tracer, TrimRule::Rule2);
-    // Rule 3 for remote-homed pages uses lazily learned p0.v; for our own
-    // homed pages we know the oldest retained copy exactly — gated, like
-    // the piggyback, on Tmin covering it (otherwise a peer may need to
-    // start from the virtual zero copy and every diff must stay).
-    let mut p0v = ft.p0v_known.clone();
-    if let (Some(tmin), Some(oldest)) = (ft.tmin_peers(me), ft.retained.first()) {
-        for page in oldest.versions.keys() {
-            if let Some(v) = ft.cover_version(&tmin, *page) {
-                p0v.insert(*page, v.get(me));
-            }
-        }
-    }
-    ft.logs.trim_rule3(&p0v);
-    note_trim(ft, &st.tracer, TrimRule::Rule3);
-    let min_ckpt_episode = ft.stamps.iter().map(|s| s.episode).min();
-    ft.logs.trim_bar(min_ckpt_episode.unwrap_or(0));
-    note_trim(ft, &st.tracer, TrimRule::Barrier);
-    let LogSave {
-        bytes: log_bytes,
-        bounds,
-        span,
-        entry_bytes,
-    } = ft.logs.save(st.vt.get(me));
-    bd.logging += t_log.elapsed();
-
-    // --- write to stable storage -------------------------------------------
-    // The log segment goes first: a restart reads only the segments of a
-    // checkpoint whose blob is written. Once the blob is, the segments the
-    // new bounds keep nothing of go.
-    let encoded = blob.encode();
-    let ckpt_bytes = (encoded.len() + log_bytes.len()) as u64;
-    let d_log = ft.stable_log.append(&ft.store, seq, log_bytes, span);
-    let d_blob = ft
-        .store
-        .write_segment(SegmentKind::Checkpoint, seq, encoded);
-    ft.stable_log.collect(&ft.store, &bounds);
-    ft.report.log_bytes_saved += entry_bytes;
-    bd.disk_write += d_log + d_blob;
-
-    // --- update window and run CGC ------------------------------------------
-    ft.retained.push(RetainedCkpt::of(&blob));
-    // Exact per-peer retention (a refinement of Rule 3's window): keep, for
-    // every peer j, the newest retained copy whose versions j's restart
-    // checkpoint covers (j's maximal starting copy), plus the latest
-    // checkpoint. A peer with no covered copy recovers from the virtual
-    // initial zero copy, which is always available — in that case the
-    // `p0.v` piggyback is suppressed (see `cover_version`) so writers keep
-    // every diff.
-    {
-        let last = ft.retained.len() - 1;
-        let mut needed = vec![false; ft.retained.len()];
-        needed[last] = true;
-        for j in (0..n).filter(|&j| j != me) {
-            let mut found = None;
-            for (k, rc) in ft.retained.iter().enumerate() {
-                // Page versions are monotone in checkpoint order, so the
-                // covered prefix is contiguous.
-                if rc.versions.values().all(|v| ft.stamps[j].tckp.covers(v)) {
-                    found = Some(k);
-                } else {
-                    break;
-                }
-            }
-            if let Some(k) = found {
-                needed[k] = true;
-            }
-        }
-        let mut k = 0;
-        let store = Arc::clone(&ft.store);
-        let tracer = st.tracer.clone();
-        ft.retained.retain(|rc| {
-            let keep = needed[k];
-            if !keep {
-                if tracing {
-                    let bytes = store
-                        .segment_len(SegmentKind::Checkpoint, rc.seq)
-                        .unwrap_or(0);
-                    tracer.emit(EventKind::CgcDiscard { seq: rc.seq, bytes });
-                }
-                store.delete_segment(SegmentKind::Checkpoint, rc.seq);
-            }
-            k += 1;
-            keep
-        });
-    }
-
-    // --- bookkeeping and statistics ------------------------------------------
-    ft.piggy_sent = vec![u64::MAX; n];
-    ft.ckpt_due = false;
-    ft.report.ckpts_taken += 1;
-    ft.report.max_ckpt_window = ft.report.max_ckpt_window.max(ft.retained.len());
-    let live_log = ft.store.live_bytes(SegmentKind::Log);
-    ft.report.max_stable_log_bytes = ft.report.max_stable_log_bytes.max(live_log);
-    ft.report.stable_log_curve.push((seq, live_log));
-
-    // Bound the write-notice table: every process has checkpointed past the
-    // elementwise minimum of the checkpoint timestamps, so no future grant
-    // or recovery can need notices at or below it.
-    if let Some(bound) = elementwise_min(ft.stamps.iter().map(|s| &s.tckp)) {
-        st.wn_table.trim_covered_by(&bound);
-    }
-
-    st.hists
-        .ckpt_write
-        .record(t_ckpt.elapsed().as_nanos() as u64);
-    st.tracer.emit_span(
-        EventKind::CkptEnd {
-            seq,
-            bytes: ckpt_bytes,
-        },
-        t_ckpt,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,7 +460,7 @@ mod tests {
         let tckp = VectorClock::from_vec(tckp.to_vec());
         CkptStamp {
             seq,
-            episode: seq * 10,
+            episode: seq.saturating_mul(10),
             tckp,
         }
     }
@@ -660,10 +506,7 @@ mod tests {
         }
         assert!(pt.home_apply_diff(&diff_of(0, 2, 1)));
         let versions = (0..pages).map(|p| (PageId(p), pt.home_version(PageId(p))));
-        let retained = RetainedCkpt {
-            seq: 1,
-            versions: versions.collect(),
-        };
+        let retained = RetainedCkpt::new(1, versions.collect());
         fn state(ft: &mut FtSvc) -> &mut FtState {
             ft.state.as_mut().unwrap()
         }
@@ -675,6 +518,11 @@ mod tests {
 
         // Tmin is zero: a peer may restart from the zero copy, so no writer
         // is told it may trim.
+        assert!(hints(&mut ft, 1).is_empty() && hints(&mut ft, 2).is_empty());
+        // Tmin covers every page's copy but page 0's: CGC may drop the
+        // checkpoint, and a peer's restart then starts every page from the
+        // zero copy, so still no writer is told anything.
+        state(&mut ft).stamps = vec![stamp(1, &[0, 1, 0]); n];
         assert!(hints(&mut ft, 1).is_empty() && hints(&mut ft, 2).is_empty());
         // Every peer has checkpointed past the copy: node 1 learns the bound
         // of every page it writes, at most a batch a message; node 2 only
@@ -691,9 +539,9 @@ mod tests {
         assert!(hints(&mut ft, 2).is_empty());
         // A higher bound for the same page and writer is news again.
         let ft_state = state(&mut ft);
-        ft_state.retained[0]
-            .versions
-            .insert(PageId(0), vt([0, 2, 1]));
+        let mut versions = ft_state.retained[0].versions.clone();
+        versions.insert(PageId(0), vt([0, 2, 1]));
+        ft_state.retained[0] = RetainedCkpt::new(1, versions);
         ft_state.stamps = vec![stamp(2, &[0, 2, 1]); n];
         assert_eq!(hints(&mut ft, 1), [(PageId(0), 2)]);
         assert!(hints(&mut ft, 2).is_empty());

@@ -464,6 +464,7 @@ impl Process {
     pub fn acquire(&mut self, lock: LockId) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
+        ft::publish_written(&mut st);
         assert!(
             !st.sync.holds(lock),
             "node {} re-acquiring held lock {lock}",
@@ -489,6 +490,7 @@ impl Process {
     pub fn release(&mut self, lock: LockId) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
+        ft::publish_written(&mut st);
         assert!(
             st.sync.holds(lock),
             "node {} releasing unheld lock {lock}",
@@ -502,6 +504,9 @@ impl Process {
     pub fn barrier(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
+        // A checkpoint is advertised by the next barrier: its release's
+        // gossip is how every peer learns it in time to trim against it.
+        self.await_disk(&mut st);
         if st.rec.replaying() {
             if recovery::try_replay_barrier(&mut st, &mut self.breakdown) {
                 return;
@@ -575,6 +580,7 @@ impl Process {
     fn safe_point<S: AppState>(&mut self, step: u64, state: &S) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
+        ft::publish_written(&mut st);
         // No checkpoints while replaying.
         if st.rec.replaying() || !st.ft.ckpt_due_at_step(step) {
             return;
@@ -589,6 +595,9 @@ impl Process {
         let t0 = Instant::now();
         wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
         self.breakdown.logging += waited(&mut st, t0);
+        // One checkpoint on the disk at a time: one that falls due while
+        // the last is still being written waits for it.
+        self.await_disk(&mut st);
         let mut w = ByteWriter::new();
         state.encode(&mut w);
         ft::take_checkpoint(&mut st, step, w.into_bytes(), &mut self.breakdown);
@@ -596,9 +605,26 @@ impl Process {
 
     // ---- lifecycle ----------------------------------------------------------
 
+    /// Wait, with the big lock released, until the disk is done with the
+    /// checkpoint in flight, then publish it. The wait — at a barrier, a
+    /// checkpoint that falls due, or the end of the run — is the
+    /// application's disk stall (`Breakdown::disk_write`).
+    fn await_disk(&mut self, st: &mut MutexGuard<'_, NodeState>) {
+        let Some(done_at) = st.ft.disk_busy_until() else {
+            return;
+        };
+        let t0 = Instant::now();
+        if done_at > t0 {
+            MutexGuard::unlocked(st, || std::thread::sleep(done_at - t0));
+            self.breakdown.disk_write += t0.elapsed();
+        }
+        ft::publish_written(st);
+    }
+
     /// Flush any unsynchronized writes, wait until every home has
     /// acknowledged them (nothing is queued when the retry layer is off) and
-    /// fold this incarnation's breakdown into the node report.
+    /// the disk has the last checkpoint, and fold this incarnation's
+    /// breakdown into the node report.
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
@@ -612,6 +638,7 @@ impl Process {
         // The wait retransmits a batch whose ack is late, as a checkpoint's
         // does (`safe_point`).
         wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
+        self.await_disk(&mut st);
         self.flush_stats(&mut st);
     }
 

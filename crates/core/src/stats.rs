@@ -35,7 +35,9 @@ pub struct Breakdown {
     pub protocol: Duration,
     /// Fault-tolerance logging and trimming work.
     pub logging: Duration,
-    /// Modeled stable-storage write time.
+    /// Waiting for the disk: a barrier, a checkpoint that fell due or the
+    /// end of the run found the last checkpoint still being written. The
+    /// disk's own modeled busy time is `FtReport::store.write_time`.
     pub disk_write: Duration,
 }
 

@@ -2,20 +2,22 @@
 //!
 //! The paper's overhead numbers (Table 3) include the time to write homed
 //! pages and saved logs to a local disk (circa-1999 hardware, roughly
-//! 10-20 MB/s sequential). The simulation charges the writing node a modeled
-//! duration per write; depending on [`DiskMode`] the node either actually
-//! sleeps for that long (so checkpoint stalls interfere with barriers, the
-//! Barnes effect) or the time is only accounted.
+//! 10-20 MB/s sequential). The simulation models a duration per write;
+//! depending on [`DiskMode`] the writing node's disk is busy for that long
+//! (the node goes on computing, and waits only when it needs the disk
+//! again while it is still busy) or the time is only accounted.
 
 use std::time::Duration;
 
-/// Whether modeled disk time stalls the writing node or is only accounted.
+/// Whether modeled disk time keeps the disk busy or is only accounted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskMode {
-    /// Sleep for the modeled duration (default: reproduces interference
-    /// effects between checkpointing and synchronization).
+    /// The disk is busy for the modeled duration ([`DiskModel::busy_time`]):
+    /// a checkpoint is durable only once it passed, and a node waits only
+    /// for a disk that is still busy when it needs it again.
     Stall,
-    /// Only account the duration; no sleeping. Useful in unit tests.
+    /// Only account the duration; the disk is never busy. Useful in unit
+    /// tests.
     AccountOnly,
 }
 
@@ -62,14 +64,13 @@ impl DiskModel {
         Duration::from_secs_f64((secs * self.time_scale).max(0.0))
     }
 
-    /// Charge a write: returns the modeled duration, sleeping for it first
-    /// when in [`DiskMode::Stall`].
-    pub fn charge_write(&self, bytes: u64) -> Duration {
-        let d = self.write_time(bytes);
-        if self.mode == DiskMode::Stall && !d.is_zero() {
-            std::thread::sleep(d);
+    /// How long writing `bytes` bytes keeps the disk busy: the modeled
+    /// duration in [`DiskMode::Stall`], none when it is only accounted.
+    pub fn busy_time(&self, bytes: u64) -> Duration {
+        match self.mode {
+            DiskMode::Stall => self.write_time(bytes),
+            DiskMode::AccountOnly => Duration::ZERO,
         }
-        d
     }
 }
 
@@ -96,18 +97,23 @@ mod tests {
     }
 
     #[test]
-    fn instant_disk_charges_nothing() {
+    fn instant_disk_is_never_busy() {
         let m = DiskModel::instant();
         assert_eq!(m.write_time(1 << 30), Duration::ZERO);
-        assert_eq!(m.charge_write(1 << 30), Duration::ZERO);
+        assert_eq!(m.busy_time(1 << 30), Duration::ZERO);
     }
 
     #[test]
-    fn account_only_does_not_sleep() {
-        let m = DiskModel::scsi_1999(1.0, DiskMode::AccountOnly);
-        let start = std::time::Instant::now();
-        let d = m.charge_write(100 * 1024 * 1024);
-        assert!(d.as_secs_f64() > 5.0); // modeled: ~6.7s
-        assert!(start.elapsed().as_millis() < 100); // real: instant
+    fn only_a_stall_disk_is_busy_for_the_modeled_time() {
+        let bytes = 100 * 1024 * 1024;
+        let stall = DiskModel::scsi_1999(1.0, DiskMode::Stall);
+        assert!(stall.write_time(bytes).as_secs_f64() > 5.0); // ~6.7 s
+        assert_eq!(stall.busy_time(bytes), stall.write_time(bytes));
+        let account = DiskModel {
+            mode: DiskMode::AccountOnly,
+            ..stall
+        };
+        assert_eq!(account.write_time(bytes), stall.write_time(bytes));
+        assert_eq!(account.busy_time(bytes), Duration::ZERO);
     }
 }

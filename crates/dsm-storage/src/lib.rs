@@ -6,9 +6,11 @@
 //! a node survives its crash. Here stable storage is simulated: per-node
 //! byte-accurate segment stores ([`StableStore`]) that survive a simulated
 //! crash (they live outside the node runtime), plus a configurable
-//! [`DiskModel`] that charges the writing node wall-clock time per write —
-//! this is what reproduces the disk-write overhead column of Table 3 and the
-//! checkpoint-interference effect on Barnes.
+//! [`DiskModel`] that keeps the writing node's disk busy for a modeled
+//! wall-clock time per write. The node computes on while its disk writes
+//! and waits only for a disk that is still busy when it needs it again:
+//! Table 3's disk-busy column is the modeled time, its disk column that
+//! wait.
 //!
 //! The [`codec`] module is a small explicit binary codec (length-prefixed
 //! little-endian fields and LEB128 varints) used for checkpoint records, log

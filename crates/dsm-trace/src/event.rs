@@ -87,7 +87,8 @@ pub enum EventKind {
     /// to be zero: the checkpoint would record them as sent, and after a
     /// crash nobody could supply them.
     CkptBegin { seq: u64, outbox: u32 },
-    /// Checkpoint `seq` was written (`bytes` to stable storage).
+    /// Checkpoint `seq` was published: its `bytes` reached stable storage
+    /// once the disk was done, and it is advertised from now on.
     CkptEnd { seq: u64, bytes: u64 },
     /// Lazy log trimming discarded `bytes` of volatile log.
     LogTrim { rule: TrimRule, bytes: u64 },

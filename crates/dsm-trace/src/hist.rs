@@ -164,7 +164,8 @@ latency_hists! {
     /// install). Zero with shared buffers; page-size before them — a
     /// counter, in bytes rather than nanoseconds.
     fetch_copy => "fetch_copy_bytes",
-    /// Writing one checkpoint to stable storage.
+    /// One checkpoint, from its capture at a safe point to its publish
+    /// once the disk has written it.
     ckpt_write => "ckpt_write",
     /// Recovery: restoring from the checkpoint.
     rec_restore => "rec_restore",

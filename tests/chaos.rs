@@ -8,10 +8,11 @@
 
 use std::time::Duration;
 
+use dsm_trace::EventKind;
 use ftdsm_suite::apps::{water_nsq, WaterNsqParams};
 use ftdsm_suite::{
-    run, seed_from_env, CkptPolicy, ClusterConfig, FailureSpec, FaultPlan, FaultRule, HomeAlloc,
-    Process,
+    run, seed_from_env, CkptPolicy, ClusterConfig, DiskMode, DiskModel, FailureSpec, FaultPlan,
+    FaultRule, HomeAlloc, Process, TraceConfig,
 };
 
 const NODES: usize = 4;
@@ -308,6 +309,69 @@ fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
         ckpts += crashed.nodes[victim].ft.ckpts_taken;
     }
     assert!(ckpts > 0, "no victim ever checkpointed");
+}
+
+/// A checkpoint is stable only once the disk is done with it. Every step
+/// from step 1 on checkpoints, on a disk that stays busy 100 ms a write, so
+/// each step's barrier waits for its write; the crash is at the first
+/// operation after step 4's safe point, with checkpoint 4 still in flight.
+/// Its segments never reach the store, the restart reads checkpoint 3, and
+/// the run ends as the crash-free one did, bit for bit.
+#[test]
+fn a_crash_while_a_checkpoint_is_written_restarts_from_the_one_before() {
+    let busy = DiskModel {
+        latency: Duration::from_millis(100),
+        ..DiskModel::scsi_1999(1.0, DiskMode::Stall)
+    };
+    let cfg = || {
+        cfg()
+            .with_policy(CkptPolicy::EverySteps(1))
+            .with_disk(busy)
+            .with_trace(TraceConfig::enabled())
+    };
+    let clean = run(cfg(), &[], app);
+    assert!(
+        clean
+            .nodes
+            .iter()
+            .all(|x| x.breakdown.disk_write > Duration::ZERO),
+        "a barrier found the disk busy and did not wait"
+    );
+    for victim in [0, 2] {
+        // Two allocations, then 53 operations a step: step 4's acquire.
+        let crash = FailureSpec {
+            node: victim,
+            at_op: 3 + 53 * 4,
+        };
+        let crashed = run(cfg(), &[crash], app);
+        assert_eq!(
+            (&clean.results, clean.shared_hash),
+            (&crashed.results, crashed.shared_hash),
+            "victim {victim}"
+        );
+        let ft = &crashed.nodes[victim].ft;
+        assert_eq!(ft.recoveries, 1, "victim {victim}");
+        // Every published checkpoint wrote its two segments; the one in
+        // flight wrote none.
+        assert_eq!(ft.store.writes, 2 * ft.ckpts_taken, "victim {victim}");
+        let events = crashed.trace.node_events(victim);
+        let crash_at = (events.iter())
+            .position(|e| matches!(e.kind, EventKind::CrashInjected { .. }))
+            .expect("the crash fired");
+        let seqs = |range: &[dsm_trace::Event], end: bool| -> Vec<u64> {
+            let seqs = range.iter().filter_map(|e| match e.kind {
+                EventKind::CkptBegin { seq, .. } if !end => Some(seq),
+                EventKind::CkptEnd { seq, .. } if end => Some(seq),
+                _ => None,
+            });
+            seqs.collect()
+        };
+        let (before, after) = events.split_at(crash_at);
+        assert_eq!(seqs(before, false), [1, 2, 3, 4], "victim {victim}");
+        assert_eq!(seqs(before, true), [1, 2, 3], "victim {victim}");
+        // Restarted from checkpoint 3: the next capture is number 4 again.
+        assert_eq!(seqs(after, false).first(), Some(&4), "victim {victim}");
+    }
 }
 
 /// One fetch path under loss. With half of all `PageReply`s dropped — then
