@@ -164,6 +164,7 @@ fn do_table4(scale: &Scale) {
             "% saved",
             "Discarded (MB)",
             "% disc",
+            "Resident log (MB)",
         ],
         &rows
             .iter()
@@ -178,6 +179,7 @@ fn do_table4(scale: &Scale) {
                     format!("{:.0}", r.saved_pct),
                     format!("{:.3}", r.logs_discarded_mb),
                     format!("{:.0}", r.discarded_pct),
+                    format!("{:.3}", r.max_resident_log_mb),
                 ]
             })
             .collect::<Vec<_>>(),

@@ -277,6 +277,9 @@ pub struct Table4Row {
     pub logs_discarded_mb: f64,
     /// Discarded as a percentage of created.
     pub discarded_pct: f64,
+    /// Largest log residency in memory on any node, MB: the entries no
+    /// published checkpoint has saved.
+    pub max_resident_log_mb: f64,
 }
 
 /// Table 4: overall efficiency of CGC and LLT.
@@ -303,6 +306,10 @@ pub fn table4(scale: &Scale) -> Vec<Table4Row> {
                 .map(|x| x.ft.max_stable_log_bytes)
                 .max()
                 .unwrap_or(0);
+            let max_resident = (r.nodes.iter())
+                .map(|x| x.ft.max_resident_log_bytes)
+                .max()
+                .unwrap_or(0);
             Table4Row {
                 app: app.name(),
                 wmax: r.max_ckpt_window(),
@@ -321,6 +328,7 @@ pub fn table4(scale: &Scale) -> Vec<Table4Row> {
                 } else {
                     0.0
                 },
+                max_resident_log_mb: mb(max_resident),
             }
         })
         .collect()

@@ -21,17 +21,22 @@
 //! The notice and diff logs are saved to stable storage by appending: each
 //! checkpoint writes one segment, `(Log, seq)`, of the entries logged since
 //! the last save and the [`LogBounds`] of what the trims kept
-//! ([`VolatileLogs::save`]); [`StableLog`] deletes a segment once nothing
-//! in it is kept, and a restart merges the live ones
-//! ([`VolatileLogs::restore`]).
+//! ([`VolatileLogs::save`], [`super::stable_log`]); [`StableLog`] deletes a
+//! segment once nothing in it is kept, and a restart indexes the live ones
+//! ([`VolatileLogs::restore`]). A saved entry lives on stable storage only:
+//! once its segment is published it leaves memory, kept as its seq and size
+//! for the trims and the byte counts, and is read back from the segment
+//! when a recovery asks for it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dsm_page::{PageId, ProcId, VectorClock};
-use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
+use dsm_storage::{ByteReader, ByteWriter, CodecError, StableStore};
 use hlrc::LockId;
 
+use super::stable_log::{get_bounds, put_bounds, put_section, LogBounds, LogSave, Section};
+use super::stable_log::{SegmentSpan, StableLog};
 use crate::msg::CkptStamp;
 use crate::wire;
 
@@ -107,18 +112,130 @@ pub struct LogCounters {
     pub discarded_bytes: u64,
 }
 
-/// All volatile logs of one node.
+/// What every logged notice and diff is to its log: an own interval's
+/// entry of a known encoded size.
+pub(super) trait Logged {
+    /// The own interval seq, the key every trim, save and eviction
+    /// compares.
+    fn seq(&self) -> u32;
+    /// Encoded size in bytes, what the entry counts for in `OF(L)`.
+    fn size(&self) -> u32;
+}
+
+impl Logged for WnLogEntry {
+    fn seq(&self) -> u32 {
+        self.seq
+    }
+    fn size(&self) -> u32 {
+        self.wire_size() as u32
+    }
+}
+
+impl Logged for DiffLogEntry {
+    fn seq(&self) -> u32 {
+        self.diff.interval.seq
+    }
+    fn size(&self) -> u32 {
+        self.wire_size() as u32
+    }
+}
+
+/// The bytes of indexed entries.
+fn bytes(index: impl IntoIterator<Item = (u32, u32)>) -> u64 {
+    index.into_iter().map(|(_, size)| u64::from(size)).sum()
+}
+
+/// One log — the notices, or one page's diffs — oldest first: the saved
+/// prefix, which lives on stable storage only and is kept here as each
+/// entry's `(seq, encoded size)`, then the resident tail.
+#[derive(Debug, PartialEq)]
+struct SeqLog<T> {
+    saved: Vec<(u32, u32)>,
+    tail: Vec<T>,
+}
+
+impl<T> Default for SeqLog<T> {
+    fn default() -> Self {
+        SeqLog {
+            saved: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl<T: Logged> SeqLog<T> {
+    /// The oldest kept entry's seq.
+    fn first(&self) -> Option<u32> {
+        let saved = self.saved.first().map(|&(seq, _)| seq);
+        saved.or_else(|| self.tail.first().map(T::seq))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.saved.is_empty() && self.tail.is_empty()
+    }
+
+    /// Drop every entry at or below `bound`, saved or resident — a trim
+    /// always drops a prefix. Returns the bytes dropped and, of those, the
+    /// resident ones.
+    fn trim_through(&mut self, bound: u32) -> (u64, u64) {
+        let k = self.saved.partition_point(|&(seq, _)| seq <= bound);
+        let saved = bytes(self.saved.drain(..k));
+        let k = self.tail.partition_point(|e| e.seq() <= bound);
+        let resident = bytes(self.tail.drain(..k).map(|e| (e.seq(), e.size())));
+        (saved + resident, resident)
+    }
+
+    /// Move the resident entries at or below `through` — saved and stable
+    /// — to the index. Returns their bytes.
+    fn evict_through(&mut self, through: u32) -> u64 {
+        let k = self.tail.partition_point(|e| e.seq() <= through);
+        let at = self.saved.len();
+        (self.saved).extend(self.tail.drain(..k).map(|e| (e.seq(), e.size())));
+        bytes(self.saved[at..].iter().copied())
+    }
+
+    /// The resident entries past `seq`.
+    fn tail_after(&self, seq: u32) -> &[T] {
+        &self.tail[self.tail.partition_point(|e| e.seq() <= seq)..]
+    }
+
+    /// The first saved seq past `seq` when one is kept: where a read of the
+    /// saved entries past `seq` starts.
+    fn saved_after(&self, seq: u32) -> Option<u32> {
+        let k = self.saved.partition_point(|&(s, _)| s <= seq);
+        self.saved.get(k).map(|&(s, _)| s)
+    }
+
+    /// Every kept entry's `(seq, encoded size)`, saved or resident.
+    fn index(&self) -> Vec<(u32, u32)> {
+        let tail = self.tail.iter().map(|e| (e.seq(), e.size()));
+        self.saved.iter().copied().chain(tail).collect()
+    }
+}
+
+/// All volatile logs of one node. The notice and diff logs keep in memory
+/// only what no checkpoint has made stable yet: once a checkpoint's log
+/// segment is on stable storage its entries are evicted
+/// ([`VolatileLogs::evict_saved`]), each kept as its seq and size, and a
+/// peer's recovery reads them back from the live segments
+/// ([`VolatileLogs::diffs_after`], [`VolatileLogs::wn_log`]).
 #[derive(Debug, PartialEq)]
 pub struct VolatileLogs {
     me: ProcId,
     n: usize,
     /// Own write notices (Rule 1).
-    wn: Vec<WnLogEntry>,
+    wn: SeqLog<WnLogEntry>,
     /// Per-page diff logs (Rule 3 / LLT).
-    diffs: HashMap<PageId, Vec<DiffLogEntry>>,
-    /// Bytes of the entries in `wn` and `diffs`: every method that adds or
-    /// drops one keeps it, so the policy check never walks the logs.
+    diffs: HashMap<PageId, SeqLog<DiffLogEntry>>,
+    /// Bytes of the entries in `wn` and `diffs`, saved or resident: every
+    /// method that adds or drops one keeps it, so the policy check never
+    /// walks the logs.
     held: u64,
+    /// Bytes of the resident entries alone.
+    resident: u64,
+    /// The largest `resident` has been; like the counters, a statistic of
+    /// the run.
+    peak_resident: u64,
     /// The own interval seq the last save covered: every entry is saved
     /// once, by the first checkpoint after it is logged, so the unsaved
     /// ones are those of later intervals.
@@ -132,29 +249,42 @@ pub struct VolatileLogs {
     counters: LogCounters,
 }
 
+/// Every kept notice and diff, saved or resident, as its `(seq, encoded
+/// size)`: what the trims and `OF(L)` see of the logs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogIndex {
+    /// The notices, oldest first.
+    pub wn: Vec<(u32, u32)>,
+    /// Per page with a kept diff, its diffs, oldest first.
+    pub diffs: BTreeMap<PageId, Vec<(u32, u32)>>,
+}
+
 impl VolatileLogs {
     /// Empty logs for node `me` of `n`.
     pub fn new(me: ProcId, n: usize) -> Self {
         VolatileLogs {
             me,
             n,
-            wn: Vec::new(),
+            wn: SeqLog::default(),
             diffs: HashMap::new(),
             rel: vec![Vec::new(); n],
             acq: vec![Vec::new(); n],
             bar: Vec::new(),
             held: 0,
+            resident: 0,
+            peak_resident: 0,
             saved_through: 0,
             counters: LogCounters::default(),
         }
     }
 
-    /// Fail-stop: every entry is lost. The byte counters are statistics of
-    /// the run, not of the incarnation, and keep counting.
+    /// Fail-stop: every entry is lost. The byte counters and the resident
+    /// peak are statistics of the run, not of the incarnation, and keep
+    /// counting.
     pub fn clear(&mut self) {
-        let counters = self.counters;
+        let (counters, peak) = (self.counters, self.peak_resident);
         *self = VolatileLogs::new(self.me, self.n);
-        self.counters = counters;
+        (self.counters, self.peak_resident) = (counters, peak);
     }
 
     /// Cumulative created/discarded counters.
@@ -162,21 +292,31 @@ impl VolatileLogs {
         self.counters
     }
 
-    /// Current volatile size of the diff + write-notice logs — the quantity
-    /// the `OF(L)` checkpoint policy limits (the lock and barrier logs are
-    /// tiny and never saved, as in the paper).
+    /// Current size of the diff + write-notice logs, saved or resident —
+    /// the quantity the `OF(L)` checkpoint policy limits (the lock and
+    /// barrier logs are tiny and never saved, as in the paper).
     pub fn volatile_bytes(&self) -> u64 {
         self.held
     }
 
-    /// Own write notices, oldest first.
-    pub fn wn(&self) -> &[WnLogEntry] {
-        &self.wn
+    /// Bytes of the entries held in memory: those no published checkpoint
+    /// has saved.
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident
     }
 
-    /// Per-page diff logs, each oldest first.
-    pub fn diffs(&self) -> &HashMap<PageId, Vec<DiffLogEntry>> {
-        &self.diffs
+    /// The largest [`VolatileLogs::resident_bytes`] of the run.
+    pub fn peak_resident_bytes(&self) -> u64 {
+        self.peak_resident
+    }
+
+    /// Every kept notice and diff as its seq and size.
+    pub fn index(&self) -> LogIndex {
+        let diffs = self.diffs.iter().map(|(p, log)| (*p, log.index()));
+        LogIndex {
+            wn: self.wn.index(),
+            diffs: diffs.collect(),
+        }
     }
 
     /// Record one completed interval: its write notice and its diffs. The
@@ -192,17 +332,19 @@ impl VolatileLogs {
     ) {
         let entry = WnLogEntry { seq, pages };
         let mut created = entry.wire_size() as u64;
-        self.wn.push(entry);
+        self.wn.tail.push(entry);
         for diff in diffs {
             let d = DiffLogEntry {
                 diff: Arc::clone(diff),
                 t: t.clone(),
             };
             created += d.wire_size() as u64;
-            self.diffs.entry(d.diff.page).or_default().push(d);
+            self.diffs.entry(d.diff.page).or_default().tail.push(d);
         }
         self.counters.created_bytes += created;
         self.held += created;
+        self.resident += created;
+        self.peak_resident = self.peak_resident.max(self.resident);
     }
 
     /// Record a grant sent to `to`.
@@ -232,27 +374,60 @@ impl VolatileLogs {
 
     /// This node's logged diffs for `page` from intervals after `have` —
     /// what a copy holding its intervals up to `have` lacks (Rule 3's
-    /// predicate). Cloning an entry is an `Arc` bump plus a vector-clock
-    /// clone, never a run-payload copy.
-    pub fn diffs_after(&self, page: PageId, have: u32) -> impl Iterator<Item = DiffLogEntry> + '_ {
-        let log = self.diffs.get(&page).into_iter().flatten();
-        log.filter(move |e| e.diff.interval.seq > have).cloned()
+    /// predicate) — oldest first: the saved ones read back from `stable`'s
+    /// segments on `store`, then the resident ones (an `Arc` bump each,
+    /// never a run-payload copy). Returns them with how many were read from
+    /// the store.
+    pub fn diffs_after(
+        &self,
+        stable: &StableLog,
+        store: &StableStore,
+        page: PageId,
+        have: u32,
+    ) -> (Vec<DiffLogEntry>, usize) {
+        let Some(log) = self.diffs.get(&page) else {
+            return (Vec::new(), 0);
+        };
+        self.read(log, have, |from| {
+            stable.read(store, Some(page), from, wire::get_entry)
+        })
+    }
+
+    /// Every kept own write notice, oldest first: the saved ones read back
+    /// from `stable`'s segments on `store`, then the resident ones. Returns
+    /// them with how many were read from the store.
+    pub fn wn_log(&self, stable: &StableLog, store: &StableStore) -> (Vec<WnLogEntry>, usize) {
+        self.read(&self.wn, 0, |from| {
+            stable.read(store, None, from, wire::get_wn_entry)
+        })
+    }
+
+    /// `log`'s entries past `have`: `read_saved(from)` reads the saved ones
+    /// from seq `from` on, then the resident ones follow.
+    fn read<T: Logged + Clone>(
+        &self,
+        log: &SeqLog<T>,
+        have: u32,
+        read_saved: impl FnOnce(u32) -> Vec<T>,
+    ) -> (Vec<T>, usize) {
+        let mut entries = log.saved_after(have).map_or_else(Vec::new, read_saved);
+        let read = entries.len();
+        entries.extend_from_slice(log.tail_after(have));
+        (entries, read)
     }
 
     /// Rule 1: retain only write notices from intervals newer than
     /// `min_{j != me} T^j_ckp[me]`.
     pub fn trim_rule1(&mut self, min_peer_ckp_of_me: u32) {
-        let mut dropped = 0u64;
-        self.wn.retain(|e| {
-            if e.seq > min_peer_ckp_of_me {
-                true
-            } else {
-                dropped += e.wire_size() as u64;
-                false
-            }
-        });
-        self.counters.discarded_bytes += dropped;
-        self.held -= dropped;
+        let dropped = self.wn.trim_through(min_peer_ckp_of_me);
+        self.dropped(dropped);
+    }
+
+    /// Account a trim's `(bytes, of which resident)`.
+    fn dropped(&mut self, (bytes, resident): (u64, u64)) {
+        self.counters.discarded_bytes += bytes;
+        self.held -= bytes;
+        self.resident -= resident;
     }
 
     /// Rule 2: trim grant logs against the acquirers' checkpoint timestamps
@@ -273,26 +448,17 @@ impl VolatileLogs {
 
     /// Rule 3 (LLT): for each page with a known retained starting-copy
     /// version `p0.v[me]`, drop diffs from intervals the starting copy
-    /// already contains.
+    /// already contains (an own diff's interval seq is its `diff.T[me]`).
     pub fn trim_rule3(&mut self, p0v_known: &HashMap<PageId, u32>) {
-        let me = self.me;
-        let mut dropped = 0u64;
+        let mut dropped = (0, 0);
         for (page, log) in self.diffs.iter_mut() {
-            let Some(&bound) = p0v_known.get(page) else {
-                continue;
-            };
-            log.retain(|e| {
-                if e.t.get(me) > bound {
-                    true
-                } else {
-                    dropped += e.wire_size() as u64;
-                    false
-                }
-            });
+            if let Some(&bound) = p0v_known.get(page) {
+                let (bytes, resident) = log.trim_through(bound);
+                dropped = (dropped.0 + bytes, dropped.1 + resident);
+            }
         }
         self.diffs.retain(|_, log| !log.is_empty());
-        self.counters.discarded_bytes += dropped;
-        self.held -= dropped;
+        self.dropped(dropped);
     }
 
     /// Barrier-log analogue of Rule 1: drop episodes every process has
@@ -310,40 +476,29 @@ impl VolatileLogs {
     /// per page with new diffs its id and entries. The lock and barrier
     /// logs are mirrored on other nodes and never saved.
     pub fn save(&mut self, through: u32) -> LogSave {
-        let first = self.diffs.iter().map(|(p, log)| (*p, seq_of(&log[0])));
+        let first = self
+            .diffs
+            .iter()
+            .filter_map(|(p, log)| Some((*p, log.first()?)));
         let mut diffs_from: Vec<_> = first.collect();
         diffs_from.sort_unstable();
         let bounds = LogBounds {
-            wn_from: self.wn.first().map_or(through + 1, |e| e.seq),
+            wn_from: self.wn.first().unwrap_or(through + 1),
             diffs_from,
         };
         let (from, mut w) = (self.saved_through, ByteWriter::with_capacity(4096));
         put_bounds(&mut w, &bounds);
         let (mut span, mut entry_bytes) = (SegmentSpan::default(), 0);
-        let new_wn = &self.wn[self.wn.partition_point(|e| e.seq <= from)..];
-        w.put_varint(new_wn.len() as u64);
-        for e in new_wn {
-            let at = w.len();
-            wire::put_wn_entry(&mut w, e);
-            entry_bytes += (w.len() - at) as u64;
-        }
-        span.wn_newest = new_wn.last().map(|e| e.seq);
-        let new_diffs = self.diffs.iter().filter_map(|(p, log)| {
-            let new = &log[log.partition_point(|e| seq_of(e) <= from)..];
-            new.last().map(|last| (*p, new, seq_of(last)))
-        });
-        let mut new_diffs: Vec<_> = new_diffs.collect();
-        new_diffs.sort_unstable_by_key(|&(p, ..)| p);
+        let new_wn = self.wn.tail_after(from);
+        span.wn = put_section(&mut w, new_wn, wire::put_wn_entry, &mut entry_bytes);
+        let new_diffs = self.diffs.iter().map(|(p, log)| (*p, log.tail_after(from)));
+        let mut new_diffs: Vec<_> = new_diffs.filter(|(_, new)| !new.is_empty()).collect();
+        new_diffs.sort_unstable_by_key(|&(p, _)| p);
         w.put_varint(new_diffs.len() as u64);
-        for (p, log, newest) in new_diffs {
+        for (p, new) in new_diffs {
             w.put_varint(p.0.into());
-            w.put_varint(log.len() as u64);
-            for e in log {
-                let at = w.len();
-                wire::put_entry(&mut w, e);
-                entry_bytes += (w.len() - at) as u64;
-            }
-            span.diffs_newest.push((p, newest));
+            let section = put_section(&mut w, new, wire::put_entry, &mut entry_bytes);
+            span.diffs.push((p, section.expect("new diffs")));
         }
         self.saved_through = through;
         LogSave {
@@ -354,200 +509,91 @@ impl VolatileLogs {
         }
     }
 
-    /// A restart: the entries are replaced by the saved ones — every live
-    /// segment's, in id order, then kept as the newest segment's bounds
-    /// say — and `through`, the own interval seq of the image the node
-    /// restarts from, is what they saved. The byte counters keep counting.
-    /// Returns each segment's span, for [`StableLog`] to collect.
+    /// The last save's segment is on stable storage: the entries it saved
+    /// leave memory for the index.
+    pub fn evict_saved(&mut self) {
+        let through = self.saved_through;
+        let mut evicted = self.wn.evict_through(through);
+        for log in self.diffs.values_mut() {
+            evicted += log.evict_through(through);
+        }
+        self.resident -= evicted;
+    }
+
+    /// A restart: the logs become the saved ones — every live segment's, in
+    /// id order, then kept as the newest segment's bounds say — indexed,
+    /// none of them loaded, and `through`, the own interval seq of the image
+    /// the node restarts from, is what they saved. The byte counters keep
+    /// counting. Returns each segment's span, for [`StableLog`] to collect,
+    /// and the kept notices, which the restarted node's notice table needs.
     pub fn restore<'a>(
         &mut self,
         segments: impl IntoIterator<Item = &'a [u8]>,
         through: u32,
-    ) -> Result<Vec<SegmentSpan>, CodecError> {
+    ) -> Result<(Vec<SegmentSpan>, Vec<WnLogEntry>), CodecError> {
         self.clear();
-        let mut spans = Vec::new();
-        let mut newest = None;
+        let (mut spans, mut wn, mut newest) = (Vec::new(), Vec::new(), None);
         for bytes in segments {
-            let mut r = ByteReader::new(bytes);
-            let bounds = get_bounds(&mut r)?;
-            let mut span = SegmentSpan::default();
-            let wn = wire::get_list(&mut r, 2, wire::get_wn_entry)?;
-            span.wn_newest = wn.last().map(|e| e.seq);
-            self.wn.extend(wn);
-            for _ in 0..r.get_varint()? {
-                let page = wire::get_page(&mut r)?;
-                let log = wire::get_entries(&mut r)?;
-                if let Some(e) = log.last() {
-                    span.diffs_newest.push((page, seq_of(e)));
-                }
-                self.diffs.entry(page).or_default().extend(log);
-            }
-            if !r.is_exhausted() {
-                return Err(CodecError::Invalid {
-                    context: "log segment end",
-                });
-            }
+            let (bounds, span) = self.index_segment(bytes, &mut wn)?;
             spans.push(span);
             newest = Some(bounds);
         }
         if let Some(bounds) = newest {
-            self.wn.retain(|e| e.seq >= bounds.wn_from);
+            wn.retain(|e| e.seq >= bounds.wn_from);
             self.diffs.retain(|p, log| match bounds.diff_from(*p) {
                 Some(from) => {
-                    log.retain(|e| seq_of(e) >= from);
+                    log.saved.retain(|&(seq, _)| seq >= from);
                     !log.is_empty()
                 }
                 None => false,
             });
         }
-        let wn = self.wn.iter().map(WnLogEntry::wire_size);
-        let diffs = self.diffs.values().flatten().map(DiffLogEntry::wire_size);
-        self.held = wn.chain(diffs).sum::<usize>() as u64;
+        self.wn.saved = wn.iter().map(|e| (e.seq, e.size())).collect();
+        let diffs = self.diffs.values().flat_map(|log| &log.saved);
+        self.held = bytes(self.wn.saved.iter().chain(diffs).copied());
         self.saved_through = through;
-        Ok(spans)
-    }
-}
-
-/// A diff-log entry's own interval seq (`diff.T[me]`), the key every trim
-/// and every save compares.
-fn seq_of(e: &DiffLogEntry) -> u32 {
-    e.diff.interval.seq
-}
-
-/// What a checkpoint's trims kept of the notice and diff logs. Trims drop
-/// only prefixes, so every entry logged before that checkpoint is kept
-/// exactly when its seq is at or past its bound.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LogBounds {
-    /// The first kept own notice's seq.
-    wn_from: u32,
-    /// Per page with a kept diff, in page order, its first kept diff's
-    /// seq. A page not listed kept none.
-    diffs_from: Vec<(PageId, u32)>,
-}
-
-impl LogBounds {
-    /// The first kept seq of `page`'s diffs, if any is kept.
-    fn diff_from(&self, page: PageId) -> Option<u32> {
-        let at = self.diffs_from.binary_search_by_key(&page, |&(p, _)| p);
-        at.ok().map(|i| self.diffs_from[i].1)
-    }
-}
-
-/// A bounds record: the notice bound, then the page count and per page its
-/// id and bound, all varints.
-fn put_bounds(w: &mut ByteWriter, b: &LogBounds) {
-    w.put_varint(b.wn_from.into());
-    w.put_varint(b.diffs_from.len() as u64);
-    for &(p, from) in &b.diffs_from {
-        w.put_varint(p.0.into());
-        w.put_varint(from.into());
-    }
-}
-
-fn get_bounds(r: &mut ByteReader) -> Result<LogBounds, CodecError> {
-    let wn_from = wire::get_u32(r, "notice bound")?;
-    let diffs_from = wire::get_list(r, 2, |r| {
-        Ok((wire::get_page(r)?, wire::get_u32(r, "diff bound")?))
-    })?;
-    if !diffs_from.windows(2).all(|w| w[0].0 < w[1].0) {
-        return Err(CodecError::Invalid {
-            context: "bound order",
-        });
-    }
-    Ok(LogBounds {
-        wn_from,
-        diffs_from,
-    })
-}
-
-/// What GC needs of a segment: the newest seq among its notices and, per
-/// page it holds diffs of, the newest among those.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SegmentSpan {
-    wn_newest: Option<u32>,
-    diffs_newest: Vec<(PageId, u32)>,
-}
-
-impl SegmentSpan {
-    /// Is any entry of the segment kept under `bounds`?
-    fn live_under(&self, bounds: &LogBounds) -> bool {
-        self.wn_newest.is_some_and(|s| s >= bounds.wn_from)
-            || (self.diffs_newest.iter())
-                .any(|&(p, s)| bounds.diff_from(p).is_some_and(|from| s >= from))
-    }
-}
-
-/// One checkpoint's log save ([`VolatileLogs::save`]).
-#[derive(Debug, PartialEq)]
-pub struct LogSave {
-    /// The segment's bytes.
-    pub bytes: Vec<u8>,
-    /// What the trims kept, the record the segment starts with.
-    pub bounds: LogBounds,
-    /// The segment's span, for GC.
-    pub span: SegmentSpan,
-    /// Bytes of the entries the segment saves (Table 4's "saved logs").
-    pub entry_bytes: u64,
-}
-
-/// A node's stable log: the live segments `(Log, id)`, oldest first, each
-/// with its span. Segments are only appended and deleted, never rewritten.
-#[derive(Debug, Default, PartialEq)]
-pub struct StableLog {
-    live: Vec<(u64, SegmentSpan)>,
-}
-
-impl StableLog {
-    /// Write checkpoint `id`'s segment — before the checkpoint's blob, so a
-    /// checkpoint torn between the two leaves a segment no restart reads.
-    pub fn append(&mut self, store: &StableStore, id: u64, bytes: Vec<u8>, span: SegmentSpan) {
-        self.live.push((id, span));
-        store.write_segment(SegmentKind::Log, id, bytes);
+        Ok((spans, wn))
     }
 
-    /// Once the newest checkpoint's blob is written, delete every older
-    /// segment none of whose entries its `bounds` keep. Bounds only rise,
-    /// so no later save or restart needs what goes.
-    pub fn collect(&mut self, store: &StableStore, bounds: &LogBounds) {
-        let newest = self.live.len().saturating_sub(1);
-        let mut k = 0;
-        self.live.retain(|(id, span)| {
-            let keep = k == newest || span.live_under(bounds);
-            if !keep {
-                store.delete_segment(SegmentKind::Log, *id);
-            }
-            k += 1;
-            keep
-        });
-    }
-
-    /// A restart from the checkpoint `seq` whose own interval seq is
-    /// `through`: `logs` are restored from the live segments up to `seq`
-    /// ([`VolatileLogs::restore`]). A segment past `seq` was written by a
-    /// checkpoint whose blob never was; it is deleted unread.
-    pub fn restore(
+    /// Index one segment: its diffs go to `self`'s saved prefixes, its
+    /// notices to `wn`. Returns its bounds and its span.
+    fn index_segment(
         &mut self,
-        store: &StableStore,
-        logs: &mut VolatileLogs,
-        seq: u64,
-        through: u32,
-    ) -> Result<(), CodecError> {
-        let (ids, torn): (Vec<u64>, Vec<u64>) =
-            (store.segment_ids(SegmentKind::Log).into_iter()).partition(|&id| id <= seq);
-        torn.into_iter().for_each(|id| {
-            store.delete_segment(SegmentKind::Log, id);
+        bytes: &[u8],
+        wn: &mut Vec<WnLogEntry>,
+    ) -> Result<(LogBounds, SegmentSpan), CodecError> {
+        let mut r = ByteReader::new(bytes);
+        let at = |r: &ByteReader| (bytes.len() - r.remaining()) as u32;
+        let bounds = get_bounds(&mut r)?;
+        let mut span = SegmentSpan::default();
+        let start = at(&r);
+        let new_wn = wire::get_list(&mut r, 2, wire::get_wn_entry)?;
+        span.wn = (new_wn.last()).map(|e| Section {
+            newest: e.seq,
+            at: start..at(&r),
         });
-        let segments: Vec<Vec<u8>> = (ids.iter())
-            .map(|&id| {
-                store
-                    .read_segment(SegmentKind::Log, id)
-                    .expect("a listed segment")
-            })
-            .collect();
-        let spans = logs.restore(segments.iter().map(Vec::as_slice), through)?;
-        self.live = ids.into_iter().zip(spans).collect();
-        Ok(())
+        wn.extend(new_wn);
+        for _ in 0..r.get_varint()? {
+            let page = wire::get_page(&mut r)?;
+            let (start, log) = (at(&r), self.diffs.entry(page).or_default());
+            let mut newest = None;
+            for _ in 0..r.get_varint()? {
+                let before = at(&r);
+                let seq = wire::get_entry(&mut r)?.seq();
+                log.saved.push((seq, at(&r) - before));
+                newest = Some(seq);
+            }
+            if let Some(newest) = newest {
+                let at = start..at(&r);
+                span.diffs.push((page, Section { newest, at }));
+            }
+        }
+        if !r.is_exhausted() {
+            return Err(CodecError::Invalid {
+                context: "log segment end",
+            });
+        }
+        Ok((bounds, span))
     }
 }
 
@@ -555,7 +601,7 @@ impl StableLog {
 mod tests {
     use super::*;
     use dsm_page::{Diff, Interval, Page};
-    use dsm_storage::DiskModel;
+    use dsm_storage::{DiskModel, SegmentKind};
 
     fn vt(v: &[u32]) -> VectorClock {
         VectorClock::from_vec(v.to_vec())
@@ -584,7 +630,7 @@ mod tests {
             l.log_interval(seq, vec![PageId(seq)], &vt(&[seq, 0]), &[]);
         }
         l.trim_rule1(3);
-        let seqs: Vec<_> = l.wn.iter().map(|e| e.seq).collect();
+        let seqs: Vec<_> = l.index().wn.iter().map(|&(seq, _)| seq).collect();
         assert_eq!(seqs, vec![4, 5]);
         assert!(l.counters().discarded_bytes > 0);
     }
@@ -646,9 +692,12 @@ mod tests {
         let mut p0v = HashMap::new();
         p0v.insert(PageId(9), 1u32); // home's oldest retained copy has our interval 1
         l.trim_rule3(&p0v);
-        assert_eq!(l.diffs[&PageId(9)].len(), 1);
-        assert_eq!(l.diffs[&PageId(9)][0].diff.interval.seq, 2);
-        assert_eq!(l.diffs[&PageId(7)].len(), 1); // unknown p0: untouched
+        let seqs = |page| -> Vec<u32> {
+            let log = &l.index().diffs[&PageId(page)];
+            log.iter().map(|&(seq, _)| seq).collect()
+        };
+        assert_eq!(seqs(9), vec![2]);
+        assert_eq!(seqs(7), vec![3]); // unknown p0: untouched
         assert!(l.counters().discarded_bytes > 0);
     }
 
@@ -661,8 +710,8 @@ mod tests {
     }
 
     /// Save `l` as checkpoint `id` at own interval `through`, the way a
-    /// checkpoint's capture and publish do: segment, then GC under the new
-    /// bounds.
+    /// checkpoint's capture and publish do: segment, eviction, then GC
+    /// under the new bounds.
     fn checkpoint(
         l: &mut VolatileLogs,
         stable: &mut StableLog,
@@ -672,8 +721,19 @@ mod tests {
     ) -> u64 {
         let save = l.save(through);
         stable.append(store, id, save.bytes, save.span);
+        l.evict_saved();
         stable.collect(store, &save.bounds);
         save.entry_bytes
+    }
+
+    /// Every kept notice and, per page, every kept diff, saved ones read
+    /// back from `store`.
+    type Contents = (Vec<WnLogEntry>, BTreeMap<PageId, Vec<DiffLogEntry>>);
+
+    fn contents(l: &VolatileLogs, stable: &StableLog, store: &StableStore) -> Contents {
+        let pages = l.index().diffs.into_keys();
+        let diffs = pages.map(|p| (p, l.diffs_after(stable, store, p, 0).0));
+        (l.wn_log(stable, store).0, diffs.collect())
     }
 
     #[test]
@@ -704,11 +764,16 @@ mod tests {
         // Segment 2 saved nothing and is dead under segment 3's bounds.
         assert_eq!(store.segment_ids(SegmentKind::Log), [1, 3]);
         let (l2, stable2) = restarted(&store, 3, 3);
-        assert_eq!((l2.wn(), l2.diffs()), (l.wn(), l.diffs()));
+        assert_eq!(l2.index(), l.index());
+        assert_eq!(
+            contents(&l2, &stable2, &store),
+            contents(&l, &stable, &store)
+        );
         assert_eq!(
             (l2.volatile_bytes(), l2.saved_through),
             (l.volatile_bytes(), 3)
         );
+        assert_eq!((l.resident_bytes(), l2.resident_bytes()), (0, 0));
         assert_eq!(stable2, stable);
     }
 
@@ -736,8 +801,12 @@ mod tests {
         l.trim_rule3(&HashMap::from([(PageId(2), 2)]));
         checkpoint(&mut l, &mut stable, &store, 4, 5);
         assert_eq!(store.segment_ids(SegmentKind::Log), [2, 3, 4]);
-        let (l2, _) = restarted(&store, 4, 5);
-        assert_eq!((l2.wn(), l2.diffs()), (l.wn(), l.diffs()));
+        let (l2, stable2) = restarted(&store, 4, 5);
+        assert_eq!(l2.index(), l.index());
+        assert_eq!(
+            contents(&l2, &stable2, &store),
+            contents(&l, &stable, &store)
+        );
         assert_eq!(l2.volatile_bytes(), l.volatile_bytes());
     }
 
@@ -747,7 +816,7 @@ mod tests {
         let (mut l, mut stable) = (VolatileLogs::new(0, 2), StableLog::default());
         l.log_interval(1, vec![PageId(0)], &vt(&[1, 0]), &[diff(0, 0, 1)]);
         checkpoint(&mut l, &mut stable, &store, 1, 1);
-        let image = (l.wn().to_vec(), l.diffs().clone());
+        let image = contents(&l, &stable, &store);
         // Checkpoint 2 writes its segment, and its blob never follows: it
         // trimmed everything checkpoint 1 kept.
         l.trim_rule1(1);
@@ -755,9 +824,91 @@ mod tests {
         l.log_interval(2, vec![PageId(0)], &vt(&[2, 0]), &[diff(0, 0, 2)]);
         let save = l.save(2);
         stable.append(&store, 2, save.bytes, save.span);
-        let (l2, _) = restarted(&store, 1, 1);
-        assert_eq!((l2.wn(), l2.diffs()), (&image.0[..], &image.1));
+        let (l2, stable2) = restarted(&store, 1, 1);
+        assert_eq!(contents(&l2, &stable2, &store), image);
         assert_eq!(store.segment_ids(SegmentKind::Log), [1]);
+    }
+
+    /// Two copies of one history, one evicting at every publish and one
+    /// keeping every entry resident, each on a store of its own: logging,
+    /// trims, saves and publishes — with a read between a capture and its
+    /// publish too — count, bound, save, collect and serve alike, and the
+    /// evicting one holds only the unsaved tail in memory.
+    #[test]
+    fn an_evicting_log_trims_saves_and_serves_what_an_all_resident_one_does() {
+        struct Copy {
+            l: VolatileLogs,
+            stable: StableLog,
+            store: StableStore,
+        }
+        let mut copies = [(); 2].map(|_| Copy {
+            l: VolatileLogs::new(0, 2),
+            stable: StableLog::default(),
+            store: StableStore::new(DiskModel::instant()),
+        });
+        // What a peer's recovery is served: the notices, and per page the
+        // diffs past each `have` — with how many came from the store.
+        let served = |c: &Copy| {
+            let (wn, mut read) = c.l.wn_log(&c.stable, &c.store);
+            let mut diffs = Vec::new();
+            for page in 0..5 {
+                for have in [0, 4, 9, 13] {
+                    let (d, r) = c.l.diffs_after(&c.stable, &c.store, PageId(page), have);
+                    diffs.push(d);
+                    read += r;
+                }
+            }
+            ((wn, diffs), read)
+        };
+        let same = |copies: &[Copy; 2]| {
+            let [ev, all] = copies;
+            assert_eq!(ev.l.index(), all.l.index());
+            assert_eq!(ev.l.volatile_bytes(), all.l.volatile_bytes());
+            assert_eq!(ev.l.counters(), all.l.counters());
+            assert_eq!(all.l.resident_bytes(), all.l.volatile_bytes());
+            let (ev_served, read) = served(ev);
+            let (all_served, none) = served(all);
+            assert_eq!((ev_served, none), (all_served, 0));
+            read
+        };
+        let (mut seq, mut read) = (0, 0);
+        for id in 1..=6u64 {
+            for _ in 0..3 {
+                seq += 1;
+                let pages = [PageId(seq % 4), PageId(4)];
+                for c in copies.iter_mut() {
+                    let diffs = pages.map(|p| diff(0, p.0, seq));
+                    c.l.log_interval(seq, pages.to_vec(), &vt(&[seq, 0]), &diffs);
+                }
+            }
+            let p0v = HashMap::from([(PageId(4), seq.saturating_sub(7)), (PageId(1), 5)]);
+            let saves = copies.each_mut().map(|c| {
+                c.l.trim_rule1(seq.saturating_sub(5));
+                c.l.trim_rule3(&p0v);
+                c.l.save(seq)
+            });
+            assert_eq!(saves[0], saves[1]);
+            read += same(&copies);
+            for (k, (c, save)) in copies.iter_mut().zip(saves).enumerate() {
+                c.stable.append(&c.store, id, save.bytes, save.span);
+                if k == 0 {
+                    c.l.evict_saved();
+                }
+                c.stable.collect(&c.store, &save.bounds);
+            }
+            let ids = copies
+                .each_ref()
+                .map(|c| c.store.segment_ids(SegmentKind::Log));
+            assert_eq!(ids[0], ids[1]);
+            let live = copies
+                .each_ref()
+                .map(|c| c.store.live_bytes(SegmentKind::Log));
+            assert_eq!(live[0], live[1]);
+            read += same(&copies);
+            assert_eq!(copies[0].l.resident_bytes(), 0, "all of it is saved");
+        }
+        assert!(read > 0, "the evicting copy served from its store");
+        assert!(copies[0].l.peak_resident_bytes() < copies[1].l.peak_resident_bytes());
     }
 
     #[test]

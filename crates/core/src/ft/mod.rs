@@ -12,6 +12,7 @@ pub mod ckpt;
 pub mod logs;
 mod outbox;
 pub mod recovery;
+pub mod stable_log;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,9 +28,10 @@ use crate::runtime::node::NodeState;
 use crate::stats::FtReport;
 pub(crate) use ckpt::{publish_written, take_checkpoint};
 use ckpt::{CheckpointBlob, InFlight, RetainedCkpt};
-use logs::{StableLog, VolatileLogs};
+use logs::{DiffLogEntry, VolatileLogs, WnLogEntry};
 use outbox::DiffOutbox;
 pub(crate) use outbox::SeqBatch;
+use stable_log::StableLog;
 
 /// Per-node fault-tolerance state, when fault tolerance is on.
 #[derive(Debug, PartialEq)]
@@ -90,20 +92,21 @@ impl FtState {
     /// and what was known about the peers is forgotten (their next
     /// piggybacks teach it again). Configuration, the store, the statistics
     /// — the logs' byte counters among them — and the piggyback cursor
-    /// survive.
+    /// survive. Returns the kept own write notices, read off the saved logs
+    /// as they are indexed.
     pub(crate) fn restart_from(
         &mut self,
         me: ProcId,
         n: usize,
         image: &CheckpointBlob,
         window: Vec<RetainedCkpt>,
-    ) {
+    ) -> Vec<WnLogEntry> {
         self.report.recoveries += 1;
         self.retained = window;
         // The saved logs: every live segment the image's checkpoint or an
-        // earlier one wrote (none before the first checkpoint).
+        // earlier one wrote (none before the first checkpoint), indexed.
         let through = image.tckp.get(me);
-        (self.stable_log)
+        let wn = (self.stable_log)
             .restore(&self.store, &mut self.logs, image.seq, through)
             .expect("corrupt saved logs");
         self.stamps = vec![CkptStamp::zero(n); n];
@@ -113,6 +116,23 @@ impl FtState {
         self.piggy_sent = vec![u64::MAX; n];
         self.ckpt_due = false;
         self.inflight = None;
+        wn
+    }
+
+    /// This node's logged diffs for `page` past own interval `have`, the
+    /// saved ones read back from the store ([`VolatileLogs::diffs_after`]).
+    pub(crate) fn diffs_after(&mut self, page: PageId, have: u32) -> Vec<DiffLogEntry> {
+        let (entries, read) = (self.logs).diffs_after(&self.stable_log, &self.store, page, have);
+        self.report.log_entries_read += read as u64;
+        entries
+    }
+
+    /// Every kept own write notice, the saved ones read back from the store
+    /// ([`VolatileLogs::wn_log`]).
+    pub(crate) fn wn_log(&mut self) -> Vec<WnLogEntry> {
+        let (wn, read) = self.logs.wn_log(&self.stable_log, &self.store);
+        self.report.log_entries_read += read as u64;
+        wn
     }
 
     /// The gossip table: everything this node knows about everyone's last
@@ -236,10 +256,15 @@ impl FtSvc {
         }
     }
 
-    /// Restart (see [`FtState::restart_from`]).
-    pub(crate) fn restart_from(&mut self, image: &CheckpointBlob, window: Vec<RetainedCkpt>) {
+    /// Restart (see [`FtState::restart_from`]); returns the kept own
+    /// write notices.
+    pub(crate) fn restart_from(
+        &mut self,
+        image: &CheckpointBlob,
+        window: Vec<RetainedCkpt>,
+    ) -> Vec<WnLogEntry> {
         let ft = self.state.as_mut().expect("recovery requires FT");
-        ft.restart_from(self.me, self.n, image, window);
+        ft.restart_from(self.me, self.n, image, window)
     }
 
     /// The log hook: where the base protocol records its intervals, grants
@@ -391,6 +416,7 @@ impl FtSvc {
         };
         FtReport {
             log_counters: ft.logs.counters(),
+            max_resident_log_bytes: ft.logs.peak_resident_bytes(),
             store: ft.store.stats(),
             ..ft.report.clone()
         }
@@ -580,7 +606,9 @@ mod tests {
         let before = svc.report().log_counters;
         assert!(before.created_bytes > before.discarded_bytes && before.discarded_bytes > 0);
         svc.fail_stop();
-        svc.restart_from(&CheckpointBlob::genesis(n), Vec::new());
+        assert!(svc
+            .restart_from(&CheckpointBlob::genesis(n), Vec::new())
+            .is_empty());
 
         // The logs' entries are gone, their byte counters are not: what a
         // later checkpoint saves was created once and is counted once

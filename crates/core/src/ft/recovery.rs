@@ -223,20 +223,20 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
 /// not hold. It is read from the diff log alone — a page the recovering node
 /// homes need not be allocated here yet.
 fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -> Payload {
-    let ft = st.ft.state.as_ref().expect("recovery handshake without FT");
+    let ft = st.ft.state.as_mut().expect("recovery handshake without FT");
     let (lock_chains, gen_floor) = st.sync.chain_report(r, &ft.logs.rel);
+    let diffs = homed
+        .iter()
+        .flat_map(|&(page, have)| ft.diffs_after(page, have));
     Payload::RecLogReply {
-        wn: ft.logs.wn().to_vec(),
+        diffs: diffs.collect(),
+        wn: ft.wn_log(),
         rel_for_you: ft.logs.rel[r].clone(),
         acq_mirror: ft.logs.acq[r].clone(),
         bar: ft.logs.bar.clone(),
         lock_chains,
         gen_floor,
         applied_of_you: st.pt.home_store().newest_applied_of(r),
-        diffs: homed
-            .iter()
-            .flat_map(|&(page, have)| ft.logs.diffs_after(page, have))
-            .collect(),
     }
 }
 
@@ -245,7 +245,7 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -
 /// version the requester's restart checkpoint covers, falling back to the
 /// initial zero page. Our own diffs the copy already holds are left out.
 fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorClock) {
-    let ft = st.ft.state.as_ref().expect("recovery without FT");
+    let ft = st.ft.state.as_mut().expect("recovery without FT");
     let copy = st.pt.is_home(page).then(|| {
         let covered = ft
             .retained
@@ -266,7 +266,7 @@ fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorCl
         }
     });
     let have = copy.as_ref().map_or(0, |(v, _)| v.get(st.me));
-    let entries = ft.logs.diffs_after(page, have).collect();
+    let entries = ft.diffs_after(page, have);
     let reply = Payload::RecPageReply {
         page,
         copy,
@@ -542,9 +542,9 @@ pub(crate) fn replay_materialize(
     // replayed interval end). Merge those the copy does not have yet —
     // at the first materialization and at every re-materialization
     // after an invalidation — so that it reproduces our own writes.
-    let logs = &st.ft.state.as_ref().unwrap().logs;
+    let ft = st.ft.state.as_mut().unwrap();
     let before = rp.entries.len();
-    for e in logs.diffs_after(page, rp.version.get(me)) {
+    for e in ft.diffs_after(page, rp.version.get(me)) {
         if !rp.entries[..before]
             .iter()
             .any(|x| x.diff.interval == e.diff.interval)

@@ -229,11 +229,19 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     st.vt.join(&vt);
     apply_notices(st, &arrive_vt, wns);
     let episode = st.sync.crossed();
-    if let Some(logs) = st.ft.logs() {
-        logs.log_bar(BarEntry {
+    match st.ft.logs() {
+        Some(logs) => logs.log_bar(BarEntry {
             episode,
             result_vt: st.vt.clone(),
-        });
+        }),
+        // Base HLRC replays nothing: every request a grant or an arrival
+        // answers from now on carries a clock that covers the release's,
+        // so no notice that clock covers is asked for again. (With logging
+        // on, a recovery can ask for older ones: the checkpoints bound the
+        // table, at publish.)
+        None => {
+            st.wn_table.trim_covered_by(&vt);
+        }
     }
     st.ft.policy_check(st.shared_bytes(), Some(episode));
 }
@@ -251,6 +259,7 @@ mod tests {
     use dsm_page::Interval;
     use dsm_storage::{DiskModel, StableStore};
     use dsm_trace::NodeTracer;
+    use hlrc::WriteNotice;
     use std::time::Duration;
 
     /// Every payload waiting for `ep`, on either lane.
@@ -488,5 +497,39 @@ mod tests {
         let kinds: Vec<_> = sent(&eps[0]).iter().map(Payload::kind).collect();
         assert_eq!(kinds, ["BarrierRelease", "DiffAck"]);
         assert!(st.wait.take().is_some(), "the episode completed");
+    }
+
+    /// Node 1 of 3 crosses `k` barriers, each after an interval of its own
+    /// and with a release naming one interval of each peer. Base HLRC trims
+    /// the notice table at every crossing: nothing is left whatever `k`,
+    /// and each arrival still carries its own new notice. With logging on,
+    /// only a checkpoint bounds it.
+    #[test]
+    fn a_base_node_keeps_no_notice_a_barrier_release_covers() {
+        let (me, n, k) = (1, 3, 20);
+        for ft in [false, true] {
+            let (mut st, eps) = test_state(me, n, ft);
+            st.pt.add_page(me); // page 0: written here
+            st.pt.add_page(0); // page 1: written by the peers
+            for episode in 0..k {
+                write_interval(&mut st, episode as u8 + 1);
+                assert_eq!(arrive_with(&mut st, &eps[0]), [episode + 1]);
+                let seq = episode + 1;
+                let peers = [0, 2].map(|proc| WriteNotice {
+                    interval: Interval { proc, seq },
+                    pages: vec![PageId(1)],
+                });
+                let release = Payload::BarrierRelease {
+                    episode: episode.into(),
+                    vt: VectorClock::from_vec(vec![seq; n]),
+                    wns: WnDelta::from(peers.to_vec()),
+                };
+                handle_msg(&mut st, 0, release);
+                let (_, release) = st.wait.take().expect("the release answers the arrival");
+                cross_barrier(&mut st, release);
+                let kept = if ft { n * (episode as usize + 1) } else { 0 };
+                assert_eq!(st.wn_table.len(), kept, "ft {ft} after episode {episode}");
+            }
+        }
     }
 }

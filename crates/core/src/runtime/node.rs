@@ -344,11 +344,12 @@ impl NodeState {
         }
         // Own write notices, out of the restored logs, back into the table:
         // the next arrival sends those past `last_bar_arrive_seq` from it.
-        self.ft.restart_from(image, window);
-        for e in self.ft.logs().expect("recovery requires FT").wn() {
-            let (proc, seq) = (self.me, e.seq);
-            let interval = Interval { proc, seq };
-            self.wn_table.insert_parts(interval, e.pages.clone());
+        for e in self.ft.restart_from(image, window) {
+            let interval = Interval {
+                proc: self.me,
+                seq: e.seq,
+            };
+            self.wn_table.insert_parts(interval, e.pages);
         }
     }
 

@@ -93,6 +93,12 @@ pub struct FtReport {
     /// Remote pages those recoveries rebuilt by home emulation: each costs
     /// one request to, and one reply from, every peer.
     pub replayed_pages: u64,
+    /// Saved log entries read back from stable storage to serve a
+    /// recovery, a peer's or this node's own.
+    pub log_entries_read: u64,
+    /// Largest observed size of the log entries held in memory: those no
+    /// published checkpoint has saved yet.
+    pub max_resident_log_bytes: u64,
 }
 
 impl FtReport {
@@ -113,6 +119,8 @@ impl FtReport {
         self.recoveries += o.recoveries;
         self.recovery_time += o.recovery_time;
         self.replayed_pages += o.replayed_pages;
+        self.log_entries_read += o.log_entries_read;
+        self.max_resident_log_bytes = self.max_resident_log_bytes.max(o.max_resident_log_bytes);
     }
 }
 
@@ -268,6 +276,7 @@ impl NodeReport {
             ("recoveries_total", ft.recoveries),
             ("recovery_time_ns_total", ns(ft.recovery_time)),
             ("replayed_pages_total", ft.replayed_pages),
+            ("log_entries_read_total", ft.log_entries_read),
             ("pool_hits_total", pool.hits),
             ("pool_misses_total", pool.misses),
             ("pool_recycled_total", pool.recycled),
@@ -286,6 +295,7 @@ impl NodeReport {
         ];
         let gauges = [
             ("stable_log_max_bytes", ft.max_stable_log_bytes),
+            ("resident_log_max_bytes", ft.max_resident_log_bytes),
             ("ckpt_window_max", ft.max_ckpt_window as u64),
             ("diff_outbox_depth", self.diff_outbox_depth),
         ];

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use dsm_page::{Diff, Interval, Page, PageId, VectorClock};
 use dsm_storage::{DiskModel, StableStore};
-use ftdsm::ft::logs::{RelEntry, StableLog, VolatileLogs};
+use ftdsm::ft::logs::{RelEntry, VolatileLogs};
+use ftdsm::ft::stable_log::StableLog;
 use ftdsm::msg::CkptStamp;
 use proptest::prelude::*;
 
@@ -48,7 +49,7 @@ proptest! {
         for &ckp in &peer_ckps {
             for needed_seq in (ckp + 1)..=n_intervals {
                 prop_assert!(
-                    logs.wn().iter().any(|e| e.seq == needed_seq),
+                    logs.index().wn.iter().any(|&(seq, _)| seq == needed_seq),
                     "interval {needed_seq} needed by a peer with ckp {ckp} was trimmed (bound {bound})"
                 );
             }
@@ -115,27 +116,30 @@ proptest! {
         known.insert(PageId(0), p0[0]);
         known.insert(PageId(1), p0[1]);
         logs.trim_rule3(&known);
-        for (page, log) in logs.diffs() {
-            for e in log {
+        // A diff's own interval seq is its `diff.T[me]`.
+        let kept = logs.index().diffs;
+        for (page, log) in &kept {
+            for &(seq, _) in log {
                 if let Some(bound) = known.get(page) {
-                    prop_assert!(e.t.get(ME) > *bound, "kept a diff the starting copy covers");
+                    prop_assert!(seq > *bound, "kept a diff the starting copy covers");
                 }
             }
         }
         // Unknown pages keep everything.
         let kept_unknown: usize =
-            logs.diffs().iter().filter(|(p, _)| p.0 >= 2).map(|(_, l)| l.len()).sum();
+            kept.iter().filter(|(p, _)| p.0 >= 2).map(|(_, l)| l.len()).sum();
         let created_unknown = diffs.iter().filter(|(_, p)| *p >= 2).count();
         prop_assert_eq!(kept_unknown, created_unknown);
     }
 
     /// Counters stay consistent through arbitrary interleavings of appends,
-    /// checkpoints (none, one or both trims, then a save) and restarts:
-    /// created >= discarded, the running volatile size is what a walk over
-    /// the logs adds up, and it never exceeds created - discarded. At every
-    /// checkpoint a restart from the live segments rebuilds exactly the
-    /// logs' entries and their size, and a restart rebuilds what the last
-    /// checkpoint held.
+    /// checkpoints (none, one or both trims, then a save, its publish and
+    /// the eviction of what it saved) and restarts: created >= discarded,
+    /// the running volatile size is what a walk over the logs — saved
+    /// entries read back from the store — adds up, and it never exceeds
+    /// created - discarded. At every checkpoint a restart from the live
+    /// segments rebuilds exactly the logs' entries and their size, and a
+    /// restart rebuilds what the last checkpoint held.
     #[test]
     fn log_counters_are_consistent(
         ops in proptest::collection::vec((0u32..5, 1u32..30), 1..60),
@@ -144,11 +148,17 @@ proptest! {
         let (mut logs, mut stable) = (VolatileLogs::new(ME, N), StableLog::default());
         // Own interval seq; last checkpoint's id, seq and logs.
         let (mut seq, mut ckpt, mut through) = (0u32, 0u64, 0u32);
-        let mut at_ckpt = (Vec::new(), std::collections::HashMap::new());
+        let mut at_ckpt = (Vec::new(), Vec::new());
         let restart = |logs: &mut VolatileLogs, ckpt, through| {
             let mut stable = StableLog::default();
             stable.restore(&store, logs, ckpt, through).unwrap();
             stable
+        };
+        // Every kept notice and diff, the saved ones read from the store.
+        let contents = |logs: &VolatileLogs, stable: &StableLog| {
+            let pages = logs.index().diffs.into_keys();
+            let diffs = pages.map(|p| logs.diffs_after(stable, &store, p, 0).0);
+            (logs.wn_log(stable, &store).0, diffs.collect::<Vec<_>>())
         };
         for (op, arg) in ops {
             match op {
@@ -169,23 +179,30 @@ proptest! {
                     (ckpt, through) = (ckpt + 1, seq);
                     let save = logs.save(through);
                     stable.append(&store, ckpt, save.bytes, save.span);
+                    logs.evict_saved();
                     stable.collect(&store, &save.bounds);
+                    prop_assert_eq!(logs.resident_bytes(), 0);
                     let mut restored = VolatileLogs::new(ME, N);
-                    prop_assert_eq!(&restart(&mut restored, ckpt, through), &stable);
-                    prop_assert_eq!(restored.wn(), logs.wn());
-                    prop_assert_eq!(restored.diffs(), logs.diffs());
+                    let restored_stable = restart(&mut restored, ckpt, through);
+                    prop_assert_eq!(&restored_stable, &stable);
+                    prop_assert_eq!(restored.index(), logs.index());
+                    at_ckpt = contents(&logs, &stable);
+                    prop_assert_eq!(&contents(&restored, &restored_stable), &at_ckpt);
                     prop_assert_eq!(restored.volatile_bytes(), logs.volatile_bytes());
-                    at_ckpt = (logs.wn().to_vec(), logs.diffs().clone());
                 }
                 _ => {
                     stable = restart(&mut logs, ckpt, through);
-                    prop_assert_eq!((logs.wn(), logs.diffs()), (&at_ckpt.0[..], &at_ckpt.1));
+                    prop_assert_eq!(&contents(&logs, &stable), &at_ckpt);
                     seq = through;
                 }
             }
-            let walk = logs.diffs().values().flatten().map(|e| e.wire_size()).sum::<usize>()
-                + logs.wn().iter().map(|e| e.wire_size()).sum::<usize>();
+            let (wn, diffs) = contents(&logs, &stable);
+            let walk = diffs.iter().flatten().map(|e| e.wire_size()).sum::<usize>()
+                + wn.iter().map(|e| e.wire_size()).sum::<usize>();
             prop_assert_eq!(logs.volatile_bytes(), walk as u64);
+            let index = logs.index();
+            let sizes = index.wn.iter().chain(index.diffs.values().flatten());
+            prop_assert_eq!(sizes.map(|&(_, size)| u64::from(size)).sum::<u64>(), walk as u64);
             let c = logs.counters();
             prop_assert!(c.created_bytes >= c.discarded_bytes);
             prop_assert!(logs.volatile_bytes() <= c.created_bytes - c.discarded_bytes);

@@ -23,4 +23,4 @@ pub mod store;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use disk::{DiskMode, DiskModel};
-pub use store::{SegmentKind, StableStore, StoreStats};
+pub use store::{SegmentKind, StableStore, StoreReader, StoreStats};

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::disk::DiskModel;
 
@@ -94,9 +94,10 @@ impl StableStore {
         d
     }
 
-    /// Read a copy of segment `(kind, id)`.
-    pub fn read_segment(&self, kind: SegmentKind, id: u64) -> Option<Vec<u8>> {
-        self.inner.lock().segments.get(&(kind, id)).cloned()
+    /// Read the store in place: the segments are borrowed, never copied,
+    /// and the store is locked until the reader is dropped.
+    pub fn read(&self) -> StoreReader<'_> {
+        StoreReader(self.inner.lock())
     }
 
     /// Delete segment `(kind, id)` (garbage collection; free). Returns true
@@ -152,6 +153,16 @@ impl StableStore {
     }
 }
 
+/// A borrowing read of one store ([`StableStore::read`]).
+pub struct StoreReader<'a>(MutexGuard<'a, Inner>);
+
+impl StoreReader<'_> {
+    /// Segment `(kind, id)`, if live.
+    pub fn segment(&self, kind: SegmentKind, id: u64) -> Option<&[u8]> {
+        self.0.segments.get(&(kind, id)).map(Vec::as_slice)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,11 +177,11 @@ mod tests {
         let s = store();
         s.write_segment(SegmentKind::Checkpoint, 1, vec![1, 2, 3]);
         assert_eq!(
-            s.read_segment(SegmentKind::Checkpoint, 1),
-            Some(vec![1, 2, 3])
+            s.read().segment(SegmentKind::Checkpoint, 1),
+            Some(&[1, 2, 3][..])
         );
         assert!(s.delete_segment(SegmentKind::Checkpoint, 1));
-        assert_eq!(s.read_segment(SegmentKind::Checkpoint, 1), None);
+        assert_eq!(s.read().segment(SegmentKind::Checkpoint, 1), None);
         assert!(!s.delete_segment(SegmentKind::Checkpoint, 1));
     }
 

@@ -68,7 +68,7 @@ proptest! {
         prop_assert_eq!(store.total_live_bytes(), expect_live as u64);
         for ((is_log, id), len) in live {
             let kind = if is_log { SegmentKind::Log } else { SegmentKind::Checkpoint };
-            prop_assert_eq!(store.read_segment(kind, id).unwrap().len(), len);
+            prop_assert_eq!(store.read().segment(kind, id).unwrap().len(), len);
         }
     }
 }

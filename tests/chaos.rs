@@ -374,6 +374,34 @@ fn a_crash_while_a_checkpoint_is_written_restarts_from_the_one_before() {
     }
 }
 
+/// A saved log entry lives on stable storage only. Every node checkpoints
+/// at every step, so by step 4 each survivor's notices and diffs from the
+/// earlier steps have left its memory; the victim crashes mid-step 4 and
+/// its recovery handshake and replayed pages are served from the
+/// survivors' stores. The run ends as the crash-free one did, bit for bit.
+#[test]
+fn a_survivor_serves_a_restarted_peer_from_its_stable_log() {
+    let cfg = || cfg().with_policy(CkptPolicy::EverySteps(1));
+    let clean = run(cfg(), &[], app);
+    for victim in 0..NODES {
+        // Two allocations, then 53 operations a step: mid-step 4.
+        let crash = FailureSpec {
+            node: victim,
+            at_op: 3 + 53 * 4 + 30,
+        };
+        let crashed = run(cfg(), &[crash], app);
+        assert_eq!(
+            (&clean.results, clean.shared_hash),
+            (&crashed.results, crashed.shared_hash),
+            "victim {victim}"
+        );
+        assert_eq!(crashed.nodes[victim].ft.recoveries, 1, "victim {victim}");
+        let survivors = (crashed.nodes.iter().enumerate()).filter(|&(j, _)| j != victim);
+        let read: u64 = survivors.map(|(_, x)| x.ft.log_entries_read).sum();
+        assert!(read > 0, "victim {victim}: no survivor read its stable log");
+    }
+}
+
 /// One fetch path under loss. With half of all `PageReply`s dropped — then
 /// half of all `PageReq`s — a fault keeps waiting on its page's entry and
 /// each retry period sends the request that covers it again, under the same
