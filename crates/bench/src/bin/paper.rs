@@ -430,6 +430,8 @@ fn do_protocol(scale: &Scale) {
     for ((k, c), (_, b)) in total.msg_kinds.iter().zip(&total.msg_kind_bytes) {
         println!("  msg_count {k:<16} {c:>8} {b:>10}");
     }
+    println!("\ntrace-context bytes (only a traced message has a context; in no count above):");
+    println!("  trace_bytes {:>8}", total.traffic.trace_bytes_sent);
 }
 
 fn do_ablate(scale: &Scale) {

@@ -290,17 +290,18 @@ impl Payload {
 }
 
 /// A protocol message: payload plus optional FT piggyback plus the causal
-/// trace context every message carries on the wire.
+/// trace context a traced message carries on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Msg {
     /// The base-protocol payload.
     pub payload: Payload,
     /// LLT/CGC control data (present when fault tolerance is enabled).
     pub piggy: Option<Piggy>,
-    /// Causal trace context. Constructed unstamped; the endpoint stamps
-    /// origin/seq/timestamp at send time, preserving any parent flow the
-    /// sender set. Its seq and parent are encoded whether tracing is on or
-    /// off, so byte accounting never depends on it.
+    /// Causal trace context. Constructed unstamped; while tracing is on the
+    /// endpoint stamps origin/seq/timestamp at send time, preserving any
+    /// parent flow the sender set. Only a stamped context is encoded, and
+    /// its bytes are charged apart (`trace_wire_size`), so the base and FT
+    /// bytes never depend on it.
     pub ctx: TraceCtx,
 }
 
@@ -341,14 +342,22 @@ impl Msg {
 }
 
 /// A message is charged what [`wire::put_msg`] writes: the base part is
-/// [`wire::put_base`]'s length, the piggyback [`wire::put_piggy`]'s.
+/// [`wire::put_base`]'s length but the trace context, the piggyback
+/// [`wire::put_piggy`]'s, the trace context [`wire::put_ctx`]'s.
 impl dsm_net::WireSized for Msg {
     fn base_wire_size(&self) -> usize {
-        wire::len_of(|w| wire::put_base(w, self))
+        wire::len_of(|w| wire::put_base(w, self)) - self.trace_wire_size()
     }
     fn ft_wire_size(&self) -> usize {
         let piggy = self.piggy.as_ref();
         piggy.map_or(0, |p| wire::len_of(|w| wire::put_piggy(w, p)))
+    }
+    fn trace_wire_size(&self) -> usize {
+        if self.ctx.is_stamped() {
+            wire::len_of(|w| wire::put_ctx(w, &self.ctx))
+        } else {
+            0
+        }
     }
     fn kind_name(&self) -> &'static str {
         self.payload.kind()
@@ -592,9 +601,10 @@ mod tests {
     /// The sender every test message is decoded from.
     const FROM: usize = 1;
 
-    /// Every kind (an arrival without its batch besides the one with),
-    /// stamped as the endpoint stamps it, half
-    /// of them parented and a few carrying a piggyback with a gossip table.
+    /// Every kind (an arrival without its batch besides the one with), a
+    /// few carrying a piggyback with a gossip table: once stamped as a
+    /// traced endpoint stamps it, half of them parented, and once untraced,
+    /// with no context.
     fn every_message() -> Vec<Msg> {
         let mut payloads = one_of_every_kind();
         let mut bare_arrival = payloads[5].clone();
@@ -616,24 +626,27 @@ mod tests {
             ..TraceCtx::NONE
         }
         .flow_id();
-        payloads
+        let untraced: Vec<Msg> = payloads
             .into_iter()
             .enumerate()
-            .map(|(i, payload)| {
-                let piggy = (i % 3 == 0).then(|| piggy.clone());
-                let mut m = Msg::with_parent(payload, piggy, parent * (i as u64 % 2));
-                m.stamp_send(FROM as u32, 100 + 37 * i as u64, 0);
-                m
-            })
-            .collect()
+            .map(|(i, payload)| Msg::with_parent(payload, (i % 3 == 0).then(|| piggy.clone()), 0))
+            .collect();
+        let traced = untraced.iter().enumerate().map(|(i, m)| {
+            let mut m = m.clone();
+            m.ctx.parent = parent * (i as u64 % 2);
+            m.stamp_send(FROM as u32, 100 + 37 * i as u64, 0);
+            m
+        });
+        traced.chain(untraced.clone()).collect()
     }
 
     fn decode(bytes: &[u8]) -> Result<Msg, dsm_storage::CodecError> {
         crate::wire::get_msg(&mut ByteReader::new(bytes), FROM)
     }
 
-    /// Every kind round-trips through `put_msg` / `get_msg`, origin and
-    /// parent included; is charged exactly the length of its encoding; and
+    /// Every kind, traced or not, round-trips through `put_msg` /
+    /// `get_msg`, origin and parent included; is charged exactly the length
+    /// of its encoding, its context to the trace bytes alone; and
     /// every strict prefix of it, and every byte of it set to each other
     /// value, decodes to `Ok` or `Err`: never a panic.
     #[test]
@@ -643,7 +656,9 @@ mod tests {
             let mut w = ByteWriter::new();
             crate::wire::put_msg(&mut w, &m);
             let bytes = w.into_bytes();
-            assert_eq!(bytes.len(), m.base_wire_size() + m.ft_wire_size(), "{kind}");
+            let charged = m.base_wire_size() + m.ft_wire_size() + m.trace_wire_size();
+            assert_eq!(bytes.len(), charged, "{kind}");
+            assert_eq!(m.trace_wire_size() > 0, m.ctx.is_stamped(), "{kind}");
             let mut r = ByteReader::new(&bytes);
             assert_eq!(crate::wire::get_msg(&mut r, FROM).unwrap(), m, "{kind}");
             assert!(r.is_exhausted(), "{kind}");
@@ -661,12 +676,19 @@ mod tests {
         }
     }
 
-    /// The shapes the layout was chosen for. A lock forward at n = 2 is 14
-    /// bytes (62 charged at fixed widths: 1 + 16 + 37 + 8); a root context
-    /// is its seq and one byte, a parented one its seq and the parent's
-    /// node and seq; the chain start `pred_acq = u64::MAX` is one byte.
+    /// The shapes the layout was chosen for. An untraced lock forward at
+    /// n = 2 is 9 bytes (62 charged at fixed widths: 1 + 16 + 37 + 8); a
+    /// traced one adds its context — a root context is its seq and one
+    /// byte, a parented one its seq and the parent's node and seq — on the
+    /// wire, in the trace bytes; the chain start `pred_acq = u64::MAX` is
+    /// one byte.
     #[test]
     fn a_lock_forward_a_context_and_the_chain_start_are_a_few_bytes() {
+        let encoded = |m: &Msg| {
+            let mut w = ByteWriter::new();
+            crate::wire::put_msg(&mut w, m);
+            w.into_bytes().len()
+        };
         let forward = |pred_acq, parent| {
             let payload = Payload::LockForward {
                 lock: 3,
@@ -677,8 +699,17 @@ mod tests {
                 vt: clock(&[45, 38]),
             };
             let mut m = Msg::reply_to(payload, parent);
+            // Untraced: no context on the wire, none charged.
+            let untraced = m.base_wire_size();
+            assert_eq!((encoded(&m), m.trace_wire_size()), (untraced, 0));
             m.stamp_send(0, 1000, 0);
-            m.base_wire_size()
+            assert_eq!(
+                m.base_wire_size(),
+                untraced,
+                "the context is not a base byte"
+            );
+            assert_eq!(encoded(&m), untraced + m.trace_wire_size());
+            (untraced, m.trace_wire_size())
         };
         let parent = TraceCtx {
             origin: 1,
@@ -686,11 +717,12 @@ mod tests {
             ..TraceCtx::NONE
         }
         .flow_id();
-        // Tag, ctx (seq 2 + node 1 + seq 2), lock, requester, acq_seq, gen,
-        // pred_acq + 1, clock (count and two entries).
-        assert_eq!(forward(u64::MAX, parent), 1 + 5 + 5 + 3);
-        assert_eq!(forward(u64::MAX, 0), 1 + 3 + 5 + 3);
+        // Tag, lock, requester, acq_seq, gen, pred_acq + 1, clock (count
+        // and two entries); a traced context is seq 2 + node 1 + seq 2, or
+        // seq 2 + a root's 0.
+        assert_eq!(forward(u64::MAX, 0), (1 + 5 + 3, 3));
+        assert_eq!(forward(u64::MAX, parent), (1 + 5 + 3, 5));
         assert_eq!(forward(0, parent), forward(u64::MAX, parent));
-        assert_eq!(forward(127, parent), forward(u64::MAX, parent) + 1);
+        assert_eq!(forward(127, parent).0, forward(u64::MAX, parent).0 + 1);
     }
 }

@@ -648,6 +648,7 @@ pub(crate) mod tests {
     use dsm_net::Fabric;
     use dsm_page::Diff;
     use dsm_storage::{DiskModel, StableStore};
+    use dsm_trace::{Trace, TraceConfig};
     use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, WaitingFetch};
     use hlrc::{PageBody, WnDelta};
 
@@ -1220,7 +1221,9 @@ pub(crate) mod tests {
                 interval::arrive(st, &mut Breakdown::default());
             }),
         ];
-        // Everything `ep` was sent, on both lanes, in the order it was sent.
+        // Everything `ep` was sent, on both lanes, in the order it was sent:
+        // the sender's endpoint is traced, so its stamps number its sends.
+        let trace = Trace::new(2, &TraceConfig::enabled());
         let sent_in_order = |ep: &Endpoint<Msg>| {
             let mut sent = Vec::new();
             while let Some(Event::Msg { msg, .. }) = ep.recv_any(Duration::ZERO) {
@@ -1231,6 +1234,8 @@ pub(crate) mod tests {
         };
         for (kind, block) in blocks {
             let (mut st, eps) = test_state(1, 2, true);
+            let ep = Arc::get_mut(&mut st.ep).expect("the state holds its endpoint alone");
+            ep.attach_tracer(trace.tracer(1));
             // Page 3 was invalidated with its copy kept: every send says so,
             // the one a restart triggers included — a peer coming back is
             // no reason to forget what we hold.

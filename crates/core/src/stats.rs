@@ -259,6 +259,7 @@ impl NodeReport {
             ("fabric_msgs_sent_total", t.msgs_sent),
             ("fabric_base_bytes_sent_total", t.base_bytes_sent),
             ("fabric_ft_bytes_sent_total", t.ft_bytes_sent),
+            ("fabric_trace_bytes_sent_total", t.trace_bytes_sent),
             ("fabric_msgs_dropped_total", t.msgs_dropped),
             ("fabric_chaos_dropped_total", t.chaos_dropped),
             ("fabric_chaos_delayed_total", t.chaos_delayed),

@@ -1,10 +1,11 @@
 //! The one encoded layout of every message, log entry and checkpoint clock.
 //!
 //! Every integer is an LEB128 varint; byte strings are raw after a varint
-//! length. A message is a tag byte (its kind in the low six bits, bit 6 "a
-//! piggyback follows", bit 7 "a diff batch follows"), the trace context,
-//! the payload, the batch and then the piggyback. [`put_msg`] writes it and
-//! [`get_msg`] reads it back; `Msg::base_wire_size` and `ft_wire_size` are
+//! length. A message is a tag byte (its kind in the low five bits, bit 5 "a
+//! trace context follows", bit 6 "a piggyback follows", bit 7 "a diff batch
+//! follows"), the trace context if the message was traced, the payload, the
+//! batch and then the piggyback. [`put_msg`] writes it and [`get_msg`] reads
+//! it back; `Msg::base_wire_size`, `ft_wire_size` and `trace_wire_size` are
 //! the lengths [`put_msg`] writes into a length-only [`ByteWriter`], so the
 //! bytes a message is charged are its encoding by construction.
 
@@ -82,7 +83,8 @@ fn get_flag(r: &mut ByteReader, context: &'static str) -> Result<bool, CodecErro
 
 const SEQ_MASK: u64 = (1 << 48) - 1;
 
-/// Encode a trace context: its seq, then its parent flow as the parent's
+/// Encode a stamped trace context (a traced message's; an untraced one has
+/// none on the wire): its seq, then its parent flow as the parent's
 /// `origin + 1` and seq, or one `0` for a root. The origin is the sender,
 /// which the receiver knows; the measurement fields (`sent_at_ns`,
 /// `chaos_delay_ns`) are not encoded — a real network stack would take
@@ -97,8 +99,11 @@ pub fn put_ctx(w: &mut ByteWriter, ctx: &TraceCtx) {
 
 /// Decode a trace context sent by `origin` (measurement fields zeroed).
 pub fn get_ctx(r: &mut ByteReader, origin: u32) -> Result<TraceCtx, CodecError> {
-    let seq = r.get_varint()?;
     let invalid = |context| CodecError::Invalid { context };
+    let seq = match r.get_varint()? {
+        0 => return Err(invalid("trace seq")),
+        seq => seq,
+    };
     let parent = match r.get_varint()? {
         0 => 0,
         node @ 1..=0xFFFF => match r.get_varint()? {
@@ -411,6 +416,8 @@ pub(crate) fn get_piggy(r: &mut ByteReader) -> Result<Piggy, CodecError> {
     })
 }
 
+/// Tag bit: a trace context follows the tag (the message was traced).
+const TRACED: u8 = 0x20;
 /// Tag bit: a piggyback follows the payload.
 const PIGGY: u8 = 0x40;
 /// Tag bit: a diff batch follows the payload (a barrier arrival's).
@@ -444,13 +451,19 @@ pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
     }
 }
 
-/// Encode the base-protocol part of a message: tag, trace context, payload
-/// and a carried batch — everything but the piggyback.
+/// Encode the base-protocol part of a message: tag, trace context (only
+/// when stamped), payload and a carried batch — everything but the
+/// piggyback.
 pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
     let batch = m.payload.carried();
-    let flags = (PIGGY * m.piggy.is_some() as u8) | (BATCH * batch.is_some() as u8);
+    let traced = m.ctx.is_stamped();
+    let flags = (TRACED * traced as u8)
+        | (PIGGY * m.piggy.is_some() as u8)
+        | (BATCH * batch.is_some() as u8);
     w.put_u8(kind_tag(&m.payload) | flags);
-    put_ctx(w, &m.ctx);
+    if traced {
+        put_ctx(w, &m.ctx);
+    }
     match &m.payload {
         Payload::LockAcq { lock, acq_seq, vt } => {
             put_varints(w, &[*lock as u64, *acq_seq]);
@@ -560,11 +573,15 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
 }
 
 /// Decode a message sent by `from`: the trace context's origin is the
-/// sender, which the layout leaves out.
+/// sender, which the layout leaves out; an untraced message's is
+/// [`TraceCtx::NONE`].
 pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
     let tag = r.get_u8()?;
-    let ctx = get_ctx(r, from as u32)?;
-    let mut payload = match tag & !(PIGGY | BATCH) {
+    let ctx = match tag & TRACED {
+        0 => TraceCtx::NONE,
+        _ => get_ctx(r, from as u32)?,
+    };
+    let mut payload = match tag & !(TRACED | PIGGY | BATCH) {
         0 => Payload::LockAcq {
             lock: get_usize(r)?,
             acq_seq: r.get_varint()?,
@@ -974,7 +991,8 @@ mod tests {
         put_wn_delta(&mut w, &wns());
         assert_eq!(w.into_bytes(), list);
         let vt = || VectorClock::from_vec(vec![1, 0, 6]);
-        // Tag, a root context (seq 0, no parent), the kind's header fields.
+        // Tag and the kind's header fields: an untraced message has no
+        // context.
         let kinds = [
             (
                 Payload::LockGrant {
@@ -984,7 +1002,7 @@ mod tests {
                     vt: vt(),
                     wns: wns(),
                 },
-                &[2, 0, 0, 1, 2, 3, 3, 1, 0, 6][..],
+                &[2, 1, 2, 3, 3, 1, 0, 6][..],
             ),
             (
                 Payload::BarrierArrive {
@@ -993,7 +1011,7 @@ mod tests {
                     own_wns: wns(),
                     batch: None,
                 },
-                &[7, 0, 0, 4, 3, 1, 0, 6],
+                &[7, 4, 3, 1, 0, 6],
             ),
             (
                 Payload::BarrierRelease {
@@ -1001,7 +1019,7 @@ mod tests {
                     vt: vt(),
                     wns: wns(),
                 },
-                &[8, 0, 0, 4, 3, 1, 0, 6],
+                &[8, 4, 3, 1, 0, 6],
             ),
         ];
         for (payload, header) in kinds {
@@ -1013,6 +1031,27 @@ mod tests {
             let got = get_msg(&mut ByteReader::new(&bytes), 0).unwrap();
             assert_eq!(got.payload, msg.payload);
         }
+    }
+
+    /// The tag's bit 5 says whether a context follows: an untraced
+    /// message has none, a traced one's follows the tag, and a context
+    /// whose seq is 0 (no stamp) is refused.
+    #[test]
+    fn a_context_is_on_the_wire_only_when_the_tag_says_so() {
+        let acq = Msg::bare(Payload::DiffAck { seq: 9 });
+        let mut w = ByteWriter::new();
+        put_msg(&mut w, &acq);
+        assert_eq!(w.into_bytes(), [4, 9]);
+        let decode = |bytes: &[u8]| get_msg(&mut ByteReader::new(bytes), 3);
+        assert_eq!(decode(&[4, 9]).unwrap(), acq);
+        let traced = decode(&[4 | TRACED, 1, 0, 9]).unwrap();
+        let ctx = TraceCtx {
+            origin: 3,
+            seq: 1,
+            ..TraceCtx::NONE
+        };
+        assert_eq!(traced.ctx, ctx);
+        assert!(decode(&[4 | TRACED, 0, 0, 9]).is_err());
     }
 
     /// A clock is its entry count and one varint an entry: eight small

@@ -27,17 +27,26 @@ pub enum NodeStatus {
 
 /// Messages must report their encoded size so traffic can be accounted
 /// without actually serializing on the hot path. [`Endpoint::send`] asks
-/// once per send, after stamping the trace context.
+/// once per send, after stamping the trace context (which it does only
+/// while tracing is on).
 ///
-/// The trace-context hooks (`stamp_send`, `add_chaos_delay`, `trace_view`)
-/// default to no-ops so size-only message types keep working; a message
-/// carrying a [`dsm_trace::TraceCtx`] overrides them and gets causal
-/// cross-node flow stitching plus queue/chaos latency attribution for free.
+/// The trace-context hooks (`stamp_send`, `add_chaos_delay`, `trace_view`,
+/// `trace_wire_size`) default to no-ops so size-only message types keep
+/// working; a message carrying a [`dsm_trace::TraceCtx`] overrides them and
+/// gets causal cross-node flow stitching plus queue/chaos latency
+/// attribution for free.
 pub trait WireSized {
-    /// Encoded size of the base-protocol part of the message, in bytes.
+    /// Encoded size of the base-protocol part of the message, in bytes,
+    /// without the trace context.
     fn base_wire_size(&self) -> usize;
     /// Encoded size of the fault-tolerance control (piggyback) part.
     fn ft_wire_size(&self) -> usize {
+        0
+    }
+    /// Encoded size of the stamped trace context: 0 for a message the
+    /// endpoint did not stamp. Counted apart from the other two, so tracing
+    /// moves no base or FT byte.
+    fn trace_wire_size(&self) -> usize {
         0
     }
     /// Short stable message-kind label for tracing (e.g. `"PageReq"`).
@@ -52,8 +61,8 @@ pub trait WireSized {
     }
     /// Stamp a fresh trace context at send time: the stamping node, a
     /// per-endpoint monotonic sequence number (starting at 1), and the
-    /// send timestamp in trace-epoch nanoseconds (0 when tracing is off).
-    /// Must preserve any parent flow already set by the sender.
+    /// send timestamp in trace-epoch nanoseconds. Called only while tracing
+    /// is on. Must preserve any parent flow already set by the sender.
     fn stamp_send(&mut self, _origin: u32, _seq: u64, _now_ns: u64) {}
     /// Accumulate `ns` of fabric-injected delay (chaos Delay rules and
     /// duplicate detours) so the receive side can subtract it from the
@@ -372,7 +381,8 @@ pub struct Endpoint<M> {
     n: usize,
     shared: Arc<FabricShared<M>>,
     tracer: NodeTracer,
-    /// Monotonic trace-context sequence; `(id, seq)` names a flow.
+    /// Monotonic trace-context sequence of the traced sends; `(id, seq)`
+    /// names a flow.
     ctx_seq: AtomicU64,
 }
 
@@ -438,6 +448,10 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     /// `false` is returned. Under a fault plan or partition the message may be lost,
     /// duplicated, delayed or reordered; the sender can't tell (`true` is
     /// still returned — a real NIC doesn't know the network ate its packet).
+    ///
+    /// While tracing is on the message is stamped with a trace context
+    /// (origin, sequence number, send time), whose bytes are charged to the
+    /// trace counter; with tracing off it carries none, and its flow is 0.
     pub fn send(&self, to: NodeId, mut msg: M) -> bool {
         assert_ne!(to, self.id, "self-sends are a protocol bug");
         let traffic = self.shared.stats.node(self.id);
@@ -445,20 +459,17 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
             traffic.record_drop();
             return false;
         }
-        // Stamp the causal context: origin + per-endpoint seq name the
-        // flow; the timestamp (trace-epoch ns) is only taken when tracing
-        // is on so the disabled path stays a relaxed load + counter bump.
-        let seq = self.ctx_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let now_ns = if self.tracer.enabled() {
-            self.tracer.now_ns()
-        } else {
-            0
-        };
-        msg.stamp_send(self.id as u32, seq, now_ns);
-        // Sized once, after the stamp: the encoded context is part of it.
+        // Stamp the causal context only when tracing is on, so the disabled
+        // path is one relaxed load: no sequence number, no wire byte.
+        let traced = self.tracer.enabled();
+        if traced {
+            let seq = self.ctx_seq.fetch_add(1, Ordering::Relaxed) + 1;
+            msg.stamp_send(self.id as u32, seq, self.tracer.now_ns());
+        }
+        // Sized once, after the stamp.
         let (base, ft) = (msg.base_wire_size(), msg.ft_wire_size());
-        traffic.record_send(base, ft, msg.kind_name());
-        if self.tracer.enabled() {
+        traffic.record_send(base, ft, msg.trace_wire_size(), msg.kind_name());
+        if traced {
             let (flow, parent, _, _) = msg.trace_view();
             self.tracer.emit(EventKind::MsgSend {
                 kind: msg.kind_name(),
@@ -636,6 +647,43 @@ mod tests {
         assert_eq!(s0.base_bytes_sent, 150);
         assert_eq!(s0.ft_bytes_sent, 8);
         assert_eq!(fabric.stats().total().msgs_sent, 3);
+    }
+
+    /// A message whose context is its stamp's seq, 3 bytes once stamped.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Stamped(u64);
+    impl WireSized for Stamped {
+        fn base_wire_size(&self) -> usize {
+            10
+        }
+        fn trace_wire_size(&self) -> usize {
+            3 * (self.0 != 0) as usize
+        }
+        fn stamp_send(&mut self, _origin: u32, seq: u64, _now_ns: u64) {
+            self.0 = seq;
+        }
+    }
+
+    #[test]
+    fn only_a_traced_send_is_stamped_and_its_context_is_counted_apart() {
+        let trace = dsm_trace::Trace::new(2, &dsm_trace::TraceConfig::enabled());
+        trace.set_enabled(false);
+        let (fabric, mut eps) = Fabric::<Stamped>::new(2);
+        eps[0].attach_tracer(trace.tracer(0));
+        eps[0].send(1, Stamped(0));
+        trace.set_enabled(true);
+        eps[0].send(1, Stamped(0));
+        eps[0].send(1, Stamped(0));
+        let seqs: Vec<u64> = std::iter::from_fn(|| match eps[1].try_recv()? {
+            Event::Msg { msg, .. } => Some(msg.0),
+            Event::Wakeup => None,
+        })
+        .collect();
+        // The untraced send took no sequence number.
+        assert_eq!(seqs, [0, 1, 2]);
+        let s = fabric.stats().node(0).snapshot();
+        assert_eq!((s.base_bytes_sent, s.trace_bytes_sent), (30, 6));
+        assert_eq!(fabric.stats().node(0).kind_bytes(), [("msg", 30)]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Every send is charged to the *sending* node, split into base-protocol
 //! bytes and fault-tolerance control bytes (the lazily piggybacked
 //! checkpoint timestamps and page-version integers of the LLT/CGC scheme).
-//! Table 2 of the paper is the ratio of these two streams.
+//! Table 2 of the paper is the ratio of these two streams. The trace
+//! context a traced message carries is a third stream, counted apart so
+//! that tracing moves neither of the other two.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,6 +20,8 @@ pub struct NodeTraffic {
     pub base_bytes_sent: AtomicU64,
     /// Fault-tolerance control (piggyback) bytes sent.
     pub ft_bytes_sent: AtomicU64,
+    /// Trace-context bytes sent (0 unless tracing is on).
+    pub trace_bytes_sent: AtomicU64,
     /// Messages dropped because the destination had crashed.
     pub msgs_dropped: AtomicU64,
     /// Messages lost by chaos injection (the [`crate::FaultPlan`]).
@@ -28,7 +32,8 @@ pub struct NodeTraffic {
     pub chaos_duplicated: AtomicU64,
     /// Messages blocked by an active network partition.
     pub partition_blocked: AtomicU64,
-    /// Sent messages and bytes (base + piggyback) by message kind. A handful
+    /// Sent messages and bytes (base + piggyback, no trace context) by
+    /// message kind. A handful
     /// of kinds exist, so a linear list under a mutex beats a hash map here.
     kinds: Mutex<Vec<(&'static str, u64, u64)>>,
     /// Receive-side latency attribution per message kind (only populated
@@ -59,11 +64,13 @@ impl std::ops::Add for PhaseAcc {
 }
 
 impl NodeTraffic {
-    pub(crate) fn record_send(&self, base: usize, ft: usize, kind: &'static str) {
+    pub(crate) fn record_send(&self, base: usize, ft: usize, trace: usize, kind: &'static str) {
         self.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.base_bytes_sent
             .fetch_add(base as u64, Ordering::Relaxed);
         self.ft_bytes_sent.fetch_add(ft as u64, Ordering::Relaxed);
+        self.trace_bytes_sent
+            .fetch_add(trace as u64, Ordering::Relaxed);
         let bytes = (base + ft) as u64;
         let mut kinds = self.kinds.lock();
         match kinds.iter_mut().find(|(k, ..)| *k == kind) {
@@ -135,6 +142,7 @@ impl NodeTraffic {
             msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
             base_bytes_sent: self.base_bytes_sent.load(Ordering::Relaxed),
             ft_bytes_sent: self.ft_bytes_sent.load(Ordering::Relaxed),
+            trace_bytes_sent: self.trace_bytes_sent.load(Ordering::Relaxed),
             msgs_dropped: self.msgs_dropped.load(Ordering::Relaxed),
             chaos_dropped: self.chaos_dropped.load(Ordering::Relaxed),
             chaos_delayed: self.chaos_delayed.load(Ordering::Relaxed),
@@ -153,6 +161,8 @@ pub struct TrafficSnapshot {
     pub base_bytes_sent: u64,
     /// Fault-tolerance control (piggyback) bytes sent.
     pub ft_bytes_sent: u64,
+    /// Trace-context bytes sent (0 unless tracing is on).
+    pub trace_bytes_sent: u64,
     /// Messages dropped because the destination had crashed.
     pub msgs_dropped: u64,
     /// Messages lost by chaos injection.
@@ -184,6 +194,7 @@ impl std::ops::Add for TrafficSnapshot {
             msgs_sent: self.msgs_sent + o.msgs_sent,
             base_bytes_sent: self.base_bytes_sent + o.base_bytes_sent,
             ft_bytes_sent: self.ft_bytes_sent + o.ft_bytes_sent,
+            trace_bytes_sent: self.trace_bytes_sent + o.trace_bytes_sent,
             msgs_dropped: self.msgs_dropped + o.msgs_dropped,
             chaos_dropped: self.chaos_dropped + o.chaos_dropped,
             chaos_delayed: self.chaos_delayed + o.chaos_delayed,
@@ -242,28 +253,30 @@ mod tests {
     #[test]
     fn totals_aggregate_across_nodes() {
         let s = FabricStats::new(3);
-        s.node(0).record_send(100, 4, "a");
-        s.node(2).record_send(50, 0, "b");
+        s.node(0).record_send(100, 4, 3, "a");
+        s.node(2).record_send(50, 0, 0, "b");
         s.node(2).record_drop();
         let t = s.total();
         assert_eq!(t.msgs_sent, 2);
         assert_eq!(t.base_bytes_sent, 150);
         assert_eq!(t.ft_bytes_sent, 4);
+        assert_eq!(t.trace_bytes_sent, 3);
         assert_eq!(t.msgs_dropped, 1);
     }
 
     #[test]
     fn kind_counts_and_bytes_sort_by_kind() {
         let s = FabricStats::new(2);
-        s.node(0).record_send(10, 0, "PageReq");
-        s.node(0).record_send(10, 0, "DiffBatch");
-        s.node(1).record_send(10, 0, "PageReq");
+        s.node(0).record_send(10, 0, 0, "PageReq");
+        s.node(0).record_send(10, 0, 0, "DiffBatch");
+        s.node(1).record_send(10, 0, 0, "PageReq");
         assert_eq!(
             s.node(0).kind_counts(),
             vec![("DiffBatch", 1), ("PageReq", 1)]
         );
         assert_eq!(s.node(1).kind_counts(), vec![("PageReq", 1)]);
-        s.node(0).record_send(30, 2, "PageReq");
+        // The trace context is not a kind's byte.
+        s.node(0).record_send(30, 2, 5, "PageReq");
         assert_eq!(
             s.node(0).kind_bytes(),
             vec![("DiffBatch", 10), ("PageReq", 42)]

@@ -1,4 +1,4 @@
-//! Causal trace context carried on every wire message.
+//! Causal trace context carried on every message sent while tracing is on.
 //!
 //! The context is deliberately tiny: the stamping node, a per-endpoint
 //! monotonic sequence number, and the flow id of the message being served
@@ -9,7 +9,9 @@
 //! On the wire (`ftdsm::wire::put_ctx`) the context is the seq as a varint,
 //! then the parent as two varints — its `origin + 1`, then its seq — or a
 //! single `0` for a root: 2–3 bytes for most messages, 5–7 for a reply. The
-//! origin is not sent; the receiver knows who sent the message.
+//! origin is not sent; the receiver knows who sent the message. An untraced
+//! message is never stamped: its context stays [`TraceCtx::NONE`] and has
+//! no byte on the wire.
 //!
 //! Two more fields ride along as **local measurement metadata** and are
 //! *not* encoded or charged (they exist only because the whole cluster
@@ -18,7 +20,8 @@
 //! injected. The receive side subtracts both from the observed transit time
 //! to split "fabric/chaos delay" from "receiver queue wait".
 
-/// Compact causal context stamped by `dsm_net::Endpoint::send` on every message.
+/// Compact causal context stamped by `dsm_net::Endpoint::send` on every
+/// message sent while tracing is on.
 ///
 /// Encoded as the seq and the parent flow (see the module docs); the
 /// origin is the sender.

@@ -156,6 +156,111 @@ fn fixed_seed_two_node_exchange_exports_cross_node_flows() {
     );
 }
 
+/// Two nodes taking turns, a barrier between every turn: node 0 rewrites a
+/// block of its own pages and takes lock 1 (managed by node 1) to bump a
+/// cell homed on node 1, then node 1 refetches the block in batches and
+/// takes the lock from node 0. A step's safe point lies between two
+/// barriers, so a checkpoint is taken while nothing is in flight, and
+/// which messages are sent and what they carry does not depend on thread
+/// timing.
+fn turns(p: &mut Process) -> u64 {
+    let block = p.alloc_vec::<u64>(256, HomeAlloc::Node(0));
+    let cell = p.alloc_vec::<u64>(1, HomeAlloc::Node(1));
+    let bump = |p: &mut Process| {
+        p.acquire(1);
+        let v = cell.get(p, 0);
+        cell.set(p, 0, v + 1);
+        p.release(1);
+    };
+    let mut state = 0u64;
+    p.run_steps(&mut state, 4, |p, state, step| {
+        p.barrier();
+        if p.me() == 0 {
+            for i in 0..256 {
+                block.set(p, i, step * 1000 + i as u64);
+            }
+            bump(p);
+        }
+        p.barrier();
+        if p.me() == 1 {
+            *state += (0..256).map(|i| block.get(p, i)).sum::<u64>();
+            bump(p);
+        }
+        p.barrier();
+    });
+    p.barrier();
+    state + cell.get(p, 0)
+}
+
+/// Tracing moves no protocol byte: the same deterministic two-node run,
+/// traced and untraced, sends the same messages of every kind with the same
+/// base and FT bytes. Only the traced run pays for its contexts,
+/// in the trace counter alone, and its replies still name their requests'
+/// flows.
+#[test]
+fn tracing_moves_no_protocol_byte() {
+    let run_with = |trace: TraceConfig| {
+        run(
+            ClusterConfig::fault_tolerant(2)
+                .with_page_size(256)
+                .with_policy(CkptPolicy::EverySteps(2))
+                .with_seed(SEED)
+                .with_trace(trace),
+            &[],
+            turns,
+        )
+    };
+    let (plain, traced) = (
+        run_with(TraceConfig::default()),
+        run_with(TraceConfig::enabled()),
+    );
+    assert_eq!(plain.results, traced.results);
+    assert_eq!(plain.shared_hash, traced.shared_hash);
+    let (p, t) = (plain.total(), traced.total());
+    for kind in [
+        "PageReq",
+        "PageReply",
+        "LockAcq",
+        "LockForward",
+        "LockGrant",
+        "DiffBatch",
+    ] {
+        assert!(
+            p.msg_kinds.iter().any(|&(k, _)| k == kind),
+            "no {kind} sent"
+        );
+    }
+    assert!(p.ft.ckpts_taken > 0 && p.traffic.ft_bytes_sent > 0);
+    // Per kind, counts only: a piggyback may ride whichever of two racing
+    // messages leaves first (node 1's arrival or its service thread's
+    // grant), so its bytes can change kinds, but not their sum.
+    assert_eq!(p.msg_kinds, t.msg_kinds);
+    assert_eq!(p.traffic.base_bytes_sent, t.traffic.base_bytes_sent);
+    assert_eq!(p.traffic.ft_bytes_sent, t.traffic.ft_bytes_sent);
+    assert_eq!(p.traffic.trace_bytes_sent, 0);
+    assert!(t.traffic.trace_bytes_sent > 0);
+
+    // Every page reply is parented on the request it answers.
+    let events = traced.trace.all_events();
+    let sends = || {
+        events.iter().filter_map(|e| match e.kind {
+            EventKind::MsgSend {
+                kind, flow, parent, ..
+            } => Some((kind, flow, parent)),
+            _ => None,
+        })
+    };
+    let requests: BTreeSet<u64> = sends().filter(|s| s.0 == "PageReq").map(|s| s.1).collect();
+    let replies: Vec<u64> = sends()
+        .filter(|s| s.0 == "PageReply")
+        .map(|s| s.2)
+        .collect();
+    assert!(!replies.is_empty(), "no traced page reply");
+    for parent in replies {
+        assert!(requests.contains(&parent), "a reply names flow {parent:#x}");
+    }
+}
+
 /// Service-time coverage: every message kind the cluster *sent* must show
 /// up as a service-time bucket, including the kinds added after PR 3 —
 /// DiffAck (an empty chaos plan switches the retry layer on) and page
@@ -474,6 +579,7 @@ fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
     assert_eq!(t.msgs_sent, sum(|n| n.traffic.msgs_sent));
     assert_eq!(t.base_bytes_sent, sum(|n| n.traffic.base_bytes_sent));
     assert_eq!(t.ft_bytes_sent, sum(|n| n.traffic.ft_bytes_sent));
+    assert_eq!(t.trace_bytes_sent, sum(|n| n.traffic.trace_bytes_sent));
     assert_eq!(t.msgs_dropped, sum(|n| n.traffic.msgs_dropped));
     let b = report.total_breakdown();
     assert_eq!(b.total, time(|n| n.breakdown.total));
