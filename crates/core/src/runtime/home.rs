@@ -147,63 +147,49 @@ impl HomeSvc {
                 }
             }
             Payload::DiffBatch { seq, diffs } => {
-                return self.serve_batch(hists, from, *seq, diffs, live, reply)
+                let mut ready = Vec::new();
+                let mut applied_all = true;
+                for d in diffs {
+                    let t0 = Instant::now();
+                    let (outcome, waited) = self.home.apply_diff_kept(d, &live);
+                    hists.shard_lock_wait.record(waited.as_nanos() as u64);
+                    let ApplyOutcome::Applied { fresh, ready: r } = outcome else {
+                        applied_all = false;
+                        break;
+                    };
+                    hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
+                    ready.extend(r);
+                    // Only a version-advancing apply is an apply; a
+                    // duplicated or retransmitted batch the gate skipped
+                    // must not emit (the invariant monitor treats a repeat
+                    // as a violation).
+                    if fresh {
+                        emit_diff_apply(&self.tracer, d);
+                    }
+                }
+                if applied_all {
+                    self.inject_stale_apply_if_armed(diffs.last().map(|d| &**d));
+                }
+                // Unparked fetches are answered even when the batch is
+                // handed back: they are out of the parked set for good.
+                for (to, page) in ready.into_iter().map(page_reply) {
+                    reply(to, page);
+                }
+                if !applied_all {
+                    return Served::HandBack;
+                }
+                // Stop-and-wait ack. The home keeps no per-writer seq state:
+                // it acks whatever arrives (the version gate inside
+                // apply_diff is the dedup), and the writer drops stale acks
+                // by seq.
+                if *seq != 0 {
+                    reply(from, Payload::DiffAck { seq: *seq });
+                }
+                return Served::Done { wake: true };
             }
             _ => return Served::HandBack,
         }
         Served::Done { wake: false }
-    }
-
-    /// A `DiffBatch`'s diffs `(seq, diffs)` from writer `from`, whichever
-    /// message brought them: the kind itself, or a barrier arrival that
-    /// carried them ([`Payload::carried`]). Arguments as for
-    /// [`HomeSvc::serve`].
-    pub(crate) fn serve_batch(
-        &self,
-        hists: &mut LatencyHists,
-        from: ProcId,
-        seq: u64,
-        diffs: &[Arc<Diff>],
-        live: impl Fn() -> bool,
-        mut reply: impl FnMut(ProcId, Payload),
-    ) -> Served {
-        let mut ready = Vec::new();
-        let mut applied_all = true;
-        for d in diffs {
-            let t0 = Instant::now();
-            let (outcome, waited) = self.home.apply_diff_kept(d, &live);
-            hists.shard_lock_wait.record(waited.as_nanos() as u64);
-            let ApplyOutcome::Applied { fresh, ready: r } = outcome else {
-                applied_all = false;
-                break;
-            };
-            hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
-            ready.extend(r);
-            // Only a version-advancing apply is an apply; a duplicated or
-            // retransmitted batch the gate skipped must not emit (the
-            // invariant monitor treats a repeat as a violation).
-            if fresh {
-                emit_diff_apply(&self.tracer, d);
-            }
-        }
-        if applied_all {
-            self.inject_stale_apply_if_armed(diffs.last().map(|d| &**d));
-        }
-        // Unparked fetches are answered even when the batch is handed back:
-        // they are out of the parked set for good.
-        for (to, page) in ready.into_iter().map(page_reply) {
-            reply(to, page);
-        }
-        if !applied_all {
-            return Served::HandBack;
-        }
-        // Stop-and-wait ack. The home keeps no per-writer seq state: it acks
-        // whatever arrives (the version gate inside apply_diff is the dedup),
-        // and the writer drops stale acks by seq.
-        if seq != 0 {
-            reply(from, Payload::DiffAck { seq });
-        }
-        Served::Done { wake: true }
     }
 
     /// Test-only (armed via `ClusterConfig::inject_stale_apply`): re-emit the

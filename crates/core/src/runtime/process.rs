@@ -134,7 +134,8 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
 /// state.
 ///
 /// What the lane delivers — the pages, grant or release being waited for, a
-/// prefetched page, recovery replies — this thread runs through
+/// prefetched page, recovery replies and, at the barrier manager, the
+/// peers' arrivals — this thread runs through
 /// [`dispatch`], the function the service loop runs requests through, and
 /// then asks `take` again; the handler time goes to `svc_time_by_kind` like
 /// the service thread's and to [`NodeState::own_svc`]. A change `take`
@@ -623,8 +624,8 @@ impl Process {
 
     /// Flush any unsynchronized writes, wait until every home has
     /// acknowledged them (nothing is queued when the retry layer is off) and
-    /// the disk has the last checkpoint, and fold this incarnation's
-    /// breakdown into the node report.
+    /// the disk has the last checkpoint, fold this incarnation's breakdown
+    /// into the node report, and hand the reply lane to the service thread.
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
@@ -640,6 +641,10 @@ impl Process {
         wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
         self.await_disk(&mut st);
         self.flush_stats(&mut st);
+        // No wait reads the lane from here on, and a peer may still need
+        // what comes for it handled: a re-arrival whose release was lost
+        // after our last barrier.
+        st.ep.hand_over_replies();
     }
 
     /// Fold timing into the node report without finishing (crash path).

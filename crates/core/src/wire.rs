@@ -421,7 +421,7 @@ const TRACED: u8 = 0x20;
 /// Tag bit: a piggyback follows the payload.
 const PIGGY: u8 = 0x40;
 /// Tag bit: a diff batch follows the payload (a barrier arrival's).
-const BATCH: u8 = 0x80;
+pub(crate) const BATCH: u8 = 0x80;
 
 /// The kind half of a message's tag byte. Tags 5 and 6 are retired (they
 /// were the heartbeat's) and decode as an error.
@@ -455,7 +455,10 @@ pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
 /// when stamped), payload and a carried batch — everything but the
 /// piggyback.
 pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
-    let batch = m.payload.carried();
+    let batch = match &m.payload {
+        Payload::BarrierArrive { batch, .. } => batch.as_ref(),
+        _ => None,
+    };
     let traced = m.ctx.is_stamped();
     let flags = (TRACED * traced as u8)
         | (PIGGY * m.piggy.is_some() as u8)

@@ -53,10 +53,18 @@ pub trait WireSized {
     fn kind_name(&self) -> &'static str {
         "msg"
     }
-    /// Is this a reply that a blocked requester is waiting for? Replies are
-    /// delivered to the destination's reply lane ([`Endpoint::recv_reply`]),
+    /// Is this for the thread that blocks for replies? Such a message is
+    /// delivered to the destination's reply lane ([`Endpoint::recv_reply`])
+    /// until that is handed over ([`Endpoint::hand_over_replies`]),
     /// everything else to its request lane ([`Endpoint::recv`]).
     fn to_waiter(&self) -> bool {
+        false
+    }
+    /// Must this message, though it is for the waiting thread, not overtake
+    /// the requests its sender sent the destination before it? It goes to
+    /// the reply lane only while the request lane holds no request and its
+    /// thread handles none; otherwise behind them, on the request lane.
+    fn behind_requests(&self) -> bool {
         false
     }
     /// Stamp a fresh trace context at send time: the stamping node, a
@@ -108,7 +116,7 @@ struct Inbox<M> {
     /// Requests and control events, for the node's service thread.
     requests: Mailbox<Event<M>>,
     /// Replies ([`WireSized::to_waiter`]), for the thread that waits for
-    /// them.
+    /// them; closed into `requests` once that thread has ended.
     replies: Mailbox<Event<M>>,
 }
 
@@ -135,15 +143,19 @@ impl<M> FabricShared<M> {
 }
 
 impl<M: WireSized> FabricShared<M> {
-    /// Queue `msg` on the lane of `to` its kind belongs to.
+    /// Queue `msg` on the lane of `to` its kind belongs to: the request
+    /// lane once the reply lane has been handed over, or while a message
+    /// that must stay behind the requests finds one there.
     fn deliver(&self, from: NodeId, to: NodeId, msg: M) {
         let inbox = &self.inboxes[to];
-        let lane = if msg.to_waiter() {
-            &inbox.replies
-        } else {
-            &inbox.requests
-        };
-        lane.push(Event::Msg { from, msg });
+        let reply = msg.to_waiter() && (!msg.behind_requests() || inbox.requests.idle());
+        let ev = Event::Msg { from, msg };
+        if !reply {
+            return inbox.requests.push(ev);
+        }
+        if let Err(ev) = inbox.replies.push_open(ev) {
+            inbox.requests.push(ev);
+        }
     }
 }
 
@@ -346,22 +358,24 @@ impl<M: Send + WireSized> Fabric<M> {
         self.shared.refresh_chaos_gate();
     }
 
-    /// Has request traffic died down? True when no request is queued on any
-    /// endpoint, nothing is parked in the chaos pump, no request-lane
-    /// receiver is between one receive and its next, and nothing was sent
-    /// while this looked. Exact once request handlers are the only senders
-    /// left: a handler sends before it goes back to its receive, so one that
-    /// was still busy when an earlier lane was inspected shows up as a moved
-    /// send count. Reply lanes are not consulted — a reply nobody waits for
-    /// any more causes no further traffic.
+    /// Has traffic died down? True when nothing is queued on any lane of any
+    /// endpoint, nothing is parked in the chaos pump, no receiver is between
+    /// one receive and its next, and nothing was sent while this looked.
+    /// Exact once request handlers are the only senders left — every
+    /// endpoint's reply lane handed over ([`Endpoint::hand_over_replies`]),
+    /// so that every message, a reply a handler must answer too, goes to a
+    /// request lane: a handler sends before it goes back to its receive, so
+    /// one that was still busy when an earlier lane was inspected shows up
+    /// as a moved send count.
     pub fn quiescent(&self) -> bool {
         let sent = || self.shared.stats.total().msgs_sent;
         let before = sent();
         // The pump delivers with its heap locked, so an empty heap means
         // nothing is on its way out of it either.
         let pump = self.shared.pump.lock().as_ref().map(Arc::clone);
+        let idle = |i: &Inbox<M>| i.requests.idle() && i.replies.idle();
         pump.is_none_or(|ps| ps.q.lock().is_empty())
-            && self.shared.inboxes.iter().all(|i| i.requests.idle())
+            && self.shared.inboxes.iter().all(idle)
             && sent() == before
     }
 }
@@ -569,6 +583,14 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     /// Non-blocking receive on the request lane.
     pub fn try_recv(&self) -> Option<Event<M>> {
         self.note_recv(self.inbox().requests.pop(Wait::No))
+    }
+
+    /// The thread that reads the reply lane has ended: move what is queued
+    /// there to the request lane, behind what that holds, and deliver every
+    /// later reply there too. For good — a node's application thread calls
+    /// it as it returns, and its service thread handles the rest.
+    pub fn hand_over_replies(&self) {
+        self.inbox().replies.close_into(&self.inbox().requests);
     }
 
     /// Receive on the reply lane: the next reply addressed to this node, or
@@ -795,6 +817,72 @@ mod tests {
             })
         );
         assert_eq!(fabric.stats().node(0).snapshot().chaos_delayed, 1);
+    }
+
+    /// `(id, to_waiter, behind_requests)`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Laned(u32, bool, bool);
+    impl WireSized for Laned {
+        fn base_wire_size(&self) -> usize {
+            4
+        }
+        fn to_waiter(&self) -> bool {
+            self.1
+        }
+        fn behind_requests(&self) -> bool {
+            self.2
+        }
+    }
+
+    fn id(ev: Option<Event<Laned>>) -> Option<u32> {
+        match ev {
+            Some(Event::Msg { msg, .. }) => Some(msg.0),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_handed_over_reply_lane_empties_into_the_request_lane_and_stays_there() {
+        let (fabric, eps) = Fabric::<Laned>::new(2);
+        // A request, then three replies; the waiter takes the first.
+        eps[1].send(0, Laned(1, false, false));
+        for i in 2..5 {
+            eps[1].send(0, Laned(i, true, false));
+        }
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(2));
+        assert!(!fabric.quiescent(), "two replies are queued");
+        eps[0].hand_over_replies();
+        eps[1].send(0, Laned(5, true, false));
+        eps[1].send(0, Laned(6, false, false));
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), None);
+        let requests: Vec<_> = std::iter::from_fn(|| id(eps[0].try_recv())).collect();
+        assert_eq!(requests, [1, 3, 4, 5, 6]);
+        assert!(fabric.quiescent());
+        // Another node's lanes are its own.
+        eps[0].send(1, Laned(7, true, false));
+        assert!(eps[1].try_recv().is_none());
+        assert_eq!(id(eps[1].recv_reply(Duration::ZERO)), Some(7));
+    }
+
+    #[test]
+    fn a_reply_that_stays_behind_requests_takes_the_reply_lane_only_when_none_is_left() {
+        let (_fabric, eps) = Fabric::<Laned>::new(2);
+        // A request waits; a plain reply passes it, one that stays behind
+        // queues after it.
+        eps[1].send(0, Laned(1, false, false));
+        eps[1].send(0, Laned(2, true, false));
+        eps[1].send(0, Laned(3, true, true));
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(2));
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), None);
+        // Until its consumer comes back for more, the request lane is still
+        // handling the last item it gave out: nothing passes it yet.
+        assert_eq!(id(eps[0].try_recv()), Some(1));
+        eps[1].send(0, Laned(4, true, true));
+        assert_eq!(id(eps[0].try_recv()), Some(3));
+        assert_eq!(id(eps[0].try_recv()), Some(4));
+        assert_eq!(id(eps[0].try_recv()), None);
+        eps[1].send(0, Laned(5, true, true));
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(5));
     }
 
     #[test]

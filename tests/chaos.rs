@@ -448,3 +448,43 @@ fn light_loss_and_delay_converge() {
         "lossy run memory diverged (FTDSM_SEED={seed:#x})"
     );
 }
+
+/// The manager's application thread takes the barrier arrivals; once it
+/// has returned, its reply lane is the service thread's. Node 0 homes both
+/// slots, so after the one barrier it reads them without a wait, returns
+/// and ends. The release to node 1 is lost (seed 1 draws a drop, then a
+/// delivery, from node 0's stream), node 1's retry layer sends the arrival
+/// again, and only node 0's service thread is left to answer it: were it
+/// not handed the lane, node 1 would wait out its deadline.
+#[test]
+fn a_re_arrival_after_the_managers_last_barrier_is_answered_by_its_service_thread() {
+    const SEED: u64 = 1;
+    fn app(p: &mut Process) -> u64 {
+        let slots = p.alloc_vec::<u64>(2, HomeAlloc::Node(0));
+        let me = p.me();
+        slots.set(p, me, 7 + me as u64);
+        p.barrier();
+        100 * slots.get(p, 0) + slots.get(p, 1)
+    }
+    let cfg = || ClusterConfig { nodes: 2, ..cfg() }.with_seed(SEED);
+    let release = FaultRule::all()
+        .from_src(0)
+        .to_dst(1)
+        .of_kind("BarrierRelease");
+    let plan = FaultPlan::new(0).with_rule(release.dropping(0.5));
+    let clean = run(cfg(), &[], app);
+    let lossy = run(cfg().with_chaos(plan), &[], app);
+    assert_eq!(clean.results, [708, 708]);
+    assert_eq!(
+        (&clean.results, clean.shared_hash),
+        (&lossy.results, lossy.shared_hash)
+    );
+    let (dropped, resent) = (
+        lossy.total_traffic().chaos_dropped,
+        lossy.total().retransmits,
+    );
+    assert!(
+        dropped > 0 && resent > 0,
+        "dropped {dropped}, resent {resent}"
+    );
+}
