@@ -330,8 +330,8 @@ fn print_hists(title: &str, hists: &dsm_trace::LatencyHists) {
         if h.count() == 0 {
             continue;
         }
-        // Histograms of bytes, pages or retries are counts, not durations.
-        let count = name.ends_with("_bytes") || name.ends_with("_pages") || name == "retransmits";
+        // Histograms of bytes or pages are counts, not durations.
+        let count = name.ends_with("_bytes") || name.ends_with("_pages");
         let fmt = if count {
             |v: u64| v.to_string()
         } else {

@@ -100,9 +100,9 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Fault injection on the fabric. The plan's own `seed` field is
     /// ignored — the cluster seed above is threaded in so one knob
-    /// reproduces a run. A plan also switches the retry layer on
-    /// (timeouts, retransmissions, diff acks): it is what makes a lossy
-    /// fabric survivable, and a reliable fabric does without it.
+    /// reproduces a run. A plan also puts the fabric's link layer under
+    /// every message (sequence numbers, acks, resends): it is what makes a
+    /// lossy fabric survivable, and a reliable fabric does without it.
     pub chaos: Option<FaultPlan>,
     /// Always `None`: what is left of a removed setting, which the
     /// benchmark still assigns. The next benchmark change deletes it.

@@ -306,7 +306,7 @@ pub(crate) struct InFlight {
 }
 
 /// Capture an independent checkpoint on the application thread, at a safe
-/// point: the interval closed, the outbox drained, the disk idle.
+/// point: the interval closed, the disk idle.
 ///
 /// `app_state` is the encoded private state at step `step`. The trims whose
 /// bounds are the peers' checkpoints run here and are charged to `bd`; the
@@ -327,10 +327,7 @@ pub(crate) fn take_checkpoint(
     let ft = st.ft.state.as_ref().expect("checkpoint without FT enabled");
     debug_assert!(ft.inflight.is_none(), "checkpoint while the disk is busy");
     let seq = ft.stamps[me].seq + 1;
-    st.tracer.emit(EventKind::CkptBegin {
-        seq,
-        outbox: st.ft.diffs.depth() as u32,
-    });
+    st.tracer.emit(EventKind::CkptBegin { seq });
 
     // --- assemble the blob: every homed page, the page table's buffers ----
     let snapshot = |p| {
@@ -639,7 +636,7 @@ mod tests {
         let store = Arc::new(StableStore::new(disk));
         let policy = CkptPolicy::LogOverflow { l: 0.0 };
         let ft = FtState::new(0, 2, policy, store);
-        let mut st = NodeState::new(0, 2, 256, ep, Some(ft), NodeTracer::disabled(), None);
+        let mut st = NodeState::new(0, 2, 256, ep, Some(ft), NodeTracer::disabled());
         st.pt.add_page(0);
         st
     }

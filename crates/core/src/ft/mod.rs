@@ -4,33 +4,28 @@
 //! The layer meets the base protocol in one module, [`FtSvc`]: a piggyback
 //! made for every message out and absorbed from every message in, a log hook
 //! ([`FtSvc::logs`]) the protocol writes its intervals, grants and barrier
-//! crossings through, the retry layer's diff outbox with the `DiffAck` kind,
-//! and the checkpoint a safe point captures and a later operation publishes
-//! ([`ckpt`]).
+//! crossings through, and the checkpoint a safe point captures and a later
+//! operation publishes ([`ckpt`]).
 
 pub mod ckpt;
 pub mod logs;
-mod outbox;
 pub mod recovery;
 pub mod stable_log;
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use dsm_page::{elementwise_min, Diff, PageId, ProcId, VectorClock};
+use dsm_page::{elementwise_min, PageId, ProcId, VectorClock};
 use dsm_storage::StableStore;
 use hlrc::PageTable;
 
 use crate::config::CkptPolicy;
-use crate::msg::{CkptStamp, Payload, Piggy};
-use crate::runtime::node::NodeState;
+use crate::msg::{CkptStamp, Piggy};
 use crate::stats::FtReport;
 pub(crate) use ckpt::{publish_written, take_checkpoint};
 use ckpt::{CheckpointBlob, InFlight, RetainedCkpt};
 use logs::{DiffLogEntry, VolatileLogs, WnLogEntry};
-use outbox::DiffOutbox;
-pub(crate) use outbox::SeqBatch;
 use stable_log::StableLog;
 
 /// Per-node fault-tolerance state, when fault tolerance is on.
@@ -206,51 +201,24 @@ impl FtState {
 /// message (the lazy CGC/LLT propagation).
 const PIGGY_PAGE_BATCH: usize = 32;
 
-/// How long the retry layer waits for an answer, or for a diff batch's ack,
-/// before it sends the request or the batch again. The layer is on exactly
-/// when the fabric has a chaos plan.
-pub(crate) const RETRY_AFTER: Duration = Duration::from_millis(25);
-
-/// The fault-tolerance layer of one node. It is there in base-HLRC runs too
-/// (the retry layer's outbox works without logging); everything else it does
-/// is a no-op until `state` is set.
+/// The fault-tolerance layer of one node. It is there in base-HLRC runs
+/// too, where everything it does is a no-op: `state` is unset.
 #[derive(Debug, PartialEq)]
 pub(crate) struct FtSvc {
     me: ProcId,
     n: usize,
     state: Option<FtState>,
-    /// Request/diff retransmission timeout; `Some` ([`RETRY_AFTER`])
-    /// switches the retry layer on.
-    retry_after: Option<Duration>,
-    /// The retry layer's stop-and-wait outbox of unacknowledged diff
-    /// batches (empty when the retry layer is off).
-    diffs: DiffOutbox,
 }
 
 impl FtSvc {
-    pub(crate) fn new(
-        me: ProcId,
-        n: usize,
-        state: Option<FtState>,
-        retry_after: Option<Duration>,
-    ) -> Self {
-        let diffs = DiffOutbox::new(n);
-        FtSvc {
-            me,
-            n,
-            state,
-            retry_after,
-            diffs,
-        }
+    pub(crate) fn new(me: ProcId, n: usize, state: Option<FtState>) -> Self {
+        FtSvc { me, n, state }
     }
 
-    /// Fail-stop: the queued diff batches are lost (replay regenerates the
-    /// diffs, under new sequence numbers), and so is the checkpoint the disk
-    /// was still writing — the restart reads the one before it. The volatile
-    /// half of the FT state is overwritten from stable storage by
-    /// [`FtSvc::restart_from`].
+    /// Fail-stop: the checkpoint the disk was still writing is lost — the
+    /// restart reads the one before it. The volatile half of the FT state
+    /// is overwritten from stable storage by [`FtSvc::restart_from`].
     pub(crate) fn fail_stop(&mut self) {
-        self.diffs.clear();
         if let Some(ft) = &mut self.state {
             ft.inflight = None;
         }
@@ -271,39 +239,6 @@ impl FtSvc {
     /// and barrier crossings. `None` when fault tolerance is off.
     pub(crate) fn logs(&mut self) -> Option<&mut VolatileLogs> {
         self.state.as_mut().map(|ft| &mut ft.logs)
-    }
-
-    /// The retry timeout, when the retry layer is on.
-    pub(crate) fn retry_after(&self) -> Option<Duration> {
-        self.retry_after
-    }
-
-    /// Has every diff batch been acknowledged? (A checkpoint and teardown
-    /// wait for it.)
-    pub(crate) fn drained(&self) -> bool {
-        self.diffs.drained()
-    }
-
-    /// What to put on the wire to `home` now for one coalesced diff batch:
-    /// with the retry layer off, the batch itself under `seq: 0` (no ack —
-    /// the reliable-fabric hot path is unchanged); with it on, the batch
-    /// enters the per-home stop-and-wait outbox and this is the outbox's
-    /// next to send, stamped in flight — `None` while one is still
-    /// unacknowledged there (the new one goes when that ack comes).
-    pub(crate) fn batch_out(&mut self, home: ProcId, batch: Vec<Arc<Diff>>) -> Option<SeqBatch> {
-        if self.retry_after.is_none() {
-            return Some((0, batch));
-        }
-        self.diffs.push(home, batch);
-        self.diffs.start_next(home)
-    }
-
-    /// The `needed` version a fetch of `page` should carry: the accumulated
-    /// invalidation vector plus the seq of our own last diff for the page
-    /// the outbox may still hold (see [`DiffOutbox::fold_needed`]).
-    pub(crate) fn fetch_needed(&self, page: PageId, mut needed: VectorClock) -> VectorClock {
-        self.diffs.fold_needed(self.me, page, &mut needed);
-        needed
     }
 
     /// The FT piggyback for a message to `to`, when it carries news: a
@@ -404,11 +339,6 @@ impl FtSvc {
         ft.inflight.as_ref().map(|w| w.done_at)
     }
 
-    /// Diff batches queued and not yet acknowledged.
-    pub(crate) fn outbox_depth(&self) -> usize {
-        self.diffs.depth()
-    }
-
     /// The layer's statistics so far.
     pub(crate) fn report(&self) -> FtReport {
         let Some(ft) = &self.state else {
@@ -420,56 +350,6 @@ impl FtSvc {
             store: ft.store.stats(),
             ..ft.report.clone()
         }
-    }
-}
-
-/// Send one coalesced diff batch to a remote home (see
-/// [`FtSvc::batch_out`]).
-pub(crate) fn send_diff_batch(st: &mut NodeState, home: ProcId, batch: Vec<Arc<Diff>>) {
-    if let Some((seq, diffs)) = st.ft.batch_out(home, batch) {
-        st.send(home, Payload::DiffBatch { seq, diffs });
-    }
-}
-
-/// Transmit the next batch queued for `home`, unless one is still
-/// unacknowledged there.
-fn pump_diffs(st: &mut NodeState, home: ProcId) {
-    if let Some((seq, diffs)) = st.ft.diffs.start_next(home) {
-        st.send(home, Payload::DiffBatch { seq, diffs });
-    }
-}
-
-/// Retransmit the diff batch in flight to `home`, if there is one.
-/// Re-delivery is idempotent at the home (per-writer version gate); the
-/// duplicate ack is dropped by seq.
-pub(crate) fn resend_inflight_diffs(st: &mut NodeState, home: ProcId) {
-    if let Some((seq, diffs)) = st.ft.diffs.resend(home) {
-        st.retransmit(home, Payload::DiffBatch { seq, diffs });
-    }
-}
-
-/// Retransmit every in-flight diff batch older than the retry timeout
-/// (driven by the application thread whenever one of its own waits times
-/// out).
-pub(crate) fn retransmit_stale_diffs(st: &mut NodeState) {
-    let Some(after) = st.ft.retry_after else {
-        return;
-    };
-    for home in st.ft.diffs.stale(after) {
-        resend_inflight_diffs(st, home);
-    }
-}
-
-/// The module's message kind: `home` acknowledged diff batch `seq`.
-pub(crate) fn on_diff_ack(st: &mut NodeState, home: ProcId, seq: u64) {
-    if !st.ft.diffs.ack(home, seq) {
-        st.dup_suppressed += 1;
-        return;
-    }
-    pump_diffs(st, home);
-    // A checkpoint waits for exactly this (`safe_point`).
-    if st.ft.diffs.drained() {
-        st.ep.poke();
     }
 }
 
@@ -495,7 +375,7 @@ mod tests {
     fn piggyback_is_attached_only_when_it_carries_news() {
         // The layer alone: no node, no endpoint, an empty page table.
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let mut ft = FtSvc::new(0, 2, Some(ft_state(0, 2, &store)), None);
+        let mut ft = FtSvc::new(0, 2, Some(ft_state(0, 2, &store)));
         let pt = PageTable::new(0, 2, 256);
         // Fresh FT state advertises checkpoint 0 once.
         let first = ft.make_piggy(&pt, 1, false);
@@ -510,9 +390,7 @@ mod tests {
         ft.state.as_mut().unwrap().stamps[0].seq = 1;
         assert!(ft.make_piggy(&pt, 1, false).is_some());
         // With fault tolerance off there is never anything to say.
-        assert!(FtSvc::new(0, 2, None, None)
-            .make_piggy(&pt, 1, true)
-            .is_none());
+        assert!(FtSvc::new(0, 2, None).make_piggy(&pt, 1, true).is_none());
     }
 
     #[test]
@@ -524,7 +402,7 @@ mod tests {
         let (n, pages) = (3, 40);
         let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let mut ft = FtSvc::new(0, n, Some(ft_state(0, n, &store)), None);
+        let mut ft = FtSvc::new(0, n, Some(ft_state(0, n, &store)));
         let mut pt = PageTable::new(0, n, 256);
         for p in 0..pages {
             pt.add_page(0);
@@ -578,8 +456,7 @@ mod tests {
         let (me, n) = (1, 3);
         let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let retry = Some(Duration::from_millis(5));
-        let mut svc = FtSvc::new(me, n, Some(ft_state(me, n, &store)), retry);
+        let mut svc = FtSvc::new(me, n, Some(ft_state(me, n, &store)));
         // One interval logged, its write notice trimmed: bytes created and
         // bytes discarded, which the run's report must not forget.
         let log_and_trim = |logs: &mut VolatileLogs| {
@@ -587,7 +464,7 @@ mod tests {
             let mut cur = twin.clone();
             cur.write(0, &[5]);
             let iv = dsm_page::Interval { proc: me, seq: 5 };
-            let d = Arc::new(Diff::create(PageId(0), iv, &twin, &cur).unwrap());
+            let d = Arc::new(dsm_page::Diff::create(PageId(0), iv, &twin, &cur).unwrap());
             logs.log_interval(5, vec![PageId(0)], &vt([3, 5, 1]), &[d]);
             logs.trim_rule1(5);
         };
@@ -623,7 +500,7 @@ mod tests {
         };
         log_and_trim(&mut survivors.logs);
         survivors.logs.clear();
-        assert_eq!(svc, FtSvc::new(me, n, Some(survivors), retry));
+        assert_eq!(svc, FtSvc::new(me, n, Some(survivors)));
     }
 
     #[test]
@@ -651,7 +528,7 @@ mod tests {
         // node 0's barrier release, whose gossip names node 1's older
         // checkpoint 2.
         let store = Arc::new(StableStore::new(DiskModel::instant()));
-        let mut ft = FtSvc::new(2, 3, Some(ft_state(2, 3, &store)), None);
+        let mut ft = FtSvc::new(2, 3, Some(ft_state(2, 3, &store)));
         let direct = Piggy {
             stamp: stamps[3].clone(),
             p0v: Vec::new(),

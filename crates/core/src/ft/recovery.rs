@@ -671,7 +671,7 @@ mod tests {
     fn a_crash_forgets_the_replay_and_both_queues() {
         let mut rec = RecoverySvc::replaying_nothing();
         rec.defer(0, log_reply());
-        rec.defer(0, Payload::DiffAck { seq: 1 });
+        rec.defer(0, Payload::RecLogReq { homed: Vec::new() });
         assert!(rec.replaying());
         assert_eq!((rec.rec_inbox.len(), rec.backlog.len()), (1, 1));
         rec.fail_stop();
@@ -852,7 +852,7 @@ mod tests {
         st.rec.replay = Some(replay);
         assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
         match only_payload(&eps[0]) {
-            Payload::DiffBatch { seq: 0, diffs } => assert_eq!(diffs.len(), 1),
+            Payload::DiffBatch { diffs } => assert_eq!(diffs.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(st.diff_batches_carried, 0);

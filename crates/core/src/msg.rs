@@ -112,19 +112,6 @@ pub enum Payload {
         /// ordered application). Shared with the sender's volatile diff log:
         /// sending a batch never copies run payloads.
         diffs: Vec<Arc<Diff>>,
-        /// Stop-and-wait sequence number within the (writer, home) stream,
-        /// `>= 1` when the retry layer is on: the home acks it with
-        /// [`Payload::DiffAck`] and the writer keeps at most one batch in
-        /// flight per home, preserving first-delivery order under loss and
-        /// reordering (the home's version gate makes *re*-delivery safe,
-        /// but would silently skip an out-of-order *first* delivery).
-        /// `0` on the legacy reliable path: no ack expected.
-        seq: u64,
-    },
-    /// Home → writer acknowledgement of a [`Payload::DiffBatch`].
-    DiffAck {
-        /// The acknowledged batch's sequence number.
-        seq: u64,
     },
     /// Barrier arrival: participant → barrier manager.
     BarrierArrive {
@@ -134,15 +121,14 @@ pub enum Payload {
         vt: VectorClock,
         /// The participant's own write notices since its previous arrival.
         own_wns: WnDelta,
-        /// The participant's `(seq, diffs)` for pages the manager homes,
-        /// from the interval this arrival closed: the [`Payload::DiffBatch`]
-        /// that would otherwise have gone just before it, and is served as
-        /// that batch, ahead of the arrival. Only the first send carries it
-        /// — a resend from the wait slot does not, the outbox retransmits it
-        /// alone — and only a request whose sender stays blocked until the
-        /// receiver has handled it may carry a batch at all (docs/PROTOCOL.md,
-        /// the lane paragraph).
-        batch: Option<(u64, Vec<Arc<Diff>>)>,
+        /// The participant's diffs for pages the manager homes, from the
+        /// interval this arrival closed: the [`Payload::DiffBatch`] that
+        /// would otherwise have gone just before it, and is served as that
+        /// batch, ahead of the arrival. Only the first send carries it — a
+        /// resend to a restarted manager does not — and only a request whose
+        /// sender stays blocked until the receiver has handled it may carry
+        /// a batch at all (docs/PROTOCOL.md, the lane paragraph).
+        batch: Option<Vec<Arc<Diff>>>,
     },
     /// Barrier release: manager → participant.
     BarrierRelease {
@@ -168,7 +154,7 @@ pub enum Payload {
         /// missing instead of the page.
         pages: Vec<(PageId, VectorClock, Option<Have>)>,
         /// Requester-local correlation id shared by every answer (dedup of
-        /// retransmitted and superseded replies).
+        /// resent and superseded replies).
         req_id: u64,
     },
     /// Page contents: home → requester, for the pages of a
@@ -259,7 +245,6 @@ impl Payload {
             Payload::LockForward { .. } => "LockForward",
             Payload::LockGrant { .. } => "LockGrant",
             Payload::DiffBatch { .. } => "DiffBatch",
-            Payload::DiffAck { .. } => "DiffAck",
             Payload::BarrierArrive { .. } => "BarrierArrive",
             Payload::BarrierRelease { .. } => "BarrierRelease",
             Payload::PageReq { .. } => "PageReq",
@@ -277,8 +262,8 @@ impl Payload {
         let Payload::BarrierArrive { batch, .. } = self else {
             return None;
         };
-        let (seq, diffs) = batch.take()?;
-        Some(Payload::DiffBatch { seq, diffs })
+        let diffs = batch.take()?;
+        Some(Payload::DiffBatch { diffs })
     }
 }
 
@@ -360,8 +345,7 @@ impl dsm_net::WireSized for Msg {
     /// its one consumer — an episode completes only once the manager has
     /// arrived, and the arrival needs the big lock that thread holds while
     /// it computes — so it waits there for the manager's next wait, and
-    /// wakes it if it waits already. `DiffAck` is not among them: the
-    /// outbox it pumps must keep moving while the application computes.
+    /// wakes it if it waits already.
     fn to_waiter(&self) -> bool {
         matches!(
             self.payload,
@@ -495,14 +479,12 @@ mod tests {
             },
             Payload::DiffBatch {
                 diffs: diffs.clone(),
-                seq: 1,
             },
-            Payload::DiffAck { seq: 1 },
             Payload::BarrierArrive {
                 episode: 0,
                 vt: vt(),
                 own_wns: wns(),
-                batch: Some((1, diffs.clone())),
+                batch: Some(diffs.clone()),
             },
             Payload::BarrierRelease {
                 episode: 0,
@@ -586,18 +568,17 @@ mod tests {
             LockForward { .. } => 1,
             LockGrant { .. } => 2,
             DiffBatch { .. } => 3,
-            DiffAck { .. } => 4,
-            BarrierArrive { .. } => 5,
-            BarrierRelease { .. } => 6,
-            PageReq { .. } => 7,
-            PageReply { .. } => 8,
-            RecLogReq { .. } => 9,
-            RecLogReply { .. } => 10,
-            RecPageReq { .. } => 11,
-            RecPageReply { .. } => 12,
+            BarrierArrive { .. } => 4,
+            BarrierRelease { .. } => 5,
+            PageReq { .. } => 6,
+            PageReply { .. } => 7,
+            RecLogReq { .. } => 8,
+            RecLogReply { .. } => 9,
+            RecPageReq { .. } => 10,
+            RecPageReply { .. } => 11,
         };
         let kinds: Vec<usize> = every.iter().map(index).collect();
-        assert_eq!(kinds, (0..13).collect::<Vec<_>>());
+        assert_eq!(kinds, (0..12).collect::<Vec<_>>());
         let mut carriers = Vec::new();
         for payload in &every {
             // What the wire says: the tag's batch bit.
@@ -626,7 +607,7 @@ mod tests {
     /// with no context.
     fn every_message() -> Vec<Msg> {
         let mut payloads = one_of_every_kind();
-        let mut bare_arrival = payloads[5].clone();
+        let mut bare_arrival = payloads[4].clone();
         bare_arrival.take_carried();
         payloads.push(bare_arrival);
         let stamp = |seq, episode, tckp: &[u32]| CkptStamp {

@@ -12,7 +12,7 @@ use dsm_trace::{EventSink, Trace, TraceConfig};
 use parking_lot::Mutex;
 
 use crate::config::{ClusterConfig, FailureSpec};
-use crate::ft::{FtState, RETRY_AFTER};
+use crate::ft::FtState;
 use crate::monitor::Monitor;
 use crate::msg::Msg;
 use crate::runtime::node::{service_loop, CrashSignal, Mode, NodeShared, NodeState};
@@ -56,7 +56,8 @@ fn snapshot(ts_ns: u64, fabric: &Fabric<Msg>, shareds: &[Arc<NodeShared>]) -> Sn
 /// How long a crashed node stays dead before it restarts. No message sent
 /// before the crash may still be in flight when it is back (the lock-chain
 /// reset of recovery relies on it), so `run` refuses a chaos plan that can
-/// delay a message this long.
+/// delay a message this long; a frame the plan lost, the fabric's restart
+/// waits for the link to deliver.
 const DEAD_FOR: Duration = Duration::from_millis(10);
 
 const FNV_BASIS: u64 = 0xcbf29ce484222325;
@@ -126,9 +127,6 @@ where
     let inject_stale_apply = config
         .inject_stale_apply
         .then(|| Arc::new(AtomicBool::new(true)));
-    // The retry layer is what makes a lossy fabric survivable; a reliable
-    // one does without its timers and acks.
-    let retry_after = config.chaos.as_ref().map(|_| RETRY_AFTER);
     let (fabric, endpoints) = Fabric::<Msg>::new(n);
     if let Some(plan) = &config.chaos {
         let delay = plan.max_delay();
@@ -155,15 +153,7 @@ where
         crash_queue.sort_unstable();
         let ft = (config.ft)
             .map(|policy| FtState::new(i, n, policy, Arc::new(StableStore::new(config.disk))));
-        let mut state = NodeState::new(
-            i,
-            n,
-            config.page_size,
-            Arc::new(ep),
-            ft,
-            trace.tracer(i),
-            retry_after,
-        );
+        let mut state = NodeState::new(i, n, config.page_size, Arc::new(ep), ft, trace.tracer(i));
         state.crash_queue = crash_queue;
         state.inject_stale_apply = inject_stale_apply.clone();
         shareds.push(Arc::new(NodeShared {

@@ -4,9 +4,8 @@
 //! place a fetch is tracked, whoever asked for it — and the prefetch
 //! counters; it decides what an invalidation prefetches, what a miss brings
 //! with it and which miss needs no message at all (a cold page is the zero
-//! page), sends a request again when its answer is overdue, and installs
-//! what comes back: it handles the one kind that answers a fetch,
-//! `PageReply`.
+//! page), and installs what comes back: it handles the one kind that
+//! answers a fetch, `PageReply`.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -22,7 +21,7 @@ use crate::stats::PrefetchCounts;
 struct InFlight {
     /// Correlation id of the `PageReq` that covers this page.
     req_id: u64,
-    /// The page's home (where a resend goes).
+    /// The page's home (where a resend to a restarted home goes).
     home: ProcId,
 }
 
@@ -34,9 +33,8 @@ pub(crate) struct FetchSvc {
     /// waits for its reply instead of asking again. Ordered, so that a
     /// resend walks it the same way every time.
     in_flight: BTreeMap<PageId, InFlight>,
-    /// The page the application thread's fault is waiting for — the entry
-    /// whose request a timeout sends again — and whether one has.
-    awaited: Option<(PageId, bool)>,
+    /// The page the application thread's fault is waiting for.
+    awaited: Option<PageId>,
     req_id_next: u64,
     /// What was prefetched, what of it was used and what the filter left
     /// out, over all incarnations (for the node report).
@@ -66,18 +64,18 @@ impl FetchSvc {
 
     /// The application thread's fault starts its wait for `page`.
     pub(crate) fn await_page(&mut self, page: PageId) {
-        self.awaited = Some((page, false));
+        self.awaited = Some(page);
     }
 
-    /// The wait is over. Was the request lost — sent again after a timeout?
-    pub(crate) fn await_over(&mut self) -> bool {
-        self.awaited.take().is_some_and(|(_, lost)| lost)
+    /// The wait is over.
+    pub(crate) fn await_over(&mut self) {
+        self.awaited = None;
     }
 
     /// `(page, home, req_id)` of the fetch the application thread's fault is
     /// waiting on, for a deadline panic to print.
     pub(crate) fn awaited(&self) -> Option<(PageId, ProcId, u64)> {
-        let (page, _) = self.awaited?;
+        let page = self.awaited?;
         let e = self.in_flight.get(&page)?;
         Some((page, e.home, e.req_id))
     }
@@ -167,8 +165,7 @@ fn cold(st: &NodeState, page: PageId) -> bool {
         return false;
     }
     let m = st.pt.remote_meta(page);
-    let needed = st.ft.fetch_needed(page, m.needed.clone());
-    m.held == Held::Never && needed.as_slice().iter().all(|&seq| seq == 0)
+    m.held == Held::Never && m.needed.as_slice().iter().all(|&seq| seq == 0)
 }
 
 /// A fault on remote `page`: when it is [`cold`], install the zero page —
@@ -210,13 +207,12 @@ fn left_out_run(st: &NodeState, home: ProcId, ids: impl Iterator<Item = u32>) ->
     ids.take_while(|&q| left_out(st, q) == Some(home)).collect()
 }
 
-/// `pages` as a `PageReq` asks for them — the version needed (see
-/// [`crate::ft::FtSvc::fetch_needed`]) and the stale copy kept, as they are
-/// now: a resend reads them again — grouped by `key`, in ascending key order
-/// (piggyback state advances per send, so the send order must not vary).
-/// The request names this node's own intervals only as the outbox does:
-/// the home has every other diff of ours before the request (channel order
-/// on the no-ack path), and the install gate still checks them.
+/// `pages` as a `PageReq` asks for them — the version needed and the stale
+/// copy kept, as they are now: a resend reads them again — grouped by
+/// `key`, in ascending key order (piggyback state advances per send, so the
+/// send order must not vary). The request names none of this node's own
+/// intervals: the home has every diff of ours before the request (channel
+/// order), and the install gate still checks them.
 fn batches<K: Ord>(
     st: &NodeState,
     pages: impl Iterator<Item = (K, PageId)>,
@@ -226,7 +222,6 @@ fn batches<K: Ord>(
         let m = st.pt.remote_meta(page);
         let mut needed = m.needed.clone();
         needed.set(st.me, 0);
-        let needed = st.ft.fetch_needed(page, needed);
         let entry = (page, needed, m.base.clone());
         groups.entry(key).or_default().push(entry);
     }
@@ -247,41 +242,19 @@ fn send_page_batches(st: &mut NodeState, pages: &[PageId]) {
     }
 }
 
-/// The requests whose pages in flight `lost` picks, grouped back under their
-/// `req_id`s, asking for what is still outstanding of each (the needed
-/// versions are re-read: they may have advanced, and the install gate checks
-/// coverage anyway).
-fn requests_again(st: &NodeState, lost: impl Fn(&InFlight) -> bool) -> Vec<(ProcId, Payload)> {
-    let in_flight = st.fetch.in_flight.iter();
-    let lost = in_flight
-        .filter(|(_, e)| lost(e))
-        .map(|(&page, e)| ((e.req_id, e.home), page));
-    let again = batches(st, lost).into_iter();
-    again
-        .map(|((req_id, home), pages)| (home, Payload::PageReq { pages, req_id }))
-        .collect()
-}
-
-/// A crashed home restarted: re-issue the requests in flight to it.
+/// A crashed home restarted: re-issue the requests in flight to it, each
+/// under its `req_id`, for what is still outstanding of it (the needed
+/// versions are re-read: they may have advanced, and the install gate
+/// checks coverage anyway).
 pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
-    let lost = requests_again(st, |e| e.home == node);
-    st.send_all(lost);
-}
-
-/// The retry timeout passed in silence: retransmit the request that covers
-/// the page the application thread's fault waits for. Returns 1 when there
-/// is one.
-pub(crate) fn retransmit_awaited(st: &mut NodeState) -> u64 {
-    let Some((_, _, req_id)) = st.fetch.awaited() else {
-        return 0;
-    };
-    for (home, request) in requests_again(st, |e| e.req_id == req_id) {
-        st.retransmit(home, request);
-    }
-    if let Some((_, lost)) = &mut st.fetch.awaited {
-        *lost = true;
-    }
-    1
+    let in_flight = st.fetch.in_flight.iter();
+    let lost = in_flight.filter(|(_, e)| e.home == node);
+    let lost = lost.map(|(&page, e)| (e.req_id, page));
+    let again = batches(st, lost).into_iter();
+    let again: Vec<_> = again
+        .map(|(req_id, pages)| (node, Payload::PageReq { pages, req_id }))
+        .collect();
+    st.send_all(again);
 }
 
 /// Install one page of a reply. Superseded and overtaken replies are
@@ -327,9 +300,7 @@ pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
 mod tests {
     use super::*;
     use crate::ft::recovery::RecoverySvc;
-    use crate::ft::RETRY_AFTER;
-    use crate::runtime::node::tests::{diff_of, gated, only_payload, page_of, requests};
-    use crate::runtime::node::tests::{test_state, test_state_with};
+    use crate::runtime::node::tests::{gated, only_payload, page_of, requests, test_state};
     use crate::runtime::node::NodeShared;
     use crate::stats::Breakdown;
     use crate::{HomeAlloc, Process};
@@ -703,29 +674,28 @@ mod tests {
 
     #[test]
     fn only_a_never_held_page_nothing_names_is_cold_and_a_named_one_is_fetched() {
-        // Node 1 of 2, retry layer on. Pages 0 to 5 homed at node 0, 6 here.
-        let (mut st, eps) = test_state_with(1, 2, false, Some(RETRY_AFTER));
-        for home in [0, 0, 0, 0, 0, 0, 1] {
+        // Node 1 of 2. Pages 0 to 4 homed at node 0, 5 here.
+        let (mut st, eps) = test_state(1, 2, false);
+        for home in [0, 0, 0, 0, 0, 1] {
             st.pt.add_page(home);
         }
         // Page 0: a notice from its home names it. Page 1: nothing does.
         // Page 2: its copy went unused. Page 3: in flight. Page 4: our
-        // diff of it is in the outbox. Page 5: our interval diffed it.
+        // interval diffed it.
         st.pt.invalidate(PageId(0), 0, 1);
         invalidated_copy(&mut st, 2, false);
         st.fetch.in_flight.insert(PageId(3), in_flight(0));
         st.fetch.req_id_next = 1;
-        assert!(st.ft.batch_out(0, vec![diff_of(4, 1, 1)]).is_some());
-        st.pt.invalidate(PageId(5), 1, 2);
-        let filled: Vec<bool> = (0..7).map(|p| zero_fill(&mut st, PageId(p))).collect();
-        assert_eq!(filled, [false, true, false, false, false, false, false]);
+        st.pt.invalidate(PageId(4), 1, 2);
+        let filled: Vec<bool> = (0..6).map(|p| zero_fill(&mut st, PageId(p))).collect();
+        assert_eq!(filled, [false, true, false, false, false, false]);
         assert_eq!(st.fetch.zero_fills(), 1);
         assert!(eps[0].recv_any(Duration::ZERO).is_none());
 
         // The named page is asked for at the notice's version; own writes
-        // go into a request only as the outbox says.
+        // never go into a request: the home has them first.
         let (zero, nothing_kept): (_, Option<Have>) = (VectorClock::zero(2), None);
-        for (page, needed) in [(0, gated(2, 0, 1)), (5, zero), (4, gated(2, 1, 1))] {
+        for (page, needed) in [(0, gated(2, 0, 1)), (4, zero)] {
             fetch_with_neighbours(&mut st, PageId(page));
             let Payload::PageReq { pages, .. } = only_payload(&eps[0]) else {
                 panic!("page {page} was not asked for")
@@ -735,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn a_timeout_sends_again_what_is_left_of_the_request_the_fault_waits_on() {
+    fn a_restarted_home_is_asked_again_for_what_is_left_of_each_request() {
         let (mut st, eps) = test_state(1, 2, false);
         for _ in 0..4 {
             st.pt.add_page(0);
@@ -748,24 +718,25 @@ mod tests {
         fetch_with_neighbours(&mut st, PageId(3));
         let first = requests(&eps[0]);
         assert_eq!(first.len(), 2);
-        // No fault waits: nothing to send again.
-        assert_eq!((retransmit_awaited(&mut st), st.retransmits), (0, 0));
 
-        // Page 1 of the first has been answered when a fault on page 2
-        // times out: the request goes again under its id, for pages 0 and 2.
+        // Page 1 of the first has been answered when the home restarts:
+        // each request goes again under its id, the first for pages 0 and 2.
         let Payload::PageReq { pages, req_id } = first[0].clone() else {
             panic!("unexpected {:?}", first[0])
         };
         install(&mut st, PageId(1), req_id, gated(2, 0, 1), page_of(1));
         st.fetch.await_page(PageId(2));
         assert_eq!(st.fetch.awaited(), Some((PageId(2), 0, req_id)));
-        assert_eq!((retransmit_awaited(&mut st), st.retransmits), (1, 1));
+        resend_batches_to(&mut st, 0);
         let pages = vec![pages[0].clone(), pages[2].clone()];
-        assert_eq!(only_payload(&eps[0]), Payload::PageReq { pages, req_id });
-        // The wait ends with the entry, and remembers that it was lost.
+        let again = requests(&eps[0]);
+        assert_eq!(
+            again,
+            [Payload::PageReq { pages, req_id }, first[1].clone()]
+        );
+        // The wait ends with the entry.
         install(&mut st, PageId(2), req_id, gated(2, 0, 1), page_of(2));
         assert_eq!(st.fetch.awaited(), None);
-        assert!(st.fetch.await_over() && !st.fetch.await_over());
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl HomeSvc {
                     reply(from, Payload::PageReply { req_id, pages });
                 }
             }
-            Payload::DiffBatch { seq, diffs } => {
+            Payload::DiffBatch { diffs } => {
                 let mut ready = Vec::new();
                 let mut applied_all = true;
                 for d in diffs {
@@ -178,13 +178,6 @@ impl HomeSvc {
                 if !applied_all {
                     return Served::HandBack;
                 }
-                // Stop-and-wait ack. The home keeps no per-writer seq state:
-                // it acks whatever arrives (the version gate inside
-                // apply_diff is the dedup), and the writer drops stale acks
-                // by seq.
-                if *seq != 0 {
-                    reply(from, Payload::DiffAck { seq: *seq });
-                }
                 return Served::Done { wake: true };
             }
             _ => return Served::HandBack,
@@ -210,11 +203,8 @@ impl HomeSvc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ft::RETRY_AFTER;
     use crate::runtime::fetch;
-    use crate::runtime::node::tests::{
-        diff_of, gated, only_payload, test_state, test_state_with, unpark,
-    };
+    use crate::runtime::node::tests::{diff_of, gated, only_payload, test_state, unpark};
     use crate::runtime::node::{handle_msg, Replies};
     use dsm_page::{PageId, VectorClock};
 
@@ -239,7 +229,6 @@ mod tests {
                 req_id: 2,
             },
             Payload::DiffBatch {
-                seq: 3,
                 diffs: vec![diff_of(0, 1, 1), diff_of(1, 1, 1)],
             },
         ];
@@ -267,12 +256,12 @@ mod tests {
 
     #[test]
     fn a_parked_page_is_answered_alone_and_a_duplicate_request_shows_nowhere() {
-        // Node 0 homes pages 0 to 2 and has written 0 and 2; node 1 holds
-        // nothing, and has written page 1 in its interval 1 under the retry
-        // layer. Its miss on page 1 — at that version, whose diff is still
-        // in the outbox, not yet sent to node 0 — asks for all three.
-        let (mut home, _) = test_state(0, 2, false);
-        let (mut asker, to_home) = test_state_with(1, 2, false, Some(RETRY_AFTER));
+        // Node 0 of 3 homes pages 0 to 2 and has written 0 and 2; node 1
+        // holds nothing, and has a notice of node 2's interval 1, which
+        // wrote page 1 and whose diff has yet to reach node 0. Its miss on
+        // page 1 — at that version — asks for all three.
+        let (mut home, _) = test_state(0, 3, false);
+        let (mut asker, to_home) = test_state(1, 3, false);
         for _ in 0..3 {
             home.pt.add_page(0);
             asker.pt.add_page(0);
@@ -282,9 +271,7 @@ mod tests {
             asker.pt.invalidate(page, 0, 1);
         }
         home.pt.end_interval(dsm_page::Interval { proc: 0, seq: 1 });
-        // What closing the interval records and queues.
-        asker.pt.invalidate(PageId(1), 1, 1);
-        assert!(asker.ft.batch_out(0, vec![diff_of(1, 1, 1)]).is_some());
+        asker.pt.invalidate(PageId(1), 2, 1);
         let all: Vec<PageId> = (0..3).map(PageId).collect();
         fetch::fetch_with_neighbours(&mut asker, PageId(1));
         let request = only_payload(&to_home[0]);
@@ -312,8 +299,8 @@ mod tests {
             };
             replies.iter().map(of).collect()
         };
-        // One reply of two; the request once more, as a timeout sends it
-        // with nothing answered yet, repeats it and parks page 1 again.
+        // One reply of two; the request once more, a duplicate with nothing
+        // answered yet, repeats it and parks page 1 again.
         let first = serve(&mut home, &request);
         assert_eq!(pages_of(&first), [(0, vec![0, 2])]);
         let again = serve(&mut home, &request);
@@ -321,8 +308,7 @@ mod tests {
         // The diff page 1 waits for: one reply of one per parked fetch,
         // under the request's id.
         let diff = Payload::DiffBatch {
-            seq: 0,
-            diffs: vec![diff_of(1, 1, 1)],
+            diffs: vec![diff_of(1, 2, 1)],
         };
         let late = serve(&mut home, &diff);
         assert_eq!(pages_of(&late), [(0, vec![1]), (0, vec![1])]);

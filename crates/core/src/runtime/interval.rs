@@ -13,7 +13,7 @@ use dsm_trace::EventKind;
 use hlrc::{LockId, WnDelta};
 
 use crate::ft::logs::{BarEntry, RelEntry};
-use crate::ft::{self, recovery, SeqBatch};
+use crate::ft::recovery;
 use crate::msg::Payload;
 use crate::runtime::fetch;
 use crate::runtime::node::NodeState;
@@ -29,14 +29,13 @@ impl NodeState {
     }
 
     /// [`NodeState::close_interval`], but the diffs for `carrier`'s pages
-    /// are not sent: they come back as [`crate::ft::FtSvc::batch_out`] would
-    /// put them on the wire now, for the message about to go to `carrier`
-    /// to carry.
+    /// are not sent: they come back, for the message about to go to
+    /// `carrier` to carry.
     fn close_interval_carrying(
         &mut self,
         bd: &mut Breakdown,
         carrier: Option<ProcId>,
-    ) -> Option<SeqBatch> {
+    ) -> Option<Vec<Arc<Diff>>> {
         // O(1) early exit: one vec emptiness check plus one atomic load — the
         // common no-writes release pays no slot walk and takes no shard lock.
         if !self.pt.has_writes() {
@@ -100,11 +99,11 @@ impl NodeState {
         // in ascending home order so the piggyback state advances identically
         // on replay.
         let mut carried = None;
-        for (home, batch) in remote {
+        for (home, diffs) in remote {
             if Some(home) == carrier {
-                carried = self.ft.batch_out(home, batch);
+                carried = Some(diffs);
             } else {
-                ft::send_diff_batch(self, home, batch);
+                self.send(home, Payload::DiffBatch { diffs });
             }
         }
         // The whole release flush — dirty collection, diff creation, logging,
@@ -251,11 +250,8 @@ mod tests {
     use super::*;
     use crate::config::CkptPolicy;
     use crate::ft::FtState;
-    use crate::ft::RETRY_AFTER;
     use crate::msg::{CkptStamp, Msg, Piggy};
-    use crate::runtime::node::tests::{
-        diff_of, gated, page_of, replies, requests, test_state, test_state_with,
-    };
+    use crate::runtime::node::tests::{diff_of, gated, page_of, replies, requests, test_state};
     use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
     use dsm_net::{Endpoint, Fabric};
     use dsm_page::Interval;
@@ -270,67 +266,24 @@ mod tests {
     }
 
     #[test]
-    fn the_managers_batch_rides_the_arrival_or_waits_its_turn_and_only_the_outbox_resends_it() {
-        // Node 1 of 2 with the retry layer on; it writes page 0, node 0's.
-        let (mut st, eps) = test_state_with(1, 2, false, Some(RETRY_AFTER));
+    fn the_managers_batch_rides_the_arrival_and_a_release_sends_its_own() {
+        // Node 1 of 2; it writes page 0, node 0's.
+        let (mut st, eps) = test_state(1, 2, false);
         st.pt.add_page(0);
         st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
-        let mut bd = Breakdown::default();
-        let ack = |st: &mut NodeState, seq| handle_msg(st, 0, Payload::DiffAck { seq });
         let write = |st: &mut NodeState, byte| st.pt.write(PageId(0), 8, &[byte]);
-
-        // A release's batch is in flight when the barrier comes: the next
-        // one waits in the outbox, the arrival goes without it, and the ack
-        // lets it go alone.
+        // A release's batch goes alone.
         write(&mut st, 1);
-        st.close_interval(&mut bd);
+        st.close_interval(&mut Breakdown::default());
         let (batch, none) = sent(&eps[0]);
-        let ([Payload::DiffBatch { seq: first, .. }], []) = (&batch[..], &none[..]) else {
-            panic!("one DiffBatch")
+        let ([Payload::DiffBatch { .. }], []) = (&batch[..], &none[..]) else {
+            panic!("one DiffBatch, not {batch:?} {none:?}")
         };
+        // The barrier's rides the arrival, which is parked without it.
         write(&mut st, 2);
-        arrive_and_check(&mut st, &eps, None);
-        ack(&mut st, *first);
-        let (batch, none) = sent(&eps[0]);
-        let ([Payload::DiffBatch { seq: second, .. }], []) = (&batch[..], &none[..]) else {
-            panic!("the queued batch, alone")
-        };
-        ack(&mut st, *second);
-        assert!(st.ft.drained() && st.diff_batches_carried == 0);
-        let release = Payload::BarrierRelease {
-            episode: 0,
-            vt: st.vt.clone(),
-            wns: WnDelta::empty(),
-        };
-        handle_msg(&mut st, 0, release);
-        let (_, release) = st.wait.take().expect("the release answers the arrival");
-        cross_barrier(&mut st, release);
-
-        // Nothing in flight: the arrival carries the batch under the
-        // outbox's next seq, and is parked without it.
-        write(&mut st, 3);
-        let (seq, diffs) = arrive_and_check(&mut st, &eps, Some(1)).unwrap();
-        assert!(seq > *second && !st.ft.drained());
+        let diffs = arrive_and_check(&mut st, &eps, Some(1)).unwrap();
+        assert_eq!(diffs[0].interval.seq, 2);
         assert_eq!(st.diff_batches_carried, 1);
-        // The arrival is lost. The outbox sends the batch again, as a
-        // `DiffBatch`; the wait slot sends the arrival again, bare, and it
-        // queues behind the batch on the request lane.
-        crate::ft::resend_inflight_diffs(&mut st, 0);
-        assert_eq!(st.retransmit_wait_slot(), 1);
-        let (requests, replies) = sent(&eps[0]);
-        match (&requests[..], &replies[..]) {
-            (
-                [Payload::DiffBatch { seq: s, diffs: d }, Payload::BarrierArrive {
-                    episode: 1,
-                    batch: None,
-                    ..
-                }],
-                [],
-            ) => assert_eq!((*s, d), (seq, &diffs)),
-            other => panic!("unexpected {other:?}"),
-        }
-        ack(&mut st, seq);
-        assert!(st.ft.drained());
     }
 
     /// `arrive` at `st`, and check what it sent and parked: one arrival,
@@ -339,13 +292,13 @@ mod tests {
         st: &mut NodeState,
         eps: &[Arc<Endpoint<Msg>>],
         carried: Option<usize>,
-    ) -> Option<SeqBatch> {
+    ) -> Option<Vec<Arc<Diff>>> {
         arrive(st, &mut Breakdown::default());
         let (none, arrival) = sent(&eps[0]);
         let ([], [Payload::BarrierArrive { batch, .. }]) = (&none[..], &arrival[..]) else {
             panic!("one arrival, on the manager's reply lane")
         };
-        assert_eq!(batch.as_ref().map(|(_, d)| d.len()), carried);
+        assert_eq!(batch.as_ref().map(Vec::len), carried);
         match &st.wait {
             WaitSlot::Request {
                 to: 0,
@@ -365,7 +318,7 @@ mod tests {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let ft = FtState::new(me, n, CkptPolicy::default(), Arc::clone(&store));
         let tracer = NodeTracer::disabled();
-        let mut st = NodeState::new(me, n, 256, Arc::clone(&eps[me]), Some(ft), tracer, None);
+        let mut st = NodeState::new(me, n, 256, Arc::clone(&eps[me]), Some(ft), tracer);
         st.pt.add_page(me);
         (st, eps, store)
     }
@@ -487,7 +440,7 @@ mod tests {
             episode: 0,
             vt: gated(2, 1, 1),
             own_wns: WnDelta::empty(),
-            batch: Some((7, vec![diff_of(1, 1, 1)])),
+            batch: Some(vec![diff_of(1, 1, 1)]),
         };
         handle_msg(&mut st, 1, arrival.clone());
         assert_eq!(st.pending_unalloc, [(1, arrival)]);
@@ -499,11 +452,11 @@ mod tests {
         st.pt.add_page(0);
         drain_unalloc(&mut st);
         assert_eq!(st.pt.home_version(PageId(1)), gated(2, 1, 1));
-        let (ack, release) = sent(&eps[0]);
+        let (none, release) = sent(&eps[0]);
         let kinds = |lane: &[Payload]| lane.iter().map(Payload::kind).collect::<Vec<_>>();
         assert_eq!(
-            (kinds(&ack), kinds(&release)),
-            (vec!["DiffAck"], vec!["BarrierRelease"])
+            (kinds(&none), kinds(&release)),
+            (vec![], vec!["BarrierRelease"])
         );
         assert!(st.wait.take().is_some(), "the episode completed");
     }

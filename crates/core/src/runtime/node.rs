@@ -24,7 +24,6 @@
 //! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` carries, under the big lock) |
 //! | [`FetchSvc`] | `runtime/fetch.rs` | *`PageReply`* |
 //! | [`SyncSvc`] | `runtime/sync.rs` | `LockAcq`, `LockForward`, *`LockGrant`*, *`BarrierArrive`*, *`BarrierRelease`* |
-//! | [`FtSvc`] | `ft/mod.rs` | `DiffAck` |
 //! | [`RecoverySvc`] | `ft/recovery.rs` | `RecLogReq`, *`RecLogReply`*, `RecPageReq`, *`RecPageReply`* |
 //!
 //! A node's protocol state has two locks (see DESIGN.md "Hot path").
@@ -48,7 +47,7 @@ use parking_lot::Mutex;
 
 use crate::ft::ckpt::{CheckpointBlob, RetainedCkpt};
 use crate::ft::recovery::{self, RecAsk, RecoverySvc};
-use crate::ft::{self, FtState, FtSvc};
+use crate::ft::{FtState, FtSvc};
 use crate::msg::{Msg, Payload};
 use crate::runtime::fetch::{self, FetchSvc};
 use crate::runtime::home::{self, HomeSvc, Served};
@@ -87,8 +86,9 @@ pub(crate) enum WaitSlot {
         answer: Option<(ProcId, Payload)>,
     },
     /// Recovery: collecting the replies `ask` describes; `owed` are the
-    /// peers that have not answered yet. Nothing is retransmitted for it —
-    /// the recovery handshake is the fabric's reliable control plane.
+    /// peers that have not answered yet. Nothing is sent again for it: the
+    /// fabric delivers every message to a live node, under a fault plan
+    /// through its link.
     Recovery {
         ask: RecAsk,
         owed: Vec<ProcId>,
@@ -179,8 +179,6 @@ pub(crate) struct NodeState {
     pub ops: u64,
     /// Scripted failures (ascending op counts).
     pub crash_queue: Vec<u64>,
-    /// Requests and diff batches retransmitted after a timeout.
-    pub retransmits: u64,
     /// Peer restarts learned of, one per recovery handshake received.
     pub restarts_seen: u64,
     /// Diff batches that rode a barrier arrival instead of going alone.
@@ -218,10 +216,9 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeState {
-    /// A node at the start of a run. `retry_after` switches the retry layer
-    /// on (see [`ft::RETRY_AFTER`]). A scripted `crash_queue`
-    /// and the monitor's `inject_stale_apply` trigger are set by the one
-    /// caller that has them.
+    /// A node at the start of a run. A scripted `crash_queue` and the
+    /// monitor's `inject_stale_apply` trigger are set by the one caller that
+    /// has them.
     pub(crate) fn new(
         me: ProcId,
         n: usize,
@@ -229,7 +226,6 @@ impl NodeState {
         ep: Arc<Endpoint<Msg>>,
         ft: Option<FtState>,
         tracer: NodeTracer,
-        retry_after: Option<Duration>,
     ) -> Self {
         NodeState {
             me,
@@ -246,7 +242,7 @@ impl NodeState {
             cur_flow: 0,
             fetch: FetchSvc::default(),
             sync: SyncSvc::new(me, n),
-            ft: FtSvc::new(me, n, ft, retry_after),
+            ft: FtSvc::new(me, n, ft),
             rec: RecoverySvc::default(),
             ep,
             tracer,
@@ -254,7 +250,6 @@ impl NodeState {
             shutdown: false,
             ops: 0,
             crash_queue: Vec::new(),
-            retransmits: 0,
             restarts_seen: 0,
             diff_batches_carried: 0,
             svc_arrivals: 0,
@@ -293,7 +288,6 @@ impl NodeState {
             msg_kinds: traffic.kind_counts(),
             msg_kind_bytes: traffic.kind_bytes(),
             restarts_seen: self.restarts_seen,
-            retransmits: self.retransmits,
             diff_batches_carried: self.diff_batches_carried,
             svc_arrivals: self.svc_arrivals,
             dup_suppressed: self.dup_suppressed,
@@ -301,7 +295,6 @@ impl NodeState {
             fetch_delta_bytes,
             prefetch: self.fetch.counts(),
             zero_fills: self.fetch.zero_fills(),
-            diff_outbox_depth: self.ft.outbox_depth() as u64,
         })
     }
 
@@ -422,8 +415,7 @@ impl NodeState {
     }
 
     /// The unanswered request the application thread is blocked on and its
-    /// destination. The first send, the timeout retransmit and the resend
-    /// to a restarted peer all come from here.
+    /// destination, for a resend to a restarted peer.
     fn blocked_request(&self) -> Option<(ProcId, Payload)> {
         match &self.wait {
             WaitSlot::Request {
@@ -437,7 +429,8 @@ impl NodeState {
 
     /// Park `request` in the wait slot and send it to `to`, for the
     /// application thread to block on its answer. A batch it carries rides
-    /// this send only: the outbox, not a resend, retransmits a batch.
+    /// this send only: a restarted manager gets the diffs from the writer's
+    /// log, as it gets every other diff it lost.
     pub(crate) fn block_on(&mut self, to: ProcId, request: Payload) {
         let (mut parked, answer) = (request.clone(), None);
         parked.take_carried();
@@ -448,30 +441,6 @@ impl NodeState {
         };
         self.send(to, request);
     }
-
-    /// Retransmit whatever request the application thread is blocked on —
-    /// the one in the wait slot, or the fetch its fault waits for (called by
-    /// the wait loop after the retry timeout of silence). Returns 1 when
-    /// something was resent. Every receiver path is idempotent under
-    /// duplication: requests dedup by `req_id`/`acq_seq`/`episode`, grants
-    /// replay from the release log, and installs are version-gated.
-    pub(crate) fn retransmit_wait_slot(&mut self) -> u64 {
-        let Some((to, payload)) = self.blocked_request() else {
-            return fetch::retransmit_awaited(self);
-        };
-        self.retransmit(to, payload);
-        1
-    }
-
-    /// Send `payload` again, counted and traced as a retransmission.
-    pub(crate) fn retransmit(&mut self, to: ProcId, payload: Payload) {
-        self.retransmits += 1;
-        if self.tracer.enabled() {
-            let kind = payload.kind();
-            self.tracer.emit(EventKind::Retransmit { kind, to });
-        }
-        self.send(to, payload);
-    }
 }
 
 /// The highest page a payload references, if any.
@@ -481,8 +450,7 @@ fn max_page(payload: &Payload) -> Option<PageId> {
         Payload::PageReq { pages, .. } => return pages.iter().map(|(p, ..)| *p).max(),
         Payload::DiffBatch { diffs, .. } => diffs,
         Payload::BarrierArrive {
-            batch: Some((_, diffs)),
-            ..
+            batch: Some(diffs), ..
         } => diffs,
         _ => return None,
     };
@@ -510,7 +478,6 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, mut payload: Payload)
         | Payload::LockGrant { .. }
         | Payload::BarrierArrive { .. }
         | Payload::BarrierRelease { .. } => sync::handle(st, from, payload),
-        Payload::DiffAck { seq } => ft::on_diff_ack(st, from, seq),
         Payload::RecLogReq { .. }
         | Payload::RecPageReq { .. }
         | Payload::RecLogReply { .. }
@@ -530,8 +497,8 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
 
 /// Peer `node` restarted — its recovery handshake has just arrived, the one
 /// restart signal: it lost everything in flight to it, so re-issue lost
-/// forwards and fetches, and retransmit whatever request our application
-/// thread is blocked on against it and the diff batch in flight to it.
+/// forwards and fetches, and resend whatever request our application
+/// thread is blocked on against it.
 pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
     st.restarts_seen += 1;
     st.tracer.emit(EventKind::PeerRestart { node });
@@ -542,7 +509,6 @@ pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
             st.send(node, payload);
         }
     }
-    ft::resend_inflight_diffs(st, node);
 }
 
 /// Handle one event under the big lock, whoever received it — the service
@@ -674,28 +640,19 @@ pub(crate) mod tests {
     use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, WaitingFetch};
     use hlrc::{PageBody, WnDelta};
 
-    /// Node `me` of `n` with 256-byte pages and no retry layer, and the
-    /// other nodes' endpoints in rank order.
+    /// Node `me` of `n` with 256-byte pages, and the other nodes'
+    /// endpoints in rank order.
     pub(crate) fn test_state(
         me: ProcId,
         n: usize,
         ft: bool,
-    ) -> (NodeState, Vec<Arc<Endpoint<Msg>>>) {
-        test_state_with(me, n, ft, None)
-    }
-
-    pub(crate) fn test_state_with(
-        me: ProcId,
-        n: usize,
-        ft: bool,
-        retry_after: Option<Duration>,
     ) -> (NodeState, Vec<Arc<Endpoint<Msg>>>) {
         let (_fabric, endpoints) = Fabric::<Msg>::new(n);
         let mut eps: Vec<Arc<Endpoint<Msg>>> = endpoints.into_iter().map(Arc::new).collect();
         let ep = Arc::clone(&eps[me]);
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let ft = ft.then(|| FtState::new(me, n, CkptPolicy::default(), store));
-        let st = NodeState::new(me, n, 256, ep, ft, NodeTracer::disabled(), retry_after);
+        let st = NodeState::new(me, n, 256, ep, ft, NodeTracer::disabled());
         eps.remove(me);
         (st, eps)
     }
@@ -797,7 +754,7 @@ pub(crate) mod tests {
         let n = 3;
         let vt = |v: [u32; 3]| VectorClock::from_vec(v.to_vec());
         let with_pages = || {
-            let (mut st, eps) = test_state_with(1, n, true, Some(ft::RETRY_AFTER));
+            let (mut st, eps) = test_state(1, n, true);
             st.pt.add_page(0); // page 0: remote
             st.pt.add_page(1); // pages 1, 2: homed here
             st.pt.add_page(1);
@@ -854,20 +811,23 @@ pub(crate) mod tests {
             vt: vt([0, 0, 1]),
         };
         handle_msg(&mut st, 1, forward);
-        // Fetch: a request in flight for page 0. FT: a diff batch in the
-        // outbox and knowledge about a peer. Recovery: both queues.
+        // Fetch: a request in flight for page 0. Recovery: both queues.
         fetch::issue_prefetch(&mut st, &[PageId(0)]);
         assert!(st.fetch.in_flight(PageId(0)));
-        ft::send_diff_batch(&mut st, 0, vec![diff_of(0, 1, 5)]);
-        assert!(!st.ft.drained());
         let sent = requests(&eps[0]);
-        let (Payload::PageReq { req_id, .. }, Payload::DiffBatch { seq: old_seq, .. }) =
-            (&sent[0], &sent[1])
-        else {
+        let [Payload::PageReq { req_id, .. }] = &sent[..] else {
             panic!("unexpected {sent:?}")
         };
         st.rec.defer(0, Payload::RecLogReq { homed: Vec::new() });
-        st.rec.defer(0, Payload::DiffAck { seq: 9 });
+        let (page, copy, entries) = (PageId(1), None, Vec::new());
+        st.rec.defer(
+            0,
+            Payload::RecPageReply {
+                page,
+                copy,
+                entries,
+            },
+        );
         let blocked = Payload::LockAcq {
             lock: 7,
             acq_seq: 3,
@@ -877,7 +837,7 @@ pub(crate) mod tests {
         // ... and what a crash must leave alone.
         st.ops = 40;
         st.crash_queue = vec![99];
-        st.retransmits = 3;
+        st.restarts_seen = 3;
         st.dup_suppressed = 2;
         st.hists.lock_wait.record(5);
         st.breakdown_acc.protocol = Duration::from_millis(1);
@@ -900,8 +860,7 @@ pub(crate) mod tests {
         let (new, _new_eps) = with_pages();
         assert_eq!(st.sync, new.sync);
         assert_eq!(st.rec, new.rec);
-        assert!(!st.fetch.in_flight(PageId(0)) && st.ft.drained());
-        assert_eq!(st.ft.fetch_needed(PageId(0), vt([0, 0, 0])), vt([0, 0, 0]));
+        assert!(!st.fetch.in_flight(PageId(0)));
         assert_eq!(st.vt, new.vt);
         assert!(st.wn_table.is_empty());
         assert!(matches!(st.wait, WaitSlot::None) && st.pending_unalloc.is_empty());
@@ -933,28 +892,22 @@ pub(crate) mod tests {
         assert_eq!(st.mode, Mode::Recovering);
         assert_eq!(st.ops, 40);
         assert_eq!(st.crash_queue, [99]);
-        assert_eq!((st.retransmits, st.dup_suppressed), (3, 2));
+        assert_eq!((st.restarts_seen, st.dup_suppressed), (3, 2));
         assert_eq!(st.hists.lock_wait.count(), 1);
         assert_eq!(st.breakdown_acc.protocol, Duration::from_millis(1));
         assert_eq!((st.pt.len(), st.shared_bytes()), (3, 3 * 256));
         assert_eq!(st.fetch.counts(), counts);
-        // Request ids and the diff sequence keep counting: an answer
-        // addressed to the previous incarnation cannot match a new request.
+        // Request ids keep counting: an answer addressed to the previous
+        // incarnation cannot match a new request.
         st.set_mode(Mode::Normal);
         st.pt.install(PageId(0), page_of(1), &vt([0, 0, 0]));
         st.pt.read_into(PageId(0), 0, &mut [0u8; 8]);
         st.pt.invalidate(PageId(0), 0, 3);
         fetch::issue_prefetch(&mut st, &[PageId(0)]);
-        ft::send_diff_batch(&mut st, 0, vec![diff_of(0, 1, 1)]);
-        let sent = requests(&eps[0]);
-        match (&sent[0], &sent[1]) {
-            (Payload::PageReq { req_id: r, .. }, Payload::DiffBatch { seq, .. }) => {
-                assert!(r > req_id && seq > old_seq)
-            }
-            _ => panic!("unexpected {sent:?}"),
+        match &requests(&eps[0])[..] {
+            [Payload::PageReq { req_id: r, .. }] => assert!(r > req_id),
+            sent => panic!("unexpected {sent:?}"),
         }
-        handle_msg(&mut st, 0, Payload::DiffAck { seq: *old_seq });
-        assert!(!st.ft.drained() && st.dup_suppressed == 3);
     }
 
     #[test]
@@ -1070,11 +1023,10 @@ pub(crate) mod tests {
             (2, one_page(1, gated(n, 1, 1), 4)),
             // Page 3 is not allocated yet: deferred until it is.
             (2, one_page(3, zero(), 5)),
-            // Unparks both fetches of page 1, then acks.
+            // Unparks both fetches of page 1.
             (
                 1,
                 Payload::DiffBatch {
-                    seq: 7,
                     diffs: vec![diff_of(1, 1, 1)],
                 },
             ),
@@ -1099,14 +1051,14 @@ pub(crate) mod tests {
                 },
             ),
             // Node 1 arrives at the barrier managed here with a diff for
-            // page 0: applied and acked, the episode still open.
+            // page 0: applied, the episode still open.
             (
                 1,
                 Payload::BarrierArrive {
                     episode: 0,
                     vt: gated(n, 1, 2),
                     own_wns: WnDelta::empty(),
-                    batch: Some((8, vec![diff_of(0, 1, 2)])),
+                    batch: Some(vec![diff_of(0, 1, 2)]),
                 },
             ),
         ];
@@ -1136,9 +1088,9 @@ pub(crate) mod tests {
             msgs.sort_by_key(|m| !dsm_net::WireSized::to_waiter(m));
             msgs.into_iter().map(|m| m.payload).collect()
         };
-        // One service thread handling one FIFO request lane: node 1's sixth
+        // One service thread handling one FIFO request lane: node 1's fourth
         // message means the whole script has been handled.
-        let mut got = vec![recv(1, 6), recv(2, 1)];
+        let mut got = vec![recv(1, 4), recv(2, 1)];
         {
             let mut st = shared.state.lock();
             assert_eq!(st.pending_unalloc.len(), 1);
@@ -1164,14 +1116,7 @@ pub(crate) mod tests {
         let kinds = |node: usize| got[node - 1].iter().map(Payload::kind).collect::<Vec<_>>();
         assert_eq!(
             kinds(1),
-            [
-                "PageReply",
-                "PageReply",
-                "LockGrant",
-                "DiffAck",
-                "LockForward",
-                "DiffAck"
-            ]
+            ["PageReply", "PageReply", "LockGrant", "LockForward"]
         );
         assert_eq!(kinds(2), ["PageReply", "PageReply"]);
         // `(req_id, pages)` of a reply.
@@ -1191,7 +1136,6 @@ pub(crate) mod tests {
         assert_eq!(versions[1].get(1), 1);
         // The arrival's batch was served as a `DiffBatch` would be.
         assert_eq!(versions[0].get(1), 2);
-        assert_eq!(got[0][5], Payload::DiffAck { seq: 8 });
         assert_eq!(parked, [(2, PageId(2), 6)]);
         assert_eq!(deliver_to_service_loop(true), (got, versions, parked));
     }
@@ -1207,7 +1151,7 @@ pub(crate) mod tests {
             .enumerate()
             .map(|(me, ep)| {
                 let ep = Arc::new(ep);
-                let mut st = NodeState::new(me, 2, 256, ep, None, NodeTracer::disabled(), None);
+                let mut st = NodeState::new(me, 2, 256, ep, None, NodeTracer::disabled());
                 st.pt.add_page(0);
                 let state = Mutex::new(st);
                 let (n, seed) = (2, 0);
@@ -1285,15 +1229,15 @@ pub(crate) mod tests {
             st.close_interval(&mut Breakdown::default()); // a notice for the arrival to carry
             requests(&eps[0]);
             block(&mut st); // parks the request and sends it
-            assert_eq!(st.retransmit_wait_slot(), 1, "timeout retransmit");
-            // Node 0 restarted: its handshake is the signal, and the resend
-            // goes out before the reply, as it did when a fabric broadcast
-            // announced the restart ahead of the handshake.
-            handle_msg(&mut st, 0, Payload::RecLogReq { homed: Vec::new() });
+                            // Node 0 restarted: its handshake is the signal, and the resend
+                            // goes out before the reply, as it did when a fabric broadcast
+                            // announced the restart ahead of the handshake.
+            let handshake = || Payload::RecLogReq { homed: Vec::new() };
+            handle_msg(&mut st, 0, handshake());
             assert_eq!(st.restarts_seen, 1);
             let mut sent = sent_in_order(&eps[0]);
             assert_eq!(sent.pop().map(|p| p.kind()), Some("RecLogReply"));
-            assert_eq!(sent.len(), 3);
+            assert_eq!(sent.len(), 2);
             assert_eq!(sent[0].kind(), kind);
             assert!(sent.iter().all(|p| *p == sent[0]), "{kind} resends differ");
             if let Payload::PageReq { pages, .. } = &sent[0] {
@@ -1320,8 +1264,13 @@ pub(crate) mod tests {
                 },
             };
             handle_msg(&mut st, 0, answer);
-            assert_eq!(st.retransmit_wait_slot(), 0);
-            assert!(eps[0].try_recv().is_none() && st.dup_suppressed == 0);
+            handle_msg(&mut st, 0, handshake());
+            let sent = sent_in_order(&eps[0]);
+            assert_eq!(
+                sent.iter().map(Payload::kind).collect::<Vec<_>>(),
+                ["RecLogReply"]
+            );
+            assert_eq!(st.dup_suppressed, 0);
         }
     }
 
@@ -1386,14 +1335,13 @@ pub(crate) mod tests {
         // a fetch: on the reply lane once they have been handled, on the
         // request lane while they have not.
         let batch = |seq| Payload::DiffBatch {
-            seq,
-            diffs: vec![diff_of(0, 1, seq as u32)],
+            diffs: vec![diff_of(0, 1, seq)],
         };
         let fetch = Payload::PageReq {
             pages: vec![(PageId(0), VectorClock::zero(2), None)],
             req_id: 1,
         };
-        let carrying = |episode| arrival(episode, Some((2, vec![diff_of(0, 1, 2)])));
+        let carrying = |episode| arrival(episode, Some(vec![diff_of(0, 1, 2)]));
         from_node_1(batch(1));
         from_node_1(carrying(1));
         assert_eq!(requests(&st.ep), [batch(1), carrying(1)]);
@@ -1419,7 +1367,7 @@ pub(crate) mod tests {
             cur.write(8 * seq as usize, &[seq as u8]);
             let iv = Interval { proc: 1, seq };
             let diffs = vec![Arc::new(Diff::create(PageId(0), iv, &twin, &cur).unwrap())];
-            Payload::DiffBatch { seq: 0, diffs }
+            Payload::DiffBatch { diffs }
         };
         let (mut st, _eps) = test_state(0, 2, false);
         let fence = off_lock_fence(&st);
@@ -1441,7 +1389,7 @@ pub(crate) mod tests {
 
     /// Every `Counter` row of the metric table is a total of the run, not of
     /// an incarnation: a node that has sent, faulted, logged, checkpointed,
-    /// prefetched and retransmitted reports none of them lower after a crash
+    /// prefetched and seen a peer restart reports none of them lower after a crash
     /// and a restart from its checkpoint. Generic over the table, so a new
     /// statistic that a restart resets fails here without being named.
     #[test]
@@ -1452,7 +1400,7 @@ pub(crate) mod tests {
         let ep = eps.remove(me);
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let ft = FtState::new(me, n, CkptPolicy::default(), Arc::clone(&store));
-        let mut st = NodeState::new(me, n, 256, ep, Some(ft), NodeTracer::disabled(), None);
+        let mut st = NodeState::new(me, n, 256, ep, Some(ft), NodeTracer::disabled());
         st.pt.add_page(0);
         st.pt.add_page(0);
         // Page 0 was cold: zero-filled, written and flushed before the
@@ -1461,7 +1409,7 @@ pub(crate) mod tests {
         st.pt.write(PageId(0), 8, &[3]);
         let mut bd = Breakdown::default();
         st.close_interval(&mut bd);
-        ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
         assert_eq!(requests(&eps[0]).len(), 1, "the diff batch");
 
         st.fail_stop();
@@ -1493,7 +1441,7 @@ pub(crate) mod tests {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let ft = FtState::new(me, n, CkptPolicy::default(), Arc::clone(&store));
         let tracer = NodeTracer::disabled();
-        let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer, Some(ft::RETRY_AFTER));
+        let mut st = NodeState::new(me, n, 256, ep, Some(ft), tracer);
         st.pt.add_page(1); // page 0: homed here
         st.pt.add_page(2); // page 1: remote
         st.pt.add_page(2); // page 2: remote, cold
@@ -1510,12 +1458,11 @@ pub(crate) mod tests {
         // One interval logged and saved by a checkpoint that trims nothing
         // yet, one logged and lost with the crash.
         write_both(&mut st, &mut bd, 1);
-        ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
         write_both(&mut st, &mut bd, 2);
         st.pt.invalidate(PageId(1), 2, 1);
         fetch::issue_prefetch(&mut st, &[PageId(1)]);
-        st.retransmit_wait_slot();
-        ft::resend_inflight_diffs(&mut st, 2);
+        handle_msg(&mut st, 2, Payload::RecLogReq { homed: Vec::new() });
         st.ops = 40;
         st.dup_suppressed = 2;
         st.hists.page_fetch.record(5);
@@ -1543,7 +1490,7 @@ pub(crate) mod tests {
             "log_saved_bytes_total",
             "store_writes_total",
             "pool_misses_total",
-            "retransmits_total",
+            "peer_restarts_total",
             "dup_suppressed_total",
             "prefetched_total",
             "zero_fills_total",

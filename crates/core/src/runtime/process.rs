@@ -141,15 +141,8 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
 /// the service thread's and to [`NodeState::own_svc`]. A change `take`
 /// depends on that no reply carries arrives as a poke
 /// ([`NodeState::poke_if_answered`], an applied diff), which ends the
-/// receive the same way.
-///
-/// When the node has a retry timeout configured ([`crate::ft::FtSvc::retry_after`]),
-/// the blocked request — the one in [`NodeState::wait`], or the fetch a
-/// fault waits for — and any in-flight diff batches are retransmitted each
-/// time that timeout elapses without the wait completing. The check is
-/// time-based (elapsed since last send) rather than receive-timeout-based:
-/// unrelated replies and pokes end the receive constantly, and a timer they
-/// reset would never fire under load.
+/// receive the same way. Nothing is sent again from here: the fabric
+/// delivers every request, under a fault plan through its link.
 pub(crate) fn wait_until<T>(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
@@ -157,30 +150,16 @@ pub(crate) fn wait_until<T>(
 ) -> T {
     let ep = Arc::clone(&st.ep);
     let start = Instant::now();
-    let retry = st.ft.retry_after();
-    let mut retries = 0u64;
-    let mut last_send = Instant::now();
     loop {
         if let Some(v) = take(st) {
-            if retry.is_some() {
-                st.hists.retransmits.record(retries);
-            }
             return v;
         }
-        let Some(mut slice) = WAIT_DEADLINE.checked_sub(start.elapsed()) else {
+        let Some(slice) = WAIT_DEADLINE.checked_sub(start.elapsed()) else {
             panic!(
                 "node {}: DSM operation blocked for {:?} — deadlock? wait={:?} fetch={:?} vt={} sync={:?} (FTDSM_SEED={:#x})",
                 shared.me, WAIT_DEADLINE, st.wait, st.fetch.awaited(), st.vt, st.sync, shared.seed
             )
         };
-        if let Some(after) = retry {
-            if last_send.elapsed() >= after {
-                retries += st.retransmit_wait_slot();
-                ft::retransmit_stale_diffs(st);
-                last_send = Instant::now();
-            }
-            slice = slice.min(after);
-        }
         if let Some(ev) = MutexGuard::unlocked(st, || ep.recv_reply(slice)) {
             let (t0, kind) = (Instant::now(), ev.kind_name());
             dispatch(st, ev);
@@ -426,14 +405,14 @@ impl Process {
             wait_until(&shared, &mut st, |st| {
                 (!st.fetch.in_flight(page) || ready(st)).then_some(())
             });
-            let lost = st.fetch.await_over();
+            st.fetch.await_over();
             // A hit found its page in flight and that request made it ready;
             // a miss is a page prefetch left out — its last copy unused, or
             // never held and named by a notice — or one whose request was
-            // lost (sent again after a timeout) or overtaken by a newer
-            // invalidation. A miss prefetch had no part in is neither.
+            // overtaken by a newer invalidation. A miss prefetch had no part
+            // in is neither.
             let (ready, ns) = (ready(&mut st), t0.elapsed().as_nanos() as u64);
-            if skipped || lost || !ready {
+            if skipped || !ready {
                 st.hists.prefetch_miss.record(ns);
             } else if found {
                 st.hists.prefetch_hit.record(ns);
@@ -586,16 +565,10 @@ impl Process {
         if st.rec.replaying() || !st.ft.ckpt_due_at_step(step) {
             return;
         }
-        // A checkpoint must not record as sent what no survivor can
-        // resupply: a diff still in the outbox dies with this node, and
-        // replay from this checkpoint would not make it again. Flush the
-        // open interval, then let every home acknowledge (the `DiffAck`
-        // that empties the outbox pokes this wait; nothing is queued when
-        // the retry layer is off).
+        // Flush the open interval: its diffs are sent before the checkpoint
+        // records them as sent, and what is sent is delivered even if this
+        // node crashes next.
         st.close_interval(&mut self.breakdown);
-        let t0 = Instant::now();
-        wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
-        self.breakdown.logging += waited(&mut st, t0);
         // One checkpoint on the disk at a time: one that falls due while
         // the last is still being written waits for it.
         self.await_disk(&mut st);
@@ -622,10 +595,9 @@ impl Process {
         ft::publish_written(st);
     }
 
-    /// Flush any unsynchronized writes, wait until every home has
-    /// acknowledged them (nothing is queued when the retry layer is off) and
-    /// the disk has the last checkpoint, fold this incarnation's breakdown
-    /// into the node report, and hand the reply lane to the service thread.
+    /// Flush any unsynchronized writes, wait until the disk has the last
+    /// checkpoint, fold this incarnation's breakdown into the node report,
+    /// and hand the reply lane to the service thread.
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
@@ -636,9 +608,6 @@ impl Process {
             recovery::go_live(&mut st);
         }
         st.close_interval(&mut self.breakdown);
-        // The wait retransmits a batch whose ack is late, as a checkpoint's
-        // does (`safe_point`).
-        wait_until(&shared, &mut st, |st| st.ft.drained().then_some(()));
         self.await_disk(&mut st);
         self.flush_stats(&mut st);
         // No wait reads the lane from here on, and a peer may still need

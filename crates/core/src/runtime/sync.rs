@@ -373,15 +373,16 @@ impl SyncSvc {
     /// discarded here, so the recovered manager rebuilds the chain only from
     /// acquisitions that materialized — our own delivered tenures and the
     /// grants in our release log. The discarded edges' requesters are still
-    /// blocked and re-drive their acquisition (retry timer under chaos,
-    /// the restart re-send otherwise), re-entering the chain behind a real
+    /// blocked and re-drive their acquisition (the restart re-send of
+    /// their blocked `LockAcq`), re-entering the chain behind a real
     /// tenure. Without the reset, stale pre-crash edges and the manager's
     /// fresh post-crash edges can order the same two waiters both ways round
     /// and deadlock the chain. This leans on a synchrony assumption: a
     /// crashed node stays dead longer than any message can be delayed (`run`
-    /// refuses a chaos plan whose `max_delay` reaches the dead time), so by
-    /// the time this handshake runs, no pre-crash forward is still in flight
-    /// toward us.
+    /// refuses a chaos plan whose `max_delay` reaches the dead time, and
+    /// the fabric's restart waits for the link to deliver a lost frame), so
+    /// by the time this handshake runs, no pre-crash forward is still in
+    /// flight toward us.
     pub(crate) fn chain_report(&mut self, r: ProcId, rel: &[Vec<RelEntry>]) -> ChainReport {
         let (me, n) = (self.me, self.n);
         let managed_by_r = |lock: LockId| lock % n == r;
@@ -629,7 +630,7 @@ mod tests {
     fn ft_svc(logging: bool) -> FtSvc {
         let store = Arc::new(StableStore::new(DiskModel::instant()));
         let state = logging.then(|| FtState::new(0, 3, CkptPolicy::default(), store));
-        FtSvc::new(0, 3, state, None)
+        FtSvc::new(0, 3, state)
     }
 
     /// A forward for lock 9 from node 1's acquisition `acq_seq`.

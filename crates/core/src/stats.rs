@@ -177,9 +177,6 @@ pub struct NodeReport {
     /// Peer restarts this node learned of: one per recovery handshake
     /// (`RecLogReq`) it answered.
     pub restarts_seen: u64,
-    /// Request retransmissions issued by this node (page/lock/barrier/diff
-    /// traffic resent after the retry timeout; zero when retries are off).
-    pub retransmits: u64,
     /// Diff batches this node's barrier arrivals carried to the manager
     /// instead of sending each as a `DiffBatch` of its own.
     pub diff_batches_carried: u64,
@@ -189,7 +186,7 @@ pub struct NodeReport {
     /// the application thread ended.
     pub svc_arrivals: u64,
     /// Duplicate deliveries this node detected and suppressed (re-granted
-    /// locks, re-delivered pages, stale diff acks, mismatched prefetches).
+    /// locks, re-delivered pages, mismatched prefetches).
     pub dup_suppressed: u64,
     /// Fetches this node installed as a delta: the home sent the diffs the
     /// kept stale copy was missing instead of the page.
@@ -201,9 +198,6 @@ pub struct NodeReport {
     /// Misses on a cold page — never held, named by no write notice —
     /// answered with the zero page instead of a fetch.
     pub zero_fills: u64,
-    /// Diff batches queued and not acknowledged when the report was taken
-    /// (zero at teardown, and whenever the retry layer is off).
-    pub diff_outbox_depth: u64,
 }
 
 /// Add `other`'s per-kind values to `acc`'s, keeping it sorted by kind.
@@ -229,7 +223,6 @@ impl NodeReport {
         add_kinds(&mut self.msg_kinds, &o.msg_kinds);
         add_kinds(&mut self.msg_kind_bytes, &o.msg_kind_bytes);
         self.restarts_seen += o.restarts_seen;
-        self.retransmits += o.retransmits;
         self.diff_batches_carried += o.diff_batches_carried;
         self.svc_arrivals += o.svc_arrivals;
         self.dup_suppressed += o.dup_suppressed;
@@ -237,7 +230,6 @@ impl NodeReport {
         self.fetch_delta_bytes += o.fetch_delta_bytes;
         self.prefetch += o.prefetch;
         self.zero_fills += o.zero_fills;
-        self.diff_outbox_depth += o.diff_outbox_depth;
     }
 
     /// The metric table: every number of this report under its metric name —
@@ -246,8 +238,8 @@ impl NodeReport {
     /// decreases over a run, crashes included. A per-kind row carries its
     /// message kind as a `{kind="…"}` label; `stable_log_curve` is the one
     /// field with no row (a series, not a number). A histogram's name is its
-    /// `LatencyHists::named()` label plus `_ns`, but for the three that count
-    /// bytes, pages or retries.
+    /// `LatencyHists::named()` label plus `_ns`, but for the two that count
+    /// bytes or pages.
     pub fn metrics(&self) -> Vec<(String, MetricValue<'_>)> {
         use MetricValue::{Counter, Gauge, Hist};
         let ns = |d: Duration| d.as_nanos() as u64;
@@ -271,6 +263,10 @@ impl NodeReport {
             ("fabric_chaos_delayed_total", t.chaos_delayed),
             ("fabric_chaos_duplicated_total", t.chaos_duplicated),
             ("fabric_partition_blocked_total", t.partition_blocked),
+            ("fabric_link_resent_total", t.link_resent),
+            ("fabric_link_dups_dropped_total", t.link_dups_dropped),
+            ("fabric_link_acks_total", t.link_acks),
+            ("fabric_link_bytes_sent_total", t.link_bytes_sent),
             ("ckpts_taken_total", ft.ckpts_taken),
             ("log_created_bytes_total", logs.created_bytes),
             ("log_discarded_bytes_total", logs.discarded_bytes),
@@ -289,7 +285,6 @@ impl NodeReport {
             ("pool_recycled_total", pool.recycled),
             ("pool_rejected_total", pool.rejected),
             ("peer_restarts_total", self.restarts_seen),
-            ("retransmits_total", self.retransmits),
             ("diff_batches_carried_total", self.diff_batches_carried),
             ("svc_barrier_arrivals_total", self.svc_arrivals),
             ("dup_suppressed_total", self.dup_suppressed),
@@ -305,7 +300,6 @@ impl NodeReport {
             ("stable_log_max_bytes", ft.max_stable_log_bytes),
             ("resident_log_max_bytes", ft.max_resident_log_bytes),
             ("ckpt_window_max", ft.max_ckpt_window as u64),
-            ("diff_outbox_depth", self.diff_outbox_depth),
         ];
         let svc = self.svc_time_by_kind.iter();
         let svc_ns: Vec<_> = svc.map(|&(k, d)| (k, ns(d))).collect();
@@ -322,7 +316,7 @@ impl NodeReport {
             rows.extend(kinds.map(|&(kind, v)| (labelled(name, "kind", kind), Counter(v))));
         }
         rows.extend(self.hists.named().map(|(label, h)| match label {
-            "fetch_copy_bytes" | "fetch_batch_pages" | "retransmits" => (label.into(), Hist(h)),
+            "fetch_copy_bytes" | "fetch_batch_pages" => (label.into(), Hist(h)),
             _ => (format!("{label}_ns"), Hist(h)),
         }));
         rows

@@ -423,15 +423,14 @@ const PIGGY: u8 = 0x40;
 /// Tag bit: a diff batch follows the payload (a barrier arrival's).
 pub(crate) const BATCH: u8 = 0x80;
 
-/// The kind half of a message's tag byte. Tags 5 and 6 are retired (they
-/// were the heartbeat's) and decode as an error.
+/// The kind half of a message's tag byte. Tags 4 to 6 are retired (they
+/// were the diff ack's and the heartbeat's) and decode as an error.
 fn kind_tag(payload: &Payload) -> u8 {
     match payload {
         Payload::LockAcq { .. } => 0,
         Payload::LockForward { .. } => 1,
         Payload::LockGrant { .. } => 2,
         Payload::DiffBatch { .. } => 3,
-        Payload::DiffAck { .. } => 4,
         Payload::BarrierArrive { .. } => 7,
         Payload::BarrierRelease { .. } => 8,
         Payload::PageReq { .. } => 9,
@@ -496,11 +495,7 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             put_vt(w, vt);
             put_wn_delta(w, wns);
         }
-        Payload::DiffBatch { diffs, seq } => {
-            w.put_varint(*seq);
-            put_diffs(w, diffs);
-        }
-        Payload::DiffAck { seq } => w.put_varint(*seq),
+        Payload::DiffBatch { diffs } => put_diffs(w, diffs),
         Payload::BarrierArrive {
             episode,
             vt,
@@ -569,8 +564,7 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             put_list(w, entries, put_entry);
         }
     }
-    if let Some((seq, diffs)) = batch {
-        w.put_varint(*seq);
+    if let Some(diffs) = batch {
         put_diffs(w, diffs);
     }
 }
@@ -605,13 +599,8 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             vt: get_vt(r)?,
             wns: get_wn_delta(r)?,
         },
-        3 => {
-            let seq = r.get_varint()?;
-            let diffs = get_diffs(r)?;
-            Payload::DiffBatch { diffs, seq }
-        }
-        4 => Payload::DiffAck {
-            seq: r.get_varint()?,
+        3 => Payload::DiffBatch {
+            diffs: get_diffs(r)?,
         },
         7 => Payload::BarrierArrive {
             episode: r.get_varint()?,
@@ -686,7 +675,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
                 tag,
             });
         };
-        *batch = Some((r.get_varint()?, get_diffs(r)?));
+        *batch = Some(get_diffs(r)?);
     }
     let piggy = match tag & PIGGY {
         0 => None,
@@ -1041,20 +1030,21 @@ mod tests {
     /// whose seq is 0 (no stamp) is refused.
     #[test]
     fn a_context_is_on_the_wire_only_when_the_tag_says_so() {
-        let acq = Msg::bare(Payload::DiffAck { seq: 9 });
+        let pages = Vec::new();
+        let req = Msg::bare(Payload::PageReq { pages, req_id: 9 });
         let mut w = ByteWriter::new();
-        put_msg(&mut w, &acq);
-        assert_eq!(w.into_bytes(), [4, 9]);
+        put_msg(&mut w, &req);
+        assert_eq!(w.into_bytes(), [9, 9, 0]);
         let decode = |bytes: &[u8]| get_msg(&mut ByteReader::new(bytes), 3);
-        assert_eq!(decode(&[4, 9]).unwrap(), acq);
-        let traced = decode(&[4 | TRACED, 1, 0, 9]).unwrap();
+        assert_eq!(decode(&[9, 9, 0]).unwrap(), req);
+        let traced = decode(&[9 | TRACED, 1, 0, 9, 0]).unwrap();
         let ctx = TraceCtx {
             origin: 3,
             seq: 1,
             ..TraceCtx::NONE
         };
         assert_eq!(traced.ctx, ctx);
-        assert!(decode(&[4 | TRACED, 0, 0, 9]).is_err());
+        assert!(decode(&[9 | TRACED, 0, 0, 9, 0]).is_err());
     }
 
     /// A clock is its entry count and one varint an entry: eight small

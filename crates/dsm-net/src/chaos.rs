@@ -1,18 +1,15 @@
 //! Deterministic, seed-driven fault injection for the fabric.
 //!
-//! A [`FaultPlan`] attached to a [`crate::Fabric`] perturbs message delivery
-//! at send time: messages can be dropped, duplicated, delayed, reordered
-//! (a short random delay) or blocked by a dynamic network partition, per
-//! `(src, dst, kind)` match. All randomness comes from one seed expanded
-//! into an independent splitmix64 stream per sending node, so a run's fault
-//! decisions are a pure function of the seed and each sender's send
-//! sequence — any failure is reproducible by re-running with the same seed.
-//!
-//! Recovery-protocol messages (kind names starting with `Rec`) are exempt
-//! by default: the recovery handshake is the reliable control plane of the
-//! protocol (the paper assumes it runs over a healthy fabric once the
-//! failure is detected). Tests can clear the exemption list to torture the
-//! recovery path too.
+//! A [`FaultPlan`] attached to a [`crate::Fabric`] perturbs every frame the
+//! link puts on the wire — a message's first send, its resends and the
+//! acks alike: frames can be dropped, duplicated, delayed, reordered (a
+//! short random delay) or blocked by a dynamic network partition, per
+//! `(src, dst, kind)` match (an ack's kind is `"Ack"`). The link below the
+//! protocol ([`crate::link`]) masks the loss, duplication and reordering,
+//! recovery messages included; the protocol sees the delay, and crashes.
+//! All randomness comes from one seed expanded into an independent
+//! splitmix64 stream per sending node, so a run's fault decisions are a
+//! pure function of the seed and each sender's frame sequence.
 
 use std::time::Duration;
 
@@ -140,11 +137,6 @@ impl FaultRule {
             && self.dst.is_none_or(|d| d == dst)
             && self.kind.is_none_or(|k| k == kind)
     }
-
-    /// True when this rule can need the delivery pump thread.
-    pub(crate) fn needs_pump(&self) -> bool {
-        self.dup > 0.0 || self.delay > 0.0 || self.reorder > 0.0
-    }
 }
 
 /// A seeded set of fault rules, attached to a fabric with
@@ -155,18 +147,14 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Rules, first match wins.
     pub rules: Vec<FaultRule>,
-    /// Message-kind prefixes exempt from injection (default `["Rec"]`, the
-    /// recovery control plane).
-    pub exempt_prefixes: Vec<&'static str>,
 }
 
 impl FaultPlan {
-    /// An empty plan (no rules, recovery exempt).
+    /// An empty plan: no rule, so nothing is injected, but the link is on.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             rules: Vec::new(),
-            exempt_prefixes: vec!["Rec"],
         }
     }
 
@@ -176,14 +164,8 @@ impl FaultPlan {
         self
     }
 
-    /// Subject recovery traffic to injection too (clears the exemptions).
-    pub fn including_recovery(mut self) -> Self {
-        self.exempt_prefixes.clear();
-        self
-    }
-
     /// A generally lossy network: 2% drop, 1% duplication, 5% delay of
-    /// 100 µs–2 ms, 5% reorder, on every non-recovery message.
+    /// 100 µs–2 ms, 5% reorder, on every frame.
     pub fn lossy(seed: u64) -> FaultPlan {
         FaultPlan::new(seed).with_rule(
             FaultRule::all()
@@ -192,12 +174,6 @@ impl FaultPlan {
                 .delaying(0.05, Duration::from_micros(100), Duration::from_millis(2))
                 .reordering(0.05),
         )
-    }
-
-    /// True when any rule can delay, duplicate or reorder (the fabric then
-    /// runs a delivery pump thread).
-    pub(crate) fn needs_pump(&self) -> bool {
-        self.rules.iter().any(|r| r.needs_pump())
     }
 
     /// The longest any rule can hold a message back: `delay_max` where a
@@ -242,7 +218,6 @@ pub(crate) enum Fate {
 /// own lock so senders never contend with each other.
 pub(crate) struct ChaosState {
     rules: Vec<FaultRule>,
-    exempt_prefixes: Vec<&'static str>,
     rngs: Vec<parking_lot::Mutex<Rng>>,
 }
 
@@ -250,7 +225,6 @@ impl ChaosState {
     pub(crate) fn new(plan: &FaultPlan, n: usize) -> ChaosState {
         ChaosState {
             rules: plan.rules.clone(),
-            exempt_prefixes: plan.exempt_prefixes.clone(),
             rngs: (0..n)
                 .map(|node| {
                     // Decorrelate the per-node streams.
@@ -261,12 +235,9 @@ impl ChaosState {
         }
     }
 
-    /// Decide the fate of one message. Consumes randomness from the
+    /// Decide the fate of one frame. Consumes randomness from the
     /// sender's stream only.
     pub(crate) fn decide(&self, src: NodeId, dst: NodeId, kind: &str) -> Fate {
-        if self.exempt_prefixes.iter().any(|p| kind.starts_with(p)) {
-            return Fate::Deliver;
-        }
         let Some(rule) = self.rules.iter().find(|r| r.matches(src, dst, kind)) else {
             return Fate::Deliver;
         };
@@ -324,17 +295,6 @@ mod tests {
         let st = ChaosState::new(&plan, 2);
         assert_eq!(st.decide(0, 1, "PageReq"), Fate::Drop);
         assert_eq!(st.decide(0, 1, "DiffBatch"), Fate::Deliver);
-    }
-
-    #[test]
-    fn recovery_kinds_are_exempt_by_default() {
-        let plan = FaultPlan::new(1).with_rule(FaultRule::all().dropping(1.0));
-        let st = ChaosState::new(&plan, 2);
-        assert_eq!(st.decide(0, 1, "RecLogReq"), Fate::Deliver);
-        assert_eq!(st.decide(0, 1, "RecPageReq"), Fate::Deliver);
-        assert_eq!(st.decide(0, 1, "PageReq"), Fate::Drop);
-        let st = ChaosState::new(&plan.clone().including_recovery(), 2);
-        assert_eq!(st.decide(0, 1, "RecLogReq"), Fate::Drop);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use dsm_trace::{EventKind, NodeTracer};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::chaos::{ChaosState, Fate, FaultPlan};
+use crate::link::{Frame, Links, Received};
 use crate::mailbox::{Mailbox, Wait};
 use crate::stats::FabricStats;
 
@@ -124,25 +125,24 @@ struct FabricShared<M> {
     status: RwLock<Vec<NodeStatus>>,
     inboxes: Vec<Inbox<M>>,
     stats: FabricStats,
-    /// Fast-path gate: false means no chaos plan and no partition, so
-    /// [`Endpoint::send`] skips all injection checks.
+    /// Fast-path gate: false until a fault plan or a partition is first
+    /// set, so [`Endpoint::send`] hands a message straight to its lane. From
+    /// then on every send goes through the link, for good: a later send
+    /// must not overtake what the link still holds.
     chaos_on: AtomicBool,
     chaos: RwLock<Option<ChaosState>>,
-    /// Partition group per node; empty = fully connected. Messages whose
-    /// endpoints sit in different groups are silently lost.
+    /// Partition group per node; empty = fully connected. Frames whose
+    /// endpoints sit in different groups are lost (and resent by the link).
     partition: RwLock<Vec<u32>>,
+    links: Links<M>,
+    /// Per node: where the links stood when it crashed, while it is down
+    /// under the link (see [`Fabric::restart`]).
+    crash_marks: Mutex<Vec<Vec<(u64, u64)>>>,
     pump: Mutex<Option<Arc<PumpShared<M>>>>,
     pump_seq: AtomicU64,
 }
 
-impl<M> FabricShared<M> {
-    fn refresh_chaos_gate(&self) {
-        let on = self.chaos.read().is_some() || !self.partition.read().is_empty();
-        self.chaos_on.store(on, Ordering::Release);
-    }
-}
-
-impl<M: WireSized> FabricShared<M> {
+impl<M: Clone + WireSized> FabricShared<M> {
     /// Queue `msg` on the lane of `to` its kind belongs to: the request
     /// lane once the reply lane has been handed over, or while a message
     /// that must stay behind the requests finds one there.
@@ -157,16 +157,104 @@ impl<M: WireSized> FabricShared<M> {
             inbox.requests.push(ev);
         }
     }
+
+    /// Put a link frame on the wire from `from` to `to`, where the
+    /// partition and the fault plan decide its fate.
+    fn transmit(&self, from: NodeId, to: NodeId, mut frame: Frame<M>) {
+        let traffic = self.stats.node(from);
+        {
+            let part = self.partition.read();
+            if !part.is_empty() && part[from] != part[to] {
+                return traffic.record_partition_block();
+            }
+        }
+        let fate = match self.chaos.read().as_ref() {
+            Some(c) => c.decide(from, to, frame.kind_name()),
+            None => Fate::Deliver,
+        };
+        match fate {
+            Fate::Deliver => self.arrive(from, to, frame),
+            Fate::Drop => traffic.record_chaos_drop(),
+            Fate::Dup { detour } => {
+                // Deliver now; the extra copy takes a detour so it can
+                // arrive out of order.
+                traffic.record_chaos_dup();
+                let mut dup = frame.clone();
+                dup.add_chaos_delay(detour);
+                self.push_delayed(from, to, dup, detour);
+                self.arrive(from, to, frame);
+            }
+            Fate::Delay { by } => {
+                traffic.record_chaos_delay();
+                frame.add_chaos_delay(by);
+                self.push_delayed(from, to, frame, by);
+            }
+        }
+    }
+
+    /// A frame from `from` reached `to`. A data frame is released to the
+    /// lanes in order — unless `to` is down: a frame to a crashed node is
+    /// lost — and acked; an ack retires the sender's copies.
+    fn arrive(&self, from: NodeId, to: NodeId, frame: Frame<M>) {
+        let (gen, seq, msg) = match frame {
+            Frame::Ack { gen, upto } => return self.links.ack(to, from, gen, upto),
+            Frame::Data { gen, seq, msg } => (gen, seq, msg),
+        };
+        let received = {
+            // Held across the release, so that a crash (which takes the
+            // write lock) finds every frame released before it in the
+            // inbox it drains.
+            let status = self.status.read();
+            if status[to] == NodeStatus::Crashed {
+                return self.stats.node(from).record_drop();
+            }
+            let release = |m| self.deliver(from, to, m);
+            self.links.receive(from, to, (gen, seq, msg), release)
+        };
+        if let Received::Ack { gen, upto, dup } = received {
+            let ack = Frame::Ack { gen, upto };
+            self.stats.node(to).record_link_ack(ack.link_bytes(), dup);
+            self.transmit(to, from, ack);
+        }
+    }
+
+    /// Send again every frame whose ack is overdue; returns when the next
+    /// one falls due.
+    fn resend_overdue(&self) -> Option<Instant> {
+        let (due, next) = self.links.overdue(Instant::now());
+        for (from, to, frame) in due {
+            let bytes = frame.link_bytes() + frame.wire_size();
+            self.stats.node(from).record_link_resend(bytes);
+            self.transmit(from, to, frame);
+        }
+        next
+    }
+
+    /// Park `frame` in the delivery pump until `by` elapses. The pump runs
+    /// whenever a plan or a partition is set, which is when frames exist.
+    fn push_delayed(&self, from: NodeId, to: NodeId, frame: Frame<M>, by: Duration) {
+        let pump = self.pump.lock().as_ref().map(Arc::clone);
+        let ps = pump.expect("the link runs with the pump");
+        let d = Delayed {
+            due: Instant::now() + by,
+            seq: self.pump_seq.fetch_add(1, Ordering::Relaxed),
+            from,
+            to,
+            frame,
+        };
+        ps.q.lock().push(d);
+        ps.cv.notify_one();
+    }
 }
 
-/// A message parked in the delivery pump, due at `due`. Min-heap order by
+/// A frame parked in the delivery pump, due at `due`. Min-heap order by
 /// `(due, seq)`; `seq` keeps ties FIFO.
 struct Delayed<M> {
     due: Instant,
     seq: u64,
     from: NodeId,
     to: NodeId,
-    msg: M,
+    frame: Frame<M>,
 }
 
 impl<M> PartialEq for Delayed<M> {
@@ -187,55 +275,55 @@ impl<M> Ord for Delayed<M> {
     }
 }
 
-/// Shared state of the delivery pump thread (delayed/reordered messages).
+/// Shared state of the delivery pump thread (delayed/reordered frames and
+/// the link's resends).
 struct PumpShared<M> {
     q: Mutex<BinaryHeap<Delayed<M>>>,
     cv: Condvar,
 }
 
-/// How often the pump re-checks fabric liveness while idle; also the upper
-/// bound on how long the thread outlives a dropped fabric.
-const PUMP_POLL: Duration = Duration::from_millis(25);
+/// The longest the pump sleeps: the slack of a resend past
+/// [`crate::link::RETRY_AFTER`], and the upper bound on how long the thread
+/// outlives a dropped fabric.
+const PUMP_POLL: Duration = Duration::from_millis(5);
 
-fn spawn_pump<M: Send + WireSized + 'static>(shared: &Arc<FabricShared<M>>) -> Arc<PumpShared<M>> {
+/// Start the pump, once, and switch every later send onto the link.
+fn link_on<M: Send + Clone + WireSized + 'static>(shared: &Arc<FabricShared<M>>) {
     let mut slot = shared.pump.lock();
-    if let Some(ps) = slot.as_ref() {
-        return Arc::clone(ps);
+    if slot.is_some() {
+        return;
     }
     let ps = Arc::new(PumpShared {
         q: Mutex::new(BinaryHeap::new()),
         cv: Condvar::new(),
     });
     *slot = Some(Arc::clone(&ps));
+    shared.chaos_on.store(true, Ordering::Release);
     let weak = Arc::downgrade(shared);
-    let pump = Arc::clone(&ps);
     std::thread::Builder::new()
         .name("dsm-chaos-pump".into())
         .spawn(move || loop {
             let Some(shared) = weak.upgrade() else { break };
-            let mut q = pump.q.lock();
             let now = Instant::now();
-            while q.peek().is_some_and(|d| d.due <= now) {
-                let d = q.pop().unwrap();
-                if shared.status.read()[d.to] == NodeStatus::Crashed {
-                    shared.stats.node(d.from).record_drop();
-                } else {
-                    shared.deliver(d.from, d.to, d.msg);
+            let mut due = Vec::new();
+            {
+                let mut q = ps.q.lock();
+                while q.peek().is_some_and(|d| d.due <= now) {
+                    due.push(q.pop().unwrap());
                 }
             }
-            let wait = q
-                .peek()
-                .map(|d| {
-                    d.due
-                        .saturating_duration_since(Instant::now())
-                        .min(PUMP_POLL)
-                })
-                .unwrap_or(PUMP_POLL);
+            for d in due {
+                shared.arrive(d.from, d.to, d.frame);
+            }
+            let resend = shared.resend_overdue();
+            let mut q = ps.q.lock();
+            let wake = [q.peek().map(|d| d.due), resend, Some(now + PUMP_POLL)];
+            let wake = wake.into_iter().flatten().min().unwrap();
             drop(shared); // don't keep the fabric alive while parked
-            pump.cv.wait_for(&mut q, wait);
+            ps.cv
+                .wait_for(&mut q, wake.saturating_duration_since(Instant::now()));
         })
         .expect("spawn chaos pump");
-    Arc::clone(&ps)
 }
 
 /// Builder/handle for a simulated cluster interconnect of `n` nodes.
@@ -244,7 +332,7 @@ pub struct Fabric<M> {
     n: usize,
 }
 
-impl<M: Send + WireSized> Fabric<M> {
+impl<M: Send + Clone + WireSized> Fabric<M> {
     /// Create a fabric of `n` nodes; returns the fabric handle and one
     /// endpoint per node.
     pub fn new(n: usize) -> (Fabric<M>, Vec<Endpoint<M>>) {
@@ -260,6 +348,8 @@ impl<M: Send + WireSized> Fabric<M> {
             chaos_on: AtomicBool::new(false),
             chaos: RwLock::new(None),
             partition: RwLock::new(Vec::new()),
+            links: Links::new(n),
+            crash_marks: Mutex::new(vec![Vec::new(); n]),
             pump: Mutex::new(None),
             pump_seq: AtomicU64::new(0),
         });
@@ -295,28 +385,48 @@ impl<M: Send + WireSized> Fabric<M> {
         self.shared.status.read()[node]
     }
 
-    /// Fail-stop `node`: subsequent sends to it are dropped. The victim's
-    /// already-queued input is discarded by the node runtime calling
-    /// [`Endpoint::drain`] (the receiver is owned by the endpoint), modeling
-    /// the loss of in-flight messages to a failed process.
+    /// Fail-stop `node`: subsequent sends to it are dropped, and so is what
+    /// the link still has in flight to it. The victim's already-queued
+    /// input is discarded by the node runtime calling [`Endpoint::drain`]
+    /// (the receiver is owned by the endpoint), modeling the loss of
+    /// in-flight messages to a failed process. What `node` itself sent
+    /// before is still delivered.
     pub fn crash(&self, node: NodeId) {
-        let mut st = self.shared.status.write();
-        assert_eq!(st[node], NodeStatus::Up, "node {node} is already crashed");
-        st[node] = NodeStatus::Crashed;
+        {
+            let mut st = self.shared.status.write();
+            assert_eq!(st[node], NodeStatus::Up, "node {node} is already crashed");
+            st[node] = NodeStatus::Crashed;
+        }
+        if self.shared.chaos_on.load(Ordering::Acquire) {
+            self.shared.links.reset_into(node);
+            self.shared.crash_marks.lock()[node] = self.shared.links.marks();
+        }
     }
 
     /// Restart `node` after a crash: sends to it are delivered again. Nobody
     /// is told — peers learn of the restart from what the node sends them.
+    /// Under the link it first waits until every frame sent before the
+    /// crash, by any node, is delivered (or lost with the crashed node), as
+    /// a reliable fabric has them by then: the node comes back to a network
+    /// that holds nothing from before its crash.
     pub fn restart(&self, node: NodeId) {
+        let marks = std::mem::take(&mut self.shared.crash_marks.lock()[node]);
+        while !self.shared.links.settled_since(&marks) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
         let mut st = self.shared.status.write();
         assert_eq!(st[node], NodeStatus::Crashed, "node {node} is not crashed");
         st[node] = NodeStatus::Up;
     }
 
     /// Split the cluster: nodes in different groups can no longer exchange
-    /// messages (sends are silently lost and counted). Every node must
-    /// appear in exactly one group. [`Fabric::heal`] reconnects.
-    pub fn partition(&self, groups: &[&[NodeId]]) {
+    /// frames (they are lost and counted, and the link sends them again).
+    /// Every node must appear in exactly one group. [`Fabric::heal`]
+    /// reconnects.
+    pub fn partition(&self, groups: &[&[NodeId]])
+    where
+        M: 'static,
+    {
         let mut assign = vec![u32::MAX; self.n];
         for (g, members) in groups.iter().enumerate() {
             for &m in *members {
@@ -329,54 +439,47 @@ impl<M: Send + WireSized> Fabric<M> {
             "every node must be in a partition group"
         );
         *self.shared.partition.write() = assign;
-        self.shared.refresh_chaos_gate();
+        link_on(&self.shared);
     }
 
     /// Remove an active partition; all links work again.
     pub fn heal(&self) {
         self.shared.partition.write().clear();
-        self.shared.refresh_chaos_gate();
     }
 
-    /// Attach a seeded fault plan; all subsequent sends are subject to it.
-    /// Replaces any previous plan (RNG streams restart from the seed).
+    /// Attach a seeded fault plan; all subsequent sends are subject to it,
+    /// through the link. Replaces any previous plan (RNG streams restart
+    /// from the seed).
     pub fn set_fault_plan(&self, plan: &FaultPlan)
     where
         M: 'static,
     {
-        if plan.needs_pump() {
-            spawn_pump(&self.shared);
-        }
         *self.shared.chaos.write() = Some(ChaosState::new(plan, self.n));
-        self.shared.refresh_chaos_gate();
+        link_on(&self.shared);
     }
 
-    /// Detach the fault plan; delivery is reliable again (already-delayed
-    /// messages still arrive).
-    pub fn clear_fault_plan(&self) {
-        *self.shared.chaos.write() = None;
-        self.shared.refresh_chaos_gate();
-    }
-
-    /// Has traffic died down? True when nothing is queued on any lane of any
-    /// endpoint, nothing is parked in the chaos pump, no receiver is between
+    /// Has traffic died down? True when the link holds no unacked frame,
+    /// nothing is queued on any lane of any endpoint, no receiver is between
     /// one receive and its next, and nothing was sent while this looked.
     /// Exact once request handlers are the only senders left — every
     /// endpoint's reply lane handed over ([`Endpoint::hand_over_replies`]),
     /// so that every message, a reply a handler must answer too, goes to a
     /// request lane: a handler sends before it goes back to its receive, so
     /// one that was still busy when an earlier lane was inspected shows up
-    /// as a moved send count.
+    /// as a moved send count. A frame is acked only once it is on its lane,
+    /// so a frame on its way (in the pump, or lost and due again) is an
+    /// unacked one.
     pub fn quiescent(&self) -> bool {
         let sent = || self.shared.stats.total().msgs_sent;
         let before = sent();
-        // The pump delivers with its heap locked, so an empty heap means
-        // nothing is on its way out of it either.
-        let pump = self.shared.pump.lock().as_ref().map(Arc::clone);
         let idle = |i: &Inbox<M>| i.requests.idle() && i.replies.idle();
-        pump.is_none_or(|ps| ps.q.lock().is_empty())
-            && self.shared.inboxes.iter().all(idle)
-            && sent() == before
+        !self.shared.links.unacked() && self.shared.inboxes.iter().all(idle) && sent() == before
+    }
+
+    /// Has every frame the link sent been acked?
+    #[cfg(test)]
+    pub(crate) fn link_settled(&self) -> bool {
+        !self.shared.links.unacked()
     }
 }
 
@@ -456,12 +559,13 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
         self.n
     }
 
-    /// Send `msg` to `to`. Without a fault plan, delivery is reliable and
-    /// FIFO per sender-receiver pair and lane unless the destination is
-    /// crashed, in which case the message is dropped (and counted) and
-    /// `false` is returned. Under a fault plan or partition the message may be lost,
-    /// duplicated, delayed or reordered; the sender can't tell (`true` is
-    /// still returned — a real NIC doesn't know the network ate its packet).
+    /// Send `msg` to `to`. Delivery is reliable and FIFO per
+    /// sender-receiver pair and lane unless the destination is crashed, in
+    /// which case the message is dropped (and counted) and `false` is
+    /// returned. Under a fault plan or partition the message goes through
+    /// the link ([`crate::link`]), which masks loss, duplication and
+    /// reordering: it may only arrive late, or not at all if its
+    /// destination crashes first.
     ///
     /// While tracing is on the message is stamped with a trace context
     /// (origin, sequence number, send time), whose bytes are charged to the
@@ -469,7 +573,11 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     pub fn send(&self, to: NodeId, mut msg: M) -> bool {
         assert_ne!(to, self.id, "self-sends are a protocol bug");
         let traffic = self.shared.stats.node(self.id);
-        if self.shared.status.read()[to] == NodeStatus::Crashed {
+        // Held until the message is numbered on its link: a crash (which
+        // takes the write lock) resets the link into `to` after, so the
+        // message is lost with `to` or never sent.
+        let status = self.shared.status.read();
+        if status[to] == NodeStatus::Crashed {
             traffic.record_drop();
             return false;
         }
@@ -493,63 +601,16 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
                 parent,
             });
         }
-        if self.shared.chaos_on.load(Ordering::Acquire) {
-            {
-                let part = self.shared.partition.read();
-                if !part.is_empty() && part[self.id] != part[to] {
-                    traffic.record_partition_block();
-                    return true;
-                }
-            }
-            let fate = match self.shared.chaos.read().as_ref() {
-                Some(c) => c.decide(self.id, to, msg.kind_name()),
-                None => Fate::Deliver,
-            };
-            match fate {
-                Fate::Deliver => {}
-                Fate::Drop => {
-                    traffic.record_chaos_drop();
-                    return true;
-                }
-                Fate::Dup { detour } => {
-                    // Deliver now; the extra copy takes a detour so it can
-                    // arrive out of order.
-                    traffic.record_chaos_dup();
-                    let mut dup = msg.clone();
-                    dup.add_chaos_delay(detour.as_nanos() as u64);
-                    self.push_delayed(to, dup, detour);
-                }
-                Fate::Delay { by } => {
-                    traffic.record_chaos_delay();
-                    msg.add_chaos_delay(by.as_nanos() as u64);
-                    self.push_delayed(to, msg, by);
-                    return true;
-                }
-            }
+        if !self.shared.chaos_on.load(Ordering::Acquire) {
+            drop(status);
+            self.shared.deliver(self.id, to, msg);
+            return true;
         }
-        self.shared.deliver(self.id, to, msg);
+        let frame = self.shared.links.enqueue(self.id, to, msg);
+        drop(status);
+        traffic.record_link_header(frame.link_bytes());
+        self.shared.transmit(self.id, to, frame);
         true
-    }
-
-    /// Park `msg` in the delivery pump until `by` elapses. Falls back to
-    /// immediate delivery if no pump is running (a plan whose rules need one
-    /// always starts it).
-    fn push_delayed(&self, to: NodeId, msg: M, by: Duration) {
-        let pump = self.shared.pump.lock().as_ref().map(Arc::clone);
-        match pump {
-            Some(ps) => {
-                let d = Delayed {
-                    due: Instant::now() + by,
-                    seq: self.shared.pump_seq.fetch_add(1, Ordering::Relaxed),
-                    from: self.id,
-                    to,
-                    msg,
-                };
-                ps.q.lock().push(d);
-                ps.cv.notify_one();
-            }
-            None => self.shared.deliver(self.id, to, msg),
-        }
     }
 
     /// Post an [`Event::Wakeup`] to *this* endpoint's own request lane,
@@ -763,35 +824,39 @@ mod tests {
     }
 
     #[test]
-    fn chaos_drop_loses_messages_and_counts_them() {
+    fn a_dropped_frame_is_counted_and_sent_again() {
         use crate::chaos::{FaultPlan, FaultRule};
         let (fabric, eps) = Fabric::<TestMsg>::new(2);
-        fabric.set_fault_plan(&FaultPlan::new(7).with_rule(FaultRule::all().dropping(1.0)));
+        let first = FaultRule::all().of_kind("msg").dropping(1.0);
+        fabric.set_fault_plan(&FaultPlan::new(7).with_rule(first));
         // The sender can't tell: send still reports success.
         assert!(eps[0].send(1, TestMsg(1, 10, 0)));
         assert!(eps[1].try_recv().is_none());
-        assert_eq!(fabric.stats().node(0).snapshot().chaos_dropped, 1);
-        // Clearing the plan restores reliable delivery.
-        fabric.clear_fault_plan();
-        eps[0].send(1, TestMsg(2, 10, 0));
-        assert!(matches!(eps[1].recv(), Some(Event::Msg { .. })));
+        let s = fabric.stats().node(0).snapshot();
+        assert_eq!((s.chaos_dropped, s.msgs_sent, s.link_resent), (1, 1, 0));
+        // Lost for good under this plan: the link keeps sending it.
+        std::thread::sleep(Duration::from_millis(60));
+        let s = fabric.stats().node(0).snapshot();
+        assert!(s.link_resent >= 1 && s.chaos_dropped == 1 + s.link_resent);
+        assert!(eps[1].try_recv().is_none() && !fabric.quiescent());
     }
 
     #[test]
-    fn chaos_dup_delivers_twice() {
+    fn a_duplicate_is_dropped_by_the_link() {
         use crate::chaos::{FaultPlan, FaultRule};
         let (fabric, eps) = Fabric::<TestMsg>::new(2);
-        fabric.set_fault_plan(&FaultPlan::new(7).with_rule(FaultRule::all().duplicating(1.0)));
+        let dup = FaultRule::all().of_kind("msg").duplicating(1.0);
+        fabric.set_fault_plan(&FaultPlan::new(7).with_rule(dup));
         eps[0].send(1, TestMsg(1, 10, 0));
-        let a = eps[1].recv_timeout(Duration::from_secs(2));
-        let b = eps[1].recv_timeout(Duration::from_secs(2));
         let want = Event::Msg {
             from: 0,
             msg: TestMsg(1, 10, 0),
         };
-        assert_eq!(a, Some(want.clone()));
-        assert_eq!(b, Some(want));
+        assert_eq!(eps[1].recv_timeout(Duration::from_secs(2)), Some(want));
+        assert_eq!(eps[1].recv_timeout(Duration::from_millis(20)), None);
         assert_eq!(fabric.stats().node(0).snapshot().chaos_duplicated, 1);
+        let s = fabric.stats().node(1).snapshot();
+        assert_eq!((s.link_dups_dropped, s.link_acks), (1, 2));
         // One send was charged, not two.
         assert_eq!(fabric.stats().node(0).snapshot().msgs_sent, 1);
     }
@@ -886,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn delayed_messages_can_reorder() {
+    fn a_delayed_frame_holds_back_the_later_ones() {
         use crate::chaos::{FaultPlan, FaultRule};
         #[derive(Debug, Clone, PartialEq, Eq)]
         struct Kinded(u32, &'static str);
@@ -899,7 +964,8 @@ mod tests {
             }
         }
         let (fabric, eps) = Fabric::<Kinded>::new(2);
-        // Delay only the "slow" kind; a later undelayed message overtakes it.
+        // Delay only the "slow" kind: the later "fast" one reaches the
+        // receiver first, and the link releases both in send order.
         fabric.set_fault_plan(&FaultPlan::new(7).with_rule(
             FaultRule::all().of_kind("slow").delaying(
                 1.0,
@@ -909,22 +975,15 @@ mod tests {
         ));
         eps[0].send(1, Kinded(1, "slow"));
         eps[0].send(1, Kinded(2, "fast"));
-        let first = eps[1].recv_timeout(Duration::from_secs(2)).unwrap();
-        let second = eps[1].recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(
-            first,
-            Event::Msg {
-                from: 0,
-                msg: Kinded(2, "fast")
-            }
-        );
-        assert_eq!(
-            second,
-            Event::Msg {
-                from: 0,
-                msg: Kinded(1, "slow")
-            }
-        );
+        assert!(eps[1].try_recv().is_none());
+        let got: Vec<u32> =
+            std::iter::from_fn(|| match eps[1].recv_timeout(Duration::from_secs(2))? {
+                Event::Msg { msg, .. } => Some(msg.0),
+                Event::Wakeup => None,
+            })
+            .take(2)
+            .collect();
+        assert_eq!(got, [1, 2]);
     }
 
     #[test]

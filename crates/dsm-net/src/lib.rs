@@ -13,7 +13,8 @@
 //!   notices a reply landing in its own memory; no helper thread relays it).
 //! * Fail-stop crash simulation: [`Fabric::crash`] marks a node down and
 //!   discards its queued input (in-flight messages to a failed process are
-//!   lost); sends to a crashed node are dropped and counted.
+//!   lost); sends to a crashed node are dropped and counted. What a node
+//!   sent before its crash is still delivered.
 //!   [`Fabric::restart`] delivers to it again and tells nobody: peers learn
 //!   of the restart from the node's own messages.
 //! * Byte-accurate traffic accounting via the [`WireSized`] trait, split
@@ -22,11 +23,15 @@
 
 //! * Deterministic fault injection: a seeded [`FaultPlan`] attached with
 //!   [`Fabric::set_fault_plan`] drops, delays, duplicates and reorders
-//!   messages per `(src, dst, kind)`; [`Fabric::partition`] /
+//!   frames per `(src, dst, kind)`; [`Fabric::partition`] /
 //!   [`Fabric::heal`] model dynamic network partitions. See [`chaos`].
+//!   Under either, the link layer ([`link`]) keeps the channels reliable
+//!   and FIFO: the protocol sees delay and crashes, never loss,
+//!   duplication or reordering.
 
 pub mod chaos;
 pub mod endpoint;
+mod link;
 mod mailbox;
 pub mod stats;
 

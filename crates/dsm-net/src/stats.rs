@@ -5,7 +5,8 @@
 //! checkpoint timestamps and page-version integers of the LLT/CGC scheme).
 //! Table 2 of the paper is the ratio of these two streams. The trace
 //! context a traced message carries is a third stream, counted apart so
-//! that tracing moves neither of the other two.
+//! that tracing moves neither of the other two. So is what the link adds
+//! under a fault plan: frame headers, acks and resent frames.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,6 +33,15 @@ pub struct NodeTraffic {
     pub chaos_duplicated: AtomicU64,
     /// Messages blocked by an active network partition.
     pub partition_blocked: AtomicU64,
+    /// Frames the link sent again after their ack was overdue.
+    pub link_resent: AtomicU64,
+    /// Duplicate frames the link dropped at this receiver.
+    pub link_dups_dropped: AtomicU64,
+    /// Acks the link sent from this receiver.
+    pub link_acks: AtomicU64,
+    /// Bytes the link put on the wire: frame headers, acks, and the whole
+    /// of every resent frame.
+    pub link_bytes_sent: AtomicU64,
     /// Sent messages and bytes (base + piggyback, no trace context) by
     /// message kind. A handful
     /// of kinds exist, so a linear list under a mutex beats a hash map here.
@@ -99,6 +109,23 @@ impl NodeTraffic {
         self.partition_blocked.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn record_link_header(&self, bytes: usize) {
+        self.link_bytes_sent
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn record_link_resend(&self, bytes: usize) {
+        self.link_resent.fetch_add(1, Ordering::Relaxed);
+        self.record_link_header(bytes);
+    }
+
+    pub(crate) fn record_link_ack(&self, bytes: usize, dup: bool) {
+        self.link_acks.fetch_add(1, Ordering::Relaxed);
+        self.link_dups_dropped
+            .fetch_add(dup as u64, Ordering::Relaxed);
+        self.record_link_header(bytes);
+    }
+
     pub(crate) fn record_recv_phase(&self, kind: &'static str, queue_ns: u64, chaos_ns: u64) {
         let mut phases = self.phases.lock();
         let acc = match phases.iter_mut().find(|(k, _)| *k == kind) {
@@ -148,6 +175,10 @@ impl NodeTraffic {
             chaos_delayed: self.chaos_delayed.load(Ordering::Relaxed),
             chaos_duplicated: self.chaos_duplicated.load(Ordering::Relaxed),
             partition_blocked: self.partition_blocked.load(Ordering::Relaxed),
+            link_resent: self.link_resent.load(Ordering::Relaxed),
+            link_dups_dropped: self.link_dups_dropped.load(Ordering::Relaxed),
+            link_acks: self.link_acks.load(Ordering::Relaxed),
+            link_bytes_sent: self.link_bytes_sent.load(Ordering::Relaxed),
         }
     }
 }
@@ -173,6 +204,14 @@ pub struct TrafficSnapshot {
     pub chaos_duplicated: u64,
     /// Messages blocked by an active network partition.
     pub partition_blocked: u64,
+    /// Frames the link sent again after their ack was overdue.
+    pub link_resent: u64,
+    /// Duplicate frames the link dropped at this receiver.
+    pub link_dups_dropped: u64,
+    /// Acks the link sent from this receiver.
+    pub link_acks: u64,
+    /// Bytes the link put on the wire: headers, acks, resent frames.
+    pub link_bytes_sent: u64,
 }
 
 impl TrafficSnapshot {
@@ -200,6 +239,10 @@ impl std::ops::Add for TrafficSnapshot {
             chaos_delayed: self.chaos_delayed + o.chaos_delayed,
             chaos_duplicated: self.chaos_duplicated + o.chaos_duplicated,
             partition_blocked: self.partition_blocked + o.partition_blocked,
+            link_resent: self.link_resent + o.link_resent,
+            link_dups_dropped: self.link_dups_dropped + o.link_dups_dropped,
+            link_acks: self.link_acks + o.link_acks,
+            link_bytes_sent: self.link_bytes_sent + o.link_bytes_sent,
         }
     }
 }

@@ -82,11 +82,8 @@ pub enum EventKind {
     BarrierEnter { episode: u32 },
     /// Barrier release reached this node.
     BarrierRelease { episode: u32 },
-    /// Checkpoint `seq` started with `outbox` diff batches still
-    /// unacknowledged by their homes — which the invariant monitor requires
-    /// to be zero: the checkpoint would record them as sent, and after a
-    /// crash nobody could supply them.
-    CkptBegin { seq: u64, outbox: u32 },
+    /// Checkpoint `seq` started.
+    CkptBegin { seq: u64 },
     /// Checkpoint `seq` was published: its `bytes` reached stable storage
     /// once the disk was done, and it is advertised from now on.
     CkptEnd { seq: u64, bytes: u64 },
@@ -122,8 +119,6 @@ pub enum EventKind {
     /// This node learned that `node` restarted: its recovery handshake
     /// arrived.
     PeerRestart { node: usize },
-    /// A timed-out request was retransmitted to `to`.
-    Retransmit { kind: &'static str, to: usize },
 }
 
 impl EventKind {
@@ -148,7 +143,6 @@ impl EventKind {
             EventKind::CrashInjected { .. } => "crash_injected",
             EventKind::RecoveryPhase { .. } => "recovery_phase",
             EventKind::PeerRestart { .. } => "peer_restart",
-            EventKind::Retransmit { .. } => "retransmit",
         }
     }
 
@@ -176,9 +170,7 @@ impl EventKind {
             EventKind::BarrierEnter { episode } | EventKind::BarrierRelease { episode } => {
                 format!("\"episode\":{episode}")
             }
-            EventKind::CkptBegin { seq, outbox } => {
-                format!("\"seq\":{seq},\"outbox\":{outbox}")
-            }
+            EventKind::CkptBegin { seq } => format!("\"seq\":{seq}"),
             EventKind::CkptEnd { seq, bytes } => format!("\"seq\":{seq},\"bytes\":{bytes}"),
             EventKind::LogTrim { rule, bytes } => {
                 format!("\"rule\":\"{}\",\"bytes\":{bytes}", rule.name())
@@ -221,9 +213,6 @@ impl EventKind {
             EventKind::CrashInjected { at_op } => format!("\"at_op\":{at_op}"),
             EventKind::RecoveryPhase { phase } => format!("\"phase\":\"{}\"", phase.name()),
             EventKind::PeerRestart { node } => format!("\"node\":{node}"),
-            EventKind::Retransmit { kind, to } => {
-                format!("\"kind\":\"{kind}\",\"to\":{to}")
-            }
         }
     }
 

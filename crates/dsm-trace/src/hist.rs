@@ -137,7 +137,7 @@ macro_rules! latency_hists {
 
         impl LatencyHists {
             /// (label, histogram) pairs in print order.
-            pub fn named(&self) -> [(&'static str, &Histogram); 17] {
+            pub fn named(&self) -> [(&'static str, &Histogram); 16] {
                 [$(($label, &self.$field),)*]
             }
 
@@ -183,13 +183,10 @@ latency_hists! {
     prefetch_hit => "prefetch_hit",
     /// A fault on a page the prefetch left out, served by the fault's own
     /// request with whatever neighbours were left out too, or one whose
-    /// request was lost (sent again after a timeout) or overtaken by a newer
-    /// invalidation (wait until installed, or until the stale reply came).
-    /// A cold miss — the filter had no part in it — is neither.
+    /// request was overtaken by a newer invalidation (wait until installed,
+    /// or until the stale reply came). A cold miss — the filter had no part
+    /// in it — is neither.
     prefetch_miss => "prefetch_miss",
-    /// Retransmissions per completed wait (a counter, in retries: 0 =
-    /// answered first time). Only recorded when the retry layer is on.
-    retransmits => "retransmits",
     /// Barrier manager: episode-completing arrival to release set built
     /// (join, per-(page, interval) dedupe, per-participant delta fan-out).
     barrier_release_build => "barrier_release_build",

@@ -416,7 +416,7 @@ mod tests {
         let tr = t.tracer(0);
         let start = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        tr.emit_span(EventKind::CkptBegin { seq: 1, outbox: 0 }, start);
+        tr.emit_span(EventKind::CkptBegin { seq: 1 }, start);
         let e = &t.all_events()[0];
         assert!(e.dur_ns >= 1_000_000, "dur {} too small", e.dur_ns);
         assert!(e.ts_ns + e.dur_ns <= t.now_ns() + 1_000_000);

@@ -108,9 +108,8 @@ fn main() {
         t.chaos_dropped, t.chaos_delayed, t.chaos_duplicated
     );
     println!(
-        "survival work:   {} retransmits, {} duplicate deliveries suppressed",
-        chaotic.total().retransmits,
-        chaotic.total().dup_suppressed
+        "link:            {} retransmits, {} duplicates dropped, {} acks, {} link bytes",
+        t.link_resent, t.link_dups_dropped, t.link_acks, t.link_bytes_sent
     );
     let recoveries = chaotic.total().ft.recoveries;
     let seen = chaotic.total().restarts_seen;

@@ -20,7 +20,7 @@ const NODES: usize = 4;
 fn cfg() -> ClusterConfig {
     // The whole chaos suite runs under the online invariant monitor: any
     // protocol-invariant violation (stale diff apply, split lock tenure,
-    // barrier disagreement, a checkpoint ahead of its outbox) panics the run
+    // barrier disagreement, recovery phases out of order) panics the run
     // with the offending causal flow and the reproducing seed attached.
     ClusterConfig::fault_tolerant(NODES)
         .with_page_size(512)
@@ -108,11 +108,11 @@ fn lossy_fabric_splash_kernel_is_byte_identical() {
     );
 }
 
-/// Idempotency property: under a duplicate+reorder-only plan (nothing is
-/// ever lost, but everything may arrive twice and out of order), every
-/// install/apply path — page install, diff batch, lock grant, barrier
-/// release — must converge to the reliable run's memory image. Swept across
-/// seeds derived from the run seed.
+/// Under a duplicate+reorder-only plan (nothing is ever lost, but every
+/// frame may arrive twice and out of order) the link drops the duplicates
+/// and restores the order, and every install/apply path — page install,
+/// diff batch, lock grant, barrier release — converges to the reliable
+/// run's memory image. Swept across seeds derived from the run seed.
 #[test]
 fn dup_reorder_delivery_is_idempotent() {
     let base = seed_from_env();
@@ -141,11 +141,11 @@ fn dup_reorder_delivery_is_idempotent() {
             t.chaos_duplicated > 0,
             "case {case}: plan duplicated nothing (FTDSM_SEED={seed:#x})"
         );
-        dups_seen += chaotic.total().dup_suppressed;
+        dups_seen += chaotic.total_traffic().link_dups_dropped;
     }
     assert!(
         dups_seen > 0,
-        "no duplicate delivery was ever suppressed across the sweep (FTDSM_SEED={base:#x})"
+        "the link dropped no duplicate across the sweep (FTDSM_SEED={base:#x})"
     );
 }
 
@@ -191,8 +191,8 @@ fn a_restart_is_announced_by_the_handshake_alone() {
 }
 
 /// Crash during chaos: loss + delay + a real fail-stop crash, the restart
-/// announced by the recovery handshake and the losses repaired by the retry
-/// layer. Iteration count is
+/// announced by the recovery handshake and the losses repaired by the
+/// link. Iteration count is
 /// env-tunable (`FTDSM_STRESS_ITERS`) for long soak runs; CI uses the small
 /// default.
 ///
@@ -267,30 +267,31 @@ fn crash_during_chaos_stress() {
     assert!(delta_installs > 0, "the soak never installed a delta");
 }
 
-/// A checkpoint waits for its outbox. With half of all `DiffAck`s dropped a
-/// flushed diff sits unacknowledged — or, behind another, unsent — in its
-/// writer's volatile outbox for a retry period at a time; a checkpoint taken
-/// meanwhile records the interval as done, and a crash on the very next
-/// operation loses diffs replay will not make again: every node then agrees
-/// on a wrong result. The crash points are each step's first `acquire`, the
-/// operation right after a safe point (2 allocations, then 53 operations a
-/// step); the last case is the soak's own repro of the bug.
+/// A checkpoint records a flushed interval as sent, and a crash on the
+/// very next operation must not lose its diffs: replay from that checkpoint
+/// will not make them again, and every node would then agree on a wrong
+/// result. With half of all `DiffBatch` frames dropped, a flushed diff is
+/// still on its way — in its writer's link, due for a resend — when the
+/// writer checkpoints and crashes; the link delivers it all the same. The
+/// crash points are each step's first `acquire`, the operation right after
+/// a safe point (2 allocations, then 53 operations a step); the last case
+/// is an old soak's repro of the bug.
 #[test]
 fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
     let clean = run(cfg(), &[], app);
-    let lost_acks =
-        || FaultPlan::new(0).with_rule(FaultRule::all().of_kind("DiffAck").dropping(0.5));
+    let lost_batches =
+        || FaultPlan::new(0).with_rule(FaultRule::all().of_kind("DiffBatch").dropping(0.5));
     let mut cases = Vec::new();
     for victim in 0..NODES {
         for step in 1..6 {
-            cases.push((cfg().with_chaos(lost_acks()), victim, 3 + 53 * step));
+            cases.push((cfg().with_chaos(lost_batches()), victim, 3 + 53 * step));
         }
     }
     let soak_repro = cfg()
         .with_seed(0x419c2cdd428202f4)
         .with_chaos(FaultPlan::lossy(0));
     cases.push((soak_repro, 0, 215));
-    let mut ckpts = 0;
+    let (mut ckpts, mut resent) = (0, 0);
     for (case_cfg, victim, at_op) in cases {
         let crashed = run(
             case_cfg,
@@ -307,8 +308,10 @@ fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
         );
         assert_eq!(crashed.nodes[victim].ft.recoveries, 1, "victim {victim}");
         ckpts += crashed.nodes[victim].ft.ckpts_taken;
+        resent += crashed.nodes[victim].traffic.link_resent;
     }
     assert!(ckpts > 0, "no victim ever checkpointed");
+    assert!(resent > 0, "no victim's link ever resent a frame");
 }
 
 /// A checkpoint is stable only once the disk is done with it. Every step
@@ -403,10 +406,9 @@ fn a_survivor_serves_a_restarted_peer_from_its_stable_log() {
 }
 
 /// One fetch path under loss. With half of all `PageReply`s dropped — then
-/// half of all `PageReq`s — a fault keeps waiting on its page's entry and
-/// each retry period sends the request that covers it again, under the same
-/// id: there is no second way to ask. The soak kernel must finish
-/// bit-identical to the reliable run.
+/// half of all `PageReq`s — a fault keeps waiting on its page's entry while
+/// the link sends the lost frame again: the protocol asks once. The soak
+/// kernel must finish bit-identical to the reliable run.
 #[test]
 fn a_lost_fetch_is_asked_again_under_its_id_until_the_page_lands() {
     let seed = seed_from_env();
@@ -420,15 +422,14 @@ fn a_lost_fetch_is_asked_again_under_its_id_until_the_page_lands() {
             "run diverged with {kind} dropped (FTDSM_SEED={seed:#x})"
         );
         assert!(
-            lossy.total_traffic().chaos_dropped > 0 && lossy.total().retransmits > 0,
-            "no dropped {kind} was ever retransmitted (FTDSM_SEED={seed:#x})"
+            lossy.total_traffic().chaos_dropped > 0 && lossy.total_traffic().link_resent > 0,
+            "no dropped {kind} was ever resent (FTDSM_SEED={seed:#x})"
         );
     }
 }
 
-/// Light loss and delay (2 % of messages dropped, 5 % delayed by up to
-/// 1 ms): the retry layer alone must bring the run to the reliable run's
-/// results.
+/// Light loss and delay (2 % of frames dropped, 5 % delayed by up to
+/// 1 ms): the link alone must bring the run to the reliable run's results.
 #[test]
 fn light_loss_and_delay_converge() {
     let seed = seed_from_env();
@@ -453,9 +454,9 @@ fn light_loss_and_delay_converge() {
 /// has returned, its reply lane is the service thread's. Node 0 homes both
 /// slots, so after the one barrier it reads them without a wait, returns
 /// and ends. The release to node 1 is lost (seed 1 draws a drop, then a
-/// delivery, from node 0's stream), node 1's retry layer sends the arrival
-/// again, and only node 0's service thread is left to answer it: were it
-/// not handed the lane, node 1 would wait out its deadline.
+/// delivery, from node 0's stream), and node 0's link sends it again after
+/// node 0's application thread has returned: the frame needs no thread of
+/// the sender's, and node 1 crosses the barrier as in the clean run.
 #[test]
 fn a_re_arrival_after_the_managers_last_barrier_is_answered_by_its_service_thread() {
     const SEED: u64 = 1;
@@ -481,10 +482,44 @@ fn a_re_arrival_after_the_managers_last_barrier_is_answered_by_its_service_threa
     );
     let (dropped, resent) = (
         lossy.total_traffic().chaos_dropped,
-        lossy.total().retransmits,
+        lossy.total_traffic().link_resent,
     );
     assert!(
         dropped > 0 && resent > 0,
         "dropped {dropped}, resent {resent}"
     );
+}
+
+/// The recovery handshake and the replayed pages' requests and replies ride
+/// the link like every other kind: with half of all `Rec*` frames dropped,
+/// a crashed node still recovers to the clean run's results, bit for bit.
+#[test]
+fn recovery_frames_dropped_at_half_still_recover_bit_identical() {
+    let seed = seed_from_env();
+    let clean = run(cfg().with_seed(seed), &[], app);
+    let plan = ["RecLogReq", "RecLogReply", "RecPageReq", "RecPageReply"]
+        .into_iter()
+        .fold(FaultPlan::new(0), |plan, kind| {
+            plan.with_rule(FaultRule::all().of_kind(kind).dropping(0.5))
+        });
+    let mut s = seed;
+    let victim = (splitmix(&mut s) % NODES as u64) as usize;
+    let at_op = crash_op(&mut s, clean.nodes[victim].ops);
+    let crashed = run(
+        cfg().with_seed(seed).with_chaos(plan),
+        &[FailureSpec {
+            node: victim,
+            at_op,
+        }],
+        app,
+    );
+    let case = format!("victim {victim}, op {at_op}, FTDSM_SEED={seed:#x}");
+    assert_eq!(
+        (&clean.results, clean.shared_hash),
+        (&crashed.results, crashed.shared_hash),
+        "{case}"
+    );
+    assert_eq!(crashed.nodes[victim].ft.recoveries, 1, "{case}");
+    let t = crashed.total_traffic();
+    assert!(t.chaos_dropped > 0 && t.link_resent > 0, "{case}: {t:?}");
 }

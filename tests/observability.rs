@@ -262,9 +262,9 @@ fn tracing_moves_no_protocol_byte() {
 }
 
 /// Service-time coverage: every message kind the cluster *sent* must show
-/// up as a service-time bucket, including the kinds added after PR 3 —
-/// DiffAck (an empty chaos plan switches the retry layer on) and page
-/// replies.
+/// up as a service-time bucket, the page fetch and the recovery kinds
+/// included. An empty chaos plan puts the link under every message, which
+/// must move no kind's count.
 #[test]
 fn every_sent_message_kind_gets_a_service_time_bucket() {
     let report = run(
@@ -291,10 +291,10 @@ fn every_sent_message_kind_gets_a_service_time_bucket() {
             "sent kind {kind:?} has no service-time bucket (attributed: {attributed:?})"
         );
     }
-    // The run must actually exercise the once-unattributed kinds: acks,
-    // page fetches, and the recovery protocol.
+    // The run must actually exercise the once-unattributed kinds: diff
+    // batches, page fetches, and the recovery protocol.
     for kind in [
-        "DiffAck",
+        "DiffBatch",
         "PageReq",
         "PageReply",
         "RecLogReq",
@@ -481,7 +481,10 @@ fn the_final_snapshot_is_the_metric_table_of_every_node_report() {
 
     for (i, node) in report.nodes.iter().enumerate() {
         let counter = |name: &str| last.counters[&format!("{name}{{node=\"{i}\"}}")];
-        assert_eq!(counter("retransmits_total"), node.retransmits);
+        assert_eq!(
+            counter("fabric_link_resent_total"),
+            node.traffic.link_resent
+        );
         assert_eq!(counter("prefetched_total"), node.prefetch.prefetched);
         assert_eq!(
             counter("prefetched_used_total"),
@@ -619,7 +622,7 @@ fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
 
     let total = report.total();
     assert_eq!(total.ops, sum(|n| n.ops));
-    assert_eq!(total.retransmits, sum(|n| n.retransmits));
+    assert_eq!(total.traffic.link_acks, sum(|n| n.traffic.link_acks));
     assert_eq!(total.restarts_seen, sum(|n| n.restarts_seen));
     assert_eq!(
         total.restarts_seen, 2,
