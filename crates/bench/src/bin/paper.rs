@@ -419,6 +419,20 @@ fn do_protocol(scale: &Scale) {
         "  diff_batches_carried {:>8}",
         r.total().diff_batches_carried
     );
+    let total = r.total();
+    println!(
+        "\npages node 0's grants and releases carried with the notices that invalidate them, \
+         because the receiver's arrival reported using its copy (a refused one is fetched):"
+    );
+    println!("  pages_pushed   {:>8}", total.pages_pushed);
+    println!("  pushed_used    {:>8}", total.pushed_used);
+    println!("  pushes_refused {:>8}", total.pushes_refused);
+    // `$3` is the bytes of the pushed pages a kind carried, inside that
+    // kind's `msg_count` bytes below.
+    println!("\npushed page bytes by the kind that carried them:");
+    for (k, b) in &total.pushed_bytes {
+        println!("  pushed_bytes {k:<16} {b:>10}");
+    }
     println!(
         "\nbarrier arrivals a service thread handled (the manager's application thread takes the \
          rest; one goes here when requests are queued ahead of it):"
@@ -431,7 +445,6 @@ fn do_protocol(scale: &Scale) {
     // Count then bytes (piggyback included): `$3` is the count, `$4` the
     // bytes, so a gate can read either.
     println!("\nmessages and bytes sent by kind (all nodes summed):");
-    let total = r.total();
     for ((k, c), (_, b)) in total.msg_kinds.iter().zip(&total.msg_kind_bytes) {
         println!("  msg_count {k:<16} {c:>8} {b:>10}");
     }

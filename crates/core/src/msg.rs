@@ -62,6 +62,24 @@ pub struct Piggy {
     pub table: Vec<(ProcId, CkptStamp)>,
 }
 
+/// A page the home sends with the notices that invalidate it at the
+/// receiver, on a `LockGrant` or `BarrierRelease`: the receiver reported
+/// using its copy, which is exactly `base`, and `(page, version, body)` is
+/// what a `PageReq` naming `base` would have been answered. The receiver
+/// installs it only while its kept copy is still `base` and `version`
+/// covers what the page needs; otherwise it fetches as if nothing had come.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pushed {
+    /// The page.
+    pub page: PageId,
+    /// The copy the receiver reported, which `body` brings up to `version`.
+    pub base: Have,
+    /// The home's version of the page.
+    pub version: VectorClock,
+    /// The page, or the diffs `base` is missing.
+    pub body: PageBody,
+}
+
 /// Message payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
@@ -105,6 +123,10 @@ pub enum Payload {
         /// Write notices the requester is missing (relative to its request
         /// timestamp).
         wns: WnDelta,
+        /// The pages those notices invalidate that the requester reported
+        /// using, when the granter is their home and its copies cover the
+        /// notices (only node 0 gets the reports).
+        pushed: Vec<Pushed>,
     },
     /// A writer's end-of-interval diffs for pages homed at the receiver.
     DiffBatch {
@@ -121,6 +143,11 @@ pub enum Payload {
         vt: VectorClock,
         /// The participant's own write notices since its previous arrival.
         own_wns: WnDelta,
+        /// The copies of the manager's pages the participant installed and
+        /// then used since its previous arrival, each with what it is
+        /// exactly: the manager pushes those its next grant or release to
+        /// the participant invalidates ([`Pushed`]).
+        used: Vec<(PageId, Have)>,
         /// The participant's diffs for pages the manager homes, from the
         /// interval this arrival closed: the [`Payload::DiffBatch`] that
         /// would otherwise have gone just before it, and is served as that
@@ -139,6 +166,9 @@ pub enum Payload {
         /// Write notices the receiver is missing (relative to its arrival
         /// clock).
         wns: WnDelta,
+        /// The pages those notices invalidate that the receiver reported
+        /// using, as on a `LockGrant`.
+        pushed: Vec<Pushed>,
     },
     /// Page fetch: requester → home, for one page or many — a demand miss
     /// with the neighbours prefetch had left out, or the pages an acquire or
@@ -253,6 +283,14 @@ impl Payload {
             Payload::RecLogReply { .. } => "RecLogReply",
             Payload::RecPageReq { .. } => "RecPageReq",
             Payload::RecPageReply { .. } => "RecPageReply",
+        }
+    }
+
+    /// The pages a grant or release carries with its notices.
+    pub fn pushed(&self) -> &[Pushed] {
+        match self {
+            Payload::LockGrant { pushed, .. } | Payload::BarrierRelease { pushed, .. } => pushed,
+            _ => &[],
         }
     }
 
@@ -456,6 +494,26 @@ mod tests {
             t_after: clock(&[1, 4]),
         };
         let (lock, acq_seq, gen, page) = (1, 2, 3, PageId(0));
+        let base = || (2, clock(&[1, 3]));
+        let pushed = || {
+            let delta = PageBody::Delta(vec![diff(0, 4, 1)]);
+            let kept = base();
+            let (bytes, base) = (sparse_page(), 0);
+            vec![
+                Pushed {
+                    page,
+                    base: kept,
+                    version: vt(),
+                    body: delta,
+                },
+                Pushed {
+                    page: PageId(130),
+                    base: (1, clock(&[0, 200])),
+                    version: vt(),
+                    body: PageBody::Full { bytes, base },
+                },
+            ]
+        };
         vec![
             Payload::LockAcq {
                 lock,
@@ -476,6 +534,7 @@ mod tests {
                 gen,
                 vt: vt(),
                 wns: wns(),
+                pushed: pushed(),
             },
             Payload::DiffBatch {
                 diffs: diffs.clone(),
@@ -484,18 +543,17 @@ mod tests {
                 episode: 0,
                 vt: vt(),
                 own_wns: wns(),
+                used: vec![(page, base()), (PageId(130), (1, clock(&[0, 200])))],
                 batch: Some(diffs.clone()),
             },
             Payload::BarrierRelease {
                 episode: 0,
                 vt: vt(),
                 wns: wns(),
+                pushed: pushed(),
             },
             Payload::PageReq {
-                pages: vec![
-                    (page, vt(), Some((2, clock(&[1, 3])))),
-                    (PageId(9), vt(), None),
-                ],
+                pages: vec![(page, vt(), Some(base())), (PageId(9), vt(), None)],
                 req_id: 1,
             },
             Payload::PageReply {

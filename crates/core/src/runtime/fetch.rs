@@ -5,14 +5,15 @@
 //! counters; it decides what an invalidation prefetches, what a miss brings
 //! with it and which miss needs no message at all (a cold page is the zero
 //! page), and installs what comes back: it handles the one kind that
-//! answers a fetch, `PageReply`.
+//! answers a fetch, `PageReply`, and the pages a grant or release pushes
+//! unasked, which the copies its barrier arrivals report used bring.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use dsm_page::{PageId, ProcId, VectorClock};
 use hlrc::{Have, Held, PageBody, PageState};
 
-use crate::msg::Payload;
+use crate::msg::{Payload, Pushed};
 use crate::runtime::node::NodeState;
 use crate::stats::PrefetchCounts;
 
@@ -41,6 +42,14 @@ pub(crate) struct FetchSvc {
     counts: PrefetchCounts,
     /// Misses answered with the zero page, over all incarnations.
     zero_fills: u64,
+    /// Copies of node 0's pages, each exactly a known version, used since
+    /// this node's last barrier arrival: what the next one reports.
+    used: BTreeSet<PageId>,
+    /// Pushed copies not used yet.
+    pushed: HashSet<PageId>,
+    /// Pushed copies used, and pushes refused, over all incarnations.
+    pushed_used: u64,
+    pushes_refused: u64,
 }
 
 impl FetchSvc {
@@ -53,6 +62,8 @@ impl FetchSvc {
             req_id_next: self.req_id_next,
             counts: self.counts,
             zero_fills: self.zero_fills,
+            pushed_used: self.pushed_used,
+            pushes_refused: self.pushes_refused,
             ..Self::default()
         };
     }
@@ -80,11 +91,6 @@ impl FetchSvc {
         Some((page, e.home, e.req_id))
     }
 
-    /// A copy nobody had touched that no fault asked for was used.
-    pub(crate) fn prefetched_copy_used(&mut self) {
-        self.counts.prefetched_used += 1;
-    }
-
     /// The prefetch counters, for the node report.
     pub(crate) fn counts(&self) -> PrefetchCounts {
         self.counts
@@ -93,6 +99,11 @@ impl FetchSvc {
     /// Misses answered with the zero page, for the node report.
     pub(crate) fn zero_fills(&self) -> u64 {
         self.zero_fills
+    }
+
+    /// `(pushed copies used, pushes refused)`, for the node report.
+    pub(crate) fn push_counts(&self) -> (u64, u64) {
+        (self.pushed_used, self.pushes_refused)
     }
 
     fn take_req_id(&mut self) -> u64 {
@@ -257,6 +268,66 @@ pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
     st.send_all(again);
 }
 
+/// The first access of the copy of remote `page` since its install;
+/// `demanded` when the access fetched it itself. A copy a push brought, or
+/// one a prefetch did, paid off; and a copy of node 0's that is exactly a
+/// known version goes into the next barrier arrival's report.
+pub(crate) fn first_use(st: &mut NodeState, page: PageId, demanded: bool) {
+    if st.fetch.pushed.remove(&page) {
+        st.fetch.pushed_used += 1;
+    } else if !demanded {
+        st.fetch.counts.prefetched_used += 1;
+    }
+    if st.pt.home_of(page) == 0 && st.pt.have(page).is_some() {
+        st.fetch.used.insert(page);
+    }
+}
+
+/// What a barrier arrival reports: the copies used since the last one that
+/// are still valid, each with what it is exactly. Node 0 pushes a page its
+/// next grant or release to this node invalidates.
+pub(crate) fn take_used(st: &mut NodeState) -> Vec<(PageId, Have)> {
+    let used = std::mem::take(&mut st.fetch.used).into_iter();
+    let valid = used.map(|page| (page, st.pt.remote_meta(page)));
+    let valid = valid.filter(|(_, m)| m.state == PageState::Valid);
+    valid
+        .filter_map(|(page, m)| Some((page, m.base.clone()?)))
+        .collect()
+}
+
+/// Install the pages a grant or release pushed, once its notices have
+/// invalidated them: each where this node asked for none of it and still
+/// keeps exactly the copy it builds on, through the reply's install gate.
+/// Any other is refused and left to the prefetch that follows, which asks
+/// for it as if nothing had come — a push stale, overtaken or addressed to
+/// the node's previous life is never applied.
+pub(crate) fn install_pushed(st: &mut NodeState, pushed: Vec<Pushed>) {
+    for p in pushed {
+        let ours = p.page.index() < st.pt.len() && !st.pt.is_home(p.page);
+        let kept = ours && !st.fetch.in_flight(p.page) && st.pt.have(p.page) == Some(&p.base);
+        if kept && install_copy(st, p.page, p.body, &p.version) {
+            st.fetch.pushed.insert(p.page);
+        } else {
+            st.fetch.pushes_refused += 1;
+        }
+    }
+}
+
+/// Install `body` as the copy of remote `page` at `version` if the page is
+/// invalid and `version` still covers everything it is known to need.
+/// One `fetch_copy` sample per install: the bytes written into the local
+/// copy — none for an adopted page buffer, the diff payloads for a delta.
+fn install_copy(st: &mut NodeState, page: PageId, body: PageBody, version: &VectorClock) -> bool {
+    let m = st.pt.remote_meta(page);
+    if m.state != PageState::Invalid || !version.covers(&m.needed) {
+        return false;
+    }
+    let copied = st.pt.install(page, body, version);
+    st.hists.fetch_copy.record(copied as u64);
+    st.fetch.pushed.remove(&page);
+    true
+}
+
 /// Install one page of a reply. Superseded and overtaken replies are
 /// dropped: the page stays `Invalid`, a kept copy and its version stay what
 /// the next request will say they are, and a later touch fetches fresh.
@@ -271,17 +342,9 @@ fn install(st: &mut NodeState, page: PageId, req_id: u64, version: VectorClock, 
         }
     }
     st.fetch.in_flight.remove(&page);
-    if st.pt.is_home(page) {
-        return;
-    }
-    let m = st.pt.remote_meta(page);
-    // A new invalidation may have overtaken the request; install only when
-    // the reply still covers everything the page is known to need. One
-    // `fetch_copy` sample per install: the bytes written into the local copy
-    // — none for an adopted page buffer, the diff payloads for a delta.
-    if m.state == PageState::Invalid && version.covers(&m.needed) {
-        let copied = st.pt.install(page, body, &version);
-        st.hists.fetch_copy.record(copied as u64);
+    // A new invalidation may have overtaken the request.
+    if !st.pt.is_home(page) {
+        install_copy(st, page, body, &version);
     }
 }
 
@@ -702,6 +765,82 @@ mod tests {
             };
             assert_eq!(pages, [(PageId(page), needed, nothing_kept.clone())]);
         }
+    }
+
+    /// A release whose notices invalidate three used copies and that
+    /// pushes all three: one built on a copy this node no longer keeps, one
+    /// whose version misses a notice, one that fits. The first two are
+    /// refused and prefetched as if nothing had come; the third is
+    /// installed, asks for nothing, and counts as used at its first access.
+    #[test]
+    fn a_refused_push_is_prefetched_and_a_fitting_one_installed() {
+        let (mut st, eps) = test_state(1, 2, false);
+        for _ in 0..3 {
+            st.pt.add_page(0);
+        }
+        let kept: Have = (1, VectorClock::zero(2));
+        for page in 0..3 {
+            st.pt.install(PageId(page), page_of(1), &kept.1);
+            st.pt.read_into(PageId(page), 0, &mut [0u8; 8]);
+        }
+        let push = |page, base: &Have, version| Pushed {
+            page: PageId(page),
+            base: base.clone(),
+            version,
+            body: page_of(2),
+        };
+        let notice = |page, seq| hlrc::WriteNotice {
+            interval: dsm_page::Interval { proc: 0, seq },
+            pages: vec![PageId(page)],
+        };
+        let release = Payload::BarrierRelease {
+            episode: 0,
+            vt: gated(2, 0, 3),
+            wns: vec![notice(0, 2), notice(1, 3), notice(2, 2)].into(),
+            pushed: vec![
+                push(0, &(1, gated(2, 0, 1)), gated(2, 0, 2)),
+                push(1, &kept, gated(2, 0, 2)),
+                push(2, &kept, gated(2, 0, 2)),
+            ],
+        };
+        crate::runtime::interval::cross_barrier(&mut st, release);
+        assert_eq!(st.fetch.push_counts(), (0, 2));
+        let sent = requests(&eps[0]);
+        assert_eq!(sent.len(), 1, "{sent:?}");
+        assert_eq!(asked_pages(&sent[0]), [0, 1]);
+        let m = st.pt.remote_meta(PageId(2));
+        assert_eq!((m.state, m.held), (PageState::Valid, Held::Unused));
+        assert_eq!(st.pt.have(PageId(2)), Some(&(1, gated(2, 0, 2))));
+        // Its first access is a push used, not a prefetch used; and it is
+        // what the next arrival reports.
+        st.pt.read_into(PageId(2), 0, &mut [0u8; 8]);
+        first_use(&mut st, PageId(2), false);
+        assert_eq!(st.fetch.push_counts(), (1, 2));
+        assert_eq!(st.fetch.counts.prefetched_used, 0);
+        assert_eq!(take_used(&mut st), [(PageId(2), (1, gated(2, 0, 2)))]);
+    }
+
+    /// An arrival reports the copies of node 0's pages used since the last
+    /// one that are valid and exactly a known version: not a zero-filled
+    /// copy, not another home's page, not one invalidated since.
+    #[test]
+    fn an_arrival_reports_only_valid_known_copies_of_node_0s_pages() {
+        let (mut st, _eps) = test_state(2, 3, false);
+        for home in [0, 0, 0, 1] {
+            st.pt.add_page(home);
+        }
+        st.pt.install_zero(PageId(0));
+        for page in 1..4 {
+            st.pt
+                .install(PageId(page), page_of(1), &VectorClock::zero(3));
+        }
+        for page in 0..4 {
+            st.pt.read_into(PageId(page), 0, &mut [0u8; 8]);
+            first_use(&mut st, PageId(page), true);
+        }
+        st.pt.invalidate(PageId(2), 0, 1);
+        assert_eq!(take_used(&mut st), [(PageId(1), (1, VectorClock::zero(3)))]);
+        assert!(take_used(&mut st).is_empty(), "reported once");
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! `PageReq` and `DiffBatch` need only the sharded home store — never the
 //! big lock, which is what lets the service loop run their one handler while
 //! the application computes. The module owns no state of its own: the home
-//! store belongs to the page table. Lock order is big → shard.
+//! store belongs to the page table. Lock order is big → shard. It also
+//! answers the pages a grant or release pushes ([`pushes_for`]) from the
+//! same store.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsm_page::{Diff, ProcId};
+use dsm_page::{Diff, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
-use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch};
+use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, ReadyFetch, WaitingFetch, WnDelta};
 
-use crate::msg::Payload;
+use crate::msg::{Payload, Pushed};
 use crate::runtime::node::NodeState;
 
 /// The reply to a parked fetch that has become servable: one page, under
@@ -24,6 +27,37 @@ fn page_reply(r: ReadyFetch) -> (ProcId, Payload) {
         pages: vec![(r.page, r.version, r.body)],
     };
     (r.from, reply)
+}
+
+/// The pages a grant or release to `peer` with notices `wns` pushes: each
+/// page those notices invalidate at `peer` that `peer` reported using
+/// ([`HomeStore::want`]), homed here, whose copy covers every notice naming
+/// it — answered as a fetch of it from `peer` would be now. `peer` fetches
+/// the others as before.
+pub(crate) fn pushes_for(home: &HomeStore, peer: ProcId, wns: &WnDelta) -> Vec<Pushed> {
+    if !home.wants_any(peer) {
+        return Vec::new();
+    }
+    let mut covers: BTreeMap<PageId, VectorClock> = BTreeMap::new();
+    let zero = || VectorClock::zero(home.cluster_size());
+    for wn in wns.iter().filter(|wn| wn.interval.proc != peer) {
+        let (writer, seq) = (wn.interval.proc, wn.interval.seq);
+        for &page in &wn.pages {
+            let c = covers.entry(page).or_insert_with(zero);
+            c.set(writer, c.get(writer).max(seq));
+        }
+    }
+    let pushed = covers.into_iter().filter_map(|(page, c)| {
+        let (base, version, body) = home.push(peer, page, &c)?;
+        let page = Pushed {
+            page,
+            base,
+            version,
+            body,
+        };
+        Some(page)
+    });
+    pushed.collect()
 }
 
 /// Drain every parked fetch the home store can now serve and answer it.

@@ -14,7 +14,7 @@ use hlrc::{LockId, WnDelta};
 
 use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::recovery;
-use crate::msg::Payload;
+use crate::msg::{Payload, Pushed};
 use crate::runtime::fetch;
 use crate::runtime::node::NodeState;
 use crate::stats::Breakdown;
@@ -126,8 +126,9 @@ pub(crate) fn request(st: &mut NodeState, lock: LockId) {
 
 /// Apply the write notices a grant or a barrier release carried that `pre`
 /// — our timestamp before joining the sender's — does not cover: record
-/// them, invalidate their pages, and prefetch what was in use.
-fn apply_notices(st: &mut NodeState, pre: &VectorClock, wns: WnDelta) {
+/// them, invalidate their pages, install the pages it pushed, and prefetch
+/// what was in use and is still invalid.
+fn apply_notices(st: &mut NodeState, pre: &VectorClock, wns: WnDelta, pushed: Vec<Pushed>) {
     let mut invalidated = Vec::new();
     for wn in wns {
         if pre.covers_interval(wn.interval) {
@@ -139,6 +140,7 @@ fn apply_notices(st: &mut NodeState, pre: &VectorClock, wns: WnDelta) {
         }
         st.wn_table.insert(wn);
     }
+    fetch::install_pushed(st, pushed);
     fetch::issue_prefetch(st, &invalidated);
 }
 
@@ -153,6 +155,7 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
         gen,
         vt,
         wns,
+        pushed,
     } = grant
     else {
         unreachable!("a lock wait took {}", grant.kind())
@@ -160,7 +163,7 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
     st.close_interval(bd);
     let req_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &req_vt, wns);
+    apply_notices(st, &req_vt, wns, pushed);
     let t_after = st.vt.clone();
     if let Some(logs) = st.ft.logs() {
         let entry = RelEntry {
@@ -182,19 +185,20 @@ pub(crate) fn release(st: &mut NodeState, lock: LockId) {
     if st.rec.replaying() {
         return recovery::apply_pending_home(st);
     }
-    let mut out = Vec::new();
-    for pg in st.sync.take_due_grants(lock) {
-        st.sync
-            .grant_now(pg, &st.wn_table, &mut st.ft, &st.tracer, &mut out);
-    }
-    st.send_all(out);
+    let home = st.pt.home_store();
+    let due = st.sync.take_due_grants(lock).into_iter();
+    let (wns, ft, tracer) = (&st.wn_table, &mut st.ft, &st.tracer);
+    let grants = due.map(|pg| st.sync.grant_now(pg, wns, &home, ft, tracer));
+    let grants = grants.collect();
+    st.send_all(grants);
     st.ft.policy_check(st.shared_bytes(), None);
 }
 
 /// Arrive at the barrier: close the interval, park the arrival in the wait
 /// slot and send it to the manager, node 0, carrying our diffs for the
 /// pages it homes — one message where a `DiffBatch` and the arrival were
-/// two. Returns the episode.
+/// two — and the copies of its pages we used since the last arrival, which
+/// it may push when it next invalidates them here. Returns the episode.
 pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     let batch = st.close_interval_carrying(bd, Some(0));
     st.diff_batches_carried += batch.is_some() as u64;
@@ -208,10 +212,12 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     let mut from = vt.clone();
     from.set(st.me, st.sync.note_arrival(vt.get(st.me)));
     let own_wns = st.wn_table.missing_between(&from, &vt);
+    let used = fetch::take_used(st);
     let arrival = Payload::BarrierArrive {
         episode,
         vt,
         own_wns,
+        used,
         batch,
     };
     st.block_on(0, arrival);
@@ -221,12 +227,15 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
 /// Cross the barrier, `release` taken from the wait slot: join its
 /// timestamp and apply the notices it carried.
 pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
-    let Payload::BarrierRelease { vt, wns, .. } = release else {
+    let Payload::BarrierRelease {
+        vt, wns, pushed, ..
+    } = release
+    else {
         unreachable!("a barrier wait took {}", release.kind())
     };
     let arrive_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &arrive_vt, wns);
+    apply_notices(st, &arrive_vt, wns, pushed);
     let episode = st.sync.crossed();
     match st.ft.logs() {
         Some(logs) => logs.log_bar(BarEntry {
@@ -257,7 +266,7 @@ mod tests {
     use dsm_page::Interval;
     use dsm_storage::{DiskModel, StableStore};
     use dsm_trace::NodeTracer;
-    use hlrc::WriteNotice;
+    use hlrc::{Have, PageBody, WriteNotice};
 
     /// Every payload waiting for `ep`: its request lane's, then its reply
     /// lane's — a barrier arrival's — each lane in order.
@@ -354,6 +363,7 @@ mod tests {
             episode: 0,
             vt: st.vt.clone(),
             wns: WnDelta::empty(),
+            pushed: Vec::new(),
         };
         handle_msg(&mut st, 0, release);
         let (_, release) = st.wait.take().expect("the release answers the arrival");
@@ -419,6 +429,7 @@ mod tests {
                 vt: gated(2, 1, episode as u32 + 1),
                 own_wns: WnDelta::empty(),
                 batch: None,
+                used: Vec::new(),
             };
             handle_msg(&mut st, 1, peer);
             let (_, release) = st.wait.take().expect("the episode completed");
@@ -441,6 +452,7 @@ mod tests {
             vt: gated(2, 1, 1),
             own_wns: WnDelta::empty(),
             batch: Some(vec![diff_of(1, 1, 1)]),
+            used: Vec::new(),
         };
         handle_msg(&mut st, 1, arrival.clone());
         assert_eq!(st.pending_unalloc, [(1, arrival)]);
@@ -459,6 +471,66 @@ mod tests {
             (vec![], vec!["BarrierRelease"])
         );
         assert!(st.wait.take().is_some(), "the episode completed");
+    }
+
+    /// The manager keeps the copies of its pages an arrival reports used,
+    /// sends each on the release whose notices invalidate it there, and
+    /// forgets a peer's when the peer's recovery handshake says it
+    /// restarted: that release carries the notice alone.
+    #[test]
+    fn the_manager_pushes_what_an_arrival_reported_until_the_peer_restarts() {
+        let (mut st, eps, _store) = ft_node(0, 2);
+        let peer_arrives = |st: &mut NodeState, episode: u64, used: Have| {
+            let arrival = Payload::BarrierArrive {
+                episode,
+                vt: gated(2, 0, episode as u32),
+                own_wns: WnDelta::empty(),
+                used: vec![(PageId(0), used)],
+                batch: None,
+            };
+            handle_msg(st, 1, arrival);
+        };
+        // What the manager's write of page 0 and its own arrival send node 1.
+        let release_to_peer = |st: &mut NodeState, byte| {
+            write_interval(st, byte);
+            arrive(st, &mut Breakdown::default());
+            let (_, release) = st.wait.take().expect("the episode completed");
+            cross_barrier(st, release);
+            let (none, release) = sent(&eps[1]);
+            let ([], [Payload::BarrierRelease { wns, pushed, .. }]) = (&none[..], &release[..])
+            else {
+                panic!("one release, not {none:?} {release:?}")
+            };
+            assert_eq!(
+                wns.iter().map(|w| w.interval.seq).collect::<Vec<_>>(),
+                [byte as u32]
+            );
+            pushed.clone()
+        };
+        let kept = (1, VectorClock::zero(2));
+        peer_arrives(&mut st, 0, kept.clone());
+        let pushed = release_to_peer(&mut st, 1);
+        let [Pushed {
+            page: PageId(0),
+            base,
+            version,
+            body: PageBody::Delta(diffs),
+        }] = &pushed[..]
+        else {
+            panic!("page 0 as a delta, not {pushed:?}")
+        };
+        assert_eq!((base, version), (&kept, &gated(2, 0, 1)));
+        assert_eq!(
+            diffs.iter().map(|d| d.interval.seq).collect::<Vec<_>>(),
+            [1]
+        );
+        assert_eq!(st.pages_pushed, 1);
+        // Reported again, then the peer restarts: nothing rides the release.
+        peer_arrives(&mut st, 1, (1, gated(2, 0, 1)));
+        handle_msg(&mut st, 1, Payload::RecLogReq { homed: Vec::new() });
+        replies(&eps[1]);
+        assert!(release_to_peer(&mut st, 2).is_empty());
+        assert_eq!(st.pages_pushed, 1);
     }
 
     /// Node 1 of 3 crosses `k` barriers, each after an interval of its own
@@ -485,6 +557,7 @@ mod tests {
                     episode: episode.into(),
                     vt: VectorClock::from_vec(vec![seq; n]),
                     wns: WnDelta::from(peers.to_vec()),
+                    pushed: Vec::new(),
                 };
                 handle_msg(&mut st, 0, release);
                 let (_, release) = st.wait.take().expect("the release answers the arrival");

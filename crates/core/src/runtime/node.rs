@@ -186,6 +186,11 @@ pub(crate) struct NodeState {
     /// Barrier arrivals this node's service thread handled (folded in when
     /// the service loop exits): see [`NodeReport::svc_arrivals`].
     pub svc_arrivals: u64,
+    /// Pages this node's grants and releases pushed: see
+    /// [`NodeReport::pages_pushed`].
+    pub pages_pushed: u64,
+    /// Their bytes per carrying kind: see [`NodeReport::pushed_bytes`].
+    pub pushed_bytes: BTreeMap<&'static str, u64>,
     /// Duplicate or stale deliveries suppressed by the idempotency gates
     /// (grant/release/ack dedup, superseded prefetch replies).
     pub dup_suppressed: u64,
@@ -253,6 +258,8 @@ impl NodeState {
             restarts_seen: 0,
             diff_batches_carried: 0,
             svc_arrivals: 0,
+            pages_pushed: 0,
+            pushed_bytes: BTreeMap::new(),
             dup_suppressed: 0,
             svc_time_by_kind: BTreeMap::new(),
             own_svc: Duration::ZERO,
@@ -273,6 +280,7 @@ impl NodeState {
         let mut breakdown = self.breakdown_acc;
         breakdown.protocol += self.svc_time_by_kind.values().sum::<Duration>();
         let (fetch_delta_pages, fetch_delta_bytes) = self.pt.delta_installs();
+        let (pushed_used, pushes_refused) = self.fetch.push_counts();
         Some(NodeReport {
             breakdown,
             traffic: traffic.snapshot(),
@@ -295,6 +303,10 @@ impl NodeState {
             fetch_delta_bytes,
             prefetch: self.fetch.counts(),
             zero_fills: self.fetch.zero_fills(),
+            pages_pushed: self.pages_pushed,
+            pushed_used,
+            pushes_refused,
+            pushed_bytes: self.pushed_bytes.iter().map(|(&k, &b)| (k, b)).collect(),
         })
     }
 
@@ -385,6 +397,12 @@ impl NodeState {
             return handle_msg(self, to, payload);
         }
         let gossip = matches!(payload, Payload::BarrierRelease { .. });
+        let pushed = payload.pushed();
+        if !pushed.is_empty() {
+            self.pages_pushed += pushed.len() as u64;
+            let bytes = crate::wire::len_of(|w| crate::wire::put_pushed(w, pushed));
+            *self.pushed_bytes.entry(payload.kind()).or_default() += bytes as u64;
+        }
         let piggy = self.ft.make_piggy(&self.pt, to, gossip);
         self.ep
             .send(to, Msg::with_parent(payload, piggy, self.cur_flow));
@@ -498,10 +516,11 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
 /// Peer `node` restarted — its recovery handshake has just arrived, the one
 /// restart signal: it lost everything in flight to it, so re-issue lost
 /// forwards and fetches, and resend whatever request our application
-/// thread is blocked on against it.
+/// thread is blocked on against it. It kept no copy: it wants no push.
 pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
     st.restarts_seen += 1;
     st.tracer.emit(EventKind::PeerRestart { node });
+    st.pt.home_store().drop_wants(node);
     sync::reforward_to(st, node);
     fetch::resend_batches_to(st, node);
     if let Some((to, payload)) = st.blocked_request() {
@@ -949,6 +968,7 @@ pub(crate) mod tests {
             gen,
             vt: VectorClock::zero(3),
             wns: WnDelta::empty(),
+            pushed: Vec::new(),
         };
         let request = Payload::LockAcq {
             lock: 1,
@@ -963,6 +983,7 @@ pub(crate) mod tests {
             episode: 42,
             vt: VectorClock::zero(3),
             wns: WnDelta::empty(),
+            pushed: Vec::new(),
         };
         assert_eq!(wait.deposit(0, release.clone()), Some(release));
         assert!(wait.take().is_none());
@@ -1059,6 +1080,7 @@ pub(crate) mod tests {
                     vt: gated(n, 1, 2),
                     own_wns: WnDelta::empty(),
                     batch: Some(vec![diff_of(0, 1, 2)]),
+                    used: Vec::new(),
                 },
             ),
         ];
@@ -1256,11 +1278,13 @@ pub(crate) mod tests {
                     gen: 1,
                     vt: VectorClock::zero(2),
                     wns: WnDelta::empty(),
+                    pushed: Vec::new(),
                 },
                 _ => Payload::BarrierRelease {
                     episode: 0,
                     vt: VectorClock::zero(2),
                     wns: WnDelta::empty(),
+                    pushed: Vec::new(),
                 },
             };
             handle_msg(&mut st, 0, answer);
@@ -1298,6 +1322,7 @@ pub(crate) mod tests {
             vt: gated(2, 1, 1),
             own_wns: WnDelta::empty(),
             batch: None,
+            used: Vec::new(),
         };
         handle_msg(&mut st, 1, from_node_1);
         match st.wait.take() {
@@ -1325,6 +1350,7 @@ pub(crate) mod tests {
             vt: VectorClock::zero(2),
             own_wns: WnDelta::empty(),
             batch,
+            used: Vec::new(),
         };
         let bare = |episode| arrival(episode, None);
         let from_node_1 = |payload| assert!(eps[0].send(0, Msg::bare(payload)));

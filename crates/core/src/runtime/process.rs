@@ -340,10 +340,8 @@ impl Process {
             } else {
                 st.pt.read_into(page, off, &mut buf[done..done + chunk])
             };
-            // A copy nobody had touched that no fault of ours asked for was
-            // prefetched.
-            if first_use && !demanded {
-                st.fetch.prefetched_copy_used();
+            if first_use {
+                fetch::first_use(&mut st, page, demanded);
             }
             demanded = false;
             done += chunk;

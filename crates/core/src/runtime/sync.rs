@@ -6,8 +6,9 @@
 //! through those: `LockAcq`, `LockForward`, `LockGrant`, `BarrierArrive`,
 //! `BarrierRelease`. All of it is served under the big lock (lock order
 //! big → shard; this module takes no lock of its own). Its handlers take
-//! what they need of the rest of the node as arguments and answer through a
-//! reply sink, so they can be driven with no endpoint at all.
+//! what they need of the rest of the node as arguments and return their
+//! answers or put them in a reply sink, so they can be driven with no
+//! endpoint at all.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -16,12 +17,13 @@ use dsm_page::{ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
-use hlrc::{LockId, WnTable};
+use hlrc::{HomeStore, LockId, WnTable};
 
 use crate::ft::ckpt::CheckpointBlob;
 use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::FtSvc;
 use crate::msg::Payload;
+use crate::runtime::home::pushes_for;
 use crate::runtime::node::{NodeState, Replies, WaitSlot};
 
 /// This node's latest tenure of one lock. Deterministic local knowledge,
@@ -203,16 +205,17 @@ impl SyncSvc {
         }
     }
 
-    /// Produce the grant `a` asks for right now (the lock is free at this
-    /// node).
+    /// The grant `a` asks for right now (the lock is free at this node),
+    /// and its requester; it carries the pages of `home` its notices
+    /// invalidate that the requester wants.
     pub(crate) fn grant_now(
         &self,
         a: LockAction,
         wn_table: &WnTable,
+        home: &HomeStore,
         ft: &mut FtSvc,
         tracer: &NodeTracer,
-        reply: &mut Replies,
-    ) {
+    ) -> (ProcId, Payload) {
         let (lock, gen) = (a.lock, a.gen);
         let AcqReq {
             requester,
@@ -246,34 +249,37 @@ impl SyncSvc {
                 },
             );
         }
-        let vt = grant_vt;
+        let (vt, pushed) = (grant_vt, pushes_for(home, requester, &wns));
         let grant = Payload::LockGrant {
             lock,
             acq_seq,
             gen,
             vt,
             wns,
+            pushed,
         };
-        reply.push((requester, grant));
+        (requester, grant)
     }
 
-    /// Handle a forwarded acquire at the granter (chain predecessor). `wait`
-    /// is what the application thread is blocked on.
+    /// Handle a forwarded acquire at the granter (chain predecessor), and
+    /// return the grant if it is due now. `wait` is what the application
+    /// thread is blocked on.
     pub(crate) fn handle_forward(
         &mut self,
         fwd: LockAction,
         wait: &WaitSlot,
         wn_table: &WnTable,
+        home: &HomeStore,
         ft: &mut FtSvc,
         tracer: &NodeTracer,
-        reply: &mut Replies,
-    ) {
+    ) -> Option<(ProcId, Payload)> {
         let (lock, requester, acq_seq) = (fwd.lock, fwd.req.requester, fwd.req.acq_seq);
         // Track the newest grant this node is responsible for (manager
         // recovery).
         self.note_grant(lock, fwd.gen, requester, acq_seq);
         // Retransmission of a grant we already produced? Replay it from the
-        // release log so the requester sees an identical grant.
+        // release log so the requester sees an identical grant (recovery
+        // pushes nothing).
         if let Some(entry) = ft.logs().and_then(|l| l.find_rel(requester, acq_seq)) {
             if entry.lock == lock {
                 let replay = Payload::LockGrant {
@@ -282,8 +288,9 @@ impl SyncSvc {
                     gen: fwd.gen,
                     vt: entry.t_after.clone(),
                     wns: wn_table.missing_between(&entry.req_vt, &entry.t_after),
+                    pushed: Vec::new(),
                 };
-                return reply.push((requester, replay));
+                return Some((requester, replay));
             }
         }
         // The forward chains behind our tenure whose own acquisition number is
@@ -306,7 +313,7 @@ impl SyncSvc {
                     Some(t) => fwd.pred_acq < t.acq || (fwd.pred_acq == t.acq && t.released),
                 });
         if grantable {
-            return self.grant_now(fwd, wn_table, ft, tracer, reply);
+            return Some(self.grant_now(fwd, wn_table, home, ft, tracer));
         }
         // One queued edge per acquisition: a retransmitted forward
         // replaces (or is subsumed by) the copy already queued, newest
@@ -314,16 +321,20 @@ impl SyncSvc {
         let q = self.pending_grants.entry(lock).or_default();
         let same = |pg: &LockAction| pg.req.requester == requester && pg.req.acq_seq == acq_seq;
         if q.iter().any(|pg| same(pg) && pg.gen > fwd.gen) {
-            return;
+            return None;
         }
         q.retain(|pg| !same(pg));
         q.push(fwd);
+        None
     }
 
-    /// Process a barrier arrival at the manager (local or remote).
+    /// Process a barrier arrival at the manager (local or remote). Each
+    /// release carries the pages of `home` its notices invalidate that its
+    /// receiver wants; a resend to a re-arrival carries none.
     pub(crate) fn barrier_manager_arrive(
         &mut self,
         arrival: Arrival,
+        home: &HomeStore,
         hists: &mut LatencyHists,
         ft: &mut FtSvc,
         reply: &mut Replies,
@@ -352,6 +363,7 @@ impl SyncSvc {
                     let release = Payload::BarrierRelease {
                         episode: rel.episode,
                         vt: rel.vt.clone(),
+                        pushed: pushes_for(home, p, &wns),
                         wns,
                     };
                     reply.push((p, release));
@@ -362,7 +374,16 @@ impl SyncSvc {
                 episode,
                 vt,
                 wns,
-            } => reply.push((proc, Payload::BarrierRelease { episode, vt, wns })),
+            } => {
+                let pushed = Vec::new();
+                let release = Payload::BarrierRelease {
+                    episode,
+                    vt,
+                    wns,
+                    pushed,
+                };
+                reply.push((proc, release))
+            }
         }
     }
 
@@ -586,18 +607,24 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
                 grant_from,
                 req,
             };
-            let mut out = Vec::new();
-            st.sync
-                .handle_forward(a, &st.wait, &st.wn_table, &mut st.ft, &st.tracer, &mut out);
-            st.send_all(out);
+            let home = st.pt.home_store();
+            let (wait, wns) = (&st.wait, &st.wn_table);
+            let (ft, tracer) = (&mut st.ft, &st.tracer);
+            let grant = st.sync.handle_forward(a, wait, wns, &home, ft, tracer);
+            st.send_all(grant.into_iter().collect());
         }
         Payload::BarrierArrive {
             episode,
             vt,
             own_wns,
+            used,
             batch,
         } => {
             debug_assert!(batch.is_none(), "`handle_msg` serves a batch first");
+            let home = st.pt.home_store();
+            for (page, have) in used {
+                home.want(from, page, have);
+            }
             let arrival = Arrival {
                 proc: from,
                 episode,
@@ -606,7 +633,7 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
             };
             let mut out = Vec::new();
             st.sync
-                .barrier_manager_arrive(arrival, &mut st.hists, &mut st.ft, &mut out);
+                .barrier_manager_arrive(arrival, &home, &mut st.hists, &mut st.ft, &mut out);
             st.send_all(out);
         }
         // A grant or release nobody waits for is a stale retransmission.
@@ -651,10 +678,10 @@ mod tests {
     /// Drive `fwd` at `sync` alone — no node, no endpoint — and return what
     /// it answered.
     fn drive(sync: &mut SyncSvc, ft: &mut FtSvc, wait: &WaitSlot, fwd: LockAction) -> Replies {
-        let mut out = Vec::new();
         let tracer = NodeTracer::disabled();
-        sync.handle_forward(fwd, wait, &WnTable::new(), ft, &tracer, &mut out);
-        out
+        let home = HomeStore::new(3, 256);
+        let grant = sync.handle_forward(fwd, wait, &WnTable::new(), &home, ft, &tracer);
+        grant.into_iter().collect()
     }
 
     fn grant(acq_seq: u64, vt: VectorClock) -> (ProcId, Payload) {
@@ -664,6 +691,7 @@ mod tests {
             gen: 10,
             vt,
             wns: WnDelta::empty(),
+            pushed: Vec::new(),
         };
         (1, grant)
     }

@@ -198,6 +198,21 @@ pub struct NodeReport {
     /// Misses on a cold page — never held, named by no write notice —
     /// answered with the zero page instead of a fetch.
     pub zero_fills: u64,
+    /// Pages this node's grants and releases carried to a peer that had
+    /// reported using its copy, with the notices that invalidate it (node
+    /// 0 only: the reports ride barrier arrivals).
+    pub pages_pushed: u64,
+    /// Of the pushed pages this node installed, the ones read or written
+    /// before the next invalidation.
+    pub pushed_used: u64,
+    /// Pushed pages this node did not install: its copy was no longer the
+    /// one the push built on, a fetch of the page was in flight, or the
+    /// version did not cover what the page needed. Each was then fetched
+    /// as if nothing had come.
+    pub pushes_refused: u64,
+    /// Bytes of pushed pages this node sent per message kind (sorted by
+    /// kind name): part of `msg_kind_bytes`.
+    pub pushed_bytes: Vec<(&'static str, u64)>,
 }
 
 /// Add `other`'s per-kind values to `acc`'s, keeping it sorted by kind.
@@ -230,6 +245,10 @@ impl NodeReport {
         self.fetch_delta_bytes += o.fetch_delta_bytes;
         self.prefetch += o.prefetch;
         self.zero_fills += o.zero_fills;
+        self.pages_pushed += o.pages_pushed;
+        self.pushed_used += o.pushed_used;
+        self.pushes_refused += o.pushes_refused;
+        add_kinds(&mut self.pushed_bytes, &o.pushed_bytes);
     }
 
     /// The metric table: every number of this report under its metric name —
@@ -295,6 +314,9 @@ impl NodeReport {
             ("prefetch_skipped_total", pf.prefetch_skipped),
             ("skipped_then_missed_total", pf.skipped_then_missed),
             ("zero_fills_total", self.zero_fills),
+            ("pages_pushed_total", self.pages_pushed),
+            ("pushed_used_total", self.pushed_used),
+            ("pushes_refused_total", self.pushes_refused),
         ];
         let gauges = [
             ("stable_log_max_bytes", ft.max_stable_log_bytes),
@@ -307,6 +329,7 @@ impl NodeReport {
             ("msgs_sent_by_kind_total", &self.msg_kinds),
             ("bytes_sent_by_kind_total", &self.msg_kind_bytes),
             ("svc_time_ns_by_kind_total", &svc_ns),
+            ("pushed_bytes_by_kind_total", &self.pushed_bytes),
         ];
         let mut rows: Vec<(String, MetricValue)> = Vec::new();
         rows.extend(counters.map(|(name, v)| (name.into(), Counter(v))));

@@ -20,7 +20,7 @@ use dsm_trace::TraceCtx;
 use hlrc::{Have, PageBody, WnDelta, WriteNotice};
 
 use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry, WnLogEntry};
-use crate::msg::{CkptStamp, Msg, Payload, Piggy};
+use crate::msg::{CkptStamp, Msg, Payload, Piggy, Pushed};
 
 /// The length `put` writes, counted by a length-only writer.
 pub(crate) fn len_of(put: impl FnOnce(&mut ByteWriter)) -> usize {
@@ -215,9 +215,8 @@ pub(crate) fn get_diffs(r: &mut ByteReader) -> Result<Vec<Arc<Diff>>, CodecError
 /// home incarnation and the version the kept copy is.
 pub fn put_have(w: &mut ByteWriter, have: Option<&Have>) {
     w.put_u8(have.is_some() as u8);
-    if let Some((incarnation, version)) = have {
-        w.put_varint((*incarnation).into());
-        put_vt(w, version);
+    if let Some(have) = have {
+        put_base_have(w, have);
     }
 }
 
@@ -225,7 +224,7 @@ pub fn put_have(w: &mut ByteWriter, have: Option<&Have>) {
 pub fn get_have(r: &mut ByteReader) -> Result<Option<Have>, CodecError> {
     Ok(match get_flag(r, "have")? {
         false => None,
-        true => Some((get_u32(r, "incarnation")?, get_vt(r)?)),
+        true => Some(get_base_have(r)?),
     })
 }
 
@@ -254,6 +253,54 @@ pub fn get_page_body(r: &mut ByteReader) -> Result<PageBody, CodecError> {
             PageBody::Full { bytes, base }
         }
         true => PageBody::Delta(get_diffs(r)?),
+    })
+}
+
+/// Encode what a copy is exactly, for a report or a push: the home
+/// incarnation and the version (no presence byte: both always have one).
+fn put_base_have(w: &mut ByteWriter, (incarnation, version): &Have) {
+    w.put_varint((*incarnation).into());
+    put_vt(w, version);
+}
+
+fn get_base_have(r: &mut ByteReader) -> Result<Have, CodecError> {
+    Ok((get_u32(r, "incarnation")?, get_vt(r)?))
+}
+
+/// Encode an arrival's report of the copies it used: per page its id and
+/// what the copy is.
+pub fn put_used(w: &mut ByteWriter, used: &[(PageId, Have)]) {
+    put_list(w, used, |w, (page, have)| {
+        w.put_varint(page.0.into());
+        put_base_have(w, have);
+    });
+}
+
+/// Decode an arrival's report of the copies it used.
+pub fn get_used(r: &mut ByteReader) -> Result<Vec<(PageId, Have)>, CodecError> {
+    get_list(r, 3, |r| Ok((get_page(r)?, get_base_have(r)?)))
+}
+
+/// Encode the pages a grant or release pushes: per page its id, the copy
+/// the body builds on, the version and the body ([`put_page_body`]).
+pub fn put_pushed(w: &mut ByteWriter, pushed: &[Pushed]) {
+    put_list(w, pushed, |w, p| {
+        w.put_varint(p.page.0.into());
+        put_base_have(w, &p.base);
+        put_vt(w, &p.version);
+        put_page_body(w, &p.body);
+    });
+}
+
+/// Decode the pages a grant or release pushes.
+pub fn get_pushed(r: &mut ByteReader) -> Result<Vec<Pushed>, CodecError> {
+    get_list(r, 6, |r| {
+        Ok(Pushed {
+            page: get_page(r)?,
+            base: get_base_have(r)?,
+            version: get_vt(r)?,
+            body: get_page_body(r)?,
+        })
     })
 }
 
@@ -490,22 +537,36 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             gen,
             vt,
             wns,
+            pushed,
         } => {
             put_varints(w, &[*lock as u64, *acq_seq, *gen]);
             put_vt(w, vt);
             put_wn_delta(w, wns);
+            put_pushed(w, pushed);
         }
         Payload::DiffBatch { diffs } => put_diffs(w, diffs),
         Payload::BarrierArrive {
             episode,
             vt,
-            own_wns: wns,
+            own_wns,
+            used,
             ..
+        } => {
+            w.put_varint(*episode);
+            put_vt(w, vt);
+            put_wn_delta(w, own_wns);
+            put_used(w, used);
         }
-        | Payload::BarrierRelease { episode, vt, wns } => {
+        Payload::BarrierRelease {
+            episode,
+            vt,
+            wns,
+            pushed,
+        } => {
             w.put_varint(*episode);
             put_vt(w, vt);
             put_wn_delta(w, wns);
+            put_pushed(w, pushed);
         }
         Payload::PageReq { pages, req_id } => {
             w.put_varint(*req_id);
@@ -598,6 +659,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             gen: r.get_varint()?,
             vt: get_vt(r)?,
             wns: get_wn_delta(r)?,
+            pushed: get_pushed(r)?,
         },
         3 => Payload::DiffBatch {
             diffs: get_diffs(r)?,
@@ -606,12 +668,14 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             episode: r.get_varint()?,
             vt: get_vt(r)?,
             own_wns: get_wn_delta(r)?,
+            used: get_used(r)?,
             batch: None,
         },
         8 => Payload::BarrierRelease {
             episode: r.get_varint()?,
             vt: get_vt(r)?,
             wns: get_wn_delta(r)?,
+            pushed: get_pushed(r)?,
         },
         9 => {
             let req_id = r.get_varint()?;
@@ -897,6 +961,71 @@ mod tests {
         }
     }
 
+    /// An arrival's report of used copies and a grant's pushed pages round
+    /// trip; every strict prefix of either list, and every byte of it set
+    /// to every other value, decodes to `Ok` or `Err`, never a panic.
+    #[test]
+    fn used_reports_and_pushed_pages_roundtrip_and_no_cut_or_byte_panics() {
+        let vt = |v: &[u32]| VectorClock::from_vec(v.to_vec());
+        let used = vec![
+            (PageId(3), (1, vt(&[2, 0]))),
+            (PageId(400), (7, vt(&[300, 1]))),
+        ];
+        let (twin, mut cur) = (Page::zeroed(256), Page::zeroed(256));
+        cur.write(64, &[9; 16]);
+        let iv = Interval { proc: 0, seq: 3 };
+        let diff = Arc::new(Diff::create(PageId(3), iv, &twin, &cur).unwrap());
+        let pushed = vec![
+            Pushed {
+                page: PageId(3),
+                base: (1, vt(&[2, 0])),
+                version: vt(&[3, 0]),
+                body: PageBody::Delta(vec![diff]),
+            },
+            Pushed {
+                page: PageId(400),
+                base: (7, vt(&[300, 1])),
+                version: vt(&[301, 1]),
+                body: PageBody::Full {
+                    bytes: cur.share(),
+                    base: 7,
+                },
+            },
+        ];
+        let encode = |put: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            put(&mut w);
+            w.into_bytes()
+        };
+        let used_bytes = encode(&|w| put_used(w, &used));
+        let pushed_bytes = encode(&|w| put_pushed(w, &pushed));
+        // Count; page, incarnation, clock (count and entries) a report.
+        assert_eq!(&used_bytes[..6], [2, 3, 1, 2, 2, 0]);
+        assert_eq!(get_used(&mut ByteReader::new(&used_bytes)).unwrap(), used);
+        let got = get_pushed(&mut ByteReader::new(&pushed_bytes)).unwrap();
+        assert_eq!(got, pushed);
+        for (bytes, pushes) in [(used_bytes, false), (pushed_bytes, true)] {
+            let decode = |b: &[u8]| {
+                let mut r = ByteReader::new(b);
+                match pushes {
+                    true => get_pushed(&mut r).map(|_| ()),
+                    false => get_used(&mut r).map(|_| ()),
+                }
+            };
+            for len in 0..bytes.len() {
+                assert!(decode(&bytes[..len]).is_err(), "cut at {len}");
+            }
+            let mut changed = bytes.clone();
+            for i in 0..bytes.len() {
+                for v in (0..=u8::MAX).filter(|&v| v != bytes[i]) {
+                    changed[i] = v;
+                    let _ = decode(&changed);
+                }
+                changed[i] = bytes[i];
+            }
+        }
+    }
+
     #[test]
     fn diff_encoded_length_equals_wire_size() {
         // Multi-run diff: the accounting model and the codec must agree
@@ -993,6 +1122,7 @@ mod tests {
                     gen: 3,
                     vt: vt(),
                     wns: wns(),
+                    pushed: Vec::new(),
                 },
                 &[2, 1, 2, 3, 3, 1, 0, 6][..],
             ),
@@ -1002,6 +1132,7 @@ mod tests {
                     vt: vt(),
                     own_wns: wns(),
                     batch: None,
+                    used: Vec::new(),
                 },
                 &[7, 4, 3, 1, 0, 6],
             ),
@@ -1010,16 +1141,19 @@ mod tests {
                     episode: 4,
                     vt: vt(),
                     wns: wns(),
+                    pushed: Vec::new(),
                 },
                 &[8, 4, 3, 1, 0, 6],
             ),
         ];
+        // The notices, then an empty list of used or pushed pages: one
+        // count byte.
         for (payload, header) in kinds {
             let msg = Msg::bare(payload);
             let mut w = ByteWriter::new();
             put_msg(&mut w, &msg);
             let bytes = w.into_bytes();
-            assert_eq!(bytes, [header, &list[..]].concat());
+            assert_eq!(bytes, [header, &list[..], &[0]].concat());
             let got = get_msg(&mut ByteReader::new(&bytes), 0).unwrap();
             assert_eq!(got.payload, msg.payload);
         }

@@ -197,7 +197,7 @@ impl<M: Clone + WireSized> FabricShared<M> {
     /// lost — and acked; an ack retires the sender's copies.
     fn arrive(&self, from: NodeId, to: NodeId, frame: Frame<M>) {
         let (gen, seq, msg) = match frame {
-            Frame::Ack { gen, upto } => return self.links.ack(to, from, gen, upto),
+            Frame::Ack { gen, upto, held } => return self.links.ack(to, from, (gen, upto, held)),
             Frame::Data { gen, seq, msg } => (gen, seq, msg),
         };
         let received = {
@@ -211,8 +211,14 @@ impl<M: Clone + WireSized> FabricShared<M> {
             let release = |m| self.deliver(from, to, m);
             self.links.receive(from, to, (gen, seq, msg), release)
         };
-        if let Received::Ack { gen, upto, dup } = received {
-            let ack = Frame::Ack { gen, upto };
+        if let Received::Ack {
+            gen,
+            upto,
+            held,
+            dup,
+        } = received
+        {
+            let ack = Frame::Ack { gen, upto, held };
             self.stats.node(to).record_link_ack(ack.link_bytes(), dup);
             self.transmit(to, from, ack);
         }

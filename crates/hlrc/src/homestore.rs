@@ -17,7 +17,7 @@
 //! instead of node-wise.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dsm_page::{Diff, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock};
@@ -134,14 +134,18 @@ struct HomeEntry {
     writers: Vec<ProcId>,
     /// The last page's worth of diffs applied to `copy`.
     ring: DiffRing,
+    /// Peers that reported using their copy of the page, each with what the
+    /// copy is exactly: what [`HomeStore::push`] may answer them with.
+    wants: Vec<(ProcId, Have)>,
 }
 
 impl HomeEntry {
-    /// The reply body for a requester that kept `have`: the ring's diffs it
-    /// is missing when `have` names this incarnation and covers the ring's
-    /// base, the page otherwise.
-    fn answer(&self, incarnation: u32, have: Option<&Have>) -> PageBody {
-        match have {
+    /// The answer to a requester that kept `have`, for a fetch the copy
+    /// covers: the copy's version, and the ring's diffs `have` is missing
+    /// when it names this incarnation and covers the ring's base, the page
+    /// otherwise.
+    fn answer(&self, incarnation: u32, have: Option<&Have>) -> (VectorClock, PageBody) {
+        let body = match have {
             Some((inc, v))
                 if *inc == incarnation && !self.ring.own_pending && v.covers(&self.ring.base) =>
             {
@@ -156,7 +160,8 @@ impl HomeEntry {
                 bytes: self.copy.share(),
                 base: if self.twin.is_none() { incarnation } else { 0 },
             },
-        }
+        };
+        (self.version.clone(), body)
     }
 }
 
@@ -254,6 +259,9 @@ pub struct HomeStore {
     /// check; [`HomeStore::reset_for_restart`] advances it while that check
     /// fails and then takes every shard lock.
     incarnation: AtomicU32,
+    /// Per peer, how many pages it wants ([`HomeEntry::wants`]): a grant or
+    /// release to a peer that wants none looks up no page.
+    wanted: Vec<AtomicUsize>,
     /// The zero page every fresh home copy — and the page table's copy of a
     /// remote page no write has reached — shares until its first write.
     zero: Page,
@@ -281,6 +289,7 @@ impl HomeStore {
                 .collect(),
             dirty_mask: AtomicU32::new(0),
             incarnation: AtomicU32::new(1),
+            wanted: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             zero: Page::zeroed(page_size),
             n,
             page_size,
@@ -304,6 +313,7 @@ impl HomeStore {
                 needed: VectorClock::zero(self.n),
                 writers: Vec::new(),
                 ring: DiffRing::new(VectorClock::zero(self.n)),
+                wants: Vec::new(),
             },
         );
         assert!(prev.is_none(), "page {page} homed twice");
@@ -485,9 +495,13 @@ impl HomeStore {
         let Some(e) = shard.entries.get_mut(&req.page.0) else {
             return (FetchOutcome::NotHome, waited);
         };
+        // The requester's copy is about to change: what it reported using
+        // is no base for a push any more.
+        self.unwant(e, req.from);
         let outcome = if e.version.covers(&req.needed) {
             let incarnation = self.incarnation.load(Ordering::SeqCst);
-            FetchOutcome::Ready(e.version.clone(), e.answer(incarnation, have))
+            let (version, body) = e.answer(incarnation, have);
+            FetchOutcome::Ready(version, body)
         } else {
             shard.waiting.push((req, have.cloned()));
             FetchOutcome::Parked
@@ -550,6 +564,10 @@ impl HomeStore {
                 diff.apply_pooled(twin, &mut shard.pool);
             }
             e.version.set(writer, diff.interval.seq);
+            // A writer that reported its copy holds its own diff in it.
+            if let Some((_, (_, v))) = e.wants.iter_mut().find(|(p, _)| *p == writer) {
+                v.set(writer, diff.interval.seq);
+            }
             if !e.writers.contains(&writer) {
                 e.writers.push(writer);
             }
@@ -573,7 +591,7 @@ impl HomeStore {
             let (w, have) = &shard.waiting[i];
             match shard.entries.get(&w.page.0) {
                 Some(e) if e.version.covers(&w.needed) => {
-                    let (version, body) = (e.version.clone(), e.answer(incarnation, have.as_ref()));
+                    let (version, body) = e.answer(incarnation, have.as_ref());
                     let (w, _) = shard.waiting.swap_remove(i);
                     ready.push(ReadyFetch {
                         from: w.from,
@@ -584,6 +602,64 @@ impl HomeStore {
                     });
                 }
                 _ => i += 1,
+            }
+        }
+    }
+
+    /// `peer` used its copy of `page`, which is exactly `have`: keep that
+    /// until `peer` asks for the page, is pushed it or restarts. A page not
+    /// homed here, or a clock not of this cluster, is ignored.
+    pub fn want(&self, peer: ProcId, page: PageId, have: Have) {
+        let shard = &mut *self.shards[shard_of(page)].lock();
+        let entry = shard.entries.get_mut(&page.0);
+        let Some(e) = entry.filter(|_| have.1.len() == self.n) else {
+            return;
+        };
+        self.unwant(e, peer);
+        e.wants.push((peer, have));
+        self.wanted[peer].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Forget what `peer` reported of `e`'s page; returns it.
+    fn unwant(&self, e: &mut HomeEntry, peer: ProcId) -> Option<Have> {
+        let i = e.wants.iter().position(|(p, _)| *p == peer)?;
+        self.wanted[peer].fetch_sub(1, Ordering::Relaxed);
+        Some(e.wants.swap_remove(i).1)
+    }
+
+    /// Does `peer` want any page homed here?
+    pub fn wants_any(&self, peer: ProcId) -> bool {
+        self.wanted
+            .get(peer)
+            .is_some_and(|w| w.load(Ordering::Relaxed) > 0)
+    }
+
+    /// The push of `page` to `peer` with notices whose join is `covers`:
+    /// when `peer` wants the page and the copy covers them, what a fetch
+    /// from `peer` naming the copy it reported would be answered now —
+    /// `(that copy, version, body)` — and the want goes. `None` leaves the
+    /// want for the fetch that follows.
+    pub fn push(
+        &self,
+        peer: ProcId,
+        page: PageId,
+        covers: &VectorClock,
+    ) -> Option<(Have, VectorClock, PageBody)> {
+        let shard = &mut *self.shards[shard_of(page)].lock();
+        let e = shard.entries.get_mut(&page.0)?;
+        if !e.version.covers(covers) {
+            return None;
+        }
+        let have = self.unwant(e, peer)?;
+        let (version, body) = e.answer(self.incarnation.load(Ordering::SeqCst), Some(&have));
+        Some((have, version, body))
+    }
+
+    /// `peer` restarted: it kept no copy, so it wants nothing.
+    pub fn drop_wants(&self, peer: ProcId) {
+        for shard in &self.shards {
+            for e in shard.lock().entries.values_mut() {
+                self.unwant(e, peer);
             }
         }
     }
@@ -655,7 +731,7 @@ impl HomeStore {
 
     /// Crash and restart support: drop twins and pending `needed` state,
     /// parked fetches (requesters resend them once the restart reaches
-    /// them) and rings, and begin a new incarnation, so that what a reader
+    /// them), rings and wants, and begin a new incarnation, so that what a reader
     /// kept of this one is answered in full. Every copy goes back to the zero page at version
     /// zero — what a page no checkpoint has carried yet restarts from — for
     /// the caller to overwrite from the checkpoint via [`HomeStore::restore`].
@@ -672,8 +748,12 @@ impl HomeStore {
                 e.version = VectorClock::zero(self.n);
                 e.needed = VectorClock::zero(self.n);
                 e.ring = DiffRing::new(VectorClock::zero(self.n));
+                e.wants.clear();
             }
         }
+        self.wanted
+            .iter()
+            .for_each(|w| w.store(0, Ordering::Relaxed));
     }
 
     /// Checkpoint support: `(page, writer, seq)` triples of every nonzero
@@ -790,6 +870,49 @@ mod tests {
     fn apply(s: &HomeStore, d: &Arc<Diff>) {
         let outcome = s.apply_diff_kept(d, || true).0;
         assert!(matches!(outcome, ApplyOutcome::Applied { fresh: true, .. }));
+    }
+
+    /// A want is answered as the fetch it stands for once the copy covers
+    /// the notices, and only once; a fetch of the page, or a restart of
+    /// either end, drops it.
+    #[test]
+    fn a_want_is_pushed_once_the_copy_covers_and_dropped_by_a_fetch_or_a_restart() {
+        let s = ring_store();
+        let (v0, _) = fetch(&s, None);
+        let kept: Have = (1, v0);
+        assert!(!s.wants_any(1));
+        s.want(1, PageId(0), kept.clone());
+        s.want(1, PageId(7), kept.clone()); // not homed here: ignored
+        s.want(2, PageId(0), (1, VectorClock::from_vec(vec![0, 0]))); // nor a short clock
+        assert!(s.wants_any(1) && !s.wants_any(2));
+        apply(&s, &set_word(0, iv(2, 1), 0, 11));
+        // A notice the copy does not cover yet: no push, the want stays.
+        assert!(s.push(1, PageId(0), &vc([0, 0, 2])).is_none());
+        assert!(
+            s.push(2, PageId(0), &vc([0, 0, 1])).is_none(),
+            "2 wants nothing"
+        );
+        let (base, version, body) = s.push(1, PageId(0), &vc([0, 0, 1])).unwrap();
+        assert_eq!((base, version), (kept.clone(), vc([0, 0, 1])));
+        assert_eq!(delta(&body), [iv(2, 1)]);
+        assert!(!s.wants_any(1) && s.push(1, PageId(0), &vc([0, 0, 1])).is_none());
+        // A diff of the reader's own is in its copy, and so in what it
+        // reported: the push leaves it out.
+        s.want(1, PageId(0), (1, vc([0, 0, 1])));
+        apply(&s, &set_word(0, iv(1, 1), 1, 12));
+        apply(&s, &set_word(0, iv(2, 2), 2, 13));
+        let (base, _, body) = s.push(1, PageId(0), &vc([0, 0, 2])).unwrap();
+        assert_eq!((base, delta(&body)), ((1, vc([0, 1, 1])), vec![iv(2, 2)]));
+        // Asked for, or restarted: nothing left to push.
+        s.want(1, PageId(0), kept.clone());
+        fetch(&s, Some(&kept));
+        assert!(!s.wants_any(1));
+        s.want(1, PageId(0), kept.clone());
+        s.drop_wants(1);
+        assert!(!s.wants_any(1));
+        s.want(1, PageId(0), kept);
+        s.reset_for_restart();
+        assert!(!s.wants_any(1));
     }
 
     #[test]

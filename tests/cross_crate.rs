@@ -266,18 +266,25 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
             .map_or(0, |&(_, c)| c)
     };
     // Round 0: never held, so nothing is asked for; the reads' misses on
-    // pages 0, 16 and 32 each bring the noticed pages after them. 1: every
-    // copy was read, one request refetches them. 2: none of those was,
-    // nothing is asked for. 3: nor now, and the sweep misses as round 0 did.
-    // 4: page 5 was read in the sweep and is prefetched alone. 5: that copy
-    // was not, and its miss finds no neighbour left out to bring.
-    assert_eq!((sent("PageReq"), sent("PageReply")), (9, 9));
+    // pages 0, 16 and 32 each bring the noticed pages after them, and the
+    // next arrival reports the 40 copies used. 1: every copy was read, so
+    // the release that invalidates them carries them, and nothing is asked
+    // for. 2: none of those was, nothing is asked for or carried. 3: nor
+    // now, and the sweep misses as round 0 did. 4: page 5 was read in the
+    // sweep and rides the release alone. 5: that copy was not, and its miss
+    // finds no neighbour left out to bring.
+    assert_eq!((sent("PageReq"), sent("PageReply")), (7, 7));
+    let t = r.total();
+    assert_eq!(
+        (t.pages_pushed, t.pushed_used, t.pushes_refused),
+        (41, 0, 0)
+    );
     // Those two are every kind a fetch has.
     let kinds = r.total_msg_kinds();
     let of_fetches = kinds.iter().filter(|(k, _)| k.starts_with("Page"));
     assert_eq!(of_fetches.count(), 2);
     let counts = ftdsm_suite::PrefetchCounts {
-        prefetched: 37 + 40 + 37 + 1,
+        prefetched: 37 + 37,
         prefetched_used: 37 + 37,
         prefetch_skipped: 40 + 40 + 40 + 1,
         skipped_then_missed: 3 + 3 + 1,
@@ -490,4 +497,104 @@ fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
         // n batches a round, one of them inside an arrival.
         assert_eq!(r.total().diff_batches_carried, ROUNDS);
     }
+}
+
+/// A barrier kernel shaped like the benchmark's `page_fetch`: node 0
+/// rewrites sixteen pages it homes every round, and every other node reads
+/// them back. Each reader fetches them once, in the first round, when it
+/// has never held them; from then on the barrier release whose notices
+/// invalidate them carries them, and no reader asks again.
+#[test]
+fn a_reader_of_the_managers_pages_asks_only_in_the_first_round() {
+    const ROUNDS: u64 = 10;
+    const HOT: usize = 16;
+    const WORDS: usize = 32; // one 256 B page
+    for n in [2, 4] {
+        let r = run(ClusterConfig::base(n).with_page_size(256), &[], |p| {
+            let hot = p.alloc_vec::<u64>(HOT * WORDS, HomeAlloc::Node(0));
+            let mut sum = 0;
+            for round in 0..ROUNDS {
+                if p.me() == 0 {
+                    for k in 0..HOT {
+                        hot.set(p, k * WORDS + 3, round * HOT as u64 + k as u64 + 1);
+                    }
+                }
+                p.barrier();
+                sum += (0..HOT).map(|k| hot.get(p, k * WORDS + 3)).sum::<u64>();
+                p.barrier();
+            }
+            sum
+        });
+        let words = ROUNDS * HOT as u64;
+        assert_eq!(r.results, vec![words * (words + 1) / 2; n], "n = {n}");
+        let sent = |kind| {
+            let kinds = r.total_msg_kinds();
+            let found = kinds.iter().find(|(k, _)| *k == kind);
+            found.map_or(0, |&(_, c)| c)
+        };
+        let readers = n as u64 - 1;
+        assert_eq!(
+            (sent("PageReq"), sent("PageReply")),
+            (readers, readers),
+            "n = {n}"
+        );
+        let pushed = readers * HOT as u64 * (ROUNDS - 1);
+        let t = r.total();
+        let counts = (t.pages_pushed, t.pushed_used, t.pushes_refused);
+        assert_eq!(counts, (pushed, pushed, 0), "n = {n}");
+        assert_eq!(r.nodes[0].pages_pushed, pushed, "only the manager pushes");
+        assert_eq!(r.total().prefetch.prefetched, 15 * readers, "n = {n}");
+    }
+}
+
+/// A lock kernel whose cell is homed at node 0. Node 0 holds the lock across
+/// each round's first barrier, so node 1's acquire waits for node 0's
+/// release: the grant node 0 sends then names node 0's write of the cell,
+/// and carries the cell. Node 1 fetches the cell once, in the first round.
+#[test]
+fn the_grant_from_the_cells_home_carries_the_cell() {
+    const ROUNDS: u64 = 12;
+    let r = run(ClusterConfig::base(2).with_page_size(256), &[], |p| {
+        let cell = p.alloc_vec::<u64>(8, HomeAlloc::Node(0));
+        let add = p.me() as u64 + 1;
+        if p.me() == 0 {
+            p.acquire(1);
+        }
+        p.barrier();
+        for _ in 0..ROUNDS {
+            if p.me() == 1 {
+                p.acquire(1);
+            }
+            for w in 0..8 {
+                let v = cell.get(p, w);
+                cell.set(p, w, v + add);
+            }
+            p.release(1);
+            p.barrier();
+            if p.me() == 0 {
+                p.acquire(1);
+            }
+            p.barrier();
+        }
+        if p.me() == 0 {
+            p.release(1);
+        }
+        p.barrier();
+        (0..8).map(|w| cell.get(p, w)).sum::<u64>()
+    });
+    assert_eq!(r.results, [8 * 3 * ROUNDS; 2]);
+    let sent = |node: usize, kind| {
+        let kinds = r.nodes[node].msg_kinds.iter();
+        let found = kinds.filter(|(k, _)| *k == kind);
+        found.map(|&(_, c)| c).sum::<u64>()
+    };
+    assert_eq!(sent(1, "PageReq"), 1);
+    let manager = &r.nodes[0];
+    assert_eq!(manager.pages_pushed, ROUNDS - 1);
+    let kinds: Vec<_> = manager.pushed_bytes.iter().map(|&(k, _)| k).collect();
+    assert_eq!(kinds, ["LockGrant"]);
+    assert_eq!(
+        (r.nodes[1].pushed_used, r.nodes[1].pushes_refused),
+        (ROUNDS - 1, 0)
+    );
 }

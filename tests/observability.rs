@@ -653,6 +653,7 @@ fn every_metric_of_the_table_is_in_the_observability_catalogue() {
         msg_kinds: vec![("K", 1)],
         msg_kind_bytes: vec![("K", 1)],
         svc_time_by_kind: vec![("K", std::time::Duration::ZERO)],
+        pushed_bytes: vec![("K", 1)],
         ..NodeReport::default()
     };
     let names: BTreeSet<String> = report
