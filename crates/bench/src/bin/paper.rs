@@ -434,10 +434,11 @@ fn do_protocol(scale: &Scale) {
         println!("  pushed_bytes {k:<16} {b:>10}");
     }
     println!(
-        "\nbarrier arrivals a service thread handled (the manager's application thread takes the \
-         rest; one goes here when requests are queued ahead of it):"
+        "\nbarrier arrivals a service thread handled (the manager's application thread takes \
+         every one inside its waits), and requests application threads served inside theirs:"
     );
     println!("  svc_arrivals {:>8}", r.total().svc_arrivals);
+    println!("  app_served   {:>8}", r.total().app_served);
     println!("\nservice time by message kind (all nodes summed):");
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);

@@ -185,7 +185,7 @@ fn collect_replies(
     let owed = from.to_vec();
     st.wait = WaitSlot::Recovery { ask, owed };
     let mut got = Vec::new();
-    wait_until(shared, st, |st| {
+    let ((), wait) = wait_until(shared, st, |st| {
         let WaitSlot::Recovery { ask, owed } = &mut st.wait else {
             unreachable!("recovery wait slot replaced while collecting")
         };
@@ -193,6 +193,7 @@ fn collect_replies(
         owed.is_empty().then_some(())
     });
     st.wait = WaitSlot::None;
+    wait.close(shared, st);
     got
 }
 
@@ -654,7 +655,9 @@ pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::node::tests::{diff_of, gated, only_payload, page_of, test_state};
+    use crate::runtime::node::tests::{
+        diff_of, gated, only_payload, page_of, recv_any, test_state,
+    };
     use std::time::Duration;
 
     impl RecoverySvc {
@@ -874,7 +877,7 @@ mod tests {
         write_both(&mut st, 1);
         crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut Breakdown::default());
         write_both(&mut st, 2);
-        while eps[1].recv_any(Duration::ZERO).is_some() {} // the diff batches
+        while recv_any(&eps[1], Duration::ZERO).is_some() {} // the diff batches
 
         let tckp = gated(3, 1, 1);
         let ask = |st: &mut NodeState, page| {

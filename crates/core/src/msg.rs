@@ -154,7 +154,7 @@ pub enum Payload {
         /// batch, ahead of the arrival. Only the first send carries it — a
         /// resend to a restarted manager does not — and only a request whose
         /// sender stays blocked until the receiver has handled it may carry
-        /// a batch at all (docs/PROTOCOL.md, the lane paragraph).
+        /// a batch at all (docs/PROTOCOL.md, the queue paragraph).
         batch: Option<Vec<Arc<Diff>>>,
     },
     /// Barrier release: manager → participant.
@@ -378,12 +378,12 @@ impl dsm_net::WireSized for Msg {
     fn kind_name(&self) -> &'static str {
         self.payload.kind()
     }
-    /// The answers a blocked application thread waits for go to its lane,
-    /// and so does a barrier arrival: the manager's application thread is
-    /// its one consumer — an episode completes only once the manager has
-    /// arrived, and the arrival needs the big lock that thread holds while
-    /// it computes — so it waits there for the manager's next wait, and
-    /// wakes it if it waits already.
+    /// The service thread passes the answers a blocked application thread
+    /// waits for, and a barrier arrival too: the manager's application
+    /// thread is its one consumer — an episode completes only once the
+    /// manager has arrived, and the arrival needs the big lock that thread
+    /// holds while it computes — so it waits in the queue for the manager's
+    /// next wait.
     fn to_waiter(&self) -> bool {
         matches!(
             self.payload,
@@ -394,13 +394,6 @@ impl dsm_net::WireSized for Msg {
                 | Payload::RecLogReply { .. }
                 | Payload::RecPageReply { .. }
         )
-    }
-    /// An arrival must not overtake what its sender sent the manager before
-    /// it: a carried batch behind an earlier `DiffBatch` would have the
-    /// home's version gate drop the older diffs for good, and a prefetch
-    /// served after the release would read the manager's next writes.
-    fn behind_requests(&self) -> bool {
-        matches!(self.payload, Payload::BarrierArrive { .. })
     }
     fn stamp_send(&mut self, origin: u32, seq: u64, now_ns: u64) {
         self.ctx.origin = origin;
@@ -606,14 +599,12 @@ mod tests {
 
     /// A batch rides only a request whose sender stays blocked until the
     /// receiver has handled it — one the application thread parks in its
-    /// wait slot, answered by a reply to that thread's lane, which the
-    /// receiver sends only once it has handled the request, the batch first
-    /// — and that stays behind the requests its sender sent before it.
-    /// Delivery is FIFO per sender within a lane and unordered across
-    /// lanes, and the home's version gate drops an older diff that comes
-    /// after a newer one for good: a blocked sender sends no next batch
-    /// before the answer, and a carrier that takes the reply lane does so
-    /// only once no earlier `DiffBatch` can be left on the request lane.
+    /// wait slot, answered by a reply for that thread, which the receiver
+    /// sends only once it has handled the request, the batch first. The
+    /// home's version gate drops an older diff that comes after a newer one
+    /// for good: a blocked sender sends no next batch before the answer, and
+    /// the queue hands out no message before the ones its sender sent
+    /// earlier, so no earlier `DiffBatch` is handled after the carrier.
     #[test]
     fn a_batch_rides_only_a_request_whose_sender_waits_until_it_is_handled() {
         use crate::runtime::node::answers;
@@ -651,7 +642,6 @@ mod tests {
             let answer = every.iter().find(waited_for);
             let answer = answer.unwrap_or_else(|| panic!("{kind} carries a batch unanswered"));
             assert!(Msg::bare(answer.clone()).to_waiter(), "{kind}'s answer");
-            assert!(Msg::bare(payload.clone()).behind_requests(), "{kind}");
         }
         assert_eq!(carriers, ["BarrierArrive"]);
     }

@@ -363,7 +363,9 @@ pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
 mod tests {
     use super::*;
     use crate::ft::recovery::RecoverySvc;
-    use crate::runtime::node::tests::{gated, only_payload, page_of, requests, test_state};
+    use crate::runtime::node::tests::{
+        gated, only_payload, page_of, recv_any, requests, test_state,
+    };
     use crate::runtime::node::NodeShared;
     use crate::stats::Breakdown;
     use crate::{HomeAlloc, Process};
@@ -691,7 +693,7 @@ mod tests {
         assert_eq!(proc.read::<u64>(base + 8), 0);
         assert_eq!(proc.read::<u64>(base + 256 + 16), 0);
         assert!(
-            eps[0].recv_any(Duration::ZERO).is_none(),
+            recv_any(&eps[0], Duration::ZERO).is_none(),
             "a cold miss sent"
         );
         let st = shared.state.lock();
@@ -753,7 +755,7 @@ mod tests {
         let filled: Vec<bool> = (0..6).map(|p| zero_fill(&mut st, PageId(p))).collect();
         assert_eq!(filled, [false, true, false, false, false, false]);
         assert_eq!(st.fetch.zero_fills(), 1);
-        assert!(eps[0].recv_any(Duration::ZERO).is_none());
+        assert!(recv_any(&eps[0], Duration::ZERO).is_none());
 
         // The named page is asked for at the notice's version; own writes
         // never go into a request: the home has them first.

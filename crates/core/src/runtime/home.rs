@@ -93,13 +93,13 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: &Payload) {
         |to, reply| replies.push((to, reply)),
     );
     st.send_all(replies);
-    match served {
-        // An applied diff can be what an access to a homed page waits for.
-        Served::Done { wake: true } => st.ep.poke(),
-        Served::Done { wake: false } => {}
-        // `handle_msg` has already deferred pages this node has yet to
-        // allocate, so what is left is a routing bug.
-        Served::HandBack => panic!("{} for a page not homed here", payload.kind()),
+    // `handle_msg` has already deferred pages this node has yet to allocate,
+    // so what is left is a routing bug. (An applied diff can be what an
+    // access to a homed page waits for: the service loop pokes the waiter
+    // after a batch it handled, and a waiter looks again after every
+    // message anyway.)
+    if let Served::HandBack = served {
+        panic!("{} for a page not homed here", payload.kind());
     }
 }
 

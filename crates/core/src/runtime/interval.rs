@@ -260,7 +260,7 @@ mod tests {
     use crate::config::CkptPolicy;
     use crate::ft::FtState;
     use crate::msg::{CkptStamp, Msg, Piggy};
-    use crate::runtime::node::tests::{diff_of, gated, page_of, replies, requests, test_state};
+    use crate::runtime::node::tests::{diff_of, gated, page_of, requests, test_state, waited};
     use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
     use dsm_net::{Endpoint, Fabric};
     use dsm_page::Interval;
@@ -268,10 +268,10 @@ mod tests {
     use dsm_trace::NodeTracer;
     use hlrc::{Have, PageBody, WriteNotice};
 
-    /// Every payload waiting for `ep`: its request lane's, then its reply
-    /// lane's — a barrier arrival's — each lane in order.
+    /// Every payload waiting for `ep`: what its service thread takes, then
+    /// what that passes for a wait — a barrier arrival — each in order.
     fn sent(ep: &Endpoint<Msg>) -> (Vec<Payload>, Vec<Payload>) {
-        (requests(ep), replies(ep))
+        (requests(ep), waited(ep))
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         arrive(st, &mut Breakdown::default());
         let (none, arrival) = sent(&eps[0]);
         let ([], [Payload::BarrierArrive { batch, .. }]) = (&none[..], &arrival[..]) else {
-            panic!("one arrival, on the manager's reply lane")
+            panic!("one arrival, for the manager's application thread")
         };
         assert_eq!(batch.as_ref().map(Vec::len), carried);
         match &st.wait {
@@ -465,7 +465,7 @@ mod tests {
         drain_unalloc(&mut st);
         assert_eq!(st.pt.home_version(PageId(1)), gated(2, 1, 1));
         let (none, release) = sent(&eps[0]);
-        let kinds = |lane: &[Payload]| lane.iter().map(Payload::kind).collect::<Vec<_>>();
+        let kinds = |sent: &[Payload]| sent.iter().map(Payload::kind).collect::<Vec<_>>();
         assert_eq!(
             (kinds(&none), kinds(&release)),
             (vec![], vec!["BarrierRelease"])
@@ -528,7 +528,7 @@ mod tests {
         // Reported again, then the peer restarts: nothing rides the release.
         peer_arrives(&mut st, 1, (1, gated(2, 0, 1)));
         handle_msg(&mut st, 1, Payload::RecLogReq { homed: Vec::new() });
-        replies(&eps[1]);
+        waited(&eps[1]);
         assert!(release_to_peer(&mut st, 2).is_empty());
         assert_eq!(st.pages_pushed, 1);
     }

@@ -1,17 +1,15 @@
 //! Per-node runtime state and the protocol service loop.
 //!
-//! Each node is a pair of threads sharing a [`NodeState`] behind a mutex,
-//! each reading one lane of the node's endpoint: the *service* thread
-//! receives the peers' requests and advances the protocol while the
-//! application computes (the paper's VMMC handlers); the *application*
-//! thread runs user code and, when an operation needs remote data, blocks
-//! on the reply lane and handles the reply itself — as the paper's
-//! requester notices a page or grant landing in its own memory. The
-//! barrier manager's application thread takes the arrivals on that lane
-//! too: nothing but its own wait can use them (an arrival only when no
-//! request is ahead of it). Both threads run what they
-//! receive through the same [`dispatch`]; when the application thread
-//! ends, it hands its lane to the service thread.
+//! Each node is a pair of threads sharing a [`NodeState`] behind a mutex
+//! and one inbound queue on the node's endpoint. The *application* thread
+//! runs user code and, when an operation needs remote data, blocks for it;
+//! from its first receive until the operation has applied what it waited
+//! for it reads the queue alone and handles every message itself — the
+//! reply it waits for, as the paper's requester notices a page or grant
+//! landing in its own memory, and the requests that come meanwhile. The
+//! *service* thread reads only while the application computes, and passes
+//! what is for the waiter; when the application thread ends, it takes
+//! everything. Both run a message through the same [`Reader::handle`].
 //!
 //! A node is a struct of modules. This file keeps what is nobody's in
 //! particular — identity, mode, the page table and clocks every module
@@ -19,7 +17,7 @@
 //! [`handle_msg`] — and each module owns its fields, its slice of the
 //! message kinds and its own `fail_stop` / `restart_from`:
 //!
-//! | module | file | kinds (*on the reply lane*) |
+//! | module | file | kinds (*passed by the service thread*) |
 //! |---|---|---|
 //! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` carries, under the big lock) |
 //! | [`FetchSvc`] | `runtime/fetch.rs` | *`PageReply`* |
@@ -186,6 +184,9 @@ pub(crate) struct NodeState {
     /// Barrier arrivals this node's service thread handled (folded in when
     /// the service loop exits): see [`NodeReport::svc_arrivals`].
     pub svc_arrivals: u64,
+    /// Requests the application thread served inside its waits: see
+    /// [`NodeReport::app_served`].
+    pub app_served: u64,
     /// Pages this node's grants and releases pushed: see
     /// [`NodeReport::pages_pushed`].
     pub pages_pushed: u64,
@@ -258,6 +259,7 @@ impl NodeState {
             restarts_seen: 0,
             diff_batches_carried: 0,
             svc_arrivals: 0,
+            app_served: 0,
             pages_pushed: 0,
             pushed_bytes: BTreeMap::new(),
             dup_suppressed: 0,
@@ -298,6 +300,7 @@ impl NodeState {
             restarts_seen: self.restarts_seen,
             diff_batches_carried: self.diff_batches_carried,
             svc_arrivals: self.svc_arrivals,
+            app_served: self.app_served,
             dup_suppressed: self.dup_suppressed,
             fetch_delta_pages,
             fetch_delta_bytes,
@@ -415,23 +418,6 @@ impl NodeState {
         }
     }
 
-    /// For a thread other than the application thread, after it ran a
-    /// handler under the big lock: if that answered the application thread's
-    /// wait (a self-send — an arrival queued behind requests completed the
-    /// barrier at this manager, a forward named this node granter of its
-    /// own request), wake it.
-    pub(crate) fn poke_if_answered(&self) {
-        if matches!(
-            self.wait,
-            WaitSlot::Request {
-                answer: Some(_),
-                ..
-            }
-        ) {
-            self.ep.poke();
-        }
-    }
-
     /// The unanswered request the application thread is blocked on and its
     /// destination, for a resend to a restarted peer.
     fn blocked_request(&self) -> Option<(ProcId, Payload)> {
@@ -530,118 +516,141 @@ pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
     }
 }
 
-/// Handle one event under the big lock, whoever received it — the service
-/// loop (requests) or the application thread's wait (replies): mode routing,
-/// the FT piggyback, then [`handle_msg`].
-pub(crate) fn dispatch(st: &mut NodeState, ev: Event<Msg>) {
-    match ev {
-        Event::Wakeup => unreachable!("wakeups stay in the service loop"),
-        Event::Msg { from, msg } => {
-            if st.mode == Mode::Crashed {
-                return;
-            }
-            if let Some(p) = &msg.piggy {
-                st.ft.absorb_piggy(from, p);
-            }
-            if st.mode == Mode::Recovering {
-                return st.rec.defer(from, msg.payload);
-            }
-            // Everything the handler sends is causally parented on the
-            // message being handled.
-            st.cur_flow = msg.ctx.flow_id();
-            handle_msg(st, from, msg.payload);
-            st.cur_flow = 0;
-        }
+/// Handle one message under the big lock, whichever reader took it (see
+/// [`Reader::handle`]): mode routing, the FT piggyback, then [`handle_msg`].
+pub(crate) fn dispatch(st: &mut NodeState, from: ProcId, msg: Msg) {
+    if st.mode == Mode::Crashed {
+        return;
     }
+    if let Some(p) = &msg.piggy {
+        st.ft.absorb_piggy(from, p);
+    }
+    if st.mode == Mode::Recovering {
+        return st.rec.defer(from, msg.payload);
+    }
+    // Everything the handler sends is causally parented on the message
+    // being handled.
+    st.cur_flow = msg.ctx.flow_id();
+    handle_msg(st, from, msg.payload);
+    st.cur_flow = 0;
 }
 
-/// What the service loop serves off the big lock behind, re-read under
-/// every shard lock: the node is in Normal mode and no message waits for an
-/// allocation (see [`NodeState::deferring`]).
-fn off_lock_fence(st: &NodeState) -> impl Fn() -> bool {
+/// What a reader serves off the big lock behind, re-read under every shard
+/// lock: the node is in Normal mode and no message waits for an allocation
+/// (see [`NodeState::deferring`]).
+fn off_lock_fence(st: &NodeState) -> impl Fn() -> bool + Send {
     let (mode, deferring) = (Arc::clone(&st.mode_flag), Arc::clone(&st.deferring));
     move || mode.load(Ordering::SeqCst) == Mode::Normal as u8 && !deferring.load(Ordering::SeqCst)
 }
 
-/// [`dispatch`] from the service loop. Returns the time spent once the lock
-/// was held.
-fn handle_locked(shared: &NodeShared, ev: Event<Msg>) -> Duration {
-    let mut st = shared.state.lock();
-    let t0 = Instant::now();
-    dispatch(&mut st, ev);
-    st.poke_if_answered();
-    t0.elapsed()
+/// One reader of the node's inbound queue — the service thread, or the
+/// application thread inside a wait — with what it handles messages by
+/// outside the big lock.
+pub(crate) struct Reader {
+    pub ep: Arc<Endpoint<Msg>>,
+    home: HomeSvc,
+    live: Box<dyn Fn() -> bool + Send>,
+    /// What the off-lock handler recorded, for the owner to fold into the
+    /// node's histograms.
+    pub hists: LatencyHists,
 }
 
-/// The service loop: one per node, owns the endpoint's request lane.
+impl Reader {
+    pub(crate) fn of(st: &NodeState) -> Reader {
+        Reader {
+            ep: Arc::clone(&st.ep),
+            home: HomeSvc::of(st),
+            live: Box::new(off_lock_fence(st)),
+            hists: LatencyHists::default(),
+        }
+    }
+
+    /// The one body both readers run a message through. A bare message that
+    /// arrives in Normal mode goes to [`HomeSvc::serve`] without the big
+    /// lock, behind [`off_lock_fence`]; what that hands back, and everything
+    /// else, is [`dispatch`]ed under the big lock. Returns the time spent
+    /// once the lock was held, and whether the application thread's wait
+    /// may now be over: a batch was applied (it may fault on a homed page),
+    /// or its wait slot holds an answer (a self-send).
+    pub(crate) fn handle(
+        &mut self,
+        shared: &NodeShared,
+        from: ProcId,
+        msg: Msg,
+    ) -> (Duration, bool) {
+        let t0 = Instant::now();
+        // Replies are parented on the request's flow so the exporter can
+        // stitch request → reply across nodes (0 when tracing is off).
+        let flow = msg.ctx.flow_id();
+        let (ep, live) = (&self.ep, &self.live);
+        let bare = |to, reply| {
+            ep.send(to, Msg::reply_to(reply, flow));
+        };
+        let served = if msg.piggy.is_some() || !live() {
+            Served::HandBack
+        } else {
+            self.home
+                .serve(&mut self.hists, from, &msg.payload, live, bare)
+        };
+        if let Served::Done { wake } = served {
+            return (t0.elapsed(), wake);
+        }
+        let batch = matches!(msg.payload, Payload::DiffBatch { .. });
+        let off_lock = t0.elapsed();
+        let mut st = shared.state.lock();
+        let t1 = Instant::now();
+        dispatch(&mut st, from, msg);
+        let answered = matches!(
+            st.wait,
+            WaitSlot::Request {
+                answer: Some(_),
+                ..
+            }
+        );
+        (off_lock + t1.elapsed(), batch || answered)
+    }
+}
+
+/// The service loop: one per node, the reader of its queue while the
+/// application thread computes, and of every message once that thread has
+/// ended ([`Endpoint::hand_over_replies`]).
 ///
 /// Blocks on the endpoint — no polling; [`Endpoint::wake`] posts an
-/// [`Event::Wakeup`] when the shutdown flag needs re-checking. A bare
-/// message that arrives in Normal mode goes to [`HomeSvc::serve`] without
-/// the big lock behind [`off_lock_fence`]; what that hands back, and
-/// everything else, is handled under the big lock. Replies come here only
-/// once the application thread has ended and handed its lane over
-/// ([`Endpoint::hand_over_replies`]); so do barrier arrivals, but for one
-/// that found requests ahead of it.
+/// [`Event::Wakeup`] when the shutdown flag needs re-checking. While the
+/// application thread waits, that thread reads the queue instead; a message
+/// this loop handled that may have ended the wait pokes it.
 pub(crate) fn service_loop(shared: Arc<NodeShared>) {
-    let (ep, svc, live) = {
-        let st = shared.state.lock();
-        (Arc::clone(&st.ep), HomeSvc::of(&st), off_lock_fence(&st))
-    };
+    let mut reader = Reader::of(&shared.state.lock());
+    let ep = Arc::clone(&reader.ep);
     // Handler time per message kind and the handler's histograms are loop
     // locals (the point is not to touch the big lock), folded into the node
     // state at exit — teardown joins service threads before collecting
     // reports.
     let mut svc_time: HashMap<&'static str, Duration> = HashMap::new();
-    let mut hists = LatencyHists::default();
     let mut arrivals = 0;
-    // Loop until shutdown (a request-lane receive always returns an event).
+    // Loop until shutdown (a service receive always returns an event).
     while let Some(ev) = ep.recv() {
-        let (t0, kind) = (Instant::now(), ev.kind_name());
-        let dt = match ev {
-            Event::Wakeup => {
-                if shared.state.lock().shutdown {
-                    break;
-                }
-                continue;
+        let Event::Msg { from, msg } = ev else {
+            if shared.state.lock().shutdown {
+                break;
             }
-            Event::Msg { from, msg } => {
-                // Replies are parented on the request's flow so the exporter
-                // can stitch request → reply across nodes (0 when tracing is
-                // off).
-                let flow = msg.ctx.flow_id();
-                let bare = |to, reply| {
-                    ep.send(to, Msg::reply_to(reply, flow));
-                };
-                arrivals += matches!(msg.payload, Payload::BarrierArrive { .. }) as u64;
-                let served = if msg.piggy.is_some() || !live() {
-                    Served::HandBack
-                } else {
-                    svc.serve(&mut hists, from, &msg.payload, &live, bare)
-                };
-                match served {
-                    Served::Done { wake } => {
-                        if wake {
-                            // No big lock needed: a poke is sticky, so a
-                            // waiter between its check and its receive
-                            // still sees it.
-                            ep.poke();
-                        }
-                        t0.elapsed()
-                    }
-                    Served::HandBack => {
-                        t0.elapsed() + handle_locked(&shared, Event::Msg { from, msg })
-                    }
-                }
-            }
+            continue;
         };
+        let kind = msg.payload.kind();
+        arrivals += matches!(msg.payload, Payload::BarrierArrive { .. }) as u64;
+        let (dt, answered) = reader.handle(&shared, from, msg);
+        if answered {
+            // No big lock needed: a poke is sticky, so a waiter between its
+            // check and its receive still sees it.
+            ep.poke();
+        }
         *svc_time.entry(kind).or_default() += dt;
     }
     let mut st = shared.state.lock();
     for (k, d) in svc_time {
         *st.svc_time_by_kind.entry(k).or_default() += d;
     }
-    st.hists.merge(&hists);
+    st.hists.merge(&reader.hists);
     st.svc_arrivals += arrivals;
 }
 
@@ -652,7 +661,7 @@ pub(crate) mod tests {
     use crate::msg::{CkptStamp, Piggy};
     use crate::runtime::interval;
     use crate::stats::Breakdown;
-    use dsm_net::Fabric;
+    use dsm_net::{Fabric, WireSized};
     use dsm_page::Diff;
     use dsm_storage::{DiskModel, StableStore};
     use dsm_trace::{Trace, TraceConfig};
@@ -686,16 +695,24 @@ pub(crate) mod tests {
         }
     }
 
-    /// The one payload waiting for `ep`, on either lane.
+    /// The next message for `ep` within `d`, whichever thread would read
+    /// it: a wait that takes it and closes.
+    pub(crate) fn recv_any(ep: &Endpoint<Msg>, d: Duration) -> Option<Event<Msg>> {
+        let ev = ep.recv_reply(d);
+        ep.close_wait();
+        ev
+    }
+
+    /// The one payload waiting for `ep`.
     pub(crate) fn only_payload(ep: &Endpoint<Msg>) -> Payload {
-        let Some(Event::Msg { msg, .. }) = ep.recv_any(Duration::ZERO) else {
+        let Some(Event::Msg { msg, .. }) = recv_any(ep, Duration::ZERO) else {
             panic!("nothing was sent")
         };
-        assert!(ep.recv_any(Duration::ZERO).is_none(), "more than one");
+        assert!(recv_any(ep, Duration::ZERO).is_none(), "more than one");
         msg.payload
     }
 
-    /// The requests waiting on `ep`'s request lane.
+    /// The requests waiting for `ep`'s service thread.
     pub(crate) fn requests(ep: &Endpoint<Msg>) -> Vec<Payload> {
         std::iter::from_fn(|| ep.try_recv())
             .map(|ev| match ev {
@@ -705,14 +722,17 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The payloads waiting on `ep`'s reply lane.
-    pub(crate) fn replies(ep: &Endpoint<Msg>) -> Vec<Payload> {
-        std::iter::from_fn(|| ep.recv_reply(Duration::ZERO))
+    /// What a wait on `ep` takes — every kind, in arrival order — and then
+    /// closes.
+    pub(crate) fn waited(ep: &Endpoint<Msg>) -> Vec<Payload> {
+        let taken = std::iter::from_fn(|| ep.recv_reply(Duration::ZERO))
             .map(|ev| match ev {
                 Event::Msg { msg, .. } => msg.payload,
                 other => panic!("unexpected {other:?}"),
             })
-            .collect()
+            .collect();
+        ep.close_wait();
+        taken
     }
 
     pub(crate) fn page_of(byte: u8) -> PageBody {
@@ -937,25 +957,22 @@ pub(crate) mod tests {
             acq_seq: 0,
             vt: VectorClock::zero(2),
         };
-        let request = || Event::Msg {
-            from: 1,
-            msg: Msg::with_parent(acq.clone(), None, 0),
-        };
+        let request = || Msg::with_parent(acq.clone(), None, 0);
         let (mut st, eps) = test_state(0, 2, false);
         st.set_mode(Mode::Recovering);
-        dispatch(&mut st, request());
+        dispatch(&mut st, 1, request());
         let mut backlog = RecoverySvc::default();
         backlog.defer(1, acq.clone());
         assert_eq!(st.rec, backlog, "a recovering manager defers the request");
         st.set_mode(Mode::Crashed);
-        dispatch(&mut st, request());
+        dispatch(&mut st, 1, request());
         assert_eq!(st.rec, backlog, "a crashed manager drops it");
         assert_eq!(st.sync, SyncSvc::new(0, 2), "the manager routed nothing");
-        assert!(eps[0].recv_any(Duration::ZERO).is_none());
+        assert!(recv_any(&eps[0], Duration::ZERO).is_none());
         // In Normal mode the same request is routed: node 0 is the chain
         // start, so node 1 is granted at once.
         st.set_mode(Mode::Normal);
-        dispatch(&mut st, request());
+        dispatch(&mut st, 1, request());
         assert_ne!(st.sync, SyncSvc::new(0, 2));
         assert_eq!(only_payload(&eps[0]).kind(), "LockGrant");
     }
@@ -996,16 +1013,18 @@ pub(crate) mod tests {
         assert!(WaitSlot::None.deposit(0, grant(42, 0)).is_some());
     }
 
-    /// Deliver one fixed request sequence to node 0 of three through its
-    /// service loop — bare, or every message piggybacked, which routes it
-    /// through `handle_msg` under the big lock — and return what nodes 1 and
-    /// 2 received, the home versions, and what stayed parked. The loop
-    /// starts once the whole script is queued, so the barrier arrival at its
-    /// end, which carries a batch, finds node 1's earlier batch ahead of it
-    /// and stays behind it on the request lane.
+    /// Deliver one fixed request sequence to node 0 of three — bare, or
+    /// every message piggybacked, which routes it through `handle_msg` under
+    /// the big lock — to the service loop, or to the application thread
+    /// inside a wait, and return what nodes 1 and 2 received, the home
+    /// versions, and what stayed parked. The whole script is queued before
+    /// either reads. The service loop passes the barrier arrival at its end,
+    /// which carries a batch, until the application thread leaves it the
+    /// queue; a waiter takes every message in arrival order.
     #[allow(clippy::type_complexity)]
-    fn deliver_to_service_loop(
+    fn deliver_to_node_0(
         piggybacked: bool,
+        waiter: bool,
     ) -> (
         Vec<Vec<Payload>>,
         Vec<VectorClock>,
@@ -1093,26 +1112,56 @@ pub(crate) mod tests {
             // eps[k] is node k+1's endpoint.
             assert!(eps[from - 1].send(0, Msg::with_parent(payload, piggy, 0)));
         }
-        assert!(shared.state.lock().ep.recv_reply(Duration::ZERO).is_none());
-        let svc_thread = {
+        let ep = Arc::clone(&shared.state.lock().ep);
+        let svc_thread = if waiter {
+            // No service thread runs: the waiter takes the requests too.
+            let mut reader = Reader::of(&shared.state.lock());
+            let mut requests = Vec::new();
+            while let Some(Event::Msg { from, msg }) = ep.recv_reply(Duration::ZERO) {
+                requests.push(!msg.to_waiter());
+                reader.handle(&shared, from, msg);
+            }
+            assert_eq!(requests, [true, true, true, true, true, true, true, false]);
+            ep.close_wait();
+            None
+        } else {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || service_loop(shared))
+            Some(std::thread::spawn(move || service_loop(shared)))
         };
-        // Whatever lane it came in on. Each lane is FIFO, so putting the
-        // reply lane first (stably) gives one order to compare.
+        // Whichever thread handled the request it answers. Putting the
+        // replies first (stably) gives one order to compare.
         let recv = |node: usize, count: usize| -> Vec<Payload> {
             let mut msgs: Vec<Msg> = (0..count)
-                .map(|_| match eps[node - 1].recv_any(Duration::from_secs(10)) {
-                    Some(Event::Msg { from: 0, msg }) => msg,
-                    other => panic!("node {node}: expected a message from 0, got {other:?}"),
-                })
+                .map(
+                    |_| match recv_any(&eps[node - 1], Duration::from_secs(10)) {
+                        Some(Event::Msg { from: 0, msg }) => msg,
+                        other => panic!("node {node}: expected a message from 0, got {other:?}"),
+                    },
+                )
                 .collect();
             msgs.sort_by_key(|m| !dsm_net::WireSized::to_waiter(m));
             msgs.into_iter().map(|m| m.payload).collect()
         };
-        // One service thread handling one FIFO request lane: node 1's fourth
-        // message means the whole script has been handled.
+        // One reader at a time, in arrival order: node 1's fourth message
+        // means the whole script has been handled, but for the arrival the
+        // service loop passed.
         let mut got = vec![recv(1, 4), recv(2, 1)];
+        if svc_thread.is_some() {
+            assert_eq!(
+                home.version_of(PageId(0)).get(1),
+                0,
+                "the arrival was handled"
+            );
+            ep.hand_over_replies();
+            let start = Instant::now();
+            while home.version_of(PageId(0)).get(1) == 0 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "the arrival stayed queued"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         {
             let mut st = shared.state.lock();
             assert_eq!(st.pending_unalloc.len(), 1);
@@ -1122,10 +1171,12 @@ pub(crate) mod tests {
             st.shutdown = true;
             st.ep.wake();
         }
-        svc_thread.join().unwrap();
+        if let Some(svc_thread) = svc_thread {
+            svc_thread.join().unwrap();
+        }
         got[1].extend(recv(2, 1));
         for ep in &eps {
-            let extra = ep.recv_any(Duration::ZERO);
+            let extra = recv_any(ep, Duration::ZERO);
             assert!(extra.is_none(), "unexpected extra reply");
         }
         let versions = (0..4).map(|p| home.version_of(PageId(p))).collect();
@@ -1133,8 +1184,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn bare_and_piggybacked_deliveries_run_the_same_handler() {
-        let (got, versions, parked) = deliver_to_service_loop(false);
+    fn bare_and_piggybacked_deliveries_run_the_same_handler_whichever_thread_reads_them() {
+        let (got, versions, parked) = deliver_to_node_0(false, false);
         let kinds = |node: usize| got[node - 1].iter().map(Payload::kind).collect::<Vec<_>>();
         assert_eq!(
             kinds(1),
@@ -1159,7 +1210,10 @@ pub(crate) mod tests {
         // The arrival's batch was served as a `DiffBatch` would be.
         assert_eq!(versions[0].get(1), 2);
         assert_eq!(parked, [(2, PageId(2), 6)]);
-        assert_eq!(deliver_to_service_loop(true), (got, versions, parked));
+        let same = (got, versions, parked);
+        assert_eq!(deliver_to_node_0(true, false), same);
+        assert_eq!(deliver_to_node_0(false, true), same);
+        assert_eq!(deliver_to_node_0(true, true), same);
     }
 
     #[test]
@@ -1196,7 +1250,7 @@ pub(crate) mod tests {
         assert_eq!(proc.read::<u8>(base + 8), 7);
 
         let st = shareds[1].state.lock();
-        assert!(st.ep.try_recv().is_none(), "reply took the request lane");
+        assert!(st.ep.try_recv().is_none(), "the reply was left queued");
         // The waiter's handler time has a bucket, and the page wait took it
         // out of what it charged as waiting.
         assert!(st.svc_time_by_kind["PageReply"] > Duration::ZERO);
@@ -1223,12 +1277,12 @@ pub(crate) mod tests {
                 interval::arrive(st, &mut Breakdown::default());
             }),
         ];
-        // Everything `ep` was sent, on both lanes, in the order it was sent:
+        // Everything `ep` was sent, in the order it was sent:
         // the sender's endpoint is traced, so its stamps number its sends.
         let trace = Trace::new(2, &TraceConfig::enabled());
         let sent_in_order = |ep: &Endpoint<Msg>| {
             let mut sent = Vec::new();
-            while let Some(Event::Msg { msg, .. }) = ep.recv_any(Duration::ZERO) {
+            while let Some(Event::Msg { msg, .. }) = recv_any(ep, Duration::ZERO) {
                 sent.push((msg.ctx.seq, msg.payload));
             }
             sent.sort_by_key(|(seq, _)| *seq);
@@ -1332,7 +1386,7 @@ pub(crate) mod tests {
             other => panic!("own release must land in the wait slot, not {other:?}"),
         }
         let sent: Vec<Event<Msg>> =
-            std::iter::from_fn(|| eps[0].recv_any(Duration::ZERO)).collect();
+            std::iter::from_fn(|| recv_any(&eps[0], Duration::ZERO)).collect();
         assert_eq!(sent.len(), 1);
         assert!(matches!(
             &sent[0],
@@ -1343,7 +1397,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn an_arrival_waits_for_the_managers_application_thread_until_it_hands_its_lane_over() {
+    fn an_arrival_waits_for_the_managers_application_thread_until_it_leaves_the_queue() {
         let (st, eps) = test_state(0, 2, false);
         let arrival = |episode, batch| Payload::BarrierArrive {
             episode,
@@ -1355,11 +1409,11 @@ pub(crate) mod tests {
         let bare = |episode| arrival(episode, None);
         let from_node_1 = |payload| assert!(eps[0].send(0, Msg::bare(payload)));
         from_node_1(bare(0));
-        assert!(st.ep.try_recv().is_none(), "on the service thread's lane");
-        assert_eq!(replies(&st.ep), [bare(0)]);
+        assert!(st.ep.try_recv().is_none(), "the service thread passes it");
+        assert_eq!(waited(&st.ep), [bare(0)]);
         // An arrival stays behind the sender's earlier requests, a batch or
-        // a fetch: on the reply lane once they have been handled, on the
-        // request lane while they have not.
+        // a fetch: a wait takes them in arrival order, and takes nothing
+        // while the service thread has an earlier one in hand.
         let batch = |seq| Payload::DiffBatch {
             diffs: vec![diff_of(0, 1, seq)],
         };
@@ -1370,17 +1424,27 @@ pub(crate) mod tests {
         let carrying = |episode| arrival(episode, Some(vec![diff_of(0, 1, 2)]));
         from_node_1(batch(1));
         from_node_1(carrying(1));
-        assert_eq!(requests(&st.ep), [batch(1), carrying(1)]);
+        assert_eq!(waited(&st.ep), [batch(1), carrying(1)]);
         from_node_1(fetch.clone());
         from_node_1(bare(2));
-        assert_eq!(requests(&st.ep), [fetch, bare(2)]);
+        let Some(Event::Msg { msg, .. }) = st.ep.try_recv() else {
+            panic!("the service thread takes the fetch")
+        };
+        assert_eq!(msg.payload, fetch);
+        assert!(
+            st.ep.recv_reply(Duration::ZERO).is_none(),
+            "the fetch is in hand"
+        );
+        st.ep.close_wait();
+        assert_eq!(requests(&st.ep), []);
         from_node_1(carrying(2));
-        assert_eq!(replies(&st.ep), [carrying(2)]);
-        // Queued when the lane is handed over, and sent after.
+        assert_eq!(waited(&st.ep), [bare(2), carrying(2)]);
+        // Queued when the application thread leaves the queue to the
+        // service thread, and sent after.
         from_node_1(bare(3));
         st.ep.hand_over_replies();
         from_node_1(bare(4));
-        assert!(replies(&st.ep).is_empty());
+        assert!(waited(&st.ep).is_empty());
         assert_eq!(requests(&st.ep), [bare(3), bare(4)]);
     }
 

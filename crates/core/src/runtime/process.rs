@@ -7,6 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dsm_net::{Event, WireSized};
 use dsm_page::{GlobalAddr, Layout, PageId};
 use dsm_storage::{ByteReader, ByteWriter};
 use dsm_trace::EventKind;
@@ -15,7 +16,7 @@ use parking_lot::MutexGuard;
 
 use crate::config::HomeAlloc;
 use crate::ft::{self, recovery};
-use crate::runtime::node::{dispatch, drain_unalloc, CrashSignal, Mode, NodeShared, NodeState};
+use crate::runtime::node::{drain_unalloc, CrashSignal, Mode, NodeShared, NodeState, Reader};
 use crate::runtime::{fetch, interval};
 use crate::shareable::Shareable;
 use crate::stats::Breakdown;
@@ -128,31 +129,35 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
     st
 }
 
-/// The one place the application thread blocks: on its endpoint's reply
-/// lane, with the big lock released, until `take` produces a value. A wait
-/// that outlasts [`WAIT_DEADLINE`] is a deadlock and panics with the node's
-/// state.
+/// The one place the application thread blocks: on its endpoint's queue,
+/// with the big lock released, until `take` produces a value. A wait that
+/// outlasts [`WAIT_DEADLINE`] is a deadlock and panics with the node's state.
 ///
-/// What the lane delivers — the pages, grant or release being waited for, a
-/// prefetched page, recovery replies and, at the barrier manager, the
-/// peers' arrivals — this thread runs through
-/// [`dispatch`], the function the service loop runs requests through, and
-/// then asks `take` again; the handler time goes to `svc_time_by_kind` like
-/// the service thread's and to [`NodeState::own_svc`]. A change `take`
-/// depends on that no reply carries arrives as a poke
-/// ([`NodeState::poke_if_answered`], an applied diff), which ends the
+/// From its first receive on, the wait is open: this thread reads every
+/// message that comes for the node — the pages, grant or release waited
+/// for, a prefetched page, recovery replies, the peers' requests and, at
+/// the barrier manager, their arrivals — runs each through
+/// [`Reader::handle`], the body the service loop runs, and then asks `take`
+/// again; the handler time goes to `svc_time_by_kind` like the service
+/// thread's and to [`NodeState::own_svc`]. A change `take` depends on that a
+/// message the service thread handled made arrives as a poke, which ends the
 /// receive the same way. Nothing is sent again from here: the fabric
 /// delivers every request, under a fault plan through its link.
+///
+/// The wait stays open — the service thread reads nothing — until the
+/// caller has applied what it waited for and closes it ([`Waiting::close`]):
+/// a message served before the apply could be a forward of the very lock
+/// whose grant is not applied yet.
 pub(crate) fn wait_until<T>(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
     mut take: impl FnMut(&mut NodeState) -> Option<T>,
-) -> T {
-    let ep = Arc::clone(&st.ep);
+) -> (T, Waiting) {
+    let mut wait = Waiting(None);
     let start = Instant::now();
     loop {
         if let Some(v) = take(st) {
-            return v;
+            return (v, wait);
         }
         let Some(slice) = WAIT_DEADLINE.checked_sub(start.elapsed()) else {
             panic!(
@@ -160,18 +165,59 @@ pub(crate) fn wait_until<T>(
                 shared.me, WAIT_DEADLINE, st.wait, st.fetch.awaited(), st.vt, st.sync, shared.seed
             )
         };
-        if let Some(ev) = MutexGuard::unlocked(st, || ep.recv_reply(slice)) {
-            let (t0, kind) = (Instant::now(), ev.kind_name());
-            dispatch(st, ev);
-            let dt = t0.elapsed();
-            *st.svc_time_by_kind.entry(kind).or_default() += dt;
+        if let Some(dt) = wait.serve(shared, st, slice) {
             st.own_svc += dt;
         }
     }
 }
 
+/// A wait [`wait_until`] may have opened: its reader, once it received.
+/// Closed by [`Waiting::close`] or, unwinding, by its drop.
+pub(crate) struct Waiting(Option<Reader>);
+
+type Guard<'a> = MutexGuard<'a, NodeState>;
+
+impl Waiting {
+    /// Take the next message ([`dsm_net::Endpoint::recv_reply`], blocking up
+    /// to `d`) and handle it; returns the handler time. Its kind's bucket
+    /// gets the time, and a request counts as one served inside a wait.
+    fn serve(&mut self, shared: &NodeShared, st: &mut Guard<'_>, d: Duration) -> Option<Duration> {
+        let reader = self.0.get_or_insert_with(|| Reader::of(st));
+        let (kind, dt, request) = MutexGuard::unlocked(st, || {
+            let Some(Event::Msg { from, msg }) = reader.ep.recv_reply(d) else {
+                return None;
+            };
+            let (kind, request) = (msg.payload.kind(), !msg.to_waiter());
+            Some((kind, reader.handle(shared, from, msg).0, request))
+        })?;
+        *st.svc_time_by_kind.entry(kind).or_default() += dt;
+        st.app_served += request as u64;
+        Some(dt)
+    }
+
+    /// Serve, without blocking, what is queued, then close the wait, so the
+    /// service thread reads again. Called once the operation has applied
+    /// what it waited for. A message that comes now would otherwise wake the
+    /// service thread: the next lock request, say, right behind a release.
+    pub(crate) fn close(mut self, shared: &NodeShared, st: &mut Guard<'_>) {
+        while self.0.is_some() && self.serve(shared, st, Duration::ZERO).is_some() {}
+        if let Some(reader) = self.0.take() {
+            st.hists.merge(&reader.hists);
+            reader.ep.close_wait();
+        }
+    }
+}
+
+impl Drop for Waiting {
+    fn drop(&mut self) {
+        if let Some(reader) = &self.0 {
+            reader.ep.close_wait();
+        }
+    }
+}
+
 /// The part of the wait since `t0` to charge as waiting: all of it but the
-/// time this thread spent handling replies, which `svc_time_by_kind` has.
+/// time this thread spent handling messages, which `svc_time_by_kind` has.
 fn waited(st: &mut NodeState, t0: Instant) -> Duration {
     t0.elapsed().saturating_sub(std::mem::take(&mut st.own_svc))
 }
@@ -385,8 +431,9 @@ impl Process {
                 |st: &mut NodeState| matches!(st.pt.ensure_access(page), AccessOutcome::Ready);
             if home == self.me {
                 // Wait for in-flight diffs to reach our own copy.
-                wait_until(&shared, &mut st, |st| ready(st).then_some(()));
+                let ((), wait) = wait_until(&shared, &mut st, |st| ready(st).then_some(()));
                 self.page_wait_done(&mut st, page, home, t0);
+                wait.close(&shared, &mut st);
                 return false;
             }
             // A fetch in flight that covers the page is waited for; else the
@@ -400,7 +447,7 @@ impl Process {
                 demanded = true;
             }
             st.fetch.await_page(page);
-            wait_until(&shared, &mut st, |st| {
+            let ((), wait) = wait_until(&shared, &mut st, |st| {
                 (!st.fetch.in_flight(page) || ready(st)).then_some(())
             });
             st.fetch.await_over();
@@ -417,6 +464,9 @@ impl Process {
             }
             if ready {
                 self.page_wait_done(&mut st, page, home, t0);
+            }
+            wait.close(&shared, &mut st);
+            if ready {
                 return demanded;
             }
         }
@@ -456,12 +506,13 @@ impl Process {
         }
         interval::request(&mut st, lock);
         let t0 = Instant::now();
-        let g = wait_until(&shared, &mut st, |st| st.wait.take());
+        let (g, wait) = wait_until(&shared, &mut st, |st| st.wait.take());
         self.breakdown.lock_wait += waited(&mut st, t0);
         st.hists.lock_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer
             .emit_span(EventKind::LockAcquire { lock: lock as u32 }, t0);
         interval::apply_grant(&mut st, g, &mut self.breakdown);
+        wait.close(&shared, &mut st);
     }
 
     /// Release a lock (flushes the interval's diffs to their homes).
@@ -493,7 +544,7 @@ impl Process {
         }
         let episode = interval::arrive(&mut st, &mut self.breakdown);
         let t0 = Instant::now();
-        let (_, release) = wait_until(&shared, &mut st, |st| st.wait.take());
+        let ((_, release), wait) = wait_until(&shared, &mut st, |st| st.wait.take());
         self.breakdown.barrier_wait += waited(&mut st, t0);
         st.hists.barrier_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer.emit_span(
@@ -503,6 +554,7 @@ impl Process {
             t0,
         );
         interval::cross_barrier(&mut st, release);
+        wait.close(&shared, &mut st);
     }
 
     // ---- checkpoint safe points ------------------------------------------------
@@ -595,7 +647,7 @@ impl Process {
 
     /// Flush any unsynchronized writes, wait until the disk has the last
     /// checkpoint, fold this incarnation's breakdown into the node report,
-    /// and hand the reply lane to the service thread.
+    /// and leave the node's queue to the service thread.
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
@@ -608,9 +660,9 @@ impl Process {
         st.close_interval(&mut self.breakdown);
         self.await_disk(&mut st);
         self.flush_stats(&mut st);
-        // No wait reads the lane from here on, and a peer may still need
-        // what comes for it handled: a re-arrival whose release was lost
-        // after our last barrier.
+        // No wait reads the queue from here on, and a peer may still need
+        // what comes for this thread handled: a re-arrival whose release
+        // was lost after our last barrier.
         st.ep.hand_over_replies();
     }
 

@@ -180,11 +180,15 @@ pub struct NodeReport {
     /// Diff batches this node's barrier arrivals carried to the manager
     /// instead of sending each as a `DiffBatch` of its own.
     pub diff_batches_carried: u64,
-    /// Barrier arrivals this node's service thread handled. The manager's
-    /// application thread takes the rest on its reply lane; this one gets
-    /// an arrival that found requests ahead of it, and any that came after
-    /// the application thread ended.
+    /// Barrier arrivals this node's service thread handled. The service
+    /// thread passes an arrival while the application thread lives, so the
+    /// manager's application thread takes every arrival inside its waits;
+    /// this counts only those that came after it ended.
     pub svc_arrivals: u64,
+    /// Requests (messages not [`dsm_net::WireSized::to_waiter`]) this node's
+    /// application thread served inside its waits, which the service thread
+    /// would otherwise have been woken for.
+    pub app_served: u64,
     /// Duplicate deliveries this node detected and suppressed (re-granted
     /// locks, re-delivered pages, mismatched prefetches).
     pub dup_suppressed: u64,
@@ -240,6 +244,7 @@ impl NodeReport {
         self.restarts_seen += o.restarts_seen;
         self.diff_batches_carried += o.diff_batches_carried;
         self.svc_arrivals += o.svc_arrivals;
+        self.app_served += o.app_served;
         self.dup_suppressed += o.dup_suppressed;
         self.fetch_delta_pages += o.fetch_delta_pages;
         self.fetch_delta_bytes += o.fetch_delta_bytes;
@@ -306,6 +311,7 @@ impl NodeReport {
             ("peer_restarts_total", self.restarts_seen),
             ("diff_batches_carried_total", self.diff_batches_carried),
             ("svc_barrier_arrivals_total", self.svc_arrivals),
+            ("app_served_requests_total", self.app_served),
             ("dup_suppressed_total", self.dup_suppressed),
             ("fetch_delta_pages_total", self.fetch_delta_pages),
             ("fetch_delta_bytes_total", self.fetch_delta_bytes),

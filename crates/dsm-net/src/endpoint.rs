@@ -10,7 +10,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::chaos::{ChaosState, Fate, FaultPlan};
 use crate::link::{Frame, Links, Received};
-use crate::mailbox::{Mailbox, Wait};
+use crate::mailbox::{Mailbox, Reader};
 use crate::stats::FabricStats;
 
 /// Index of a node in the cluster, `0..n`.
@@ -54,18 +54,11 @@ pub trait WireSized {
     fn kind_name(&self) -> &'static str {
         "msg"
     }
-    /// Is this for the thread that blocks for replies? Such a message is
-    /// delivered to the destination's reply lane ([`Endpoint::recv_reply`])
-    /// until that is handed over ([`Endpoint::hand_over_replies`]),
-    /// everything else to its request lane ([`Endpoint::recv`]).
+    /// Is this for the thread that blocks for replies? The service thread
+    /// ([`Endpoint::recv`]) passes such a message until the waiter is gone
+    /// ([`Endpoint::hand_over_replies`]); the waiter
+    /// ([`Endpoint::recv_reply`]) takes every kind, in arrival order.
     fn to_waiter(&self) -> bool {
-        false
-    }
-    /// Must this message, though it is for the waiting thread, not overtake
-    /// the requests its sender sent the destination before it? It goes to
-    /// the reply lane only while the request lane holds no request and its
-    /// thread handles none; otherwise behind them, on the request lane.
-    fn behind_requests(&self) -> bool {
         false
     }
     /// Stamp a fresh trace context at send time: the stamping node, a
@@ -101,32 +94,13 @@ pub enum Event<M> {
     Wakeup,
 }
 
-impl<M: WireSized> Event<M> {
-    /// The message's kind label, or the control event's name.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Event::Msg { msg, .. } => msg.kind_name(),
-            Event::Wakeup => "Wakeup",
-        }
-    }
-}
-
-/// One node's inbound queues. FIFO holds per sender *per lane*: a reply can
-/// overtake a request the same peer sent earlier, and the other way round.
-struct Inbox<M> {
-    /// Requests and control events, for the node's service thread.
-    requests: Mailbox<Event<M>>,
-    /// Replies ([`WireSized::to_waiter`]), for the thread that waits for
-    /// them; closed into `requests` once that thread has ended.
-    replies: Mailbox<Event<M>>,
-}
-
 struct FabricShared<M> {
     status: RwLock<Vec<NodeStatus>>,
-    inboxes: Vec<Inbox<M>>,
+    /// One queue per node, read by its two threads.
+    inboxes: Vec<Mailbox<M>>,
     stats: FabricStats,
     /// Fast-path gate: false until a fault plan or a partition is first
-    /// set, so [`Endpoint::send`] hands a message straight to its lane. From
+    /// set, so [`Endpoint::send`] hands a message straight to its queue. From
     /// then on every send goes through the link, for good: a later send
     /// must not overtake what the link still holds.
     chaos_on: AtomicBool,
@@ -143,19 +117,9 @@ struct FabricShared<M> {
 }
 
 impl<M: Clone + WireSized> FabricShared<M> {
-    /// Queue `msg` on the lane of `to` its kind belongs to: the request
-    /// lane once the reply lane has been handed over, or while a message
-    /// that must stay behind the requests finds one there.
+    /// Queue `msg` on the inbound queue of `to`.
     fn deliver(&self, from: NodeId, to: NodeId, msg: M) {
-        let inbox = &self.inboxes[to];
-        let reply = msg.to_waiter() && (!msg.behind_requests() || inbox.requests.idle());
-        let ev = Event::Msg { from, msg };
-        if !reply {
-            return inbox.requests.push(ev);
-        }
-        if let Err(ev) = inbox.replies.push_open(ev) {
-            inbox.requests.push(ev);
-        }
+        self.inboxes[to].push((from, msg));
     }
 
     /// Put a link frame on the wire from `from` to `to`, where the
@@ -193,7 +157,7 @@ impl<M: Clone + WireSized> FabricShared<M> {
     }
 
     /// A frame from `from` reached `to`. A data frame is released to the
-    /// lanes in order — unless `to` is down: a frame to a crashed node is
+    /// queue in order — unless `to` is down: a frame to a crashed node is
     /// lost — and acked; an ack retires the sender's copies.
     fn arrive(&self, from: NodeId, to: NodeId, frame: Frame<M>) {
         let (gen, seq, msg) = match frame {
@@ -343,10 +307,7 @@ impl<M: Send + Clone + WireSized> Fabric<M> {
     /// endpoint per node.
     pub fn new(n: usize) -> (Fabric<M>, Vec<Endpoint<M>>) {
         assert!(n >= 1);
-        let inboxes = (0..n).map(|_| Inbox {
-            requests: Mailbox::new(),
-            replies: Mailbox::new(),
-        });
+        let inboxes = (0..n).map(|_| Mailbox::new());
         let shared = Arc::new(FabricShared {
             status: RwLock::new(vec![NodeStatus::Up; n]),
             inboxes: inboxes.collect(),
@@ -465,21 +426,19 @@ impl<M: Send + Clone + WireSized> Fabric<M> {
     }
 
     /// Has traffic died down? True when the link holds no unacked frame,
-    /// nothing is queued on any lane of any endpoint, no receiver is between
-    /// one receive and its next, and nothing was sent while this looked.
-    /// Exact once request handlers are the only senders left — every
-    /// endpoint's reply lane handed over ([`Endpoint::hand_over_replies`]),
-    /// so that every message, a reply a handler must answer too, goes to a
-    /// request lane: a handler sends before it goes back to its receive, so
-    /// one that was still busy when an earlier lane was inspected shows up
-    /// as a moved send count. A frame is acked only once it is on its lane,
-    /// so a frame on its way (in the pump, or lost and due again) is an
-    /// unacked one.
+    /// nothing is queued for any endpoint, no reader is handling an item it
+    /// took, and nothing was sent while this looked. Exact once handlers
+    /// are the only senders left — every endpoint's waiter gone
+    /// ([`Endpoint::hand_over_replies`]), so that only the service threads
+    /// read: a handler sends before it goes back to its receive, so one that
+    /// was still busy when an earlier queue was inspected shows up as a
+    /// moved send count. A frame is acked only once it is queued, so a frame
+    /// on its way (in the pump, or lost and due again) is an unacked one.
     pub fn quiescent(&self) -> bool {
         let sent = || self.shared.stats.total().msgs_sent;
         let before = sent();
-        let idle = |i: &Inbox<M>| i.requests.idle() && i.replies.idle();
-        !self.shared.links.unacked() && self.shared.inboxes.iter().all(idle) && sent() == before
+        let idle = self.shared.inboxes.iter().all(Mailbox::idle);
+        !self.shared.links.unacked() && idle && sent() == before
     }
 
     /// Has every frame the link sent been acked?
@@ -521,11 +480,11 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
         self.tracer = tracer;
     }
 
-    fn inbox(&self) -> &Inbox<M> {
+    fn inbox(&self) -> &Mailbox<M> {
         &self.shared.inboxes[self.id]
     }
 
-    /// Trace the receipt of whatever was just popped off a lane.
+    /// Trace the receipt of whatever was just taken off the queue.
     fn note_recv(&self, ev: Option<Event<M>>) -> Option<Event<M>> {
         if self.tracer.enabled() {
             if let Some(Event::Msg { from, msg }) = &ev {
@@ -566,7 +525,7 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     }
 
     /// Send `msg` to `to`. Delivery is reliable and FIFO per
-    /// sender-receiver pair and lane unless the destination is crashed, in
+    /// sender-receiver pair unless the destination is crashed, in
     /// which case the message is dropped (and counted) and `false` is
     /// returned. Under a fault plan or partition the message goes through
     /// the link ([`crate::link`]), which masks loss, duplication and
@@ -619,73 +578,77 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
         true
     }
 
-    /// Post an [`Event::Wakeup`] to *this* endpoint's own request lane,
-    /// nudging a thread blocked in [`Endpoint::recv`] to re-check its state.
-    /// Not routed through the fabric: wakeups are local control flow, so
-    /// they bypass crash status and traffic accounting.
+    /// Post an [`Event::Wakeup`] for *this* endpoint's service thread,
+    /// nudging it, blocked in [`Endpoint::recv`], to re-check its state; its
+    /// next receive returns it ahead of any message. Not routed through the
+    /// fabric: wakeups are local control flow, so they bypass crash status
+    /// and traffic accounting.
     pub fn wake(&self) {
-        self.inbox().requests.push(Event::Wakeup);
+        self.inbox().wake();
     }
 
     /// Make the thread in [`Endpoint::recv_reply`] — or the next one to call
     /// it — return `None` at once and look at its own state again. For
-    /// changes a waiter's predicate depends on that no reply carries (a
-    /// request handler did them). Never lost — a waiter that has checked
-    /// its predicate but not blocked yet still sees it — and never queued
-    /// up: any number of pokes end one receive.
+    /// changes a waiter's predicate depends on that the service thread's
+    /// handlers made. Never lost — a waiter that has checked its predicate
+    /// but not blocked yet still sees it — and never queued up: any number
+    /// of pokes end one receive.
     pub fn poke(&self) {
-        self.inbox().replies.poke();
+        self.inbox().poke();
     }
 
-    /// Blocking receive on the request lane.
+    fn service_recv(&self, deadline: Option<Instant>) -> Option<Event<M>> {
+        let ev = match self.inbox().pop(Reader::Service, deadline)? {
+            Some((from, msg)) => Event::Msg { from, msg },
+            None => Event::Wakeup,
+        };
+        self.note_recv(Some(ev))
+    }
+
+    /// The service thread's blocking receive: a wakeup, or — while no wait
+    /// is open — the oldest message not [`WireSized::to_waiter`] (every
+    /// message once the waiter is gone).
     pub fn recv(&self) -> Option<Event<M>> {
-        self.note_recv(self.inbox().requests.pop(Wait::Forever))
+        self.service_recv(None)
     }
 
-    /// Receive on the request lane with a timeout; `None` on timeout.
-    pub fn recv_timeout(&self, d: Duration) -> Option<Event<M>> {
-        self.note_recv(self.inbox().requests.pop(Wait::Until(Instant::now() + d)))
-    }
-
-    /// Non-blocking receive on the request lane.
+    /// Non-blocking [`Endpoint::recv`].
     pub fn try_recv(&self) -> Option<Event<M>> {
-        self.note_recv(self.inbox().requests.pop(Wait::No))
+        self.service_recv(Some(Instant::now()))
     }
 
-    /// The thread that reads the reply lane has ended: move what is queued
-    /// there to the request lane, behind what that holds, and deliver every
-    /// later reply there too. For good — a node's application thread calls
-    /// it as it returns, and its service thread handles the rest.
+    /// The thread that waits is gone for good: from now on the service
+    /// thread takes every message, what is queued first. A node's
+    /// application thread calls it as it returns.
     pub fn hand_over_replies(&self) {
-        self.inbox().replies.close_into(&self.inbox().requests);
+        self.inbox().close(true);
     }
 
-    /// Receive on the reply lane: the next reply addressed to this node, or
-    /// `None` after `d` or a [`Endpoint::poke`], whichever is first.
+    /// The waiting thread's receive: opens a wait, if none is open, and
+    /// returns the next message addressed to this node, of any kind, once
+    /// the service thread holds none — or `None` after `d` or a
+    /// [`Endpoint::poke`], whichever is first. Until [`Endpoint::close_wait`]
+    /// the service thread takes nothing, so every message is handled after
+    /// the ones its sender sent before it (bar one the service thread
+    /// passed as the waiter's).
     pub fn recv_reply(&self, d: Duration) -> Option<Event<M>> {
-        self.note_recv(self.inbox().replies.pop(Wait::Until(Instant::now() + d)))
+        let (from, msg) = self
+            .inbox()
+            .pop(Reader::Waiter, Some(Instant::now() + d))??;
+        self.note_recv(Some(Event::Msg { from, msg }))
     }
 
-    /// Test receive over both lanes, for code that inspects what a peer was
-    /// sent without caring which thread would have read it: polls until an
-    /// event shows up on either lane (replies first) or `d` is over.
-    pub fn recv_any(&self, d: Duration) -> Option<Event<M>> {
-        let deadline = Instant::now() + d;
-        loop {
-            let ev = self.recv_reply(Duration::ZERO).or_else(|| self.try_recv());
-            if ev.is_some() || Instant::now() >= deadline {
-                return ev;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
+    /// End the wait [`Endpoint::recv_reply`] opened: the service thread
+    /// reads again — woken, if something is queued for it.
+    pub fn close_wait(&self) {
+        self.inbox().close(false);
     }
 
-    /// Discard everything queued for this endpoint, on both lanes (used when
-    /// simulating the restart of a crashed node: whatever was queued
-    /// before/during the crash is lost). Returns the number of discarded
-    /// events.
+    /// Discard everything queued for this endpoint (used when simulating
+    /// the restart of a crashed node: whatever was queued before/during the
+    /// crash is lost). Returns the number of discarded messages.
     pub fn drain(&self) -> usize {
-        self.inbox().requests.drain() + self.inbox().replies.drain()
+        self.inbox().drain()
     }
 }
 
@@ -858,8 +821,8 @@ mod tests {
             from: 0,
             msg: TestMsg(1, 10, 0),
         };
-        assert_eq!(eps[1].recv_timeout(Duration::from_secs(2)), Some(want));
-        assert_eq!(eps[1].recv_timeout(Duration::from_millis(20)), None);
+        assert_eq!(eps[1].recv_reply(Duration::from_secs(2)), Some(want));
+        assert_eq!(eps[1].recv_reply(Duration::from_millis(20)), None);
         assert_eq!(fabric.stats().node(0).snapshot().chaos_duplicated, 1);
         let s = fabric.stats().node(1).snapshot();
         assert_eq!((s.link_dups_dropped, s.link_acks), (1, 2));
@@ -881,7 +844,7 @@ mod tests {
         assert!(eps[1].try_recv().is_none());
         // …but it arrives once the delay elapses.
         assert_eq!(
-            eps[1].recv_timeout(Duration::from_secs(2)),
+            eps[1].recv_reply(Duration::from_secs(2)),
             Some(Event::Msg {
                 from: 0,
                 msg: TestMsg(9, 10, 0)
@@ -890,18 +853,15 @@ mod tests {
         assert_eq!(fabric.stats().node(0).snapshot().chaos_delayed, 1);
     }
 
-    /// `(id, to_waiter, behind_requests)`.
+    /// `(id, to_waiter)`.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Laned(u32, bool, bool);
+    struct Laned(u32, bool);
     impl WireSized for Laned {
         fn base_wire_size(&self) -> usize {
             4
         }
         fn to_waiter(&self) -> bool {
             self.1
-        }
-        fn behind_requests(&self) -> bool {
-            self.2
         }
     }
 
@@ -912,48 +872,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_handed_over_reply_lane_empties_into_the_request_lane_and_stays_there() {
+    /// Node 1 sends node 0 requests (`false`) and replies (`true`), numbered
+    /// from 1 in this order.
+    fn sent(kinds: &[bool]) -> (Fabric<Laned>, Vec<Endpoint<Laned>>) {
         let (fabric, eps) = Fabric::<Laned>::new(2);
-        // A request, then three replies; the waiter takes the first.
-        eps[1].send(0, Laned(1, false, false));
-        for i in 2..5 {
-            eps[1].send(0, Laned(i, true, false));
+        for (i, &reply) in kinds.iter().enumerate() {
+            eps[1].send(0, Laned(i as u32 + 1, reply));
         }
-        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(2));
-        assert!(!fabric.quiescent(), "two replies are queued");
-        eps[0].hand_over_replies();
-        eps[1].send(0, Laned(5, true, false));
-        eps[1].send(0, Laned(6, false, false));
-        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), None);
-        let requests: Vec<_> = std::iter::from_fn(|| id(eps[0].try_recv())).collect();
-        assert_eq!(requests, [1, 3, 4, 5, 6]);
-        assert!(fabric.quiescent());
-        // Another node's lanes are its own.
-        eps[0].send(1, Laned(7, true, false));
-        assert!(eps[1].try_recv().is_none());
-        assert_eq!(id(eps[1].recv_reply(Duration::ZERO)), Some(7));
+        (fabric, eps)
     }
 
     #[test]
-    fn a_reply_that_stays_behind_requests_takes_the_reply_lane_only_when_none_is_left() {
-        let (_fabric, eps) = Fabric::<Laned>::new(2);
-        // A request waits; a plain reply passes it, one that stays behind
-        // queues after it.
-        eps[1].send(0, Laned(1, false, false));
-        eps[1].send(0, Laned(2, true, false));
-        eps[1].send(0, Laned(3, true, true));
-        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(2));
-        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), None);
-        // Until its consumer comes back for more, the request lane is still
-        // handling the last item it gave out: nothing passes it yet.
-        assert_eq!(id(eps[0].try_recv()), Some(1));
-        eps[1].send(0, Laned(4, true, true));
-        assert_eq!(id(eps[0].try_recv()), Some(3));
-        assert_eq!(id(eps[0].try_recv()), Some(4));
+    fn the_waiter_takes_every_kind_in_arrival_order() {
+        let (fabric, eps) = sent(&[false, true, false, true]);
+        let taken: Vec<_> = (0..4)
+            .map(|_| id(eps[0].recv_reply(Duration::ZERO)))
+            .collect();
+        assert_eq!(taken, [1, 2, 3, 4].map(Some));
+        // The last one is still in hand: the node is not idle until the
+        // waiter comes back for more, or the wait closes.
+        assert!(!fabric.quiescent());
+        eps[0].close_wait();
+        assert!(fabric.quiescent());
+    }
+
+    #[test]
+    fn the_service_thread_passes_only_what_is_for_the_waiter() {
+        let (_fabric, eps) = sent(&[true, false, true, false]);
+        let taken: Vec<_> = std::iter::from_fn(|| id(eps[0].try_recv())).collect();
+        assert_eq!(taken, [2, 4]);
+        // The replies it passed wait for the next wait, in order.
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(1));
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(3));
+        // While the wait is open, the service thread takes nothing.
+        eps[1].send(0, Laned(5, false));
         assert_eq!(id(eps[0].try_recv()), None);
-        eps[1].send(0, Laned(5, true, true));
-        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(5));
+        eps[0].close_wait();
+        assert_eq!(id(eps[0].try_recv()), Some(5));
+    }
+
+    #[test]
+    fn a_waiter_blocks_while_the_service_thread_has_an_item_in_hand() {
+        let (_fabric, eps) = sent(&[false, true]);
+        assert_eq!(id(eps[0].try_recv()), Some(1));
+        // Request 1 is in hand: reply 2 is not taken before it is handled.
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), None);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| id(eps[0].recv_reply(Duration::from_secs(10))));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(
+                !waiter.is_finished(),
+                "took an item the service thread was behind"
+            );
+            // The service thread comes back for more: that ends its hold,
+            // wakes the waiter, and finds nothing it may take.
+            assert_eq!(id(eps[0].try_recv()), None);
+            assert_eq!(waiter.join().unwrap(), Some(2));
+        });
+    }
+
+    #[test]
+    fn a_wait_that_closes_with_requests_queued_wakes_the_service_thread() {
+        let (_fabric, eps) = Fabric::<Laned>::new(2);
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), None);
+        std::thread::scope(|s| {
+            let service = s.spawn(|| id(eps[0].recv()));
+            eps[1].send(0, Laned(1, false));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!service.is_finished(), "read while a wait was open");
+            eps[0].close_wait();
+            assert_eq!(service.join().unwrap(), Some(1));
+        });
+    }
+
+    #[test]
+    fn a_wait_closed_by_unwinding_leaves_the_service_thread_reading() {
+        struct Closes<'a>(&'a Endpoint<Laned>);
+        impl Drop for Closes<'_> {
+            fn drop(&mut self) {
+                self.0.close_wait();
+            }
+        }
+        let (_fabric, eps) = sent(&[false, false]);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _open = Closes(&eps[0]);
+            assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(1));
+            panic!("the handler of request 1 failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(id(eps[0].try_recv()), Some(2));
+    }
+
+    #[test]
+    fn after_the_hand_over_the_service_thread_takes_everything() {
+        let (fabric, eps) = sent(&[false, true, true]);
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(1));
+        eps[0].hand_over_replies();
+        eps[1].send(0, Laned(4, true));
+        eps[1].send(0, Laned(5, false));
+        let taken: Vec<_> = std::iter::from_fn(|| id(eps[0].try_recv())).collect();
+        assert_eq!(taken, [2, 3, 4, 5]);
+        assert!(fabric.quiescent());
+        // Another node's queue is its own.
+        eps[0].send(1, Laned(6, true));
+        assert!(eps[1].try_recv().is_none());
+        assert_eq!(id(eps[1].recv_reply(Duration::ZERO)), Some(6));
     }
 
     #[test]
@@ -983,7 +1006,7 @@ mod tests {
         eps[0].send(1, Kinded(2, "fast"));
         assert!(eps[1].try_recv().is_none());
         let got: Vec<u32> =
-            std::iter::from_fn(|| match eps[1].recv_timeout(Duration::from_secs(2))? {
+            std::iter::from_fn(|| match eps[1].recv_reply(Duration::from_secs(2))? {
                 Event::Msg { msg, .. } => Some(msg.0),
                 Event::Wakeup => None,
             })

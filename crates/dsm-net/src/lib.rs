@@ -7,10 +7,11 @@
 //! provides the same abstraction for a cluster simulated inside one process:
 //!
 //! * [`Fabric`] — builds `n` connected [`Endpoint`]s (one per node) with
-//!   reliable channels between every pair, FIFO per lane: an endpoint has
-//!   a request lane for the node's service thread and a reply lane that
-//!   wakes the thread waiting for the reply directly (the paper's requester
-//!   notices a reply landing in its own memory; no helper thread relays it).
+//!   reliable FIFO channels between every pair into one inbound queue per
+//!   node, which two threads read: while the node's application thread
+//!   waits it takes every message itself (the paper's requester notices
+//!   what lands in its own memory; no helper thread relays it), and only
+//!   otherwise does the node's service thread take the requests.
 //! * Fail-stop crash simulation: [`Fabric::crash`] marks a node down and
 //!   discards its queued input (in-flight messages to a failed process are
 //!   lost); sends to a crashed node are dropped and counted. What a node

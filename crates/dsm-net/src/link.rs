@@ -4,11 +4,11 @@
 //! Under a fault plan the fabric loses, duplicates, delays and reorders
 //! frames. The link masks all four, so the protocol above it sees what
 //! VMMC gives the paper's: reliable point-to-point messages, FIFO per
-//! lane, that may be late and may be cut by a fail-stop crash.
+//! sender, that may be late and may be cut by a fail-stop crash.
 //!
 //! * The sender numbers each message on its `(src, dst)` pair and keeps a
 //!   copy until a cumulative ack covers it.
-//! * The receiver releases frames to the destination's lanes in sequence
+//! * The receiver releases frames to the destination's queue in sequence
 //!   order, holds one that arrives early, drops a duplicate, and acks what
 //!   it has released so far — and, selectively, which of the next 64 it
 //!   holds early. Acks are frames too: the plan can drop, duplicate or
@@ -24,7 +24,7 @@
 //!   delivered or lost, as it is on a reliable fabric by then.
 //!
 //! The link exists only once a fault plan or a partition is set; a reliable
-//! fabric hands every message straight to its lane.
+//! fabric hands every message straight to its queue.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -315,11 +315,10 @@ mod tests {
         }
     }
 
-    /// Whatever reaches `ep` within `d`, from both lanes, each lane's in
-    /// its order.
+    /// Whatever reaches `ep` within `d`, in arrival order.
     fn collect(ep: &crate::Endpoint<Numbered>, d: Duration) -> Vec<(usize, Numbered)> {
         let mut got = Vec::new();
-        while let Some(ev) = ep.recv_any(d) {
+        while let Some(ev) = ep.recv_reply(d) {
             if let Event::Msg { from, msg } = ev {
                 got.push((from, msg));
             }
@@ -327,9 +326,9 @@ mod tests {
         got
     }
 
-    /// Wait until every frame sent is acked: on its lane, or lost with a
-    /// crashed receiver. (Nothing reads the lanes meanwhile, so they are
-    /// idle only if empty: quiescence is the link's alone here.)
+    /// Wait until every frame sent is acked: queued, or lost with a crashed
+    /// receiver. (Nothing reads the queues meanwhile, so they are idle only
+    /// if empty: quiescence is the link's alone here.)
     fn settle(fabric: &Fabric<Numbered>) {
         let start = Instant::now();
         while !fabric.link_settled() {
@@ -381,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn a_stream_arrives_once_and_in_order_on_each_lane_through_loss_dups_and_reordering() {
+    fn a_stream_arrives_once_and_in_order_through_loss_dups_and_reordering() {
         const N: u32 = 1_000;
         let (fabric, eps) = Fabric::<Numbered>::new(3);
         // Every kind, acks included.
@@ -401,14 +400,11 @@ mod tests {
         for (dst, ep) in eps.iter().enumerate() {
             let got = collect(ep, Duration::ZERO);
             for src in (0..3).filter(|&s| s != dst) {
-                for lane in [false, true] {
-                    let seen: Vec<u32> = (got.iter())
-                        .filter(|(f, m)| *f == src && m.2 == lane)
-                        .map(|(_, m)| m.1)
-                        .collect();
-                    let sent: Vec<u32> = (0..N).filter(|i| (i % 3 == 0) == lane).collect();
-                    assert_eq!(seen, sent, "{src} -> {dst}, reply lane {lane}");
-                }
+                let seen: Vec<u32> = (got.iter())
+                    .filter(|(f, _)| *f == src)
+                    .map(|(_, m)| m.1)
+                    .collect();
+                assert_eq!(seen, (0..N).collect::<Vec<_>>(), "{src} -> {dst}");
             }
         }
         let t = fabric.stats().total();
@@ -457,14 +453,8 @@ mod tests {
         eps[0].send(1, Numbered(0, 20, false));
         settle(&fabric);
         let got = collect(&eps[1], Duration::ZERO);
-        let lane = |reply: bool| -> Vec<u32> {
-            let mine = got.iter().filter(|(_, m)| m.2 == reply);
-            mine.map(|(_, m)| m.1).collect()
-        };
-        let evens: Vec<u32> = (0..20).step_by(2).collect();
-        let mut odds: Vec<u32> = (1..20).step_by(2).collect();
-        odds.push(20);
-        assert_eq!((lane(true), lane(false)), (evens, odds));
+        let order: Vec<u32> = got.iter().map(|(_, m)| m.1).collect();
+        assert_eq!(order, (0..=20).collect::<Vec<_>>());
         assert!(fabric.stats().node(0).snapshot().link_resent > 0);
         // Only data frames are dropped and every ack says which frames the
         // receiver holds early, so a resend goes only for a frame it lacks:

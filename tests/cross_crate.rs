@@ -598,3 +598,45 @@ fn the_grant_from_the_cells_home_carries_the_cell() {
         (ROUNDS - 1, 0)
     );
 }
+
+/// While a node waits, its application thread reads the node's queue alone
+/// and serves the requests that come meanwhile. Two nodes take turns on a
+/// lock node 0 manages, over a counter node 0 homes: each waits while the
+/// other asks for the lock, flushes to the home or fetches from it. The FT
+/// run's results and shared memory equal the base run's, both waiters
+/// served requests, and no arrival reached a service thread.
+#[test]
+fn a_waiting_application_thread_serves_its_nodes_requests() {
+    const ROUNDS: u64 = 200;
+    let kernel = |p: &mut ftdsm_suite::Process| {
+        let cell = p.alloc_vec::<u64>(8, HomeAlloc::Node(0));
+        p.barrier();
+        for _ in 0..ROUNDS {
+            p.acquire(0);
+            let v = cell.get(p, 0);
+            cell.set(p, 0, v + 1);
+            p.release(0);
+        }
+        p.barrier();
+        cell.get(p, 0)
+    };
+    let base = run(ClusterConfig::base(2).with_page_size(256), &[], kernel);
+    let ft = run(
+        ClusterConfig::fault_tolerant(2).with_page_size(256),
+        &[],
+        kernel,
+    );
+    assert_eq!(base.results, [2 * ROUNDS; 2]);
+    assert_eq!(
+        (&ft.results, ft.shared_hash),
+        (&base.results, base.shared_hash)
+    );
+    for r in [&base, &ft] {
+        let served: Vec<u64> = r.nodes.iter().map(|n| n.app_served).collect();
+        assert!(
+            served.iter().all(|&s| s > 0),
+            "requests served in waits: {served:?}"
+        );
+        assert_eq!(r.total().svc_arrivals, 0);
+    }
+}
