@@ -9,7 +9,7 @@
 //! ```
 
 use dsm_bench::{fig3, fig4, print_table, run_app, table1, table2, table3, table4, App, Scale};
-use ftdsm::{run, CkptPolicy, ClusterConfig, DiskMode, DiskModel, FailureSpec};
+use ftdsm::{run, CkptPolicy, ClusterConfig, DiskMode, DiskModel, FailureSpec, ReqCause};
 
 fn parse_args() -> (Vec<String>, Scale) {
     let mut scale = Scale::default();
@@ -404,8 +404,11 @@ fn do_protocol(scale: &Scale) {
     // Over the three applications (Table 2 has the ratio per app, and CI
     // gates each one).
     let mut pf = r.total().prefetch;
+    let mut causes = vec![(App::WaterSp, r.total().req_causes)];
     for app in [App::Barnes, App::WaterNsq] {
-        pf += run_app(app, scale.ft_config(app)).total().prefetch;
+        let t = run_app(app, scale.ft_config(app)).total();
+        pf += t.prefetch;
+        causes.push((app, t.req_causes));
     }
     println!(
         "\npages asked for ahead of their first access, and what came of it (all three apps):"
@@ -414,6 +417,18 @@ fn do_protocol(scale: &Scale) {
     println!("  prefetched_used     {:>8}", pf.prefetched_used);
     println!("  prefetch_skipped    {:>8}", pf.prefetch_skipped);
     println!("  skipped_then_missed {:>8}", pf.skipped_then_missed);
+    // `req_cause <app> <cause> <to node 0> <to the other homes>`.
+    println!(
+        "\nPageReqs by why they were sent, to node 0 and to the other homes (a miss on a page \
+         the prefetch left out is split by what was held of it last):"
+    );
+    for (app, c) in &causes {
+        for cause in ReqCause::ALL {
+            let (node0, others) = c.get(cause);
+            let (app, cause) = (app.name(), cause.label());
+            println!("  req_cause {app:<10} {cause:<18} {node0:>6} {others:>6}");
+        }
+    }
     println!("\ndiff batches that rode a barrier arrival instead of going alone:");
     println!(
         "  diff_batches_carried {:>8}",

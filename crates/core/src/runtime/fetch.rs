@@ -15,7 +15,7 @@ use hlrc::{Have, Held, PageBody, PageState};
 
 use crate::msg::{Payload, Pushed};
 use crate::runtime::node::NodeState;
-use crate::stats::PrefetchCounts;
+use crate::stats::{PrefetchCounts, ReqCause, ReqCauses};
 
 /// One remote page with a fetch in flight to its home.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +40,8 @@ pub(crate) struct FetchSvc {
     /// What was prefetched, what of it was used and what the filter left
     /// out, over all incarnations (for the node report).
     counts: PrefetchCounts,
+    /// Why each `PageReq` was sent, over all incarnations.
+    causes: ReqCauses,
     /// Misses answered with the zero page, over all incarnations.
     zero_fills: u64,
     /// Copies of node 0's pages, each exactly a known version, used since
@@ -61,6 +63,7 @@ impl FetchSvc {
         *self = FetchSvc {
             req_id_next: self.req_id_next,
             counts: self.counts,
+            causes: self.causes,
             zero_fills: self.zero_fills,
             pushed_used: self.pushed_used,
             pushes_refused: self.pushes_refused,
@@ -94,6 +97,11 @@ impl FetchSvc {
     /// The prefetch counters, for the node report.
     pub(crate) fn counts(&self) -> PrefetchCounts {
         self.counts
+    }
+
+    /// Why each `PageReq` was sent, for the node report.
+    pub(crate) fn causes(&self) -> ReqCauses {
+        self.causes
     }
 
     /// Misses answered with the zero page, for the node report.
@@ -140,9 +148,10 @@ pub(crate) fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
 /// or written is left out — most invalidated copies are not touched again,
 /// and a refetch nobody reads is traffic for nothing — and so is a page
 /// never held, which nothing says this node wants; if either is touched
-/// after all, [`fetch_with_neighbours`] fetches it. Skipped during recovery
-/// replay (replay fetches must stay individually deterministic).
-pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
+/// after all, [`fetch_with_neighbours`] fetches it. `cause` says whether a
+/// grant or a release applied the notices. Skipped during recovery replay
+/// (replay fetches must stay individually deterministic).
+pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId], cause: ReqCause) {
     if st.rec.replaying() {
         return;
     }
@@ -163,7 +172,7 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId]) {
         }
     }
     st.fetch.counts.prefetched += pages.len() as u64;
-    send_page_batches(st, &pages);
+    send_page_batches(st, &pages, cause);
 }
 
 /// Is remote `page` cold — never held, no fetch in flight for it, and no
@@ -200,7 +209,9 @@ pub(crate) fn zero_fill(st: &mut NodeState, page: PageId) -> bool {
 /// only this node's own writes name) asks for its page alone.
 pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) {
     let mut pages = vec![page];
+    let mut cause = ReqCause::MissOther;
     if let Some(home) = left_out(st, page) {
+        cause = left_out_cause(st, page);
         st.fetch.counts.skipped_then_missed += 1;
         let mut before = left_out_run(st, home, (0..page.0).rev());
         let after = left_out_run(st, home, page.0 + 1..st.pt.len() as u32);
@@ -208,7 +219,17 @@ pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) {
         pages = [before, pages, after].concat();
         st.fetch.counts.prefetched += pages.len() as u64 - 1;
     }
-    send_page_batches(st, &pages);
+    send_page_batches(st, &pages, cause);
+}
+
+/// Why a miss on `page`, which [`left_out`] names, asks its home: what was
+/// held of it last.
+fn left_out_cause(st: &NodeState, page: PageId) -> ReqCause {
+    match st.pt.remote_meta(page).held {
+        Held::Never => ReqCause::MissNeverHeld,
+        _ if st.fetch.pushed.contains(&page) => ReqCause::MissPushedUnread,
+        _ => ReqCause::MissUnused,
+    }
 }
 
 /// The pages `ids` walks away from a miss, up to the span or the first that
@@ -240,8 +261,9 @@ fn batches<K: Ord>(
 }
 
 /// Ask for `pages` — remote, invalid, none in flight — with one `PageReq`
-/// per home, and track each in `in_flight` until its reply.
-fn send_page_batches(st: &mut NodeState, pages: &[PageId]) {
+/// per home, each counted under `cause`, and track each in `in_flight`
+/// until its reply.
+fn send_page_batches(st: &mut NodeState, pages: &[PageId], cause: ReqCause) {
     let by_home = pages.iter().map(|&p| (st.pt.home_of(p), p));
     for (home, pages) in batches(st, by_home) {
         let req_id = st.fetch.take_req_id();
@@ -249,6 +271,7 @@ fn send_page_batches(st: &mut NodeState, pages: &[PageId]) {
         for (p, ..) in &pages {
             st.fetch.in_flight.insert(*p, InFlight { req_id, home });
         }
+        st.fetch.causes.count(cause, home);
         st.send(home, Payload::PageReq { pages, req_id });
     }
 }
@@ -433,7 +456,7 @@ mod tests {
         // Read, so that the invalidation prefetches it.
         st.pt.read_into(page, 8, &mut [0u8; 8]);
         st.pt.invalidate(page, 0, 2);
-        issue_prefetch(&mut st, &[page]);
+        issue_prefetch(&mut st, &[page], ReqCause::ReleasePrefetch);
         // The request says what was kept.
         let kept = Some((1, gated(2, 0, 1)));
         match eps[0].try_recv() {
@@ -466,7 +489,7 @@ mod tests {
         assert_eq!(st.hists.fetch_copy.count(), 0);
 
         // The next request's reply lands ...
-        issue_prefetch(&mut st, &[page]);
+        issue_prefetch(&mut st, &[page], ReqCause::ReleasePrefetch);
         let req_id = st.fetch.in_flight[&page].req_id;
         install(&mut st, page, req_id, gated(2, 0, 3), delta(3));
         assert_eq!(st.pt.ensure_access(page), hlrc::AccessOutcome::Ready);
@@ -514,7 +537,7 @@ mod tests {
             invalidated_copy(&mut st, page, used);
         }
         let all: Vec<PageId> = (0..4).map(PageId).collect();
-        issue_prefetch(&mut st, &all);
+        issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         // Home 0 hears nothing: neither of its pages was touched. Home 1 is
         // asked for the one that was.
         assert!(requests(&eps[0]).is_empty());
@@ -533,14 +556,14 @@ mod tests {
         for page in &all {
             st.pt.invalidate(*page, st.pt.home_of(*page), 2);
         }
-        issue_prefetch(&mut st, &all);
+        issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         assert!(requests(&eps[0]).is_empty());
         assert_eq!(asked_pages(&requests(&eps[1])[0]), [2]);
         assert_eq!(st.fetch.counts.prefetch_skipped, 6);
         // Replay fetches page by page: nothing goes out, used or not.
         st.fetch.in_flight.clear();
         st.rec = RecoverySvc::replaying_nothing();
-        issue_prefetch(&mut st, &all);
+        issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         assert!(requests(&eps[1]).is_empty() && st.fetch.in_flight.is_empty());
         assert_eq!(st.fetch.counts.prefetched, 2);
     }
@@ -600,7 +623,7 @@ mod tests {
         for &page in &all {
             st.pt.invalidate(page, 0, 1);
         }
-        issue_prefetch(&mut st, &all);
+        issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         assert!(requests(&eps[0]).is_empty() && st.fetch.in_flight.is_empty());
         let counts = PrefetchCounts {
             prefetch_skipped: 3,
@@ -822,6 +845,55 @@ mod tests {
         assert_eq!(take_used(&mut st), [(PageId(2), (1, gated(2, 0, 2)))]);
     }
 
+    /// Pushed copies nobody read stay exactly what they were pushed as when
+    /// the next release invalidates them: a push built on one installs,
+    /// and a miss on one with no push is counted as such.
+    #[test]
+    fn an_unread_pushed_copy_is_the_next_pushs_base_or_a_counted_miss() {
+        let (mut st, eps) = test_state(1, 2, false);
+        st.pt.add_page(0);
+        st.pt.add_page(0);
+        let kept: Have = (1, VectorClock::zero(2));
+        for page in 0..2 {
+            st.pt.install(PageId(page), page_of(1), &kept.1);
+            st.pt.read_into(PageId(page), 0, &mut [0u8; 8]);
+        }
+        let push = |page, base: &Have, seq| Pushed {
+            page: PageId(page),
+            base: base.clone(),
+            version: gated(2, 0, seq),
+            body: page_of(seq as u8 + 1),
+        };
+        let release = |seq: u32, pushed| Payload::BarrierRelease {
+            episode: seq as u64 - 1,
+            vt: gated(2, 0, seq),
+            wns: vec![hlrc::WriteNotice {
+                interval: dsm_page::Interval { proc: 0, seq },
+                pages: vec![PageId(0), PageId(1)],
+            }]
+            .into(),
+            pushed,
+        };
+        let cross = crate::runtime::interval::cross_barrier;
+        cross(
+            &mut st,
+            release(1, vec![push(0, &kept, 1), push(1, &kept, 1)]),
+        );
+        let pushed_copy = (1, gated(2, 0, 1));
+        assert_eq!(st.pt.have(PageId(1)), Some(&pushed_copy));
+        // Neither is read. The next release pushes page 0 again, on the
+        // copy pushed before, and not page 1: nothing is asked for.
+        cross(&mut st, release(2, vec![push(0, &pushed_copy, 2)]));
+        assert_eq!(st.fetch.push_counts(), (0, 0));
+        assert_eq!(st.pt.remote_meta(PageId(0)).state, PageState::Valid);
+        assert!(requests(&eps[0]).is_empty());
+        fetch_with_neighbours(&mut st, PageId(1));
+        assert_eq!(asked_pages(&requests(&eps[0])[0]), [1]);
+        let causes = st.fetch.causes;
+        assert_eq!(causes.get(ReqCause::MissPushedUnread), (1, 0));
+        assert_eq!(causes.total(), 1);
+    }
+
     /// An arrival reports the copies of node 0's pages used since the last
     /// one that are valid and exactly a known version: not a zero-filled
     /// copy, not another home's page, not one invalidated since.
@@ -855,7 +927,11 @@ mod tests {
             invalidated_copy(&mut st, page, page != 3);
         }
         // Two requests in flight: pages 0 to 2, prefetched, and page 3.
-        issue_prefetch(&mut st, &[PageId(0), PageId(1), PageId(2)]);
+        issue_prefetch(
+            &mut st,
+            &[PageId(0), PageId(1), PageId(2)],
+            ReqCause::GrantPrefetch,
+        );
         fetch_with_neighbours(&mut st, PageId(3));
         let first = requests(&eps[0]);
         assert_eq!(first.len(), 2);
@@ -878,6 +954,11 @@ mod tests {
         // The wait ends with the entry.
         install(&mut st, PageId(2), req_id, gated(2, 0, 1), page_of(2));
         assert_eq!(st.fetch.awaited(), None);
+        // The census counts each request once, resent or not.
+        let causes = st.fetch.causes;
+        assert_eq!(causes.get(ReqCause::GrantPrefetch), (1, 0));
+        assert_eq!(causes.get(ReqCause::MissUnused), (1, 0));
+        assert_eq!(causes.total(), 2);
     }
 
     #[test]
@@ -891,10 +972,8 @@ mod tests {
             invalidated_copy(&mut st, p, true);
         }
         st.fetch.in_flight.insert(PageId(2), in_flight(0));
-        issue_prefetch(
-            &mut st,
-            &[PageId(0), PageId(1), PageId(2), PageId(3), PageId(0)],
-        );
+        let pages = [PageId(0), PageId(1), PageId(2), PageId(3), PageId(0)];
+        issue_prefetch(&mut st, &pages, ReqCause::ReleasePrefetch);
         // Page 2 already in flight, page 3 homed here, page 0 deduped:
         // one request to home 0 (page 0) and one to home 1 (page 1).
         assert_eq!(st.fetch.in_flight.len(), 3);
@@ -906,5 +985,6 @@ mod tests {
             "in-flight entry kept"
         );
         assert_eq!(st.hists.fetch_batch_pages.count(), 2);
+        assert_eq!(st.fetch.causes.get(ReqCause::ReleasePrefetch), (1, 1));
     }
 }

@@ -17,7 +17,7 @@ use crate::ft::recovery;
 use crate::msg::{Payload, Pushed};
 use crate::runtime::fetch;
 use crate::runtime::node::NodeState;
-use crate::stats::Breakdown;
+use crate::stats::{Breakdown, ReqCause};
 
 impl NodeState {
     /// End the current interval: turn twins into diffs, publish write
@@ -127,8 +127,14 @@ pub(crate) fn request(st: &mut NodeState, lock: LockId) {
 /// Apply the write notices a grant or a barrier release carried that `pre`
 /// — our timestamp before joining the sender's — does not cover: record
 /// them, invalidate their pages, install the pages it pushed, and prefetch
-/// what was in use and is still invalid.
-fn apply_notices(st: &mut NodeState, pre: &VectorClock, wns: WnDelta, pushed: Vec<Pushed>) {
+/// what was in use and is still invalid, counting its requests as `cause`.
+fn apply_notices(
+    st: &mut NodeState,
+    pre: &VectorClock,
+    wns: WnDelta,
+    pushed: Vec<Pushed>,
+    cause: ReqCause,
+) {
     let mut invalidated = Vec::new();
     for wn in wns {
         if pre.covers_interval(wn.interval) {
@@ -141,7 +147,7 @@ fn apply_notices(st: &mut NodeState, pre: &VectorClock, wns: WnDelta, pushed: Ve
         st.wn_table.insert(wn);
     }
     fetch::install_pushed(st, pushed);
-    fetch::issue_prefetch(st, &invalidated);
+    fetch::issue_prefetch(st, &invalidated, cause);
 }
 
 /// The LRC acquire, `grant` taken from the wait slot with its granter:
@@ -163,7 +169,7 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
     st.close_interval(bd);
     let req_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &req_vt, wns, pushed);
+    apply_notices(st, &req_vt, wns, pushed, ReqCause::GrantPrefetch);
     let t_after = st.vt.clone();
     if let Some(logs) = st.ft.logs() {
         let entry = RelEntry {
@@ -235,7 +241,7 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     };
     let arrive_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &arrive_vt, wns, pushed);
+    apply_notices(st, &arrive_vt, wns, pushed, ReqCause::ReleasePrefetch);
     let episode = st.sync.crossed();
     match st.ft.logs() {
         Some(logs) => logs.log_bar(BarEntry {

@@ -305,6 +305,7 @@ impl NodeState {
             fetch_delta_pages,
             fetch_delta_bytes,
             prefetch: self.fetch.counts(),
+            req_causes: self.fetch.causes(),
             zero_fills: self.fetch.zero_fills(),
             pages_pushed: self.pages_pushed,
             pushed_used,
@@ -660,7 +661,7 @@ pub(crate) mod tests {
     use crate::config::CkptPolicy;
     use crate::msg::{CkptStamp, Piggy};
     use crate::runtime::interval;
-    use crate::stats::Breakdown;
+    use crate::stats::{Breakdown, ReqCause};
     use dsm_net::{Fabric, WireSized};
     use dsm_page::Diff;
     use dsm_storage::{DiskModel, StableStore};
@@ -851,7 +852,7 @@ pub(crate) mod tests {
         };
         handle_msg(&mut st, 1, forward);
         // Fetch: a request in flight for page 0. Recovery: both queues.
-        fetch::issue_prefetch(&mut st, &[PageId(0)]);
+        fetch::issue_prefetch(&mut st, &[PageId(0)], ReqCause::ReleasePrefetch);
         assert!(st.fetch.in_flight(PageId(0)));
         let sent = requests(&eps[0]);
         let [Payload::PageReq { req_id, .. }] = &sent[..] else {
@@ -942,7 +943,7 @@ pub(crate) mod tests {
         st.pt.install(PageId(0), page_of(1), &vt([0, 0, 0]));
         st.pt.read_into(PageId(0), 0, &mut [0u8; 8]);
         st.pt.invalidate(PageId(0), 0, 3);
-        fetch::issue_prefetch(&mut st, &[PageId(0)]);
+        fetch::issue_prefetch(&mut st, &[PageId(0)], ReqCause::ReleasePrefetch);
         match &requests(&eps[0])[..] {
             [Payload::PageReq { req_id: r, .. }] => assert!(r > req_id),
             sent => panic!("unexpected {sent:?}"),
@@ -1551,7 +1552,7 @@ pub(crate) mod tests {
         crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut bd);
         write_both(&mut st, &mut bd, 2);
         st.pt.invalidate(PageId(1), 2, 1);
-        fetch::issue_prefetch(&mut st, &[PageId(1)]);
+        fetch::issue_prefetch(&mut st, &[PageId(1)], ReqCause::ReleasePrefetch);
         handle_msg(&mut st, 2, Payload::RecLogReq { homed: Vec::new() });
         st.ops = 40;
         st.dup_suppressed = 2;

@@ -152,6 +152,80 @@ impl AddAssign for PrefetchCounts {
     }
 }
 
+/// Why a `PageReq` was sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReqCause {
+    /// The prefetch a barrier release's notices start: pages whose last
+    /// copy was used.
+    ReleasePrefetch,
+    /// The same after a lock grant.
+    GrantPrefetch,
+    /// A miss on a page the prefetch left out whose last copy was pushed
+    /// and never read.
+    MissPushedUnread,
+    /// A miss on a left-out page whose last copy, fetched, was never read.
+    MissUnused,
+    /// A miss on a left-out page never held, that a notice names.
+    MissNeverHeld,
+    /// Any other miss: the last copy was used, or the page was not left
+    /// out.
+    MissOther,
+}
+
+impl ReqCause {
+    /// Every cause, in report order.
+    pub const ALL: [ReqCause; 6] = [
+        ReqCause::ReleasePrefetch,
+        ReqCause::GrantPrefetch,
+        ReqCause::MissPushedUnread,
+        ReqCause::MissUnused,
+        ReqCause::MissNeverHeld,
+        ReqCause::MissOther,
+    ];
+
+    /// The cause's metric label.
+    pub fn label(self) -> &'static str {
+        match self {
+            ReqCause::ReleasePrefetch => "release_prefetch",
+            ReqCause::GrantPrefetch => "grant_prefetch",
+            ReqCause::MissPushedUnread => "miss_pushed_unread",
+            ReqCause::MissUnused => "miss_unused",
+            ReqCause::MissNeverHeld => "miss_never_held",
+            ReqCause::MissOther => "miss_other",
+        }
+    }
+}
+
+/// `PageReq`s sent per [`ReqCause`], to node 0 and to the other homes. A
+/// resend to a restarted home is not counted again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReqCauses([[u64; 2]; 6]);
+
+impl ReqCauses {
+    /// One `PageReq` for `cause` went to `home`.
+    pub fn count(&mut self, cause: ReqCause, home: usize) {
+        self.0[cause as usize][(home != 0) as usize] += 1;
+    }
+
+    /// `(to node 0, to the other homes)` for `cause`.
+    pub fn get(&self, cause: ReqCause) -> (u64, u64) {
+        let [node0, others] = self.0[cause as usize];
+        (node0, others)
+    }
+
+    /// Every `PageReq` counted.
+    pub fn total(&self) -> u64 {
+        self.0.iter().flatten().sum()
+    }
+}
+
+impl AddAssign for ReqCauses {
+    fn add_assign(&mut self, o: Self) {
+        let counts = self.0.iter_mut().flatten();
+        counts.zip(o.0.iter().flatten()).for_each(|(a, b)| *a += b);
+    }
+}
+
 /// Everything measured on one node.
 #[derive(Debug, Clone, Default)]
 pub struct NodeReport {
@@ -199,6 +273,8 @@ pub struct NodeReport {
     pub fetch_delta_bytes: u64,
     /// Prefetch traffic against its use.
     pub prefetch: PrefetchCounts,
+    /// Why each `PageReq` this node sent was sent.
+    pub req_causes: ReqCauses,
     /// Misses on a cold page — never held, named by no write notice —
     /// answered with the zero page instead of a fetch.
     pub zero_fills: u64,
@@ -249,6 +325,7 @@ impl NodeReport {
         self.fetch_delta_pages += o.fetch_delta_pages;
         self.fetch_delta_bytes += o.fetch_delta_bytes;
         self.prefetch += o.prefetch;
+        self.req_causes += o.req_causes;
         self.zero_fills += o.zero_fills;
         self.pages_pushed += o.pages_pushed;
         self.pushed_used += o.pushed_used;
@@ -340,6 +417,12 @@ impl NodeReport {
         let mut rows: Vec<(String, MetricValue)> = Vec::new();
         rows.extend(counters.map(|(name, v)| (name.into(), Counter(v))));
         rows.extend(gauges.map(|(name, v)| (name.into(), Gauge(v))));
+        for cause in ReqCause::ALL {
+            let name = labelled("page_reqs_by_cause_total", "cause", cause.label());
+            let (node0, others) = self.req_causes.get(cause);
+            rows.push((labelled(&name, "home", 0), Counter(node0)));
+            rows.push((labelled(&name, "home", "other"), Counter(others)));
+        }
         for (name, list) in by_kind {
             let kinds = list.iter();
             rows.extend(kinds.map(|&(kind, v)| (labelled(name, "kind", kind), Counter(v))));

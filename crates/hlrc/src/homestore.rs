@@ -17,11 +17,13 @@
 //! instead of node-wise.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dsm_page::{Diff, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock};
 use parking_lot::Mutex;
+
+use crate::wants::{Wanted, Wants};
 
 /// One dirty page to diff: its pre-write twin and current contents (both
 /// CoW handles — cloning them shares buffers).
@@ -134,9 +136,8 @@ struct HomeEntry {
     writers: Vec<ProcId>,
     /// The last page's worth of diffs applied to `copy`.
     ring: DiffRing,
-    /// Peers that reported using their copy of the page, each with what the
-    /// copy is exactly: what [`HomeStore::push`] may answer them with.
-    wants: Vec<(ProcId, Have)>,
+    /// What [`HomeStore::push`] may answer peers with (`crate::wants`).
+    wants: Wants,
 }
 
 impl HomeEntry {
@@ -259,9 +260,8 @@ pub struct HomeStore {
     /// check; [`HomeStore::reset_for_restart`] advances it while that check
     /// fails and then takes every shard lock.
     incarnation: AtomicU32,
-    /// Per peer, how many pages it wants ([`HomeEntry::wants`]): a grant or
-    /// release to a peer that wants none looks up no page.
-    wanted: Vec<AtomicUsize>,
+    /// Per peer, how many pages it wants ([`HomeEntry::wants`]).
+    wanted: Wanted,
     /// The zero page every fresh home copy — and the page table's copy of a
     /// remote page no write has reached — shares until its first write.
     zero: Page,
@@ -289,7 +289,7 @@ impl HomeStore {
                 .collect(),
             dirty_mask: AtomicU32::new(0),
             incarnation: AtomicU32::new(1),
-            wanted: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            wanted: Wanted::new(n),
             zero: Page::zeroed(page_size),
             n,
             page_size,
@@ -313,7 +313,7 @@ impl HomeStore {
                 needed: VectorClock::zero(self.n),
                 writers: Vec::new(),
                 ring: DiffRing::new(VectorClock::zero(self.n)),
-                wants: Vec::new(),
+                wants: Wants::default(),
             },
         );
         assert!(prev.is_none(), "page {page} homed twice");
@@ -497,7 +497,7 @@ impl HomeStore {
         };
         // The requester's copy is about to change: what it reported using
         // is no base for a push any more.
-        self.unwant(e, req.from);
+        self.wanted.forget(&mut e.wants, req.from);
         let outcome = if e.version.covers(&req.needed) {
             let incarnation = self.incarnation.load(Ordering::SeqCst);
             let (version, body) = e.answer(incarnation, have);
@@ -564,10 +564,7 @@ impl HomeStore {
                 diff.apply_pooled(twin, &mut shard.pool);
             }
             e.version.set(writer, diff.interval.seq);
-            // A writer that reported its copy holds its own diff in it.
-            if let Some((_, (_, v))) = e.wants.iter_mut().find(|(p, _)| *p == writer) {
-                v.set(writer, diff.interval.seq);
-            }
+            e.wants.own_diff(writer, diff.interval.seq);
             if !e.writers.contains(&writer) {
                 e.writers.push(writer);
             }
@@ -606,39 +603,28 @@ impl HomeStore {
         }
     }
 
-    /// `peer` used its copy of `page`, which is exactly `have`: keep that
-    /// until `peer` asks for the page, is pushed it or restarts. A page not
-    /// homed here, or a clock not of this cluster, is ignored.
+    /// `peer` used its copy of `page`, which is exactly `have`: (re-)arm
+    /// its want (`crate::wants`). A page not homed here, or a clock not of
+    /// this cluster, is ignored.
     pub fn want(&self, peer: ProcId, page: PageId, have: Have) {
         let shard = &mut *self.shards[shard_of(page)].lock();
         let entry = shard.entries.get_mut(&page.0);
-        let Some(e) = entry.filter(|_| have.1.len() == self.n) else {
-            return;
-        };
-        self.unwant(e, peer);
-        e.wants.push((peer, have));
-        self.wanted[peer].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Forget what `peer` reported of `e`'s page; returns it.
-    fn unwant(&self, e: &mut HomeEntry, peer: ProcId) -> Option<Have> {
-        let i = e.wants.iter().position(|(p, _)| *p == peer)?;
-        self.wanted[peer].fetch_sub(1, Ordering::Relaxed);
-        Some(e.wants.swap_remove(i).1)
+        if let Some(e) = entry.filter(|_| have.1.len() == self.n) {
+            self.wanted.report(&mut e.wants, peer, have);
+        }
     }
 
     /// Does `peer` want any page homed here?
     pub fn wants_any(&self, peer: ProcId) -> bool {
-        self.wanted
-            .get(peer)
-            .is_some_and(|w| w.load(Ordering::Relaxed) > 0)
+        self.wanted.any(peer)
     }
 
     /// The push of `page` to `peer` with notices whose join is `covers`:
     /// when `peer` wants the page and the copy covers them, what a fetch
-    /// from `peer` naming the copy it reported would be answered now —
-    /// `(that copy, version, body)` — and the want goes. `None` leaves the
-    /// want for the fetch that follows.
+    /// from `peer` naming the copy its want is based on would be answered
+    /// now — `(that copy, version, body)`. The want lives on, based on the
+    /// pushed copy, unless it was pushed before with no report since.
+    /// `None` leaves the want for the fetch that follows.
     pub fn push(
         &self,
         peer: ProcId,
@@ -650,8 +636,12 @@ impl HomeStore {
         if !e.version.covers(covers) {
             return None;
         }
-        let have = self.unwant(e, peer)?;
-        let (version, body) = e.answer(self.incarnation.load(Ordering::SeqCst), Some(&have));
+        let have = e.wants.of(peer)?.clone();
+        let incarnation = self.incarnation.load(Ordering::SeqCst);
+        let (version, body) = e.answer(incarnation, Some(&have));
+        let exact = !matches!(body, PageBody::Full { base: 0, .. });
+        let kept = exact.then(|| (incarnation, version.clone()));
+        self.wanted.pushed(&mut e.wants, peer, kept);
         Some((have, version, body))
     }
 
@@ -659,7 +649,7 @@ impl HomeStore {
     pub fn drop_wants(&self, peer: ProcId) {
         for shard in &self.shards {
             for e in shard.lock().entries.values_mut() {
-                self.unwant(e, peer);
+                self.wanted.forget(&mut e.wants, peer);
             }
         }
     }
@@ -748,12 +738,10 @@ impl HomeStore {
                 e.version = VectorClock::zero(self.n);
                 e.needed = VectorClock::zero(self.n);
                 e.ring = DiffRing::new(VectorClock::zero(self.n));
-                e.wants.clear();
+                e.wants = Wants::default();
             }
         }
-        self.wanted
-            .iter()
-            .for_each(|w| w.store(0, Ordering::Relaxed));
+        self.wanted.clear();
     }
 
     /// Checkpoint support: `(page, writer, seq)` triples of every nonzero
@@ -873,10 +861,11 @@ mod tests {
     }
 
     /// A want is answered as the fetch it stands for once the copy covers
-    /// the notices, and only once; a fetch of the page, or a restart of
-    /// either end, drops it.
+    /// the notices. The first push leaves it based on the pushed copy, the
+    /// second with no report in between ends it, and a report re-arms it; a
+    /// fetch of the page, or a restart of either end, drops it.
     #[test]
-    fn a_want_is_pushed_once_the_copy_covers_and_dropped_by_a_fetch_or_a_restart() {
+    fn a_want_outlives_one_unread_push_and_goes_with_a_second_a_fetch_or_a_restart() {
         let s = ring_store();
         let (v0, _) = fetch(&s, None);
         let kept: Have = (1, v0);
@@ -895,14 +884,38 @@ mod tests {
         let (base, version, body) = s.push(1, PageId(0), &vc([0, 0, 1])).unwrap();
         assert_eq!((base, version), (kept.clone(), vc([0, 0, 1])));
         assert_eq!(delta(&body), [iv(2, 1)]);
-        assert!(!s.wants_any(1) && s.push(1, PageId(0), &vc([0, 0, 1])).is_none());
-        // A diff of the reader's own is in its copy, and so in what it
-        // reported: the push leaves it out.
-        s.want(1, PageId(0), (1, vc([0, 0, 1])));
-        apply(&s, &set_word(0, iv(1, 1), 1, 12));
-        apply(&s, &set_word(0, iv(2, 2), 2, 13));
+        // Not reported since: the pushed copy is the next push's base, and
+        // that push is the last.
+        assert!(s.wants_any(1));
+        apply(&s, &set_word(0, iv(2, 2), 0, 12));
         let (base, _, body) = s.push(1, PageId(0), &vc([0, 0, 2])).unwrap();
-        assert_eq!((base, delta(&body)), ((1, vc([0, 1, 1])), vec![iv(2, 2)]));
+        assert_eq!((base, delta(&body)), ((1, vc([0, 0, 1])), vec![iv(2, 2)]));
+        assert!(!s.wants_any(1) && s.push(1, PageId(0), &vc([0, 0, 2])).is_none());
+        // A report re-arms it. A diff of the reader's own is in its copy,
+        // and so in the want's base, reported or pushed: pushes leave it out.
+        s.want(1, PageId(0), (1, vc([0, 0, 2])));
+        apply(&s, &set_word(0, iv(1, 1), 1, 12));
+        apply(&s, &set_word(0, iv(2, 3), 2, 13));
+        let (base, _, body) = s.push(1, PageId(0), &vc([0, 0, 3])).unwrap();
+        assert_eq!((base, delta(&body)), ((1, vc([0, 1, 2])), vec![iv(2, 3)]));
+        apply(&s, &set_word(0, iv(1, 2), 1, 14));
+        apply(&s, &set_word(0, iv(2, 4), 2, 15));
+        let (base, _, body) = s.push(1, PageId(0), &vc([0, 0, 4])).unwrap();
+        assert_eq!((base, delta(&body)), ((1, vc([0, 2, 3])), vec![iv(2, 4)]));
+        // A copy of another life goes in full, a base unless the home is
+        // writing the page: then it is the want's last push.
+        s.want(1, PageId(0), (9, vc([0, 0, 0])));
+        let (_, version, body) = s.push(1, PageId(0), &vc([0, 0, 4])).unwrap();
+        assert_eq!(full(&body).1, 1);
+        assert_eq!(
+            s.push(1, PageId(0), &vc([0, 0, 4])).unwrap().0,
+            (1, version)
+        );
+        s.want(1, PageId(0), (9, vc([0, 0, 0])));
+        s.write(PageId(0), 24, &[1]);
+        let (_, _, body) = s.push(1, PageId(0), &vc([0, 0, 4])).unwrap();
+        assert_eq!(full(&body).1, 0);
+        assert!(!s.wants_any(1));
         // Asked for, or restarted: nothing left to push.
         s.want(1, PageId(0), kept.clone());
         fetch(&s, Some(&kept));

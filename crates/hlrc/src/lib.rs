@@ -15,6 +15,8 @@
 //! * [`locks`] — the per-lock manager state machine: routing acquire
 //!   requests to the last owner (which grants directly to the requester with
 //!   LRC write notices), queueing, and crash-retransmission bookkeeping.
+//! * `wants` — which peers reported using which homed pages: what a grant
+//!   or release pushes them, kept for one unread push.
 //! * [`barrier`] — the centralized barrier manager: episode arrivals
 //!   carrying each node's own write notices since its previous arrival,
 //!   aggregated releases.
@@ -27,6 +29,7 @@ pub mod barrier;
 pub mod homestore;
 pub mod locks;
 pub mod pagetable;
+mod wants;
 pub mod wn;
 
 pub use barrier::{Arrival, BarrierManager, ReleaseSet};

@@ -4,7 +4,7 @@
 use ftdsm_suite::apps::{
     barnes, jacobi, water_nsq, water_sp, BarnesParams, JacobiParams, WaterNsqParams, WaterSpParams,
 };
-use ftdsm_suite::{run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc};
+use ftdsm_suite::{run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, ReqCause};
 
 #[test]
 fn all_workloads_agree_across_cluster_sizes() {
@@ -269,25 +269,36 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
     // pages 0, 16 and 32 each bring the noticed pages after them, and the
     // next arrival reports the 40 copies used. 1: every copy was read, so
     // the release that invalidates them carries them, and nothing is asked
-    // for. 2: none of those was, nothing is asked for or carried. 3: nor
-    // now, and the sweep misses as round 0 did. 4: page 5 was read in the
-    // sweep and rides the release alone. 5: that copy was not, and its miss
-    // finds no neighbour left out to bring.
-    assert_eq!((sent("PageReq"), sent("PageReply")), (7, 7));
+    // for. 2: none of those was, but the wants outlive one unread push: the
+    // release carries all 40 again, built on the copies it carried before,
+    // and that was their last push. 3: nothing is carried, the copies were
+    // not read, and the sweep misses as round 0 did. 4: page 5 was read in
+    // the sweep and rides the release alone. 5: that copy was not, and it
+    // rides the release once more, to be read: no request.
+    assert_eq!((sent("PageReq"), sent("PageReply")), (6, 6));
     let t = r.total();
     assert_eq!(
         (t.pages_pushed, t.pushed_used, t.pushes_refused),
-        (41, 0, 0)
+        (40 + 40 + 1 + 1, 1, 0)
     );
+    // Round 0's misses are on pages never held, round 3's on copies pushed
+    // in round 2 and never read; all to node 0.
+    let causes = t.req_causes;
+    assert_eq!(causes.get(ReqCause::MissNeverHeld), (3, 0));
+    assert_eq!(causes.get(ReqCause::MissPushedUnread), (3, 0));
+    assert_eq!(causes.total(), sent("PageReq"));
     // Those two are every kind a fetch has.
     let kinds = r.total_msg_kinds();
     let of_fetches = kinds.iter().filter(|(k, _)| k.starts_with("Page"));
     assert_eq!(of_fetches.count(), 2);
+    // Skipped: the never-held pages in round 0 and the unread pushed
+    // copies in round 3; the releases of rounds 2 and 5 leave nothing
+    // invalid to skip.
     let counts = ftdsm_suite::PrefetchCounts {
         prefetched: 37 + 37,
         prefetched_used: 37 + 37,
-        prefetch_skipped: 40 + 40 + 40 + 1,
-        skipped_then_missed: 3 + 3 + 1,
+        prefetch_skipped: 40 + 40,
+        skipped_then_missed: 3 + 3,
     };
     assert_eq!(r.total().prefetch, counts);
     assert_eq!(r.nodes[0].prefetch, Default::default());
@@ -295,7 +306,7 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
     // many as the filter guessed wrong. No read finds its page in flight:
     // each miss's reply brings its whole run before the next read.
     let h = r.total_hists();
-    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (0, 7));
+    assert_eq!((h.prefetch_hit.count(), h.prefetch_miss.count()), (0, 6));
     assert_eq!(h.prefetch_miss.count(), counts.skipped_then_missed);
     assert_eq!(h.fetch_batch_pages.count(), sent("PageReq"));
 }
@@ -545,6 +556,51 @@ fn a_reader_of_the_managers_pages_asks_only_in_the_first_round() {
         assert_eq!(r.nodes[0].pages_pushed, pushed, "only the manager pushes");
         assert_eq!(r.total().prefetch.prefetched, 15 * readers, "n = {n}");
     }
+}
+
+/// Barnes's shape on two nodes: node 0 rewrites sixteen pages it homes
+/// every epoch, node 1 reads them every other epoch. A want outlives the
+/// push nobody read: the release of the epoch node 1 reads in carries the
+/// pages again, built on the copies the one before carried, so node 1 asks
+/// only in the first round, and every second page pushed is read.
+#[test]
+fn a_page_read_every_other_epoch_rides_every_release_after_the_first() {
+    const ROUNDS: u64 = 11;
+    const HOT: usize = 16;
+    const WORDS: usize = 32; // one 256 B page
+    let r = run(ClusterConfig::base(2).with_page_size(256), &[], |p| {
+        let hot = p.alloc_vec::<u64>(HOT * WORDS, HomeAlloc::Node(0));
+        let mut sum = 0;
+        for round in 0..ROUNDS {
+            if p.me() == 0 {
+                for k in 0..HOT {
+                    hot.set(p, k * WORDS, round + 1);
+                }
+            }
+            p.barrier();
+            if p.me() == 1 && round % 2 == 0 {
+                sum += (0..HOT).map(|k| hot.get(p, k * WORDS)).sum::<u64>();
+            }
+            p.barrier();
+        }
+        sum
+    });
+    // Rounds 0, 2, …, 10 read: (1 + 3 + … + 11) per page.
+    assert_eq!(r.results[1], 36 * HOT as u64);
+    let reader = &r.nodes[1];
+    let reqs = reader.msg_kinds.iter().find(|(k, _)| *k == "PageReq");
+    assert_eq!(reqs.map(|&(_, c)| c), Some(1), "only round 0's miss");
+    assert_eq!(reader.req_causes.get(ReqCause::MissNeverHeld), (1, 0));
+    assert_eq!(reader.req_causes.total(), 1);
+    // Every release from round 1 on carries all sixteen; those of the
+    // even rounds are read.
+    let t = r.total();
+    let pushed = HOT as u64 * (ROUNDS - 1);
+    assert_eq!(
+        (t.pages_pushed, t.pushed_used, t.pushes_refused),
+        (pushed, pushed / 2, 0)
+    );
+    assert!(2 * t.pushed_used >= t.pages_pushed);
 }
 
 /// A lock kernel whose cell is homed at node 0. Node 0 holds the lock across

@@ -15,7 +15,7 @@ use dsm_trace::json::{self, Json};
 use dsm_trace::{EventKind, Histogram, Trace};
 use ftdsm_suite::{
     run, CkptPolicy, ClusterConfig, FailureSpec, FaultPlan, HomeAlloc, MetricsConfig, NodeReport,
-    Process, TraceConfig,
+    Process, ReqCause, TraceConfig,
 };
 
 /// Fixed seed: these runs are golden artifacts, not seed sweeps.
@@ -505,6 +505,17 @@ fn the_final_snapshot_is_the_metric_table_of_every_node_report() {
         let by_kind = format!("msgs_sent_by_kind_total{{kind=\"PageReq\",node=\"{i}\"}}");
         let sent = node.msg_kinds.iter().find(|(k, _)| *k == "PageReq");
         assert_eq!(last.counters[&by_kind], sent.unwrap().1);
+        // A crash-free run resends nothing: every request has one cause.
+        let by_cause = |home: &str| -> u64 {
+            let key = |c: &str| {
+                format!("page_reqs_by_cause_total{{cause=\"{c}\",home=\"{home}\",node=\"{i}\"}}")
+            };
+            ReqCause::ALL
+                .iter()
+                .map(|c| last.counters[&key(c.label())])
+                .sum()
+        };
+        assert_eq!(by_cause("0") + by_cause("other"), sent.unwrap().1);
         assert!(node.ft.ckpts_taken > 0 && node.traffic.msgs_sent > 0);
         // Every node installs pages; whether one ever waits for a fetch is
         // timing: a node whose every remote page is zero-filled on its cold
