@@ -7,8 +7,8 @@
 //!   of its creation (`diff.T`), including diffs for its own homed pages
 //!   (which base HLRC never creates);
 //! * `rel_log[j]` — grants it sent to process `j` (the acquirer's timestamp
-//!   after the acquire, plus the request timestamp so a lost grant can be
-//!   retransmitted byte-identically);
+//!   after the acquire, plus the request timestamp so a grant lost in a
+//!   crash can be replayed byte-identically);
 //! * `acq_log[j]` — the mirror of `j`'s `rel_log[me]`, restorable from one
 //!   another; neither is ever written to stable storage;
 //! * `bar` — per barrier episode its result timestamp, logged by the
@@ -367,7 +367,7 @@ impl VolatileLogs {
     }
 
     /// Find the grant this node sent to `to` for acquisition `acq_seq`
-    /// (used to retransmit lost grants idempotently).
+    /// (replayed for a forward a restart re-issues).
     pub fn find_rel(&self, to: ProcId, acq_seq: u64) -> Option<&RelEntry> {
         self.rel[to].iter().find(|e| e.acq_seq == acq_seq)
     }

@@ -148,9 +148,12 @@ impl RecAsk {
 }
 
 /// Move the replies `ask` matches from `inbox` to `got`, one per peer still
-/// in `owed` (which it then leaves); a further matching reply from a peer
-/// that has answered is a duplicate and is dropped. Everything else stays
-/// queued, in order, for the wait that asks for it.
+/// in `owed` (which it then leaves). Everything else stays queued, in
+/// order, for the wait that asks for it.
+///
+/// # Panics
+/// On a matching reply from a peer that owes none: every peer is asked
+/// once, and the link delivers its reply once.
 fn take_replies(
     inbox: &mut Vec<(ProcId, Payload)>,
     ask: RecAsk,
@@ -164,10 +167,10 @@ fn take_replies(
             continue;
         }
         let (peer, payload) = inbox.remove(i);
-        if let Some(k) = owed.iter().position(|&p| p == peer) {
-            owed.swap_remove(k);
-            got.push((peer, payload));
-        }
+        let k = owed.iter().position(|&p| p == peer);
+        let k = k.unwrap_or_else(|| panic!("{ask:?}: a second reply from {peer}"));
+        owed.swap_remove(k);
+        got.push((peer, payload));
     }
 }
 
@@ -200,8 +203,8 @@ fn collect_replies(
 /// The module's slice of the message kinds in normal mode: the two requests
 /// a recovering peer sends. A `RecLogReq` is how a survivor learns that its
 /// sender restarted: what that asks of it goes out ahead of the reply.
-/// Replies to *our* recovery arriving after we already went live are stale
-/// duplicates.
+/// A reply to *our* recovery cannot come after we went live: the recovery
+/// waited for one from every peer, and each answers once.
 pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
     match payload {
         Payload::RecLogReq { homed } => {
@@ -210,8 +213,7 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
             st.send(from, reply);
         }
         Payload::RecPageReq { page, tckp } => serve_rec_page(st, from, page, tckp),
-        Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {}
-        other => unreachable!("{} is not a recovery kind", other.kind()),
+        other => unreachable!("{} from {from} after going live", other.kind()),
     }
 }
 
@@ -739,9 +741,7 @@ mod tests {
             (1, page_reply(7, false)),
             (1, page_reply(4, false)),
             (1, log_reply()),
-            (1, page_reply(4, false)), // duplicate from peer 1
             (2, page_reply(9, true)),
-            (3, page_reply(4, false)), // peer 3 was never asked
         ];
         let mut owed = vec![1, 2];
         let mut got = Vec::new();
@@ -752,8 +752,8 @@ mod tests {
             "one reply, from the peer asked"
         );
         assert_eq!(owed, [2], "peer 2 still owes its reply");
-        // The duplicate and the unasked reply are gone; everything that is
-        // some other wait's business is still queued, in arrival order.
+        // Everything that is some other wait's business is still queued,
+        // in arrival order.
         assert_eq!(
             inbox,
             [
@@ -776,6 +776,21 @@ mod tests {
         assert_eq!(got, [(1, log_reply())]);
         assert_eq!(owed, [2]);
         assert_eq!(inbox, [(1, page_reply(7, false)), (2, page_reply(9, true))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Page(PageId(4)): a second reply from 1")]
+    fn a_second_reply_from_a_peer_is_a_bug() {
+        let mut inbox = vec![(1, page_reply(4, false)), (1, page_reply(4, false))];
+        let (mut owed, mut got) = (vec![1, 2], Vec::new());
+        take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
+    }
+
+    #[test]
+    #[should_panic(expected = "RecPageReply from 2 after going live")]
+    fn a_recovery_reply_after_going_live_is_a_bug() {
+        let (mut st, _eps) = test_state(1, 3, true);
+        handle(&mut st, 2, page_reply(4, true));
     }
 
     #[test]

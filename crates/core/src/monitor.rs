@@ -20,7 +20,7 @@
 //!    replay legitimately re-applies the writer's logged diffs.
 //! 2. **Lock tenure uniqueness** — per `(lock, generation)`, at most one
 //!    distinct grantee. Re-granting the same generation to the same node is
-//!    a legal retransmission replay; to a different node it is a split
+//!    a legal restart replay; to a different node it is a split
 //!    tenure — unless the grant died with its granter: the granter has had
 //!    a `CrashInjected` since it emitted the grant, and either the grantee
 //!    never consumed it (no `LockAcquire` of that lock by the grantee after
@@ -248,7 +248,7 @@ impl EventSink for Monitor {
                     to_acquired: acquired(*to),
                 };
                 match inner.tenures.get(&(*lock, *gen)) {
-                    // Same grantee again: legal retransmission replay.
+                    // Same grantee again: a legal restart replay.
                     Some(prev) if prev.to == *to => {}
                     // The granter crashed after emitting the grant, and the
                     // grantee never entered the tenure (the grant died on
@@ -416,7 +416,7 @@ mod tests {
             gen: 7,
         };
         m.on_event(&ev(0, 1, grant(1)));
-        m.on_event(&ev(0, 2, grant(1))); // retransmission replay: legal
+        m.on_event(&ev(0, 2, grant(1))); // restart replay: legal
         m.on_event(&ev(0, 3, grant(2))); // split tenure: violation
         let r = m.finish();
         assert_eq!(r.violations.len(), 1);

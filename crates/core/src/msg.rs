@@ -106,15 +106,16 @@ pub enum Payload {
         /// forward chains behind (`u64::MAX` = chain start); the granter
         /// grants immediately iff it already released that tenure.
         pred_acq: u64,
-        /// Requester's timestamp (zero-length on crash retransmissions; the
-        /// granter then uses its release log).
+        /// Requester's timestamp (zero-length on a forward a restart
+        /// re-issues; the granter then uses its release log).
         vt: VectorClock,
     },
     /// Grant: granter → requester.
     LockGrant {
         /// The lock granted.
         lock: LockId,
-        /// The requester's acquisition sequence number (dedup key).
+        /// The requester's acquisition sequence number (its wait slot takes
+        /// one grant per number).
         acq_seq: u64,
         /// The manager-assigned grant generation.
         gen: u64,

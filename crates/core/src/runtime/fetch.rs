@@ -357,8 +357,9 @@ fn install_copy(st: &mut NodeState, page: PageId, body: PageBody, version: &Vect
 fn install(st: &mut NodeState, page: PageId, req_id: u64, version: VectorClock, body: PageBody) {
     match st.fetch.in_flight.get(&page) {
         Some(e) if e.req_id == req_id => {}
-        // A duplicate, or a reply to a superseded request (or none in
-        // flight): drop it and keep the entry for the current one's reply.
+        // The restart's: a restarted home answered a request both before
+        // its crash and after the resend, and the first answer already
+        // ended the entry (or a newer request holds it). Drop it.
         _ => {
             st.dup_suppressed += 1;
             return;

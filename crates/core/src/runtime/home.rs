@@ -194,9 +194,8 @@ impl HomeSvc {
                     hists.diff_apply.record(t0.elapsed().as_nanos() as u64);
                     ready.extend(r);
                     // Only a version-advancing apply is an apply; a
-                    // duplicated or retransmitted batch the gate skipped
-                    // must not emit (the invariant monitor treats a repeat
-                    // as a violation).
+                    // replayed diff the gate skipped must not emit (the
+                    // invariant monitor treats a repeat as a violation).
                     if fresh {
                         emit_diff_apply(&self.tracer, d);
                     }

@@ -105,9 +105,9 @@ pub(crate) fn answers(request: &Payload, reply: &Payload) -> bool {
 
 impl WaitSlot {
     /// Deposit `reply` from `from` for the blocked application thread, if
-    /// it is the first answer to the request waited for. Anything else — a
-    /// stale retransmission, a duplicate, a reply nobody waits for — comes
-    /// back.
+    /// it is the first answer to the request waited for. Anything else
+    /// comes back: a restart's second answer to a request already answered
+    /// (the link delivers every other message once).
     pub(crate) fn deposit(&mut self, from: ProcId, reply: Payload) -> Option<Payload> {
         match self {
             WaitSlot::Request {
@@ -192,8 +192,10 @@ pub(crate) struct NodeState {
     pub pages_pushed: u64,
     /// Their bytes per carrying kind: see [`NodeReport::pushed_bytes`].
     pub pushed_bytes: BTreeMap<&'static str, u64>,
-    /// Duplicate or stale deliveries suppressed by the idempotency gates
-    /// (grant/release/ack dedup, superseded prefetch replies).
+    /// Second answers a restart caused, dropped by its gates: a grant
+    /// replayed for a forward re-issued after its grant was delivered, a
+    /// page reply to a request resent to a restarted home. 0 without a
+    /// crash.
     pub dup_suppressed: u64,
     /// Protocol handler time, attributed per message kind: the service
     /// thread's (folded in when the service loop exits) and the application

@@ -277,9 +277,9 @@ impl SyncSvc {
         // Track the newest grant this node is responsible for (manager
         // recovery).
         self.note_grant(lock, fwd.gen, requester, acq_seq);
-        // Retransmission of a grant we already produced? Replay it from the
-        // release log so the requester sees an identical grant (recovery
-        // pushes nothing).
+        // A forward a restart re-issued for a grant we already produced?
+        // Replay it from the release log so the requester sees an identical
+        // grant (recovery pushes nothing).
         if let Some(entry) = ft.logs().and_then(|l| l.find_rel(requester, acq_seq)) {
             if entry.lock == lock {
                 let replay = Payload::LockGrant {
@@ -315,9 +315,9 @@ impl SyncSvc {
         if grantable {
             return Some(self.grant_now(fwd, wn_table, home, ft, tracer));
         }
-        // One queued edge per acquisition: a retransmitted forward
+        // One queued edge per acquisition: a forward a restart re-issued
         // replaces (or is subsumed by) the copy already queued, newest
-        // generation winning, so retries can't grow the queue.
+        // generation winning, so resends can't grow the queue.
         let q = self.pending_grants.entry(lock).or_default();
         let same = |pg: &LockAction| pg.req.requester == requester && pg.req.acq_seq == acq_seq;
         if q.iter().any(|pg| same(pg) && pg.gen > fwd.gen) {
@@ -636,7 +636,9 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
                 .barrier_manager_arrive(arrival, &home, &mut st.hists, &mut st.ft, &mut out);
             st.send_all(out);
         }
-        // A grant or release nobody waits for is a stale retransmission.
+        // A grant nobody waits for is a restart's: the release-log replay
+        // (`handle_forward`) of a forward the restart re-issued for a grant
+        // that was already delivered.
         grant_or_release => {
             if st.wait.deposit(from, grant_or_release).is_some() {
                 st.dup_suppressed += 1;

@@ -263,8 +263,9 @@ pub struct NodeReport {
     /// application thread served inside its waits, which the service thread
     /// would otherwise have been woken for.
     pub app_served: u64,
-    /// Duplicate deliveries this node detected and suppressed (re-granted
-    /// locks, re-delivered pages, mismatched prefetches).
+    /// A restart's second answers this node dropped: grants replayed for
+    /// forwards re-issued after their grants were delivered, page replies
+    /// to requests resent to a restarted home. 0 without a crash.
     pub dup_suppressed: u64,
     /// Fetches this node installed as a delta: the home sent the diffs the
     /// kept stale copy was missing instead of the page.

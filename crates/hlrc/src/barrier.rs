@@ -111,7 +111,9 @@ impl BarrierManager {
     /// # Panics
     /// On an arrival from the future (more than the current episode), which
     /// would indicate a runtime bug: no node can pass a barrier before it
-    /// completes.
+    /// completes. On one older than the last completed episode: that
+    /// episode needed the sender's arrival, the link delivers each arrival
+    /// once, and a restart resends only the arrival its sender blocks on.
     pub fn arrive(&mut self, a: Arrival) -> ArriveOutcome {
         debug_assert!(
             a.own_wns.iter().all(|w| w.interval.proc == a.proc),
@@ -126,17 +128,14 @@ impl BarrierManager {
                 .last
                 .as_ref()
                 .expect("re-arrival with no completed episode");
-            if a.episode < last.episode {
-                // A duplicated or long-delayed arrival for an episode older
-                // than the last completed one. That episode completed, which
-                // required this node's arrival — so the sender has already
-                // crossed it and this copy is stale. A node genuinely blocked
-                // at an ancient episode is impossible: every later episode's
-                // completion required its arrival too.
-                return ArriveOutcome::Pending;
-            }
-            // The receiver skips every notice its arrival clock covers, so
-            // restricting by the re-arrival's clock loses nothing.
+            let (from, ep, done) = (a.proc, a.episode, last.episode);
+            assert_eq!(
+                ep, done,
+                "arrival of episode {ep} from {from} after episode {done} completed"
+            );
+            // The restart's re-arrival. The receiver skips every notice its
+            // arrival clock covers, so restricting by the re-arrival's
+            // clock loses nothing.
             return ArriveOutcome::Resend {
                 proc: a.proc,
                 episode: last.episode,
@@ -296,6 +295,17 @@ mod tests {
             b.arrive(arrival(0, 1, vec![2, 1], vec![])),
             ArriveOutcome::Pending
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival of episode 0 from 1 after episode 1 completed")]
+    fn an_arrival_older_than_the_last_completed_episode_is_a_bug() {
+        let mut b = BarrierManager::new(2);
+        for ep in 0..2 {
+            b.arrive(arrival(0, ep, vec![ep as u32 + 1, 0], vec![]));
+            b.arrive(arrival(1, ep, vec![0, ep as u32 + 1], vec![]));
+        }
+        b.arrive(arrival(1, 0, vec![0, 1], vec![]));
     }
 
     #[test]

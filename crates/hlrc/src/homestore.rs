@@ -215,8 +215,8 @@ pub enum FetchOutcome {
 pub enum ApplyOutcome {
     /// Diff accepted; any fetches it unparked are returned for the caller
     /// to answer. `fresh` is false when the version gate idempotently
-    /// skipped an already-covered interval (a retransmitted or duplicated
-    /// batch) — observability must not report those as applies.
+    /// skipped an already-covered interval (a diff recovery replay resent)
+    /// — observability must not report those as applies.
     Applied {
         /// Did the home version actually advance?
         fresh: bool,
@@ -520,8 +520,8 @@ impl HomeStore {
 
     /// Apply one diff and keep it in the page's ring, which shares it with
     /// the batch or log it came in. Idempotent: diffs for intervals already
-    /// covered by `p.v[writer]` are skipped (recovery-time retransmissions
-    /// are safe). `live` is re-checked under the shard lock, as for
+    /// covered by `p.v[writer]` are skipped (replay resends diffs on
+    /// purpose). `live` is re-checked under the shard lock, as for
     /// [`HomeStore::serve_fetch_have`]. On success, any fetches the diff
     /// unparked are returned for the caller to answer, with the shard-lock
     /// wait.

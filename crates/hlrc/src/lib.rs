@@ -14,7 +14,7 @@
 //!   diffs concurrently with application compute.
 //! * [`locks`] — the per-lock manager state machine: routing acquire
 //!   requests to the last owner (which grants directly to the requester with
-//!   LRC write notices), queueing, and crash-retransmission bookkeeping.
+//!   LRC write notices), queueing, and the forwards a restart re-issues.
 //! * `wants` — which peers reported using which homed pages: what a grant
 //!   or release pushes them, kept for one unread push.
 //! * [`barrier`] — the centralized barrier manager: episode arrivals

@@ -10,12 +10,15 @@
 //! manager acts as the initial owner of its locks: the very first request is
 //! forwarded to the manager itself, which grants with a zero timestamp.
 //!
-//! Crash handling: the manager remembers, per (lock, requester), the last
-//! forward it issued until a newer request from the same requester replaces
-//! it. When a crashed node restarts ([`LockManagerTable::on_peer_restart`]) the
-//! manager re-issues every forward that was addressed to it; grants are
-//! idempotent (the granter replays them from its release log, the requester
-//! dedups by acquisition sequence number).
+//! Below the protocol, every message arrives exactly once, in order, per
+//! incarnation; the only duplicates are the ones a restart sends on
+//! purpose. The manager remembers, per (lock, requester), the last forward
+//! it issued until a newer request from the same requester replaces it.
+//! When a crashed node restarts ([`LockManagerTable::on_peer_restart`]) the
+//! manager re-issues every forward that was addressed to it, and a
+//! survivor blocked on an acquisition sends its request again; the granter
+//! replays a grant it already issued from its release log, and the
+//! requester's wait slot takes one grant per acquisition sequence number.
 
 use std::collections::HashMap;
 
@@ -29,8 +32,8 @@ pub type LockId = usize;
 pub struct AcqReq {
     /// The process that wants the lock.
     pub requester: ProcId,
-    /// The requester's acquisition sequence number (dedup key; each process
-    /// numbers all its lock acquisitions).
+    /// The requester's acquisition sequence number (each process numbers
+    /// all its lock acquisitions; a restart resend repeats it).
     pub acq_seq: u64,
     /// The requester's vector timestamp at request time.
     pub vt: VectorClock,
@@ -69,16 +72,7 @@ struct ManagedLock {
     tail_acq: u64,
     /// Next grant generation.
     gen_next: u64,
-    /// The node that granted (or was forwarded) the tail's tenure — i.e.
-    /// the `grant_from` of the edge that made `tail` the tail. A recovered
-    /// manager restores this from the granter's release log, which lets it
-    /// replay a grant whose delivery was lost: if the tail itself
-    /// retransmits the acquisition that made it tail, the manager
-    /// re-forwards to this granter instead of chaining the request behind
-    /// its own (never completed) tenure. `None` when the edge's origin is
-    /// unknown (tenure-derived restore, self-grant).
-    tail_granter: Option<ProcId>,
-    /// Per-requester last forward, kept for crash retransmission. Replaced
+    /// Per-requester last forward, kept for the restart resend. Replaced
     /// when the same requester issues a newer acquisition.
     pending: HashMap<ProcId, PendingFwd>,
 }
@@ -107,9 +101,14 @@ impl LockManagerTable {
         }
     }
 
-    /// Handle an acquire request (possibly a retransmission) for a lock
-    /// managed here. Returns the forward to issue, or `None` for a stale
-    /// duplicate.
+    /// Handle an acquire request for a lock managed here, and return the
+    /// forward to issue (always `Some`): the recorded one again for a
+    /// restart resend of the requester's pending acquisition, else a new
+    /// chain edge.
+    ///
+    /// # Panics
+    /// On a request older than the requester's pending one: the link
+    /// delivers each request once, and a resend repeats the latest.
     pub fn on_request(&mut self, lock: LockId, req: AcqReq) -> Option<LockAction> {
         let me = self.me;
         let ml = self.locks.entry(lock).or_insert_with(|| ManagedLock {
@@ -117,85 +116,49 @@ impl LockManagerTable {
             tail_gen: 0,
             tail_acq: u64::MAX,
             gen_next: 1,
-            tail_granter: None,
             pending: HashMap::new(),
         });
-        match ml.pending.get(&req.requester) {
-            Some(p) if p.acq_seq == req.acq_seq => {
-                // Retransmission of an in-flight request: re-forward to the
-                // same predecessor; do not advance the chain again.
-                Some(LockAction {
+        if let Some(p) = ml.pending.get(&req.requester) {
+            if p.acq_seq == req.acq_seq {
+                // The restart resend of an in-flight request: re-forward
+                // to the same predecessor; do not advance the chain again.
+                return Some(LockAction {
                     lock,
                     grant_from: p.forwarded_to,
                     gen: p.gen,
                     pred_acq: p.pred_acq,
                     req,
-                })
+                });
             }
-            Some(p) if p.acq_seq > req.acq_seq => None, // stale duplicate
-            _ => {
-                if ml.tail == req.requester && ml.tail_acq == req.acq_seq {
-                    // The tail retransmits the very acquisition that made
-                    // it the tail, and we have no pending record of it:
-                    // this manager recovered from a crash, restored the
-                    // tail from peer reports, and the original grant's
-                    // delivery was lost. Chaining the request behind the
-                    // tail's own tenure would deadlock it on itself. If
-                    // the restoring report named the granter (the grant is
-                    // in its release log), re-forward there: the granter
-                    // replays the identical grant. Otherwise the tail came
-                    // from a *delivered* tenure, whose owner never
-                    // retransmits it — fall through and chain normally.
-                    if let Some(granter) = ml.tail_granter {
-                        if granter != req.requester {
-                            let gen = ml.tail_gen;
-                            ml.pending.insert(
-                                req.requester,
-                                PendingFwd {
-                                    acq_seq: req.acq_seq,
-                                    forwarded_to: granter,
-                                    gen,
-                                    // The granter replays from its release
-                                    // log; the predecessor test never runs.
-                                    pred_acq: u64::MAX,
-                                },
-                            );
-                            return Some(LockAction {
-                                lock,
-                                grant_from: granter,
-                                gen,
-                                pred_acq: u64::MAX,
-                                req,
-                            });
-                        }
-                    }
-                }
-                let grant_from = ml.tail;
-                let pred_acq = ml.tail_acq;
-                let gen = ml.gen_next;
-                ml.gen_next += 1;
-                ml.tail = req.requester;
-                ml.tail_gen = gen;
-                ml.tail_acq = req.acq_seq;
-                ml.tail_granter = Some(grant_from);
-                ml.pending.insert(
-                    req.requester,
-                    PendingFwd {
-                        acq_seq: req.acq_seq,
-                        forwarded_to: grant_from,
-                        gen,
-                        pred_acq,
-                    },
-                );
-                Some(LockAction {
-                    lock,
-                    grant_from,
-                    gen,
-                    pred_acq,
-                    req,
-                })
-            }
+            let (from, seq, pending) = (req.requester, req.acq_seq, p.acq_seq);
+            assert!(
+                seq > pending,
+                "lock {lock}: request {seq} from {from} is older than its pending {pending}"
+            );
         }
+        let grant_from = ml.tail;
+        let pred_acq = ml.tail_acq;
+        let gen = ml.gen_next;
+        ml.gen_next += 1;
+        ml.tail = req.requester;
+        ml.tail_gen = gen;
+        ml.tail_acq = req.acq_seq;
+        ml.pending.insert(
+            req.requester,
+            PendingFwd {
+                acq_seq: req.acq_seq,
+                forwarded_to: grant_from,
+                gen,
+                pred_acq,
+            },
+        );
+        Some(LockAction {
+            lock,
+            grant_from,
+            gen,
+            pred_acq,
+            req,
+        })
     }
 
     /// A crashed node restarted: re-issue every pending forward that was
@@ -213,7 +176,7 @@ impl LockManagerTable {
                         req: AcqReq {
                             requester,
                             acq_seq: p.acq_seq,
-                            // The retransmitted forward carries a zero vt;
+                            // The re-issued forward carries a zero vt;
                             // the granter computes missing notices against
                             // the vt recorded in its release log for
                             // already-granted requests, and requesters of
@@ -248,7 +211,6 @@ impl LockManagerTable {
             tail_gen: gen,
             tail_acq,
             gen_next: gen + 1,
-            tail_granter: granter,
             pending: HashMap::new(),
         });
         if gen + 1 > ml.gen_next {
@@ -257,21 +219,19 @@ impl LockManagerTable {
         if gen >= ml.tail_gen {
             // A displaced restored tail's edge materialized and the chain
             // moved past it, so its tenure completed and its requester will
-            // never retransmit it — drop the replay record (restores run on
+            // never resend it — drop the replay record (restores run on
             // a fresh manager, so `pending` holds only restored edges).
             ml.pending.remove(&ml.tail);
             ml.tail = tail;
             ml.tail_gen = gen;
             ml.tail_acq = tail_acq;
-            ml.tail_granter = granter;
-            // A release-log-restored edge may have lost its delivery: the
-            // grantee will retransmit the acquisition. Record the forward so
-            // the retransmission replays from the granter at the original
-            // generation even after new requests advance the chain —
-            // chaining the same acquisition a second time behind the new
-            // tail would close a grant cycle and deadlock both requesters.
-            // (The tail-retransmission check in `on_request` only catches
-            // the case where the chain has NOT moved yet.)
+            // A release-log-restored edge may have lost its delivery in the
+            // crash: the grantee's restart resend repeats the acquisition.
+            // Record the forward so that the resend replays from the
+            // granter at the original generation, whether or not new
+            // requests advanced the chain since — chaining the same
+            // acquisition behind itself, or a second time behind a newer
+            // tail, would deadlock it or close a grant cycle.
             if let Some(g) = granter {
                 if g != tail {
                     ml.pending.insert(
@@ -308,7 +268,6 @@ impl LockManagerTable {
                     tail_gen: 0,
                     tail_acq: u64::MAX,
                     gen_next: gen + 1,
-                    tail_granter: None,
                     pending: HashMap::new(),
                 },
             );
@@ -337,7 +296,6 @@ impl LockManagerTable {
             tail_gen: 0,
             tail_acq,
             gen_next: 1,
-            tail_granter: None,
             pending: HashMap::new(),
         });
         // Never regress our own tail: a restored tail naming the same node
@@ -349,7 +307,6 @@ impl LockManagerTable {
         ml.tail_acq = tail_acq;
         ml.tail_gen = ml.gen_next;
         ml.gen_next += 1;
-        ml.tail_granter = None;
     }
 
     /// Number of locks with state.
@@ -409,11 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_duplicate_is_dropped() {
+    #[should_panic(expected = "lock 5: request 0 from 1 is older than its pending 1")]
+    fn a_request_older_than_the_pending_one_is_a_bug() {
         let mut m = LockManagerTable::new(0);
         m.on_request(5, req(1, 0)).unwrap();
         m.on_request(5, req(1, 1)).unwrap();
-        assert_eq!(m.on_request(5, req(1, 0)), None);
+        m.on_request(5, req(1, 0));
     }
 
     #[test]

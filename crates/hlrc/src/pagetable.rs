@@ -489,8 +489,8 @@ impl PageTable {
     }
 
     /// Apply a diff at the home. Idempotent: diffs for intervals already
-    /// covered by `p.v[writer]` are skipped (this makes recovery-time
-    /// retransmissions safe). Returns whether the diff was applied.
+    /// covered by `p.v[writer]` are skipped (replay resends diffs on
+    /// purpose). Returns whether the diff was applied.
     ///
     /// # Panics
     /// If this node is not the page's home.

@@ -93,8 +93,8 @@ impl WnTable {
         Self::default()
     }
 
-    /// Record a notice. Re-insertions (retransmissions during recovery) are
-    /// idempotent.
+    /// Record a notice. Re-insertions (a notice recovery hands over again)
+    /// are idempotent.
     pub fn insert(&mut self, wn: WriteNotice) {
         self.map
             .entry((wn.interval.proc, wn.interval.seq))

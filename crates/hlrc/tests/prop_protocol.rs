@@ -211,8 +211,8 @@ proptest! {
         }
     }
 
-    /// Retransmissions never advance the chain: re-sending any in-flight
-    /// request returns the original routing.
+    /// Restart resends never advance the chain: re-sending each
+    /// requester's latest request returns the original routing.
     #[test]
     fn lock_retransmission_is_idempotent(reqs in proptest::collection::vec(0usize..4, 1..20)) {
         let mut mgr = LockManagerTable::new(0);
@@ -226,8 +226,12 @@ proptest! {
                 .unwrap();
             actions.push(a);
         }
-        // Re-send the most recent request of each requester.
+        // Re-send the most recent request of each requester, as a restart
+        // does; the link delivers every earlier one once.
         for a in actions.iter().rev() {
+            if a.req.acq_seq + 1 != acq_seq[a.req.requester] {
+                continue;
+            }
             let retx = mgr.on_request(
                 1,
                 AcqReq {

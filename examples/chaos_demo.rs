@@ -114,6 +114,9 @@ fn main() {
     let recoveries = chaotic.total().ft.recoveries;
     let seen = chaotic.total().restarts_seen;
     println!("restarts:        {recoveries} recoveries, {seen} restarts seen by peers");
+    // The restart's second answers; the link delivers everything else once.
+    let dups = chaotic.total().dup_suppressed;
+    println!("dup_suppressed:  {dups}");
     // Each recovery's handshake reaches every survivor once.
     assert_eq!(
         seen,

@@ -211,7 +211,7 @@ fn crash_during_chaos_stress() {
     let clean = run(cfg().with_seed(base), &[], app);
     let mut s = base;
     let (mut diverged, mut panics, mut unfired, mut miscounted) = (0u64, 0u64, 0u64, 0u64);
-    let (mut delta_installs, mut installs) = (0u64, 0u64);
+    let (mut delta_installs, mut installs, mut dup_suppressed) = (0u64, 0u64, 0u64);
     for case in 0..iters {
         let seed = splitmix(&mut s);
         let victim = (splitmix(&mut s) % NODES as u64) as usize;
@@ -248,6 +248,7 @@ fn crash_during_chaos_stress() {
             Ok(r) => {
                 delta_installs += r.total().fetch_delta_pages;
                 installs += r.total_hists().fetch_copy.count();
+                dup_suppressed += r.total().dup_suppressed;
                 continue;
             }
         };
@@ -256,7 +257,7 @@ fn crash_during_chaos_stress() {
     eprintln!(
         "CENSUS base={base:#x} iters={iters} diverged={diverged} panics={panics} \
          unfired={unfired} miscounted={miscounted} delta_installs={delta_installs} \
-         installs={installs}"
+         installs={installs} dup_suppressed={dup_suppressed}"
     );
     assert_eq!(
         (diverged, panics, unfired, miscounted),
