@@ -392,22 +392,23 @@ fn do_protocol(scale: &Scale) {
     );
     let r = run_app(App::WaterSp, scale.ft_config(App::WaterSp));
     print_hists("latency (all nodes merged)", &r.total_hists());
+    let total = r.total();
     println!("\nfetches installed as deltas (diffs onto the kept copy, not the page):");
-    println!("  fetch_delta_pages {:>8}", r.total().fetch_delta_pages);
-    println!("  fetch_delta_bytes {:>8}", r.total().fetch_delta_bytes);
+    println!("  fetch_delta_pages {:>8}", total.counts.fetch_delta_pages);
+    println!("  fetch_delta_bytes {:>8}", total.counts.fetch_delta_bytes);
     println!(
         "  of installs       {:>8}",
         r.total_hists().fetch_copy.count()
     );
     println!("\ncold misses answered with the zero page (no message):");
-    println!("  zero_fills        {:>8}", r.total().zero_fills);
+    println!("  zero_fills        {:>8}", total.counts.zero_fills);
     // Over the three applications (Table 2 has the ratio per app, and CI
     // gates each one).
-    let mut pf = r.total().prefetch;
-    let mut causes = vec![(App::WaterSp, r.total().req_causes)];
+    let mut pf = total.counts;
+    let mut causes = vec![(App::WaterSp, total.req_causes)];
     for app in [App::Barnes, App::WaterNsq] {
         let t = run_app(app, scale.ft_config(app)).total();
-        pf += t.prefetch;
+        pf.merge(&t.counts);
         causes.push((app, t.req_causes));
     }
     println!(
@@ -432,16 +433,15 @@ fn do_protocol(scale: &Scale) {
     println!("\ndiff batches that rode a barrier arrival instead of going alone:");
     println!(
         "  diff_batches_carried {:>8}",
-        r.total().diff_batches_carried
+        total.counts.diff_batches_carried
     );
-    let total = r.total();
     println!(
         "\npages node 0's grants and releases carried with the notices that invalidate them, \
          because the receiver's arrival reported using its copy (a refused one is fetched):"
     );
-    println!("  pages_pushed   {:>8}", total.pages_pushed);
-    println!("  pushed_used    {:>8}", total.pushed_used);
-    println!("  pushes_refused {:>8}", total.pushes_refused);
+    println!("  pages_pushed   {:>8}", total.counts.pages_pushed);
+    println!("  pushed_used    {:>8}", total.counts.pushed_used);
+    println!("  pushes_refused {:>8}", total.counts.pushes_refused);
     // `$3` is the bytes of the pushed pages a kind carried, inside that
     // kind's `msg_count` bytes below.
     println!("\npushed page bytes by the kind that carried them:");
@@ -452,8 +452,8 @@ fn do_protocol(scale: &Scale) {
         "\nbarrier arrivals a service thread handled (the manager's application thread takes \
          every one inside its waits), and requests application threads served inside theirs:"
     );
-    println!("  svc_arrivals {:>8}", r.total().svc_arrivals);
-    println!("  app_served   {:>8}", r.total().app_served);
+    println!("  svc_arrivals {:>8}", total.counts.svc_arrivals);
+    println!("  app_served   {:>8}", total.counts.app_served);
     println!("\nservice time by message kind (all nodes summed):");
     for (k, d) in r.total_svc_time_by_kind() {
         println!("  svc_time {k:<16} {:>10.3}ms", d.as_secs_f64() * 1e3);

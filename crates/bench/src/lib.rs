@@ -172,7 +172,7 @@ pub fn table2(scale: &Scale) -> Vec<Table2Row> {
         .map(|&app| {
             let r = run_app(app, scale.ft_config(app));
             let t = r.total_traffic();
-            let pf = r.total().prefetch;
+            let pf = r.total().counts;
             Table2Row {
                 app: app.name(),
                 hlrc_traffic_mb: mb(t.base_bytes_sent),

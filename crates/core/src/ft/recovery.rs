@@ -873,7 +873,7 @@ mod tests {
             Payload::DiffBatch { diffs } => assert_eq!(diffs.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(st.diff_batches_carried, 0);
+        assert_eq!(st.counts.diff_batches_carried, 0);
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use hlrc::LockId;
 pub use monitor::{Monitor, MonitorReport, Violation};
 pub use runtime::{run, AppState, Process, SharedVec};
 pub use shareable::Shareable;
-pub use stats::{Breakdown, FtReport, NodeReport, PrefetchCounts, ReqCause, ReqCauses, RunReport};
+pub use stats::{Breakdown, Counts, FtReport, NodeReport, ReqCause, ReqCauses, RunReport};

@@ -1,8 +1,7 @@
 //! The requester side of page fetching: [`FetchSvc`].
 //!
-//! The module owns the request ids, the map of fetches in flight — the one
-//! place a fetch is tracked, whoever asked for it — and the prefetch
-//! counters; it decides what an invalidation prefetches, what a miss brings
+//! The module owns the request ids and the map of fetches in flight — the
+//! one place a fetch is tracked, whoever asked for it; it decides what an invalidation prefetches, what a miss brings
 //! with it and which miss needs no message at all (a cold page is the zero
 //! page), and installs what comes back: it handles the one kind that
 //! answers a fetch, `PageReply`, and the pages a grant or release pushes
@@ -15,7 +14,7 @@ use hlrc::{Have, Held, PageBody, PageState};
 
 use crate::msg::{Payload, Pushed};
 use crate::runtime::node::NodeState;
-use crate::stats::{PrefetchCounts, ReqCause, ReqCauses};
+use crate::stats::ReqCause;
 
 /// One remote page with a fetch in flight to its home.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,36 +36,20 @@ pub(crate) struct FetchSvc {
     /// The page the application thread's fault is waiting for.
     awaited: Option<PageId>,
     req_id_next: u64,
-    /// What was prefetched, what of it was used and what the filter left
-    /// out, over all incarnations (for the node report).
-    counts: PrefetchCounts,
-    /// Why each `PageReq` was sent, over all incarnations.
-    causes: ReqCauses,
-    /// Misses answered with the zero page, over all incarnations.
-    zero_fills: u64,
     /// Copies of node 0's pages, each exactly a known version, used since
     /// this node's last barrier arrival: what the next one reports.
     used: BTreeSet<PageId>,
     /// Pushed copies not used yet.
     pushed: HashSet<PageId>,
-    /// Pushed copies used, and pushes refused, over all incarnations.
-    pushed_used: u64,
-    pushes_refused: u64,
 }
 
 impl FetchSvc {
-    /// Fail-stop: what was in flight is lost. The ids keep counting, so an
-    /// answer addressed to the previous incarnation never matches a new
-    /// request, and the counters report the whole run. A restart restores
-    /// nothing.
+    /// Fail-stop: everything is lost but the ids, which keep counting, so
+    /// an answer addressed to the previous incarnation never matches a new
+    /// request. A restart restores nothing.
     pub(crate) fn fail_stop(&mut self) {
         *self = FetchSvc {
             req_id_next: self.req_id_next,
-            counts: self.counts,
-            causes: self.causes,
-            zero_fills: self.zero_fills,
-            pushed_used: self.pushed_used,
-            pushes_refused: self.pushes_refused,
             ..Self::default()
         };
     }
@@ -92,26 +75,6 @@ impl FetchSvc {
         let page = self.awaited?;
         let e = self.in_flight.get(&page)?;
         Some((page, e.home, e.req_id))
-    }
-
-    /// The prefetch counters, for the node report.
-    pub(crate) fn counts(&self) -> PrefetchCounts {
-        self.counts
-    }
-
-    /// Why each `PageReq` was sent, for the node report.
-    pub(crate) fn causes(&self) -> ReqCauses {
-        self.causes
-    }
-
-    /// Misses answered with the zero page, for the node report.
-    pub(crate) fn zero_fills(&self) -> u64 {
-        self.zero_fills
-    }
-
-    /// `(pushed copies used, pushes refused)`, for the node report.
-    pub(crate) fn push_counts(&self) -> (u64, u64) {
-        (self.pushed_used, self.pushes_refused)
     }
 
     fn take_req_id(&mut self) -> u64 {
@@ -168,10 +131,10 @@ pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId], cause: 
         if m.held == Held::Used {
             pages.push(page);
         } else {
-            st.fetch.counts.prefetch_skipped += 1;
+            st.counts.prefetch_skipped += 1;
         }
     }
-    st.fetch.counts.prefetched += pages.len() as u64;
+    st.counts.prefetched += pages.len() as u64;
     send_page_batches(st, &pages, cause);
 }
 
@@ -195,7 +158,7 @@ pub(crate) fn zero_fill(st: &mut NodeState, page: PageId) -> bool {
         return false;
     }
     st.pt.install_zero(page);
-    st.fetch.zero_fills += 1;
+    st.counts.zero_fills += 1;
     true
 }
 
@@ -212,12 +175,12 @@ pub(crate) fn fetch_with_neighbours(st: &mut NodeState, page: PageId) {
     let mut cause = ReqCause::MissOther;
     if let Some(home) = left_out(st, page) {
         cause = left_out_cause(st, page);
-        st.fetch.counts.skipped_then_missed += 1;
+        st.counts.skipped_then_missed += 1;
         let mut before = left_out_run(st, home, (0..page.0).rev());
         let after = left_out_run(st, home, page.0 + 1..st.pt.len() as u32);
         before.reverse();
         pages = [before, pages, after].concat();
-        st.fetch.counts.prefetched += pages.len() as u64 - 1;
+        st.counts.prefetched += pages.len() as u64 - 1;
     }
     send_page_batches(st, &pages, cause);
 }
@@ -271,7 +234,7 @@ fn send_page_batches(st: &mut NodeState, pages: &[PageId], cause: ReqCause) {
         for (p, ..) in &pages {
             st.fetch.in_flight.insert(*p, InFlight { req_id, home });
         }
-        st.fetch.causes.count(cause, home);
+        st.req_causes.count(cause, home);
         st.send(home, Payload::PageReq { pages, req_id });
     }
 }
@@ -297,9 +260,9 @@ pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
 /// known version goes into the next barrier arrival's report.
 pub(crate) fn first_use(st: &mut NodeState, page: PageId, demanded: bool) {
     if st.fetch.pushed.remove(&page) {
-        st.fetch.pushed_used += 1;
+        st.counts.pushed_used += 1;
     } else if !demanded {
-        st.fetch.counts.prefetched_used += 1;
+        st.counts.prefetched_used += 1;
     }
     if st.pt.home_of(page) == 0 && st.pt.have(page).is_some() {
         st.fetch.used.insert(page);
@@ -331,7 +294,7 @@ pub(crate) fn install_pushed(st: &mut NodeState, pushed: Vec<Pushed>) {
         if kept && install_copy(st, p.page, p.body, &p.version) {
             st.fetch.pushed.insert(p.page);
         } else {
-            st.fetch.pushes_refused += 1;
+            st.counts.pushes_refused += 1;
         }
     }
 }
@@ -339,14 +302,18 @@ pub(crate) fn install_pushed(st: &mut NodeState, pushed: Vec<Pushed>) {
 /// Install `body` as the copy of remote `page` at `version` if the page is
 /// invalid and `version` still covers everything it is known to need.
 /// One `fetch_copy` sample per install: the bytes written into the local
-/// copy — none for an adopted page buffer, the diff payloads for a delta.
+/// copy — none for an adopted page buffer, the diff payloads for a delta,
+/// which counts as a delta install.
 fn install_copy(st: &mut NodeState, page: PageId, body: PageBody, version: &VectorClock) -> bool {
     let m = st.pt.remote_meta(page);
     if m.state != PageState::Invalid || !version.covers(&m.needed) {
         return false;
     }
-    let copied = st.pt.install(page, body, version);
-    st.hists.fetch_copy.record(copied as u64);
+    let delta = matches!(body, PageBody::Delta(_));
+    let copied = st.pt.install(page, body, version) as u64;
+    st.hists.fetch_copy.record(copied);
+    st.counts.fetch_delta_pages += delta as u64;
+    st.counts.fetch_delta_bytes += copied;
     st.fetch.pushed.remove(&page);
     true
 }
@@ -361,7 +328,7 @@ fn install(st: &mut NodeState, page: PageId, req_id: u64, version: VectorClock, 
         // its crash and after the resend, and the first answer already
         // ended the entry (or a newer request holds it). Drop it.
         _ => {
-            st.dup_suppressed += 1;
+            st.counts.dup_suppressed += 1;
             return;
         }
     }
@@ -384,14 +351,14 @@ pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ft::recovery::RecoverySvc;
     use crate::runtime::node::tests::{
         gated, only_payload, page_of, recv_any, requests, test_state,
     };
     use crate::runtime::node::NodeShared;
-    use crate::stats::Breakdown;
+    use crate::stats::{Breakdown, Counts};
     use crate::{HomeAlloc, Process};
     use dsm_net::Event;
     use dsm_page::Diff;
@@ -402,24 +369,29 @@ mod tests {
         InFlight { req_id, home: 0 }
     }
 
+    /// What a crash leaves of the fetch state: a fresh one whose ids go on
+    /// from `req_id_next`.
+    pub(crate) fn restarted(req_id_next: u64) -> FetchSvc {
+        FetchSvc {
+            req_id_next,
+            ..FetchSvc::default()
+        }
+    }
+
     #[test]
     fn a_crash_forgets_what_was_in_flight_and_keeps_counting() {
-        let mut svc = FetchSvc::default();
-        svc.in_flight.insert(PageId(0), in_flight(16));
-        svc.await_page(PageId(0));
-        svc.req_id_next = 17;
-        svc.counts.prefetched = 4;
-        svc.fail_stop();
-        let counts = PrefetchCounts {
-            prefetched: 4,
-            ..Default::default()
-        };
-        let survivors = FetchSvc {
-            req_id_next: 17,
-            counts,
-            ..FetchSvc::default()
-        };
-        assert_eq!(svc, survivors);
+        let (mut st, _eps) = test_state(1, 2, false);
+        st.fetch.in_flight.insert(PageId(0), in_flight(16));
+        st.fetch.await_page(PageId(0));
+        st.fetch.req_id_next = 17;
+        st.fetch.used.insert(PageId(1));
+        st.fetch.pushed.insert(PageId(2));
+        st.counts.prefetched = 4;
+        st.req_causes.count(ReqCause::MissOther, 0);
+        let (counts, causes) = (st.counts, st.req_causes);
+        st.fail_stop();
+        assert_eq!(st.fetch, restarted(17));
+        assert_eq!((st.counts, st.req_causes), (counts, causes));
     }
 
     #[test]
@@ -433,9 +405,12 @@ mod tests {
         // Stale req_id: dropped, entry kept.
         install(&mut st, PageId(0), 4, VectorClock::zero(2), page_of(0));
         assert!(st.fetch.in_flight.contains_key(&PageId(0)));
-        // Matching req_id: installed, entry consumed.
+        // Matching req_id: installed, entry consumed; a whole page is no
+        // delta install.
         install(&mut st, PageId(0), 5, VectorClock::zero(2), page_of(7));
         assert!(!st.fetch.in_flight.contains_key(&PageId(0)));
+        let delta = (st.counts.fetch_delta_pages, st.counts.fetch_delta_bytes);
+        assert_eq!(delta, (0, 0));
         assert_eq!(st.pt.ensure_access(PageId(0)), hlrc::AccessOutcome::Ready);
         // Overtaken by a newer invalidation: entry consumed, page stays
         // invalid (a later touch fetches fresh).
@@ -505,9 +480,11 @@ mod tests {
             (word(&st), st.pt.have(page)),
             (3, Some(&(1, gated(2, 0, 3))))
         );
-        assert_eq!(st.dup_suppressed, 1);
+        assert_eq!(st.counts.dup_suppressed, 1);
         let h = &st.hists.fetch_copy;
-        assert_eq!((h.count(), h.sum(), st.pt.delta_installs()), (1, 8, (1, 8)));
+        assert_eq!((h.count(), h.sum()), (1, 8));
+        let delta = (st.counts.fetch_delta_pages, st.counts.fetch_delta_bytes);
+        assert_eq!(delta, (1, 8));
     }
 
     /// Install a copy of remote `page`, read it if `used`, and invalidate it
@@ -546,12 +523,12 @@ mod tests {
         assert_eq!(to_home_1.len(), 1);
         assert_eq!(asked_pages(&to_home_1[0]), [2]);
         assert_eq!(st.fetch.in_flight.keys().collect::<Vec<_>>(), [&PageId(2)]);
-        let counts = PrefetchCounts {
+        let counts = Counts {
             prefetched: 1,
             prefetch_skipped: 3,
             ..Default::default()
         };
-        assert_eq!(st.fetch.counts, counts);
+        assert_eq!(st.counts, counts);
         // The next round of notices leaves the same pages out again.
         st.fetch.in_flight.clear();
         for page in &all {
@@ -560,13 +537,13 @@ mod tests {
         issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         assert!(requests(&eps[0]).is_empty());
         assert_eq!(asked_pages(&requests(&eps[1])[0]), [2]);
-        assert_eq!(st.fetch.counts.prefetch_skipped, 6);
+        assert_eq!(st.counts.prefetch_skipped, 6);
         // Replay fetches page by page: nothing goes out, used or not.
         st.fetch.in_flight.clear();
         st.rec = RecoverySvc::replaying_nothing();
         issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         assert!(requests(&eps[1]).is_empty() && st.fetch.in_flight.is_empty());
-        assert_eq!(st.fetch.counts.prefetched, 2);
+        assert_eq!(st.counts.prefetched, 2);
     }
 
     #[test]
@@ -591,12 +568,12 @@ mod tests {
         for page in [1, 2, 3] {
             assert_eq!(st.fetch.in_flight[&PageId(page)].req_id, 0);
         }
-        let mut counts = PrefetchCounts {
+        let mut counts = Counts {
             prefetched: 2,
             skipped_then_missed: 1,
             ..Default::default()
         };
-        assert_eq!(st.fetch.counts, counts);
+        assert_eq!(st.counts, counts);
 
         // No left-out neighbour: the same request, one page long, and still
         // a wrong guess of the filter's. A miss the filter had no part in is
@@ -607,7 +584,7 @@ mod tests {
             assert!(st.fetch.in_flight(PageId(page)));
         }
         counts.skipped_then_missed = 2;
-        assert_eq!(st.fetch.counts, counts);
+        assert_eq!(st.counts, counts);
         // One sample per request, of its pages.
         let h = &st.hists.fetch_batch_pages;
         assert_eq!((h.count(), h.sum()), (3, 3 + 1 + 1));
@@ -626,11 +603,11 @@ mod tests {
         }
         issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
         assert!(requests(&eps[0]).is_empty() && st.fetch.in_flight.is_empty());
-        let counts = PrefetchCounts {
+        let counts = Counts {
             prefetch_skipped: 3,
             ..Default::default()
         };
-        assert_eq!(st.fetch.counts, counts);
+        assert_eq!(st.counts, counts);
         // Each is left out: a touch of one is the filter's miss.
         assert!(all.iter().all(|&page| left_out(&st, page) == Some(0)));
     }
@@ -672,12 +649,12 @@ mod tests {
         assert_eq!(asked_pages(&only_payload(&eps[0])), run);
         assert!(requests(&eps[1]).is_empty());
         assert_eq!(st.fetch.in_flight[&PageId(8)].req_id, 0);
-        let counts = PrefetchCounts {
+        let counts = Counts {
             prefetched: 4 + 30,
             skipped_then_missed: 3,
             ..Default::default()
         };
-        assert_eq!(st.fetch.counts, counts);
+        assert_eq!(st.counts, counts);
     }
 
     #[test]
@@ -694,7 +671,7 @@ mod tests {
         invalidated_copy(&mut st, 1, true);
         fetch_with_neighbours(&mut st, PageId(1));
         assert_eq!(asked_pages(&only_payload(&eps[0])), [1]);
-        assert_eq!(st.fetch.counts, PrefetchCounts::default());
+        assert_eq!(st.counts, Counts::default());
     }
 
     /// The DSM handle over `st`, and the state it shares.
@@ -726,9 +703,12 @@ mod tests {
             assert_eq!(st.pt.have(page), None);
         }
         // Not a page wait, and not a prefetched copy used.
-        assert_eq!(st.fetch.zero_fills(), 2);
         assert_eq!(st.hists.page_fetch.count(), 0);
-        assert_eq!(st.fetch.counts(), PrefetchCounts::default());
+        let only_fills = Counts {
+            zero_fills: 2,
+            ..Counts::default()
+        };
+        assert_eq!(st.counts, only_fills);
     }
 
     #[test]
@@ -778,7 +758,7 @@ mod tests {
         st.pt.invalidate(PageId(4), 1, 2);
         let filled: Vec<bool> = (0..6).map(|p| zero_fill(&mut st, PageId(p))).collect();
         assert_eq!(filled, [false, true, false, false, false, false]);
-        assert_eq!(st.fetch.zero_fills(), 1);
+        assert_eq!(st.counts.zero_fills, 1);
         assert!(recv_any(&eps[0], Duration::ZERO).is_none());
 
         // The named page is asked for at the notice's version; own writes
@@ -830,7 +810,7 @@ mod tests {
             ],
         };
         crate::runtime::interval::cross_barrier(&mut st, release);
-        assert_eq!(st.fetch.push_counts(), (0, 2));
+        assert_eq!((st.counts.pushed_used, st.counts.pushes_refused), (0, 2));
         let sent = requests(&eps[0]);
         assert_eq!(sent.len(), 1, "{sent:?}");
         assert_eq!(asked_pages(&sent[0]), [0, 1]);
@@ -841,8 +821,8 @@ mod tests {
         // what the next arrival reports.
         st.pt.read_into(PageId(2), 0, &mut [0u8; 8]);
         first_use(&mut st, PageId(2), false);
-        assert_eq!(st.fetch.push_counts(), (1, 2));
-        assert_eq!(st.fetch.counts.prefetched_used, 0);
+        assert_eq!((st.counts.pushed_used, st.counts.pushes_refused), (1, 2));
+        assert_eq!(st.counts.prefetched_used, 0);
         assert_eq!(take_used(&mut st), [(PageId(2), (1, gated(2, 0, 2)))]);
     }
 
@@ -885,12 +865,12 @@ mod tests {
         // Neither is read. The next release pushes page 0 again, on the
         // copy pushed before, and not page 1: nothing is asked for.
         cross(&mut st, release(2, vec![push(0, &pushed_copy, 2)]));
-        assert_eq!(st.fetch.push_counts(), (0, 0));
+        assert_eq!((st.counts.pushed_used, st.counts.pushes_refused), (0, 0));
         assert_eq!(st.pt.remote_meta(PageId(0)).state, PageState::Valid);
         assert!(requests(&eps[0]).is_empty());
         fetch_with_neighbours(&mut st, PageId(1));
         assert_eq!(asked_pages(&requests(&eps[0])[0]), [1]);
-        let causes = st.fetch.causes;
+        let causes = st.req_causes;
         assert_eq!(causes.get(ReqCause::MissPushedUnread), (1, 0));
         assert_eq!(causes.total(), 1);
     }
@@ -956,7 +936,7 @@ mod tests {
         install(&mut st, PageId(2), req_id, gated(2, 0, 1), page_of(2));
         assert_eq!(st.fetch.awaited(), None);
         // The census counts each request once, resent or not.
-        let causes = st.fetch.causes;
+        let causes = st.req_causes;
         assert_eq!(causes.get(ReqCause::GrantPrefetch), (1, 0));
         assert_eq!(causes.get(ReqCause::MissUnused), (1, 0));
         assert_eq!(causes.total(), 2);
@@ -986,6 +966,6 @@ mod tests {
             "in-flight entry kept"
         );
         assert_eq!(st.hists.fetch_batch_pages.count(), 2);
-        assert_eq!(st.fetch.causes.get(ReqCause::ReleasePrefetch), (1, 1));
+        assert_eq!(st.req_causes.get(ReqCause::ReleasePrefetch), (1, 1));
     }
 }

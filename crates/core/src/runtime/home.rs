@@ -355,6 +355,6 @@ mod tests {
             assert!(!asker.fetch.in_flight(page));
         }
         assert_eq!(asker.hists.fetch_copy.count(), 3);
-        assert_eq!(asker.dup_suppressed, 3);
+        assert_eq!(asker.counts.dup_suppressed, 3);
     }
 }

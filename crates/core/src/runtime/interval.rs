@@ -207,7 +207,7 @@ pub(crate) fn release(st: &mut NodeState, lock: LockId) {
 /// it may push when it next invalidates them here. Returns the episode.
 pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     let batch = st.close_interval_carrying(bd, Some(0));
-    st.diff_batches_carried += batch.is_some() as u64;
+    st.counts.diff_batches_carried += batch.is_some() as u64;
     let episode = st.sync.bar_episode();
     st.tracer.emit(EventKind::BarrierEnter {
         episode: episode as u32,
@@ -298,7 +298,7 @@ mod tests {
         write(&mut st, 2);
         let diffs = arrive_and_check(&mut st, &eps, Some(1)).unwrap();
         assert_eq!(diffs[0].interval.seq, 2);
-        assert_eq!(st.diff_batches_carried, 1);
+        assert_eq!(st.counts.diff_batches_carried, 1);
     }
 
     /// `arrive` at `st`, and check what it sent and parked: one arrival,
@@ -530,13 +530,13 @@ mod tests {
             diffs.iter().map(|d| d.interval.seq).collect::<Vec<_>>(),
             [1]
         );
-        assert_eq!(st.pages_pushed, 1);
+        assert_eq!(st.counts.pages_pushed, 1);
         // Reported again, then the peer restarts: nothing rides the release.
         peer_arrives(&mut st, 1, (1, gated(2, 0, 1)));
         handle_msg(&mut st, 1, Payload::RecLogReq { homed: Vec::new() });
         waited(&eps[1]);
         assert!(release_to_peer(&mut st, 2).is_empty());
-        assert_eq!(st.pages_pushed, 1);
+        assert_eq!(st.counts.pages_pushed, 1);
     }
 
     /// Node 1 of 3 crosses `k` barriers, each after an interval of its own

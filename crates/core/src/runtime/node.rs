@@ -24,6 +24,10 @@
 //! | [`SyncSvc`] | `runtime/sync.rs` | `LockAcq`, `LockForward`, *`LockGrant`*, *`BarrierArrive`*, *`BarrierRelease`* |
 //! | [`RecoverySvc`] | `ft/recovery.rs` | `RecLogReq`, *`RecLogReply`*, `RecPageReq`, *`RecPageReply`* |
 //!
+//! What the node counts is no module's: [`Counts`] is the node's, every
+//! module adds to it in place, and a module's `fail_stop` carries no
+//! counter over a crash.
+//!
 //! A node's protocol state has two locks (see DESIGN.md "Hot path").
 //! Home-page state lives in the sharded [`hlrc::HomeStore`], and the one
 //! handler for `PageReq`/`DiffBatch` ([`HomeSvc::serve`]) needs nothing
@@ -50,7 +54,7 @@ use crate::msg::{Msg, Payload};
 use crate::runtime::fetch::{self, FetchSvc};
 use crate::runtime::home::{self, HomeSvc, Served};
 use crate::runtime::sync::{self, SyncSvc};
-use crate::stats::NodeReport;
+use crate::stats::{Counts, NodeReport, ReqCauses};
 
 /// Panic payload used to simulate a fail-stop crash of the application
 /// thread at a DSM operation boundary.
@@ -177,26 +181,14 @@ pub(crate) struct NodeState {
     pub ops: u64,
     /// Scripted failures (ascending op counts).
     pub crash_queue: Vec<u64>,
-    /// Peer restarts learned of, one per recovery handshake received.
-    pub restarts_seen: u64,
-    /// Diff batches that rode a barrier arrival instead of going alone.
-    pub diff_batches_carried: u64,
-    /// Barrier arrivals this node's service thread handled (folded in when
-    /// the service loop exits): see [`NodeReport::svc_arrivals`].
-    pub svc_arrivals: u64,
-    /// Requests the application thread served inside its waits: see
-    /// [`NodeReport::app_served`].
-    pub app_served: u64,
-    /// Pages this node's grants and releases pushed: see
-    /// [`NodeReport::pages_pushed`].
-    pub pages_pushed: u64,
-    /// Their bytes per carrying kind: see [`NodeReport::pushed_bytes`].
+    /// What the node counts, over all its incarnations: every module adds
+    /// to it in place, and no `fail_stop` touches it.
+    pub counts: Counts,
+    /// Why each `PageReq` was sent, over all incarnations.
+    pub req_causes: ReqCauses,
+    /// Bytes of pushed pages per carrying kind: see
+    /// [`NodeReport::pushed_bytes`].
     pub pushed_bytes: BTreeMap<&'static str, u64>,
-    /// Second answers a restart caused, dropped by its gates: a grant
-    /// replayed for a forward re-issued after its grant was delivered, a
-    /// page reply to a request resent to a restarted home. 0 without a
-    /// crash.
-    pub dup_suppressed: u64,
     /// Protocol handler time, attributed per message kind: the service
     /// thread's (folded in when the service loop exits) and the application
     /// thread's for the replies it handles inside its own waits.
@@ -258,13 +250,9 @@ impl NodeState {
             shutdown: false,
             ops: 0,
             crash_queue: Vec::new(),
-            restarts_seen: 0,
-            diff_batches_carried: 0,
-            svc_arrivals: 0,
-            app_served: 0,
-            pages_pushed: 0,
+            counts: Counts::default(),
+            req_causes: ReqCauses::default(),
             pushed_bytes: BTreeMap::new(),
-            dup_suppressed: 0,
             svc_time_by_kind: BTreeMap::new(),
             own_svc: Duration::ZERO,
             breakdown_acc: Default::default(),
@@ -283,8 +271,6 @@ impl NodeState {
     pub(crate) fn report(&self, traffic: &NodeTraffic) -> Option<NodeReport> {
         let mut breakdown = self.breakdown_acc;
         breakdown.protocol += self.svc_time_by_kind.values().sum::<Duration>();
-        let (fetch_delta_pages, fetch_delta_bytes) = self.pt.delta_installs();
-        let (pushed_used, pushes_refused) = self.fetch.push_counts();
         Some(NodeReport {
             breakdown,
             traffic: traffic.snapshot(),
@@ -299,19 +285,8 @@ impl NodeState {
                 .collect(),
             msg_kinds: traffic.kind_counts(),
             msg_kind_bytes: traffic.kind_bytes(),
-            restarts_seen: self.restarts_seen,
-            diff_batches_carried: self.diff_batches_carried,
-            svc_arrivals: self.svc_arrivals,
-            app_served: self.app_served,
-            dup_suppressed: self.dup_suppressed,
-            fetch_delta_pages,
-            fetch_delta_bytes,
-            prefetch: self.fetch.counts(),
-            req_causes: self.fetch.causes(),
-            zero_fills: self.fetch.zero_fills(),
-            pages_pushed: self.pages_pushed,
-            pushed_used,
-            pushes_refused,
+            counts: self.counts,
+            req_causes: self.req_causes,
             pushed_bytes: self.pushed_bytes.iter().map(|(&k, &b)| (k, b)).collect(),
         })
     }
@@ -405,7 +380,7 @@ impl NodeState {
         let gossip = matches!(payload, Payload::BarrierRelease { .. });
         let pushed = payload.pushed();
         if !pushed.is_empty() {
-            self.pages_pushed += pushed.len() as u64;
+            self.counts.pages_pushed += pushed.len() as u64;
             let bytes = crate::wire::len_of(|w| crate::wire::put_pushed(w, pushed));
             *self.pushed_bytes.entry(payload.kind()).or_default() += bytes as u64;
         }
@@ -507,7 +482,7 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
 /// forwards and fetches, and resend whatever request our application
 /// thread is blocked on against it. It kept no copy: it wants no push.
 pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
-    st.restarts_seen += 1;
+    st.counts.restarts_seen += 1;
     st.tracer.emit(EventKind::PeerRestart { node });
     st.pt.home_store().drop_wants(node);
     sync::reforward_to(st, node);
@@ -654,7 +629,7 @@ pub(crate) fn service_loop(shared: Arc<NodeShared>) {
         *st.svc_time_by_kind.entry(k).or_default() += d;
     }
     st.hists.merge(&reader.hists);
-    st.svc_arrivals += arrivals;
+    st.counts.svc_arrivals += arrivals;
 }
 
 #[cfg(test)]
@@ -879,11 +854,11 @@ pub(crate) mod tests {
         // ... and what a crash must leave alone.
         st.ops = 40;
         st.crash_queue = vec![99];
-        st.restarts_seen = 3;
-        st.dup_suppressed = 2;
+        st.counts.restarts_seen = 3;
+        st.counts.dup_suppressed = 2;
         st.hists.lock_wait.record(5);
         st.breakdown_acc.protocol = Duration::from_millis(1);
-        let counts = st.fetch.counts();
+        let (counts, causes) = (st.counts, st.req_causes);
         assert_eq!(counts.prefetched, 1);
 
         st.fail_stop();
@@ -896,13 +871,13 @@ pub(crate) mod tests {
         st.set_mode(Mode::Recovering);
         st.restart_from(&CheckpointBlob::genesis(n), Vec::new());
 
-        // Every wholly volatile module equals a freshly built one (the two
-        // with survivors are compared in their own files), and what is
-        // nobody's is what `NodeState::new` makes it.
+        // Every wholly volatile module equals a freshly built one, the fetch
+        // state but for its ids (FT's survivors are compared in its own
+        // file), and what is nobody's is what `NodeState::new` makes it.
         let (new, _new_eps) = with_pages();
         assert_eq!(st.sync, new.sync);
         assert_eq!(st.rec, new.rec);
-        assert!(!st.fetch.in_flight(PageId(0)));
+        assert_eq!(st.fetch, fetch::tests::restarted(req_id + 1));
         assert_eq!(st.vt, new.vt);
         assert!(st.wn_table.is_empty());
         assert!(matches!(st.wait, WaitSlot::None) && st.pending_unalloc.is_empty());
@@ -934,11 +909,11 @@ pub(crate) mod tests {
         assert_eq!(st.mode, Mode::Recovering);
         assert_eq!(st.ops, 40);
         assert_eq!(st.crash_queue, [99]);
-        assert_eq!((st.restarts_seen, st.dup_suppressed), (3, 2));
+        assert_eq!((st.counts.restarts_seen, st.counts.dup_suppressed), (3, 2));
         assert_eq!(st.hists.lock_wait.count(), 1);
         assert_eq!(st.breakdown_acc.protocol, Duration::from_millis(1));
         assert_eq!((st.pt.len(), st.shared_bytes()), (3, 3 * 256));
-        assert_eq!(st.fetch.counts(), counts);
+        assert_eq!((st.counts, st.req_causes), (counts, causes));
         // Request ids keep counting: an answer addressed to the previous
         // incarnation cannot match a new request.
         st.set_mode(Mode::Normal);
@@ -1313,7 +1288,7 @@ pub(crate) mod tests {
                             // announced the restart ahead of the handshake.
             let handshake = || Payload::RecLogReq { homed: Vec::new() };
             handle_msg(&mut st, 0, handshake());
-            assert_eq!(st.restarts_seen, 1);
+            assert_eq!(st.counts.restarts_seen, 1);
             let mut sent = sent_in_order(&eps[0]);
             assert_eq!(sent.pop().map(|p| p.kind()), Some("RecLogReply"));
             assert_eq!(sent.len(), 2);
@@ -1351,7 +1326,7 @@ pub(crate) mod tests {
                 sent.iter().map(Payload::kind).collect::<Vec<_>>(),
                 ["RecLogReply"]
             );
-            assert_eq!(st.dup_suppressed, 0);
+            assert_eq!(st.counts.dup_suppressed, 0);
         }
     }
 
@@ -1396,7 +1371,7 @@ pub(crate) mod tests {
             Event::Msg { from: 0, msg } if msg.payload.kind() == "BarrierRelease"
         ));
         assert!(st.ep.try_recv().is_none());
-        assert_eq!(st.dup_suppressed, 0);
+        assert_eq!(st.counts.dup_suppressed, 0);
     }
 
     #[test]
@@ -1557,7 +1532,7 @@ pub(crate) mod tests {
         fetch::issue_prefetch(&mut st, &[PageId(1)], ReqCause::ReleasePrefetch);
         handle_msg(&mut st, 2, Payload::RecLogReq { homed: Vec::new() });
         st.ops = 40;
-        st.dup_suppressed = 2;
+        st.counts.dup_suppressed = 2;
         st.hists.page_fetch.record(5);
         *st.svc_time_by_kind.entry("PageReply").or_default() += Duration::from_millis(1);
         st.breakdown_acc = bd;

@@ -191,7 +191,7 @@ impl Waiting {
             Some((kind, reader.handle(shared, from, msg).0, request))
         })?;
         *st.svc_time_by_kind.entry(kind).or_default() += dt;
-        st.app_served += request as u64;
+        st.counts.app_served += request as u64;
         Some(dt)
     }
 

@@ -582,9 +582,8 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
                 acq_seq,
                 vt,
             };
-            if let Some(a) = st.sync.lock_mgr.on_request(lock, req) {
-                st.send(a.grant_from, lock_forward(a));
-            }
+            let a = st.sync.lock_mgr.on_request(lock, req);
+            st.send(a.grant_from, lock_forward(a));
         }
         Payload::LockForward {
             lock,
@@ -641,7 +640,7 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
         // that was already delivered.
         grant_or_release => {
             if st.wait.deposit(from, grant_or_release).is_some() {
-                st.dup_suppressed += 1;
+                st.counts.dup_suppressed += 1;
             }
         }
     }

@@ -124,32 +124,87 @@ impl FtReport {
     }
 }
 
-/// What speculative page fetching moved and what came of it. A page is
-/// *prefetched* when a `PageReq` asks for it before any access does:
-/// after an invalidation, if the copy held last was used, or as the
-/// left-out neighbour of a page that missed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchCounts {
-    /// Pages asked for ahead of any access to them.
-    pub prefetched: u64,
+/// Declares [`Counts`] from one list — field, doc and metric name — so that
+/// a new count is one entry: the struct, [`Counts::merge`] and
+/// [`Counts::named`] (the metric rows) cannot fall out of step.
+macro_rules! counts {
+    ($($(#[$doc:meta])* $field:ident => $name:literal,)*) => {
+        /// The event counts a node keeps. They are the node's, not a
+        /// module's: every module adds to them in place, and a crash, which
+        /// wipes the modules, leaves them alone, so they cover the whole run.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Counts {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Counts {
+            /// Fold another node's counts in.
+            pub fn merge(&mut self, o: &Counts) {
+                $(self.$field += o.$field;)*
+            }
+
+            /// (metric name, count) pairs in table order.
+            pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$(($name, self.$field),)*].into_iter()
+            }
+        }
+    };
+}
+
+counts! {
+    /// Peer restarts this node learned of: one per recovery handshake
+    /// (`RecLogReq`) it answered.
+    restarts_seen => "peer_restarts_total",
+    /// Diff batches this node's barrier arrivals carried to the manager
+    /// instead of sending each as a `DiffBatch` of its own.
+    diff_batches_carried => "diff_batches_carried_total",
+    /// Barrier arrivals this node's service thread handled (folded in when
+    /// the service loop exits). The service thread passes an arrival while
+    /// the application thread lives, so the manager's application thread
+    /// takes every arrival inside its waits; this counts only those that
+    /// came after it ended.
+    svc_arrivals => "svc_barrier_arrivals_total",
+    /// Requests (messages not [`dsm_net::WireSized::to_waiter`]) this node's
+    /// application thread served inside its waits, which the service thread
+    /// would otherwise have been woken for.
+    app_served => "app_served_requests_total",
+    /// A restart's second answers this node dropped: grants replayed for
+    /// forwards re-issued after their grants were delivered, page replies
+    /// to requests resent to a restarted home. 0 without a crash.
+    dup_suppressed => "dup_suppressed_total",
+    /// Fetches this node installed as a delta: the home sent the diffs the
+    /// kept stale copy was missing instead of the page.
+    fetch_delta_pages => "fetch_delta_pages_total",
+    /// Diff payload bytes those deltas wrote into the kept copies.
+    fetch_delta_bytes => "fetch_delta_bytes_total",
+    /// Pages asked for ahead of any access to them: after an invalidation,
+    /// if the copy held last was used, or as the left-out neighbour of a
+    /// page that missed.
+    prefetched => "prefetched_total",
     /// Of the copies those requests installed, the ones read or written
     /// before the next invalidation (or found in flight by a fault).
-    pub prefetched_used: u64,
+    prefetched_used => "prefetched_used_total",
     /// Invalidated pages left out of the prefetch because the copy held
     /// last was never read or written (once per page and invalidation
     /// round).
-    pub prefetch_skipped: u64,
+    prefetch_skipped => "prefetch_skipped_total",
     /// Demand misses on a page that had been left out.
-    pub skipped_then_missed: u64,
-}
-
-impl AddAssign for PrefetchCounts {
-    fn add_assign(&mut self, o: Self) {
-        self.prefetched += o.prefetched;
-        self.prefetched_used += o.prefetched_used;
-        self.prefetch_skipped += o.prefetch_skipped;
-        self.skipped_then_missed += o.skipped_then_missed;
-    }
+    skipped_then_missed => "skipped_then_missed_total",
+    /// Misses on a cold page — never held, named by no write notice —
+    /// answered with the zero page instead of a fetch.
+    zero_fills => "zero_fills_total",
+    /// Pages this node's grants and releases carried to a peer that had
+    /// reported using its copy, with the notices that invalidate it (node
+    /// 0 only: the reports ride barrier arrivals).
+    pages_pushed => "pages_pushed_total",
+    /// Of the pushed pages this node installed, the ones read or written
+    /// before the next invalidation.
+    pushed_used => "pushed_used_total",
+    /// Pushed pages this node did not install: its copy was no longer the
+    /// one the push built on, a fetch of the page was in flight, or the
+    /// version did not cover what the page needed. Each was then fetched
+    /// as if nothing had come.
+    pushes_refused => "pushes_refused_total",
 }
 
 /// Why a `PageReq` was sent.
@@ -248,49 +303,10 @@ pub struct NodeReport {
     pub msg_kinds: Vec<(&'static str, u64)>,
     /// Bytes sent by this node per payload kind, piggyback included.
     pub msg_kind_bytes: Vec<(&'static str, u64)>,
-    /// Peer restarts this node learned of: one per recovery handshake
-    /// (`RecLogReq`) it answered.
-    pub restarts_seen: u64,
-    /// Diff batches this node's barrier arrivals carried to the manager
-    /// instead of sending each as a `DiffBatch` of its own.
-    pub diff_batches_carried: u64,
-    /// Barrier arrivals this node's service thread handled. The service
-    /// thread passes an arrival while the application thread lives, so the
-    /// manager's application thread takes every arrival inside its waits;
-    /// this counts only those that came after it ended.
-    pub svc_arrivals: u64,
-    /// Requests (messages not [`dsm_net::WireSized::to_waiter`]) this node's
-    /// application thread served inside its waits, which the service thread
-    /// would otherwise have been woken for.
-    pub app_served: u64,
-    /// A restart's second answers this node dropped: grants replayed for
-    /// forwards re-issued after their grants were delivered, page replies
-    /// to requests resent to a restarted home. 0 without a crash.
-    pub dup_suppressed: u64,
-    /// Fetches this node installed as a delta: the home sent the diffs the
-    /// kept stale copy was missing instead of the page.
-    pub fetch_delta_pages: u64,
-    /// Diff payload bytes those deltas wrote into the kept copies.
-    pub fetch_delta_bytes: u64,
-    /// Prefetch traffic against its use.
-    pub prefetch: PrefetchCounts,
+    /// The node's counts, over all its incarnations.
+    pub counts: Counts,
     /// Why each `PageReq` this node sent was sent.
     pub req_causes: ReqCauses,
-    /// Misses on a cold page — never held, named by no write notice —
-    /// answered with the zero page instead of a fetch.
-    pub zero_fills: u64,
-    /// Pages this node's grants and releases carried to a peer that had
-    /// reported using its copy, with the notices that invalidate it (node
-    /// 0 only: the reports ride barrier arrivals).
-    pub pages_pushed: u64,
-    /// Of the pushed pages this node installed, the ones read or written
-    /// before the next invalidation.
-    pub pushed_used: u64,
-    /// Pushed pages this node did not install: its copy was no longer the
-    /// one the push built on, a fetch of the page was in flight, or the
-    /// version did not cover what the page needed. Each was then fetched
-    /// as if nothing had come.
-    pub pushes_refused: u64,
     /// Bytes of pushed pages this node sent per message kind (sorted by
     /// kind name): part of `msg_kind_bytes`.
     pub pushed_bytes: Vec<(&'static str, u64)>,
@@ -318,25 +334,16 @@ impl NodeReport {
         add_kinds(&mut self.svc_time_by_kind, &o.svc_time_by_kind);
         add_kinds(&mut self.msg_kinds, &o.msg_kinds);
         add_kinds(&mut self.msg_kind_bytes, &o.msg_kind_bytes);
-        self.restarts_seen += o.restarts_seen;
-        self.diff_batches_carried += o.diff_batches_carried;
-        self.svc_arrivals += o.svc_arrivals;
-        self.app_served += o.app_served;
-        self.dup_suppressed += o.dup_suppressed;
-        self.fetch_delta_pages += o.fetch_delta_pages;
-        self.fetch_delta_bytes += o.fetch_delta_bytes;
-        self.prefetch += o.prefetch;
+        self.counts.merge(&o.counts);
         self.req_causes += o.req_causes;
-        self.zero_fills += o.zero_fills;
-        self.pages_pushed += o.pages_pushed;
-        self.pushed_used += o.pushed_used;
-        self.pushes_refused += o.pushes_refused;
         add_kinds(&mut self.pushed_bytes, &o.pushed_bytes);
     }
 
     /// The metric table: every number of this report under its metric name —
-    /// the one place a name is written (docs/OBSERVABILITY.md §2 lists them,
-    /// and a test holds it to that). A [`MetricValue::Counter`] never
+    /// written here, in the [`Counts`] list, or as `fabric_<field>_total`
+    /// for each [`TrafficSnapshot::named`] counter, and nowhere else
+    /// (docs/OBSERVABILITY.md §2 lists them, and a test holds it to that).
+    /// A [`MetricValue::Counter`] never
     /// decreases over a run, crashes included. A per-kind row carries its
     /// message kind as a `{kind="…"}` label; `stable_log_curve` is the one
     /// field with no row (a series, not a number). A histogram's name is its
@@ -345,7 +352,7 @@ impl NodeReport {
     pub fn metrics(&self) -> Vec<(String, MetricValue<'_>)> {
         use MetricValue::{Counter, Gauge, Hist};
         let ns = |d: Duration| d.as_nanos() as u64;
-        let (b, t, ft, pf) = (&self.breakdown, &self.traffic, &self.ft, &self.prefetch);
+        let (b, ft) = (&self.breakdown, &self.ft);
         let (logs, store, pool) = (&ft.log_counters, &ft.store, &self.pool);
         let counters = [
             ("ops_total", self.ops),
@@ -356,19 +363,6 @@ impl NodeReport {
             ("protocol_ns_total", ns(b.protocol)),
             ("logging_ns_total", ns(b.logging)),
             ("disk_write_ns_total", ns(b.disk_write)),
-            ("fabric_msgs_sent_total", t.msgs_sent),
-            ("fabric_base_bytes_sent_total", t.base_bytes_sent),
-            ("fabric_ft_bytes_sent_total", t.ft_bytes_sent),
-            ("fabric_trace_bytes_sent_total", t.trace_bytes_sent),
-            ("fabric_msgs_dropped_total", t.msgs_dropped),
-            ("fabric_chaos_dropped_total", t.chaos_dropped),
-            ("fabric_chaos_delayed_total", t.chaos_delayed),
-            ("fabric_chaos_duplicated_total", t.chaos_duplicated),
-            ("fabric_partition_blocked_total", t.partition_blocked),
-            ("fabric_link_resent_total", t.link_resent),
-            ("fabric_link_dups_dropped_total", t.link_dups_dropped),
-            ("fabric_link_acks_total", t.link_acks),
-            ("fabric_link_bytes_sent_total", t.link_bytes_sent),
             ("ckpts_taken_total", ft.ckpts_taken),
             ("log_created_bytes_total", logs.created_bytes),
             ("log_discarded_bytes_total", logs.discarded_bytes),
@@ -386,21 +380,6 @@ impl NodeReport {
             ("pool_misses_total", pool.misses),
             ("pool_recycled_total", pool.recycled),
             ("pool_rejected_total", pool.rejected),
-            ("peer_restarts_total", self.restarts_seen),
-            ("diff_batches_carried_total", self.diff_batches_carried),
-            ("svc_barrier_arrivals_total", self.svc_arrivals),
-            ("app_served_requests_total", self.app_served),
-            ("dup_suppressed_total", self.dup_suppressed),
-            ("fetch_delta_pages_total", self.fetch_delta_pages),
-            ("fetch_delta_bytes_total", self.fetch_delta_bytes),
-            ("prefetched_total", pf.prefetched),
-            ("prefetched_used_total", pf.prefetched_used),
-            ("prefetch_skipped_total", pf.prefetch_skipped),
-            ("skipped_then_missed_total", pf.skipped_then_missed),
-            ("zero_fills_total", self.zero_fills),
-            ("pages_pushed_total", self.pages_pushed),
-            ("pushed_used_total", self.pushed_used),
-            ("pushes_refused_total", self.pushes_refused),
         ];
         let gauges = [
             ("stable_log_max_bytes", ft.max_stable_log_bytes),
@@ -415,8 +394,13 @@ impl NodeReport {
             ("svc_time_ns_by_kind_total", &svc_ns),
             ("pushed_bytes_by_kind_total", &self.pushed_bytes),
         ];
+        let counter = |(name, v): (&str, u64)| (name.to_owned(), Counter(v));
+        let fabric = self.traffic.named();
+        let fabric = fabric.map(|(field, v)| (format!("fabric_{field}_total"), Counter(v)));
         let mut rows: Vec<(String, MetricValue)> = Vec::new();
-        rows.extend(counters.map(|(name, v)| (name.into(), Counter(v))));
+        rows.extend(counters.map(counter));
+        rows.extend(fabric);
+        rows.extend(self.counts.named().map(counter));
         rows.extend(gauges.map(|(name, v)| (name.into(), Gauge(v))));
         for cause in ReqCause::ALL {
             let name = labelled("page_reqs_by_cause_total", "cause", cause.label());
@@ -545,5 +529,23 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(b.compute(), Duration::ZERO);
+    }
+
+    #[test]
+    fn the_metric_table_names_no_row_twice() {
+        let report = NodeReport {
+            svc_time_by_kind: vec![("PageReq", Duration::from_micros(3))],
+            msg_kinds: vec![("PageReq", 1)],
+            msg_kind_bytes: vec![("PageReq", 12)],
+            pushed_bytes: vec![("LockGrant", 40)],
+            ..Default::default()
+        };
+        let rows = report.metrics();
+        let mut names = std::collections::HashSet::new();
+        for (name, _) in &rows {
+            assert!(names.insert(name), "{name} is in the table twice");
+        }
+        let by_kind = rows.iter().filter(|(name, _)| name.contains("kind="));
+        assert_eq!(by_kind.count(), 4, "a per-kind list has no row");
     }
 }

@@ -12,43 +12,88 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-/// Per-node traffic counters. All counters are monotonically increasing.
-#[derive(Debug, Default)]
-pub struct NodeTraffic {
+/// Declares [`NodeTraffic`]'s counters and [`TrafficSnapshot`] from one
+/// list — field and doc — so that a new counter is one entry: the atomics,
+/// [`NodeTraffic::snapshot`], the snapshot's fields, its `Add` and
+/// [`TrafficSnapshot::named`] cannot fall out of step.
+macro_rules! traffic_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Per-node traffic counters. All counters are monotonically
+        /// increasing; only [`NodeTraffic::snapshot`] reads them.
+        #[derive(Debug, Default)]
+        pub struct NodeTraffic {
+            $($(#[$doc])* $field: AtomicU64,)*
+            /// Sent messages and bytes (base + piggyback, no trace context)
+            /// by message kind. A handful of kinds exist, so a linear list
+            /// under a mutex beats a hash map here.
+            kinds: Mutex<Vec<(&'static str, u64, u64)>>,
+            /// Receive-side latency attribution per message kind (only
+            /// populated while tracing is on: the sender must have stamped a
+            /// timestamp).
+            phases: Mutex<Vec<(&'static str, PhaseAcc)>>,
+        }
+
+        /// A point-in-time copy of one node's traffic counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TrafficSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl NodeTraffic {
+            /// Snapshot of the counters.
+            pub fn snapshot(&self) -> TrafficSnapshot {
+                TrafficSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl TrafficSnapshot {
+            /// (field name, count) pairs in declaration order.
+            pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field),)*].into_iter()
+            }
+        }
+
+        impl std::ops::Add for TrafficSnapshot {
+            type Output = TrafficSnapshot;
+            fn add(self, o: TrafficSnapshot) -> TrafficSnapshot {
+                TrafficSnapshot {
+                    $($field: self.$field + o.$field,)*
+                }
+            }
+        }
+    };
+}
+
+traffic_counters! {
     /// Messages sent.
-    pub msgs_sent: AtomicU64,
+    msgs_sent,
     /// Base-protocol payload bytes sent.
-    pub base_bytes_sent: AtomicU64,
+    base_bytes_sent,
     /// Fault-tolerance control (piggyback) bytes sent.
-    pub ft_bytes_sent: AtomicU64,
+    ft_bytes_sent,
     /// Trace-context bytes sent (0 unless tracing is on).
-    pub trace_bytes_sent: AtomicU64,
+    trace_bytes_sent,
     /// Messages dropped because the destination had crashed.
-    pub msgs_dropped: AtomicU64,
+    msgs_dropped,
     /// Messages lost by chaos injection (the [`crate::FaultPlan`]).
-    pub chaos_dropped: AtomicU64,
+    chaos_dropped,
     /// Messages delayed or reordered by chaos injection.
-    pub chaos_delayed: AtomicU64,
+    chaos_delayed,
     /// Messages duplicated by chaos injection (count of extra copies).
-    pub chaos_duplicated: AtomicU64,
+    chaos_duplicated,
     /// Messages blocked by an active network partition.
-    pub partition_blocked: AtomicU64,
+    partition_blocked,
     /// Frames the link sent again after their ack was overdue.
-    pub link_resent: AtomicU64,
+    link_resent,
     /// Duplicate frames the link dropped at this receiver.
-    pub link_dups_dropped: AtomicU64,
+    link_dups_dropped,
     /// Acks the link sent from this receiver.
-    pub link_acks: AtomicU64,
+    link_acks,
     /// Bytes the link put on the wire: frame headers, acks, and the whole
     /// of every resent frame.
-    pub link_bytes_sent: AtomicU64,
-    /// Sent messages and bytes (base + piggyback, no trace context) by
-    /// message kind. A handful
-    /// of kinds exist, so a linear list under a mutex beats a hash map here.
-    kinds: Mutex<Vec<(&'static str, u64, u64)>>,
-    /// Receive-side latency attribution per message kind (only populated
-    /// while tracing is on: the sender must have stamped a timestamp).
-    phases: Mutex<Vec<(&'static str, PhaseAcc)>>,
+    link_bytes_sent,
 }
 
 /// Accumulated receive-side latency attribution for one message kind.
@@ -162,56 +207,6 @@ impl NodeTraffic {
         v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
-
-    /// Snapshot of the counters.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            base_bytes_sent: self.base_bytes_sent.load(Ordering::Relaxed),
-            ft_bytes_sent: self.ft_bytes_sent.load(Ordering::Relaxed),
-            trace_bytes_sent: self.trace_bytes_sent.load(Ordering::Relaxed),
-            msgs_dropped: self.msgs_dropped.load(Ordering::Relaxed),
-            chaos_dropped: self.chaos_dropped.load(Ordering::Relaxed),
-            chaos_delayed: self.chaos_delayed.load(Ordering::Relaxed),
-            chaos_duplicated: self.chaos_duplicated.load(Ordering::Relaxed),
-            partition_blocked: self.partition_blocked.load(Ordering::Relaxed),
-            link_resent: self.link_resent.load(Ordering::Relaxed),
-            link_dups_dropped: self.link_dups_dropped.load(Ordering::Relaxed),
-            link_acks: self.link_acks.load(Ordering::Relaxed),
-            link_bytes_sent: self.link_bytes_sent.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of one node's traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrafficSnapshot {
-    /// Messages sent.
-    pub msgs_sent: u64,
-    /// Base-protocol payload bytes sent.
-    pub base_bytes_sent: u64,
-    /// Fault-tolerance control (piggyback) bytes sent.
-    pub ft_bytes_sent: u64,
-    /// Trace-context bytes sent (0 unless tracing is on).
-    pub trace_bytes_sent: u64,
-    /// Messages dropped because the destination had crashed.
-    pub msgs_dropped: u64,
-    /// Messages lost by chaos injection.
-    pub chaos_dropped: u64,
-    /// Messages delayed or reordered by chaos injection.
-    pub chaos_delayed: u64,
-    /// Extra message copies delivered by chaos injection.
-    pub chaos_duplicated: u64,
-    /// Messages blocked by an active network partition.
-    pub partition_blocked: u64,
-    /// Frames the link sent again after their ack was overdue.
-    pub link_resent: u64,
-    /// Duplicate frames the link dropped at this receiver.
-    pub link_dups_dropped: u64,
-    /// Acks the link sent from this receiver.
-    pub link_acks: u64,
-    /// Bytes the link put on the wire: headers, acks, resent frames.
-    pub link_bytes_sent: u64,
 }
 
 impl TrafficSnapshot {
@@ -222,27 +217,6 @@ impl TrafficSnapshot {
             0.0
         } else {
             self.ft_bytes_sent as f64 / self.base_bytes_sent as f64
-        }
-    }
-}
-
-impl std::ops::Add for TrafficSnapshot {
-    type Output = TrafficSnapshot;
-    fn add(self, o: TrafficSnapshot) -> TrafficSnapshot {
-        TrafficSnapshot {
-            msgs_sent: self.msgs_sent + o.msgs_sent,
-            base_bytes_sent: self.base_bytes_sent + o.base_bytes_sent,
-            ft_bytes_sent: self.ft_bytes_sent + o.ft_bytes_sent,
-            trace_bytes_sent: self.trace_bytes_sent + o.trace_bytes_sent,
-            msgs_dropped: self.msgs_dropped + o.msgs_dropped,
-            chaos_dropped: self.chaos_dropped + o.chaos_dropped,
-            chaos_delayed: self.chaos_delayed + o.chaos_delayed,
-            chaos_duplicated: self.chaos_duplicated + o.chaos_duplicated,
-            partition_blocked: self.partition_blocked + o.partition_blocked,
-            link_resent: self.link_resent + o.link_resent,
-            link_dups_dropped: self.link_dups_dropped + o.link_dups_dropped,
-            link_acks: self.link_acks + o.link_acks,
-            link_bytes_sent: self.link_bytes_sent + o.link_bytes_sent,
         }
     }
 }

@@ -102,14 +102,13 @@ impl LockManagerTable {
     }
 
     /// Handle an acquire request for a lock managed here, and return the
-    /// forward to issue (always `Some`): the recorded one again for a
-    /// restart resend of the requester's pending acquisition, else a new
-    /// chain edge.
+    /// forward to issue: the recorded one again for a restart resend of the
+    /// requester's pending acquisition, else a new chain edge.
     ///
     /// # Panics
     /// On a request older than the requester's pending one: the link
     /// delivers each request once, and a resend repeats the latest.
-    pub fn on_request(&mut self, lock: LockId, req: AcqReq) -> Option<LockAction> {
+    pub fn on_request(&mut self, lock: LockId, req: AcqReq) -> LockAction {
         let me = self.me;
         let ml = self.locks.entry(lock).or_insert_with(|| ManagedLock {
             tail: me,
@@ -122,13 +121,13 @@ impl LockManagerTable {
             if p.acq_seq == req.acq_seq {
                 // The restart resend of an in-flight request: re-forward
                 // to the same predecessor; do not advance the chain again.
-                return Some(LockAction {
+                return LockAction {
                     lock,
                     grant_from: p.forwarded_to,
                     gen: p.gen,
                     pred_acq: p.pred_acq,
                     req,
-                });
+                };
             }
             let (from, seq, pending) = (req.requester, req.acq_seq, p.acq_seq);
             assert!(
@@ -152,13 +151,13 @@ impl LockManagerTable {
                 pred_acq,
             },
         );
-        Some(LockAction {
+        LockAction {
             lock,
             grant_from,
             gen,
             pred_acq,
             req,
-        })
+        }
     }
 
     /// A crashed node restarted: re-issue every pending forward that was
@@ -335,7 +334,7 @@ mod tests {
     #[test]
     fn first_request_is_granted_by_the_manager_itself() {
         let mut m = LockManagerTable::new(2);
-        let a = m.on_request(9, req(1, 0)).unwrap();
+        let a = m.on_request(9, req(1, 0));
         assert_eq!(a.grant_from, 2);
         assert_eq!(a.req.requester, 1);
     }
@@ -343,25 +342,25 @@ mod tests {
     #[test]
     fn requests_chain_through_previous_requesters() {
         let mut m = LockManagerTable::new(0);
-        let a1 = m.on_request(5, req(1, 0)).unwrap();
+        let a1 = m.on_request(5, req(1, 0));
         assert_eq!(a1.grant_from, 0);
-        let a2 = m.on_request(5, req(2, 0)).unwrap();
+        let a2 = m.on_request(5, req(2, 0));
         assert_eq!(a2.grant_from, 1);
-        let a3 = m.on_request(5, req(3, 0)).unwrap();
+        let a3 = m.on_request(5, req(3, 0));
         assert_eq!(a3.grant_from, 2);
         // Re-acquisition by an earlier holder chains normally.
-        let a4 = m.on_request(5, req(1, 1)).unwrap();
+        let a4 = m.on_request(5, req(1, 1));
         assert_eq!(a4.grant_from, 3);
     }
 
     #[test]
     fn retransmission_reforwards_without_advancing_chain() {
         let mut m = LockManagerTable::new(0);
-        m.on_request(5, req(1, 0)).unwrap();
-        let retx = m.on_request(5, req(1, 0)).unwrap();
+        m.on_request(5, req(1, 0));
+        let retx = m.on_request(5, req(1, 0));
         assert_eq!(retx.grant_from, 0);
         // Chain tail is still 1: a new requester is forwarded to 1.
-        let a = m.on_request(5, req(2, 0)).unwrap();
+        let a = m.on_request(5, req(2, 0));
         assert_eq!(a.grant_from, 1);
     }
 
@@ -369,17 +368,17 @@ mod tests {
     #[should_panic(expected = "lock 5: request 0 from 1 is older than its pending 1")]
     fn a_request_older_than_the_pending_one_is_a_bug() {
         let mut m = LockManagerTable::new(0);
-        m.on_request(5, req(1, 0)).unwrap();
-        m.on_request(5, req(1, 1)).unwrap();
+        m.on_request(5, req(1, 0));
+        m.on_request(5, req(1, 1));
         m.on_request(5, req(1, 0));
     }
 
     #[test]
     fn a_peer_restart_reissues_forwards_addressed_to_it() {
         let mut m = LockManagerTable::new(0);
-        m.on_request(5, req(1, 0)).unwrap(); // granted by 0
-        m.on_request(5, req(2, 0)).unwrap(); // forwarded to 1
-        m.on_request(7, req(3, 0)).unwrap(); // granted by 0
+        m.on_request(5, req(1, 0)); // granted by 0
+        m.on_request(5, req(2, 0)); // forwarded to 1
+        m.on_request(7, req(3, 0)); // granted by 0
         let redo = m.on_peer_restart(1);
         assert_eq!(redo.len(), 1);
         assert_eq!(redo[0].lock, 5);
@@ -398,12 +397,12 @@ mod tests {
         // completed tenure.
         let mut m = LockManagerTable::new(0);
         m.restore_chain(5, 7, 1, 4, Some(3));
-        let a = m.on_request(5, req(1, 4)).unwrap();
+        let a = m.on_request(5, req(1, 4));
         assert_eq!(a.grant_from, 3);
         assert_eq!(a.gen, 7);
         assert_eq!(a.pred_acq, u64::MAX);
         // The chain did not advance: a new requester chains behind 1.
-        let b = m.on_request(5, req(2, 0)).unwrap();
+        let b = m.on_request(5, req(2, 0));
         assert_eq!(b.grant_from, 1);
         assert_eq!(b.pred_acq, 4);
     }
@@ -419,11 +418,11 @@ mod tests {
         // 2↔3 grant cycle (2 waits on 3's tenure, 3 waits on 2's).
         let mut m = LockManagerTable::new(1);
         m.restore_chain(5, 4, 3, 0, Some(1));
-        let a = m.on_request(5, req(2, 0)).unwrap();
+        let a = m.on_request(5, req(2, 0));
         assert_eq!(a.grant_from, 3);
         assert_eq!(a.gen, 5);
         assert_eq!(a.pred_acq, 0);
-        let b = m.on_request(5, req(3, 0)).unwrap();
+        let b = m.on_request(5, req(3, 0));
         assert_eq!(b.grant_from, 1, "must replay from the granter's log");
         assert_eq!(b.gen, 4);
         assert_eq!(b.pred_acq, u64::MAX);
@@ -439,7 +438,7 @@ mod tests {
         let mut m = LockManagerTable::new(0);
         m.restore_chain(5, 4, 2, 1, Some(1));
         m.restore_chain(5, 7, 3, 2, Some(2));
-        let a = m.on_request(5, req(2, 2)).unwrap();
+        let a = m.on_request(5, req(2, 2));
         assert_eq!(a.grant_from, 3);
         assert_eq!(a.gen, 8);
         assert_eq!(a.pred_acq, 2);
@@ -451,7 +450,7 @@ mod tests {
         // owner's *next* acquisition chains behind that tenure.
         let mut m = LockManagerTable::new(0);
         m.restore_chain(5, 7, 1, 4, None);
-        let a = m.on_request(5, req(1, 5)).unwrap();
+        let a = m.on_request(5, req(1, 5));
         assert_eq!(a.grant_from, 1);
         assert_eq!(a.pred_acq, 4);
         assert_eq!(a.gen, 8);
@@ -464,7 +463,7 @@ mod tests {
         m.bound_gen(5, 9); // a queued gen-9 edge was discarded at recovery
         assert_eq!(m.tail_of(5), Some(2));
         assert_eq!(m.tail_gen_of(5), Some(3));
-        let a = m.on_request(5, req(3, 0)).unwrap();
+        let a = m.on_request(5, req(3, 0));
         assert_eq!(a.gen, 10, "fresh edges must outrank discarded ones");
         assert_eq!(a.grant_from, 2);
     }
@@ -482,8 +481,8 @@ mod tests {
     #[test]
     fn distinct_locks_have_independent_chains() {
         let mut m = LockManagerTable::new(0);
-        m.on_request(1, req(1, 0)).unwrap();
-        let a = m.on_request(2, req(2, 0)).unwrap();
+        m.on_request(1, req(1, 0));
+        let a = m.on_request(2, req(2, 0));
         assert_eq!(a.grant_from, 0);
     }
 }

@@ -136,9 +136,6 @@ pub struct PageTable {
     /// scanning the whole table. Invariant: a page is listed iff its slot
     /// has a twin (`invalidate` asserts no twin, so entries never go stale).
     twinned: Vec<PageId>,
-    /// Fetches installed as deltas, and the diff payload bytes they copied
-    /// (cumulative over incarnations, for the node report).
-    delta_installs: (u64, u64),
 }
 
 impl PageTable {
@@ -152,14 +149,7 @@ impl PageTable {
             pool: PagePool::new(page_size),
             scratch: DiffScratch::new(),
             twinned: Vec::new(),
-            delta_installs: (0, 0),
         }
-    }
-
-    /// `(pages, bytes)`: fetches installed as deltas and the diff payload
-    /// bytes those copied into the kept copies.
-    pub fn delta_installs(&self) -> (u64, u64) {
-        self.delta_installs
     }
 
     /// Cumulative buffer-pool counters (exported through run reports),
@@ -351,12 +341,7 @@ impl PageTable {
     /// pool), or apply a delta's diffs to the kept copy. Returns the bytes
     /// written into the local copy.
     pub fn install(&mut self, page: PageId, body: PageBody, version: &VectorClock) -> usize {
-        let Self {
-            slots,
-            pool,
-            delta_installs,
-            ..
-        } = self;
+        let Self { slots, pool, .. } = self;
         let Entry::Remote(m) = &mut slots[page.index()].entry else {
             panic!("install on homed page {page}");
         };
@@ -383,8 +368,6 @@ impl PageTable {
                     d.apply_pooled(copy, pool);
                 }
                 exact.clone_from(version);
-                delta_installs.0 += 1;
-                delta_installs.1 += copied as u64;
                 copied
             }
         }
@@ -765,7 +748,6 @@ mod tests {
             [[7; 8], [9; 8], [9; 8], [7; 8]].concat()
         );
         assert_eq!(t.have(PageId(1)), Some(&(1, vc([0, 4]))));
-        assert_eq!(t.delta_installs(), (1, 16));
 
         // Not known — the home was writing the page when it served it, or
         // recovery's emulated home built it: the copy goes as before.
@@ -779,7 +761,6 @@ mod tests {
         assert_eq!(t.have(PageId(1)), None);
         t.invalidate(PageId(1), 1, 5);
         assert!(t.remote_meta(PageId(1)).copy.is_none());
-        assert_eq!(t.delta_installs(), (1, 16));
     }
 
     #[test]

@@ -112,10 +112,10 @@ fn main() {
         t.link_resent, t.link_dups_dropped, t.link_acks, t.link_bytes_sent
     );
     let recoveries = chaotic.total().ft.recoveries;
-    let seen = chaotic.total().restarts_seen;
+    let seen = chaotic.total().counts.restarts_seen;
     println!("restarts:        {recoveries} recoveries, {seen} restarts seen by peers");
     // The restart's second answers; the link delivers everything else once.
-    let dups = chaotic.total().dup_suppressed;
+    let dups = chaotic.total().counts.dup_suppressed;
     println!("dup_suppressed:  {dups}");
     // Each recovery's handshake reaches every survivor once.
     assert_eq!(

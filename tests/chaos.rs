@@ -102,7 +102,7 @@ fn lossy_fabric_splash_kernel_is_byte_identical() {
         "chaos plan injected nothing (FTDSM_SEED={seed:#x})"
     );
     assert_eq!(
-        chaotic.total().restarts_seen,
+        chaotic.total().counts.restarts_seen,
         0,
         "a restart reported with no crash (FTDSM_SEED={seed:#x})"
     );
@@ -182,7 +182,7 @@ fn a_restart_is_announced_by_the_handshake_alone() {
             "case {case}: crash did not fire (victim {victim}, op {at_op}, FTDSM_SEED={seed:#x})"
         );
         assert_eq!(
-            crashed.total().restarts_seen,
+            crashed.total().counts.restarts_seen,
             NODES as u64 - 1,
             "case {case}: not every survivor saw the restart once (victim {victim}, \
              op {at_op}, FTDSM_SEED={seed:#x})"
@@ -241,14 +241,14 @@ fn crash_during_chaos_stress() {
                 unfired += 1;
                 "crash did not fire"
             }
-            Ok(r) if r.total().restarts_seen != NODES as u64 - 1 => {
+            Ok(r) if r.total().counts.restarts_seen != NODES as u64 - 1 => {
                 miscounted += 1;
                 "survivors did not see the restart once each"
             }
             Ok(r) => {
-                delta_installs += r.total().fetch_delta_pages;
+                delta_installs += r.total().counts.fetch_delta_pages;
                 installs += r.total_hists().fetch_copy.count();
-                dup_suppressed += r.total().dup_suppressed;
+                dup_suppressed += r.total().counts.dup_suppressed;
                 continue;
             }
         };

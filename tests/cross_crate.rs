@@ -218,7 +218,10 @@ fn a_migratory_cell_refetch_moves_what_changed_not_the_page() {
     // 0's eight words from then on.
     assert_eq!(r.total_hists().fetch_copy.count(), ROUNDS);
     assert_eq!(
-        (r.total().fetch_delta_pages, r.total().fetch_delta_bytes),
+        (
+            r.total().counts.fetch_delta_pages,
+            r.total().counts.fetch_delta_bytes
+        ),
         (ROUNDS - 1, (ROUNDS - 1) * 64)
     );
     let first = 4096 + 128;
@@ -278,7 +281,11 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
     assert_eq!((sent("PageReq"), sent("PageReply")), (6, 6));
     let t = r.total();
     assert_eq!(
-        (t.pages_pushed, t.pushed_used, t.pushes_refused),
+        (
+            t.counts.pages_pushed,
+            t.counts.pushed_used,
+            t.counts.pushes_refused
+        ),
         (40 + 40 + 1 + 1, 1, 0)
     );
     // Round 0's misses are on pages never held, round 3's on copies pushed
@@ -294,14 +301,23 @@ fn prefetch_follows_use_and_a_late_sweep_costs_a_request_per_sixteen_pages() {
     // Skipped: the never-held pages in round 0 and the unread pushed
     // copies in round 3; the releases of rounds 2 and 5 leave nothing
     // invalid to skip.
-    let counts = ftdsm_suite::PrefetchCounts {
+    let total = r.total().counts;
+    let counts = ftdsm_suite::Counts {
         prefetched: 37 + 37,
         prefetched_used: 37 + 37,
         prefetch_skipped: 40 + 40,
         skipped_then_missed: 3 + 3,
+        ..total
     };
-    assert_eq!(r.total().prefetch, counts);
-    assert_eq!(r.nodes[0].prefetch, Default::default());
+    assert_eq!(total, counts);
+    let c = &r.nodes[0].counts;
+    let prefetch = [
+        c.prefetched,
+        c.prefetched_used,
+        c.prefetch_skipped,
+        c.skipped_then_missed,
+    ];
+    assert_eq!(prefetch, [0; 4]);
     // A fault on a left-out page is a miss, with neighbours or without: as
     // many as the filter guessed wrong. No read finds its page in flight:
     // each miss's reply brings its whole run before the next read.
@@ -494,7 +510,7 @@ fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
                 .sum::<u64>()
         };
         for node in 0..n {
-            let carried = r.nodes[node].diff_batches_carried;
+            let carried = r.nodes[node].counts.diff_batches_carried;
             let (batches, arrivals) = (sent(node, "DiffBatch"), sent(node, "BarrierArrive"));
             if node == n - 1 {
                 // Its only remote home is the manager: nothing goes alone.
@@ -506,7 +522,7 @@ fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
             assert_eq!(arrivals, arrives, "n = {n}, node {node}");
         }
         // n batches a round, one of them inside an arrival.
-        assert_eq!(r.total().diff_batches_carried, ROUNDS);
+        assert_eq!(r.total().counts.diff_batches_carried, ROUNDS);
     }
 }
 
@@ -551,10 +567,17 @@ fn a_reader_of_the_managers_pages_asks_only_in_the_first_round() {
         );
         let pushed = readers * HOT as u64 * (ROUNDS - 1);
         let t = r.total();
-        let counts = (t.pages_pushed, t.pushed_used, t.pushes_refused);
+        let counts = (
+            t.counts.pages_pushed,
+            t.counts.pushed_used,
+            t.counts.pushes_refused,
+        );
         assert_eq!(counts, (pushed, pushed, 0), "n = {n}");
-        assert_eq!(r.nodes[0].pages_pushed, pushed, "only the manager pushes");
-        assert_eq!(r.total().prefetch.prefetched, 15 * readers, "n = {n}");
+        assert_eq!(
+            r.nodes[0].counts.pages_pushed, pushed,
+            "only the manager pushes"
+        );
+        assert_eq!(r.total().counts.prefetched, 15 * readers, "n = {n}");
     }
 }
 
@@ -597,10 +620,14 @@ fn a_page_read_every_other_epoch_rides_every_release_after_the_first() {
     let t = r.total();
     let pushed = HOT as u64 * (ROUNDS - 1);
     assert_eq!(
-        (t.pages_pushed, t.pushed_used, t.pushes_refused),
+        (
+            t.counts.pages_pushed,
+            t.counts.pushed_used,
+            t.counts.pushes_refused
+        ),
         (pushed, pushed / 2, 0)
     );
-    assert!(2 * t.pushed_used >= t.pages_pushed);
+    assert!(2 * t.counts.pushed_used >= t.counts.pages_pushed);
 }
 
 /// A lock kernel whose cell is homed at node 0. Node 0 holds the lock across
@@ -646,11 +673,14 @@ fn the_grant_from_the_cells_home_carries_the_cell() {
     };
     assert_eq!(sent(1, "PageReq"), 1);
     let manager = &r.nodes[0];
-    assert_eq!(manager.pages_pushed, ROUNDS - 1);
+    assert_eq!(manager.counts.pages_pushed, ROUNDS - 1);
     let kinds: Vec<_> = manager.pushed_bytes.iter().map(|&(k, _)| k).collect();
     assert_eq!(kinds, ["LockGrant"]);
     assert_eq!(
-        (r.nodes[1].pushed_used, r.nodes[1].pushes_refused),
+        (
+            r.nodes[1].counts.pushed_used,
+            r.nodes[1].counts.pushes_refused
+        ),
         (ROUNDS - 1, 0)
     );
 }
@@ -688,11 +718,11 @@ fn a_waiting_application_thread_serves_its_nodes_requests() {
         (&base.results, base.shared_hash)
     );
     for r in [&base, &ft] {
-        let served: Vec<u64> = r.nodes.iter().map(|n| n.app_served).collect();
+        let served: Vec<u64> = r.nodes.iter().map(|n| n.counts.app_served).collect();
         assert!(
             served.iter().all(|&s| s > 0),
             "requests served in waits: {served:?}"
         );
-        assert_eq!(r.total().svc_arrivals, 0);
+        assert_eq!(r.total().counts.svc_arrivals, 0);
     }
 }

@@ -485,16 +485,16 @@ fn the_final_snapshot_is_the_metric_table_of_every_node_report() {
             counter("fabric_link_resent_total"),
             node.traffic.link_resent
         );
-        assert_eq!(counter("prefetched_total"), node.prefetch.prefetched);
+        assert_eq!(counter("prefetched_total"), node.counts.prefetched);
         assert_eq!(
             counter("prefetched_used_total"),
-            node.prefetch.prefetched_used
+            node.counts.prefetched_used
         );
         assert_eq!(
             counter("prefetch_skipped_total"),
-            node.prefetch.prefetch_skipped
+            node.counts.prefetch_skipped
         );
-        let missed = node.prefetch.skipped_then_missed;
+        let missed = node.counts.skipped_then_missed;
         assert_eq!(counter("skipped_then_missed_total"), missed);
         assert_eq!(counter("ckpts_taken_total"), node.ft.ckpts_taken);
         assert_eq!(counter("fabric_msgs_sent_total"), node.traffic.msgs_sent);
@@ -520,7 +520,7 @@ fn the_final_snapshot_is_the_metric_table_of_every_node_report() {
         // Every node installs pages; whether one ever waits for a fetch is
         // timing: a node whose every remote page is zero-filled on its cold
         // miss and prefetched after each barrier may find each in place.
-        assert!(node.hists.fetch_copy.count() > 0 && node.prefetch.prefetched > 0);
+        assert!(node.hists.fetch_copy.count() > 0 && node.counts.prefetched > 0);
     }
 }
 
@@ -634,12 +634,12 @@ fn cluster_totals_are_the_per_node_sums_on_a_crash_run() {
     let total = report.total();
     assert_eq!(total.ops, sum(|n| n.ops));
     assert_eq!(total.traffic.link_acks, sum(|n| n.traffic.link_acks));
-    assert_eq!(total.restarts_seen, sum(|n| n.restarts_seen));
+    assert_eq!(total.counts.restarts_seen, sum(|n| n.counts.restarts_seen));
     assert_eq!(
-        total.restarts_seen, 2,
+        total.counts.restarts_seen, 2,
         "each survivor counts the restart once"
     );
-    assert_eq!(total.prefetch.prefetched, sum(|n| n.prefetch.prefetched));
+    assert_eq!(total.counts.prefetched, sum(|n| n.counts.prefetched));
     assert_eq!(total.ft.recoveries, 1);
     assert_eq!(total.ft.store.writes, sum(|n| n.ft.store.writes));
     let saved = total.ft.log_bytes_saved;
