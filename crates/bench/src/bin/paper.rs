@@ -436,12 +436,15 @@ fn do_protocol(scale: &Scale) {
         total.counts.diff_batches_carried
     );
     println!(
-        "\npages node 0's grants and releases carried with the notices that invalidate them, \
-         because the receiver's arrival reported using its copy (a refused one is fetched):"
+        "\npages a home carried with the notices that invalidate them, because the receiver \
+         reported using its copy — node 0's grants and releases to the peers, the other homes' \
+         grants and barrier arrivals to node 0 (a refused one is fetched; a stale one missed \
+         another writer's notice):"
     );
     println!("  pages_pushed   {:>8}", total.counts.pages_pushed);
     println!("  pushed_used    {:>8}", total.counts.pushed_used);
     println!("  pushes_refused {:>8}", total.counts.pushes_refused);
+    println!("  pushes_stale   {:>8}", total.counts.pushes_stale);
     // `$3` is the bytes of the pushed pages a kind carried, inside that
     // kind's `msg_count` bytes below.
     println!("\npushed page bytes by the kind that carried them:");

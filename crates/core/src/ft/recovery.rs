@@ -239,7 +239,11 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -
         bar: ft.logs.bar.clone(),
         lock_chains,
         gen_floor,
-        applied_of_you: st.pt.home_store().newest_applied_of(r),
+        applied_of_you: st
+            .pt
+            .home_store()
+            .newest_applied_of(r)
+            .max(st.fetch.seen_of(r)),
     }
 }
 
@@ -408,7 +412,11 @@ fn merge_log_replies(
         // Like the timestamps below it proves only that interval k existed
         // (a home sets `p.v[me] = k` by applying a diff our closed interval
         // k made), which one page is enough for; replay re-sends the diffs
-        // of every interval up to k whether or not they had arrived.
+        // of every interval up to k whether or not they had arrived. A
+        // reader that installed a copy of one of our pages at `v[me] = k`
+        // proves it too, and holds k's words: a tenure that wrote only our
+        // own pages, released with no one waiting and then fetched, would
+        // otherwise run again after the reader had counted it.
         replay.evidence_self = replay.evidence_self.max(applied_of_you);
         for e in wn {
             let (proc, seq) = (peer, e.seq);
@@ -855,6 +863,33 @@ mod tests {
             panic!("not a handshake reply")
         };
         assert_eq!(logged_seqs(&diffs), [(4, 2), (4, 3), (4, 5)]);
+    }
+
+    /// A copy of the recovering node's page that a reader installed at the
+    /// node's interval 3 is the reader's evidence that interval 3 was
+    /// closed, as a diff its home applied would be: the handshake reply
+    /// says so, and says nothing of another node's pages.
+    #[test]
+    fn the_handshake_reply_names_the_newest_own_interval_an_installed_copy_carried() {
+        // Node 0 of 3; page 0 is homed at node 1, which wrote it in its
+        // interval 3.
+        let (mut st, eps) = test_state(0, 3, true);
+        st.pt.add_page(1);
+        st.pt.invalidate(PageId(0), 1, 3);
+        crate::runtime::fetch::fetch_with_neighbours(&mut st, PageId(0));
+        let Payload::PageReq { req_id, .. } = only_payload(&eps[0]) else {
+            panic!("no fetch")
+        };
+        let pages = vec![(PageId(0), gated(3, 1, 3), page_of(1))];
+        handle_msg(&mut st, 1, Payload::PageReply { req_id, pages });
+        let evidence = |st: &mut NodeState, r: ProcId| {
+            handle_msg(st, r, Payload::RecLogReq { homed: Vec::new() });
+            let Payload::RecLogReply { applied_of_you, .. } = only_payload(&eps[r - 1]) else {
+                panic!("not a handshake reply")
+            };
+            applied_of_you
+        };
+        assert_eq!((evidence(&mut st, 1), evidence(&mut st, 2)), (3, 0));
     }
 
     #[test]

@@ -126,7 +126,8 @@ pub enum Payload {
         wns: WnDelta,
         /// The pages those notices invalidate that the requester reported
         /// using, when the granter is their home and its copies cover the
-        /// notices (only node 0 gets the reports).
+        /// notices (a peer reports to node 0 on its arrivals; node 0's
+        /// reports reach the other homes on their releases).
         pushed: Vec<Pushed>,
     },
     /// A writer's end-of-interval diffs for pages homed at the receiver.
@@ -144,11 +145,18 @@ pub enum Payload {
         vt: VectorClock,
         /// The participant's own write notices since its previous arrival.
         own_wns: WnDelta,
-        /// The copies of the manager's pages the participant installed and
-        /// then used since its previous arrival, each with what it is
-        /// exactly: the manager pushes those its next grant or release to
-        /// the participant invalidates ([`Pushed`]).
+        /// The copies the participant installed and then used since its
+        /// previous arrival, each with what it is exactly: a peer's of the
+        /// manager's pages, which the manager pushes when its next grant or
+        /// release to the peer invalidates them ([`Pushed`]); the manager's
+        /// own of every other home's, which it relays to each home on that
+        /// home's release.
         used: Vec<(PageId, Have)>,
+        /// The pages of the participant's own that its notices here
+        /// invalidate at the manager and that the manager reported using
+        /// (from a home other than the manager): the manager installs them
+        /// when it crosses. Only the first send carries them.
+        pushed: Vec<Pushed>,
         /// The participant's diffs for pages the manager homes, from the
         /// interval this arrival closed: the [`Payload::DiffBatch`] that
         /// would otherwise have gone just before it, and is served as that
@@ -168,8 +176,13 @@ pub enum Payload {
         /// clock).
         wns: WnDelta,
         /// The pages those notices invalidate that the receiver reported
-        /// using, as on a `LockGrant`.
+        /// using, as on a `LockGrant`; on the manager's release to itself,
+        /// the pages the episode's arrivals pushed to it.
         pushed: Vec<Pushed>,
+        /// The manager's copies of the receiver's pages that its arrival
+        /// reported used: the receiver keeps each as the manager's want
+        /// ([`hlrc::HomeStore::want`]) when it crosses.
+        used: Vec<(PageId, Have)>,
     },
     /// Page fetch: requester → home, for one page or many — a demand miss
     /// with the neighbours prefetch had left out, or the pages an acquire or
@@ -238,9 +251,11 @@ pub enum Payload {
         /// generation so fresh edges outrank every pre-crash one.
         gen_floor: Vec<(LockId, u64)>,
         /// The newest interval of the recovering node's that the peer has
-        /// applied to a page it homes: proof that the interval was flushed
-        /// before the crash, whatever record of it died with its creator
-        /// (a self-granted acquire leaves none anywhere else).
+        /// applied to a page it homes, or that a copy of one of the
+        /// recovering node's pages carried when the peer installed it:
+        /// proof that the interval was closed before the crash, whatever
+        /// record of it died with its creator (a self-granted acquire
+        /// leaves none anywhere else).
         applied_of_you: u32,
         /// The peer's diff-log entries for the request's `homed` pages that
         /// the restored copies do not hold (`diff.interval.seq >
@@ -287,10 +302,12 @@ impl Payload {
         }
     }
 
-    /// The pages a grant or release carries with its notices.
+    /// The pages a grant, release or arrival carries with its notices.
     pub fn pushed(&self) -> &[Pushed] {
         match self {
-            Payload::LockGrant { pushed, .. } | Payload::BarrierRelease { pushed, .. } => pushed,
+            Payload::LockGrant { pushed, .. }
+            | Payload::BarrierRelease { pushed, .. }
+            | Payload::BarrierArrive { pushed, .. } => pushed,
             _ => &[],
         }
     }
@@ -538,6 +555,7 @@ mod tests {
                 vt: vt(),
                 own_wns: wns(),
                 used: vec![(page, base()), (PageId(130), (1, clock(&[0, 200])))],
+                pushed: pushed(),
                 batch: Some(diffs.clone()),
             },
             Payload::BarrierRelease {
@@ -545,6 +563,7 @@ mod tests {
                 vt: vt(),
                 wns: wns(),
                 pushed: pushed(),
+                used: vec![(page, base())],
             },
             Payload::PageReq {
                 pages: vec![(page, vt(), Some(base())), (PageId(9), vt(), None)],

@@ -4,10 +4,11 @@
 //! one place a fetch is tracked, whoever asked for it; it decides what an invalidation prefetches, what a miss brings
 //! with it and which miss needs no message at all (a cold page is the zero
 //! page), and installs what comes back: it handles the one kind that
-//! answers a fetch, `PageReply`, and the pages a grant or release pushes
-//! unasked, which the copies its barrier arrivals report used bring.
+//! answers a fetch, `PageReply`, and the pages a grant, release or (at
+//! node 0) barrier arrival pushes unasked, which the copies its barrier
+//! arrivals report used bring.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use dsm_page::{PageId, ProcId, VectorClock};
 use hlrc::{Have, Held, PageBody, PageState};
@@ -36,11 +37,19 @@ pub(crate) struct FetchSvc {
     /// The page the application thread's fault is waiting for.
     awaited: Option<PageId>,
     req_id_next: u64,
-    /// Copies of node 0's pages, each exactly a known version, used since
-    /// this node's last barrier arrival: what the next one reports.
+    /// Copies, each exactly a known version, used since this node's last
+    /// barrier arrival: what the next one reports. A peer's are of node 0's
+    /// pages, node 0's of every other home's.
     used: BTreeSet<PageId>,
     /// Pushed copies not used yet.
     pushed: HashSet<PageId>,
+    /// Pages a push came for whose version missed a notice: another writer
+    /// keeps the home's copy behind, so they are reported no more.
+    stale: HashSet<PageId>,
+    /// Per home, the newest interval of its own that a copy installed here
+    /// carried: this node holds that interval's words, so the home's
+    /// recovery must replay it, not run it again.
+    seen: HashMap<ProcId, u32>,
 }
 
 impl FetchSvc {
@@ -75,6 +84,12 @@ impl FetchSvc {
         let page = self.awaited?;
         let e = self.in_flight.get(&page)?;
         Some((page, e.home, e.req_id))
+    }
+
+    /// The newest interval of `home`'s own that a copy installed here
+    /// carried (0: none).
+    pub(crate) fn seen_of(&self, home: ProcId) -> u32 {
+        self.seen.get(&home).copied().unwrap_or(0)
     }
 
     fn take_req_id(&mut self) -> u64 {
@@ -256,22 +271,26 @@ pub(crate) fn resend_batches_to(st: &mut NodeState, node: ProcId) {
 
 /// The first access of the copy of remote `page` since its install;
 /// `demanded` when the access fetched it itself. A copy a push brought, or
-/// one a prefetch did, paid off; and a copy of node 0's that is exactly a
-/// known version goes into the next barrier arrival's report.
+/// one a prefetch did, paid off; and a copy that is exactly a known version
+/// goes into the next barrier arrival's report — at a peer a copy of node
+/// 0's (node 0, the barrier manager, reads every arrival), at node 0 one of
+/// any home's whose push never came stale.
 pub(crate) fn first_use(st: &mut NodeState, page: PageId, demanded: bool) {
     if st.fetch.pushed.remove(&page) {
         st.counts.pushed_used += 1;
     } else if !demanded {
         st.counts.prefetched_used += 1;
     }
-    if st.pt.home_of(page) == 0 && st.pt.have(page).is_some() {
+    let reported = st.me == 0 || st.pt.home_of(page) == 0;
+    if reported && st.pt.have(page).is_some() && !st.fetch.stale.contains(&page) {
         st.fetch.used.insert(page);
     }
 }
 
 /// What a barrier arrival reports: the copies used since the last one that
 /// are still valid, each with what it is exactly. Node 0 pushes a page its
-/// next grant or release to this node invalidates.
+/// next grant or release to this node invalidates; at node 0, the page's
+/// home pushes it on its next barrier arrival whose notices invalidate it.
 pub(crate) fn take_used(st: &mut NodeState) -> Vec<(PageId, Have)> {
     let used = std::mem::take(&mut st.fetch.used).into_iter();
     let valid = used.map(|page| (page, st.pt.remote_meta(page)));
@@ -286,21 +305,27 @@ pub(crate) fn take_used(st: &mut NodeState) -> Vec<(PageId, Have)> {
 /// keeps exactly the copy it builds on, through the reply's install gate.
 /// Any other is refused and left to the prefetch that follows, which asks
 /// for it as if nothing had come — a push stale, overtaken or addressed to
-/// the node's previous life is never applied.
+/// the node's previous life is never applied. A page whose push was stale
+/// is reported no more.
 pub(crate) fn install_pushed(st: &mut NodeState, pushed: Vec<Pushed>) {
     for p in pushed {
         let ours = p.page.index() < st.pt.len() && !st.pt.is_home(p.page);
         let kept = ours && !st.fetch.in_flight(p.page) && st.pt.have(p.page) == Some(&p.base);
         if kept && install_copy(st, p.page, p.body, &p.version) {
             st.fetch.pushed.insert(p.page);
-        } else {
-            st.counts.pushes_refused += 1;
+            continue;
+        }
+        st.counts.pushes_refused += 1;
+        if kept && !p.version.covers(&st.pt.remote_meta(p.page).needed) {
+            st.counts.pushes_stale += 1;
+            st.fetch.stale.insert(p.page);
         }
     }
 }
 
 /// Install `body` as the copy of remote `page` at `version` if the page is
-/// invalid and `version` still covers everything it is known to need.
+/// invalid and `version` still covers everything it is known to need, and
+/// note the home's own interval `version` names (see `FetchSvc::seen`).
 /// One `fetch_copy` sample per install: the bytes written into the local
 /// copy — none for an adopted page buffer, the diff payloads for a delta,
 /// which counts as a delta install.
@@ -309,6 +334,9 @@ fn install_copy(st: &mut NodeState, page: PageId, body: PageBody, version: &Vect
     if m.state != PageState::Invalid || !version.covers(&m.needed) {
         return false;
     }
+    let home = st.pt.home_of(page);
+    let seen = st.fetch.seen.entry(home).or_default();
+    *seen = (*seen).max(version.get(home));
     let delta = matches!(body, PageBody::Delta(_));
     let copied = st.pt.install(page, body, version) as u64;
     st.hists.fetch_copy.record(copied);
@@ -808,6 +836,7 @@ pub(crate) mod tests {
                 push(1, &kept, gated(2, 0, 2)),
                 push(2, &kept, gated(2, 0, 2)),
             ],
+            used: Vec::new(),
         };
         crate::runtime::interval::cross_barrier(&mut st, release);
         assert_eq!((st.counts.pushed_used, st.counts.pushes_refused), (0, 2));
@@ -854,6 +883,7 @@ pub(crate) mod tests {
             }]
             .into(),
             pushed,
+            used: Vec::new(),
         };
         let cross = crate::runtime::interval::cross_barrier;
         cross(
@@ -896,6 +926,62 @@ pub(crate) mod tests {
         st.pt.invalidate(PageId(2), 0, 1);
         assert_eq!(take_used(&mut st), [(PageId(1), (1, VectorClock::zero(3)))]);
         assert!(take_used(&mut st).is_empty(), "reported once");
+    }
+
+    /// Node 0 reports its copies of every home's pages. A push from a home
+    /// whose version misses another writer's notice is refused as stale:
+    /// the page is marked, and no later report lists it, though node 0
+    /// fetches and reads it again; the page the same arrival pushed that
+    /// fit is installed and reported as before.
+    #[test]
+    fn a_stale_push_is_refused_and_its_page_reported_no_more() {
+        // Node 0 of 3; pages 0 and 1 are homed at node 1.
+        let (mut st, eps) = test_state(0, 3, false);
+        st.pt.add_page(1);
+        st.pt.add_page(1);
+        let kept: Have = (1, VectorClock::zero(3));
+        let read = |st: &mut NodeState, page| {
+            st.pt.read_into(PageId(page), 0, &mut [0u8; 8]);
+            first_use(st, PageId(page), false);
+        };
+        for page in 0..2 {
+            st.pt.install(PageId(page), page_of(1), &kept.1);
+            read(&mut st, page);
+        }
+        let both = [(PageId(0), kept.clone()), (PageId(1), kept.clone())];
+        assert_eq!(take_used(&mut st), both);
+        // Node 1's arrival pushed both at its interval 1; node 2 wrote page
+        // 0 in the same epoch.
+        let notice = |proc, pages: &[u32]| hlrc::WriteNotice {
+            interval: dsm_page::Interval { proc, seq: 1 },
+            pages: pages.iter().map(|&p| PageId(p)).collect(),
+        };
+        let push = |page| Pushed {
+            page: PageId(page),
+            base: kept.clone(),
+            version: gated(3, 1, 1),
+            body: page_of(2),
+        };
+        let release = Payload::BarrierRelease {
+            episode: 0,
+            vt: VectorClock::from_vec(vec![0, 1, 1]),
+            wns: vec![notice(1, &[0, 1]), notice(2, &[0])].into(),
+            pushed: vec![push(0), push(1)],
+            used: Vec::new(),
+        };
+        crate::runtime::interval::cross_barrier(&mut st, release);
+        let c = st.counts;
+        assert_eq!((c.pushes_refused, c.pushes_stale), (1, 1));
+        assert_eq!(st.pt.have(PageId(1)), Some(&(1, gated(3, 1, 1))));
+        // Page 0 is fetched as if nothing had come; both are read again,
+        // and only page 1 is reported.
+        assert_eq!(asked_pages(&only_payload(&eps[0])), [0]);
+        let req_id = st.fetch.in_flight[&PageId(0)].req_id;
+        let version = VectorClock::from_vec(vec![0, 1, 1]);
+        install(&mut st, PageId(0), req_id, version, page_of(3));
+        read(&mut st, 0);
+        read(&mut st, 1);
+        assert_eq!(take_used(&mut st), [(PageId(1), (1, gated(3, 1, 1)))]);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::recovery;
 use crate::msg::{Payload, Pushed};
 use crate::runtime::fetch;
+use crate::runtime::home::pushes_for;
 use crate::runtime::node::NodeState;
 use crate::stats::{Breakdown, ReqCause};
 
@@ -203,8 +204,10 @@ pub(crate) fn release(st: &mut NodeState, lock: LockId) {
 /// Arrive at the barrier: close the interval, park the arrival in the wait
 /// slot and send it to the manager, node 0, carrying our diffs for the
 /// pages it homes — one message where a `DiffBatch` and the arrival were
-/// two — and the copies of its pages we used since the last arrival, which
-/// it may push when it next invalidates them here. Returns the episode.
+/// two — the copies we used since the last arrival, which their home may
+/// push when it next invalidates them here, and the pages of ours that our
+/// notices invalidate at node 0 where node 0 reported using them. Returns
+/// the episode.
 pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     let batch = st.close_interval_carrying(bd, Some(0));
     st.counts.diff_batches_carried += batch.is_some() as u64;
@@ -219,11 +222,14 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     from.set(st.me, st.sync.note_arrival(vt.get(st.me)));
     let own_wns = st.wn_table.missing_between(&from, &vt);
     let used = fetch::take_used(st);
+    // Node 0 wants none of its own pages.
+    let pushed = pushes_for(&st.pt.home_store(), 0, &own_wns);
     let arrival = Payload::BarrierArrive {
         episode,
         vt,
         own_wns,
         used,
+        pushed,
         batch,
     };
     st.block_on(0, arrival);
@@ -231,10 +237,15 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
 }
 
 /// Cross the barrier, `release` taken from the wait slot: join its
-/// timestamp and apply the notices it carried.
+/// timestamp, apply the notices it carried and keep node 0's reported
+/// copies of our pages as its wants, which our next arrival may push.
 pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     let Payload::BarrierRelease {
-        vt, wns, pushed, ..
+        vt,
+        wns,
+        pushed,
+        used,
+        ..
     } = release
     else {
         unreachable!("a barrier wait took {}", release.kind())
@@ -242,6 +253,10 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     let arrive_vt = st.vt.clone();
     st.vt.join(&vt);
     apply_notices(st, &arrive_vt, wns, pushed, ReqCause::ReleasePrefetch);
+    let home = st.pt.home_store();
+    for (page, have) in used {
+        home.want(0, page, have);
+    }
     let episode = st.sync.crossed();
     match st.ft.logs() {
         Some(logs) => logs.log_bar(BarEntry {
@@ -272,7 +287,7 @@ mod tests {
     use dsm_page::Interval;
     use dsm_storage::{DiskModel, StableStore};
     use dsm_trace::NodeTracer;
-    use hlrc::{Have, PageBody, WriteNotice};
+    use hlrc::{Have, PageBody, PageState, WriteNotice};
 
     /// Every payload waiting for `ep`: what its service thread takes, then
     /// what that passes for a wait — a barrier arrival — each in order.
@@ -370,6 +385,7 @@ mod tests {
             vt: st.vt.clone(),
             wns: WnDelta::empty(),
             pushed: Vec::new(),
+            used: Vec::new(),
         };
         handle_msg(&mut st, 0, release);
         let (_, release) = st.wait.take().expect("the release answers the arrival");
@@ -436,6 +452,7 @@ mod tests {
                 own_wns: WnDelta::empty(),
                 batch: None,
                 used: Vec::new(),
+                pushed: Vec::new(),
             };
             handle_msg(&mut st, 1, peer);
             let (_, release) = st.wait.take().expect("the episode completed");
@@ -459,6 +476,7 @@ mod tests {
             own_wns: WnDelta::empty(),
             batch: Some(vec![diff_of(1, 1, 1)]),
             used: Vec::new(),
+            pushed: Vec::new(),
         };
         handle_msg(&mut st, 1, arrival.clone());
         assert_eq!(st.pending_unalloc, [(1, arrival)]);
@@ -492,6 +510,7 @@ mod tests {
                 vt: gated(2, 0, episode as u32),
                 own_wns: WnDelta::empty(),
                 used: vec![(PageId(0), used)],
+                pushed: Vec::new(),
                 batch: None,
             };
             handle_msg(st, 1, arrival);
@@ -539,6 +558,86 @@ mod tests {
         assert_eq!(st.counts.pages_pushed, 1);
     }
 
+    /// A home other than the manager keeps the manager's copies of its pages
+    /// that the manager's release relays as the manager's wants, and sends
+    /// each on its next arrival whose notices invalidate it there; the
+    /// manager installs it when it crosses. Once the manager's recovery
+    /// handshake says it restarted, the arrival carries the notice alone.
+    #[test]
+    fn a_home_pushes_what_the_managers_release_relayed_until_the_manager_restarts() {
+        // Node 1 homes page 0; the manager has read its copy, exactly `kept`.
+        let (mut home, to_manager, _store) = ft_node(1, 2);
+        let (mut manager, to_home) = test_state(0, 2, false);
+        manager.pt.add_page(1);
+        let kept: Have = (1, VectorClock::zero(2));
+        let read = |manager: &mut NodeState| {
+            manager.pt.read_into(PageId(0), 8, &mut [0u8; 8]);
+            fetch::first_use(manager, PageId(0), false);
+        };
+        manager.pt.install(PageId(0), page_of(0), &kept.1);
+        read(&mut manager);
+        // One episode: the home's arrival, the manager's, both crossings;
+        // returns what the arrival pushed, what the home's release relayed
+        // and the fetches the manager sent the home.
+        let episode = |home: &mut NodeState, manager: &mut NodeState| {
+            arrive(home, &mut Breakdown::default());
+            let (none, arrival) = sent(&to_manager[0]);
+            let ([], [arrival]) = (&none[..], &arrival[..]) else {
+                panic!("one arrival, not {none:?} {arrival:?}")
+            };
+            let pushed = arrival.pushed().to_vec();
+            handle_msg(manager, 1, arrival.clone());
+            arrive(manager, &mut Breakdown::default());
+            let (_, release) = manager.wait.take().expect("the episode completed");
+            cross_barrier(manager, release);
+            let (fetches, release) = sent(&to_home[0]);
+            let [release @ Payload::BarrierRelease { used, .. }] = &release[..] else {
+                panic!("one release, not {release:?}")
+            };
+            let used = used.clone();
+            handle_msg(home, 0, release.clone());
+            let (_, release) = home.wait.take().expect("the release answers the arrival");
+            cross_barrier(home, release);
+            (pushed, used, fetches)
+        };
+        // The manager's report reaches the home on its release ...
+        let (pushed, used, _) = episode(&mut home, &mut manager);
+        assert!(pushed.is_empty());
+        assert_eq!(used, [(PageId(0), kept.clone())]);
+        // ... and the home's next write rides its next arrival, which the
+        // manager installs at its crossing, asking for nothing.
+        write_interval(&mut home, 1);
+        let (pushed, used, fetches) = episode(&mut home, &mut manager);
+        let [Pushed {
+            page: PageId(0),
+            base,
+            version,
+            ..
+        }] = &pushed[..]
+        else {
+            panic!("page 0, not {pushed:?}")
+        };
+        assert_eq!(
+            (base, version, &used[..]),
+            (&kept, &gated(2, 1, 1), &[][..])
+        );
+        assert_eq!(manager.pt.have(PageId(0)), Some(&(1, gated(2, 1, 1))));
+        assert_eq!(manager.pt.remote_meta(PageId(0)).state, PageState::Valid);
+        assert!(fetches.is_empty(), "{fetches:?}");
+        assert_eq!(
+            (home.counts.pages_pushed, manager.counts.pushes_refused),
+            (1, 0)
+        );
+        // Read and reported again; then the manager restarts.
+        read(&mut manager);
+        episode(&mut home, &mut manager);
+        handle_msg(&mut home, 0, Payload::RecLogReq { homed: Vec::new() });
+        waited(&to_manager[0]);
+        write_interval(&mut home, 2);
+        assert!(episode(&mut home, &mut manager).0.is_empty());
+        assert_eq!(home.counts.pages_pushed, 1);
+    }
+
     /// Node 1 of 3 crosses `k` barriers, each after an interval of its own
     /// and with a release naming one interval of each peer. Base HLRC trims
     /// the notice table at every crossing: nothing is left whatever `k`,
@@ -564,6 +663,7 @@ mod tests {
                     vt: VectorClock::from_vec(vec![seq; n]),
                     wns: WnDelta::from(peers.to_vec()),
                     pushed: Vec::new(),
+                    used: Vec::new(),
                 };
                 handle_msg(&mut st, 0, release);
                 let (_, release) = st.wait.take().expect("the release answers the arrival");

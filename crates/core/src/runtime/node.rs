@@ -412,10 +412,14 @@ impl NodeState {
     /// Park `request` in the wait slot and send it to `to`, for the
     /// application thread to block on its answer. A batch it carries rides
     /// this send only: a restarted manager gets the diffs from the writer's
-    /// log, as it gets every other diff it lost.
+    /// log, as it gets every other diff it lost. So do the pages it pushes:
+    /// a restarted manager keeps no copy they build on.
     pub(crate) fn block_on(&mut self, to: ProcId, request: Payload) {
         let (mut parked, answer) = (request.clone(), None);
         parked.take_carried();
+        if let Payload::BarrierArrive { pushed, .. } = &mut parked {
+            pushed.clear();
+        }
         self.wait = WaitSlot::Request {
             to,
             request: parked,
@@ -979,6 +983,7 @@ pub(crate) mod tests {
             vt: VectorClock::zero(3),
             wns: WnDelta::empty(),
             pushed: Vec::new(),
+            used: Vec::new(),
         };
         assert_eq!(wait.deposit(0, release.clone()), Some(release));
         assert!(wait.take().is_none());
@@ -1078,6 +1083,7 @@ pub(crate) mod tests {
                     own_wns: WnDelta::empty(),
                     batch: Some(vec![diff_of(0, 1, 2)]),
                     used: Vec::new(),
+                    pushed: Vec::new(),
                 },
             ),
         ];
@@ -1317,6 +1323,7 @@ pub(crate) mod tests {
                     vt: VectorClock::zero(2),
                     wns: WnDelta::empty(),
                     pushed: Vec::new(),
+                    used: Vec::new(),
                 },
             };
             handle_msg(&mut st, 0, answer);
@@ -1355,6 +1362,7 @@ pub(crate) mod tests {
             own_wns: WnDelta::empty(),
             batch: None,
             used: Vec::new(),
+            pushed: Vec::new(),
         };
         handle_msg(&mut st, 1, from_node_1);
         match st.wait.take() {
@@ -1383,6 +1391,7 @@ pub(crate) mod tests {
             own_wns: WnDelta::empty(),
             batch,
             used: Vec::new(),
+            pushed: Vec::new(),
         };
         let bare = |episode| arrival(episode, None);
         let from_node_1 = |payload| assert!(eps[0].send(0, Msg::bare(payload)));

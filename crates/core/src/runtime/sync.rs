@@ -10,19 +10,19 @@
 //! answers or put them in a reply sink, so they can be driven with no
 //! endpoint at all.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
-use dsm_page::{ProcId, VectorClock};
+use dsm_page::{PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
 use hlrc::barrier::{Arrival, ArriveOutcome, BarrierManager};
 use hlrc::locks::{AcqReq, LockAction, LockManagerTable};
-use hlrc::{HomeStore, LockId, WnTable};
+use hlrc::{Have, HomeStore, LockId, WnTable};
 
 use crate::ft::ckpt::CheckpointBlob;
 use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::FtSvc;
-use crate::msg::Payload;
+use crate::msg::{Payload, Pushed};
 use crate::runtime::home::pushes_for;
 use crate::runtime::node::{NodeState, Replies, WaitSlot};
 
@@ -51,6 +51,16 @@ type ChainReport = (
     Vec<(LockId, u64)>,
 );
 
+/// What the barrier manager relays for the episode it is collecting: its
+/// own arrival's report of the copies it used, per home, for that home's
+/// release; and the pages the other homes' arrivals pushed to it, for its
+/// own release.
+#[derive(Debug, Default, PartialEq)]
+struct Relay {
+    used: BTreeMap<ProcId, Vec<(PageId, Have)>>,
+    pushed: Vec<Pushed>,
+}
+
 /// The lock and barrier state of one node. All of it is volatile.
 #[derive(Debug, PartialEq)]
 pub(crate) struct SyncSvc {
@@ -60,6 +70,8 @@ pub(crate) struct SyncSvc {
     lock_mgr: LockManagerTable,
     /// The barrier manager, on node 0.
     bar_mgr: Option<BarrierManager>,
+    /// The manager's relay for the episode being collected.
+    relay: Relay,
     tenures: HashMap<LockId, Tenure>,
     last_release_vt: HashMap<LockId, VectorClock>,
     /// Forwarded acquires queued while this node still holds the lock.
@@ -82,6 +94,7 @@ impl SyncSvc {
             n,
             lock_mgr: LockManagerTable::new(me),
             bar_mgr: (me == 0).then(|| BarrierManager::new(n)),
+            relay: Relay::default(),
             tenures: HashMap::new(),
             last_release_vt: HashMap::new(),
             pending_grants: HashMap::new(),
@@ -330,7 +343,9 @@ impl SyncSvc {
 
     /// Process a barrier arrival at the manager (local or remote). Each
     /// release carries the pages of `home` its notices invalidate that its
-    /// receiver wants; a resend to a re-arrival carries none.
+    /// receiver wants, and the manager's relay: to another home the
+    /// manager's report of its pages, to the manager itself the pages the
+    /// arrivals pushed. A resend to a re-arrival carries none of these.
     pub(crate) fn barrier_manager_arrive(
         &mut self,
         arrival: Arrival,
@@ -359,12 +374,19 @@ impl SyncSvc {
                         result_vt: rel.vt.clone(),
                     });
                 }
+                let mut relay = std::mem::take(&mut self.relay);
                 for (p, wns) in rel.per_proc_wns.into_iter().enumerate() {
+                    let used = relay.used.remove(&p).unwrap_or_default();
+                    let pushed = match p == self.me {
+                        true => std::mem::take(&mut relay.pushed),
+                        false => pushes_for(home, p, &wns),
+                    };
                     let release = Payload::BarrierRelease {
                         episode: rel.episode,
                         vt: rel.vt.clone(),
-                        pushed: pushes_for(home, p, &wns),
+                        pushed,
                         wns,
+                        used,
                     };
                     reply.push((p, release));
                 }
@@ -375,12 +397,13 @@ impl SyncSvc {
                 vt,
                 wns,
             } => {
-                let pushed = Vec::new();
+                let (pushed, used) = (Vec::new(), Vec::new());
                 let release = Payload::BarrierRelease {
                     episode,
                     vt,
                     wns,
                     pushed,
+                    used,
                 };
                 reply.push((proc, release))
             }
@@ -617,13 +640,24 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
             vt,
             own_wns,
             used,
+            pushed,
             batch,
         } => {
             debug_assert!(batch.is_none(), "`handle_msg` serves a batch first");
+            // A peer's report is of our pages: its wants. Ours is of the
+            // other homes', relayed on their releases, and so are the pages
+            // they push us.
             let home = st.pt.home_store();
+            let relay = &mut st.sync.relay;
             for (page, have) in used {
-                home.want(from, page, have);
+                if from == st.me {
+                    let of_home = relay.used.entry(st.pt.home_of(page)).or_default();
+                    of_home.push((page, have));
+                } else {
+                    home.want(from, page, have);
+                }
             }
+            relay.pushed.extend(pushed);
             let arrival = Arrival {
                 proc: from,
                 episode,

@@ -193,9 +193,11 @@ counts! {
     /// Misses on a cold page — never held, named by no write notice —
     /// answered with the zero page instead of a fetch.
     zero_fills => "zero_fills_total",
-    /// Pages this node's grants and releases carried to a peer that had
-    /// reported using its copy, with the notices that invalidate it (node
-    /// 0 only: the reports ride barrier arrivals).
+    /// Pages this node's grants, releases and barrier arrivals carried to
+    /// a peer that had reported using its copy, with the notices that
+    /// invalidate it there: node 0's to every peer, whose arrivals report
+    /// to it, and every other home's to node 0, whose reports its releases
+    /// relay.
     pages_pushed => "pages_pushed_total",
     /// Of the pushed pages this node installed, the ones read or written
     /// before the next invalidation.
@@ -205,6 +207,10 @@ counts! {
     /// version did not cover what the page needed. Each was then fetched
     /// as if nothing had come.
     pushes_refused => "pushes_refused_total",
+    /// Of those, the ones whose version missed a notice the page needed (a
+    /// writer other than the home wrote it too); this node reports the
+    /// page no more.
+    pushes_stale => "pushes_stale_total",
 }
 
 /// Why a `PageReq` was sent.

@@ -463,6 +463,10 @@ pub(crate) fn get_piggy(r: &mut ByteReader) -> Result<Piggy, CodecError> {
     })
 }
 
+/// Tag bit: the other direction's push list follows the payload — an
+/// arrival's pushed pages, a release's relayed report of used copies. An
+/// arrival or release that carries neither costs no byte for it.
+const RELAY: u8 = 0x10;
 /// Tag bit: a trace context follows the tag (the message was traced).
 const TRACED: u8 = 0x20;
 /// Tag bit: a piggyback follows the payload.
@@ -470,8 +474,9 @@ const PIGGY: u8 = 0x40;
 /// Tag bit: a diff batch follows the payload (a barrier arrival's).
 pub(crate) const BATCH: u8 = 0x80;
 
-/// The kind half of a message's tag byte. Tags 4 to 6 are retired (they
-/// were the diff ack's and the heartbeat's) and decode as an error.
+/// The kind half of a message's tag byte, its low four bits. Tags 4 to 6
+/// are retired (they were the diff ack's and the heartbeat's) and decode as
+/// an error.
 fn kind_tag(payload: &Payload) -> u8 {
     match payload {
         Payload::LockAcq { .. } => 0,
@@ -498,17 +503,23 @@ pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
 }
 
 /// Encode the base-protocol part of a message: tag, trace context (only
-/// when stamped), payload and a carried batch — everything but the
-/// piggyback.
+/// when stamped), payload, a relayed list and a carried batch — everything
+/// but the piggyback.
 pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
     let batch = match &m.payload {
         Payload::BarrierArrive { batch, .. } => batch.as_ref(),
         _ => None,
     };
+    let relayed = match &m.payload {
+        Payload::BarrierArrive { pushed, .. } => !pushed.is_empty(),
+        Payload::BarrierRelease { used, .. } => !used.is_empty(),
+        _ => false,
+    };
     let traced = m.ctx.is_stamped();
     let flags = (TRACED * traced as u8)
         | (PIGGY * m.piggy.is_some() as u8)
-        | (BATCH * batch.is_some() as u8);
+        | (BATCH * batch.is_some() as u8)
+        | (RELAY * relayed as u8);
     w.put_u8(kind_tag(&m.payload) | flags);
     if traced {
         put_ctx(w, &m.ctx);
@@ -550,23 +561,31 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             vt,
             own_wns,
             used,
+            pushed,
             ..
         } => {
             w.put_varint(*episode);
             put_vt(w, vt);
             put_wn_delta(w, own_wns);
             put_used(w, used);
+            if relayed {
+                put_pushed(w, pushed);
+            }
         }
         Payload::BarrierRelease {
             episode,
             vt,
             wns,
             pushed,
+            used,
         } => {
             w.put_varint(*episode);
             put_vt(w, vt);
             put_wn_delta(w, wns);
             put_pushed(w, pushed);
+            if relayed {
+                put_used(w, used);
+            }
         }
         Payload::PageReq { pages, req_id } => {
             w.put_varint(*req_id);
@@ -639,7 +658,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
         0 => TraceCtx::NONE,
         _ => get_ctx(r, from as u32)?,
     };
-    let mut payload = match tag & !(TRACED | PIGGY | BATCH) {
+    let mut payload = match tag & !(RELAY | TRACED | PIGGY | BATCH) {
         0 => Payload::LockAcq {
             lock: get_usize(r)?,
             acq_seq: r.get_varint()?,
@@ -669,6 +688,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             vt: get_vt(r)?,
             own_wns: get_wn_delta(r)?,
             used: get_used(r)?,
+            pushed: Vec::new(),
             batch: None,
         },
         8 => Payload::BarrierRelease {
@@ -676,6 +696,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             vt: get_vt(r)?,
             wns: get_wn_delta(r)?,
             pushed: get_pushed(r)?,
+            used: Vec::new(),
         },
         9 => {
             let req_id = r.get_varint()?;
@@ -732,6 +753,16 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             })
         }
     };
+    if tag & RELAY != 0 {
+        match &mut payload {
+            Payload::BarrierArrive { pushed, .. } => *pushed = get_pushed(r)?,
+            Payload::BarrierRelease { used, .. } => *used = get_used(r)?,
+            _ => {
+                let context = "relay carrier";
+                return Err(CodecError::BadTag { context, tag });
+            }
+        }
+    }
     if tag & BATCH != 0 {
         let Payload::BarrierArrive { batch, .. } = &mut payload else {
             return Err(CodecError::BadTag {
@@ -961,11 +992,9 @@ mod tests {
         }
     }
 
-    /// An arrival's report of used copies and a grant's pushed pages round
-    /// trip; every strict prefix of either list, and every byte of it set
-    /// to every other value, decodes to `Ok` or `Err`, never a panic.
-    #[test]
-    fn used_reports_and_pushed_pages_roundtrip_and_no_cut_or_byte_panics() {
+    /// A report of two used copies, and the two pages a push answers it
+    /// with: a delta and a whole page.
+    fn used_and_pushed() -> (Vec<(PageId, Have)>, Vec<Pushed>) {
         let vt = |v: &[u32]| VectorClock::from_vec(v.to_vec());
         let used = vec![
             (PageId(3), (1, vt(&[2, 0]))),
@@ -992,11 +1021,37 @@ mod tests {
                 },
             },
         ];
-        let encode = |put: &dyn Fn(&mut ByteWriter)| {
-            let mut w = ByteWriter::new();
-            put(&mut w);
-            w.into_bytes()
-        };
+        (used, pushed)
+    }
+
+    fn encode(put: &dyn Fn(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Every strict prefix of `bytes` fails to decode, and every byte of it
+    /// set to every other value decodes to `Ok` or `Err`: never a panic.
+    fn no_cut_or_byte_panics<T>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, CodecError>) {
+        for len in 0..bytes.len() {
+            assert!(decode(&bytes[..len]).is_err(), "cut at {len}");
+        }
+        let mut changed = bytes.to_vec();
+        for i in 0..bytes.len() {
+            for v in (0..=u8::MAX).filter(|&v| v != bytes[i]) {
+                changed[i] = v;
+                let _ = decode(&changed);
+            }
+            changed[i] = bytes[i];
+        }
+    }
+
+    /// An arrival's report of used copies and a grant's pushed pages round
+    /// trip; every strict prefix of either list, and every byte of it set
+    /// to every other value, decodes to `Ok` or `Err`, never a panic.
+    #[test]
+    fn used_reports_and_pushed_pages_roundtrip_and_no_cut_or_byte_panics() {
+        let (used, pushed) = used_and_pushed();
         let used_bytes = encode(&|w| put_used(w, &used));
         let pushed_bytes = encode(&|w| put_pushed(w, &pushed));
         // Count; page, incarnation, clock (count and entries) a report.
@@ -1004,26 +1059,64 @@ mod tests {
         assert_eq!(get_used(&mut ByteReader::new(&used_bytes)).unwrap(), used);
         let got = get_pushed(&mut ByteReader::new(&pushed_bytes)).unwrap();
         assert_eq!(got, pushed);
-        for (bytes, pushes) in [(used_bytes, false), (pushed_bytes, true)] {
-            let decode = |b: &[u8]| {
-                let mut r = ByteReader::new(b);
-                match pushes {
-                    true => get_pushed(&mut r).map(|_| ()),
-                    false => get_used(&mut r).map(|_| ()),
-                }
-            };
-            for len in 0..bytes.len() {
-                assert!(decode(&bytes[..len]).is_err(), "cut at {len}");
-            }
-            let mut changed = bytes.clone();
-            for i in 0..bytes.len() {
-                for v in (0..=u8::MAX).filter(|&v| v != bytes[i]) {
-                    changed[i] = v;
-                    let _ = decode(&changed);
-                }
-                changed[i] = bytes[i];
-            }
+        no_cut_or_byte_panics(&used_bytes, |b| get_used(&mut ByteReader::new(b)));
+        no_cut_or_byte_panics(&pushed_bytes, |b| get_pushed(&mut ByteReader::new(b)));
+    }
+
+    /// A home's arrival pushing pages to the manager and the manager's
+    /// release relaying its report: each list follows the payload behind
+    /// the tag's relay bit, and is all the message grows by; both round
+    /// trip, and no cut or changed byte panics the decoder. A kind that
+    /// carries no such list is refused with the bit set.
+    #[test]
+    fn an_arrivals_pushes_and_a_releases_relayed_report_ride_behind_the_relay_bit() {
+        let (used, pushed) = used_and_pushed();
+        let vt = || VectorClock::from_vec(vec![4, 2]);
+        let arrival = |pushed| Payload::BarrierArrive {
+            episode: 4,
+            vt: vt(),
+            own_wns: WnDelta::empty(),
+            used: Vec::new(),
+            pushed,
+            batch: None,
+        };
+        let release = |used| Payload::BarrierRelease {
+            episode: 4,
+            vt: vt(),
+            wns: WnDelta::empty(),
+            pushed: Vec::new(),
+            used,
+        };
+        let cases = [
+            (
+                arrival(pushed.clone()),
+                arrival(Vec::new()),
+                encode(&|w| put_pushed(w, &pushed)),
+            ),
+            (
+                release(used.clone()),
+                release(Vec::new()),
+                encode(&|w| put_used(w, &used)),
+            ),
+        ];
+        for (with, without, list) in cases {
+            let (with, without) = (Msg::bare(with), Msg::bare(without));
+            let bytes = encode(&|w| put_msg(w, &with));
+            let plain = encode(&|w| put_msg(w, &without));
+            assert_eq!(plain[0] & RELAY, 0);
+            let tag = [plain[0] | RELAY];
+            assert_eq!(bytes, [&tag[..], &plain[1..], &list].concat());
+            assert_eq!(get_msg(&mut ByteReader::new(&bytes), 0).unwrap(), with);
+            no_cut_or_byte_panics(&bytes, |b| get_msg(&mut ByteReader::new(b), 0));
         }
+        let acq = Payload::LockAcq {
+            lock: 1,
+            acq_seq: 2,
+            vt: vt(),
+        };
+        let mut bytes = encode(&|w| put_msg(w, &Msg::bare(acq.clone())));
+        bytes[0] |= RELAY;
+        assert!(get_msg(&mut ByteReader::new(&bytes), 0).is_err());
     }
 
     #[test]
@@ -1133,6 +1226,7 @@ mod tests {
                     own_wns: wns(),
                     batch: None,
                     used: Vec::new(),
+                    pushed: Vec::new(),
                 },
                 &[7, 4, 3, 1, 0, 6],
             ),
@@ -1142,6 +1236,7 @@ mod tests {
                     vt: vt(),
                     wns: wns(),
                     pushed: Vec::new(),
+                    used: Vec::new(),
                 },
                 &[8, 4, 3, 1, 0, 6],
             ),

@@ -2,8 +2,11 @@
 //! what each copy is exactly — what [`crate::HomeStore::push`] answers a
 //! grant or release to the peer with.
 //!
-//! A peer's barrier arrival reports the copies it used since its last one.
-//! Each becomes a [`Want`], based on the reported copy. A push answers it as
+//! A peer's barrier arrival reports the copies of node 0's pages it used
+//! since its last one; node 0's own report of the other homes' pages
+//! reaches each home on its barrier release. Each becomes a [`Want`], based
+//! on the reported copy. A push — on a grant or release from node 0, on a
+//! grant or barrier arrival to node 0 from another home — answers it as
 //! a fetch naming that copy would be answered, and leaves the want based on
 //! the pushed copy — what the peer keeps once it installs the push — so a
 //! page the peer skips for one epoch rides the next grant or release again.

@@ -630,6 +630,58 @@ fn a_page_read_every_other_epoch_rides_every_release_after_the_first() {
     assert!(2 * t.counts.pushed_used >= t.counts.pages_pushed);
 }
 
+/// The push the other way: node 1 rewrites one word of each of eight pages
+/// it homes every epoch, and node 0 reads them after the barrier that ends
+/// it (a second barrier keeps the next epoch's writes out). Node 0's
+/// arrival reports the copies it read, its release relays the report to
+/// node 1, and node 1's next arrival carries the pages its notices
+/// invalidate at node 0, which node 0 installs when it crosses: node 0
+/// asks once, in the first epoch, and reads every word exactly.
+#[test]
+fn a_homes_arrival_carries_the_pages_node_0_reads_every_epoch() {
+    const EPOCHS: u64 = 12;
+    const PAGES: usize = 8;
+    const WORDS: usize = 32; // one 256 B page
+    let r = run(ClusterConfig::base(2).with_page_size(256), &[], |p| {
+        let pages = p.alloc_vec::<u64>(PAGES * WORDS, HomeAlloc::Node(1));
+        let word = |epoch: u64, k: usize| epoch * PAGES as u64 + k as u64 + 1;
+        let mut exact = true;
+        for epoch in 0..EPOCHS {
+            if p.me() == 1 {
+                for k in 0..PAGES {
+                    pages.set(p, k * WORDS + 5, word(epoch, k));
+                }
+            }
+            p.barrier();
+            if p.me() == 0 {
+                for k in 0..PAGES {
+                    exact &= pages.get(p, k * WORDS + 5) == word(epoch, k);
+                }
+            }
+            p.barrier();
+        }
+        exact
+    });
+    assert_eq!(r.results, [true, true]);
+    let sent = |node: usize, kind| {
+        let kinds = r.nodes[node].msg_kinds.iter();
+        kinds
+            .filter(|(k, _)| *k == kind)
+            .map(|&(_, c)| c)
+            .sum::<u64>()
+    };
+    assert_eq!(sent(0, "PageReq"), 1, "only the first epoch's miss");
+    let home = &r.nodes[1];
+    let pushed = PAGES as u64 * (EPOCHS - 1);
+    let kinds: Vec<_> = home.pushed_bytes.iter().map(|&(k, _)| k).collect();
+    assert_eq!(
+        (home.counts.pages_pushed, &kinds[..]),
+        (pushed, &["BarrierArrive"][..])
+    );
+    let manager = &r.nodes[0].counts;
+    assert_eq!((manager.pushed_used, manager.pushes_refused), (pushed, 0));
+}
+
 /// A lock kernel whose cell is homed at node 0. Node 0 holds the lock across
 /// each round's first barrier, so node 1's acquire waits for node 0's
 /// release: the grant node 0 sends then names node 0's write of the cell,
