@@ -320,7 +320,10 @@ pub(crate) fn take_checkpoint(
 ) {
     // The caller has closed the interval (and charged it): the checkpoint
     // has no twins and the saved diff logs include everything up to T_ckp.
+    // A restart replays nothing up to T_ckp, so none of those diffs may die
+    // held with a crash: they leave now.
     debug_assert!(!st.pt.has_writes(), "checkpoint inside an open interval");
+    st.send_unsent();
 
     let me = st.me;
     let began = Instant::now();

@@ -893,9 +893,9 @@ mod tests {
     }
 
     #[test]
-    fn a_replayed_barrier_sends_the_managers_batch_as_a_diff_batch() {
+    fn a_replayed_barrier_holds_the_managers_batch_for_the_next_message() {
         // Node 1 of 2 replays episode 0 having written page 0, node 0's:
-        // no arrival goes out for the batch to ride.
+        // no arrival goes out, and neither does the batch.
         let (mut st, eps) = test_state(1, 2, true);
         st.pt.add_page(0);
         st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
@@ -904,11 +904,20 @@ mod tests {
         replay.bar_results.insert(0, gated(2, 1, 1));
         st.rec.replay = Some(replay);
         assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
+        assert!(recv_any(&eps[0], Duration::ZERO).is_none());
+        // Episode 1 is the crash point: the live arrival carries it.
+        assert!(!try_replay_barrier(&mut st, &mut Breakdown::default()));
+        go_live(&mut st);
+        crate::runtime::interval::arrive(&mut st, &mut Breakdown::default());
         match only_payload(&eps[0]) {
-            Payload::DiffBatch { diffs } => assert_eq!(diffs.len(), 1),
+            Payload::BarrierArrive {
+                episode: 1,
+                batch: Some(diffs),
+                ..
+            } => assert_eq!(diffs[0].interval.seq, 1),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(st.counts.diff_batches_carried, 0);
+        assert_eq!(st.counts.diff_batches_carried, 1);
     }
 
     #[test]

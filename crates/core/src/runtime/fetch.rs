@@ -747,8 +747,9 @@ pub(crate) mod tests {
         proc.write::<u64>(base + 24, 0xABCD);
         let mut st = shared.state.lock();
         st.close_interval(&mut Breakdown::default());
+        st.send_unsent();
         let Payload::DiffBatch { diffs, .. } = only_payload(&eps[0]) else {
-            panic!("the interval flushed no diff batch")
+            panic!("the interval held no diff batch")
         };
         let mut written = [0u8; 256];
         st.pt.read_into(PageId(0), 0, &mut written);

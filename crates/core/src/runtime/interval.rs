@@ -1,14 +1,14 @@
 //! Lazy release consistency on the application thread: closing an interval
-//! (twins to diffs, write notices, the FT log, the diffs out to their homes)
-//! and opening the next one at an acquire or a barrier (join the sender's
-//! timestamp, apply the notices it carried). [`crate::Process`] wraps these
-//! in the operation skeleton — the crash clock, the wait, the breakdown.
+//! (twins to diffs, write notices, the FT log, the diffs held for their
+//! homes until the node's next message) and opening the next one at an
+//! acquire or a barrier (join the sender's timestamp, apply the notices it
+//! carried). [`crate::Process`] wraps these in the operation skeleton — the
+//! crash clock, the wait, the breakdown.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dsm_page::{Diff, PageId, ProcId, VectorClock};
+use dsm_page::{PageId, ProcId, VectorClock};
 use dsm_trace::EventKind;
 use hlrc::{LockId, WnDelta};
 
@@ -22,25 +22,15 @@ use crate::stats::{Breakdown, ReqCause};
 
 impl NodeState {
     /// End the current interval: turn twins into diffs, publish write
-    /// notices, send diffs to remote homes, and (FT) log everything. The
+    /// notices, (FT) log everything, and hold the diffs for remote homes in
+    /// [`NodeState::unsent`] for the node's next message to send. The
     /// protocol and logging time spent is charged to `bd`, the running
     /// incarnation's breakdown.
     pub(crate) fn close_interval(&mut self, bd: &mut Breakdown) {
-        self.close_interval_carrying(bd, None);
-    }
-
-    /// [`NodeState::close_interval`], but the diffs for `carrier`'s pages
-    /// are not sent: they come back, for the message about to go to
-    /// `carrier` to carry.
-    fn close_interval_carrying(
-        &mut self,
-        bd: &mut Breakdown,
-        carrier: Option<ProcId>,
-    ) -> Option<Vec<Arc<Diff>>> {
         // O(1) early exit: one vec emptiness check plus one atomic load — the
         // common no-writes release pays no slot walk and takes no shard lock.
         if !self.pt.has_writes() {
-            return None;
+            return;
         }
         let t0 = Instant::now();
         let me = self.me;
@@ -55,7 +45,7 @@ impl NodeState {
                 .release_flush
                 .record(t0.elapsed().as_nanos() as u64);
             bd.protocol += t0.elapsed();
-            return None;
+            return;
         }
         let pages: Vec<PageId> = diffs.iter().map(|d| d.page).collect();
         if self.tracer.enabled() {
@@ -68,51 +58,37 @@ impl NodeState {
         }
         self.wn_table.insert_parts(iv, pages.clone());
 
-        // Group diffs for remote homes (reference bumps, not payload copies);
-        // each home's keep the order the interval made them in, so the
-        // batches — and the piggyback state they advance — replay the same.
-        // A remote page's `needed` records the interval, as a notice of our
-        // own would (it invalidates nothing): a copy without it is not one
-        // this node may read, and a page it names is never zero-filled. The
-        // checkpoint saves it with the rest of `needed`.
-        let mut remote: BTreeMap<ProcId, Vec<Arc<Diff>>> = BTreeMap::new();
+        // Hold the diffs for remote homes (reference bumps, not payload
+        // copies), each home's after its earlier intervals' in the order the
+        // interval made them, so the batches — and the piggyback state they
+        // advance — replay the same. A remote page's `needed` records the
+        // interval, as a notice of our own would (it invalidates nothing): a
+        // copy without it is not one this node may read, and a page it names
+        // is never zero-filled. The checkpoint saves it with the rest of
+        // `needed`.
         for d in &diffs {
             let home = self.pt.home_of(d.page);
             if home != me {
                 self.pt.invalidate(d.page, me, iv.seq);
-                remote.entry(home).or_default().push(Arc::clone(d));
+                self.unsent.entry(home).or_default().push(Arc::clone(d));
             }
         }
         bd.protocol += t0.elapsed();
 
         // FT: log the write notice and every diff (including homed pages') as
-        // one batch. The log entries share the diff objects just grouped into
-        // the outgoing batches — logging costs one Arc bump plus a timestamp
-        // per diff, never a payload copy.
+        // one batch. The log entries share the diff objects just held for
+        // the homes — logging costs one Arc bump plus a timestamp per diff,
+        // never a payload copy.
         let t1 = Instant::now();
         if let Some(logs) = self.ft.logs() {
             logs.log_interval(iv.seq, pages, &self.vt, &diffs);
         }
         bd.logging += t1.elapsed();
-
-        // One coalesced DiffBatch per remote home: the release-side flush is
-        // one message per home regardless of how many pages the interval wrote,
-        // in ascending home order so the piggyback state advances identically
-        // on replay.
-        let mut carried = None;
-        for (home, diffs) in remote {
-            if Some(home) == carrier {
-                carried = Some(diffs);
-            } else {
-                self.send(home, Payload::DiffBatch { diffs });
-            }
-        }
-        // The whole release flush — dirty collection, diff creation, logging,
-        // per-home batches out.
+        // The whole release flush — dirty collection, diff creation, logging;
+        // the batches leave with the next message ([`NodeState::send`]).
         self.hists
             .release_flush
             .record(t0.elapsed().as_nanos() as u64);
-        carried
     }
 }
 
@@ -185,8 +161,9 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
     st.sync.enter(lock, acq_seq, gen);
 }
 
-/// Release `lock`, whose interval the caller has closed (which flushed its
-/// diffs to their homes).
+/// Release `lock`, whose interval the caller has closed. Its diffs leave
+/// ahead of the first grant this sends; with no request due, with the
+/// node's next message.
 pub(crate) fn release(st: &mut NodeState, lock: LockId) {
     st.sync.leave(lock, st.vt.clone());
     if st.rec.replaying() {
@@ -202,14 +179,16 @@ pub(crate) fn release(st: &mut NodeState, lock: LockId) {
 }
 
 /// Arrive at the barrier: close the interval, park the arrival in the wait
-/// slot and send it to the manager, node 0, carrying our diffs for the
-/// pages it homes — one message where a `DiffBatch` and the arrival were
-/// two — the copies we used since the last arrival, which their home may
-/// push when it next invalidates them here, and the pages of ours that our
-/// notices invalidate at node 0 where node 0 reported using them. Returns
-/// the episode.
+/// slot and send it to the manager, node 0, carrying every diff held for
+/// the pages it homes — this interval's and those of the releases since the
+/// node last sent a message, one message where a `DiffBatch` and the
+/// arrival were two — the copies we used since the last arrival, which
+/// their home may push when it next invalidates them here, and the pages of
+/// ours that our notices invalidate at node 0 where node 0 reported using
+/// them. The other homes' batches go just ahead of it. Returns the episode.
 pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
-    let batch = st.close_interval_carrying(bd, Some(0));
+    st.close_interval(bd);
+    let batch = st.unsent.remove(&0);
     st.counts.diff_batches_carried += batch.is_some() as u64;
     let episode = st.sync.bar_episode();
     st.tracer.emit(EventKind::BarrierEnter {
@@ -284,7 +263,7 @@ mod tests {
     use crate::runtime::node::tests::{diff_of, gated, page_of, requests, test_state, waited};
     use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
     use dsm_net::{Endpoint, Fabric};
-    use dsm_page::Interval;
+    use dsm_page::{Diff, Interval};
     use dsm_storage::{DiskModel, StableStore};
     use dsm_trace::NodeTracer;
     use hlrc::{Have, PageBody, PageState, WriteNotice};
@@ -296,24 +275,27 @@ mod tests {
     }
 
     #[test]
-    fn the_managers_batch_rides_the_arrival_and_a_release_sends_its_own() {
-        // Node 1 of 2; it writes page 0, node 0's.
+    fn the_managers_batch_rides_the_arrival_with_the_release_held_before_it() {
+        // Node 1 of 2, which manages lock 1; it writes page 0, node 0's.
         let (mut st, eps) = test_state(1, 2, false);
         st.pt.add_page(0);
         st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
         let write = |st: &mut NodeState, byte| st.pt.write(PageId(0), 8, &[byte]);
-        // A release's batch goes alone.
+        // A release with no request due sends nothing: its batch is held.
+        st.sync.enter(1, 0, 1);
         write(&mut st, 1);
         st.close_interval(&mut Breakdown::default());
-        let (batch, none) = sent(&eps[0]);
-        let ([Payload::DiffBatch { .. }], []) = (&batch[..], &none[..]) else {
-            panic!("one DiffBatch, not {batch:?} {none:?}")
-        };
-        // The barrier's rides the arrival, which is parked without it.
+        release(&mut st, 1);
+        assert_eq!(sent(&eps[0]), (vec![], vec![]));
+        assert_eq!(st.unsent[&0].len(), 1);
+        // The barrier's rides the arrival behind it, which is parked
+        // without them.
         write(&mut st, 2);
-        let diffs = arrive_and_check(&mut st, &eps, Some(1)).unwrap();
-        assert_eq!(diffs[0].interval.seq, 2);
+        let diffs = arrive_and_check(&mut st, &eps, Some(2)).unwrap();
+        let seqs: Vec<_> = diffs.iter().map(|d| d.interval.seq).collect();
+        assert_eq!(seqs, [1, 2]);
         assert_eq!(st.counts.diff_batches_carried, 1);
+        assert!(st.unsent.is_empty());
     }
 
     /// `arrive` at `st`, and check what it sent and parked: one arrival,
@@ -371,6 +353,26 @@ mod tests {
             .iter()
             .inspect(|w| assert_eq!((w.interval.proc, &w.pages[..]), (st.me, &[PageId(0)][..])));
         own.map(|w| w.interval.seq).collect()
+    }
+
+    /// A checkpoint records its intervals as sent, so a due one sends what
+    /// is held before it captures: a restart from it will not make those
+    /// diffs again.
+    #[test]
+    fn a_checkpoint_sends_the_diffs_held_before_it() {
+        let (mut st, eps, _store) = ft_node(1, 2);
+        st.pt.add_page(0); // page 1: node 0's
+        st.pt.install(PageId(1), page_of(0), &VectorClock::zero(2));
+        st.pt.write(PageId(1), 8, &[1]);
+        st.close_interval(&mut Breakdown::default());
+        assert_eq!(sent(&eps[0]), (vec![], vec![]));
+        crate::ft::take_checkpoint(&mut st, 1, Vec::new(), &mut Breakdown::default());
+        let (batch, none) = sent(&eps[0]);
+        let ([Payload::DiffBatch { diffs }], []) = (&batch[..], &none[..]) else {
+            panic!("one DiffBatch, not {batch:?} {none:?}")
+        };
+        assert_eq!((diffs[0].page, diffs[0].interval.seq), (PageId(1), 1));
+        assert!(st.unsent.is_empty());
     }
 
     #[test]

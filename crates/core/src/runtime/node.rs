@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsm_net::{Endpoint, Event, NodeTraffic};
-use dsm_page::{Interval, PageId, ProcId, VectorClock};
+use dsm_page::{Diff, Interval, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, LatencyHists, NodeTracer};
 use hlrc::{PageTable, WnTable};
 use parking_lot::Mutex;
@@ -160,6 +160,14 @@ pub(crate) struct NodeState {
     /// one is replayed, and the version gate would then drop the older diff.
     pub deferring: Arc<AtomicBool>,
     pub wait: WaitSlot,
+    /// The diffs of closed intervals for each remote home, oldest interval
+    /// first, not sent yet. A diff is needed only by a node that knows its
+    /// interval, and only a message of ours can tell one of it, so each
+    /// home's leave as one `DiffBatch` ahead of our next message
+    /// ([`NodeState::send`]), and node 0's ride the barrier arrival when
+    /// that is the next. Volatile: a crash forgets them, with intervals
+    /// nobody learned of.
+    pub unsent: BTreeMap<ProcId, Vec<Arc<Diff>>>,
     /// Flow id of the message currently being handled (0 outside a
     /// handler). Every message [`NodeState::send`] emits while a handler
     /// runs is causally parented on this flow, which is what lets the
@@ -239,6 +247,7 @@ impl NodeState {
             pending_unalloc: Vec::new(),
             deferring: Arc::new(AtomicBool::new(false)),
             wait: WaitSlot::None,
+            unsent: BTreeMap::new(),
             cur_flow: 0,
             fetch: FetchSvc::default(),
             sync: SyncSvc::new(me, n),
@@ -319,6 +328,7 @@ impl NodeState {
         self.pending_unalloc.clear();
         self.deferring.store(false, Ordering::SeqCst);
         self.wait = WaitSlot::None;
+        self.unsent.clear();
         self.cur_flow = 0;
         self.fetch.fail_stop();
         self.sync.fail_stop();
@@ -366,17 +376,37 @@ impl NodeState {
     }
 
     /// Send a protocol message with the FT piggyback attached (when it
-    /// carries news, see [`FtSvc::make_piggy`]).
+    /// carries news, see [`FtSvc::make_piggy`]), after the diffs held for
+    /// every remote home ([`NodeState::send_unsent`]): whatever it says —
+    /// a grant, a forward, a request, a release, a reply — may make its
+    /// receiver or a third node need them, and per-pair FIFO and the home's
+    /// one queue keep them ahead of anything that can.
     ///
     /// A message to this node itself (it manages the lock or the barrier,
     /// or it is the next granter in a lock chain) never reaches the wire:
     /// its handler runs here, under the big lock the caller already holds,
-    /// with no piggyback, inside the current causal flow. A re-send dedups
-    /// by `acq_seq`/`episode` exactly as it would at a remote manager.
+    /// with no piggyback, inside the current causal flow, and it tells no
+    /// one anything. A re-send dedups by `acq_seq`/`episode` exactly as it
+    /// would at a remote manager.
     pub(crate) fn send(&mut self, to: ProcId, payload: Payload) {
         if to == self.me {
             return handle_msg(self, to, payload);
         }
+        self.send_unsent();
+        self.put(to, payload);
+    }
+
+    /// Send each remote home the diffs held for it as one `DiffBatch`, in
+    /// ascending home order, so the piggyback state they advance replays
+    /// the same.
+    pub(crate) fn send_unsent(&mut self) {
+        for (home, diffs) in std::mem::take(&mut self.unsent) {
+            self.put(home, Payload::DiffBatch { diffs });
+        }
+    }
+
+    /// Put one message for peer `to` on the wire.
+    fn put(&mut self, to: ProcId, payload: Payload) {
         let gossip = matches!(payload, Payload::BarrierRelease { .. });
         let pushed = payload.pushed();
         if !pushed.is_empty() {
@@ -644,7 +674,6 @@ pub(crate) mod tests {
     use crate::runtime::interval;
     use crate::stats::{Breakdown, ReqCause};
     use dsm_net::{Fabric, WireSized};
-    use dsm_page::Diff;
     use dsm_storage::{DiskModel, StableStore};
     use dsm_trace::{Trace, TraceConfig};
     use hlrc::{ApplyOutcome, FetchOutcome, HomeStore, WaitingFetch};
@@ -840,6 +869,8 @@ pub(crate) mod tests {
             panic!("unexpected {sent:?}")
         };
         st.rec.defer(0, Payload::RecLogReq { homed: Vec::new() });
+        // A closed interval's diff for page 0, held for its home.
+        st.unsent.insert(0, vec![diff_of(0, 1, 5)]);
         let (page, copy, entries) = (PageId(1), None, Vec::new());
         st.rec.defer(
             0,
@@ -885,6 +916,7 @@ pub(crate) mod tests {
         assert_eq!(st.vt, new.vt);
         assert!(st.wn_table.is_empty());
         assert!(matches!(st.wait, WaitSlot::None) && st.pending_unalloc.is_empty());
+        assert!(st.unsent.is_empty(), "a held diff outlived the crash");
         assert_eq!((st.alloc_cursor, st.cur_flow), (0, 0));
         // Restoring from genesis zeroes every homed page and forgets every
         // copy, twin, needed version and parked fetch.
@@ -1287,6 +1319,7 @@ pub(crate) mod tests {
             st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
             st.pt.write(PageId(0), 0, &[1]);
             st.close_interval(&mut Breakdown::default()); // a notice for the arrival to carry
+            st.send_unsent();
             requests(&eps[0]);
             block(&mut st); // parks the request and sends it
                             // Node 0 restarted: its handshake is the signal, and the resend
@@ -1334,6 +1367,70 @@ pub(crate) mod tests {
                 ["RecLogReply"]
             );
             assert_eq!(st.counts.dup_suppressed, 0);
+        }
+    }
+
+    /// A grant, a lock request and a page request sent while an interval's
+    /// diffs are held each go out behind them: one `DiffBatch` for every
+    /// home they are held for, whoever the message is for.
+    #[test]
+    fn every_message_leaves_behind_the_diffs_held_for_every_home() {
+        type Send = fn(&mut NodeState);
+        let sends: [(&str, ProcId, Send); 3] = [
+            ("LockGrant", 2, |st| {
+                // Node 2 asks for lock 1 while we hold it: due at the release.
+                let vt = VectorClock::zero(3);
+                let (acq_seq, lock) = (0, 1);
+                handle_msg(st, 2, Payload::LockAcq { lock, acq_seq, vt });
+                interval::release(st, lock);
+            }),
+            ("LockAcq", 2, |st| interval::request(st, 2)),
+            ("PageReq", 2, |st| {
+                fetch::fetch_with_neighbours(st, PageId(3))
+            }),
+        ];
+        let trace = Trace::new(3, &TraceConfig::enabled());
+        for (kind, to, send) in sends {
+            // Node 1 of 3 manages lock 1 and holds it. Pages 0 and 1 are
+            // node 0's and node 2's, both written; page 3, node 2's, was
+            // read and has been invalidated since.
+            let (mut st, eps) = test_state(1, 3, false);
+            let ep = Arc::get_mut(&mut st.ep).expect("the state holds its endpoint alone");
+            ep.attach_tracer(trace.tracer(1));
+            for home in [0, 2, 1, 2] {
+                st.pt.add_page(home);
+            }
+            interval::request(&mut st, 1);
+            let grant = st.wait.take().expect("we manage lock 1");
+            interval::apply_grant(&mut st, grant, &mut Breakdown::default());
+            for page in [0, 1, 3] {
+                st.pt
+                    .install(PageId(page), page_of(0), &VectorClock::zero(3));
+            }
+            st.pt.read_into(PageId(3), 0, &mut [0u8; 8]);
+            st.pt.invalidate(PageId(3), 2, 7);
+            st.pt.write(PageId(0), 8, &[1]);
+            st.pt.write(PageId(1), 8, &[1]);
+            st.close_interval(&mut Breakdown::default());
+            assert!(eps.iter().all(|ep| recv_any(ep, Duration::ZERO).is_none()));
+
+            send(&mut st);
+            // Everything sent, in the order it was sent (the stamps number
+            // the sender's sends), with its destination.
+            let mut sent = Vec::new();
+            for (ep, dest) in eps.iter().zip([0, 2]) {
+                while let Some(Event::Msg { msg, .. }) = recv_any(ep, Duration::ZERO) {
+                    sent.push((msg.ctx.seq, dest, msg.payload.kind()));
+                }
+            }
+            sent.sort_unstable();
+            let sent: Vec<_> = sent
+                .into_iter()
+                .map(|(_, dest, kind)| (dest, kind))
+                .collect();
+            let batches = [(0, "DiffBatch"), (2, "DiffBatch")];
+            assert_eq!(sent, [batches[0], batches[1], (to, kind)], "{kind}");
+            assert!(st.unsent.is_empty());
         }
     }
 

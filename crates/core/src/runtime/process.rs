@@ -515,7 +515,8 @@ impl Process {
         wait.close(&shared, &mut st);
     }
 
-    /// Release a lock (flushes the interval's diffs to their homes).
+    /// Release a lock (closes the interval; its diffs leave with the node's
+    /// next message).
     pub fn release(&mut self, lock: LockId) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
@@ -615,9 +616,9 @@ impl Process {
         if st.rec.replaying() || !st.ft.ckpt_due_at_step(step) {
             return;
         }
-        // Flush the open interval: its diffs are sent before the checkpoint
-        // records them as sent, and what is sent is delivered even if this
-        // node crashes next.
+        // Close the open interval: the checkpoint sends every held diff
+        // before it records the interval as sent, and what is sent is
+        // delivered even if this node crashes next.
         st.close_interval(&mut self.breakdown);
         // One checkpoint on the disk at a time: one that falls due while
         // the last is still being written waits for it.
@@ -645,9 +646,10 @@ impl Process {
         ft::publish_written(st);
     }
 
-    /// Flush any unsynchronized writes, wait until the disk has the last
-    /// checkpoint, fold this incarnation's breakdown into the node report,
-    /// and leave the node's queue to the service thread.
+    /// Flush any unsynchronized writes and send the diffs held for their
+    /// homes, wait until the disk has the last checkpoint, fold this
+    /// incarnation's breakdown into the node report, and leave the node's
+    /// queue to the service thread.
     pub(crate) fn finish(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = shared.state.lock();
@@ -658,6 +660,7 @@ impl Process {
             recovery::go_live(&mut st);
         }
         st.close_interval(&mut self.breakdown);
+        st.send_unsent();
         self.await_disk(&mut st);
         self.flush_stats(&mut st);
         // No wait reads the queue from here on, and a peer may still need

@@ -23,14 +23,12 @@
 
 pub mod barnes;
 pub mod kernels;
-pub mod lu;
 pub mod radix;
 pub mod water_nsq;
 pub mod water_sp;
 
 pub use barnes::{barnes, BarnesParams};
 pub use kernels::{jacobi, migratory, producer_consumer, JacobiParams};
-pub use lu::{lu, LuParams};
 pub use radix::{radix, RadixParams};
 pub use water_nsq::{water_nsq, WaterNsqParams};
 pub use water_sp::{water_sp, WaterSpParams};

@@ -131,18 +131,6 @@ fn producer_consumer_kernel_is_exact() {
 }
 
 #[test]
-fn lu_is_deterministic_and_factors() {
-    use splash::{lu, LuParams};
-    assert_deterministic(|p| lu(p, &LuParams::tiny()));
-}
-
-#[test]
-fn lu_recovers_from_worker_crash() {
-    use splash::{lu, LuParams};
-    assert_recovers(2, 350, |p| lu(p, &LuParams::tiny()));
-}
-
-#[test]
 fn recovery_time_is_recorded_and_bounded() {
     use splash::{water_nsq, WaterNsqParams};
     let crashed = run(

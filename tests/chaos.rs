@@ -315,6 +315,92 @@ fn a_crash_right_after_a_checkpoint_loses_no_queued_diff() {
     assert!(resent > 0, "no victim's link ever resent a frame");
 }
 
+/// A release's diffs are held until the writer's next message, and a crash
+/// forgets them with their interval, which no one has learned of: the
+/// restart runs it again live, or replays it where some message of the
+/// writer's told of it — and that message sent the diffs first. Node 1
+/// alone takes lock 4, which node 0 manages: no request is due at its
+/// release. Its tenure bumps a counter on node 2's page and writes a word
+/// of node 0's, and it then reads and writes its own words, which sends
+/// nothing, before the barrier. Each case crashes node 1 at the first
+/// of those reads in one step, on a reliable or a lossy fabric. A census:
+/// every case runs to the end, each failing one is named, the `CENSUS` line
+/// counts them, and any failure fails the test.
+#[test]
+fn a_crash_between_a_release_and_its_arrival_loses_only_unsent_diffs() {
+    // Operations before step 0 (two allocations), in a step of node 1's,
+    // and up to its release (acquire, read, two writes, release).
+    const START: u64 = 2;
+    const STEP: u64 = 54;
+    const TENURE: u64 = 5;
+    fn app(p: &mut Process) -> u64 {
+        let n = p.nodes();
+        let data = p.alloc_vec::<u64>(96, HomeAlloc::Interleaved);
+        let counter = p.alloc_vec::<u64>(1, HomeAlloc::Node(2));
+        let mut state = 0u64;
+        p.run_steps(&mut state, 6, |p, state, step| {
+            let me = p.me();
+            if me == 1 {
+                p.acquire(4);
+                let v = counter.get(p, 0);
+                counter.set(p, 0, v + 1);
+                data.set(p, me, step + 1);
+                p.release(4);
+            }
+            for i in (me..96).step_by(n) {
+                let v = data.get(p, i);
+                data.set(p, i, v.wrapping_mul(31).wrapping_add(step + i as u64));
+            }
+            *state = state.wrapping_add(step);
+            p.barrier();
+        });
+        p.barrier();
+        let mut acc = counter.get(p, 0);
+        for i in 0..96 {
+            acc = acc.rotate_left(9) ^ data.get(p, i);
+        }
+        acc.wrapping_add(state)
+    }
+    let base = seed_from_env();
+    let clean = run(cfg().with_seed(base), &[], app);
+    let mut s = base;
+    let (mut diverged, mut panics, mut unfired) = (0u64, 0u64, 0u64);
+    for step in 0..6 {
+        let at_op = START + STEP * step + TENURE + 1;
+        for lossy in [false, true] {
+            let seed = splitmix(&mut s);
+            let mut case_cfg = cfg().with_seed(seed);
+            if lossy {
+                case_cfg = case_cfg.with_chaos(FaultPlan::lossy(0));
+            }
+            let crashed =
+                std::panic::catch_unwind(|| run(case_cfg, &[FailureSpec { node: 1, at_op }], app));
+            let failure = match &crashed {
+                Err(_) => {
+                    panics += 1;
+                    "panicked"
+                }
+                Ok(r) if r.results != clean.results || r.shared_hash != clean.shared_hash => {
+                    diverged += 1;
+                    "results diverge"
+                }
+                Ok(r) if r.nodes[1].ft.recoveries != 1 => {
+                    unfired += 1;
+                    "crash did not fire"
+                }
+                Ok(_) => continue,
+            };
+            eprintln!("step {step}: {failure} (FTDSM_SEED={seed:#x} lossy={lossy} at_op={at_op})");
+        }
+    }
+    eprintln!("CENSUS base={base:#x} diverged={diverged} panics={panics} unfired={unfired}");
+    assert_eq!(
+        (diverged, panics, unfired),
+        (0, 0, 0),
+        "FTDSM_SEED={base:#x}: each failing case is named above"
+    );
+}
+
 /// A checkpoint is stable only once the disk is done with it. Every step
 /// from step 1 on checkpoints, on a disk that stays busy 100 ms a write, so
 /// each step's barrier waits for its write; the crash is at the first

@@ -1,10 +1,12 @@
 //! Workspace-level integration: the full stack (net + page + storage +
 //! protocol + FT + workloads) exercised through the umbrella crate.
 
+use std::time::Duration;
+
 use ftdsm_suite::apps::{
     barnes, jacobi, water_nsq, water_sp, BarnesParams, JacobiParams, WaterNsqParams, WaterSpParams,
 };
-use ftdsm_suite::{run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, ReqCause};
+use ftdsm_suite::{run, CkptPolicy, ClusterConfig, FailureSpec, HomeAlloc, NodeReport, ReqCause};
 
 #[test]
 fn all_workloads_agree_across_cluster_sizes() {
@@ -443,11 +445,15 @@ fn recovery_asks_each_peer_once_and_once_more_per_replayed_page() {
 
 /// A writer's diffs reach a home in the order it made them, whichever
 /// message carries them. Every node bumps a lock-protected counter on node
-/// 0's page — the release flushes it in a `DiffBatch` — then writes its own
-/// words of that page, and that interval's diff rides its barrier arrival
-/// right behind. Were the arrival's batch applied first, the home's version
-/// gate would drop the counter's diff for good. A race, so each cluster
-/// runs a few times.
+/// 0's page, then writes its own words of that page and node 1's and
+/// crosses a barrier. With no request due at its release, the counter's
+/// diff is held and leaves with the node's next message: the arrival, in
+/// one batch ahead of the barrier interval's, or a fetch. In the second
+/// case every tenure lasts a millisecond, so the next requester's request
+/// is due at the release, and the counter's diff leaves alone in a
+/// `DiffBatch` ahead of the grant, with the arrival's batch behind it. Were
+/// that batch applied first, the home's version gate would drop the
+/// counter's diff for good. A race, so each cluster runs a few times.
 #[test]
 fn a_release_flush_is_not_overtaken_by_the_barrier_batch_behind_it() {
     const STEPS: u64 = 8;
@@ -457,24 +463,74 @@ fn a_release_flush_is_not_overtaken_by_the_barrier_batch_behind_it() {
         ClusterConfig::base(NODES),
         ClusterConfig::fault_tolerant(NODES).with_policy(CkptPolicy::LogOverflow { l: 0.2 }),
     ];
-    for cfg in cfgs.iter().cycle().take(10) {
-        let r = run(cfg.clone().with_page_size(512), &[], |p| {
-            let (n, me) = (p.nodes(), p.me());
-            let data = p.alloc_vec::<u64>(WORDS, HomeAlloc::Interleaved);
-            for step in 0..STEPS {
-                p.acquire(1);
-                let v = data.get(p, 0);
-                data.set(p, 0, v + 1);
-                p.release(1);
-                for i in (me..WORDS).step_by(n).filter(|&i| i != 0) {
-                    data.set(p, i, step + 1);
+    // Batches node 1 sent in the second case: its barrier intervals' diffs
+    // for node 0 ride its arrivals and its other words are on its own
+    // page, so each is a tenure's counter diff that left ahead of another
+    // message — the grant due at its release, mostly.
+    let mut alone = 0;
+    for tenure in [Duration::ZERO, Duration::from_millis(1)] {
+        for cfg in cfgs.iter().cycle().take(10) {
+            let r = run(cfg.clone().with_page_size(512), &[], move |p| {
+                let (n, me) = (p.nodes(), p.me());
+                let data = p.alloc_vec::<u64>(WORDS, HomeAlloc::Interleaved);
+                for step in 0..STEPS {
+                    p.acquire(1);
+                    let v = data.get(p, 0);
+                    data.set(p, 0, v + 1);
+                    std::thread::sleep(tenure);
+                    p.release(1);
+                    for i in (me..WORDS).step_by(n).filter(|&i| i != 0) {
+                        data.set(p, i, step + 1);
+                    }
+                    p.barrier();
+                }
+                data.get(p, 0)
+            });
+            let ft = cfg.ft_enabled();
+            let want = [STEPS * NODES as u64; NODES];
+            assert_eq!(r.results, want, "ft {ft}, tenure {tenure:?}");
+            if !tenure.is_zero() {
+                alone += sent(&r.nodes[1], "DiffBatch");
+            }
+        }
+    }
+    assert!(alone > 0, "no request was ever due at a release");
+}
+
+/// How many messages of `kind` `node` sent.
+fn sent(node: &NodeReport, kind: &str) -> u64 {
+    let kinds = node.msg_kinds.iter();
+    kinds.filter(|(k, _)| *k == kind).map(|&(_, c)| c).sum()
+}
+
+/// A release with no request due sends nothing: its diffs leave with the
+/// writer's next message. Node 1 alone takes a lock node 0 manages, bumps a
+/// counter on node 0's page, releases the lock and crosses a barrier, every
+/// round: each release's diff rides the arrival behind it, so no node
+/// sends a `DiffBatch` and every arrival of node 1 carries a batch.
+#[test]
+fn a_release_with_no_request_due_sends_its_diff_on_the_next_arrival() {
+    const ROUNDS: u64 = 20;
+    for cfg in [ClusterConfig::base(2), ClusterConfig::fault_tolerant(2)] {
+        let ft = cfg.ft_enabled();
+        let r = run(cfg.with_page_size(256), &[], |p| {
+            let cell = p.alloc_vec::<u64>(1, HomeAlloc::Node(0));
+            for _ in 0..ROUNDS {
+                if p.me() == 1 {
+                    p.acquire(0);
+                    let v = cell.get(p, 0);
+                    cell.set(p, 0, v + 1);
+                    p.release(0);
                 }
                 p.barrier();
             }
-            data.get(p, 0)
+            cell.get(p, 0)
         });
-        let ft = cfg.ft_enabled();
-        assert_eq!(r.results, [STEPS * NODES as u64; NODES], "ft {ft}");
+        assert_eq!(r.results, [ROUNDS; 2], "ft {ft}");
+        let batches = r.nodes.iter().map(|node| sent(node, "DiffBatch"));
+        assert_eq!(batches.collect::<Vec<_>>(), [0, 0], "ft {ft}");
+        let carried = r.nodes.iter().map(|node| node.counts.diff_batches_carried);
+        assert_eq!(carried.collect::<Vec<_>>(), [0, ROUNDS], "ft {ft}");
     }
 }
 
@@ -502,16 +558,10 @@ fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
             (0..2 * n * WORDS).map(|w| data.get(p, w)).sum::<u64>()
         });
         assert_eq!(r.results, vec![2 * n as u64 * ROUNDS; n], "n = {n}");
-        let sent = |node: usize, kind| {
-            let kinds = r.nodes[node].msg_kinds.iter();
-            kinds
-                .filter(|(k, _)| *k == kind)
-                .map(|&(_, c)| c)
-                .sum::<u64>()
-        };
         for node in 0..n {
             let carried = r.nodes[node].counts.diff_batches_carried;
-            let (batches, arrivals) = (sent(node, "DiffBatch"), sent(node, "BarrierArrive"));
+            let report = &r.nodes[node];
+            let (batches, arrivals) = (sent(report, "DiffBatch"), sent(report, "BarrierArrive"));
             if node == n - 1 {
                 // Its only remote home is the manager: nothing goes alone.
                 assert_eq!((batches, carried), (0, ROUNDS), "n = {n}");
@@ -663,14 +713,11 @@ fn a_homes_arrival_carries_the_pages_node_0_reads_every_epoch() {
         exact
     });
     assert_eq!(r.results, [true, true]);
-    let sent = |node: usize, kind| {
-        let kinds = r.nodes[node].msg_kinds.iter();
-        kinds
-            .filter(|(k, _)| *k == kind)
-            .map(|&(_, c)| c)
-            .sum::<u64>()
-    };
-    assert_eq!(sent(0, "PageReq"), 1, "only the first epoch's miss");
+    assert_eq!(
+        sent(&r.nodes[0], "PageReq"),
+        1,
+        "only the first epoch's miss"
+    );
     let home = &r.nodes[1];
     let pushed = PAGES as u64 * (EPOCHS - 1);
     let kinds: Vec<_> = home.pushed_bytes.iter().map(|&(k, _)| k).collect();
@@ -718,12 +765,7 @@ fn the_grant_from_the_cells_home_carries_the_cell() {
         (0..8).map(|w| cell.get(p, w)).sum::<u64>()
     });
     assert_eq!(r.results, [8 * 3 * ROUNDS; 2]);
-    let sent = |node: usize, kind| {
-        let kinds = r.nodes[node].msg_kinds.iter();
-        let found = kinds.filter(|(k, _)| *k == kind);
-        found.map(|&(_, c)| c).sum::<u64>()
-    };
-    assert_eq!(sent(1, "PageReq"), 1);
+    assert_eq!(sent(&r.nodes[1], "PageReq"), 1);
     let manager = &r.nodes[0];
     assert_eq!(manager.counts.pages_pushed, ROUNDS - 1);
     let kinds: Vec<_> = manager.pushed_bytes.iter().map(|&(k, _)| k).collect();
