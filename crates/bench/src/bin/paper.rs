@@ -430,11 +430,17 @@ fn do_protocol(scale: &Scale) {
             println!("  req_cause {app:<10} {cause:<18} {node0:>6} {others:>6}");
         }
     }
-    println!("\ndiff batches that rode a barrier arrival instead of going alone:");
+    println!(
+        "\ndiff batches that rode a barrier arrival or release instead of going alone, and \
+         their bytes by the kind that carried them (inside that kind's `msg_count` bytes below):"
+    );
     println!(
         "  diff_batches_carried {:>8}",
         total.counts.diff_batches_carried
     );
+    for (k, b) in &total.carried_bytes {
+        println!("  carried_bytes {k:<16} {b:>10}");
+    }
     println!(
         "\npages a home carried with the notices that invalidate them, because the receiver \
          reported using its copy — node 0's grants and releases to the peers, the other homes' \

@@ -157,13 +157,13 @@ pub enum Payload {
         /// (from a home other than the manager): the manager installs them
         /// when it crosses. Only the first send carries them.
         pushed: Vec<Pushed>,
-        /// The participant's diffs for pages the manager homes, from the
-        /// interval this arrival closed: the [`Payload::DiffBatch`] that
-        /// would otherwise have gone just before it, and is served as that
-        /// batch, ahead of the arrival. Only the first send carries it — a
-        /// resend to a restarted manager does not — and only a request whose
-        /// sender stays blocked until the receiver has handled it may carry
-        /// a batch at all (docs/PROTOCOL.md, the queue paragraph).
+        /// The participant's held diffs for pages the manager homes: the
+        /// [`Payload::DiffBatch`] that would otherwise have gone just before
+        /// it, and is served as that batch, ahead of the arrival. Only the
+        /// first send carries it — a resend to a restarted manager does not
+        /// — and only a message no later message of its sender can be
+        /// handled ahead of may carry a batch at all (docs/PROTOCOL.md, the
+        /// queue paragraph): its sender is blocked until the answer.
         batch: Option<Vec<Arc<Diff>>>,
     },
     /// Barrier release: manager → participant.
@@ -183,6 +183,12 @@ pub enum Payload {
         /// reported used: the receiver keeps each as the manager's want
         /// ([`hlrc::HomeStore::want`]) when it crosses.
         used: Vec<(PageId, Have)>,
+        /// The manager's held diffs for pages the receiver homes, served as
+        /// the [`Payload::DiffBatch`] they stand for, ahead of the release.
+        /// A release may carry them because it answers an arrival its
+        /// receiver sent with its wait open: the receiver handles every
+        /// message of the manager's in the order sent.
+        batch: Option<Vec<Arc<Diff>>>,
     },
     /// Page fetch: requester → home, for one page or many — a demand miss
     /// with the neighbours prefetch had left out, or the pages an acquire or
@@ -312,13 +318,31 @@ impl Payload {
         }
     }
 
-    /// Take the batch a barrier arrival carries out, as the `DiffBatch` it
-    /// stands for.
+    /// The batch slot of a kind that may carry one: a barrier arrival's or
+    /// release's.
+    pub(crate) fn batch_slot(&mut self) -> Option<&mut Option<Vec<Arc<Diff>>>> {
+        match self {
+            Payload::BarrierArrive { batch, .. } | Payload::BarrierRelease { batch, .. } => {
+                Some(batch)
+            }
+            _ => None,
+        }
+    }
+
+    /// The batch a barrier arrival or release carries, if any.
+    pub(crate) fn carried(&self) -> Option<&[Arc<Diff>]> {
+        match self {
+            Payload::BarrierArrive { batch, .. } | Payload::BarrierRelease { batch, .. } => {
+                batch.as_deref()
+            }
+            _ => None,
+        }
+    }
+
+    /// Take the batch a barrier arrival or release carries out, as the
+    /// `DiffBatch` it stands for.
     pub(crate) fn take_carried(&mut self) -> Option<Payload> {
-        let Payload::BarrierArrive { batch, .. } = self else {
-            return None;
-        };
-        let diffs = batch.take()?;
+        let diffs = self.batch_slot()?.take()?;
         Some(Payload::DiffBatch { diffs })
     }
 }
@@ -564,6 +588,7 @@ mod tests {
                 wns: wns(),
                 pushed: pushed(),
                 used: vec![(page, base())],
+                batch: Some(diffs.clone()),
             },
             Payload::PageReq {
                 pages: vec![(page, vt(), Some(base())), (PageId(9), vt(), None)],
@@ -617,16 +642,21 @@ mod tests {
         ]
     }
 
-    /// A batch rides only a request whose sender stays blocked until the
-    /// receiver has handled it — one the application thread parks in its
-    /// wait slot, answered by a reply for that thread, which the receiver
-    /// sends only once it has handled the request, the batch first. The
-    /// home's version gate drops an older diff that comes after a newer one
-    /// for good: a blocked sender sends no next batch before the answer, and
-    /// the queue hands out no message before the ones its sender sent
-    /// earlier, so no earlier `DiffBatch` is handled after the carrier.
+    /// A batch rides only a message that no later message of its sender can
+    /// be handled ahead of: the home's version gate drops an older diff that
+    /// comes after a newer one for good. Every carrier is one half of a
+    /// parked request and its answer ([`answers`], the wait slot's rule):
+    ///
+    /// * the request — the arrival — because its sender is blocked until the
+    ///   answer, a reply for its waiting thread, which the receiver sends
+    ///   only once it has handled the request, the batch first;
+    /// * the answer — the release — because its receiver parked the request
+    ///   with its wait open, so its waiting thread, not the service thread,
+    ///   takes the answer and every message behind it, in the order sent.
+    ///
+    /// [`answers`]: crate::runtime::node::answers
     #[test]
-    fn a_batch_rides_only_a_request_whose_sender_waits_until_it_is_handled() {
+    fn a_batch_rides_only_a_message_no_later_one_of_its_sender_is_handled_ahead_of() {
         use crate::runtime::node::answers;
         use Payload::*;
         let every = one_of_every_kind();
@@ -658,26 +688,37 @@ mod tests {
             }
             let kind = payload.kind();
             carriers.push(kind);
-            let waited_for = |reply: &&Payload| answers(payload, reply);
-            let answer = every.iter().find(waited_for);
-            let answer = answer.unwrap_or_else(|| panic!("{kind} carries a batch unanswered"));
-            assert!(Msg::bare(answer.clone()).to_waiter(), "{kind}'s answer");
+            let answer = every.iter().find(|reply| answers(payload, reply));
+            let request = every.iter().find(|request| answers(request, payload));
+            let for_the_waiter = match (answer, request) {
+                (Some(answer), None) => answer,
+                (None, Some(_)) => payload,
+                _ => panic!("{kind} carries a batch but is no parked request or answer"),
+            };
+            let msg = Msg::bare(for_the_waiter.clone());
+            assert!(
+                msg.to_waiter(),
+                "{kind}: {} is for the waiter",
+                msg.kind_name()
+            );
         }
-        assert_eq!(carriers, ["BarrierArrive"]);
+        assert_eq!(carriers, ["BarrierArrive", "BarrierRelease"]);
     }
 
     /// The sender every test message is decoded from.
     const FROM: usize = 1;
 
-    /// Every kind (an arrival without its batch besides the one with), a
-    /// few carrying a piggyback with a gossip table: once stamped as a
-    /// traced endpoint stamps it, half of them parented, and once untraced,
-    /// with no context.
+    /// Every kind (an arrival and a release without their batch besides the
+    /// ones with), a few carrying a piggyback with a gossip table: once
+    /// stamped as a traced endpoint stamps it, half of them parented, and
+    /// once untraced, with no context.
     fn every_message() -> Vec<Msg> {
         let mut payloads = one_of_every_kind();
-        let mut bare_arrival = payloads[4].clone();
-        bare_arrival.take_carried();
-        payloads.push(bare_arrival);
+        for carrier in [4, 5] {
+            let mut bare = payloads[carrier].clone();
+            bare.take_carried();
+            payloads.push(bare);
+        }
         let stamp = |seq, episode, tckp: &[u32]| CkptStamp {
             seq,
             episode,

@@ -838,6 +838,7 @@ pub(crate) mod tests {
                 push(2, &kept, gated(2, 0, 2)),
             ],
             used: Vec::new(),
+            batch: None,
         };
         crate::runtime::interval::cross_barrier(&mut st, release);
         assert_eq!((st.counts.pushed_used, st.counts.pushes_refused), (0, 2));
@@ -885,6 +886,7 @@ pub(crate) mod tests {
             .into(),
             pushed,
             used: Vec::new(),
+            batch: None,
         };
         let cross = crate::runtime::interval::cross_barrier;
         cross(
@@ -969,6 +971,7 @@ pub(crate) mod tests {
             wns: vec![notice(1, &[0, 1]), notice(2, &[0])].into(),
             pushed: vec![push(0), push(1)],
             used: Vec::new(),
+            batch: None,
         };
         crate::runtime::interval::cross_barrier(&mut st, release);
         let c = st.counts;

@@ -298,6 +298,72 @@ mod tests {
         assert!(st.unsent.is_empty());
     }
 
+    /// The manager's held diffs for each home ride its release to that home,
+    /// and none goes alone. The home's arrival opened its wait as it left,
+    /// so its service thread takes nothing — not a `DiffBatch` the manager
+    /// sent behind the release either — and its waiting thread serves the
+    /// batch before the release answers the arrival.
+    #[test]
+    fn each_release_carries_the_managers_diffs_for_its_receivers_pages() {
+        // Node 0 of 3 writes page 0, node 1's, and page 1, node 2's.
+        let (mut st, eps) = test_state(0, 3, false);
+        for page in [0, 1] {
+            st.pt.add_page(page + 1);
+            st.pt
+                .install(PageId(page as u32), page_of(0), &VectorClock::zero(3));
+            st.pt.write(PageId(page as u32), 8, &[1]);
+        }
+        arrive(&mut st, &mut Breakdown::default());
+        assert!(!st.wait_opened(), "a request to this node opens nothing");
+        for peer in [1, 2] {
+            let arrival = Payload::BarrierArrive {
+                episode: 0,
+                vt: VectorClock::zero(3),
+                own_wns: WnDelta::empty(),
+                used: Vec::new(),
+                pushed: Vec::new(),
+                batch: None,
+            };
+            handle_msg(&mut st, peer, arrival);
+        }
+        assert!(st.wait.take().is_some(), "the episode completed");
+        assert!(st.unsent.is_empty());
+        assert_eq!(st.counts.diff_batches_carried, 2);
+        let mut releases = Vec::new();
+        for (page, ep) in eps.iter().enumerate() {
+            let (none, release) = sent(ep);
+            let ([], [release @ Payload::BarrierRelease { batch, .. }]) = (&none[..], &release[..])
+            else {
+                panic!("one release, not {none:?} {release:?}")
+            };
+            let pages = batch.iter().flatten().map(|d| d.page);
+            assert_eq!(pages.collect::<Vec<_>>(), [PageId(page as u32)]);
+            releases.push(release.clone());
+        }
+
+        // Node 1 homes page 0 (and allocates page 1 as everyone does).
+        let (mut home, to_manager) = test_state(1, 3, false);
+        home.pt.add_page(1);
+        home.pt.add_page(2);
+        arrive(&mut home, &mut Breakdown::default());
+        assert!(home.wait_opened());
+        let later = Payload::DiffBatch {
+            diffs: vec![diff_of(0, 0, 2)],
+        };
+        for payload in [releases[0].clone(), later.clone()] {
+            to_manager[0].send(1, Msg::bare(payload));
+        }
+        assert_eq!(requests(&home.ep), [], "the service thread takes nothing");
+        let taken = waited(&home.ep);
+        assert_eq!(taken, [releases[0].clone(), later]);
+        handle_msg(&mut home, 0, taken[0].clone());
+        assert_eq!(home.pt.home_version(PageId(0)), gated(3, 0, 1));
+        assert!(
+            home.wait.take().is_some(),
+            "the release answers the arrival"
+        );
+    }
+
     /// `arrive` at `st`, and check what it sent and parked: one arrival,
     /// carrying a batch of `carried` diffs or none; returns the batch.
     fn arrive_and_check(
@@ -388,6 +454,7 @@ mod tests {
             wns: WnDelta::empty(),
             pushed: Vec::new(),
             used: Vec::new(),
+            batch: None,
         };
         handle_msg(&mut st, 0, release);
         let (_, release) = st.wait.take().expect("the release answers the arrival");
@@ -666,6 +733,7 @@ mod tests {
                     wns: WnDelta::from(peers.to_vec()),
                     pushed: Vec::new(),
                     used: Vec::new(),
+                    batch: None,
                 };
                 handle_msg(&mut st, 0, release);
                 let (_, release) = st.wait.take().expect("the release answers the arrival");

@@ -19,7 +19,7 @@
 //!
 //! | module | file | kinds (*passed by the service thread*) |
 //! |---|---|---|
-//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` carries, under the big lock) |
+//! | [`HomeSvc`] | `runtime/home.rs` | `PageReq`, `DiffBatch` (and the batch a `BarrierArrive` or `BarrierRelease` carries, under the big lock) |
 //! | [`FetchSvc`] | `runtime/fetch.rs` | *`PageReply`* |
 //! | [`SyncSvc`] | `runtime/sync.rs` | `LockAcq`, `LockForward`, *`LockGrant`*, *`BarrierArrive`*, *`BarrierRelease`* |
 //! | [`RecoverySvc`] | `ft/recovery.rs` | `RecLogReq`, *`RecLogReply`*, `RecPageReq`, *`RecPageReply`* |
@@ -164,9 +164,9 @@ pub(crate) struct NodeState {
     /// first, not sent yet. A diff is needed only by a node that knows its
     /// interval, and only a message of ours can tell one of it, so each
     /// home's leave as one `DiffBatch` ahead of our next message
-    /// ([`NodeState::send`]), and node 0's ride the barrier arrival when
-    /// that is the next. Volatile: a crash forgets them, with intervals
-    /// nobody learned of.
+    /// ([`NodeState::send`]); node 0's ride the barrier arrival when that is
+    /// the next, and the manager's ride its release to each home. Volatile:
+    /// a crash forgets them, with intervals nobody learned of.
     pub unsent: BTreeMap<ProcId, Vec<Arc<Diff>>>,
     /// Flow id of the message currently being handled (0 outside a
     /// handler). Every message [`NodeState::send`] emits while a handler
@@ -197,6 +197,9 @@ pub(crate) struct NodeState {
     /// Bytes of pushed pages per carrying kind: see
     /// [`NodeReport::pushed_bytes`].
     pub pushed_bytes: BTreeMap<&'static str, u64>,
+    /// Bytes of carried diff batches per carrying kind: see
+    /// [`NodeReport::carried_bytes`].
+    pub carried_bytes: BTreeMap<&'static str, u64>,
     /// Protocol handler time, attributed per message kind: the service
     /// thread's (folded in when the service loop exits) and the application
     /// thread's for the replies it handles inside its own waits.
@@ -262,6 +265,7 @@ impl NodeState {
             counts: Counts::default(),
             req_causes: ReqCauses::default(),
             pushed_bytes: BTreeMap::new(),
+            carried_bytes: BTreeMap::new(),
             svc_time_by_kind: BTreeMap::new(),
             own_svc: Duration::ZERO,
             breakdown_acc: Default::default(),
@@ -297,6 +301,7 @@ impl NodeState {
             counts: self.counts,
             req_causes: self.req_causes,
             pushed_bytes: self.pushed_bytes.iter().map(|(&k, &b)| (k, b)).collect(),
+            carried_bytes: self.carried_bytes.iter().map(|(&k, &b)| (k, b)).collect(),
         })
     }
 
@@ -380,7 +385,8 @@ impl NodeState {
     /// every remote home ([`NodeState::send_unsent`]): whatever it says —
     /// a grant, a forward, a request, a release, a reply — may make its
     /// receiver or a third node need them, and per-pair FIFO and the home's
-    /// one queue keep them ahead of anything that can.
+    /// one queue keep them ahead of anything that can, but for those a
+    /// barrier release already carries ([`NodeState::send_all`]).
     ///
     /// A message to this node itself (it manages the lock or the barrier,
     /// or it is the next granter in a lock chain) never reaches the wire:
@@ -414,13 +420,29 @@ impl NodeState {
             let bytes = crate::wire::len_of(|w| crate::wire::put_pushed(w, pushed));
             *self.pushed_bytes.entry(payload.kind()).or_default() += bytes as u64;
         }
+        if let Some(diffs) = payload.carried() {
+            let bytes = crate::wire::len_of(|w| crate::wire::put_diffs(w, diffs));
+            *self.carried_bytes.entry(payload.kind()).or_default() += bytes as u64;
+        }
         let piggy = self.ft.make_piggy(&self.pt, to, gossip);
         self.ep
             .send(to, Msg::with_parent(payload, piggy, self.cur_flow));
     }
 
     /// [`NodeState::send`] what a handler put in its reply sink, in order.
-    pub(crate) fn send_all(&mut self, replies: Replies) {
+    /// Every barrier release first takes the diffs held for its receiver,
+    /// before the first message leaves and would send them ahead: no later
+    /// message of ours can be handled ahead of a release, which answers an
+    /// arrival its receiver sent with its wait open
+    /// ([`NodeState::block_on`]), so the receiver's waiting thread takes
+    /// every message of ours in the order sent.
+    pub(crate) fn send_all(&mut self, mut replies: Replies) {
+        for (to, reply) in &mut replies {
+            if let Payload::BarrierRelease { batch, .. } = reply {
+                *batch = self.unsent.remove(to);
+                self.counts.diff_batches_carried += batch.is_some() as u64;
+            }
+        }
         for (to, reply) in replies {
             self.send(to, reply);
         }
@@ -444,6 +466,16 @@ impl NodeState {
     /// this send only: a restarted manager gets the diffs from the writer's
     /// log, as it gets every other diff it lost. So do the pages it pushes:
     /// a restarted manager keeps no copy they build on.
+    ///
+    /// The wait opens before a request to another node leaves
+    /// ([`Endpoint::open_wait`]): the service thread passes no answer and
+    /// takes nothing behind it, so the answer — and a batch it carries — is
+    /// handled before any later message of its sender. [`wait_until`]'s
+    /// [`Waiting`] closes it. A request to this node is answered inline or
+    /// by a third node, and opens nothing here.
+    ///
+    /// [`wait_until`]: crate::runtime::process::wait_until
+    /// [`Waiting`]: crate::runtime::process::Waiting
     pub(crate) fn block_on(&mut self, to: ProcId, request: Payload) {
         let (mut parked, answer) = (request.clone(), None);
         parked.take_carried();
@@ -455,7 +487,16 @@ impl NodeState {
             request: parked,
             answer,
         };
+        if to != self.me {
+            self.ep.open_wait();
+        }
         self.send(to, request);
+    }
+
+    /// Whether [`NodeState::block_on`] opened the wait for a request that
+    /// is still unanswered.
+    pub(crate) fn wait_opened(&self) -> bool {
+        matches!(self.wait, WaitSlot::Request { to, answer: None, .. } if to != self.me)
     }
 }
 
@@ -465,10 +506,7 @@ fn max_page(payload: &Payload) -> Option<PageId> {
         Payload::RecPageReq { page, .. } => return Some(*page),
         Payload::PageReq { pages, .. } => return pages.iter().map(|(p, ..)| *p).max(),
         Payload::DiffBatch { diffs, .. } => diffs,
-        Payload::BarrierArrive {
-            batch: Some(diffs), ..
-        } => diffs,
-        _ => return None,
+        carrier => carrier.carried()?,
     };
     diffs.iter().map(|d| d.page).max()
 }
@@ -1016,6 +1054,7 @@ pub(crate) mod tests {
             wns: WnDelta::empty(),
             pushed: Vec::new(),
             used: Vec::new(),
+            batch: None,
         };
         assert_eq!(wait.deposit(0, release.clone()), Some(release));
         assert!(wait.take().is_none());
@@ -1357,6 +1396,7 @@ pub(crate) mod tests {
                     wns: WnDelta::empty(),
                     pushed: Vec::new(),
                     used: Vec::new(),
+                    batch: None,
                 },
             };
             handle_msg(&mut st, 0, answer);

@@ -144,16 +144,17 @@ fn begin_op(shared: &NodeShared) -> MutexGuard<'_, NodeState> {
 /// receive the same way. Nothing is sent again from here: the fabric
 /// delivers every request, under a fault plan through its link.
 ///
-/// The wait stays open — the service thread reads nothing — until the
-/// caller has applied what it waited for and closes it ([`Waiting::close`]):
-/// a message served before the apply could be a forward of the very lock
-/// whose grant is not applied yet.
+/// A wait [`NodeState::block_on`] opened as its request left is this
+/// one's from the start. The wait stays open — the service thread reads
+/// nothing — until the caller has applied what it waited for and closes it
+/// ([`Waiting::close`]): a message served before the apply could be a
+/// forward of the very lock whose grant is not applied yet.
 pub(crate) fn wait_until<T>(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
     mut take: impl FnMut(&mut NodeState) -> Option<T>,
 ) -> (T, Waiting) {
-    let mut wait = Waiting(None);
+    let mut wait = Waiting(st.wait_opened().then(|| Reader::of(st)));
     let start = Instant::now();
     loop {
         if let Some(v) = take(st) {
@@ -171,8 +172,9 @@ pub(crate) fn wait_until<T>(
     }
 }
 
-/// A wait [`wait_until`] may have opened: its reader, once it received.
-/// Closed by [`Waiting::close`] or, unwinding, by its drop.
+/// A wait [`wait_until`] may have opened: its reader, once it received or
+/// from the start if the request's send opened it. Closed by
+/// [`Waiting::close`] or, unwinding, by its drop.
 pub(crate) struct Waiting(Option<Reader>);
 
 type Guard<'a> = MutexGuard<'a, NodeState>;

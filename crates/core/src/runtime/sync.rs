@@ -345,7 +345,8 @@ impl SyncSvc {
     /// release carries the pages of `home` its notices invalidate that its
     /// receiver wants, and the manager's relay: to another home the
     /// manager's report of its pages, to the manager itself the pages the
-    /// arrivals pushed. A resend to a re-arrival carries none of these.
+    /// arrivals pushed. A resend to a re-arrival carries none of these. The
+    /// sender fills every release's batch ([`NodeState::send_all`]).
     pub(crate) fn barrier_manager_arrive(
         &mut self,
         arrival: Arrival,
@@ -387,6 +388,7 @@ impl SyncSvc {
                         pushed,
                         wns,
                         used,
+                        batch: None,
                     };
                     reply.push((p, release));
                 }
@@ -404,6 +406,7 @@ impl SyncSvc {
                     wns,
                     pushed,
                     used,
+                    batch: None,
                 };
                 reply.push((proc, release))
             }

@@ -155,8 +155,9 @@ counts! {
     /// Peer restarts this node learned of: one per recovery handshake
     /// (`RecLogReq`) it answered.
     restarts_seen => "peer_restarts_total",
-    /// Diff batches this node's barrier arrivals carried to the manager
-    /// instead of sending each as a `DiffBatch` of its own.
+    /// Diff batches this node's barrier arrivals carried to the manager,
+    /// and its releases to their receivers, instead of sending each as a
+    /// `DiffBatch` of its own.
     diff_batches_carried => "diff_batches_carried_total",
     /// Barrier arrivals this node's service thread handled (folded in when
     /// the service loop exits). The service thread passes an arrival while
@@ -316,6 +317,10 @@ pub struct NodeReport {
     /// Bytes of pushed pages this node sent per message kind (sorted by
     /// kind name): part of `msg_kind_bytes`.
     pub pushed_bytes: Vec<(&'static str, u64)>,
+    /// Bytes of the diff batches this node's barrier arrivals and releases
+    /// carried, per carrying kind (sorted by kind name): part of
+    /// `msg_kind_bytes`, where a `DiffBatch` of their own would have been.
+    pub carried_bytes: Vec<(&'static str, u64)>,
 }
 
 /// Add `other`'s per-kind values to `acc`'s, keeping it sorted by kind.
@@ -343,6 +348,7 @@ impl NodeReport {
         self.counts.merge(&o.counts);
         self.req_causes += o.req_causes;
         add_kinds(&mut self.pushed_bytes, &o.pushed_bytes);
+        add_kinds(&mut self.carried_bytes, &o.carried_bytes);
     }
 
     /// The metric table: every number of this report under its metric name —
@@ -399,6 +405,7 @@ impl NodeReport {
             ("bytes_sent_by_kind_total", &self.msg_kind_bytes),
             ("svc_time_ns_by_kind_total", &svc_ns),
             ("pushed_bytes_by_kind_total", &self.pushed_bytes),
+            ("carried_bytes_by_kind_total", &self.carried_bytes),
         ];
         let counter = |(name, v): (&str, u64)| (name.to_owned(), Counter(v));
         let fabric = self.traffic.named();
@@ -544,6 +551,7 @@ mod tests {
             msg_kinds: vec![("PageReq", 1)],
             msg_kind_bytes: vec![("PageReq", 12)],
             pushed_bytes: vec![("LockGrant", 40)],
+            carried_bytes: vec![("BarrierArrive", 20)],
             ..Default::default()
         };
         let rows = report.metrics();
@@ -552,6 +560,6 @@ mod tests {
             assert!(names.insert(name), "{name} is in the table twice");
         }
         let by_kind = rows.iter().filter(|(name, _)| name.contains("kind="));
-        assert_eq!(by_kind.count(), 4, "a per-kind list has no row");
+        assert_eq!(by_kind.count(), 5, "a per-kind list has no row");
     }
 }

@@ -471,7 +471,8 @@ const RELAY: u8 = 0x10;
 const TRACED: u8 = 0x20;
 /// Tag bit: a piggyback follows the payload.
 const PIGGY: u8 = 0x40;
-/// Tag bit: a diff batch follows the payload (a barrier arrival's).
+/// Tag bit: a diff batch follows the payload (a barrier arrival's or
+/// release's).
 pub(crate) const BATCH: u8 = 0x80;
 
 /// The kind half of a message's tag byte, its low four bits. Tags 4 to 6
@@ -506,10 +507,7 @@ pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
 /// when stamped), payload, a relayed list and a carried batch — everything
 /// but the piggyback.
 pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
-    let batch = match &m.payload {
-        Payload::BarrierArrive { batch, .. } => batch.as_ref(),
-        _ => None,
-    };
+    let batch = m.payload.carried();
     let relayed = match &m.payload {
         Payload::BarrierArrive { pushed, .. } => !pushed.is_empty(),
         Payload::BarrierRelease { used, .. } => !used.is_empty(),
@@ -578,6 +576,7 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             wns,
             pushed,
             used,
+            ..
         } => {
             w.put_varint(*episode);
             put_vt(w, vt);
@@ -697,6 +696,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             wns: get_wn_delta(r)?,
             pushed: get_pushed(r)?,
             used: Vec::new(),
+            batch: None,
         },
         9 => {
             let req_id = r.get_varint()?;
@@ -764,7 +764,7 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
         }
     }
     if tag & BATCH != 0 {
-        let Payload::BarrierArrive { batch, .. } = &mut payload else {
+        let Some(batch) = payload.batch_slot() else {
             return Err(CodecError::BadTag {
                 context: "batch carrier",
                 tag,
@@ -1086,6 +1086,7 @@ mod tests {
             wns: WnDelta::empty(),
             pushed: Vec::new(),
             used,
+            batch: None,
         };
         let cases = [
             (
@@ -1237,6 +1238,7 @@ mod tests {
                     wns: wns(),
                     pushed: Vec::new(),
                     used: Vec::new(),
+                    batch: None,
                 },
                 &[8, 4, 3, 1, 0, 6],
             ),

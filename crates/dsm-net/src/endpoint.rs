@@ -638,8 +638,19 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
         self.note_recv(Some(Event::Msg { from, msg }))
     }
 
-    /// End the wait [`Endpoint::recv_reply`] opened: the service thread
-    /// reads again — woken, if something is queued for it.
+    /// Open the wait now, ahead of the first [`Endpoint::recv_reply`]: the
+    /// service thread takes nothing from here on, not even a message queued
+    /// behind one it would pass, so the waiting thread handles every message
+    /// in arrival order from the first on. A thread calls it before it sends
+    /// the request it will wait for, so that no later message of the peer
+    /// that answers is handled ahead of the answer.
+    pub fn open_wait(&self) {
+        self.inbox().open();
+    }
+
+    /// End the wait [`Endpoint::recv_reply`] or [`Endpoint::open_wait`]
+    /// opened: the service thread reads again — woken, if something is
+    /// queued for it.
     pub fn close_wait(&self) {
         self.inbox().close(false);
     }
@@ -929,6 +940,20 @@ mod tests {
             assert_eq!(id(eps[0].try_recv()), None);
             assert_eq!(waiter.join().unwrap(), Some(2));
         });
+    }
+
+    #[test]
+    fn an_opened_wait_leaves_the_service_thread_nothing_until_it_closes() {
+        let (_fabric, eps) = Fabric::<Laned>::new(2);
+        eps[0].open_wait();
+        // A reply the service thread would pass, and a request behind it.
+        eps[1].send(0, Laned(1, true));
+        eps[1].send(0, Laned(2, false));
+        assert_eq!(id(eps[0].try_recv()), None);
+        eps[0].close_wait();
+        let taken: Vec<_> = std::iter::from_fn(|| id(eps[0].try_recv())).collect();
+        assert_eq!(taken, [2]);
+        assert_eq!(id(eps[0].recv_reply(Duration::ZERO)), Some(1));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! An unbounded multi-producer FIFO on `std::sync`, read by two threads:
 //!
-//! * the *waiter*: while a wait is open it takes the head item, whatever its
-//!   kind, and never passes one;
+//! * the *waiter*: while a wait is open — from its first pop, or from
+//!   [`Mailbox::open`] if that comes first — it takes the head item,
+//!   whatever its kind, and never passes one;
 //! * the *service* reader: only while no wait is open, it takes the oldest
 //!   item not for the waiter — it may pass those — and, once the waiter is
 //!   gone for good ([`Mailbox::close`]), every item.
@@ -126,6 +127,13 @@ impl<M: WireSized> Mailbox<M> {
     /// false and has not blocked yet still sees a poke sent in between.
     pub(crate) fn poke(&self) {
         self.update(|st| st.poked = true);
+    }
+
+    /// Open a wait before the waiter's first pop: from now on the service
+    /// reader takes nothing, not even an item queued behind one it would
+    /// pass, until the wait closes.
+    pub(crate) fn open(&self) {
+        self.lock().waiting = true;
     }
 
     /// Close the wait — the waiter reads no more until its next pop — and,

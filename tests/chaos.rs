@@ -401,6 +401,97 @@ fn a_crash_between_a_release_and_its_arrival_loses_only_unsent_diffs() {
     );
 }
 
+/// A home that crashes around a release carrying the manager's diffs for
+/// its pages loses them with everything volatile, and rebuilds them from
+/// the manager's log. Node 0 writes a word of node 1's page before every
+/// barrier, so each release to node 1 carries that diff; right after
+/// crossing, every node reads the word and node 1 copies it to a page of
+/// its own. Each case crashes node 1 either at that read — the first
+/// operation after a carrying release — or at its barrier, with the diffs
+/// still held for the release the manager has yet to build (a crash fires
+/// only between operations, so never with a node's own release in its
+/// queue: its wait takes it before the barrier returns), on a reliable or
+/// a lossy fabric. A census: every case runs to the end, each failing one
+/// is named, and any failure fails the test.
+#[test]
+fn a_home_crash_around_a_carrying_release_recovers_bit_identical() {
+    // Node 1's operations: the two allocations, then per step its barrier,
+    // the read after it and its own write.
+    const START: u64 = 2;
+    const STEP: u64 = 3;
+    const STEPS: u64 = 6;
+    fn app(p: &mut Process) -> u64 {
+        let data = p.alloc_vec::<u64>(64, HomeAlloc::Node(1));
+        let copies = p.alloc_vec::<u64>(64, HomeAlloc::Node(1));
+        let mut state = 0u64;
+        p.run_steps(&mut state, STEPS, |p, state, step| {
+            // A word a step: a reader fetching late may get the page with
+            // the next step's word in it, and reads only this one.
+            let word = step as usize;
+            if p.me() == 0 {
+                data.set(p, word, state.wrapping_mul(31).wrapping_add(step + 1));
+            }
+            p.barrier();
+            let v = data.get(p, word);
+            if p.me() == 1 {
+                copies.set(p, step as usize, v);
+            }
+            *state = state.wrapping_add(v);
+        });
+        p.barrier();
+        let words = (0..64).map(|i| data.get(p, i) ^ copies.get(p, i).rotate_left(3));
+        words.fold(state, |acc, w| acc.rotate_left(7) ^ w)
+    }
+    let base = seed_from_env();
+    let clean = run(cfg().with_seed(base), &[], app);
+    let carried = clean.nodes[0].counts.diff_batches_carried;
+    assert!(
+        carried >= STEPS,
+        "{carried} carrying releases in {STEPS} steps"
+    );
+    let mut s = base;
+    let (mut diverged, mut panics, mut unfired) = (0u64, 0u64, 0u64);
+    for step in 0..STEPS {
+        for (case, at_op) in [("barrier", 1), ("read after", 2)] {
+            let at_op = START + STEP * step + at_op;
+            for lossy in [false, true] {
+                let seed = splitmix(&mut s);
+                let mut case_cfg = cfg().with_seed(seed);
+                if lossy {
+                    case_cfg = case_cfg.with_chaos(FaultPlan::lossy(0));
+                }
+                let crashed = std::panic::catch_unwind(|| {
+                    run(case_cfg, &[FailureSpec { node: 1, at_op }], app)
+                });
+                let failure = match &crashed {
+                    Err(_) => {
+                        panics += 1;
+                        "panicked"
+                    }
+                    Ok(r) if r.results != clean.results || r.shared_hash != clean.shared_hash => {
+                        diverged += 1;
+                        "results diverge"
+                    }
+                    Ok(r) if r.nodes[1].ft.recoveries != 1 => {
+                        unfired += 1;
+                        "crash did not fire"
+                    }
+                    Ok(_) => continue,
+                };
+                eprintln!(
+                    "step {step}, {case}: {failure} (FTDSM_SEED={seed:#x} lossy={lossy} at_op={at_op})"
+                );
+            }
+        }
+    }
+    eprintln!("CENSUS base={base:#x} diverged={diverged} panics={panics} unfired={unfired}");
+    assert_eq!(
+        (diverged, panics, unfired),
+        (0, 0, 0),
+        "FTDSM_SEED={base:#x}: each failing case is named above"
+    );
+}
+
 /// A checkpoint is stable only once the disk is done with it. Every step
 /// from step 1 on checkpoints, on a disk that stays busy 100 ms a write, so
 /// each step's barrier waits for its write; the crash is at the first

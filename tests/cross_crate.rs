@@ -497,6 +497,64 @@ fn a_release_flush_is_not_overtaken_by_the_barrier_batch_behind_it() {
     assert!(alone > 0, "no request was ever due at a release");
 }
 
+/// A release's batch is served before any later message of the manager's.
+/// Node 0, the manager, writes a word of node 1's page before each barrier,
+/// a new one each round, so its release to node 1 carries that diff. Right
+/// after crossing, every node takes lock 0 for a millisecond's tenure and
+/// bumps a counter on the same page: when a request is due at node 0's
+/// release, its counter diff leaves alone in a `DiffBatch` right behind the
+/// carrying release. Were that batch applied first, the home's version
+/// gate would drop the release's diff for good, and a reader of the word
+/// after the barrier would miss it. A race, so each cluster runs a few
+/// times.
+#[test]
+fn a_releases_batch_is_not_overtaken_by_the_managers_next_diff_batch() {
+    const ROUNDS: u64 = 6;
+    const WORDS: usize = 32; // one 256 B page, node 1's
+    let (mut carried, mut alone) = (0, 0);
+    for n in [2, 4] {
+        let cfgs = [ClusterConfig::base(n), ClusterConfig::fault_tolerant(n)];
+        for cfg in cfgs.iter().cycle().take(4) {
+            let r = run(cfg.clone().with_page_size(256), &[], |p| {
+                let page = p.alloc_vec::<u64>(WORDS, HomeAlloc::Node(1));
+                let mut seen = 0;
+                for round in 0..ROUNDS {
+                    // A word a round: a reader fetching late may get the
+                    // page with the next round's word in it.
+                    let word = 1 + round as usize;
+                    if p.me() == 0 {
+                        page.set(p, word, round + 1);
+                    }
+                    p.barrier();
+                    seen += page.get(p, word);
+                    p.acquire(0);
+                    let v = page.get(p, 0);
+                    page.set(p, 0, v + 1);
+                    std::thread::sleep(Duration::from_millis(1));
+                    p.release(0);
+                }
+                p.barrier();
+                (seen, page.get(p, 0))
+            });
+            let ft = cfg.ft_enabled();
+            let want = (ROUNDS * (ROUNDS + 1) / 2, ROUNDS * n as u64);
+            assert_eq!(r.results, vec![want; n], "n = {n}, ft {ft}");
+            carried += r.nodes[0].counts.diff_batches_carried;
+            alone += sent(&r.nodes[0], "DiffBatch");
+        }
+    }
+    // A request the manager forwards while it waits at the barrier sends
+    // the word's diff ahead of the release.
+    assert!(
+        carried > 0,
+        "no release of the manager's ever carried a batch"
+    );
+    assert!(
+        alone > 0,
+        "no request was ever due at the manager's release"
+    );
+}
+
 /// How many messages of `kind` `node` sent.
 fn sent(node: &NodeReport, kind: &str) -> u64 {
     let kinds = node.msg_kinds.iter();
@@ -534,11 +592,13 @@ fn a_release_with_no_request_due_sends_its_diff_on_the_next_arrival() {
     }
 }
 
-/// A barrier arrival carries the arriver's diffs for the manager's pages.
-/// Each node writes the pages homed at its right neighbour, then crosses a
-/// barrier: node n − 1, the one writer of node 0's pages, sends one message
-/// a round where it sent a `DiffBatch` and an arrival, and every other
-/// writer's batch still goes alone.
+/// A barrier arrival carries the arriver's diffs for the manager's pages,
+/// and a release the manager's diffs for its receiver's. Each node writes
+/// the pages homed at its right neighbour, then crosses a barrier: node
+/// n − 1, the one writer of node 0's pages, sends one message a round where
+/// it sent a `DiffBatch` and an arrival; node 0, the one writer of node 1's,
+/// sends none alone either, its batch riding its release to node 1; every
+/// other writer's batch still goes alone.
 #[test]
 fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
     const ROUNDS: u64 = 12;
@@ -562,17 +622,21 @@ fn the_writer_of_the_managers_pages_sends_one_message_fewer_a_barrier() {
             let carried = r.nodes[node].counts.diff_batches_carried;
             let report = &r.nodes[node];
             let (batches, arrivals) = (sent(report, "DiffBatch"), sent(report, "BarrierArrive"));
-            if node == n - 1 {
-                // Its only remote home is the manager: nothing goes alone.
-                assert_eq!((batches, carried), (0, ROUNDS), "n = {n}");
+            if node == 0 || node == n - 1 {
+                // The manager's only remote home is node 1, which gets a
+                // release every round; node n − 1's is the manager, which
+                // gets its arrival: nothing goes alone.
+                assert_eq!((batches, carried), (0, ROUNDS), "n = {n}, node {node}");
             } else {
                 assert_eq!((batches, carried), (ROUNDS, 0), "n = {n}, node {node}");
             }
             let arrives = if node == 0 { 0 } else { ROUNDS };
             assert_eq!(arrivals, arrives, "n = {n}, node {node}");
         }
-        // n batches a round, one of them inside an arrival.
-        assert_eq!(r.total().counts.diff_batches_carried, ROUNDS);
+        let releases = sent(&r.nodes[0], "BarrierRelease");
+        assert_eq!(releases, (n as u64 - 1) * ROUNDS, "n = {n}");
+        // n batches a round, two of them inside an arrival and a release.
+        assert_eq!(r.total().counts.diff_batches_carried, 2 * ROUNDS);
     }
 }
 

@@ -30,16 +30,23 @@ fn splitmix(x: &mut u64) -> u64 {
 }
 
 /// Small two-node exchange: page fetches, lock-flush diff batches, barrier
-/// releases — every message is a cross-node hop.
+/// releases — every message is a cross-node hop. The cells are node 0's,
+/// and each step every node bumps one under lock 0 and then under lock 1.
+/// Node 1's diffs leave with its next message: its arrival carries them,
+/// unless node 0 holds lock 1, or held it last, when node 1 asks for it —
+/// in at least one of any two steps — and they go alone, as a `DiffBatch`
+/// ahead of the forward to node 0.
 fn exchange(p: &mut Process) -> u64 {
     let cells = p.alloc_vec::<u64>(8, HomeAlloc::Interleaved);
     let mut state = 0u64;
     p.run_steps(&mut state, 4, |p, state, step| {
-        p.acquire(0);
-        let idx = step as usize % 8;
-        let v = cells.get(p, idx);
-        cells.set(p, idx, v + p.me() as u64 + 1);
-        p.release(0);
+        for lock in [0, 1] {
+            p.acquire(lock);
+            let idx = step as usize % 8;
+            let v = cells.get(p, idx);
+            cells.set(p, idx, v + p.me() as u64 + 1);
+            p.release(lock);
+        }
         *state += step;
         p.barrier();
     });
@@ -157,9 +164,11 @@ fn fixed_seed_two_node_exchange_exports_cross_node_flows() {
 }
 
 /// Two nodes taking turns, a barrier between every turn: node 0 rewrites a
-/// block of its own pages and takes lock 1 (managed by node 1) to bump a
-/// cell homed on node 1, then node 1 refetches the block in batches and
-/// takes the lock from node 0. A step's safe point lies between two
+/// block of its own pages and takes lock 1 (managed by node 1) twice to
+/// bump a cell homed on node 1 — its second request leaves behind the first
+/// tenure's diff, a `DiffBatch`; the second's rides its release to node 1 —
+/// then node 1 refetches the block in batches and takes the lock from node
+/// 0. A step's safe point lies between two
 /// barriers, so a checkpoint is taken while nothing is in flight, and
 /// which messages are sent and what they carry does not depend on thread
 /// timing.
@@ -179,6 +188,7 @@ fn turns(p: &mut Process) -> u64 {
             for i in 0..256 {
                 block.set(p, i, step * 1000 + i as u64);
             }
+            bump(p);
             bump(p);
         }
         p.barrier();
@@ -665,6 +675,7 @@ fn every_metric_of_the_table_is_in_the_observability_catalogue() {
         msg_kind_bytes: vec![("K", 1)],
         svc_time_by_kind: vec![("K", std::time::Duration::ZERO)],
         pushed_bytes: vec![("K", 1)],
+        carried_bytes: vec![("K", 1)],
         ..NodeReport::default()
     };
     let names: BTreeSet<String> = report
