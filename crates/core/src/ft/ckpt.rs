@@ -730,6 +730,22 @@ mod tests {
         assert_eq!(report.max_ckpt_window, 2);
     }
 
+    /// A capture reads every homed page into the blob — one no change has
+    /// reached as the zero page at version zero — and gives none an entry.
+    #[test]
+    fn a_capture_gives_an_untouched_homed_page_no_entry() {
+        let mut st = node_on(dsm_storage::DiskModel::instant());
+        st.pt.add_page(0); // page 1: homed here, never touched
+        interval(&mut st, 1);
+        let home = st.pt.home_store();
+        assert_eq!(home.entries(), 1, "only the written page has one");
+        take_checkpoint(&mut st, 1, Vec::new(), &mut Breakdown::default());
+        assert_eq!(home.entries(), 1, "the capture created an entry");
+        let blob = load_blob(&st.ft.state.as_ref().unwrap().store, 1);
+        let untouched = (PageId(1), vt(&[0, 0]), vec![0u8; 256]);
+        assert_eq!(blob.home_pages[1], untouched);
+    }
+
     #[test]
     fn every_truncation_of_a_blob_is_an_error() {
         let bytes = sample().encode();

@@ -1,5 +1,6 @@
 //! Cluster construction and the run loop.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -7,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use dsm_metrics::{labelled, FlightSource, Snapshot, TimeSeries};
 use dsm_net::Fabric;
+use dsm_page::PageId;
 use dsm_storage::StableStore;
 use dsm_trace::{EventSink, Trace, TraceConfig};
 use parking_lot::Mutex;
@@ -87,6 +89,34 @@ fn page_hash(bytes: &[u8]) -> u64 {
     }
     let tail = blocks.remainder().iter().map(|&b| b as u64);
     fnv1a(lanes.into_iter().chain(tail))
+}
+
+/// FNV-1a over the [`page_hash`] of every page's home copy, in page order.
+/// Each node's state lock is taken once, and a buffer pages share is hashed
+/// once: a node's zero page, which every page it homes that no change has
+/// reached still is.
+fn shared_hash(shareds: &[Arc<NodeShared>]) -> u64 {
+    let homes: Vec<usize> = {
+        let st = shareds[0].state.lock();
+        (0..st.pt.len() as u32)
+            .map(|p| st.pt.home_of(PageId(p)))
+            .collect()
+    };
+    let mut copies = vec![None; homes.len()];
+    for s in shareds {
+        let st = s.state.lock();
+        for (p, _) in homes.iter().enumerate().filter(|&(_, &h)| h == s.me) {
+            copies[p] = Some(st.pt.home_snapshot(PageId(p as u32)).1);
+        }
+    }
+    // Keyed by address: `copies` keeps every buffer alive meanwhile.
+    let mut hashed: HashMap<*const u8, u64> = HashMap::new();
+    fnv1a(copies.iter().map(|bytes| {
+        let bytes = bytes.as_ref().expect("every page has a home");
+        *hashed
+            .entry(bytes.as_ptr())
+            .or_insert_with(|| page_hash(bytes))
+    }))
 }
 
 /// Run an SPMD application on a simulated cluster.
@@ -328,13 +358,7 @@ where
     // authoritative home copies.
     let mut nodes = Vec::with_capacity(n);
     let mut shared_bytes = 0;
-    let total_pages = shareds[0].state.lock().pt.len();
-    let hash = fnv1a((0..total_pages).map(|p| {
-        let page = dsm_page::PageId(p as u32);
-        let home = shareds[0].state.lock().pt.home_of(page);
-        let (_, bytes) = shareds[home].state.lock().pt.home_snapshot(page);
-        page_hash(&bytes)
-    }));
+    let hash = shared_hash(&shareds);
     for s in &shareds {
         let st = s.state.lock();
         shared_bytes = shared_bytes.max(st.shared_bytes());
@@ -395,5 +419,26 @@ mod tests {
         let other = page_hash(&page[..128]);
         assert_ne!(fnv1a([h, other]), fnv1a([other, h]));
         assert_ne!(fnv1a([h, h]), fnv1a([h]));
+    }
+
+    /// The run hash is over every page's bytes, and pages no change has
+    /// reached — they hold no home state — are explicit zero pages to it.
+    #[test]
+    fn pages_nobody_touches_hash_as_explicit_zero_pages() {
+        let config = ClusterConfig::base(2);
+        let size = config.page_size;
+        let report = run(config, &[], move |p| {
+            let base = p.alloc(5 * size as u64, crate::HomeAlloc::Interleaved);
+            if p.me() == 1 {
+                p.write(base + 2 * size as u64 + 8, 7u64);
+            }
+            p.barrier();
+        });
+        let zero = vec![0u8; size];
+        let mut written = zero.clone();
+        written[8] = 7;
+        let pages = [&zero, &zero, &written, &zero, &zero];
+        let hashes = pages.map(|bytes| page_hash(bytes));
+        assert_eq!(report.shared_hash, fnv1a(hashes));
     }
 }

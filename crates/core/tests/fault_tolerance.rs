@@ -107,14 +107,24 @@ fn manual_checkpoints_fire_at_safe_points() {
 }
 
 fn check_recovery(n: usize, victim: usize, at_op: u64, policy: CkptPolicy) {
-    let clean = run(ft_cfg(n, policy), &[], stepped_app);
+    check_recovery_of(stepped_app, n, victim, at_op, policy);
+}
+
+fn check_recovery_of(
+    app: fn(&mut Process) -> u64,
+    n: usize,
+    victim: usize,
+    at_op: u64,
+    policy: CkptPolicy,
+) {
+    let clean = run(ft_cfg(n, policy), &[], app);
     let crashed = run(
         ft_cfg(n, policy),
         &[FailureSpec {
             node: victim,
             at_op,
         }],
-        stepped_app,
+        app,
     );
     assert_eq!(
         clean.results, crashed.results,
@@ -128,6 +138,21 @@ fn check_recovery(n: usize, victim: usize, at_op: u64, policy: CkptPolicy) {
         crashed.nodes[victim].ft.recoveries, 1,
         "victim must have recovered"
     );
+}
+
+/// `stepped_app` beside eight pages on every node that nobody touches: they
+/// hold no home state until a restart of their home restores them.
+fn stepped_app_with_untouched_pages(p: &mut Process) -> u64 {
+    let pages = 8 * p.nodes();
+    p.alloc_vec::<u64>(pages * 256 / 8, HomeAlloc::Interleaved);
+    stepped_app(p)
+}
+
+#[test]
+fn recovery_of_a_home_with_untouched_pages_is_bit_identical() {
+    let app = stepped_app_with_untouched_pages;
+    check_recovery_of(app, 4, 2, 60, CkptPolicy::EverySteps(4));
+    check_recovery_of(app, 4, 2, 260, CkptPolicy::EverySteps(3));
 }
 
 #[test]

@@ -15,14 +15,21 @@
 //! `Arc<HomeStore>`) take the same per-shard locks, so per-page operations
 //! interleave exactly as they did under the big lock — just page-wise
 //! instead of node-wise.
+//!
+//! A homed page holds no state until its first change — an own write, an
+//! applied diff, a notice, a want or a restore — so what the store costs
+//! grows with the pages used, not the pages allocated. Until then every read
+//! answers it as the zero page at version zero, with an empty ring, no
+//! writers and no wants, which is what its contents are.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dsm_page::{Diff, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock};
 use parking_lot::Mutex;
 
+use crate::ring::DiffRing;
 use crate::wants::{Wanted, Wants};
 
 /// One dirty page to diff: its pre-write twin and current contents (both
@@ -63,61 +70,7 @@ pub enum PageBody {
     Delta(Vec<Arc<Diff>>),
 }
 
-fn cover(clock: &mut VectorClock, interval: Interval) {
-    if !clock.covers_interval(interval) {
-        clock.set(interval.proc, interval.seq);
-    }
-}
-
-/// The most recent diffs applied to one home copy, kept so that a reader
-/// whose stale copy is a known version can be sent what it is missing
-/// instead of the page. Volatile: recovery never reads it.
-#[derive(Debug)]
-struct DiffRing {
-    /// Oldest first, in the order they were applied to the copy.
-    diffs: VecDeque<Arc<Diff>>,
-    /// Sum of the diffs' `wire_size`, kept below the page size.
-    bytes: usize,
-    /// Covers every diff ever applied to the copy that is not in `diffs`.
-    base: VectorClock,
-    /// Between [`HomeStore::collect_dirty`]'s version bump and the hand-over
-    /// of the home's own diff the version names a diff the ring cannot
-    /// supply yet.
-    own_pending: bool,
-}
-
-impl DiffRing {
-    fn new(base: VectorClock) -> Self {
-        DiffRing {
-            diffs: VecDeque::new(),
-            bytes: 0,
-            base,
-            own_pending: false,
-        }
-    }
-
-    /// Forget the diffs held: the base becomes `version`, the copy's.
-    fn reset(&mut self, version: &VectorClock) {
-        self.diffs.clear();
-        self.bytes = 0;
-        self.own_pending = false;
-        self.base.join(version);
-    }
-
-    /// Remember `diff` as the newest, then fold the oldest into the base
-    /// until less than `budget` wire bytes are held.
-    fn push(&mut self, diff: Arc<Diff>, budget: usize) {
-        self.bytes += diff.wire_size();
-        self.diffs.push_back(diff);
-        while self.bytes >= budget {
-            let old = self.diffs.pop_front().expect("bytes held without a diff");
-            self.bytes -= old.wire_size();
-            cover(&mut self.base, old.interval);
-        }
-    }
-}
-
-/// State for one page homed at this node.
+/// State for one page homed at this node that a change has reached.
 #[derive(Debug)]
 struct HomeEntry {
     /// The authoritative copy.
@@ -141,6 +94,19 @@ struct HomeEntry {
 }
 
 impl HomeEntry {
+    /// A page no change has reached: a share of `zero` at version zero.
+    fn untouched(zero: Page, n: usize) -> Self {
+        HomeEntry {
+            copy: zero,
+            twin: None,
+            version: VectorClock::zero(n),
+            needed: VectorClock::zero(n),
+            writers: Vec::new(),
+            ring: DiffRing::new(VectorClock::zero(n)),
+            wants: Wants::default(),
+        }
+    }
+
     /// The answer to a requester that kept `have`, for a fetch the copy
     /// covers: the copy's version, and the ring's diffs `have` is missing
     /// when it names this incarnation and covers the ring's base, the page
@@ -229,9 +195,59 @@ pub enum ApplyOutcome {
     Stale,
 }
 
+/// One shard's homed pages: bit `page / NUM_SHARDS` is set iff the page is
+/// homed here.
+#[derive(Debug, Default)]
+struct Members(Vec<u64>);
+
+impl Members {
+    fn contains(&self, page: u32) -> bool {
+        let i = page as usize / NUM_SHARDS;
+        self.0.get(i / 64).is_some_and(|m| m >> (i % 64) & 1 == 1)
+    }
+
+    /// Record `page` as homed here; false if it already was.
+    fn insert(&mut self, page: u32) -> bool {
+        let (fresh, i) = (!self.contains(page), page as usize / NUM_SHARDS);
+        self.0.resize(self.0.len().max(i / 64 + 1), 0);
+        self.0[i / 64] |= 1 << (i % 64);
+        fresh
+    }
+}
+
+/// One shard's homed pages, and the entries of those a change has reached.
+#[derive(Debug, Default)]
+struct Homed {
+    members: Members,
+    entries: HashMap<u32, HomeEntry>,
+}
+
+impl Homed {
+    /// The state of `page`: its entry, or `untouched` when it has none;
+    /// `None` when it is not homed here.
+    fn get<'a>(&'a self, page: u32, untouched: &'a HomeEntry) -> Option<&'a HomeEntry> {
+        match self.entries.get(&page) {
+            Some(e) => Some(e),
+            None => self.members.contains(page).then_some(untouched),
+        }
+    }
+
+    /// `page`'s entry for a change, created as `untouched` is at the first.
+    fn get_mut(&mut self, page: u32, untouched: &HomeEntry) -> Option<&mut HomeEntry> {
+        let fresh = || HomeEntry::untouched(untouched.copy.clone(), untouched.version.len());
+        let homed = self.members.contains(page);
+        homed.then(|| self.entries.entry(page).or_insert_with(fresh))
+    }
+}
+
+fn not_homed(page: PageId) -> ! {
+    panic!("page {page} not homed here")
+}
+
+/// One lock's worth of the store: the pages `page % NUM_SHARDS` selects.
 #[derive(Debug)]
 struct Shard {
-    entries: HashMap<u32, HomeEntry>,
+    homed: Homed,
     /// Fetches parked until in-flight diffs arrive, each beside what its
     /// requester kept.
     waiting: Vec<(WaitingFetch, Option<Have>)>,
@@ -262,9 +278,11 @@ pub struct HomeStore {
     incarnation: AtomicU32,
     /// Per peer, how many pages it wants ([`HomeEntry::wants`]).
     wanted: Wanted,
-    /// The zero page every fresh home copy — and the page table's copy of a
-    /// remote page no write has reached — shares until its first write.
-    zero: Page,
+    /// What a homed page with no entry is: a share of the zero page — which
+    /// the page table's copy of a remote page no write has reached shares
+    /// too — at version zero, with an empty ring, no writers and no wants.
+    /// The page's entry is created as it is at the page's first change.
+    untouched: HomeEntry,
     n: usize,
     page_size: usize,
 }
@@ -280,7 +298,7 @@ impl HomeStore {
             shards: (0..NUM_SHARDS)
                 .map(|_| {
                     Mutex::new(Shard {
-                        entries: HashMap::new(),
+                        homed: Homed::default(),
                         waiting: Vec::new(),
                         pool: PagePool::new(page_size),
                         dirty: Vec::new(),
@@ -290,7 +308,7 @@ impl HomeStore {
             dirty_mask: AtomicU32::new(0),
             incarnation: AtomicU32::new(1),
             wanted: Wanted::new(n),
-            zero: Page::zeroed(page_size),
+            untouched: HomeEntry::untouched(Page::zeroed(page_size), n),
             n,
             page_size,
         }
@@ -298,25 +316,17 @@ impl HomeStore {
 
     /// The node's one zero page, shared: a write to a clone copies it.
     pub fn zero_page(&self) -> Page {
-        self.zero.clone()
+        self.untouched.copy.clone()
     }
 
-    /// Register a new page homed at this node, a share of the zero page.
+    /// Register a new page homed at this node. It holds no state until its
+    /// first change.
     pub fn add(&self, page: PageId) {
-        let mut shard = self.shards[shard_of(page)].lock();
-        let prev = shard.entries.insert(
-            page.0,
-            HomeEntry {
-                copy: self.zero_page(),
-                twin: None,
-                version: VectorClock::zero(self.n),
-                needed: VectorClock::zero(self.n),
-                writers: Vec::new(),
-                ring: DiffRing::new(VectorClock::zero(self.n)),
-                wants: Wants::default(),
-            },
+        let shard = &mut *self.shards[shard_of(page)].lock();
+        assert!(
+            shard.homed.members.insert(page.0),
+            "page {page} homed twice"
         );
-        assert!(prev.is_none(), "page {page} homed twice");
     }
 
     /// Cluster size the store was built for.
@@ -326,25 +336,29 @@ impl HomeStore {
 
     /// Is `page` homed here?
     pub fn contains(&self, page: PageId) -> bool {
-        self.shards[shard_of(page)]
-            .lock()
-            .entries
-            .contains_key(&page.0)
+        let shard = self.shards[shard_of(page)].lock();
+        shard.homed.members.contains(page.0)
     }
 
-    fn with<R>(&self, page: PageId, f: impl FnOnce(&mut HomeEntry, &mut PagePool) -> R) -> R {
-        let shard = &mut *self.shards[shard_of(page)].lock();
-        let e = shard
-            .entries
-            .get_mut(&page.0)
-            .unwrap_or_else(|| panic!("page {page} not homed here"));
-        f(e, &mut shard.pool)
+    /// How many homed pages hold an entry: those a change has reached since
+    /// the store was built or last restarted.
+    pub fn entries(&self) -> usize {
+        let count = |s: &Mutex<Shard>| s.lock().homed.entries.len();
+        self.shards.iter().map(count).sum()
+    }
+
+    /// Read `page`'s state under its shard lock; an untouched page reads as
+    /// [`HomeStore::untouched`] and stays without an entry.
+    fn read<R>(&self, page: PageId, f: impl FnOnce(&HomeEntry) -> R) -> R {
+        let shard = self.shards[shard_of(page)].lock();
+        let e = shard.homed.get(page.0, &self.untouched);
+        f(e.unwrap_or_else(|| not_homed(page)))
     }
 
     /// `None` when the copy satisfies every notice seen so far; otherwise
     /// the needed version the access must wait for.
     pub fn access_gap(&self, page: PageId) -> Option<VectorClock> {
-        self.with(page, |e, _| {
+        self.read(page, |e| {
             if e.version.covers(&e.needed) {
                 None
             } else {
@@ -355,7 +369,7 @@ impl HomeStore {
 
     /// Copy `dst.len()` bytes at `offset` out of the home copy.
     pub fn read_into(&self, page: PageId, offset: usize, dst: &mut [u8]) {
-        self.with(page, |e, _| {
+        self.read(page, |e| {
             dst.copy_from_slice(e.copy.read(offset, dst.len()));
         });
     }
@@ -365,10 +379,7 @@ impl HomeStore {
     pub fn write(&self, page: PageId, offset: usize, bytes: &[u8]) -> bool {
         let s = shard_of(page);
         let shard = &mut *self.shards[s].lock();
-        let e = shard
-            .entries
-            .get_mut(&page.0)
-            .unwrap_or_else(|| panic!("page {page} not homed here"));
+        let e = (shard.homed.get_mut(page.0, &self.untouched)).unwrap_or_else(|| not_homed(page));
         let first = e.twin.is_none();
         if first {
             e.twin = Some(e.copy.twin());
@@ -389,15 +400,15 @@ impl HomeStore {
     /// Record a write notice: local accesses must now wait until `version`
     /// covers `(writer, seq)`.
     pub fn bump_needed(&self, page: PageId, writer: ProcId, seq: u32) {
-        self.with(page, |e, _| {
-            assert!(
-                e.twin.is_none(),
-                "invalidation with unflushed twin for {page}"
-            );
-            if e.needed.get(writer) < seq {
-                e.needed.set(writer, seq);
-            }
-        });
+        let shard = &mut *self.shards[shard_of(page)].lock();
+        let e = (shard.homed.get_mut(page.0, &self.untouched)).unwrap_or_else(|| not_homed(page));
+        assert!(
+            e.twin.is_none(),
+            "invalidation with unflushed twin for {page}"
+        );
+        if e.needed.get(writer) < seq {
+            e.needed.set(writer, seq);
+        }
     }
 
     /// End-of-interval collection of this node's own home writes: for every
@@ -422,7 +433,7 @@ impl HomeStore {
             let mut pages = std::mem::take(&mut shard.dirty);
             pages.sort_unstable();
             for p in pages {
-                let e = shard.entries.get_mut(&p).unwrap();
+                let e = shard.homed.entries.get_mut(&p).unwrap();
                 let Some(twin) = e.twin.take() else {
                     continue; // cleared by a concurrent restore
                 };
@@ -457,9 +468,11 @@ impl HomeStore {
             let shard = &mut *self.shards[s].lock();
             for (page, diff, twin) in jobs {
                 shard.pool.recycle(twin);
-                let e = shard.entries.get_mut(&page.0);
-                let ring = &mut e.expect("collected page is homed").ring;
-                // Not pending: a restart emptied the ring meanwhile.
+                // Gone or not pending: a restart dropped the entry meanwhile.
+                let Some(e) = shard.homed.entries.get_mut(&page.0) else {
+                    continue;
+                };
+                let ring = &mut e.ring;
                 if let (true, Some(diff)) = (std::mem::take(&mut ring.own_pending), diff) {
                     ring.push(diff, self.page_size);
                 }
@@ -492,12 +505,16 @@ impl HomeStore {
         if !live() {
             return (FetchOutcome::Stale, waited);
         }
-        let Some(e) = shard.entries.get_mut(&req.page.0) else {
-            return (FetchOutcome::NotHome, waited);
-        };
         // The requester's copy is about to change: what it reported using
-        // is no base for a push any more.
-        self.wanted.forget(&mut e.wants, req.from);
+        // is no base for a push any more. An untouched page has no wants.
+        let e = match shard.homed.entries.get_mut(&req.page.0) {
+            Some(e) => {
+                self.wanted.forget(&mut e.wants, req.from);
+                &*e
+            }
+            None if shard.homed.members.contains(req.page.0) => &self.untouched,
+            None => return (FetchOutcome::NotHome, waited),
+        };
         let outcome = if e.version.covers(&req.needed) {
             let incarnation = self.incarnation.load(Ordering::SeqCst);
             let (version, body) = e.answer(incarnation, have);
@@ -549,7 +566,7 @@ impl HomeStore {
         if !live() {
             return ApplyOutcome::Stale;
         }
-        let Some(e) = shard.entries.get_mut(&diff.page.0) else {
+        let Some(e) = shard.homed.get_mut(diff.page.0, &self.untouched) else {
             return ApplyOutcome::NotHome;
         };
         let writer = diff.interval.proc;
@@ -586,7 +603,7 @@ impl HomeStore {
         let mut i = 0;
         while i < shard.waiting.len() {
             let (w, have) = &shard.waiting[i];
-            match shard.entries.get(&w.page.0) {
+            match shard.homed.get(w.page.0, &self.untouched) {
                 Some(e) if e.version.covers(&w.needed) => {
                     let (version, body) = e.answer(incarnation, have.as_ref());
                     let (w, _) = shard.waiting.swap_remove(i);
@@ -607,9 +624,11 @@ impl HomeStore {
     /// its want (`crate::wants`). A page not homed here, or a clock not of
     /// this cluster, is ignored.
     pub fn want(&self, peer: ProcId, page: PageId, have: Have) {
+        if have.1.len() != self.n {
+            return;
+        }
         let shard = &mut *self.shards[shard_of(page)].lock();
-        let entry = shard.entries.get_mut(&page.0);
-        if let Some(e) = entry.filter(|_| have.1.len() == self.n) {
+        if let Some(e) = shard.homed.get_mut(page.0, &self.untouched) {
             self.wanted.report(&mut e.wants, peer, have);
         }
     }
@@ -624,7 +643,8 @@ impl HomeStore {
     /// from `peer` naming the copy its want is based on would be answered
     /// now — `(that copy, version, body)`. The want lives on, based on the
     /// pushed copy, unless it was pushed before with no report since.
-    /// `None` leaves the want for the fetch that follows.
+    /// `None` leaves the want for the fetch that follows, and is the answer
+    /// for an untouched page, which no peer wants.
     pub fn push(
         &self,
         peer: ProcId,
@@ -632,7 +652,7 @@ impl HomeStore {
         covers: &VectorClock,
     ) -> Option<(Have, VectorClock, PageBody)> {
         let shard = &mut *self.shards[shard_of(page)].lock();
-        let e = shard.entries.get_mut(&page.0)?;
+        let e = shard.homed.entries.get_mut(&page.0)?;
         if !e.version.covers(covers) {
             return None;
         }
@@ -648,7 +668,7 @@ impl HomeStore {
     /// `peer` restarted: it kept no copy, so it wants nothing.
     pub fn drop_wants(&self, peer: ProcId) {
         for shard in &self.shards {
-            for e in shard.lock().entries.values_mut() {
+            for e in shard.lock().homed.entries.values_mut() {
                 self.wanted.forget(&mut e.wants, peer);
             }
         }
@@ -666,22 +686,22 @@ impl HomeStore {
 
     /// Does the home copy of `page` satisfy `needed`?
     pub fn satisfies(&self, page: PageId, needed: &VectorClock) -> bool {
-        self.with(page, |e, _| e.version.covers(needed))
+        self.read(page, |e| e.version.covers(needed))
     }
 
     /// Version vector of the home copy.
     pub fn version_of(&self, page: PageId) -> VectorClock {
-        self.with(page, |e, _| e.version.clone())
+        self.read(page, |e| e.version.clone())
     }
 
     /// Zero-copy view of the home copy: `(version, bytes)`.
     pub fn snapshot(&self, page: PageId) -> (VectorClock, Arc<[u8]>) {
-        self.with(page, |e, _| (e.version.clone(), e.copy.share()))
+        self.read(page, |e| (e.version.clone(), e.copy.share()))
     }
 
     /// Wire bytes of the diffs `page`'s ring holds (always less than a page).
     pub fn ring_bytes(&self, page: PageId) -> usize {
-        self.with(page, |e, _| e.ring.bytes)
+        self.read(page, |e| e.ring.bytes)
     }
 
     /// The newest interval of `proc`'s applied to any page homed here
@@ -689,14 +709,15 @@ impl HomeStore {
     pub fn newest_applied_of(&self, proc_: ProcId) -> u32 {
         let newest = |shard: &Mutex<Shard>| {
             let shard = shard.lock();
-            shard.entries.values().map(|e| e.version.get(proc_)).max()
+            let entries = shard.homed.entries.values();
+            entries.map(|e| e.version.get(proc_)).max()
         };
         self.shards.iter().filter_map(newest).max().unwrap_or(0)
     }
 
     /// Has `proc` ever sent a diff for `page`?
     pub fn writers_contain(&self, page: PageId, proc_: ProcId) -> bool {
-        self.with(page, |e, _| e.writers.contains(&proc_))
+        self.read(page, |e| e.writers.contains(&proc_))
     }
 
     /// Overwrite the authoritative copy and version of a homed page
@@ -704,10 +725,7 @@ impl HomeStore {
     pub fn restore(&self, page: PageId, bytes: &[u8], version: VectorClock) {
         let s = shard_of(page);
         let shard = &mut *self.shards[s].lock();
-        let e = shard
-            .entries
-            .get_mut(&page.0)
-            .unwrap_or_else(|| panic!("page {page} not homed here"));
+        let e = (shard.homed.get_mut(page.0, &self.untouched)).unwrap_or_else(|| not_homed(page));
         e.copy = Page::from_bytes(bytes);
         e.ring = DiffRing::new(version.clone());
         e.version = version;
@@ -719,12 +737,13 @@ impl HomeStore {
         }
     }
 
-    /// Crash and restart support: drop twins and pending `needed` state,
-    /// parked fetches (requesters resend them once the restart reaches
-    /// them), rings and wants, and begin a new incarnation, so that what a reader
-    /// kept of this one is answered in full. Every copy goes back to the zero page at version
-    /// zero — what a page no checkpoint has carried yet restarts from — for
-    /// the caller to overwrite from the checkpoint via [`HomeStore::restore`].
+    /// Crash and restart support: drop every entry — twins, pending
+    /// `needed` state, rings and wants — and the parked fetches (requesters
+    /// resend them once the restart reaches them), and begin a new
+    /// incarnation, so that what a reader kept of this one is answered in
+    /// full. Every page is untouched again, the zero page at version zero —
+    /// what a page no checkpoint has carried yet restarts from — for the
+    /// caller to overwrite from the checkpoint via [`HomeStore::restore`].
     pub fn reset_for_restart(&self) {
         self.dirty_mask.store(0, Ordering::Relaxed);
         self.incarnation.fetch_add(1, Ordering::SeqCst);
@@ -732,14 +751,7 @@ impl HomeStore {
             let shard = &mut *shard.lock();
             shard.waiting.clear();
             shard.dirty.clear();
-            for e in shard.entries.values_mut() {
-                e.copy = self.zero_page();
-                e.twin = None;
-                e.version = VectorClock::zero(self.n);
-                e.needed = VectorClock::zero(self.n);
-                e.ring = DiffRing::new(VectorClock::zero(self.n));
-                e.wants = Wants::default();
-            }
+            shard.homed.entries.clear();
         }
         self.wanted.clear();
     }
@@ -750,7 +762,7 @@ impl HomeStore {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            for (&p, e) in shard.entries.iter() {
+            for (&p, e) in shard.homed.entries.iter() {
                 for (w, &seq) in e.needed.as_slice().iter().enumerate() {
                     if seq > 0 {
                         out.push((PageId(p), w, seq));
@@ -858,6 +870,97 @@ mod tests {
     fn apply(s: &HomeStore, d: &Arc<Diff>) {
         let outcome = s.apply_diff_kept(d, || true).0;
         assert!(matches!(outcome, ApplyOutcome::Applied { fresh: true, .. }));
+    }
+
+    /// The pages that hold an entry, in page order.
+    fn with_entries(s: &HomeStore) -> Vec<u32> {
+        let shards = s.shards.iter().map(|shard| shard.lock());
+        let mut pages: Vec<u32> = shards
+            .flat_map(|shard| shard.homed.entries.keys().copied().collect::<Vec<_>>())
+            .collect();
+        pages.sort_unstable();
+        pages
+    }
+
+    /// Until its first change a homed page holds no entry, and every read
+    /// answers it as the entry it was given when it was added: a share of
+    /// the zero page at version zero — a base of this incarnation — with an
+    /// empty ring, no writers, no wants and no notice to wait for.
+    #[test]
+    fn an_untouched_page_holds_no_entry_and_reads_as_the_zero_page() {
+        let s = ring_store();
+        let zero = s.zero_page().share();
+        let (v, bytes) = s.snapshot(PageId(0));
+        assert!(v == vc([0, 0, 0]) && Arc::ptr_eq(&bytes, &zero));
+        let mut dst = [1u8; 16];
+        s.read_into(PageId(0), 8, &mut dst);
+        assert_eq!(dst, [0; 16]);
+        assert!(s.access_gap(PageId(0)).is_none());
+        assert!(s.satisfies(PageId(0), &vc([0, 0, 0])));
+        assert!(!s.satisfies(PageId(0), &vc([0, 1, 0])));
+        let page = PageBody::Full {
+            bytes: Arc::clone(&zero),
+            base: 1,
+        };
+        assert_eq!(fetch(&s, None), (vc([0, 0, 0]), page));
+        assert!(delta(&fetch(&s, Some(&(1, vc([0, 0, 0])))).1).is_empty());
+        assert_eq!(full(&fetch(&s, Some(&(7, vc([0, 0, 0])))).1).1, 1);
+        assert!(s.push(1, PageId(0), &vc([0, 0, 0])).is_none());
+        assert_eq!(s.ring_bytes(PageId(0)), 0);
+        assert!(!s.writers_contain(PageId(0), 1));
+        assert_eq!(s.newest_applied_of(1), 0);
+        assert!(s.needed_triples().is_empty());
+        // A fetch that must wait parks without one.
+        let req = WaitingFetch {
+            from: 2,
+            page: PageId(0),
+            needed: vc([0, 1, 0]),
+            req_id: 1,
+        };
+        assert!(matches!(s.serve_fetch(req, || true), FetchOutcome::Parked));
+        assert!(s.drain_ready().is_empty());
+        assert_eq!(with_entries(&s), [0u32; 0], "a read created an entry");
+        // The next incarnation's untouched page is its base.
+        s.reset_for_restart();
+        assert_eq!(full(&fetch(&s, None).1), (&zero[..], 2));
+    }
+
+    /// Each kind of change creates exactly its page's entry; a restart drops
+    /// every entry, and a page never added is no home's, entry or not.
+    #[test]
+    fn each_change_creates_its_pages_entry_and_a_restart_drops_them_all() {
+        let s = HomeStore::new(2, 64);
+        (0..6).for_each(|p| s.add(PageId(p)));
+        let changes: [&dyn Fn(); 5] = [
+            &|| assert!(s.write(PageId(0), 0, &[1])),
+            &|| apply(&s, &set_word(1, iv(1, 1), 0, 5)),
+            &|| s.bump_needed(PageId(2), 1, 3),
+            &|| s.want(1, PageId(3), (1, VectorClock::zero(2))),
+            &|| s.restore(PageId(4), &[7; 64], VectorClock::from_vec(vec![0, 2])),
+        ];
+        for (k, change) in changes.iter().enumerate() {
+            change();
+            assert_eq!(with_entries(&s), (0..=k as u32).collect::<Vec<_>>());
+        }
+        // A clock not of this cluster is no want.
+        s.want(1, PageId(5), (1, VectorClock::zero(3)));
+        assert_eq!(s.entries(), 5);
+        s.reset_for_restart();
+        assert_eq!(s.entries(), 0);
+        assert!((0..6).all(|p| s.contains(PageId(p))));
+        let req = WaitingFetch {
+            from: 1,
+            page: PageId(6),
+            needed: VectorClock::zero(2),
+            req_id: 1,
+        };
+        assert!(matches!(s.serve_fetch(req, || true), FetchOutcome::NotHome));
+        let diff = set_word(6, iv(1, 1), 0, 5);
+        assert!(matches!(
+            s.apply_diff(&diff, || true),
+            ApplyOutcome::NotHome
+        ));
+        assert_eq!(s.entries(), 0);
     }
 
     /// A want is answered as the fetch it stands for once the copy covers

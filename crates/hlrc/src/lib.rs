@@ -15,6 +15,8 @@
 //! * [`locks`] — the per-lock manager state machine: routing acquire
 //!   requests to the last owner (which grants directly to the requester with
 //!   LRC write notices), queueing, and the forwards a restart re-issues.
+//! * `ring` — the diffs a home copy last applied, which answer a reader
+//!   that kept a known version with what it is missing.
 //! * `wants` — which peers reported using which homed pages: what a grant
 //!   or release pushes them, kept for one unread push.
 //! * [`barrier`] — the centralized barrier manager: episode arrivals
@@ -29,6 +31,7 @@ pub mod barrier;
 pub mod homestore;
 pub mod locks;
 pub mod pagetable;
+mod ring;
 mod wants;
 pub mod wn;
 
