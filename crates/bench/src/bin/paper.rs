@@ -246,9 +246,11 @@ fn do_sweep(scale: &Scale) {
 /// Recovery-cost experiment (§4.3: replay is local and expected to be
 /// faster than the lost execution segment). Its traffic is split the way
 /// arXiv:2010.09025 splits a log fetch: "Rec msgs" is the per-message cost —
-/// 2 (n − 1) for the handshake and as many again per replayed remote page,
-/// which CI holds it to — and "Rec MB" the volume, both over every message
-/// kind starting `Rec`.
+/// 2 (n − 1) for the handshake and as many again per round of home
+/// emulation ("Rec rounds": one for the pages the handshake named, one per
+/// replayed miss on any other page), which CI holds it to — and "Rec MB"
+/// the volume, both over every message kind starting `Rec`. "Batched
+/// unused" are the pages the first round built that the replay never read.
 fn do_recover(scale: &Scale) {
     println!("\n=== Recovery cost (crash one node mid-run) ===");
     let mut rows = Vec::new();
@@ -291,6 +293,8 @@ fn do_recover(scale: &Scale) {
             ),
             format!("{:.3}", clean.wall.as_secs_f64()),
             format!("{:.3}", crashed.wall.as_secs_f64()),
+            format!("{}", crashed.nodes[victim].ft.rec_rounds),
+            format!("{}", crashed.nodes[victim].ft.batched_unused),
         ]);
     }
     print_table(
@@ -305,6 +309,8 @@ fn do_recover(scale: &Scale) {
             "Recovery (s)",
             "Clean wall (s)",
             "Crashed wall (s)",
+            "Rec rounds",
+            "Batched unused",
         ],
         &rows,
     );

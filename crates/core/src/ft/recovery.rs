@@ -9,22 +9,31 @@
 //!    version `p0.v` of every page it homes — and collects from each its
 //!    write-notice log, the grants it sent us (`rel_log[us]`), the mirror
 //!    restoring our own release logs (`acq_log[us]`), its barrier log,
-//!    lock-chain generations (manager rebuild), and its diff-log entries for
-//!    our homed pages that the restored copies do not hold;
+//!    lock-chain generations (manager rebuild), its diff-log entries for
+//!    our homed pages that the restored copies do not hold, and the pages
+//!    it homes that we reported using (its wants of ours, which the
+//!    handshake drops);
 //! 3. fully restores its homed pages by applying those diffs in a linear
 //!    extension of happens-before, each once the replay point's timestamp
 //!    covers its own (what is left at the crash point is concurrent with
 //!    the whole replay and lands then);
 //! 4. re-executes the application from the checkpointed step, replaying
 //!    acquires and barriers from the collected logs and page misses by
-//!    *local emulation of a home* — one `RecPageReq` to every peer per
-//!    remote page touched: the home answers with the maximal starting copy,
-//!    everyone with their partially ordered diffs;
+//!    *local emulation of a home*, in rounds of one `RecPageReq` to every
+//!    peer: the home of each page asked answers with the maximal starting
+//!    copy, everyone with their partially ordered diffs. The first round,
+//!    before the replay, asks for every page the handshake named; a replayed
+//!    miss on any other page is a round of its own;
 //! 5. switches to live execution at the first operation with no log record
 //!    (the crash point), processing the backlog of deferred peer requests.
 //!
-//! Recovery traffic is therefore 2 (n − 1) (1 + R) messages for R replayed
-//! remote pages, whatever the number of pages homed.
+//! Recovery traffic is therefore 2 (n − 1) (1 + W) messages for W rounds
+//! (`FtReport::rec_rounds`), whatever the number of pages homed: at most one
+//! for the named pages and one per replayed remote page outside them. A
+//! round's answers are what a later one would get — the starting copies
+//! come from the homes' retained checkpoints and the diffs from the
+//! writers' logs, neither of which can be trimmed while the victim's restart
+//! checkpoint is its stamp — so only the time of asking moves.
 //!
 //! The module owns the replay state, the inbox of recovery replies and the
 //! backlog of what peers sent meanwhile, both sides of the four `Rec*`
@@ -41,7 +50,7 @@ use parking_lot::MutexGuard;
 
 use crate::ft::ckpt;
 use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry};
-use crate::msg::Payload;
+use crate::msg::{Payload, RecPage};
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
 use crate::runtime::node::{
     handle_msg, handle_peer_restart, Mode, NodeShared, NodeState, WaitSlot,
@@ -58,6 +67,9 @@ struct ReplayPage {
     version: VectorClock,
     /// Collected, not-yet-applied diffs (kept in linear-extension order).
     entries: Vec<DiffLogEntry>,
+    /// Has the replay installed the page yet? A page the handshake named is
+    /// built before the replay reads it, or whether it does.
+    installed: bool,
 }
 
 /// Everything the replay needs, attached to the node while recovering.
@@ -129,19 +141,22 @@ fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
 }
 
 /// Which recovery replies a wait collects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum RecAsk {
     /// Every peer's `RecLogReply` (the handshake).
     Logs,
-    /// Every peer's `RecPageReply` for this page.
-    Page(PageId),
+    /// Every peer's `RecPageReply` for these pages, in this order: one
+    /// round of home emulation.
+    Pages(Vec<PageId>),
 }
 
 impl RecAsk {
-    fn matches(self, reply: &Payload) -> bool {
+    fn matches(&self, reply: &Payload) -> bool {
         match (self, reply) {
             (RecAsk::Logs, Payload::RecLogReply { .. }) => true,
-            (RecAsk::Page(want), Payload::RecPageReply { page, .. }) => *page == want,
+            (RecAsk::Pages(asked), Payload::RecPageReply { pages }) => {
+                pages.iter().map(|rp| rp.page).eq(asked.iter().copied())
+            }
             _ => false,
         }
     }
@@ -156,7 +171,7 @@ impl RecAsk {
 /// once, and the link delivers its reply once.
 fn take_replies(
     inbox: &mut Vec<(ProcId, Payload)>,
-    ask: RecAsk,
+    ask: &RecAsk,
     owed: &mut Vec<ProcId>,
     got: &mut Vec<(ProcId, Payload)>,
 ) {
@@ -192,7 +207,7 @@ fn collect_replies(
         let WaitSlot::Recovery { ask, owed } = &mut st.wait else {
             unreachable!("recovery wait slot replaced while collecting")
         };
-        take_replies(&mut st.rec.rec_inbox, *ask, owed, &mut got);
+        take_replies(&mut st.rec.rec_inbox, ask, owed, &mut got);
         owed.is_empty().then_some(())
     });
     st.wait = WaitSlot::None;
@@ -208,11 +223,11 @@ fn collect_replies(
 pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
     match payload {
         Payload::RecLogReq { homed } => {
-            handle_peer_restart(st, from);
-            let reply = build_rec_log_reply(st, from, &homed);
+            let wanted = handle_peer_restart(st, from);
+            let reply = build_rec_log_reply(st, from, &homed, wanted);
             st.send(from, reply);
         }
-        Payload::RecPageReq { page, tckp } => serve_rec_page(st, from, page, tckp),
+        Payload::RecPageReq { pages, tckp } => serve_rec_pages(st, from, pages, &tckp),
         other => unreachable!("{} from {from} after going live", other.kind()),
     }
 }
@@ -224,8 +239,14 @@ pub(crate) fn handle(st: &mut NodeState, from: ProcId, payload: Payload) {
 /// `homed` is the handshake's `(page, p0.v[me])` list: the reply carries our
 /// logged diffs for those pages that the recovering home's restored copies do
 /// not hold. It is read from the diff log alone — a page the recovering node
-/// homes need not be allocated here yet.
-fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -> Payload {
+/// homes need not be allocated here yet. `wanted` are the pages of ours `r`
+/// reported using, which the reply names.
+fn build_rec_log_reply(
+    st: &mut NodeState,
+    r: ProcId,
+    homed: &[(PageId, u32)],
+    wanted: Vec<PageId>,
+) -> Payload {
     let ft = st.ft.state.as_mut().expect("recovery handshake without FT");
     let (lock_chains, gen_floor) = st.sync.chain_report(r, &ft.logs.rel);
     let diffs = homed
@@ -244,40 +265,51 @@ fn build_rec_log_reply(st: &mut NodeState, r: ProcId, homed: &[(PageId, u32)]) -
             .home_store()
             .newest_applied_of(r)
             .max(st.fetch.seen_of(r)),
+        wanted,
     }
 }
 
-/// Serve a replayed page: our logged diffs for it and, if we are its home,
-/// the maximal starting copy — the newest retained checkpointed copy whose
-/// version the requester's restart checkpoint covers, falling back to the
-/// initial zero page. Our own diffs the copy already holds are left out.
-fn serve_rec_page(st: &mut NodeState, from: ProcId, page: PageId, tckp: VectorClock) {
+/// Serve a round of replayed pages: per page, our logged diffs for it and,
+/// if we are its home, the maximal starting copy — the newest retained
+/// checkpointed copy whose version the requester's restart checkpoint
+/// covers, falling back to the initial zero page. Our own diffs the copy
+/// already holds are left out. Each retained checkpoint the round reads
+/// from is loaded once.
+fn serve_rec_pages(st: &mut NodeState, from: ProcId, pages: Vec<PageId>, tckp: &VectorClock) {
     let ft = st.ft.state.as_mut().expect("recovery without FT");
-    let copy = st.pt.is_home(page).then(|| {
-        let covered = ft
-            .retained
-            .iter()
-            .rev()
-            .find(|rc| rc.versions.get(&page).is_some_and(|v| tckp.covers(v)));
-        match covered {
-            Some(rc) => {
-                let blob = ckpt::load_blob(&ft.store, rc.seq);
-                let (_, v, bytes) = blob
-                    .home_pages
-                    .into_iter()
-                    .find(|e| e.0 == page)
-                    .expect("a blob holds every page its index names");
-                (v, Arc::from(bytes))
-            }
-            None => (VectorClock::zero(st.n), vec![0u8; st.pt.page_size()].into()),
+    let mut by_ckpt: BTreeMap<u64, Vec<PageId>> = BTreeMap::new();
+    for &page in pages.iter().filter(|&&p| st.pt.is_home(p)) {
+        let covers =
+            |rc: &&ckpt::RetainedCkpt| rc.versions.get(&page).is_some_and(|v| tckp.covers(v));
+        if let Some(rc) = ft.retained.iter().rev().find(covers) {
+            by_ckpt.entry(rc.seq).or_default().push(page);
+        }
+    }
+    let mut copies = HashMap::new();
+    for (seq, named) in by_ckpt {
+        let blob = ckpt::load_blob(&ft.store, seq);
+        let kept = blob.home_pages.into_iter().filter(|e| named.contains(&e.0));
+        copies.extend(kept.map(|(page, v, bytes)| (page, (v, Arc::from(bytes)))));
+        let held = named.iter().all(|p| copies.contains_key(p));
+        assert!(held, "a blob holds every page its index names");
+    }
+    let zero = (
+        VectorClock::zero(st.n),
+        st.pt.home_store().zero_page().share(),
+    );
+    let pages = pages.into_iter().map(|page| {
+        let copy =
+            (st.pt.is_home(page)).then(|| copies.remove(&page).unwrap_or_else(|| zero.clone()));
+        let have = copy.as_ref().map_or(0, |(v, _)| v.get(st.me));
+        let entries = ft.diffs_after(page, have);
+        RecPage {
+            page,
+            copy,
+            entries,
         }
     });
-    let have = copy.as_ref().map_or(0, |(v, _)| v.get(st.me));
-    let entries = ft.diffs_after(page, have);
     let reply = Payload::RecPageReply {
-        page,
-        copy,
-        entries,
+        pages: pages.collect(),
     };
     st.send(from, reply);
 }
@@ -361,7 +393,7 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     // ---- Phase 3: collect and merge log replies -----------------------------
     let t_collect = Instant::now();
     let replies = collect_replies(shared, &mut st, RecAsk::Logs, &peers);
-    let (mut replay, mut entries) = merge_log_replies(&mut st, replies);
+    let (mut replay, mut entries, wanted) = merge_log_replies(&mut st, replies);
 
     // ---- Phase 4: restore homed pages -----------------------------------
     // From the diffs the handshake brought; nothing more is asked for.
@@ -374,6 +406,12 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     replay.replay_from = Some(Instant::now());
     st.rec.replay = Some(replay);
     apply_pending_home(&mut st);
+
+    // One round for every page the peers named: those the replay is about
+    // to read, built before it does.
+    if !wanted.is_empty() {
+        fetch_replay_pages(shared, &mut st, wanted);
+    }
     phase_done(&mut st, RecPhase::LogCollect, t_collect);
 
     (image.step, image.app_state)
@@ -382,14 +420,16 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
 /// Merge every peer's handshake reply: the notices into the table, the
 /// chain reports into the lock managers, the grant logs back into ours, and
 /// the grants, barrier results and evidence into a new replay state. Returns
-/// it with the collected diffs for our homed pages.
+/// it with the collected diffs for our homed pages and, ascending, the pages
+/// the peers' wants named (each home names its own).
 fn merge_log_replies(
     st: &mut NodeState,
     replies: Vec<(ProcId, Payload)>,
-) -> (ReplayState, Vec<DiffLogEntry>) {
+) -> (ReplayState, Vec<DiffLogEntry>, Vec<PageId>) {
     let me = st.me;
     let mut replay = ReplayState::default();
     let mut entries: Vec<DiffLogEntry> = Vec::new();
+    let mut wanted = Vec::new();
     for (peer, payload) in replies {
         let Payload::RecLogReply {
             wn,
@@ -400,11 +440,13 @@ fn merge_log_replies(
             gen_floor,
             applied_of_you,
             diffs,
+            wanted: named,
         } = payload
         else {
             unreachable!("collected a reply that was not asked for")
         };
         entries.extend(diffs);
+        wanted.extend(named);
         // A home that applied our interval k saw it flushed: without this a
         // final self-granted acquire whose only witness is a remote home
         // goes live and runs interval k a second time — the home drops the
@@ -457,7 +499,8 @@ fn merge_log_replies(
             result_vt: vt.clone(),
         })
         .collect();
-    (replay, entries)
+    wanted.sort_unstable();
+    (replay, entries, wanted)
 }
 
 /// Switch from replay to live execution: the first operation with no log
@@ -472,6 +515,8 @@ pub(crate) fn go_live(st: &mut NodeState) {
     let replay = st.rec.replay.take().expect("go_live without replay state");
     if let (Some(t0), Some(ft)) = (replay.started, st.ft.state.as_mut()) {
         ft.report.recovery_time += t0.elapsed();
+        let unused = replay.pages.values().filter(|rp| !rp.installed);
+        ft.report.batched_unused += unused.count() as u64;
     }
     if let Some(t0) = replay.replay_from {
         phase_done(st, RecPhase::Replay, t0);
@@ -501,8 +546,46 @@ pub(crate) fn go_live(st: &mut NodeState) {
     }
 }
 
-/// A replayed miss on remote `page`: build the emulated-home copy and
-/// install it.
+/// One round of home emulation: ask every peer for `pages` (ascending) at
+/// once — each peer's diff log for them, and with the home's the maximal
+/// starting copy — and keep the copies the answers build for the replay to
+/// install.
+fn fetch_replay_pages(shared: &NodeShared, st: &mut MutexGuard<'_, NodeState>, pages: Vec<PageId>) {
+    let me = st.me;
+    let tckp = st.ft.state.as_ref().unwrap().stamps[me].tckp.clone();
+    let peers: Vec<usize> = (0..st.n).filter(|&p| p != me).collect();
+    for &p in &peers {
+        let (pages, tckp) = (pages.clone(), tckp.clone());
+        st.send(p, Payload::RecPageReq { pages, tckp });
+    }
+    let mut built = vec![(None, Vec::new()); pages.len()];
+    let ask = RecAsk::Pages(pages.clone());
+    for (_, payload) in collect_replies(shared, st, ask, &peers) {
+        let Payload::RecPageReply { pages: answers } = payload else {
+            unreachable!("collected a reply that was not asked for")
+        };
+        for ((base, entries), rp) in built.iter_mut().zip(answers) {
+            *base = base.take().or(rp.copy);
+            entries.extend(rp.entries);
+        }
+    }
+    let replay = st.rec.replay.as_mut().unwrap();
+    for (page, (base, mut entries)) in pages.into_iter().zip(built) {
+        let (version, bytes) = base.expect("the home's reply carries the starting copy");
+        entries.sort_by_key(linear_key);
+        let rp = ReplayPage {
+            copy: Page::from_shared(bytes),
+            version,
+            entries,
+            installed: false,
+        };
+        replay.pages.insert(page, rp);
+    }
+    st.ft.state.as_mut().unwrap().report.rec_rounds += 1;
+}
+
+/// A replayed miss on remote `page`: build the emulated-home copy, unless
+/// the handshake's round has, and install it.
 pub(crate) fn replay_materialize(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
@@ -510,34 +593,7 @@ pub(crate) fn replay_materialize(
 ) {
     let me = st.me;
     if !st.rec.replay.as_ref().unwrap().pages.contains_key(&page) {
-        // One round: every peer's diff log for the page, and with the
-        // home's the maximal starting copy.
-        let tckp = st.ft.state.as_ref().unwrap().stamps[me].tckp.clone();
-        let peers: Vec<usize> = (0..st.n).filter(|&p| p != me).collect();
-        for &p in &peers {
-            let tckp = tckp.clone();
-            st.send(p, Payload::RecPageReq { page, tckp });
-        }
-        let (mut base, mut entries) = (None, Vec::new());
-        for (_, payload) in collect_replies(shared, st, RecAsk::Page(page), &peers) {
-            let Payload::RecPageReply {
-                copy, entries: es, ..
-            } = payload
-            else {
-                unreachable!("collected a reply that was not asked for")
-            };
-            base = base.or(copy);
-            entries.extend(es);
-        }
-        let (version, bytes) = base.expect("the home's reply carries the starting copy");
-        entries.sort_by_key(linear_key);
-        let rp = ReplayPage {
-            copy: Page::from_shared(bytes),
-            version,
-            entries,
-        };
-        st.rec.replay.as_mut().unwrap().pages.insert(page, rp);
-        st.ft.state.as_mut().unwrap().report.replayed_pages += 1;
+        fetch_replay_pages(shared, st, vec![page]);
     }
     let st = &mut **st;
     let rp = st
@@ -548,12 +604,16 @@ pub(crate) fn replay_materialize(
         .pages
         .get_mut(&page)
         .unwrap();
+    let ft = st.ft.state.as_mut().unwrap();
+    if !rp.installed {
+        rp.installed = true;
+        ft.report.replayed_pages += 1;
+    }
     // Our own logged diffs participate too: the pre-crash fetched copy
     // included them, and replay keeps regenerating them (logged at every
     // replayed interval end). Merge those the copy does not have yet —
     // at the first materialization and at every re-materialization
     // after an invalidation — so that it reproduces our own writes.
-    let ft = st.ft.state.as_mut().unwrap();
     let before = rp.entries.len();
     for e in ft.diffs_after(page, rp.version.get(me)) {
         if !rp.entries[..before]
@@ -706,6 +766,7 @@ mod tests {
             gen_floor: Vec::new(),
             applied_of_you: 0,
             diffs: Vec::new(),
+            wanted: Vec::new(),
         }
     }
 
@@ -723,7 +784,7 @@ mod tests {
             (2, log_reply()),
             (0, log_reply_with(vec![episode0.clone()])),
         ];
-        let (replay, _) = merge_log_replies(&mut st, replies);
+        let (replay, ..) = merge_log_replies(&mut st, replies);
         assert_eq!(st.ft.logs().unwrap().bar, std::slice::from_ref(&episode0));
         st.rec.replay = Some(replay);
         assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
@@ -734,13 +795,41 @@ mod tests {
         assert!(!try_replay_barrier(&mut st, &mut Breakdown::default()));
     }
 
-    /// A non-home's reply, or with `copy` the home's.
+    #[test]
+    fn the_pages_the_peers_wanted_are_asked_for_in_page_order() {
+        let (mut st, _eps) = test_state(1, 3, true);
+        let named = |pages: &[u32]| {
+            let mut reply = log_reply();
+            if let Payload::RecLogReply { wanted, .. } = &mut reply {
+                *wanted = pages.iter().map(|&p| PageId(p)).collect();
+            }
+            reply
+        };
+        // Each home names pages of its own.
+        let replies = vec![(2, named(&[5, 9])), (0, named(&[2, 7]))];
+        let (.., wanted) = merge_log_replies(&mut st, replies);
+        assert_eq!(wanted, [2, 5, 7, 9].map(PageId));
+    }
+
+    /// A non-home's reply for one page, or with `copy` the home's.
     fn page_reply(page: u32, copy: bool) -> Payload {
-        Payload::RecPageReply {
+        batch_reply(&[page], copy)
+    }
+
+    /// A reply to a round that asked for `pages`.
+    fn batch_reply(pages: &[u32], copy: bool) -> Payload {
+        let rec_page = |&page| RecPage {
             page: PageId(page),
             copy: copy.then(|| (VectorClock::zero(3), vec![0u8; 8].into())),
             entries: Vec::new(),
+        };
+        Payload::RecPageReply {
+            pages: pages.iter().map(rec_page).collect(),
         }
+    }
+
+    fn pages_ask(pages: &[u32]) -> RecAsk {
+        RecAsk::Pages(pages.iter().map(|&p| PageId(p)).collect())
     }
 
     #[test]
@@ -753,7 +842,7 @@ mod tests {
         ];
         let mut owed = vec![1, 2];
         let mut got = Vec::new();
-        take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
+        take_replies(&mut inbox, &pages_ask(&[4]), &mut owed, &mut got);
         assert_eq!(
             got,
             [(1, page_reply(4, false))],
@@ -774,24 +863,50 @@ mod tests {
         // The late reply completes the wait; the home's and a non-home's
         // are the same kind, told apart by the copy alone.
         inbox.push((2, page_reply(4, true)));
-        take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
+        take_replies(&mut inbox, &pages_ask(&[4]), &mut owed, &mut got);
         assert!(owed.is_empty());
         assert_eq!(got[1], (2, page_reply(4, true)));
 
         // Kind and page both select: the handshake takes only log replies.
         let (mut owed, mut got) = (vec![1, 2], Vec::new());
-        take_replies(&mut inbox, RecAsk::Logs, &mut owed, &mut got);
+        take_replies(&mut inbox, &RecAsk::Logs, &mut owed, &mut got);
         assert_eq!(got, [(1, log_reply())]);
         assert_eq!(owed, [2]);
         assert_eq!(inbox, [(1, page_reply(7, false)), (2, page_reply(9, true))]);
     }
 
+    /// A round's reply names every page the round asked for, in its order:
+    /// a reply to another round — a subset, a superset, another order, or
+    /// the same pages asked one at a time — is not this round's.
     #[test]
-    #[should_panic(expected = "Page(PageId(4)): a second reply from 1")]
+    fn a_rounds_reply_is_taken_only_by_its_own_ask() {
+        let mut inbox = vec![
+            (1, batch_reply(&[3], false)),
+            (1, batch_reply(&[3, 5, 8], false)),
+            (1, batch_reply(&[5, 3], false)),
+            (2, batch_reply(&[3, 5], true)),
+            (1, batch_reply(&[3, 5], false)),
+            (2, batch_reply(&[5], false)),
+        ];
+        let (mut owed, mut got) = (vec![1, 2], Vec::new());
+        take_replies(&mut inbox, &pages_ask(&[3, 5]), &mut owed, &mut got);
+        let round = [
+            (2, batch_reply(&[3, 5], true)),
+            (1, batch_reply(&[3, 5], false)),
+        ];
+        assert_eq!((got, owed), (round.to_vec(), vec![]));
+        assert_eq!(inbox.len(), 4, "the other rounds' replies stay queued");
+        let (mut owed, mut got) = (vec![1, 2], Vec::new());
+        take_replies(&mut inbox, &pages_ask(&[5]), &mut owed, &mut got);
+        assert_eq!((got, owed), (vec![(2, batch_reply(&[5], false))], vec![1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "Pages([PageId(4)]): a second reply from 1")]
     fn a_second_reply_from_a_peer_is_a_bug() {
         let mut inbox = vec![(1, page_reply(4, false)), (1, page_reply(4, false))];
         let (mut owed, mut got) = (vec![1, 2], Vec::new());
-        take_replies(&mut inbox, RecAsk::Page(PageId(4)), &mut owed, &mut got);
+        take_replies(&mut inbox, &pages_ask(&[4]), &mut owed, &mut got);
     }
 
     #[test]
@@ -805,7 +920,7 @@ mod tests {
     fn a_blocked_recovery_wait_names_what_it_asked_and_who_owes_it() {
         // `wait_until`'s deadline panic prints the wait slot.
         for (ask, named) in [
-            (RecAsk::Page(PageId(12)), "Page(PageId(12))"),
+            (pages_ask(&[12, 14]), "Pages([PageId(12), PageId(14)])"),
             (RecAsk::Logs, "Logs"),
         ] {
             let wait = WaitSlot::Recovery {
@@ -939,26 +1054,33 @@ mod tests {
         while recv_any(&eps[1], Duration::ZERO).is_some() {} // the diff batches
 
         let tckp = gated(3, 1, 1);
-        let ask = |st: &mut NodeState, page| {
+        let ask = |st: &mut NodeState, pages: Vec<PageId>| {
             let tckp = tckp.clone();
-            handle_msg(st, 0, Payload::RecPageReq { page, tckp });
+            handle_msg(st, 0, Payload::RecPageReq { pages, tckp });
             match only_payload(&eps[0]) {
-                Payload::RecPageReply {
-                    page: p,
-                    copy,
-                    entries,
-                } if p == page => (copy, logged_seqs(&entries)),
+                Payload::RecPageReply { pages } => pages
+                    .into_iter()
+                    .map(|rp| (rp.page, rp.copy, logged_seqs(&rp.entries)))
+                    .collect::<Vec<_>>(),
                 other => panic!("unexpected {other:?}"),
             }
         };
         // Home: the checkpointed copy, and only the diff it does not hold.
-        let (copy, entries) = ask(&mut st, PageId(0));
-        let (version, bytes) = copy.expect("the home sends the starting copy");
-        assert_eq!((version, bytes[8]), (gated(3, 1, 1), 1));
-        assert_eq!(entries, [(0, 2)]);
+        let [(page, copy, entries)] = &ask(&mut st, vec![PageId(0)])[..] else {
+            panic!("one page asked, one answered")
+        };
+        let (version, bytes) = copy.clone().expect("the home sends the starting copy");
+        assert_eq!((*page, version, bytes[8]), (PageId(0), gated(3, 1, 1), 1));
+        assert_eq!(entries, &[(0, 2)]);
         // Not the home: no copy, the whole log for the page.
-        let (copy, entries) = ask(&mut st, PageId(1));
-        assert!(copy.is_none());
-        assert_eq!(entries, [(1, 1), (1, 2)]);
+        let [(_, None, entries)] = &ask(&mut st, vec![PageId(1)])[..] else {
+            panic!("a copy from a peer that is not the home")
+        };
+        assert_eq!(entries, &[(1, 1), (1, 2)]);
+        // Both in one round: each answered as it was alone, in the order
+        // asked.
+        let both = ask(&mut st, vec![PageId(0), PageId(1)]);
+        let alone = [ask(&mut st, vec![PageId(0)]), ask(&mut st, vec![PageId(1)])];
+        assert_eq!(both, alone.concat());
     }
 }

@@ -80,6 +80,19 @@ pub struct Pushed {
     pub body: PageBody,
 }
 
+/// What a peer has of one replayed page, in a [`Payload::RecPageReply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecPage {
+    /// The page.
+    pub page: PageId,
+    /// From the page's home only: the maximal starting copy, version and
+    /// contents (shared, not copied per hop).
+    pub copy: Option<(VectorClock, Arc<[u8]>)>,
+    /// The peer's logged diffs for the page (with full timestamps); the
+    /// home leaves out its own that the copy already holds.
+    pub entries: Vec<DiffLogEntry>,
+}
+
 /// Message payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
@@ -267,25 +280,26 @@ pub enum Payload {
         /// the restored copies do not hold (`diff.interval.seq >
         /// p0.v[peer]`), in page order and log order within a page.
         diffs: Vec<DiffLogEntry>,
+        /// The pages homed at the peer that the recovering node reported
+        /// using (its wants there, dropped by the handshake), in page order:
+        /// the replay asks for them in one round.
+        wanted: Vec<PageId>,
     },
-    /// A remote page the replay touched: recovering node → every peer.
+    /// Remote pages the replay touches, or will: recovering node → every
+    /// peer. One round asks for every page the handshake named; a replayed
+    /// miss on any other page asks for that one.
     RecPageReq {
-        /// The page to rebuild.
-        page: PageId,
+        /// The pages to rebuild, ascending.
+        pages: Vec<PageId>,
         /// The recovering node's restart-checkpoint timestamp; the home
         /// returns its newest retained copy with version `<=` this.
         tckp: VectorClock,
     },
-    /// What a peer has of a replayed page.
+    /// What a peer has of each page of a [`Payload::RecPageReq`], in its
+    /// order.
     RecPageReply {
-        /// The page.
-        page: PageId,
-        /// From the page's home only: the maximal starting copy, version and
-        /// contents (shared, not copied per hop).
-        copy: Option<(VectorClock, Arc<[u8]>)>,
-        /// The peer's logged diffs for the page (with full timestamps); the
-        /// home leaves out its own that the copy already holds.
-        entries: Vec<DiffLogEntry>,
+        /// One entry per page asked.
+        pages: Vec<RecPage>,
     },
 }
 
@@ -632,12 +646,25 @@ mod tests {
                 gen_floor: vec![(lock, 9)],
                 applied_of_you: 3,
                 diffs: vec![entry.clone()],
+                wanted: vec![page, PageId(9)],
             },
-            Payload::RecPageReq { page, tckp: vt() },
+            Payload::RecPageReq {
+                pages: vec![page, PageId(9)],
+                tckp: vt(),
+            },
             Payload::RecPageReply {
-                page,
-                copy: Some((vt(), sparse_page())),
-                entries: vec![entry],
+                pages: vec![
+                    RecPage {
+                        page,
+                        copy: Some((vt(), sparse_page())),
+                        entries: vec![entry.clone()],
+                    },
+                    RecPage {
+                        page: PageId(9),
+                        copy: None,
+                        entries: vec![entry],
+                    },
+                ],
             },
         ]
     }

@@ -503,7 +503,7 @@ impl NodeState {
 /// The highest page a payload references, if any.
 fn max_page(payload: &Payload) -> Option<PageId> {
     let diffs = match payload {
-        Payload::RecPageReq { page, .. } => return Some(*page),
+        Payload::RecPageReq { pages, .. } => return pages.iter().copied().max(),
         Payload::PageReq { pages, .. } => return pages.iter().map(|(p, ..)| *p).max(),
         Payload::DiffBatch { diffs, .. } => diffs,
         carrier => carrier.carried()?,
@@ -553,10 +553,11 @@ pub(crate) fn drain_unalloc(st: &mut NodeState) {
 /// restart signal: it lost everything in flight to it, so re-issue lost
 /// forwards and fetches, and resend whatever request our application
 /// thread is blocked on against it. It kept no copy: it wants no push.
-pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
+/// Returns the pages it wanted, which its replay will likely read.
+pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) -> Vec<PageId> {
     st.counts.restarts_seen += 1;
     st.tracer.emit(EventKind::PeerRestart { node });
-    st.pt.home_store().drop_wants(node);
+    let wanted = st.pt.home_store().drop_wants(node);
     sync::reforward_to(st, node);
     fetch::resend_batches_to(st, node);
     if let Some((to, payload)) = st.blocked_request() {
@@ -564,6 +565,7 @@ pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) {
             st.send(node, payload);
         }
     }
+    wanted
 }
 
 /// Handle one message under the big lock, whichever reader took it (see
@@ -909,15 +911,12 @@ pub(crate) mod tests {
         st.rec.defer(0, Payload::RecLogReq { homed: Vec::new() });
         // A closed interval's diff for page 0, held for its home.
         st.unsent.insert(0, vec![diff_of(0, 1, 5)]);
-        let (page, copy, entries) = (PageId(1), None, Vec::new());
-        st.rec.defer(
-            0,
-            Payload::RecPageReply {
-                page,
-                copy,
-                entries,
-            },
-        );
+        let pages = vec![crate::msg::RecPage {
+            page: PageId(1),
+            copy: None,
+            entries: Vec::new(),
+        }];
+        st.rec.defer(0, Payload::RecPageReply { pages });
         let blocked = Payload::LockAcq {
             lock: 7,
             acq_seq: 3,

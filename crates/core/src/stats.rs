@@ -90,9 +90,16 @@ pub struct FtReport {
     /// Total wall time spent in recovery (checkpoint restore + log
     /// collection + replay, up to the transition back to live execution).
     pub recovery_time: std::time::Duration,
-    /// Remote pages those recoveries rebuilt by home emulation: each costs
-    /// one request to, and one reply from, every peer.
+    /// Remote pages those recoveries' replays installed, rebuilt by home
+    /// emulation.
     pub replayed_pages: u64,
+    /// Rounds of home emulation those recoveries ran: each is one
+    /// `RecPageReq` to, and one `RecPageReply` from, every peer. The first
+    /// asks for every page the handshake named; each later one, for a
+    /// replayed miss on a page it did not.
+    pub rec_rounds: u64,
+    /// Pages a first round built that the replay never installed.
+    pub batched_unused: u64,
     /// Saved log entries read back from stable storage to serve a
     /// recovery, a peer's or this node's own.
     pub log_entries_read: u64,
@@ -119,6 +126,8 @@ impl FtReport {
         self.recoveries += o.recoveries;
         self.recovery_time += o.recovery_time;
         self.replayed_pages += o.replayed_pages;
+        self.rec_rounds += o.rec_rounds;
+        self.batched_unused += o.batched_unused;
         self.log_entries_read += o.log_entries_read;
         self.max_resident_log_bytes = self.max_resident_log_bytes.max(o.max_resident_log_bytes);
     }
@@ -387,6 +396,8 @@ impl NodeReport {
             ("recoveries_total", ft.recoveries),
             ("recovery_time_ns_total", ns(ft.recovery_time)),
             ("replayed_pages_total", ft.replayed_pages),
+            ("rec_rounds_total", ft.rec_rounds),
+            ("rec_batched_unused_total", ft.batched_unused),
             ("log_entries_read_total", ft.log_entries_read),
             ("pool_hits_total", pool.hits),
             ("pool_misses_total", pool.misses),

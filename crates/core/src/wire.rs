@@ -20,7 +20,7 @@ use dsm_trace::TraceCtx;
 use hlrc::{Have, PageBody, WnDelta, WriteNotice};
 
 use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry, WnLogEntry};
-use crate::msg::{CkptStamp, Msg, Payload, Piggy, Pushed};
+use crate::msg::{CkptStamp, Msg, Payload, Piggy, Pushed, RecPage};
 
 /// The length `put` writes, counted by a length-only writer.
 pub(crate) fn len_of(put: impl FnOnce(&mut ByteWriter)) -> usize {
@@ -610,6 +610,7 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             gen_floor,
             applied_of_you,
             diffs,
+            wanted,
         } => {
             put_list(w, wn, put_wn_entry);
             put_list(w, rel_for_you, put_rel);
@@ -624,24 +625,21 @@ pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
             });
             w.put_varint((*applied_of_you).into());
             put_list(w, diffs, put_entry);
+            put_pages(w, wanted);
         }
-        Payload::RecPageReq { page, tckp } => {
-            w.put_varint(page.0.into());
+        Payload::RecPageReq { pages, tckp } => {
+            put_pages(w, pages);
             put_vt(w, tckp);
         }
-        Payload::RecPageReply {
-            page,
-            copy,
-            entries,
-        } => {
-            w.put_varint(page.0.into());
-            w.put_u8(copy.is_some() as u8);
-            if let Some((version, bytes)) = copy {
+        Payload::RecPageReply { pages } => put_list(w, pages, |w, rp| {
+            w.put_varint(rp.page.0.into());
+            w.put_u8(rp.copy.is_some() as u8);
+            if let Some((version, bytes)) = &rp.copy {
                 put_vt(w, version);
                 put_page_bytes(w, bytes);
             }
-            put_list(w, entries, put_entry);
-        }
+            put_list(w, &rp.entries, put_entry);
+        }),
     }
     if let Some(diffs) = batch {
         put_diffs(w, diffs);
@@ -728,24 +726,27 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
             gen_floor: get_list(r, 2, |r| Ok((get_usize(r)?, r.get_varint()?)))?,
             applied_of_you: get_u32(r, "applied interval")?,
             diffs: get_entries(r)?,
+            wanted: get_pages(r)?,
         },
         13 => Payload::RecPageReq {
-            page: get_page(r)?,
+            pages: get_pages(r)?,
             tckp: get_vt(r)?,
         },
-        14 => {
-            let page = get_page(r)?;
-            let copy = match get_flag(r, "page copy")? {
-                false => None,
-                true => Some((get_vt(r)?, get_page_bytes(r)?.into())),
-            };
-            let entries = get_entries(r)?;
-            Payload::RecPageReply {
-                page,
-                copy,
-                entries,
-            }
-        }
+        14 => Payload::RecPageReply {
+            pages: get_list(r, 3, |r| {
+                let page = get_page(r)?;
+                let copy = match get_flag(r, "page copy")? {
+                    false => None,
+                    true => Some((get_vt(r)?, get_page_bytes(r)?.into())),
+                };
+                let entries = get_entries(r)?;
+                Ok(RecPage {
+                    page,
+                    copy,
+                    entries,
+                })
+            })?,
+        },
         tag => {
             return Err(CodecError::BadTag {
                 context: "message kind",

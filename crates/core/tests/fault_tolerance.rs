@@ -313,3 +313,122 @@ fn at_barrier_policy_aligns_checkpoints_across_nodes() {
 fn recovery_under_at_barrier_policy() {
     check_recovery(4, 2, 260, CkptPolicy::AtBarrier(3));
 }
+
+/// Words in a 256-byte page.
+const WORDS: usize = 32;
+
+/// Every home in `writers` writes a word of each of its `k` pages every
+/// step, and every other node reads all of them in the same step, after a
+/// barrier. With `once`, node 0 also writes a page of its own in step 0
+/// alone, which the others read in step 0 alone: a copy they keep, and a
+/// want of it node 0 keeps, for the rest of the run.
+fn readers_of(
+    writers: &'static [usize],
+    k: usize,
+    once: bool,
+) -> impl Fn(&mut Process) -> u64 + Copy + Send + Sync + 'static {
+    move |p: &mut Process| {
+        let me = p.me();
+        let homes = writers
+            .iter()
+            .map(|&h| (h, p.alloc_vec::<u64>(k * WORDS, HomeAlloc::Node(h))));
+        let homes: Vec<_> = homes.collect();
+        let early = p.alloc_vec::<u64>(WORDS, HomeAlloc::Node(0));
+        let mut state = 0u64;
+        p.run_steps(&mut state, STEPS, |p, state, step| {
+            let word = step as usize % WORDS;
+            for &(_, data) in homes.iter().filter(|(h, _)| *h == me) {
+                (0..k).for_each(|pg| data.set(p, pg * WORDS + word, step + pg as u64 + 1));
+            }
+            if once && step == 0 && me == 0 {
+                early.set(p, 1, 7);
+            }
+            p.barrier();
+            for &(_, data) in homes.iter().filter(|(h, _)| *h != me) {
+                for w in 0..k * WORDS {
+                    *state = state.wrapping_mul(31).wrapping_add(data.get(p, w));
+                }
+            }
+            if once && step == 0 && me != 0 {
+                *state += early.get(p, 1);
+            }
+            p.barrier();
+        });
+        state
+    }
+}
+
+/// What one crash of `victim` well into `app`'s run cost its recovery, once
+/// its results are the clean run's bit for bit: `(replayed pages, rounds,
+/// batched pages never installed, RecPageReq messages sent)`.
+fn recovery_rounds(
+    app: impl Fn(&mut Process) -> u64 + Copy + Send + Sync + 'static,
+    n: usize,
+    victim: usize,
+) -> (u64, u64, u64, u64) {
+    let cfg = || ft_cfg(n, CkptPolicy::EverySteps(4));
+    let clean = run(cfg(), &[], app);
+    let at_op = clean.nodes[victim].ops * 5 / 8;
+    let crashed = run(
+        cfg(),
+        &[FailureSpec {
+            node: victim,
+            at_op,
+        }],
+        app,
+    );
+    assert_eq!(clean.results, crashed.results, "victim {victim} of {n}");
+    assert_eq!(
+        clean.shared_hash, crashed.shared_hash,
+        "victim {victim} of {n}"
+    );
+    let ft = &crashed.nodes[victim].ft;
+    assert_eq!(ft.recoveries, 1);
+    let kinds = crashed.nodes[victim].msg_kinds.iter();
+    let asked = kinds
+        .filter(|(kind, _)| *kind == "RecPageReq")
+        .map(|&(_, c)| c)
+        .sum();
+    (ft.replayed_pages, ft.rec_rounds, ft.batched_unused, asked)
+}
+
+/// The victim reads `K` pages of node 0 every epoch, so node 0 holds its
+/// wants of all of them: the handshake names them, and the replay builds
+/// every page it reads from one round, one `RecPageReq` to each peer.
+#[test]
+fn a_victim_that_read_node_0s_pages_every_epoch_fetches_them_in_one_round() {
+    const K: u64 = 5;
+    for n in [2, 4] {
+        let rounds = recovery_rounds(readers_of(&[0], K as usize, false), n, n - 1);
+        assert_eq!(rounds, (K, 1, 0, n as u64 - 1), "n = {n}");
+    }
+}
+
+/// A page the victim read only in the first step is still wanted at the
+/// crash, so the round builds it, but the replay starts from a later
+/// checkpoint and never reads it: results stay bit-identical, and the page
+/// is counted unused.
+#[test]
+fn a_wanted_page_the_replay_never_reads_is_built_and_left_unused() {
+    let rounds = recovery_rounds(readers_of(&[0], 3, true), 2, 1);
+    assert_eq!(rounds, (3, 1, 1, 1));
+}
+
+/// Node 0 is the victim at n = 2: its wants of node 1's pages are those
+/// node 0's barrier releases relayed to node 1, and they name every page
+/// the replay reads.
+#[test]
+fn node_0s_relayed_wants_name_its_replayed_pages() {
+    let rounds = recovery_rounds(readers_of(&[1], 4, false), 2, 0);
+    assert_eq!(rounds, (4, 1, 0, 1));
+}
+
+/// At n = 4 node 1 holds no want of node 3's: each page of node 1's that
+/// node 3's replay reads costs a round of its own after the one round for
+/// node 0's pages.
+#[test]
+fn a_replayed_miss_outside_the_wanted_pages_costs_a_round_of_its_own() {
+    const K: u64 = 3;
+    let rounds = recovery_rounds(readers_of(&[0, 1], K as usize, false), 4, 3);
+    assert_eq!(rounds, (2 * K, 1 + K, 0, 3 * (1 + K)));
+}

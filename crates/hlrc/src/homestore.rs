@@ -29,6 +29,7 @@ use std::sync::Arc;
 use dsm_page::{Diff, Interval, Page, PageId, PagePool, PoolStats, ProcId, VectorClock};
 use parking_lot::Mutex;
 
+pub use crate::outcome::{ApplyOutcome, FetchOutcome, ReadyFetch, WaitingFetch};
 use crate::ring::DiffRing;
 use crate::wants::{Wanted, Wants};
 
@@ -130,69 +131,6 @@ impl HomeEntry {
         };
         (self.version.clone(), body)
     }
-}
-
-/// A remote fetch parked at the home until the diffs it needs arrive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaitingFetch {
-    /// The requesting node.
-    pub from: ProcId,
-    /// The page requested.
-    pub page: PageId,
-    /// Minimal version the served copy must include.
-    pub needed: VectorClock,
-    /// The requester's id for matching the reply to its request.
-    pub req_id: u64,
-}
-
-/// A parked fetch whose page now satisfies its needed version.
-#[derive(Debug)]
-pub struct ReadyFetch {
-    /// The requesting node.
-    pub from: ProcId,
-    /// The page requested.
-    pub page: PageId,
-    /// The requester's id for matching the reply to its request.
-    pub req_id: u64,
-    /// Version of the served copy.
-    pub version: VectorClock,
-    /// The page, or the diffs the requester's kept copy is missing.
-    pub body: PageBody,
-}
-
-/// Outcome of serving one fetch against the store.
-#[derive(Debug)]
-pub enum FetchOutcome {
-    /// The copy satisfies the request; reply with this version and body.
-    Ready(VectorClock, PageBody),
-    /// In-flight diffs are still missing; the fetch was parked and will be
-    /// surfaced by [`HomeStore::drain_ready`] once they arrive.
-    Parked,
-    /// The page is not homed here (not allocated yet, or a routing bug —
-    /// the caller decides which).
-    NotHome,
-    /// The liveness check failed under the shard lock (node crashing or
-    /// recovering); nothing was done.
-    Stale,
-}
-
-/// Outcome of applying one diff against the store.
-#[derive(Debug)]
-pub enum ApplyOutcome {
-    /// Diff accepted; any fetches it unparked are returned for the caller
-    /// to answer. `fresh` is false when the version gate idempotently
-    /// skipped an already-covered interval (a diff recovery replay resent)
-    /// — observability must not report those as applies.
-    Applied {
-        /// Did the home version actually advance?
-        fresh: bool,
-        /// Fetches the diff unparked.
-        ready: Vec<ReadyFetch>,
-    },
-    /// The page is not homed here.
-    NotHome,
-    /// The liveness check failed under the shard lock; nothing was done.
-    Stale,
 }
 
 /// One shard's homed pages: bit `page / NUM_SHARDS` is set iff the page is
@@ -665,13 +603,19 @@ impl HomeStore {
         Some((have, version, body))
     }
 
-    /// `peer` restarted: it kept no copy, so it wants nothing.
-    pub fn drop_wants(&self, peer: ProcId) {
+    /// `peer` restarted: it kept no copy, so it wants nothing. Returns the
+    /// pages it wanted, ascending — what its replay will likely read.
+    pub fn drop_wants(&self, peer: ProcId) -> Vec<PageId> {
+        let mut wanted = Vec::new();
         for shard in &self.shards {
-            for e in shard.lock().homed.entries.values_mut() {
-                self.wanted.forget(&mut e.wants, peer);
+            for (&p, e) in shard.lock().homed.entries.iter_mut() {
+                if self.wanted.forget(&mut e.wants, peer) {
+                    wanted.push(PageId(p));
+                }
             }
         }
+        wanted.sort_unstable();
+        wanted
     }
 
     /// Drain every parked fetch that has become servable (used after
@@ -721,10 +665,20 @@ impl HomeStore {
     }
 
     /// Overwrite the authoritative copy and version of a homed page
-    /// (restoring from a checkpoint during recovery).
+    /// (restoring from a checkpoint during recovery). A copy at version
+    /// zero is the zero page: an untouched page stays without an entry.
     pub fn restore(&self, page: PageId, bytes: &[u8], version: VectorClock) {
         let s = shard_of(page);
         let shard = &mut *self.shards[s].lock();
+        let untouched =
+            shard.homed.members.contains(page.0) && !shard.homed.entries.contains_key(&page.0);
+        if untouched && version == self.untouched.version {
+            debug_assert!(
+                bytes.iter().all(|&b| b == 0),
+                "page {page} is not the zero page"
+            );
+            return;
+        }
         let e = (shard.homed.get_mut(page.0, &self.untouched)).unwrap_or_else(|| not_homed(page));
         e.copy = Page::from_bytes(bytes);
         e.ring = DiffRing::new(version.clone());
@@ -963,6 +917,37 @@ mod tests {
         assert_eq!(s.entries(), 0);
     }
 
+    /// A restart restores the checkpoint's copy of every homed page, but a
+    /// copy at version zero is the zero page an untouched page reads as: it
+    /// gets no entry, and the others read as restored.
+    #[test]
+    fn a_restart_gives_an_entry_only_to_a_blob_page_a_change_had_reached() {
+        let s = HomeStore::new(2, 64);
+        (0..8).for_each(|p| s.add(PageId(p)));
+        (0..8).for_each(|p| assert!(s.write(PageId(p), 0, &[1])));
+        s.reset_for_restart();
+        // A blob of every homed page: pages 1, 4 and 6 had been written.
+        let blob: Vec<_> = (0..8u32)
+            .map(|p| match p {
+                1 | 4 | 6 => (PageId(p), [p as u8; 64], VectorClock::from_vec(vec![p, 1])),
+                _ => (PageId(p), [0; 64], VectorClock::zero(2)),
+            })
+            .collect();
+        for (page, bytes, version) in &blob {
+            s.restore(*page, bytes, version.clone());
+        }
+        let touched = blob.iter().filter(|(.., v)| *v != VectorClock::zero(2));
+        assert_eq!(s.entries(), touched.count());
+        assert_eq!(with_entries(&s), [1, 4, 6]);
+        for (page, bytes, version) in &blob {
+            assert_eq!(s.snapshot(*page), (version.clone(), Arc::from(&bytes[..])));
+        }
+        // A page that has an entry is overwritten whatever the version.
+        s.restore(PageId(4), &[0; 64], VectorClock::zero(2));
+        assert_eq!(s.snapshot(PageId(4)).1[..], [0; 64]);
+        assert_eq!(s.entries(), 3);
+    }
+
     /// A want is answered as the fetch it stands for once the copy covers
     /// the notices. The first push leaves it based on the pushed copy, the
     /// second with no report in between ends it, and a report re-arms it; a
@@ -1024,8 +1009,10 @@ mod tests {
         fetch(&s, Some(&kept));
         assert!(!s.wants_any(1));
         s.want(1, PageId(0), kept.clone());
-        s.drop_wants(1);
-        assert!(!s.wants_any(1));
+        s.want(2, PageId(0), (1, vc([0, 0, 0])));
+        assert_eq!(s.drop_wants(1), [PageId(0)]);
+        assert!(!s.wants_any(1) && s.drop_wants(1).is_empty());
+        assert_eq!(s.drop_wants(2), [PageId(0)], "another peer's want stays");
         s.want(1, PageId(0), kept);
         s.reset_for_restart();
         assert!(!s.wants_any(1));

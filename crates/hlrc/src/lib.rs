@@ -15,6 +15,8 @@
 //! * [`locks`] — the per-lock manager state machine: routing acquire
 //!   requests to the last owner (which grants directly to the requester with
 //!   LRC write notices), queueing, and the forwards a restart re-issues.
+//! * `outcome` — what the home store answers a fetch or an applied diff
+//!   with.
 //! * `ring` — the diffs a home copy last applied, which answer a reader
 //!   that kept a known version with what it is missing.
 //! * `wants` — which peers reported using which homed pages: what a grant
@@ -30,6 +32,7 @@
 pub mod barrier;
 pub mod homestore;
 pub mod locks;
+mod outcome;
 pub mod pagetable;
 mod ring;
 mod wants;

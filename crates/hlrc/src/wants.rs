@@ -118,11 +118,14 @@ impl Wanted {
     }
 
     /// `peer` asked for the page, or restarted: its copy is no base any more.
-    pub(crate) fn forget(&self, wants: &mut Wants, peer: ProcId) {
-        if let Some(i) = wants.position(peer) {
-            wants.0.swap_remove(i);
-            self.0[peer].fetch_sub(1, Ordering::Relaxed);
-        }
+    /// Returns whether `peer` wanted the page.
+    pub(crate) fn forget(&self, wants: &mut Wants, peer: ProcId) -> bool {
+        let Some(i) = wants.position(peer) else {
+            return false;
+        };
+        wants.0.swap_remove(i);
+        self.0[peer].fetch_sub(1, Ordering::Relaxed);
+        true
     }
 
     /// A push to `peer` was built on its want; see [`Want::push`].
@@ -193,8 +196,8 @@ mod tests {
         assert!(wants.of(1).is_none() && !wanted.any(1));
         wanted.pushed(&mut wants, 1, None); // nothing wanted: no-op
         wanted.report(&mut wants, 0, have(1, [0, 0]));
-        wanted.forget(&mut wants, 0);
-        wanted.forget(&mut wants, 0);
+        assert!(wanted.forget(&mut wants, 0));
+        assert!(!wanted.forget(&mut wants, 0));
         assert!(!wanted.any(0));
     }
 }

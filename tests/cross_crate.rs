@@ -371,14 +371,19 @@ fn a_self_granted_tenure_only_a_remote_home_saw_is_replayed_not_rerun() {
     }
 }
 
-/// Recovery asks each peer once. The victim homes six of the 24 pages and
-/// between its last checkpoint and the crash touches all 18 others: the
-/// handshake is one request to each peer however many pages are homed —
-/// their diffs ride its reply — and each replayed remote page is one request
-/// to each peer, answered by the home with the starting copy and by everyone
-/// with their diffs. Nothing else is sent for the recovery.
+/// Recovery asks each peer once, and once more a round. The victim homes six
+/// of the 24 pages and between its last checkpoint and the crash touches all
+/// 18 others: the handshake is one request to each peer however many pages
+/// are homed — their diffs ride its reply — and a round of replayed remote
+/// pages is one request to each peer, answered by the home of each page with
+/// the starting copy and by everyone with their diffs. The handshake names
+/// the pages whose homes kept the victim's wants of them, and the first
+/// round asks for all of them: node 0's six pages. Every other page is a
+/// round of its own — all 18 for node 0, whose wants its homes drop when it
+/// refetches a page right after crossing the barrier that relayed them.
+/// Nothing else is sent for the recovery.
 #[test]
-fn recovery_asks_each_peer_once_and_once_more_per_replayed_page() {
+fn recovery_asks_each_peer_once_and_once_more_a_round() {
     const N: usize = 4;
     const PAGES: usize = 24;
     let app = |p: &mut ftdsm_suite::Process| {
@@ -429,14 +434,26 @@ fn recovery_asks_each_peer_once_and_once_more_per_replayed_page() {
         assert_eq!((ft.recoveries, ft.ckpts_taken > 0), (1, true));
         let replayed = ft.replayed_pages;
         assert_eq!(replayed, (PAGES - PAGES / N) as u64, "victim {victim}");
+        // One round for node 0's pages, one each for the others; node 0
+        // itself asks for every page alone.
+        let (batched, alone) = match victim {
+            0 => (0, PAGES - PAGES / N),
+            _ => (1, PAGES - 2 * PAGES / N),
+        };
+        let rounds = (batched + alone) as u64;
+        assert_eq!(
+            (ft.rec_rounds, ft.batched_unused),
+            (rounds, 0),
+            "victim {victim}"
+        );
         let peers = N as u64 - 1;
         for node in 0..N {
             let sent = rec_kinds(&crashed, node);
             if node == victim {
-                let asked = [("RecLogReq", peers), ("RecPageReq", peers * replayed)];
+                let asked = [("RecLogReq", peers), ("RecPageReq", peers * rounds)];
                 assert_eq!(sent, asked, "victim {victim}");
             } else {
-                let answered = [("RecLogReply", 1), ("RecPageReply", replayed)];
+                let answered = [("RecLogReply", 1), ("RecPageReply", rounds)];
                 assert_eq!(sent, answered, "victim {victim}, peer {node}");
             }
         }
