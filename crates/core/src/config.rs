@@ -177,19 +177,7 @@ impl ClusterConfig {
     /// Fault-tolerant configuration with the default `OF(0.1)` policy and an
     /// instant disk (tests); benchmarks override `disk`.
     pub fn fault_tolerant(nodes: usize) -> Self {
-        ClusterConfig {
-            nodes,
-            page_size: 4096,
-            ft: Some(CkptPolicy::default()),
-            disk: DiskModel::instant(),
-            trace: TraceConfig::from_env(),
-            seed: seed_from_env(),
-            chaos: None,
-            membership: None,
-            monitor: false,
-            metrics: MetricsConfig::from_env(),
-            inject_stale_apply: false,
-        }
+        Self::base(nodes).with_policy(CkptPolicy::default())
     }
 
     /// Replace the page size.

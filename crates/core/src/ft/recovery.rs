@@ -35,9 +35,17 @@
 //! writers' logs, neither of which can be trimmed while the victim's restart
 //! checkpoint is its stamp — so only the time of asking moves.
 //!
-//! The module owns the replay state, the inbox of recovery replies and the
-//! backlog of what peers sent meanwhile, both sides of the four `Rec*`
-//! kinds, and the replayed halves of a page miss, an acquire and a barrier.
+//! The handshake and every round wait in the node's wait slot as an acquire
+//! or a barrier does: [`NodeState::block_on`] opens the wait and sends one
+//! request to every peer, each reply is deposited as it comes — a round's
+//! must name the pages asked, in the order asked — and
+//! [`crate::runtime::node::WaitSlot::take`] ends the wait once every peer
+//! has answered. A replayed acquire or barrier applies the notices between
+//! its clocks through the live path ([`interval::apply_notices`]).
+//!
+//! The module owns the replay state and the backlog of what peers sent
+//! meanwhile, both sides of the four `Rec*` kinds, and the replayed halves
+//! of a page miss, an acquire and a barrier.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -52,11 +60,10 @@ use crate::ft::ckpt;
 use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry};
 use crate::msg::{Payload, RecPage};
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
-use crate::runtime::node::{
-    handle_msg, handle_peer_restart, Mode, NodeShared, NodeState, WaitSlot,
-};
+use crate::runtime::interval;
+use crate::runtime::node::{handle_msg, handle_peer_restart, Mode, NodeShared, NodeState};
 use crate::runtime::process::wait_until;
-use crate::stats::Breakdown;
+use crate::stats::{Breakdown, ReqCause};
 
 /// One remote page being rebuilt by local home emulation.
 #[derive(Debug, PartialEq)]
@@ -103,8 +110,6 @@ struct ReplayState {
 pub(crate) struct RecoverySvc {
     /// Set from the end of the handshake to the crash point.
     replay: Option<ReplayState>,
-    /// Recovery replies deposited while recovering.
-    rec_inbox: Vec<(ProcId, Payload)>,
     /// Non-recovery messages deferred while recovering.
     backlog: Vec<(ProcId, Payload)>,
 }
@@ -120,16 +125,27 @@ impl RecoverySvc {
     pub(crate) fn replaying(&self) -> bool {
         self.replay.is_some()
     }
+}
 
-    /// A message that arrived in `Recovering` mode: recovery replies go to
-    /// the inbox the collector reads, everything else waits for `go_live`.
-    pub(crate) fn defer(&mut self, from: ProcId, payload: Payload) {
-        match payload {
-            Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {
-                self.rec_inbox.push((from, payload))
+/// A message that arrived in `Recovering` mode: a recovery reply answers
+/// the request the recovery waits on, deposited as a grant is
+/// ([`crate::runtime::sync::handle`]); everything else waits for
+/// [`go_live`].
+///
+/// # Panics
+/// On a recovery reply no open request is owed — a second reply from a
+/// peer, or one to a round that is not the open one: rounds run one after
+/// another, every peer is asked once per round, and the link delivers each
+/// reply once.
+pub(crate) fn defer(st: &mut NodeState, from: ProcId, payload: Payload) {
+    match payload {
+        Payload::RecLogReply { .. } | Payload::RecPageReply { .. } => {
+            if let Some(reply) = st.wait.deposit(from, payload) {
+                let (me, kind, wait) = (st.me, reply.kind(), &st.wait);
+                panic!("node {me}: {kind} from {from} is owed to no open request (wait={wait:?})");
             }
-            other => self.backlog.push((from, other)),
         }
+        other => st.rec.backlog.push((from, other)),
     }
 }
 
@@ -140,79 +156,19 @@ fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
     (sum, e.diff.interval.proc, e.diff.interval.seq)
 }
 
-/// Which recovery replies a wait collects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RecAsk {
-    /// Every peer's `RecLogReply` (the handshake).
-    Logs,
-    /// Every peer's `RecPageReply` for these pages, in this order: one
-    /// round of home emulation.
-    Pages(Vec<PageId>),
-}
-
-impl RecAsk {
-    fn matches(&self, reply: &Payload) -> bool {
-        match (self, reply) {
-            (RecAsk::Logs, Payload::RecLogReply { .. }) => true,
-            (RecAsk::Pages(asked), Payload::RecPageReply { pages }) => {
-                pages.iter().map(|rp| rp.page).eq(asked.iter().copied())
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Move the replies `ask` matches from `inbox` to `got`, one per peer still
-/// in `owed` (which it then leaves). Everything else stays queued, in
-/// order, for the wait that asks for it.
-///
-/// # Panics
-/// On a matching reply from a peer that owes none: every peer is asked
-/// once, and the link delivers its reply once.
-fn take_replies(
-    inbox: &mut Vec<(ProcId, Payload)>,
-    ask: &RecAsk,
-    owed: &mut Vec<ProcId>,
-    got: &mut Vec<(ProcId, Payload)>,
-) {
-    let mut i = 0;
-    while i < inbox.len() {
-        if !ask.matches(&inbox[i].1) {
-            i += 1;
-            continue;
-        }
-        let (peer, payload) = inbox.remove(i);
-        let k = owed.iter().position(|&p| p == peer);
-        let k = k.unwrap_or_else(|| panic!("{ask:?}: a second reply from {peer}"));
-        owed.swap_remove(k);
-        got.push((peer, payload));
-    }
-}
-
-/// Block until every peer in `from` has answered `ask`, and return the
-/// replies in arrival order. The wait is a [`WaitSlot::Recovery`] under
-/// [`wait_until`], so a reply that never comes ends in the same 60 s
-/// deadline panic as any other blocked operation, naming what was asked and
-/// who still owes it.
-fn collect_replies(
+/// Send each peer its request and block until every one has answered;
+/// returns the replies in arrival order. A reply that never comes ends in
+/// [`wait_until`]'s deadline panic, as any other blocked operation does,
+/// naming what was asked and who still owes it.
+fn ask_every_peer(
     shared: &NodeShared,
     st: &mut MutexGuard<'_, NodeState>,
-    ask: RecAsk,
-    from: &[ProcId],
+    requests: Vec<(ProcId, Payload)>,
 ) -> Vec<(ProcId, Payload)> {
-    let owed = from.to_vec();
-    st.wait = WaitSlot::Recovery { ask, owed };
-    let mut got = Vec::new();
-    let ((), wait) = wait_until(shared, st, |st| {
-        let WaitSlot::Recovery { ask, owed } = &mut st.wait else {
-            unreachable!("recovery wait slot replaced while collecting")
-        };
-        take_replies(&mut st.rec.rec_inbox, ask, owed, &mut got);
-        owed.is_empty().then_some(())
-    });
-    st.wait = WaitSlot::None;
+    st.block_on(requests);
+    let (replies, wait) = wait_until(shared, st, |st| st.wait.take());
     wait.close(shared, st);
-    got
+    replies
 }
 
 /// The module's slice of the message kinds in normal mode: the two requests
@@ -383,16 +339,16 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     // ---- Phase 2: handshake ---------------------------------------------
     // Each peer is told what of its own the restored homed copies hold, so
     // its one reply brings exactly the diffs they lack.
-    let peers: Vec<ProcId> = (0..n).filter(|&p| p != me).collect();
-    for &p in &peers {
+    let handshake = (0..n).filter(|&p| p != me).map(|p| {
         let p0v = |&pg| (pg, st.pt.home_version(pg).get(p));
         let homed = homed.iter().map(p0v).collect();
-        st.send(p, Payload::RecLogReq { homed });
-    }
+        (p, Payload::RecLogReq { homed })
+    });
+    let handshake = handshake.collect();
 
     // ---- Phase 3: collect and merge log replies -----------------------------
     let t_collect = Instant::now();
-    let replies = collect_replies(shared, &mut st, RecAsk::Logs, &peers);
+    let replies = ask_every_peer(shared, &mut st, handshake);
     let (mut replay, mut entries, wanted) = merge_log_replies(&mut st, replies);
 
     // ---- Phase 4: restore homed pages -----------------------------------
@@ -552,15 +508,14 @@ pub(crate) fn go_live(st: &mut NodeState) {
 /// install.
 fn fetch_replay_pages(shared: &NodeShared, st: &mut MutexGuard<'_, NodeState>, pages: Vec<PageId>) {
     let me = st.me;
-    let tckp = st.ft.state.as_ref().unwrap().stamps[me].tckp.clone();
-    let peers: Vec<usize> = (0..st.n).filter(|&p| p != me).collect();
-    for &p in &peers {
+    let tckp = &st.ft.state.as_ref().unwrap().stamps[me].tckp;
+    let round = (0..st.n).filter(|&p| p != me).map(|p| {
         let (pages, tckp) = (pages.clone(), tckp.clone());
-        st.send(p, Payload::RecPageReq { pages, tckp });
-    }
+        (p, Payload::RecPageReq { pages, tckp })
+    });
+    let round = round.collect();
     let mut built = vec![(None, Vec::new()); pages.len()];
-    let ask = RecAsk::Pages(pages.clone());
-    for (_, payload) in collect_replies(shared, st, ask, &peers) {
+    for (_, payload) in ask_every_peer(shared, st, round) {
         let Payload::RecPageReply { pages: answers } = payload else {
             unreachable!("collected a reply that was not asked for")
         };
@@ -646,16 +601,14 @@ pub(crate) fn replay_materialize(
     st.pt.install_fetch(page, rp.copy.share(), &rp.version);
 }
 
-/// Invalidate what the notices of the intervals between `pre` and the
-/// replayed timestamp name.
-fn apply_replay_invalidations(st: &mut NodeState, pre: &VectorClock) {
-    for iv in pre.missing_from(&st.vt) {
-        if let Some(pages) = st.wn_table.get(iv) {
-            for &pg in pages {
-                st.pt.invalidate(pg, iv.proc, iv.seq);
-            }
-        }
-    }
+/// Join the replayed timestamp `t` and apply the notices of the intervals
+/// it adds, from the table the handshake filled, as a live grant or release
+/// applies those it carries.
+fn join_replayed(st: &mut NodeState, t: &VectorClock, cause: ReqCause) {
+    let pre = st.vt.clone();
+    st.vt.join(t);
+    let wns = st.wn_table.missing_between(&pre, &st.vt);
+    interval::apply_notices(st, &pre, wns, Vec::new(), cause);
 }
 
 /// Replay the acquire of `lock` from the collected logs; `false` at the
@@ -670,9 +623,7 @@ pub(crate) fn try_replay_acquire(st: &mut NodeState, lock: LockId, bd: &mut Brea
                 "replay acquire lock mismatch at acq_seq {acq_seq}"
             );
             st.close_interval(bd);
-            let pre = st.vt.clone();
-            st.vt.join(&entry.t_after);
-            apply_replay_invalidations(st, &pre);
+            join_replayed(st, &entry.t_after, ReqCause::GrantPrefetch);
             st.sync.replayed_acquire(lock, Some((entry.gen, granter)));
         }
         None => {
@@ -713,10 +664,8 @@ pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool
         return false;
     };
     st.close_interval(bd);
-    let arrive_vt = st.vt.clone();
-    st.sync.note_arrival(arrive_vt.get(st.me));
-    st.vt.join(&result);
-    apply_replay_invalidations(st, &arrive_vt);
+    st.sync.note_arrival(st.vt.get(st.me));
+    join_replayed(st, &result, ReqCause::ReleasePrefetch);
     st.sync.crossed();
     apply_pending_home(st);
     true
@@ -725,9 +674,12 @@ pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Msg;
     use crate::runtime::node::tests::{
         diff_of, gated, only_payload, page_of, recv_any, test_state,
     };
+    use crate::runtime::node::WaitSlot;
+    use dsm_net::Endpoint;
     use std::time::Duration;
 
     impl RecoverySvc {
@@ -738,17 +690,33 @@ mod tests {
                 ..Self::default()
             }
         }
+
+        /// A node in replay that knows the result of one barrier episode.
+        pub(crate) fn replaying_episode(episode: u64, result: VectorClock) -> Self {
+            let mut replay = ReplayState::default();
+            replay.bar_results.insert(episode, result);
+            RecoverySvc {
+                replay: Some(replay),
+                ..Self::default()
+            }
+        }
+
+        /// What waits for `go_live`.
+        pub(crate) fn deferred(&self) -> &[(ProcId, Payload)] {
+            &self.backlog
+        }
     }
 
     #[test]
-    fn a_crash_forgets_the_replay_and_both_queues() {
-        let mut rec = RecoverySvc::replaying_nothing();
-        rec.defer(0, log_reply());
-        rec.defer(0, Payload::RecLogReq { homed: Vec::new() });
-        assert!(rec.replaying());
-        assert_eq!((rec.rec_inbox.len(), rec.backlog.len()), (1, 1));
-        rec.fail_stop();
-        assert_eq!(rec, RecoverySvc::default());
+    fn a_crash_forgets_the_replay_and_the_backlog() {
+        let (mut st, _eps) = test_state(1, 3, true);
+        st.set_mode(Mode::Recovering);
+        st.rec = RecoverySvc::replaying_nothing();
+        defer(&mut st, 0, Payload::RecLogReq { homed: Vec::new() });
+        assert!(st.rec.replaying());
+        assert_eq!(st.rec.backlog.len(), 1);
+        st.rec.fail_stop();
+        assert_eq!(st.rec, RecoverySvc::default());
     }
 
     fn log_reply() -> Payload {
@@ -828,85 +796,72 @@ mod tests {
         }
     }
 
-    fn pages_ask(pages: &[u32]) -> RecAsk {
-        RecAsk::Pages(pages.iter().map(|&p| PageId(p)).collect())
+    /// Node 1 of `n`, recovering, blocked on a round that asks every peer
+    /// for `pages`.
+    fn asking(n: usize, pages: &[u32]) -> (NodeState, Vec<Arc<Endpoint<Msg>>>) {
+        let (mut st, eps) = test_state(1, n, true);
+        st.set_mode(Mode::Recovering);
+        let pages: Vec<_> = pages.iter().map(|&p| PageId(p)).collect();
+        let round = (0..n).filter(|&p| p != 1).map(|p| {
+            let (pages, tckp) = (pages.clone(), VectorClock::zero(n));
+            (p, Payload::RecPageReq { pages, tckp })
+        });
+        st.block_on(round.collect());
+        (st, eps)
     }
 
     #[test]
-    fn collector_takes_only_what_was_asked_once_per_peer_and_keeps_the_rest_in_order() {
-        let mut inbox = vec![
-            (1, page_reply(7, false)),
-            (1, page_reply(4, false)),
-            (1, log_reply()),
-            (2, page_reply(9, true)),
-        ];
-        let mut owed = vec![1, 2];
-        let mut got = Vec::new();
-        take_replies(&mut inbox, &pages_ask(&[4]), &mut owed, &mut got);
-        assert_eq!(
-            got,
-            [(1, page_reply(4, false))],
-            "one reply, from the peer asked"
-        );
-        assert_eq!(owed, [2], "peer 2 still owes its reply");
-        // Everything that is some other wait's business is still queued,
-        // in arrival order.
-        assert_eq!(
-            inbox,
-            [
-                (1, page_reply(7, false)),
-                (1, log_reply()),
-                (2, page_reply(9, true)),
-            ]
-        );
-
-        // The late reply completes the wait; the home's and a non-home's
-        // are the same kind, told apart by the copy alone.
-        inbox.push((2, page_reply(4, true)));
-        take_replies(&mut inbox, &pages_ask(&[4]), &mut owed, &mut got);
-        assert!(owed.is_empty());
-        assert_eq!(got[1], (2, page_reply(4, true)));
-
-        // Kind and page both select: the handshake takes only log replies.
-        let (mut owed, mut got) = (vec![1, 2], Vec::new());
-        take_replies(&mut inbox, &RecAsk::Logs, &mut owed, &mut got);
-        assert_eq!(got, [(1, log_reply())]);
-        assert_eq!(owed, [2]);
-        assert_eq!(inbox, [(1, page_reply(7, false)), (2, page_reply(9, true))]);
+    fn a_recovery_wait_takes_one_reply_from_each_peer_in_arrival_order() {
+        let (mut st, eps) = asking(3, &[4]);
+        for ep in &eps {
+            assert_eq!(only_payload(ep).kind(), "RecPageReq");
+        }
+        assert!(st.wait_opened(), "the wait opens before the round leaves");
+        defer(&mut st, 2, page_reply(4, true));
+        assert!(st.wait.take().is_none(), "peer 0 still owes its reply");
+        // A peer's request waits for `go_live`; the wait takes nothing of it.
+        defer(&mut st, 0, Payload::RecLogReq { homed: Vec::new() });
+        assert_eq!(st.rec.backlog.len(), 1);
+        // The home's reply and a non-home's are the same kind, told apart
+        // by the copy alone.
+        defer(&mut st, 0, page_reply(4, false));
+        let round = [(2, page_reply(4, true)), (0, page_reply(4, false))];
+        assert_eq!(st.wait.take(), Some(round.to_vec()));
+        assert!(matches!(st.wait, WaitSlot::None));
     }
 
     /// A round's reply names every page the round asked for, in its order:
     /// a reply to another round — a subset, a superset, another order, or
-    /// the same pages asked one at a time — is not this round's.
+    /// the same pages asked one at a time — is not this round's, and
+    /// neither is a handshake reply.
     #[test]
     fn a_rounds_reply_is_taken_only_by_its_own_ask() {
-        let mut inbox = vec![
-            (1, batch_reply(&[3], false)),
-            (1, batch_reply(&[3, 5, 8], false)),
-            (1, batch_reply(&[5, 3], false)),
-            (2, batch_reply(&[3, 5], true)),
-            (1, batch_reply(&[3, 5], false)),
-            (2, batch_reply(&[5], false)),
-        ];
-        let (mut owed, mut got) = (vec![1, 2], Vec::new());
-        take_replies(&mut inbox, &pages_ask(&[3, 5]), &mut owed, &mut got);
+        let (mut st, _eps) = asking(3, &[3, 5]);
+        for other in [
+            batch_reply(&[3], false),
+            batch_reply(&[3, 5, 8], false),
+            batch_reply(&[5, 3], false),
+            batch_reply(&[5], false),
+            log_reply(),
+        ] {
+            assert_eq!(st.wait.deposit(0, other.clone()), Some(other));
+        }
+        for (peer, home) in [(2, true), (0, false)] {
+            assert_eq!(st.wait.deposit(peer, batch_reply(&[3, 5], home)), None);
+        }
         let round = [
             (2, batch_reply(&[3, 5], true)),
-            (1, batch_reply(&[3, 5], false)),
+            (0, batch_reply(&[3, 5], false)),
         ];
-        assert_eq!((got, owed), (round.to_vec(), vec![]));
-        assert_eq!(inbox.len(), 4, "the other rounds' replies stay queued");
-        let (mut owed, mut got) = (vec![1, 2], Vec::new());
-        take_replies(&mut inbox, &pages_ask(&[5]), &mut owed, &mut got);
-        assert_eq!((got, owed), (vec![(2, batch_reply(&[5], false))], vec![1]));
+        assert_eq!(st.wait.take(), Some(round.to_vec()));
     }
 
     #[test]
-    #[should_panic(expected = "Pages([PageId(4)]): a second reply from 1")]
+    #[should_panic(expected = "node 1: RecPageReply from 0 is owed to no open request")]
     fn a_second_reply_from_a_peer_is_a_bug() {
-        let mut inbox = vec![(1, page_reply(4, false)), (1, page_reply(4, false))];
-        let (mut owed, mut got) = (vec![1, 2], Vec::new());
-        take_replies(&mut inbox, &pages_ask(&[4]), &mut owed, &mut got);
+        let (mut st, _eps) = asking(3, &[4]);
+        defer(&mut st, 0, page_reply(4, false));
+        defer(&mut st, 0, page_reply(4, false));
     }
 
     #[test]
@@ -918,19 +873,28 @@ mod tests {
 
     #[test]
     fn a_blocked_recovery_wait_names_what_it_asked_and_who_owes_it() {
-        // `wait_until`'s deadline panic prints the wait slot.
-        for (ask, named) in [
-            (pages_ask(&[12, 14]), "Pages([PageId(12), PageId(14)])"),
-            (RecAsk::Logs, "Logs"),
-        ] {
-            let wait = WaitSlot::Recovery {
-                ask,
-                owed: vec![0, 3],
-            };
-            let shown = format!("{wait:?}");
-            assert!(shown.contains(named), "{shown}");
-            assert!(shown.contains("[0, 3]"), "{shown}");
-        }
+        // `wait_until`'s deadline panic prints the wait slot. Node 1 of 4
+        // asks peers 0, 2 and 3; peer 2 has answered.
+        let (mut st, _eps) = asking(4, &[12, 14]);
+        defer(&mut st, 2, batch_reply(&[12, 14], false));
+        let shown = format!("{:?}", st.wait);
+        assert!(shown.contains("pages: [PageId(12), PageId(14)]"), "{shown}");
+        assert!(shown.contains("owed: [0, 3]"), "{shown}");
+        // The handshake: what every peer was asked, less its own versions.
+        let (mut st, _eps) = test_state(1, 4, true);
+        let homed = vec![(PageId(1), 2)];
+        let handshake = [0, 2, 3].map(|p| {
+            (
+                p,
+                Payload::RecLogReq {
+                    homed: homed.clone(),
+                },
+            )
+        });
+        st.block_on(handshake.to_vec());
+        let shown = format!("{:?}", st.wait);
+        assert!(shown.contains("RecLogReq { homed: [] }"), "{shown}");
+        assert!(shown.contains("owed: [0, 2, 3]"), "{shown}");
     }
 
     fn logged_seqs(entries: &[DiffLogEntry]) -> Vec<(u32, u32)> {

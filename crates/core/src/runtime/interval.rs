@@ -98,14 +98,17 @@ pub(crate) fn request(st: &mut NodeState, lock: LockId) {
     let acq_seq = st.sync.take_acq_seq();
     st.tracer.emit(EventKind::LockRequest { lock: lock as u32 });
     let vt = st.vt.clone();
-    st.block_on(lock % st.n, Payload::LockAcq { lock, acq_seq, vt });
+    let to = lock % st.n;
+    st.block_on(vec![(to, Payload::LockAcq { lock, acq_seq, vt })]);
 }
 
 /// Apply the write notices a grant or a barrier release carried that `pre`
 /// — our timestamp before joining the sender's — does not cover: record
 /// them, invalidate their pages, install the pages it pushed, and prefetch
 /// what was in use and is still invalid, counting its requests as `cause`.
-fn apply_notices(
+/// A replayed acquire or barrier applies the table's own notices between
+/// the two clocks, with no pushes, and prefetches nothing.
+pub(crate) fn apply_notices(
     st: &mut NodeState,
     pre: &VectorClock,
     wns: WnDelta,
@@ -211,7 +214,7 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
         pushed,
         batch,
     };
-    st.block_on(0, arrival);
+    st.block_on(vec![(0, arrival)]);
     episode
 }
 
@@ -260,7 +263,9 @@ mod tests {
     use crate::config::CkptPolicy;
     use crate::ft::FtState;
     use crate::msg::{CkptStamp, Msg, Piggy};
-    use crate::runtime::node::tests::{diff_of, gated, page_of, requests, test_state, waited};
+    use crate::runtime::node::tests::{
+        diff_of, gated, page_of, requests, test_state, the_answer, waited,
+    };
     use crate::runtime::node::{drain_unalloc, handle_msg, Mode, WaitSlot};
     use dsm_net::{Endpoint, Fabric};
     use dsm_page::{Diff, Interval};
@@ -379,10 +384,10 @@ mod tests {
         assert_eq!(batch.as_ref().map(Vec::len), carried);
         match &st.wait {
             WaitSlot::Request {
-                to: 0,
+                to,
                 request: Payload::BarrierArrive { batch: None, .. },
                 ..
-            } => {}
+            } if *to == [0] => {}
             other => panic!("unexpected wait {other:?}: a resend would carry the batch"),
         }
         batch.clone()
@@ -457,7 +462,7 @@ mod tests {
             batch: None,
         };
         handle_msg(&mut st, 0, release);
-        let (_, release) = st.wait.take().expect("the release answers the arrival");
+        let (_, release) = the_answer(&mut st.wait);
         cross_barrier(&mut st, release);
         // A checkpoint past the arrival at interval 2 saves notices 1–4.
         write_interval(&mut st, 3);
@@ -524,7 +529,7 @@ mod tests {
                 pushed: Vec::new(),
             };
             handle_msg(&mut st, 1, peer);
-            let (_, release) = st.wait.take().expect("the episode completed");
+            let (_, release) = the_answer(&mut st.wait);
             cross_barrier(&mut st, release);
         }
         let logged: Vec<_> = (st.ft.logs().unwrap().bar.iter())
@@ -588,7 +593,7 @@ mod tests {
         let release_to_peer = |st: &mut NodeState, byte| {
             write_interval(st, byte);
             arrive(st, &mut Breakdown::default());
-            let (_, release) = st.wait.take().expect("the episode completed");
+            let (_, release) = the_answer(&mut st.wait);
             cross_barrier(st, release);
             let (none, release) = sent(&eps[1]);
             let ([], [Payload::BarrierRelease { wns, pushed, .. }]) = (&none[..], &release[..])
@@ -657,7 +662,7 @@ mod tests {
             let pushed = arrival.pushed().to_vec();
             handle_msg(manager, 1, arrival.clone());
             arrive(manager, &mut Breakdown::default());
-            let (_, release) = manager.wait.take().expect("the episode completed");
+            let (_, release) = the_answer(&mut manager.wait);
             cross_barrier(manager, release);
             let (fetches, release) = sent(&to_home[0]);
             let [release @ Payload::BarrierRelease { used, .. }] = &release[..] else {
@@ -665,7 +670,7 @@ mod tests {
             };
             let used = used.clone();
             handle_msg(home, 0, release.clone());
-            let (_, release) = home.wait.take().expect("the release answers the arrival");
+            let (_, release) = the_answer(&mut home.wait);
             cross_barrier(home, release);
             (pushed, used, fetches)
         };
@@ -736,11 +741,74 @@ mod tests {
                     batch: None,
                 };
                 handle_msg(&mut st, 0, release);
-                let (_, release) = st.wait.take().expect("the release answers the arrival");
+                let (_, release) = the_answer(&mut st.wait);
                 cross_barrier(&mut st, release);
                 let kept = if ft { n * (episode as usize + 1) } else { 0 };
                 assert_eq!(st.wn_table.len(), kept, "ft {ft} after episode {episode}");
             }
+        }
+    }
+
+    /// A replayed crossing applies the notices its clock adds through the
+    /// live path, from the table the handshake filled: the same pages
+    /// invalid, at the same `needed`, as a live crossing to the same clock
+    /// whose release carried those notices.
+    #[test]
+    fn a_replayed_barrier_leaves_the_pages_as_a_live_crossing_to_its_clock() {
+        let n = 3;
+        let wn = |proc, seq, pages: &[u32]| WriteNotice {
+            interval: Interval { proc, seq },
+            pages: pages.iter().map(|&p| PageId(p)).collect(),
+        };
+        // Node 0 wrote pages 0 and 2 in its interval 1, node 2 page 1 in
+        // its intervals 1 and 2, and page 3 in its interval 3, which the
+        // episode's clock does not cover.
+        let notices = [wn(0, 1, &[0, 2]), wn(2, 1, &[1]), wn(2, 2, &[1])];
+        let result = VectorClock::from_vec(vec![1, 0, 2]);
+        // Node 1 holds pages 0 and 1 and read them, holds page 2 unread,
+        // and has never held page 3.
+        let node = || {
+            let (mut st, eps) = test_state(1, n, true);
+            for home in [0, 2, 0, 2] {
+                st.pt.add_page(home);
+            }
+            for p in 0..3 {
+                st.pt.install(PageId(p), page_of(0), &VectorClock::zero(n));
+            }
+            for p in 0..2 {
+                st.pt.read_into(PageId(p), 0, &mut [0u8; 8]);
+            }
+            st.wn_table.insert(wn(2, 3, &[3]));
+            (st, eps)
+        };
+        let (mut live, _live_peers) = node();
+        arrive(&mut live, &mut Breakdown::default());
+        let release = Payload::BarrierRelease {
+            episode: 0,
+            vt: result.clone(),
+            wns: notices.to_vec().into(),
+            pushed: Vec::new(),
+            used: Vec::new(),
+            batch: None,
+        };
+        cross_barrier(&mut live, release);
+        let (mut replayed, _replayed_peers) = node();
+        for notice in notices {
+            replayed.wn_table.insert(notice);
+        }
+        replayed.rec = crate::ft::recovery::RecoverySvc::replaying_episode(0, result);
+        assert!(recovery::try_replay_barrier(
+            &mut replayed,
+            &mut Breakdown::default()
+        ));
+        assert_eq!(live.vt, replayed.vt);
+        assert_eq!(
+            live.pt.needed_triples(),
+            [(0, 0, 1), (1, 2, 2), (2, 0, 1)].map(|(p, w, s)| (PageId(p), w, s))
+        );
+        for p in (0..4).map(PageId) {
+            let (a, b) = (live.pt.remote_meta(p), replayed.pt.remote_meta(p));
+            assert_eq!((a.state, &a.needed), (b.state, &b.needed), "page {p}");
         }
     }
 }

@@ -48,7 +48,7 @@ use hlrc::{PageTable, WnTable};
 use parking_lot::Mutex;
 
 use crate::ft::ckpt::{CheckpointBlob, RetainedCkpt};
-use crate::ft::recovery::{self, RecAsk, RecoverySvc};
+use crate::ft::recovery::{self, RecoverySvc};
 use crate::ft::{FtState, FtSvc};
 use crate::msg::{Msg, Payload};
 use crate::runtime::fetch::{self, FetchSvc};
@@ -74,64 +74,102 @@ pub(crate) enum Mode {
 /// What the application thread is currently blocked on, a page apart (a
 /// fault waits on its entry in [`FetchSvc`]). (One per node: the size of a
 /// parked request does not matter.)
-#[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum WaitSlot {
     None,
-    /// The answer to `request` — a `LockAcq` or `BarrierArrive`, kept as it
-    /// was sent to `to`, so that a resend is the first send again by
-    /// construction — and, once it has come, the answer and its sender: a
-    /// `LockGrant` or `BarrierRelease`.
+    /// `request`, sent to every node in `to` ([`NodeState::block_on`]), and
+    /// the answers come so far, each with its sender, in arrival order. A
+    /// request to one node — a `LockAcq` or a `BarrierArrive` — is owed one
+    /// answer, from whichever node grants it: a `LockGrant` or a
+    /// `BarrierRelease`. The recovery handshake (`RecLogReq`) and a round of
+    /// home emulation (`RecPageReq`) go to every peer, and each owes its
+    /// own: a `RecLogReply` or a `RecPageReply`. Nothing is sent again but
+    /// to a restarted peer: the fabric delivers every message to a live
+    /// node, under a fault plan through its link.
     Request {
-        to: ProcId,
+        to: Vec<ProcId>,
         request: Payload,
-        answer: Option<(ProcId, Payload)>,
-    },
-    /// Recovery: collecting the replies `ask` describes; `owed` are the
-    /// peers that have not answered yet. Nothing is sent again for it: the
-    /// fabric delivers every message to a live node, under a fault plan
-    /// through its link.
-    Recovery {
-        ask: RecAsk,
-        owed: Vec<ProcId>,
+        got: Vec<(ProcId, Payload)>,
     },
 }
 
-/// Is `reply` the answer to `request`, by the number the two share?
+/// Is `reply` the answer to `request`, by the number the two share — or,
+/// for a round of home emulation, by the pages asked, in the order asked?
 pub(crate) fn answers(request: &Payload, reply: &Payload) -> bool {
     use Payload::*;
     match (request, reply) {
         (LockAcq { acq_seq: a, .. }, LockGrant { acq_seq: b, .. }) => a == b,
         (BarrierArrive { episode: a, .. }, BarrierRelease { episode: b, .. }) => a == b,
+        (RecLogReq { .. }, RecLogReply { .. }) => true,
+        (RecPageReq { pages: asked, .. }, RecPageReply { pages }) => {
+            pages.iter().map(|rp| rp.page).eq(asked.iter().copied())
+        }
         _ => false,
     }
 }
 
 impl WaitSlot {
     /// Deposit `reply` from `from` for the blocked application thread, if
-    /// it is the first answer to the request waited for. Anything else
-    /// comes back: a restart's second answer to a request already answered
-    /// (the link delivers every other message once).
+    /// it answers the request waited for, an answer is still owed, and
+    /// `from` has given none yet. Anything else comes back: a restart's
+    /// second answer to a request already answered (the link delivers every
+    /// other message once).
     pub(crate) fn deposit(&mut self, from: ProcId, reply: Payload) -> Option<Payload> {
         match self {
-            WaitSlot::Request {
-                request, answer, ..
-            } if answer.is_none() && answers(request, &reply) => {
-                *answer = Some((from, reply));
+            WaitSlot::Request { to, request, got }
+                if got.len() < to.len()
+                    && !got.iter().any(|&(p, _)| p == from)
+                    && answers(request, &reply) =>
+            {
+                got.push((from, reply));
                 None
             }
             _ => Some(reply),
         }
     }
 
-    /// Take the answer deposited, with its sender; that ends the wait.
-    pub(crate) fn take(&mut self) -> Option<(ProcId, Payload)> {
-        let WaitSlot::Request { answer, .. } = self else {
+    /// Has every answer owed come?
+    pub(crate) fn answered(&self) -> bool {
+        matches!(self, WaitSlot::Request { to, got, .. } if got.len() == to.len())
+    }
+
+    /// Take the answers, each with its sender, in arrival order, once every
+    /// one owed has come; that ends the wait.
+    pub(crate) fn take(&mut self) -> Option<Vec<(ProcId, Payload)>> {
+        if !self.answered() {
             return None;
-        };
-        let answer = answer.take()?;
-        *self = WaitSlot::None;
-        Some(answer)
+        }
+        match std::mem::replace(self, WaitSlot::None) {
+            WaitSlot::Request { got, .. } => Some(got),
+            WaitSlot::None => None,
+        }
+    }
+
+    /// The nodes whose answer has not come: the one asked until a request
+    /// to one node is answered, every peer yet to reply to a recovery's.
+    fn owed(&self) -> Vec<ProcId> {
+        match self {
+            WaitSlot::Request { to, got, .. } if got.len() < to.len() => {
+                let answered = |p: &ProcId| got.iter().any(|(q, _)| q == p);
+                to.iter().copied().filter(|p| !answered(p)).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// What the request is and who owes its answer — the answers that came are
+/// left out: a deadline panic prints the slot.
+impl std::fmt::Debug for WaitSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WaitSlot::None => f.write_str("None"),
+            WaitSlot::Request { request, .. } => f
+                .debug_struct("Request")
+                .field("request", request)
+                .field("owed", &self.owed())
+                .finish(),
+        }
     }
 }
 
@@ -448,24 +486,14 @@ impl NodeState {
         }
     }
 
-    /// The unanswered request the application thread is blocked on and its
-    /// destination, for a resend to a restarted peer.
-    fn blocked_request(&self) -> Option<(ProcId, Payload)> {
-        match &self.wait {
-            WaitSlot::Request {
-                to,
-                request,
-                answer: None,
-            } => Some((*to, request.clone())),
-            _ => None,
-        }
-    }
-
-    /// Park `request` in the wait slot and send it to `to`, for the
-    /// application thread to block on its answer. A batch it carries rides
-    /// this send only: a restarted manager gets the diffs from the writer's
-    /// log, as it gets every other diff it lost. So do the pages it pushes:
-    /// a restarted manager keeps no copy they build on.
+    /// Park a request in the wait slot and send `requests` — one node's, or
+    /// one to every peer — for the application thread to block on the
+    /// answers. The slot keeps the first as it was sent, so that a resend
+    /// to a restarted peer is the first send again by construction, less
+    /// what rides one send only. A batch it carries: a restarted manager
+    /// gets the diffs from the writer's log, as it gets every other diff it
+    /// lost. The pages it pushes: a restarted manager keeps no copy they
+    /// build on. And the handshake's versions, which are each peer's own.
     ///
     /// The wait opens before a request to another node leaves
     /// ([`Endpoint::open_wait`]): the service thread passes no answer and
@@ -476,27 +504,30 @@ impl NodeState {
     ///
     /// [`wait_until`]: crate::runtime::process::wait_until
     /// [`Waiting`]: crate::runtime::process::Waiting
-    pub(crate) fn block_on(&mut self, to: ProcId, request: Payload) {
-        let (mut parked, answer) = (request.clone(), None);
-        parked.take_carried();
-        if let Payload::BarrierArrive { pushed, .. } = &mut parked {
-            pushed.clear();
+    pub(crate) fn block_on(&mut self, requests: Vec<(ProcId, Payload)>) {
+        let to: Vec<ProcId> = requests.iter().map(|&(p, _)| p).collect();
+        let mut request = requests[0].1.clone();
+        request.take_carried();
+        match &mut request {
+            Payload::BarrierArrive { pushed, .. } => pushed.clear(),
+            Payload::RecLogReq { homed } => homed.clear(),
+            _ => {}
         }
-        self.wait = WaitSlot::Request {
-            to,
-            request: parked,
-            answer,
-        };
-        if to != self.me {
+        if to != [self.me] {
             self.ep.open_wait();
         }
-        self.send(to, request);
+        let got = Vec::with_capacity(to.len());
+        self.wait = WaitSlot::Request { to, request, got };
+        for (to, request) in requests {
+            self.send(to, request);
+        }
     }
 
     /// Whether [`NodeState::block_on`] opened the wait for a request that
-    /// is still unanswered.
+    /// is still owed an answer.
     pub(crate) fn wait_opened(&self) -> bool {
-        matches!(self.wait, WaitSlot::Request { to, answer: None, .. } if to != self.me)
+        matches!(&self.wait, WaitSlot::Request { to, .. } if *to != [self.me])
+            && !self.wait.answered()
     }
 }
 
@@ -560,9 +591,9 @@ pub(crate) fn handle_peer_restart(st: &mut NodeState, node: ProcId) -> Vec<PageI
     let wanted = st.pt.home_store().drop_wants(node);
     sync::reforward_to(st, node);
     fetch::resend_batches_to(st, node);
-    if let Some((to, payload)) = st.blocked_request() {
-        if to == node {
-            st.send(node, payload);
+    if let WaitSlot::Request { request, .. } = &st.wait {
+        if st.wait.owed().contains(&node) {
+            st.send(node, request.clone());
         }
     }
     wanted
@@ -578,7 +609,7 @@ pub(crate) fn dispatch(st: &mut NodeState, from: ProcId, msg: Msg) {
         st.ft.absorb_piggy(from, p);
     }
     if st.mode == Mode::Recovering {
-        return st.rec.defer(from, msg.payload);
+        return recovery::defer(st, from, msg.payload);
     }
     // Everything the handler sends is causally parented on the message
     // being handled.
@@ -652,14 +683,7 @@ impl Reader {
         let mut st = shared.state.lock();
         let t1 = Instant::now();
         dispatch(&mut st, from, msg);
-        let answered = matches!(
-            st.wait,
-            WaitSlot::Request {
-                answer: Some(_),
-                ..
-            }
-        );
-        (off_lock + t1.elapsed(), batch || answered)
+        (off_lock + t1.elapsed(), batch || st.wait.answered())
     }
 }
 
@@ -738,12 +762,16 @@ pub(crate) mod tests {
 
     /// A wait for the answer to `request`, sent to `to`.
     pub(crate) fn waiting_on(to: ProcId, request: Payload) -> WaitSlot {
-        let answer = None;
-        WaitSlot::Request {
-            to,
-            request,
-            answer,
-        }
+        let (to, got) = (vec![to], Vec::new());
+        WaitSlot::Request { to, request, got }
+    }
+
+    /// The one answer a request to one node was owed, with its sender; the
+    /// wait ends.
+    pub(crate) fn the_answer(wait: &mut WaitSlot) -> (ProcId, Payload) {
+        let answers = wait.take().expect("every answer owed has come");
+        let [answer] = <[_; 1]>::try_from(answers).expect("a request to one node");
+        answer
     }
 
     /// The next message for `ep` within `d`, whichever thread would read
@@ -901,22 +929,16 @@ pub(crate) mod tests {
             vt: vt([0, 0, 1]),
         };
         handle_msg(&mut st, 1, forward);
-        // Fetch: a request in flight for page 0. Recovery: both queues.
+        // Fetch: a request in flight for page 0. Recovery: its backlog.
         fetch::issue_prefetch(&mut st, &[PageId(0)], ReqCause::ReleasePrefetch);
         assert!(st.fetch.in_flight(PageId(0)));
         let sent = requests(&eps[0]);
         let [Payload::PageReq { req_id, .. }] = &sent[..] else {
             panic!("unexpected {sent:?}")
         };
-        st.rec.defer(0, Payload::RecLogReq { homed: Vec::new() });
+        recovery::defer(&mut st, 0, Payload::RecLogReq { homed: Vec::new() });
         // A closed interval's diff for page 0, held for its home.
         st.unsent.insert(0, vec![diff_of(0, 1, 5)]);
-        let pages = vec![crate::msg::RecPage {
-            page: PageId(1),
-            copy: None,
-            entries: Vec::new(),
-        }];
-        st.rec.defer(0, Payload::RecPageReply { pages });
         let blocked = Payload::LockAcq {
             lock: 7,
             acq_seq: 3,
@@ -1012,12 +1034,11 @@ pub(crate) mod tests {
         let (mut st, eps) = test_state(0, 2, false);
         st.set_mode(Mode::Recovering);
         dispatch(&mut st, 1, request());
-        let mut backlog = RecoverySvc::default();
-        backlog.defer(1, acq.clone());
-        assert_eq!(st.rec, backlog, "a recovering manager defers the request");
+        let backlog = [(1, acq.clone())];
+        assert_eq!(st.rec.deferred(), backlog, "a recovering manager defers it");
         st.set_mode(Mode::Crashed);
         dispatch(&mut st, 1, request());
-        assert_eq!(st.rec, backlog, "a crashed manager drops it");
+        assert_eq!(st.rec.deferred(), backlog, "a crashed manager drops it");
         assert_eq!(st.sync, SyncSvc::new(0, 2), "the manager routed nothing");
         assert!(recv_any(&eps[0], Duration::ZERO).is_none());
         // In Normal mode the same request is routed: node 0 is the chain
@@ -1060,10 +1081,49 @@ pub(crate) mod tests {
         assert_eq!(wait.deposit(0, grant(42, 0)), None);
         // A second grant of the same acquisition is a duplicate.
         assert_eq!(wait.deposit(0, grant(42, 1)), Some(grant(42, 1)));
-        assert_eq!(wait.take(), Some((0, grant(42, 0))));
+        assert_eq!(wait.take(), Some(vec![(0, grant(42, 0))]));
         assert!(wait.take().is_none());
         // Nothing is deposited when nothing is waited for.
         assert!(WaitSlot::None.deposit(0, grant(42, 0)).is_some());
+    }
+
+    #[test]
+    fn a_request_to_three_peers_takes_one_answer_from_each() {
+        let round = |pages: &[u32]| {
+            let pages = pages.iter().map(|&p| PageId(p)).collect();
+            let tckp = VectorClock::zero(4);
+            Payload::RecPageReq { pages, tckp }
+        };
+        let reply = |pages: &[u32]| {
+            let pages = pages.iter().map(|&p| crate::msg::RecPage {
+                page: PageId(p),
+                copy: None,
+                entries: Vec::new(),
+            });
+            Payload::RecPageReply {
+                pages: pages.collect(),
+            }
+        };
+        // Node 1 of 4 asks nodes 0, 2 and 3 for pages 5 and 7.
+        let (to, got) = (vec![0, 2, 3], Vec::new());
+        let request = round(&[5, 7]);
+        let mut wait = WaitSlot::Request { to, request, got };
+        assert_eq!(wait.deposit(3, reply(&[5, 7])), None);
+        assert_eq!(wait.owed(), [0, 2]);
+        // A second answer from the same peer, and another round's.
+        assert_eq!(wait.deposit(3, reply(&[5, 7])), Some(reply(&[5, 7])));
+        assert_eq!(wait.deposit(0, reply(&[5])), Some(reply(&[5])));
+        assert!(!wait.answered() && wait.take().is_none());
+        assert_eq!(wait.deposit(0, reply(&[5, 7])), None);
+        assert_eq!(wait.deposit(2, reply(&[5, 7])), None);
+        assert!(wait.answered() && wait.owed().is_empty());
+        let got = [
+            (3, reply(&[5, 7])),
+            (0, reply(&[5, 7])),
+            (2, reply(&[5, 7])),
+        ];
+        assert_eq!(wait.take(), Some(got.to_vec()));
+        assert!(matches!(wait, WaitSlot::None));
     }
 
     /// Deliver one fixed request sequence to node 0 of three — bare, or
@@ -1440,7 +1500,7 @@ pub(crate) mod tests {
                 st.pt.add_page(home);
             }
             interval::request(&mut st, 1);
-            let grant = st.wait.take().expect("we manage lock 1");
+            let grant = the_answer(&mut st.wait);
             interval::apply_grant(&mut st, grant, &mut Breakdown::default());
             for page in [0, 1, 3] {
                 st.pt
@@ -1478,9 +1538,9 @@ pub(crate) mod tests {
         // Node 0 of 2 manages lock 0 and the barrier.
         let (mut st, eps) = test_state(0, 2, false);
         interval::request(&mut st, 0);
-        match st.wait.take() {
-            Some((0, Payload::LockGrant { lock, acq_seq, .. })) => {
-                assert_eq!((lock, acq_seq), (0, 0));
+        match st.wait.take().as_deref() {
+            Some([(0, Payload::LockGrant { lock, acq_seq, .. })]) => {
+                assert_eq!((*lock, *acq_seq), (0, 0));
             }
             other => panic!("own LockAcq must deposit the grant, not {other:?}"),
         }
@@ -1501,9 +1561,9 @@ pub(crate) mod tests {
             pushed: Vec::new(),
         };
         handle_msg(&mut st, 1, from_node_1);
-        match st.wait.take() {
-            Some((0, Payload::BarrierRelease { episode, vt, .. })) => {
-                assert_eq!((episode, vt.get(0), vt.get(1)), (0, 1, 1))
+        match st.wait.take().as_deref() {
+            Some([(0, Payload::BarrierRelease { episode, vt, .. })]) => {
+                assert_eq!((*episode, vt.get(0), vt.get(1)), (0, 1, 1))
             }
             other => panic!("own release must land in the wait slot, not {other:?}"),
         }

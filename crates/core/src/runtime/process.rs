@@ -508,7 +508,7 @@ impl Process {
         }
         interval::request(&mut st, lock);
         let t0 = Instant::now();
-        let (g, wait) = wait_until(&shared, &mut st, |st| st.wait.take());
+        let (g, wait) = wait_until(&shared, &mut st, |st| st.wait.take()?.pop());
         self.breakdown.lock_wait += waited(&mut st, t0);
         st.hists.lock_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer
@@ -547,7 +547,7 @@ impl Process {
         }
         let episode = interval::arrive(&mut st, &mut self.breakdown);
         let t0 = Instant::now();
-        let ((_, release), wait) = wait_until(&shared, &mut st, |st| st.wait.take());
+        let ((_, release), wait) = wait_until(&shared, &mut st, |st| st.wait.take()?.pop());
         self.breakdown.barrier_wait += waited(&mut st, t0);
         st.hists.barrier_wait.record(t0.elapsed().as_nanos() as u64);
         st.tracer.emit_span(

@@ -2,9 +2,8 @@
 //!
 //! A [`FaultPlan`] attached to a [`crate::Fabric`] perturbs every frame the
 //! link puts on the wire — a message's first send, its resends and the
-//! acks alike: frames can be dropped, duplicated, delayed, reordered (a
-//! short random delay) or blocked by a dynamic network partition, per
-//! `(src, dst, kind)` match (an ack's kind is `"Ack"`). The link below the
+//! acks alike: frames can be dropped, duplicated, delayed or reordered (a
+//! short random delay), per `(src, dst, kind)` match (an ack's kind is `"Ack"`). The link below the
 //! protocol ([`crate::link`]) masks the loss, duplication and reordering,
 //! recovery messages included; the protocol sees the delay, and crashes.
 //! All randomness comes from one seed expanded into an independent

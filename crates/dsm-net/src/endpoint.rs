@@ -99,15 +99,11 @@ struct FabricShared<M> {
     /// One queue per node, read by its two threads.
     inboxes: Vec<Mailbox<M>>,
     stats: FabricStats,
-    /// Fast-path gate: false until a fault plan or a partition is first
-    /// set, so [`Endpoint::send`] hands a message straight to its queue. From
+    /// Fast-path gate: false until a fault plan is first set, so [`Endpoint::send`] hands a message straight to its queue. From
     /// then on every send goes through the link, for good: a later send
     /// must not overtake what the link still holds.
     chaos_on: AtomicBool,
     chaos: RwLock<Option<ChaosState>>,
-    /// Partition group per node; empty = fully connected. Frames whose
-    /// endpoints sit in different groups are lost (and resent by the link).
-    partition: RwLock<Vec<u32>>,
     links: Links<M>,
     /// Per node: where the links stood when it crashed, while it is down
     /// under the link (see [`Fabric::restart`]).
@@ -122,16 +118,10 @@ impl<M: Clone + WireSized> FabricShared<M> {
         self.inboxes[to].push((from, msg));
     }
 
-    /// Put a link frame on the wire from `from` to `to`, where the
-    /// partition and the fault plan decide its fate.
+    /// Put a link frame on the wire from `from` to `to`, where the fault
+    /// plan decides its fate.
     fn transmit(&self, from: NodeId, to: NodeId, mut frame: Frame<M>) {
         let traffic = self.stats.node(from);
-        {
-            let part = self.partition.read();
-            if !part.is_empty() && part[from] != part[to] {
-                return traffic.record_partition_block();
-            }
-        }
         let fate = match self.chaos.read().as_ref() {
             Some(c) => c.decide(from, to, frame.kind_name()),
             None => Fate::Deliver,
@@ -201,7 +191,7 @@ impl<M: Clone + WireSized> FabricShared<M> {
     }
 
     /// Park `frame` in the delivery pump until `by` elapses. The pump runs
-    /// whenever a plan or a partition is set, which is when frames exist.
+    /// once a plan is set, which is when frames exist.
     fn push_delayed(&self, from: NodeId, to: NodeId, frame: Frame<M>, by: Duration) {
         let pump = self.pump.lock().as_ref().map(Arc::clone);
         let ps = pump.expect("the link runs with the pump");
@@ -314,7 +304,6 @@ impl<M: Send + Clone + WireSized> Fabric<M> {
             stats: FabricStats::new(n),
             chaos_on: AtomicBool::new(false),
             chaos: RwLock::new(None),
-            partition: RwLock::new(Vec::new()),
             links: Links::new(n),
             crash_marks: Mutex::new(vec![Vec::new(); n]),
             pump: Mutex::new(None),
@@ -384,34 +373,6 @@ impl<M: Send + Clone + WireSized> Fabric<M> {
         let mut st = self.shared.status.write();
         assert_eq!(st[node], NodeStatus::Crashed, "node {node} is not crashed");
         st[node] = NodeStatus::Up;
-    }
-
-    /// Split the cluster: nodes in different groups can no longer exchange
-    /// frames (they are lost and counted, and the link sends them again).
-    /// Every node must appear in exactly one group. [`Fabric::heal`]
-    /// reconnects.
-    pub fn partition(&self, groups: &[&[NodeId]])
-    where
-        M: 'static,
-    {
-        let mut assign = vec![u32::MAX; self.n];
-        for (g, members) in groups.iter().enumerate() {
-            for &m in *members {
-                assert_eq!(assign[m], u32::MAX, "node {m} listed in two groups");
-                assign[m] = g as u32;
-            }
-        }
-        assert!(
-            assign.iter().all(|&g| g != u32::MAX),
-            "every node must be in a partition group"
-        );
-        *self.shared.partition.write() = assign;
-        link_on(&self.shared);
-    }
-
-    /// Remove an active partition; all links work again.
-    pub fn heal(&self) {
-        self.shared.partition.write().clear();
     }
 
     /// Attach a seeded fault plan; all subsequent sends are subject to it,
@@ -527,7 +488,7 @@ impl<M: Send + Clone + WireSized> Endpoint<M> {
     /// Send `msg` to `to`. Delivery is reliable and FIFO per
     /// sender-receiver pair unless the destination is crashed, in
     /// which case the message is dropped (and counted) and `false` is
-    /// returned. Under a fault plan or partition the message goes through
+    /// returned. Under a fault plan the message goes through
     /// the link ([`crate::link`]), which masks loss, duplication and
     /// reordering: it may only arrive late, or not at all if its
     /// destination crashes first.
@@ -1038,20 +999,6 @@ mod tests {
             .take(2)
             .collect();
         assert_eq!(got, [1, 2]);
-    }
-
-    #[test]
-    fn partition_blocks_cross_group_until_heal() {
-        let (fabric, eps) = Fabric::<TestMsg>::new(4);
-        fabric.partition(&[&[0, 1], &[2, 3]]);
-        assert!(eps[0].send(2, TestMsg(1, 10, 0))); // silently lost
-        assert!(eps[0].send(1, TestMsg(2, 10, 0))); // same side: delivered
-        assert!(eps[2].try_recv().is_none());
-        assert!(matches!(eps[1].recv(), Some(Event::Msg { .. })));
-        assert_eq!(fabric.stats().node(0).snapshot().partition_blocked, 1);
-        fabric.heal();
-        eps[0].send(2, TestMsg(3, 10, 0));
-        assert!(matches!(eps[2].recv(), Some(Event::Msg { .. })));
     }
 
     #[test]

@@ -24,11 +24,9 @@
 
 //! * Deterministic fault injection: a seeded [`FaultPlan`] attached with
 //!   [`Fabric::set_fault_plan`] drops, delays, duplicates and reorders
-//!   frames per `(src, dst, kind)`; [`Fabric::partition`] /
-//!   [`Fabric::heal`] model dynamic network partitions. See [`chaos`].
-//!   Under either, the link layer ([`link`]) keeps the channels reliable
-//!   and FIFO: the protocol sees delay and crashes, never loss,
-//!   duplication or reordering.
+//!   frames per `(src, dst, kind)`. See [`chaos`]. Under a plan, the link
+//!   layer ([`link`]) keeps the channels reliable and FIFO: the protocol
+//!   sees delay and crashes, never loss, duplication or reordering.
 
 pub mod chaos;
 pub mod endpoint;

@@ -23,8 +23,8 @@
 //!   Its restart waits until every frame any node sent before the crash is
 //!   delivered or lost, as it is on a reliable fabric by then.
 //!
-//! The link exists only once a fault plan or a partition is set; a reliable
-//! fabric hands every message straight to its queue.
+//! The link exists only once a fault plan is set; a reliable fabric hands
+//! every message straight to its queue.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};

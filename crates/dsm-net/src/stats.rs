@@ -83,8 +83,6 @@ traffic_counters! {
     chaos_delayed,
     /// Messages duplicated by chaos injection (count of extra copies).
     chaos_duplicated,
-    /// Messages blocked by an active network partition.
-    partition_blocked,
     /// Frames the link sent again after their ack was overdue.
     link_resent,
     /// Duplicate frames the link dropped at this receiver.
@@ -148,10 +146,6 @@ impl NodeTraffic {
 
     pub(crate) fn record_chaos_dup(&self) {
         self.chaos_duplicated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_partition_block(&self) {
-        self.partition_blocked.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_link_header(&self, bytes: usize) {

@@ -628,11 +628,6 @@ impl HomeStore {
         ready
     }
 
-    /// Does the home copy of `page` satisfy `needed`?
-    pub fn satisfies(&self, page: PageId, needed: &VectorClock) -> bool {
-        self.read(page, |e| e.version.covers(needed))
-    }
-
     /// Version vector of the home copy.
     pub fn version_of(&self, page: PageId) -> VectorClock {
         self.read(page, |e| e.version.clone())
@@ -850,8 +845,8 @@ mod tests {
         s.read_into(PageId(0), 8, &mut dst);
         assert_eq!(dst, [0; 16]);
         assert!(s.access_gap(PageId(0)).is_none());
-        assert!(s.satisfies(PageId(0), &vc([0, 0, 0])));
-        assert!(!s.satisfies(PageId(0), &vc([0, 1, 0])));
+        assert!(s.version_of(PageId(0)).covers(&vc([0, 0, 0])));
+        assert!(!s.version_of(PageId(0)).covers(&vc([0, 1, 0])));
         let page = PageBody::Full {
             bytes: Arc::clone(&zero),
             base: 1,
@@ -1276,7 +1271,7 @@ mod tests {
         s.bump_needed(PageId(0), 1, 3);
         let gap = s.access_gap(PageId(0)).expect("gated");
         assert_eq!(gap.get(1), 3);
-        assert!(!s.satisfies(PageId(0), &gap));
+        assert!(!s.version_of(PageId(0)).covers(&gap));
         let twin = Page::zeroed(64);
         let mut cur = twin.clone();
         cur.write(0, &[5]);

@@ -486,12 +486,6 @@ impl PageTable {
         }
     }
 
-    /// Does the home copy of `page` satisfy `needed`?
-    pub fn home_satisfies(&self, page: PageId, needed: &VectorClock) -> bool {
-        assert!(self.is_home(page), "home_satisfies on remote page {page}");
-        self.home.satisfies(page, needed)
-    }
-
     /// Version vector of a page homed here.
     pub fn home_version(&self, page: PageId) -> VectorClock {
         assert!(self.is_home(page), "home_version on remote page {page}");

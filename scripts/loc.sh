@@ -11,8 +11,8 @@
 # The second form is a gate: it prints, for every `.rs` file under the given
 # directories, the number of lines (all of them: code, comments and blanks)
 # before its trailing `#[cfg(test)]` module, and exits non-zero when one is
-# above N. CI runs it over the runtime so that no file there can grow back
-# into the place where everything lands.
+# above N. CI runs it over every crate's `src` so that no file can grow
+# back into the place where everything lands.
 set -euo pipefail
 
 if [ "${1:-}" = --max-file ]; then
