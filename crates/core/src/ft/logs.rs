@@ -352,9 +352,14 @@ impl VolatileLogs {
         self.rel[to].push(entry);
     }
 
-    /// Record (mirror) a grant received from `from`.
+    /// Record (mirror) a grant received from `from`, unless it is already
+    /// logged: its `acq_seq` is not above the last from `from` — a replayed
+    /// grant, whose entry the handshake's mirror restored.
     pub fn log_acq(&mut self, from: ProcId, entry: RelEntry) {
-        self.acq[from].push(entry);
+        let log = &mut self.acq[from];
+        if log.last().is_none_or(|e| e.acq_seq < entry.acq_seq) {
+            log.push(entry);
+        }
     }
 
     /// Record a barrier episode this node completed or crossed. An episode
@@ -922,6 +927,30 @@ mod tests {
             let cut = VolatileLogs::new(0, 2).restore([&bytes[..len]], 2);
             assert!(cut.is_err(), "{len} of {} bytes decoded", bytes.len());
         }
+    }
+
+    /// A replayed grant is one the handshake's mirror restored: logging it
+    /// again keeps the entry as the mirror has it, and a newer grant from
+    /// the same granter is logged as before.
+    #[test]
+    fn a_grant_already_logged_from_its_granter_is_kept_as_it_is() {
+        let mut l = VolatileLogs::new(0, 3);
+        let grant = |acq_seq, t: &[u32]| RelEntry {
+            acq_seq,
+            lock: 4,
+            gen: acq_seq + 1,
+            req_vt: vt(&[0, 0, 0]),
+            t_after: vt(t),
+        };
+        l.acq[1] = vec![grant(2, &[0, 1, 0]), grant(5, &[0, 2, 0])];
+        for replayed in [grant(2, &[1, 1, 0]), grant(5, &[1, 2, 0])] {
+            l.log_acq(1, replayed);
+        }
+        assert_eq!(l.acq[1], [grant(2, &[0, 1, 0]), grant(5, &[0, 2, 0])]);
+        l.log_acq(1, grant(6, &[1, 3, 0]));
+        l.log_acq(2, grant(3, &[0, 0, 1]));
+        let seqs = |log: &[RelEntry]| log.iter().map(|e| e.acq_seq).collect::<Vec<_>>();
+        assert_eq!((seqs(&l.acq[1]), seqs(&l.acq[2])), (vec![2, 5, 6], vec![3]));
     }
 
     #[test]

@@ -40,12 +40,19 @@
 //! request to every peer, each reply is deposited as it comes — a round's
 //! must name the pages asked, in the order asked — and
 //! [`crate::runtime::node::WaitSlot::take`] ends the wait once every peer
-//! has answered. A replayed acquire or barrier applies the notices between
-//! its clocks through the live path ([`interval::apply_notices`]).
+//! has answered.
+//!
+//! A replayed acquire or barrier is a live one whose answer the logs give:
+//! it builds its request as live, [`NodeState::block_on`] parks the logged
+//! grant or release in the wait slot instead of sending it
+//! ([`logged_answer`]), and the operation applies it as it applies one that
+//! came over the wire. What only a live operation does after the apply, and
+//! what only a replayed one does, the mode decides in one place
+//! ([`synced`]).
 //!
 //! The module owns the replay state and the backlog of what peers sent
-//! meanwhile, both sides of the four `Rec*` kinds, and the replayed halves
-//! of a page miss, an acquire and a barrier.
+//! meanwhile, both sides of the four `Rec*` kinds, the logged answers and
+//! the replayed half of a page miss.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -60,10 +67,8 @@ use crate::ft::ckpt;
 use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry};
 use crate::msg::{Payload, RecPage};
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
-use crate::runtime::interval;
 use crate::runtime::node::{handle_msg, handle_peer_restart, Mode, NodeShared, NodeState};
 use crate::runtime::process::wait_until;
-use crate::stats::{Breakdown, ReqCause};
 
 /// One remote page being rebuilt by local home emulation.
 #[derive(Debug, PartialEq)]
@@ -601,84 +606,107 @@ pub(crate) fn replay_materialize(
     st.pt.install_fetch(page, rp.copy.share(), &rp.version);
 }
 
-/// Join the replayed timestamp `t` and apply the notices of the intervals
-/// it adds, from the table the handshake filled, as a live grant or release
-/// applies those it carries.
-fn join_replayed(st: &mut NodeState, t: &VectorClock, cause: ReqCause) {
-    let pre = st.vt.clone();
-    st.vt.join(t);
-    let wns = st.wn_table.missing_between(&pre, &st.vt);
-    interval::apply_notices(st, &pre, wns, Vec::new(), cause);
+/// The answer the logs give `request` while replaying, which
+/// [`NodeState::block_on`] parks in the wait slot in place of sending it:
+/// for a `LockAcq` the grant its granter logged ([`logged_grant`]), for a
+/// `BarrierArrive` the release of the episode a peer logged, each with the
+/// notices between the request's clock and the logged one from the table the
+/// handshake filled, and no pushes. The first request with no logged answer
+/// is the crash point: the node goes live ([`go_live`], the backlog
+/// included) and the request leaves as a live one. `None` as well outside a
+/// replay, and for a recovery round, which is always sent.
+pub(crate) fn logged_answer(st: &mut NodeState, request: &Payload) -> Option<(ProcId, Payload)> {
+    let replay = st.rec.replay.as_ref()?;
+    let answer = match request {
+        Payload::LockAcq { lock, acq_seq, vt } => logged_grant(st, *lock, *acq_seq, vt),
+        Payload::BarrierArrive { episode, vt, .. } => {
+            replay.bar_results.get(episode).map(|result| {
+                let wns = st.wn_table.missing_between(vt, result);
+                (0, Payload::logged_release(*episode, result.clone(), wns))
+            })
+        }
+        _ => return None,
+    };
+    if answer.is_none() {
+        go_live(st);
+    }
+    answer
 }
 
-/// Replay the acquire of `lock` from the collected logs; `false` at the
-/// crash point.
-pub(crate) fn try_replay_acquire(st: &mut NodeState, lock: LockId, bd: &mut Breakdown) -> bool {
-    let acq_seq = st.sync.acq_seq_next();
+/// The grant of our replayed acquisition `acq_seq` of `lock`, asked for at
+/// `vt`: the one its granter logged, or one from ourselves when no peer
+/// logged one and later evidence says the acquire completed; `None` at the
+/// crash point. Building it restores the chain position the tenure holds
+/// at a lock we manage ([`crate::runtime::sync::SyncSvc::replayed_grant`]).
+fn logged_grant(
+    st: &mut NodeState,
+    lock: LockId,
+    acq_seq: u64,
+    vt: &VectorClock,
+) -> Option<(ProcId, Payload)> {
     let replay = st.rec.replay.as_ref().unwrap();
-    match replay.rel.get(&acq_seq).cloned() {
-        Some((granter, entry)) => {
-            assert_eq!(
-                entry.lock, lock,
-                "replay acquire lock mismatch at acq_seq {acq_seq}"
-            );
-            st.close_interval(bd);
-            join_replayed(st, &entry.t_after, ReqCause::GrantPrefetch);
-            st.sync.replayed_acquire(lock, Some((entry.gen, granter)));
-        }
+    let (granted, t_after) = match replay.rel.get(&acq_seq) {
+        Some((granter, e)) if e.lock == lock => (Some((e.gen, *granter)), e.t_after.clone()),
+        Some(_) => panic!("replay acquire lock mismatch at acq_seq {acq_seq}"),
         None => {
             // No peer logged a grant for this acquisition. Either the
             // acquire never completed (the crash point) or it was a
-            // *self-grant* — we were the chain tail and granted
-            // ourselves, and the grant record died with us. Evidence of
-            // any later logged event of ours proves the acquire
-            // completed, and since no peer granted it, it must have
-            // been a self-grant: replaying one is purely local (the
-            // grant joins our own release timestamp — a no-op — and
-            // carries no notices).
+            // *self-grant* — we were the chain tail and granted ourselves,
+            // and the grant record died with us. Evidence of any later
+            // logged event of ours proves the acquire completed, and since
+            // no peer granted it, it must have been a self-grant: its grant
+            // joins our own release timestamp — a no-op — and carries no
+            // notices.
             let later_rel = replay.rel.keys().any(|&s| s > acq_seq);
             let crossed = st.sync.bar_episode();
             let later_bar = replay.bar_results.keys().any(|&e| e >= crossed);
-            // A grant we *gave* (mirrored in a peer's acq_log) or a
-            // peer diff whose timestamp carries our component beyond
-            // the replayed clock is equally conclusive: peers can only
-            // have seen interval vt[me]+1 if the op that created it —
-            // at or after this acquire — completed before the crash.
-            let later_iv = replay.evidence_self > st.vt.get(st.me);
+            // A grant we *gave* (mirrored in a peer's acq_log) or a peer
+            // diff whose timestamp carries our component beyond the
+            // replayed clock is equally conclusive: peers can only have
+            // seen interval vt[me]+1 if the op that created it — at or
+            // after this acquire — completed before the crash.
+            let later_iv = replay.evidence_self > vt.get(st.me);
             if !(later_rel || later_bar || later_iv) {
-                return false;
+                return None;
             }
-            st.close_interval(bd);
-            st.sync.replayed_acquire(lock, None);
+            (None, vt.clone())
         }
-    }
-    apply_pending_home(st);
-    true
+    };
+    let (granter, gen) = st.sync.replayed_grant(lock, acq_seq, granted);
+    let grant = Payload::LockGrant {
+        lock,
+        acq_seq,
+        gen,
+        wns: st.wn_table.missing_between(vt, &t_after),
+        vt: t_after,
+        pushed: Vec::new(),
+    };
+    Some((granter, grant))
 }
 
-/// Replay the barrier from the collected logs; `false` at the crash point.
-pub(crate) fn try_replay_barrier(st: &mut NodeState, bd: &mut Breakdown) -> bool {
-    let episode = st.sync.bar_episode();
-    let replay = st.rec.replay.as_ref().unwrap();
-    let Some(result) = replay.bar_results.get(&episode).cloned() else {
-        return false;
-    };
-    st.close_interval(bd);
-    st.sync.note_arrival(st.vt.get(st.me));
-    join_replayed(st, &result, ReqCause::ReleasePrefetch);
-    st.sync.crossed();
-    apply_pending_home(st);
-    true
+/// The end of an acquire, a release or a barrier crossing, decided by the
+/// mode. A live one runs `live`: what only a live operation does once it has
+/// applied its answer — prefetch, the checkpoint policy, a new report of the
+/// copies used. A replayed one applies instead the homed-page diffs its clock
+/// now covers ([`apply_pending_home`]).
+pub(crate) fn synced(st: &mut NodeState, live: impl FnOnce(&mut NodeState)) {
+    if st.rec.replaying() {
+        apply_pending_home(st);
+    } else {
+        live(st);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::Msg;
+    use crate::runtime::interval;
     use crate::runtime::node::tests::{
-        diff_of, gated, only_payload, page_of, recv_any, test_state,
+        diff_of, gated, only_payload, page_of, recv_any, test_state, the_answer,
     };
     use crate::runtime::node::WaitSlot;
+    use crate::stats::Breakdown;
     use dsm_net::Endpoint;
     use std::time::Duration;
 
@@ -695,6 +723,17 @@ mod tests {
         pub(crate) fn replaying_episode(episode: u64, result: VectorClock) -> Self {
             let mut replay = ReplayState::default();
             replay.bar_results.insert(episode, result);
+            RecoverySvc {
+                replay: Some(replay),
+                ..Self::default()
+            }
+        }
+
+        /// A node in replay that knows the grant `granter` logged for our
+        /// acquisition `entry.acq_seq`.
+        pub(crate) fn replaying_grant(granter: ProcId, entry: RelEntry) -> Self {
+            let mut replay = ReplayState::default();
+            replay.rel.insert(entry.acq_seq, (granter, entry));
             RecoverySvc {
                 replay: Some(replay),
                 ..Self::default()
@@ -755,12 +794,25 @@ mod tests {
         let (replay, ..) = merge_log_replies(&mut st, replies);
         assert_eq!(st.ft.logs().unwrap().bar, std::slice::from_ref(&episode0));
         st.rec.replay = Some(replay);
-        assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
+        let (_, release) = replay_barrier(&mut st).expect("episode 0 is logged");
+        interval::cross_barrier(&mut st, release);
         assert_eq!((st.sync.bar_episode(), &st.vt), (1, &episode0.result_vt));
         // The replay logged nothing of its own, and the next episode, which
         // nobody names, is the crash point.
         assert_eq!(st.ft.logs().unwrap().bar, [episode0]);
-        assert!(!try_replay_barrier(&mut st, &mut Breakdown::default()));
+        assert!(replay_barrier(&mut st).is_none());
+    }
+
+    /// A barrier at replaying `st`: arrive, and take the logs' answer, or
+    /// `None` at the crash point, where the arrival went live — sent to node
+    /// 0, its wait open and owed.
+    fn replay_barrier(st: &mut NodeState) -> Option<(ProcId, Payload)> {
+        interval::arrive(st, &mut Breakdown::default());
+        if st.rec.replaying() {
+            return Some(the_answer(&mut st.wait));
+        }
+        assert!(st.wait_opened() && st.mode == Mode::Normal);
+        None
     }
 
     #[test]
@@ -979,15 +1031,12 @@ mod tests {
         st.pt.add_page(0);
         st.pt.install(PageId(0), page_of(0), &VectorClock::zero(2));
         st.pt.write(PageId(0), 8, &[1]);
-        let mut replay = ReplayState::default();
-        replay.bar_results.insert(0, gated(2, 1, 1));
-        st.rec.replay = Some(replay);
-        assert!(try_replay_barrier(&mut st, &mut Breakdown::default()));
+        st.rec = RecoverySvc::replaying_episode(0, gated(2, 1, 1));
+        let (_, release) = replay_barrier(&mut st).expect("episode 0 is logged");
+        interval::cross_barrier(&mut st, release);
         assert!(recv_any(&eps[0], Duration::ZERO).is_none());
         // Episode 1 is the crash point: the live arrival carries it.
-        assert!(!try_replay_barrier(&mut st, &mut Breakdown::default()));
-        go_live(&mut st);
-        crate::runtime::interval::arrive(&mut st, &mut Breakdown::default());
+        assert!(replay_barrier(&mut st).is_none());
         match only_payload(&eps[0]) {
             Payload::BarrierArrive {
                 episode: 1,
@@ -999,6 +1048,94 @@ mod tests {
         assert_eq!(st.counts.diff_batches_carried, 1);
     }
 
+    /// A replayed acquisition no peer logged a grant for is a self-grant
+    /// when later evidence says it completed: the logs' answer is a grant
+    /// from this node at the generation of its last tenure of the lock, and
+    /// nothing is sent — not even to the lock's manager, this node, whose
+    /// chain the answer puts this tenure at the tail of.
+    #[test]
+    fn a_self_grant_with_evidence_is_answered_from_the_log() {
+        // Node 1 of 3 manages lock 4, and held it at generation 3 before
+        // the checkpoint; a peer holds a record of our interval 1. `eps` are
+        // nodes 0 and 2.
+        let (mut st, eps) = test_state(1, 3, true);
+        st.set_mode(Mode::Recovering);
+        st.sync.enter(4, 0, 3);
+        st.sync.leave(4, VectorClock::zero(3));
+        st.sync.take_acq_seq();
+        st.rec.replay = Some(ReplayState {
+            evidence_self: 1,
+            ..ReplayState::default()
+        });
+        interval::request(&mut st, 4);
+        let (granter, grant) = the_answer(&mut st.wait);
+        let Payload::LockGrant {
+            lock: 4,
+            acq_seq: 1,
+            gen: 3,
+            ref wns,
+            ref pushed,
+            ..
+        } = grant
+        else {
+            panic!("not the self-grant: {grant:?}")
+        };
+        assert_eq!((granter, wns.len(), pushed.len()), (1, 0, 0));
+        interval::apply_grant(&mut st, (granter, grant), &mut Breakdown::default());
+        assert!(st.sync.holds(4) && st.rec.replaying());
+        for ep in &eps {
+            assert!(recv_any(ep, Duration::ZERO).is_none());
+        }
+        // Live again, the tenure is the chain's tail: a peer's request
+        // waits for its release.
+        go_live(&mut st);
+        let acq = Payload::LockAcq {
+            lock: 4,
+            acq_seq: 0,
+            vt: VectorClock::zero(3),
+        };
+        handle_msg(&mut st, 2, acq);
+        assert!(recv_any(&eps[1], Duration::ZERO).is_none());
+        interval::release(&mut st, 4);
+        assert_eq!(only_payload(&eps[1]).kind(), "LockGrant");
+    }
+
+    /// With no logged grant and no evidence, the acquisition is the crash
+    /// point: the node goes live, handles its backlog, and only then parks
+    /// the request and sends it. A forward in the backlog behind the
+    /// acquisition is handled with nothing in flight, as it was before the
+    /// restart.
+    #[test]
+    fn a_self_grant_without_evidence_is_the_crash_point_and_goes_on_the_wire() {
+        // Node 1 of 3; node 2 (`eps[1]`) manages lock 5, and a forward it
+        // sent during the recovery chains node 0's acquisition 9 behind ours.
+        let (mut st, eps) = test_state(1, 3, true);
+        st.set_mode(Mode::Recovering);
+        st.rec = RecoverySvc::replaying_nothing();
+        let forward = Payload::LockForward {
+            lock: 5,
+            requester: 0,
+            acq_seq: 9,
+            gen: 2,
+            pred_acq: 0,
+            vt: VectorClock::zero(3),
+        };
+        defer(&mut st, 2, forward);
+        interval::request(&mut st, 5);
+        assert!(!st.rec.replaying() && st.mode == Mode::Normal);
+        let Payload::LockGrant { acq_seq: 9, .. } = only_payload(&eps[0]) else {
+            panic!("the forward was not granted")
+        };
+        let Payload::LockAcq {
+            lock: 5,
+            acq_seq: 0,
+            ..
+        } = only_payload(&eps[1])
+        else {
+            panic!("the request did not leave")
+        };
+        assert!(st.wait_opened());
+    }
     #[test]
     fn a_replayed_page_gets_the_copy_from_its_home_alone_and_diffs_from_everyone() {
         let (mut st, eps) = test_state(1, 3, true);

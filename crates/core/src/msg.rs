@@ -353,11 +353,19 @@ impl Payload {
         }
     }
 
-    /// Take the batch a barrier arrival or release carries out, as the
-    /// `DiffBatch` it stands for.
-    pub(crate) fn take_carried(&mut self) -> Option<Payload> {
-        let diffs = self.batch_slot()?.take()?;
-        Some(Payload::DiffBatch { diffs })
+    /// A barrier release given from the barrier log — resent to a
+    /// re-arrival, or the answer a replayed barrier takes: the episode's
+    /// result clock and the notices its receiver misses, with nothing pushed,
+    /// relayed or carried.
+    pub(crate) fn logged_release(episode: u64, vt: VectorClock, wns: WnDelta) -> Payload {
+        Payload::BarrierRelease {
+            episode,
+            vt,
+            wns,
+            pushed: Vec::new(),
+            used: Vec::new(),
+            batch: None,
+        }
     }
 }
 
@@ -743,7 +751,7 @@ mod tests {
         let mut payloads = one_of_every_kind();
         for carrier in [4, 5] {
             let mut bare = payloads[carrier].clone();
-            bare.take_carried();
+            bare.batch_slot().map(Option::take);
             payloads.push(bare);
         }
         let stamp = |seq, episode, tckp: &[u32]| CkptStamp {

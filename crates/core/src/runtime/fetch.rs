@@ -37,8 +37,9 @@ pub(crate) struct FetchSvc {
     /// The page the application thread's fault is waiting for.
     awaited: Option<PageId>,
     req_id_next: u64,
-    /// Copies, each exactly a known version, used since this node's last
-    /// barrier arrival: what the next one reports. A peer's are of node 0's
+    /// Copies, each exactly a known version, used since this node last
+    /// crossed a barrier live — its wait uses none, so since its last
+    /// arrival left: what the next one reports. A peer's are of node 0's
     /// pages, node 0's of every other home's.
     used: BTreeSet<PageId>,
     /// Pushed copies not used yet.
@@ -92,6 +93,12 @@ impl FetchSvc {
         self.seen.get(&home).copied().unwrap_or(0)
     }
 
+    /// A barrier was crossed live, its arrival gone with the
+    /// [`used_report`]: the next one reports the copies used from now on.
+    pub(crate) fn crossed(&mut self) {
+        self.used.clear();
+    }
+
     fn take_req_id(&mut self) -> u64 {
         self.req_id_next += 1;
         self.req_id_next - 1
@@ -127,12 +134,8 @@ pub(crate) fn left_out(st: &NodeState, page: PageId) -> Option<ProcId> {
 /// and a refetch nobody reads is traffic for nothing — and so is a page
 /// never held, which nothing says this node wants; if either is touched
 /// after all, [`fetch_with_neighbours`] fetches it. `cause` says whether a
-/// grant or a release applied the notices. Skipped during recovery replay
-/// (replay fetches must stay individually deterministic).
+/// grant or a release applied the notices.
 pub(crate) fn issue_prefetch(st: &mut NodeState, invalidated: &[PageId], cause: ReqCause) {
-    if st.rec.replaying() {
-        return;
-    }
     let mut seen = HashSet::new();
     let mut pages = Vec::new();
     for &page in invalidated {
@@ -287,13 +290,14 @@ pub(crate) fn first_use(st: &mut NodeState, page: PageId, demanded: bool) {
     }
 }
 
-/// What a barrier arrival reports: the copies used since the last one that
-/// are still valid, each with what it is exactly. Node 0 pushes a page its
-/// next grant or release to this node invalidates; at node 0, the page's
-/// home pushes it on its next barrier arrival whose notices invalidate it.
-pub(crate) fn take_used(st: &mut NodeState) -> Vec<(PageId, Have)> {
-    let used = std::mem::take(&mut st.fetch.used).into_iter();
-    let valid = used.map(|page| (page, st.pt.remote_meta(page)));
+/// What a barrier arrival reports: the copies used since the last barrier
+/// crossed live ([`FetchSvc::crossed`]) that are still valid, each with what
+/// it is exactly. Node 0 pushes a page its next grant or release to this node
+/// invalidates; at node 0, the page's home pushes it on its next barrier
+/// arrival whose notices invalidate it.
+pub(crate) fn used_report(st: &NodeState) -> Vec<(PageId, Have)> {
+    let used = st.fetch.used.iter();
+    let valid = used.map(|&page| (page, st.pt.remote_meta(page)));
     let valid = valid.filter(|(_, m)| m.state == PageState::Valid);
     valid
         .filter_map(|(page, m)| Some((page, m.base.clone()?)))
@@ -381,7 +385,6 @@ pub(crate) fn handle(st: &mut NodeState, payload: Payload) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::ft::recovery::RecoverySvc;
     use crate::runtime::node::tests::{
         gated, only_payload, page_of, recv_any, requests, test_state,
     };
@@ -526,6 +529,14 @@ pub(crate) mod tests {
         st.pt.invalidate(page, st.pt.home_of(page), 1);
     }
 
+    /// What an arrival built now reports, forgotten as a live crossing
+    /// forgets it.
+    fn take_used(st: &mut NodeState) -> Vec<(PageId, Have)> {
+        let used = used_report(st);
+        st.fetch.crossed();
+        used
+    }
+
     fn asked_pages(payload: &Payload) -> Vec<u32> {
         match payload {
             Payload::PageReq { pages, .. } => pages.iter().map(|(p, ..)| p.0).collect(),
@@ -566,12 +577,6 @@ pub(crate) mod tests {
         assert!(requests(&eps[0]).is_empty());
         assert_eq!(asked_pages(&requests(&eps[1])[0]), [2]);
         assert_eq!(st.counts.prefetch_skipped, 6);
-        // Replay fetches page by page: nothing goes out, used or not.
-        st.fetch.in_flight.clear();
-        st.rec = RecoverySvc::replaying_nothing();
-        issue_prefetch(&mut st, &all, ReqCause::ReleasePrefetch);
-        assert!(requests(&eps[1]).is_empty() && st.fetch.in_flight.is_empty());
-        assert_eq!(st.counts.prefetched, 2);
     }
 
     #[test]

@@ -104,17 +104,14 @@ pub(crate) fn request(st: &mut NodeState, lock: LockId) {
 
 /// Apply the write notices a grant or a barrier release carried that `pre`
 /// — our timestamp before joining the sender's — does not cover: record
-/// them, invalidate their pages, install the pages it pushed, and prefetch
-/// what was in use and is still invalid, counting its requests as `cause`.
-/// A replayed acquire or barrier applies the table's own notices between
-/// the two clocks, with no pushes, and prefetches nothing.
-pub(crate) fn apply_notices(
+/// them, invalidate their pages and install the pages it pushed. Returns the
+/// pages invalidated, for a live operation to prefetch.
+fn apply_notices(
     st: &mut NodeState,
     pre: &VectorClock,
     wns: WnDelta,
     pushed: Vec<Pushed>,
-    cause: ReqCause,
-) {
+) -> Vec<PageId> {
     let mut invalidated = Vec::new();
     for wn in wns {
         if pre.covers_interval(wn.interval) {
@@ -127,12 +124,14 @@ pub(crate) fn apply_notices(
         st.wn_table.insert(wn);
     }
     fetch::install_pushed(st, pushed);
-    fetch::issue_prefetch(st, &invalidated, cause);
+    invalidated
 }
 
-/// The LRC acquire, `grant` taken from the wait slot with its granter:
-/// close the interval, join the granter's release timestamp, apply the write
-/// notices we were missing, enter the tenure.
+/// The LRC acquire, `grant` taken from the wait slot with its granter —
+/// one that came over the wire, or the one the logs give a replayed
+/// acquire: close the interval, join the granter's release timestamp, apply
+/// the write notices we were missing, enter the tenure; live, prefetch what
+/// the notices invalidated that was in use.
 pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut Breakdown) {
     let (granter, grant) = grant;
     let Payload::LockGrant {
@@ -149,7 +148,7 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
     st.close_interval(bd);
     let req_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &req_vt, wns, pushed, ReqCause::GrantPrefetch);
+    let invalidated = apply_notices(st, &req_vt, wns, pushed);
     let t_after = st.vt.clone();
     if let Some(logs) = st.ft.logs() {
         let entry = RelEntry {
@@ -162,6 +161,9 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
         logs.log_acq(granter, entry);
     }
     st.sync.enter(lock, acq_seq, gen);
+    recovery::synced(st, |st| {
+        fetch::issue_prefetch(st, &invalidated, ReqCause::GrantPrefetch)
+    });
 }
 
 /// Release `lock`, whose interval the caller has closed. Its diffs leave
@@ -169,30 +171,26 @@ pub(crate) fn apply_grant(st: &mut NodeState, grant: (ProcId, Payload), bd: &mut
 /// node's next message.
 pub(crate) fn release(st: &mut NodeState, lock: LockId) {
     st.sync.leave(lock, st.vt.clone());
-    if st.rec.replaying() {
-        return recovery::apply_pending_home(st);
-    }
     let home = st.pt.home_store();
     let due = st.sync.take_due_grants(lock).into_iter();
     let (wns, ft, tracer) = (&st.wn_table, &mut st.ft, &st.tracer);
     let grants = due.map(|pg| st.sync.grant_now(pg, wns, &home, ft, tracer));
     let grants = grants.collect();
     st.send_all(grants);
-    st.ft.policy_check(st.shared_bytes(), None);
+    recovery::synced(st, |st| st.ft.policy_check(st.shared_bytes(), None));
 }
 
 /// Arrive at the barrier: close the interval, park the arrival in the wait
-/// slot and send it to the manager, node 0, carrying every diff held for
-/// the pages it homes — this interval's and those of the releases since the
-/// node last sent a message, one message where a `DiffBatch` and the
-/// arrival were two — the copies we used since the last arrival, which
-/// their home may push when it next invalidates them here, and the pages of
-/// ours that our notices invalidate at node 0 where node 0 reported using
-/// them. The other homes' batches go just ahead of it. Returns the episode.
+/// slot and send it to the manager, node 0 ([`NodeState::block_on`]). It
+/// reports the copies we used since the last arrival, which their home may
+/// push when it next invalidates them here, and pushes the pages of ours
+/// that our notices invalidate at node 0 where node 0 reported using them;
+/// as it leaves it takes every diff held for the pages node 0 homes — this
+/// interval's and those of the releases since the node last sent a message,
+/// one message where a `DiffBatch` and the arrival were two. The other
+/// homes' batches go just ahead of it. Returns the episode.
 pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     st.close_interval(bd);
-    let batch = st.unsent.remove(&0);
-    st.counts.diff_batches_carried += batch.is_some() as u64;
     let episode = st.sync.bar_episode();
     st.tracer.emit(EventKind::BarrierEnter {
         episode: episode as u32,
@@ -203,7 +201,7 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
     let mut from = vt.clone();
     from.set(st.me, st.sync.note_arrival(vt.get(st.me)));
     let own_wns = st.wn_table.missing_between(&from, &vt);
-    let used = fetch::take_used(st);
+    let used = fetch::used_report(st);
     // Node 0 wants none of its own pages.
     let pushed = pushes_for(&st.pt.home_store(), 0, &own_wns);
     let arrival = Payload::BarrierArrive {
@@ -212,15 +210,18 @@ pub(crate) fn arrive(st: &mut NodeState, bd: &mut Breakdown) -> u64 {
         own_wns,
         used,
         pushed,
-        batch,
+        batch: None,
     };
     st.block_on(vec![(0, arrival)]);
     episode
 }
 
-/// Cross the barrier, `release` taken from the wait slot: join its
+/// Cross the barrier, `release` taken from the wait slot — one that came
+/// over the wire, or the one the logs give a replayed barrier: join its
 /// timestamp, apply the notices it carried and keep node 0's reported
-/// copies of our pages as its wants, which our next arrival may push.
+/// copies of our pages as its wants, which our next arrival may push; live,
+/// start the next arrival's report of the copies used, prefetch what the
+/// notices invalidated that was in use and check the checkpoint policy.
 pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     let Payload::BarrierRelease {
         vt,
@@ -234,7 +235,7 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
     };
     let arrive_vt = st.vt.clone();
     st.vt.join(&vt);
-    apply_notices(st, &arrive_vt, wns, pushed, ReqCause::ReleasePrefetch);
+    let invalidated = apply_notices(st, &arrive_vt, wns, pushed);
     let home = st.pt.home_store();
     for (page, have) in used {
         home.want(0, page, have);
@@ -254,13 +255,19 @@ pub(crate) fn cross_barrier(st: &mut NodeState, release: Payload) {
             st.wn_table.trim_covered_by(&vt);
         }
     }
-    st.ft.policy_check(st.shared_bytes(), Some(episode));
+    recovery::synced(st, |st| {
+        st.fetch.crossed();
+        fetch::issue_prefetch(st, &invalidated, ReqCause::ReleasePrefetch);
+        st.ft.policy_check(st.shared_bytes(), Some(episode));
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CkptPolicy;
+    use crate::ft::ckpt::CheckpointBlob;
+    use crate::ft::recovery::RecoverySvc;
     use crate::ft::FtState;
     use crate::msg::{CkptStamp, Msg, Piggy};
     use crate::runtime::node::tests::{
@@ -749,39 +756,73 @@ mod tests {
         }
     }
 
-    /// A replayed crossing applies the notices its clock adds through the
-    /// live path, from the table the handshake filled: the same pages
-    /// invalid, at the same `needed`, as a live crossing to the same clock
-    /// whose release carried those notices.
-    #[test]
-    fn a_replayed_barrier_leaves_the_pages_as_a_live_crossing_to_its_clock() {
-        let n = 3;
+    /// Node 0 wrote pages 0 and 2 in its interval 1, node 2 page 1 in its
+    /// intervals 1 and 2: the notices a grant or a release to `clock`
+    /// carries.
+    fn notices() -> ([WriteNotice; 3], VectorClock) {
         let wn = |proc, seq, pages: &[u32]| WriteNotice {
             interval: Interval { proc, seq },
             pages: pages.iter().map(|&p| PageId(p)).collect(),
         };
-        // Node 0 wrote pages 0 and 2 in its interval 1, node 2 page 1 in
-        // its intervals 1 and 2, and page 3 in its interval 3, which the
-        // episode's clock does not cover.
         let notices = [wn(0, 1, &[0, 2]), wn(2, 1, &[1]), wn(2, 2, &[1])];
-        let result = VectorClock::from_vec(vec![1, 0, 2]);
-        // Node 1 holds pages 0 and 1 and read them, holds page 2 unread,
-        // and has never held page 3.
-        let node = || {
-            let (mut st, eps) = test_state(1, n, true);
-            for home in [0, 2, 0, 2] {
-                st.pt.add_page(home);
-            }
-            for p in 0..3 {
-                st.pt.install(PageId(p), page_of(0), &VectorClock::zero(n));
-            }
-            for p in 0..2 {
-                st.pt.read_into(PageId(p), 0, &mut [0u8; 8]);
-            }
-            st.wn_table.insert(wn(2, 3, &[3]));
-            (st, eps)
-        };
-        let (mut live, _live_peers) = node();
+        (notices, VectorClock::from_vec(vec![1, 0, 2]))
+    }
+
+    /// Node 1 of 3, which holds pages 0 and 1 and read them, holds page 2
+    /// unread, and has never held page 3, which node 2 wrote in its interval
+    /// 3 — past the clock of [`notices`].
+    fn reader() -> (NodeState, Vec<Arc<Endpoint<Msg>>>) {
+        let n = 3;
+        let (mut st, eps) = test_state(1, n, true);
+        for home in [0, 2, 0, 2] {
+            st.pt.add_page(home);
+        }
+        for p in 0..3 {
+            st.pt.install(PageId(p), page_of(0), &VectorClock::zero(n));
+        }
+        for p in 0..2 {
+            st.pt.read_into(PageId(p), 0, &mut [0u8; 8]);
+        }
+        st.wn_table.insert(WriteNotice {
+            interval: Interval { proc: 2, seq: 3 },
+            pages: vec![PageId(3)],
+        });
+        (st, eps)
+    }
+
+    /// `live` and `replayed` left the same pages invalid at the same
+    /// `needed`: those the notices name, past the clock of [`notices`]. The
+    /// live one prefetched the two it had read; the replayed one sent
+    /// nothing at all.
+    fn same_pages_as_live(
+        live: &NodeState,
+        replayed: &NodeState,
+        replayed_peers: &[Arc<Endpoint<Msg>>],
+    ) {
+        assert_eq!(live.vt, replayed.vt);
+        assert_eq!(
+            live.pt.needed_triples(),
+            [(0, 0, 1), (1, 2, 2), (2, 0, 1)].map(|(p, w, s)| (PageId(p), w, s))
+        );
+        for p in (0..4).map(PageId) {
+            let (a, b) = (live.pt.remote_meta(p), replayed.pt.remote_meta(p));
+            assert_eq!((a.state, &a.needed), (b.state, &b.needed), "page {p}");
+        }
+        assert_eq!((live.counts.prefetched, replayed.counts.prefetched), (2, 0));
+        for ep in replayed_peers {
+            assert_eq!(sent(ep), (vec![], vec![]));
+        }
+    }
+
+    /// A replayed crossing takes the release the logs give as its answer
+    /// and applies the notices its clock adds, from the table the handshake
+    /// filled, through the live path: the same pages invalid, at the same
+    /// `needed`, as a live crossing to the same clock whose release carried
+    /// those notices.
+    #[test]
+    fn a_replayed_barrier_leaves_the_pages_as_a_live_crossing_to_its_clock() {
+        let (notices, result) = notices();
+        let (mut live, _live_peers) = reader();
         arrive(&mut live, &mut Breakdown::default());
         let release = Payload::BarrierRelease {
             episode: 0,
@@ -792,23 +833,65 @@ mod tests {
             batch: None,
         };
         cross_barrier(&mut live, release);
-        let (mut replayed, _replayed_peers) = node();
+        let (mut replayed, replayed_peers) = reader();
         for notice in notices {
             replayed.wn_table.insert(notice);
         }
-        replayed.rec = crate::ft::recovery::RecoverySvc::replaying_episode(0, result);
-        assert!(recovery::try_replay_barrier(
-            &mut replayed,
-            &mut Breakdown::default()
-        ));
-        assert_eq!(live.vt, replayed.vt);
-        assert_eq!(
-            live.pt.needed_triples(),
-            [(0, 0, 1), (1, 2, 2), (2, 0, 1)].map(|(p, w, s)| (PageId(p), w, s))
-        );
-        for p in (0..4).map(PageId) {
-            let (a, b) = (live.pt.remote_meta(p), replayed.pt.remote_meta(p));
-            assert_eq!((a.state, &a.needed), (b.state, &b.needed), "page {p}");
+        replayed.rec = RecoverySvc::replaying_episode(0, result);
+        arrive(&mut replayed, &mut Breakdown::default());
+        let (_, release) = the_answer(&mut replayed.wait);
+        cross_barrier(&mut replayed, release);
+        same_pages_as_live(&live, &replayed, &replayed_peers);
+    }
+
+    /// A replayed acquire takes the grant its granter logged as its answer
+    /// and applies it as a live one: the same clock, pages, `needed`, tenure
+    /// and acquire log as a live acquire whose grant carried the notices
+    /// between the clocks.
+    #[test]
+    fn a_replayed_acquire_leaves_the_node_as_a_live_grant_to_its_clock() {
+        // Lock 5 is managed by node 2, whose grant to acquisition 0 is
+        // generation 7.
+        let (lock, granter) = (5, 2);
+        let (notices, t_after) = notices();
+        let (mut live, _live_peers) = reader();
+        request(&mut live, lock);
+        let grant = Payload::LockGrant {
+            lock,
+            acq_seq: 0,
+            gen: 7,
+            vt: t_after.clone(),
+            wns: notices.to_vec().into(),
+            pushed: Vec::new(),
+        };
+        assert_eq!(live.wait.deposit(granter, grant), None);
+        let grant = the_answer(&mut live.wait);
+        apply_grant(&mut live, grant, &mut Breakdown::default());
+        // The handshake filled the table and mirrored the grant back into
+        // the acquire log.
+        let (mut replayed, replayed_peers) = reader();
+        for notice in notices {
+            replayed.wn_table.insert(notice);
         }
+        let entry = RelEntry {
+            acq_seq: 0,
+            lock,
+            gen: 7,
+            req_vt: VectorClock::zero(3),
+            t_after,
+        };
+        replayed.ft.logs().unwrap().acq[granter].push(entry.clone());
+        replayed.rec = RecoverySvc::replaying_grant(granter, entry);
+        request(&mut replayed, lock);
+        let grant = the_answer(&mut replayed.wait);
+        assert_eq!(grant.0, granter);
+        apply_grant(&mut replayed, grant, &mut Breakdown::default());
+        same_pages_as_live(&live, &replayed, &replayed_peers);
+        let mut tenures = CheckpointBlob::genesis(3);
+        replayed.sync.save_into(&mut tenures);
+        assert_eq!(tenures.tenures, [(lock, 0, 7, false)]);
+        assert_eq!(live.sync, replayed.sync);
+        let acq_log = |st: &mut NodeState| st.ft.logs().unwrap().acq[granter].len();
+        assert_eq!((acq_log(&mut live), acq_log(&mut replayed)), (1, 1));
     }
 }

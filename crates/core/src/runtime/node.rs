@@ -468,15 +468,15 @@ impl NodeState {
     }
 
     /// [`NodeState::send`] what a handler put in its reply sink, in order.
-    /// Every barrier release first takes the diffs held for its receiver,
-    /// before the first message leaves and would send them ahead: no later
-    /// message of ours can be handled ahead of a release, which answers an
-    /// arrival its receiver sent with its wait open
-    /// ([`NodeState::block_on`]), so the receiver's waiting thread takes
-    /// every message of ours in the order sent.
+    /// Every barrier arrival and release first takes the diffs held for its
+    /// receiver, before the first message leaves and would send them ahead:
+    /// no later message of ours can be handled ahead of either — an arrival
+    /// is for the manager's waiting thread, and a release answers an arrival
+    /// its receiver sent with its wait open ([`NodeState::block_on`]) — so
+    /// the receiver takes every message of ours in the order sent.
     pub(crate) fn send_all(&mut self, mut replies: Replies) {
         for (to, reply) in &mut replies {
-            if let Payload::BarrierRelease { batch, .. } = reply {
+            if let Some(batch) = reply.batch_slot() {
                 *batch = self.unsent.remove(to);
                 self.counts.diff_batches_carried += batch.is_some() as u64;
             }
@@ -488,12 +488,19 @@ impl NodeState {
 
     /// Park a request in the wait slot and send `requests` — one node's, or
     /// one to every peer — for the application thread to block on the
-    /// answers. The slot keeps the first as it was sent, so that a resend
+    /// answers. The slot keeps the first as it was built, so that a resend
     /// to a restarted peer is the first send again by construction, less
-    /// what rides one send only. A batch it carries: a restarted manager
-    /// gets the diffs from the writer's log, as it gets every other diff it
-    /// lost. The pages it pushes: a restarted manager keeps no copy they
-    /// build on. And the handshake's versions, which are each peer's own.
+    /// what rides one send only: the batch it takes as it leaves
+    /// ([`NodeState::send_all`]) — a restarted manager gets the diffs from
+    /// the writer's log, as it gets every other diff it lost —, the pages it
+    /// pushes — a restarted manager keeps no copy they build on — and the
+    /// handshake's versions, which are each peer's own.
+    ///
+    /// While replaying, an acquire's or a barrier's request is not sent: the
+    /// logs' answer is parked with it ([`recovery::logged_answer`]), and the
+    /// wait is over at once. The first with no logged answer is the crash
+    /// point, which goes live — the backlog handled before the request is
+    /// parked — and leaves as any other.
     ///
     /// The wait opens before a request to another node leaves
     /// ([`Endpoint::open_wait`]): the service thread passes no answer and
@@ -507,19 +514,20 @@ impl NodeState {
     pub(crate) fn block_on(&mut self, requests: Vec<(ProcId, Payload)>) {
         let to: Vec<ProcId> = requests.iter().map(|&(p, _)| p).collect();
         let mut request = requests[0].1.clone();
-        request.take_carried();
         match &mut request {
             Payload::BarrierArrive { pushed, .. } => pushed.clear(),
             Payload::RecLogReq { homed } => homed.clear(),
             _ => {}
         }
-        if to != [self.me] {
+        let mut got = Vec::with_capacity(to.len());
+        got.extend(recovery::logged_answer(self, &request));
+        let live = got.is_empty();
+        if live && to != [self.me] {
             self.ep.open_wait();
         }
-        let got = Vec::with_capacity(to.len());
         self.wait = WaitSlot::Request { to, request, got };
-        for (to, request) in requests {
-            self.send(to, request);
+        if live {
+            self.send_all(requests);
         }
     }
 
@@ -552,8 +560,8 @@ pub(crate) fn handle_msg(st: &mut NodeState, from: ProcId, mut payload: Payload)
         st.deferring.store(true, Ordering::SeqCst);
         return st.pending_unalloc.push((from, payload));
     }
-    if let Some(batch) = payload.take_carried() {
-        home::handle(st, from, &batch);
+    if let Some(diffs) = payload.batch_slot().and_then(Option::take) {
+        home::handle(st, from, &Payload::DiffBatch { diffs });
     }
     match payload {
         Payload::PageReq { .. } | Payload::DiffBatch { .. } => home::handle(st, from, &payload),

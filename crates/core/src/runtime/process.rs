@@ -490,7 +490,9 @@ impl Process {
     // ---- synchronization -----------------------------------------------------
 
     /// Acquire a lock (LRC acquire: joins the granter's release timestamp
-    /// and applies the write notices we were missing).
+    /// and applies the write notices we were missing). Replayed, the grant
+    /// is the one the logs give, parked in the wait slot as the request's
+    /// answer (`NodeState::block_on`).
     pub fn acquire(&mut self, lock: LockId) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
@@ -500,12 +502,6 @@ impl Process {
             "node {} re-acquiring held lock {lock}",
             self.me
         );
-        if st.rec.replaying() {
-            if recovery::try_replay_acquire(&mut st, lock, &mut self.breakdown) {
-                return;
-            }
-            recovery::go_live(&mut st);
-        }
         interval::request(&mut st, lock);
         let t0 = Instant::now();
         let (g, wait) = wait_until(&shared, &mut st, |st| st.wait.take()?.pop());
@@ -532,19 +528,14 @@ impl Process {
         interval::release(&mut st, lock);
     }
 
-    /// Global barrier.
+    /// Global barrier. Replayed, the release is the one the logs give, as
+    /// for [`Process::acquire`].
     pub fn barrier(&mut self) {
         let shared = Arc::clone(&self.shared);
         let mut st = begin_op(&shared);
         // A checkpoint is advertised by the next barrier: its release's
         // gossip is how every peer learns it in time to trim against it.
         self.await_disk(&mut st);
-        if st.rec.replaying() {
-            if recovery::try_replay_barrier(&mut st, &mut self.breakdown) {
-                return;
-            }
-            recovery::go_live(&mut st);
-        }
         let episode = interval::arrive(&mut st, &mut self.breakdown);
         let t0 = Instant::now();
         let ((_, release), wait) = wait_until(&shared, &mut st, |st| st.wait.take()?.pop());

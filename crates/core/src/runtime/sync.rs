@@ -153,11 +153,6 @@ impl SyncSvc {
         self.bar_episode
     }
 
-    /// The sequence number the next acquisition takes.
-    pub(crate) fn acq_seq_next(&self) -> u64 {
-        self.acq_seq_next
-    }
-
     /// Enter the tenure of `lock` that our acquisition `acq` opened, granted
     /// at generation `gen`.
     pub(crate) fn enter(&mut self, lock: LockId, acq: u64, gen: u64) {
@@ -398,18 +393,7 @@ impl SyncSvc {
                 episode,
                 vt,
                 wns,
-            } => {
-                let (pushed, used) = (Vec::new(), Vec::new());
-                let release = Payload::BarrierRelease {
-                    episode,
-                    vt,
-                    wns,
-                    pushed,
-                    used,
-                    batch: None,
-                };
-                reply.push((proc, release))
-            }
+            } => reply.push((proc, Payload::logged_release(episode, vt, wns))),
         }
     }
 
@@ -520,33 +504,35 @@ impl SyncSvc {
         }
     }
 
-    /// Replay the acquire of `lock` that takes the next sequence number:
-    /// `granted` is `(generation, granter)` out of the granter's release
-    /// log, or `None` for a self-grant, whose record died with us.
-    pub(crate) fn replayed_acquire(&mut self, lock: LockId, granted: Option<(u64, ProcId)>) {
-        let (me, acq) = (self.me, self.take_acq_seq());
+    /// The granter and generation of our replayed acquisition `acq` of
+    /// `lock`, whose grant the logs give: `granted` is `(generation,
+    /// granter)` out of the granter's release log, or `None` for a
+    /// self-grant, whose record died with us. At a lock we manage the tenure is also a chain position the
+    /// handshake could not report (peers report their own tenures and the
+    /// grants they issued, not ours), which this restores.
+    pub(crate) fn replayed_grant(
+        &mut self,
+        lock: LockId,
+        acq: u64,
+        granted: Option<(u64, ProcId)>,
+    ) -> (ProcId, u64) {
+        let me = self.me;
         let g_run = self.tenures.get(&lock).map_or(0, |t| t.gen);
-        self.enter(lock, acq, granted.map_or(g_run, |(gen, _)| gen));
-        if lock % self.n != me {
-            return;
-        }
         let lock_mgr = &mut self.lock_mgr;
         match granted {
-            // We manage this lock: our replayed tenure is a chain position
-            // the handshake could not report (peers report their own tenures
-            // and issued grants, not ours).
+            _ if lock % self.n != me => {}
             Some((gen, granter)) => lock_mgr.restore_chain(lock, gen, me, acq, Some(granter)),
-            // We also manage this lock: our self-grant proves we were the
-            // chain tail *at this tenure*. A self-grant's generation died
-            // with the old manager incarnation, but the run of consecutive
-            // self-granted tenures extends back to our newest peer-granted
-            // tenure (generation `g_run`), and any tenure after the run was
-            // granted *by us* — restored from our mirrored release log with
-            // its real, higher generation. So a restored tail newer than
-            // `g_run` means the chain moved past the run (claiming the tail
-            // would let our post-recovery acquire self-grant without the
-            // peers' write notices); anything else is stale and the run's
-            // end is the true tail.
+            // Our self-grant proves we were the chain tail *at this tenure*.
+            // A self-grant's generation died with the old manager
+            // incarnation, but the run of consecutive self-granted tenures
+            // extends back to our newest peer-granted tenure (generation
+            // `g_run`), and any tenure after the run was granted *by us* —
+            // restored from our mirrored release log with its real, higher
+            // generation. So a restored tail newer than `g_run` means the
+            // chain moved past the run (claiming the tail would let our
+            // post-recovery acquire self-grant without the peers' write
+            // notices); anything else is stale and the run's end is the
+            // true tail.
             None => {
                 let moved_past = lock_mgr
                     .tail_gen_of(lock)
@@ -556,6 +542,7 @@ impl SyncSvc {
                 }
             }
         }
+        granted.map_or((me, g_run), |(gen, granter)| (granter, gen))
     }
 
     /// Restore the barrier manager (node 0, at `go_live`); `last` is the
@@ -846,7 +833,7 @@ mod tests {
 
         sync.restart_from(&image);
         assert!(sync.holds(4) && !sync.holds(5));
-        assert_eq!((sync.acq_seq_next(), sync.bar_episode()), (4, 1));
+        assert_eq!((sync.acq_seq_next, sync.bar_episode()), (4, 1));
         let mut again = CheckpointBlob::genesis(3);
         sync.save_into(&mut again);
         image.tenures.sort_unstable();
