@@ -36,7 +36,7 @@ use super::FtState;
 use crate::msg::CkptStamp;
 use crate::runtime::node::NodeState;
 use crate::stats::Breakdown;
-use crate::wire;
+use crate::wire::{self, Wire};
 
 /// A decoded checkpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,7 +122,7 @@ impl CheckpointBlob {
         w.put_u64(self.seq);
         w.put_u8(self.delta as u8);
         w.put_u64(self.base_seq);
-        wire::put_vt(&mut w, &self.tckp);
+        self.tckp.put(&mut w);
         w.put_u64(self.bar_episode);
         w.put_u64(self.acq_seq_next);
         w.put_u32(self.last_bar_arrive_seq);
@@ -144,12 +144,12 @@ impl CheckpointBlob {
         w.put_u64(self.last_release_vts.len() as u64);
         for (l, vt) in &self.last_release_vts {
             w.put_u64(*l as u64);
-            wire::put_vt(&mut w, vt);
+            vt.put(&mut w);
         }
         w.put_u64(pages.len() as u64);
         for (p, v, bytes) in pages {
             w.put_u32(p.0);
-            wire::put_vt(&mut w, v);
+            v.put(&mut w);
             wire::put_page_bytes(&mut w, bytes.as_ref());
         }
         w.into_bytes()
@@ -166,7 +166,7 @@ impl CheckpointBlob {
                 tag,
             });
         }
-        let tckp = wire::get_vt(&mut r)?;
+        let tckp = Wire::get(&mut r)?;
         let bar_episode = r.get_u64()?;
         let acq_seq_next = r.get_u64()?;
         let last_bar_arrive_seq = r.get_u32()?;
@@ -195,7 +195,7 @@ impl CheckpointBlob {
         let mut last_release_vts = Vec::with_capacity(r.capacity_for(n_rel, 9));
         for _ in 0..n_rel {
             let l = r.get_u64()? as LockId;
-            let vt = wire::get_vt(&mut r)?;
+            let vt: VectorClock = Wire::get(&mut r)?;
             last_release_vts.push((l, vt));
         }
         let n_pages = r.get_u64()?;
@@ -204,7 +204,7 @@ impl CheckpointBlob {
         let mut home_pages = Vec::with_capacity(r.capacity_for(n_pages, 7));
         for _ in 0..n_pages {
             let p = PageId(r.get_u32()?);
-            let v = wire::get_vt(&mut r)?;
+            let v: VectorClock = Wire::get(&mut r)?;
             home_pages.push((p, v, wire::get_page_bytes(&mut r)?));
         }
         Ok(CheckpointBlob {

@@ -38,69 +38,59 @@ use hlrc::LockId;
 use super::stable_log::{get_bounds, put_bounds, put_section, LogBounds, LogSave, Section};
 use super::stable_log::{SegmentSpan, StableLog};
 use crate::msg::CkptStamp;
-use crate::wire;
+use crate::wire::{self, wire_struct, Wire};
 
-/// One own-interval write-notice record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WnLogEntry {
-    /// The interval's sequence number at this node.
-    pub seq: u32,
-    /// Pages written in the interval.
-    pub pages: Vec<PageId>,
-}
-
-impl WnLogEntry {
-    /// Encoded size in bytes: what [`wire::put_wn_entry`] writes.
-    pub fn wire_size(&self) -> usize {
-        wire::len_of(|w| wire::put_wn_entry(w, self))
+wire_struct! {
+    /// One own-interval write-notice record.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WnLogEntry {
+        /// The interval's sequence number at this node.
+        pub seq: u32,
+        /// Pages written in the interval.
+        pub pages: Vec<PageId>,
     }
-}
 
-/// One logged diff: the diff plus the creator's full timestamp at creation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffLogEntry {
-    /// The diff itself (carries the creating interval). Shared with the
-    /// `DiffBatch` message that delivered the same interval — logging never
-    /// copies run payloads, exactly as the paper's "reuse what the base
-    /// protocol already produces" argument requires.
-    pub diff: Arc<dsm_page::Diff>,
-    /// `diff.T`: the writer's vector timestamp at the end of the creating
-    /// interval. Orders diffs by happens-before during recovery replay.
-    pub t: VectorClock,
-}
-
-impl DiffLogEntry {
-    /// Encoded size in bytes: what [`wire::put_entry`] writes.
-    pub fn wire_size(&self) -> usize {
-        wire::len_of(|w| wire::put_entry(w, self))
+    /// One logged diff: the diff plus the creator's full timestamp at
+    /// creation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DiffLogEntry {
+        /// The diff itself (carries the creating interval). Shared with the
+        /// `DiffBatch` message that delivered the same interval — logging
+        /// never copies run payloads, exactly as the paper's "reuse what the
+        /// base protocol already produces" argument requires.
+        pub diff: Arc<dsm_page::Diff>,
+        /// `diff.T`: the writer's vector timestamp at the end of the
+        /// creating interval. Orders diffs by happens-before during
+        /// recovery replay.
+        pub t: VectorClock,
     }
-}
 
-/// One grant record: lives in the granter's `rel_log[acquirer]` and,
-/// mirrored, in the acquirer's `acq_log[granter]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelEntry {
-    /// The acquirer's acquisition sequence number (replay key).
-    pub acq_seq: u64,
-    /// The lock acquired.
-    pub lock: LockId,
-    /// The manager-assigned grant generation (rebuilds lock chains after a
-    /// manager crash).
-    pub gen: u64,
-    /// The acquirer's timestamp in the request (kept so a lost grant can be
-    /// regenerated with the same write notices).
-    pub req_vt: VectorClock,
-    /// The acquirer's timestamp after the acquire completed.
-    pub t_after: VectorClock,
-}
+    /// One grant record: lives in the granter's `rel_log[acquirer]` and,
+    /// mirrored, in the acquirer's `acq_log[granter]`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RelEntry {
+        /// The acquirer's acquisition sequence number (replay key).
+        pub acq_seq: u64,
+        /// The lock acquired.
+        pub lock: LockId,
+        /// The manager-assigned grant generation (rebuilds lock chains after
+        /// a manager crash).
+        pub gen: u64,
+        /// The acquirer's timestamp in the request (kept so a lost grant can
+        /// be regenerated with the same write notices).
+        pub req_vt: VectorClock,
+        /// The acquirer's timestamp after the acquire completed.
+        pub t_after: VectorClock,
+    }
 
-/// One barrier episode: what a replay of its crossing joins.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BarEntry {
-    /// Episode number.
-    pub episode: u64,
-    /// The join of every arrival timestamp, the release's.
-    pub result_vt: VectorClock,
+    /// One barrier episode: what a replay of its crossing joins.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BarEntry {
+        /// Episode number.
+        pub episode: u64,
+        /// The join of every arrival timestamp, the release's.
+        pub result_vt: VectorClock,
+    }
 }
 
 /// Byte counters for Table 4 / Figure 4.
@@ -112,9 +102,23 @@ pub struct LogCounters {
     pub discarded_bytes: u64,
 }
 
+impl WnLogEntry {
+    /// Encoded size in bytes: what its [`Wire`] codec writes.
+    pub fn wire_size(&self) -> usize {
+        wire::len_of(|w| self.put(w))
+    }
+}
+
+impl DiffLogEntry {
+    /// Encoded size in bytes: what its [`Wire`] codec writes.
+    pub fn wire_size(&self) -> usize {
+        wire::len_of(|w| self.put(w))
+    }
+}
+
 /// What every logged notice and diff is to its log: an own interval's
-/// entry of a known encoded size.
-pub(super) trait Logged {
+/// entry, written by its [`Wire`] codec.
+pub(super) trait Logged: Wire {
     /// The own interval seq, the key every trim, save and eviction
     /// compares.
     fn seq(&self) -> u32;
@@ -393,18 +397,14 @@ impl VolatileLogs {
         let Some(log) = self.diffs.get(&page) else {
             return (Vec::new(), 0);
         };
-        self.read(log, have, |from| {
-            stable.read(store, Some(page), from, wire::get_entry)
-        })
+        self.read(log, have, |from| stable.read(store, Some(page), from))
     }
 
     /// Every kept own write notice, oldest first: the saved ones read back
     /// from `stable`'s segments on `store`, then the resident ones. Returns
     /// them with how many were read from the store.
     pub fn wn_log(&self, stable: &StableLog, store: &StableStore) -> (Vec<WnLogEntry>, usize) {
-        self.read(&self.wn, 0, |from| {
-            stable.read(store, None, from, wire::get_wn_entry)
-        })
+        self.read(&self.wn, 0, |from| stable.read(store, None, from))
     }
 
     /// `log`'s entries past `have`: `read_saved(from)` reads the saved ones
@@ -495,14 +495,14 @@ impl VolatileLogs {
         put_bounds(&mut w, &bounds);
         let (mut span, mut entry_bytes) = (SegmentSpan::default(), 0);
         let new_wn = self.wn.tail_after(from);
-        span.wn = put_section(&mut w, new_wn, wire::put_wn_entry, &mut entry_bytes);
+        span.wn = put_section(&mut w, new_wn, &mut entry_bytes);
         let new_diffs = self.diffs.iter().map(|(p, log)| (*p, log.tail_after(from)));
         let mut new_diffs: Vec<_> = new_diffs.filter(|(_, new)| !new.is_empty()).collect();
         new_diffs.sort_unstable_by_key(|&(p, _)| p);
         w.put_varint(new_diffs.len() as u64);
         for (p, new) in new_diffs {
             w.put_varint(p.0.into());
-            let section = put_section(&mut w, new, wire::put_entry, &mut entry_bytes);
+            let section = put_section(&mut w, new, &mut entry_bytes);
             span.diffs.push((p, section.expect("new diffs")));
         }
         self.saved_through = through;
@@ -572,19 +572,19 @@ impl VolatileLogs {
         let bounds = get_bounds(&mut r)?;
         let mut span = SegmentSpan::default();
         let start = at(&r);
-        let new_wn = wire::get_list(&mut r, 2, wire::get_wn_entry)?;
+        let new_wn = Vec::<WnLogEntry>::get(&mut r)?;
         span.wn = (new_wn.last()).map(|e| Section {
             newest: e.seq,
             at: start..at(&r),
         });
         wn.extend(new_wn);
         for _ in 0..r.get_varint()? {
-            let page = wire::get_page(&mut r)?;
+            let page = PageId::get(&mut r)?;
             let (start, log) = (at(&r), self.diffs.entry(page).or_default());
             let mut newest = None;
             for _ in 0..r.get_varint()? {
                 let before = at(&r);
-                let seq = wire::get_entry(&mut r)?.seq();
+                let seq = DiffLogEntry::get(&mut r)?.seq();
                 log.saved.push((seq, at(&r) - before));
                 newest = Some(seq);
             }

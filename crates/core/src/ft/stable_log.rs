@@ -13,7 +13,7 @@ use dsm_page::PageId;
 use dsm_storage::{ByteReader, ByteWriter, CodecError, SegmentKind, StableStore};
 
 use super::logs::{Logged, VolatileLogs, WnLogEntry};
-use crate::wire;
+use crate::wire::Wire;
 
 /// What a checkpoint's trims kept of the notice and diff logs. Trims drop
 /// only prefixes, so every entry logged before that checkpoint is kept
@@ -38,19 +38,13 @@ impl LogBounds {
 /// A bounds record: the notice bound, then the page count and per page its
 /// id and bound, all varints.
 pub(super) fn put_bounds(w: &mut ByteWriter, b: &LogBounds) {
-    w.put_varint(b.wn_from.into());
-    w.put_varint(b.diffs_from.len() as u64);
-    for &(p, from) in &b.diffs_from {
-        w.put_varint(p.0.into());
-        w.put_varint(from.into());
-    }
+    b.wn_from.put(w);
+    b.diffs_from.put(w);
 }
 
 pub(super) fn get_bounds(r: &mut ByteReader) -> Result<LogBounds, CodecError> {
-    let wn_from = wire::get_u32(r, "notice bound")?;
-    let diffs_from = wire::get_list(r, 2, |r| {
-        Ok((wire::get_page(r)?, wire::get_u32(r, "diff bound")?))
-    })?;
+    let wn_from = u32::get(r)?;
+    let diffs_from = Vec::<(PageId, u32)>::get(r)?;
     if !diffs_from.windows(2).all(|w| w[0].0 < w[1].0) {
         return Err(CodecError::Invalid {
             context: "bound order",
@@ -67,13 +61,12 @@ pub(super) fn get_bounds(r: &mut ByteReader) -> Result<LogBounds, CodecError> {
 pub(super) fn put_section<T: Logged>(
     w: &mut ByteWriter,
     entries: &[T],
-    put: fn(&mut ByteWriter, &T),
     entry_bytes: &mut u64,
 ) -> Option<Section> {
     let start = w.len();
     w.put_varint(entries.len() as u64);
     let body = w.len();
-    entries.iter().for_each(|e| put(w, e));
+    entries.iter().for_each(|e| e.put(w));
     *entry_bytes += (w.len() - body) as u64;
     entries.last().map(|last| Section {
         newest: last.seq(),
@@ -195,7 +188,6 @@ impl StableLog {
         store: &StableStore,
         page: Option<PageId>,
         from: u32,
-        get: fn(&mut ByteReader) -> Result<T, CodecError>,
     ) -> Vec<T> {
         let disk = store.read();
         let mut entries = Vec::new();
@@ -208,7 +200,7 @@ impl StableLog {
             }
             let bytes = disk.segment(SegmentKind::Log, *id).expect("a live segment");
             let mut r = ByteReader::new(&bytes[at.start as usize..at.end as usize]);
-            let saved = wire::get_list(&mut r, 2, get).expect("corrupt saved log");
+            let saved = Vec::<T>::get(&mut r).expect("corrupt saved log");
             entries.extend(saved.into_iter().filter(|e| e.seq() >= from));
         }
         entries

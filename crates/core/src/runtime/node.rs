@@ -455,11 +455,11 @@ impl NodeState {
         let pushed = payload.pushed();
         if !pushed.is_empty() {
             self.counts.pages_pushed += pushed.len() as u64;
-            let bytes = crate::wire::len_of(|w| crate::wire::put_pushed(w, pushed));
+            let bytes = crate::wire::len_of(|w| crate::wire::put_list(w, pushed));
             *self.pushed_bytes.entry(payload.kind()).or_default() += bytes as u64;
         }
         if let Some(diffs) = payload.carried() {
-            let bytes = crate::wire::len_of(|w| crate::wire::put_diffs(w, diffs));
+            let bytes = crate::wire::len_of(|w| crate::wire::put_list(w, diffs));
             *self.carried_bytes.entry(payload.kind()).or_default() += bytes as u64;
         }
         let piggy = self.ft.make_piggy(&self.pt, to, gossip);

@@ -22,7 +22,7 @@ use hlrc::{Have, HomeStore, LockId, WnTable};
 use crate::ft::ckpt::CheckpointBlob;
 use crate::ft::logs::{BarEntry, RelEntry};
 use crate::ft::FtSvc;
-use crate::msg::{Payload, Pushed};
+use crate::msg::{ChainTail, Payload, Pushed};
 use crate::runtime::home::pushes_for;
 use crate::runtime::node::{NodeState, Replies, WaitSlot};
 
@@ -46,10 +46,7 @@ struct Tenure {
 /// One peer's chain report: `(lock, generation, grantee, the grantee's
 /// acquisition number, granter)` for the newest materialized acquisition of
 /// each lock, and `(lock, generation)` floors.
-type ChainReport = (
-    Vec<(LockId, u64, ProcId, u64, Option<ProcId>)>,
-    Vec<(LockId, u64)>,
-);
+type ChainReport = (Vec<ChainTail>, Vec<(LockId, u64)>);
 
 /// What the barrier manager relays for the episode it is collecting: its
 /// own arrival's report of the copies it used, per home, for that home's

@@ -1,12 +1,16 @@
 //! The one encoded layout of every message, log entry and checkpoint clock.
 //!
 //! Every integer is an LEB128 varint; byte strings are raw after a varint
-//! length. A message is a tag byte (its kind in the low five bits, bit 5 "a
-//! trace context follows", bit 6 "a piggyback follows", bit 7 "a diff batch
-//! follows"), the trace context if the message was traced, the payload, the
-//! batch and then the piggyback. [`put_msg`] writes it and [`get_msg`] reads
-//! it back; `Msg::base_wire_size`, `ft_wire_size` and `trace_wire_size` are
-//! the lengths [`put_msg`] writes into a length-only [`ByteWriter`], so the
+//! length. Each field type has one codec, its [`Wire`] impl, and each
+//! message kind is declared once, in `msg.rs`'s [`payloads!`] list: its tag,
+//! name and fields in wire order, from which its encoder and decoder come. A
+//! message is a tag byte (its kind in the low four bits, bit 4 "a relayed
+//! list follows the payload", bit 5 "a trace context follows", bit 6 "a
+//! piggyback follows", bit 7 "a diff batch follows"), the trace context if
+//! the message was traced, the payload, the relayed list, the batch and then
+//! the piggyback. [`put_msg`] writes it and [`get_msg`] reads it back;
+//! `Msg::base_wire_size`, `ft_wire_size` and `trace_wire_size` are the
+//! lengths [`put_msg`] writes into a length-only [`ByteWriter`], so the
 //! bytes a message is charged are its encoding by construction.
 
 use std::sync::Arc;
@@ -17,10 +21,21 @@ use dsm_page::{
 };
 use dsm_storage::{ByteReader, ByteWriter, CodecError};
 use dsm_trace::TraceCtx;
-use hlrc::{Have, PageBody, WnDelta, WriteNotice};
+use hlrc::{LockId, PageBody, WnDelta, WriteNotice};
 
-use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry, WnLogEntry};
-use crate::msg::{CkptStamp, Msg, Payload, Piggy, Pushed, RecPage};
+use crate::msg::{ChainTail, Msg};
+
+/// One field type's encoding: its only writer and its only reader.
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes an encoding takes (never above its true smallest):
+    /// a decoded count sizes a list only as far as the input left could
+    /// hold items this small.
+    const MIN: usize;
+    /// Write `self`.
+    fn put(&self, w: &mut ByteWriter);
+    /// Read one back.
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError>;
+}
 
 /// The length `put` writes, counted by a length-only writer.
 pub(crate) fn len_of(put: impl FnOnce(&mut ByteWriter)) -> usize {
@@ -36,43 +51,6 @@ fn get_u32_varint(r: &mut ByteReader, unit: u64, context: &'static str) -> Resul
         .ok_or(CodecError::Invalid { context })
 }
 
-/// Read a varint that must fit a `u32`.
-pub(crate) fn get_u32(r: &mut ByteReader, context: &'static str) -> Result<u32, CodecError> {
-    get_u32_varint(r, 1, context)
-}
-
-/// Read a varint as a `usize` (a node, lock or length).
-fn get_usize(r: &mut ByteReader) -> Result<usize, CodecError> {
-    let v = r.get_varint()?;
-    usize::try_from(v).map_err(|_| CodecError::LengthOverflow { len: v })
-}
-
-/// Encode integers as varints, in order.
-fn put_varints(w: &mut ByteWriter, vs: &[u64]) {
-    vs.iter().for_each(|&v| w.put_varint(v));
-}
-
-/// Encode a list: its length, then each item.
-fn put_list<T>(w: &mut ByteWriter, items: &[T], mut put: impl FnMut(&mut ByteWriter, &T)) {
-    w.put_varint(items.len() as u64);
-    items.iter().for_each(|item| put(w, item));
-}
-
-/// Decode a list of items at least `smallest` bytes each: the count sizes
-/// the allocation only as far as the input left could hold.
-pub(crate) fn get_list<T>(
-    r: &mut ByteReader,
-    smallest: usize,
-    mut get: impl FnMut(&mut ByteReader) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let n = r.get_varint()?;
-    let mut items = Vec::with_capacity(r.capacity_for(n, smallest));
-    for _ in 0..n {
-        items.push(get(r)?);
-    }
-    Ok(items)
-}
-
 /// Read a presence byte: 0 is absent, 1 present.
 fn get_flag(r: &mut ByteReader, context: &'static str) -> Result<bool, CodecError> {
     match r.get_u8()? {
@@ -80,6 +58,311 @@ fn get_flag(r: &mut ByteReader, context: &'static str) -> Result<bool, CodecErro
         b => Ok(b == 1),
     }
 }
+
+impl Wire for u64 {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(*self);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        r.get_varint()
+    }
+}
+
+/// A `u32` field: a varint past `u32` is refused.
+impl Wire for u32 {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint((*self).into());
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        get_u32_varint(r, 1, "varint past u32")
+    }
+}
+
+/// A node or a lock.
+impl Wire for usize {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(*self as u64);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let v = r.get_varint()?;
+        usize::try_from(v).map_err(|_| CodecError::LengthOverflow { len: v })
+    }
+}
+
+impl Wire for PageId {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(PageId(get_u32_varint(r, 1, "page id")?))
+    }
+}
+
+/// An interval: its proc, then its seq.
+impl Wire for Interval {
+    const MIN: usize = 2;
+    fn put(&self, w: &mut ByteWriter) {
+        self.proc.put(w);
+        self.seq.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let proc_ = get_u32_varint(r, 1, "interval proc")? as usize;
+        let seq = get_u32_varint(r, 1, "interval seq")?;
+        Ok(Interval { proc: proc_, seq })
+    }
+}
+
+/// A vector clock: its entry count, then the entries.
+impl Wire for VectorClock {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        put_list(w, self.as_slice());
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(VectorClock::from_vec(Vec::get(r)?))
+    }
+}
+
+/// Write a list: its length, then each item.
+pub(crate) fn put_list<T: Wire>(w: &mut ByteWriter, items: &[T]) {
+    w.put_varint(items.len() as u64);
+    items.iter().for_each(|item| item.put(w));
+}
+
+/// A list: its length, then its items. The count sizes the allocation only
+/// as far as the input left could hold items of `T::MIN` bytes.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        put_list(w, self);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let n = r.get_varint()?;
+        let mut items = Vec::with_capacity(r.capacity_for(n, T::MIN));
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A presence byte, then the value when it is `1`.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(self.is_some() as u8);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(match get_flag(r, "presence byte")? {
+            false => None,
+            true => Some(T::get(r)?),
+        })
+    }
+}
+
+/// A tuple: its fields in order. What a copy is exactly, a [`hlrc::Have`],
+/// is one: the home incarnation and the version, with no presence byte.
+macro_rules! tuples {
+    ($(($($t:ident)+))+) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN: usize = 0 $(+ $t::MIN)+;
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut ByteWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+            fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    )+};
+}
+
+tuples!((A B) (A B C) (A B C D E));
+
+/// A diff ([`put_diff`]): at least its three header varints and its run
+/// count.
+impl Wire for Arc<Diff> {
+    const MIN: usize = 4;
+    fn put(&self, w: &mut ByteWriter) {
+        put_diff(w, self);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        get_diff(r).map(Arc::new)
+    }
+}
+
+/// A shared buffer on the wire is a whole page ([`put_page_bytes`]): at
+/// least its length and its run count.
+impl Wire for Arc<[u8]> {
+    const MIN: usize = 2;
+    fn put(&self, w: &mut ByteWriter) {
+        put_page_bytes(w, self);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(get_page_bytes(r)?.into())
+    }
+}
+
+/// A fetch reply's body: a byte `0`, the base incarnation and the page, or a
+/// byte `1` and the diffs.
+impl Wire for PageBody {
+    const MIN: usize = 2;
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            PageBody::Full { bytes, base } => {
+                w.put_u8(0);
+                base.put(w);
+                bytes.put(w);
+            }
+            PageBody::Delta(diffs) => {
+                w.put_u8(1);
+                diffs.put(w);
+            }
+        }
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(match get_flag(r, "page body")? {
+            false => {
+                let base = u32::get(r)?;
+                let bytes = Arc::get(r)?;
+                PageBody::Full { bytes, base }
+            }
+            true => PageBody::Delta(Vec::get(r)?),
+        })
+    }
+}
+
+/// A write notice: its interval, then its pages.
+impl Wire for WriteNotice {
+    const MIN: usize = Interval::MIN + 1;
+    fn put(&self, w: &mut ByteWriter) {
+        self.interval.put(w);
+        self.pages.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let interval = Interval::get(r)?;
+        let pages = Vec::get(r)?;
+        Ok(WriteNotice { interval, pages })
+    }
+}
+
+/// A notice list, what a lock grant, a barrier arrival and a barrier release
+/// carry alike: a list of notices.
+impl Wire for WnDelta {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_varint(self.len() as u64);
+        self.iter().for_each(|wn| wn.put(w));
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, CodecError> {
+        Ok(Vec::<WriteNotice>::get(r)?.into())
+    }
+}
+
+/// A struct whose encoding is its fields' in declaration order: the struct
+/// is declared inside the macro, which implements [`Wire`] for it, so its
+/// fields and its layout are written once.
+macro_rules! wire_struct {
+    ($(
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty,)*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::wire::Wire for $name {
+            const MIN: usize = 0 $(+ <$ty as $crate::wire::Wire>::MIN)*;
+            fn put(&self, w: &mut ::dsm_storage::ByteWriter) {
+                $($crate::wire::Wire::put(&self.$field, w);)*
+            }
+            fn get(
+                r: &mut ::dsm_storage::ByteReader,
+            ) -> Result<Self, ::dsm_storage::CodecError> {
+                Ok($name {
+                    $($field: $crate::wire::Wire::get(r)?,)*
+                })
+            }
+        }
+    )*};
+}
+pub(crate) use wire_struct;
+
+/// How a payload field declared `field: T as C` is written: the one place
+/// its encoding is not its type's.
+pub(crate) trait Codec<T> {
+    /// Write `v`.
+    fn put(v: &T, w: &mut ByteWriter);
+    /// Read one back.
+    fn get(r: &mut ByteReader) -> Result<T, CodecError>;
+}
+
+/// A field written as its type is.
+pub(crate) struct Plain;
+
+impl<T: Wire> Codec<T> for Plain {
+    fn put(v: &T, w: &mut ByteWriter) {
+        v.put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<T, CodecError> {
+        T::get(r)
+    }
+}
+
+/// A lock forward's `pred_acq` plus one, wrapping: the chain start,
+/// `u64::MAX`, is one byte.
+pub(crate) struct ChainStart;
+
+impl Codec<u64> for ChainStart {
+    fn put(v: &u64, w: &mut ByteWriter) {
+        v.wrapping_add(1).put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<u64, CodecError> {
+        Ok(u64::get(r)?.wrapping_sub(1))
+    }
+}
+
+/// A list of chain tails, each granter as `g + 1`, or `0` for a grantee's
+/// own tenure.
+pub(crate) struct Granters;
+
+impl Codec<Vec<ChainTail>> for Granters {
+    fn put(v: &Vec<ChainTail>, w: &mut ByteWriter) {
+        w.put_varint(v.len() as u64);
+        for &(lock, gen, grantee, acq, granter) in v {
+            (lock, gen, grantee, acq, granter.map_or(0, |g| g + 1)).put(w);
+        }
+    }
+    fn get(r: &mut ByteReader) -> Result<Vec<ChainTail>, CodecError> {
+        let tails = Vec::<(LockId, u64, usize, u64, usize)>::get(r)?;
+        let granter = |(lock, gen, grantee, acq, g): (_, _, _, _, usize)| {
+            (lock, gen, grantee, acq, g.checked_sub(1))
+        };
+        Ok(tails.into_iter().map(granter).collect())
+    }
+}
+
+/// The codec of a payload field: [`Plain`], or the one it names.
+macro_rules! codec {
+    () => {
+        $crate::wire::Plain
+    };
+    ($codec:ty) => {
+        $codec
+    };
+}
+pub(crate) use codec;
 
 const SEQ_MASK: u64 = (1 << 48) - 1;
 
@@ -121,33 +404,6 @@ pub fn get_ctx(r: &mut ByteReader, origin: u32) -> Result<TraceCtx, CodecError> 
     })
 }
 
-/// Encode a vector clock: its entry count, then the entries.
-pub fn put_vt(w: &mut ByteWriter, vt: &VectorClock) {
-    put_list(w, vt.as_slice(), |w, &x| w.put_varint(x.into()));
-}
-
-/// Decode a vector clock.
-pub fn get_vt(r: &mut ByteReader) -> Result<VectorClock, CodecError> {
-    Ok(VectorClock::from_vec(get_list(r, 1, |r| {
-        get_u32(r, "clock entry")
-    })?))
-}
-
-/// Encode a page-id list.
-pub fn put_pages(w: &mut ByteWriter, pages: &[PageId]) {
-    put_list(w, pages, |w, p| w.put_varint(p.0.into()));
-}
-
-/// Decode a page-id list.
-pub fn get_pages(r: &mut ByteReader) -> Result<Vec<PageId>, CodecError> {
-    get_list(r, 1, get_page)
-}
-
-/// Decode one page id.
-pub(crate) fn get_page(r: &mut ByteReader) -> Result<PageId, CodecError> {
-    Ok(PageId(get_u32(r, "page id")?))
-}
-
 /// Encode a diff: page id, interval proc and interval seq as LEB128
 /// varints, then the run section the diff stores — its bytes as they are,
 /// not re-encoded. A length-only writer is given [`Diff::wire_size`], so
@@ -157,8 +413,8 @@ pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
         return;
     }
     w.reserve(d.wire_size());
-    let (page, interval) = (d.page.0.into(), d.interval);
-    put_varints(w, &[page, interval.proc as u64, interval.seq.into()]);
+    d.page.put(w);
+    d.interval.put(w);
     w.put_raw(d.section());
 }
 
@@ -166,7 +422,7 @@ pub fn put_diff(w: &mut ByteWriter, d: &Diff) {
 /// section [`RunSection::check`] refuses. The section is copied as it is,
 /// in one allocation.
 pub fn get_diff(r: &mut ByteReader) -> Result<Diff, CodecError> {
-    let (page, interval) = (get_page(r)?, get_interval(r)?);
+    let (page, interval) = (PageId::get(r)?, Interval::get(r)?);
     let d = Diff::from_section(page, interval, r.rest())?;
     r.get_raw(d.section().len())?;
     Ok(d)
@@ -201,272 +457,27 @@ pub fn get_page_bytes(r: &mut ByteReader) -> Result<Vec<u8>, CodecError> {
     Ok(page)
 }
 
-/// Encode a list of diffs (a batch, a delta body).
-pub(crate) fn put_diffs(w: &mut ByteWriter, diffs: &[Arc<Diff>]) {
-    put_list(w, diffs, |w, d| put_diff(w, d));
-}
-
-/// Decode a list of diffs; a diff is at least its four header varints.
-pub(crate) fn get_diffs(r: &mut ByteReader) -> Result<Vec<Arc<Diff>>, CodecError> {
-    get_list(r, 4, |r| get_diff(r).map(Arc::new))
-}
-
-/// Encode what a fetch says its requester kept: a presence byte, then the
-/// home incarnation and the version the kept copy is.
-pub fn put_have(w: &mut ByteWriter, have: Option<&Have>) {
-    w.put_u8(have.is_some() as u8);
-    if let Some(have) = have {
-        put_base_have(w, have);
-    }
-}
-
-/// Decode what a fetch says its requester kept.
-pub fn get_have(r: &mut ByteReader) -> Result<Option<Have>, CodecError> {
-    Ok(match get_flag(r, "have")? {
-        false => None,
-        true => Some(get_base_have(r)?),
-    })
-}
-
-/// Encode a fetch reply's body: a tag byte, then base incarnation and the
-/// page ([`put_page_bytes`]), or the diffs.
-pub fn put_page_body(w: &mut ByteWriter, body: &PageBody) {
-    match body {
-        PageBody::Full { bytes, base } => {
-            w.put_u8(0);
-            w.put_varint((*base).into());
-            put_page_bytes(w, bytes);
-        }
-        PageBody::Delta(diffs) => {
-            w.put_u8(1);
-            put_diffs(w, diffs);
-        }
-    }
-}
-
-/// Decode a fetch reply's body.
-pub fn get_page_body(r: &mut ByteReader) -> Result<PageBody, CodecError> {
-    Ok(match get_flag(r, "page body")? {
-        false => {
-            let base = get_u32(r, "page base")?;
-            let bytes = get_page_bytes(r)?.into();
-            PageBody::Full { bytes, base }
-        }
-        true => PageBody::Delta(get_diffs(r)?),
-    })
-}
-
-/// Encode what a copy is exactly, for a report or a push: the home
-/// incarnation and the version (no presence byte: both always have one).
-fn put_base_have(w: &mut ByteWriter, (incarnation, version): &Have) {
-    w.put_varint((*incarnation).into());
-    put_vt(w, version);
-}
-
-fn get_base_have(r: &mut ByteReader) -> Result<Have, CodecError> {
-    Ok((get_u32(r, "incarnation")?, get_vt(r)?))
-}
-
-/// Encode an arrival's report of the copies it used: per page its id and
-/// what the copy is.
-pub fn put_used(w: &mut ByteWriter, used: &[(PageId, Have)]) {
-    put_list(w, used, |w, (page, have)| {
-        w.put_varint(page.0.into());
-        put_base_have(w, have);
-    });
-}
-
-/// Decode an arrival's report of the copies it used.
-pub fn get_used(r: &mut ByteReader) -> Result<Vec<(PageId, Have)>, CodecError> {
-    get_list(r, 3, |r| Ok((get_page(r)?, get_base_have(r)?)))
-}
-
-/// Encode the pages a grant or release pushes: per page its id, the copy
-/// the body builds on, the version and the body ([`put_page_body`]).
-pub fn put_pushed(w: &mut ByteWriter, pushed: &[Pushed]) {
-    put_list(w, pushed, |w, p| {
-        w.put_varint(p.page.0.into());
-        put_base_have(w, &p.base);
-        put_vt(w, &p.version);
-        put_page_body(w, &p.body);
-    });
-}
-
-/// Decode the pages a grant or release pushes.
-pub fn get_pushed(r: &mut ByteReader) -> Result<Vec<Pushed>, CodecError> {
-    get_list(r, 6, |r| {
-        Ok(Pushed {
-            page: get_page(r)?,
-            base: get_base_have(r)?,
-            version: get_vt(r)?,
-            body: get_page_body(r)?,
-        })
-    })
-}
-
-/// Encode the page list of a fetch request: per page its id, the version
-/// the reply must include and what the requester kept.
-pub fn put_page_needs(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Option<Have>)]) {
-    put_list(w, pages, |w, (p, needed, have)| {
-        w.put_varint(p.0.into());
-        put_vt(w, needed);
-        put_have(w, have.as_ref());
-    });
-}
-
-/// Decode the page list of a fetch request.
-#[allow(clippy::type_complexity)]
-pub fn get_page_needs(
-    r: &mut ByteReader,
-) -> Result<Vec<(PageId, VectorClock, Option<Have>)>, CodecError> {
-    get_list(r, 3, |r| Ok((get_page(r)?, get_vt(r)?, get_have(r)?)))
-}
-
 /// Encode a list of whole page copies, `(page, version, bytes)`: what a
-/// many-page reply was before its pages had bodies ([`put_page_body`]). No
+/// many-page reply was before its pages had bodies ([`PageBody`]). No
 /// message has this layout any more; perfbench's
 /// `wire.page_copies_encode_ns` probe still times it as the cost of
 /// putting sixteen pages on a wire.
 pub fn put_page_copies(w: &mut ByteWriter, pages: &[(PageId, VectorClock, Arc<[u8]>)]) {
-    put_list(w, pages, |w, (p, version, bytes)| {
-        w.put_varint(p.0.into());
+    w.put_varint(pages.len() as u64);
+    for (p, version, bytes) in pages {
+        p.put(w);
         w.put_varint(bytes.len() as u64);
-        put_vt(w, version);
+        version.put(w);
         w.put_raw(bytes);
-    });
+    }
 }
 
-/// Encode a write notice: interval proc and seq, then its pages.
-fn put_wn(w: &mut ByteWriter, wn: &WriteNotice) {
-    put_varints(w, &[wn.interval.proc as u64, wn.interval.seq.into()]);
-    put_pages(w, &wn.pages);
-}
-
-/// Decode a write notice.
-fn get_wn(r: &mut ByteReader) -> Result<WriteNotice, CodecError> {
-    let interval = get_interval(r)?;
-    let pages = get_pages(r)?;
-    Ok(WriteNotice { interval, pages })
-}
-
-fn get_interval(r: &mut ByteReader) -> Result<Interval, CodecError> {
-    let proc_ = get_u32(r, "interval proc")? as usize;
-    let seq = get_u32(r, "interval seq")?;
-    Ok(Interval { proc: proc_, seq })
-}
-
-/// Encode a notice list, what a lock grant, a barrier arrival and a barrier
-/// release carry alike: a count, then per notice what [`put_wn`] writes.
-pub fn put_wn_delta(w: &mut ByteWriter, d: &WnDelta) {
-    w.put_varint(d.len() as u64);
-    d.iter().for_each(|wn| put_wn(w, wn));
-}
-
-/// Decode a notice list (a notice is at least its interval and its page
-/// count).
-pub fn get_wn_delta(r: &mut ByteReader) -> Result<WnDelta, CodecError> {
-    Ok(get_list(r, 3, get_wn)?.into())
-}
-
-/// Encode a write-notice log entry: its interval seq, then its pages.
-pub(crate) fn put_wn_entry(w: &mut ByteWriter, e: &WnLogEntry) {
-    w.put_varint(e.seq.into());
-    put_pages(w, &e.pages);
-}
-
-/// Decode a write-notice log entry.
-pub(crate) fn get_wn_entry(r: &mut ByteReader) -> Result<WnLogEntry, CodecError> {
-    let seq = get_u32(r, "notice seq")?;
-    let pages = get_pages(r)?;
-    Ok(WnLogEntry { seq, pages })
-}
-
-/// Encode a diff-log entry: the diff, then `diff.T`.
-pub(crate) fn put_entry(w: &mut ByteWriter, e: &DiffLogEntry) {
-    put_diff(w, &e.diff);
-    put_vt(w, &e.t);
-}
-
-/// Decode a diff-log entry.
-pub(crate) fn get_entry(r: &mut ByteReader) -> Result<DiffLogEntry, CodecError> {
-    let diff = Arc::new(get_diff(r)?);
-    let t = get_vt(r)?;
-    Ok(DiffLogEntry { diff, t })
-}
-
-/// A diff-log entry is at least a diff's four varints and a clock's count.
-pub(crate) fn get_entries(r: &mut ByteReader) -> Result<Vec<DiffLogEntry>, CodecError> {
-    get_list(r, 5, get_entry)
-}
-
-fn put_rel(w: &mut ByteWriter, e: &RelEntry) {
-    put_varints(w, &[e.acq_seq, e.lock as u64, e.gen]);
-    put_vt(w, &e.req_vt);
-    put_vt(w, &e.t_after);
-}
-
-fn get_rel(r: &mut ByteReader) -> Result<RelEntry, CodecError> {
-    Ok(RelEntry {
-        acq_seq: r.get_varint()?,
-        lock: get_usize(r)?,
-        gen: r.get_varint()?,
-        req_vt: get_vt(r)?,
-        t_after: get_vt(r)?,
-    })
-}
-
-fn put_bar(w: &mut ByteWriter, e: &BarEntry) {
-    w.put_varint(e.episode);
-    put_vt(w, &e.result_vt);
-}
-
-fn get_bar(r: &mut ByteReader) -> Result<BarEntry, CodecError> {
-    Ok(BarEntry {
-        episode: r.get_varint()?,
-        result_vt: get_vt(r)?,
-    })
-}
-
-/// Encode a checkpoint stamp: its seq and episode, then `T_ckp`.
-fn put_stamp(w: &mut ByteWriter, s: &CkptStamp) {
-    put_varints(w, &[s.seq, s.episode]);
-    put_vt(w, &s.tckp);
-}
-
-fn get_stamp(r: &mut ByteReader) -> Result<CkptStamp, CodecError> {
-    Ok(CkptStamp {
-        seq: r.get_varint()?,
-        episode: r.get_varint()?,
-        tckp: get_vt(r)?,
-    })
-}
-
-/// Encode the fault-tolerance piggyback: the sender's stamp, the `p0.v`
-/// hints, then the gossip table.
-pub(crate) fn put_piggy(w: &mut ByteWriter, p: &Piggy) {
-    put_stamp(w, &p.stamp);
-    put_list(w, &p.p0v, |w, (page, v)| {
-        put_varints(w, &[page.0.into(), (*v).into()])
-    });
-    put_list(w, &p.table, |w, (proc_, stamp)| {
-        w.put_varint(*proc_ as u64);
-        put_stamp(w, stamp);
-    });
-}
-
-/// Decode the fault-tolerance piggyback.
-pub(crate) fn get_piggy(r: &mut ByteReader) -> Result<Piggy, CodecError> {
-    Ok(Piggy {
-        stamp: get_stamp(r)?,
-        p0v: get_list(r, 2, |r| Ok((get_page(r)?, get_u32(r, "p0.v")?)))?,
-        table: get_list(r, 4, |r| Ok((get_usize(r)?, get_stamp(r)?)))?,
-    })
-}
-
+/// The kind half of a message's tag byte, its low four bits.
+pub(crate) const KIND: u8 = 0x0F;
 /// Tag bit: the other direction's push list follows the payload — an
 /// arrival's pushed pages, a release's relayed report of used copies. An
 /// arrival or release that carries neither costs no byte for it.
-const RELAY: u8 = 0x10;
+pub(crate) const RELAY: u8 = 0x10;
 /// Tag bit: a trace context follows the tag (the message was traced).
 const TRACED: u8 = 0x20;
 /// Tag bit: a piggyback follows the payload.
@@ -475,31 +486,155 @@ const PIGGY: u8 = 0x40;
 /// release's).
 pub(crate) const BATCH: u8 = 0x80;
 
-/// The kind half of a message's tag byte, its low four bits. Tags 4 to 6
-/// are retired (they were the diff ack's and the heartbeat's) and decode as
-/// an error.
-fn kind_tag(payload: &Payload) -> u8 {
-    match payload {
-        Payload::LockAcq { .. } => 0,
-        Payload::LockForward { .. } => 1,
-        Payload::LockGrant { .. } => 2,
-        Payload::DiffBatch { .. } => 3,
-        Payload::BarrierArrive { .. } => 7,
-        Payload::BarrierRelease { .. } => 8,
-        Payload::PageReq { .. } => 9,
-        Payload::PageReply { .. } => 10,
-        Payload::RecLogReq { .. } => 11,
-        Payload::RecLogReply { .. } => 12,
-        Payload::RecPageReq { .. } => 13,
-        Payload::RecPageReply { .. } => 14,
-    }
+/// A tail the tag announces: a `T` when `bit` is set in `tails`, which the
+/// read clears.
+pub(crate) fn tail<T: Wire>(
+    r: &mut ByteReader,
+    tails: &mut u8,
+    bit: u8,
+) -> Result<Option<T>, CodecError> {
+    let set = *tails & bit != 0;
+    *tails &= !bit;
+    set.then(|| T::get(r)).transpose()
 }
+
+/// What [`payloads!`] gives the payload enum: its tag and its fields' codec.
+pub(crate) trait Layout: Sized {
+    /// The kind's tag, with [`RELAY`] set when its relayed list is not
+    /// empty and [`BATCH`] when it carries a batch.
+    fn tag(&self) -> u8;
+    /// Write the fields in declared order, then the tails the tag names.
+    fn put_fields(&self, w: &mut ByteWriter);
+    /// Read a payload whose kind and tail bits are `tag`'s.
+    fn get_fields(tag: u8, r: &mut ByteReader) -> Result<Self, CodecError>;
+}
+
+/// Declare the message payloads, once. Each kind is its tag, its name and
+/// its fields in wire order, each with its doc and, where its encoding is
+/// not its type's, the [`Codec`] that writes it (`field: T as C`); then the
+/// tails it may carry: a `relay` list, written behind [`RELAY`] only when it
+/// is not empty, and a `batch` slot, behind [`BATCH`]. The `retired` tags
+/// decode as an error, and a kind that takes one again does not compile.
+/// From the list come the enum, its [`Layout`] (the
+/// tag byte, the encoder and the decoder), `kind`, `batch_slot`, `carried`,
+/// `KINDS` and `RETIRED`.
+macro_rules! payloads {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            retired $($retired:literal),+;
+            $(
+                $(#[$doc:meta])*
+                $tag:literal => $kind:ident {
+                    $($(#[$fdoc:meta])* $field:ident: $fty:ty $(as $codec:ty)?,)*
+                }
+                $(relay { $(#[$rdoc:meta])* $relay:ident: $rty:ty, })?
+                $(batch { $(#[$bdoc:meta])* $batch:ident, })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$doc])*
+                $kind {
+                    $($(#[$fdoc])* $field: $fty,)*
+                    $($(#[$rdoc])* $relay: $rty,)?
+                    $($(#[$bdoc])* $batch: Option<Vec<::std::sync::Arc<::dsm_page::Diff>>>,)?
+                },
+            )*
+        }
+
+        impl $name {
+            /// Every kind's tag and name, in the list's order.
+            pub const KINDS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($kind))),*];
+            /// The retired tags.
+            pub const RETIRED: &'static [u8] = &[$($retired),+];
+
+            /// The kind's name.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Self::$kind { .. } => stringify!($kind),)*
+                }
+            }
+
+            /// The batch slot of a kind that may carry one.
+            pub(crate) fn batch_slot(
+                &mut self,
+            ) -> Option<&mut Option<Vec<::std::sync::Arc<::dsm_page::Diff>>>> {
+                match self {
+                    $(Self::$kind { $($batch,)? .. } => None $(.or(Some($batch)))?,)*
+                }
+            }
+
+            /// The batch the payload carries, if any.
+            pub(crate) fn carried(&self) -> Option<&[::std::sync::Arc<::dsm_page::Diff>]> {
+                match self {
+                    $(Self::$kind { $($batch,)? .. } => None $(.or($batch.as_deref()))?,)*
+                }
+            }
+        }
+
+        impl $crate::wire::Layout for $name {
+            fn tag(&self) -> u8 {
+                use $crate::wire::{BATCH, RELAY};
+                match self {
+                    $(Self::$kind { $($relay,)? $($batch,)? .. } => $tag
+                        $(| RELAY * u8::from(!$relay.is_empty()))?
+                        $(| BATCH * u8::from($batch.is_some()))?,)*
+                }
+            }
+
+            fn put_fields(&self, w: &mut ::dsm_storage::ByteWriter) {
+                use $crate::wire::{Codec, Wire};
+                match self {
+                    $(Self::$kind { $($field,)* $($relay,)? $($batch,)? } => {
+                        $(<$crate::wire::codec!($($codec)?) as Codec<$fty>>::put($field, w);)*
+                        $(if !$relay.is_empty() {
+                            $relay.put(w);
+                        })?
+                        $(if let Some(batch) = $batch {
+                            batch.put(w);
+                        })?
+                    })*
+                }
+            }
+
+            // A kind given a retired tag, or two kinds one tag, would be an
+            // arm no tag reaches.
+            #[deny(unreachable_patterns)]
+            fn get_fields(
+                tag: u8,
+                r: &mut ::dsm_storage::ByteReader,
+            ) -> Result<Self, ::dsm_storage::CodecError> {
+                use $crate::wire::{tail, Codec, BATCH, KIND, RELAY};
+                let bad = |context| ::dsm_storage::CodecError::BadTag { context, tag };
+                let mut tails = tag & !KIND;
+                let payload = match tag & KIND {
+                    $($retired => return Err(bad("retired kind")),)+
+                    $($tag => {
+                        $(let $field = <$crate::wire::codec!($($codec)?) as Codec<$fty>>::get(r)?;)*
+                        $(let $relay = tail(r, &mut tails, RELAY)?.unwrap_or_default();)?
+                        $(let $batch = tail(r, &mut tails, BATCH)?;)?
+                        Self::$kind { $($field,)* $($relay,)? $($batch,)? }
+                    })*
+                    _ => return Err(bad("message kind")),
+                };
+                match tails {
+                    0 => Ok(payload),
+                    _ => Err(bad("tail carrier")),
+                }
+            }
+        }
+    };
+}
+pub(crate) use payloads;
 
 /// Encode a message: [`put_base`], then the piggyback.
 pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
     put_base(w, m);
     if let Some(p) = &m.piggy {
-        put_piggy(w, p);
+        p.put(w);
     }
 }
 
@@ -507,143 +642,13 @@ pub fn put_msg(w: &mut ByteWriter, m: &Msg) {
 /// when stamped), payload, a relayed list and a carried batch — everything
 /// but the piggyback.
 pub(crate) fn put_base(w: &mut ByteWriter, m: &Msg) {
-    let batch = m.payload.carried();
-    let relayed = match &m.payload {
-        Payload::BarrierArrive { pushed, .. } => !pushed.is_empty(),
-        Payload::BarrierRelease { used, .. } => !used.is_empty(),
-        _ => false,
-    };
     let traced = m.ctx.is_stamped();
-    let flags = (TRACED * traced as u8)
-        | (PIGGY * m.piggy.is_some() as u8)
-        | (BATCH * batch.is_some() as u8)
-        | (RELAY * relayed as u8);
-    w.put_u8(kind_tag(&m.payload) | flags);
+    let flags = (TRACED * traced as u8) | (PIGGY * m.piggy.is_some() as u8);
+    w.put_u8(m.payload.tag() | flags);
     if traced {
         put_ctx(w, &m.ctx);
     }
-    match &m.payload {
-        Payload::LockAcq { lock, acq_seq, vt } => {
-            put_varints(w, &[*lock as u64, *acq_seq]);
-            put_vt(w, vt);
-        }
-        Payload::LockForward {
-            lock,
-            requester,
-            acq_seq,
-            gen,
-            pred_acq,
-            vt,
-        } => {
-            // The chain start, `u64::MAX`, is one byte.
-            let pred = pred_acq.wrapping_add(1);
-            put_varints(w, &[*lock as u64, *requester as u64, *acq_seq, *gen, pred]);
-            put_vt(w, vt);
-        }
-        Payload::LockGrant {
-            lock,
-            acq_seq,
-            gen,
-            vt,
-            wns,
-            pushed,
-        } => {
-            put_varints(w, &[*lock as u64, *acq_seq, *gen]);
-            put_vt(w, vt);
-            put_wn_delta(w, wns);
-            put_pushed(w, pushed);
-        }
-        Payload::DiffBatch { diffs } => put_diffs(w, diffs),
-        Payload::BarrierArrive {
-            episode,
-            vt,
-            own_wns,
-            used,
-            pushed,
-            ..
-        } => {
-            w.put_varint(*episode);
-            put_vt(w, vt);
-            put_wn_delta(w, own_wns);
-            put_used(w, used);
-            if relayed {
-                put_pushed(w, pushed);
-            }
-        }
-        Payload::BarrierRelease {
-            episode,
-            vt,
-            wns,
-            pushed,
-            used,
-            ..
-        } => {
-            w.put_varint(*episode);
-            put_vt(w, vt);
-            put_wn_delta(w, wns);
-            put_pushed(w, pushed);
-            if relayed {
-                put_used(w, used);
-            }
-        }
-        Payload::PageReq { pages, req_id } => {
-            w.put_varint(*req_id);
-            put_page_needs(w, pages);
-        }
-        Payload::PageReply { req_id, pages } => {
-            w.put_varint(*req_id);
-            put_list(w, pages, |w, (page, version, body)| {
-                w.put_varint(page.0.into());
-                put_vt(w, version);
-                put_page_body(w, body);
-            });
-        }
-        Payload::RecLogReq { homed } => put_list(w, homed, |w, (page, v)| {
-            put_varints(w, &[page.0.into(), (*v).into()])
-        }),
-        Payload::RecLogReply {
-            wn,
-            rel_for_you,
-            acq_mirror,
-            bar,
-            lock_chains,
-            gen_floor,
-            applied_of_you,
-            diffs,
-            wanted,
-        } => {
-            put_list(w, wn, put_wn_entry);
-            put_list(w, rel_for_you, put_rel);
-            put_list(w, acq_mirror, put_rel);
-            put_list(w, bar, put_bar);
-            put_list(w, lock_chains, |w, &(lock, gen, grantee, acq, granter)| {
-                let granter = granter.map_or(0, |g| g as u64 + 1);
-                put_varints(w, &[lock as u64, gen, grantee as u64, acq, granter]);
-            });
-            put_list(w, gen_floor, |w, &(lock, gen)| {
-                put_varints(w, &[lock as u64, gen])
-            });
-            w.put_varint((*applied_of_you).into());
-            put_list(w, diffs, put_entry);
-            put_pages(w, wanted);
-        }
-        Payload::RecPageReq { pages, tckp } => {
-            put_pages(w, pages);
-            put_vt(w, tckp);
-        }
-        Payload::RecPageReply { pages } => put_list(w, pages, |w, rp| {
-            w.put_varint(rp.page.0.into());
-            w.put_u8(rp.copy.is_some() as u8);
-            if let Some((version, bytes)) = &rp.copy {
-                put_vt(w, version);
-                put_page_bytes(w, bytes);
-            }
-            put_list(w, &rp.entries, put_entry);
-        }),
-    }
-    if let Some(diffs) = batch {
-        put_diffs(w, diffs);
-    }
+    m.payload.put_fields(w);
 }
 
 /// Decode a message sent by `from`: the trace context's origin is the
@@ -655,127 +660,10 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
         0 => TraceCtx::NONE,
         _ => get_ctx(r, from as u32)?,
     };
-    let mut payload = match tag & !(RELAY | TRACED | PIGGY | BATCH) {
-        0 => Payload::LockAcq {
-            lock: get_usize(r)?,
-            acq_seq: r.get_varint()?,
-            vt: get_vt(r)?,
-        },
-        1 => Payload::LockForward {
-            lock: get_usize(r)?,
-            requester: get_usize(r)?,
-            acq_seq: r.get_varint()?,
-            gen: r.get_varint()?,
-            pred_acq: r.get_varint()?.wrapping_sub(1),
-            vt: get_vt(r)?,
-        },
-        2 => Payload::LockGrant {
-            lock: get_usize(r)?,
-            acq_seq: r.get_varint()?,
-            gen: r.get_varint()?,
-            vt: get_vt(r)?,
-            wns: get_wn_delta(r)?,
-            pushed: get_pushed(r)?,
-        },
-        3 => Payload::DiffBatch {
-            diffs: get_diffs(r)?,
-        },
-        7 => Payload::BarrierArrive {
-            episode: r.get_varint()?,
-            vt: get_vt(r)?,
-            own_wns: get_wn_delta(r)?,
-            used: get_used(r)?,
-            pushed: Vec::new(),
-            batch: None,
-        },
-        8 => Payload::BarrierRelease {
-            episode: r.get_varint()?,
-            vt: get_vt(r)?,
-            wns: get_wn_delta(r)?,
-            pushed: get_pushed(r)?,
-            used: Vec::new(),
-            batch: None,
-        },
-        9 => {
-            let req_id = r.get_varint()?;
-            let pages = get_page_needs(r)?;
-            Payload::PageReq { pages, req_id }
-        }
-        10 => Payload::PageReply {
-            req_id: r.get_varint()?,
-            pages: get_list(r, 3, |r| Ok((get_page(r)?, get_vt(r)?, get_page_body(r)?)))?,
-        },
-        11 => Payload::RecLogReq {
-            homed: get_list(r, 2, |r| Ok((get_page(r)?, get_u32(r, "p0.v")?)))?,
-        },
-        12 => Payload::RecLogReply {
-            wn: get_list(r, 2, get_wn_entry)?,
-            rel_for_you: get_list(r, 5, get_rel)?,
-            acq_mirror: get_list(r, 5, get_rel)?,
-            bar: get_list(r, 2, get_bar)?,
-            lock_chains: get_list(r, 5, |r| {
-                let (lock, gen, grantee, acq) = (
-                    get_usize(r)?,
-                    r.get_varint()?,
-                    get_usize(r)?,
-                    r.get_varint()?,
-                );
-                let granter = get_usize(r)?.checked_sub(1);
-                Ok((lock, gen, grantee, acq, granter))
-            })?,
-            gen_floor: get_list(r, 2, |r| Ok((get_usize(r)?, r.get_varint()?)))?,
-            applied_of_you: get_u32(r, "applied interval")?,
-            diffs: get_entries(r)?,
-            wanted: get_pages(r)?,
-        },
-        13 => Payload::RecPageReq {
-            pages: get_pages(r)?,
-            tckp: get_vt(r)?,
-        },
-        14 => Payload::RecPageReply {
-            pages: get_list(r, 3, |r| {
-                let page = get_page(r)?;
-                let copy = match get_flag(r, "page copy")? {
-                    false => None,
-                    true => Some((get_vt(r)?, get_page_bytes(r)?.into())),
-                };
-                let entries = get_entries(r)?;
-                Ok(RecPage {
-                    page,
-                    copy,
-                    entries,
-                })
-            })?,
-        },
-        tag => {
-            return Err(CodecError::BadTag {
-                context: "message kind",
-                tag,
-            })
-        }
-    };
-    if tag & RELAY != 0 {
-        match &mut payload {
-            Payload::BarrierArrive { pushed, .. } => *pushed = get_pushed(r)?,
-            Payload::BarrierRelease { used, .. } => *used = get_used(r)?,
-            _ => {
-                let context = "relay carrier";
-                return Err(CodecError::BadTag { context, tag });
-            }
-        }
-    }
-    if tag & BATCH != 0 {
-        let Some(batch) = payload.batch_slot() else {
-            return Err(CodecError::BadTag {
-                context: "batch carrier",
-                tag,
-            });
-        };
-        *batch = Some(get_diffs(r)?);
-    }
+    let payload = Layout::get_fields(tag & !(TRACED | PIGGY), r)?;
     let piggy = match tag & PIGGY {
         0 => None,
-        _ => Some(get_piggy(r)?),
+        _ => Some(Wire::get(r)?),
     };
     Ok(Msg {
         payload,
@@ -787,7 +675,9 @@ pub fn get_msg(r: &mut ByteReader, from: usize) -> Result<Msg, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{Payload, Pushed};
     use dsm_page::Page;
+    use hlrc::Have;
     use proptest::prelude::*;
 
     #[test]
@@ -834,7 +724,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_varint(u32::MAX.into());
         let spans = w.into_bytes();
-        assert!(get_wn_delta(&mut ByteReader::new(&spans)).is_err_and(eof));
+        assert!(WnDelta::get(&mut ByteReader::new(&spans)).is_err_and(eof));
     }
 
     /// What the layout rules out is refused, not built: a header field past
@@ -917,11 +807,11 @@ mod tests {
         // Varints of one byte and of two: page 300, seq 200, a gap of 128.
         let diffs = vec![diff(3, 4, &[8, 64]), diff(300, 200, &[1024, 2000])];
         let mut w = ByteWriter::new();
-        put_diffs(&mut w, &diffs);
+        diffs.put(&mut w);
         let batch = w.into_bytes();
-        let get_batch = |bytes: &[u8]| get_diffs(&mut ByteReader::new(bytes));
+        let get_batch = |bytes: &[u8]| Vec::<Arc<Diff>>::get(&mut ByteReader::new(bytes));
         let mut w = ByteWriter::new();
-        put_page_body(&mut w, &PageBody::Delta(diffs.clone()));
+        PageBody::Delta(diffs.clone()).put(&mut w);
         let body = w.into_bytes();
         // An appended log segment: its bounds record names the notice and
         // both pages the first save wrote, and its entries are the second
@@ -951,7 +841,7 @@ mod tests {
         }
         every_cut_errs_and_no_changed_byte_panics(&batch, |b| get_batch(b).is_ok());
         every_cut_errs_and_no_changed_byte_panics(&body, |b| {
-            get_page_body(&mut ByteReader::new(b)).is_ok()
+            PageBody::get(&mut ByteReader::new(b)).is_ok()
         });
         every_cut_errs_and_no_changed_byte_panics(&save, |b| {
             VolatileLogs::new(1, 2).restore([b], 200).is_ok()
@@ -970,9 +860,9 @@ mod tests {
         };
         let diffs = vec![diff(4, 1), diff(5, 3)];
         let mut w = ByteWriter::new();
-        put_diffs(&mut w, &diffs);
+        diffs.put(&mut w);
         let batch = w.into_bytes();
-        let get_batch = |bytes: &[u8]| get_diffs(&mut ByteReader::new(bytes));
+        let get_batch = |bytes: &[u8]| Vec::<Arc<Diff>>::get(&mut ByteReader::new(bytes));
         assert_eq!(get_batch(&batch).unwrap(), diffs);
         for len in 0..batch.len() {
             assert!(get_batch(&batch[..len]).is_err(), "batch cut at {len}");
@@ -983,11 +873,11 @@ mod tests {
         };
         for body in [full, PageBody::Delta(diffs)] {
             let mut w = ByteWriter::new();
-            put_page_body(&mut w, &body);
+            body.put(&mut w);
             let bytes = w.into_bytes();
-            assert_eq!(get_page_body(&mut ByteReader::new(&bytes)).unwrap(), body);
+            assert_eq!(PageBody::get(&mut ByteReader::new(&bytes)).unwrap(), body);
             for len in 0..bytes.len() {
-                let cut = get_page_body(&mut ByteReader::new(&bytes[..len]));
+                let cut = PageBody::get(&mut ByteReader::new(&bytes[..len]));
                 assert!(cut.is_err(), "body cut at {len}");
             }
         }
@@ -1053,15 +943,22 @@ mod tests {
     #[test]
     fn used_reports_and_pushed_pages_roundtrip_and_no_cut_or_byte_panics() {
         let (used, pushed) = used_and_pushed();
-        let used_bytes = encode(&|w| put_used(w, &used));
-        let pushed_bytes = encode(&|w| put_pushed(w, &pushed));
+        let used_bytes = encode(&|w| used.put(w));
+        let pushed_bytes = encode(&|w| pushed.put(w));
         // Count; page, incarnation, clock (count and entries) a report.
         assert_eq!(&used_bytes[..6], [2, 3, 1, 2, 2, 0]);
-        assert_eq!(get_used(&mut ByteReader::new(&used_bytes)).unwrap(), used);
-        let got = get_pushed(&mut ByteReader::new(&pushed_bytes)).unwrap();
+        assert_eq!(
+            Vec::<(PageId, Have)>::get(&mut ByteReader::new(&used_bytes)).unwrap(),
+            used
+        );
+        let got = Vec::<Pushed>::get(&mut ByteReader::new(&pushed_bytes)).unwrap();
         assert_eq!(got, pushed);
-        no_cut_or_byte_panics(&used_bytes, |b| get_used(&mut ByteReader::new(b)));
-        no_cut_or_byte_panics(&pushed_bytes, |b| get_pushed(&mut ByteReader::new(b)));
+        no_cut_or_byte_panics(&used_bytes, |b| {
+            Vec::<(PageId, Have)>::get(&mut ByteReader::new(b))
+        });
+        no_cut_or_byte_panics(&pushed_bytes, |b| {
+            Vec::<Pushed>::get(&mut ByteReader::new(b))
+        });
     }
 
     /// A home's arrival pushing pages to the manager and the manager's
@@ -1093,12 +990,12 @@ mod tests {
             (
                 arrival(pushed.clone()),
                 arrival(Vec::new()),
-                encode(&|w| put_pushed(w, &pushed)),
+                encode(&|w| pushed.put(w)),
             ),
             (
                 release(used.clone()),
                 release(Vec::new()),
-                encode(&|w| put_used(w, &used)),
+                encode(&|w| used.put(w)),
             ),
         ];
         for (with, without, list) in cases {
@@ -1119,6 +1016,66 @@ mod tests {
         let mut bytes = encode(&|w| put_msg(w, &Msg::bare(acq.clone())));
         bytes[0] |= RELAY;
         assert!(get_msg(&mut ByteReader::new(&bytes), 0).is_err());
+    }
+
+    /// A list item's `MIN` is the encoding of its emptiest value: every
+    /// clock and list empty, every option absent, every number zero. So a
+    /// decoded count sizes a list by what its items really take at the
+    /// least.
+    #[test]
+    fn a_min_is_the_emptiest_encoding() {
+        use crate::ft::logs::{BarEntry, RelEntry, WnLogEntry};
+        use crate::msg::{CkptStamp, Piggy, RecPage};
+        fn emptiest<T: Wire>(v: T) {
+            let name = std::any::type_name::<T>();
+            assert_eq!(len_of(|w| v.put(w)), T::MIN, "{name}");
+        }
+        let vt = || VectorClock::from_vec(Vec::new());
+        let stamp = || CkptStamp::zero(0);
+        let body = || PageBody::Delta(Vec::new());
+        let have: Option<Have> = None;
+        emptiest((PageId(0), vt(), have));
+        emptiest((PageId(0), vt(), body()));
+        emptiest((PageId(0), (0u32, vt())));
+        emptiest(WriteNotice {
+            interval: Interval { proc: 0, seq: 0 },
+            pages: Vec::new(),
+        });
+        let (page, base, version, body) = (PageId(0), (0, vt()), vt(), body());
+        emptiest(Pushed {
+            page,
+            base,
+            version,
+            body,
+        });
+        let (copy, entries) = (None, Vec::new());
+        emptiest(RecPage {
+            page,
+            copy,
+            entries,
+        });
+        emptiest(WnLogEntry {
+            seq: 0,
+            pages: vec![],
+        });
+        emptiest(BarEntry {
+            episode: 0,
+            result_vt: vt(),
+        });
+        emptiest(RelEntry {
+            acq_seq: 0,
+            lock: 0,
+            gen: 0,
+            req_vt: vt(),
+            t_after: vt(),
+        });
+        let (p0v, table) = (Vec::new(), Vec::new());
+        emptiest(Piggy {
+            stamp: stamp(),
+            p0v,
+            table,
+        });
+        emptiest((0usize, stamp()));
     }
 
     #[test]
@@ -1153,12 +1110,12 @@ mod tests {
         };
         let vt = VectorClock::from_vec(vec![3, 1, 4]);
         let mut w = ByteWriter::new();
-        put_wn(&mut w, &wn);
-        put_vt(&mut w, &vt);
+        wn.put(&mut w);
+        vt.put(&mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_wn(&mut r).unwrap(), wn);
-        assert_eq!(get_vt(&mut r).unwrap(), vt);
+        assert_eq!(WriteNotice::get(&mut r).unwrap(), wn);
+        assert_eq!(<VectorClock as Wire>::get(&mut r).unwrap(), vt);
     }
 
     #[test]
@@ -1174,13 +1131,13 @@ mod tests {
             },
         ]);
         let mut w = ByteWriter::new();
-        put_wn_delta(&mut w, &d);
+        d.put(&mut w);
         // Count, then per notice proc, seq, page count and one byte a page.
         assert_eq!(w.len(), 1 + (3 + 2) + 3);
-        assert_eq!(w.len(), len_of(|w| put_wn_delta(w, &d)));
+        assert_eq!(w.len(), len_of(|w| d.put(w)));
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(get_wn_delta(&mut r).unwrap(), d);
+        assert_eq!(WnDelta::get(&mut r).unwrap(), d);
         assert!(r.is_exhausted());
     }
 
@@ -1204,7 +1161,7 @@ mod tests {
         // Count; per notice proc, seq, page count, pages (200 is two bytes).
         let list = [2, 2, 5, 2, 3, 0xC8, 0x01, 2, 6, 1, 3];
         let mut w = ByteWriter::new();
-        put_wn_delta(&mut w, &wns());
+        wns().put(&mut w);
         assert_eq!(w.into_bytes(), list);
         let vt = || VectorClock::from_vec(vec![1, 0, 6]);
         // Tag and the kind's header fields: an untraced message has no
@@ -1286,17 +1243,17 @@ mod tests {
     fn a_clock_is_a_count_and_a_varint_an_entry() {
         let small = VectorClock::from_vec(vec![3, 0, 17, 127, 1, 9, 64, 2]);
         let mut w = ByteWriter::new();
-        put_vt(&mut w, &small);
-        assert_eq!((w.len(), len_of(|w| put_vt(w, &small))), (9, 9));
+        small.put(&mut w);
+        assert_eq!((w.len(), len_of(|w| small.put(w))), (9, 9));
         let big = VectorClock::from_vec(vec![128, u32::MAX]);
-        assert_eq!(len_of(|w| put_vt(w, &big)), 1 + 2 + 5);
+        assert_eq!(len_of(|w| big.put(w)), 1 + 2 + 5);
         // An entry past `u32` is refused.
         let mut w = ByteWriter::new();
         w.put_varint(1);
         w.put_varint(u64::from(u32::MAX) + 1);
         let bytes = w.into_bytes();
         let invalid = |e| matches!(e, CodecError::Invalid { .. });
-        assert!(get_vt(&mut ByteReader::new(&bytes)).is_err_and(invalid));
+        assert!(<VectorClock as Wire>::get(&mut ByteReader::new(&bytes)).is_err_and(invalid));
     }
 
     proptest! {
@@ -1308,12 +1265,12 @@ mod tests {
         ) {
             let vt = VectorClock::from_vec(entries);
             let mut w = ByteWriter::new();
-            put_vt(&mut w, &vt);
+            vt.put(&mut w);
             prop_assert!(w.len() <= 4 * vt.len());
-            prop_assert_eq!(w.len(), len_of(|w| put_vt(w, &vt)));
+            prop_assert_eq!(w.len(), len_of(|w| vt.put(w)));
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            prop_assert_eq!(get_vt(&mut r).unwrap(), vt);
+            prop_assert_eq!(<VectorClock as Wire>::get(&mut r).unwrap(), vt);
             prop_assert!(r.is_exhausted());
         }
 
