@@ -19,11 +19,12 @@
 //!    the whole replay and lands then);
 //! 4. re-executes the application from the checkpointed step, replaying
 //!    acquires and barriers from the collected logs and page misses by
-//!    *local emulation of a home*, in rounds of one `RecPageReq` to every
-//!    peer: the home of each page asked answers with the maximal starting
-//!    copy, everyone with their partially ordered diffs. The first round,
-//!    before the replay, asks for every page the handshake named; a replayed
-//!    miss on any other page is a round of its own;
+//!    *local emulation of a home*, which builds its copies in rounds of one
+//!    `RecPageReq` to every peer: the home of each page asked answers with
+//!    the maximal starting copy, everyone with their partially ordered
+//!    diffs. The first round, before the replay, asks for every page the
+//!    handshake named; a replayed miss on any other page is a round of its
+//!    own;
 //! 5. switches to live execution at the first operation with no log record
 //!    (the crash point), processing the backlog of deferred peer requests.
 //!
@@ -37,10 +38,11 @@
 //!
 //! The handshake and every round wait in the node's wait slot as an acquire
 //! or a barrier does: [`NodeState::block_on`] opens the wait and sends one
-//! request to every peer, each reply is deposited as it comes — a round's
-//! must name the pages asked, in the order asked — and
-//! [`crate::runtime::node::WaitSlot::take`] ends the wait once every peer
-//! has answered.
+//! request to every peer, and each reply is deposited as it comes — a
+//! round's must name the pages asked, in the order asked. The handshake's
+//! caller takes the replies once every peer has answered
+//! ([`crate::runtime::node::WaitSlot::take`]); a round's last reply
+//! completes it where [`defer`] deposits it ([`close_round`]).
 //!
 //! A replayed acquire or barrier is a live one whose answer the logs give:
 //! it builds its request as live, [`NodeState::block_on`] parks the logged
@@ -48,11 +50,14 @@
 //! ([`logged_answer`]), and the operation applies it as it applies one that
 //! came over the wire. What only a live operation does after the apply, and
 //! what only a replayed one does, the mode decides in one place
-//! ([`synced`]).
+//! ([`synced`]). A replayed page miss is a live one too: it waits on its
+//! page's fetch entry, and the emulated home answers the request with a
+//! `PageReply` that the live install takes ([`fetch_missed`]), after it has
+//! checked its copy against the page's `needed` as a real home does.
 //!
 //! The module owns the replay state and the backlog of what peers sent
 //! meanwhile, both sides of the four `Rec*` kinds, the logged answers and
-//! the replayed half of a page miss.
+//! the emulated home.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -60,12 +65,12 @@ use std::time::Instant;
 
 use dsm_page::{Interval, Page, PageId, ProcId, VectorClock};
 use dsm_trace::{EventKind, RecPhase};
-use hlrc::LockId;
-use parking_lot::MutexGuard;
+use hlrc::{LockId, PageBody};
 
 use crate::ft::ckpt;
 use crate::ft::logs::{BarEntry, DiffLogEntry, RelEntry};
 use crate::msg::{Payload, RecPage};
+use crate::runtime::fetch;
 use crate::runtime::home::{emit_diff_apply, serve_waiting_fetches};
 use crate::runtime::node::{handle_msg, handle_peer_restart, Mode, NodeShared, NodeState};
 use crate::runtime::process::wait_until;
@@ -77,7 +82,8 @@ struct ReplayPage {
     copy: Page,
     /// Versions applied so far (starts as `p0.v`).
     version: VectorClock,
-    /// Collected, not-yet-applied diffs (kept in linear-extension order).
+    /// Collected, not-yet-applied diffs, put in linear-extension order
+    /// before each answer applies what it can.
     entries: Vec<DiffLogEntry>,
     /// Has the replay installed the page yet? A page the handshake named is
     /// built before the replay reads it, or whether it does.
@@ -97,6 +103,9 @@ struct ReplayState {
     bar_results: BTreeMap<u64, VectorClock>,
     /// Emulated-home copies of remote pages.
     pages: HashMap<PageId, ReplayPage>,
+    /// The replayed miss the open round was opened for, `(page, req_id)`:
+    /// its copy is answered once the round has built it.
+    owed: Option<(PageId, u64)>,
     /// Diffs for our homed pages not yet applied: the replay point does not
     /// cover them yet (kept in linear-extension order).
     pending_home: Vec<DiffLogEntry>,
@@ -135,7 +144,8 @@ impl RecoverySvc {
 /// A message that arrived in `Recovering` mode: a recovery reply answers
 /// the request the recovery waits on, deposited as a grant is
 /// ([`crate::runtime::sync::handle`]); everything else waits for
-/// [`go_live`].
+/// [`go_live`]. While replaying, a recovery reply can only answer a round,
+/// and the last one completes it ([`close_round`]).
 ///
 /// # Panics
 /// On a recovery reply no open request is owed — a second reply from a
@@ -149,6 +159,11 @@ pub(crate) fn defer(st: &mut NodeState, from: ProcId, payload: Payload) {
                 let (me, kind, wait) = (st.me, reply.kind(), &st.wait);
                 panic!("node {me}: {kind} from {from} is owed to no open request (wait={wait:?})");
             }
+            if st.rec.replaying() {
+                if let Some(replies) = st.wait.take() {
+                    close_round(st, replies);
+                }
+            }
         }
         other => st.rec.backlog.push((from, other)),
     }
@@ -159,21 +174,6 @@ pub(crate) fn defer(st: &mut NodeState, from: ProcId, payload: Payload) {
 fn linear_key(e: &DiffLogEntry) -> (u64, usize, u32) {
     let sum: u64 = e.t.as_slice().iter().map(|&x| x as u64).sum();
     (sum, e.diff.interval.proc, e.diff.interval.seq)
-}
-
-/// Send each peer its request and block until every one has answered;
-/// returns the replies in arrival order. A reply that never comes ends in
-/// [`wait_until`]'s deadline panic, as any other blocked operation does,
-/// naming what was asked and who still owes it.
-fn ask_every_peer(
-    shared: &NodeShared,
-    st: &mut MutexGuard<'_, NodeState>,
-    requests: Vec<(ProcId, Payload)>,
-) -> Vec<(ProcId, Payload)> {
-    st.block_on(requests);
-    let (replies, wait) = wait_until(shared, st, |st| st.wait.take());
-    wait.close(shared, st);
-    replies
 }
 
 /// The module's slice of the message kinds in normal mode: the two requests
@@ -352,8 +352,12 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     let handshake = handshake.collect();
 
     // ---- Phase 3: collect and merge log replies -----------------------------
+    // A reply that never comes ends in `wait_until`'s deadline panic, as any
+    // other blocked operation does, naming what was asked and who owes it.
     let t_collect = Instant::now();
-    let replies = ask_every_peer(shared, &mut st, handshake);
+    st.block_on(handshake);
+    let (replies, wait) = wait_until(shared, &mut st, |st| st.wait.take());
+    wait.close(shared, &mut st);
     let (mut replay, mut entries, wanted) = merge_log_replies(&mut st, replies);
 
     // ---- Phase 4: restore homed pages -----------------------------------
@@ -369,9 +373,11 @@ pub(crate) fn run_recovery(shared: &Arc<NodeShared>) -> (u64, Vec<u8>) {
     apply_pending_home(&mut st);
 
     // One round for every page the peers named: those the replay is about
-    // to read, built before it does.
+    // to read, built before it does. Its last reply completes it.
     if !wanted.is_empty() {
-        fetch_replay_pages(shared, &mut st, wanted);
+        open_round(&mut st, wanted);
+        let ((), wait) = wait_until(shared, &mut st, |st| (!st.wait_opened()).then_some(()));
+        wait.close(shared, &mut st);
     }
     phase_done(&mut st, RecPhase::LogCollect, t_collect);
 
@@ -509,30 +515,37 @@ pub(crate) fn go_live(st: &mut NodeState) {
 
 /// One round of home emulation: ask every peer for `pages` (ascending) at
 /// once — each peer's diff log for them, and with the home's the maximal
-/// starting copy — and keep the copies the answers build for the replay to
-/// install.
-fn fetch_replay_pages(shared: &NodeShared, st: &mut MutexGuard<'_, NodeState>, pages: Vec<PageId>) {
+/// starting copy. The request parks in the wait slot
+/// ([`NodeState::block_on`]); the last reply completes the round
+/// ([`close_round`]).
+fn open_round(st: &mut NodeState, pages: Vec<PageId>) {
     let me = st.me;
     let tckp = &st.ft.state.as_ref().unwrap().stamps[me].tckp;
     let round = (0..st.n).filter(|&p| p != me).map(|p| {
         let (pages, tckp) = (pages.clone(), tckp.clone());
         (p, Payload::RecPageReq { pages, tckp })
     });
-    let round = round.collect();
-    let mut built = vec![(None, Vec::new()); pages.len()];
-    for (_, payload) in ask_every_peer(shared, st, round) {
-        let Payload::RecPageReply { pages: answers } = payload else {
+    st.block_on(round.collect());
+}
+
+/// Every peer has answered the open round: keep the copies the answers
+/// build for the replay to install, and answer the replayed miss the round
+/// was opened for.
+fn close_round(st: &mut NodeState, replies: Vec<(ProcId, Payload)>) {
+    let mut built: BTreeMap<PageId, (Option<_>, Vec<_>)> = BTreeMap::new();
+    for (_, payload) in replies {
+        let Payload::RecPageReply { pages } = payload else {
             unreachable!("collected a reply that was not asked for")
         };
-        for ((base, entries), rp) in built.iter_mut().zip(answers) {
+        for rp in pages {
+            let (base, entries) = built.entry(rp.page).or_default();
             *base = base.take().or(rp.copy);
             entries.extend(rp.entries);
         }
     }
     let replay = st.rec.replay.as_mut().unwrap();
-    for (page, (base, mut entries)) in pages.into_iter().zip(built) {
+    for (page, (base, entries)) in built {
         let (version, bytes) = base.expect("the home's reply carries the starting copy");
-        entries.sort_by_key(linear_key);
         let rp = ReplayPage {
             copy: Page::from_shared(bytes),
             version,
@@ -542,28 +555,45 @@ fn fetch_replay_pages(shared: &NodeShared, st: &mut MutexGuard<'_, NodeState>, p
         replay.pages.insert(page, rp);
     }
     st.ft.state.as_mut().unwrap().report.rec_rounds += 1;
+    if let Some((page, req_id)) = replay.owed.take() {
+        answer_miss(st, page, req_id);
+    }
 }
 
-/// A replayed miss on remote `page`: build the emulated-home copy, unless
-/// the handshake's round has, and install it.
-pub(crate) fn replay_materialize(
-    shared: &NodeShared,
-    st: &mut MutexGuard<'_, NodeState>,
-    page: PageId,
-) {
-    let me = st.me;
-    if !st.rec.replay.as_ref().unwrap().pages.contains_key(&page) {
-        fetch_replay_pages(shared, st, vec![page]);
+/// A miss on remote `page` that no fetch in flight covers, decided by the
+/// mode. A live one asks the page's home, with the neighbours prefetch
+/// left out ([`fetch::fetch_with_neighbours`]). A replayed one tracks the
+/// page alone as in flight ([`fetch::track_alone`]) — a round would build
+/// and ship the neighbour run whether the replay reads it or not — and the
+/// emulated home answers it: at once if the page's copy is built, else
+/// when the round this opens for the page completes.
+pub(crate) fn fetch_missed(st: &mut NodeState, page: PageId) {
+    if !st.rec.replaying() {
+        return fetch::fetch_with_neighbours(st, page);
     }
-    let st = &mut **st;
-    let rp = st
-        .rec
-        .replay
-        .as_mut()
-        .unwrap()
-        .pages
-        .get_mut(&page)
-        .unwrap();
+    let req_id = fetch::track_alone(st, page);
+    let replay = st.rec.replay.as_mut().unwrap();
+    if replay.pages.contains_key(&page) {
+        answer_miss(st, page, req_id);
+    } else {
+        replay.owed = Some((page, req_id));
+        open_round(st, vec![page]);
+    }
+}
+
+/// The emulated home answers the replayed miss on remote `page`, asked
+/// under `req_id`, as a home answers a `PageReq`: with a `PageReply` of its
+/// copy, which the live install takes ([`fetch::handle`]). The copy holds
+/// every collected diff the replay point covers.
+///
+/// # Panics
+/// When the copy does not cover the page's `needed`, which a real home
+/// waits for: the install would refuse it, and the replay would read a
+/// page that misses a write it must see.
+fn answer_miss(st: &mut NodeState, page: PageId, req_id: u64) {
+    let me = st.me;
+    let replay = st.rec.replay.as_mut().unwrap();
+    let rp = replay.pages.get_mut(&page).expect("a round built the page");
     let ft = st.ft.state.as_mut().unwrap();
     if !rp.installed {
         rp.installed = true;
@@ -571,39 +601,37 @@ pub(crate) fn replay_materialize(
     }
     // Our own logged diffs participate too: the pre-crash fetched copy
     // included them, and replay keeps regenerating them (logged at every
-    // replayed interval end). Merge those the copy does not have yet —
-    // at the first materialization and at every re-materialization
-    // after an invalidation — so that it reproduces our own writes.
-    let before = rp.entries.len();
-    for e in ft.diffs_after(page, rp.version.get(me)) {
-        if !rp.entries[..before]
-            .iter()
-            .any(|x| x.diff.interval == e.diff.interval)
-        {
-            rp.entries.push(e);
+    // replayed interval end). Merge those the copy does not have yet — at
+    // the first answer and at every one after an invalidation — so that it
+    // reproduces our own writes. None is in `entries` already: a peer sends
+    // only diffs it made, and ours are covered, so applied and dropped here.
+    rp.entries.extend(ft.diffs_after(page, rp.version.get(me)));
+    rp.entries.sort_by_key(linear_key);
+    // Apply every diff that happened before our current replay point, each
+    // once.
+    let vt = &st.vt;
+    rp.entries.retain(|e| {
+        let (writer, seq, due) = (e.diff.interval.proc, e.diff.interval.seq, vt.covers(&e.t));
+        if due && seq > rp.version.get(writer) {
+            e.diff.apply(&mut rp.copy);
+            rp.version.set(writer, seq);
         }
-    }
-    if rp.entries.len() > before {
-        rp.entries.sort_by_key(linear_key);
-    }
-    // Apply every diff that happened before our current replay point.
-    let mut rest = Vec::with_capacity(rp.entries.len());
-    for e in rp.entries.drain(..) {
-        let writer = e.diff.interval.proc;
-        if st.vt.covers(&e.t) {
-            if e.diff.interval.seq > rp.version.get(writer) {
-                e.diff.apply(&mut rp.copy);
-                rp.version.set(writer, e.diff.interval.seq);
-            }
-        } else {
-            rest.push(e);
-        }
-    }
-    rp.entries = rest;
-    // Share the emulated-home copy straight into the page table: later
-    // replayed diffs copy-on-write `rp.copy`, so the installed buffer
-    // stays a consistent snapshot.
-    st.pt.install_fetch(page, rp.copy.share(), &rp.version);
+        !due
+    });
+    let (needed, version) = (&st.pt.remote_meta(page).needed, &rp.version);
+    assert!(
+        version.covers(needed),
+        "node {me}: replayed page {page}: the emulated home's copy at version {version} does not cover needed {needed}"
+    );
+    // Share the copy straight into the page table: later replayed diffs
+    // copy-on-write `rp.copy`, so the installed buffer stays a consistent
+    // snapshot. No base: the copy is no version a later delta builds on.
+    let body = PageBody::Full {
+        bytes: rp.copy.share(),
+        base: 0,
+    };
+    let pages = vec![(page, version.clone(), body)];
+    fetch::handle(st, Payload::PageReply { req_id, pages });
 }
 
 /// The answer the logs give `request` while replaying, which
@@ -706,8 +734,9 @@ mod tests {
         diff_of, gated, only_payload, page_of, recv_any, test_state, the_answer,
     };
     use crate::runtime::node::WaitSlot;
-    use crate::stats::Breakdown;
+    use crate::stats::{Breakdown, Counts};
     use dsm_net::Endpoint;
+    use dsm_trace::{Trace, TraceConfig};
     use std::time::Duration;
 
     impl RecoverySvc {
@@ -1183,5 +1212,127 @@ mod tests {
         let both = ask(&mut st, vec![PageId(0), PageId(1)]);
         let alone = [ask(&mut st, vec![PageId(0)]), ask(&mut st, vec![PageId(1)])];
         assert_eq!(both, alone.concat());
+    }
+
+    /// Node 1 of `n`, replaying at node 0's interval 2, which a notice has
+    /// named for page 0, node 0's. The emulated home has built the page if
+    /// `built` carries its entries: its copy, byte 8 set to 7, holds node
+    /// 0's interval 1, and the entries are not applied yet.
+    fn replaying_a_miss(
+        n: usize,
+        built: Option<Vec<DiffLogEntry>>,
+    ) -> (NodeState, Vec<Arc<Endpoint<Msg>>>) {
+        let (mut st, eps) = test_state(1, n, true);
+        st.set_mode(Mode::Recovering);
+        let mut replay = ReplayState::default();
+        if let Some(entries) = built {
+            let mut copy = Page::zeroed(256);
+            copy.write(8, &[7]);
+            let version = gated(n, 0, 1);
+            let rp = ReplayPage {
+                copy,
+                version,
+                entries,
+                installed: false,
+            };
+            replay.pages.insert(PageId(0), rp);
+        }
+        st.rec.replay = Some(replay);
+        st.pt.add_page(0);
+        st.pt.invalidate(PageId(0), 0, 2);
+        st.vt = gated(n, 0, 2);
+        (st, eps)
+    }
+
+    /// Node 0's logged diff of page 0 in its interval `seq`: byte 0 set to
+    /// `seq`.
+    fn logged(n: usize, seq: u32) -> DiffLogEntry {
+        let (diff, t) = (diff_of(0, 0, seq), gated(n, 0, seq));
+        DiffLogEntry { diff, t }
+    }
+
+    /// A replayed miss on a built page runs the live fault: it waits on
+    /// the page's fetch entry, and the emulated home's `PageReply` installs
+    /// the copy through the live install, which notes the home's interval
+    /// it carries, as after a live install. Nothing goes on the wire and no
+    /// traffic counter moves; the page wait is recorded as a live one's.
+    #[test]
+    fn a_replayed_miss_is_answered_through_the_live_install_and_counts_as_a_page_wait() {
+        let (mut st, eps) = replaying_a_miss(2, Some(vec![logged(2, 2)]));
+        let trace = Trace::new(2, &TraceConfig::enabled());
+        st.tracer = trace.tracer(1);
+        let (mut proc, shared) = crate::runtime::fetch::tests::process(st);
+        let addr = proc.alloc(256, crate::HomeAlloc::Node(0));
+        let mut bytes = [0u8; 16];
+        proc.read_bytes(addr, &mut bytes);
+        assert_eq!((bytes[0], bytes[8]), (2, 7));
+        let mut st = shared.state.lock();
+        // The evidence the home's next recovery asks for: its interval 2.
+        assert_eq!(st.fetch.seen_of(0), 2);
+        assert!(!st.fetch.in_flight(PageId(0)));
+        assert_eq!(st.ft.state.as_ref().unwrap().report.replayed_pages, 1);
+        assert!(
+            recv_any(&eps[0], Duration::ZERO).is_none(),
+            "a replayed miss sent"
+        );
+        assert_eq!((st.counts, st.req_causes.total()), (Counts::default(), 0));
+        assert_eq!(st.hists.page_fetch.count(), 1);
+        proc.flush_stats(&mut st);
+        assert!(st.breakdown_acc.page_wait > Duration::ZERO);
+        let kinds: Vec<_> = trace.node_events(1).into_iter().map(|e| e.kind).collect();
+        assert!(
+            kinds.contains(&EventKind::PageFault { page: 0 }),
+            "{kinds:?}"
+        );
+        assert!(
+            kinds.contains(&EventKind::PageReply { page: 0, from: 0 }),
+            "{kinds:?}"
+        );
+    }
+
+    /// The emulated home checks its copy against the page's `needed`, as a
+    /// real home does: a copy that misses an interval a notice named is a
+    /// fail-stop, never an install.
+    #[test]
+    #[should_panic(
+        expected = "replayed page p0: the emulated home's copy at version [1,0] does not cover needed [2,0]"
+    )]
+    fn a_replayed_copy_short_of_needed_is_a_fail_stop() {
+        let (st, _eps) = replaying_a_miss(2, Some(Vec::new()));
+        let (mut proc, _shared) = crate::runtime::fetch::tests::process(st);
+        let addr = proc.alloc(256, crate::HomeAlloc::Node(0));
+        proc.read::<u64>(addr);
+    }
+
+    /// A replayed miss on a page no round has built opens a round of its
+    /// own; the round's last reply builds the copy and answers the miss.
+    #[test]
+    fn a_replayed_miss_on_a_page_no_round_built_is_answered_as_its_round_completes() {
+        let (mut st, eps) = replaying_a_miss(3, None);
+        fetch_missed(&mut st, PageId(0));
+        for ep in &eps {
+            let Payload::RecPageReq { pages, .. } = only_payload(ep) else {
+                panic!("no round")
+            };
+            assert_eq!(pages, [PageId(0)]);
+        }
+        assert!(st.fetch.in_flight(PageId(0)) && st.wait_opened());
+        defer(&mut st, 2, page_reply(0, false));
+        assert!(st.fetch.in_flight(PageId(0)), "peer 0 still owes its reply");
+        let home = Payload::RecPageReply {
+            pages: vec![RecPage {
+                page: PageId(0),
+                copy: Some((VectorClock::zero(3), vec![0u8; 256].into())),
+                entries: vec![logged(3, 1), logged(3, 2)],
+            }],
+        };
+        defer(&mut st, 0, home);
+        assert!(matches!(st.wait, WaitSlot::None));
+        assert_eq!(st.pt.ensure_access(PageId(0)), hlrc::AccessOutcome::Ready);
+        assert_eq!(st.fetch.seen_of(0), 2);
+        let report = &st.ft.state.as_ref().unwrap().report;
+        assert_eq!((report.rec_rounds, report.replayed_pages), (1, 1));
+        assert_eq!(st.rec.replay.as_ref().unwrap().owed, None);
+        assert_eq!(st.req_causes.total(), 0);
     }
 }

@@ -257,6 +257,16 @@ fn send_page_batches(st: &mut NodeState, pages: &[PageId], cause: ReqCause) {
     }
 }
 
+/// Track remote `page` alone as in flight under a new request id, with no
+/// `PageReq` on the wire and nothing counted: a replayed miss, whose request
+/// the emulated home answers ([`crate::ft::recovery::fetch_missed`]).
+/// Returns the id its `PageReply` must carry.
+pub(crate) fn track_alone(st: &mut NodeState, page: PageId) -> u64 {
+    let (req_id, home) = (st.fetch.take_req_id(), st.pt.home_of(page));
+    st.fetch.in_flight.insert(page, InFlight { req_id, home });
+    req_id
+}
+
 /// A crashed home restarted: re-issue the requests in flight to it, each
 /// under its `req_id`, for what is still outstanding of it (the needed
 /// versions are re-read: they may have advanced, and the install gate
@@ -708,7 +718,7 @@ pub(crate) mod tests {
     }
 
     /// The DSM handle over `st`, and the state it shares.
-    fn process(st: NodeState) -> (Process, Arc<NodeShared>) {
+    pub(crate) fn process(st: NodeState) -> (Process, Arc<NodeShared>) {
         let (me, n, state) = (st.me, st.n, parking_lot::Mutex::new(st));
         let shared = Arc::new(NodeShared {
             state,

@@ -397,32 +397,20 @@ impl Process {
     }
 
     /// Make `page` accessible: install the zero page when it is cold, fetch
-    /// from home, wait for in-flight diffs on our own homed page, or (during
-    /// recovery) emulate the home locally. Returns whether the copy is one
+    /// from home, or wait for in-flight diffs on our own homed page. A
+    /// replayed miss is the same: its home is emulated, and answers its
+    /// request ([`recovery::fetch_missed`]). Returns whether the copy is one
     /// this fault asked for, as opposed to one a fetch already in flight
     /// brought.
     fn fault_in(&mut self, page: PageId) -> bool {
         let shared = Arc::clone(&self.shared);
-        // Set once this fault has sent its own request or replay.
+        // Set once this fault has sent its own request.
         let mut demanded = false;
         loop {
             let mut st = shared.state.lock();
             let AccessOutcome::NeedFetch { home, .. } = st.pt.ensure_access(page) else {
                 return demanded;
             };
-            if st.rec.replaying() {
-                if home == self.me {
-                    recovery::apply_pending_home(&mut st);
-                    assert!(
-                        matches!(st.pt.ensure_access(page), AccessOutcome::Ready),
-                        "homed page {page} not ready during replay"
-                    );
-                    return false;
-                }
-                recovery::replay_materialize(&shared, &mut st, page);
-                demanded = true;
-                continue;
-            }
             // No page wait: nothing is sent, and no sample recorded.
             if fetch::zero_fill(&mut st, page) {
                 return true;
@@ -439,13 +427,14 @@ impl Process {
                 return false;
             }
             // A fetch in flight that covers the page is waited for; else the
-            // fault asks, for the page and the neighbours prefetch left out
-            // with it. Either way the wait is on the page's entry, which its
-            // reply removes whether or not it installed the page.
+            // fault asks: live, for the page and the neighbours prefetch left
+            // out with it, replayed, the emulated home for the page alone.
+            // Either way the wait is on the page's entry, which its reply
+            // removes whether or not it installed the page.
             let found = st.fetch.in_flight(page);
             let skipped = fetch::left_out(&st, page).is_some();
             if !found {
-                fetch::fetch_with_neighbours(&mut st, page);
+                recovery::fetch_missed(&mut st, page);
                 demanded = true;
             }
             st.fetch.await_page(page);

@@ -317,7 +317,7 @@ impl PageTable {
     }
 
     /// Install a fetched copy of a remote page whose exact version is not
-    /// known (recovery's emulated home), adopting the shared buffer.
+    /// known, adopting the shared buffer: a [`PageBody::Full`] with no base.
     pub fn install_fetch(&mut self, page: PageId, bytes: Arc<[u8]>, version: &VectorClock) {
         self.install(page, PageBody::Full { bytes, base: 0 }, version);
     }
